@@ -82,7 +82,8 @@ def select(rel: Relation, predicate: Callable[[Dict[str, Any]], bool]) -> Relati
         for row, scope in rel.rows.pairs()
         if predicate(dict(row.as_record()))
     ]
-    return Relation(rel.heading, XSet(kept))
+    # Separation keeps a subsequence of the relation's own canonical run.
+    return Relation(rel.heading, XSet._from_run(kept))
 
 
 def project(rel: Relation, attrs: Sequence[str]) -> Relation:

@@ -31,16 +31,16 @@ class Relation:
     __slots__ = ("_heading", "_rows")
 
     def __init__(self, heading: Heading, rows: XSet):
+        names = frozenset(heading.names)
         for row, scope in rows.pairs():
             if not (isinstance(scope, XSet) and scope.is_empty):
                 raise SchemaError("relation rows must be classical members")
             if not isinstance(row, XSet) or not row.is_record():
                 raise SchemaError("row %r is not record-shaped" % (row,))
-            row_attrs = frozenset(row.scopes())
-            if row_attrs != frozenset(heading.names):
+            if row._scopes_index().keys() != names:
                 raise SchemaError(
                     "row attributes %s do not match heading %r"
-                    % (sorted(row_attrs), heading)
+                    % (sorted(row.scopes()), heading)
                 )
         object.__setattr__(self, "_heading", heading)
         object.__setattr__(self, "_rows", rows)

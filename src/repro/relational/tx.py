@@ -223,7 +223,9 @@ class TransactionManager:
         for name in sorted(self._tables):
             before = savepoint[name]
             after = self._tables[name].snapshot()
-            if after.rows != before.rows:
+            # A table no statement touched still holds the savepoint's
+            # own Relation object; only the others need the row compare.
+            if after is not before and after.rows != before.rows:
                 changes[name] = (
                     tuple(after.heading.names),
                     after.rows - before.rows,

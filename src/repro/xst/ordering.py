@@ -35,6 +35,25 @@ _RANK_OTHER = 4
 _RANK_XSET = 5
 
 
+#: The ``XSet`` class.  ``repro.xst.xset`` imports this module, so it
+#: cannot be imported here; that module stores the class once defined.
+_XSet: Any = None
+
+
+def _number_payload(value: Any) -> Any:
+    """``float(value)`` when that is exact, else the ``int`` itself.
+
+    ``1``, ``1.0`` and ``True`` therefore share one payload, while
+    integers no float can represent (``2**53 + 1``, ``10**400``) keep
+    distinct ones; Python orders ``int`` against ``float`` exactly.
+    """
+    try:
+        as_float = float(value)
+    except OverflowError:
+        return value
+    return as_float if as_float == value else value
+
+
 def canonical_key(value: Any) -> Tuple:
     """Return a sort key giving a total order over admissible values.
 
@@ -45,35 +64,48 @@ def canonical_key(value: Any) -> Tuple:
     ``XSet`` instances are ordered structurally: first by cardinality,
     then lexicographically by the canonical keys of their (element,
     scope) pairs.  This makes the order well-founded on the nesting
-    depth of the set.
+    depth of the set.  The key of an ``XSet`` (exactly that type; a
+    subclass is keyed afresh on every call) is a pure function of its
+    immutable pairs and is remembered on the instance.
     """
-    # Imported lazily to avoid a circular import at module load time;
-    # the attribute lookup is cached by the interpreter after first use.
-    from repro.xst.xset import XSet
-
+    cls = type(value)
+    if cls is _XSet:
+        key = value._key
+        if key is None:
+            key = _xset_key(value)
+            object.__setattr__(value, "_key", key)
+        return key
+    if cls is str:
+        return (_RANK_STRING, value)
+    if cls is float:
+        return (_RANK_NUMBER, value)
+    if cls is int:
+        return (_RANK_NUMBER, _number_payload(value))
     if value is None:
         return (_RANK_NONE, 0)
-    if isinstance(value, bool):
-        # bool is a subclass of int; fold into the number rank so that
-        # True == 1 keeps a key equal to canonical_key(1).
-        return (_RANK_NUMBER, float(value))
     if isinstance(value, (int, float)):
-        return (_RANK_NUMBER, float(value))
+        # bool is a subclass of int and folds into the number rank, so
+        # True == 1 keeps a key equal to canonical_key(1).
+        return (_RANK_NUMBER, _number_payload(value))
     if isinstance(value, complex):
         return (_RANK_NUMBER + 0.5, (value.real, value.imag))
     if isinstance(value, str):
         return (_RANK_STRING, value)
     if isinstance(value, bytes):
         return (_RANK_BYTES, value)
-    if isinstance(value, XSet):
-        pair_keys = tuple(
-            (canonical_key(element), canonical_key(scope))
-            for element, scope in value.pairs()
-        )
-        return (_RANK_XSET, len(pair_keys), pair_keys)
+    if isinstance(value, _XSet):
+        return _xset_key(value)
     # Any other hashable atom: order by type name, then by repr.  repr
     # ties are acceptable because such atoms are opaque to the kernel.
     return (_RANK_OTHER, type(value).__name__, repr(value))
+
+
+def _xset_key(value: Any) -> Tuple:
+    pair_keys = tuple(
+        (canonical_key(element), canonical_key(scope))
+        for element, scope in value.pairs()
+    )
+    return (_RANK_XSET, len(pair_keys), pair_keys)
 
 
 def pair_key(pair: Tuple[Any, Any]) -> Tuple:

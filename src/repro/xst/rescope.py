@@ -39,7 +39,7 @@ scopes are always extended sets (possibly empty).
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, Callable, Tuple
 
 from repro.xst.xset import EMPTY, XSet
 
@@ -52,22 +52,32 @@ __all__ = [
 ]
 
 
+def _rescope(a: XSet, targets_of: Callable[[Any, Tuple], Tuple]) -> XSet:
+    """``{x^w : x in_s a and w in targets_of(s)}`` for either direction."""
+    pairs = []
+    in_place = True
+    for element, scope in a.pairs():
+        targets = targets_of(scope, ())
+        for new_scope in targets:
+            pairs.append((element, new_scope))
+        if targets and (len(targets) > 1 or targets[0] != scope):
+            in_place = False
+    if in_place:
+        # Every kept scope maps to itself alone, so the result is a
+        # subsequence of a's canonical run (equal scopes have equal keys)
+        # of elements admitted by a at scopes admitted by sigma.
+        return XSet._from_run(pairs)
+    return XSet(pairs)
+
+
 def rescope_by_scope(a: XSet, sigma: XSet) -> XSet:
     """Def 7.3: ``A^{/sigma/}``, mapping old scopes to new scopes."""
-    pairs = []
-    for element, scope in a.pairs():
-        for new_scope in sigma.scopes_of(scope):
-            pairs.append((element, new_scope))
-    return XSet(pairs)
+    return _rescope(a, sigma._elements_index().get)
 
 
 def rescope_by_element(a: XSet, sigma: XSet) -> XSet:
     """Def 7.5: ``A^{\\sigma\\}``, new scopes drawn from sigma's elements."""
-    pairs = []
-    for element, scope in a.pairs():
-        for new_scope in sigma.elements_at(scope):
-            pairs.append((element, new_scope))
-    return XSet(pairs)
+    return _rescope(a, sigma._scopes_index().get)
 
 
 def rescope_value_by_scope(value: Any, sigma: XSet) -> XSet:

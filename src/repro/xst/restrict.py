@@ -79,7 +79,8 @@ def sigma_restrict(r: XSet, a: XSet, sigma: XSet) -> XSet:
             charged = len(kept)
     if gov is not None:
         gov.checkpoint("xst.restrict", len(kept) - charged)
-    return XSet(kept)
+    # A subsequence of r's own canonical run.
+    return XSet._from_run(kept)
 
 
 def restrict_1(r: XSet, a: XSet) -> XSet:

@@ -31,6 +31,7 @@ from __future__ import annotations
 from typing import Any, Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
 from repro.errors import InvalidAtomError, NotATupleError
+from repro.xst import ordering
 from repro.xst.ordering import canonical_key, pair_key
 
 __all__ = ["XSet", "EMPTY", "Pair"]
@@ -65,6 +66,14 @@ def _check_admissible(value: Any, role: str) -> None:
         ) from exc
 
 
+def _group(pairs: Tuple[Pair, ...], by: int) -> Dict[Any, Tuple[Any, ...]]:
+    """Map coordinate ``by`` of each pair to the other coordinates under it."""
+    grouped: Dict[Any, list] = {}
+    for pair in pairs:
+        grouped.setdefault(pair[by], []).append(pair[1 - by])
+    return {key: tuple(values) for key, values in grouped.items()}
+
+
 class XSet:
     """An immutable extended set of ``(element, scope)`` pairs.
 
@@ -80,13 +89,17 @@ class XSet:
     membership ``x in_EMPTY A``.
     """
 
-    __slots__ = ("_pairs", "_pair_set", "_by_element", "_by_scope", "_hash")
+    __slots__ = ("_pairs", "_pair_set", "_by_element", "_by_scope", "_hash", "_key")
 
     _pairs: Tuple[Pair, ...]
     _pair_set: frozenset
-    _by_element: Dict[Any, Tuple[Any, ...]]
-    _by_scope: Dict[Any, Tuple[Any, ...]]
+    #: ``{element: scopes}`` / ``{scope: elements}``, each built from the
+    #: pairs by the first method that reads it; ``None`` until then.
+    _by_element: Optional[Dict[Any, Tuple[Any, ...]]]
+    _by_scope: Optional[Dict[Any, Tuple[Any, ...]]]
     _hash: int
+    #: ``canonical_key(self)``, filled by the first call of it.
+    _key: Optional[Tuple]
 
     def __init__(self, pairs: Iterable[Pair] = ()):
         seen = {}
@@ -103,20 +116,48 @@ class XSet:
             _check_admissible(scope, "a scope")
             seen[(element, scope)] = None
         ordered = tuple(sorted(seen, key=pair_key))
-        by_element: Dict[Any, list] = {}
-        by_scope: Dict[Any, list] = {}
-        for element, scope in ordered:
-            by_element.setdefault(element, []).append(scope)
-            by_scope.setdefault(scope, []).append(element)
-        object.__setattr__(self, "_pairs", ordered)
-        object.__setattr__(self, "_pair_set", frozenset(ordered))
-        object.__setattr__(
-            self, "_by_element", {k: tuple(v) for k, v in by_element.items()}
-        )
-        object.__setattr__(
-            self, "_by_scope", {k: tuple(v) for k, v in by_scope.items()}
-        )
-        object.__setattr__(self, "_hash", hash(("repro.XSet", ordered)))
+        self._fill(ordered, frozenset(ordered))
+
+    def _fill(self, ordered: Tuple[Pair, ...], pair_set: frozenset) -> None:
+        fill = object.__setattr__
+        fill(self, "_pairs", ordered)
+        fill(self, "_pair_set", pair_set)
+        fill(self, "_by_element", None)
+        fill(self, "_by_scope", None)
+        fill(self, "_hash", hash(("repro.XSet", ordered)))
+        fill(self, "_key", None)
+
+    @staticmethod
+    def _from_run(
+        ordered: Iterable[Pair], pair_set: Optional[frozenset] = None
+    ) -> "XSet":
+        """The unchecked constructor, for kernel results only.
+
+        ``ordered`` must be a duplicate-free sequence, in canonical
+        order, of pairs taken from existing ``XSet`` instances (so
+        already admitted): a subsequence of one canonical run or a
+        merge of two.  ``pair_set``, when the caller already holds it,
+        is the same pairs as a frozenset.  Anything else goes through
+        ``XSet(pairs)``.
+        """
+        ordered = tuple(ordered)
+        self = object.__new__(XSet)
+        self._fill(ordered, frozenset(ordered) if pair_set is None else pair_set)
+        return self
+
+    def _elements_index(self) -> Dict[Any, Tuple[Any, ...]]:
+        index = self._by_element
+        if index is None:
+            index = _group(self._pairs, 0)
+            object.__setattr__(self, "_by_element", index)
+        return index
+
+    def _scopes_index(self) -> Dict[Any, Tuple[Any, ...]]:
+        index = self._by_scope
+        if index is None:
+            index = _group(self._pairs, 1)
+            object.__setattr__(self, "_by_scope", index)
+        return index
 
     # ------------------------------------------------------------------
     # Immutability & identity
@@ -151,19 +192,19 @@ class XSet:
 
     def elements(self) -> Tuple[Any, ...]:
         """Distinct elements, in canonical order, ignoring scopes."""
-        return tuple(sorted(self._by_element, key=canonical_key))
+        return tuple(sorted(self._elements_index(), key=canonical_key))
 
     def scopes(self) -> Tuple[Any, ...]:
         """Distinct scopes in use, in canonical order."""
-        return tuple(sorted(self._by_scope, key=canonical_key))
+        return tuple(sorted(self._scopes_index(), key=canonical_key))
 
     def scopes_of(self, element: Any) -> Tuple[Any, ...]:
         """Every scope ``s`` with ``element in_s self`` (may be empty)."""
-        return self._by_element.get(element, ())
+        return self._elements_index().get(element, ())
 
     def elements_at(self, scope: Any) -> Tuple[Any, ...]:
         """Every element ``x`` with ``x in_scope self`` (may be empty)."""
-        return self._by_scope.get(scope, ())
+        return self._scopes_index().get(scope, ())
 
     def contains(self, element: Any, scope: Any = _UNSET) -> bool:
         """Scoped membership test ``element in_scope self``.
@@ -183,7 +224,7 @@ class XSet:
         This loose reading is the convenient one for ``in`` checks; use
         :meth:`contains` for an exact scoped membership test.
         """
-        return element in self._by_element
+        return element in self._elements_index()
 
     def __len__(self) -> int:
         """Number of membership pairs (an element counts once per scope)."""
@@ -208,22 +249,45 @@ class XSet:
     # ------------------------------------------------------------------
 
     def union(self, *others: "XSet") -> "XSet":
-        pairs = list(self._pairs)
+        result = self
         for other in others:
-            pairs.extend(other._pairs)
-        return XSet(pairs)
+            present = result._pair_set
+            extra = tuple(pair for pair in other._pairs if pair not in present)
+            if not extra:
+                continue
+            if len(extra) == len(other._pairs) and not result._pairs:
+                result = other
+                continue
+            # Two canonical runs of admitted pairs (extra is a subsequence
+            # of other's) sharing no pair; the sort finds both runs and
+            # merges them, reading one remembered key per member.
+            result = XSet._from_run(
+                sorted(result._pairs + extra, key=pair_key), present.union(extra)
+            )
+        return result
 
     def intersection(self, *others: "XSet") -> "XSet":
-        common = self._pair_set
+        kept = self._pair_set
         for other in others:
-            common = common & other._pair_set
-        return XSet(common)
+            # a - (a - b), not a & b: of two equal members spelled
+            # differently (1, 1.0) ``&`` may return either operand's.
+            kept = kept - (kept - other._pair_set)
+        return self._keeping(kept)
 
     def difference(self, other: "XSet") -> "XSet":
-        return XSet(self._pair_set - other._pair_set)
+        return self._keeping(self._pair_set - other._pair_set)
 
     def symmetric_difference(self, other: "XSet") -> "XSet":
-        return XSet(self._pair_set ^ other._pair_set)
+        return self.difference(other).union(other.difference(self))
+
+    def _keeping(self, kept: frozenset) -> "XSet":
+        """The members of ``self`` that are in ``kept``, a subset of them."""
+        if len(kept) == len(self._pairs):
+            return self
+        # A subsequence of this set's own canonical run.
+        return XSet._from_run(
+            (pair for pair in self._pairs if pair in kept), kept
+        )
 
     def __or__(self, other: "XSet") -> "XSet":
         if not isinstance(other, XSet):
@@ -293,9 +357,10 @@ class XSet:
         n = len(self._pairs)
         if n == 0:
             return 0
-        if len(self._by_scope) != n:
+        by_scope = self._scopes_index()
+        if len(by_scope) != n:
             return None
-        for scope in self._by_scope:
+        for scope in by_scope:
             if isinstance(scope, bool) or not isinstance(scope, int):
                 return None
             if not 1 <= scope <= n:
@@ -314,15 +379,20 @@ class XSet:
                 "%r is not an n-tuple: scopes must be exactly 1..n with one "
                 "element each (Def 9.1)" % (self,)
             )
-        return tuple(self._by_scope[i][0] for i in range(1, n + 1))
+        by_scope = self._scopes_index()
+        return tuple(by_scope[i][0] for i in range(1, n + 1))
 
     def is_record(self) -> bool:
         """True if scopes are distinct strings with one element each."""
         if not self._pairs:
             return False
-        if len(self._by_scope) != len(self._pairs):
+        by_scope = self._scopes_index()
+        if len(by_scope) != len(self._pairs):
             return False
-        return all(isinstance(scope, str) for scope in self._by_scope)
+        for scope in by_scope:
+            if not isinstance(scope, str):
+                return False
+        return True
 
     def as_record(self) -> Mapping[str, Any]:
         """Mapping view ``{scope: element}`` for record-shaped sets."""
@@ -331,7 +401,7 @@ class XSet:
                 "%r is not record-shaped: scopes must be distinct strings "
                 "with one element each" % (self,)
             )
-        return {scope: elems[0] for scope, elems in self._by_scope.items()}
+        return {scope: elems[0] for scope, elems in self._scopes_index().items()}
 
     # ------------------------------------------------------------------
     # Interop
@@ -395,3 +465,5 @@ def render(xset: XSet) -> str:
 #: The empty extended set; also the *default scope* giving classical
 #: membership (``x in A`` is ``x in_EMPTY A``).
 EMPTY = XSet()
+
+ordering._XSet = XSet

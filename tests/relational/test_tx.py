@@ -66,6 +66,21 @@ class TestAtomicity:
         assert len(departments) == 2
         assert not manager.in_transaction()
 
+    def test_commit_checks_tables_no_statement_touched(self, schema):
+        # The commit diff skips untouched tables by identity; the
+        # commit-time check must not: deleting a department breaks the
+        # foreign key of the employee table, which no statement touched.
+        manager, employees, departments = schema
+        employees.insert({"emp": 1, "name": "ada", "dept": 1})
+        with pytest.raises(IntegrityError):
+            with manager.transaction():
+                departments.delete({"dept": 1})
+        assert len(departments) == 1
+        with pytest.raises(IntegrityError):
+            with manager.transaction(deferred=True):
+                departments.delete({"dept": 1})
+        assert len(departments) == 1
+
 
 class TestDeferredChecking:
     def test_transiently_broken_fk_commits_when_consistent(self, schema):
@@ -233,6 +248,16 @@ class TestCommitLogging:
         with manager.transaction():
             pass
         assert log.lsn == 0
+
+    def test_rewritten_but_equal_table_logs_nothing(self, logged):
+        # A touched table holds a new Relation object; the diff still
+        # compares rows, so a net no-op is not logged.
+        manager, employees, departments, log = logged
+        with manager.transaction():
+            departments.insert({"dept": 2, "dname": "ops"})
+            departments.delete({"dept": 2})
+        assert log.lsn == 0
+        assert manager.table_version("dept") == 0
 
     def test_deletes_are_logged_as_deltas(self, logged):
         from repro.relational.wal import commit_changes

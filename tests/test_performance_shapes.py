@@ -163,3 +163,66 @@ class TestDistributionShapes:
         shuffled.create_table("dept", dept, "dname")
         shuffled.join("emp", "dept")
         assert shuffled.network.bytes_shipped > co.network.bytes_shipped
+
+
+class TestCanonicalOrderOnceShapes:
+    """Counts, not timings: a kernel result whose pairs already sit in
+    canonical order is not sorted again, and a row's sort key is built
+    once (``canonical_key`` remembers it on the row)."""
+
+    ROWS = 500
+
+    def relation(self):
+        from repro.workloads import employee_relation
+
+        rel = employee_relation(self.ROWS, 20, seed=WORKLOAD_SEED + 11)
+        assert len(rel) == self.ROWS and len(rel.heading) == 4
+        return rel
+
+    @staticmethod
+    def counting(monkeypatch, name, *module_names):
+        import importlib
+
+        calls = []
+        # import_module, not attribute access: ``repro.xst.xset`` the
+        # attribute is the classical-set builder of the same name.
+        modules = [importlib.import_module(each) for each in module_names]
+        original = getattr(modules[0], name)
+
+        def counted(value):
+            calls.append(1)
+            return original(value)
+
+        for module in modules:
+            monkeypatch.setattr(module, name, counted)
+        return calls
+
+    def test_filters_of_a_canonical_run_never_sort(self, monkeypatch):
+        from repro.xst.builders import xrecord
+        from repro.xst.restrict import sigma_restrict
+
+        rows = self.relation().rows
+        every_other = XSet(rows.pairs()[::2])
+        key = xset([xrecord({"dept": 3})])
+        sigma = XSet([("dept", "dept")])
+        calls = self.counting(
+            monkeypatch, "pair_key", "repro.xst.xset", "repro.xst.ordering"
+        )
+        assert len(rows - every_other) == self.ROWS // 2
+        assert len(rows & every_other) == self.ROWS // 2
+        assert 0 < len(sigma_restrict(rows, key, sigma)) < self.ROWS
+        # Parent commit: once per surviving row, in each of the three.
+        assert len(calls) == 0
+
+    def test_one_row_union_reads_memoized_keys_only(self, monkeypatch):
+        rel = self.relation()
+        extra = xset([rel.rows.pairs()[0][0] | XSet([("x", "extra")])])
+        calls = self.counting(
+            monkeypatch, "canonical_key", "repro.xst.ordering", "repro.xst.xset"
+        )
+        grown = rel.rows | extra
+        assert len(grown) == self.ROWS + 1
+        # A memo hit for the row and one for its scope, no recursion
+        # into the row (parent commit: 10 per row).
+        assert len(calls) <= 3 * self.ROWS
+        assert grown.pairs() == XSet(rel.rows.pairs() + extra.pairs()).pairs()

@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.xst.builders import xset, xtuple
-from repro.xst.ordering import canonical_key, pair_key
+from repro.xst.ordering import canonical_hash, canonical_key, pair_key
 from repro.xst.xset import EMPTY, XSet
 
 from tests.conftest import atoms, xsets
@@ -44,6 +44,41 @@ class TestConsistencyWithEquality:
         assert canonical_key(1) == canonical_key(1.0)
         assert canonical_key(True) == canonical_key(1)
         assert canonical_key(0) == canonical_key(False)
+
+    def test_unequal_big_ints_have_distinct_ordered_keys(self):
+        # float() cannot tell 2**53 from 2**53 + 1; the key must.
+        big = [2**53 - 1, 2**53, 2**53 + 1, 2**53 + 2, 10**400, -(2**53) - 1]
+        keys = [canonical_key(value) for value in big]
+        assert len(set(keys)) == len(big)
+        assert sorted(big, key=canonical_key) == sorted(big)
+        hashes = {canonical_hash(value) for value in big}
+        assert len(hashes) == len(big)
+
+    def test_exact_floats_keep_the_float_payload(self):
+        # Every key that float() represents exactly is unchanged, so
+        # canonical_hash (shard routing, sketches) is too.
+        for value in (0, 1, -7, True, 2**53, 2**60, 1.5):
+            assert canonical_key(value) == (1, float(value))
+            assert type(canonical_key(value)[1]) is float
+        assert canonical_key(2**53) == canonical_key(float(2**53))
+        assert canonical_hash(3) == canonical_hash(3.0) == 3182653471
+        assert canonical_key(2**53 + 1) < canonical_key(float(2**53 + 2))
+
+    def test_key_of_a_set_is_remembered_and_stable(self):
+        value = xset([xtuple(["a", 1]), xtuple(["b", 2.0])])
+        first = canonical_key(value)
+        assert canonical_key(value) is first
+        value | xset(["c"]), value - value, repr(value), hash(value)
+        assert canonical_key(value) is first
+        assert first == canonical_key(XSet(reversed(value.pairs())))
+
+    def test_subclass_instances_are_keyed_but_not_remembered(self):
+        class Tagged(XSet):
+            __slots__ = ()
+
+        value = Tagged([("a", 1)])
+        assert canonical_key(value) == canonical_key(XSet([("a", 1)]))
+        assert value._key is None
 
     @given(xsets(), xsets())
     def test_equal_sets_share_keys(self, left, right):

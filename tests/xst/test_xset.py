@@ -128,6 +128,17 @@ class TestEqualityAndHashing:
         assert xset([1]) == xset([1.0])
         assert hash(xset([1])) == hash(xset([1.0]))
 
+    def test_big_int_members_keep_the_hash_eq_contract(self):
+        # canonical_key once mapped every number through float(), so
+        # these two sorted by insertion order: equal sets, unequal hashes.
+        forward = xset([2**53, 2**53 + 1])
+        backward = xset([2**53 + 1, 2**53])
+        assert forward == backward
+        assert forward.pairs() == backward.pairs()
+        assert hash(forward) == hash(backward)
+        assert len({forward, backward}) == 1
+        assert xset([2**53]) != xset([2**53 + 1])
+
     def test_comparison_with_non_xset_is_not_equal(self):
         assert xset(["a"]) != "a"
         assert not (xset(["a"]) == frozenset({"a"}))
@@ -146,6 +157,14 @@ class TestImmutability:
     def test_attributes_cannot_be_deleted(self):
         with pytest.raises(AttributeError):
             del xset(["a"])._pairs
+
+    def test_memo_slots_are_as_immutable_as_the_rest(self):
+        value = xset(["a"])
+        for name in ("_key", "_by_scope", "_by_element"):
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+            with pytest.raises(AttributeError):
+                delattr(value, name)
 
 
 class TestTupleShape:
