@@ -66,7 +66,7 @@ def select_eq(rel: Relation, conditions: Mapping[str, Any]) -> Relation:
     attrs = rel.heading.require(conditions)
     key = xset([xrecord({attr: conditions[attr] for attr in attrs})])
     rows = sigma_restrict(rel.rows, key, _attribute_identity(attrs))
-    return Relation(rel.heading, rows)
+    return Relation._from_valid(rel.heading, rows)  # a subset of rel
 
 
 def select(rel: Relation, predicate: Callable[[Dict[str, Any]], bool]) -> Relation:
@@ -82,8 +82,9 @@ def select(rel: Relation, predicate: Callable[[Dict[str, Any]], bool]) -> Relati
         for row, scope in rel.rows.pairs()
         if predicate(dict(row.as_record()))
     ]
-    # Separation keeps a subsequence of the relation's own canonical run.
-    return Relation(rel.heading, XSet._from_run(kept))
+    # Separation keeps a subsequence of the relation's own canonical run
+    # (so also a subset of its validated rows).
+    return Relation._from_valid(rel.heading, XSet._from_run(kept))
 
 
 def project(rel: Relation, attrs: Sequence[str]) -> Relation:
@@ -132,7 +133,7 @@ def semijoin(rel: Relation, other: Relation) -> Relation:
     if not shared:
         raise SchemaError("semijoin needs at least one shared attribute")
     rows = sigma_restrict(rel.rows, other.rows, _attribute_identity(shared))
-    return Relation(rel.heading, rows)
+    return Relation._from_valid(rel.heading, rows)  # a subset of rel
 
 
 def product(rel: Relation, other: Relation) -> Relation:
@@ -156,16 +157,20 @@ def _require_same_heading(rel: Relation, other: Relation) -> None:
         )
 
 
+# The Boolean operators keep their inputs' heading and only rows that
+# one of them holds, so their results take the trusted constructor: a
+# union of, or a subset of, same-heading validated relations.
+
 def union(rel: Relation, other: Relation) -> Relation:
     _require_same_heading(rel, other)
-    return Relation(rel.heading, rel.rows | other.rows)
+    return Relation._from_valid(rel.heading, rel.rows | other.rows)
 
 
 def difference(rel: Relation, other: Relation) -> Relation:
     _require_same_heading(rel, other)
-    return Relation(rel.heading, rel.rows - other.rows)
+    return Relation._from_valid(rel.heading, rel.rows - other.rows)
 
 
 def intersection(rel: Relation, other: Relation) -> Relation:
     _require_same_heading(rel, other)
-    return Relation(rel.heading, rel.rows & other.rows)
+    return Relation._from_valid(rel.heading, rel.rows & other.rows)

@@ -16,6 +16,14 @@ operations that run queries:
 every mutation copy-on-write: the new row set is validated *before*
 the table's pointer moves, so a failed insert/delete/update leaves the
 visible state untouched (all-or-nothing at statement granularity).
+
+A statement knows which rows it adds and removes, so it carries that
+*delta* -- ``(inserted, deleted)`` row sets under the exact-diff law
+``inserted = new \\ old``, ``deleted = old \\ new`` -- to every later
+stage.  A constraint that held before a write still holds iff its
+**delta rule** (``check_delta``) passes on the changed rows; the
+whole-relation ``check`` stays the definition, used where no valid
+prior state is known and by any constraint without a delta rule.
 """
 
 from __future__ import annotations
@@ -23,12 +31,12 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import SchemaError, XSTError
+from repro.relational.algebra import select_eq
 from repro.relational.relation import Relation
 from repro.relational.schema import Heading
-from repro.xst.builders import xrecord, xset
 from repro.xst.domain import sigma_domain
 from repro.xst.restrict import sigma_restrict
-from repro.xst.xset import XSet
+from repro.xst.xset import EMPTY, XSet
 
 __all__ = [
     "IntegrityError",
@@ -63,6 +71,24 @@ class KeyConstraint:
                 % (self.name, len(relation.rows), len(keys))
             )
 
+    def check_delta(self, relation: Relation, inserted: XSet, deleted: XSet) -> None:
+        """The key held before; on ``relation = R' = (R - deleted) |
+        inserted`` it holds iff the inserted rows have distinct keys,
+        ``|D_key(ins)| == |ins|``, and no other row of ``R'`` shares
+        one: ``|R' |_key D_key(ins)| == |D_key(ins)|``."""
+        if not inserted:
+            return
+        identity = _attribute_identity(self.attrs)
+        keys = sigma_domain(inserted, identity)
+        sharing = len(inserted)
+        if sharing == len(keys):
+            sharing = len(sigma_restrict(relation.rows, keys, identity))
+        if sharing != len(keys):
+            raise IntegrityError(
+                "%s violated: %d rows share %d distinct keys"
+                % (self.name, sharing, len(keys))
+            )
+
     def __repr__(self) -> str:
         return "KeyConstraint(%s)" % ", ".join(self.attrs)
 
@@ -72,7 +98,9 @@ class ForeignKeyConstraint:
 
     ``referenced`` is a callable returning the current referenced
     :class:`Relation`, so the constraint always checks against live
-    state rather than a snapshot.
+    state rather than a snapshot -- and so has no delta rule: a write
+    to the *referenced* table can break it while this table's own
+    delta is empty.
     """
 
     def __init__(
@@ -100,7 +128,10 @@ class ForeignKeyConstraint:
         surviving = sigma_restrict(
             relation.rows, target_keys, _attribute_identity(self.attrs)
         )
-        return Relation(relation.heading, relation.rows - surviving)
+        # Trusted: a subset of ``relation``'s own rows.
+        return Relation._from_valid(
+            relation.heading, relation.rows - surviving
+        )
 
     def check(self, relation: Relation) -> None:
         dangling = self.violations(relation)
@@ -132,32 +163,68 @@ class CheckConstraint:
                     "check %r violated by %r" % (self.name, row)
                 )
 
+    def check_delta(self, relation: Relation, inserted: XSet, deleted: XSet) -> None:
+        """Rows already present passed when they arrived; check the new."""
+        # Trusted: ``inserted`` is a subset of ``relation``'s rows.
+        self.check(Relation._from_valid(relation.heading, inserted))
+
     def __repr__(self) -> str:
         return "CheckConstraint(%s)" % self.name
+
+
+#: A write's delta: the ``(inserted, deleted)`` row sets, an exact diff.
+Diff = Tuple[XSet, XSet]
+_NO_DIFF: Diff = (EMPTY, EMPTY)
+
+
+def _then(diff: Diff, inserted: XSet, deleted: XSet) -> Diff:
+    """The net of ``diff`` then the exact step ``(inserted, deleted)``:
+    a row inserted and later deleted, or deleted and re-inserted, nets
+    to nothing, so the composition is again an exact diff."""
+    gained, lost = diff
+    return (
+        (gained - deleted) | (inserted - lost),
+        (lost - inserted) | (deleted - gained),
+    )
 
 
 class Table:
     """A mutable, constraint-guarded view over immutable relations.
 
-    Every mutation builds a candidate relation, validates it against
-    all constraints, and only then replaces the current state -- a
-    failed statement changes nothing.  The underlying relations remain
-    immutable values, so old states can be held, compared or diffed
-    for free (:meth:`snapshot`).
+    Every mutation builds its exact delta and the candidate relation
+    ``(current - deleted) | inserted``, validates the candidate through
+    each constraint's delta rule, and only then replaces the current
+    state -- a failed statement changes nothing.  The underlying
+    relations remain immutable values, so old states can be held,
+    compared or diffed for free (:meth:`snapshot`).  ``rows`` may be a
+    same-heading :class:`Relation`, adopted as the initial value as is.
     """
 
     def __init__(
         self,
         names: Sequence[str],
-        rows: Iterable[Mapping[str, Any]] = (),
+        rows: Relation | Iterable[Mapping[str, Any]] = (),
         constraints: Sequence[object] = (),
     ):
         self._heading = names if isinstance(names, Heading) else Heading(names)
         self._constraints: List[object] = list(constraints)
         self._deferred = False
-        candidate = Relation.from_dicts(self._heading, rows)
-        self._validate(candidate)
+        if isinstance(rows, Relation):
+            if rows.heading != self._heading:
+                raise SchemaError(
+                    "relation %r does not fit %r" % (rows, self._heading)
+                )
+            candidate = rows
+        else:
+            candidate = Relation.from_dicts(self._heading, rows)
+        for constraint in self._constraints:
+            constraint.check(candidate)
         self._current = candidate
+        # The net delta since the constraints last held on the state...
+        self._unchecked = _NO_DIFF
+        # ...and since the outermost open transaction began (None
+        # outside one: nobody will ask, so nothing accumulates).
+        self._net: Optional[Diff] = None
 
     # -- constraint plumbing --------------------------------------------
 
@@ -166,25 +233,41 @@ class Table:
         constraint.check(self._current)
         self._constraints.append(constraint)
 
-    def _validate(self, candidate: Relation) -> None:
-        if self._deferred:
-            return
+    def _check(self, candidate: Relation, diff: Diff) -> None:
+        """Would the constraints, valid before ``diff``, hold on ``candidate``?"""
         for constraint in self._constraints:
-            constraint.check(candidate)
+            rule = getattr(constraint, "check_delta", None)
+            if rule is None:
+                constraint.check(candidate)
+            else:
+                rule(candidate, *diff)
 
     def defer_validation(self, deferred: bool) -> None:
         """Suspend/resume per-statement checking (transactions use this).
 
         While deferred, mutations apply without constraint checks;
         call :meth:`check_now` (or let the transaction manager do it
-        at commit) to validate the accumulated state.
+        at commit) to validate the accumulated state.  Unchecked rows
+        stay pending until a check passes: resume without
+        :meth:`check_now` and the next statement checks them.
         """
         self._deferred = bool(deferred)
 
     def check_now(self) -> None:
-        """Validate the current state against every constraint."""
-        for constraint in self._constraints:
-            constraint.check(self._current)
+        """Validate the current state against every constraint: the
+        rows changed since the constraints last held through each
+        delta rule, the whole relation where there is none."""
+        self._check(self._current, self._unchecked)
+        self._unchecked = _NO_DIFF
+
+    def needs_check(self) -> bool:
+        """Could :meth:`check_now` fail?  Only with rows changed since
+        the constraints last held, or with a constraint that has no
+        delta rule (it reads state this table's delta cannot see)."""
+        return any(self._unchecked) or not all(
+            hasattr(constraint, "check_delta")
+            for constraint in self._constraints
+        )
 
     @property
     def constraints(self) -> Tuple[object, ...]:
@@ -203,37 +286,65 @@ class Table:
     def __len__(self) -> int:
         return self._current.cardinality()
 
+    # -- transaction support ----------------------------------------------
+
+    def savepoint(self) -> Tuple[Relation, Diff, Optional[Diff]]:
+        """What a transaction scope restores on failure: the relation
+        value, then the deltas carried with it.  The outermost scope's
+        savepoint starts the net delta :meth:`commit_diff` reads."""
+        state = (self._current, self._unchecked, self._net)
+        if self._net is None:
+            self._net = _NO_DIFF
+        return state
+
+    def restore(self, savepoint: Tuple[Relation, Diff, Optional[Diff]]) -> None:
+        """Return to a :meth:`savepoint`; nothing to re-check, relation
+        and pending deltas come back together."""
+        self._current, self._unchecked, self._net = savepoint
+
+    def commit_diff(self) -> Diff:
+        """The exact ``(inserted, deleted)`` net of every statement
+        since the outermost :meth:`savepoint`; ends that scope."""
+        net, self._net = self._net, None
+        return net or _NO_DIFF
+
     # -- mutations ----------------------------------------------------------
 
+    def _apply(self, inserted: XSet, deleted: XSet) -> None:
+        """Move to ``(current - deleted) | inserted``, an exact delta:
+        ``inserted`` validated under this heading and disjoint from
+        the current rows, ``deleted`` a subset of them."""
+        # Trusted: a difference and a union of row sets each validated
+        # under this heading.
+        candidate = Relation._from_valid(
+            self._heading, (self._current.rows - deleted) | inserted
+        )
+        unchecked = _then(self._unchecked, inserted, deleted)
+        if not self._deferred:
+            self._check(candidate, unchecked)
+            unchecked = _NO_DIFF
+        self._current, self._unchecked = candidate, unchecked
+        if self._net is not None:
+            self._net = _then(self._net, inserted, deleted)
+
     def insert(self, row: Mapping[str, Any]) -> None:
-        new_row = Relation.from_dicts(self._heading, [row])
-        candidate = Relation(self._heading, self._current.rows | new_row.rows)
-        if candidate.cardinality() == self._current.cardinality():
+        new_row = Relation.from_dicts(self._heading, [row]).rows
+        if new_row <= self._current.rows:
             raise IntegrityError("row already present: %r" % (dict(row),))
-        self._validate(candidate)
-        self._current = candidate
+        self._apply(new_row, EMPTY)
 
     def insert_many(self, rows: Iterable[Mapping[str, Any]]) -> int:
         """All-or-nothing bulk insert; returns the number added."""
-        addition = Relation.from_dicts(self._heading, rows)
-        candidate = Relation(self._heading, self._current.rows | addition.rows)
-        added = candidate.cardinality() - self._current.cardinality()
-        self._validate(candidate)
-        self._current = candidate
-        return added
+        addition = Relation.from_dicts(self._heading, rows).rows
+        inserted = addition - self._current.rows
+        self._apply(inserted, EMPTY)
+        return len(inserted)
 
     def delete(self, conditions: Mapping[str, Any]) -> int:
         """Delete rows matching attribute equalities; returns the count."""
-        attrs = self._heading.require(conditions)
-        key = xset([xrecord({attr: conditions[attr] for attr in attrs})])
-        doomed = sigma_restrict(
-            self._current.rows, key, _attribute_identity(attrs)
-        )
-        candidate = Relation(self._heading, self._current.rows - doomed)
-        self._validate(candidate)
-        removed = self._current.cardinality() - candidate.cardinality()
-        self._current = candidate
-        return removed
+        doomed = select_eq(self._current, conditions).rows
+        self._apply(EMPTY, doomed)
+        return len(doomed)
 
     def update(
         self,
@@ -242,24 +353,16 @@ class Table:
     ) -> int:
         """Set attributes on matching rows; returns rows changed."""
         self._heading.require(changes)
-        attrs = self._heading.require(conditions)
-        key = xset([xrecord({attr: conditions[attr] for attr in attrs})])
-        matched = sigma_restrict(
-            self._current.rows, key, _attribute_identity(attrs)
-        )
+        matched = select_eq(self._current, conditions).rows
         if not matched:
             return 0
-        rewritten = []
-        for row, _ in matched.pairs():
-            record = dict(row.as_record())
-            record.update(changes)
-            rewritten.append(xrecord(record))
-        candidate_rows = (self._current.rows - matched) | xset(rewritten)
-        candidate = Relation(self._heading, candidate_rows)
-        self._validate(candidate)
-        changed = len(matched)
-        self._current = candidate
-        return changed
+        rewritten = Relation.from_dicts(self._heading, (
+            {**row.as_record(), **changes} for row, _ in matched.pairs()
+        )).rows
+        # A rewritten row equal to a current one is no insertion, and a
+        # matched row rewritten to itself is no deletion.
+        self._apply(rewritten - self._current.rows, matched - rewritten)
+        return len(matched)
 
     def __repr__(self) -> str:
         return "Table(%r, %d rows, %d constraints)" % (

@@ -35,11 +35,17 @@ Per-node rules (all proved exact by the law above; ``C`` is the child,
     old and new input values, and the node delta is the candidate
     membership diff.
 ``Join``
-    A joined row decomposes uniquely into its L- and R-parts, so the
-    candidates are ``d_L.ins x R_new``, ``L_new x d_R.ins``,
-    ``d_L.del x R_old`` and ``L_old x d_R.del``; membership before and
-    after is the join of each side semijoined down to the candidates
-    -- never the full join.
+    A joined row decomposes uniquely into its L- and R-parts, and it
+    is in the join iff both parts are in their inputs.  So it is *new*
+    iff one part is new and the other present now, *gone* iff one part
+    is gone and the other was present before::
+
+        inserted = (d_L.ins |x| R_new) | (L_new |x| d_R.ins)
+        deleted  = (d_L.del |x| R_old) | (L_old |x| d_R.del)
+
+    Exact as it stands: no candidate needs re-verifying against the
+    full inputs, and an old value is derived only for the partner of a
+    side that has deletions.
 
 Everything runs on XSets, so XST member equality (the typed twins
 ``1`` / ``1.0`` / ``True`` collapse) is preserved end to end.  New
@@ -121,12 +127,14 @@ class Delta:
                 % (self.heading, relation.heading)
             )
         rows = (relation.rows - self.deleted.rows) | self.inserted.rows
-        return Relation(relation.heading, rows)
+        # Trusted: a difference and a union of same-heading relations.
+        return Relation._from_valid(relation.heading, rows)
 
     def invert_from(self, relation: Relation) -> Relation:
         """Recover the old value from the new: ``(new - ins) | del``."""
         rows = (relation.rows - self.inserted.rows) | self.deleted.rows
-        return Relation(relation.heading, rows)
+        # Trusted: a difference and a union of same-heading relations.
+        return Relation._from_valid(relation.heading, rows)
 
     def __repr__(self) -> str:
         return "Delta(+%d, -%d)" % (
@@ -241,9 +249,10 @@ class DeltaPropagator:
             # the (at most one-row) projections directly.
             old = algebra.project(self.old_value(plan.child), attrs)
             new = algebra.project(self.new_value(plan.child), attrs)
+            # Trusted: subsets of the two projections' rows.
             return Delta(
-                Relation(heading, new.rows - old.rows),
-                Relation(heading, old.rows - new.rows),
+                Relation._from_valid(heading, new.rows - old.rows),
+                Relation._from_valid(heading, old.rows - new.rows),
             )
         cand_ins = algebra.project(child.inserted, attrs)
         if cand_ins.cardinality():
@@ -280,45 +289,32 @@ class DeltaPropagator:
         else:
             before = (cand & l_old.rows) - r_old.rows
             after = (cand & l_new.rows) - r_new.rows
+        # Trusted: subsets of the same-heading inputs' rows.
         return Delta(
-            Relation(heading, after - before),
-            Relation(heading, before - after),
+            Relation._from_valid(heading, after - before),
+            Relation._from_valid(heading, before - after),
         )
 
     def _join(self, plan: Join) -> Delta:
         left, right = self.delta(plan.left), self.delta(plan.right)
-        heading = self._heading(plan)
         if left.is_empty() and right.is_empty():
-            return Delta.empty(heading)
-        if not self._heading(plan.left).names or not self._heading(
-            plan.right
-        ).names:
-            # A zero-attribute join input (DEE/DUM) has no key to
-            # semijoin on; punt to recomputation.
-            raise DeltaUnsupported("join over a zero-attribute input")
-        l_new, r_new = self.new_value(plan.left), self.new_value(plan.right)
-        l_old, r_old = self.old_value(plan.left), self.old_value(plan.right)
-        cand = XSet()
-        if left.inserted.cardinality():
-            cand = cand | algebra.join(left.inserted, r_new).rows
-        if right.inserted.cardinality():
-            cand = cand | algebra.join(l_new, right.inserted).rows
-        if left.deleted.cardinality():
-            cand = cand | algebra.join(left.deleted, r_old).rows
-        if right.deleted.cardinality():
-            cand = cand | algebra.join(l_old, right.deleted).rows
-        if not len(cand):
-            return Delta.empty(heading)
-        cand_rel = Relation(heading, cand)
-        before = cand & algebra.join(
-            algebra.semijoin(l_old, cand_rel),
-            algebra.semijoin(r_old, cand_rel),
-        ).rows
-        after = cand & algebra.join(
-            algebra.semijoin(l_new, cand_rel),
-            algebra.semijoin(r_new, cand_rel),
-        ).rows
+            return Delta.empty(self._heading(plan))
         return Delta(
-            Relation(heading, after - before),
-            Relation(heading, before - after),
+            self._joined(plan, left.inserted, right.inserted, self.new_value),
+            self._joined(plan, left.deleted, right.deleted, self.old_value),
         )
+
+    def _joined(self, plan: Join, d_left: Relation, d_right: Relation,
+                value_of) -> Relation:
+        """``(d_left |x| right) | (left |x| d_right)`` over the inputs'
+        values ``value_of`` gives -- one half of the join rule."""
+        joined = Relation(self._heading(plan), XSet())
+        if d_left.cardinality():
+            joined = algebra.union(
+                joined, algebra.join(d_left, value_of(plan.right))
+            )
+        if d_right.cardinality():
+            joined = algebra.union(
+                joined, algebra.join(value_of(plan.left), d_right)
+            )
+        return joined

@@ -53,6 +53,23 @@ class Relation:
     # ------------------------------------------------------------------
 
     @classmethod
+    def _from_valid(cls, heading: Heading, rows: XSet) -> "Relation":
+        """The unchecked constructor, twin of ``XSet._from_run``.
+
+        Allowed in exactly two cases, and each call site says which:
+        ``rows`` is a *subset* (selection, difference, intersection) of
+        the rows of a relation already validated under ``heading``, or
+        a *union* of the rows of such relations.  Rows are immutable,
+        so either way every row passed the checked constructor once
+        under this heading.  Anything else goes through
+        ``Relation(heading, rows)``.
+        """
+        self = object.__new__(cls)
+        object.__setattr__(self, "_heading", heading)
+        object.__setattr__(self, "_rows", rows)
+        return self
+
+    @classmethod
     def from_dicts(
         cls, names: Sequence[str], rows: Iterable[Mapping[str, Any]]
     ) -> "Relation":

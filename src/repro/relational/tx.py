@@ -5,10 +5,11 @@ all-or-nothing; a :class:`TransactionManager` extends the guarantee to
 *groups* of statements across tables.  Immutability makes this almost
 free: beginning a transaction records each table's current relation
 value (a pointer copy), and rollback restores the pointers.  Deferred
-constraint checking re-validates every enrolled table at the
-*outermost* commit, so mutually-referential updates (insert the
-department and its employees in one transaction) order-independently
-succeed or fail as a unit.
+constraint checking validates, at the *outermost* commit, every
+enrolled table whose rows changed or whose constraints read another
+table, so mutually-referential updates (insert the department and its
+employees in one transaction) order-independently succeed or fail as
+a unit.
 
 Usage::
 
@@ -26,8 +27,9 @@ the outermost scope commits.
 Durability: pass ``log=`` a
 :class:`~repro.relational.wal.WriteAheadLog` and every outermost
 commit appends **one atomic record** -- the per-table inserted and
-deleted row sets, diffed for free from the immutable begin/end
-relation values -- *before* the transaction is considered committed.
+deleted row sets, the net of the deltas the statements themselves
+built (:meth:`Table.commit_diff`), never a whole-relation comparison
+-- *before* the transaction is considered committed.
 A failed append rolls the tables back, so the in-memory state never
 runs ahead of the durable log; a crash mid-append leaves a torn tail
 that recovery truncates (the transaction never happened).
@@ -92,7 +94,7 @@ class TransactionManager:
         if not tables:
             raise SchemaError("a transaction manager needs at least one table")
         self._tables: Dict[str, Table] = dict(tables)
-        self._savepoints: List[Dict[str, object]] = []
+        self._savepoints: List[Dict[str, tuple]] = []
         self._deferred_depth = 0
         self._log = log
         self._stats = stats
@@ -138,14 +140,12 @@ class TransactionManager:
     # Savepoint mechanics
     # ------------------------------------------------------------------
 
-    def _capture(self) -> Dict[str, object]:
-        return {name: table.snapshot() for name, table in self._tables.items()}
+    def _capture(self) -> Dict[str, tuple]:
+        return {name: table.savepoint() for name, table in self._tables.items()}
 
-    def _restore(self, savepoint: Dict[str, object]) -> None:
-        # Restoring a previously-captured state needs no re-checking:
-        # it was the live state when the transaction began.
-        for name, relation in savepoint.items():
-            self._tables[name]._current = relation
+    def _restore(self, savepoint: Dict[str, tuple]) -> None:
+        for name, state in savepoint.items():
+            self._tables[name].restore(state)
 
     def in_transaction(self) -> bool:
         return bool(self._savepoints)
@@ -164,7 +164,8 @@ class TransactionManager:
 
         With ``deferred=True``, per-statement constraint checking is
         suspended for the enrolled tables inside the scope and every
-        table is validated at the outermost commit instead -- so
+        table that :meth:`Table.needs_check` is validated at the
+        outermost commit instead -- so
         cross-table invariants may be transiently broken (insert the
         employee before its department) as long as the commit state is
         consistent.  Deferral nests: an inner scope ending does not
@@ -193,8 +194,9 @@ class TransactionManager:
                     # back here rather than logging a late commit.
                     _gov_checkpoint("tx.commit")
                     for table in self._tables.values():
-                        table.check_now()
-                    self._log_commit(savepoint)
+                        if table.needs_check():
+                            table.check_now()
+                    self._log_commit()
                 except BaseException:
                     self._restore(savepoint)
                     raise
@@ -210,26 +212,22 @@ class TransactionManager:
                         table.defer_validation(False)
             self._savepoints.pop()
 
-    def _log_commit(self, savepoint: Dict[str, object]) -> None:
+    def _log_commit(self) -> None:
         """Append one atomic commit record for the outermost scope.
 
         The record carries, per changed table, the inserted and
-        deleted row sets (immutable-value diffs) plus the heading, so
-        recovery can redo the transaction -- including re-creating
-        tables born after the last checkpoint.  No-op transactions log
-        nothing.
+        deleted row sets (the net delta its statements accumulated)
+        plus the heading, so recovery can redo the transaction --
+        including re-creating tables born after the last checkpoint.
+        No-op transactions log nothing.
         """
         changes = {}
         for name in sorted(self._tables):
-            before = savepoint[name]
-            after = self._tables[name].snapshot()
-            # A table no statement touched still holds the savepoint's
-            # own Relation object; only the others need the row compare.
-            if after is not before and after.rows != before.rows:
+            table = self._tables[name]
+            inserted, deleted = table.commit_diff()
+            if inserted or deleted:
                 changes[name] = (
-                    tuple(after.heading.names),
-                    after.rows - before.rows,
-                    before.rows - after.rows,
+                    tuple(table.heading.names), inserted, deleted
                 )
         if not changes:
             return
@@ -315,7 +313,8 @@ class TransactionManager:
         immune to in-progress and rolled-back work.
         """
         if self._savepoints:
-            return dict(self._savepoints[0])  # type: ignore[arg-type]
+            return {name: state[0]
+                    for name, state in self._savepoints[0].items()}
         return {name: table.snapshot()
                 for name, table in self._tables.items()}
 
@@ -467,8 +466,10 @@ class SnapshotSession(Snapshot):
         self._require_open()
         table = self._scratch.get(name)
         if table is None:
+            # The pinned value itself: rows are immutable and already
+            # validated, so the copy shares them.
             pinned = super().relation(name)
-            table = Table(pinned.heading, pinned.iter_dicts())
+            table = Table(pinned.heading, pinned)
             self._scratch[name] = table
         self._written.add(name)
         return table

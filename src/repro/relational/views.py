@@ -357,8 +357,11 @@ class ViewCatalog:
         for name in sorted(changes):
             heading_names, inserted, deleted = changes[name]
             heading = Heading(heading_names)
+            # Trusted: the commit diff's halves are subsets of the
+            # table's validated old and new values.
             delta = Delta(
-                Relation(heading, inserted), Relation(heading, deleted)
+                Relation._from_valid(heading, inserted),
+                Relation._from_valid(heading, deleted),
             )
             old = self._db._relations.get(name)
             if old is None:

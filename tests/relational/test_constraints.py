@@ -67,6 +67,66 @@ class TestKeyConstraint:
             KeyConstraint(["nope"]).check(relation)
 
 
+class TestDeltaRules:
+    """``check_delta`` is ``check`` restricted to what a write changed."""
+
+    BEFORE = Relation.from_dicts(
+        ["k", "v"], [{"k": 1, "v": "a"}, {"k": 2, "v": "b"}]
+    )
+
+    def verdicts(self, constraint, rows):
+        """(delta rule accepts, full check accepts) for BEFORE -> rows."""
+        after = Relation.from_dicts(["k", "v"], rows)
+        outcome = []
+        for run in (
+            lambda: constraint.check_delta(
+                after, after.rows - self.BEFORE.rows,
+                self.BEFORE.rows - after.rows),
+            lambda: constraint.check(after),
+        ):
+            try:
+                run()
+                outcome.append(True)
+            except IntegrityError:
+                outcome.append(False)
+        return tuple(outcome)
+
+    @pytest.mark.parametrize("rows, ok", [
+        ([{"k": 1, "v": "a"}, {"k": 2, "v": "b"}, {"k": 3, "v": "a"}], True),
+        ([{"k": 1, "v": "a"}], True),  # deletions cannot break a key
+        ([{"k": 1, "v": "a"}, {"k": 2, "v": "b"}, {"k": 2, "v": "c"}], False),
+        ([{"k": 1, "v": "a"}, {"k": 2, "v": "b"}, {"k": 2.0, "v": "c"}], False),
+        ([{"k": 1, "v": "a"}, {"k": 2, "v": "b"},
+          {"k": 3, "v": "c"}, {"k": 3, "v": "d"}], False),  # inside the delta
+        ([{"k": 1, "v": "a"}, {"k": 2, "v": "moved"}], True),  # same key, new row
+        ([{"k": 2, "v": "b"}, {"k": 2, "v": "a"}], False),  # moved onto a key
+    ])
+    def test_key_delta_rule_agrees_with_the_definition(self, rows, ok):
+        assert self.verdicts(KeyConstraint(["k"]), rows) == (ok, ok)
+
+    def test_check_delta_rule_sees_only_the_new_rows(self):
+        seen = []
+        constraint = CheckConstraint(
+            lambda row: seen.append(row["k"]) or row["v"] != "bad", "not bad"
+        )
+        rows = list(self.BEFORE.iter_dicts())
+        assert self.verdicts(constraint, rows + [{"k": 3, "v": "c"}]) == (
+            True, True)
+        assert seen == [3, 1, 2, 3]  # the delta rule, then the full check
+        assert self.verdicts(constraint, rows + [{"k": 3, "v": "bad"}]) == (
+            False, False)
+
+    def test_foreign_keys_have_no_delta_rule(self, departments):
+        fk = ForeignKeyConstraint(["dept"], departments.snapshot)
+        assert not hasattr(fk, "check_delta")
+        referencing = Table(["emp", "dept"], [{"emp": 1, "dept": 2}], [fk])
+        # Its own delta is empty, yet a write elsewhere can break it.
+        assert referencing.needs_check()
+        departments.delete({"dept": 2})
+        with pytest.raises(IntegrityError):
+            referencing.check_now()
+
+
 class TestForeignKeyConstraint:
     def test_resolving_keys_pass(self, departments):
         constraint = ForeignKeyConstraint(["dept"], departments.snapshot)
@@ -204,6 +264,16 @@ class TestTableMutations:
             employees.update({"emp": 1}, {"dept": 404})
         assert list(employees.snapshot().iter_dicts())[0]["dept"] == 1
 
+    def test_update_to_a_typed_twin_is_an_empty_delta(self, departments):
+        # 1 and 1.0 are one member: nothing is inserted or deleted, so
+        # the table keeps the row it had (and a commit would log nothing,
+        # leaving memory and a recovered log in the same spelling).
+        before = departments.snapshot()
+        assert departments.update({"dept": 1}, {"dept": 1.0}) == 1
+        assert departments.snapshot().rows is before.rows
+        assert [type(row["dept"]) for row in
+                departments.snapshot().iter_dicts()] == [int, int]
+
     def test_update_no_match(self, employees):
         assert employees.update({"emp": 404}, {"salary": 1}) == 0
 
@@ -214,6 +284,17 @@ class TestTableMutations:
                 CheckConstraint(lambda row: row["v"] > 0, "positive")
             )
         assert len(table.constraints) == 0
+
+    def test_initial_value_may_be_a_relation(self, departments):
+        value = departments.snapshot()
+        copy = Table(value.heading, value, [KeyConstraint(["dept"])])
+        assert copy.snapshot() is value
+        with pytest.raises(SchemaError, match="does not fit"):
+            Table(["dept"], value)
+        with pytest.raises(IntegrityError):
+            Table(value.heading, value, [KeyConstraint(["dname"]),
+                                         CheckConstraint(lambda row: False,
+                                                         "never")])
 
     def test_initial_rows_are_validated(self):
         with pytest.raises(IntegrityError):

@@ -249,6 +249,72 @@ class TestNodeRules:
         assert delta.inserted.cardinality() == 0
         assert delta.deleted.cardinality() == 1
 
+    @pytest.mark.parametrize("emp_rows, dept_rows", [
+        # insert on one side, delete on the other
+        ([(1, "eng"), (2, "ops"), (3, "eng"), (4, "lab")], [("eng", 3)]),
+        ([(1, "eng")], [("eng", 3), ("ops", 1), ("lab", 9)]),
+        # a row deleted and its replacement inserted, on both sides:
+        # every joined row's L-part or R-part is in some delta
+        ([(1, "ops"), (2, "ops"), (3, "eng")], [("eng", 4), ("ops", 1)]),
+        # a new row whose partner is new too, and a gone row whose
+        # partner is gone too: each appears in both halves of the rule
+        ([(1, "eng"), (3, "eng"), (5, "lab")], [("eng", 3), ("lab", 9)]),
+        # everything goes, everything is new
+        ([(7, "lab")], [("lab", 9)]),
+        ([], []),
+    ])
+    def test_join_with_both_inputs_changed(self, emp_rows, dept_rows):
+        new = self.evolve(
+            emp=rel(["eid", "dept"], emp_rows),
+            dept=rel(["dept", "floor"], dept_rows),
+        )
+        for plan in (
+            Join(Scan("emp"), Scan("dept")),
+            Join(Scan("dept"), Scan("emp")),
+            Join(SelectEq(Scan("emp"), {"dept": "eng"}), Scan("dept")),
+            Join(Scan("emp"), Scan("emp")),  # one delta feeds both sides
+        ):
+            check_propagation(plan, self.OLD, new, check_digest=True)
+
+    def test_join_with_a_typed_twin_replacing_a_row(self):
+        # 1 and 1.0 are one member, so swapping spellings is an empty
+        # base delta; the partner's change must still join against it.
+        old = {
+            "emp": rel(["eid", "dept"], [(1, 1), (2, 2)]),
+            "dept": rel(["dept", "floor"], [(1, "a"), (2, "b")]),
+        }
+        new = {
+            "emp": rel(["eid", "dept"], [(1, 1.0), (3, True)]),
+            "dept": rel(["dept", "floor"], [(1.0, "z"), (2, "b")]),
+        }
+        check_propagation(Join(Scan("emp"), Scan("dept")), old, new)
+
+    def test_join_derives_an_old_value_only_for_a_deletions_partner(self):
+        new = self.evolve(
+            emp=rel(["eid", "dept"], [(1, "eng"), (2, "ops"), (3, "eng"),
+                                      (4, "ops")]),
+        )
+        db = Database()
+        for name, value in new.items():
+            db.add(name, value)
+        plan = Join(Scan("emp"), Scan("dept"))
+        propagator = DeltaPropagator(
+            db, {"emp": exact_delta(self.OLD["emp"], new["emp"])}
+        )
+        assert propagator.delta(plan).inserted.cardinality() == 1
+        assert propagator._old_vals == {}  # inserts only: nothing inverted
+
+    def test_join_over_an_always_empty_zero_attribute_input(self):
+        # No DEE row exists in this kernel, so the join is empty before
+        # and after; the rule needs no shared key and must agree.
+        delta = check_propagation(
+            Join(Scan("emp"), Project(Scan("dept"), ())),
+            self.OLD,
+            self.evolve(emp=rel(["eid", "dept"], [(9, "lab")]),
+                        dept=rel(["dept", "floor"], [])),
+        )
+        assert delta.is_empty()
+
     def test_unknown_node_unsupported(self):
         class NotAPlanNode:
             def children(self):
@@ -526,6 +592,55 @@ class TestManagedMaintenance:
         }
         assert floors == {9}
         assert catalog.verify("byfloor")
+
+    def test_commits_changing_both_join_inputs(self, managed):
+        manager, catalog = managed
+        catalog.define(
+            "byfloor", Join(Scan("emp"), Scan("dept")), materialized=True
+        )
+        catalog.read("byfloor")
+        emp, dept = manager.table("emp"), manager.table("dept")
+        view = catalog.view("byfloor")
+
+        def commit(*statements):
+            applies = view.delta_applies
+            with manager.transaction(deferred=True):
+                for statement in statements:
+                    statement()
+            recomputed = catalog.database.execute(view.plan)
+            assert view._cache == recomputed
+            assert catalog.verify("byfloor")
+            assert view.fallbacks == 0 and view.recomputes == 1
+            return view.delta_applies - applies
+
+        # insert on one side + delete on the other
+        assert commit(
+            lambda: emp.insert({"eid": 4, "name": "dee", "dept": "ops"}),
+            lambda: dept.delete({"dept": "eng"}),
+        ) == 1
+        assert catalog.read("byfloor").cardinality() == 2
+        # a row deleted and its replacement inserted, on both sides
+        assert commit(
+            lambda: dept.update({"dept": "ops"}, {"floor": 7}),
+            lambda: emp.update({"eid": 2}, {"dept": "eng"}),
+            lambda: dept.insert({"dept": "eng", "floor": 3}),
+        ) == 1
+        assert catalog.read("byfloor").cardinality() == 4
+        # new row meets new partner; gone row's partner goes with it
+        assert commit(
+            lambda: emp.insert({"eid": 5, "name": "eve", "dept": "lab"}),
+            lambda: dept.insert({"dept": "lab", "floor": 9}),
+            lambda: emp.delete({"eid": 4}),
+            lambda: dept.delete({"dept": "ops"}),
+        ) == 1
+        assert catalog.read("byfloor").cardinality() == 4
+        # delete + re-insert of the same rows nets to nothing: no apply
+        assert commit(
+            lambda: dept.delete({"dept": "lab"}),
+            lambda: emp.delete({"eid": 5}),
+            lambda: emp.insert({"eid": 5, "name": "eve", "dept": "lab"}),
+            lambda: dept.insert({"dept": "lab", "floor": 9}),
+        ) == 0
 
     def test_irrelevant_commit_is_a_no_op(self, managed):
         manager, catalog = managed

@@ -126,6 +126,19 @@ class TestSnapshotSession:
         session.rollback()
         assert len(manager.table("emp").snapshot()) == 1
 
+    def test_scratch_copy_shares_the_pinned_rows(self, manager):
+        # The first buffered write seeds the scratch table from the
+        # pinned Relation itself: no row is re-encoded or re-sorted.
+        with manager.session() as session:
+            pinned = session.relation("emp")
+            session.insert("emp", {"emp": 2, "name": "bob", "dept": 1})
+            scratch = session.relation("emp")
+            assert scratch is not pinned and len(scratch) == 2
+            kept = {id(row) for row, _ in scratch.rows.pairs()}
+            assert all(id(row) in kept for row, _ in pinned.rows.pairs())
+            session.rollback()
+        assert manager.table("emp").snapshot() is pinned
+
     def test_commit_applies_and_versions(self, manager):
         session = manager.session()
         session.insert("emp", {"emp": 2, "name": "bob", "dept": 1})

@@ -54,6 +54,18 @@ class TestConstruction:
         with pytest.raises(SchemaError, match="classical"):
             Relation(heading, bad)
 
+    def test_trusted_constructor_is_the_checked_one_minus_the_loop(self):
+        # Allowed for a subset or union of validated same-heading rows;
+        # the value is indistinguishable from a checked construction.
+        whole = Relation.from_dicts(["emp", "name", "dept"], EMPLOYEES)
+        subset = XSet(whole.rows.pairs()[:2])
+        trusted = Relation._from_valid(whole.heading, subset)
+        assert trusted == Relation(whole.heading, subset)
+        assert hash(trusted) == hash(Relation(whole.heading, subset))
+        assert trusted.rows is subset and trusted.heading is whole.heading
+        with pytest.raises(AttributeError):
+            trusted._rows = whole.rows
+
     def test_rows_must_match_heading(self):
         heading = Heading(["a"])
         with pytest.raises(SchemaError, match="do not match"):

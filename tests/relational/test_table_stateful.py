@@ -6,6 +6,11 @@ table pair; after *every* step the invariants are re-verified from
 scratch against a shadow model.  This is the strongest executable
 reading of the paper's "intrinsically reliable" claim: no reachable
 sequence of operations exposes a constraint-violating state.
+
+A second machine is differential: statements are checked through each
+constraint's *delta rule* over the rows they changed, and every step
+compares that verdict, and the state it leaves, with the definition --
+the whole-relation ``constraint.check`` run on the candidate value.
 """
 
 from hypothesis import settings
@@ -23,6 +28,8 @@ from repro.relational.constraints import (
     KeyConstraint,
     Table,
 )
+from repro.relational.relation import Relation
+from repro.relational.tx import TransactionManager
 
 DEPT_IDS = list(range(4))
 EMP_IDS = list(range(12))
@@ -157,3 +164,143 @@ TableMachine.TestCase.settings = settings(
     max_examples=25, stateful_step_count=30, deadline=None
 )
 TestTableStateMachine = TableMachine.TestCase
+
+
+# ----------------------------------------------------------------------
+# Differential machine: delta verdict == full check on the candidate
+# ----------------------------------------------------------------------
+
+HEADING = ["emp", "salary"]
+#: Typed twins on purpose: ``1`` and ``1.0`` are one key under XST
+#: member equality, so a delta rule comparing spellings would miss it.
+KEYS = st.sampled_from([0, 1, 2, 3, 1.0, 2.0, True])
+SALARIES = st.sampled_from([-1, 1, 2, 2.0])
+ROWS = st.builds(lambda emp, salary: {"emp": emp, "salary": salary},
+                 KEYS, SALARIES)
+
+
+class AtMostRows:
+    """A constraint object with no delta rule: only ``check`` exists,
+    so the table must fall back to it on every validation."""
+
+    def __init__(self, limit):
+        self.limit = limit
+
+    def check(self, relation):
+        if relation.cardinality() > self.limit:
+            raise IntegrityError("more than %d rows" % self.limit)
+
+
+def matching(rows, conditions):
+    # Python's == agrees with XST member equality on these atoms.
+    return [row for row in rows
+            if all(row[attr] == value for attr, value in conditions.items())]
+
+
+class DeltaVerdictMachine(RuleBasedStateMachine):
+    def __init__(self):
+        super().__init__()
+        self.table = Table(HEADING, [], [
+            KeyConstraint(["emp"]),
+            CheckConstraint(lambda row: row["salary"] > 0, "salary > 0"),
+            AtMostRows(3),
+        ])
+        self.manager = TransactionManager({"emp": self.table})
+        self.model = []  # the rows, as dicts
+
+    def step(self, statement, candidate_rows, refused=False):
+        """Run ``statement``; it must be accepted iff every constraint's
+        whole-relation check accepts the candidate, and leave exactly
+        the candidate (or, refused, exactly the state before)."""
+        candidate = Relation.from_dicts(HEADING, candidate_rows)
+        try:
+            for constraint in self.table.constraints:
+                constraint.check(candidate)
+        except IntegrityError:
+            refused = True
+        before = self.table.snapshot()
+        try:
+            statement()
+        except IntegrityError:
+            assert refused, "delta rule refused a valid candidate"
+            assert self.table.snapshot() is before
+        else:
+            assert not refused, "delta rule accepted an invalid candidate"
+            self.model = list(candidate.iter_dicts())
+
+    def without(self, doomed):
+        return [row for row in self.model if row not in doomed]
+
+    @rule(row=ROWS)
+    def insert(self, row):
+        self.step(lambda: self.table.insert(row), self.model + [row],
+                  refused=row in self.model)
+
+    @rule(rows=st.lists(ROWS, max_size=4))
+    def insert_many(self, rows):
+        # A batch may carry a duplicate key inside itself.
+        self.step(lambda: self.table.insert_many(rows), self.model + rows)
+
+    @rule(conditions=st.one_of(
+        st.builds(lambda emp: {"emp": emp}, KEYS),
+        st.builds(lambda salary: {"salary": salary}, SALARIES)))
+    def delete(self, conditions):
+        self.step(lambda: self.table.delete(conditions),
+                  self.without(matching(self.model, conditions)))
+
+    @rule(emp=KEYS, changes=st.one_of(
+        st.builds(lambda emp: {"emp": emp}, KEYS),  # onto another key
+        st.builds(lambda salary: {"salary": salary}, SALARIES)))
+    def update(self, emp, changes):
+        matched = matching(self.model, {"emp": emp})
+        rewritten = [dict(row, **changes) for row in matched]
+        self.step(lambda: self.table.update({"emp": emp}, changes),
+                  self.without(matched) + rewritten)
+
+    @rule(row=ROWS, deferred=st.booleans())
+    def delete_then_reinsert_in_one_transaction(self, row, deferred):
+        doomed = matching(self.model, {"emp": row["emp"]})
+
+        def statement():
+            with self.manager.transaction(deferred=deferred):
+                self.table.delete({"emp": row["emp"]})
+                self.table.insert(row)
+
+        self.step(statement, self.without(doomed) + [row])
+
+    @rule(rows=st.lists(ROWS, min_size=1, max_size=3), first=KEYS, last=KEYS)
+    def deferred_batch(self, rows, first, last):
+        """Transiently invalid states are fine; only the commit state
+        is judged, through the accumulated delta -- in which a row
+        deleted then re-inserted, or inserted then deleted, cancels."""
+        candidate = self.without(matching(self.model, {"emp": first}))
+        refused = False
+        for row in rows:
+            refused = refused or row in candidate  # "row already present"
+            candidate = candidate + [row]
+        candidate = [row for row in candidate
+                     if row not in matching(candidate, {"emp": last})]
+
+        def statement():
+            with self.manager.transaction(deferred=True):
+                self.table.delete({"emp": first})
+                for row in rows:
+                    self.table.insert(row)
+                self.table.delete({"emp": last})
+
+        self.step(statement, candidate, refused=refused)
+
+    @invariant()
+    def table_is_the_model_and_valid(self):
+        assert self.table.snapshot() == Relation.from_dicts(
+            HEADING, self.model
+        )
+        for constraint in self.table.constraints:
+            constraint.check(self.table.snapshot())
+        self.table.check_now()
+
+
+DeltaVerdictMachine.TestCase.settings = settings(
+    max_examples=40, stateful_step_count=30, deadline=None
+)
+TestDeltaVerdictMachine = DeltaVerdictMachine.TestCase

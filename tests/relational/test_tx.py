@@ -187,9 +187,10 @@ class TestNestedSavepointsUnderInjectedFailures:
             # The inner scope ended, but checking stays deferred while
             # the outer deferred scope is open.
             departments.insert({"dept": 4, "dname": "z"})
-        # Exactly one commit-time validation pass: each of the 4 rows
-        # checked once, not once per statement or per scope.
-        assert len(calls) == 4
+        # Exactly one commit-time validation pass over exactly the 3
+        # rows the transaction wrote: not once per statement or per
+        # scope, and not the row that was already valid at begin.
+        assert sorted(row["dept"] for row in calls) == [2, 3, 4]
 
     def test_inner_failure_then_deferred_commit_still_validates(self, schema):
         manager, employees, departments = schema
@@ -250,8 +251,8 @@ class TestCommitLogging:
         assert log.lsn == 0
 
     def test_rewritten_but_equal_table_logs_nothing(self, logged):
-        # A touched table holds a new Relation object; the diff still
-        # compares rows, so a net no-op is not logged.
+        # A touched table holds a new Relation object, but the carried
+        # delta nets insert-then-delete to nothing: not logged.
         manager, employees, departments, log = logged
         with manager.transaction():
             departments.insert({"dept": 2, "dname": "ops"})
@@ -288,6 +289,128 @@ class TestCommitLogging:
         # The in-memory state never ran ahead of the durable log.
         assert len(departments) == 1
         assert manager.commits == 0
+
+
+class TestCarriedDiff:
+    """The delta a table carries between checks and commits never goes
+    stale: unchecked rows stay pending until a check passes, and a
+    rollback takes the pending delta back with the relation."""
+
+    @pytest.fixture
+    def counted(self, schema, tmp_path):
+        from repro.relational.constraints import CheckConstraint
+        from repro.relational.wal import WriteAheadLog
+
+        manager, employees, departments = schema
+        checked = []
+        departments.add_constraint(CheckConstraint(
+            lambda row: checked.append(row["dept"]) or True, "counting"
+        ))
+        checked.clear()  # add_constraint itself validates once
+        log = WriteAheadLog(str(tmp_path / "wal.log"))
+        manager = TransactionManager(
+            {"emp": employees, "dept": departments}, log=log
+        )
+        return manager, departments, log, checked
+
+    @staticmethod
+    def logged_rows(record):
+        """``{table: (inserted dept ids, deleted dept ids)}`` of a record."""
+        from repro.relational.wal import commit_changes
+
+        return {
+            name: tuple(
+                sorted(row.as_record()["dept"] for row, _ in half.pairs())
+                for half in (inserted, deleted)
+            )
+            for name, _, inserted, deleted in commit_changes(record)
+        }
+
+    def test_unchecked_rows_stay_pending_until_a_check_passes(self, schema):
+        _, _, departments = schema
+        departments.defer_validation(True)
+        departments.insert({"dept": 1, "dname": "duplicate key"})
+        departments.defer_validation(False)
+        # No check_now(): every later statement must still be refused,
+        # even ones whose own rows are fine or that change nothing.
+        for statement in (
+            lambda: departments.insert({"dept": 2, "dname": "fine"}),
+            lambda: departments.insert_many([{"dept": 3, "dname": "ok"}]),
+            lambda: departments.delete({"dept": 404}),
+            lambda: departments.update({"dname": "research"}, {"dname": "r"}),
+            departments.check_now,
+        ):
+            with pytest.raises(IntegrityError, match="key"):
+                statement()
+        assert departments.needs_check()
+        assert len(departments) == 2
+        # Removing the offender is the statement that passes the check.
+        assert departments.delete({"dname": "duplicate key"}) == 1
+        assert not departments.needs_check()
+        departments.insert({"dept": 2, "dname": "fine"})
+        assert len(departments) == 2
+
+    def test_pending_rows_fail_the_next_commit_and_roll_back(self, schema):
+        manager, _, departments = schema
+        departments.defer_validation(True)
+        departments.insert({"dept": 1, "dname": "duplicate key"})
+        departments.defer_validation(False)
+        before = departments.snapshot()
+        with pytest.raises(IntegrityError):
+            with manager.transaction(deferred=True):
+                departments.insert({"dept": 2, "dname": "fine"})
+        assert departments.snapshot() is before
+        assert departments.needs_check()  # still pending, not forgotten
+
+    def test_inner_rollback_leaves_no_stale_diff(self, counted):
+        manager, departments, log, checked = counted
+        with manager.transaction(deferred=True):
+            departments.insert({"dept": 2, "dname": "kept"})
+            with pytest.raises(RuntimeError):
+                with manager.transaction(deferred=True):
+                    departments.insert({"dept": 3, "dname": "rolled back"})
+                    departments.delete({"dept": 1})
+                    raise RuntimeError("inner abort")
+            departments.insert({"dept": 4, "dname": "kept too"})
+        assert sorted(checked) == [2, 4]
+        assert self.logged_rows(log.replay()[0]) == {"dept": ([2, 4], [])}
+        checked.clear()
+        with manager.transaction(deferred=True):
+            departments.insert({"dept": 5, "dname": "own rows only"})
+        assert checked == [5]
+        assert self.logged_rows(log.replay()[1]) == {"dept": ([5], [])}
+
+    def test_outer_rollback_leaves_no_stale_diff(self, counted):
+        manager, departments, log, checked = counted
+        for deferred in (True, False):
+            with pytest.raises(RuntimeError):
+                with manager.transaction(deferred=deferred):
+                    departments.insert({"dept": 2, "dname": "doomed"})
+                    departments.delete({"dept": 1})
+                    raise RuntimeError("abort")
+        assert log.lsn == 0 and not departments.needs_check()
+        checked.clear()
+        with manager.transaction(deferred=True):
+            departments.update({"dept": 1}, {"dname": "renamed"})
+            departments.insert({"dept": 6, "dname": "new"})
+        assert sorted(checked) == [1, 6]
+        assert self.logged_rows(log.replay()[0]) == {"dept": ([1, 6], [1])}
+        # Outside a transaction nothing accumulates for a later commit.
+        departments.insert({"dept": 7, "dname": "autocommit"})
+        with manager.transaction():
+            departments.delete({"dept": 6})
+        assert self.logged_rows(log.replay()[1]) == {"dept": ([], [6])}
+
+    def test_failed_commit_check_restores_the_pending_diff(self, counted):
+        manager, departments, log, checked = counted
+        with pytest.raises(IntegrityError):
+            with manager.transaction(deferred=True):
+                departments.insert({"dept": 2, "dname": "fine"})
+                departments.insert({"dept": 1, "dname": "duplicate key"})
+        assert log.lsn == 0 and not departments.needs_check()
+        with manager.transaction(deferred=True):
+            departments.insert({"dept": 3, "dname": "next"})
+        assert self.logged_rows(log.replay()[0]) == {"dept": ([3], [])}
 
 
 class TestManagerPlumbing:
