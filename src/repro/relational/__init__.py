@@ -49,7 +49,6 @@ from repro.relational.constraints import (
     Table,
 )
 from repro.relational.csvio import dumps_csv, loads_csv, read_csv, write_csv
-from repro.relational.index import IndexedRelation, SortedIndex
 from repro.relational.ivm import (
     Delta,
     DeltaPropagator,
@@ -199,9 +198,7 @@ __all__ = [
     "write_csv",
     "loads_csv",
     "dumps_csv",
-    # indexes & views
-    "SortedIndex",
-    "IndexedRelation",
+    # views
     "View",
     "ViewCatalog",
     # incremental view maintenance & result cache

@@ -125,15 +125,20 @@ class Relation:
 
     def iter_dicts(self) -> Iterator[Dict[str, Any]]:
         """Rows as plain dicts (deterministic canonical order)."""
+        # Every row was proved record-shaped under this heading when its
+        # relation was validated: one element at each attribute scope.
         for row, _ in self._rows.pairs():
-            yield dict(row.as_record())
+            yield {
+                name: held[0] for name, held in row._scopes_index().items()
+            }
 
     def to_rows(self) -> List[Tuple[Any, ...]]:
         """Rows as positional tuples in heading order, sorted."""
-        out = [
-            tuple(record[name] for name in self._heading.names)
-            for record in self.iter_dicts()
-        ]
+        names = self._heading.names
+        out = []
+        for row, _ in self._rows.pairs():
+            held = row._scopes_index()
+            out.append(tuple(held[name][0] for name in names))
         out.sort(key=repr)
         return out
 

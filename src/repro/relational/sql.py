@@ -51,6 +51,7 @@ Usage::
 from __future__ import annotations
 
 import re
+from functools import lru_cache
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import NotationError, SchemaError
@@ -327,11 +328,9 @@ def compile_query(query: Query) -> Plan:
     return plan
 
 
-def _maybe_run_analyze(db: Database, text: str) -> Optional[Relation]:
-    """Handle an ANALYZE statement; ``None`` when ``text`` is a SELECT."""
+def _run_analyze(db: Database, text: str) -> Relation:
+    """Execute an ANALYZE statement."""
     stream = _tokenize(text)
-    if not stream or stream[0] != ("kw", "analyze"):
-        return None
     if len(stream) == 1:
         targets = None
     elif len(stream) == 2 and stream[1][0] == "name":
@@ -354,8 +353,8 @@ def _maybe_run_analyze(db: Database, text: str) -> Optional[Relation]:
     )
 
 
-def _maybe_run_view_statement(text: str, views) -> Optional[Relation]:
-    """Handle CREATE/REFRESH/DROP VIEW; ``None`` for anything else.
+def _run_view_statement(text: str, views) -> Relation:
+    """Execute a CREATE/REFRESH/DROP VIEW statement.
 
     Grammar::
 
@@ -373,8 +372,6 @@ def _maybe_run_view_statement(text: str, views) -> Optional[Relation]:
     from repro.relational.schema import Heading
 
     stream = _tokenize(text)
-    if not stream:
-        return None
     head = stream[0]
     if head == ("kw", "create"):
         index = 1
@@ -412,27 +409,25 @@ def _maybe_run_view_statement(text: str, views) -> Optional[Relation]:
                 "rows": views.read(name).cardinality(),
             }],
         )
-    if head in (("kw", "refresh"), ("kw", "drop")):
-        if (
-            len(stream) != 3 or stream[1] != ("kw", "view")
-            or stream[2][0] != "name"
-        ):
-            raise NotationError(
-                "XQL: expected %s VIEW name" % head[1].upper()
-            )
-        name = stream[2][1]
-        _require_views(views, "%s VIEW" % head[1].upper())
-        if head[1] == "refresh":
-            refreshed = views.refresh(name)
-            return Relation.from_dicts(
-                Heading(["view", "rows"]),
-                [{"view": name, "rows": refreshed.cardinality()}],
-            )
-        views.drop(name)
-        return Relation.from_dicts(
-            Heading(["view", "dropped"]), [{"view": name, "dropped": 1}]
+    if (
+        len(stream) != 3 or stream[1] != ("kw", "view")
+        or stream[2][0] != "name"
+    ):
+        raise NotationError(
+            "XQL: expected %s VIEW name" % head[1].upper()
         )
-    return None
+    name = stream[2][1]
+    _require_views(views, "%s VIEW" % head[1].upper())
+    if head[1] == "refresh":
+        refreshed = views.refresh(name)
+        return Relation.from_dicts(
+            Heading(["view", "rows"]),
+            [{"view": name, "rows": refreshed.cardinality()}],
+        )
+    views.drop(name)
+    return Relation.from_dicts(
+        Heading(["view", "dropped"]), [{"view": name, "dropped": 1}]
+    )
 
 
 def _require_views(views, statement: str) -> None:
@@ -440,6 +435,51 @@ def _require_views(views, statement: str) -> None:
         raise SchemaError(
             "XQL: %s needs a view catalog (pass views=)" % statement
         )
+
+
+#: Bound of the statement memo below, in distinct statement texts.
+_MEMO_ENTRIES = 512
+
+#: A statement's first word, which alone decides its kind.
+_HEAD = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9]*)")
+
+_VIEW_STATEMENTS = frozenset(("create", "refresh", "drop"))
+
+
+@lru_cache(maxsize=_MEMO_ENTRIES)
+def _select(text: str) -> Tuple[Query, Plan]:
+    """The parsed and compiled SELECT of ``text``, once per text.
+
+    Both are pure functions of the text (a plan names relations, it
+    holds no data), so one process-wide memo serves every session and
+    every database; callers only read them.  A text that raises is not
+    stored and is parsed again next time.
+    """
+    query = parse_query(text)
+    return query, compile_query(query)
+
+
+def _run(
+    db: Database, text: str, optimized: bool, views
+) -> Tuple[Optional[Query], Relation]:
+    """Execute one statement; the query is ``None`` unless a SELECT.
+
+    ANALYZE and the view statements act on the database, so they run
+    every time and never enter the memo.
+    """
+    head = _HEAD.match(text)
+    kind = head.group(1).lower() if head else ""
+    if kind == "analyze":
+        return None, _run_analyze(db, text)
+    if kind in _VIEW_STATEMENTS:
+        return None, _run_view_statement(text, views)
+    query, plan = _select(text)
+    if query.timeout_s is not None or query.budget_rows is not None:
+        # TIMEOUT/BUDGET clauses execute the query under a governor so
+        # the kernel's cancellation checkpoints can stop it mid-operator.
+        with governed(timeout_s=query.timeout_s, max_rows=query.budget_rows):
+            return query, _run_parsed(db, query, plan, optimized, views)
+    return query, _run_parsed(db, query, plan, optimized, views)
 
 
 def run(
@@ -451,25 +491,12 @@ def run(
     the CREATE/REFRESH/DROP VIEW statements work and SELECT sources
     may name views, which resolve through the catalog.
     """
-    analyzed = _maybe_run_analyze(db, text)
-    if analyzed is not None:
-        return analyzed
-    handled = _maybe_run_view_statement(text, views)
-    if handled is not None:
-        return handled
-    query = parse_query(text)
-    if query.timeout_s is not None or query.budget_rows is not None:
-        # TIMEOUT/BUDGET clauses execute the query under a governor so
-        # the kernel's cancellation checkpoints can stop it mid-operator.
-        with governed(timeout_s=query.timeout_s, max_rows=query.budget_rows):
-            return _run_parsed(db, query, optimized, views)
-    return _run_parsed(db, query, optimized, views)
+    return _run(db, text, optimized, views)[1]
 
 
 def _run_parsed(
-    db: Database, query: Query, optimized: bool, views=None
+    db: Database, query: Query, plan: Plan, optimized: bool, views=None
 ) -> Relation:
-    plan = compile_query(query)
     if views is not None:
         db = views.database
         plan = views._resolve_plan(plan)
@@ -525,14 +552,9 @@ def run_rows(
     (including LIMIT).  Without ORDER BY the canonical row order is
     used, which is deterministic but not meaningful.
     """
-    analyzed = _maybe_run_analyze(db, text)
-    if analyzed is not None:
-        return list(analyzed.iter_dicts())
-    handled = _maybe_run_view_statement(text, views)
-    if handled is not None:
-        return list(handled.iter_dicts())
-    query = parse_query(text)
-    relation = run(db, text, optimized=optimized, views=views)
+    query, relation = _run(db, text, optimized, views)
+    if query is None:
+        return list(relation.iter_dicts())
     rows = _ordered_rows(relation, query)
     if query.limit is not None:
         rows = rows[: query.limit]

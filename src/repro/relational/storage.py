@@ -10,10 +10,11 @@ shapes:
   list of row dicts, every operation a Python loop touching one
   record at a time, no auxiliary structure.
 * :class:`SetStore` -- the extended-set-processing engine: rows live
-  in one :class:`~repro.xst.xset.XSet`; lookups go through hash
-  indexes from attribute values to row sets, built on demand and
-  reused (the "dynamic data restructuring" of ref [4]); selections
-  and joins are single set operations.
+  in one :class:`~repro.xst.xset.XSet`; lookups go through the
+  kernel's per-scope member index of that set (attribute value to
+  row positions), built on demand and reused (the "dynamic data
+  restructuring" of ref [4]); selections and joins are single set
+  operations.
 
 Both engines answer ``lookup`` / ``project`` / ``equijoin_count``
 identically (asserted in tests); the benchmark suite measures the gap
@@ -90,11 +91,10 @@ class RecordStore:
 
 
 class SetStore:
-    """Set-at-a-time storage over an extended set with hash indexes."""
+    """Set-at-a-time storage over an extended set and its member index."""
 
     def __init__(self, names: Sequence[str], rows: Iterable[Mapping[str, Any]]):
         self._relation = Relation.from_dicts(names, rows)
-        self._indexes: Dict[str, Dict[Any, List[XSet]]] = {}
 
     @property
     def heading(self) -> Heading:
@@ -107,22 +107,16 @@ class SetStore:
     def __len__(self) -> int:
         return len(self._relation)
 
-    def _index(self, attr: str) -> Dict[Any, List[XSet]]:
-        """Build (once) and return the value -> rows index for ``attr``.
+    def _index(self, attr: str) -> Dict[Any, Tuple[int, ...]]:
+        """The value -> row positions index for ``attr``, built once.
 
         This is the dynamic restructuring move: the stored set is
         re-keyed by whichever scope access patterns demand, without
-        touching the canonical row set.
+        touching the canonical row set.  The index is the row set's
+        own (the one restriction probes), not a copy kept here.
         """
         self._relation.heading.require([attr])
-        index = self._indexes.get(attr)
-        if index is None:
-            index = {}
-            for row, _ in self._relation.rows.pairs():
-                for value in row.elements_at(attr):
-                    index.setdefault(value, []).append(row)
-            self._indexes[attr] = index
-        return index
+        return self._relation.rows._members_holding(attr)
 
     def lookup(self, attr: str, value: Any) -> List[Dict[str, Any]]:
         """Equality selection through the attribute index.
@@ -132,24 +126,25 @@ class SetStore:
         """
         names = self._relation.heading.names
         out = []
-        for row in self._index(attr).get(value, []):
+        for row in self.probe(attr, value):
             record = row.as_record()
             out.append({name: record[name] for name in names})
         return out
 
     def lookup_rows(self, attr: str, value: Any) -> XSet:
         """Index lookup returning a fresh row set (canonicalized)."""
-        return xset(self._index(attr).get(value, []))
+        return xset(self.probe(attr, value))
 
     def probe(self, attr: str, value: Any) -> List[XSet]:
-        """Zero-copy index probe: references to the matching rows.
+        """Index probe: references to the matching rows, no copies.
 
         The comparison-fair counterpart of :meth:`RecordStore.lookup`,
         which also returns references; use :meth:`lookup` /
         :meth:`lookup_rows` when materialized dicts or a canonical set
         are actually needed.
         """
-        return self._index(attr).get(value, [])
+        members = self._relation.rows.pairs()
+        return [members[at][0] for at in self._index(attr).get(value, ())]
 
     def project(self, attrs: Sequence[str]) -> List[Tuple[Any, ...]]:
         """One sigma-domain call; duplicates collapse inside the set."""

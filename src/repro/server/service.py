@@ -174,7 +174,10 @@ class Server:
         await asyncio.sleep(0)
 
     async def drain(self) -> Dict[str, int]:
-        """Graceful shutdown; returns ``{"finished": n, "shed": m}``.
+        """Graceful shutdown; returns ``{"finished": n, "shed": m,
+        "aborted": k}``: of the connections busy when the drain began,
+        ``n`` completed their request and left before the deadline and
+        ``m`` were shed; ``k`` connections of any kind outlived it.
 
         Stops accepting, then walks the open connections: idle ones
         get an orderly GOODBYE now; busy ones below the admission
@@ -193,6 +196,7 @@ class Server:
             await self._server.wait_closed()
             self._server = None
         shed = 0
+        allowed = []
         for conn in list(self._conns):
             conn.draining = True
             if not conn.busy:
@@ -201,6 +205,8 @@ class Server:
                     conn.session.priority < self.admission.shed_below_priority:
                 conn.shed = True
                 shed += 1
+            else:
+                allowed.append(conn)
         # Busy connections finish (or die shedding) at their next page
         # boundary; poll until everyone is gone or the drain deadline
         # passes, then abort the stragglers.
@@ -210,11 +216,12 @@ class Server:
             await asyncio.sleep(step)
             waited += step
         aborted = len(self._conns)
+        finished = sum(1 for conn in allowed if conn not in self._conns)
         for conn in list(self._conns):
             self._abort(conn)
         if self.incident_log is not None and recorder().installed:
             recorder().export_jsonl(self.incident_log)
-        return {"finished": 0, "shed": shed, "aborted": aborted}
+        return {"finished": finished, "shed": shed, "aborted": aborted}
 
     # -- connection handling --------------------------------------------
 

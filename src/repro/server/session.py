@@ -20,6 +20,7 @@ else.
 
 from __future__ import annotations
 
+import re
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
 from repro.errors import SessionError, WriteConflictError
@@ -51,27 +52,38 @@ def render_literal(value: Any) -> str:
     )
 
 
+_PLACEHOLDER = re.compile(r"\$(\d*)")
+
+
 def render_statement(template: str, args: Sequence[Any]) -> str:
     """Substitute ``$1..$n`` placeholders with rendered literals.
 
-    Placeholders are matched longest-first so ``$12`` never rewrites
-    as ``$1`` followed by a stray ``2``; every placeholder must be
-    bound and every argument used -- a mismatch is a typed
+    One pass over the *template*: each ``$k`` is replaced once and the
+    rendered literals are never searched again, so an argument may
+    itself contain ``$``.  Every placeholder must be bound and every
+    argument used -- a mismatch is a typed
     :class:`~repro.errors.SessionError`, not a silently wrong query.
     """
-    text = template
-    for index in range(len(args), 0, -1):
-        placeholder = "$%d" % index
-        if placeholder not in text:
+    literals = [render_literal(value) for value in args]
+    used = set()
+
+    def bind(match) -> str:
+        index = int(match.group(1) or 0)
+        if not 1 <= index <= len(literals):
             raise SessionError(
-                "statement has no placeholder %s for argument %d"
-                % (placeholder, index)
+                "statement placeholders left unbound: %s in %s"
+                % (match.group(), template)
             )
-        text = text.replace(placeholder, render_literal(args[index - 1]))
-    if "$" in text:
-        raise SessionError(
-            "statement placeholders left unbound: %s" % text
-        )
+        used.add(index)
+        return literals[index - 1]
+
+    text = _PLACEHOLDER.sub(bind, template)
+    for index in range(len(literals), 0, -1):
+        if index not in used:
+            raise SessionError(
+                "statement has no placeholder $%d for argument %d"
+                % (index, index)
+            )
     return text
 
 

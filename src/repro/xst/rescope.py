@@ -52,8 +52,30 @@ __all__ = [
 ]
 
 
+def _spelled_as(new_scope: Any, scope: Any) -> bool:
+    """True when ``new_scope`` is ``scope`` down to its spelling.
+
+    Equal atoms may be spelled differently (``1``/``1.0``/``True``,
+    ``0.0``/``-0.0``) and so may equal nested sets, so only identity, or
+    equality of two ``str`` or two ``int`` of that exact type, counts.
+    """
+    return new_scope is scope or (
+        type(new_scope) is type(scope)
+        and type(scope) in (str, int)
+        and new_scope == scope
+    )
+
+
 def _rescope(a: XSet, targets_of: Callable[[Any, Tuple], Tuple]) -> XSet:
     """``{x^w : x in_s a and w in targets_of(s)}`` for either direction."""
+    for _, scope in a.pairs():
+        targets = targets_of(scope, ())
+        if len(targets) != 1 or not _spelled_as(targets[0], scope):
+            break
+    else:
+        # Every membership is kept, once, at the scope a spells: the
+        # result is a itself (so the empty set re-scopes to itself).
+        return a
     pairs = []
     in_place = True
     for element, scope in a.pairs():

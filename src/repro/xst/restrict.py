@@ -29,11 +29,11 @@ Two literal-reading consequences worth knowing (both covered by tests):
 
 from __future__ import annotations
 
-from typing import Any
+from typing import Any, List
 
 from repro.gov.governor import active as _gov_active
 from repro.obs.instrument import kernel_op
-from repro.xst.xset import XSet
+from repro.xst.xset import Pair, XSet
 from repro.xst.rescope import rescope_value_by_element
 
 __all__ = ["sigma_restrict", "restrict_1"]
@@ -53,34 +53,72 @@ def sigma_restrict(r: XSet, a: XSet, sigma: XSet) -> XSet:
     """Def 7.6: ``R |_sigma A``.
 
     The fragments ``a^{\\sigma\\}`` / ``s^{\\sigma\\}`` are computed once
-    per member of ``A`` and then checked against each member of ``R``.
+    per member of ``A``.  When every element fragment is non-empty, a
+    kept ``z`` must hold each of its parts, so the candidates come from
+    ``R``'s per-scope member index and only they are tested; a key with
+    an empty element fragment is universal, and then every member of
+    ``R`` is tested.  Either way the definition's two subset conditions
+    decide what is kept.
     """
-    keys = [
+    keys = dict.fromkeys(
         (
             rescope_value_by_element(member, sigma),
             rescope_value_by_element(member_scope, sigma),
         )
         for member, member_scope in a.pairs()
-    ]
+    )
     if not keys:
         return XSet()
     gov = _gov_active()
     charged = 0
-    kept = []
-    for scanned, (candidate, candidate_scope) in enumerate(r.pairs(), 1):
-        for element_fragment, scope_fragment in keys:
-            if _fragment_within(element_fragment, candidate) and _fragment_within(
-                scope_fragment, candidate_scope
-            ):
-                kept.append((candidate, candidate_scope))
-                break
-        if gov is not None and not (scanned & 1023):
-            gov.checkpoint("xst.restrict", len(kept) - charged)
-            charged = len(kept)
+    if all(element_fragment for element_fragment, _ in keys):
+        kept = _probe(r, keys, gov)
+    else:
+        kept = []
+        for scanned, (candidate, candidate_scope) in enumerate(r.pairs(), 1):
+            for element_fragment, scope_fragment in keys:
+                if _fragment_within(
+                    element_fragment, candidate
+                ) and _fragment_within(scope_fragment, candidate_scope):
+                    kept.append((candidate, candidate_scope))
+                    break
+            if gov is not None and not (scanned & 1023):
+                gov.checkpoint("xst.restrict", len(kept) - charged)
+                charged = len(kept)
     if gov is not None:
         gov.checkpoint("xst.restrict", len(kept) - charged)
     # A subsequence of r's own canonical run.
     return XSet._from_run(kept)
+
+
+def _probe(r: XSet, keys, gov) -> List[Pair]:
+    """The members of ``r`` some key keeps, every element fragment non-empty.
+
+    A kept ``z`` holds every part ``x^s`` of the key's element fragment,
+    so the shortest of the parts' index lists holds every candidate; the
+    index proposes, Def 7.6's two conditions decide.
+    """
+    members = r.pairs()
+    positions = set()
+    for probed, (element_fragment, scope_fragment) in enumerate(keys, 1):
+        candidates = min(
+            (
+                r._members_holding(scope).get(element, ())
+                for element, scope in element_fragment.pairs()
+            ),
+            key=len,
+        )
+        for position in candidates:
+            candidate, candidate_scope = members[position]
+            if (
+                position not in positions
+                and _fragment_within(element_fragment, candidate)
+                and _fragment_within(scope_fragment, candidate_scope)
+            ):
+                positions.add(position)
+        if gov is not None and not (probed & 1023):
+            gov.checkpoint("xst.restrict")
+    return [members[position] for position in sorted(positions)]
 
 
 def restrict_1(r: XSet, a: XSet) -> XSet:

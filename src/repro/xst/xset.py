@@ -89,7 +89,9 @@ class XSet:
     membership ``x in_EMPTY A``.
     """
 
-    __slots__ = ("_pairs", "_pair_set", "_by_element", "_by_scope", "_hash", "_key")
+    __slots__ = (
+        "_pairs", "_pair_set", "_by_element", "_by_scope", "_by_part", "_hash", "_key"
+    )
 
     _pairs: Tuple[Pair, ...]
     _pair_set: frozenset
@@ -97,6 +99,11 @@ class XSet:
     #: pairs by the first method that reads it; ``None`` until then.
     _by_element: Optional[Dict[Any, Tuple[Any, ...]]]
     _by_scope: Optional[Dict[Any, Tuple[Any, ...]]]
+    #: ``{s: {x: run positions of the set members z with x in_s z}}``, one
+    #: inner scope ``s`` at a time, each filled by the first restriction
+    #: that names it.  Derived from the canonical run alone, so it needs
+    #: no invalidation: it lives and dies with this immutable value.
+    _by_part: Optional[Dict[Any, Dict[Any, Tuple[int, ...]]]]
     _hash: int
     #: ``canonical_key(self)``, filled by the first call of it.
     _key: Optional[Tuple]
@@ -124,6 +131,7 @@ class XSet:
         fill(self, "_pair_set", pair_set)
         fill(self, "_by_element", None)
         fill(self, "_by_scope", None)
+        fill(self, "_by_part", None)
         fill(self, "_hash", hash(("repro.XSet", ordered)))
         fill(self, "_key", None)
 
@@ -157,6 +165,28 @@ class XSet:
         if index is None:
             index = _group(self._pairs, 1)
             object.__setattr__(self, "_by_scope", index)
+        return index
+
+    def _members_holding(self, scope: Any) -> Dict[Any, Tuple[int, ...]]:
+        """``{x: ascending run positions of the members z with x in_scope z}``.
+
+        Atom members hold nothing.  Keys meet by Python equality (the
+        twins ``1``/``1.0``/``True`` share a list), as pairs do in
+        ``_pair_set``; callers decide membership by the definition.
+        """
+        by_part = self._by_part
+        if by_part is None:
+            by_part = {}
+            object.__setattr__(self, "_by_part", by_part)
+        index = by_part.get(scope)
+        if index is None:
+            grouped: Dict[Any, list] = {}
+            for position, (member, _) in enumerate(self._pairs):
+                if isinstance(member, XSet):
+                    for element in member._scopes_index().get(scope, ()):
+                        grouped.setdefault(element, []).append(position)
+            index = {key: tuple(run) for key, run in grouped.items()}
+            by_part[scope] = index
         return index
 
     # ------------------------------------------------------------------

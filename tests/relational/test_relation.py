@@ -82,6 +82,30 @@ class TestViews:
         rel = Relation.from_dicts(["emp", "name", "dept"], EMPLOYEES[:1])
         assert rel.to_rows() == [(1, "ada", 10)]
 
+    def test_validated_rows_are_read_without_re_validation(self, monkeypatch):
+        source = [
+            {"emp": n, "name": "n%d" % n, "dept": 1.0 * (n % 7)}
+            for n in range(500)
+        ]
+        rel = Relation.from_dicts(["emp", "name", "dept"], source)
+        expected = sorted(
+            ((row["emp"], row["name"], row["dept"]) for row in source), key=repr
+        )
+        calls = []
+        is_record = XSet.is_record
+        monkeypatch.setattr(
+            XSet, "is_record", lambda self: calls.append(1) or is_record(self)
+        )
+        rows = rel.to_rows()
+        dicts = list(rel.iter_dicts())
+        assert calls == []  # parent commit: once per row, in each of the two
+        assert rows == expected
+        assert [type(value) for value in rows[0]] == [int, str, float]
+        assert sorted(dicts, key=lambda row: row["emp"]) == source
+        assert [list(row) for row in dicts] == [
+            list(row.as_record()) for row, _ in rel.rows.pairs()
+        ]
+
     def test_equality_ignores_row_order(self):
         forward = Relation.from_dicts(["k"], [{"k": 1}, {"k": 2}])
         backward = Relation.from_dicts(["k"], [{"k": 2}, {"k": 1}])

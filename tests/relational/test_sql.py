@@ -3,7 +3,7 @@
 import pytest
 
 from repro.errors import NotationError, SchemaError
-from repro.relational import algebra
+from repro.relational import algebra, sql
 from repro.relational.query import Database
 from repro.relational.sql import compile_query, parse_query, run
 from repro.workloads.generators import department_relation, employee_relation
@@ -327,3 +327,135 @@ class TestAnalyzeStatement:
     def test_analyze_two_names_rejected(self):
         with pytest.raises(NotationError):
             run(self._db(), "ANALYZE emp dept")
+
+
+def _benchmark_texts():
+    """Every read text of the four end-to-end benchmark streams."""
+    import importlib.util
+    import os
+
+    from repro.server.session import render_statement
+
+    path = os.path.join(
+        os.path.dirname(__file__), os.pardir, os.pardir,
+        "benchmarks", "e2e", "workloads.py",
+    )
+    spec = importlib.util.spec_from_file_location("e2e_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for workload in workloads.WORKLOADS.values():
+        tables = workloads.build_tables(workload, 101)
+        texts = []
+        for _, kind, payload in workloads.build_stream(workload, 101)[0]:
+            if kind == "query":
+                texts.append(payload)
+            elif kind == "execute":
+                name, args = payload
+                texts.append(render_statement(workloads.PREPARED[name], args))
+        yield workload.name, tables, list(dict.fromkeys(texts))
+
+
+class TestStatementMemo:
+    """``run`` parses a statement text once per process; the memo holds
+    what a fresh parse and compile would return and nothing else."""
+
+    @pytest.fixture(autouse=True)
+    def fresh_memo(self):
+        sql._select.cache_clear()
+        yield
+        sql._select.cache_clear()
+
+    @staticmethod
+    def tokenizations(monkeypatch):
+        calls = []
+        tokenize = sql._tokenize
+        monkeypatch.setattr(
+            sql, "_tokenize", lambda text: calls.append(text) or tokenize(text)
+        )
+        return calls
+
+    def test_memo_equals_a_fresh_parse_on_every_benchmark_text(self):
+        seen = set()
+        for name, tables, texts in _benchmark_texts():
+            database = Database(
+                {table: value.snapshot() for table, value in tables.items()}
+            )
+            assert texts, name
+            for text in texts:
+                missed = run(database, text)
+                fresh = parse_query(text)
+                query, plan = sql._select(text)
+                assert vars(query) == vars(fresh)
+                assert plan.explain() == compile_query(fresh).explain()
+                assert missed == run(database, text) == run(
+                    database, text, optimized=False
+                )
+            seen.update(texts)
+        # One parse per distinct text, whichever workload sent it.
+        info = sql._select.cache_info()
+        assert info.misses == info.currsize == len(seen) > 300
+
+    def test_a_text_that_raised_is_parsed_again(self, db, monkeypatch):
+        calls = self.tokenizations(monkeypatch)
+        for _ in range(2):
+            with pytest.raises(NotationError):
+                run(db, "SELECT FROM emp")
+            with pytest.raises(NotationError):
+                run(db, "SELECT * FROM emp WHERE dept = ?")
+        assert len(calls) == 4
+        assert sql._select.cache_info().currsize == 0
+        # An unknown relation parses; it fails in execution, every time.
+        for _ in range(2):
+            with pytest.raises(SchemaError):
+                run(db, "SELECT * FROM ghost")
+        assert len(calls) == 5
+
+    def test_analyze_and_view_statements_execute_every_time(self):
+        from repro.relational.views import ViewCatalog
+
+        database = Database()
+        database.add("emp", employee_relation(12, 3, seed=5))
+        catalog = ViewCatalog(database)
+        for _ in range(2):
+            database.stats.drop("emp")
+            assert run(database, "ANALYZE emp").cardinality() == 1
+            assert database.stats.names() == ["emp"]
+            created = run(
+                database, "CREATE VIEW few AS SELECT name FROM emp "
+                "WHERE dept = 1", views=catalog,
+            )
+            assert catalog.names() == ["few"] and created.cardinality() == 1
+            assert run(database, "REFRESH VIEW few", views=catalog)
+            assert run(database, "DROP VIEW few", views=catalog)
+            assert catalog.names() == []
+        assert sql._select.cache_info().currsize == 0
+
+    def test_bounded_and_least_recently_used_goes_first(self, db):
+        def text(n):
+            return "SELECT name FROM emp WHERE emp = %d" % n
+
+        bound = sql._MEMO_ENTRIES
+        for n in range(bound):
+            run(db, text(n))
+        run(db, text(0))                      # 0 is now the most recent
+        run(db, text(bound))                  # evicts 1, the oldest
+        info = sql._select.cache_info()
+        assert (info.currsize, info.maxsize) == (bound, bound)
+        assert (info.hits, info.misses) == (1, bound + 1)
+        run(db, text(0))
+        assert sql._select.cache_info().misses == bound + 1
+        run(db, text(1))
+        assert sql._select.cache_info().misses == bound + 2
+        assert sql._select.cache_info().currsize == bound
+
+    def test_one_text_two_databases(self):
+        text = "SELECT name FROM emp WHERE dept = 1"
+        answers = []
+        for seed in (5, 6):
+            database = Database()
+            database.add("emp", employee_relation(12, 3, seed=seed))
+            answers.append(run(database, text))
+            assert answers[-1] == run(database, text, optimized=False) == \
+                database.execute(compile_query(parse_query(text)))
+        assert answers[0] != answers[1]
+        assert sql._select.cache_info().hits == 3

@@ -213,6 +213,49 @@ class TestPreparedStatements:
             render_statement("where a = $1 and b = $2", [7])  # unbound
 
 
+    def test_arguments_are_never_searched_for_placeholders(self):
+        # One pass over the template: a literal that spells a
+        # placeholder, or merely contains ``$``, stays a literal.
+        assert render_statement(
+            "where n = $1 and m = $2", ["x", "$1"]
+        ) == "where n = 'x' and m = '$1'"
+        assert render_statement("where n = $1", ["cost$"]) == \
+            "where n = 'cost$'"
+        assert render_statement("where n = $2 and m = $1 and k = $2",
+                                [1, "$3"]) == \
+            "where n = '$3' and m = 1 and k = '$3'"
+        eleven = " ".join("$%d" % n for n in range(11, 0, -1))
+        assert render_statement(eleven, list(range(1, 12))) == \
+            " ".join(str(n) for n in range(11, 0, -1))
+        for template, args in (
+            ("where a = $1 and b = $3", [1, 2]),   # $3 unbound, $2 unused
+            ("where a = $0", []),
+            ("where a = $", []),
+            ("where a = $1", []),
+        ):
+            with pytest.raises(SessionError):
+                render_statement(template, args)
+
+    def test_dollar_arguments_over_the_wire(self):
+        async def body(server):
+            writer = await connect("127.0.0.1", server.port)
+            await writer.mutate([
+                ("insert", "emp", {"eid": 4, "name": "$1", "dept": "r&d$"}),
+            ])
+            client = await connect("127.0.0.1", server.port)
+            await client.prepare(
+                "who", "select eid from emp where dept = $1 and name = $2"
+            )
+            rel = await client.execute("who", ["r&d$", "$1"])
+            assert rel.to_rows() == [(4,)]
+            rel = await client.execute("who", ["eng", "$1"])
+            assert rel.to_rows() == []
+            await writer.close()
+            await client.close()
+
+        run(served(body))
+
+
 class TestSnapshotSessions:
     def test_reads_pinned_until_refresh(self):
         async def body(server):
@@ -428,6 +471,72 @@ class TestDrain:
                 await critical.query("select eid from emp")
 
         run(served(body))
+
+    @staticmethod
+    async def drain_while_busy(server, clients, release=True):
+        """Start one query per client, hold each inside the server until
+        the drain has classified its connection, then drain."""
+        gate = asyncio.Event()
+        run_query = server._run_query
+
+        async def held(conn, rid, xql):
+            await gate.wait()
+            await run_query(conn, rid, xql)
+
+        server._run_query = held
+        queries = [
+            asyncio.ensure_future(client.query("select eid from emp"))
+            for client in clients
+        ]
+        while sum(conn.busy for conn in server._conns) < len(clients):
+            await asyncio.sleep(0)
+        draining = asyncio.ensure_future(server.drain())
+        while not all(conn.draining for conn in server._conns):
+            await asyncio.sleep(0)
+        if release:
+            gate.set()
+        result = await draining
+        answers = await asyncio.gather(*queries, return_exceptions=True)
+        for client in clients:
+            client._drop()
+        return result, answers
+
+    def test_drain_counts_every_busy_connection(self):
+        async def body(server):
+            critical = await connect(
+                "127.0.0.1", server.port,
+                priority=PRIORITY_CRITICAL, client_id="crit",
+            )
+            background = await connect(
+                "127.0.0.1", server.port,
+                priority=PRIORITY_BACKGROUND, client_id="bg",
+                max_attempts=1,
+            )
+            idle = await connect("127.0.0.1", server.port, client_id="idle")
+            result, (finished, shed) = await self.drain_while_busy(
+                server, [critical, background]
+            )
+            assert result == {"finished": 1, "shed": 1, "aborted": 0}
+            assert len(finished) == 3
+            assert isinstance(shed, OverloadedError)
+            assert server.open_connections == 0
+            idle._drop()
+
+        run(served(body))
+
+    def test_drain_aborts_a_request_that_outlives_the_deadline(self):
+        async def body(server):
+            client = await connect(
+                "127.0.0.1", server.port, max_attempts=1
+            )
+            result, (answer,) = await self.drain_while_busy(
+                server, [client], release=False
+            )
+            # finished + shed + aborted accounts for the busy connection.
+            assert result == {"finished": 0, "shed": 0, "aborted": 1}
+            assert isinstance(answer, XSTError)
+
+        run(served(body, drain_timeout_s=0.05))
 
     def test_drain_flushes_incidents(self, tmp_path):
         from repro.obs.recorder import recorder

@@ -232,7 +232,8 @@ class TestDeltaCarriedCommitShapes:
     """Counts, not timings: a one-row commit checks, logs and maintains
     the rows it changed, so its Python-level work is the same on a
     table sixteen times larger.  (What still scales is inside single
-    kernel calls: one restriction scan and C-level set copies.)"""
+    kernel calls: building the key scope's member index of each new
+    relation value, and C-level set copies.)"""
 
     SIZES = (64, 1024)
     DEPARTMENTS = 8
@@ -333,3 +334,76 @@ class TestDeltaCarriedCommitShapes:
         # candidates re-verified against all of emp, 124.5 kernel rows
         # per diff row at 64 rows and 1564.5 at 1024).
         assert small == large == 1 + self.DEPARTMENTS
+
+
+class TestPointWorkShapes:
+    """Counts, not timings: a read that names one key tests the members
+    that hold it, a statement text is tokenized once per process, and a
+    re-scope that changes nothing builds nothing."""
+
+    SIZES = (64, 1024)
+
+    def test_a_second_key_select_tests_the_matches_only(self, monkeypatch):
+        from repro.relational import algebra
+        from repro.workloads import employee_relation
+        from repro.xst import restrict
+
+        counts = {}
+        for size in self.SIZES:
+            rel = employee_relation(size, 8, seed=WORKLOAD_SEED + 13)
+            first, second = list(rel.iter_dicts())[:2]
+            algebra.select_eq(rel, {"emp": first["emp"]})  # builds the index
+            calls = []
+            within, issubset = restrict._fragment_within, XSet.issubset
+            with monkeypatch.context() as patch:
+                patch.setattr(restrict, "_fragment_within", lambda *args: (
+                    calls.append("within"), within(*args))[1])
+                patch.setattr(XSet, "issubset", lambda *args: (
+                    calls.append("issubset"), issubset(*args))[1])
+                found = algebra.select_eq(rel, {"emp": second["emp"]})
+            assert list(found.iter_dicts()) == [second]
+            counts[size] = sorted(calls)
+        # Parent commit: the key against every row (65 + 64 calls on 64
+        # rows, 1025 + 1024 on 1024).
+        assert counts[64] == counts[1024] == ["issubset", "within", "within"]
+
+    def test_a_statement_text_is_tokenized_once(self, monkeypatch):
+        from repro.relational import sql
+        from repro.relational.query import Database
+        from repro.workloads import employee_relation
+
+        db = Database({"emp": employee_relation(32, 4, seed=WORKLOAD_SEED + 14)})
+        text = "SELECT name FROM emp WHERE dept = 2 ORDER BY name LIMIT 3"
+        sql._select.cache_clear()
+        calls = TestCanonicalOrderOnceShapes.counting(
+            monkeypatch, "_tokenize", "repro.relational.sql"
+        )
+        first = sql.run(db, text)
+        assert len(calls) == 1  # parent commit: three
+        assert sql.run(db, text) == first
+        assert len(sql.run_rows(db, text)) == 3
+        assert len(calls) == 1
+
+    def test_a_join_builds_key_fragments_only(self, monkeypatch):
+        import sys
+
+        from repro.relational import algebra
+        from repro.workloads import department_relation, employee_relation
+
+        emp = employee_relation(100, 8, seed=WORKLOAD_SEED + 15)
+        dept = department_relation(8, seed=WORKLOAD_SEED + 15)
+        built = []
+        from_run = XSet._from_run
+
+        def counted(ordered, pair_set=None):
+            if sys._getframe(1).f_globals["__name__"] == "repro.xst.rescope":
+                built.append(len(ordered))
+            return from_run(ordered, pair_set)
+
+        monkeypatch.setattr(XSet, "_from_run", staticmethod(counted))
+        joined = algebra.join(emp, dept)
+        assert len(joined) == 100
+        # One {dept} fragment per row of either side; the whole-row and
+        # the (empty) member-scope halves of every pair come back as the
+        # operand.  Parent commit: 432 constructions.
+        assert built == [1] * 108
