@@ -129,7 +129,7 @@ def test_multi_join_planning(benchmark, multi_db_heuristic, multi_db_cost,
     # The BENCH json carries the plan-quality evidence next to the
     # wall time: estimation accuracy and materialized row traffic.
     _, profile = execute_profiled(db, plan)
-    errors = _node_qerrors(db, plan)
+    errors = _node_qerrors(db, plan, profile)
     benchmark.extra_info["mode"] = mode
     benchmark.extra_info["relations"] = int(query[-1])
     benchmark.extra_info["row_traffic"] = profile.total_rows()
@@ -139,19 +139,19 @@ def test_multi_join_planning(benchmark, multi_db_heuristic, multi_db_cost,
     )
 
 
-def _node_qerrors(db, plan):
+def _node_qerrors(db, plan, profile):
+    """Per-node q-error, read off the profile the public walker took."""
     from repro.relational.cost import CardinalityEstimator
 
     est = CardinalityEstimator(db)
     errors = []
 
-    def walk(node):
-        inputs = [walk(child) for child in node.children()]
-        result = db.execute_node(node, inputs)
-        errors.append(qerror(est.estimate(node), result.cardinality()))
-        return result
+    def walk(node, measured):
+        errors.append(qerror(est.estimate(node), measured.rows))
+        for child, child_profile in zip(node.children(), measured.children):
+            walk(child, child_profile)
 
-    walk(plan)
+    walk(plan, profile)
     return errors
 
 

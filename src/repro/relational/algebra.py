@@ -87,6 +87,11 @@ def select(rel: Relation, predicate: Callable[[Dict[str, Any]], bool]) -> Relati
     return Relation._from_valid(rel.heading, XSet._from_run(kept))
 
 
+#: The plan executor's name for :func:`select`: plan nodes spell each
+#: kernel once, as ``ColumnarRelation`` does (``Plan.apply``).
+select_pred = select
+
+
 def project(rel: Relation, attrs: Sequence[str]) -> Relation:
     """The sigma-domain over the chosen attributes (duplicates collapse)."""
     wanted = rel.heading.require(attrs)

@@ -46,7 +46,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.gov.governor import checkpoint as _gov_checkpoint
 from repro.obs import metrics as _metrics
 from repro.obs.instrument import enabled as _obs_enabled
-from repro.relational.columnar import materialize as _materialize
 from repro.relational.query import (
     Database,
     Difference,
@@ -58,6 +57,7 @@ from repro.relational.query import (
     SelectEq,
     SelectPred,
     Union,
+    scans,
 )
 from repro.relational.stats import (
     AttributeStats,
@@ -117,6 +117,15 @@ _COST_COLUMNAR_SELECT_EQ = 0.12  # log-search + verify candidates
 _COST_COLUMNAR_PROJECT = 0.6     # value-tuple dedup, no row rebuild
 _COST_COLUMNAR_RENAME = 0.05     # re-key columns; runs carry over
 _COST_MERGE_JOIN_INPUT = 0.4     # per input row of a merge walk, each side
+
+#: Per input row of each unary operator: (row backend, columnar).  An
+#: opaque predicate pays per-row Python on either backend.
+_COST_PER_INPUT_ROW = {
+    SelectEq: (_COST_SELECT_EQ, _COST_COLUMNAR_SELECT_EQ),
+    SelectPred: (_COST_SELECT_PRED, _COST_SELECT_PRED),
+    Project: (_COST_RESCOPE, _COST_COLUMNAR_PROJECT),
+    Rename: (_COST_RESCOPE, _COST_COLUMNAR_RENAME),
+}
 
 
 def estimate_shard_rows(
@@ -186,20 +195,31 @@ class CardinalityEstimator:
         self._rows: Dict[int, Tuple[Plan, float]] = {}
         self._costs: Dict[int, Tuple[Plan, float]] = {}
         self._encoded: Dict[int, Tuple[Plan, bool]] = {}
+        self._headings: Dict[int, Tuple[Plan, Any]] = {}
 
     # -- catalog access -------------------------------------------------
 
     def has_stats(self, plan: Plan) -> bool:
         """True when any base relation under ``plan`` has fresh stats."""
-        if isinstance(plan, Scan):
-            return self._catalog.get(plan.name) is not None
-        return any(self.has_stats(child) for child in plan.children())
+        return any(
+            self._catalog.get(name) is not None for name in scans(plan)
+        )
+
+    def heading(self, plan: Plan):
+        """:meth:`Database.heading_of`, once per node: the join search
+        asks for the same subplans' headings at every lattice cell."""
+        key = id(plan)
+        cached = self._headings.get(key)
+        if cached is None or cached[0] is not plan:
+            cached = (plan, self._db.heading_of(plan))
+            self._headings[key] = cached
+        return cached[1]
 
     def runs_encoded(self, plan: Plan) -> bool:
         """True when this node will execute on the columnar backend.
 
         Every plan operator has a columnar kernel, so the dispatch rule
-        in :meth:`Database._evaluate_node` reduces to: the subtree runs
+        in :meth:`Database.execute_node` reduces to: the subtree runs
         columnar iff every base relation under it carries a run
         encoding (mixed trees promote the row side, which is what the
         ``any``-sticky dispatch does; costing that conservatively as
@@ -225,17 +245,12 @@ class CardinalityEstimator:
         if isinstance(plan, Scan):
             entry = self._catalog.get(plan.name)
             return None if entry is None else entry.attribute(attr)
-        if isinstance(plan, Rename):
-            reverse = {new: old for old, new in plan.mapping.items()}
-            return self._attribute_stats(plan.child, reverse.get(attr, attr))
-        if isinstance(plan, (SelectEq, SelectPred, Project)):
-            return self._attribute_stats(plan.child, attr)
-        if isinstance(plan, (Join, Union, Difference)):
-            for side in (plan.left, plan.right):
-                if attr in self._db._heading_of(side):
-                    found = self._attribute_stats(side, attr)
-                    if found is not None:
-                        return found
+        inner = plan.origin(attr)
+        for child in plan.children():
+            if inner in self.heading(child):
+                found = self._attribute_stats(child, inner)
+                if found is not None:
+                    return found
         return None
 
     def distinct(self, plan: Plan, attr: str) -> Optional[float]:
@@ -255,24 +270,17 @@ class CardinalityEstimator:
 
     def _is_pinned(self, plan: Plan, attr: str) -> bool:
         """True when a SelectEq under this node fixes ``attr``'s value."""
-        if isinstance(plan, SelectEq):
-            if attr in plan.conditions:
-                return True
-            return self._is_pinned(plan.child, attr)
-        if isinstance(plan, (SelectPred, Project)):
-            return self._is_pinned(plan.child, attr)
-        if isinstance(plan, Rename):
-            reverse = {new: old for old, new in plan.mapping.items()}
-            return self._is_pinned(plan.child, reverse.get(attr, attr))
-        if isinstance(plan, Join):
-            # The natural join equates shared attributes, so a pin on
-            # either side pins the joined column.
-            return any(
-                attr in self._db._heading_of(side)
-                and self._is_pinned(side, attr)
-                for side in (plan.left, plan.right)
-            )
-        return False
+        if isinstance(plan, SelectEq) and attr in plan.conditions:
+            return True
+        if isinstance(plan, (Union, Difference)):
+            return False
+        # The natural join equates shared attributes, so a pin on
+        # either side pins the joined column.
+        inner = plan.origin(attr)
+        return any(
+            inner in self.heading(child) and self._is_pinned(child, inner)
+            for child in plan.children()
+        )
 
     # -- cardinality ----------------------------------------------------
 
@@ -285,47 +293,59 @@ class CardinalityEstimator:
         return cached[1]
 
     def _estimate(self, plan: Plan) -> float:
-        # The execution-feedback overlay wins over every other source:
-        # an *observed* cardinality from a prior run of the same shape
-        # is strictly better evidence than any estimate derived from
-        # (possibly sampled) statistics.  With an empty overlay these
-        # lookups miss and the estimates below are byte-identical to
-        # the feedback-off planner.
-        if isinstance(plan, Scan):
-            observed = self._catalog.feedback_rows(plan.name, None)
+        rule = self._ESTIMATES.get(type(plan))
+        if rule is None:
+            raise TypeError("unknown plan node %r" % (plan,))
+        return rule(self, plan)
+
+    # The execution-feedback overlay wins over every other source: an
+    # *observed* cardinality from a prior run of the same shape is
+    # strictly better evidence than any estimate derived from (possibly
+    # sampled) statistics.  With an empty overlay these lookups miss
+    # and the estimates below are byte-identical to the feedback-off
+    # planner.
+
+    def _scan_rows(self, plan: Scan) -> float:
+        observed = self._catalog.feedback_rows(plan.name, None)
+        if observed is not None:
+            return float(observed)
+        entry = self._catalog.get(plan.name)
+        if entry is not None:
+            return float(entry.rows)
+        return float(self._db.relation(plan.name).cardinality())
+
+    def _select_eq_rows(self, plan: SelectEq) -> float:
+        if isinstance(plan.child, Scan):
+            observed = self._catalog.feedback_rows(
+                plan.child.name, feedback_key(plan.conditions)
+            )
             if observed is not None:
                 return float(observed)
-            entry = self._catalog.get(plan.name)
-            if entry is not None:
-                return float(entry.rows)
-            return float(self._db.relation(plan.name).cardinality())
-        if isinstance(plan, SelectEq):
-            if isinstance(plan.child, Scan):
-                observed = self._catalog.feedback_rows(
-                    plan.child.name, feedback_key(plan.conditions)
-                )
-                if observed is not None:
-                    return float(observed)
-            child_rows = self.estimate(plan.child)
-            selectivity = 1.0
-            for attr, value in sorted(plan.conditions.items()):
-                stats = self._attribute_stats(plan.child, attr)
-                if stats is not None:
-                    selectivity *= stats.eq_selectivity(value)
-                else:
-                    selectivity *= _FALLBACK_EQ_SELECTIVITY
-            return max(1.0, child_rows * selectivity) if child_rows else 0.0
-        if isinstance(plan, SelectPred):
-            return max(1.0, self.estimate(plan.child) * _FALLBACK_PRED_SELECTIVITY)
-        if isinstance(plan, (Project, Rename)):
-            return self.estimate(plan.child)
-        if isinstance(plan, Join):
-            return self.join_rows(plan.left, plan.right)
-        if isinstance(plan, Union):
-            return self.estimate(plan.left) + self.estimate(plan.right)
-        if isinstance(plan, Difference):
-            return self.estimate(plan.left)
-        raise TypeError("unknown plan node %r" % (plan,))
+        child_rows = self.estimate(plan.child)
+        selectivity = 1.0
+        for attr, value in sorted(plan.conditions.items()):
+            stats = self._attribute_stats(plan.child, attr)
+            if stats is not None:
+                selectivity *= stats.eq_selectivity(value)
+            else:
+                selectivity *= _FALLBACK_EQ_SELECTIVITY
+        return max(1.0, child_rows * selectivity) if child_rows else 0.0
+
+    #: The cardinality rule of every node type, as ``(self, node)``.
+    _ESTIMATES = {
+        Scan: _scan_rows,
+        SelectEq: _select_eq_rows,
+        SelectPred: lambda self, plan: max(
+            1.0, self.estimate(plan.child) * _FALLBACK_PRED_SELECTIVITY
+        ),
+        Project: lambda self, plan: self.estimate(plan.child),
+        Rename: lambda self, plan: self.estimate(plan.child),
+        Join: lambda self, plan: self.join_rows(plan.left, plan.right),
+        Union: lambda self, plan: (
+            self.estimate(plan.left) + self.estimate(plan.right)
+        ),
+        Difference: lambda self, plan: self.estimate(plan.left),
+    }
 
     def join_rows(self, left: Plan, right: Plan) -> float:
         """Estimated natural-join output of two subplans.
@@ -338,7 +358,7 @@ class CardinalityEstimator:
         """
         left_rows = self.estimate(left)
         right_rows = self.estimate(right)
-        shared = self._db._heading_of(left).common(self._db._heading_of(right))
+        shared = self.heading(left).common(self.heading(right))
         if not shared:
             return left_rows * right_rows  # cartesian
         divisor = 1.0
@@ -362,39 +382,39 @@ class CardinalityEstimator:
         return cached[1]
 
     def _cost(self, plan: Plan) -> float:
-        rows = self.estimate(plan)
-        columnar = self.runs_encoded(plan)
-        if isinstance(plan, Scan):
-            return rows * _COST_SCAN
-        if isinstance(plan, SelectEq):
-            per_row = _COST_COLUMNAR_SELECT_EQ if columnar else _COST_SELECT_EQ
-            return (self.cost(plan.child)
-                    + self.estimate(plan.child) * per_row
-                    + rows * _COST_OUT_ROW)
-        if isinstance(plan, SelectPred):
-            # An opaque predicate pays per-row Python on either backend.
-            return (self.cost(plan.child)
-                    + self.estimate(plan.child) * _COST_SELECT_PRED
-                    + rows * _COST_OUT_ROW)
-        if isinstance(plan, Project):
-            per_row = _COST_COLUMNAR_PROJECT if columnar else _COST_RESCOPE
-            return (self.cost(plan.child)
-                    + self.estimate(plan.child) * per_row
-                    + rows * _COST_OUT_ROW)
-        if isinstance(plan, Rename):
-            per_row = _COST_COLUMNAR_RENAME if columnar else _COST_RESCOPE
-            return (self.cost(plan.child)
-                    + self.estimate(plan.child) * per_row
-                    + rows * _COST_OUT_ROW)
-        if isinstance(plan, Join):
-            return (self.cost(plan.left) + self.cost(plan.right)
-                    + self._join_step(plan.left, plan.right, rows))
-        if isinstance(plan, (Union, Difference)):
-            return (self.cost(plan.left) + self.cost(plan.right)
-                    + (self.estimate(plan.left) + self.estimate(plan.right))
-                    * _COST_SET_MERGE
-                    + rows * _COST_OUT_ROW)
-        raise TypeError("unknown plan node %r" % (plan,))
+        rule = self._COSTS.get(type(plan))
+        if rule is None:
+            raise TypeError("unknown plan node %r" % (plan,))
+        return rule(self, plan, self.estimate(plan))
+
+    def _unary_cost(self, plan: Plan, rows: float) -> float:
+        row, columnar = _COST_PER_INPUT_ROW[type(plan)]
+        per_row = columnar if self.runs_encoded(plan) else row
+        return (self.cost(plan.child)
+                + self.estimate(plan.child) * per_row
+                + rows * _COST_OUT_ROW)
+
+    def _join_cost(self, plan: Join, rows: float) -> float:
+        return (self.cost(plan.left) + self.cost(plan.right)
+                + self._join_step(plan.left, plan.right, rows))
+
+    def _merge_cost(self, plan: Plan, rows: float) -> float:
+        return (self.cost(plan.left) + self.cost(plan.right)
+                + (self.estimate(plan.left) + self.estimate(plan.right))
+                * _COST_SET_MERGE
+                + rows * _COST_OUT_ROW)
+
+    #: The cost formula of every node type, as ``(self, node, rows)``.
+    _COSTS = {
+        Scan: lambda self, plan, rows: rows * _COST_SCAN,
+        SelectEq: _unary_cost,
+        SelectPred: _unary_cost,
+        Project: _unary_cost,
+        Rename: _unary_cost,
+        Join: _join_cost,
+        Union: _merge_cost,
+        Difference: _merge_cost,
+    }
 
     def _join_step(self, left: Plan, right: Plan, out_rows: float) -> float:
         """The join-step cost between two subplans, backend-aware.
@@ -458,34 +478,18 @@ def reorder_joins(plan: Plan, db: Database,
     """
     if estimator is None:
         estimator = CardinalityEstimator(db)
-    return _reorder(plan, db, estimator)
+    return _reorder(plan, estimator)
 
 
-def _reorder(plan: Plan, db: Database, est: CardinalityEstimator) -> Plan:
-    if isinstance(plan, Scan):
-        return plan
+def _reorder(plan: Plan, est: CardinalityEstimator) -> Plan:
     if isinstance(plan, Join):
         leaves = []
         _flatten(plan, leaves)
-        leaves = [_reorder(leaf, db, est) for leaf in leaves]
-        return _order_leaves(leaves, db, est)
-    if isinstance(plan, SelectEq):
-        return SelectEq(_reorder(plan.child, db, est), plan.conditions)
-    if isinstance(plan, SelectPred):
-        return SelectPred(
-            _reorder(plan.child, db, est), plan.predicate, plan.label
-        )
-    if isinstance(plan, Project):
-        return Project(_reorder(plan.child, db, est), plan.attrs)
-    if isinstance(plan, Rename):
-        return Rename(_reorder(plan.child, db, est), plan.mapping)
-    if isinstance(plan, Union):
-        return Union(_reorder(plan.left, db, est), _reorder(plan.right, db, est))
-    if isinstance(plan, Difference):
-        return Difference(
-            _reorder(plan.left, db, est), _reorder(plan.right, db, est)
-        )
-    raise TypeError("unknown plan node %r" % (plan,))
+        leaves = [_reorder(leaf, est) for leaf in leaves]
+        return _order_leaves(leaves, est)
+    return plan.with_children(
+        *[_reorder(child, est) for child in plan.children()]
+    )
 
 
 def _flatten(plan: Plan, leaves: List[Plan]) -> None:
@@ -505,29 +509,25 @@ def _record_search(kind: str) -> None:
         ).inc(strategy=kind)
 
 
-def _order_leaves(leaves: List[Plan], db: Database,
-                  est: CardinalityEstimator) -> Plan:
+def _order_leaves(leaves: List[Plan], est: CardinalityEstimator) -> Plan:
     if len(leaves) == 1:
         return leaves[0]
     if len(leaves) > DP_MAX_RELATIONS:
         _record_search("greedy")
-        return _greedy(leaves, db, est)
-    ordered = _dp(leaves, db, est)
+        return _greedy(leaves, est)
+    ordered = _dp(leaves, est)
     if ordered is None:
         _record_search("greedy_budget")
-        return _greedy(leaves, db, est)
+        return _greedy(leaves, est)
     _record_search("dp")
     return ordered
 
 
-def _connected(db: Database, left: Plan, right: Plan) -> bool:
-    return bool(
-        db._heading_of(left).common(db._heading_of(right))
-    )
+def _connected(est: CardinalityEstimator, left: Plan, right: Plan) -> bool:
+    return bool(est.heading(left).common(est.heading(right)))
 
 
-def _dp(leaves: List[Plan], db: Database,
-        est: CardinalityEstimator) -> Optional[Plan]:
+def _dp(leaves: List[Plan], est: CardinalityEstimator) -> Optional[Plan]:
     """Bushy dynamic programming over the join lattice.
 
     ``best[mask]`` holds ``(cost, plan)`` for the leaf subset encoded
@@ -565,7 +565,7 @@ def _dp(leaves: List[Plan], db: Database,
                              + est._join_step(left_plan, right_plan, out_rows))
                     bucket = (
                         candidates
-                        if _connected(db, left_plan, right_plan)
+                        if _connected(est, left_plan, right_plan)
                         else cartesian
                     )
                     bucket.append((total, Join(left_plan, right_plan)))
@@ -578,8 +578,7 @@ def _dp(leaves: List[Plan], db: Database,
     return best[full][1] if full in best else None
 
 
-def _greedy(leaves: List[Plan], db: Database,
-            est: CardinalityEstimator) -> Plan:
+def _greedy(leaves: List[Plan], est: CardinalityEstimator) -> Plan:
     """Smallest-estimated-result-first pairing (connected preferred).
 
     O(n^3) and deterministic: at each step join the pair with the
@@ -595,7 +594,7 @@ def _greedy(leaves: List[Plan], db: Database,
         best_connected = False
         for i in range(len(working)):
             for j in range(i + 1, len(working)):
-                connected = _connected(db, working[i], working[j])
+                connected = _connected(est, working[i], working[j])
                 rows = est.join_rows(working[i], working[j])
                 better = (
                     best_pair is None
@@ -632,27 +631,23 @@ def explain_analyze(db: Database, plan: Plan,
     :func:`repro.relational.optimizer.optimize` first (which consults
     the catalog exactly as production execution would).
     """
+    from repro.relational.profile import execute_spanned
+
+    db.heading_of(plan)
     if optimized:
         from repro.relational.optimizer import optimize
 
         plan = optimize(plan, db)
+    # The span walker is the executor; each span carries its node's
+    # measured ``rows`` (and feeds ``repro_opt_qerror`` when observed).
+    result, root = execute_spanned(db, plan)
     est = CardinalityEstimator(db)
     lines: List[str] = []
     errors: List[float] = []
-    # Execute bottom-up but render top-down: collect actuals first.
-    actuals: Dict[int, int] = {}
 
-    def execute(node: Plan) -> Any:
-        inputs = [execute(child) for child in node.children()]
-        result = db.execute_node(node, inputs)
-        actuals[id(node)] = result.cardinality()
-        return result
-
-    result = _materialize(execute(plan))
-
-    def render(node: Plan, indent: int) -> None:
+    def render(node: Plan, span, indent: int) -> None:
         estimated = est.estimate(node)
-        actual = actuals[id(node)]
+        actual = span.attrs["rows"]
         error = qerror(estimated, actual)
         errors.append(error)
         lines.append(
@@ -660,10 +655,10 @@ def explain_analyze(db: Database, plan: Plan,
             % ("  " * indent, node.describe(), int(round(estimated)),
                actual, error)
         )
-        for child in node.children():
-            render(child, indent + 1)
+        for child, child_span in zip(node.children(), span.children):
+            render(child, child_span, indent + 1)
 
-    render(plan, 0)
+    render(plan, root, 0)
     worst = max(errors)
     mean = sum(errors) / len(errors)
     lines.append(
@@ -671,12 +666,4 @@ def explain_analyze(db: Database, plan: Plan,
         % (worst, mean, len(errors),
            "stats" if est.has_stats(plan) else "heuristic fallback")
     )
-    if _obs_enabled():
-        registry = _metrics.registry()
-        for error in errors:
-            registry.histogram(
-                "repro_opt_qerror",
-                "Per-node q-error of executed plans.",
-                buckets=(1.0, 1.5, 2.0, 3.0, 5.0, 10.0, 100.0),
-            ).observe(error)
     return result, "\n".join(lines)

@@ -116,7 +116,7 @@ from repro.relational.cost import (
 )
 from repro.relational.optimizer import ShardPipeline, shard_pipeline
 from repro.relational.query import Join as JoinPlan
-from repro.relational.query import Plan, Scan
+from repro.relational.query import Database, Plan, Scan
 from repro.relational.relation import Relation
 from repro.relational.sharding import (
     ShardCatalog,
@@ -518,7 +518,9 @@ class Cluster:
         #: site.  ``None`` (default) disables the cap.
         self.shard_budget_rows = shard_budget_rows
         self._partition_attrs: Dict[str, str] = {}
-        self._headings: Dict[str, Heading] = {}
+        #: The tables' headings as a row-less catalog: what
+        #: :meth:`Database.heading_of` checks a plan against.
+        self._schema = Database()
         self._placements: Dict[str, ShardMap] = {}
         #: Durable catalog + journal sink (a DiskRelationStore), when
         #: :meth:`attach_store` connected one: every epoch swing
@@ -740,7 +742,7 @@ class Cluster:
         # Catalog first: a revive fired by a mid-create tick must be
         # able to see the placement to rebuild the partial table.
         self._partition_attrs[name] = partition_attr
-        self._headings[name] = relation.heading
+        self._schema.add(name, Relation(relation.heading, xset([])))
         self._placements[name] = placement
         parts: List[List] = [[] for _ in range(placement.bucket_count)]
         for row, _ in relation.rows.pairs():
@@ -829,7 +831,7 @@ class Cluster:
 
     def heading(self, name: str) -> Heading:
         self.partition_attr(name)
-        return self._headings[name]
+        return self._schema.relation(name).heading
 
     def placement(self, name: str) -> ShardMap:
         self.partition_attr(name)
@@ -1658,8 +1660,10 @@ class Cluster:
         ``epoch`` carries the caller's cached map generation (an int,
         or a ``{table: epoch}`` mapping); a stale value is refused
         with :class:`~repro.errors.ShardMovedError` before any bucket
-        is read.
+        is read.  A plan that is not well defined on the tables'
+        headings is refused with ``SchemaError`` before anything else.
         """
+        self._schema.heading_of(plan)
         pipeline = shard_pipeline(plan)
         if pipeline is None:
             raise SchemaError(
@@ -1709,15 +1713,6 @@ class Cluster:
             return self._execute_join(pipeline, priority, trace, epoch)
         return self._execute_scan(pipeline, priority, trace, epoch)
 
-    def _pipeline_heading(self, name: str,
-                          pipeline: ShardPipeline) -> Heading:
-        heading = self.heading(name)
-        heading.require(pipeline.conditions)
-        if pipeline.attrs is None:
-            return heading
-        heading.require(pipeline.attrs)
-        return Heading(pipeline.attrs)
-
     def _execute_scan(
         self,
         pipeline: ShardPipeline,
@@ -1727,7 +1722,6 @@ class Cluster:
     ) -> Relation:
         """One table's pipeline: routed when the key is pinned."""
         name = pipeline.source.name
-        out_heading = self._pipeline_heading(name, pipeline)
         placement = self._placements[name]
         self._check_epoch(name, epoch)
         with self._query(
@@ -1752,7 +1746,7 @@ class Cluster:
                 assert result is not None
                 return result
             context.span.set("routing", "broadcast")
-            gathered = Relation(out_heading, xset([]))
+            parts = []
             for bucket_index in self._bucket_order(name):
                 part = self._attempt_on_replicas(
                     context, name, bucket_index,
@@ -1761,8 +1755,8 @@ class Cluster:
                     ),
                 )
                 assert part is not None
-                gathered = local_union(gathered, part)
-            return gathered
+                parts.append(part)
+            return self._gathered(parts)
 
     def _estimate_side(self, name: str, pipeline: ShardPipeline) -> float:
         """Estimated post-pushdown rows one side ships."""
@@ -1809,8 +1803,8 @@ class Cluster:
                 "pipelines over scans; got %s" % source.describe()
             )
         left, right = left_pipe.source.name, right_pipe.source.name
-        left_heading = self._pipeline_heading(left, left_pipe)
-        right_heading = self._pipeline_heading(right, right_pipe)
+        left_heading = self._schema.heading_of(source.left)
+        right_heading = self._schema.heading_of(source.right)
         shared = left_heading.common(right_heading)
         if not shared:
             raise SchemaError(
@@ -1919,9 +1913,7 @@ class Cluster:
         else:
             small_name, small_pipe = right, right_pipe
             big_name, big_pipe = left, left_pipe
-        small = Relation(
-            self._pipeline_heading(small_name, small_pipe), xset([])
-        )
+        parts = []
         for bucket_index in self._bucket_order(small_name):
             part = self._attempt_on_replicas(
                 context, small_name, bucket_index,
@@ -1930,7 +1922,8 @@ class Cluster:
                 ),
             )
             assert part is not None
-            small = local_union(small, part)
+            parts.append(part)
+        small = self._gathered(parts)
         partials = []
         big_map = self._placements[big_name]
         for bucket_index in range(big_map.bucket_count):
@@ -2043,7 +2036,7 @@ class Cluster:
 
     def _relation(self, table: str, rows: Iterable[Any]) -> Relation:
         """Wrap raw row values back into the table's relation type."""
-        return Relation(self._headings[table], xset(list(rows)))
+        return Relation(self.heading(table), xset(list(rows)))
 
     def _install_map(self, table: str, new_map: ShardMap,
                      cause: str) -> None:
@@ -2076,7 +2069,7 @@ class Cluster:
         This is the arbiter the verify step consults when donor and
         recipient disagree.
         """
-        truth = Relation(self._headings[name], xset([]))
+        truth = Relation(self.heading(name), xset([]))
         for lsn, table, entry_bucket, kind, rows in self._write_log:
             if lsn > upto_lsn:
                 break
@@ -2198,7 +2191,7 @@ class Cluster:
         the drops leaves orphans that ``repro fsck`` reports.
         """
         attr = self._partition_attrs[name]
-        heading = self._headings[name]
+        heading = self.heading(name)
         buckets: Dict[int, List[Any]] = {
             index: [] for index in range(new_map.bucket_count)
         }

@@ -31,10 +31,10 @@ moved on underneath a repeated query.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterable, List, Optional, Set, Tuple
+from typing import Dict, Iterable, Optional, Set, Tuple
 
 from repro.obs.instrument import enabled as _obs_enabled
-from repro.relational.query import Plan, Scan, SelectPred
+from repro.relational.query import Plan, SelectPred, scans
 from repro.relational.relation import Relation
 
 __all__ = ["QueryResultCache", "plan_cache_key", "scan_tables"]
@@ -57,7 +57,7 @@ def _canonical(plan: Plan) -> str:
     children = plan.children()
     if not children:
         return head
-    return "%s(%s)" % (head, ",".join(_canonical(child) for child in children))
+    return "%s(%s)" % (head, ",".join([_canonical(child) for child in children]))
 
 
 def plan_cache_key(plan: Plan) -> Optional[str]:
@@ -77,17 +77,7 @@ def plan_cache_key(plan: Plan) -> Optional[str]:
 
 def scan_tables(plan: Plan) -> Tuple[str, ...]:
     """The base relations a plan scans, sorted and deduplicated."""
-    names: Set[str] = set()
-
-    def walk(node: Plan) -> None:
-        if isinstance(node, Scan):
-            names.add(node.name)
-            return
-        for child in node.children():
-            walk(child)
-
-    walk(plan)
-    return tuple(sorted(names))
+    return tuple(sorted(scans(plan)))
 
 
 def _record_event(cache: str, event: str, amount: int = 1) -> None:

@@ -187,9 +187,6 @@ class DeltaPropagator:
             self._old_vals[key] = value
         return value
 
-    def _heading(self, plan: Plan) -> Heading:
-        return self._db._heading_of(plan)
-
     # -- propagation ---------------------------------------------------
 
     def delta(self, plan: Plan) -> Delta:
@@ -204,42 +201,31 @@ class DeltaPropagator:
         return result
 
     def _compute(self, plan: Plan) -> Delta:
-        if isinstance(plan, Scan):
-            base = self._base.get(plan.name)
-            if base is not None:
-                return base
-            return Delta.empty(self._db.relation(plan.name).heading)
-        if isinstance(plan, SelectEq):
-            return self._pointwise(
-                plan, lambda rel: algebra.select_eq(rel, plan.conditions)
+        rule = self._RULES.get(type(plan))
+        if rule is None:
+            raise DeltaUnsupported(
+                "no delta rule for plan node %s" % type(plan).__name__
             )
-        if isinstance(plan, SelectPred):
-            return self._pointwise(
-                plan, lambda rel: algebra.select(rel, plan.predicate)
-            )
-        if isinstance(plan, Rename):
-            return self._pointwise(
-                plan, lambda rel: algebra.rename(rel, plan.mapping)
-            )
-        if isinstance(plan, Project):
-            return self._project(plan)
-        if isinstance(plan, (Union, Difference)):
-            return self._combine(plan)
-        if isinstance(plan, Join):
-            return self._join(plan)
-        raise DeltaUnsupported(
-            "no delta rule for plan node %s" % type(plan).__name__
-        )
+        return rule(self, plan)
 
-    def _pointwise(self, plan: Plan, op) -> Delta:
+    def _scan(self, plan: Scan) -> Delta:
+        base = self._base.get(plan.name)
+        if base is not None:
+            return base
+        return Delta.empty(self._db.relation(plan.name).heading)
+
+    def _pointwise(self, plan: Plan) -> Delta:
         child = self.delta(plan.child)
         if child.is_empty():
-            return Delta.empty(self._heading(plan))
-        return Delta(op(child.inserted), op(child.deleted))
+            return Delta.empty(self._db.heading_of(plan))
+        return Delta(
+            plan.apply(algebra, [child.inserted]),
+            plan.apply(algebra, [child.deleted]),
+        )
 
     def _project(self, plan: Project) -> Delta:
         child = self.delta(plan.child)
-        heading = self._heading(plan)
+        heading = self._db.heading_of(plan)
         if child.is_empty():
             return Delta.empty(heading)
         attrs = plan.attrs
@@ -274,7 +260,7 @@ class DeltaPropagator:
 
     def _combine(self, plan: Plan) -> Delta:
         left, right = self.delta(plan.left), self.delta(plan.right)
-        heading = self._heading(plan)
+        heading = self._db.heading_of(plan)
         if left.is_empty() and right.is_empty():
             return Delta.empty(heading)
         cand = (
@@ -298,7 +284,7 @@ class DeltaPropagator:
     def _join(self, plan: Join) -> Delta:
         left, right = self.delta(plan.left), self.delta(plan.right)
         if left.is_empty() and right.is_empty():
-            return Delta.empty(self._heading(plan))
+            return Delta.empty(self._db.heading_of(plan))
         return Delta(
             self._joined(plan, left.inserted, right.inserted, self.new_value),
             self._joined(plan, left.deleted, right.deleted, self.old_value),
@@ -308,7 +294,7 @@ class DeltaPropagator:
                 value_of) -> Relation:
         """``(d_left |x| right) | (left |x| d_right)`` over the inputs'
         values ``value_of`` gives -- one half of the join rule."""
-        joined = Relation(self._heading(plan), XSet())
+        joined = Relation(self._db.heading_of(plan), XSet())
         if d_left.cardinality():
             joined = algebra.union(
                 joined, algebra.join(d_left, value_of(plan.right))
@@ -318,3 +304,15 @@ class DeltaPropagator:
                 joined, algebra.join(value_of(plan.left), d_right)
             )
         return joined
+
+    #: The delta rule of every node type that has one, as ``(self, node)``.
+    _RULES = {
+        Scan: _scan,
+        SelectEq: _pointwise,
+        SelectPred: _pointwise,
+        Rename: _pointwise,
+        Project: _project,
+        Union: _combine,
+        Difference: _combine,
+        Join: _join,
+    }

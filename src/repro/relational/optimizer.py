@@ -54,17 +54,23 @@ __all__ = ["optimize", "estimate_rows", "ShardPipeline", "shard_pipeline"]
 
 
 def optimize(plan: Plan, db: Database) -> Plan:
-    """Apply the rewrite families bottom-up until a fixed point."""
-    previous = None
-    current = plan
-    # Each pass strictly shrinks or reorders the tree; a handful of
-    # passes reaches the fixed point on any realistic plan, and the
-    # equality check guarantees termination regardless.
-    while previous is None or current.explain() != previous.explain():
+    """Apply the rewrite families bottom-up until a fixed point.
+
+    The plan must be well defined on ``db``'s headings
+    (:meth:`Database.heading_of` raises ``SchemaError`` otherwise):
+    a rewrite may erase an ill-formed node, and the optimized and the
+    unoptimized plan have to agree on refusing it.
+    """
+    db.heading_of(plan)
+    # A rule that fires shrinks the tree or moves a node down it, and a
+    # pass in which none fires returns the very object it was given
+    # (``with_children`` allocates nothing over unchanged inputs).
+    while True:
         _gov_checkpoint("optimizer.pass")
-        previous = current
-        current = _rewrite(current, db)
-    return _maybe_cost_reorder(current, db)
+        rewritten = _rewrite(plan, db)
+        if rewritten is plan:
+            return _maybe_cost_reorder(plan, db)
+        plan = rewritten
 
 
 def _maybe_cost_reorder(plan: Plan, db: Database) -> Plan:
@@ -107,23 +113,26 @@ def estimate_rows(plan: Plan, db: Database) -> int:
     result.  Precision is unimportant -- only the relative order of
     join inputs is consumed.
     """
-    if isinstance(plan, Scan):
-        return db.relation(plan.name).cardinality()
-    if isinstance(plan, SelectEq):
-        return max(1, estimate_rows(plan.child, db) // 10)
-    if isinstance(plan, SelectPred):
-        return max(1, estimate_rows(plan.child, db) // 3)
-    if isinstance(plan, (Project, Rename)):
-        return estimate_rows(plan.child, db)
-    if isinstance(plan, Join):
-        return max(
-            estimate_rows(plan.left, db), estimate_rows(plan.right, db)
-        )
-    if isinstance(plan, Union):
-        return estimate_rows(plan.left, db) + estimate_rows(plan.right, db)
-    if isinstance(plan, Difference):
-        return estimate_rows(plan.left, db)
-    raise TypeError("unknown plan node %r" % (plan,))
+    rule = _ESTIMATES.get(type(plan))
+    if rule is None:
+        raise TypeError("unknown plan node %r" % (plan,))
+    return rule(plan, db)
+
+
+_ESTIMATES = {
+    Scan: lambda plan, db: db.relation(plan.name).cardinality(),
+    SelectEq: lambda plan, db: max(1, estimate_rows(plan.child, db) // 10),
+    SelectPred: lambda plan, db: max(1, estimate_rows(plan.child, db) // 3),
+    Project: lambda plan, db: estimate_rows(plan.child, db),
+    Rename: lambda plan, db: estimate_rows(plan.child, db),
+    Join: lambda plan, db: max(
+        estimate_rows(plan.left, db), estimate_rows(plan.right, db)
+    ),
+    Union: lambda plan, db: (
+        estimate_rows(plan.left, db) + estimate_rows(plan.right, db)
+    ),
+    Difference: lambda plan, db: estimate_rows(plan.left, db),
+}
 
 
 # ----------------------------------------------------------------------
@@ -132,30 +141,13 @@ def estimate_rows(plan: Plan, db: Database) -> int:
 
 
 def _rewrite(plan: Plan, db: Database) -> Plan:
-    if isinstance(plan, Scan):
-        return plan
-    if isinstance(plan, SelectEq):
-        return _rewrite_select(SelectEq(_rewrite(plan.child, db), plan.conditions), db)
-    if isinstance(plan, SelectPred):
-        return _rewrite_select_pred(
-            SelectPred(
-                _rewrite(plan.child, db), plan.predicate, plan.label,
-                cache_key=plan.cache_key,
-            )
-        )
-    if isinstance(plan, Project):
-        return _rewrite_project(Project(_rewrite(plan.child, db), plan.attrs))
-    if isinstance(plan, Rename):
-        return _rewrite_rename(Rename(_rewrite(plan.child, db), plan.mapping))
-    if isinstance(plan, Join):
-        return _rewrite_join(
-            Join(_rewrite(plan.left, db), _rewrite(plan.right, db)), db
-        )
-    if isinstance(plan, Union):
-        return Union(_rewrite(plan.left, db), _rewrite(plan.right, db))
-    if isinstance(plan, Difference):
-        return Difference(_rewrite(plan.left, db), _rewrite(plan.right, db))
-    raise TypeError("unknown plan node %r" % (plan,))
+    """One bottom-up pass: rewrite the inputs, then apply this node
+    type's rule (:data:`_RULES`) if it has one."""
+    plan = plan.with_children(
+        *[_rewrite(child, db) for child in plan.children()]
+    )
+    rule = _RULES.get(type(plan))
+    return plan if rule is None else rule(plan, db)
 
 
 def _rewrite_select(plan: SelectEq, db: Database) -> Plan:
@@ -180,9 +172,8 @@ def _rewrite_select(plan: SelectEq, db: Database) -> Plan:
         )
     # Push below a rename by translating attribute names back.
     if isinstance(child, Rename):
-        reverse = {new: old for old, new in child.mapping.items()}
         translated = {
-            reverse.get(attr, attr): value
+            child.origin(attr): value
             for attr, value in plan.conditions.items()
         }
         return Rename(
@@ -194,8 +185,8 @@ def _rewrite_select(plan: SelectEq, db: Database) -> Plan:
     # natural join equates shared attributes, so the condition holds on
     # each side independently and both relative-product inputs shrink.
     if isinstance(child, Join):
-        left_names = set(_heading(child.left, db).names)
-        right_names = set(_heading(child.right, db).names)
+        left_names = set(db.heading_of(child.left).names)
+        right_names = set(db.heading_of(child.right).names)
         attrs = set(plan.conditions)
         if attrs <= left_names | right_names:
             left_conditions = {
@@ -222,7 +213,7 @@ def _rewrite_select(plan: SelectEq, db: Database) -> Plan:
     return plan
 
 
-def _rewrite_select_pred(plan: SelectPred) -> Plan:
+def _rewrite_select_pred(plan: SelectPred, db: Database) -> Plan:
     """Push an opaque-predicate selection below re-scoping stages.
 
     The predicate sees exactly the row it would have seen above the
@@ -251,7 +242,8 @@ def _rewrite_select_pred(plan: SelectPred) -> Plan:
             _rewrite_select_pred(
                 SelectPred(
                     child.child, narrowed, plan.label, cache_key=cache_key
-                )
+                ),
+                db,
             ),
             child.attrs,
         )
@@ -276,7 +268,8 @@ def _rewrite_select_pred(plan: SelectPred) -> Plan:
             _rewrite_select_pred(
                 SelectPred(
                     child.child, translated, plan.label, cache_key=cache_key
-                )
+                ),
+                db,
             ),
             child.mapping,
         )
@@ -303,15 +296,14 @@ def _compose_renames(
     return {old: new for old, new in fused.items() if old != new}
 
 
-def _rewrite_project(plan: Project) -> Plan:
+def _rewrite_project(plan: Project, db: Database) -> Plan:
     child = plan.child
     # Project o Project collapses to the outer attribute list.
     if isinstance(child, Project):
         return Project(child.child, plan.attrs)
     # Project o Rename: rename only what survives the projection.
     if isinstance(child, Rename):
-        reverse = {new: old for old, new in child.mapping.items()}
-        inner_attrs = tuple(reverse.get(attr, attr) for attr in plan.attrs)
+        inner_attrs = tuple(child.origin(attr) for attr in plan.attrs)
         surviving = {
             old: new
             for old, new in child.mapping.items()
@@ -322,7 +314,7 @@ def _rewrite_project(plan: Project) -> Plan:
     return plan
 
 
-def _rewrite_rename(plan: Rename) -> Plan:
+def _rewrite_rename(plan: Rename, db: Database) -> Plan:
     if not plan.mapping:
         return plan.child
     child = plan.child
@@ -343,8 +335,14 @@ def _rewrite_join(plan: Join, db: Database) -> Plan:
     return plan
 
 
-def _heading(plan: Plan, db: Database):
-    return db._heading_of(plan)
+#: The rewrite rule of each node type that has one, as ``(node, db)``.
+_RULES = {
+    SelectEq: _rewrite_select,
+    SelectPred: _rewrite_select_pred,
+    Project: _rewrite_project,
+    Rename: _rewrite_rename,
+    Join: _rewrite_join,
+}
 
 
 # ----------------------------------------------------------------------
@@ -392,11 +390,6 @@ class ShardPipeline:
         if self.attrs is not None:
             out = project(out, self.attrs)
         return out
-
-    def out_names(self, heading) -> tuple:
-        """The attribute names rows carry after the chain runs."""
-        return tuple(self.attrs) if self.attrs is not None \
-            else tuple(heading.names)
 
     def describe(self) -> str:
         parts = []

@@ -129,7 +129,8 @@ def execute_spanned(
     evaluates each node through
     :meth:`~repro.relational.query.Database.execute_node`, so there is
     no per-node-type measurement code to fall out of sync with the
-    executor.  ``tracer`` defaults to the process-global tracer.
+    executor.  ``tracer`` defaults to the process-global tracer;
+    callers refuse an ill-formed plan first (``Database.heading_of``).
     """
     active_tracer = global_tracer() if tracer is None else tracer
     recording = instrument.enabled()
@@ -150,8 +151,6 @@ def execute_spanned(
     root_holder: List[Span] = []
 
     def walk(node: Plan) -> Relation:
-        if not isinstance(node, Plan):
-            raise TypeError("unknown plan node %r" % (node,))
         with active_tracer.span(
             node.describe(), node=type(node).__name__
         ) as span:
@@ -221,6 +220,7 @@ def execute_profiled(
     switch -- the switch gates the zero-config production hooks, not
     an explicit request to profile.
     """
+    db.heading_of(plan)
     result, root = execute_spanned(db, plan, tracer)
     return result, NodeProfile.from_span(root)
 

@@ -49,17 +49,66 @@ __all__ = [
     "Join",
     "Union",
     "Difference",
+    "scans",
     "Database",
 ]
 
 
 class Plan:
-    """Base class for plan nodes; subclasses are immutable records."""
+    """Base class for plan nodes; subclasses are immutable records.
+
+    A node is the single owner of every *structural* fact about its
+    operator -- its inputs, how to rebuild it over new inputs, its
+    heading rule with the conditions under which it is well defined,
+    its kernel on either backend and where its attributes come from --
+    so every walker (executor, optimizer, cost planner, views, IVM,
+    result cache, shard pipeline) is generic over this protocol.  What
+    needs module-local state (cost formulas, delta rules, rewrite
+    rules) lives in one ``{node type: rule}`` table in its module.
+    An operator that does not implement a method fails typed.
+    """
 
     __slots__ = ()
 
+    #: Kernel-op label for ``repro_kernel_backend_total``.
+    op = "unknown"
+
     def children(self) -> Tuple["Plan", ...]:
         raise NotImplementedError
+
+    def with_children(self, *children: "Plan") -> "Plan":
+        """The same operator, same parameters, over new inputs;
+        ``self`` when every child is the one it already has."""
+        raise self._unknown()
+
+    def heading(self, *inputs: Heading) -> Heading:
+        """The output heading over the given input headings.
+
+        Raises :class:`~repro.errors.SchemaError` when the operator is
+        not well defined on them; :meth:`Database.heading_of` folds
+        this over a whole plan before any work starts.
+        """
+        raise self._unknown()
+
+    def apply(self, kernels, inputs: Sequence[Any]):
+        """Run this operator's kernel over already-computed inputs.
+
+        ``kernels`` is a backend namespace: :mod:`~repro.relational.
+        algebra` for rows, :class:`~repro.relational.columnar.
+        ColumnarRelation` for sorted runs -- one name per operator,
+        spelled the same in both.
+        """
+        raise self._unknown()
+
+    def origin(self, attr: str) -> str:
+        """The name output attribute ``attr`` carries in the inputs."""
+        return attr
+
+    def __setattr__(self, key, value):
+        raise AttributeError("plan nodes are immutable")
+
+    def _unknown(self) -> TypeError:
+        return TypeError("unknown plan node %s" % type(self).__name__)
 
     def describe(self) -> str:
         """One-line operator description (used by explain output)."""
@@ -77,48 +126,64 @@ class Plan:
 
 
 class Scan(Plan):
-    """Read a named base relation."""
+    """Read a named base relation (the one leaf: its heading and its
+    rows are the catalog's, so :class:`Database` supplies both)."""
 
     __slots__ = ("name",)
+    op = "scan"
 
     def __init__(self, name: str):
         object.__setattr__(self, "name", name)
 
-    def __setattr__(self, key, value):
-        raise AttributeError("plan nodes are immutable")
-
     def children(self) -> Tuple[Plan, ...]:
         return ()
+
+    def with_children(self) -> Plan:
+        return self
 
     def describe(self) -> str:
         return "Scan(%s)" % self.name
 
 
 class _Unary(Plan):
+    """One input; a subclass's own slots are its constructor's
+    parameters after the child, in order."""
+
     __slots__ = ("child",)
 
     def __init__(self, child: Plan):
         object.__setattr__(self, "child", child)
 
-    def __setattr__(self, key, value):
-        raise AttributeError("plan nodes are immutable")
-
     def children(self) -> Tuple[Plan, ...]:
         return (self.child,)
+
+    def with_children(self, child: Plan) -> Plan:
+        if child is self.child:
+            return self
+        cls = type(self)
+        return cls(child, *[getattr(self, slot) for slot in cls.__slots__])
 
 
 class SelectEq(_Unary):
     """Equality selection; eligible for restriction-based execution."""
 
     __slots__ = ("conditions",)
+    op = "restrict"
 
     def __init__(self, child: Plan, conditions: Mapping[str, Any]):
         super().__init__(child)
         object.__setattr__(self, "conditions", dict(conditions))
 
+    def heading(self, child: Heading) -> Heading:
+        child.require(self.conditions)
+        return child
+
+    def apply(self, kernels, inputs):
+        return kernels.select_eq(inputs[0], self.conditions)
+
     def describe(self) -> str:
         conditions = ", ".join(
-            "%s=%r" % item for item in sorted(self.conditions.items())
+            ["%s=%r" % item for item in sorted(self.conditions.items())]
         )
         return "SelectEq(%s)" % conditions
 
@@ -134,6 +199,7 @@ class SelectPred(_Unary):
     """
 
     __slots__ = ("predicate", "label", "cache_key")
+    op = "select_pred"
 
     def __init__(
         self,
@@ -147,16 +213,29 @@ class SelectPred(_Unary):
         object.__setattr__(self, "label", label)
         object.__setattr__(self, "cache_key", cache_key)
 
+    def heading(self, child: Heading) -> Heading:
+        return child
+
+    def apply(self, kernels, inputs):
+        return kernels.select_pred(inputs[0], self.predicate)
+
     def describe(self) -> str:
         return "SelectPred(%s)" % self.label
 
 
 class Project(_Unary):
     __slots__ = ("attrs",)
+    op = "project"
 
     def __init__(self, child: Plan, attrs: Sequence[str]):
         super().__init__(child)
         object.__setattr__(self, "attrs", tuple(attrs))
+
+    def heading(self, child: Heading) -> Heading:
+        return child.project(self.attrs)
+
+    def apply(self, kernels, inputs):
+        return kernels.project(inputs[0], self.attrs)
 
     def describe(self) -> str:
         return "Project(%s)" % ", ".join(self.attrs)
@@ -164,10 +243,23 @@ class Project(_Unary):
 
 class Rename(_Unary):
     __slots__ = ("mapping",)
+    op = "rename"
 
     def __init__(self, child: Plan, mapping: Mapping[str, str]):
         super().__init__(child)
         object.__setattr__(self, "mapping", dict(mapping))
+
+    def heading(self, child: Heading) -> Heading:
+        return child.rename(self.mapping)
+
+    def apply(self, kernels, inputs):
+        return kernels.rename(inputs[0], self.mapping)
+
+    def origin(self, attr: str) -> str:
+        for old, new in self.mapping.items():
+            if new == attr:
+                return old
+        return attr
 
     def describe(self) -> str:
         renames = ", ".join(
@@ -183,41 +275,63 @@ class _Binary(Plan):
         object.__setattr__(self, "left", left)
         object.__setattr__(self, "right", right)
 
-    def __setattr__(self, key, value):
-        raise AttributeError("plan nodes are immutable")
-
     def children(self) -> Tuple[Plan, ...]:
         return (self.left, self.right)
+
+    def with_children(self, left: Plan, right: Plan) -> Plan:
+        if left is self.left and right is self.right:
+            return self
+        return type(self)(left, right)
+
+    def apply(self, kernels, inputs):
+        # A binary operator's label is its kernel's name.
+        return getattr(kernels, self.op)(inputs[0], inputs[1])
+
+    def heading(self, left: Heading, right: Heading) -> Heading:
+        """Union and Difference: defined on equal headings only."""
+        if left != right:
+            raise SchemaError("headings differ: %r vs %r" % (left, right))
+        return left
 
 
 class Join(_Binary):
     """Natural join on shared attributes."""
+
+    op = "join"
+
+    def heading(self, left: Heading, right: Heading) -> Heading:
+        return left.union(right)
 
     def describe(self) -> str:
         return "Join"
 
 
 class Union(_Binary):
+    op = "union"
+
     def describe(self) -> str:
         return "Union"
 
 
 class Difference(_Binary):
+    op = "difference"
+
     def describe(self) -> str:
         return "Difference"
 
 
-#: Plan-node -> kernel-op label for the ``repro_kernel_backend_total``
-#: metric (the columnar kernels record their own executions).
-_OP_NAMES = {
-    SelectEq: "restrict",
-    SelectPred: "select_pred",
-    Project: "project",
-    Rename: "rename",
-    Join: "join",
-    Union: "union",
-    Difference: "difference",
-}
+def scans(plan: Plan) -> List[str]:
+    """The base relations a plan reads: discovery order, no repeats."""
+    names: Dict[str, None] = {}
+
+    def walk(node: Plan) -> None:
+        if isinstance(node, Scan):
+            names[node.name] = None
+        for child in node.children():
+            walk(child)
+
+    walk(plan)
+    return list(names)
 
 
 def _gov_summary(root_span) -> Dict[str, Any]:
@@ -382,7 +496,12 @@ class Database:
         cacheable plans are answered from the cache when the
         per-table version fingerprint matches; misses execute normally
         and populate it.
+
+        A plan that is not well defined on the catalog's headings is
+        refused with :class:`~repro.errors.SchemaError` first: before
+        the cache, the governor or any kernel has seen it.
         """
+        self.heading_of(plan)
         if self._result_cache is not None:
             return self._execute_cached(plan)
         return self._execute_uncached(plan)
@@ -445,8 +564,8 @@ class Database:
                 (name, version_of(name)) for name in scan_tables(plan)
             )
         except SchemaError:
-            # Unknown relation: let the normal path raise its
-            # canonical error.
+            # A relation the version source does not know (installed
+            # in this database only) has no fingerprint.
             return self._execute_uncached(plan)
         hit = self._result_cache.lookup(plan_key, fingerprint)
         if hit is not None:
@@ -468,8 +587,6 @@ class Database:
         corrections are applied before returning, so the *next* query
         over the same shapes plans from observed cardinalities.
         """
-        if not isinstance(plan, Plan):
-            raise TypeError("unknown plan node %r" % (plan,))
         from repro.obs.digest import build_digest, plan_hash, record_digest
         from repro.obs.trace import tracer as _tracer
         from repro.relational.profile import execute_spanned
@@ -529,8 +646,6 @@ class Database:
         pipeline only pays XSet construction once, at the boundary in
         :meth:`execute`.
         """
-        if not isinstance(plan, Plan):
-            raise TypeError("unknown plan node %r" % (plan,))
         return self.execute_node(
             plan, [self._execute_raw(child) for child in plan.children()]
         )
@@ -540,16 +655,48 @@ class Database:
     ) -> Operand:
         """Evaluate ONE node over already-computed child results.
 
-        This is the single evaluation table both executors share:
-        :meth:`execute` recurses over it directly, and the profiler
-        walks the same table with a span around each call -- so the
-        measured execution *is* the production execution.  It is also
-        the per-node cancellation checkpoint of set mode: an ambient
-        :class:`repro.gov.Governor` is charged each node's output
-        cardinality, so a governed query dies between operators (and
-        *inside* the big ones, which checkpoint in their kernel loops).
+        This is the single evaluation table both backends and both
+        executors share: each node names its kernel once
+        (:meth:`Plan.apply`) and runs it on whichever backend its
+        inputs are in; :meth:`execute` recurses over it directly, and
+        the profiler walks the same table with a span around each call
+        -- so the measured execution *is* the production execution.
+        It is also the per-node cancellation checkpoint of set mode:
+        an ambient :class:`repro.gov.Governor` is charged each node's
+        output cardinality, so a governed query dies between operators
+        (and *inside* the big ones, which checkpoint in their kernel
+        loops).
         """
-        result = self._evaluate_node(plan, inputs)
+        if isinstance(plan, Scan):
+            result = self._columnar.get(plan.name)
+            if _obs_enabled():
+                _record_backend(
+                    plan.op, "row" if result is None else "columnar"
+                )
+            if result is None:
+                result = self.relation(plan.name)
+        else:
+            kernels = algebra
+            for operand in inputs:
+                if isinstance(operand, ColumnarRelation):
+                    # The fast path is sticky: once any child produced
+                    # a run encoding, siblings are promoted (an
+                    # O(n log n) encode, no worse than the hash-join
+                    # build it replaces) and the node runs on the
+                    # columnar batch kernels, which record their own
+                    # executions.
+                    kernels = ColumnarRelation
+                    inputs = [
+                        operand
+                        if isinstance(operand, ColumnarRelation)
+                        else ColumnarRelation.from_relation(operand)
+                        for operand in inputs
+                    ]
+                    break
+            else:
+                if _obs_enabled():
+                    _record_backend(plan.op, "row")
+            result = plan.apply(kernels, inputs)
         gov = _gov_active()
         if gov is not None:
             gov.checkpoint(
@@ -558,67 +705,6 @@ class Database:
                 len(result.heading.names),
             )
         return result
-
-    def _evaluate_node(
-        self, plan: Plan, inputs: Sequence[Operand]
-    ) -> Operand:
-        if isinstance(plan, Scan):
-            encoded = self._columnar.get(plan.name)
-            if encoded is not None:
-                _record_backend("scan", "columnar")
-                return encoded
-            _record_backend("scan", "row")
-            return self.relation(plan.name)
-        if any(isinstance(operand, ColumnarRelation) for operand in inputs):
-            # The fast path is sticky: once any child produced a run
-            # encoding, siblings are promoted (an O(n log n) encode,
-            # no worse than the hash-join build it replaces) and the
-            # node runs on the columnar batch kernels.
-            return self._evaluate_columnar(
-                plan,
-                [
-                    operand
-                    if isinstance(operand, ColumnarRelation)
-                    else ColumnarRelation.from_relation(operand)
-                    for operand in inputs
-                ],
-            )
-        _record_backend(_OP_NAMES.get(type(plan), "unknown"), "row")
-        if isinstance(plan, SelectEq):
-            return algebra.select_eq(inputs[0], plan.conditions)
-        if isinstance(plan, SelectPred):
-            return algebra.select(inputs[0], plan.predicate)
-        if isinstance(plan, Project):
-            return algebra.project(inputs[0], plan.attrs)
-        if isinstance(plan, Rename):
-            return algebra.rename(inputs[0], plan.mapping)
-        if isinstance(plan, Join):
-            return algebra.join(inputs[0], inputs[1])
-        if isinstance(plan, Union):
-            return algebra.union(inputs[0], inputs[1])
-        if isinstance(plan, Difference):
-            return algebra.difference(inputs[0], inputs[1])
-        raise TypeError("unknown plan node %r" % (plan,))
-
-    def _evaluate_columnar(
-        self, plan: Plan, inputs: Sequence[ColumnarRelation]
-    ) -> ColumnarRelation:
-        """One node on the sorted-run backend (same answers, by oracle)."""
-        if isinstance(plan, SelectEq):
-            return inputs[0].select_eq(plan.conditions)
-        if isinstance(plan, SelectPred):
-            return inputs[0].select_pred(plan.predicate, plan.label)
-        if isinstance(plan, Project):
-            return inputs[0].project(plan.attrs)
-        if isinstance(plan, Rename):
-            return inputs[0].rename(plan.mapping)
-        if isinstance(plan, Join):
-            return inputs[0].join(inputs[1])
-        if isinstance(plan, Union):
-            return inputs[0].union(inputs[1])
-        if isinstance(plan, Difference):
-            return inputs[0].difference(inputs[1])
-        raise TypeError("unknown plan node %r" % (plan,))
 
     # ------------------------------------------------------------------
     # Record-at-a-time execution (the ref [4] baseline)
@@ -631,7 +717,7 @@ class Database:
         CHECK_EVERY`` rows pulled from the plan root -- the per-row
         discipline gets per-row cancellation.
         """
-        heading = self._heading_of(plan)
+        heading = self.heading_of(plan)
         gov = _gov_active()
         if gov is None:
             rows = list(self._iterate(plan))
@@ -651,20 +737,22 @@ class Database:
             )
         return Relation.from_dicts(heading, _dedup(rows))
 
-    def _heading_of(self, plan: Plan) -> Heading:
+    def heading_of(self, plan: Plan) -> Heading:
+        """The heading ``plan`` produces over this catalog.
+
+        The one fold of :meth:`Plan.heading` over a plan tree, and
+        therefore the static well-definedness check: it raises
+        :class:`~repro.errors.SchemaError` for an unknown relation or
+        an operator that is not defined on its inputs' headings,
+        reading no row.
+        """
         if isinstance(plan, Scan):
             return self.relation(plan.name).heading
-        if isinstance(plan, (SelectEq, SelectPred)):
-            return self._heading_of(plan.child)
-        if isinstance(plan, Project):
-            return self._heading_of(plan.child).project(plan.attrs)
-        if isinstance(plan, Rename):
-            return self._heading_of(plan.child).rename(plan.mapping)
-        if isinstance(plan, Join):
-            return self._heading_of(plan.left).union(self._heading_of(plan.right))
-        if isinstance(plan, (Union, Difference)):
-            return self._heading_of(plan.left)
-        raise TypeError("unknown plan node %r" % (plan,))
+        if not isinstance(plan, Plan):
+            raise TypeError("unknown plan node %r" % (plan,))
+        return plan.heading(
+            *[self.heading_of(child) for child in plan.children()]
+        )
 
     def _iterate(self, plan: Plan) -> Iterator[Dict[str, Any]]:
         if isinstance(plan, Scan):
@@ -689,8 +777,8 @@ class Database:
             # Classical record processing: materialize the left side,
             # then nested-loop probe with each right row.
             left_rows = list(self._iterate(plan.left))
-            left_heading = self._heading_of(plan.left)
-            right_heading = self._heading_of(plan.right)
+            left_heading = self.heading_of(plan.left)
+            right_heading = self.heading_of(plan.right)
             shared = left_heading.common(right_heading)
             for right_row in self._iterate(plan.right):
                 for left_row in left_rows:

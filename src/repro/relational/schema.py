@@ -75,8 +75,8 @@ class Heading:
     def require(self, names: Iterable[str]) -> Tuple[str, ...]:
         """Validate that every name exists; return them in given order."""
         wanted = tuple(names)
-        missing = [name for name in wanted if name not in self._name_set]
-        if missing:
+        if not self._name_set.issuperset(wanted):
+            missing = [name for name in wanted if name not in self._name_set]
             raise SchemaError(
                 "unknown attributes %s; heading has %s"
                 % (missing, list(self._names))

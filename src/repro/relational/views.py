@@ -35,29 +35,13 @@ from typing import Callable, Dict, List, Optional
 from repro.errors import SchemaError
 from repro.gov.governor import checkpoint as _gov_checkpoint
 from repro.relational.optimizer import optimize
-from repro.relational.query import Database, Plan, Scan
+from repro.relational.query import Database, Plan, Scan, scans
 from repro.relational.relation import Relation
 from repro.relational.schema import Heading
 from repro.xst.serialization import digest
 from repro.xst.xset import XSet
 
 __all__ = ["View", "ViewCatalog"]
-
-
-def _base_relations(plan: Plan) -> List[str]:
-    """The Scan names a plan reads, in discovery order, deduplicated."""
-    names: List[str] = []
-
-    def walk(node: Plan) -> None:
-        if isinstance(node, Scan):
-            if node.name not in names:
-                names.append(node.name)
-            return
-        for child in node.children():
-            walk(child)
-
-    walk(plan)
-    return names
 
 
 class View:
@@ -145,7 +129,7 @@ class ViewCatalog:
             raise SchemaError(
                 "view %r would shadow a base relation" % (name,)
             )
-        for base in _base_relations(plan):
+        for base in scans(plan):
             if base not in self._views:
                 self._db.relation(base)  # raises for unknown names
         view = View(name, plan, materialized)
@@ -158,7 +142,7 @@ class ViewCatalog:
         if view is None:
             raise SchemaError("unknown view %r" % (name,))
         for other in self._views.values():
-            if other.name != name and name in _base_relations(other.plan):
+            if other.name != name and name in scans(other.plan):
                 raise SchemaError(
                     "view %r is referenced by view %r" % (name, other.name)
                 )
@@ -189,13 +173,13 @@ class ViewCatalog:
         view's current rows are installed as a shadow base relation
         for the duration of execution.
         """
-        for base in _base_relations(plan):
-            if base in self._views:
-                self._db.add("__view__" + base, self.read(base))
-        return _rewrite_scans(
+        referenced = [base for base in scans(plan) if base in self._views]
+        for base in referenced:
+            self._db.add("__view__" + base, self.read(base))
+        return _map_scans(
             plan,
-            {base: "__view__" + base for base in _base_relations(plan)
-             if base in self._views},
+            lambda scan: Scan("__view__" + scan.name)
+            if scan.name in referenced else scan,
         )
 
     def read(self, name: str) -> Relation:
@@ -230,7 +214,7 @@ class ViewCatalog:
 
     def _current_digests(self, view: View) -> Dict[str, str]:
         digests = {}
-        for base in _base_relations(view.plan):
+        for base in scans(view.plan):
             if base in self._views:
                 digests[base] = digest(self.read(base).rows)
             else:
@@ -261,10 +245,10 @@ class ViewCatalog:
             elif dep.materialized:
                 versions["view:" + name] = dep.change_count
             else:
-                for base in _base_relations(dep.plan):
+                for base in scans(dep.plan):
                     visit(base)
 
-        for base in _base_relations(view.plan):
+        for base in scans(view.plan):
             visit(base)
         return versions
 
@@ -290,7 +274,7 @@ class ViewCatalog:
             # still stale (the dependency's counter only moves when it
             # actually re-materializes).
             return any(
-                self.is_stale(base) for base in _base_relations(view.plan)
+                self.is_stale(base) for base in scans(view.plan)
                 if base in self._views and self._views[base].materialized
             )
         if view._input_digests is None:
@@ -443,7 +427,7 @@ class ViewCatalog:
                 self._db.add(shadow, view._cache)
             return Scan(shadow)
 
-        return _transform_scans(plan, transform)
+        return _map_scans(plan, transform)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -472,53 +456,11 @@ class ViewCatalog:
         return rows
 
 
-def _transform_scans(plan: Plan, transform: Callable[[Scan], Plan]) -> Plan:
-    """Rebuild a plan with every Scan passed through ``transform``."""
-    from repro.relational.query import (
-        Difference,
-        Join,
-        Project,
-        Rename,
-        SelectEq,
-        SelectPred,
-        Union,
-    )
-
+def _map_scans(plan: Plan, transform: Callable[[Scan], Plan]) -> Plan:
+    """``plan`` with every Scan passed through ``transform`` (the same
+    object when ``transform`` returns every Scan it was given)."""
     if isinstance(plan, Scan):
         return transform(plan)
-    if isinstance(plan, SelectEq):
-        return SelectEq(
-            _transform_scans(plan.child, transform), plan.conditions
-        )
-    if isinstance(plan, SelectPred):
-        return SelectPred(
-            _transform_scans(plan.child, transform), plan.predicate,
-            plan.label, cache_key=plan.cache_key,
-        )
-    if isinstance(plan, Project):
-        return Project(_transform_scans(plan.child, transform), plan.attrs)
-    if isinstance(plan, Rename):
-        return Rename(_transform_scans(plan.child, transform), plan.mapping)
-    if isinstance(plan, Join):
-        return Join(
-            _transform_scans(plan.left, transform),
-            _transform_scans(plan.right, transform),
-        )
-    if isinstance(plan, Union):
-        return Union(
-            _transform_scans(plan.left, transform),
-            _transform_scans(plan.right, transform),
-        )
-    if isinstance(plan, Difference):
-        return Difference(
-            _transform_scans(plan.left, transform),
-            _transform_scans(plan.right, transform),
-        )
-    raise TypeError("unknown plan node %r" % (plan,))
-
-
-def _rewrite_scans(plan: Plan, mapping: Dict[str, str]) -> Plan:
-    """Rebuild a plan with Scan names substituted."""
-    return _transform_scans(
-        plan, lambda scan: Scan(mapping.get(scan.name, scan.name))
+    return plan.with_children(
+        *[_map_scans(child, transform) for child in plan.children()]
     )

@@ -175,8 +175,8 @@ class TestJoinReordering:
 
         def no_cartesian(node):
             if isinstance(node, Join):
-                shared = db._heading_of(node.left).common(
-                    db._heading_of(node.right)
+                shared = db.heading_of(node.left).common(
+                    db.heading_of(node.right)
                 )
                 return bool(shared) and all(
                     no_cartesian(child) for child in node.children()

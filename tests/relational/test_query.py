@@ -136,6 +136,66 @@ class TestExplain:
             node.name = "other"
 
 
+class TestIllFormedPlans:
+    """A plan that is not well defined on the catalog's headings gets
+    the same typed answer from every entry, before any work."""
+
+    #: Project o Project fusion used to erase the bad inner node.
+    ERASABLE = Project(Project(Scan("emp"), ["emp", "bogus"]), ["emp"])
+    #: Used to run the whole join, then fail in the projection.
+    AFTER_JOIN = Project(Join(Scan("emp"), Scan("dept")), ["bogus"])
+
+    def test_every_entry_refuses_the_erasable_node(self, db):
+        from repro.relational.optimizer import optimize
+
+        assert optimize(Project(Project(Scan("emp"), ["emp", "name"]),
+                                ["emp"]), db).describe() == "Project(emp)"
+        for run in (
+            db.execute,
+            db.execute_records,
+            db.heading_of,
+            lambda plan: db.execute(optimize(plan, db)),
+        ):
+            with pytest.raises(SchemaError, match="unknown attributes"):
+                run(self.ERASABLE)
+
+    def test_refused_before_any_work(self, db):
+        from repro.gov import governed
+        from repro.obs import instrument
+
+        cached = Database({name: db.relation(name) for name in db.names()})
+        cache = cached.enable_result_cache()
+        with instrument.observed() as registry:
+            before = registry.snapshot()
+            with governed(max_rows=10_000) as gov:
+                for run in (cached.execute, cached.execute_records):
+                    with pytest.raises(SchemaError, match="unknown attributes"):
+                        run(self.AFTER_JOIN)
+                assert gov.checkpoints == 0
+                assert gov.budget.rows == 0
+            moved = registry.delta(before)
+        assert (cache.hits, cache.misses, cache.stale, cache.stores) == (0,) * 4
+        assert not [
+            key for key in moved
+            if key.startswith(("repro_xst_op_total", "repro_cache_events",
+                               "repro_kernel_backend", "repro_plan_node"))
+        ]
+
+    @pytest.mark.parametrize("plan", [
+        SelectEq(Scan("emp"), {"bogus": 1}),
+        Rename(Scan("emp"), {"bogus": "x"}),
+        Rename(Scan("emp"), {"emp": "name"}),
+        Project(Scan("emp"), ["emp", "emp"]),
+        Union(Scan("emp"), Scan("dept")),
+        Difference(Scan("emp"), Project(Scan("emp"), ["emp"])),
+        Join(Scan("emp"), Scan("nope")),
+    ], ids=lambda plan: plan.explain().replace("\n", " "))
+    def test_each_operators_condition(self, db, plan):
+        for run in (db.heading_of, db.execute, db.execute_records):
+            with pytest.raises(SchemaError):
+                run(plan)
+
+
 class TestGeneratedPlansAgree:
     """Property: set mode == record mode over generated plan shapes."""
 

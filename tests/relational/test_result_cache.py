@@ -257,6 +257,32 @@ class TestDatabaseCache:
         assert db.result_cache is None
         db.execute(plan)  # plain path, no error
 
+    def test_cost_reordered_range_predicate_stays_cacheable(self):
+        """ANALYZE must not make range-predicate plans uncacheable: the
+        cost-based rebuild keeps ``SelectPred.cache_key``."""
+        from repro.relational import sql
+        from repro.workloads.generators import (
+            department_relation,
+            employee_relation,
+        )
+
+        database = Database({
+            "emp": employee_relation(50, 5, seed=3),
+            "dept": department_relation(5, seed=3),
+        })
+        text = "SELECT name, dname FROM emp JOIN dept WHERE salary > 300"
+        plan = sql.compile_query(sql.parse_query(text))
+        assert plan_cache_key(optimize(plan, database)) is not None
+        database.analyze()
+        assert plan_cache_key(optimize(plan, database)) is not None
+        cache = database.enable_result_cache(capacity=8)
+        first = sql.run(database, text)
+        assert cache.stores == 1
+        assert sql.run(database, text) is first
+        assert cache.hits == 1
+        database.disable_result_cache()
+        assert first == sql.run(database, text, optimized=False)
+
 
 # ----------------------------------------------------------------------
 # The never-stale sweeps

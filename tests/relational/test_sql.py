@@ -232,6 +232,45 @@ class TestOptimizationTransparency:
         assert db.execute(plan) == db.execute_records(plan)
 
 
+class TestIllFormedStatements:
+    """A statement whose plan is not well defined on the catalog is
+    refused the same way optimized or not, before any work."""
+
+    TEXTS = [
+        "SELECT bogus FROM emp JOIN dept",
+        "SELECT name FROM emp JOIN dept WHERE bogus = 1",
+        "SELECT emp AS name, name FROM emp",
+        "SELECT bogus FROM emp JOIN dept BUDGET 100000",
+    ]
+
+    @pytest.mark.parametrize("optimized", [True, False])
+    @pytest.mark.parametrize("text", TEXTS)
+    def test_schema_error_with_zero_work(self, db, text, optimized):
+        from repro.gov import governed
+
+        with governed(max_rows=100000) as gov:
+            with pytest.raises(SchemaError):
+                run(db, text, optimized=optimized)
+            with pytest.raises(SchemaError):
+                sql.run_rows(db, text, optimized=optimized)
+            assert gov.checkpoints == 0
+            assert gov.budget.rows == 0
+
+    @pytest.mark.parametrize("optimized", [True, False])
+    def test_through_a_view(self, db, optimized):
+        from repro.relational.views import ViewCatalog
+
+        views = ViewCatalog(
+            Database({name: db.relation(name) for name in db.names()})
+        )
+        run(db, "CREATE VIEW staff AS SELECT emp, name FROM emp", views=views)
+        with pytest.raises(SchemaError, match="unknown attributes"):
+            run(db, "SELECT salary FROM staff", optimized, views=views)
+        assert run(
+            db, "SELECT name FROM staff", optimized, views=views
+        ).cardinality() > 0
+
+
 class TestTimeoutAndBudget:
     """The TIMEOUT/BUDGET governance clauses."""
 

@@ -163,6 +163,43 @@ class TestQueries:
 
         run(served(body))
 
+    def test_ill_formed_query_is_refused_before_any_work(self, tmp_path):
+        from repro.relational.wal import WriteAheadLog
+
+        log = WriteAheadLog(str(tmp_path / "wal.log"), sync=False)
+
+        async def body():
+            manager = TransactionManager(make_manager().tables, log=log)
+            server = Server(manager, result_cache_capacity=8)
+            await server.start()
+            try:
+                client = await connect("127.0.0.1", server.port)
+                await client.mutate(
+                    [["insert", "emp", {"eid": 9, "name": "eve",
+                                        "dept": "ops"}]]
+                )
+                lsn = log.lsn
+                cache = server.result_cache
+                before = (cache.hits, cache.misses, cache.stale)
+                for text in ("select bogus from emp join dept",
+                             "select name from emp where bogus = 1"):
+                    with pytest.raises(XSTError,
+                                       match="unknown attributes") as info:
+                        await client.query(text)
+                    # SchemaError's wire form: the generic code.
+                    assert getattr(info.value, "code", "ERROR") == "ERROR"
+                assert (cache.hits, cache.misses, cache.stale) == before
+                assert log.lsn == lsn
+                # The session survives and still answers.
+                rel = await client.query("select name from emp join dept")
+                assert len(rel) == 4
+                await client.close()
+            finally:
+                await server.close()
+
+        run(body())
+        log.close()
+
     def test_join_queries_work_over_the_wire(self):
         async def body(server):
             client = await connect("127.0.0.1", server.port)
