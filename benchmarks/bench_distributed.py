@@ -11,6 +11,7 @@ than row shipping.
 import pytest
 
 from repro.relational.distributed import Cluster
+from repro.relational.query import Join, Scan, SelectEq
 from repro.workloads import department_relation, employee_relation
 
 EMP_COUNT = 600
@@ -54,7 +55,7 @@ def record_network(benchmark, cluster: Cluster) -> None:
 @pytest.mark.parametrize("nodes", (2, 4, 8))
 def test_routed_selection(benchmark, nodes):
     cluster = co_partitioned_cluster(nodes)
-    result = benchmark(cluster.select_eq, "emp", {"dept": 5})
+    result = benchmark(cluster.execute, SelectEq(Scan("emp"), {"dept": 5}))
     assert result.cardinality() > 0
     record_network(benchmark, cluster)
 
@@ -62,14 +63,16 @@ def test_routed_selection(benchmark, nodes):
 @pytest.mark.parametrize("nodes", (2, 4, 8))
 def test_broadcast_selection(benchmark, nodes):
     cluster = co_partitioned_cluster(nodes)
-    benchmark(cluster.select_eq, "emp", {"name": "ada-0"})
+    benchmark(
+        cluster.execute, SelectEq(Scan("emp"), {"name": "ada-0"})
+    )
     record_network(benchmark, cluster)
 
 
 @pytest.mark.parametrize("nodes", (2, 4))
 def test_copartitioned_join(benchmark, nodes):
     cluster = co_partitioned_cluster(nodes)
-    result = benchmark(cluster.join, "emp", "dept")
+    result = benchmark(cluster.execute, Join(Scan("emp"), Scan("dept")))
     assert result.cardinality() == EMP_COUNT
     record_network(benchmark, cluster)
 
@@ -77,7 +80,7 @@ def test_copartitioned_join(benchmark, nodes):
 @pytest.mark.parametrize("nodes", (2, 4))
 def test_shuffled_join(benchmark, nodes):
     cluster = misaligned_cluster(nodes)
-    result = benchmark(cluster.join, "emp", "dept")
+    result = benchmark(cluster.execute, Join(Scan("emp"), Scan("dept")))
     assert result.cardinality() == EMP_COUNT
     record_network(benchmark, cluster)
 
@@ -88,7 +91,7 @@ def test_copartitioned_join_replicated(benchmark, factor):
     # replicas are identical copies, so only result partials travel.
     cluster = co_partitioned_cluster(4, factor=factor)
     cluster.network.reset()
-    result = benchmark(cluster.join, "emp", "dept")
+    result = benchmark(cluster.execute, Join(Scan("emp"), Scan("dept")))
     assert result.cardinality() == EMP_COUNT
     assert cluster.network.failovers == 0
     record_network(benchmark, cluster)
@@ -97,9 +100,9 @@ def test_copartitioned_join_replicated(benchmark, factor):
 def test_shuffle_ships_an_input_copartition_does_not():
     """Assert the shipping shape itself (bytes, not time)."""
     co = co_partitioned_cluster(4)
-    co.join("emp", "dept")
+    co.execute(Join(Scan("emp"), Scan("dept")))
     shuffled = misaligned_cluster(4)
-    shuffled.join("emp", "dept")
+    shuffled.execute(Join(Scan("emp"), Scan("dept")))
     assert shuffled.network.bytes_shipped > co.network.bytes_shipped
 
 
@@ -122,5 +125,5 @@ def test_aggregation_ships_less_than_scan():
     cluster.aggregate("emp", ["dept"], {"n": ("count", "emp")})
     summary_bytes = cluster.network.bytes_shipped
     cluster.network.reset()
-    cluster.scan("emp")
+    cluster.execute(Scan("emp"))
     assert summary_bytes * 5 < cluster.network.bytes_shipped

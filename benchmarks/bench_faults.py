@@ -14,6 +14,7 @@ import pytest
 
 from repro.relational.distributed import Cluster
 from repro.relational.faults import FaultPlan
+from repro.relational.query import Scan, SelectEq
 from repro.workloads import employee_relation
 
 EMP_COUNT = 600
@@ -45,7 +46,7 @@ def record_network(benchmark, cluster: Cluster) -> None:
 @pytest.mark.parametrize("factor", (1, 2, 3))
 def test_replicated_placement(benchmark, factor):
     cluster = benchmark(replicated_cluster, 4, factor)
-    assert cluster.placement("emp").replication_factor == factor
+    assert cluster.shard_map("emp").replication_factor == factor
 
 
 def test_replication_overhead_is_linear_in_extra_copies():
@@ -65,7 +66,7 @@ def test_replication_overhead_is_linear_in_extra_copies():
 def test_failover_routed_read(benchmark, factor):
     cluster = replicated_cluster(4, factor)
     cluster.kill_node("node-1")  # dept=5 hashes to bucket 1
-    result = benchmark(cluster.select_eq, "emp", {"dept": 5})
+    result = benchmark(cluster.execute, SelectEq(Scan("emp"), {"dept": 5}))
     assert result.cardinality() > 0
     record_network(benchmark, cluster)
 
@@ -74,7 +75,7 @@ def test_failover_routed_read(benchmark, factor):
 def test_failover_scan(benchmark, factor):
     cluster = replicated_cluster(4, factor)
     cluster.kill_node("node-0")
-    result = benchmark(cluster.scan, "emp")
+    result = benchmark(cluster.execute, Scan("emp"))
     assert result.cardinality() == EMP_COUNT
     record_network(benchmark, cluster)
 
@@ -82,12 +83,12 @@ def test_failover_scan(benchmark, factor):
 def test_failover_ships_no_extra_bytes():
     live = replicated_cluster(4, 2)
     live.network.reset()
-    live.select_eq("emp", {"dept": 5})
+    live.execute(SelectEq(Scan("emp"), {"dept": 5}))
 
     failed = replicated_cluster(4, 2)
     failed.kill_node("node-1")
     failed.network.reset()
-    failed.select_eq("emp", {"dept": 5})
+    failed.execute(SelectEq(Scan("emp"), {"dept": 5}))
 
     # The replica holds an identical copy: same payload, one failover.
     assert failed.network.bytes_shipped == live.network.bytes_shipped
@@ -97,16 +98,16 @@ def test_failover_ships_no_extra_bytes():
 
 def test_transient_faults_cost_retries_and_backoff_not_bytes():
     clean = replicated_cluster(4, 2)
-    reference = clean.scan("emp")
+    reference = clean.execute(Scan("emp"))
     clean.network.reset()
-    clean.scan("emp")
+    clean.execute(Scan("emp"))
 
     faulty = replicated_cluster(4, 2)
     faulty.install_faults(
         FaultPlan().drop_shipment(2).corrupt_shipment(5)
     )
     faulty.network.reset()
-    assert faulty.scan("emp") == reference
+    assert faulty.execute(Scan("emp")) == reference
 
     assert faulty.network.retries == 2
     assert faulty.network.recovery_s() > 0
@@ -117,7 +118,7 @@ def test_transient_faults_cost_retries_and_backoff_not_bytes():
 def test_recovery_latency_is_the_backoff_sum():
     cluster = replicated_cluster(4, 2, backoff_base_s=0.010)
     cluster.install_faults(FaultPlan().drop_shipment(2))
-    cluster.scan("emp")
+    cluster.execute(Scan("emp"))
     # One retry at the first backoff step.
     assert cluster.network.backoff_s == pytest.approx(0.010)
     assert cluster.network.recovery_s() == pytest.approx(0.010)
@@ -139,7 +140,7 @@ def test_chaos_scan(benchmark):
                 corruptions=1,
             )
         )
-        return cluster.scan("emp")
+        return cluster.execute(Scan("emp"))
 
     result = benchmark(faulty_scan)
     assert result.cardinality() == EMP_COUNT

@@ -115,13 +115,13 @@ def _overload_ramp(cluster, queries=32, held=0):
         with cluster.admission.hold(held):
             for _ in range(queries):
                 try:
-                    cluster.scan("emp")
+                    cluster.execute(Scan("emp"))
                     served += 1
                 except OverloadedError:
                     shed += 1
     else:
         for _ in range(queries):
-            cluster.scan("emp")
+            cluster.execute(Scan("emp"))
             served += 1
     return served, shed
 

@@ -45,7 +45,9 @@ def record_network(benchmark, cluster: Cluster) -> None:
 
 def ship_everything_join(cluster: Cluster):
     """The baseline the coordinator must beat: gather both whole."""
-    return local_join(cluster.scan("emp"), cluster.scan("dept"))
+    return local_join(
+        cluster.execute(Scan("emp")), cluster.execute(Scan("dept"))
+    )
 
 
 # -- pushdown vs gather-then-filter ------------------------------------
@@ -60,7 +62,7 @@ def test_pushdown_ships_fraction_of_gather():
     cluster.execute(PUSHDOWN_PLAN)
     pushed = cluster.network.bytes_shipped - start
     start = cluster.network.bytes_shipped
-    cluster.scan("emp")
+    cluster.execute(Scan("emp"))
     gathered = cluster.network.bytes_shipped - start
     assert pushed * 5 < gathered, (
         "pushdown shipped %d bytes vs %d for the gather" % (pushed, gathered)
@@ -125,7 +127,8 @@ def filtered_ship_everything(cluster: Cluster):
     from repro.relational.algebra import select_eq
 
     return local_join(
-        select_eq(cluster.scan("emp"), {"dept": 5}), cluster.scan("dept")
+        select_eq(cluster.execute(Scan("emp")), {"dept": 5}),
+        cluster.execute(Scan("dept")),
     )
 
 
@@ -176,4 +179,4 @@ def test_split_and_merge(benchmark):
 
     cluster = benchmark(split_merge)
     assert cluster.shard_map("emp").epoch == 3
-    assert cluster.scan("emp").cardinality() == EMP_COUNT
+    assert cluster.execute(Scan("emp")).cardinality() == EMP_COUNT

@@ -8,7 +8,15 @@ shuffled join, and partial-aggregate pushdown vs row shipping.
 Run:  python examples/distributed_backend.py
 """
 
-from repro.relational import Cluster, aggregate, join, select_eq
+from repro.relational import (
+    Cluster,
+    Join,
+    Scan,
+    SelectEq,
+    aggregate,
+    join,
+    select_eq,
+)
 from repro.workloads import department_relation, employee_relation
 
 
@@ -37,12 +45,12 @@ def main() -> None:
 
     banner("2. Selection: routed (key covered) vs broadcast")
     cluster.network.reset()
-    routed = cluster.select_eq("emp", {"dept": 9})
+    routed = cluster.execute(SelectEq(Scan("emp"), {"dept": 9}))
     print("  WHERE dept = 9      -> %d rows, %d message(s), %d bytes"
           % (routed.cardinality(), cluster.network.messages,
              cluster.network.bytes_shipped))
     cluster.network.reset()
-    broadcast = cluster.select_eq("emp", {"salary": 50000})
+    broadcast = cluster.execute(SelectEq(Scan("emp"), {"salary": 50000}))
     print("  WHERE salary = ...  -> %d rows, %d message(s), %d bytes"
           % (broadcast.cardinality(), cluster.network.messages,
              cluster.network.bytes_shipped))
@@ -50,7 +58,7 @@ def main() -> None:
 
     banner("3. Join: co-partitioned vs shuffled")
     cluster.network.reset()
-    co_result = cluster.join("emp", "dept")
+    co_result = cluster.execute(Join(Scan("emp"), Scan("dept")))
     co_stats = (cluster.network.messages, cluster.network.bytes_shipped)
     print("  co-partitioned join : %d rows, %d messages, %d bytes"
           % (co_result.cardinality(), *co_stats))
@@ -58,7 +66,7 @@ def main() -> None:
     shuffled_cluster = Cluster(4)
     shuffled_cluster.create_table("emp", employees, "dept")
     shuffled_cluster.create_table("dept", departments, "dname")  # misaligned
-    shuffled_result = shuffled_cluster.join("emp", "dept")
+    shuffled_result = shuffled_cluster.execute(Join(Scan("emp"), Scan("dept")))
     print("  shuffled join       : %d rows, %d messages, %d bytes"
           % (shuffled_result.cardinality(),
              shuffled_cluster.network.messages,
@@ -75,7 +83,7 @@ def main() -> None:
     )
     agg_bytes = cluster.network.bytes_shipped
     cluster.network.reset()
-    cluster.scan("emp")
+    cluster.execute(Scan("emp"))
     scan_bytes = cluster.network.bytes_shipped
     print("  partial aggregates shipped %6d bytes" % agg_bytes)
     print("  full row shipping costs    %6d bytes (%.0fx more)"

@@ -22,6 +22,7 @@ from repro.obs.recorder import FlightRecorder
 from repro.obs.trace import FakeClock
 from repro.relational.distributed import Cluster
 from repro.relational.faults import FaultPlan
+from repro.relational.query import Scan
 from repro.workloads import employee_relation
 
 
@@ -43,7 +44,7 @@ def main() -> None:
         cluster.create_table(
             "emp", employee_relation(240, 12, seed=101), "dept"
         )
-        result = cluster.scan("emp")
+        result = cluster.execute(Scan("emp"))
         print("scan served %d rows; recorder window holds %d event(s)"
               % (result.cardinality(), len(recorder.window())))
         for event in recorder.window()[-3:]:
@@ -52,7 +53,7 @@ def main() -> None:
         banner("2. A fault kills the only replica of a partition")
         cluster.install_faults(FaultPlan().kill("node-0", at_op=0))
         try:
-            cluster.scan("emp")
+            cluster.execute(Scan("emp"))
         except ClusterUnavailableError as error:
             print("refused: %s" % error)
             print("  code=%s exit_code=%d" % (error.code, error.exit_code))

@@ -84,7 +84,7 @@ def main() -> None:
                         horizon=12)
     )
     with observed():
-        joined = cluster.join("emp", "dept")
+        joined = cluster.execute(Join(Scan("emp"), Scan("dept")))
     print("joined rows:", joined.cardinality())
     print()
     print(cluster.tracer.render(cluster.last_query_span))
@@ -106,7 +106,7 @@ def main() -> None:
                             node_names=[n.name for n in replay.nodes],
                             horizon=12)
         )
-        replay.join("emp", "dept")
+        replay.execute(Join(Scan("emp"), Scan("dept")))
         shapes.append(span_shape(replay.last_query_span))
         durations.append(replay.last_query_span.duration_s)
     print("span shapes identical   :", shapes[0] == shapes[1])

@@ -17,7 +17,7 @@ from repro.errors import (
 )
 from repro.gov import PRIORITY_BACKGROUND, PRIORITY_NORMAL, governed
 from repro.relational.distributed import Cluster
-from repro.relational.query import Database
+from repro.relational.query import Database, Scan
 from repro.relational.sql import run
 from repro.workloads import department_relation, employee_relation
 
@@ -64,7 +64,7 @@ def demo_shared_deadline() -> None:
         plan.delay(node.name, 0.04, at_op=1)
     cluster.install_faults(plan)
     try:
-        cluster.scan("emp")
+        cluster.execute(Scan("emp"))
     except DeadlineExceededError as error:
         print("refused: %s" % error)
         print("  (simulated seconds, deterministic on any machine)")
@@ -77,10 +77,10 @@ def demo_breakers() -> None:
     cluster.create_table("emp", employee_relation(200, 8, seed=11), "dept")
     cluster.kill_node("node-0")
     for _ in range(10):
-        cluster.scan("emp")          # served by the surviving replicas
+        cluster.execute(Scan("emp"))  # served by the surviving replicas
     cluster.revive_node("node-0")
     for _ in range(10):
-        cluster.scan("emp")
+        cluster.execute(Scan("emp"))
     print("breaker transitions (op, node, old, new) — reproducible:")
     for transition in cluster.breaker_log:
         print("  %r" % (transition,))
@@ -96,7 +96,7 @@ def demo_shedding() -> None:
         for priority, label in ((PRIORITY_BACKGROUND, "background"),
                                 (PRIORITY_NORMAL, "normal")):
             try:
-                result = cluster.scan("emp", priority=priority)
+                result = cluster.execute(Scan("emp"), priority=priority)
                 print("%s query served: %d rows"
                       % (label, result.cardinality()))
             except OverloadedError as error:
@@ -108,9 +108,9 @@ def demo_partial() -> None:
     banner("5. Degraded reads are marked, never silent")
     cluster = Cluster(2, replication_factor=1, query_timeout_s=60.0)
     cluster.create_table("emp", employee_relation(200, 8, seed=11), "dept")
-    complete = cluster.scan("emp")
+    complete = cluster.execute(Scan("emp"))
     cluster.kill_node("node-0")
-    result = cluster.scan("emp", allow_partial=True)
+    result = cluster.execute(Scan("emp"), allow_partial=True)
     print("complete scan: %d rows" % complete.cardinality())
     print("partial scan:  %d rows, partial=%s"
           % (result.cardinality(), result.partial))

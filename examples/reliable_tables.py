@@ -19,6 +19,7 @@ from repro.relational import (
     ForeignKeyConstraint,
     IntegrityError,
     KeyConstraint,
+    Scan,
     Table,
     run,
 )
@@ -147,22 +148,44 @@ def main() -> None:
     cluster.create_table("emp", employees.snapshot(), "dept")
     print("  placement overhead:",
           cluster.network.replica_bytes, "bytes of replica copies")
-    reference = cluster.scan("emp")
+    reference = cluster.execute(Scan("emp"))
 
     cluster.kill_node("node-1")
-    survived = cluster.scan("emp")
+    survived = cluster.execute(Scan("emp"))
     print("  node-1 killed; scan still equals the pre-failure answer:",
           survived == reference)
     print("  failovers taken:", cluster.network.failovers)
 
     cluster.kill_node("node-2")  # bucket 1's whole ring is now dead
     try:
-        cluster.scan("emp")
+        cluster.execute(Scan("emp"))
     except ClusterUnavailableError as error:
         print("  with the whole ring dead, the failure is typed:", error)
     cluster.revive_node("node-1")
     print("  revived node-1; service restored:",
-          cluster.scan("emp") == reference)
+          cluster.execute(Scan("emp")) == reference)
+
+    banner("9. A cluster write is an engine commit; replicas follow it")
+    engine = cluster.manager  # one TransactionManager under the cluster
+    engine.table("emp").add_constraint(KeyConstraint(["emp"]))
+    ticks = cluster.ops
+    try:
+        cluster.insert("emp", [
+            {"emp": 70, "name": "fresh", "dept": 10, "salary": 1},
+            {"emp": 60, "name": "duplicate key", "dept": 30, "salary": 1},
+        ])
+    except IntegrityError as error:
+        print("  refused by the engine:", error)
+    print("  ...and no replica, tick or version moved:",
+          (cluster.ops, engine.current_version) == (ticks, 0))
+    with engine.transaction():  # node-2 is still down: it misses this
+        engine.table("emp").delete({"emp": 60})
+        engine.table("emp").update({"dept": 10}, {"salary": 99000})
+    cluster.revive_node("node-2")  # shipped truth ~ have, then serves
+    cluster.kill_node("node-1")    # force reads onto the rebuilt node
+    print("  one commit, version", engine.current_version,
+          "-> the rebuilt replica serves the committed relation:",
+          cluster.execute(Scan("emp")) == engine.table("emp").snapshot())
 
 
 if __name__ == "__main__":

@@ -99,7 +99,7 @@ from typing import Any, Dict, List, Optional
 from repro.errors import XSTError
 from repro.notation import parse, render
 from repro.relational.csvio import dumps_csv, read_csv
-from repro.relational.query import Database
+from repro.relational.query import Database, Join, Scan
 from repro.relational.relation import Relation
 from repro.relational.sql import run as run_xql
 from repro.xst.closure import transitive_closure
@@ -331,16 +331,13 @@ def _command_cluster_status(args: List[str]) -> int:
     print("cluster: %d nodes, replication factor %d, partitioned on %r"
           % (node_count, factor, attr))
     for table, info in status["tables"].items():
-        placement = cluster.placement(table)
+        shard_map = cluster.shard_map(table)
         print("table %s (rf=%d):" % (table, info["replication_factor"]))
-        for bucket in range(node_count):
+        for bucket, rows in sorted(cluster.bucket_stats(table).items()):
             replicas = ", ".join(
                 cluster.nodes[index].name
-                for index in placement.replicas(bucket)
+                for index in shard_map.replicas(bucket)
             )
-            rows = cluster.nodes[placement.primary(bucket)].bucket(
-                table, bucket
-            ).cardinality()
             print("  bucket %d -> %s  (%d rows)" % (bucket, replicas, rows))
     for node_info in status["nodes"]:
         held = ", ".join(
@@ -713,7 +710,7 @@ def _trace_cluster_join(args: List[str], options) -> int:
         ))
     with observed():
         try:
-            result = cluster.join(left, right)
+            result = cluster.execute(Join(Scan(left), Scan(right)))
         except ClusterUnavailableError as error:
             print(cluster.tracer.render(cluster.last_query_span))
             return _fail("join unavailable: %s" % error)

@@ -150,9 +150,10 @@ def record_recovery(kind: str, seconds: float, records: int,
 
     ``kind`` labels the recovery flavor (``"wal"`` for log replay into
     a :class:`~repro.relational.disk.DiskRelationStore`, ``"rebuild"``
-    for a revived cluster node catching up from the write log);
-    ``records`` is how many log entries were replayed and
-    ``byte_count`` how many durable bytes were read to do it.  When
+    for a revived cluster node shipped its difference to the
+    committed relation); ``records`` is how many log entries were
+    replayed (shipments made, for a rebuild) and ``byte_count`` how
+    many durable bytes were read (shipped) to do it.  When
     the recovering layer knows its shard-map generation it passes
     ``epoch``, and the pass is additionally counted under
     ``repro_recovery_epoch_total{kind,epoch}`` -- the tag that lets

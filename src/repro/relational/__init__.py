@@ -67,7 +67,6 @@ from repro.relational.faults import (
     ShipmentCorruptedError,
     ShipmentLostError,
 )
-from repro.relational.replication import ReplicaPlacement, replica_indices
 from repro.relational.optimizer import estimate_rows, optimize
 from repro.relational.cost import (
     CardinalityEstimator,
@@ -186,8 +185,6 @@ __all__ = [
     "Node",
     "NetworkStats",
     # replication & faults
-    "ReplicaPlacement",
-    "replica_indices",
     "FaultPlan",
     "FaultInjector",
     "NodeDownError",

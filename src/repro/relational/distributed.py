@@ -1,65 +1,63 @@
-"""A simulated distributed backend: partitioned, replicated XST relations.
+"""A simulated distributed backend: one engine, sharded and replicated.
 
 The VLDB-1977 title promises "intrinsically reliable ... very large,
 distributed, backend information systems".  Real cluster hardware is
 out of scope for this reproduction (see DESIGN.md's substitution
 table), so this module simulates the distribution layer faithfully
 enough to measure its algebra: a :class:`Cluster` of in-process
-:class:`Node` objects, hash partitioning on a chosen attribute, N-way
-replica placement (:mod:`repro.relational.replication`), and query
-execution that ships *sets* between nodes -- with every shipment
-priced in real serialized bytes via
-:func:`repro.xst.serialization.dumps`.
+:class:`Node` objects holding hash partitions of the tables of **one**
+:class:`~repro.relational.tx.TransactionManager`
+(:attr:`Cluster.manager`), and query execution that ships *sets*
+between nodes -- with every shipment priced in real serialized bytes
+via :func:`repro.xst.serialization.dumps`.
 
-What the simulation preserves from the paper's programme:
+A backend relation is one extended set; a bucket is its restriction to
+the rows whose partition value hashes there (Def 7.6), and a replica
+is a copy of that restriction -- never a second source of truth:
 
-* relations partition *by scope value* -- the partitioning key is an
-  attribute scope, and each node holds ordinary XST relations, so
-  every local operation is the unmodified kernel;
-* every partition (*bucket*) lives on ``replication_factor`` nodes;
-  reads are served by the first live replica and fail over down the
-  ring, writes fan out to every replica;
-* distributed selection routes by key when the predicate covers the
-  partition attribute (one bucket touched) and broadcasts otherwise;
-* distributed join is co-partitioned when both sides share a partition
-  attribute (and placement), and otherwise *re-shuffles* one side --
-  shipping costs are visible in :class:`NetworkStats`;
-* distributed aggregation pushes partial aggregates (count/sum/min/
-  max) to the nodes and combines, shipping summaries instead of rows;
-* failures are injected deterministically through the hooks in
-  :mod:`repro.relational.faults`; reads retry with (simulated)
-  exponential backoff, fail over across replicas, and raise
+* **a cluster write is an engine commit.**  :meth:`Cluster.insert` is
+  ``with manager.transaction(): manager.table(name).insert_many(rows)``;
+  deletes, updates, multi-table and deferred transactions, constraints
+  and snapshots are the manager's own API.  Heading and constraint
+  checks, the exact diff, the WAL record, stats accounting and the MVCC
+  version happen once, in the engine;
+* **replication is the commit listener.**  One ``manager.subscribe``
+  listener splits each committed ``(inserted, deleted)`` diff by bucket
+  and applies it to every *reachable* replica, ticking the fault
+  injector per replica step -- so seeded ``crash`` events tear a
+  fan-out at a deterministic point.  A refused commit never reaches
+  the listener: no tick, no version, no replica moves;
+* **recovery is a set difference, not a history.**  A killed node is
+  *unreachable*, not erased -- its buckets survive (durable disks) but
+  it *misses* commits while down.  A revive ships ``truth ~ have`` and
+  retracts ``have ~ truth`` for every bucket the node replicates under
+  the installed map, *before* the node serves again, so any readable
+  replica is consistent.  Move catch-up, the swing, the post-move
+  verify and split/merge read the committed relation the same way;
+  what the coordinator retains is O(data), never O(writes);
+* reads go through :meth:`Cluster.execute` alone: a plan's
+  ``SelectEq``/``SelectPred``/``Project`` chains run inside each bucket
+  before rows ship; a key-covering selection routes to one bucket;
+  joins are co-partitioned, broadcast-small or shuffle-on-key by
+  estimated shipped rows.  :meth:`Cluster.aggregate` pushes partial
+  aggregates and combines summaries.  Reads are served by the first
+  live replica, retry lost shipments with (simulated) backoff, fail
+  over down the ring, and raise
   :class:`repro.errors.ClusterUnavailableError` only when no correct
   answer is obtainable -- never a wrong one.
 
-Placement is **explicit and versioned** (PR 9): every table carries a
+Placement is **explicit and versioned**: every table carries a
 :class:`repro.relational.sharding.ShardMap` -- an epoch-numbered
 bucket->owner-ring map with a bucket count decoupled from the node
-count -- instead of the original implicit ``bucket b on node b``
-scheme.  Requests stamped with a stale epoch are refused with a typed
+count.  Requests stamped with a stale epoch are refused with a typed
 :class:`~repro.errors.ShardMovedError` before any bucket is read, and
 online rebalancing (:meth:`Cluster.rebalance`, :meth:`Cluster.split_table`,
 :meth:`Cluster.merge_table`) moves buckets between nodes as a
 resumable, journaled state machine driven on the same deterministic
 tick clock as the fault injector -- so seeded kill/revive events land
 mid-copy, mid-catch-up and mid-swing, and the move provably completes
-afterwards.  A :meth:`Cluster.execute` coordinator pushes
-``SelectEq``/``SelectPred``/``Project`` chains below the shuffle and
-chooses broadcast-small vs shuffle-on-key join strategies from the
-statistics catalog and per-bucket row counts.
-
-The failure model: a killed node is *unreachable*, not erased -- its
-stored buckets survive a crash (durable disks) and serve again after
-a revive.  Writes, however, are *missed* while a node is down: the
-fan-out skips unreachable replicas, exactly as a real backend's would.
-Consistency is restored by **rebuild-from-log**: the cluster keeps an
-in-memory write log (one entry per bucket write, with a monotonically
-increasing LSN) and every node carries an ``applied_lsn`` high-water
-mark; a revive replays the log tail past the node's mark -- shipping
-real priced bytes -- before the node serves again, so any *readable*
-replica is always consistent.  The write fan-out also ticks the fault
-injector, so seeded ``crash`` events can kill a node halfway through
-a fan-out and the rebuild provably reconciles the torn write.
+afterwards.  Epoch swings are marked in the manager's WAL, between the
+commits they happened between.
 """
 
 from __future__ import annotations
@@ -98,9 +96,10 @@ from repro.obs.instrument import record_recovery as _record_recovery
 from repro.obs.instrument import record_shard_event as _record_shard_event
 from repro.obs.trace import Span, TraceContext, Tracer
 from repro.relational.aggregate import aggregate as local_aggregate
+from repro.relational.algebra import difference as local_difference
 from repro.relational.algebra import join as local_join
-from repro.relational.algebra import select_eq as local_select_eq
 from repro.relational.algebra import union as local_union
+from repro.relational.constraints import Table
 from repro.relational.faults import (
     NO_FAULTS,
     FaultInjector,
@@ -116,15 +115,16 @@ from repro.relational.cost import (
 )
 from repro.relational.optimizer import ShardPipeline, shard_pipeline
 from repro.relational.query import Join as JoinPlan
-from repro.relational.query import Database, Plan, Scan
+from repro.relational.query import Database, Plan, Scan, scans
 from repro.relational.relation import Relation
 from repro.relational.sharding import (
     ShardCatalog,
     ShardMap,
     ShardMove,
-    shard_index,
+    bucket_difference,
 )
 from repro.relational.schema import Heading
+from repro.relational.tx import CommitDiff, TransactionManager
 from repro.xst.builders import xrecord, xset
 from repro.xst.serialization import dumps
 from repro.xst.xset import XSet
@@ -229,9 +229,8 @@ class Node:
 
     ``alive`` and ``delay_s`` are the two knobs the fault harness
     turns; the storage itself is durable (a killed node keeps its
-    buckets, but misses writes until a revive-time rebuild --
-    ``applied_lsn`` is the write-log high-water mark the rebuild
-    replays from).
+    buckets, but misses commits until a revive-time rebuild ships it
+    the difference to the committed relation).
     """
 
     def __init__(self, name: str, index: int = 0):
@@ -239,7 +238,6 @@ class Node:
         self.index = index
         self.alive = True
         self.delay_s = 0.0
-        self.applied_lsn = 0
         self._buckets: Dict[str, Dict[int, Relation]] = {}
         # Rebalance staging: an in-flight shard move copies into here
         # so a half-received bucket is never visible to reads; the
@@ -250,16 +248,15 @@ class Node:
 
     # -- storage (durable: works regardless of liveness) ---------------
 
-    def store(self, table: str, partition: Relation,
-              bucket: Optional[int] = None) -> None:
-        index = self.index if bucket is None else bucket
-        self._buckets.setdefault(table, {})[index] = partition
+    def store(self, table: str, partition: Relation, bucket: int) -> None:
+        self._buckets.setdefault(table, {})[bucket] = partition
 
-    def merge(self, table: str, bucket: int, rows: Relation) -> None:
-        """Fold new rows into a stored bucket (the write fan-out path)."""
+    def apply(self, table: str, bucket: int, gained: Relation,
+              lost: Relation) -> None:
+        """Move a stored bucket to ``(held ~ lost) | gained`` (the
+        replication path: one committed diff, restricted to the bucket)."""
         held = self._buckets.setdefault(table, {})
-        current = held.get(bucket)
-        held[bucket] = rows if current is None else local_union(current, rows)
+        held[bucket] = _patched(held.get(bucket), gained, lost)
 
     def stored(self, table: str, bucket: int) -> Optional[Relation]:
         """Durable read of one bucket copy (works on dead nodes).
@@ -279,13 +276,10 @@ class Node:
 
     # -- rebalance staging (durable, invisible to reads) ----------------
 
-    def stage_store(self, table: str, bucket: int, rows: Relation) -> None:
-        self._staged[(table, bucket)] = rows
-
-    def stage_merge(self, table: str, bucket: int, rows: Relation) -> None:
-        current = self._staged.get((table, bucket))
-        self._staged[(table, bucket)] = (
-            rows if current is None else local_union(current, rows)
+    def stage_apply(self, table: str, bucket: int, gained: Relation,
+                    lost: Relation) -> None:
+        self._staged[(table, bucket)] = _patched(
+            self._staged.get((table, bucket)), gained, lost
         )
 
     def staged(self, table: str, bucket: int) -> Optional[Relation]:
@@ -295,7 +289,7 @@ class Node:
         """Swing: staged rows become the live bucket copy, atomically."""
         rows = self._staged.pop((table, bucket), None)
         if rows is not None:
-            self.merge(table, bucket, rows)
+            self.store(table, rows, bucket)
 
     def drop_stage(self, table: str, bucket: int) -> None:
         self._staged.pop((table, bucket), None)
@@ -352,16 +346,21 @@ class Node:
         )
 
 
-def _partition_index(value: Any, node_count: int) -> int:
-    """Deterministic placement: hash of the canonical serialization.
+def _patched(held: Optional[Relation], gained: Relation,
+             lost: Relation) -> Relation:
+    """``(held ~ lost) | gained``: a copy after one diff reaches it."""
+    if held is None:
+        return gained
+    return local_union(local_difference(held, lost), gained)
 
-    Kept as the historical name for the differential oracles; the
-    algorithm now lives in :func:`repro.relational.sharding.shard_index`
-    (byte-identical routing) and the bucket count is a property of the
-    table's :class:`~repro.relational.sharding.ShardMap`, not of the
-    cluster.
-    """
-    return shard_index(value, node_count)
+
+def _by_bucket(rows: XSet, shard_map: ShardMap) -> Dict[int, List[Any]]:
+    """Split a row set by where ``shard_map`` routes each row."""
+    parts: Dict[int, List[Any]] = {}
+    for row, _ in rows.pairs():
+        (value,) = row.elements_at(shard_map.attr)
+        parts.setdefault(shard_map.bucket_for(value), []).append(row)
+    return parts
 
 
 class _QueryContext:
@@ -381,11 +380,14 @@ class _QueryContext:
     """
 
     __slots__ = ("describe", "simulated_s", "span", "started", "deadline",
-                 "trace", "shard_budgets")
+                 "trace", "shard_budgets", "allow_partial", "read_quorum",
+                 "missing", "downgraded")
 
     def __init__(self, describe: str, span: Span,
                  deadline: Optional[Deadline] = None,
-                 trace: Optional[TraceContext] = None):
+                 trace: Optional[TraceContext] = None,
+                 allow_partial: bool = False,
+                 read_quorum: Optional[int] = None):
         self.describe = describe
         self.simulated_s = 0.0
         self.span = span
@@ -398,6 +400,13 @@ class _QueryContext:
         #: Per-shard governor budgets, allocated lazily per bucket the
         #: query touches (only when the cluster caps shard reads).
         self.shard_budgets: Dict[Tuple[str, int], Budget] = {}
+        #: Degraded-mode terms of this query and what :meth:`Cluster.
+        #: _gather` has recorded under them so far: the missing-bucket
+        #: manifest and whether any read ran below its quorum.
+        self.allow_partial = allow_partial
+        self.read_quorum = read_quorum
+        self.missing: List[MissingBucket] = []
+        self.downgraded = False
 
     def charge(self, seconds: float) -> None:
         self.simulated_s += seconds
@@ -412,7 +421,8 @@ class _QueryContext:
 
 
 class Cluster:
-    """A set of nodes plus the distributed execution strategies.
+    """One engine, sharded and replicated: the nodes, the placement
+    and the distributed execution strategies over :attr:`manager`.
 
     ``replication_factor`` is the cluster-wide default copy count for
     :meth:`create_table` (overridable per table).  ``max_attempts``
@@ -436,12 +446,20 @@ class Cluster:
     * ``max_in_flight`` bounds concurrently admitted queries;
       excess work is shed with :class:`~repro.errors.OverloadedError`
       before any execution (see :mod:`repro.gov.admission`).
-    * ``stats_fanout=True`` lets gather-style reads (scan, broadcast
-      selection) visit buckets in descending per-bucket row-count
-      order -- the schedule a parallel gather would pick, so the
-      longest-running shipment starts first.  Off by default because
-      reordering changes the operation-tick sequence that the seeded
-      fault/chaos suites pin byte-for-byte.
+    * ``stats_fanout=True`` lets every gather visit buckets in
+      descending per-bucket row-count order -- the schedule a
+      parallel gather would pick, so the longest-running shipment
+      starts first.  Off by default because reordering changes the
+      operation-tick sequence that the seeded fault/chaos suites pin
+      byte-for-byte.
+
+    Deployment settings (keyword-only, handed straight to the
+    :attr:`manager` the cluster builds): ``log=`` a
+    :class:`~repro.relational.wal.WriteAheadLog` -- every cluster
+    write is one commit record in it and every epoch swing an
+    ``EPOCH`` marker between the commits it happened between --
+    and ``stats=`` a :class:`~repro.relational.stats.StatsCatalog`,
+    fed by the commit diffs and read by distributed join sizing.
     """
 
     def __init__(
@@ -461,6 +479,9 @@ class Cluster:
         admission_soft: Optional[int] = None,
         stats_fanout: bool = False,
         shard_budget_rows: Optional[int] = None,
+        *,
+        log: Optional[Any] = None,
+        stats: Optional[Any] = None,
     ):
         if node_count < 1:
             raise ValueError("a cluster needs at least one node")
@@ -517,39 +538,33 @@ class Cluster:
         #: :class:`~repro.errors.BudgetExceededError` naming the shard
         #: site.  ``None`` (default) disables the cap.
         self.shard_budget_rows = shard_budget_rows
-        self._partition_attrs: Dict[str, str] = {}
-        #: The tables' headings as a row-less catalog: what
-        #: :meth:`Database.heading_of` checks a plan against.
-        self._schema = Database()
+        #: The one engine under the cluster: every logical table
+        #: (``"emp"``, never ``"emp#3"``) is enrolled here, every write
+        #: is one of its commits, and replicas follow its commit
+        #: stream.  Built by the first :meth:`create_table` (a manager
+        #: needs a table) from the ``log=``/``stats=`` given here.
+        self.manager: Optional[TransactionManager] = None
+        self._log = log
+        self._stats = stats
         self._placements: Dict[str, ShardMap] = {}
         #: Durable catalog + journal sink (a DiskRelationStore), when
         #: :meth:`attach_store` connected one: every epoch swing
         #: persists the shard catalog, every move step its journal.
         self._store: Optional[Any] = None
-        #: WAL for durable EPOCH markers, when :meth:`attach_wal`
-        #: connected one; swings are audit-logged, not replayed.
-        self._wal: Optional[Any] = None
-        #: ANALYZE statistics for join-strategy sizing, when
-        #: :meth:`attach_stats` supplied a catalog.
-        self._stats_catalog: Optional[Any] = None
         #: In-flight shard moves, oldest first (FIFO-driven by
         #: :meth:`step_rebalance`).
         self._moves: List[ShardMove] = []
-        # Per-table, per-bucket row counts maintained on every load and
-        # insert -- the distributed analog of the statistics catalog's
-        # row counts, feeding stats_fanout bucket ordering.
+        # Per-table, per-bucket row counts, exact: set on load and
+        # re-shard, moved by every commit diff -- the distributed
+        # analog of the statistics catalog's row counts, feeding
+        # stats_fanout bucket ordering.
         self._bucket_rows: Dict[str, Dict[int, int]] = {}
         self._last_context: Optional[_QueryContext] = None
         #: Coordinator-side result cache (``enable_result_cache``):
-        #: entries fingerprinted by per-table write generations, so a
-        #: post-insert reader can never see a pre-insert answer.
+        #: entries fingerprinted by the manager's per-table MVCC
+        #: versions, so a post-commit reader can never see a
+        #: pre-commit answer.
         self.result_cache = None
-        self._table_generations: Dict[str, int] = {}
-        # The write log: (lsn, table, bucket, kind, rows) per bucket
-        # write, kind in {"store", "merge"}.  Replayed by
-        # :meth:`on_revive` to rebuild replicas that missed writes.
-        self._write_log: List[Tuple[int, str, int, str, Relation]] = []
-        self._log_lsn = 0
 
     # ------------------------------------------------------------------
     # Faults and liveness
@@ -618,7 +633,7 @@ class Cluster:
         self.on_revive(self.node_named(name))
 
     def on_revive(self, node: Node) -> None:
-        """Revive ``node``: replay the write-log tail, then serve.
+        """Revive ``node``: ship it what it missed, then serve.
 
         Idempotent (a live node is left alone).  The rebuild runs
         *before* the node is marked reachable, so there is no window
@@ -630,14 +645,14 @@ class Cluster:
         node.recover()
 
     def _rebuild(self, node: Node) -> None:
-        """Replay write-log entries past the node's high-water mark.
+        """Reconcile ``node`` with the committed relations.
 
-        Only entries for buckets this node replicates are applied; the
-        shipped bytes are priced as replica traffic and the pass is
-        reported as a ``rebuild`` recovery (span + metrics).  Replays
-        are safe to overlap with writes the node did see: ``store``
-        overwrites and ``merge`` is a union, so re-applying is
-        idempotent.
+        For every bucket the node replicates under the *installed*
+        maps, ship ``truth ~ have`` and retract ``have ~ truth`` --
+        two set differences against the manager's committed value, no
+        history consulted -- priced as replica traffic and reported as
+        a ``rebuild`` recovery (span + metrics).  A copy that missed
+        nothing costs nothing.
         """
         started = time.perf_counter()
         # A revive mid-query (the fault injector's doing) opens this
@@ -653,26 +668,18 @@ class Cluster:
         byte_count = 0
         epoch = self._placement_epoch()
         try:
-            for lsn, table, bucket, kind, rows in self._write_log:
-                if lsn <= node.applied_lsn:
+            for table in sorted(self._placements):
+                held = self._placements[table].buckets_on(node.index)
+                if not held:
                     continue
-                placement = self._placements.get(table)
-                if placement is None or not placement.has_bucket(bucket):
-                    # Entries numbered under a retired bucket count (a
-                    # later merge shrank the map); the post-merge
-                    # snapshot entries supersede them.
-                    continue
-                if node.index not in placement.replicas(bucket):
-                    continue
-                if kind == "store":
-                    node.store(table, rows, bucket=bucket)
-                else:
-                    node.merge(table, bucket, rows)
-                size = len(dumps(rows.rows))
-                self.network.ship_encoded(size, replica=True)
-                entries += 1
-                byte_count += size
-            node.applied_lsn = self._log_lsn
+                truth = self._partitioned(table)
+                for bucket in held:
+                    shipped, size = self._ship_delta(bucket_difference(
+                        node.stored(table, bucket), truth[bucket]
+                    ))
+                    node.store(table, truth[bucket], bucket)
+                    entries += shipped
+                    byte_count += size
             span.set("entries", entries)
             span.set("bytes", byte_count)
             span.set("epoch", epoch)
@@ -682,6 +689,22 @@ class Cluster:
             "rebuild", time.perf_counter() - started, entries, byte_count,
             epoch=epoch,
         )
+
+    def _ship_delta(self, delta: Iterable[Relation],
+                    replica: bool = True) -> Tuple[int, int]:
+        """Price a ``(gained, lost)`` delta on its way to one copy.
+
+        One shipment for the rows to add, one for the rows to
+        retract, none for an empty side; returns ``(messages, bytes)``.
+        """
+        messages = byte_count = 0
+        for payload in delta:
+            if payload:
+                size = len(dumps(payload.rows))
+                self.network.ship_encoded(size, replica=replica)
+                messages += 1
+                byte_count += size
+        return messages, byte_count
 
     def _placement_epoch(self) -> int:
         """The cluster's placement generation: the newest table epoch.
@@ -695,12 +718,6 @@ class Cluster:
             (placement.epoch for placement in self._placements.values()),
             default=0,
         )
-
-    def _log_append(self, table: str, bucket: int, kind: str,
-                    rows: Relation) -> int:
-        self._log_lsn += 1
-        self._write_log.append((self._log_lsn, table, bucket, kind, rows))
-        return self._log_lsn
 
     def live_nodes(self) -> List[Node]:
         return [node for node in self.nodes if node.alive]
@@ -717,7 +734,12 @@ class Cluster:
         replication_factor: Optional[int] = None,
         buckets: Optional[int] = None,
     ) -> None:
-        """Hash-partition a relation across the nodes by one attribute.
+        """Enrol a table in the engine and hash-partition it.
+
+        ``relation`` is *adopted* as the table's base value -- version
+        0 of ``manager.table(name)``, not a commit: nothing is logged
+        (a WAL recovery starts from the loaded tables) and no version
+        moves.  Declare constraints on ``manager.table(name)``.
 
         Placement is an explicit :class:`ShardMap` at epoch 1:
         ``buckets`` hash partitions (default: one per node, the
@@ -726,9 +748,9 @@ class Cluster:
         -- data originates there -- while every extra copy ships over
         the network and is priced in ``NetworkStats.replica_bytes``.
 
-        Unreachable replicas *miss* the write (they catch up from the
-        write log on revive), and each per-replica step ticks the
-        fault injector, so a seeded crash can land mid-fan-out.
+        Unreachable replicas *miss* the load (a revive ships them the
+        difference), and each per-replica step ticks the fault
+        injector, so a seeded crash can land mid-fan-out.
         """
         relation.heading.require([partition_attr])
         factor = (
@@ -739,34 +761,33 @@ class Cluster:
         placement = ShardMap.successor_rings(
             partition_attr, len(self.nodes), factor, bucket_count=buckets
         )
+        table = Table(relation.heading, relation)
+        if self.manager is None:
+            self.manager = TransactionManager(
+                {name: table}, log=self._log, stats=self._stats
+            )
+            self.manager.subscribe(self._replicate)
+        else:
+            self.manager.add_table(name, table)
         # Catalog first: a revive fired by a mid-create tick must be
         # able to see the placement to rebuild the partial table.
-        self._partition_attrs[name] = partition_attr
-        self._schema.add(name, Relation(relation.heading, xset([])))
         self._placements[name] = placement
-        parts: List[List] = [[] for _ in range(placement.bucket_count)]
-        for row, _ in relation.rows.pairs():
-            (value,) = row.elements_at(partition_attr)
-            parts[placement.bucket_for(value)].append(row)
+        parts = self._partitioned(name)
         self._bucket_rows[name] = {
-            index: len(bucket) for index, bucket in enumerate(parts)
+            index: part.cardinality() for index, part in enumerate(parts)
         }
-        for bucket_index, bucket in enumerate(parts):
-            part = Relation(relation.heading, xset(bucket))
-            lsn = self._log_append(name, bucket_index, "store", part)
+        for bucket_index, part in enumerate(parts):
             for position, node_index in enumerate(
                 placement.replicas(bucket_index)
             ):
                 self._tick(write=True)
                 node = self.nodes[node_index]
                 if not node.alive:
-                    continue  # missed write; rebuilt on revive
-                node.store(name, part, bucket=bucket_index)
-                node.applied_lsn = lsn
+                    continue  # missed load; rebuilt on revive
+                node.store(name, part, bucket_index)
                 if position:
                     self.network.ship(part.rows, replica=True)
         self._persist_placements()
-        self._bump_generation(name)
         if _obs_enabled():
             _record_shard_event(
                 "create", name, rows=relation.cardinality(),
@@ -774,72 +795,101 @@ class Cluster:
             )
 
     def insert(self, name: str, rows: Iterable[Mapping[str, Any]]) -> int:
-        """Append rows, fanned out to every *reachable* replica.
+        """Insert rows as one engine commit; returns the rows added.
 
-        Each bucket write is logged (one LSN) before the fan-out, and
-        each per-replica step ticks the fault injector -- so a seeded
-        crash tears the fan-out at a deterministic point and the torn
-        replica misses the rows until its revive-time rebuild replays
-        the log tail.  Returns the row count written.
+        The engine validates, diffs, logs and versions the write once;
+        :meth:`_replicate` then carries the committed diff to every
+        reachable replica.  A refused write (heading, constraint,
+        governor) raises before any tick, version or replica moves.
         """
-        heading = self.heading(name)
-        attr = self.partition_attr(name)
-        placement = self._placements[name]
-        buckets: Dict[int, List] = {}
-        count = 0
-        for row in rows:
-            if frozenset(row) != frozenset(heading.names):
-                raise SchemaError(
-                    "row keys %s do not match heading %r"
-                    % (sorted(row), heading)
+        self.shard_map(name)
+        with self.manager.transaction():
+            return self.manager.table(name).insert_many(rows)
+
+    def _replicate(self, version: int, changes: CommitDiff) -> None:
+        """The commit listener: carry one commit's diff to the replicas.
+
+        Each changed table's ``(inserted, deleted)`` splits by bucket;
+        for each changed bucket in index order and each replica in
+        ring order the step ticks the fault injector -- so a seeded
+        crash tears the fan-out at a deterministic point -- skips an
+        unreachable node (it is rebuilt on revive) and applies
+        ``(rows ~ deleted) | inserted``, shipping the diff priced as
+        primary or replica traffic.
+        """
+        for name, (_, inserted, deleted) in changes.items():
+            placement = self._placements.get(name)
+            if placement is None:
+                continue  # enrolled in the engine, never placed here
+            gained = _by_bucket(inserted, placement)
+            lost = _by_bucket(deleted, placement)
+            counts = self._bucket_rows[name]
+            for bucket_index in sorted(set(gained) | set(lost)):
+                diff = (
+                    self._relation(name, gained.get(bucket_index, ())),
+                    self._relation(name, lost.get(bucket_index, ())),
                 )
-            record = xrecord(row)
-            buckets.setdefault(
-                placement.bucket_for(row[attr]), []
-            ).append(record)
-            count += 1
-        for bucket_index in sorted(buckets):
-            fresh = Relation(heading, xset(buckets[bucket_index]))
-            counts = self._bucket_rows.setdefault(name, {})
-            counts[bucket_index] = (
-                counts.get(bucket_index, 0) + len(buckets[bucket_index])
-            )
-            lsn = self._log_append(name, bucket_index, "merge", fresh)
-            for position, node_index in enumerate(
-                placement.replicas(bucket_index)
-            ):
-                self._tick(write=True)
-                node = self.nodes[node_index]
-                if not node.alive:
-                    continue  # missed write; rebuilt on revive
-                node.merge(name, bucket_index, fresh)
-                node.applied_lsn = lsn
-                self.network.ship(fresh.rows, replica=position > 0)
-        if count:
-            self._bump_generation(name)
-        return count
+                counts[bucket_index] += len(diff[0]) - len(diff[1])
+                for position, node_index in enumerate(
+                    placement.replicas(bucket_index)
+                ):
+                    self._tick(write=True)
+                    node = self.nodes[node_index]
+                    if not node.alive:
+                        continue  # missed commit; rebuilt on revive
+                    node.apply(name, bucket_index, *diff)
+                    self._ship_delta(diff, replica=position > 0)
+        if self.result_cache is not None:
+            self.result_cache.invalidate_tables(tuple(changes))
 
     # ------------------------------------------------------------------
     # Catalog
     # ------------------------------------------------------------------
 
-    def partition_attr(self, name: str) -> str:
-        try:
-            return self._partition_attrs[name]
-        except KeyError:
-            raise SchemaError("unknown distributed table %r" % (name,)) from None
-
-    def heading(self, name: str) -> Heading:
-        self.partition_attr(name)
-        return self._schema.relation(name).heading
-
-    def placement(self, name: str) -> ShardMap:
-        self.partition_attr(name)
-        return self._placements[name]
-
     def shard_map(self, name: str) -> ShardMap:
         """The table's current (epoch-stamped) placement map."""
-        return self.placement(name)
+        try:
+            return self._placements[name]
+        except KeyError:
+            raise SchemaError(
+                "unknown distributed table %r" % (name,)
+            ) from None
+
+    def _catalog(self) -> Database:
+        """The manager's tables as the catalog plans are checked against."""
+        if self.manager is None:
+            return Database()
+        return Database({
+            name: table.snapshot()
+            for name, table in self.manager.tables.items()
+        })
+
+    def _committed(self, name: str) -> Relation:
+        """The table's committed value: the one relation every bucket
+        copy is a restriction of (never an open transaction's state)."""
+        with self.manager.snapshot() as snapshot:
+            return snapshot.relation(name)
+
+    def _relation(self, table: str, rows: Iterable[Any]) -> Relation:
+        """Wrap rows of ``table``'s own relation back into its type."""
+        # Trusted: a subset of rows the engine validated under this heading.
+        return Relation._from_valid(
+            self.manager.table(table).heading, xset(rows)
+        )
+
+    def _partitioned(self, name: str,
+                     shard_map: Optional[ShardMap] = None) -> List[Relation]:
+        """The committed relation split by ``shard_map`` (default: the
+        installed one): bucket *b* is its restriction to the rows whose
+        partition value hashes to *b*.  The ground truth every rebuild,
+        catch-up, verify and re-shard differences against."""
+        if shard_map is None:
+            shard_map = self.shard_map(name)
+        parts = _by_bucket(self._committed(name).rows, shard_map)
+        return [
+            self._relation(name, parts.get(index, ()))
+            for index in range(shard_map.bucket_count)
+        ]
 
     def shard_catalog(self) -> ShardCatalog:
         """Every table's map, as one serializable catalog."""
@@ -855,19 +905,6 @@ class Cluster:
         """
         self._store = store
         self._persist_placements()
-
-    def attach_stats(self, catalog: Any) -> None:
-        """Supply ANALYZE statistics for distributed join sizing."""
-        self._stats_catalog = catalog
-
-    def attach_wal(self, log: Any) -> None:
-        """Log epoch swings as durable ``EPOCH`` markers.
-
-        Recovery replay skips them (only COMMIT records carry data),
-        but the log then dates every placement generation against the
-        commits around it -- the evidence fsck and post-mortems use.
-        """
-        self._wal = log
 
     def _persist_placements(self) -> None:
         if self._store is not None and self._placements:
@@ -898,7 +935,7 @@ class Cluster:
         requested = epoch.get(name) if isinstance(epoch, dict) else epoch
         if requested is None:
             return
-        placement = self._placements[name]
+        placement = self.shard_map(name)
         if requested != placement.epoch:
             if _obs_enabled():
                 _record_shard_event(
@@ -909,14 +946,9 @@ class Cluster:
             )
 
     def bucket_stats(self, name: str) -> Dict[int, int]:
-        """Per-bucket row counts (insert-maintained upper bounds).
-
-        Loads count exactly; inserts count rows *offered* to a bucket,
-        so rows deduplicated by the merge-union make these upper
-        bounds -- good enough for ordering, never for answers.
-        """
-        self.partition_attr(name)
-        return dict(self._bucket_rows.get(name, {}))
+        """Exact per-bucket row counts of the committed relation."""
+        self.shard_map(name)
+        return dict(self._bucket_rows[name])
 
     def _bucket_order(self, name: str) -> List[int]:
         """Gather order for this table's buckets.
@@ -928,10 +960,8 @@ class Cluster:
         indices = list(range(self._placements[name].bucket_count))
         if not self.stats_fanout:
             return indices
-        counts = self._bucket_rows.get(name)
-        if not counts:
-            return indices
-        return sorted(indices, key=lambda index: (-counts.get(index, 0), index))
+        counts = self._bucket_rows[name]
+        return sorted(indices, key=lambda index: (-counts[index], index))
 
     def status(self) -> Dict[str, Any]:
         """A structured snapshot: nodes, tables, placement, network."""
@@ -941,13 +971,12 @@ class Cluster:
                     "name": node.name,
                     "alive": node.alive,
                     "delay_s": node.delay_s,
-                    "applied_lsn": node.applied_lsn,
                     "tables": {
                         table: {
                             "buckets": list(node.buckets_held(table)),
                             "rows": node.partition(table).cardinality(),
                         }
-                        for table in sorted(self._partition_attrs)
+                        for table in sorted(self._placements)
                         if node.holds(table)
                     },
                 }
@@ -955,19 +984,17 @@ class Cluster:
             ],
             "tables": {
                 table: {
-                    "partition_attr": self._partition_attrs[table],
-                    "replication_factor":
-                        self._placements[table].replication_factor,
-                    "epoch": self._placements[table].epoch,
-                    "buckets": self._placements[table].bucket_count,
+                    "partition_attr": placement.attr,
+                    "replication_factor": placement.replication_factor,
+                    "epoch": placement.epoch,
+                    "buckets": placement.bucket_count,
                 }
-                for table in sorted(self._partition_attrs)
+                for table, placement in sorted(self._placements.items())
             },
             "moves": [repr(move) for move in self._moves if not move.done],
-            "write_log": {
-                "lsn": self._log_lsn,
-                "entries": len(self._write_log),
-            },
+            "version": (
+                0 if self.manager is None else self.manager.current_version
+            ),
             "network": {
                 "messages": self.network.messages,
                 "bytes_shipped": self.network.bytes_shipped,
@@ -998,7 +1025,6 @@ class Cluster:
         table: str,
         bucket_index: int,
         action: Callable[[Node], Optional[Relation]],
-        ring: Optional[Sequence[int]] = None,
         key: Optional[Any] = None,
     ) -> Optional[Relation]:
         """Run ``action`` on the first replica that can serve it.
@@ -1019,22 +1045,14 @@ class Cluster:
         back; their breakers just have not probed yet), distinct from
         the all-replicas-dead :class:`ClusterUnavailableError`.
         """
-        replicas = (
-            self._placements[table].replicas(bucket_index)
-            if ring is None
-            else tuple(ring)
-        )
+        placement = self._placements[table]
+        replicas = placement.replicas(bucket_index)
         span = self.tracer.start(
             "%s[%d]" % (table, bucket_index), table=table, bucket=bucket_index
         )
         if context.trace is not None:
             context.trace.annotate(span)
-        span.set(
-            "ring",
-            self._placements[table].ring(bucket_index)
-            if ring is None
-            else ">".join(str(index) for index in replicas),
-        )
+        span.set("ring", placement.ring(bucket_index))
         retries = 0
         attempted = 0
         skipped_open = 0
@@ -1179,6 +1197,8 @@ class Cluster:
     def _query(self, describe: str, kind: str,
                priority: int = PRIORITY_NORMAL,
                trace: Optional[TraceContext] = None,
+               allow_partial: bool = False,
+               read_quorum: Optional[int] = None,
                ) -> Iterator[_QueryContext]:
         """One query's root span plus context; metrics on completion.
 
@@ -1231,6 +1251,7 @@ class Cluster:
                 context = _QueryContext(
                     describe, span, deadline=self._query_deadline(),
                     trace=trace.child_of(span),
+                    allow_partial=allow_partial, read_quorum=read_quorum,
                 )
                 self._last_context = context
                 yield context
@@ -1285,324 +1306,101 @@ class Cluster:
     # Reading
     # ------------------------------------------------------------------
 
-    def _live_replica_count(self, name: str, bucket_index: int) -> int:
-        placement = self._placements[name]
-        return sum(
-            1
-            for index in placement.replicas(bucket_index)
-            if self.nodes[index].alive
-        )
-
-    def _check_quorum(
-        self,
-        name: str,
-        bucket_index: int,
-        read_quorum: Optional[int],
-        allow_partial: bool,
-    ) -> bool:
-        """True when this bucket read proceeds below its quorum.
+    def _check_quorum(self, context: _QueryContext, name: str,
+                      bucket_index: int) -> None:
+        """Hold one bucket read to the query's ``read_quorum``.
 
         Without ``allow_partial`` a missed quorum is a hard, typed
         failure; with it the read degrades -- served by whatever live
-        replica remains -- and the *caller* marks the answer
+        replica remains -- and the answer is marked
         ``quorum_downgraded`` so consumers can refuse it.
         """
-        if read_quorum is None:
-            return False
-        live = self._live_replica_count(name, bucket_index)
-        if live >= read_quorum:
-            return False
-        if not allow_partial:
+        if context.read_quorum is None:
+            return
+        live = sum(
+            1
+            for index in self._placements[name].replicas(bucket_index)
+            if self.nodes[index].alive
+        )
+        if live >= context.read_quorum:
+            return
+        if not context.allow_partial:
             raise ClusterUnavailableError(
                 name,
                 bucket_index,
                 reason="read quorum not met: %d live replicas < %d required"
-                % (live, read_quorum),
+                % (live, context.read_quorum),
             )
         if _obs_enabled():
             _metrics.registry().counter(
                 "repro_gov_quorum_downgrade_total",
                 "Reads served below their requested quorum.",
             ).inc()
-        return True
+        context.downgraded = True
 
-    def _finish_partial(
+    def _gather(
         self,
         context: _QueryContext,
-        gathered: Relation,
-        missing: List[MissingBucket],
-        downgraded: bool,
-    ) -> Result:
-        """Wrap a degraded-mode answer, marking span and metrics."""
-        context.span.set("partial", bool(missing))
-        context.span.set("missing_buckets", len(missing))
-        context.span.set("quorum_downgraded", downgraded)
-        if missing and _obs_enabled():
+        name: str,
+        action: Callable[[Node, int], Optional[Relation]],
+        buckets: Optional[Sequence[int]] = None,
+        key: Optional[Any] = None,
+    ) -> List[Relation]:
+        """Serve ``action(node, bucket)`` once per bucket of ``name``.
+
+        The one per-bucket loop every read strategy goes through --
+        routed (``buckets`` names the one bucket), broadcast, shuffle
+        source, broadcast-small side, co-partitioned, aggregate
+        partials.  It owns the quorum check and, under
+        ``allow_partial``, the missing-bucket manifest: an unreachable
+        bucket is recorded on the context and skipped instead of
+        failing the query.  Returns what the buckets shipped, in visit
+        order (``None`` -- nothing to ship -- is dropped).
+        """
+        parts = []
+        for bucket_index in (
+            self._bucket_order(name) if buckets is None else buckets
+        ):
+            self._check_quorum(context, name, bucket_index)
+            try:
+                part = self._attempt_on_replicas(
+                    context, name, bucket_index,
+                    lambda node: action(node, bucket_index), key=key,
+                )
+            except (ClusterUnavailableError, CircuitOpenError) as error:
+                if not context.allow_partial:
+                    raise
+                context.missing.append(MissingBucket(
+                    name, bucket_index, getattr(error, "reason", str(error)),
+                ))
+                continue
+            if part is not None:
+                parts.append(part)
+        return parts
+
+    @staticmethod
+    def _union(heading: Heading, parts: Iterable[Relation]) -> Relation:
+        result = Relation(heading, xset())
+        for part in parts:
+            result = local_union(result, part)
+        return result
+
+    def _finish(self, context: _QueryContext, answer: Relation) -> Any:
+        """The query's return value: bare when strict, else a
+        :class:`repro.gov.Result` carrying the degraded-mode manifest."""
+        if not context.allow_partial:
+            return answer
+        context.span.set("partial", bool(context.missing))
+        context.span.set("missing_buckets", len(context.missing))
+        context.span.set("quorum_downgraded", context.downgraded)
+        if context.missing and _obs_enabled():
             _metrics.registry().counter(
                 "repro_gov_partial_total",
                 "Queries answered with explicitly-partial results.",
             ).inc()
-        return Result(gathered, missing, quorum_downgraded=downgraded)
-
-    def scan(
-        self,
-        name: str,
-        allow_partial: bool = False,
-        read_quorum: Optional[int] = None,
-        priority: int = PRIORITY_NORMAL,
-        trace: Optional[TraceContext] = None,
-        epoch: Optional[Any] = None,
-    ) -> Any:
-        """Gather every bucket to the coordinator (ships all rows).
-
-        Default mode returns a bare :class:`Relation` and fails the
-        whole query on any unreachable bucket.  ``allow_partial=True``
-        degrades instead: unreachable buckets land in the answer's
-        missing-bucket manifest and the return type becomes
-        :class:`repro.gov.Result` (call ``require_complete()`` to get
-        the strict behavior back).  ``read_quorum`` demands that many
-        live replicas per bucket -- short of it, strict mode fails and
-        partial mode serves the read but marks it
-        ``quorum_downgraded``.
-        """
-        heading = self.heading(name)
-        self._check_epoch(name, epoch)
-        with self._query(
-            "scan(%s)" % name, "scan", priority=priority, trace=trace
-        ) as context:
-            gathered = Relation(heading, xset([]))
-            missing: List[MissingBucket] = []
-            downgraded = False
-            for bucket_index in self._bucket_order(name):
-                downgraded |= self._check_quorum(
-                    name, bucket_index, read_quorum, allow_partial
-                )
-                try:
-                    part = self._attempt_on_replicas(
-                        context, name, bucket_index,
-                        lambda node, b=bucket_index: node.bucket(name, b),
-                    )
-                except (ClusterUnavailableError, CircuitOpenError) as error:
-                    if not allow_partial:
-                        raise
-                    missing.append(MissingBucket(
-                        name, bucket_index,
-                        getattr(error, "reason", str(error)),
-                    ))
-                    continue
-                assert part is not None
-                gathered = local_union(gathered, part)
-            if not allow_partial:
-                return gathered
-            return self._finish_partial(context, gathered, missing, downgraded)
-
-    def select_eq(
-        self,
-        name: str,
-        conditions: Mapping[str, Any],
-        allow_partial: bool = False,
-        read_quorum: Optional[int] = None,
-        priority: int = PRIORITY_NORMAL,
-        trace: Optional[TraceContext] = None,
-        epoch: Optional[Any] = None,
-    ) -> Any:
-        """Distributed selection: routed when the key is covered.
-
-        If the partition attribute appears in the conditions, exactly
-        one bucket is consulted (on its first live replica); otherwise
-        the selection broadcasts and each bucket ships only its
-        matching rows.  ``allow_partial``/``read_quorum`` degrade
-        exactly as on :meth:`scan` -- a routed read whose single
-        bucket is unreachable degrades to an empty, explicitly-partial
-        :class:`repro.gov.Result`.
-        """
-        heading = self.heading(name)
-        heading.require(conditions)
-        attr = self.partition_attr(name)
-        self._check_epoch(name, epoch)
-        with self._query(
-            "select_eq(%s, %s)" % (name, dict(conditions)), "select_eq",
-            priority=priority, trace=trace,
-        ) as context:
-            if attr in conditions:
-                context.span.set("routing", "routed")
-                bucket_index = self._placements[name].bucket_for(
-                    conditions[attr]
-                )
-                downgraded = self._check_quorum(
-                    name, bucket_index, read_quorum, allow_partial
-                )
-                try:
-                    result = self._attempt_on_replicas(
-                        context, name, bucket_index,
-                        lambda node: local_select_eq(
-                            node.bucket(name, bucket_index), conditions
-                        ),
-                        key=xrecord({attr: conditions[attr]}),
-                    )
-                except (ClusterUnavailableError, CircuitOpenError) as error:
-                    if not allow_partial:
-                        raise
-                    return self._finish_partial(
-                        context,
-                        Relation(heading, xset([])),
-                        [MissingBucket(
-                            name, bucket_index,
-                            getattr(error, "reason", str(error)),
-                        )],
-                        downgraded,
-                    )
-                assert result is not None
-                if not allow_partial:
-                    return result
-                return self._finish_partial(context, result, [], downgraded)
-            context.span.set("routing", "broadcast")
-            gathered = Relation(heading, xset([]))
-            missing: List[MissingBucket] = []
-            downgraded = False
-            for bucket_index in self._bucket_order(name):
-                downgraded |= self._check_quorum(
-                    name, bucket_index, read_quorum, allow_partial
-                )
-                try:
-                    local = self._attempt_on_replicas(
-                        context, name, bucket_index,
-                        lambda node, b=bucket_index: local_select_eq(
-                            node.bucket(name, b), conditions
-                        ),
-                    )
-                except (ClusterUnavailableError, CircuitOpenError) as error:
-                    if not allow_partial:
-                        raise
-                    missing.append(MissingBucket(
-                        name, bucket_index,
-                        getattr(error, "reason", str(error)),
-                    ))
-                    continue
-                assert local is not None
-                gathered = local_union(gathered, local)
-            if not allow_partial:
-                return gathered
-            return self._finish_partial(context, gathered, missing, downgraded)
-
-    # ------------------------------------------------------------------
-    # Join
-    # ------------------------------------------------------------------
-
-    def join(self, left: str, right: str,
-             priority: int = PRIORITY_NORMAL,
-             trace: Optional[TraceContext] = None,
-             epoch: Optional[Any] = None) -> Relation:
-        """Distributed natural join.
-
-        Co-partitioned (both tables partitioned on a shared join
-        attribute with identical placement -- same bucket count *and*
-        same owner rings, so rebalanced tables requalify only once
-        their maps agree again): each bucket joins locally on a shared
-        replica and ships only results.  Otherwise the right table is
-        re-shuffled on the left's partition attribute first -- every
-        shipped row is priced.  (:meth:`execute` layers the
-        broadcast-vs-shuffle cost choice and filter pushdown on top of
-        this primitive.)
-        """
-        left_heading = self.heading(left)
-        right_heading = self.heading(right)
-        shared = left_heading.common(right_heading)
-        if not shared:
-            raise SchemaError(
-                "distributed join of %r and %r has no shared attribute"
-                % (left, right)
-            )
-        left_attr = self.partition_attr(left)
-        right_attr = self.partition_attr(right)
-        left_map = self._placements[left]
-        co_partitioned = (
-            left_attr == right_attr
-            and left_attr in shared
-            and left_map.same_placement(self._placements[right])
+        return Result(
+            answer, context.missing, quorum_downgraded=context.downgraded
         )
-        self._check_epoch(left, epoch)
-        self._check_epoch(right, epoch)
-        with self._query(
-            "join(%s, %s)" % (left, right), "join", priority=priority,
-            trace=trace,
-        ) as context:
-            context.span.set(
-                "strategy", "co_partitioned" if co_partitioned else "shuffle"
-            )
-            if co_partitioned:
-                partials = []
-                for bucket_index in range(left_map.bucket_count):
-                    local = self._attempt_on_replicas(
-                        context, left, bucket_index,
-                        lambda node, b=bucket_index: local_join(
-                            node.bucket(left, b), node.bucket(right, b)
-                        ),
-                    )
-                    assert local is not None
-                    partials.append(local)
-                return self._gathered(partials)
-            if left_attr not in shared:
-                raise SchemaError(
-                    "cannot shuffle: left partition attribute %r is not a "
-                    "join attribute" % (left_attr,)
-                )
-            shuffled = self._shuffle(context, right, left_attr, left_map)
-            partials = []
-            for bucket_index in range(left_map.bucket_count):
-                right_part = shuffled[bucket_index]
-                local = self._attempt_on_replicas(
-                    context, left, bucket_index,
-                    lambda node, b=bucket_index, r=right_part: local_join(
-                        node.bucket(left, b), r
-                    ),
-                )
-                assert local is not None
-                partials.append(local)
-            return self._gathered(partials)
-
-    def _shuffle(
-        self,
-        context: _QueryContext,
-        name: str,
-        attr: str,
-        target_map: ShardMap,
-        pipeline: Optional[ShardPipeline] = None,
-    ) -> List[Relation]:
-        """Repartition a table by a new attribute, shipping every row.
-
-        With a ``pipeline`` the pushed filters/projection run *inside*
-        each source bucket before its rows are shipped -- selection
-        and projection below the shuffle, so the wire carries only
-        surviving columns of surviving rows.
-        """
-        heading = self.heading(name)
-        heading.require([attr])
-        out_heading = (
-            heading if pipeline is None or pipeline.attrs is None
-            else Heading(pipeline.attrs)
-        )
-        buckets: List[List] = [[] for _ in range(target_map.bucket_count)]
-        for bucket_index in self._bucket_order(name):
-            part = self._attempt_on_replicas(
-                context, name, bucket_index,
-                lambda node, b=bucket_index: (
-                    node.bucket(name, b) if pipeline is None
-                    else pipeline.apply(node.bucket(name, b))
-                ),
-            )
-            assert part is not None  # rows left their home node (priced)
-            for row, _ in part.rows.pairs():
-                (value,) = row.elements_at(attr)
-                buckets[target_map.bucket_for(value)].append(row)
-        return [Relation(out_heading, xset(bucket)) for bucket in buckets]
-
-    def _gathered(self, partials: Sequence[Relation]) -> Relation:
-        result: Optional[Relation] = None
-        for partial in partials:
-            result = partial if result is None else local_union(result, partial)
-        assert result is not None
-        return result
 
     # ------------------------------------------------------------------
     # The shard-local coordinator
@@ -1611,11 +1409,11 @@ class Cluster:
     def enable_result_cache(self, cache=None, capacity: int = 256):
         """Attach (and return) a coordinator-side result cache.
 
-        Entries are keyed by per-table *write generations* (bumped on
-        every load and insert), so results can never leak across a
-        data change.  Epoch swings (bucket moves, splits, merges)
-        invalidate the moved table's entries *without* bumping its
-        generation -- the rows are placement-stable across a move, so
+        Entries are keyed by the manager's per-table MVCC versions
+        (moved by every commit that changes the table), so results can
+        never leak across a data change.  Epoch swings (bucket moves,
+        splits, merges) invalidate the moved table's entries *without*
+        a version -- the rows are placement-stable across a move, so
         this is targeted reclamation, never a flush of other tables.
         """
         if cache is None:
@@ -1628,34 +1426,37 @@ class Cluster:
     def disable_result_cache(self) -> None:
         self.result_cache = None
 
-    def table_generation(self, name: str) -> int:
-        """How many write batches ``name`` has absorbed (0: none)."""
-        return self._table_generations.get(name, 0)
-
-    def _bump_generation(self, name: str) -> None:
-        self._table_generations[name] = (
-            self._table_generations.get(name, 0) + 1
-        )
-        if self.result_cache is not None:
-            self.result_cache.invalidate_tables((name,))
-
     def execute(
         self,
         plan: Plan,
+        allow_partial: bool = False,
+        read_quorum: Optional[int] = None,
         priority: int = PRIORITY_NORMAL,
         trace: Optional[TraceContext] = None,
         epoch: Optional[Any] = None,
-    ) -> Relation:
-        """Execute a local plan tree shard-locally.
+    ) -> Any:
+        """Execute a plan tree shard-locally: the one relational read.
 
         The plan's ``SelectEq``/``SelectPred``/``Project`` chains are
         extracted into per-table :class:`ShardPipeline` pushdowns and
         run *inside* each bucket before rows ship -- selection and
-        projection below the shuffle.  A join between two scans picks
-        its strategy by estimated shipped rows: co-partitioned when
-        the maps agree, else broadcast-small vs shuffle-on-key sized
-        from the insert-maintained per-bucket counts and (when
-        attached) the ANALYZE statistics catalog.
+        projection below the shuffle.  A selection that pins the
+        partition attribute consults exactly one bucket; otherwise
+        every bucket ships its surviving rows.  A join between two
+        scans picks its strategy by estimated shipped rows:
+        co-partitioned when the maps agree, else broadcast-small vs
+        shuffle-on-key sized from the committed cardinalities and
+        (when the manager has one) the ANALYZE statistics catalog.
+
+        Default mode returns a bare :class:`Relation` and fails the
+        whole query on any unreachable bucket.  ``allow_partial=True``
+        degrades instead: unreachable buckets land in the answer's
+        missing-bucket manifest and the return type becomes
+        :class:`repro.gov.Result` (call ``require_complete()`` to get
+        the strict behavior back).  ``read_quorum`` demands that many
+        live replicas per bucket -- short of it, strict mode fails and
+        partial mode serves the read but marks it
+        ``quorum_downgraded``.  Either one bypasses the result cache.
 
         ``epoch`` carries the caller's cached map generation (an int,
         or a ``{table: epoch}`` mapping); a stale value is refused
@@ -1663,7 +1464,8 @@ class Cluster:
         is read.  A plan that is not well defined on the tables'
         headings is refused with ``SchemaError`` before anything else.
         """
-        self._schema.heading_of(plan)
+        catalog = self._catalog()
+        heading = catalog.heading_of(plan)
         pipeline = shard_pipeline(plan)
         if pipeline is None:
             raise SchemaError(
@@ -1671,110 +1473,74 @@ class Cluster:
                 "SelectPred/Project chains over Scan or Join push down)"
                 % plan.describe()
             )
-        if self.result_cache is not None:
-            from repro.relational.ivm.cache import (
-                plan_cache_key,
-                scan_tables,
-            )
+        tables = tuple(sorted(scans(plan)))
+        # Epoch fencing comes before the cache: a caller holding a
+        # stale map must get ShardMovedError even when the bytes it
+        # asked for are sitting in memory.
+        for table in tables:
+            self._check_epoch(table, epoch)
+        query = dict(priority=priority, trace=trace,
+                     allow_partial=allow_partial, read_quorum=read_quorum)
+
+        def run() -> Any:
+            if isinstance(pipeline.source, JoinPlan):
+                return self._execute_join(pipeline, catalog, query)
+            return self._execute_scan(pipeline, heading, query)
+
+        plan_key = None
+        if (self.result_cache is not None and not allow_partial
+                and read_quorum is None):
+            from repro.relational.ivm.cache import plan_cache_key
 
             plan_key = plan_cache_key(plan)
-            if plan_key is not None:
-                tables = scan_tables(plan)
-                # Epoch fencing comes before the cache: a caller
-                # holding a stale map must get ShardMovedError even
-                # when the bytes it asked for are sitting in memory.
-                for table in tables:
-                    if table in self._placements:
-                        self._check_epoch(table, epoch)
-                fingerprint = tuple(
-                    (table, self._table_generations.get(table, 0))
-                    for table in tables
-                )
-                hit = self.result_cache.lookup(plan_key, fingerprint)
-                if hit is not None:
-                    return hit
-                result = self._execute_pipeline(
-                    pipeline, priority, trace, epoch
-                )
-                self.result_cache.store(
-                    plan_key, fingerprint, tables, result
-                )
-                return result
-        return self._execute_pipeline(pipeline, priority, trace, epoch)
+        if plan_key is None:
+            return run()
+        fingerprint = tuple(
+            (table, self.manager.table_version(table)) for table in tables
+        )
+        hit = self.result_cache.lookup(plan_key, fingerprint)
+        if hit is not None:
+            return hit
+        result = run()
+        self.result_cache.store(plan_key, fingerprint, tables, result)
+        return result
 
-    def _execute_pipeline(
-        self,
-        pipeline: ShardPipeline,
-        priority: int,
-        trace: Optional[TraceContext],
-        epoch: Optional[Any],
-    ) -> Relation:
-        if isinstance(pipeline.source, JoinPlan):
-            return self._execute_join(pipeline, priority, trace, epoch)
-        return self._execute_scan(pipeline, priority, trace, epoch)
-
-    def _execute_scan(
-        self,
-        pipeline: ShardPipeline,
-        priority: int,
-        trace: Optional[TraceContext],
-        epoch: Optional[Any],
-    ) -> Relation:
+    def _execute_scan(self, pipeline: ShardPipeline, heading: Heading,
+                      query: Dict[str, Any]) -> Any:
         """One table's pipeline: routed when the key is pinned."""
         name = pipeline.source.name
         placement = self._placements[name]
-        self._check_epoch(name, epoch)
         with self._query(
-            "execute(%s %s)" % (name, pipeline.describe()), "execute",
-            priority=priority, trace=trace,
+            "execute(%s %s)" % (name, pipeline.describe()), "execute", **query
         ) as context:
             context.span.set("epoch", placement.epoch)
+            buckets = key = None
             if placement.attr in pipeline.conditions:
-                context.span.set("routing", "routed")
-                bucket_index = placement.bucket_for(
-                    pipeline.conditions[placement.attr]
-                )
-                result = self._attempt_on_replicas(
-                    context, name, bucket_index,
-                    lambda node: pipeline.apply(
-                        node.bucket(name, bucket_index)
-                    ),
-                    key=xrecord({
-                        placement.attr: pipeline.conditions[placement.attr]
-                    }),
-                )
-                assert result is not None
-                return result
-            context.span.set("routing", "broadcast")
-            parts = []
-            for bucket_index in self._bucket_order(name):
-                part = self._attempt_on_replicas(
-                    context, name, bucket_index,
-                    lambda node, b=bucket_index: pipeline.apply(
-                        node.bucket(name, b)
-                    ),
-                )
-                assert part is not None
-                parts.append(part)
-            return self._gathered(parts)
+                pinned = pipeline.conditions[placement.attr]
+                buckets = [placement.bucket_for(pinned)]
+                key = xrecord({placement.attr: pinned})
+            context.span.set(
+                "routing", "broadcast" if buckets is None else "routed"
+            )
+            parts = self._gather(
+                context, name,
+                lambda node, b: pipeline.apply(node.bucket(name, b)),
+                buckets=buckets, key=key,
+            )
+            return self._finish(context, self._union(heading, parts))
 
     def _estimate_side(self, name: str, pipeline: ShardPipeline) -> float:
         """Estimated post-pushdown rows one side ships."""
-        base = float(sum(self._bucket_rows.get(name, {}).values()))
         stats = None
-        if self._stats_catalog is not None:
-            stats = self._stats_catalog.get(name, allow_stale=True)
+        if self.manager.stats is not None:
+            stats = self.manager.stats.get(name, allow_stale=True)
         return estimate_shard_rows(
-            base, pipeline.conditions, len(pipeline.predicates), stats
+            float(len(self.manager.table(name))), pipeline.conditions,
+            len(pipeline.predicates), stats,
         )
 
-    def _execute_join(
-        self,
-        outer: ShardPipeline,
-        priority: int,
-        trace: Optional[TraceContext],
-        epoch: Optional[Any],
-    ) -> Relation:
+    def _execute_join(self, outer: ShardPipeline, catalog: Database,
+                      query: Dict[str, Any]) -> Any:
         """Distributed join with pushdown and a costed strategy choice.
 
         Strategies, cheapest-shipping first from the estimates:
@@ -1783,163 +1549,129 @@ class Cluster:
           survives both pipelines: bucket-local joins, zero movement.
         * ``broadcast`` -- the smaller (estimated) side gathers once,
           then ships to every bucket of the larger side.
-        * ``shuffle`` -- the right side re-keys on the left's
-          partition attribute and moves once.
+        * ``shuffle`` -- one side re-keys on the other's partition
+          attribute (when that is a join attribute) and moves once.
 
-        The chosen strategy lands on the root span and the
+        The choice reads only the two sides' estimates, maps and
+        shared attributes, never which operand was written first: a
+        join and its commutation ship the same rows.  The chosen
+        strategy lands on the root span and the
         ``repro_shard_join_total`` counter, so plans are auditable
         from traces alone.
         """
         source = outer.source
-        left_pipe = shard_pipeline(source.left)
-        right_pipe = shard_pipeline(source.right)
-        if (
-            left_pipe is None or right_pipe is None
-            or not isinstance(left_pipe.source, Scan)
-            or not isinstance(right_pipe.source, Scan)
+        pipes = [shard_pipeline(source.left), shard_pipeline(source.right)]
+        if any(
+            pipe is None or not isinstance(pipe.source, Scan)
+            for pipe in pipes
         ):
             raise SchemaError(
                 "distributed execute supports joins of two pushdown "
                 "pipelines over scans; got %s" % source.describe()
             )
-        left, right = left_pipe.source.name, right_pipe.source.name
-        left_heading = self._schema.heading_of(source.left)
-        right_heading = self._schema.heading_of(source.right)
-        shared = left_heading.common(right_heading)
+        names = [pipe.source.name for pipe in pipes]
+        headings = [
+            catalog.heading_of(source.left), catalog.heading_of(source.right)
+        ]
+        shared = headings[0].common(headings[1])
         if not shared:
             raise SchemaError(
                 "distributed join of %r and %r has no shared attribute"
-                % (left, right)
+                % tuple(names)
             )
-        self._check_epoch(left, epoch)
-        self._check_epoch(right, epoch)
-        left_map = self._placements[left]
-        right_map = self._placements[right]
-        co_partitioned = (
-            left_map.attr == right_map.attr
-            and left_map.attr in shared
-            and left_map.same_placement(right_map)
-        )
-        left_rows = self._estimate_side(left, left_pipe)
-        right_rows = self._estimate_side(right, right_pipe)
-        shuffle_possible = left_map.attr in shared
-        if co_partitioned:
-            strategy = "co_partitioned"
+        maps = [self._placements[name] for name in names]
+        rows = [
+            self._estimate_side(name, pipe)
+            for name, pipe in zip(names, pipes)
+        ]
+        # stay/move index the side whose buckets host the join and the
+        # side whose rows travel to them.
+        if (
+            maps[0].attr == maps[1].attr
+            and maps[0].attr in shared
+            and maps[0].same_placement(maps[1])
+        ):
+            strategy, stay, move = "co_partitioned", 0, 1
         else:
-            small_rows = min(left_rows, right_rows)
-            big_buckets = (
-                right_map.bucket_count
-                if left_rows <= right_rows
-                else left_map.bucket_count
+            small = 0 if rows[0] <= rows[1] else 1
+            options = [(
+                broadcast_join_cost(
+                    rows[small], maps[1 - small].bucket_count
+                ),
+                "broadcast", 1 - small, small,
+            )]
+            options.extend(
+                (shuffle_join_cost(rows[1 - side]), "shuffle", side, 1 - side)
+                for side in (0, 1)
+                if maps[side].attr in shared
             )
-            broadcast = broadcast_join_cost(small_rows, big_buckets)
-            shuffle = shuffle_join_cost(right_rows)
-            strategy = (
-                "shuffle"
-                if shuffle_possible and shuffle < broadcast
-                else "broadcast"
+            # Ties keep the earlier option: broadcast, then right-moves.
+            _, strategy, stay, move = min(
+                options, key=lambda option: option[0]
             )
         with self._query(
             "execute(%s %s |x| %s %s)" % (
-                left, left_pipe.describe(), right, right_pipe.describe()
+                names[0], pipes[0].describe(), names[1], pipes[1].describe()
             ),
-            "execute_join", priority=priority, trace=trace,
+            "execute_join", **query
         ) as context:
             context.span.set("strategy", strategy)
-            context.span.set("est_left_rows", int(left_rows))
-            context.span.set("est_right_rows", int(right_rows))
+            context.span.set("est_left_rows", int(rows[0]))
+            context.span.set("est_right_rows", int(rows[1]))
             if _obs_enabled():
                 _metrics.registry().counter(
                     "repro_shard_join_total",
                     "Distributed joins by chosen strategy.", ("strategy",),
                 ).inc_key((strategy,))
+            host, host_pipe = names[stay], pipes[stay]
+            guest, guest_pipe = names[move], pipes[move]
+
+            def moved(node: Node, b: int) -> Relation:
+                return guest_pipe.apply(node.bucket(guest, b))
+
             if strategy == "co_partitioned":
-                joined = self._join_co_partitioned(
-                    context, left, right, left_pipe, right_pipe, left_map
-                )
+                arriving = moved  # the host node holds the guest bucket too
             elif strategy == "shuffle":
-                joined = self._join_shuffle(
-                    context, left, right, left_pipe, right_pipe, left_map
-                )
+                # Re-key the moving side by the host's map: every
+                # surviving row ships once, to the bucket it joins in.
+                rekeyed: Dict[int, List[Any]] = {}
+                for part in self._gather(context, guest, moved):
+                    for bucket, found in _by_bucket(
+                        part.rows, maps[stay]
+                    ).items():
+                        rekeyed.setdefault(bucket, []).extend(found)
+                shuffled = {
+                    # Trusted: rows of parts validated under this heading.
+                    bucket: Relation._from_valid(headings[move], xset(found))
+                    for bucket, found in rekeyed.items()
+                }
+                empty = Relation(headings[move], xset())
+
+                def arriving(node: Node, b: int) -> Relation:
+                    return shuffled.get(b, empty)
             else:
-                joined = self._join_broadcast(
-                    context, left, right, left_pipe, right_pipe,
-                    small_left=left_rows <= right_rows,
+                # Gather the small side once; it ships out to every
+                # serving node (priced as ordinary messages), which
+                # joins against its local filtered bucket and ships
+                # only results back.
+                small_side = self._union(
+                    headings[move], self._gather(context, guest, moved)
                 )
-            return outer.apply(joined)
+                size = len(dumps(small_side.rows))
+                for _ in range(maps[stay].bucket_count):
+                    self.network.ship_encoded(size)
 
-    def _join_co_partitioned(
-        self, context, left, right, left_pipe, right_pipe, left_map
-    ) -> Relation:
-        partials = []
-        for bucket_index in range(left_map.bucket_count):
-            local = self._attempt_on_replicas(
-                context, left, bucket_index,
-                lambda node, b=bucket_index: local_join(
-                    left_pipe.apply(node.bucket(left, b)),
-                    right_pipe.apply(node.bucket(right, b)),
-                ),
-            )
-            assert local is not None
-            partials.append(local)
-        return self._gathered(partials)
+                def arriving(node: Node, b: int) -> Relation:
+                    return small_side
 
-    def _join_shuffle(
-        self, context, left, right, left_pipe, right_pipe, left_map
-    ) -> Relation:
-        shuffled = self._shuffle(
-            context, right, left_map.attr, left_map, pipeline=right_pipe
-        )
-        partials = []
-        for bucket_index in range(left_map.bucket_count):
-            right_part = shuffled[bucket_index]
-            local = self._attempt_on_replicas(
-                context, left, bucket_index,
-                lambda node, b=bucket_index, r=right_part: local_join(
-                    left_pipe.apply(node.bucket(left, b)), r
+            parts = self._gather(
+                context, host,
+                lambda node, b: local_join(
+                    host_pipe.apply(node.bucket(host, b)), arriving(node, b)
                 ),
             )
-            assert local is not None
-            partials.append(local)
-        return self._gathered(partials)
-
-    def _join_broadcast(
-        self, context, left, right, left_pipe, right_pipe, small_left
-    ) -> Relation:
-        """Gather the small side once, ship it to every big bucket."""
-        if small_left:
-            small_name, small_pipe = left, left_pipe
-            big_name, big_pipe = right, right_pipe
-        else:
-            small_name, small_pipe = right, right_pipe
-            big_name, big_pipe = left, left_pipe
-        parts = []
-        for bucket_index in self._bucket_order(small_name):
-            part = self._attempt_on_replicas(
-                context, small_name, bucket_index,
-                lambda node, b=bucket_index: small_pipe.apply(
-                    node.bucket(small_name, b)
-                ),
-            )
-            assert part is not None
-            parts.append(part)
-        small = self._gathered(parts)
-        partials = []
-        big_map = self._placements[big_name]
-        for bucket_index in range(big_map.bucket_count):
-            # The small side ships out to the serving node (priced as
-            # an ordinary message), which joins against its local
-            # filtered bucket and ships only results back.
-            self.network.ship(small.rows)
-            local = self._attempt_on_replicas(
-                context, big_name, bucket_index,
-                lambda node, b=bucket_index: local_join(
-                    big_pipe.apply(node.bucket(big_name, b)), small
-                ),
-            )
-            assert local is not None
-            partials.append(local)
-        return self._gathered(partials)
+            joined = self._union(catalog.heading_of(source), parts)
+            return self._finish(context, outer.apply(joined))
 
     # ------------------------------------------------------------------
     # Aggregation
@@ -1977,24 +1709,19 @@ class Cluster:
                     "aggregate %r is not distributable" % (fn_name,)
                 )
         self._check_epoch(name, epoch)
+
+        def partial(node: Node, b: int) -> Optional[Relation]:
+            partition = node.bucket(name, b)
+            if not partition:
+                return None  # nothing to summarize, nothing ships
+            return local_aggregate(partition, group_attrs, rewritten)
+
         with self._query(
             "aggregate(%s, %s)" % (name, list(group_attrs)), "aggregate",
             priority=priority, trace=trace,
         ) as context:
             partial_rows: Dict[tuple, Dict[str, Any]] = {}
-            for bucket_index in range(self._placements[name].bucket_count):
-
-                def partial(node, b=bucket_index):
-                    partition = node.bucket(name, b)
-                    if not partition:
-                        return None  # nothing to summarize, nothing ships
-                    return local_aggregate(partition, group_attrs, rewritten)
-
-                local = self._attempt_on_replicas(
-                    context, name, bucket_index, partial
-                )
-                if local is None:
-                    continue
+            for local in self._gather(context, name, partial):
                 for row in local.iter_dicts():
                     key = tuple(row[attr] for attr in group_attrs)
                     merged = partial_rows.get(key)
@@ -2034,10 +1761,6 @@ class Cluster:
         """Every move begun on this cluster, finished or not."""
         return list(self._moves)
 
-    def _relation(self, table: str, rows: Iterable[Any]) -> Relation:
-        """Wrap raw row values back into the table's relation type."""
-        return Relation(self.heading(table), xset(list(rows)))
-
     def _install_map(self, table: str, new_map: ShardMap,
                      cause: str) -> None:
         """Atomically swing ``table`` to ``new_map``.
@@ -2050,8 +1773,10 @@ class Cluster:
         new_map.validate()
         self._placements[table] = new_map
         self._persist_placements()
-        if self._wal is not None:
-            self._wal.epoch(table, new_map.epoch)
+        if self.manager.log is not None:
+            # Dated against the commits around it: the marker lands in
+            # the same log every cluster write commits to.
+            self.manager.log.epoch(table, new_map.epoch)
         if self.result_cache is not None:
             # Targeted, not a flush: a moved bucket leaves the rows
             # untouched, but re-caching under the new epoch keeps the
@@ -2059,24 +1784,6 @@ class Cluster:
             self.result_cache.invalidate_tables((table,))
         if _obs_enabled():
             _record_shard_event(cause, table, epoch=new_map.epoch)
-
-    def _replay_bucket(self, name: str, bucket: int,
-                       upto_lsn: int) -> Relation:
-        """Ground truth for one bucket: fold the write log to a LSN.
-
-        ``store`` entries replace, ``merge`` entries union -- the same
-        semantics replicas apply, minus any node having to be alive.
-        This is the arbiter the verify step consults when donor and
-        recipient disagree.
-        """
-        truth = Relation(self.heading(name), xset([]))
-        for lsn, table, entry_bucket, kind, rows in self._write_log:
-            if lsn > upto_lsn:
-                break
-            if table != name or entry_bucket != bucket:
-                continue
-            truth = rows if kind == "store" else local_union(truth, rows)
-        return truth
 
     def begin_move(self, table: str, bucket: int, recipient: int,
                    donor: Optional[int] = None,
@@ -2089,7 +1796,7 @@ class Cluster:
         only records intent and journals it durably -- no data moves
         until the first step.
         """
-        placement = self.placement(table)
+        placement = self.shard_map(table)
         if not placement.has_bucket(bucket):
             raise SchemaError(
                 "table %r has no bucket %d" % (table, bucket)
@@ -2161,67 +1868,51 @@ class Cluster:
         """Double ``name``'s bucket count in place (one epoch swing).
 
         Atomic from the fault clock's point of view: no tick happens
-        between reading the old buckets and installing the new map,
-        so a seeded crash lands either entirely before (old epoch,
-        old buckets) or entirely after (new epoch, new buckets).  Row
-        data is re-hashed locally on each ring node; the write log
-        gains full-bucket snapshot entries under the new numbering so
-        revive-time rebuilds and fsck replay agree with the split.
+        between partitioning the committed relation and installing the
+        new map, so a seeded crash lands either entirely before (old
+        epoch, old buckets) or entirely after (new epoch, new buckets).
         """
-        placement = self.placement(name)
-        new_map = placement.split()
-        return self._rehash_into(name, placement, new_map, "split")
+        return self._reshard(name, self.shard_map(name).split(), "split")
 
     def merge_table(self, name: str) -> ShardMap:
         """Halve ``name``'s bucket count (inverse of a split)."""
-        placement = self.placement(name)
-        new_map = placement.merged()
-        return self._rehash_into(name, placement, new_map, "merge")
+        return self._reshard(name, self.shard_map(name).merged(), "merge")
 
-    def _rehash_into(self, name: str, old_map: ShardMap,
-                     new_map: ShardMap, cause: str) -> ShardMap:
-        """Re-bucket a whole table under a new map, atomically.
+    def _reshard(self, name: str, new_map: ShardMap,
+                 cause: str) -> ShardMap:
+        """Re-partition the committed relation under ``new_map``.
 
-        The new map is installed *before* the snapshot log entries are
-        appended so that revive-time rebuilds (which consult the
-        installed map's ``has_bucket``) accept the new numbering;
-        entries logged under the old numbering are superseded and
-        skipped by the same guard.  Old high-numbered bucket copies
-        are dropped from their holders -- a crash between install and
-        the drops leaves orphans that ``repro fsck`` reports.
+        The one relation is split by the new map and each reachable
+        ring node stores its new restriction; an unreachable one is
+        rebuilt against the installed map on revive.  Bucket copies
+        under retired high numbers are dropped from their holders -- a
+        crash between install and the drops leaves orphans that
+        ``repro fsck`` reports.  Nothing of the old layout is kept.
         """
-        attr = self._partition_attrs[name]
-        heading = self.heading(name)
-        buckets: Dict[int, List[Any]] = {
-            index: [] for index in range(new_map.bucket_count)
-        }
-        rows_moved = 0
-        for old_bucket in range(old_map.bucket_count):
-            current = self._replay_bucket(name, old_bucket, self._log_lsn)
-            for row, _ in current.rows.pairs():
-                (value,) = row.elements_at(attr)
-                buckets[new_map.bucket_for(value)].append(row)
-                rows_moved += 1
+        if any(move.table == name and not move.done for move in self._moves):
+            raise SchemaError(
+                "cannot %s %r while one of its buckets is moving"
+                % (cause, name)
+            )
+        old_map = self._placements[name]
+        parts = self._partitioned(name, new_map)
         self._install_map(name, new_map, cause)
-        counts: Dict[int, int] = {}
-        for bucket_index in range(new_map.bucket_count):
-            part = Relation(heading, xset(buckets[bucket_index]))
-            counts[bucket_index] = part.cardinality()
-            lsn = self._log_append(name, bucket_index, "store", part)
+        for bucket_index, part in enumerate(parts):
             for node_index in new_map.replicas(bucket_index):
                 node = self.nodes[node_index]
-                if not node.alive:
-                    continue  # missed snapshot; rebuilt on revive
-                node.store(name, part, bucket=bucket_index)
-                node.applied_lsn = max(node.applied_lsn, lsn)
-        self._bucket_rows[name] = counts
+                if node.alive:
+                    node.store(name, part, bucket_index)
+        self._bucket_rows[name] = {
+            index: part.cardinality() for index, part in enumerate(parts)
+        }
         for old_bucket in range(new_map.bucket_count,
                                 old_map.bucket_count):
             for node_index in old_map.replicas(old_bucket):
                 self.nodes[node_index].drop_bucket(name, old_bucket)
         if _obs_enabled():
             _record_shard_event(
-                cause, name, rows=rows_moved, epoch=new_map.epoch
+                cause, name, rows=sum(self._bucket_rows[name].values()),
+                epoch=new_map.epoch,
             )
         return new_map
 
@@ -2229,5 +1920,5 @@ class Cluster:
         live = sum(1 for node in self.nodes if node.alive)
         return "Cluster(%d nodes, %d live, rf=%d, tables=%s)" % (
             len(self.nodes), live, self.replication_factor,
-            sorted(self._partition_attrs),
+            sorted(self._placements),
         )

@@ -119,7 +119,7 @@ class FaultPlan:
         injector on its *write* fan-out path, a crash scheduled inside
         a write window kills the node mid-write: replicas before the
         crash point have the rows, replicas after do not, and only a
-        revive-time rebuild from the cluster's write log reconciles
+        revive-time rebuild against the committed relation reconciles
         them.
 
         With ``after_bytes``, the event instead describes a
@@ -357,7 +357,8 @@ class FaultInjector:
         PR 1 plans keep their exact kill/drop/delay timing.  Revives
         route through :meth:`Cluster.on_revive
         <repro.relational.distributed.Cluster.on_revive>` so a
-        returning node is rebuilt from the write log before it serves.
+        returning node is rebuilt to the committed relation before it
+        serves.
         """
         self.operations += 1
         if not self._pending:

@@ -229,8 +229,7 @@ def profile_cluster(cluster, query, *args, **kwargs):
     """Run one distributed query and return ``(result, profile)``.
 
     ``query`` is a :class:`~repro.relational.distributed.Cluster`
-    method name (``"scan"``, ``"select_eq"``, ``"join"``,
-    ``"aggregate"``) or a bound callable.  The profile's children are
+    method name (``"execute"``, ``"aggregate"``) or a bound callable.  The profile's children are
     the cluster's per-bucket read spans: one leaf per bucket access,
     labeled ``table[bucket] @ node``, so a failover shows up as the
     bucket served by a non-primary node.  The root's time is real wall

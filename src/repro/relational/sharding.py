@@ -1,16 +1,16 @@
 """Sharded placement and online rebalancing for the distributed layer.
 
 PR 1's cluster placed buckets *implicitly*: bucket ``b`` of every
-table lived on node ``b`` and its ring successors, with
-``_partition_index`` hard-wiring ``bucket_count == node_count``.  That
-scheme cannot express a topology change -- there is no way to say "a
-bucket moved" because nothing records where buckets are.
+table lived on node ``b`` and its ring successors, with the bucket
+count hard-wired to the node count.  That scheme cannot express a
+topology change -- there is no way to say "a bucket moved" because
+nothing records where buckets are.
 
 This module makes placement **explicit and versioned**:
 
-* :func:`shard_index` -- the routing hash (byte-compatible with the
-  old ``_partition_index``, so default placements and the seeded
-  fault/chaos tick sequences stay identical);
+* :func:`shard_index` -- the routing hash (unchanged since PR 1, so
+  default placements and the seeded fault/chaos tick sequences stay
+  identical);
 * :class:`ShardMap` -- one table's placement: an epoch number, a
   bucket count (decoupled from the node count), and an explicit
   owner ring per bucket.  Epochs only move forward; any request
@@ -41,19 +41,23 @@ from __future__ import annotations
 
 import struct
 import zlib
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from itertools import islice
+from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import SchemaError, ShardMovedError, ShardPlacementError
+from repro.relational.algebra import difference
+from repro.relational.relation import Relation
 from repro.xst.builders import xtuple
 from repro.xst.ordering import canonical_hash, canonical_key
 from repro.xst.serialization import dumps
-from repro.xst.xset import XSet
+from repro.xst.xset import EMPTY, XSet
 
 __all__ = [
     "shard_index",
     "ShardMap",
     "ShardCatalog",
     "bucket_digest",
+    "bucket_difference",
     "ShardMove",
     "MOVE_STATES",
 ]
@@ -62,11 +66,10 @@ __all__ = [
 def shard_index(value: Any, bucket_count: int) -> int:
     """Deterministic routing: hash of the canonical serialization.
 
-    Byte-compatible with the original ``_partition_index`` scheme
-    (ints route by value, everything else by canonical bytes), so a
-    default map with ``bucket_count == node_count`` reproduces PR 1's
-    placement -- and the fault suites' pinned tick sequences -- bit
-    for bit.
+    Ints route by value, everything else by canonical bytes -- the
+    scheme PR 1 shipped, so a default map with ``bucket_count ==
+    node_count`` reproduces its placement, and the fault suites'
+    pinned tick sequences, bit for bit.
     """
     if isinstance(value, int) and not isinstance(value, bool):
         return value % bucket_count
@@ -77,13 +80,10 @@ class ShardMap:
     """One table's versioned placement: epoch, buckets, owner rings.
 
     ``owners`` maps every bucket in ``0..bucket_count-1`` to its
-    replica ring (primary first).  Unlike
-    :class:`~repro.relational.replication.ReplicaPlacement` the rings
-    are *data*, not a formula -- a move rewrites one ring and bumps
-    the epoch, a split doubles the bucket count.  The class keeps the
-    placement interface the cluster already speaks (``replicas``,
-    ``primary``, ``ring``, ``buckets_on``, ``survives``), so it is a
-    drop-in replacement wherever a ``ReplicaPlacement`` went.
+    replica ring (primary first).  The rings are *data*, not a
+    formula -- a move rewrites one ring and bumps the epoch, a split
+    doubles the bucket count; :meth:`successor_rings` is the formula
+    the default map is born from.
     """
 
     __slots__ = ("attr", "epoch", "bucket_count", "node_count",
@@ -402,6 +402,18 @@ def bucket_digest(relation: Optional[Any]) -> str:
     return "%08x-%d" % (zlib.crc32(packed) & 0xFFFFFFFF, len(hashes))
 
 
+def bucket_difference(have: Optional[Any], truth: Any) -> Tuple[Any, Any]:
+    """What turns the copy ``have`` into ``truth``: ``(truth ~ have,
+    have ~ truth)`` -- the rows to ship and the rows to retract.
+
+    The S3 answer to "what did this copy miss", with no history
+    consulted; ``None`` (a bucket never stored) misses everything.
+    """
+    if have is None:
+        return truth, Relation(truth.heading, EMPTY)
+    return difference(truth, have), difference(have, truth)
+
+
 #: The rebalance state machine's states, in lifecycle order.
 MOVE_STATES = ("copy", "catch_up", "swing", "verify", "gc", "done")
 
@@ -416,22 +428,23 @@ class ShardMove:
     1. ``copy`` -- chunked copy of the donor's live bucket into the
        recipient's staging area, re-read from the donor each step (a
        dead donor stalls the copy; the harness revives it later).
-       The first successful chunk records ``replay_from`` -- the
-       write log's LSN high-water mark at copy start.
-    2. ``catch_up`` -- writes that landed during the copy are
-       replayed from the cluster write log past ``replay_from`` into
-       the staging area (idempotent: ``store`` overwrites, ``merge``
-       unions).
-    3. ``swing`` -- one atomic step: any final delta is applied, the
-       staged rows are digested and promoted into the recipient's
+    2. ``catch_up`` -- whatever the staged copy still differs by from
+       the bucket's committed value (commits that landed during the
+       copy, deletes included) ships as two set differences,
+       ``truth ~ staged`` and ``staged ~ truth``, at most
+       ``chunk_rows`` rows of each per step -- so a busy bucket takes
+       several ticks, each a crash window.
+    3. ``swing`` -- one atomic step: the final difference is applied,
+       the staged rows are digested and promoted into the recipient's
        live storage, and the table's :class:`ShardMap` is replaced
        with ``moved(...)`` at ``epoch + 1``.  Requests carrying the
        old epoch fail typed from this tick on.
     4. ``verify`` -- the post-move anti-entropy pass: the donor's
        now-frozen copy must digest byte-equal to what the recipient
-       took over.  A donor that legitimately missed writes while dead
-       is first repaired from the write log (the same replay a revive
-       runs); any remaining mismatch is placement corruption.
+       took over.  A donor that legitimately missed commits while dead
+       lags the handoff; before blaming placement the pass checks the
+       handoff against the bucket's committed value at the swing
+       (kept from the swing until this step, then released).
     5. ``gc`` -- the donor's source copy is dropped and the journal
        cleared.
 
@@ -442,13 +455,8 @@ class ShardMove:
     """
 
     __slots__ = ("table", "bucket", "donor", "recipient", "chunk_rows",
-                 "state", "replay_from", "copied_rows", "target_epoch",
-                 "swing_lsn", "swing_digest", "stalls", "repaired")
-
-    #: Log entries replayed per catch-up step: small enough that a
-    #: busy table needs several ticks (crash windows), large enough
-    #: that catch-up converges while writes keep arriving.
-    CATCH_UP_BATCH = 4
+                 "state", "copied_rows", "target_epoch", "swing_version",
+                 "swing_digest", "swing_value", "stalls", "repaired")
 
     def __init__(self, table: str, bucket: int, donor: int, recipient: int,
                  chunk_rows: int = 64):
@@ -460,16 +468,18 @@ class ShardMove:
         self.recipient = recipient
         self.chunk_rows = chunk_rows
         self.state = "copy"
-        #: LSN high-water mark at copy start; catch-up replays past it.
-        self.replay_from: Optional[int] = None
         self.copied_rows = 0
         #: The epoch the swing installed (0 until the swing happens).
         self.target_epoch = 0
-        self.swing_lsn = 0
+        #: The engine's commit version the swing happened at.
+        self.swing_version = 0
         self.swing_digest = ""
+        #: The bucket's committed value at the swing, held only from
+        #: the swing to the verify step (not journaled).
+        self.swing_value: Optional[Any] = None
         #: Steps that made no progress (an endpoint was dead).
         self.stalls = 0
-        #: True when verify had to repair the donor from the log.
+        #: True when verify found the donor lagging the handoff.
         self.repaired = False
 
     @property
@@ -510,37 +520,49 @@ class ShardMove:
     def _recipient_node(self, cluster: Any) -> Any:
         return cluster.nodes[self.recipient]
 
-    def _pending(self, cluster: Any, limit: Optional[int] = None) -> List:
-        """Write-log entries for this bucket past the replay mark."""
-        assert self.replay_from is not None
-        entries = [
-            entry
-            for entry in cluster._write_log
-            if entry[0] > self.replay_from
-            and entry[1] == self.table
-            and entry[2] == self.bucket
-        ]
-        return entries if limit is None else entries[:limit]
+    def _catch_up(self, cluster: Any, recipient: Any,
+                  limit: Optional[int] = None) -> Tuple[Any, bool]:
+        """Ship the staged copy toward the bucket's committed value.
+
+        At most ``limit`` rows each way (all of them by default).
+        Returns that committed value and whether anything was pending.
+        """
+        truth = cluster._partitioned(self.table)[self.bucket]
+        delta = bucket_difference(
+            recipient.staged(self.table, self.bucket), truth
+        )
+        if not any(delta):
+            return truth, False
+        if limit is not None:
+            delta = tuple(
+                cluster._relation(self.table, islice(
+                    (row for row, _ in side.rows.pairs()), limit
+                ))
+                for side in delta
+            )
+        cluster._ship_delta(delta)
+        recipient.stage_apply(self.table, self.bucket, *delta)
+        return truth, True
 
     def _step_copy(self, cluster: Any) -> bool:
         donor = self._donor_node(cluster)
         recipient = self._recipient_node(cluster)
         if not donor.alive or not recipient.alive:
             return False  # stalled; a seeded revive un-stalls us
-        if self.replay_from is None:
-            # Copy starts now: everything logged after this mark is
-            # the catch-up's responsibility.
-            self.replay_from = cluster._log_lsn
         source = donor.bucket(self.table, self.bucket)
         rows = sorted(
             (row for row, _ in source.rows.pairs()), key=canonical_key
         )
         chunk = rows[self.copied_rows:self.copied_rows + self.chunk_rows]
-        if chunk:
-            shipment = cluster._relation(self.table, chunk)
-            cluster.network.ship(shipment.rows, replica=True)
-            recipient.stage_merge(self.table, self.bucket, shipment)
-            self.copied_rows += len(chunk)
+        # An empty chunk still stages: the recipient must end up
+        # holding the bucket even when the bucket holds no row.
+        delta = (
+            cluster._relation(self.table, chunk),
+            cluster._relation(self.table, ()),
+        )
+        cluster._ship_delta(delta)
+        recipient.stage_apply(self.table, self.bucket, *delta)
+        self.copied_rows += len(chunk)
         if self.copied_rows >= len(rows):
             self.state = "catch_up"
         return True
@@ -549,30 +571,24 @@ class ShardMove:
         recipient = self._recipient_node(cluster)
         if not recipient.alive:
             return False
-        pending = self._pending(cluster, self.CATCH_UP_BATCH)
+        _, pending = self._catch_up(cluster, recipient, self.chunk_rows)
         if not pending:
             self.state = "swing"  # the swing itself is the next tick
-            return True
-        self._apply_entries(cluster, recipient, pending)
         return True
 
     def _step_swing(self, cluster: Any) -> bool:
         recipient = self._recipient_node(cluster)
         if not recipient.alive:
             return False
-        # Atomic from the cluster's point of view: final delta, digest,
-        # promote, and map install all happen inside this one tick.
-        pending = self._pending(cluster)
-        if pending:
-            self._apply_entries(cluster, recipient, pending)
-        staged = recipient.staged(self.table, self.bucket)
-        self.swing_digest = bucket_digest(staged)
-        self.swing_lsn = cluster._log_lsn
+        # Atomic from the cluster's point of view: final difference,
+        # digest, promote, and map install all happen inside this one
+        # tick.
+        self.swing_value, _ = self._catch_up(cluster, recipient)
+        self.swing_digest = bucket_digest(
+            recipient.staged(self.table, self.bucket)
+        )
+        self.swing_version = cluster.manager.current_version
         recipient.promote_stage(self.table, self.bucket)
-        # The recipient is live and, by the revive-before-serve
-        # invariant, current on every bucket it already owned; it is
-        # now also current on the moved bucket through swing_lsn.
-        recipient.applied_lsn = max(recipient.applied_lsn, cluster._log_lsn)
         new_map = cluster.shard_map(self.table).moved(
             self.bucket, self.donor, self.recipient
         )
@@ -586,25 +602,25 @@ class ShardMove:
 
         Runs against durable storage, so a dead donor verifies too.
         The donor's copy is frozen from the swing on (the new map
-        routes every write to the recipient), but it may *lag* the
+        routes every commit to the recipient), but it may *lag* the
         handoff if the donor was dead for part of the move -- the
-        same condition a revive repairs, so the pass runs the same
-        log replay before concluding corruption.
+        same condition a revive repairs, so before concluding
+        corruption the pass holds the handoff to the bucket's
+        committed value at the swing.
         """
         donor = self._donor_node(cluster)
         copy = donor.stored(self.table, self.bucket)
         if bucket_digest(copy) != self.swing_digest:
-            truth = cluster._replay_bucket(
-                self.table, self.bucket, self.swing_lsn
-            )
             self.repaired = True
-            if bucket_digest(truth) != self.swing_digest:
+            if bucket_digest(self.swing_value) != self.swing_digest:
                 raise ShardPlacementError(
                     "anti-entropy failed for bucket %d of %r: donor %s "
-                    "digest %s != handoff digest %s even after log repair"
+                    "digest %s != handoff digest %s, which is not the "
+                    "committed value at the swing either"
                     % (self.bucket, self.table, donor.name,
-                       bucket_digest(truth), self.swing_digest)
+                       bucket_digest(copy), self.swing_digest)
                 )
+        self.swing_value = None
         self.state = "gc"
         return True
 
@@ -614,16 +630,6 @@ class ShardMove:
         donor.drop_stage(self.table, self.bucket)
         self.state = "done"
         return True
-
-    def _apply_entries(self, cluster: Any, recipient: Any,
-                       entries: Sequence) -> None:
-        for lsn, _table, _bucket, kind, rows in entries:
-            cluster.network.ship(rows.rows, replica=True)
-            if kind == "store":
-                recipient.stage_store(self.table, self.bucket, rows)
-            else:
-                recipient.stage_merge(self.table, self.bucket, rows)
-            self.replay_from = lsn
 
     # -- the journal ----------------------------------------------------
 
@@ -635,27 +641,25 @@ class ShardMove:
             self.recipient,
             self.chunk_rows,
             self.state,
-            -1 if self.replay_from is None else self.replay_from,
             self.copied_rows,
             self.target_epoch,
-            self.swing_lsn,
+            self.swing_version,
             self.swing_digest,
         ])
 
     @classmethod
     def from_xset(cls, value: XSet) -> "ShardMove":
-        (table, bucket, donor, recipient, chunk_rows, state, replay_from,
-         copied_rows, target_epoch, swing_lsn, swing_digest) = value.as_tuple()
+        (table, bucket, donor, recipient, chunk_rows, state, copied_rows,
+         target_epoch, swing_version, swing_digest) = value.as_tuple()
         if state not in MOVE_STATES:
             raise ShardPlacementError(
                 "shard-move journal names unknown state %r" % (state,)
             )
         move = cls(table, bucket, donor, recipient, chunk_rows=chunk_rows)
         move.state = state
-        move.replay_from = None if replay_from < 0 else replay_from
         move.copied_rows = copied_rows
         move.target_epoch = target_epoch
-        move.swing_lsn = swing_lsn
+        move.swing_version = swing_version
         move.swing_digest = swing_digest
         return move
 

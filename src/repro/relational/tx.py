@@ -136,6 +136,16 @@ class TransactionManager:
         except KeyError:
             raise SchemaError("unknown table %r" % (name,)) from None
 
+    def add_table(self, name: str, table: Table) -> None:
+        """Enrol one more table; its current value is its version 0."""
+        if self._savepoints:
+            raise SchemaError(
+                "cannot add table %r inside an open transaction" % (name,)
+            )
+        if name in self._tables:
+            raise SchemaError("table %r already exists" % (name,))
+        self._tables[name] = table
+
     # ------------------------------------------------------------------
     # Savepoint mechanics
     # ------------------------------------------------------------------
@@ -200,10 +210,6 @@ class TransactionManager:
                 except BaseException:
                     self._restore(savepoint)
                     raise
-                # The commit is durable and versioned; tell the
-                # subscribers.  A listener exception propagates to the
-                # caller but can no longer undo the commit.
-                self._notify_listeners()
         finally:
             if deferred:
                 self._deferred_depth -= 1
@@ -211,6 +217,12 @@ class TransactionManager:
                     for table in self._tables.values():
                         table.defer_validation(False)
             self._savepoints.pop()
+        if not self._savepoints:
+            # The commit is durable, versioned and *closed* (a listener
+            # that pins a snapshot sees it); tell the subscribers.  A
+            # listener exception propagates to the caller but can no
+            # longer undo the commit.
+            self._notify_listeners()
 
     def _log_commit(self) -> None:
         """Append one atomic commit record for the outermost scope.

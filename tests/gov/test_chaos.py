@@ -21,6 +21,7 @@ from repro.errors import (
 )
 from repro.gov import CLOSED, OPEN, PRIORITY_BACKGROUND, PRIORITY_NORMAL
 from repro.relational.distributed import Cluster
+from repro.relational.query import Scan
 from repro.workloads.generators import employee_relation
 
 GOV_SEED = int(os.environ.get("REPRO_GOV_SEED", "7"))
@@ -44,11 +45,11 @@ def _breaker_scenario(seed):
     cluster.kill_node("node-0")
     states = []
     for _ in range(10):
-        cluster.scan("emp")
+        cluster.execute(Scan("emp"))
         states.append(cluster.breaker_states().get("node-0", CLOSED))
     cluster.revive_node("node-0")
     for _ in range(10):
-        cluster.scan("emp")
+        cluster.execute(Scan("emp"))
         states.append(cluster.breaker_states().get("node-0", CLOSED))
     return cluster, states
 
@@ -90,7 +91,7 @@ class TestBreakerLifecycle:
         for cluster in (governed_cluster, naive_cluster):
             cluster.kill_node("node-0")
             for _ in range(10):
-                cluster.scan("emp")
+                cluster.execute(Scan("emp"))
         # Once open, the dead node is skipped without an attempt, so
         # the breaker cluster performs strictly fewer operations for
         # the identical workload.
@@ -100,7 +101,7 @@ class TestBreakerLifecycle:
         cluster = _cluster(breakers=True, query_timeout_s=60.0)
         cluster.kill_node("node-0")
         for _ in range(5):
-            cluster.scan("emp")
+            cluster.execute(Scan("emp"))
         spans = [
             span
             for root in cluster.tracer.roots()
@@ -117,7 +118,7 @@ class TestBreakerLifecycle:
             cluster = _cluster(breakers=True, query_timeout_s=60.0)
             cluster.kill_node("node-0")
             for _ in range(5):
-                cluster.scan("emp")
+                cluster.execute(Scan("emp"))
             opened = registry.counter(
                 "repro_gov_breaker_transitions_total", "", ("node", "to"),
             ).value(node="node-0", to="open")
@@ -136,7 +137,7 @@ class TestCircuitOpenIsTyped:
         outcomes = []
         for _ in range(8):
             try:
-                cluster.scan("emp")
+                cluster.execute(Scan("emp"))
                 outcomes.append("ok")
             except ClusterUnavailableError:
                 outcomes.append("unavailable")
@@ -151,10 +152,10 @@ class TestCircuitOpenIsTyped:
         cluster = Cluster(2, replication_factor=1, breakers=True,
                           breaker_jitter_ops=0, query_timeout_s=60.0)
         cluster.create_table("emp", employee_relation(30, 6, seed=5), "dept")
-        complete = cluster.scan("emp")
+        complete = cluster.execute(Scan("emp"))
         cluster.kill_node("node-0")
         for _ in range(8):
-            result = cluster.scan("emp", allow_partial=True)
+            result = cluster.execute(Scan("emp"), allow_partial=True)
             # Degradation is never silent: the answer is marked and
             # the manifest names what is missing.
             assert result.partial
@@ -168,21 +169,20 @@ class TestOverloadShedding:
     def test_ramp_sheds_background_then_everything(self):
         cluster = _cluster(max_in_flight=4, admission_soft=2)
         # Below the soft line everything runs.
-        assert cluster.scan("emp").cardinality() > 0
+        assert cluster.execute(Scan("emp")).cardinality() > 0
         with cluster.admission.hold(2):
             # Soft line reached: background shed, normal admitted.
             with pytest.raises(OverloadedError) as info:
-                cluster.scan("emp", priority=PRIORITY_BACKGROUND)
+                cluster.execute(Scan("emp"), priority=PRIORITY_BACKGROUND)
             assert info.value.retry_after_s > 0
-            assert cluster.scan(
-                "emp", priority=PRIORITY_NORMAL
+            assert cluster.execute(Scan("emp"), priority=PRIORITY_NORMAL
             ).cardinality() > 0
         with cluster.admission.hold(4):
             # Hard capacity: even normal traffic is refused.
             with pytest.raises(OverloadedError, match="at capacity"):
-                cluster.scan("emp", priority=PRIORITY_NORMAL)
+                cluster.execute(Scan("emp"), priority=PRIORITY_NORMAL)
         # Slots released: the front door reopens.
-        assert cluster.scan("emp").cardinality() > 0
+        assert cluster.execute(Scan("emp")).cardinality() > 0
 
     def test_shed_queries_run_nothing_and_trace_nothing(self):
         cluster = _cluster(max_in_flight=2, admission_soft=2)
@@ -196,7 +196,7 @@ class TestOverloadShedding:
         spans_before = span_count()
         with cluster.admission.hold(2):
             with pytest.raises(OverloadedError):
-                cluster.scan("emp")
+                cluster.execute(Scan("emp"))
         assert cluster.network.messages == baseline_messages
         assert span_count() == spans_before
 
@@ -217,8 +217,9 @@ class TestOverloadShedding:
                 )
                 try:
                     with cluster.admission.hold(held):
-                        result = cluster.scan(
-                            "emp", allow_partial=True, priority=priority
+                        result = cluster.execute(
+                            Scan("emp"), allow_partial=True,
+                            priority=priority,
                         )
                     outcomes.append(
                         ("ok", result.partial, len(result.missing),
@@ -247,13 +248,15 @@ class TestQuorumReads:
         cluster = _cluster(query_timeout_s=60.0)
         cluster.kill_node("node-0")
         with pytest.raises(ClusterUnavailableError, match="quorum"):
-            cluster.scan("emp", read_quorum=2)
+            cluster.execute(Scan("emp"), read_quorum=2)
 
     def test_partial_quorum_read_is_marked_downgraded(self):
         cluster = _cluster(query_timeout_s=60.0)
-        complete = cluster.scan("emp")
+        complete = cluster.execute(Scan("emp"))
         cluster.kill_node("node-0")
-        result = cluster.scan("emp", allow_partial=True, read_quorum=2)
+        result = cluster.execute(
+            Scan("emp"), allow_partial=True, read_quorum=2
+        )
         assert result.quorum_downgraded
         assert result.degraded
         assert not result.partial  # every row still present
@@ -261,6 +264,38 @@ class TestQuorumReads:
         # Complete-but-downgraded answers pass require_complete.
         assert result.require_complete().cardinality() \
             == complete.cardinality()
+
+
+    def test_degraded_terms_hold_for_every_plan_shape(self):
+        # One gather primitive: joins and routed reads take the same
+        # allow_partial / read_quorum terms scans do.
+        from repro.relational import algebra
+        from repro.relational.query import Join, SelectEq
+        from repro.workloads.generators import department_relation
+
+        employees = employee_relation(30, 6, seed=5)
+        departments = department_relation(6, seed=5)
+        cluster = Cluster(3, replication_factor=1)
+        cluster.create_table("emp", employees, "dept")
+        cluster.create_table("dept", departments, "dname")
+        join = Join(Scan("emp"), Scan("dept"))
+        complete = cluster.execute(join, allow_partial=True)
+        assert not complete.degraded
+        assert complete.require_complete() == \
+            algebra.join(employees, departments)
+        cluster.kill_node("node-1")
+        with pytest.raises(ClusterUnavailableError):
+            cluster.execute(join)
+        partial = cluster.execute(join, allow_partial=True)
+        assert partial.partial
+        assert {(m.table, m.bucket) for m in partial.missing} >= {("emp", 1)}
+        assert partial.cardinality() < complete.cardinality()
+        routed = cluster.execute(
+            SelectEq(Scan("emp"), {"dept": 1}), allow_partial=True
+        )
+        assert routed.partial and routed.cardinality() == 0
+        with pytest.raises(ClusterUnavailableError, match="quorum"):
+            cluster.execute(join, read_quorum=1)
 
 
 class TestSeedSweep:

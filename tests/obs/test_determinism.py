@@ -14,6 +14,7 @@ import pytest
 from repro.obs.trace import FakeClock
 from repro.relational.distributed import Cluster
 from repro.relational.faults import FaultPlan
+from repro.relational.query import Scan, SelectEq
 from repro.workloads import employee_relation
 
 SEED = int(os.environ.get("REPRO_WORKLOAD_SEED", "101"))
@@ -37,8 +38,8 @@ def build_cluster(chaos_seed: int) -> Cluster:
 
 
 def run_workload(cluster: Cluster):
-    cluster.scan("emp")
-    cluster.select_eq("emp", {"dept": 5})
+    cluster.execute(Scan("emp"))
+    cluster.execute(SelectEq(Scan("emp"), {"dept": 5}))
     cluster.aggregate("emp", ["dept"], {"n": ("count", "emp")})
     return cluster
 
@@ -157,10 +158,10 @@ def incident_history():
             "emp", employee_relation(EMP_COUNT, DEPT_COUNT, seed=SEED),
             "dept",
         )
-        cluster.scan("emp")
+        cluster.execute(Scan("emp"))
         cluster.install_faults(FaultPlan().kill("node-0", at_op=0))
         with pytest.raises(ClusterUnavailableError):
-            cluster.scan("emp")
+            cluster.execute(Scan("emp"))
         incidents = recorder.incidents()
         # Real wall-time measurements are the one non-deterministic
         # dimension (the _TIMING_ATTRS convention above): strip the

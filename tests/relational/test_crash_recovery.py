@@ -298,3 +298,79 @@ class TestCrashPointReruns:
             fresh = DiskRelationStore(directory)  # the restarted process
             state = fresh.recover(recovery_log)
             assert_valid_recovery(state, expected, exact=expected[lsn])
+
+
+class TestClusterLogsThroughItsEngine:
+    """A cluster built with ``log=`` commits every write through its
+    manager's WAL, so the one log recovers the cluster's tables and
+    dates every epoch swing against the commits around it."""
+
+    def test_reopened_log_recovers_and_dates_the_epochs(self, tmp_path):
+        from repro.relational.algebra import join
+        from repro.relational.distributed import Cluster
+        from repro.relational.query import Join, Scan
+        from repro.relational.relation import Relation
+        from repro.relational.stats import StatsCatalog
+        from repro.relational.wal import (
+            COMMIT,
+            commit_tx_id,
+            epoch_change,
+            record_kind,
+            recover_state,
+        )
+
+        loaded = {
+            "users": Relation.from_dicts(
+                ["id", "city"],
+                [{"id": i, "city": "c%d" % (i % 3)} for i in range(24)],
+            ),
+            "orders": Relation.from_dicts(
+                ["oid", "id"],
+                [{"oid": i, "id": i % 24} for i in range(40)],
+            ),
+        }
+        path = str(tmp_path / "cluster.wal")
+        log = WriteAheadLog(path)
+        stats = StatsCatalog()
+        cluster = Cluster(4, replication_factor=2, log=log, stats=stats)
+        for name, relation in loaded.items():
+            cluster.create_table(name, relation, "id")
+            stats.analyze(name, relation)
+        manager = cluster.manager
+        assert manager.log is log and manager.stats is stats
+        assert log.lsn == 0  # the loads are base values, not commits
+
+        cluster.insert("users", [{"id": 100 + i, "city": "new"}
+                                 for i in range(5)])          # commit 1
+        shard_map = cluster.shard_map("users")
+        cluster.begin_move("users", 1, recipient=next(
+            index for index in range(4)
+            if index not in shard_map.replicas(1)
+        ))
+        cluster.rebalance()                                   # users -> e2
+        cluster.kill_node("node-2")
+        with manager.transaction():                           # commit 2
+            manager.table("users").delete({"city": "c0"})
+            manager.table("orders").update({"id": 3}, {"id": 4})
+        cluster.split_table("orders")                         # orders -> e2
+        cluster.insert("orders", [{"oid": 900, "id": 7}])     # commit 3
+        cluster.revive_node("node-2")
+        # The same diffs fed the statistics catalog join sizing reads.
+        assert stats.mutations_since_analyze("users") == 5 + 8
+        assert cluster.execute(Join(Scan("users"), Scan("orders"))) == join(
+            manager.table("users").snapshot(),
+            manager.table("orders").snapshot(),
+        )
+        log.close()
+
+        records = WriteAheadLog(path).replay()
+        state, replayed = recover_state(records, base=loaded)
+        assert replayed == 3
+        for name in loaded:
+            assert state[name] == manager.table(name).snapshot()
+            assert cluster.execute(Scan(name)) == state[name]
+        assert [
+            commit_tx_id(record) if record_kind(record) == COMMIT
+            else epoch_change(record)
+            for record in records
+        ] == [1, ("users", 2), 2, ("orders", 2), 3]

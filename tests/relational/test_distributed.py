@@ -6,6 +6,7 @@ from repro.errors import SchemaError
 from repro.relational import algebra
 from repro.relational.aggregate import aggregate as local_aggregate
 from repro.relational.distributed import Cluster, NetworkStats
+from repro.relational.query import Join, Scan, SelectEq
 from repro.workloads.generators import department_relation, employee_relation
 
 
@@ -59,7 +60,7 @@ class TestPartitioning:
 
     def test_unknown_table(self, cluster):
         with pytest.raises(SchemaError):
-            cluster.scan("ghost")
+            cluster.execute(Scan("ghost"))
 
     def test_bad_partition_attribute(self, employees):
         cluster = Cluster(2)
@@ -73,39 +74,38 @@ class TestPartitioning:
 
 class TestDistributedReads:
     def test_scan_equals_original(self, cluster, employees):
-        assert cluster.scan("emp") == employees
+        assert cluster.execute(Scan("emp")) == employees
 
     def test_routed_selection_is_single_message(self, cluster, employees):
         cluster.network.reset()
-        result = cluster.select_eq("emp", {"dept": 5})
+        result = cluster.execute(SelectEq(Scan("emp"), {"dept": 5}))
         assert cluster.network.messages == 1
         assert result == algebra.select_eq(employees, {"dept": 5})
 
     def test_broadcast_selection_touches_every_node(self, cluster, employees):
         cluster.network.reset()
-        result = cluster.select_eq("emp", {"salary": 50000})
+        result = cluster.execute(SelectEq(Scan("emp"), {"salary": 50000}))
         assert cluster.network.messages == len(cluster.nodes)
         assert result == algebra.select_eq(employees, {"salary": 50000})
 
     def test_routed_ships_fewer_bytes_than_scan(self, cluster):
         cluster.network.reset()
-        cluster.select_eq("emp", {"dept": 5})
+        cluster.execute(SelectEq(Scan("emp"), {"dept": 5}))
         routed_bytes = cluster.network.bytes_shipped
         cluster.network.reset()
-        cluster.scan("emp")
+        cluster.execute(Scan("emp"))
         assert routed_bytes < cluster.network.bytes_shipped
 
 
 class TestDistributedJoin:
     def test_copartitioned_join_is_correct(self, cluster, employees,
                                            departments):
-        assert cluster.join("emp", "dept") == algebra.join(
-            employees, departments
-        )
+        assert cluster.execute(Join(Scan("emp"), Scan("dept"))) == \
+            algebra.join(employees, departments)
 
     def test_copartitioned_join_ships_no_input_rows(self, cluster):
         cluster.network.reset()
-        cluster.join("emp", "dept")
+        cluster.execute(Join(Scan("emp"), Scan("dept")))
         # Only result partials travel: one message per node.
         assert cluster.network.messages == len(cluster.nodes)
 
@@ -114,21 +114,20 @@ class TestDistributedJoin:
         cluster.create_table("emp", employees, "dept")
         # Partition dept on dname: NOT co-partitioned with emp.
         cluster.create_table("dept", departments, "dname")
-        assert cluster.join("emp", "dept") == algebra.join(
-            employees, departments
-        )
+        assert cluster.execute(Join(Scan("emp"), Scan("dept"))) == \
+            algebra.join(employees, departments)
 
     def test_shuffle_ships_more_than_copartitioned(self, employees,
                                                    departments):
         co = Cluster(3)
         co.create_table("emp", employees, "dept")
         co.create_table("dept", departments, "dept")
-        co.join("emp", "dept")
+        co.execute(Join(Scan("emp"), Scan("dept")))
 
         shuffled = Cluster(3)
         shuffled.create_table("emp", employees, "dept")
         shuffled.create_table("dept", departments, "dname")
-        shuffled.join("emp", "dept")
+        shuffled.execute(Join(Scan("emp"), Scan("dept")))
 
         assert shuffled.network.messages > co.network.messages
 
@@ -137,15 +136,19 @@ class TestDistributedJoin:
                                              "budget": "xxx"})
         cluster.create_table("other", other, "zzz")
         with pytest.raises(SchemaError, match="no shared attribute"):
-            cluster.join("emp", "other")
+            cluster.execute(Join(Scan("emp"), Scan("other")))
 
-    def test_unshufflable_join_is_rejected(self, employees, departments):
+    def test_join_off_the_partition_attribute_is_answered(
+        self, employees, departments
+    ):
         cluster = Cluster(2)
-        # emp partitioned on salary, which is not a join attribute.
+        # emp partitioned on salary, which is not a join attribute:
+        # nothing can re-key onto it, so the small side broadcasts.
         cluster.create_table("emp", employees, "salary")
         cluster.create_table("dept", departments, "dept")
-        with pytest.raises(SchemaError, match="cannot shuffle"):
-            cluster.join("emp", "dept")
+        assert cluster.execute(Join(Scan("emp"), Scan("dept"))) == \
+            algebra.join(employees, departments)
+        assert cluster.last_query_span.attrs["strategy"] == "broadcast"
 
 
 class TestDistributedAggregation:
@@ -184,7 +187,7 @@ class TestDistributedAggregation:
         cluster.aggregate("emp", ["dept"], {"n": ("count", "emp")})
         summary_bytes = cluster.network.bytes_shipped
         cluster.network.reset()
-        cluster.scan("emp")
+        cluster.execute(Scan("emp"))
         assert summary_bytes < cluster.network.bytes_shipped
 
     def test_non_distributable_aggregate(self, cluster):
@@ -233,7 +236,7 @@ class TestStatsFanout:
         reordered = Cluster(4, stats_fanout=True)
         for target in (plain, reordered):
             target.create_table("emp", employees, "dept")
-        assert reordered.scan("emp") == plain.scan("emp")
+        assert reordered.execute(Scan("emp")) == plain.execute(Scan("emp"))
 
     def test_fanout_select_eq_answers_identically(self, employees):
         plain = Cluster(4)
@@ -242,17 +245,16 @@ class TestStatsFanout:
             target.create_table("emp", employees, "dept")
         # dept routes to one bucket; salary broadcasts (the reordered
         # path), and both must agree with the natural-order cluster.
-        assert reordered.select_eq("emp", {"dept": 3}) == plain.select_eq(
-            "emp", {"dept": 3}
-        )
-        assert reordered.select_eq("emp", {"salary": 50000}) == \
-            plain.select_eq("emp", {"salary": 50000})
+        plan = SelectEq(Scan("emp"), {"dept": 3})
+        assert reordered.execute(plan) == plain.execute(plan)
+        assert reordered.execute(SelectEq(Scan("emp"), {"salary": 50000})) == \
+            plain.execute(SelectEq(Scan("emp"), {"salary": 50000}))
 
 
 class TestTracePropagation:
     def test_query_roots_get_sequential_trace_ids(self, cluster):
-        cluster.scan("emp")
-        cluster.select_eq("emp", {"dept": 3})
+        cluster.execute(Scan("emp"))
+        cluster.execute(SelectEq(Scan("emp"), {"dept": 3}))
         cluster.aggregate("emp", ["dept"], {"n": ("count", "emp")})
         roots = [
             root for root in cluster.tracer.roots() if "kind" in root.attrs
@@ -262,7 +264,7 @@ class TestTracePropagation:
         ]
 
     def test_bucket_spans_inherit_the_coordinator_trace(self, cluster):
-        cluster.select_eq("emp", {"dept": 3})
+        cluster.execute(SelectEq(Scan("emp"), {"dept": 3}))
         root = cluster.last_query_span
         buckets = [
             span for span in root.tree() if "bucket" in span.attrs
@@ -274,7 +276,7 @@ class TestTracePropagation:
             assert "link_parent" not in span.attrs
 
     def test_bucket_spans_record_the_failover_ring(self, cluster):
-        cluster.scan("emp")
+        cluster.execute(Scan("emp"))
         for span in cluster.last_query_span.tree():
             if "bucket" in span.attrs:
                 assert span.attrs["ring"] == str(span.attrs["bucket"])
@@ -284,7 +286,7 @@ class TestTracePropagation:
         cluster.create_table(
             "emp", employee_relation(80, 4, seed=37), "dept"
         )
-        cluster.scan("emp")
+        cluster.execute(Scan("emp"))
         rings = {
             span.attrs["bucket"]: span.attrs["ring"]
             for span in cluster.last_query_span.tree()
@@ -298,13 +300,13 @@ class TestTracePropagation:
         context = TraceContext(
             "t-caller-01", baggage={"priority": "batch"}
         )
-        cluster.scan("emp", trace=context)
+        cluster.execute(Scan("emp"), trace=context)
         root = cluster.last_query_span
         assert root.attrs["trace_id"] == "t-caller-01"
         assert root.attrs["bag_priority"] == "batch"
 
     def test_priority_baggage_rides_along_by_default(self, cluster):
-        cluster.scan("emp")
+        cluster.execute(Scan("emp"))
         from repro.gov.admission import PRIORITY_NORMAL
 
         assert cluster.last_query_span.attrs["bag_priority"] == \
@@ -317,16 +319,16 @@ class TestTracePropagation:
         previous = instrument.set_enabled(True)
         registry().reset()
         try:
-            cluster.scan("emp")
-            cluster.select_eq("emp", {"dept": 3})
+            cluster.execute(Scan("emp"))
+            cluster.execute(Join(Scan("emp"), Scan("dept")))
             histogram = registry().histogram(
                 "repro_cluster_query_seconds",
                 "Distributed query wall time.", ("query",),
             )
-            scans = histogram.exemplars(query="scan")
-            selects = histogram.exemplars(query="select_eq")
+            scans = histogram.exemplars(query="execute")
+            joins = histogram.exemplars(query="execute_join")
             assert list(scans.values()) == ["t-000001"]
-            assert list(selects.values()) == ["t-000002"]
+            assert list(joins.values()) == ["t-000002"]
         finally:
             instrument.set_enabled(previous)
             registry().reset()

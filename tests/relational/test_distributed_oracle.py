@@ -20,8 +20,9 @@ from hypothesis import strategies as st
 from repro.errors import ClusterUnavailableError
 from repro.relational import algebra
 from repro.relational.aggregate import aggregate as local_aggregate
-from repro.relational.distributed import Cluster, _partition_index
+from repro.relational.distributed import Cluster
 from repro.relational.faults import FaultPlan
+from repro.relational.query import Join, Scan, SelectEq
 from repro.relational.relation import Relation
 
 EMP_HEADING = ["emp", "name", "dept", "salary"]
@@ -83,20 +84,20 @@ class TestReadOracle:
     @given(employee_rows(), cluster_shapes())
     def test_scan_matches(self, rows, shape):
         relation, cluster = build(rows, *shape)
-        assert cluster.scan("emp") == relation
+        assert cluster.execute(Scan("emp")) == relation
 
     @given(employee_rows(), cluster_shapes(),
            st.integers(0, DEPT_SPACE - 1))
     def test_routed_selection_matches(self, rows, shape, dept):
         relation, cluster = build(rows, *shape)
-        assert cluster.select_eq("emp", {"dept": dept}) == \
+        assert cluster.execute(SelectEq(Scan("emp"), {"dept": dept})) == \
             algebra.select_eq(relation, {"dept": dept})
 
     @given(employee_rows(), cluster_shapes(),
            st.integers(30000, 30050))
     def test_broadcast_selection_matches(self, rows, shape, salary):
         relation, cluster = build(rows, *shape)
-        assert cluster.select_eq("emp", {"salary": salary}) == \
+        assert cluster.execute(SelectEq(Scan("emp"), {"salary": salary})) == \
             algebra.select_eq(relation, {"salary": salary})
 
     @given(employee_rows(min_size=1), cluster_shapes())
@@ -124,8 +125,47 @@ class TestReadOracle:
             ],
         )
         cluster.create_table("dept", departments, "dept")
-        assert cluster.join("emp", "dept") == \
+        assert cluster.execute(Join(Scan("emp"), Scan("dept"))) == \
             algebra.join(relation, departments)
+
+
+class TestJoinIsOneRelation:
+    """A join denotes one relation: whichever operand is written
+    first and whichever attribute either side is partitioned on, the
+    answer is ``algebra.join`` of the full relations -- never a
+    "cannot shuffle" refusal -- and the two operand orders pick the
+    same strategy and ship the same bytes."""
+
+    EMPLOYEES = Relation.from_dicts(EMP_HEADING, [
+        {"emp": i, "name": "e-%d" % i, "dept": i % DEPT_SPACE,
+         "salary": 30000 + i % 7}
+        for i in range(30)
+    ])
+    DEPARTMENTS = Relation.from_dicts(DEPT_HEADING, [
+        {"dept": d, "dname": "d-%d" % d, "budget": 1000 * d}
+        for d in range(DEPT_SPACE)
+    ])
+
+    @pytest.mark.parametrize("dept_attr", DEPT_HEADING)
+    @pytest.mark.parametrize("emp_attr", ["emp", "dept", "salary"])
+    @pytest.mark.parametrize("factor", [1, 2])
+    def test_every_partitioning_and_operand_order(
+        self, emp_attr, dept_attr, factor
+    ):
+        expected = algebra.join(self.EMPLOYEES, self.DEPARTMENTS)
+        shipped = {}
+        for left, right in (("emp", "dept"), ("dept", "emp")):
+            cluster = Cluster(4, replication_factor=factor)
+            cluster.create_table("emp", self.EMPLOYEES, emp_attr)
+            cluster.create_table("dept", self.DEPARTMENTS, dept_attr)
+            cluster.network.reset()
+            assert cluster.execute(Join(Scan(left), Scan(right))) == expected
+            shipped[left] = (
+                cluster.last_query_span.attrs["strategy"],
+                cluster.network.messages,
+                cluster.network.bytes_shipped,
+            )
+        assert shipped["emp"] == shipped["dept"]
 
 
 class TestFaultyReadOracle:
@@ -145,14 +185,14 @@ class TestFaultyReadOracle:
                 horizon=40, kills=1, drops=1, corruptions=1,
             )
         )
-        assert cluster.scan("emp") == relation
-        assert cluster.select_eq("emp", {"dept": 3}) == \
+        assert cluster.execute(Scan("emp")) == relation
+        assert cluster.execute(SelectEq(Scan("emp"), {"dept": 3})) == \
             algebra.select_eq(relation, {"dept": 3})
         assert cluster.aggregate("emp", ["dept"], {"n": ("count", "emp")}) \
             == local_aggregate(relation, ["dept"], {"n": ("count", "emp")})
         # Revived + transient-only: full service must be restored.
         cluster.clear_faults()
-        assert cluster.scan("emp") == relation
+        assert cluster.execute(Scan("emp")) == relation
 
     @given(employee_rows(), st.integers(0, 2 ** 16))
     def test_drop_and_corrupt_only_cost_retries(self, rows, seed):
@@ -163,7 +203,7 @@ class TestFaultyReadOracle:
         plan.drop_shipment(seed % 5 + 1)
         plan.corrupt_shipment(seed % 3 + 1)
         cluster.install_faults(plan)
-        assert cluster.scan("emp") == relation
+        assert cluster.execute(Scan("emp")) == relation
         assert cluster.network.retries >= 1
 
 
@@ -175,14 +215,14 @@ class TestUnavailabilityIsTyped:
         cluster.create_table("emp", relation, "dept")
         # Kill the full ring of the bucket holding the first row.
         dept = rows[0]["dept"]
-        bucket = _partition_index(dept, 4)
-        for index in cluster.placement("emp").replicas(bucket):
+        bucket = cluster.shard_map("emp").bucket_for(dept)
+        for index in cluster.shard_map("emp").replicas(bucket):
             cluster.kill_node("node-%d" % index)
         with pytest.raises(ClusterUnavailableError) as excinfo:
-            cluster.select_eq("emp", {"dept": dept})
+            cluster.execute(SelectEq(Scan("emp"), {"dept": dept}))
         assert excinfo.value.bucket == bucket
         with pytest.raises(ClusterUnavailableError):
-            cluster.scan("emp")
+            cluster.execute(Scan("emp"))
 
     def test_single_node_killed_with_rf2_never_raises(self):
         # The acceptance-criterion case, pinned without Hypothesis:
@@ -209,10 +249,10 @@ class TestUnavailabilityIsTyped:
             cluster.install_faults(
                 FaultPlan().kill("node-%d" % victim, at_op=1)
             )
-            assert cluster.scan("emp") == relation
-            assert cluster.select_eq("emp", {"dept": 5}) == \
+            assert cluster.execute(Scan("emp")) == relation
+            assert cluster.execute(SelectEq(Scan("emp"), {"dept": 5})) == \
                 algebra.select_eq(relation, {"dept": 5})
-            assert cluster.join("emp", "dept") == \
+            assert cluster.execute(Join(Scan("emp"), Scan("dept"))) == \
                 algebra.join(relation, departments)
             assert cluster.aggregate("emp", ["dept"], spec) == \
                 local_aggregate(relation, ["dept"], spec)

@@ -17,6 +17,7 @@ from repro.relational.faults import (
     ShipmentCorruptedError,
     ShipmentLostError,
 )
+from repro.relational.query import Scan, SelectEq
 from repro.workloads.generators import employee_relation
 
 
@@ -71,7 +72,7 @@ class TestInjectorMechanics:
         cluster = replicated_cluster(employees)
         cluster.install_faults(FaultPlan().kill("node-0", at_op=1))
         assert cluster.nodes[0].alive  # not yet: no operation has run
-        cluster.scan("emp")
+        cluster.execute(Scan("emp"))
         assert not cluster.nodes[0].alive
 
     def test_revive_restores_the_node(self, employees):
@@ -79,21 +80,21 @@ class TestInjectorMechanics:
         cluster.install_faults(
             FaultPlan().kill("node-0", at_op=1).revive("node-0", at_op=6)
         )
-        cluster.scan("emp")
+        cluster.execute(Scan("emp"))
         assert cluster.nodes[0].alive
 
     def test_unknown_node_name_fails_loudly(self, employees):
         cluster = replicated_cluster(employees)
         cluster.install_faults(FaultPlan().kill("node-99", at_op=1))
         with pytest.raises(SchemaError, match="no node named"):
-            cluster.scan("emp")
+            cluster.execute(Scan("emp"))
 
     def test_clear_faults(self, employees):
         cluster = replicated_cluster(employees)
         cluster.install_faults(FaultPlan().kill("node-0", at_op=1))
         cluster.clear_faults()
         assert cluster.faults is NO_FAULTS
-        cluster.scan("emp")
+        cluster.execute(Scan("emp"))
         assert cluster.nodes[0].alive
 
     def test_dead_node_raises_node_down(self, employees):
@@ -111,14 +112,14 @@ class TestTransientFaults:
     def test_dropped_shipment_is_retried_and_answers_match(self, employees):
         cluster = replicated_cluster(employees)
         cluster.install_faults(FaultPlan().drop_shipment(2))
-        assert cluster.scan("emp") == employees
+        assert cluster.execute(Scan("emp")) == employees
         assert cluster.network.retries == 1
         assert cluster.network.backoff_s > 0
 
     def test_corrupted_shipment_is_detected_and_retried(self, employees):
         cluster = replicated_cluster(employees)
         cluster.install_faults(FaultPlan().corrupt_shipment(2))
-        assert cluster.scan("emp") == employees
+        assert cluster.execute(Scan("emp")) == employees
         assert cluster.network.retries == 1
 
     def test_persistent_drops_exhaust_retries_then_fail_over(self, employees):
@@ -129,7 +130,7 @@ class TestTransientFaults:
         cluster.install_faults(
             FaultPlan().drop_shipment(1).drop_shipment(2)
         )
-        result = cluster.select_eq("emp", {"dept": 0})
+        result = cluster.execute(SelectEq(Scan("emp"), {"dept": 0}))
         assert result == algebra.select_eq(employees, {"dept": 0})
         assert cluster.network.failovers == 1
         assert cluster.network.retries == 1
@@ -143,12 +144,12 @@ class TestTransientFaults:
             plan.drop_shipment(op)
         cluster.install_faults(plan)
         with pytest.raises(ClusterUnavailableError):
-            cluster.select_eq("emp", {"dept": 0})
+            cluster.execute(SelectEq(Scan("emp"), {"dept": 0}))
 
     def test_delay_is_charged_to_stats(self, employees):
         cluster = replicated_cluster(employees)
         cluster.install_faults(FaultPlan().delay("node-2", 0.25, at_op=1))
-        cluster.scan("emp")
+        cluster.execute(Scan("emp"))
         assert cluster.network.delay_s == pytest.approx(0.25)
 
     def test_delay_can_be_cleared(self, employees):
@@ -161,8 +162,8 @@ class TestTransientFaults:
             .delay("node-2", 0.25, at_op=1)
             .delay("node-2", 0.0, at_op=9)
         )
-        cluster.scan("emp")
-        cluster.scan("emp")
+        cluster.execute(Scan("emp"))
+        cluster.execute(Scan("emp"))
         assert cluster.network.delay_s == pytest.approx(0.25)
 
     def test_corruption_error_is_a_lost_shipment(self):
@@ -176,19 +177,19 @@ class TestQueryTimeout:
         cluster = replicated_cluster(employees, query_timeout_s=0.25)
         cluster.install_faults(FaultPlan().delay("node-0", 0.4, at_op=1))
         with pytest.raises(DeadlineExceededError, match="deadline exceeded"):
-            cluster.scan("emp")
+            cluster.execute(Scan("emp"))
 
     def test_budget_under_the_limit_passes(self, employees):
         cluster = replicated_cluster(employees, query_timeout_s=10.0)
         cluster.install_faults(FaultPlan().delay("node-0", 0.4, at_op=1))
-        assert cluster.scan("emp") == employees
+        assert cluster.execute(Scan("emp")) == employees
 
     def test_timeout_is_per_query(self, employees):
         cluster = replicated_cluster(employees, query_timeout_s=0.5)
         cluster.install_faults(FaultPlan().delay("node-0", 0.4, at_op=1))
         # Each routed read charges 0.4s once: under budget every time.
         for _ in range(5):
-            result = cluster.select_eq("emp", {"dept": 0})
+            result = cluster.execute(SelectEq(Scan("emp"), {"dept": 0}))
             assert result == algebra.select_eq(employees, {"dept": 0})
 
 
@@ -211,7 +212,7 @@ class TestCrashDuringWrites:
         cluster.install_faults(FaultPlan().kill("node-0", at_op=1))
         cluster.insert("emp", [self.ROW])
         assert cluster.nodes[0].alive  # held through the write ticks
-        cluster.scan("emp")
+        cluster.execute(Scan("emp"))
         assert not cluster.nodes[0].alive
 
     def test_crashed_replica_lags_until_its_rebuild(self, employees):
@@ -219,10 +220,19 @@ class TestCrashDuringWrites:
         cluster.install_faults(FaultPlan().crash("node-0", at_op=1))
         cluster.insert("emp", [self.ROW])
         cluster.clear_faults()
-        log_lsn = cluster.status()["write_log"]["lsn"]
-        assert cluster.nodes[0].applied_lsn < log_lsn
+        assert cluster.status()["version"] == 1
+        node = cluster.nodes[0]
+
+        def lagging():
+            truth = cluster._partitioned("emp")
+            return [
+                bucket for bucket in node.buckets_held("emp")
+                if node.stored("emp", bucket) != truth[bucket]
+            ]
+
+        assert lagging()
         cluster.revive_node("node-0")
-        assert cluster.nodes[0].applied_lsn == log_lsn
+        assert not lagging()
 
     def test_chaos_crash_run_still_matches_the_oracle(self, employees):
         from repro.relational.relation import Relation
@@ -238,12 +248,12 @@ class TestCrashDuringWrites:
         ]
         cluster.insert("emp", extra)
         for _ in range(15):  # enough read ticks to exhaust the plan
-            cluster.scan("emp")
+            cluster.execute(Scan("emp"))
         expected = Relation.from_dicts(
             ["emp", "name", "dept", "salary"],
             list(employees.iter_dicts()) + extra,
         )
-        assert cluster.scan("emp") == expected
+        assert cluster.execute(Scan("emp")) == expected
 
 
 class TestCrashPlanBuilders:
@@ -281,8 +291,8 @@ class TestDeterminism:
                             horizon=30, kills=1, drops=2, corruptions=1)
         )
         results = [
-            cluster.scan("emp"),
-            cluster.select_eq("emp", {"dept": 3}),
+            cluster.execute(Scan("emp")),
+            cluster.execute(SelectEq(Scan("emp"), {"dept": 3})),
             cluster.aggregate("emp", ["dept"], {"n": ("count", "emp")}),
         ]
         stats = cluster.network
@@ -307,10 +317,10 @@ class TestProfileTrace:
 
         cluster = replicated_cluster(employees)
         cluster.kill_node("node-1")
-        result, profile = profile_cluster(cluster, "scan", "emp")
+        result, profile = profile_cluster(cluster, "execute", Scan("emp"))
         assert result == employees
         rendered = profile.render()
-        assert "scan(emp)" in rendered
+        assert "execute(emp [*])" in rendered
         # Bucket 1's primary is dead: its replica node-2 served it.
         assert "emp[1] @ node-2" in rendered
 
@@ -319,7 +329,7 @@ class TestProfileTrace:
 
         cluster = replicated_cluster(employees)
         result, profile = profile_cluster(
-            cluster, "select_eq", "emp", {"dept": 5}
+            cluster, "execute", SelectEq(Scan("emp"), {"dept": 5})
         )
         assert result.cardinality() == profile.rows
         assert len(profile.children) == 1

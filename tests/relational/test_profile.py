@@ -162,9 +162,9 @@ class TestProfileCluster:
         from repro.relational.profile import profile_cluster
 
         cluster = self.make_cluster()
-        result, profile = profile_cluster(cluster, "scan", "emp")
+        result, profile = profile_cluster(cluster, "execute", Scan("emp"))
         assert result.cardinality() == 30
-        assert profile.describe == "scan(emp)"
+        assert profile.describe == "execute(emp [*])"
         assert len(profile.children) == 3
         assert sum(child.rows for child in profile.children) == 30
 

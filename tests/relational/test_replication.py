@@ -1,51 +1,56 @@
-"""Replica placement and the replicated read/write paths."""
+"""The replicated read/write paths, and the ring geometry they ride on."""
 
 import pytest
 
 from repro.errors import ClusterUnavailableError, SchemaError
 from repro.relational import algebra
 from repro.relational.distributed import Cluster
-from repro.relational.replication import ReplicaPlacement, replica_indices
+from repro.relational.query import Join, Scan, SelectEq
+from repro.relational.sharding import ShardMap
 from repro.workloads.generators import department_relation, employee_relation
+
+
+def rings(node_count, factor):
+    return ShardMap.successor_rings("dept", node_count, factor)
 
 
 class TestPlacementMath:
     def test_primary_is_the_bucket_index(self):
-        placement = ReplicaPlacement(5, 3)
+        placement = rings(5, 3)
         for bucket in range(5):
             assert placement.primary(bucket) == bucket
 
     def test_replicas_are_ring_successors(self):
-        assert replica_indices(3, 4, 2) == (3, 0)
-        assert replica_indices(0, 4, 3) == (0, 1, 2)
+        assert rings(4, 2).replicas(3) == (3, 0)
+        assert rings(4, 3).replicas(0) == (0, 1, 2)
 
     def test_replicas_are_distinct(self):
-        placement = ReplicaPlacement(7, 4)
+        placement = rings(7, 4)
         for bucket in range(7):
             ring = placement.replicas(bucket)
             assert len(set(ring)) == len(ring) == 4
 
     def test_every_node_holds_factor_buckets(self):
-        placement = ReplicaPlacement(6, 2)
+        placement = rings(6, 2)
         for node in range(6):
             assert len(placement.buckets_on(node)) == 2
 
     def test_factor_must_fit_the_cluster(self):
         with pytest.raises(SchemaError, match="replication factor"):
-            ReplicaPlacement(3, 4)
+            rings(3, 4)
         with pytest.raises(SchemaError, match="replication factor"):
-            ReplicaPlacement(3, 0)
+            rings(3, 0)
 
     def test_bucket_range_is_validated(self):
-        with pytest.raises(SchemaError, match="bucket"):
-            replica_indices(9, 4, 2)
+        with pytest.raises(ValueError, match="bucket"):
+            rings(4, 2).replicas(9)
 
     def test_repr_names_the_shape(self):
-        assert repr(ReplicaPlacement(4, 2)) == \
-            "ReplicaPlacement(4 nodes, factor=2)"
+        assert repr(rings(4, 2)) == \
+            "ShardMap(attr='dept', epoch=1, buckets=4, nodes=4, rf=2)"
 
     def test_survives_counts_live_replicas(self):
-        placement = ReplicaPlacement(4, 2)
+        placement = rings(4, 2)
         assert placement.survives(frozenset([1]))
         # Adjacent nodes 1 and 2 are bucket 1's whole ring.
         assert not placement.survives(frozenset([1, 2]))
@@ -79,7 +84,7 @@ class TestReplicatedPlacement:
             assert len(holders) == 2
 
     def test_replicas_are_identical_copies(self, replicated):
-        placement = replicated.placement("emp")
+        placement = replicated.shard_map("emp")
         for bucket in range(4):
             ring = placement.replicas(bucket)
             copies = {
@@ -106,7 +111,7 @@ class TestReplicatedPlacement:
     def test_per_table_factor_override(self, employees):
         cluster = Cluster(4, replication_factor=1)
         cluster.create_table("emp", employees, "dept", replication_factor=3)
-        assert cluster.placement("emp").replication_factor == 3
+        assert cluster.shard_map("emp").replication_factor == 3
 
 
 class TestReadsUnderFailure:
@@ -114,17 +119,17 @@ class TestReadsUnderFailure:
                                              departments):
         for victim in [node.name for node in replicated.nodes]:
             replicated.kill_node(victim)
-            assert replicated.scan("emp") == employees
-            assert replicated.select_eq("emp", {"dept": 5}) == \
+            assert replicated.execute(Scan("emp")) == employees
+            assert replicated.execute(SelectEq(Scan("emp"), {"dept": 5})) == \
                 algebra.select_eq(employees, {"dept": 5})
-            assert replicated.join("emp", "dept") == \
+            assert replicated.execute(Join(Scan("emp"), Scan("dept"))) == \
                 algebra.join(employees, departments)
             replicated.revive_node(victim)
 
     def test_failover_is_counted(self, replicated):
         replicated.kill_node("node-1")
         replicated.network.reset()
-        replicated.scan("emp")
+        replicated.execute(Scan("emp"))
         assert replicated.network.failovers == 1  # bucket 1 -> node-2
 
     def test_routed_select_fails_over_to_the_replica(self, replicated,
@@ -132,7 +137,7 @@ class TestReadsUnderFailure:
         # dept=5 hashes to bucket 1 (primary node-1, replica node-2).
         replicated.kill_node("node-1")
         replicated.network.reset()
-        result = replicated.select_eq("emp", {"dept": 5})
+        result = replicated.execute(SelectEq(Scan("emp"), {"dept": 5}))
         assert result == algebra.select_eq(employees, {"dept": 5})
         assert replicated.network.failovers == 1
         assert replicated.network.messages == 1
@@ -141,7 +146,7 @@ class TestReadsUnderFailure:
         replicated.kill_node("node-1")
         replicated.kill_node("node-2")
         with pytest.raises(ClusterUnavailableError) as excinfo:
-            replicated.select_eq("emp", {"dept": 5})
+            replicated.execute(SelectEq(Scan("emp"), {"dept": 5}))
         error = excinfo.value
         assert error.table == "emp"
         assert error.bucket == 1
@@ -152,15 +157,15 @@ class TestReadsUnderFailure:
         cluster.create_table("emp", employees, "dept")
         cluster.kill_node("node-1")
         with pytest.raises(ClusterUnavailableError):
-            cluster.scan("emp")
+            cluster.execute(Scan("emp"))
 
     def test_revive_restores_service(self, replicated, employees):
         replicated.kill_node("node-1")
         replicated.kill_node("node-2")
         with pytest.raises(ClusterUnavailableError):
-            replicated.scan("emp")
+            replicated.execute(Scan("emp"))
         replicated.revive_node("node-2")
-        assert replicated.scan("emp") == employees
+        assert replicated.execute(Scan("emp")) == employees
 
     def test_aggregation_survives_a_kill(self, replicated, employees):
         from repro.relational.aggregate import aggregate as local_aggregate
@@ -186,7 +191,7 @@ class TestWrites:
         # One shipment per replica of the touched bucket.
         assert replicated.network.messages == 2
         assert replicated.network.replica_messages == 1
-        placement = replicated.placement("emp")
+        placement = replicated.shard_map("emp")
         for index in placement.replicas(2):
             rows = replicated.nodes[index].bucket("emp", 2)
             assert any(r["emp"] == 900 for r in rows.iter_dicts())
@@ -196,14 +201,14 @@ class TestWrites:
             "emp",
             [{"emp": 901, "name": "zz-901", "dept": 5, "salary": 41000}],
         )
-        result = replicated.select_eq("emp", {"emp": 901})
+        result = replicated.execute(SelectEq(Scan("emp"), {"emp": 901}))
         assert result.cardinality() == 1
 
     def test_dead_replicas_miss_writes_until_rebuilt(self, replicated):
         # A dead node genuinely misses the fan-out (no writing to
-        # unreachable storage); the revive-time rebuild replays the
-        # cluster's write log past the node's high-water mark, so the
-        # row is there by the time the node serves again.
+        # unreachable storage); the revive-time rebuild ships the
+        # difference to the committed relation, so the row is there
+        # by the time the node serves again.
         replicated.kill_node("node-2")
         replicated.insert(
             "emp",
@@ -217,7 +222,7 @@ class TestWrites:
         assert not any(r["emp"] == 902 for r in stale.iter_dicts())
         replicated.revive_node("node-2")
         replicated.kill_node("node-1")  # force reads onto the rebuilt copy
-        result = replicated.select_eq("emp", {"emp": 902})
+        result = replicated.execute(SelectEq(Scan("emp"), {"emp": 902}))
         assert result.cardinality() == 1
 
     def test_rebuilt_node_matches_a_never_crashed_cluster(
@@ -251,9 +256,9 @@ class TestWrites:
         # partners' primaries so reads must land on node-2.
         for cluster in (control, crashed):
             cluster.kill_node("node-1")
-        assert crashed.scan("emp") == control.scan("emp")
-        assert crashed.select_eq("emp", {"dept": 5}) == \
-            control.select_eq("emp", {"dept": 5})
+        assert crashed.execute(Scan("emp")) == control.execute(Scan("emp"))
+        assert crashed.execute(SelectEq(Scan("emp"), {"dept": 5})) == \
+            control.execute(SelectEq(Scan("emp"), {"dept": 5}))
         assert crashed.aggregate(
             "emp", ["dept"], {"n": ("count", "emp")}
         ) == control.aggregate("emp", ["dept"], {"n": ("count", "emp")})
@@ -268,7 +273,7 @@ class TestReplicatedJoin:
         self, replicated
     ):
         replicated.network.reset()
-        replicated.join("emp", "dept")
+        replicated.execute(Join(Scan("emp"), Scan("dept")))
         # Only result partials travel: one message per bucket.
         assert replicated.network.messages == 4
 
@@ -278,31 +283,29 @@ class TestReplicatedJoin:
         cluster.create_table("emp", employees, "dept")
         cluster.create_table("dept", departments, "dept",
                              replication_factor=2)
-        assert cluster.join("emp", "dept") == algebra.join(
-            employees, departments
-        )
+        assert cluster.execute(Join(Scan("emp"), Scan("dept"))) == \
+            algebra.join(employees, departments)
 
     def test_shuffled_join_survives_a_kill(self, employees, departments):
         cluster = Cluster(3, replication_factor=2)
         cluster.create_table("emp", employees, "dept")
         cluster.create_table("dept", departments, "dname")  # misaligned
         cluster.kill_node("node-0")
-        assert cluster.join("emp", "dept") == algebra.join(
-            employees, departments
-        )
+        assert cluster.execute(Join(Scan("emp"), Scan("dept"))) == \
+            algebra.join(employees, departments)
 
 
 class TestRingRendering:
     def test_ring_is_primary_first_failover_order(self):
-        placement = ReplicaPlacement(4, 3)
+        placement = rings(4, 3)
         assert placement.ring(2) == "2>3>0"
 
     def test_singleton_ring_is_just_the_primary(self):
-        placement = ReplicaPlacement(4, 1)
+        placement = rings(4, 1)
         assert placement.ring(3) == "3"
 
     def test_ring_matches_replicas(self):
-        placement = ReplicaPlacement(5, 2)
+        placement = rings(5, 2)
         for bucket in range(5):
             assert placement.ring(bucket) == ">".join(
                 str(index) for index in placement.replicas(bucket)

@@ -457,9 +457,9 @@ class TestClusterCache:
         cache = cluster.enable_result_cache(capacity=8)
         plan = Scan("users")
         before = cluster.execute(plan)
-        generation = cluster.table_generation("users")
+        generation = cluster.manager.table_version("users")
         cluster.insert("users", people(4, start=100))
-        assert cluster.table_generation("users") == generation + 1
+        assert cluster.manager.table_version("users") == generation + 1
         after = cluster.execute(plan)
         assert after.cardinality() == before.cardinality() + 4
         assert cache.stale == 1

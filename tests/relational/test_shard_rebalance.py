@@ -82,27 +82,24 @@ def run_workload(plan=None, seed_rows=48, insert_batches=4):
 
 
 def bucket_digests(cluster, table):
-    """Digest of every bucket's log-replayed ground truth."""
-    shard_map = cluster.shard_map(table)
+    """Digest of every bucket of the committed relation."""
     return {
-        bucket: bucket_digest(
-            cluster._replay_bucket(table, bucket, cluster._log_lsn)
-        )
-        for bucket in range(shard_map.bucket_count)
+        bucket: bucket_digest(part)
+        for bucket, part in enumerate(cluster._partitioned(table))
     }
 
 
 def assert_replicas_match_truth(cluster, table):
-    """Every live replica of every bucket equals the log's fold."""
+    """Every live replica of every bucket equals its restriction of
+    the committed relation."""
     shard_map = cluster.shard_map(table)
-    for bucket in range(shard_map.bucket_count):
-        truth = bucket_digest(
-            cluster._replay_bucket(table, bucket, cluster._log_lsn)
-        )
+    for bucket, part in enumerate(cluster._partitioned(table)):
+        truth = bucket_digest(part)
         for index in shard_map.replicas(bucket):
             held = bucket_digest(cluster.nodes[index].bucket(table, bucket))
             assert held == truth, (
-                "bucket %d on node %d diverged from the log" % (bucket, index)
+                "bucket %d on node %d diverged from the committed relation"
+                % (bucket, index)
             )
 
 
@@ -122,7 +119,7 @@ class TestMoveLifecycle:
 
     def test_move_preserves_answers_and_bumps_epoch(self):
         cluster = build_cluster()
-        before = cluster.scan("users")
+        before = cluster.execute(Scan("users"))
         shard_map = cluster.shard_map("users")
         recipient = off_ring_node(shard_map, 2, 4)
         donor = shard_map.primary(2)
@@ -132,7 +129,7 @@ class TestMoveLifecycle:
         assert after_map.epoch == 2
         assert recipient in after_map.replicas(2)
         assert donor not in after_map.replicas(2)
-        assert cluster.scan("users").rows == before.rows
+        assert cluster.execute(Scan("users")).rows == before.rows
         # The donor's source copy was garbage-collected outright.
         assert cluster.nodes[donor].stored("users", 2) is None
         assert cluster.status()["moves"] == []
@@ -156,7 +153,7 @@ class TestMoveLifecycle:
 
     def test_move_under_load_loses_no_acked_write(self):
         cluster = run_workload()
-        result = cluster.scan("users")
+        result = cluster.execute(Scan("users"))
         ids = {row["id"] for row in result.iter_dicts()}
         assert set(range(48)) <= ids
         assert {1000 + i for i in range(24)} <= ids
@@ -172,25 +169,29 @@ class TestStaleEpoch:
         )
         cluster.rebalance()
         with pytest.raises(ShardMovedError) as exc:
-            cluster.scan("users", epoch=1)
+            cluster.execute(Scan("users"), epoch=1)
         assert exc.value.requested_epoch == 1
         assert exc.value.current_epoch == 2
         # Refresh-and-retry is exactly one call with the new epoch.
-        assert cluster.scan("users", epoch=2).cardinality() == 48
+        assert cluster.execute(Scan("users"), epoch=2).cardinality() == 48
         with pytest.raises(ShardMovedError):
-            cluster.select_eq("users", {"id": 3}, epoch=1)
+            cluster.execute(SelectEq(Scan("users"), {"id": 3}), epoch=1)
         with pytest.raises(ShardMovedError):
             cluster.aggregate("users", ("city",), {"n": ("count", "id")},
                               epoch=1)
 
     def test_epoch_mapping_shape(self):
         cluster = build_cluster()
-        assert cluster.scan("users", epoch={"users": 1}).cardinality() == 48
+        assert cluster.execute(
+            Scan("users"), epoch={"users": 1}
+        ).cardinality() == 48
         cluster.split_table("users")
         with pytest.raises(ShardMovedError):
-            cluster.scan("users", epoch={"users": 1})
+            cluster.execute(Scan("users"), epoch={"users": 1})
         # Tables absent from the mapping are treated as unversioned.
-        assert cluster.scan("users", epoch={"other": 9}).cardinality() == 48
+        assert cluster.execute(
+            Scan("users"), epoch={"other": 9}
+        ).cardinality() == 48
 
     def test_join_checks_both_sides(self):
         cluster = build_cluster()
@@ -203,7 +204,9 @@ class TestStaleEpoch:
         )
         cluster.split_table("orders")
         with pytest.raises(ShardMovedError):
-            cluster.join("users", "orders", epoch={"orders": 1})
+            cluster.execute(
+                Join(Scan("users"), Scan("orders")), epoch={"orders": 1}
+            )
 
 
 class TestCrashSweep:
@@ -217,7 +220,7 @@ class TestCrashSweep:
     def test_three_seed_chaos_sweep_recovers_exactly(self):
         control = run_workload()
         control_digests = bucket_digests(control, "users")
-        control_rows = control.scan("users").rows
+        control_rows = control.execute(Scan("users")).rows
         assert control.shard_map("users").epoch == 2
         for seed in range(3):
             plan = FaultPlan.move_chaos(
@@ -228,7 +231,7 @@ class TestCrashSweep:
             shard_map.validate()  # exactly one ring owns every bucket
             assert shard_map.epoch == 2
             assert bucket_digests(cluster, "users") == control_digests
-            assert cluster.scan("users").rows == control_rows
+            assert cluster.execute(Scan("users")).rows == control_rows
             assert_replicas_match_truth(cluster, "users")
 
     @pytest.mark.parametrize("victim", ["node-1", "node-3"])
@@ -251,7 +254,8 @@ class TestCrashSweep:
         assert cluster.shard_map("users").epoch == 2
         assert bucket_digests(cluster, "users") == \
             bucket_digests(control, "users")
-        assert cluster.scan("users").rows == control.scan("users").rows
+        assert cluster.execute(Scan("users")).rows == \
+            control.execute(Scan("users")).rows
 
     def test_move_journal_cleared_after_gc(self, tmp_path):
         from repro.relational.disk import DiskRelationStore
@@ -278,22 +282,24 @@ class TestCrashSweep:
 class TestSplitMerge:
     def test_split_preserves_answers(self):
         cluster = build_cluster()
-        before = cluster.scan("users").rows
+        before = cluster.execute(Scan("users")).rows
         new_map = cluster.split_table("users")
         assert new_map.bucket_count == 8
         assert new_map.epoch == 2
-        assert cluster.scan("users").rows == before
-        assert cluster.select_eq("users", {"id": 11}).cardinality() == 1
+        assert cluster.execute(Scan("users")).rows == before
+        assert cluster.execute(
+            SelectEq(Scan("users"), {"id": 11})
+        ).cardinality() == 1
         assert_replicas_match_truth(cluster, "users")
 
     def test_merge_undoes_split_and_drops_orphans(self):
         cluster = build_cluster()
-        before = cluster.scan("users").rows
+        before = cluster.execute(Scan("users")).rows
         cluster.split_table("users")
         merged = cluster.merge_table("users")
         assert merged.bucket_count == 4
         assert merged.epoch == 3
-        assert cluster.scan("users").rows == before
+        assert cluster.execute(Scan("users")).rows == before
         # No node retains data under the retired high bucket numbers.
         for node in cluster.nodes:
             for bucket in range(4, 8):
@@ -305,7 +311,7 @@ class TestSplitMerge:
         cluster.split_table("users")
         cluster.insert("users", people(6, start=500))
         cluster.revive_node("node-2")
-        assert cluster.scan("users").cardinality() == 54
+        assert cluster.execute(Scan("users")).cardinality() == 54
         assert_replicas_match_truth(cluster, "users")
 
 
@@ -313,12 +319,12 @@ class TestShardBudgets:
     def test_per_shard_budget_trips(self):
         cluster = build_cluster(rows=48, shard_budget_rows=5)
         with pytest.raises(BudgetExceededError) as exc:
-            cluster.scan("users")
+            cluster.execute(Scan("users"))
         assert "shard.users[" in exc.value.site
 
     def test_generous_budget_passes(self):
         cluster = build_cluster(rows=48, shard_budget_rows=1000)
-        assert cluster.scan("users").cardinality() == 48
+        assert cluster.execute(Scan("users")).cardinality() == 48
 
 
 class TestEpochTaggedRecovery:
@@ -367,7 +373,7 @@ class TestExecuteCoordinator:
         pushed = cluster.execute(plan)
         pushed_bytes = cluster.network.bytes_shipped - start
         start = cluster.network.bytes_shipped
-        cluster.scan("users")
+        cluster.execute(Scan("users"))
         gather_bytes = cluster.network.bytes_shipped - start
         assert pushed.cardinality() == 16
         assert pushed_bytes < gather_bytes

@@ -1,10 +1,9 @@
 """Shard maps, routing, digests, and the move journal.
 
 The Hypothesis properties pin the routing contract the fault and
-chaos suites depend on: every value lands in exactly one bucket, the
-explicit :class:`ShardMap` agrees with the legacy ``_partition_index``
-formula on default maps, and routing survives a serialization round
-trip bit for bit.
+chaos suites depend on: every value lands in exactly one bucket, ints
+route by value on any bucket count, and routing survives a
+serialization round trip bit for bit.
 """
 
 import pytest
@@ -12,7 +11,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import ShardMovedError, ShardPlacementError
-from repro.relational.distributed import _partition_index
 from repro.relational.relation import Relation
 from repro.relational.sharding import (
     MOVE_STATES,
@@ -40,10 +38,6 @@ class TestShardIndexProperties:
         assert 0 <= index < buckets
         # Deterministic: same value, same bucket, every time.
         assert shard_index(value, buckets) == index
-
-    @given(value=routable, nodes=st.integers(min_value=1, max_value=16))
-    def test_matches_legacy_partition_index(self, value, nodes):
-        assert shard_index(value, nodes) == _partition_index(value, nodes)
 
     @given(
         value=routable,
@@ -186,24 +180,31 @@ class TestBucketDigest:
 class TestMoveJournal:
     def test_round_trip_preserves_progress(self):
         move = ShardMove("users", 2, donor=1, recipient=3, chunk_rows=8)
-        move.state = "catch_up"
-        move.replay_from = 17
+        move.state = "verify"
         move.copied_rows = 40
+        move.target_epoch = 2
+        move.swing_version = 17
+        move.swing_digest = "0badf00d-3"
         restored = ShardMove.from_xset(move.to_xset())
         assert restored.table == "users"
         assert restored.bucket == 2
         assert restored.donor == 1
         assert restored.recipient == 3
         assert restored.chunk_rows == 8
-        assert restored.state == "catch_up"
-        assert restored.replay_from == 17
+        assert restored.state == "verify"
         assert restored.copied_rows == 40
+        assert restored.target_epoch == 2
+        assert restored.swing_version == 17
+        assert restored.swing_digest == "0badf00d-3"
 
-    def test_round_trip_none_replay_mark(self):
+    def test_round_trip_of_a_fresh_move(self):
         move = ShardMove("t", 0, donor=0, recipient=2)
         restored = ShardMove.from_xset(move.to_xset())
-        assert restored.replay_from is None
         assert restored.state == "copy"
+        assert restored.target_epoch == 0
+        assert restored.swing_version == 0
+        # The swing-time bucket value is working state, never journaled.
+        assert restored.swing_value is None
 
     def test_rejects_unknown_state(self):
         move = ShardMove("t", 0, donor=0, recipient=2)

@@ -638,3 +638,102 @@ class TestSlowConsumer:
             assert server.net_faults.frames >= 0
 
         run(served(body, send_timeout_s=0.01))
+
+
+class TestServedCluster:
+    """One stack: the server serves the cluster's own engine, so a
+    wire MUTATE is a cluster write -- replicated inside the commit,
+    before the ack leaves."""
+
+    @staticmethod
+    def make_cluster():
+        from repro.relational.distributed import Cluster
+
+        tables = make_manager().tables
+        cluster = Cluster(3, replication_factor=2)
+        for name in ("emp", "dept"):
+            cluster.create_table(name, tables[name].snapshot(), "dept")
+        cluster.manager.table("emp").add_constraint(KeyConstraint(["eid"]))
+        return cluster
+
+    @staticmethod
+    def holders(cluster, eid):
+        """Names of the nodes whose stored ``emp`` rows include ``eid``."""
+        return sorted(
+            node.name for node in cluster.nodes
+            if node.holds("emp") and any(
+                row["eid"] == eid
+                for row in node.partition("emp").iter_dicts()
+            )
+        )
+
+    def test_wire_mutate_is_a_replicated_cluster_write(self):
+        from repro.relational.query import Scan, SelectEq
+
+        cluster = self.make_cluster()
+        shard_map = cluster.shard_map("emp")
+        ring = [
+            cluster.nodes[index].name
+            for index in shard_map.replicas(shard_map.bucket_for("eng"))
+        ]
+        at_commit = []
+        # Subscribed after the cluster's own listener: by the time it
+        # runs -- still inside the commit, before any ack -- the row
+        # must already sit on every replica.
+        cluster.manager.subscribe(
+            lambda version, changes: at_commit.append(
+                self.holders(cluster, 9)
+            )
+        )
+
+        async def body():
+            server = Server(cluster.manager)
+            await server.start()
+            try:
+                client = await connect("127.0.0.1", server.port)
+                version = await client.mutate(
+                    [["insert", "emp",
+                      {"eid": 9, "name": "eve", "dept": "eng"}]]
+                )
+                assert version == cluster.manager.current_version == 1
+                assert at_commit == [sorted(ring)]
+                # The write survives losing the bucket's primary.
+                cluster.kill_node(ring[0])
+                served_rows = cluster.execute(
+                    SelectEq(Scan("emp"), {"dept": "eng"})
+                )
+                assert 9 in {row["eid"] for row in served_rows.iter_dicts()}
+                assert cluster.execute(Scan("emp")) == \
+                    cluster.manager.table("emp").snapshot()
+                await client.close()
+            finally:
+                await server.close()
+
+        run(body())
+
+    def test_wire_constraint_violation_moves_nothing(self):
+        cluster = self.make_cluster()
+
+        async def body():
+            server = Server(cluster.manager)
+            await server.start()
+            try:
+                client = await connect("127.0.0.1", server.port)
+                ops, version = cluster.ops, cluster.manager.current_version
+                with pytest.raises(XSTError) as exc:
+                    await client.mutate(
+                        [["insert", "emp",
+                          {"eid": 7, "name": "new", "dept": "ops"}],
+                         ["insert", "emp",
+                          {"eid": 1, "name": "dup", "dept": "eng"}]]
+                    )
+                assert not isinstance(exc.value, UnavailableError)
+                assert "key(eid)" in str(exc.value)
+                assert cluster.ops == ops
+                assert cluster.manager.current_version == version
+                assert self.holders(cluster, 7) == []
+                await client.close()
+            finally:
+                await server.close()
+
+        run(body())

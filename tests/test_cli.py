@@ -407,7 +407,7 @@ class TestObsTrace:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "join(emp, dept)" in out
+        assert "execute(emp [*] |x| dept [*])" in out
         assert "emp[0] @ node-" in out
         assert "strategy=co_partitioned" in out
 

@@ -332,6 +332,7 @@ class TestPaperNotation:
 
     def test_live_cluster_failure_carries_the_paper_notation_key(self):
         from repro.relational.distributed import Cluster
+        from repro.relational.query import Scan, SelectEq
         from repro.workloads.generators import employee_relation
 
         cluster = Cluster(4, replication_factor=1)
@@ -340,4 +341,4 @@ class TestPaperNotation:
         )
         cluster.kill_node("node-1")
         with pytest.raises(ClusterUnavailableError, match=r"\{5\^dept\}"):
-            cluster.select_eq("emp", {"dept": 5})
+            cluster.execute(SelectEq(Scan("emp"), {"dept": 5}))

@@ -128,10 +128,10 @@ class TestDistributionPaths:
         cluster = Cluster(3)
         cluster.create_table("emp", employees, "dept")
         cluster.create_table("dept", departments, "dept")
-        assert cluster.join("emp", "dept") == join(employees, departments)
-        assert cluster.select_eq("emp", {"dept": 7}) == select_eq(
-            employees, {"dept": 7}
-        )
+        assert cluster.execute(Join(Scan("emp"), Scan("dept"))) == \
+            join(employees, departments)
+        assert cluster.execute(SelectEq(Scan("emp"), {"dept": 7})) == \
+            select_eq(employees, {"dept": 7})
         distributed = cluster.aggregate(
             "emp", ["dept"], {"n": ("count", "emp"), "pay": ("sum", "salary")}
         )

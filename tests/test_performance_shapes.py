@@ -150,6 +150,7 @@ class TestJoinAlgorithmShapes:
 class TestDistributionShapes:
     def test_copartitioned_join_ships_less_than_shuffled(self):
         from repro.relational.distributed import Cluster
+        from repro.relational.query import Join, Scan
         from repro.workloads import department_relation, employee_relation
 
         emp = employee_relation(500, 20, seed=WORKLOAD_SEED + 10)
@@ -157,12 +158,76 @@ class TestDistributionShapes:
         co = Cluster(4)
         co.create_table("emp", emp, "dept")
         co.create_table("dept", dept, "dept")
-        co.join("emp", "dept")
+        co.execute(Join(Scan("emp"), Scan("dept")))
         shuffled = Cluster(4)
         shuffled.create_table("emp", emp, "dept")
         shuffled.create_table("dept", dept, "dname")
-        shuffled.join("emp", "dept")
+        shuffled.execute(Join(Scan("emp"), Scan("dept")))
         assert shuffled.network.bytes_shipped > co.network.bytes_shipped
+
+
+class TestClusterRetainsDataNotHistory:
+    """Counts, not timings: what the coordinator keeps after a write
+    is the committed relation and its bucket copies -- O(tables x
+    buckets) values, whatever the number of writes or re-shards."""
+
+    @staticmethod
+    def reachable_relations(root):
+        import gc
+        import types
+
+        from repro.relational.relation import Relation
+        from repro.xst.xset import XSet
+
+        skip = (XSet, type, types.ModuleType, types.FunctionType,
+                types.BuiltinFunctionType, types.MethodType)
+        seen, found, stack = {id(root)}, [], [root]
+        while stack:
+            current = stack.pop()
+            if isinstance(current, Relation):
+                found.append(current)
+                continue  # a relation's rows hold no relation
+            for child in gc.get_referents(current):
+                if id(child) not in seen and not isinstance(child, skip):
+                    seen.add(id(child))
+                    stack.append(child)
+        return found
+
+    def run(self, writes):
+        from repro.relational.distributed import Cluster
+        from repro.relational.query import Scan
+        from repro.workloads import employee_relation
+
+        cluster = Cluster(4, replication_factor=2)
+        cluster.create_table(
+            "emp", employee_relation(200, 8, seed=WORKLOAD_SEED + 11), "dept"
+        )
+        for index in range(writes):
+            cluster.insert("emp", [{
+                "emp": 10_000 + index, "name": "w-%d" % index,
+                "dept": index % 8, "salary": 40_000 + index,
+            }])
+        for _ in range(3):
+            cluster.split_table("emp")
+            cluster.merge_table("emp")
+        shard_map = cluster.shard_map("emp")
+        move = cluster.begin_move("emp", 0, recipient=next(
+            index for index in range(4)
+            if index not in shard_map.replicas(0)
+        ))
+        cluster.rebalance()
+        assert move.done and move.swing_value is None
+        assert cluster.execute(Scan("emp")).cardinality() == 200 + writes
+        assert cluster.status()["version"] == writes
+        return len(self.reachable_relations(cluster))
+
+    def test_retained_relations_do_not_grow_with_writes(self):
+        few, many = self.run(10), self.run(1000)
+        assert few == many
+        # One committed value plus at most one copy per (bucket,
+        # replica); replicas reconciled together share one value.
+        tables, buckets, factor = 1, 4, 2
+        assert buckets < many <= tables * (1 + buckets * factor)
 
 
 class TestCanonicalOrderOnceShapes:
