@@ -17,10 +17,10 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Mapping, Sequence, Tuple
 
 from repro.errors import SchemaError
+from repro.relational.algebra import project
 from repro.relational.relation import Relation
 from repro.relational.schema import Heading
-from repro.xst.builders import xrecord, xset
-from repro.xst.domain import sigma_domain
+from repro.xst.builders import xset
 from repro.xst.restrict import sigma_restrict
 from repro.xst.xset import XSet
 
@@ -77,14 +77,14 @@ def group_by(
     order.  Each group is computed by one sigma-restriction of the row
     set with the key fragment -- grouping *is* restriction.
     """
-    wanted = rel.heading.require(attrs)
-    key_sigma = XSet((attr, attr) for attr in wanted)
-    distinct_keys = sigma_domain(rel.rows, key_sigma)
+    # The distinct keys are the projection onto the grouping attributes.
+    keys = project(rel, attrs)
+    key_sigma = XSet((attr, attr) for attr in keys.heading.names)
     groups = []
-    for key_fragment, _ in distinct_keys.pairs():
+    for key_dict, (key_fragment, _) in zip(keys.iter_dicts(), keys.rows.pairs()):
         members = sigma_restrict(rel.rows, xset([key_fragment]), key_sigma)
-        key_dict = dict(key_fragment.as_record())
-        groups.append((key_dict, Relation(rel.heading, members)))
+        # A restriction of rel's rows: a subset of rel.
+        groups.append((key_dict, Relation._from_valid(rel.heading, members)))
     return groups
 
 
@@ -123,11 +123,17 @@ def aggregate(
         # No grouping attributes: the whole relation is one group (the
         # SQL reading of an ungrouped aggregate query).
         groups = [({}, rel)]
+    sources = {source for _, source in aggregations.values()}
     out_rows = []
     for key_dict, group in groups:
+        # One pass over the group: each source column read once from the
+        # rows' scope indexes (one element at each attribute, as validated).
+        held = [row._scopes_index() for row, _ in group.rows.pairs()]
+        columns = {
+            source: [index[source][0] for index in held] for source in sources
+        }
         row = dict(key_dict)
         for out_name, (fn_name, source) in aggregations.items():
-            values = [record[source] for record in group.iter_dicts()]
-            row[out_name] = AGGREGATES[fn_name](values)
-        out_rows.append(xrecord(row))
-    return Relation(out_heading, xset(out_rows))
+            row[out_name] = AGGREGATES[fn_name](columns[source])
+        out_rows.append(row)
+    return Relation.from_dicts(out_heading, out_rows)

@@ -78,9 +78,9 @@ def select(rel: Relation, predicate: Callable[[Dict[str, Any]], bool]) -> Relati
     optimizer rewrites eligible selects into restrictions.
     """
     kept = [
-        (row, scope)
-        for row, scope in rel.rows.pairs()
-        if predicate(dict(row.as_record()))
+        member
+        for member, record in zip(rel.rows.pairs(), rel.iter_dicts())
+        if predicate(record)
     ]
     # Separation keeps a subsequence of the relation's own canonical run
     # (so also a subset of its validated rows).

@@ -19,7 +19,7 @@ from repro.errors import SchemaError
 from repro.core.process import Process
 from repro.core.sigma import Sigma
 from repro.relational.schema import Heading
-from repro.xst.builders import xrecord, xset
+from repro.xst.builders import xset
 from repro.xst.xset import XSet
 
 __all__ = ["Relation"]
@@ -35,9 +35,13 @@ class Relation:
         for row, scope in rows.pairs():
             if not (isinstance(scope, XSet) and scope.is_empty):
                 raise SchemaError("relation rows must be classical members")
-            if not isinstance(row, XSet) or not row.is_record():
-                raise SchemaError("row %r is not record-shaped" % (row,))
-            if row._scopes_index().keys() != names:
+            held = row._scopes_index() if isinstance(row, XSet) else None
+            # Scopes equal to the heading's names, so distinct strings, and
+            # as many memberships as scopes, so one element at each: a
+            # record under this heading.  Otherwise find out which it is not.
+            if not held or held.keys() != names or len(row) != len(held):
+                if held is None or not row.is_record():
+                    raise SchemaError("row %r is not record-shaped" % (row,))
                 raise SchemaError(
                     "row attributes %s do not match heading %r"
                     % (sorted(row.scopes()), heading)
@@ -56,13 +60,16 @@ class Relation:
     def _from_valid(cls, heading: Heading, rows: XSet) -> "Relation":
         """The unchecked constructor, twin of ``XSet._from_run``.
 
-        Allowed in exactly two cases, and each call site says which:
-        ``rows`` is a *subset* (selection, difference, intersection) of
-        the rows of a relation already validated under ``heading``, or
-        a *union* of the rows of such relations.  Rows are immutable,
-        so either way every row passed the checked constructor once
-        under this heading.  Anything else goes through
-        ``Relation(heading, rows)``.
+        Allowed in exactly three cases, and each call site says which:
+        ``rows`` is a *subset* (selection, difference, intersection,
+        group) of the rows of a relation already validated under
+        ``heading``; a *union* of the rows of such relations; or *built
+        here* by the caller from ``heading`` itself, one element at each
+        of its names (``from_tuples``/``from_dicts``, after their input
+        checks).  Rows are immutable, so in the first two every row
+        passed the checked constructor once under this heading, and in
+        the third there is nothing about the row its builder does not
+        know.  Anything else goes through ``Relation(heading, rows)``.
         """
         self = object.__new__(cls)
         object.__setattr__(self, "_heading", heading)
@@ -70,19 +77,30 @@ class Relation:
         return self
 
     @classmethod
+    def _of_built(cls, heading: Heading, records: List[XSet]) -> "Relation":
+        """``records``: one element at each of ``heading``'s names, built here.
+
+        Over no names that is the empty set, which is no record; the
+        checked constructor is the one to say so.
+        """
+        make = cls._from_valid if heading.names else cls
+        return make(heading, xset(records))
+
+    @classmethod
     def from_dicts(
         cls, names: Sequence[str], rows: Iterable[Mapping[str, Any]]
     ) -> "Relation":
         """Build from mappings; every row must supply every attribute."""
         heading = names if isinstance(names, Heading) else Heading(names)
+        attrs, name_set = heading.names, frozenset(heading.names)
         records = []
         for row in rows:
-            if frozenset(row) != frozenset(heading.names):
+            if row.keys() != name_set:
                 raise SchemaError(
                     "row keys %s do not match heading %r" % (sorted(row), heading)
                 )
-            records.append(xrecord(row))
-        return cls(heading, xset(records))
+            records.append(XSet(zip(map(row.__getitem__, attrs), attrs)))
+        return cls._of_built(heading, records)
 
     @classmethod
     def from_tuples(
@@ -90,16 +108,17 @@ class Relation:
     ) -> "Relation":
         """Build from positional rows matching the heading's order."""
         heading = names if isinstance(names, Heading) else Heading(names)
+        attrs = heading.names
         records = []
         for row in rows:
             values = tuple(row)
-            if len(values) != len(heading):
+            if len(values) != len(attrs):
                 raise SchemaError(
                     "row %r has %d values for %d attributes"
-                    % (values, len(values), len(heading))
+                    % (values, len(values), len(attrs))
                 )
-            records.append(xrecord(dict(zip(heading.names, values))))
-        return cls(heading, xset(records))
+            records.append(XSet(zip(values, attrs)))
+        return cls._of_built(heading, records)
 
     # ------------------------------------------------------------------
     # Inspection

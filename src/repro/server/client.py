@@ -270,9 +270,10 @@ class Client:
 
         PAGE streams are accumulated here and returned as one
         synthetic ``(PAGE, {...})`` with the concatenated rows once
-        the ``last`` page lands; a stream that dies earlier raises
-        :class:`~repro.errors.NetworkError` (and the whole request
-        retries under the same id).
+        the ``last`` page lands; a stream that dies earlier, or a page
+        whose body is not a list of names and a list of list rows,
+        raises :class:`~repro.errors.NetworkError` (and the whole
+        request retries under the same id).
         """
         pages: List[Dict[str, Any]] = []
         while True:
@@ -281,6 +282,19 @@ class Client:
                 # A stale answer from before a reconnect; skip it.
                 continue
             if ftype == FrameType.PAGE:
+                heading, page_rows = body.get("heading", []), body.get("rows", [])
+                if not (
+                    type(heading) is list
+                    and type(page_rows) is list
+                    and set(map(type, page_rows)) <= {list}
+                ):
+                    # A string would pass for a list of names, a mapping
+                    # or a string for a row: refuse the shape here; what
+                    # the names and values are is the Relation's to judge.
+                    raise NetworkError(
+                        "malformed PAGE for request %s: heading must be a "
+                        "list and rows a list of lists" % rid
+                    )
                 pages.append(body)
                 if body.get("last"):
                     rows: List[List[Any]] = []
@@ -369,10 +383,8 @@ class Client:
         if ftype == FrameType.CANCELLED:
             raise NetworkError("request %s was cancelled" % body.get("id"))
         self._expect(ftype, FrameType.PAGE, body)
-        return Relation.from_tuples(
-            body.get("heading", []),
-            [tuple(row) for row in body.get("rows", [])],
-        )
+        # Shape-checked page by page as it arrived (_read_response).
+        return Relation.from_tuples(body.get("heading", []), body.get("rows", []))
 
     def __repr__(self) -> str:
         return "Client(%s -> %s:%s, session=%s)" % (

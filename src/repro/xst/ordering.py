@@ -101,10 +101,7 @@ def canonical_key(value: Any) -> Tuple:
 
 
 def _xset_key(value: Any) -> Tuple:
-    pair_keys = tuple(
-        (canonical_key(element), canonical_key(scope))
-        for element, scope in value.pairs()
-    )
+    pair_keys = tuple(map(pair_key, value.pairs()))
     return (_RANK_XSET, len(pair_keys), pair_keys)
 
 

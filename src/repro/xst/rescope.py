@@ -104,9 +104,14 @@ def rescope_by_element(a: XSet, sigma: XSet) -> XSet:
 
 def rescope_value_by_scope(value: Any, sigma: XSet) -> XSet:
     """``value^{/sigma/}`` extended to atoms (which re-scope to empty)."""
-    if isinstance(value, XSet):
-        return rescope_by_scope(value, sigma)
-    return EMPTY
+    if not isinstance(value, XSet):
+        return EMPTY
+    if not value._pairs:
+        # The empty set re-scopes to itself whatever sigma says; it is the
+        # scope of every classical member, so a join's per-member path
+        # stops here.
+        return value
+    return _rescope(value, sigma._elements_index().get)
 
 
 def rescope_value_by_element(value: Any, sigma: XSet) -> XSet:

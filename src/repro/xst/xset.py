@@ -28,11 +28,12 @@ the constructor rejects any attempt to place one inside an ``XSet``.
 
 from __future__ import annotations
 
+from operator import itemgetter
 from typing import Any, Dict, Iterable, Iterator, Mapping, Optional, Tuple
 
 from repro.errors import InvalidAtomError, NotATupleError
 from repro.xst import ordering
-from repro.xst.ordering import canonical_key, pair_key
+from repro.xst.ordering import _RANK_XSET, canonical_key
 
 __all__ = ["XSet", "EMPTY", "Pair"]
 
@@ -41,6 +42,9 @@ Pair = Tuple[Any, Any]
 
 #: Sentinel distinguishing "scope omitted" from the legal scope None.
 _UNSET = object()
+
+#: Sort key of a ``(pair, pair key)`` item: the key, never the pair.
+_pair_key_of = itemgetter(1)
 
 
 def _check_admissible(value: Any, role: str) -> None:
@@ -105,11 +109,14 @@ class XSet:
     #: no invalidation: it lives and dies with this immutable value.
     _by_part: Optional[Dict[Any, Dict[Any, Tuple[int, ...]]]]
     _hash: int
-    #: ``canonical_key(self)``, filled by the first call of it.
+    #: ``canonical_key(self)``: filled by the checked constructor and by
+    #: ``union``, which sort by it; otherwise by the first call of it.
     _key: Optional[Tuple]
 
     def __init__(self, pairs: Iterable[Pair] = ()):
-        seen = {}
+        # One pass: admit each value, derive its key once, and keep the
+        # first spelling of equal pairs beside the key it will sort by.
+        keyed: Dict[Pair, Tuple] = {}
         for item in pairs:
             try:
                 element, scope = item
@@ -119,25 +126,46 @@ class XSet:
                     "repro.xst.builders for classical sets, tuples and "
                     "records." % (item,)
                 ) from exc
-            _check_admissible(element, "an element")
-            _check_admissible(scope, "a scope")
-            seen[(element, scope)] = None
-        ordered = tuple(sorted(seen, key=pair_key))
-        self._fill(ordered, frozenset(ordered))
+            if type(element) not in _ADMITTED_BY_TYPE:
+                _check_admissible(element, "an element")
+            if type(scope) not in _ADMITTED_BY_TYPE:
+                _check_admissible(scope, "a scope")
+            keyed.setdefault(
+                (element, scope), (canonical_key(element), canonical_key(scope))
+            )
+        # Stable and on the keys alone, so opaque atoms whose reprs tie
+        # keep insertion order.
+        ordered, keys = (
+            zip(*sorted(keyed.items(), key=_pair_key_of)) if keyed else ((), ())
+        )
+        self._fill(ordered, frozenset(keyed), keys)
 
-    def _fill(self, ordered: Tuple[Pair, ...], pair_set: frozenset) -> None:
+    def _fill(
+        self,
+        ordered: Tuple[Pair, ...],
+        pair_set: frozenset,
+        keys: Optional[Tuple] = None,
+    ) -> None:
+        """``keys``, from a caller that sorted or merged by them: the pair
+        keys of ``ordered``, in step with it."""
         fill = object.__setattr__
         fill(self, "_pairs", ordered)
         fill(self, "_pair_set", pair_set)
         fill(self, "_by_element", None)
         fill(self, "_by_scope", None)
         fill(self, "_by_part", None)
-        fill(self, "_hash", hash(("repro.XSet", ordered)))
-        fill(self, "_key", None)
+        fill(self, "_hash", hash(pair_set))
+        # Remembered on exact XSet only, the rule canonical_key follows.
+        key = None
+        if keys is not None and type(self) is XSet:
+            key = (_RANK_XSET, len(keys), keys)
+        fill(self, "_key", key)
 
     @staticmethod
     def _from_run(
-        ordered: Iterable[Pair], pair_set: Optional[frozenset] = None
+        ordered: Iterable[Pair],
+        pair_set: Optional[frozenset] = None,
+        keys: Optional[Tuple] = None,
     ) -> "XSet":
         """The unchecked constructor, for kernel results only.
 
@@ -145,12 +173,14 @@ class XSet:
         order, of pairs taken from existing ``XSet`` instances (so
         already admitted): a subsequence of one canonical run or a
         merge of two.  ``pair_set``, when the caller already holds it,
-        is the same pairs as a frozenset.  Anything else goes through
-        ``XSet(pairs)``.
+        is the same pairs as a frozenset, and ``keys`` their pair keys
+        in the same order.  Anything else goes through ``XSet(pairs)``.
         """
         ordered = tuple(ordered)
         self = object.__new__(XSet)
-        self._fill(ordered, frozenset(ordered) if pair_set is None else pair_set)
+        self._fill(
+            ordered, frozenset(ordered) if pair_set is None else pair_set, keys
+        )
         return self
 
     def _elements_index(self) -> Dict[Any, Tuple[Any, ...]]:
@@ -282,18 +312,29 @@ class XSet:
         result = self
         for other in others:
             present = result._pair_set
-            extra = tuple(pair for pair in other._pairs if pair not in present)
+            extra = [
+                item
+                for item in zip(other._pairs, canonical_key(other)[2])
+                if item[0] not in present
+            ]
             if not extra:
                 continue
             if len(extra) == len(other._pairs) and not result._pairs:
                 result = other
                 continue
             # Two canonical runs of admitted pairs (extra is a subsequence
-            # of other's) sharing no pair; the sort finds both runs and
-            # merges them, reading one remembered key per member.
-            result = XSet._from_run(
-                sorted(result._pairs + extra, key=pair_key), present.union(extra)
-            )
+            # of other's) sharing no pair, each beside its remembered
+            # keys; the sort finds both runs and merges them on the keys,
+            # which the result remembers in turn.
+            extra_pairs, extra_keys = zip(*extra)
+            ordered, keys = zip(*sorted(
+                zip(
+                    result._pairs + extra_pairs,
+                    canonical_key(result)[2] + extra_keys,
+                ),
+                key=_pair_key_of,
+            ))
+            result = XSet._from_run(ordered, present.union(extra_pairs), keys)
         return result
 
     def intersection(self, *others: "XSet") -> "XSet":
@@ -491,6 +532,13 @@ def render(xset: XSet) -> str:
             parts.append("%s^%s" % (_render_value(element), _render_value(scope)))
     return "{%s}" % ", ".join(parts)
 
+
+#: Exact types the constructor admits without a ``_check_admissible``
+#: call.  The builtins are hashable and, having no instance dict and no
+#: settable class attribute, cannot carry ``__xst_process__``: neither a
+#: process nor unhashable, by type.  ``XSet`` is admissible by definition.
+#: Every other type -- subclasses of these included -- takes the check.
+_ADMITTED_BY_TYPE = frozenset({str, int, float, bool, bytes, type(None), XSet})
 
 #: The empty extended set; also the *default scope* giving classical
 #: membership (``x in A`` is ``x in_EMPTY A``).

@@ -213,6 +213,101 @@ class TestQueries:
         run(served(body))
 
 
+class TestMalformedPages:
+    """A PAGE body of the wrong shape is a typed failure, never a relation
+    read off the wrong thing (a string as names, a mapping's keys or a
+    string's characters as a row) and never a bare ``TypeError``."""
+
+    @staticmethod
+    async def answer_with(page, test):
+        """Serve the handshake, then ``page`` to every QUERY."""
+        from repro.server.protocol import FrameDecoder, FrameType, encode_frame
+
+        connections = []
+
+        async def serve(reader, writer):
+            connections.append(writer)
+            decoder = FrameDecoder()
+            while True:
+                data = await reader.read(1 << 16)
+                if not data:
+                    return
+                for ftype, frame in decoder.feed(data):
+                    if ftype == FrameType.HELLO:
+                        reply = (FrameType.WELCOME, {
+                            "session": "s1", "version": 0, "trace": "t"})
+                    elif ftype == FrameType.QUERY:
+                        reply = (FrameType.PAGE, dict(
+                            page, id=frame["id"], last=True))
+                    else:  # GOODBYE
+                        writer.close()
+                        return
+                    writer.write(encode_frame(*reply))
+                    await writer.drain()
+
+        fake = await asyncio.start_server(serve, "127.0.0.1", 0)
+        try:
+            port = fake.sockets[0].getsockname()[1]
+            client = await connect("127.0.0.1", port, max_attempts=2)
+            try:
+                return await test(client), len(connections)
+            finally:
+                await client.close()
+        finally:
+            fake.close()
+            for writer in connections:
+                writer.close()
+            await fake.wait_closed()
+
+    def ask(self, page):
+        return run(self.answer_with(
+            page, lambda client: client.query("select a from t")))
+
+    def test_a_well_formed_page_is_a_relation(self):
+        rel, connections = self.ask({"heading": ["a", "b"],
+                                     "rows": [[1, "x"], [2, "y"]]})
+        assert rel.to_rows() == [(1, "x"), (2, "y")] and connections == 1
+        empty, _ = self.ask({})  # both fields default to empty
+        assert len(empty) == 0 and len(empty.heading) == 0
+
+    @pytest.mark.parametrize("page", [
+        {"heading": ["a"], "rows": [5]},
+        {"heading": ["a"], "rows": 7},
+        {"heading": "ab", "rows": [[1, 2]]},
+        {"heading": ["a"], "rows": [{"a": 1}]},
+        {"heading": ["a"], "rows": ["x"]},
+    ])
+    def test_a_wrong_shape_is_a_network_error_naming_the_request(self, page):
+        async def body(client):
+            with pytest.raises(NetworkError, match="malformed PAGE for "
+                               "request c0-1: heading must be a list and "
+                               "rows a list of lists"):
+                await client.query("select a from t")
+            return client.retries
+
+        retries, connections = run(self.answer_with(page, body))
+        # Transient like every wire failure: retried under the same id on
+        # a fresh connection until the attempts run out.
+        assert (retries, connections) == (2, 2)
+
+    @pytest.mark.parametrize("page, error, message", [
+        ({"heading": ["a", "b"], "rows": [[1]]},
+         "SchemaError", "has 1 values for 2 attributes"),
+        ({"heading": ["a", "a"], "rows": []},
+         "SchemaError", "duplicate attribute names"),
+        ({"heading": ["a", 1], "rows": []},
+         "SchemaError", "attribute names must be non-empty strings"),
+        ({"heading": ["a"], "rows": [[[1, 2]]]},
+         "InvalidAtomError", "not hashable"),
+    ])
+    def test_what_the_page_holds_keeps_its_own_typed_error(
+            self, page, error, message):
+        import repro.errors
+
+        with pytest.raises(getattr(repro.errors, error), match=message):
+            self.ask(page)
+
+
 class TestPreparedStatements:
     def test_prepare_execute(self):
         async def body(server):

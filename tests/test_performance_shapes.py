@@ -19,6 +19,7 @@ from repro.core.composition import compose_chain, staged_apply
 from repro.relational.storage import RecordStore, SetStore
 from repro.workloads import departments, employees, pipeline_stages
 from repro.xst.builders import xpair, xset, xtuple
+from repro.xst.ordering import canonical_key
 from repro.xst.relative_product import (
     relative_product,
     relative_product_nested_loop,
@@ -262,6 +263,18 @@ class TestCanonicalOrderOnceShapes:
             monkeypatch.setattr(module, name, counted)
         return calls
 
+    @staticmethod
+    def counting_sorts(monkeypatch):
+        import importlib
+
+        sorts = []
+        monkeypatch.setattr(
+            importlib.import_module("repro.xst.xset"), "sorted",
+            lambda *args, **kwargs: (sorts.append(1), sorted(*args, **kwargs))[1],
+            raising=False,
+        )
+        return sorts
+
     def test_filters_of_a_canonical_run_never_sort(self, monkeypatch):
         from repro.xst.builders import xrecord
         from repro.xst.restrict import sigma_restrict
@@ -270,14 +283,15 @@ class TestCanonicalOrderOnceShapes:
         every_other = XSet(rows.pairs()[::2])
         key = xset([xrecord({"dept": 3})])
         sigma = XSet([("dept", "dept")])
-        calls = self.counting(
-            monkeypatch, "pair_key", "repro.xst.xset", "repro.xst.ordering"
-        )
+        # Every sort by canonical key is one ``sorted`` call in xset.py
+        # (the checked constructor's and union's).
+        sorts = self.counting_sorts(monkeypatch)
         assert len(rows - every_other) == self.ROWS // 2
         assert len(rows & every_other) == self.ROWS // 2
         assert 0 < len(sigma_restrict(rows, key, sigma)) < self.ROWS
-        # Parent commit: once per surviving row, in each of the three.
-        assert len(calls) == 0
+        assert len(sorts) == 0
+        XSet(rows.pairs()[:3])
+        assert len(sorts) == 1  # the counter does see the constructor's
 
     def test_one_row_union_reads_memoized_keys_only(self, monkeypatch):
         rel = self.relation()
@@ -355,7 +369,11 @@ class TestDeltaCarriedCommitShapes:
         # (195 rows at 64, 3075 at 1024) and the key check built one
         # XSet per table row (420 and 6180 constructions).
         assert small == large
-        assert small[1] == 2  # the inserted row and the rewritten row
+        # The inserted row and the rewritten row are built by
+        # ``Relation.from_dicts`` from the heading's own names, after its
+        # key-set check: valid by construction, so the checked constructor
+        # has nothing to validate (parent commit: those 2 rows).
+        assert small[1] == 0
 
     def test_join_maintenance_reads_do_not_grow_with_the_fact_table(self):
         from repro.obs import observed
@@ -460,10 +478,10 @@ class TestPointWorkShapes:
         built = []
         from_run = XSet._from_run
 
-        def counted(ordered, pair_set=None):
+        def counted(ordered, *known):
             if sys._getframe(1).f_globals["__name__"] == "repro.xst.rescope":
                 built.append(len(ordered))
-            return from_run(ordered, pair_set)
+            return from_run(ordered, *known)
 
         monkeypatch.setattr(XSet, "_from_run", staticmethod(counted))
         joined = algebra.join(emp, dept)
@@ -472,3 +490,109 @@ class TestPointWorkShapes:
         # the (empty) member-scope halves of every pair come back as the
         # operand.  Parent commit: 432 constructions.
         assert built == [1] * 108
+
+
+class TestBuiltOnceShapes:
+    """Counts, not timings: a value's canonical key is derived once, when
+    the checked constructor sorts by it, and travels with the value
+    through ``union``; a row is proved record-shaped once, by whoever
+    builds it."""
+
+    SIZES = (50, 500)
+
+    @staticmethod
+    def counters(patch):
+        """Count the four re-derivations; ``{name: [one entry per call]}``."""
+        import importlib
+
+        from repro.relational.relation import Relation
+
+        calls = {"admissible": [], "keyed": [], "is_record": [],
+                 "validated": [], "row_dicts": []}
+
+        def logging(name, original, note=lambda *args: 1):
+            def logged(*args):
+                calls[name].append(note(*args))
+                return original(*args)
+            return logged
+
+        xset_module = importlib.import_module("repro.xst.xset")
+        ordering = importlib.import_module("repro.xst.ordering")
+        patch.setattr(xset_module, "_check_admissible", logging(
+            "admissible", xset_module._check_admissible))
+        patch.setattr(ordering, "_xset_key", logging(
+            "keyed", ordering._xset_key, lambda value: value))
+        patch.setattr(XSet, "is_record", logging("is_record", XSet.is_record))
+        patch.setattr(Relation, "__init__", logging(
+            "validated", Relation.__init__,
+            lambda self, heading, rows: len(rows)))
+        patch.setattr(Relation, "iter_dicts", logging(
+            "row_dicts", Relation.iter_dicts, len))
+        return calls
+
+    def test_from_tuples_builds_each_row_once(self, monkeypatch):
+        from fractions import Fraction
+
+        from repro.relational.relation import Relation
+
+        for size in self.SIZES:
+            rows = [tuple(row[name] for name in HEADING) for row in
+                    employees(size, 8, seed=WORKLOAD_SEED + 16)]
+            with monkeypatch.context() as patch:
+                calls = self.counters(patch)
+                rel = Relation.from_tuples(HEADING, rows)
+                assert len(rel) == size
+                # Parent commit, per row: 8 admissibility calls, the row
+                # keyed a second time as a member, is_record + validation.
+                assert not any(calls.values()), calls
+                # The counters do see what is not known by type or by
+                # construction: an opaque atom, an unkeyed subsequence,
+                # rows handed to the checked constructor.
+                opaque = XSet([(Fraction(1, 2), "half")])
+                sorted([rel.rows - XSet(rel.rows.pairs()[:1]), opaque],
+                       key=canonical_key)
+                Relation(rel.heading, rel.rows)
+                assert len(calls["admissible"]) == 1
+                assert len(calls["keyed"]) == 1
+                assert calls["validated"] == [size]
+                assert len(calls["is_record"]) == 0  # failing path only
+
+    def test_join_output_rows_arrive_keyed(self, monkeypatch):
+        from repro.relational import algebra
+        from repro.workloads import department_relation, employee_relation
+
+        for size in self.SIZES:
+            emp = employee_relation(size, 8, seed=WORKLOAD_SEED + 17)
+            dept = department_relation(8, seed=WORKLOAD_SEED + 17)
+            with monkeypatch.context() as patch:
+                calls = self.counters(patch)
+                joined = algebra.join(emp, dept)
+            assert len(joined) == size and len(joined.heading) == 6
+            # Each output row is a union of two keyed rows and carries the
+            # merged keys (parent commit: every one keyed from scratch).
+            output = {id(row) for row, _ in joined.rows.pairs()}
+            assert not output & {id(value) for value in calls["keyed"]}
+            assert all(row._key is not None for row, _ in joined.rows.pairs())
+            assert calls["admissible"] == calls["is_record"] == []
+
+    def test_aggregate_reads_each_group_once(self, monkeypatch):
+        from repro.relational.aggregate import aggregate
+        from repro.workloads import employee_relation
+
+        for size in self.SIZES:
+            emp = employee_relation(size, 8, seed=WORKLOAD_SEED + 18)
+            with monkeypatch.context() as patch:
+                calls = self.counters(patch)
+                out = aggregate(emp, ["dept"], {
+                    "headcount": ("count", "salary"),
+                    "mean": ("avg", "salary"),
+                })
+            assert len(out) == 8
+            assert sum(row["headcount"] for row in out.iter_dicts()) == size
+            # Dicts and validation for the eight distinct keys (their
+            # projection), none for the rows: groups are subsets of emp and
+            # columns come from the scope indexes.  Parent commit: one dict
+            # per row per aggregate, is_record on every row of every group
+            # and on the eight output rows.
+            assert calls["row_dicts"] == calls["validated"] == [8]
+            assert calls["is_record"] == []

@@ -9,18 +9,28 @@ pushed back through the public constructor in reverse order.
 
 The atoms include typed twins (``1``/``1.0``/``True``), ``None`` and
 integers around ``2**53`` that ``float`` cannot tell apart.
+
+The checked constructor and ``union`` remember the keys they sorted or
+merged by, so the same oracle holds the remembered key of every result,
+and of every set nested in it, against one derived afresh from the
+pairs; and the relation builders, which skip row validation for rows
+they build themselves, against the checked ``Relation`` constructor.
 """
 
 import os
 
+import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from repro.errors import InvalidAtomError, SchemaError
 from repro.relational import algebra
 from repro.relational.relation import Relation
+from repro.relational.schema import Heading
+from repro.xst.builders import xrecord, xset
 from repro.xst.domain import sigma_domain
 from repro.xst.image import image
-from repro.xst.ordering import canonical_key
+from repro.xst.ordering import _RANK_XSET, canonical_key
 from repro.xst.relative_product import (
     relative_product,
     relative_product_nested_loop,
@@ -89,12 +99,32 @@ def spelled(value):
     return (type(value).__name__, repr(value))
 
 
+def fresh_key(value):
+    """The canonical key derived from the pairs alone, reading no memo."""
+    if not isinstance(value, XSet):
+        return canonical_key(value)
+    keys = tuple((fresh_key(e), fresh_key(s)) for e, s in value.pairs())
+    return (_RANK_XSET, len(keys), keys)
+
+
+def unkeyed(value: XSet) -> XSet:
+    """The same canonical run with no key remembered yet."""
+    copy = XSet._from_run(value.pairs())
+    assert copy._key is None and copy == value
+    return copy
+
+
 def assert_canonical(result: XSet) -> None:
+    # Whatever key the result already carries -- from the constructor, a
+    # merge, or an earlier canonical_key call -- is the derived one.
+    assert result._key is None or result._key == fresh_key(result)
     rebuilt = XSet(reversed(result.pairs()))
+    assert rebuilt._key == fresh_key(result)
     assert spelled(result) == spelled(rebuilt)
     assert result == rebuilt
     assert hash(result) == hash(rebuilt)
     assert canonical_key(result) == canonical_key(rebuilt)
+    assert result._key == rebuilt._key
     assert repr(result) == repr(rebuilt)
     assert dumps(result) == dumps(rebuilt)
     # The indexes, built on first use, against ones derived from the pairs.
@@ -157,6 +187,48 @@ class TestBooleanAlgebra:
         assert (big | small).pairs() == XSet(many + few).pairs()
         assert (small | big).pairs() == XSet(few + many).pairs()
         assert_canonical(big | small)
+
+
+class TestRememberedKeys:
+    @given(st.lists(st.tuples(st.one_of(atoms, nested()),
+                              st.one_of(atoms, nested())), max_size=6))
+    def test_the_checked_constructor_remembers_the_key_it_sorted_by(self, pairs):
+        value = XSet(pairs)
+        assert value._key is not None
+        assert value._key == fresh_key(value)
+        assert_canonical(value)
+
+    @given(nested(), nested(), nested())
+    def test_a_merge_of_keyed_or_unkeyed_runs_is_keyed(self, a, b, c):
+        overlapping = XSet(a.pairs()[::2] + b.pairs())  # shares pairs with a
+        for left in (a, unkeyed(a)):
+            for right in (b, unkeyed(b), overlapping, unkeyed(overlapping)):
+                for result in (left | right, right | left,
+                               left.union(right, c)):
+                    assert result._key is not None  # reading keys fills them
+                    assert result._key == fresh_key(result)
+                    assert_canonical(result)
+                assert left._key == fresh_key(left)
+                assert right._key == fresh_key(right)
+
+    def test_a_merge_of_twin_spellings_keeps_the_left_and_one_key(self):
+        ints = XSet([(1, "a"), (2, "b"), (3, "c")])
+        floats = XSet([(1.0, "a"), (2.0, "b"), (True, "d")])
+        for left, right in ((ints, floats), (floats, ints),
+                            (unkeyed(ints), floats), (ints, unkeyed(floats))):
+            merged = left | right
+            assert spelled(merged) == spelled(XSet(left.pairs() + right.pairs()))
+            assert merged._key == fresh_key(merged)
+            assert merged._key == (left | right)._key == (right | left)._key
+
+    def test_subclass_results_are_not_remembered(self):
+        class Tagged(XSet):
+            __slots__ = ()
+
+        tagged = Tagged([("a", 1), ("b", 2)])
+        assert tagged._key is None
+        merged = XSet([("c", 3)]) | tagged
+        assert merged._key == fresh_key(merged) and tagged._key is None
 
 
 class TestKernelOperations:
@@ -258,3 +330,72 @@ class TestRelationalOperators:
         for result in (algebra.union(rel, other), algebra.difference(rel, other),
                        algebra.intersection(rel, other)):
             assert_canonical(result.rows)
+
+
+def the_long_way(names, rows) -> Relation:
+    """Each row through ``xrecord`` and the checked ``Relation``."""
+    return Relation(
+        Heading(names), xset(xrecord(dict(zip(names, row))) for row in rows)
+    )
+
+
+class TestRelationBuilders:
+    """``from_tuples``/``from_dicts`` skip validating the rows they build
+    from the heading's own names; the checked constructor is the oracle."""
+
+    @seeded
+    @given(st.lists(st.tuples(*[values] * len(ATTRS)), max_size=6))
+    def test_built_rows_equal_validated_rows(self, rows):
+        expected = the_long_way(ATTRS, rows)
+        shuffled = ("w", "k", "v")
+        for built in (
+            Relation.from_tuples(ATTRS, rows),
+            Relation.from_tuples(Heading(ATTRS), [list(row) for row in rows]),
+            Relation.from_dicts(ATTRS, [dict(zip(ATTRS, row)) for row in rows]),
+            Relation.from_dicts(shuffled, [
+                {name: row[ATTRS.index(name)] for name in shuffled}
+                for row in rows
+            ]),
+        ):
+            assert built == expected and hash(built) == hash(expected)
+            assert spelled(built.rows) == spelled(expected.rows)
+            assert built.rows._key == fresh_key(expected.rows)
+            assert_canonical(built.rows)
+            if built.heading.names == ATTRS:  # to_rows is in declared order
+                assert built.to_rows() == expected.to_rows()
+            assert list(built.iter_dicts()) == list(expected.iter_dicts())
+            # What was skipped would have passed.
+            assert Relation(built.heading, built.rows) == built
+
+    @pytest.mark.parametrize("row", [(1,), (1, 2, 3), ()])
+    def test_short_and_long_rows_are_schema_errors(self, row):
+        with pytest.raises(SchemaError, match=r"row .* has %d values for 2 "
+                           "attributes" % len(row)):
+            Relation.from_tuples(["a", "b"], [(1, 2), row])
+
+    @pytest.mark.parametrize("row", [
+        {"a": 1}, {"a": 1, "b": 2, "c": 3}, {"a": 1, "c": 3}, {},
+    ])
+    def test_wrong_keys_are_schema_errors(self, row):
+        with pytest.raises(SchemaError, match="row keys .* do not match "
+                           r"heading Heading\(a, b\)"):
+            Relation.from_dicts(["a", "b"], [{"a": 1, "b": 2}, row])
+
+    def test_unhashable_values_are_invalid_atoms(self):
+        with pytest.raises(InvalidAtomError, match="not hashable"):
+            Relation.from_tuples(["a", "b"], [(1, [2])])
+        with pytest.raises(InvalidAtomError, match="not hashable"):
+            Relation.from_dicts(["a", "b"], [{"a": {}, "b": 2}])
+
+    def test_a_row_over_no_names_is_still_no_record(self):
+        assert len(Relation.from_tuples([], [])) == 0
+        for build in (lambda: Relation.from_tuples([], [()]),
+                      lambda: Relation.from_dicts([], [{}]),
+                      lambda: the_long_way([], [()])):
+            with pytest.raises(SchemaError, match="not record-shaped"):
+                build()
+
+    def test_bad_headings_are_schema_errors(self):
+        for names in (["a", "a"], ["a", 1], [""]):
+            with pytest.raises(SchemaError):
+                Relation.from_tuples(names, [])
