@@ -4,9 +4,10 @@ Three claims, each asserted (not just recorded) so a regression fails
 the suite rather than silently flattening a curve:
 
 1. **Cached reads vs cold reads.**  A repeated query served from the
-   MVCC-keyed result cache is at least 10x faster at p99 than
+   input-keyed result cache is at least 10x faster at p99 than
    executing the same plan cold -- the hit is an ``OrderedDict``
-   lookup plus a version fingerprint, the cold path is a real join.
+   lookup on the identity of the scanned relations, the cold path is
+   a real join.
 
 2. **Delta apply vs full recompute.**  Propagating a one-row diff
    through a selective join view and patching the materialized cache
@@ -194,8 +195,7 @@ def test_mixed_workload_hit_rate(benchmark, observed_registry):
     manager, catalog = make_catalog()
     db = catalog.database
     cache = db.enable_result_cache(
-        cache=QueryResultCache(capacity=32, name="bench"),
-        version_of=manager.table_version,
+        cache=QueryResultCache(capacity=32, name="bench")
     )
     catalog.define(
         "names", Project(Scan("emp"), ("name", "dept")), materialized=True

@@ -12,7 +12,9 @@ Four small commands that make the library usable from a shell:
 
 ``query CSVDIR XQL``
     Load every ``*.csv`` in a directory as a relation (named by file
-    stem) and run an XQL query against them.
+    stem) and run an XQL query against them.  The CSV answer is a
+    relation, printed in canonical order: ``ORDER BY`` decides which
+    rows ``LIMIT`` keeps and nothing else.
 
 ``closure CSVFILE FROM TO``
     Read an edge list from a CSV with the given source/target columns
@@ -117,7 +119,9 @@ commands:
   image RELATION KEYS    CST-shaped image of KEYS under RELATION
   query CSVDIR XQL [--trace-out FILE] [--timeout S] [--budget ROWS]
                          run an XQL query over a directory of CSVs,
-                         optionally under a deadline / row budget
+                         optionally under a deadline / row budget;
+                         the answer is a relation (canonical order):
+                         ORDER BY only decides which rows LIMIT keeps
   closure CSV FROM TO [--trace-out FILE]
                          transitive closure of an edge-list CSV
   cluster-status CSVDIR ATTR [NODES [FACTOR]]

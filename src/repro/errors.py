@@ -68,6 +68,24 @@ def set_error_listener(
     return previous
 
 
+#: The structured context attributes typed errors carry -- the union of
+#: the constructor signatures below plus the WAL's ``CorruptLogError``
+#: payloads -- listed once: an ERROR frame ships them and a
+#: flight-recorder incident records them.  Left out on purpose:
+#: ``retry_after_s`` (every :class:`UnavailableError` has it; it travels
+#: beside the context) and ``ClusterUnavailableError.key`` (an arbitrary
+#: kernel value, rendered in the message).
+_ERROR_CONTEXT_ATTRS = (
+    "elapsed_s", "timeout_s", "site",
+    "resource", "spent", "limit",
+    "in_flight", "capacity", "reason",
+    "table", "bucket", "node", "retry_after_ops", "replicas",
+    "frame", "session_id", "request_id",
+    "tables", "read_version", "committed_version",
+    "requested_epoch", "current_epoch",
+)
+
+
 def notify_error(error: Exception) -> None:
     """Fire the typed-error hook (no-op when none is installed)."""
     listener = _ERROR_LISTENER

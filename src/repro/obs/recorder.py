@@ -34,7 +34,7 @@ from collections import deque
 from itertools import count
 from typing import Any, Dict, List, Optional
 
-from repro.errors import set_error_listener
+from repro.errors import _ERROR_CONTEXT_ATTRS, set_error_listener
 from repro.obs.digest import QueryDigest, add_digest_sink, remove_digest_sink
 from repro.obs.metrics import registry
 from repro.obs.trace import Span, set_span_listener
@@ -52,18 +52,6 @@ DEFAULT_WINDOW = 64
 
 #: How many incident records are retained (oldest evicted first).
 DEFAULT_INCIDENT_CAPACITY = 32
-
-#: Structured context attributes lifted off typed errors, in render
-#: order.  Matches the constructor signatures in :mod:`repro.errors`
-#: plus the WAL's ``CorruptLogError`` payloads.
-_ERROR_CONTEXT_ATTRS = (
-    "elapsed_s", "timeout_s", "site",
-    "resource", "spent", "limit",
-    "in_flight", "capacity", "retry_after_s", "reason",
-    "table", "bucket", "node", "retry_after_ops", "replicas",
-    "frame", "session_id", "request_id",
-    "tables", "read_version", "committed_version",
-)
 
 #: Metric families included in incident snapshots.
 _INCIDENT_METRIC_PREFIXES = ("repro_cluster", "repro_gov")
@@ -140,7 +128,7 @@ class FlightRecorder:
 
     def _snapshot(self, error: Exception) -> Dict[str, Any]:
         context: Dict[str, Any] = {}
-        for attr in _ERROR_CONTEXT_ATTRS:
+        for attr in _ERROR_CONTEXT_ATTRS + ("retry_after_s",):
             value = getattr(error, attr, None)
             if value is not None:
                 context[attr] = (

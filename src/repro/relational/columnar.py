@@ -32,10 +32,8 @@ same values), so deduplication by raw value tuples is *exactly* the
 kernel's set semantics -- including the ``1 == 1.0 == True`` twins.
 
 Runs are ``array('Q')`` pairs (sorted hashes + row permutation) read
-through zero-copy ``memoryview`` slices in the merge loops; set
-``REPRO_NUMPY=1`` to build and search runs with numpy (``argsort`` /
-``searchsorted``) when it is installed -- results are identical by
-construction, which the CI columnar job checks in both modes.
+through zero-copy ``memoryview`` slices in the merge loops and searched
+with ``bisect``.
 
 Cooperative cancellation: every batch loop passes a
 :class:`repro.gov.Governor` checkpoint (sites ``columnar.*``) charging
@@ -46,7 +44,6 @@ and budgets behave identically across backends (pinned by
 
 from __future__ import annotations
 
-import os
 from array import array
 from bisect import bisect_left, bisect_right
 from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
@@ -66,8 +63,6 @@ __all__ = [
     "ColumnarRelation",
     "encode",
     "materialize",
-    "numpy_active",
-    "set_numpy",
 ]
 
 #: Cancellation-checkpoint stride for columnar batch loops (power of
@@ -80,41 +75,6 @@ _CHECK_EVERY = 1024
 #: steer the merge; matches are verified on values.
 _MIX = 0x9E3779B1
 _MASK64 = (1 << 64) - 1
-
-
-def _env_truthy(value: str) -> bool:
-    return value.strip().lower() in ("1", "true", "yes", "on")
-
-
-def _import_numpy():
-    try:
-        import numpy
-    except ImportError:  # pragma: no cover - numpy genuinely absent
-        return None
-    return numpy
-
-
-#: The numpy module when the ``REPRO_NUMPY=1`` backend is active, else
-#: ``None`` (pure ``array``/``bisect``).  Missing numpy degrades to the
-#: pure-Python path silently: the flag requests a backend, it does not
-#: add a dependency.
-_NUMPY = _import_numpy() if _env_truthy(os.environ.get("REPRO_NUMPY", "")) else None
-
-
-def numpy_active() -> bool:
-    """Is the numpy run backend currently in use?"""
-    return _NUMPY is not None
-
-
-def set_numpy(flag: bool) -> bool:
-    """Flip the numpy backend (tests sweep both); returns the previous.
-
-    Enabling is a no-op when numpy is not importable.
-    """
-    global _NUMPY
-    previous = _NUMPY is not None
-    _NUMPY = _import_numpy() if flag else None
-    return previous
 
 
 def _record_backend(op: str, backend: str) -> None:
@@ -133,9 +93,8 @@ class SortedRun:
     ``hashes[i]`` is the ``canonical_hash`` of the attribute value in
     row ``perm[i]``; the hash array is sorted ascending (stably, so
     ``perm`` preserves row order within equal keys -- determinism, not
-    correctness, rides on that).  Both arrays are ``array('Q')`` /
-    ``array('L')`` in the pure backend or ``numpy.ndarray`` under
-    ``REPRO_NUMPY=1``; :meth:`equal_range` hides the difference.
+    correctness, rides on that).  The arrays are ``array('Q')`` and
+    ``array('L')``.
     """
 
     __slots__ = ("hashes", "perm")
@@ -149,10 +108,6 @@ class SortedRun:
 
     def equal_range(self, key: int) -> Tuple[int, int]:
         """The half-open index range of ``key`` in the sorted hashes."""
-        if _NUMPY is not None and isinstance(self.hashes, _NUMPY.ndarray):
-            lo = int(_NUMPY.searchsorted(self.hashes, key, side="left"))
-            hi = int(_NUMPY.searchsorted(self.hashes, key, side="right"))
-            return lo, hi
         return (
             bisect_left(self.hashes, key),
             bisect_right(self.hashes, key),
@@ -166,11 +121,11 @@ class SortedRun:
         thereafter; the per-element Python work the row kernel pays on
         every operation is paid here a single time.
         """
-        keys = [canonical_hash(value) for value in values]
-        if _NUMPY is not None:
-            hash_array = _NUMPY.asarray(keys, dtype=_NUMPY.uint64)
-            order = _NUMPY.argsort(hash_array, kind="stable")
-            return cls(hash_array[order], order)
+        return cls._of_keys([canonical_hash(value) for value in values])
+
+    @classmethod
+    def _of_keys(cls, keys: List[int]) -> "SortedRun":
+        """The run of one hash key per row, sorted stably."""
         order = sorted(range(len(keys)), key=keys.__getitem__)
         return cls(
             array("Q", (keys[index] for index in order)),
@@ -306,16 +261,7 @@ class ColumnarRelation:
                     mixed[index] = (
                         mixed[index] * _MIX + canonical_hash(col[index])
                     ) & _MASK64
-            if _NUMPY is not None:
-                hash_array = _NUMPY.asarray(mixed, dtype=_NUMPY.uint64)
-                order = _NUMPY.argsort(hash_array, kind="stable")
-                cached = SortedRun(hash_array[order], order)
-            else:
-                order = sorted(range(self._length), key=mixed.__getitem__)
-                cached = SortedRun(
-                    array("Q", (mixed[index] for index in order)),
-                    array("L", order),
-                )
+            cached = SortedRun._of_keys(mixed)
             self._joint_runs[wanted] = cached
         return cached
 

@@ -561,8 +561,8 @@ class Cluster:
         self._bucket_rows: Dict[str, Dict[int, int]] = {}
         self._last_context: Optional[_QueryContext] = None
         #: Coordinator-side result cache (``enable_result_cache``):
-        #: entries fingerprinted by the manager's per-table MVCC
-        #: versions, so a post-commit reader can never see a
+        #: entries fingerprinted by each scanned table's committed
+        #: relation, so a post-commit reader can never see a
         #: pre-commit answer.
         self.result_cache = None
 
@@ -1409,12 +1409,13 @@ class Cluster:
     def enable_result_cache(self, cache=None, capacity: int = 256):
         """Attach (and return) a coordinator-side result cache.
 
-        Entries are keyed by the manager's per-table MVCC versions
-        (moved by every commit that changes the table), so results can
-        never leak across a data change.  Epoch swings (bucket moves,
-        splits, merges) invalidate the moved table's entries *without*
-        a version -- the rows are placement-stable across a move, so
-        this is targeted reclamation, never a flush of other tables.
+        Entries are fingerprinted by the *committed* relation of each
+        scanned table (replaced by every commit that changes the
+        table), so results can never leak across a data change.  Epoch
+        swings (bucket moves, splits, merges) invalidate the moved
+        table's entries by name -- the rows are placement-stable
+        across a move, so this is targeted reclamation, never a flush
+        of other tables.
         """
         if cache is None:
             from repro.relational.ivm.cache import QueryResultCache
@@ -1495,14 +1496,16 @@ class Cluster:
             plan_key = plan_cache_key(plan)
         if plan_key is None:
             return run()
-        fingerprint = tuple(
-            (table, self.manager.table_version(table)) for table in tables
-        )
-        hit = self.result_cache.lookup(plan_key, fingerprint)
+        # The committed relations, never the live Table pointers: in
+        # an open transaction those are uncommitted work, while the
+        # replicas this reads hold committed rows only.
+        with self.manager.snapshot() as committed:
+            inputs = tuple([committed.relation(table) for table in tables])
+        hit = self.result_cache.lookup(plan_key, inputs)
         if hit is not None:
             return hit
         result = run()
-        self.result_cache.store(plan_key, fingerprint, tables, result)
+        self.result_cache.store(plan_key, inputs, tables, result)
         return result
 
     def _execute_scan(self, pipeline: ShardPipeline, heading: Heading,

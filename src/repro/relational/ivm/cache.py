@@ -1,4 +1,4 @@
-"""Bounded query-result cache keyed on plan identity + MVCC versions.
+"""Bounded query-result cache keyed on plan identity + input identity.
 
 A cache entry's key is the pair ``(plan key, fingerprint)``:
 
@@ -9,16 +9,22 @@ A cache entry's key is the pair ``(plan key, fingerprint)``:
   lambdas can share a label, and a label is not a semantics), with the
   full canonical text appended so a CRC collision can never alias two
   distinct plans;
-* the **fingerprint** is the sorted tuple of ``(table, version)`` for
-  every base relation the plan scans, versions being MVCC per-table
-  commit versions (or whatever counter the owner wires in).
+* the **fingerprint** is the tuple of immutable relations the plan
+  scans, one per base table in sorted table order, compared by
+  **identity**.  A relation never changes, so "the same data" is "the
+  same object"; the entry holds its fingerprint for as long as it
+  lives, so an identity can never be reused underneath it.
 
-Because the versions are *part of the key*, correctness never depends
-on invalidation: a result computed when ``emp`` was at version 3 is
-unreachable by a reader whose ``emp`` is at version 5.  The per-table
-diff-stream invalidation (:meth:`QueryResultCache.invalidate_tables`)
-exists to reclaim memory promptly and to keep the LRU full of entries
-that can still hit.
+Identity, not ``==``: ``xset([1]) == xset([1.0])`` (typed twins are
+equal members with equal hashes and different bytes), so a value-keyed
+entry would serve the old spelling after a respelling write.
+
+Because the inputs are *part of the key*, correctness never depends on
+invalidation: a result computed from one value of ``emp`` is
+unreachable by a reader holding another.  The per-table diff-stream
+invalidation (:meth:`QueryResultCache.invalidate_tables`) exists to
+reclaim memory promptly and to keep the LRU full of entries that can
+still hit.
 
 Metrics: every event increments
 ``repro_cache_events_total{event,cache}`` when observability is
@@ -31,7 +37,7 @@ moved on underneath a repeated query.
 from __future__ import annotations
 
 from collections import OrderedDict
-from typing import Dict, Iterable, Optional, Set, Tuple
+from typing import Any, Dict, Iterable, Optional, Set, Tuple
 
 from repro.obs.instrument import enabled as _obs_enabled
 from repro.relational.query import Plan, SelectPred, scans
@@ -39,8 +45,11 @@ from repro.relational.relation import Relation
 
 __all__ = ["QueryResultCache", "plan_cache_key", "scan_tables"]
 
-#: (table, version) per scanned base relation, sorted by table name.
-Fingerprint = Tuple[Tuple[str, int], ...]
+#: The scanned base relations themselves, in sorted table order; two
+#: fingerprints are the same when their members are the same objects.
+Fingerprint = Tuple[Any, ...]
+#: What the entry table is keyed on: plan key + ``id`` of each input.
+_Key = Tuple[str, Tuple[int, ...]]
 
 
 class _Uncacheable(Exception):
@@ -93,14 +102,14 @@ def _record_event(cache: str, event: str, amount: int = 1) -> None:
 
 
 class QueryResultCache:
-    """LRU of immutable query results; never serves across versions.
+    """LRU of immutable query results; never serves across inputs.
 
     Results are :class:`~repro.relational.relation.Relation` values --
     immutable, so entries are shared by reference and a hit is a dict
     lookup.  ``capacity`` bounds the entry count; eviction is LRU.
     One cache instance may back many readers (all server sessions
-    share one), because sessions pinned at the same versions produce
-    identical fingerprints and therefore share entries.
+    share one), because sessions pinned at the same version hold the
+    same relation objects and therefore share entries.
     """
 
     def __init__(self, capacity: int = 256, name: str = "db"):
@@ -108,8 +117,10 @@ class QueryResultCache:
             raise ValueError("cache capacity must be positive")
         self._capacity = capacity
         self._name = name
-        self._entries: "OrderedDict[Tuple[str, Fingerprint], Tuple[Relation, Tuple[str, ...]]]" = OrderedDict()
-        self._by_table: Dict[str, Set[Tuple[str, Fingerprint]]] = {}
+        # Each entry keeps the fingerprint it was stored under: while
+        # it lives, no other object can take one of its inputs' ids.
+        self._entries: "OrderedDict[_Key, Tuple[Relation, Tuple[str, ...], Fingerprint]]" = OrderedDict()
+        self._by_table: Dict[str, Set[_Key]] = {}
         # Plan keys ever stored (bounded), for classifying misses as
         # cold vs stale.  Metrics only -- correctness never reads it.
         self._known_plans: "OrderedDict[str, None]" = OrderedDict()
@@ -136,9 +147,10 @@ class QueryResultCache:
     def lookup(
         self, plan_key: str, fingerprint: Fingerprint
     ) -> Optional[Relation]:
-        entry = self._entries.get((plan_key, fingerprint))
+        key = (plan_key, tuple(map(id, fingerprint)))
+        entry = self._entries.get(key)
         if entry is not None:
-            self._entries.move_to_end((plan_key, fingerprint))
+            self._entries.move_to_end(key)
             self.hits += 1
             _record_event(self._name, "hit")
             return entry[0]
@@ -157,11 +169,12 @@ class QueryResultCache:
         tables: Iterable[str],
         result: Relation,
     ) -> None:
-        key = (plan_key, fingerprint)
+        key = (plan_key, tuple(map(id, fingerprint)))
         if key in self._entries:
             self._entries.move_to_end(key)
-        self._entries[key] = (result, tuple(tables))
-        for table in self._entries[key][1]:
+        tables = tuple(tables)
+        self._entries[key] = (result, tables, fingerprint)
+        for table in tables:
             self._by_table.setdefault(table, set()).add(key)
         self._known_plans[plan_key] = None
         self._known_plans.move_to_end(plan_key)
@@ -170,14 +183,12 @@ class QueryResultCache:
         self.stores += 1
         _record_event(self._name, "store")
         while len(self._entries) > self._capacity:
-            victim, (_, victim_tables) = self._entries.popitem(last=False)
-            self._unindex(victim, victim_tables)
+            victim, entry = self._entries.popitem(last=False)
+            self._unindex(victim, entry[1])
             self.evictions += 1
             _record_event(self._name, "evict")
 
-    def _unindex(
-        self, key: Tuple[str, Fingerprint], tables: Tuple[str, ...]
-    ) -> None:
+    def _unindex(self, key: _Key, tables: Tuple[str, ...]) -> None:
         for table in tables:
             keys = self._by_table.get(table)
             if keys is not None:
@@ -191,8 +202,9 @@ class QueryResultCache:
         """Drop every entry whose plan scans any of ``tables``.
 
         This is memory hygiene, not correctness: entries are keyed by
-        version, so a post-commit reader could never hit them anyway.
-        Returns the number of entries dropped.
+        the relations they read, so a post-commit reader could never
+        hit them anyway -- but until they go they keep those superseded
+        relations alive.  Returns the number of entries dropped.
         """
         dropped = 0
         for table in tables:

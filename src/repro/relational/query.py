@@ -364,35 +364,19 @@ class Database:
         self._columnar: Dict[str, ColumnarRelation] = {}
         self._stats = None
         self._feedback = None
-        # Per-relation change counters: bumped on every add(), so an
-        # embedded database can fingerprint result-cache entries even
-        # without a TransactionManager's MVCC versions.
-        self._versions: Dict[str, int] = {}
         self._result_cache = None
-        self._version_of: Optional[Callable[[str], int]] = None
 
     def add(self, name: str, relation: Relation) -> None:
         self._relations[name] = relation
-        self._versions[name] = self._versions.get(name, 0) + 1
         # A replaced relation invalidates its run encoding: stale runs
         # would silently answer queries about data that is gone.
         self._columnar.pop(name, None)
 
     def remove(self, name: str) -> bool:
-        """Forget a relation (and its encoding); False if unknown.
-
-        The version counter still bumps, so cached results keyed at
-        the old version cannot alias a later reincarnation.
-        """
+        """Forget a relation (and its encoding); False if unknown."""
         existed = self._relations.pop(name, None) is not None
         self._columnar.pop(name, None)
-        if existed:
-            self._versions[name] = self._versions.get(name, 0) + 1
         return existed
-
-    def table_version(self, name: str) -> int:
-        """How many times ``name`` has been (re)installed (0: never)."""
-        return self._versions.get(name, 0)
 
     def relation(self, name: str) -> Relation:
         try:
@@ -493,9 +477,9 @@ class Database:
         measures explicitly.
 
         With a result cache enabled (:meth:`enable_result_cache`),
-        cacheable plans are answered from the cache when the
-        per-table version fingerprint matches; misses execute normally
-        and populate it.
+        cacheable plans are answered from the cache when an entry was
+        computed from the very relations the plan scans now; misses
+        execute normally and populate it.
 
         A plan that is not well defined on the catalog's headings is
         refused with :class:`~repro.errors.SchemaError` first: before
@@ -515,35 +499,27 @@ class Database:
     # Result cache
     # ------------------------------------------------------------------
 
-    def enable_result_cache(
-        self,
-        cache=None,
-        version_of: Optional[Callable[[str], int]] = None,
-        capacity: int = 256,
-    ):
+    def enable_result_cache(self, cache=None, capacity: int = 256):
         """Attach (and return) a bounded query-result cache.
 
         ``cache`` may be a shared
         :class:`~repro.relational.ivm.cache.QueryResultCache` (server
         sessions pass one instance across sessions); by default a
-        private one is created.  ``version_of`` maps a relation name
-        to its current version for fingerprinting -- defaults to this
-        database's own :meth:`table_version` counters; sessions pass
-        their snapshot's MVCC ``table_version`` so entries are shared
-        exactly between readers pinned at the same versions.
+        private one is created.  Entries are fingerprinted by the
+        relation objects a plan scans, so databases holding the same
+        objects -- sessions pinned at the same version -- share
+        entries, and nobody else can reach them.
         """
         if cache is None:
             from repro.relational.ivm.cache import QueryResultCache
 
             cache = QueryResultCache(capacity=capacity)
         self._result_cache = cache
-        self._version_of = version_of
         return cache
 
     def disable_result_cache(self) -> None:
         """Detach the result cache (entries survive in the instance)."""
         self._result_cache = None
-        self._version_of = None
 
     @property
     def result_cache(self):
@@ -555,25 +531,16 @@ class Database:
         plan_key = plan_cache_key(plan)
         if plan_key is None:
             return self._execute_uncached(plan)
-        version_of = self._version_of or self.table_version
-        # Fingerprint before executing: single-threaded execution
-        # cannot race a version bump, so the fingerprint names exactly
-        # the data the execution reads.
-        try:
-            fingerprint = tuple(
-                (name, version_of(name)) for name in scan_tables(plan)
-            )
-        except SchemaError:
-            # A relation the version source does not know (installed
-            # in this database only) has no fingerprint.
-            return self._execute_uncached(plan)
-        hit = self._result_cache.lookup(plan_key, fingerprint)
+        # The fingerprint *is* the data the execution reads: the
+        # immutable relations themselves (heading_of vouched for every
+        # name), which the entry keeps for as long as it lives.
+        tables = scan_tables(plan)
+        inputs = tuple([self._relations[name] for name in tables])
+        hit = self._result_cache.lookup(plan_key, inputs)
         if hit is not None:
             return hit
         result = self._execute_uncached(plan)
-        self._result_cache.store(
-            plan_key, fingerprint, (name for name, _ in fingerprint), result
-        )
+        self._result_cache.store(plan_key, inputs, tables, result)
         return result
 
     def _execute_observed(self, plan: Plan) -> Relation:

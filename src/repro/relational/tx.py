@@ -66,7 +66,8 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from typing import (
-    Any, Callable, Dict, Iterator, List, Mapping, Optional, Set, Tuple,
+    Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional,
+    Sequence, Set, Tuple,
 )
 
 from repro.errors import SchemaError, WriteConflictError
@@ -314,6 +315,39 @@ class TransactionManager:
         self.table(name)  # raise SchemaError on unknown names
         return self._table_versions.get(name, 0)
 
+    def _conflicts(self, written: Iterable[str],
+                   read_version: int) -> List[str]:
+        """The tables among ``written`` committed past ``read_version``."""
+        return sorted([
+            name for name in written
+            if self._table_versions.get(name, 0) > read_version
+        ])
+
+    def _commit_ops(self, ops: Sequence[Tuple], written: Iterable[str],
+                    read_version: int) -> int:
+        """The one optimistic commit: first-committer-wins against
+        ``read_version``, then ``("insert", table, row)`` /
+        ``("delete", table, where)`` / ``("update", table, where,
+        set)`` replayed inside one deferred transaction.  Returns the
+        new current version; a conflict or a failing replay leaves the
+        committed state untouched."""
+        conflicting = self._conflicts(written, read_version)
+        if conflicting:
+            raise WriteConflictError(
+                conflicting, read_version,
+                max(self._table_versions[name] for name in conflicting),
+            )
+        with self.transaction(deferred=True):
+            for op in ops:
+                table = self.table(op[1])
+                if op[0] == "insert":
+                    table.insert(op[2])
+                elif op[0] == "delete":
+                    table.delete(op[2])
+                else:
+                    table.update(op[2], op[3])
+        return self._commits
+
     def _committed_state(self) -> Dict[str, Relation]:
         """Pointer copies of the latest *committed* relation values.
 
@@ -391,10 +425,6 @@ class Snapshot:
         self._manager = manager
         self.version = manager.current_version
         self._state: Dict[str, Relation] = manager._committed_state()
-        # Per-table versions at pin time: O(tables) pointer reads that
-        # let result caches fingerprint this snapshot's reads without
-        # touching row data.
-        self._table_versions: Dict[str, int] = dict(manager._table_versions)
         self._token: Optional[int] = manager._register_snapshot(self.version)
 
     @property
@@ -411,13 +441,6 @@ class Snapshot:
             return self._state[name]
         except KeyError:
             raise SchemaError("unknown table %r" % (name,)) from None
-
-    def table_version(self, name: str) -> int:
-        """The commit version at which ``name`` had last changed when
-        this snapshot was pinned (0: never)."""
-        if name not in self._state:
-            raise SchemaError("unknown table %r" % (name,))
-        return self._table_versions.get(name, 0)
 
     def _require_open(self) -> None:
         if self._token is None:
@@ -509,11 +532,7 @@ class SnapshotSession(Snapshot):
 
     def conflicts(self) -> List[str]:
         """Tables this session wrote that committed past its version."""
-        manager = self._manager
-        return sorted(
-            name for name in self._written
-            if manager._table_versions.get(name, 0) > self.version
-        )
+        return self._manager._conflicts(self._written, self.version)
 
     def commit(self) -> int:
         """Apply the buffered writes; returns the new commit version.
@@ -528,25 +547,9 @@ class SnapshotSession(Snapshot):
         """
         self._require_open()
         try:
-            conflicting = self.conflicts()
-            if conflicting:
-                raise WriteConflictError(
-                    conflicting, self.version,
-                    max(self._manager._table_versions[name]
-                        for name in conflicting),
-                )
-            manager = self._manager
-            with manager.transaction(deferred=True):
-                for op in self._ops:
-                    kind, name = op[0], op[1]
-                    table = manager.table(name)
-                    if kind == "insert":
-                        table.insert(op[2])
-                    elif kind == "delete":
-                        table.delete(op[2])
-                    else:
-                        table.update(op[2], op[3])
-            return manager.current_version
+            return self._manager._commit_ops(
+                self._ops, self._written, self.version
+            )
         finally:
             self.close()
 

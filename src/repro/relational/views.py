@@ -1,25 +1,26 @@
 """Views: named queries, optionally materialized and delta-maintained.
 
 A view is a plan over base relations.  A *virtual* view re-executes on
-every read; a *materialized* view caches its result.  Staleness
-tracking comes in two flavors:
+every read; a *materialized* view caches its result and remembers the
+immutable relations it was computed from.  There is one staleness
+rule: the view is fresh iff every current input **is** the remembered
+one -- O(dependencies) pointer comparisons, no row touched.  Only an
+input that was *replaced by another object* is looked at: it counts as
+unmoved when it equals the old one and serializes to the same bytes
+(someone rebuilt an equal relation by hand; a typed-twin respelling,
+``1`` -> ``1.0``, is equal and *has* moved).
 
-* **Version mode** (a :class:`~repro.relational.tx.TransactionManager`
-  is attached): the view records the MVCC per-table version of every
-  dependency at refresh time, so ``is_stale`` is O(tables) pointer
-  comparisons -- no row is touched.  Better: the catalog subscribes to
-  the manager's commit-diff stream and *maintains* materialized views
-  incrementally, propagating each commit's exact insert/delete sets
-  through the view plan (:mod:`repro.relational.ivm.delta`) and
-  applying ``(cache - deleted) | inserted`` instead of recomputing.
-  Plans containing a node with no delta rule fall back to marking the
-  view stale; the next read recomputes.
-* **Digest mode** (no manager): staleness is a pure set-level
-  comparison -- "do the inputs still hash to what I saw?" -- exactly
-  the canonical-serialization story of the original design.  The
-  digest path also survives in version mode as
-  :meth:`ViewCatalog.verify`, the ``repro fsck``-style cross-check
-  that a maintained cache is byte-identical to a fresh recomputation.
+With a :class:`~repro.relational.tx.TransactionManager` attached the
+catalog's database holds the manager's own committed relations -- it
+adopts the committed pointers after every commit, it does not replay
+the diff onto a copy -- and *maintains* materialized views
+incrementally, propagating each commit's exact insert/delete sets
+through the view plan (:mod:`repro.relational.ivm.delta`) and applying
+``(cache - deleted) | inserted`` instead of recomputing.  Plans
+containing a node with no delta rule fall back to marking the view
+stale; the next read recomputes.  :meth:`ViewCatalog.verify` is the
+``repro fsck``-style digest cross-check that a maintained cache is
+byte-identical to a fresh recomputation.
 
 :class:`ViewCatalog` extends a :class:`~repro.relational.query.
 Database` with view definitions; views can reference earlier views,
@@ -39,7 +40,6 @@ from repro.relational.query import Database, Plan, Scan, scans
 from repro.relational.relation import Relation
 from repro.relational.schema import Heading
 from repro.xst.serialization import digest
-from repro.xst.xset import XSet
 
 __all__ = ["View", "ViewCatalog"]
 
@@ -52,16 +52,12 @@ class View:
         self.plan = plan
         self.materialized = materialized
         self._cache: Optional[Relation] = None
-        self._input_digests: Optional[Dict[str, str]] = None
-        # Version-mode staleness fingerprint: dependency -> version at
-        # last refresh (base tables by MVCC version, materialized view
-        # dependencies by their change counter).  None = stale.
-        self._base_versions: Optional[Dict[str, int]] = None
+        # The staleness fingerprint: dependency -> the relation the
+        # cache was computed from (base tables by their value, a
+        # materialized view dependency by its cache).  None = stale.
+        self._inputs: Optional[Dict[str, Relation]] = None
         #: Manager commit version at the last refresh or delta apply.
         self.refresh_version = 0
-        #: Bumps whenever the materialized contents change -- the
-        #: "version" dependents fingerprint this view by.
-        self.change_count = 0
         self.reads = 0
         self.cache_hits = 0
         self.delta_applies = 0
@@ -80,12 +76,11 @@ class View:
 class ViewCatalog:
     """A database plus named views (virtual or materialized).
 
-    With ``manager`` attached the catalog keeps ``db`` synchronized
-    with the manager's committed state (applying each commit's diff)
-    and incrementally maintains every materialized view after every
-    commit.  All mutations must then flow through the manager --
-    out-of-band ``db.add`` calls are invisible to version-mode
-    staleness.
+    With ``manager`` attached ``db`` holds the manager's committed
+    relations (the same objects, adopted after every commit) and every
+    materialized view is incrementally maintained after every commit.
+    All mutations of those tables must then flow through the manager:
+    the next commit overwrites an out-of-band ``db.add``.
     """
 
     def __init__(self, db: Database, manager=None):
@@ -93,10 +88,7 @@ class ViewCatalog:
         self._views: Dict[str, View] = {}
         self._manager = manager
         if manager is not None:
-            # Seed the database from the committed state so the first
-            # diff applies to the right base values.
-            for name, relation in manager._committed_state().items():
-                db.add(name, relation)
+            self._adopt_committed()
             manager.subscribe(self._on_commit)
 
     @property
@@ -196,8 +188,6 @@ class ViewCatalog:
         plan = optimize(self._resolve_plan(view.plan), self._db)
         result = self._db.execute(plan)
         if view.materialized:
-            if view._cache is None or result != view._cache:
-                view.change_count += 1
             view._cache = result
             view.recomputes += 1
             self._record_refresh(view)
@@ -212,74 +202,54 @@ class ViewCatalog:
     # Staleness
     # ------------------------------------------------------------------
 
-    def _current_digests(self, view: View) -> Dict[str, str]:
-        digests = {}
-        for base in scans(view.plan):
-            if base in self._views:
-                digests[base] = digest(self.read(base).rows)
-            else:
-                digests[base] = digest(self._db.relation(base).rows)
-        return digests
-
-    def _table_version(self, name: str) -> int:
-        if self._manager is not None:
-            try:
-                return self._manager.table_version(name)
-            except SchemaError:
-                pass  # known to the db only (e.g. loaded out-of-band)
-        return self._db.table_version(name)
-
-    def _dependency_versions(self, view: View) -> Dict[str, int]:
-        """Current versions of every dependency, views chased down.
+    def _current_inputs(self, view: View) -> Dict[str, Optional[Relation]]:
+        """The relation behind every dependency, views chased down.
 
         Virtual view references expand to their base tables;
-        materialized references contribute their change counter --
-        which is exactly what moves when *their* contents move.
+        materialized references contribute their cache -- the object
+        that is replaced exactly when *their* contents move.
         """
-        versions: Dict[str, int] = {}
+        inputs: Dict[str, Optional[Relation]] = {}
 
         def visit(name: str) -> None:
             dep = self._views.get(name)
             if dep is None:
-                versions[name] = self._table_version(name)
+                inputs[name] = self._db.relation(name)
             elif dep.materialized:
-                versions["view:" + name] = dep.change_count
+                inputs[name] = dep._cache
             else:
                 for base in scans(dep.plan):
                     visit(base)
 
         for base in scans(view.plan):
             visit(base)
-        return versions
+        return inputs
 
     def is_stale(self, name: str) -> bool:
-        """True when a materialized view's inputs have changed.
+        """True when a materialized view's inputs have moved.
 
         Virtual views are never stale (they always recompute); an
         unmaterialized-yet materialized view is considered stale.
-        With a manager attached this is O(dependencies) version
-        comparisons; without one it digests the base relations.
+        O(dependencies) pointer comparisons; rows are read only for an
+        input somebody replaced with an equal relation.
         """
         view = self._views.get(name)
         if view is None:
             raise SchemaError("unknown view %r" % (name,))
         if not view.materialized:
             return False
-        if self._manager is not None:
-            if view._base_versions is None:
-                return True
-            if view._base_versions != self._dependency_versions(view):
-                return True
-            # A fresh-looking fingerprint over a stale dependency is
-            # still stale (the dependency's counter only moves when it
-            # actually re-materializes).
-            return any(
-                self.is_stale(base) for base in scans(view.plan)
-                if base in self._views and self._views[base].materialized
-            )
-        if view._input_digests is None:
+        if view._inputs is None:
             return True
-        return self._current_digests(view) != view._input_digests
+        current = self._current_inputs(view)
+        for dep, relation in current.items():
+            if not _same_input(relation, view._inputs.get(dep)):
+                return True
+        # Remember equal rebuilds as the inputs they are, so the next
+        # check is pointer comparisons again.
+        view._inputs = current
+        # A cache object that has not moved says nothing while its own
+        # view is stale (it is only replaced when it re-materializes).
+        return any(self.is_stale(dep) for dep in current if dep in self._views)
 
     def refresh(self, name: str) -> Relation:
         """Force recomputation of a materialized view."""
@@ -287,15 +257,14 @@ class ViewCatalog:
         if view is None:
             raise SchemaError("unknown view %r" % (name,))
         view._cache = None
-        view._input_digests = None
-        view._base_versions = None
+        view._inputs = None
         return self.read(name)
 
     def verify(self, name: str) -> bool:
         """Digest cross-check: does the cache match a fresh compute?
 
-        The O(data) integrity pass version-mode staleness replaced --
-        kept for ``repro views --verify`` / fsck-style audits.  Views
+        An O(data) integrity audit, not a staleness test -- for
+        ``repro views --verify`` / fsck-style checks.  Views
         without a cache (virtual, or not yet materialized) verify
         trivially.
         """
@@ -307,16 +276,14 @@ class ViewCatalog:
         return digest(view._cache.rows) == digest(fresh.rows)
 
     # ------------------------------------------------------------------
-    # Incremental maintenance (version mode)
+    # Incremental maintenance (manager attached)
     # ------------------------------------------------------------------
 
     def _record_refresh(self, view: View) -> None:
+        view._inputs = self._current_inputs(view)
         if self._manager is not None:
-            view._base_versions = self._dependency_versions(view)
             view.refresh_version = self._manager.current_version
             self._install_stats(view)
-        else:
-            view._input_digests = self._current_digests(view)
 
     def _install_stats(self, view: View) -> None:
         """Teach the stats catalog this view's cardinality.
@@ -333,25 +300,29 @@ class ViewCatalog:
         self._db.stats.install(view.name, stats)
         self._db.stats.install("__view__" + view.name, stats)
 
+    def _adopt_committed(self) -> None:
+        """Hold what the manager holds: the committed relation of every
+        table whose pointer moved (a commit's new value, or the equal
+        object a no-op statement left behind)."""
+        for name, relation in self._manager._committed_state().items():
+            if self._db._relations.get(name) is not relation:
+                self._db.add(name, relation)
+
     def _on_commit(self, version: int, changes) -> None:
-        """Manager commit hook: sync base tables, maintain every view."""
+        """Manager commit hook: adopt the commit, maintain every view."""
         from repro.relational.ivm.delta import Delta
 
+        self._adopt_committed()
         base_deltas: Dict[str, Delta] = {}
         for name in sorted(changes):
             heading_names, inserted, deleted = changes[name]
             heading = Heading(heading_names)
             # Trusted: the commit diff's halves are subsets of the
             # table's validated old and new values.
-            delta = Delta(
+            base_deltas[name] = Delta(
                 Relation._from_valid(heading, inserted),
                 Relation._from_valid(heading, deleted),
             )
-            old = self._db._relations.get(name)
-            if old is None:
-                old = Relation(heading, XSet())
-            self._db.add(name, delta.apply_to(old))
-            base_deltas[name] = delta
         if self._db.result_cache is not None:
             self._db.result_cache.invalidate_tables(sorted(changes))
         failed: set = set()
@@ -368,13 +339,16 @@ class ViewCatalog:
             DeltaUnsupported,
         )
 
-        if view._cache is None or view._base_versions is None:
+        if view._cache is None or view._inputs is None:
             # Not materialized yet (or already stale): nothing to
             # maintain; the next read computes from current state.
             failed.add(view.name)
             return
-        current = self._dependency_versions(view)
-        if current == view._base_versions:
+        current = self._current_inputs(view)
+        if all(
+            relation is view._inputs.get(dep)
+            for dep, relation in current.items()
+        ):
             return  # untouched by this commit
         try:
             expanded = self._expand_for_delta(view.plan, failed)
@@ -382,12 +356,11 @@ class ViewCatalog:
             delta = propagator.delta(expanded)
         except DeltaUnsupported:
             view.fallbacks += 1
-            view._base_versions = None  # honest: next read recomputes
+            view._inputs = None  # honest: next read recomputes
             failed.add(view.name)
             return
         if not delta.is_empty():
             view._cache = delta.apply_to(view._cache)
-            view.change_count += 1
             view.delta_applies += 1
             _gov_checkpoint(
                 "ivm.apply", delta.size(), len(delta.heading.names)
@@ -395,7 +368,7 @@ class ViewCatalog:
             shadow = "__view__" + view.name
             self._db.add(shadow, view._cache)
             base_deltas[shadow] = delta
-        view._base_versions = self._dependency_versions(view)
+        view._inputs = current
         view.refresh_version = version
         self._install_stats(view)
 
@@ -454,6 +427,18 @@ class ViewCatalog:
                 "fallbacks": view.fallbacks,
             })
         return rows
+
+
+def _same_input(new: Optional[Relation], old: Optional[Relation]) -> bool:
+    """Is ``new`` the input ``old`` was?  The same object -- or, when
+    somebody installed another one, an equal relation spelled alike
+    (memoized hashes refuse a different one in O(1); the O(data)
+    digests tell a hand-made rebuild from a typed-twin respelling)."""
+    if new is None or old is None:
+        return False  # a dependency with no cache yet
+    return new is old or (
+        new == old and digest(new.rows) == digest(old.rows)
+    )
 
 
 def _map_scans(plan: Plan, transform: Callable[[Scan], Plan]) -> Plan:

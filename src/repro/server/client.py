@@ -39,7 +39,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.errors import (
     NetworkError,
     OverloadedError,
-    ShardMovedError,
     UnavailableError,
 )
 from repro.gov.admission import PRIORITY_NORMAL
@@ -97,10 +96,6 @@ class Client:
         self.trace_id: Optional[str] = None
         self.retries = 0
         self.backoff_charged_s = 0.0
-        #: The freshest shard-map epoch seen per table, learned from
-        #: SHARD_MOVED refusals; requests carrying an ``epoch`` field
-        #: are re-stamped from this cache before each retry.
-        self.shard_epochs: Dict[str, int] = {}
 
     # -- connection management ------------------------------------------
 
@@ -219,20 +214,20 @@ class Client:
         self.deadline.check("client.backoff")
         return delay
 
-    async def _call(self, ftype: int,
-                    body: Dict[str, Any]) -> Tuple[int, Dict[str, Any]]:
-        """Send one request, retrying transient failures.
+    async def _call(
+        self, ftype: Optional[int] = None,
+        body: Optional[Dict[str, Any]] = None,
+    ) -> Optional[Tuple[int, Dict[str, Any]]]:
+        """Send one request, retrying transient failures: the one
+        retry loop.
 
+        An attempt opens the connection (socket + handshake) when
+        there is none, then sends the request and reads its answer;
+        with no request (:func:`connect`) the handshake is all of it.
         The request id inside ``body`` is fixed across attempts --
-        that is the idempotency contract.  Returns the first
-        non-PAGE response frame, or the PAGE-collecting caller uses
-        :meth:`_collect_pages` via ``collect=True`` paths below.
-
-        A SHARD_MOVED refusal is transient but *not* a transport
-        failure: the connection stays up, the refused table's fresh
-        epoch is cached in :attr:`shard_epochs`, and -- when the
-        request carries an ``epoch`` stamp -- the stamp is refreshed
-        so the retry runs against the map the server actually holds.
+        that is the idempotency contract.  Returns the first non-PAGE
+        response frame, or the PAGE stream collected into one
+        (:meth:`_read_response`).
         """
         last: Optional[Exception] = None
         for attempt in range(self.max_attempts):
@@ -240,20 +235,10 @@ class Client:
             try:
                 if not self.connected:
                     await self._connect()
+                if ftype is None:
+                    return None
                 await self._write_frame(ftype, body)
                 return await self._read_response(body["id"])
-            except ShardMovedError as err:
-                last = err
-                self.retries += 1
-                self.shard_epochs[err.table] = err.current_epoch
-                if isinstance(body.get("epoch"), dict):
-                    body["epoch"][err.table] = err.current_epoch
-                elif "epoch" in body:
-                    body["epoch"] = err.current_epoch
-                if attempt + 1 < self.max_attempts:
-                    delay = self._backoff(attempt, err.retry_after_s)
-                    if self.sleep_backoff and delay > 0:
-                        await asyncio.sleep(delay)
             except (NetworkError, OverloadedError) as err:
                 last = err
                 self._drop()
@@ -395,17 +380,5 @@ class Client:
 async def connect(host: str, port: int, **kwargs: Any) -> Client:
     """Build a :class:`Client` and run the handshake (with retries)."""
     client = Client(host, port, **kwargs)
-    last: Optional[Exception] = None
-    for attempt in range(client.max_attempts):
-        try:
-            await client._connect()
-            return client
-        except (NetworkError, OverloadedError) as err:
-            last = err
-            client.retries += 1
-            hint = getattr(err, "retry_after_s", None)
-            if attempt + 1 < client.max_attempts:
-                delay = client._backoff(attempt, hint)
-                if client.sleep_backoff and delay > 0:
-                    await asyncio.sleep(delay)
-    raise last if last is not None else NetworkError("no attempts ran")
+    await client._call()
+    return client

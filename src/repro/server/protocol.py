@@ -36,6 +36,7 @@ import zlib
 from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import (
+    _ERROR_CONTEXT_ATTRS,
     BudgetExceededError,
     CircuitOpenError,
     ClusterUnavailableError,
@@ -210,19 +211,6 @@ class FrameDecoder:
 # Typed errors over the wire
 # ----------------------------------------------------------------------
 
-#: Context attributes shipped inside ERROR frames, mirroring the
-#: flight recorder's incident context (repro.obs.recorder).
-_CONTEXT_ATTRS = (
-    "elapsed_s", "timeout_s", "site",
-    "resource", "spent", "limit",
-    "in_flight", "capacity", "reason",
-    "table", "bucket", "node", "retry_after_ops", "replicas",
-    "frame", "session_id", "request_id",
-    "tables", "read_version", "committed_version",
-    "requested_epoch", "current_epoch",
-)
-
-
 def error_body(error: Exception,
                request_id: Optional[str] = None) -> Dict[str, Any]:
     """Render any exception as an ERROR frame body.
@@ -233,7 +221,7 @@ def error_body(error: Exception,
     exactly mirroring the CLI's exit discipline.
     """
     context = {}
-    for attr in _CONTEXT_ATTRS:
+    for attr in _ERROR_CONTEXT_ATTRS:
         value = getattr(error, attr, None)
         if value is not None:
             context[attr] = list(value) if isinstance(value, tuple) else value

@@ -275,7 +275,7 @@ class Server:
                 for ftype, body in frames:
                     if ftype == FrameType.CANCEL:
                         rid = body.get("id")
-                        if isinstance(rid, str):
+                        if isinstance(rid, str) and rid:
                             conn.cancelled.add(rid)
                     conn.frames.put_nowait(("frame", (ftype, body)))
         except (ConnectionError, asyncio.CancelledError):
@@ -360,7 +360,6 @@ class Server:
         self.sessions_served += 1
         return Session(
             "s%d" % self._session_ids, self._manager,
-            principal=str(body.get("client", "anonymous")),
             priority=priority,
             result_cache=self.result_cache,
         )
@@ -383,6 +382,9 @@ class Server:
         if ftype == FrameType.CANCEL:
             # The pump already marked it; this is just the ack for a
             # cancel that raced past its target (or targeted nothing).
+            # Dispatch is sequential, so by now the target has finished
+            # or never existed: forget the id, the set stays bounded.
+            conn.cancelled.discard(rid)
             await self._send(conn, FrameType.CANCELLED, {"id": rid})
             return
         session = conn.session

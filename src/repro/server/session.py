@@ -9,9 +9,9 @@ A session is the unit of isolation the server hands each connection:
 * a registry of prepared statements: named XQL templates with
   ``$1..$n`` placeholders, substituted server-side with safely
   rendered literals at EXECUTE time;
-* the bookkeeping the service layer needs to survive failure --
-  which request is in flight, which request ids were cancelled, and
-  the session's priority class for admission and drain shedding.
+* the session's priority class for admission and drain shedding
+  (which request is in flight and which ids were cancelled is the
+  connection's business, in :mod:`repro.server.service`).
 
 Sessions never share mutable state: two sessions at the same version
 share relation *pointers* (immutability makes that free), nothing
@@ -23,7 +23,7 @@ from __future__ import annotations
 import re
 from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
 
-from repro.errors import SessionError, WriteConflictError
+from repro.errors import SessionError
 from repro.gov.admission import PRIORITY_NORMAL
 from repro.relational.query import Database
 from repro.relational.tx import Snapshot, TransactionManager
@@ -91,23 +91,19 @@ class Session:
     """One connection's server-side state."""
 
     def __init__(self, session_id: str, manager: TransactionManager,
-                 principal: str = "anonymous",
                  priority: int = PRIORITY_NORMAL,
                  result_cache=None):
         self.session_id = session_id
-        self.principal = principal
         self.priority = priority
         self._manager = manager
         self._snapshot: Snapshot = manager.snapshot()
         self._statements: Dict[str, str] = {}
         self._db: Optional[Database] = None
         # Shared across sessions: entries are fingerprinted by the
-        # snapshot's per-table MVCC versions, so two sessions pinned
-        # at the same versions share results and a session pinned
-        # past a commit can never be served the pre-commit answer.
+        # snapshot's relation objects, so two sessions pinned at the
+        # same version share results and a session pinned past a
+        # commit can never be served the pre-commit answer.
         self._result_cache = result_cache
-        self.cancelled: Set[str] = set()
-        self.in_flight: Optional[str] = None
         self.closed = False
 
     # -- snapshot pinning ----------------------------------------------
@@ -142,10 +138,7 @@ class Session:
             for name in self._snapshot.names():
                 db.add(name, self._snapshot.relation(name))
             if self._result_cache is not None:
-                db.enable_result_cache(
-                    cache=self._result_cache,
-                    version_of=self._snapshot.table_version,
-                )
+                db.enable_result_cache(cache=self._result_cache)
             self._db = db
         return self._db
 
@@ -201,27 +194,9 @@ class Session:
                 raise SessionError("unknown mutation op %r" % (kind,),
                                    session_id=self.session_id)
             written.add(name)
-        manager = self._manager
-        conflicting = sorted(
-            name for name in written
-            if manager.table_version(name) > self.version
-        )
-        if conflicting:
-            raise WriteConflictError(
-                conflicting, self.version,
-                max(manager.table_version(name) for name in conflicting),
-            )
-        with manager.transaction(deferred=True):
-            for op in parsed:
-                table = manager.table(op[1])
-                if op[0] == "insert":
-                    table.insert(op[2])
-                elif op[0] == "delete":
-                    table.delete(op[2])
-                else:
-                    table.update(op[2], op[3])
+        version = self._manager._commit_ops(parsed, written, self.version)
         self.refresh()
-        return manager.current_version
+        return version
 
     # -- lifecycle ------------------------------------------------------
 

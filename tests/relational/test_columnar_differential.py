@@ -15,13 +15,8 @@ backend of :mod:`repro.relational.columnar`:
 * a stateful machine interleaves inserts, deletes, re-encodes and
   queries across both backends and they never disagree -- including
   after :meth:`Database.add` silently invalidates an encoding.
-
-The whole module runs twice: once on the pure ``array``/``bisect``
-backend and once on numpy runs (skipped when numpy is absent), so a
-divergence between the two run implementations is also a failure.
 """
 
-import importlib.util
 import os
 
 import pytest
@@ -34,7 +29,6 @@ from repro.relational.columnar import (
     ColumnarRelation,
     encode,
     materialize,
-    set_numpy,
 )
 from repro.relational.query import (
     Database,
@@ -49,24 +43,6 @@ from repro.relational.query import (
 )
 from repro.relational.relation import Relation
 from repro.workloads import department_relation, employee_relation
-
-_HAVE_NUMPY = importlib.util.find_spec("numpy") is not None
-
-
-@pytest.fixture(scope="module", params=[False, True], ids=["pure", "numpy"])
-def run_backend(request):
-    """Sweep a test class over both run implementations.
-
-    The stateful machine at the bottom cannot take fixtures (unittest
-    TestCase); it runs on the environment's default backend, which the
-    CI columnar job sweeps via ``REPRO_NUMPY``.
-    """
-    if request.param and not _HAVE_NUMPY:
-        pytest.skip("numpy not installed")
-    previous = set_numpy(request.param)
-    yield request.param
-    set_numpy(previous)
-
 
 # ----------------------------------------------------------------------
 # Strategies
@@ -199,7 +175,6 @@ def _draw_plan(draw, headings, pool, depth):
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.usefixtures("run_backend")
 class TestKernelOpsAgree:
     @settings(max_examples=60, deadline=None)
     @given(rel=relations(), data=st.data())
@@ -300,7 +275,6 @@ class TestKernelOpsAgree:
 # ----------------------------------------------------------------------
 
 
-@pytest.mark.usefixtures("run_backend")
 class TestPlanTreesAgree:
     @settings(max_examples=80, deadline=None)
     @given(data=st.data())
@@ -441,7 +415,6 @@ TestBackendInterleaving = BackendInterleaving.TestCase
 WORKLOAD_SEED = int(os.environ.get("REPRO_WORKLOAD_SEED", "101"))
 
 
-@pytest.mark.usefixtures("run_backend")
 class TestWorkloadScaleAgreement:
     """Generator workloads at the seed the CI columnar job sweeps."""
 

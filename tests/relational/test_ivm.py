@@ -21,7 +21,12 @@ from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.errors import NotationError, SchemaError
 from repro.relational.constraints import KeyConstraint, Table
-from repro.relational.ivm import Delta, DeltaPropagator, DeltaUnsupported
+from repro.relational.ivm import (
+    Delta,
+    DeltaPropagator,
+    DeltaUnsupported,
+    QueryResultCache,
+)
 from repro.relational.query import (
     Database,
     Difference,
@@ -38,6 +43,7 @@ from repro.relational.schema import Heading
 from repro.relational.sql import run as run_xql
 from repro.relational.tx import TransactionManager
 from repro.relational.views import ViewCatalog
+from repro.server.session import Session
 from repro.xst.serialization import digest
 from repro.xst.xset import XSet
 
@@ -656,23 +662,56 @@ class TestManagedMaintenance:
         assert view.delta_applies == 0
         assert not catalog.is_stale("floors")
 
-    def test_staleness_is_version_reads_not_digests(self, managed):
+    def test_staleness_of_unmoved_inputs_reads_no_row_and_no_digest(
+        self, managed, monkeypatch
+    ):
         manager, catalog = managed
         catalog.define("all", Scan("emp"), materialized=True)
         catalog.read("all")
-        calls = []
-        original = catalog._table_version
 
-        def counting(name):
-            calls.append(name)
-            return original(name)
+        def refuse(*args):
+            raise AssertionError("is_stale looked inside an unmoved input")
 
-        catalog._table_version = counting
+        monkeypatch.setattr("repro.relational.views.digest", refuse)
+        monkeypatch.setattr(Relation, "rows", property(refuse))
+        monkeypatch.setattr(Relation, "__eq__", refuse)
+        # O(dependencies) pointer comparisons: the remembered input *is*
+        # the committed relation, so nothing else is asked of it.
         assert not catalog.is_stale("all")
-        # O(tables): exactly one version read per dependency, and the
-        # digest machinery never ran (no _input_digests recorded).
-        assert calls == ["emp"]
-        assert catalog.view("all")._input_digests is None
+        remembered = catalog.view("all")._inputs
+        assert list(remembered) == ["emp"]
+        assert remembered["emp"] is manager.table("emp").snapshot()
+
+    def test_catalog_holds_the_managers_relations_not_copies(self, managed):
+        manager, catalog = managed
+        catalog.define(
+            "byfloor", Join(Scan("emp"), Scan("dept")), materialized=True
+        )
+        catalog.read("byfloor")
+
+        def same_objects():
+            return all(
+                catalog.database.relation(name) is table.snapshot()
+                for name, table in manager.tables.items()
+            )
+
+        assert same_objects()
+        # A statement that changes nothing commits nothing, yet leaves
+        # its table an equal relation in a new object ...
+        with manager.transaction():
+            assert manager.table("dept").delete({"dept": "nowhere"}) == 0
+        assert manager.current_version == 0 and not same_objects()
+        assert not catalog.is_stale("byfloor")
+        # ... which the catalog adopts with the next commit, whatever
+        # table that commit changes; the view is maintained, not rebuilt.
+        with manager.transaction():
+            manager.table("emp").insert(
+                {"eid": 9, "name": "zed", "dept": "ops"}
+            )
+        assert same_objects()
+        view = catalog.view("byfloor")
+        assert (view.delta_applies, view.recomputes) == (1, 1)
+        assert not catalog.is_stale("byfloor") and catalog.verify("byfloor")
 
     def test_stacked_views_maintain_in_order(self, managed):
         manager, catalog = managed
@@ -963,7 +1002,10 @@ class IVMMachine(RuleBasedStateMachine):
     After every step the maintained caches must digest-equal a full
     recompute over the committed state, cached query results must
     equal uncached execution, and snapshot sessions pinned earlier
-    must keep seeing their pinned contents.
+    must keep seeing their pinned contents.  After every commit the
+    catalog holds the manager's own relations, not copies.  A second
+    result cache is shared by served sessions and *never invalidated*:
+    only its fingerprints stand between a reader and a stale answer.
     """
 
     def __init__(self):
@@ -972,9 +1014,8 @@ class IVMMachine(RuleBasedStateMachine):
         self.manager = TransactionManager({"emp": emp})
         self.catalog = ViewCatalog(Database(), manager=self.manager)
         db = self.catalog.database
-        db.enable_result_cache(
-            version_of=self.manager.table_version, capacity=16
-        )
+        db.enable_result_cache(capacity=16)
+        self.session_cache = QueryResultCache(capacity=16, name="sessions")
         self.catalog.define(
             "zeros", SelectEq(Scan("emp"), {"grp": 0}), materialized=True
         )
@@ -995,6 +1036,10 @@ class IVMMachine(RuleBasedStateMachine):
         ))
         return fresh.execute(plan)
 
+    def _catalog_holds_the_committed_relations(self):
+        for name, table in self.manager.tables.items():
+            assert self.catalog.database.relation(name) is table.snapshot()
+
     @rule(grp=st.integers(min_value=0, max_value=2),
           count=st.integers(min_value=1, max_value=3))
     def insert(self, grp, count):
@@ -1005,6 +1050,7 @@ class IVMMachine(RuleBasedStateMachine):
                 )
                 self.live[self.next_id] = grp
                 self.next_id += 1
+        self._catalog_holds_the_committed_relations()
 
     @rule(data=st.data())
     def delete(self, data):
@@ -1014,6 +1060,7 @@ class IVMMachine(RuleBasedStateMachine):
         with self.manager.transaction():
             self.manager.table("emp").delete({"eid": eid})
         del self.live[eid]
+        self._catalog_holds_the_committed_relations()
 
     @rule()
     def mixed_commit(self):
@@ -1027,6 +1074,48 @@ class IVMMachine(RuleBasedStateMachine):
                 victim = min(self.live)
                 self.manager.table("emp").delete({"eid": victim})
                 del self.live[victim]
+        self._catalog_holds_the_committed_relations()
+
+    @rule(data=st.data(), back=st.booleans())
+    def update(self, data, back):
+        """Move a row to another group -- and, half the time, back: two
+        commits that leave an equal relation in a new object."""
+        if not self.live:
+            return
+        eid = data.draw(st.sampled_from(sorted(self.live)))
+        was = self.live[eid]
+        for grp in ((was + 1) % 3, was)[: 1 + back]:
+            with self.manager.transaction():
+                self.manager.table("emp").update({"eid": eid}, {"grp": grp})
+            self.live[eid] = grp
+            self._catalog_holds_the_committed_relations()
+
+    @rule(data=st.data())
+    def respell(self, data):
+        """An UPDATE to a typed twin commits nothing and keeps the
+        stored spelling, but leaves the table a new, equal object."""
+        if not self.live:
+            return
+        eid = data.draw(st.sampled_from(sorted(self.live)))
+        emp = self.manager.table("emp")
+        version, stored = self.manager.current_version, emp.snapshot()
+        with self.manager.transaction():
+            emp.update({"eid": eid}, {"grp": float(self.live[eid])})
+        assert self.manager.current_version == version
+        assert digest(emp.snapshot().rows) == digest(stored.rows)
+        assert emp.snapshot() is not stored
+        assert not self.catalog.is_stale("zeros")
+        assert not self.catalog.is_stale("groups")
+
+    @rule(grp=st.integers(min_value=0, max_value=2))
+    def session_read(self, grp):
+        plan = SelectEq(Scan("emp"), {"grp": grp})
+        session = Session("s", self.manager, result_cache=self.session_cache)
+        try:
+            got = session.database().execute(plan)
+        finally:
+            session.close()
+        assert digest(got.rows) == digest(self._expected(plan).rows)
 
     @rule(name=st.sampled_from(["zeros", "groups"]))
     def read_view(self, name):

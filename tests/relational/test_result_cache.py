@@ -1,13 +1,15 @@
-"""Result cache: version-keyed lookups can never serve stale data.
+"""Result cache: input-keyed lookups can never serve stale data.
 
-The contract under test: a cache entry's key includes the MVCC version
-of every table the plan scans, so a reader pinned past a commit can
-never receive the pre-commit answer -- *regardless* of invalidation
-timing.  The sweep classes exercise every interleaving of commits,
-session opens and reads (embedded, server-session and sharded-cluster
-flavors, including across a bucket move) against a model oracle.
+The contract under test: a cache entry's key is the very relations the
+plan scans (immutable values, compared by identity, held by the entry),
+so a reader pinned past a commit can never receive the pre-commit
+answer -- *regardless* of invalidation timing.  The sweep classes
+exercise every interleaving of commits, session opens and reads
+(embedded, server-session and sharded-cluster flavors, including
+across a bucket move) against a model oracle.
 """
 
+import gc
 import itertools
 
 import pytest
@@ -35,8 +37,10 @@ from repro.relational.query import (
 from repro.relational.relation import Relation
 from repro.relational.schema import Heading
 from repro.relational.tx import TransactionManager
+from repro.relational.views import ViewCatalog
 from repro.server import Server
 from repro.server.session import Session
+from repro.xst.serialization import digest
 
 
 def rel(names, rows):
@@ -389,6 +393,152 @@ class TestNeverStaleSweep:
         old.close()
         new.close()
 
+    # -- the fingerprint itself: a value is its own version ------------
+
+    def read(self, manager, cache, plan=None):
+        """One fresh session's answer through the shared cache."""
+        session = Session("reader", manager, result_cache=cache)
+        try:
+            return session.database().execute(plan or self.PLAN)
+        finally:
+            session.close()
+
+    def recompute(self, manager, plan=None):
+        return Database(manager._committed_state()).execute(plan or self.PLAN)
+
+    def test_update_and_update_back_is_a_new_input(self):
+        cache = QueryResultCache(capacity=8, name="aba")
+        manager = make_manager()
+        emp = manager.table("emp")
+        original = emp.snapshot()
+        first = self.read(manager, cache)
+        for grp in (1, 0):
+            with manager.transaction():
+                emp.update({"eid": 0}, {"grp": grp})
+        # The third relation equals the first and is another object:
+        # never invalidated, the old entry is still unreachable.
+        assert emp.snapshot() == original and emp.snapshot() is not original
+        hits = cache.hits
+        third = self.read(manager, cache)
+        assert cache.hits == hits and third is not first
+        assert digest(third.rows) == digest(self.recompute(manager).rows)
+
+    def test_sessions_before_and_after_a_commit_share_one_cache(self):
+        cache = QueryResultCache(capacity=8, name="two-versions")
+        manager = make_manager()
+        old = Session("old", manager, result_cache=cache)
+        with manager.transaction():
+            manager.table("emp").insert({"eid": 7, "grp": 0})
+        new = Session("new", manager, result_cache=cache)
+        answers = {"old": {(0, 0)}, "new": {(0, 0), (7, 0)}}
+        for _ in range(3):
+            for session in (old, new, new, old):
+                rows = session.database().execute(self.PLAN).to_rows()
+                assert set(rows) == answers[session.session_id]
+        # One computation per version; every other read was a hit.
+        assert (cache.stores, cache.hits) == (2, 10)
+        old.close()
+        new.close()
+
+    def test_a_dropped_input_cannot_lend_its_id(self):
+        db = Database({"t": rel(["a"], [(0,), (1,)])})
+        cache = db.enable_result_cache(capacity=8)
+        plan = SelectEq(Scan("t"), {"a": 1})  # its answer is not its input
+        key = plan_cache_key(plan)
+        assert db.execute(plan) is not db.relation("t")
+        held = id(db.relation("t"))
+
+        def alive():
+            return any(
+                id(found) == held and type(found) is Relation
+                for found in gc.get_objects()
+            )
+
+        db.remove("t")  # the entry is now the relation's only holder
+        gc.collect()
+        assert alive()
+        seen, repeats = set(), 0
+        for n in range(2, 2000):
+            fresh = rel(["a"], [(n,)])
+            repeats += id(fresh) in seen
+            seen.add(id(fresh))
+            assert id(fresh) != held
+            assert cache.lookup(key, (fresh,)) is None
+            del fresh
+        # Identities do come back once nothing holds them -- which is
+        # why the entry holds its inputs, and only as long as it lives.
+        assert repeats
+        cache.clear()
+        gc.collect()
+        assert not alive()
+
+    def test_invalidation_lets_go_of_the_superseded_relation(self):
+        server = Server(make_manager(), result_cache_capacity=8)
+        cache, manager = server.result_cache, server._manager
+        self.read(manager, cache)
+        self.read(manager, cache, Scan("aux"))
+        superseded = manager.table("emp").snapshot()
+
+        def holders():
+            return [
+                entry for entry in cache._entries.values()
+                if any(held is superseded for held in entry[2])
+            ]
+
+        assert len(holders()) == 1
+        with manager.transaction():
+            manager.table("emp").insert({"eid": 5, "grp": 1})
+        assert holders() == [] and len(cache) == 1
+
+    def test_embedded_respelling_moves_an_input_and_a_rebuild_does_not(self):
+        db = Database({"t": rel(["k", "v"], [(1, 1), (2, 2)])})
+        cache = db.enable_result_cache(capacity=8)
+        catalog = ViewCatalog(db)
+        catalog.define("all", Scan("t"), materialized=True)
+        catalog.read("all")
+        db.execute(Scan("t"))
+        # An equal, identically spelled rebuild: the view stays fresh.
+        db.add("t", rel(["k", "v"], [(1, 1), (2, 2)]))
+        assert not catalog.is_stale("all")
+        # Equal again (1 == 1.0, equal hashes), other bytes: moved.
+        twin = rel(["k", "v"], [(1, 1.0), (2, 2)])
+        assert twin == db.relation("t")
+        assert digest(twin.rows) != digest(db.relation("t").rows)
+        db.add("t", twin)
+        assert catalog.is_stale("all")
+        stores = cache.stores
+        answer = db.execute(Scan("t"))
+        assert cache.stores == stores + 1  # a miss: identity, not ==
+        assert digest(answer.rows) == digest(twin.rows)
+        assert digest(catalog.read("all").rows) == digest(twin.rows)
+        assert catalog.verify("all")
+
+    def test_a_respelling_update_costs_at_most_one_miss(self):
+        cache = QueryResultCache(capacity=8, name="respell")
+        emp = Table(["eid", "v"], [{"eid": 0, "v": 1}],
+                    [KeyConstraint(["eid"])])
+        manager = TransactionManager({"emp": emp})
+        catalog = ViewCatalog(Database(), manager=manager)
+        catalog.define("all", Scan("emp"), materialized=True)
+        catalog.read("all")
+        plan = Scan("emp")
+        before = self.read(manager, cache, plan)
+        stored = emp.snapshot()
+        with manager.transaction():
+            assert emp.update({"eid": 0}, {"v": 1.0}) == 1
+        # Nothing committed and the stored spelling kept -- but the
+        # table holds a new, equal object.
+        assert manager.current_version == 0
+        assert emp.snapshot() is not stored
+        assert digest(emp.snapshot().rows) == digest(stored.rows)
+        stores = cache.stores
+        after = [self.read(manager, cache, plan) for _ in range(3)]
+        assert cache.stores <= stores + 1
+        assert all(digest(got.rows) == digest(before.rows) for got in after)
+        assert not catalog.is_stale("all")
+        assert catalog.verify("all")
+        catalog.close()
+
     def test_server_commit_stream_reclaims_entries(self):
         server = Server(make_manager(), result_cache_capacity=8)
         cache = server.result_cache
@@ -401,11 +551,9 @@ class TestNeverStaleSweep:
             manager.table("emp").insert({"eid": 5, "grp": 1})
         # Targeted: the emp entry is reclaimed, the aux entry survives.
         assert len(cache) == 1
-        assert (
-            cache.lookup(
-                plan_cache_key(Scan("aux")), (("aux", 0),)
-            ) is not None
-        )
+        hits = cache.hits
+        session.database().execute(Scan("aux"))
+        assert cache.hits == hits + 1
         session.close()
 
 
@@ -463,6 +611,22 @@ class TestClusterCache:
         after = cluster.execute(plan)
         assert after.cardinality() == before.cardinality() + 4
         assert cache.stale == 1
+
+    def test_an_open_transaction_is_never_fingerprinted(self):
+        cluster = build_cluster()
+        cache = cluster.enable_result_cache(capacity=8)
+        plan = Scan("users")
+        before = cluster.execute(plan)
+        with cluster.manager.transaction():
+            cluster.manager.table("users").insert_many(people(2, start=200))
+            # The replicas hold committed rows only, and the entry is
+            # filed under the committed relation, not the live pointer.
+            assert cluster.execute(plan) is before
+        after = cluster.execute(plan)
+        assert after.cardinality() == before.cardinality() + 2
+        assert after == cluster.manager.table("users").snapshot()
+        assert cluster.execute(plan) is after
+        assert (cache.stores, cache.hits) == (2, 2)
 
     def test_shard_move_invalidates_only_the_moved_table(self):
         cluster = build_cluster()

@@ -213,14 +213,43 @@ class TestQueries:
         run(served(body))
 
 
+    def test_order_by_decides_which_rows_limit_keeps(self):
+        """A served answer is a relation: ORDER BY picks LIMIT's rows,
+        the pages carry them in canonical order (docs/serving.md)."""
+        salaries = [310, 120, 990, 470, 55, 640, 230]
+        pay = Table(["eid", "salary"], [
+            {"eid": eid, "salary": salary}
+            for eid, salary in enumerate(salaries)
+        ])
+
+        async def body():
+            server = Server(TransactionManager({"pay": pay}))
+            await server.start()
+            try:
+                client = await connect("127.0.0.1", server.port)
+                top = await client.query(
+                    "select eid, salary from pay "
+                    "order by salary desc limit 3"
+                )
+                await client.close()
+                return top
+            finally:
+                await server.close()
+
+        top = run(body())
+        assert sorted(row["salary"] for row in top.iter_dicts()) == \
+            sorted(salaries)[-3:]
+
+
 class TestMalformedPages:
     """A PAGE body of the wrong shape is a typed failure, never a relation
     read off the wrong thing (a string as names, a mapping's keys or a
     string's characters as a row) and never a bare ``TypeError``."""
 
     @staticmethod
-    async def answer_with(page, test):
-        """Serve the handshake, then ``page`` to every QUERY."""
+    async def answer_with(page, test, reply_type=None):
+        """Serve the handshake, then ``page`` (a PAGE body, or the body
+        of a ``reply_type`` frame) to every QUERY."""
         from repro.server.protocol import FrameDecoder, FrameType, encode_frame
 
         connections = []
@@ -236,9 +265,11 @@ class TestMalformedPages:
                     if ftype == FrameType.HELLO:
                         reply = (FrameType.WELCOME, {
                             "session": "s1", "version": 0, "trace": "t"})
-                    elif ftype == FrameType.QUERY:
+                    elif ftype == FrameType.QUERY and reply_type is None:
                         reply = (FrameType.PAGE, dict(
                             page, id=frame["id"], last=True))
+                    elif ftype == FrameType.QUERY:
+                        reply = (reply_type, dict(page, id=frame["id"]))
                     else:  # GOODBYE
                         writer.close()
                         return
@@ -289,6 +320,25 @@ class TestMalformedPages:
         # Transient like every wire failure: retried under the same id on
         # a fresh connection until the attempts run out.
         assert (retries, connections) == (2, 2)
+
+    def test_a_shard_moved_refusal_is_typed_and_final(self):
+        """No server sends it today (docs/sharding.md), but if one did:
+        the typed error with both epochs, on the first attempt, and the
+        connection stays up -- nothing is re-stamped or retried."""
+        from repro.errors import ShardMovedError
+        from repro.server.protocol import FrameType, error_body
+
+        async def body(client):
+            with pytest.raises(ShardMovedError) as refused:
+                await client.query("select a from t")
+            return refused.value, client.retries, client.connected
+
+        (error, retries, connected), connections = run(self.answer_with(
+            error_body(ShardMovedError("t", 1, 2, bucket=3)), body,
+            reply_type=FrameType.ERROR))
+        assert (error.table, error.requested_epoch, error.current_epoch,
+                error.bucket) == ("t", 1, 2, 3)
+        assert (retries, connected, connections) == (0, True, 1)
 
     @pytest.mark.parametrize("page, error, message", [
         ({"heading": ["a", "b"], "rows": [[1]]},
@@ -513,6 +563,42 @@ class TestCancel:
                     break
                 assert ftype == 4  # pages already in flight are fine
             assert saw_cancelled
+            await client.close()
+
+        run(served(body, page_rows=1))
+
+    def test_cancelled_ids_do_not_outlive_their_cancel_frame(self):
+        """10 000 stray CANCELs leave nothing behind, and a mid-stream
+        cancel on the same connection still stops at the next page."""
+        from repro.server.protocol import FrameType, encode_frame
+
+        async def body(server):
+            client = await connect("127.0.0.1", server.port)
+            (conn,) = server._conns
+            for batch in range(0, 10_000, 500):
+                client._writer.write(b"".join(
+                    encode_frame(FrameType.CANCEL, {"id": "ghost-%d" % n})
+                    for n in range(batch, batch + 500)
+                ))
+                await client._writer.drain()
+                for n in range(batch, batch + 500):
+                    ftype, frame = await client._read_frame()
+                    assert (ftype, frame["id"]) == (
+                        FrameType.CANCELLED, "ghost-%d" % n)
+            assert conn.cancelled == set()
+            rid = client._next_request_id()
+            await client._write_frame(
+                FrameType.QUERY, {"id": rid, "xql": "select eid from emp"})
+            await client.cancel(rid)
+            replies = []
+            while replies[-2:] != [FrameType.CANCELLED] * 2:
+                ftype, frame = await client._read_frame()
+                assert frame["id"] == rid
+                replies.append(ftype)
+            # The stream's own CANCELLED, then the CANCEL frame's ack --
+            # after at most the pages already in flight, never all three.
+            assert replies[:-2] in ([], [FrameType.PAGE], [FrameType.PAGE] * 2)
+            assert conn.cancelled == set()
             await client.close()
 
         run(served(body, page_rows=1))

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import (
+    _ERROR_CONTEXT_ATTRS,
     AmbiguousValueError,
     BudgetExceededError,
     CircuitOpenError,
@@ -18,6 +19,7 @@ from repro.errors import (
     OverloadedError,
     SchemaError,
     SessionError,
+    ShardMovedError,
     UnavailableError,
     WriteConflictError,
     XSTError,
@@ -194,6 +196,72 @@ class TestServingErrors:
         monkeypatch.setitem(cli._COMMANDS, "explode", explode)
         assert cli.main(["explode"]) == exit_code
         assert "repro:" in capsys.readouterr().err
+
+
+#: One instance per availability class, every constructor argument given.
+SAMPLE_UNAVAILABLE = {
+    DeadlineExceededError: lambda: DeadlineExceededError(
+        1.5, 1.0, site="xst.cross"),
+    BudgetExceededError: lambda: BudgetExceededError(
+        "rows", 11, 10, site="xst.cross"),
+    OverloadedError: lambda: OverloadedError(4, 4, 0.25, reason="draining"),
+    CircuitOpenError: lambda: CircuitOpenError(
+        "emp", 3, "node-1", retry_after_ops=5),
+    NetworkError: lambda: NetworkError(
+        "torn frame", frame=7, retry_after_s=0.5),
+    SessionError: lambda: SessionError(
+        "drained", session_id="s2", retry_after_s=0.5),
+    WriteConflictError: lambda: WriteConflictError(["emp"], 1, 4),
+    ClusterUnavailableError: lambda: ClusterUnavailableError(
+        "emp", 3, replicas=("node-1",), reason="dead", key=5),
+    ShardMovedError: lambda: ShardMovedError("emp", 1, 2, bucket=3),
+}
+
+
+def _availability_classes():
+    found, queue = [], [UnavailableError]
+    while queue:
+        for cls in queue.pop().__subclasses__():
+            if cls.__module__ == "repro.errors" and cls not in found:
+                found.append(cls)
+                queue.append(cls)
+    return found
+
+
+class TestErrorContextIsListedOnce:
+    """The wire and the flight recorder read one attribute list, and a
+    new availability class cannot add context that the list misses."""
+
+    #: Set by constructors, documented as not context in repro.errors.
+    NOT_CONTEXT = {"retry_after_s", "key"}
+
+    def test_every_availability_class_has_a_sample(self):
+        assert set(_availability_classes()) == set(SAMPLE_UNAVAILABLE)
+
+    @pytest.mark.parametrize(
+        "error_type", SAMPLE_UNAVAILABLE, ids=lambda cls: cls.__name__
+    )
+    def test_what_a_constructor_sets_is_listed(self, error_type):
+        error = SAMPLE_UNAVAILABLE[error_type]()
+        listed = set(_ERROR_CONTEXT_ATTRS)
+        assert set(vars(error)) - self.NOT_CONTEXT <= listed
+
+    def test_a_shard_moved_incident_keeps_its_epochs(self):
+        from repro.obs.recorder import recorder
+        from repro.server.protocol import error_body
+
+        recorder().install()
+        try:
+            error = ShardMovedError("emp", 1, 2, bucket=3)
+        finally:
+            recorder().uninstall()
+        incident = recorder().incidents()[-1]["error"]["context"]
+        recorder().reset()
+        wire = error_body(error)["context"]
+        assert incident == dict(wire, retry_after_s=0.0) == {
+            "table": "emp", "bucket": 3, "requested_epoch": 1,
+            "current_epoch": 2, "retry_after_s": 0.0,
+        }
 
 
 class TestMessages:
