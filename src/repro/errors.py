@@ -20,6 +20,9 @@ subclasses mirror the layers of the system:
   declared heading, or an operation references unknown attributes.
 * :class:`NotationError` -- the paper-notation parser rejected its
   input.
+* :class:`IntegrityError` -- a mutation would violate a declared
+  constraint.  These three say the caller's own statement is wrong:
+  each has a stable ``.code`` and crosses the wire as itself.
 * :class:`UnavailableError` -- the shared base of every "no correct
   answer can be given *right now*" failure: the resource-governance
   family (:class:`DeadlineExceededError`, :class:`BudgetExceededError`,
@@ -154,9 +157,19 @@ class CompositionError(XSTError, ValueError):
 class SchemaError(XSTError, ValueError):
     """Relational-layer schema violation."""
 
+    code = "SCHEMA"
+
 
 class NotationError(XSTError, ValueError):
     """Paper-notation source text could not be parsed."""
+
+    code = "NOTATION"
+
+
+class IntegrityError(XSTError, ValueError):
+    """A mutation would violate a declared constraint."""
+
+    code = "INTEGRITY"
 
 
 class DeadlineExceededError(UnavailableError):

@@ -34,7 +34,6 @@ from repro.obs import metrics
 
 __all__ = [
     "enabled", "set_enabled", "observed", "kernel_op", "record_recovery",
-    "record_shard_event",
 ]
 
 
@@ -186,44 +185,6 @@ def record_recovery(kind: str, seconds: float, records: int,
             "Recovery passes by the shard-map epoch recovered into.",
             ("kind", "epoch"),
         ).inc_key((kind, str(epoch)))
-
-
-def record_shard_event(event: str, table: str, rows: int = 0,
-                       byte_count: int = 0,
-                       epoch: Optional[int] = None) -> None:
-    """Record one shard life-cycle event (move step, swing, split...).
-
-    ``event`` is the transition name (``copy``/``catch_up``/``swing``/
-    ``verify``/``gc`` for rebalance steps, ``split``/``merge`` for
-    topology changes, ``stale_epoch`` for refused requests); ``rows``
-    and ``byte_count`` size the data the event touched.  ``epoch``
-    additionally pins the table's current map generation on the
-    ``repro_shard_epoch`` gauge, which exposition scrapes join
-    against query traces.
-    """
-    if not _ENABLED:
-        return
-    registry = metrics.registry()
-    key = (event, table)
-    registry.counter(
-        "repro_shard_events_total", "Shard life-cycle events.",
-        ("event", "table"),
-    ).inc_key(key)
-    if rows:
-        registry.counter(
-            "repro_shard_rows_total",
-            "Rows touched by shard life-cycle events.", ("event", "table"),
-        ).inc_key(key, rows)
-    if byte_count:
-        registry.counter(
-            "repro_shard_bytes_total",
-            "Bytes shipped by shard life-cycle events.", ("event", "table"),
-        ).inc_key(key, byte_count)
-    if epoch is not None:
-        registry.gauge(
-            "repro_shard_epoch",
-            "Current shard-map epoch per table.", ("table",),
-        ).set(epoch, table=table)
 
 
 def _record(op_name: str, args: tuple, result: Any, elapsed: float) -> None:

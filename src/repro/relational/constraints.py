@@ -30,7 +30,7 @@ from __future__ import annotations
 
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
-from repro.errors import SchemaError, XSTError
+from repro.errors import IntegrityError, SchemaError
 from repro.relational.algebra import select_eq
 from repro.relational.relation import Relation
 from repro.relational.schema import Heading
@@ -45,10 +45,6 @@ __all__ = [
     "CheckConstraint",
     "Table",
 ]
-
-
-class IntegrityError(XSTError, ValueError):
-    """A mutation would violate a declared constraint."""
 
 
 def _attribute_identity(attrs: Sequence[str]) -> XSet:
@@ -225,6 +221,8 @@ class Table:
         # ...and since the outermost open transaction began (None
         # outside one: nobody will ask, so nothing accumulates).
         self._net: Optional[Diff] = None
+        # The TransactionManager this table is enrolled in, if any.
+        self._owner = None
 
     # -- constraint plumbing --------------------------------------------
 
@@ -313,7 +311,13 @@ class Table:
     def _apply(self, inserted: XSet, deleted: XSet) -> None:
         """Move to ``(current - deleted) | inserted``, an exact delta:
         ``inserted`` validated under this heading and disjoint from
-        the current rows, ``deleted`` a subset of them."""
+        the current rows, ``deleted`` a subset of them.  On an enrolled
+        table outside any scope (no net delta is being kept) that is a
+        one-statement transaction: the commit path checks, logs,
+        versions and announces it."""
+        if self._owner is not None and self._net is None:
+            with self._owner.transaction():
+                return self._apply(inserted, deleted)
         # Trusted: a difference and a union of row sets each validated
         # under this heading.
         candidate = Relation._from_valid(

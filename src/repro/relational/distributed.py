@@ -16,9 +16,10 @@ the rows whose partition value hashes there (Def 7.6), and a replica
 is a copy of that restriction -- never a second source of truth:
 
 * **a cluster write is an engine commit.**  :meth:`Cluster.insert` is
-  ``with manager.transaction(): manager.table(name).insert_many(rows)``;
-  deletes, updates, multi-table and deferred transactions, constraints
-  and snapshots are the manager's own API.  Heading and constraint
+  ``manager.table(name).insert_many(rows)`` -- a statement on an
+  enrolled table is a one-statement transaction; deletes, updates,
+  multi-table and deferred transactions, constraints and snapshots
+  are the manager's own API.  Heading and constraint
   checks, the exact diff, the WAL record, stats accounting and the MVCC
   version happen once, in the engine;
 * **replication is the commit listener.**  One ``manager.subscribe``
@@ -35,14 +36,14 @@ is a copy of that restriction -- never a second source of truth:
   replica is consistent.  Move catch-up, the swing, the post-move
   verify and split/merge read the committed relation the same way;
   what the coordinator retains is O(data), never O(writes);
-* reads go through :meth:`Cluster.execute` alone: a plan's
-  ``SelectEq``/``SelectPred``/``Project`` chains run inside each bucket
-  before rows ship; a key-covering selection routes to one bucket;
-  joins are co-partitioned, broadcast-small or shuffle-on-key by
-  estimated shipped rows.  :meth:`Cluster.aggregate` pushes partial
-  aggregates and combines summaries.  Reads are served by the first
-  live replica, retry lost shipments with (simulated) backoff, fail
-  over down the ring, and raise
+* reads go through :meth:`Cluster.execute` alone, the third kernel
+  backend of ``Plan.apply``: row-local operators run inside each
+  bucket before rows ship, a key-covering selection routes to one
+  bucket, joins are co-partitioned, broadcast-small or shuffle-on-key
+  by estimated shipped rows, anything else gathers its inputs.
+  :meth:`Cluster.aggregate` pushes partial aggregates.  Reads are
+  served by the first live replica, retry lost shipments with
+  (simulated) backoff, fail over down the ring, and raise
   :class:`repro.errors.ClusterUnavailableError` only when no correct
   answer is obtainable -- never a wrong one.
 
@@ -73,6 +74,7 @@ from typing import (
     Iterator,
     List,
     Mapping,
+    NamedTuple,
     Optional,
     Sequence,
     Tuple,
@@ -83,7 +85,6 @@ from repro.errors import (
     ClusterUnavailableError,
     OverloadedError,
     SchemaError,
-    ShardMovedError,
 )
 from repro.gov.admission import PRIORITY_NORMAL, AdmissionController
 from repro.gov.breaker import CLOSED, HALF_OPEN, OPEN, BreakerBoard
@@ -93,12 +94,9 @@ from repro.gov.result import MissingBucket, Result
 from repro.obs import metrics as _metrics
 from repro.obs.instrument import enabled as _obs_enabled
 from repro.obs.instrument import record_recovery as _record_recovery
-from repro.obs.instrument import record_shard_event as _record_shard_event
 from repro.obs.trace import Span, TraceContext, Tracer
+from repro.relational import algebra
 from repro.relational.aggregate import aggregate as local_aggregate
-from repro.relational.algebra import difference as local_difference
-from repro.relational.algebra import join as local_join
-from repro.relational.algebra import union as local_union
 from repro.relational.constraints import Table
 from repro.relational.faults import (
     NO_FAULTS,
@@ -113,9 +111,9 @@ from repro.relational.cost import (
     estimate_shard_rows,
     shuffle_join_cost,
 )
-from repro.relational.optimizer import ShardPipeline, shard_pipeline
 from repro.relational.query import Join as JoinPlan
-from repro.relational.query import Database, Plan, Scan, scans
+from repro.relational.query import Database, Plan, Project, Scan, scans
+from repro.relational.query import SelectEq, SelectPred
 from repro.relational.relation import Relation
 from repro.relational.sharding import (
     ShardCatalog,
@@ -321,7 +319,7 @@ class Node:
         merged: Optional[Relation] = None
         for index in sorted(held):
             part = held[index]
-            merged = part if merged is None else local_union(merged, part)
+            merged = part if merged is None else algebra.union(merged, part)
         assert merged is not None
         return merged
 
@@ -351,14 +349,17 @@ def _patched(held: Optional[Relation], gained: Relation,
     """``(held ~ lost) | gained``: a copy after one diff reaches it."""
     if held is None:
         return gained
-    return local_union(local_difference(held, lost), gained)
+    return algebra.union(algebra.difference(held, lost), gained)
 
 
-def _by_bucket(rows: XSet, shard_map: ShardMap) -> Dict[int, List[Any]]:
-    """Split a row set by where ``shard_map`` routes each row."""
+def _by_bucket(rows: XSet, shard_map: ShardMap,
+               attr: Optional[str] = None) -> Dict[int, List[Any]]:
+    """Split a row set by where ``shard_map`` routes each row, read
+    from ``attr`` (default: the map's own partition attribute)."""
+    attr = shard_map.attr if attr is None else attr
     parts: Dict[int, List[Any]] = {}
     for row, _ in rows.pairs():
-        (value,) = row.elements_at(shard_map.attr)
+        (value,) = row.elements_at(attr)
         parts.setdefault(shard_map.bucket_for(value), []).append(row)
     return parts
 
@@ -418,6 +419,314 @@ class _QueryContext:
         if budget is None:
             budget = self.shard_budgets[key] = Budget(max_rows=max_rows)
         return budget
+
+
+class _Sharded(NamedTuple):
+    """An operand that still lives in its buckets: the union, over
+    ``table``'s buckets, of ``stages`` applied to the bucket.
+
+    A bucket is a restriction of its relation (Def 7.6), the relation
+    is the union of its buckets and a row-local operator commutes with
+    that union -- so adding a stage *is* applying the operator, and
+    nothing ships until something gathers the operand.  ``origin``
+    maps each attribute it has now, in heading order, to the table's
+    own name for it: routing and sizing read ``conditions`` (first
+    value seen per attribute) and the partition attribute under those
+    names however the plan renamed them.  ``predicates`` counts the
+    opaque selections.
+    """
+
+    table: str
+    origin: Mapping[str, str]
+    stages: Tuple[Tuple[Callable[[Relation, Any], Relation], Any], ...]
+    conditions: Mapping[str, Any]
+    predicates: int
+
+    @property
+    def heading(self) -> Heading:
+        return Heading(tuple(self.origin))
+
+    def run(self, bucket: Relation) -> Relation:
+        """The stages, in plan order, on one bucket's rows (node-local)."""
+        for kernel, argument in self.stages:
+            bucket = kernel(bucket, argument)
+        return bucket
+
+
+def _row_local(changes: Callable[[_Sharded, Any], Dict[str, Any]]):
+    """A kernel that commutes with the union of buckets: one more stage
+    of an operand still in them (``changes`` says what else about it
+    moves), ``algebra``'s kernel of the same name on gathered rows."""
+    kernel = getattr(algebra, changes.__name__)
+
+    def method(self, operand: Any, argument: Any) -> Any:
+        if not isinstance(operand, _Sharded):
+            return kernel(operand, argument)
+        return operand._replace(
+            stages=operand.stages + ((kernel, argument),),
+            **changes(operand, argument)
+        )
+
+    return method
+
+
+class _ShardKernels:
+    """The cluster as a kernel backend of :meth:`Plan.apply`, over one
+    query: the seven names :mod:`~repro.relational.algebra` and
+    :class:`~repro.relational.columnar.ColumnarRelation` spell.  The
+    row-local four are pushed into the buckets and ``join`` keeps its
+    host side there; every other name -- ``union``, ``difference``,
+    whatever a later operator calls -- gathers its sharded operands
+    and runs ``algebra``'s kernel of that name, so a new operator runs
+    here without a line and only a row-local one that wants pushdown
+    adds a method."""
+
+    def __init__(self, cluster: "Cluster", context: _QueryContext):
+        self.cluster = cluster
+        self.context = context
+
+    def fold(self, plan: Plan) -> Any:
+        """``plan`` bottom-up, the twin of ``Database._execute_raw``; a
+        ``Scan`` is the table, still in its buckets.  It charges no
+        per-node governor checkpoint (``execute_node`` does): a cluster
+        read has only ever paid the kernels' own, and serving the
+        cluster is where that gets decided."""
+        if isinstance(plan, Scan):
+            names = self.cluster.manager.table(plan.name).heading.names
+            return _Sharded(plan.name, dict(zip(names, names)), (), {}, 0)
+        return plan.apply(
+            self, [self.fold(child) for child in plan.children()]
+        )
+
+    def __getattr__(self, name: str) -> Callable[..., Relation]:
+        kernel = getattr(algebra, name)
+        return lambda *operands: kernel(*map(self.gather, operands))
+
+    @_row_local
+    def select_eq(operand, conditions):
+        # Each SelectEq is its own stage, so conflicting constants
+        # compose to the empty answer; routing keeps the first seen.
+        pinned = {
+            operand.origin[attr]: value for attr, value in conditions.items()
+        }
+        return {"conditions": {**pinned, **operand.conditions}}
+
+    @_row_local
+    def select_pred(operand, predicate):
+        return {"predicates": operand.predicates + 1}
+
+    @_row_local
+    def project(operand, attrs):
+        return {"origin": {attr: operand.origin[attr] for attr in attrs}}
+
+    @_row_local
+    def rename(operand, mapping):
+        return {"origin": {
+            mapping.get(name, name): own
+            for name, own in operand.origin.items()
+        }}
+
+    def gather(self, operand: Any) -> Any:
+        """A sharded operand's rows, shipped to the coordinator: from
+        the one owning bucket when its equalities pin the partition
+        attribute, else from every bucket.  Anything else is here."""
+        if not isinstance(operand, _Sharded):
+            return operand
+        name = operand.table
+        placement = self.cluster._placements[name]
+        buckets = key = None
+        if placement.attr in operand.conditions:
+            pinned = operand.conditions[placement.attr]
+            buckets = [placement.bucket_for(pinned)]
+            key = xrecord({placement.attr: pinned})
+        self.context.span.set("epoch", placement.epoch)
+        self.context.span.set(
+            "routing", "broadcast" if buckets is None else "routed"
+        )
+        parts = self.cluster._gather(
+            self.context, name,
+            lambda node, b: operand.run(node.bucket(name, b)),
+            buckets=buckets, key=key,
+        )
+        return self.cluster._union(operand.heading, parts)
+
+    def _side(self, side: Any) -> Tuple[Any, Optional[str], float]:
+        """What a join reads of one side: its map, what its partition
+        attribute is called now (if kept) and the rows it would ship,
+        the table's size shrunk by its filters.  Rows already here
+        have no map and are counted."""
+        if not isinstance(side, _Sharded):
+            return None, None, float(side.cardinality())
+        manager = self.cluster.manager
+        placement = self.cluster._placements[side.table]
+        now = {own: name for name, own in side.origin.items()}
+        stats = None
+        if manager.stats is not None:
+            stats = manager.stats.get(side.table, allow_stale=True)
+        return placement, now.get(placement.attr), estimate_shard_rows(
+            float(len(manager.table(side.table))), side.conditions,
+            side.predicates, stats,
+        )
+
+    def join(self, left: Any, right: Any) -> Relation:
+        """Distributed join with a costed strategy choice.
+
+        Strategies, cheapest-shipping first from the estimates:
+
+        * ``co_partitioned`` -- maps agree and both sides still carry
+          their partition attribute, under one name: bucket-local
+          joins, zero movement.
+        * ``broadcast`` -- the smaller (estimated) side gathers once,
+          then ships to every bucket of the larger side.
+        * ``shuffle`` -- one side re-keys on the other's partition
+          attribute (when that is a join attribute) and moves once.
+        * ``gather`` -- one side is at the coordinator already and the
+          other's filtered rows are the cheaper shipment, or there is
+          no join attribute (a product): join there.
+
+        The choice reads only the two sides' estimates, maps and
+        shared attributes, never which operand was written first: a
+        join and its commutation ship the same rows.  The chosen
+        strategy lands on the root span and the
+        ``repro_shard_join_total`` counter, so plans are auditable
+        from traces alone.
+        """
+        cluster, context = self.cluster, self.context
+        sides = (left, right)
+        shared = left.heading.common(right.heading)
+        maps, keys, rows = zip(*map(self._side, sides))
+        # stay/move index the side whose buckets host the join and the
+        # side whose rows travel to them.
+        if not shared or maps == (None, None):
+            # A product (heading_of says so), or nothing left to host.
+            options = [(0.0, "gather", 0, 1)]
+        elif None in maps:
+            move = maps.index(None)
+            options = [
+                (broadcast_join_cost(rows[move], maps[1 - move].bucket_count),
+                 "broadcast", 1 - move, move),
+                (shuffle_join_cost(rows[1 - move]), "gather", move, 1 - move),
+            ]
+        elif (keys[0] in shared and keys[0] == keys[1]
+                and maps[0].same_placement(maps[1])):
+            options = [(0.0, "co_partitioned", 0, 1)]
+        else:
+            small = 0 if rows[0] <= rows[1] else 1
+            options = [(
+                broadcast_join_cost(
+                    rows[small], maps[1 - small].bucket_count
+                ),
+                "broadcast", 1 - small, small,
+            )]
+            options.extend(
+                (shuffle_join_cost(rows[1 - side]), "shuffle", side, 1 - side)
+                for side in (0, 1)
+                if keys[side] in shared
+            )
+        # Ties keep the earlier option: broadcast, then right-moves.
+        _, strategy, stay, move = min(options, key=lambda option: option[0])
+        context.span.set("strategy", strategy)
+        context.span.set("est_left_rows", int(rows[0]))
+        context.span.set("est_right_rows", int(rows[1]))
+        if _obs_enabled():
+            _metrics.registry().counter(
+                "repro_shard_join_total",
+                "Distributed joins by chosen strategy.", ("strategy",),
+            ).inc_key((strategy,))
+        if strategy == "gather":
+            return algebra.join(self.gather(left), self.gather(right))
+        host, guest = sides[stay], sides[move]
+
+        # A join's own gathers visit every bucket -- the guest's, then
+        # the host's, in bucket order -- whatever a side pins: the
+        # operation sequence the seeded fault suites are written against.
+        def moved(node: Node, b: int) -> Relation:
+            return guest.run(node.bucket(guest.table, b))
+
+        if strategy == "co_partitioned":
+            arriving = moved  # the host node holds the guest bucket too
+        else:
+            # The moving side gathers once (unless it is here already).
+            arrived = guest
+            if maps[move] is not None:
+                arrived = cluster._union(
+                    guest.heading,
+                    cluster._gather(context, guest.table, moved),
+                )
+            if strategy == "shuffle":
+                # Re-keyed by the host's map: every surviving row goes
+                # to the one bucket it joins in.
+                shares = {
+                    # Trusted: rows validated under this heading.
+                    bucket: Relation._from_valid(guest.heading, xset(found))
+                    for bucket, found in _by_bucket(
+                        arrived.rows, maps[stay], keys[stay]
+                    ).items()
+                }
+                arrived = Relation(guest.heading, xset())
+            else:
+                # It ships out to every serving node (priced as ordinary
+                # messages), which joins against its local filtered
+                # bucket and ships only results back.
+                shares = {}
+                size = len(dumps(arrived.rows))
+                for _ in range(maps[stay].bucket_count):
+                    cluster.network.ship_encoded(size)
+
+            # Host bucket b meets its share of a shuffle (none: no
+            # rows), all of a broadcast.
+            def arriving(node: Node, b: int) -> Relation:
+                return shares.get(b, arrived)
+
+        parts = cluster._gather(
+            context, host.table,
+            lambda node, b: algebra.join(
+                host.run(node.bucket(host.table, b)), arriving(node, b)
+            ),
+        )
+        return cluster._union(left.heading.union(right.heading), parts)
+
+
+def _holds_join(plan: Plan) -> bool:
+    return isinstance(plan, JoinPlan) or any(map(_holds_join, plan.children()))
+
+
+def _describe(plan: Plan) -> str:
+    """The root span's name for ``plan``: per scan, what its buckets
+    run before they ship (``emp [dept=5 pred*1 pi(name)]``, ``[*]``
+    for everything), side by side under the operator that combines
+    them (``|x|`` a join).  What sits above a combining operator runs
+    on gathered rows and is not named."""
+    pushed = []
+    while len(plan.children()) == 1:
+        pushed.append(plan)
+        (plan,) = plan.children()
+    if not isinstance(plan, Scan):
+        symbol = "|x|" if isinstance(plan, JoinPlan) else plan.describe()
+        return (" %s " % symbol).join(map(_describe, plan.children()))
+    conditions: Dict[str, Any] = {}
+    predicates, attrs, parts = 0, None, []
+    for stage in pushed:  # outermost first
+        if isinstance(stage, SelectEq):
+            for attr, value in stage.conditions.items():
+                # A re-constrained attribute filters like a predicate.
+                predicates += conditions.setdefault(attr, value) != value
+        elif isinstance(stage, SelectPred):
+            predicates += 1
+        elif isinstance(stage, Project):
+            # The outermost projection fixes the shipped columns.
+            attrs = stage.attrs if attrs is None else attrs
+        else:
+            parts.append(stage.describe())
+    if attrs is not None:
+        parts.append("pi(%s)" % ",".join(attrs))
+    if predicates:
+        parts.insert(0, "pred*%d" % predicates)
+    if conditions:
+        parts.insert(0, ",".join(
+            "%s=%r" % item for item in sorted(conditions.items())
+        ))
+    return "%s [%s]" % (plan.name, " ".join(parts) or "*")
 
 
 class Cluster:
@@ -788,11 +1097,6 @@ class Cluster:
                 if position:
                     self.network.ship(part.rows, replica=True)
         self._persist_placements()
-        if _obs_enabled():
-            _record_shard_event(
-                "create", name, rows=relation.cardinality(),
-                epoch=placement.epoch,
-            )
 
     def insert(self, name: str, rows: Iterable[Mapping[str, Any]]) -> int:
         """Insert rows as one engine commit; returns the rows added.
@@ -803,8 +1107,7 @@ class Cluster:
         governor) raises before any tick, version or replica moves.
         """
         self.shard_map(name)
-        with self.manager.transaction():
-            return self.manager.table(name).insert_many(rows)
+        return self.manager.table(name).insert_many(rows)
 
     def _replicate(self, version: int, changes: CommitDiff) -> None:
         """The commit listener: carry one commit's diff to the replicas.
@@ -919,9 +1222,9 @@ class Cluster:
         else:
             self._store.store_move(move.to_xset())
 
-    def _check_epoch(self, name: str, epoch: Optional[Any],
-                     bucket: Optional[int] = None) -> None:
-        """Refuse a stale-epoch request before any work is admitted.
+    def _check_epoch(self, name: str, epoch: Optional[Any]) -> None:
+        """Refuse a stale-epoch request (or a table never placed here)
+        before any work is admitted.
 
         ``epoch`` is ``None`` (unversioned caller, always current),
         an int, or a mapping of table name to the caller's cached
@@ -930,20 +1233,8 @@ class Cluster:
         :class:`~repro.errors.ShardMovedError` carrying both epochs
         so the caller can refresh and retry immediately.
         """
-        if epoch is None:
-            return
         requested = epoch.get(name) if isinstance(epoch, dict) else epoch
-        if requested is None:
-            return
-        placement = self.shard_map(name)
-        if requested != placement.epoch:
-            if _obs_enabled():
-                _record_shard_event(
-                    "stale_epoch", name, epoch=placement.epoch
-                )
-            raise ShardMovedError(
-                name, requested, placement.epoch, bucket=bucket
-            )
+        self.shard_map(name).check_epoch(name, requested)
 
     def bucket_stats(self, name: str) -> Dict[int, int]:
         """Exact per-bucket row counts of the committed relation."""
@@ -1103,12 +1394,6 @@ class Cluster:
                                     "shard.%s[%d]" % (table, bucket_index),
                                     result.cardinality(),
                                 )
-                            if _obs_enabled():
-                                _metrics.registry().counter(
-                                    "repro_shard_reads_total",
-                                    "Bucket reads served by shards.",
-                                    ("table",),
-                                ).inc_key((table,))
                         if breaker is not None:
                             breaker.record_success(self.ops)
                         span.rename(
@@ -1382,7 +1667,7 @@ class Cluster:
     def _union(heading: Heading, parts: Iterable[Relation]) -> Relation:
         result = Relation(heading, xset())
         for part in parts:
-            result = local_union(result, part)
+            result = algebra.union(result, part)
         return result
 
     def _finish(self, context: _QueryContext, answer: Relation) -> Any:
@@ -1436,18 +1721,16 @@ class Cluster:
         trace: Optional[TraceContext] = None,
         epoch: Optional[Any] = None,
     ) -> Any:
-        """Execute a plan tree shard-locally: the one relational read.
+        """Execute a plan tree over the buckets: the one relational read.
 
-        The plan's ``SelectEq``/``SelectPred``/``Project`` chains are
-        extracted into per-table :class:`ShardPipeline` pushdowns and
-        run *inside* each bucket before rows ship -- selection and
-        projection below the shuffle.  A selection that pins the
-        partition attribute consults exactly one bucket; otherwise
-        every bucket ships its surviving rows.  A join between two
-        scans picks its strategy by estimated shipped rows:
-        co-partitioned when the maps agree, else broadcast-small vs
-        shuffle-on-key sized from the committed cardinalities and
-        (when the manager has one) the ANALYZE statistics catalog.
+        The cluster is a kernel backend of :meth:`Plan.apply`, like
+        rows and sorted runs: the plan folds bottom-up over
+        :class:`_ShardKernels`, a ``Scan`` being an operand that still
+        lives in its buckets.  Row-local operators run *inside* each
+        bucket before rows ship, a selection that pins the partition
+        attribute consults exactly one bucket, a join picks its
+        strategy by estimated shipped rows and every other operator
+        gathers its inputs: ``Database.execute``'s answer, every plan.
 
         Default mode returns a bare :class:`Relation` and fails the
         whole query on any unreachable bucket.  ``allow_partial=True``
@@ -1463,218 +1746,46 @@ class Cluster:
         or a ``{table: epoch}`` mapping); a stale value is refused
         with :class:`~repro.errors.ShardMovedError` before any bucket
         is read.  A plan that is not well defined on the tables'
-        headings is refused with ``SchemaError`` before anything else.
+        headings is refused with ``SchemaError`` before anything else:
+        the only refusal there is, as on the other two backends.
         """
-        catalog = self._catalog()
-        heading = catalog.heading_of(plan)
-        pipeline = shard_pipeline(plan)
-        if pipeline is None:
-            raise SchemaError(
-                "plan %s is not shard-executable (only SelectEq/"
-                "SelectPred/Project chains over Scan or Join push down)"
-                % plan.describe()
-            )
+        self._catalog().heading_of(plan)
         tables = tuple(sorted(scans(plan)))
         # Epoch fencing comes before the cache: a caller holding a
         # stale map must get ShardMovedError even when the bytes it
         # asked for are sitting in memory.
         for table in tables:
             self._check_epoch(table, epoch)
-        query = dict(priority=priority, trace=trace,
-                     allow_partial=allow_partial, read_quorum=read_quorum)
-
-        def run() -> Any:
-            if isinstance(pipeline.source, JoinPlan):
-                return self._execute_join(pipeline, catalog, query)
-            return self._execute_scan(pipeline, heading, query)
-
         plan_key = None
         if (self.result_cache is not None and not allow_partial
                 and read_quorum is None):
             from repro.relational.ivm.cache import plan_cache_key
 
             plan_key = plan_cache_key(plan)
-        if plan_key is None:
-            return run()
-        # The committed relations, never the live Table pointers: in
-        # an open transaction those are uncommitted work, while the
-        # replicas this reads hold committed rows only.
-        with self.manager.snapshot() as committed:
-            inputs = tuple([committed.relation(table) for table in tables])
-        hit = self.result_cache.lookup(plan_key, inputs)
-        if hit is not None:
-            return hit
-        result = run()
-        self.result_cache.store(plan_key, inputs, tables, result)
+        if plan_key is not None:
+            # The committed relations, never the live Table pointers:
+            # in an open transaction those are uncommitted work, while
+            # the replicas this reads hold committed rows only.
+            with self.manager.snapshot() as committed:
+                inputs = tuple([
+                    committed.relation(table) for table in tables
+                ])
+            hit = self.result_cache.lookup(plan_key, inputs)
+            if hit is not None:
+                return hit
+        with self._query(
+            "execute(%s)" % _describe(plan),
+            "execute_join" if _holds_join(plan) else "execute",
+            priority=priority, trace=trace,
+            allow_partial=allow_partial, read_quorum=read_quorum,
+        ) as context:
+            kernels = _ShardKernels(self, context)
+            result = self._finish(
+                context, kernels.gather(kernels.fold(plan))
+            )
+        if plan_key is not None:
+            self.result_cache.store(plan_key, inputs, tables, result)
         return result
-
-    def _execute_scan(self, pipeline: ShardPipeline, heading: Heading,
-                      query: Dict[str, Any]) -> Any:
-        """One table's pipeline: routed when the key is pinned."""
-        name = pipeline.source.name
-        placement = self._placements[name]
-        with self._query(
-            "execute(%s %s)" % (name, pipeline.describe()), "execute", **query
-        ) as context:
-            context.span.set("epoch", placement.epoch)
-            buckets = key = None
-            if placement.attr in pipeline.conditions:
-                pinned = pipeline.conditions[placement.attr]
-                buckets = [placement.bucket_for(pinned)]
-                key = xrecord({placement.attr: pinned})
-            context.span.set(
-                "routing", "broadcast" if buckets is None else "routed"
-            )
-            parts = self._gather(
-                context, name,
-                lambda node, b: pipeline.apply(node.bucket(name, b)),
-                buckets=buckets, key=key,
-            )
-            return self._finish(context, self._union(heading, parts))
-
-    def _estimate_side(self, name: str, pipeline: ShardPipeline) -> float:
-        """Estimated post-pushdown rows one side ships."""
-        stats = None
-        if self.manager.stats is not None:
-            stats = self.manager.stats.get(name, allow_stale=True)
-        return estimate_shard_rows(
-            float(len(self.manager.table(name))), pipeline.conditions,
-            len(pipeline.predicates), stats,
-        )
-
-    def _execute_join(self, outer: ShardPipeline, catalog: Database,
-                      query: Dict[str, Any]) -> Any:
-        """Distributed join with pushdown and a costed strategy choice.
-
-        Strategies, cheapest-shipping first from the estimates:
-
-        * ``co_partitioned`` -- maps agree and the partition attribute
-          survives both pipelines: bucket-local joins, zero movement.
-        * ``broadcast`` -- the smaller (estimated) side gathers once,
-          then ships to every bucket of the larger side.
-        * ``shuffle`` -- one side re-keys on the other's partition
-          attribute (when that is a join attribute) and moves once.
-
-        The choice reads only the two sides' estimates, maps and
-        shared attributes, never which operand was written first: a
-        join and its commutation ship the same rows.  The chosen
-        strategy lands on the root span and the
-        ``repro_shard_join_total`` counter, so plans are auditable
-        from traces alone.
-        """
-        source = outer.source
-        pipes = [shard_pipeline(source.left), shard_pipeline(source.right)]
-        if any(
-            pipe is None or not isinstance(pipe.source, Scan)
-            for pipe in pipes
-        ):
-            raise SchemaError(
-                "distributed execute supports joins of two pushdown "
-                "pipelines over scans; got %s" % source.describe()
-            )
-        names = [pipe.source.name for pipe in pipes]
-        headings = [
-            catalog.heading_of(source.left), catalog.heading_of(source.right)
-        ]
-        shared = headings[0].common(headings[1])
-        if not shared:
-            raise SchemaError(
-                "distributed join of %r and %r has no shared attribute"
-                % tuple(names)
-            )
-        maps = [self._placements[name] for name in names]
-        rows = [
-            self._estimate_side(name, pipe)
-            for name, pipe in zip(names, pipes)
-        ]
-        # stay/move index the side whose buckets host the join and the
-        # side whose rows travel to them.
-        if (
-            maps[0].attr == maps[1].attr
-            and maps[0].attr in shared
-            and maps[0].same_placement(maps[1])
-        ):
-            strategy, stay, move = "co_partitioned", 0, 1
-        else:
-            small = 0 if rows[0] <= rows[1] else 1
-            options = [(
-                broadcast_join_cost(
-                    rows[small], maps[1 - small].bucket_count
-                ),
-                "broadcast", 1 - small, small,
-            )]
-            options.extend(
-                (shuffle_join_cost(rows[1 - side]), "shuffle", side, 1 - side)
-                for side in (0, 1)
-                if maps[side].attr in shared
-            )
-            # Ties keep the earlier option: broadcast, then right-moves.
-            _, strategy, stay, move = min(
-                options, key=lambda option: option[0]
-            )
-        with self._query(
-            "execute(%s %s |x| %s %s)" % (
-                names[0], pipes[0].describe(), names[1], pipes[1].describe()
-            ),
-            "execute_join", **query
-        ) as context:
-            context.span.set("strategy", strategy)
-            context.span.set("est_left_rows", int(rows[0]))
-            context.span.set("est_right_rows", int(rows[1]))
-            if _obs_enabled():
-                _metrics.registry().counter(
-                    "repro_shard_join_total",
-                    "Distributed joins by chosen strategy.", ("strategy",),
-                ).inc_key((strategy,))
-            host, host_pipe = names[stay], pipes[stay]
-            guest, guest_pipe = names[move], pipes[move]
-
-            def moved(node: Node, b: int) -> Relation:
-                return guest_pipe.apply(node.bucket(guest, b))
-
-            if strategy == "co_partitioned":
-                arriving = moved  # the host node holds the guest bucket too
-            elif strategy == "shuffle":
-                # Re-key the moving side by the host's map: every
-                # surviving row ships once, to the bucket it joins in.
-                rekeyed: Dict[int, List[Any]] = {}
-                for part in self._gather(context, guest, moved):
-                    for bucket, found in _by_bucket(
-                        part.rows, maps[stay]
-                    ).items():
-                        rekeyed.setdefault(bucket, []).extend(found)
-                shuffled = {
-                    # Trusted: rows of parts validated under this heading.
-                    bucket: Relation._from_valid(headings[move], xset(found))
-                    for bucket, found in rekeyed.items()
-                }
-                empty = Relation(headings[move], xset())
-
-                def arriving(node: Node, b: int) -> Relation:
-                    return shuffled.get(b, empty)
-            else:
-                # Gather the small side once; it ships out to every
-                # serving node (priced as ordinary messages), which
-                # joins against its local filtered bucket and ships
-                # only results back.
-                small_side = self._union(
-                    headings[move], self._gather(context, guest, moved)
-                )
-                size = len(dumps(small_side.rows))
-                for _ in range(maps[stay].bucket_count):
-                    self.network.ship_encoded(size)
-
-                def arriving(node: Node, b: int) -> Relation:
-                    return small_side
-
-            parts = self._gather(
-                context, host,
-                lambda node, b: local_join(
-                    host_pipe.apply(node.bucket(host, b)), arriving(node, b)
-                ),
-            )
-            joined = self._union(catalog.heading_of(source), parts)
-            return self._finish(context, outer.apply(joined))
 
     # ------------------------------------------------------------------
     # Aggregation
@@ -1764,8 +1875,7 @@ class Cluster:
         """Every move begun on this cluster, finished or not."""
         return list(self._moves)
 
-    def _install_map(self, table: str, new_map: ShardMap,
-                     cause: str) -> None:
+    def _install_map(self, table: str, new_map: ShardMap) -> None:
         """Atomically swing ``table`` to ``new_map``.
 
         Validation, the in-memory swap, and the durable catalog
@@ -1785,8 +1895,6 @@ class Cluster:
             # untouched, but re-caching under the new epoch keeps the
             # cache honest about what it would recompute today.
             self.result_cache.invalidate_tables((table,))
-        if _obs_enabled():
-            _record_shard_event(cause, table, epoch=new_map.epoch)
 
     def begin_move(self, table: str, bucket: int, recipient: int,
                    donor: Optional[int] = None,
@@ -1899,7 +2007,7 @@ class Cluster:
             )
         old_map = self._placements[name]
         parts = self._partitioned(name, new_map)
-        self._install_map(name, new_map, cause)
+        self._install_map(name, new_map)
         for bucket_index, part in enumerate(parts):
             for node_index in new_map.replicas(bucket_index):
                 node = self.nodes[node_index]
@@ -1912,11 +2020,6 @@ class Cluster:
                                 old_map.bucket_count):
             for node_index in old_map.replicas(old_bucket):
                 self.nodes[node_index].drop_bucket(name, old_bucket)
-        if _obs_enabled():
-            _record_shard_event(
-                cause, name, rows=sum(self._bucket_rows[name].values()),
-                epoch=new_map.epoch,
-            )
         return new_map
 
     def __repr__(self) -> str:

@@ -50,7 +50,7 @@ from repro.relational.query import (
     Union,
 )
 
-__all__ = ["optimize", "estimate_rows", "ShardPipeline", "shard_pipeline"]
+__all__ = ["optimize", "estimate_rows"]
 
 
 def optimize(plan: Plan, db: Database) -> Plan:
@@ -344,109 +344,3 @@ _RULES = {
     Join: _rewrite_join,
 }
 
-
-# ----------------------------------------------------------------------
-# Shard pipelines: the pushdown unit of the distributed coordinator
-# ----------------------------------------------------------------------
-
-
-class ShardPipeline:
-    """A select/project chain extracted from a plan, per shard source.
-
-    The distributed coordinator cannot ship arbitrary plan trees to
-    nodes -- but a chain of ``SelectEq``/``SelectPred``/``Project``
-    over one source *is* shippable: every stage is row-local, so
-    applying the chain inside each bucket before the rows leave the
-    node preserves the answer while shrinking every shipment.  This
-    is the "push selection and projection below the shuffle" rewrite,
-    justified by the same composition argument as the local fusion
-    rules above.
-
-    ``source`` is the :class:`Scan` (single-table pipelines) or
-    :class:`Join` (the coordinator decomposes its inputs recursively)
-    the chain bottoms out on.  ``conditions`` merges every SelectEq
-    on the way down (first-seen wins; a re-constrained attribute
-    falls back to a predicate so conflicting constants still compose
-    to the correct empty answer).
-    """
-
-    __slots__ = ("source", "conditions", "predicates", "attrs")
-
-    def __init__(self, source: Plan, conditions, predicates, attrs):
-        self.source = source
-        self.conditions: Dict[str, object] = dict(conditions)
-        self.predicates = list(predicates)
-        self.attrs = None if attrs is None else tuple(attrs)
-
-    def apply(self, relation):
-        """Run the chain on one bucket's rows (node-local, no shipping)."""
-        from repro.relational.algebra import project, select, select_eq
-
-        out = relation
-        if self.conditions:
-            out = select_eq(out, self.conditions)
-        for predicate, _label in self.predicates:
-            out = select(out, predicate)
-        if self.attrs is not None:
-            out = project(out, self.attrs)
-        return out
-
-    def describe(self) -> str:
-        parts = []
-        if self.conditions:
-            parts.append(",".join(
-                "%s=%r" % item for item in sorted(self.conditions.items())
-            ))
-        if self.predicates:
-            parts.append("pred*%d" % len(self.predicates))
-        if self.attrs is not None:
-            parts.append("pi(%s)" % ",".join(self.attrs))
-        return "[%s]" % " ".join(parts) if parts else "[*]"
-
-    def __repr__(self) -> str:
-        return "ShardPipeline(%s %s)" % (
-            self.source.describe(), self.describe()
-        )
-
-
-def shard_pipeline(plan: Plan):
-    """Decompose ``plan`` into a pushdown chain over a Scan or Join.
-
-    Returns ``None`` when the tree contains a stage the coordinator
-    cannot push (Rename, Union, Difference, aggregation wrappers);
-    callers fall back or refuse with a schema error.
-    """
-    conditions: Dict[str, object] = {}
-    predicates = []
-    attrs = None
-    node = plan
-    while True:
-        if isinstance(node, (Scan, Join)):
-            return ShardPipeline(node, conditions, predicates, attrs)
-        if isinstance(node, Project):
-            # The outermost projection fixes the output columns; any
-            # inner ones only narrow what the stages below may touch.
-            if attrs is None:
-                attrs = node.attrs
-        elif isinstance(node, SelectEq):
-            for attr, value in node.conditions.items():
-                if attr in conditions and conditions[attr] != value:
-                    # Conflicting constants: keep correctness via a
-                    # predicate (the composition is the empty set).
-                    predicates.append((
-                        _eq_predicate(attr, value), "%s=%r" % (attr, value)
-                    ))
-                else:
-                    conditions.setdefault(attr, value)
-        elif isinstance(node, SelectPred):
-            predicates.append((node.predicate, node.label))
-        else:
-            return None
-        node = node.child
-
-
-def _eq_predicate(attr: str, value):
-    def predicate(row, _attr=attr, _value=value):
-        return row[_attr] == _value
-
-    return predicate

@@ -60,9 +60,9 @@ class Plan:
     A node is the single owner of every *structural* fact about its
     operator -- its inputs, how to rebuild it over new inputs, its
     heading rule with the conditions under which it is well defined,
-    its kernel on either backend and where its attributes come from --
+    its kernel on every backend and where its attributes come from --
     so every walker (executor, optimizer, cost planner, views, IVM,
-    result cache, shard pipeline) is generic over this protocol.  What
+    result cache, cluster) is generic over this protocol.  What
     needs module-local state (cost formulas, delta rules, rewrite
     rules) lives in one ``{node type: rule}`` table in its module.
     An operator that does not implement a method fails typed.
@@ -95,8 +95,8 @@ class Plan:
 
         ``kernels`` is a backend namespace: :mod:`~repro.relational.
         algebra` for rows, :class:`~repro.relational.columnar.
-        ColumnarRelation` for sorted runs -- one name per operator,
-        spelled the same in both.
+        ColumnarRelation` for sorted runs, the cluster's for operands
+        still in their buckets -- one name per operator, spelled alike.
         """
         raise self._unknown()
 

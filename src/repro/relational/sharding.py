@@ -69,10 +69,12 @@ def shard_index(value: Any, bucket_count: int) -> int:
     Ints route by value, everything else by canonical bytes -- the
     scheme PR 1 shipped, so a default map with ``bucket_count ==
     node_count`` reproduces its placement, and the fault suites'
-    pinned tick sequences, bit for bit.
+    pinned tick sequences, bit for bit.  Equal values route alike
+    (``True`` and ``1.0`` are ``1`` to the kernel): routed selections
+    and bucket-local joins assume it.
     """
-    if isinstance(value, int) and not isinstance(value, bool):
-        return value % bucket_count
+    if isinstance(value, (int, float)) and value == value // 1:
+        return int(value) % bucket_count  # whole (inf and nan are not)
     return sum(dumps(value)) % bucket_count
 
 
@@ -593,7 +595,7 @@ class ShardMove:
             self.bucket, self.donor, self.recipient
         )
         self.target_epoch = new_map.epoch
-        cluster._install_map(self.table, new_map, cause="move")
+        cluster._install_map(self.table, new_map)
         self.state = "verify"
         return True
 

@@ -94,7 +94,7 @@ class TransactionManager:
                  stats=None):
         if not tables:
             raise SchemaError("a transaction manager needs at least one table")
-        self._tables: Dict[str, Table] = dict(tables)
+        self._tables: Dict[str, Table] = {}
         self._savepoints: List[Dict[str, tuple]] = []
         self._deferred_depth = 0
         self._log = log
@@ -111,6 +111,8 @@ class TransactionManager:
         # bump) -- never for rollbacks or no-op transactions.
         self._listeners: List[Callable[[int, CommitDiff], None]] = []
         self._pending_notice: Optional[Tuple[int, Dict]] = None
+        for name, table in tables.items():
+            self.add_table(name, table)
 
     @property
     def tables(self) -> Dict[str, Table]:
@@ -138,7 +140,8 @@ class TransactionManager:
             raise SchemaError("unknown table %r" % (name,)) from None
 
     def add_table(self, name: str, table: Table) -> None:
-        """Enrol one more table; its current value is its version 0."""
+        """Enrol one more table; its current value is its version 0 and
+        a bare statement on it a commit of this manager from here on."""
         if self._savepoints:
             raise SchemaError(
                 "cannot add table %r inside an open transaction" % (name,)
@@ -146,6 +149,7 @@ class TransactionManager:
         if name in self._tables:
             raise SchemaError("table %r already exists" % (name,))
         self._tables[name] = table
+        table._owner = self
 
     # ------------------------------------------------------------------
     # Savepoint mechanics

@@ -91,6 +91,8 @@ class Client:
         self._writer: Optional[asyncio.StreamWriter] = None
         self._decoder = FrameDecoder()
         self._inbox: List[Tuple[int, Dict[str, Any]]] = []
+        #: ``{name: xql}`` acknowledged: re-registered by every reconnect.
+        self._prepared: Dict[str, str] = {}
         self.session_id: Optional[str] = None
         self.version: Optional[int] = None
         self.trace_id: Optional[str] = None
@@ -104,7 +106,8 @@ class Client:
         return self._writer is not None
 
     async def _connect(self) -> None:
-        """Open the socket and run the handshake."""
+        """Open the socket, run the handshake and re-register the
+        prepared statements, under ids outside the request counter."""
         self._drop()
         try:
             self._reader, self._writer = await asyncio.open_connection(
@@ -132,6 +135,13 @@ class Client:
         self.session_id = body.get("session")
         self.version = body.get("version")
         self.trace_id = body.get("trace")
+        for name, xql in self._prepared.items():
+            rid = "%s-prepare-%s" % (self.client_id, name)
+            await self._write_frame(
+                FrameType.PREPARE, {"id": rid, "name": name, "xql": xql}
+            )
+            ftype, body = await self._read_response(rid)
+            self._expect(ftype, FrameType.PREPARED, body)
 
     def _drop(self) -> None:
         if self._writer is not None:
@@ -313,6 +323,7 @@ class Client:
             FrameType.PREPARE, {"id": rid, "name": name, "xql": xql}
         )
         self._expect(ftype, FrameType.PREPARED, body)
+        self._prepared[name] = xql
 
     async def execute(self, name: str,
                       args: Sequence[Any] = ()) -> Relation:

@@ -41,8 +41,11 @@ from repro.errors import (
     CircuitOpenError,
     ClusterUnavailableError,
     DeadlineExceededError,
+    IntegrityError,
     NetworkError,
+    NotationError,
     OverloadedError,
+    SchemaError,
     SessionError,
     ShardMovedError,
     UnavailableError,
@@ -216,9 +219,9 @@ def error_body(error: Exception,
     """Render any exception as an ERROR frame body.
 
     Typed errors keep their stable code/exit code and structured
-    context; anything else (schema violations, bad XQL, integrity
-    failures) travels as the generic code ``ERROR`` with exit code 2,
-    exactly mirroring the CLI's exit discipline.
+    context (schema violations, bad XQL and integrity failures too:
+    ``SCHEMA``/``NOTATION``/``INTEGRITY``); anything else travels as
+    the generic code ``ERROR``, both with the CLI's exit code 2.
     """
     context = {}
     for attr in _ERROR_CONTEXT_ATTRS:
@@ -244,7 +247,8 @@ def error_from_body(body: Dict[str, Any]) -> Exception:
 
     The governance and serving classes rebuild with their structured
     context so client-side handling (and the flight recorder) sees
-    the same shape the server raised; unknown codes degrade to the
+    the same shape the server raised (a wrong statement raises the
+    class it raises embedded); unknown codes degrade to the
     :class:`~repro.errors.UnavailableError` base or a plain
     :class:`~repro.errors.XSTError` for non-availability failures.
     """
@@ -307,4 +311,7 @@ def error_from_body(body: Dict[str, Any]) -> Exception:
         error = UnavailableError(message)
         error.retry_after_s = retry_after
         return error
+    for wrong_statement in (SchemaError, NotationError, IntegrityError):
+        if code == wrong_statement.code:
+            return wrong_statement(message)
     return XSTError(message)

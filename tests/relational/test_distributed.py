@@ -97,6 +97,27 @@ class TestDistributedReads:
         assert routed_bytes < cluster.network.bytes_shipped
 
 
+    def test_equal_values_route_alike(self):
+        # True == 1 == 1.0 in the kernel, so they hash to one bucket:
+        # a routed selection and a re-keyed join side find their rows.
+        from repro.relational.relation import Relation
+
+        flags = Relation.from_tuples(["b"], [(True,), (2.0,), (0,)])
+        names = Relation.from_tuples(
+            ["b", "c"], [(1, "one"), (2, "two"), (False, "zero")]
+        )
+        cluster = Cluster(2)
+        cluster.create_table("flags", flags, "b")
+        cluster.create_table("names", names, "c")
+        assert cluster.execute(Join(Scan("flags"), Scan("names"))) == \
+            algebra.join(flags, names)
+        assert cluster.last_query_span.attrs["strategy"] == "shuffle"
+        for twin in (1, 1.0, True):
+            assert cluster.execute(SelectEq(Scan("flags"), {"b": twin})) == \
+                algebra.select_eq(flags, {"b": twin})
+            assert cluster.last_query_span.attrs["routing"] == "routed"
+
+
 class TestDistributedJoin:
     def test_copartitioned_join_is_correct(self, cluster, employees,
                                            departments):
@@ -131,12 +152,63 @@ class TestDistributedJoin:
 
         assert shuffled.network.messages > co.network.messages
 
-    def test_join_without_shared_attribute(self, cluster, departments):
+    def test_join_without_shared_attribute(self, cluster, employees,
+                                           departments):
         other = algebra.rename(departments, {"dept": "zzz", "dname": "yyy",
                                              "budget": "xxx"})
         cluster.create_table("other", other, "zzz")
-        with pytest.raises(SchemaError, match="no shared attribute"):
-            cluster.execute(Join(Scan("emp"), Scan("other")))
+        # A product, as heading_of says and on every other backend.
+        assert cluster.execute(Join(Scan("emp"), Scan("other"))) == \
+            algebra.product(employees, other)
+
+    def test_a_gathered_side_ships_the_cheaper_way(self, cluster, employees,
+                                                    departments):
+        """By the time a join's result meets a third table it is at the
+        coordinator.  It goes out to the third table's buckets (priced
+        per bucket, like a broadcast) or the buckets' rows come in,
+        whichever moves fewer rows -- never more than the cheaper."""
+        from repro.relational.relation import Relation
+
+        buckets = len(cluster.nodes)
+        floors = Relation.from_dicts(["dept", "floor"], [
+            {"dept": d, "floor": d % 3} for d in range(8)
+        ])
+        badges = Relation.from_dicts(["emp", "badge"], [
+            {"emp": e, "badge": 1000 + e} for e in range(160)
+        ])
+        cluster.create_table("floors", floors, "floor")
+        cluster.create_table("badges", badges, "badge")
+        one = Join(SelectEq(Scan("emp"), {"emp": 7}), Scan("dept"))
+        everyone = Join(Scan("emp"), Scan("dept"))
+        for gathered, third, strategy in (
+            (one, "badges", "broadcast"),    # 1 row x 4 buckets < 160
+            (everyone, "floors", "gather"),  # 8 rows < 160 rows x 4
+        ):
+            relation = cluster.manager.table(third).snapshot()
+            here = cluster.execute(gathered)
+            options = {
+                "broadcast": here.cardinality() * buckets,
+                "gather": relation.cardinality(),
+            }
+            for plan in (Join(gathered, Scan(third)),
+                         Join(Scan(third), gathered)):
+                cluster.network.reset()
+                assert cluster.execute(plan) == algebra.join(here, relation)
+                root = cluster.last_query_span
+                assert root.attrs["strategy"] == strategy
+                assert options[strategy] == min(options.values())
+                # The first join answers in one message per bucket;
+                # then the rows of the chosen side move, and a
+                # broadcast's hosts send their results back.
+                moved = cluster.network.messages - buckets
+                if strategy == "broadcast":
+                    assert moved == 2 * buckets
+                    continue
+                assert moved == buckets
+                assert options["gather"] == sum(
+                    span.attrs["rows"] for span in root.children
+                    if span.attrs["table"] == third
+                )
 
     def test_join_off_the_partition_attribute_is_answered(
         self, employees, departments

@@ -14,16 +14,20 @@ behavior is a typed :class:`ClusterUnavailableError` -- never a wrong
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import given, note, settings
 from hypothesis import strategies as st
 
-from repro.errors import ClusterUnavailableError
+from repro.errors import ClusterUnavailableError, SchemaError
+from repro.gov import Result
 from repro.relational import algebra
 from repro.relational.aggregate import aggregate as local_aggregate
 from repro.relational.distributed import Cluster
 from repro.relational.faults import FaultPlan
-from repro.relational.query import Join, Scan, SelectEq
+from repro.relational.optimizer import optimize
+from repro.relational.query import Database, Join, Scan, SelectEq, Union
 from repro.relational.relation import Relation
+from repro.relational.sql import compile_query, parse_query
+from tests.relational.test_plan_algebra import plans_over_tables
 
 EMP_HEADING = ["emp", "name", "dept", "salary"]
 DEPT_HEADING = ["dept", "dname", "budget"]
@@ -129,6 +133,99 @@ class TestReadOracle:
             algebra.join(relation, departments)
 
 
+def projects(rows):
+    return Relation.from_dicts(["proj", "emp", "hours"], [
+        {"proj": row["emp"] % 4, "emp": row["emp"],
+         "hours": row["salary"] % 9}
+        for row in rows
+    ])
+
+
+DEPARTMENTS = Relation.from_dicts(DEPT_HEADING, [
+    {"dept": d, "dname": "d-%d" % d, "budget": 1000 * d}
+    for d in range(DEPT_SPACE)
+])
+
+
+class TestEveryPlanOracle:
+    """The cluster is one more backend of the one plan algebra: for
+    every plan, ``heading_of`` refuses it on both -- same error, before
+    the cluster has ticked or traced anything -- or the cluster answers
+    what ``Database.execute`` answers, wherever the rows live."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(case=plans_over_tables(), data=st.data())
+    def test_drawn_plans_placements_and_topologies(self, case, data):
+        r, s, plan, well_formed = case
+        db = Database({"r": r, "s": s})
+        nodes = data.draw(st.integers(1, 4), label="nodes")
+        cluster = Cluster(
+            nodes, replication_factor=data.draw(
+                st.integers(1, nodes), label="replication"
+            ),
+        )
+        for name in ("r", "s"):
+            relation = db.relation(name)
+            cluster.create_table(
+                name, relation,
+                data.draw(st.sampled_from(relation.heading.names),
+                          label="%s partitioned on" % name),
+                buckets=data.draw(
+                    st.one_of(st.none(), st.integers(1, 5)),
+                    label="%s buckets" % name,
+                ),
+            )
+        ops, roots = cluster.ops, len(cluster.tracer.roots())
+        if not well_formed:
+            with pytest.raises(SchemaError) as local:
+                db.execute(plan)
+            with pytest.raises(SchemaError) as distributed:
+                cluster.execute(plan)
+            assert str(distributed.value) == str(local.value)
+            assert cluster.ops == ops
+            assert len(cluster.tracer.roots()) == roots
+            return
+        for candidate in (plan, optimize(plan, db)):
+            note(candidate.explain())
+            expected = db.execute(candidate)
+            answer = cluster.execute(candidate)
+            assert answer == expected
+            assert answer.heading.names == expected.heading.names
+
+    #: The end-to-end benchmark's statement shapes (benchmarks/e2e).
+    STATEMENTS = (
+        "select emp, name, dname, hours from emp join dept join proj "
+        "where proj = 2",
+        "select emp, name, dname from emp join dept where dept = 3",
+        "select * from proj where hours > 4",
+        "select emp, name, salary from emp where emp = 7",
+        "select name as who, dname as unit from emp join dept "
+        "where dept = 1",
+    )
+
+    @given(employee_rows(min_size=1), cluster_shapes(),
+           st.sampled_from(["emp", "dept", "salary"]),
+           st.sampled_from(DEPT_HEADING),
+           st.sampled_from(["proj", "emp", "hours"]))
+    def test_served_statement_shapes(self, rows, shape, emp_attr,
+                                     dept_attr, proj_attr):
+        node_count, factor, dead = shape
+        relation = Relation.from_dicts(EMP_HEADING, rows)
+        db = Database({"emp": relation, "dept": DEPARTMENTS,
+                       "proj": projects(rows)})
+        cluster = Cluster(node_count, replication_factor=factor)
+        cluster.create_table("emp", relation, emp_attr)
+        cluster.create_table("dept", DEPARTMENTS, dept_attr, buckets=3)
+        cluster.create_table("proj", db.relation("proj"), proj_attr)
+        for index in dead:
+            cluster.kill_node("node-%d" % index)
+        for text in self.STATEMENTS:
+            plan = compile_query(parse_query(text))
+            expected = db.execute(plan)
+            assert cluster.execute(plan) == expected
+            assert cluster.execute(optimize(plan, db)) == expected
+
+
 class TestJoinIsOneRelation:
     """A join denotes one relation: whichever operand is written
     first and whichever attribute either side is partitioned on, the
@@ -193,6 +290,56 @@ class TestFaultyReadOracle:
         # Revived + transient-only: full service must be restored.
         cluster.clear_faults()
         assert cluster.execute(Scan("emp")) == relation
+
+    @staticmethod
+    def wide_plans():
+        """What only the fold can run: a join past the first, a union."""
+        return (
+            Join(Join(Scan("emp"), Scan("dept")), Scan("proj")),
+            Union(SelectEq(Scan("emp"), {"dept": 3}),
+                  SelectEq(Scan("emp"), {"salary": 30007})),
+        )
+
+    def wide_cluster(self, rows):
+        relation, cluster = build(rows, 4, 2, [])
+        # dept off its join attribute: the first join has to ship.
+        cluster.create_table("dept", DEPARTMENTS, "dname")
+        cluster.create_table("proj", projects(rows), "proj")
+        return cluster, Database({
+            "emp": relation, "dept": DEPARTMENTS, "proj": projects(rows),
+        })
+
+    @given(employee_rows(), st.integers(0, 2 ** 16))
+    def test_chaos_cannot_change_a_three_way_join_or_a_union(
+            self, rows, seed):
+        cluster, db = self.wide_cluster(rows)
+        cluster.install_faults(
+            FaultPlan.chaos(
+                seed, [node.name for node in cluster.nodes],
+                horizon=60, kills=1, drops=1, corruptions=1,
+            )
+        )
+        for plan in self.wide_plans():
+            assert cluster.execute(plan) == db.execute(plan)
+
+    @given(employee_rows(min_size=1))
+    def test_a_dead_bucket_is_typed_or_named_for_every_plan_shape(
+            self, rows):
+        cluster, db = self.wide_cluster(rows)
+        placement = cluster.shard_map("emp")
+        bucket = placement.bucket_for(rows[0]["dept"])
+        for index in placement.replicas(bucket):
+            cluster.kill_node("node-%d" % index)
+        for plan in self.wide_plans():
+            with pytest.raises(ClusterUnavailableError):
+                cluster.execute(plan)
+            answer = cluster.execute(plan, allow_partial=True)
+            assert isinstance(answer, Result) and answer.partial
+            assert ("emp", bucket) in {
+                (gap.table, gap.bucket) for gap in answer.missing
+            }
+            # Partial means fewer rows, never wrong ones.
+            assert answer.relation.rows <= db.execute(plan).rows
 
     @given(employee_rows(), st.integers(0, 2 ** 16))
     def test_drop_and_corrupt_only_cost_retries(self, rows, seed):

@@ -26,7 +26,7 @@ from repro.relational.cost import CardinalityEstimator
 from repro.relational.distributed import Cluster
 from repro.relational.ivm import plan_cache_key, scan_tables
 from repro.relational.ivm.delta import DeltaPropagator, DeltaUnsupported
-from repro.relational.optimizer import optimize, shard_pipeline
+from repro.relational.optimizer import optimize
 from repro.relational.query import (
     Database,
     Difference,
@@ -267,10 +267,8 @@ def test_every_walker_knows_every_operator(db, operator):
     assert DeltaPropagator(db, {}).delta(plan).is_empty()
     assert plan_cache_key(plan) is not None
     assert set(scans(plan)) == set(scan_tables(plan)) <= {"emp", "dept"}
-    pipeline = shard_pipeline(plan)
-    if pipeline is not None:
-        # What the coordinator can push, it answers identically.
-        assert _cluster(db).execute(plan) == answer
+    # The third backend: pushed down or gathered, the same relation.
+    assert _cluster(db).execute(plan) == answer
 
 
 class Stranger(Plan):
@@ -331,7 +329,6 @@ class TestUnregisteredOperators:
                 run(plan)
         with pytest.raises(DeltaUnsupported, match="Stranger"):
             DeltaPropagator(db, {}).delta(plan)
-        assert shard_pipeline(Stranger(Scan("emp"))) is None
         # Text-only walkers need nothing but children()/describe().
         assert scans(plan)[-1] == "emp"
         assert "Stranger" in plan_cache_key(plan)
@@ -354,8 +351,12 @@ class TestUnregisteredOperators:
             DeltaPropagator(db, {}).delta(plan)
         with pytest.raises(TypeError, match="unknown plan node"):
             db.execute_records(plan)
-        with pytest.raises(SchemaError, match="not shard-executable"):
-            _cluster(db).execute(plan)
+        # The cluster is a backend too: the operand passes through
+        # still in its buckets and the projection above is pushed down.
+        cluster = _cluster(db)
+        assert cluster.execute(plan) == expected
+        assert cluster.last_query_describe == \
+            "execute(emp [dept=1 Passthrough pi(emp)])"
 
     def test_garbage_is_not_a_plan(self, db):
         for run in (db.heading_of, db.execute, db.execute_records,
@@ -374,11 +375,17 @@ def test_origin_names_the_input_attribute():
     assert SelectEq(Scan("emp"), {"dept": 1}).origin("dept") == "dept"
 
 
-def test_row_and_columnar_kernels_share_their_names():
-    """``Plan.apply`` spells each kernel once for both backends."""
+def test_every_backend_spells_the_kernels_alike(db):
+    """``Plan.apply`` spells each kernel once for all three backends;
+    a name the cluster has no method for is ``algebra``'s, gathered."""
     from repro.relational.columnar import ColumnarRelation
+    from repro.relational.distributed import _ShardKernels
 
+    cluster_kernels = _ShardKernels(_cluster(db), None)
     for name in ("select_eq", "select_pred", "project", "rename", "join",
                  "union", "difference"):
         assert callable(getattr(algebra, name))
         assert callable(getattr(ColumnarRelation, name))
+        assert callable(getattr(cluster_kernels, name))
+    with pytest.raises(AttributeError):
+        cluster_kernels.no_such_kernel

@@ -326,8 +326,13 @@ class TestCarriedDiff:
             for name, _, inserted, deleted in commit_changes(record)
         }
 
-    def test_unchecked_rows_stay_pending_until_a_check_passes(self, schema):
-        _, _, departments = schema
+    def test_unchecked_rows_stay_pending_until_a_check_passes(self):
+        # A standalone table: an enrolled one cannot be left pending,
+        # its bare statement is a commit (next test).
+        departments = Table(
+            ["dept", "dname"], [{"dept": 1, "dname": "research"}],
+            [KeyConstraint(["dept"])],
+        )
         departments.defer_validation(True)
         departments.insert({"dept": 1, "dname": "duplicate key"})
         departments.defer_validation(False)
@@ -352,15 +357,22 @@ class TestCarriedDiff:
 
     def test_pending_rows_fail_the_next_commit_and_roll_back(self, schema):
         manager, _, departments = schema
-        departments.defer_validation(True)
-        departments.insert({"dept": 1, "dname": "duplicate key"})
-        departments.defer_validation(False)
         before = departments.snapshot()
+        # On an enrolled table the next commit is the statement's own:
+        # deferring its check only moves the refusal to that commit.
+        departments.defer_validation(True)
+        with pytest.raises(IntegrityError):
+            departments.insert({"dept": 1, "dname": "duplicate key"})
+        departments.defer_validation(False)
+        assert departments.snapshot() is before
+        assert not departments.needs_check()  # rolled back, nothing pending
+        assert manager.current_version == 0
         with pytest.raises(IntegrityError):
             with manager.transaction(deferred=True):
                 departments.insert({"dept": 2, "dname": "fine"})
+                departments.insert({"dept": 1, "dname": "duplicate key"})
         assert departments.snapshot() is before
-        assert departments.needs_check()  # still pending, not forgotten
+        assert not departments.needs_check()
 
     def test_inner_rollback_leaves_no_stale_diff(self, counted):
         manager, departments, log, checked = counted
@@ -395,11 +407,13 @@ class TestCarriedDiff:
             departments.insert({"dept": 6, "dname": "new"})
         assert sorted(checked) == [1, 6]
         assert self.logged_rows(log.replay()[0]) == {"dept": ([1, 6], [1])}
-        # Outside a transaction nothing accumulates for a later commit.
+        # A bare statement is its own commit -- log record 1 -- and
+        # leaves nothing behind for the next one.
         departments.insert({"dept": 7, "dname": "autocommit"})
+        assert self.logged_rows(log.replay()[1]) == {"dept": ([7], [])}
         with manager.transaction():
             departments.delete({"dept": 6})
-        assert self.logged_rows(log.replay()[1]) == {"dept": ([], [6])}
+        assert self.logged_rows(log.replay()[2]) == {"dept": ([], [6])}
 
     def test_failed_commit_check_restores_the_pending_diff(self, counted):
         manager, departments, log, checked = counted
@@ -493,3 +507,111 @@ class TestSavepointSnapshotInteraction:
         # And the per-table change version agrees with the last record.
         assert manager.table_version("dept") == 3
         assert manager.table_version("emp") == 0
+
+
+class TestStatementAutocommit:
+    """A statement on an enrolled table, outside any scope, is a
+    one-statement transaction: everything a commit does happens once."""
+
+    @pytest.fixture
+    def stack(self, tmp_path):
+        from repro.relational.distributed import Cluster
+        from repro.relational.query import Database, Scan, SelectEq
+        from repro.relational.relation import Relation
+        from repro.relational.stats import StatsCatalog
+        from repro.relational.views import ViewCatalog
+        from repro.relational.wal import WriteAheadLog
+
+        log = WriteAheadLog(str(tmp_path / "wal.log"))
+        cluster = Cluster(3, replication_factor=2, log=log,
+                          stats=StatsCatalog())
+        base = Relation.from_dicts(
+            ["dept", "dname"], [{"dept": 1, "dname": "research"}]
+        )
+        cluster.create_table("dept", base, "dept")
+        manager = cluster.manager
+        manager.stats.analyze("dept", base)
+        table = manager.table("dept")
+        table.add_constraint(KeyConstraint(["dept"]))
+        views = ViewCatalog(Database(), manager)
+        views.define("ops", SelectEq(Scan("dept"), {"dname": "ops"}),
+                     materialized=True)
+        views.read("ops")
+        heard = []
+        manager.subscribe(lambda version, changes: heard.append(version))
+        return cluster, manager, table, views, log, heard, base
+
+    def test_each_bare_statement_is_exactly_one_commit(self, stack):
+        from repro.relational.query import Scan
+        from repro.relational.wal import recover_state
+
+        cluster, manager, table, views, log, heard, base = stack
+        statements = (
+            lambda: table.insert({"dept": 2, "dname": "ops"}),
+            lambda: table.insert_many([{"dept": 3, "dname": "ops"},
+                                       {"dept": 4, "dname": "lab"}]),
+            lambda: table.update({"dept": 4}, {"dname": "ops"}),
+            lambda: table.delete({"dept": 3}),
+        )
+        for version, statement in enumerate(statements, start=1):
+            before = manager.snapshot()
+            statement()
+            assert not manager.in_transaction()
+            assert manager.current_version == log.lsn == version
+            assert heard == list(range(1, version + 1))
+            # Same version, same rows: the old snapshot did not move.
+            assert before.relation("dept") is not table.snapshot()
+            assert manager.snapshot().relation("dept") is table.snapshot()
+            assert cluster.execute(Scan("dept")) == table.snapshot()
+            assert views.read("ops") == views.database.execute(
+                views.view("ops").plan
+            )
+            assert views.verify("ops")
+            state, replayed = recover_state(
+                log.replay(), base={"dept": base}
+            )
+            assert replayed == version
+            assert state["dept"] == table.snapshot()
+        assert views.view("ops").delta_applies == len(statements)
+        # 1 + 2 inserted, 1 updated (a delete and an insert), 1 deleted.
+        assert manager.stats.mutations_since_analyze("dept") == 6
+
+    def test_a_refused_statement_commits_nothing(self, stack):
+        from repro.relational.query import Scan
+
+        cluster, manager, table, views, log, heard, base = stack
+        ops = cluster.ops
+        for refused, error in (
+            (lambda: table.insert({"dept": 1, "dname": "dup"}),
+             IntegrityError),
+            (lambda: table.insert_many([{"dept": 1, "dname": "dup key"}]),
+             IntegrityError),
+            (lambda: table.insert({"dept": 2}), SchemaError),
+            (lambda: table.update({"dept": 1}, {"nope": 1}), SchemaError),
+        ):
+            with pytest.raises(error):
+                refused()
+        assert table.snapshot() is base
+        assert (manager.current_version, log.lsn, heard) == (0, 0, [])
+        assert cluster.ops == ops and not table.needs_check()
+        assert cluster.execute(Scan("dept")) == base
+
+    def test_inside_a_scope_a_statement_is_not_a_commit(self, stack):
+        cluster, manager, table, views, log, heard, base = stack
+        with manager.transaction():
+            table.insert({"dept": 2, "dname": "ops"})
+            table.insert({"dept": 3, "dname": "ops"})
+            assert (manager.current_version, log.lsn, heard) == (0, 0, [])
+        assert (manager.current_version, log.lsn, heard) == (1, 1, [1])
+        with pytest.raises(RuntimeError):
+            with manager.transaction():
+                table.delete({"dept": 2})
+                raise RuntimeError("abort")
+        assert (manager.current_version, log.lsn, heard) == (1, 1, [1])
+
+    def test_a_standalone_table_is_as_before(self):
+        table = Table(["dept", "dname"], [], [KeyConstraint(["dept"])])
+        table.insert({"dept": 1, "dname": "research"})
+        with pytest.raises(IntegrityError):
+            table.insert({"dept": 1, "dname": "dup"})
+        assert len(table) == 1 and not table.needs_check()

@@ -186,6 +186,42 @@ class TestMidStreamDisconnect:
             run_xql(db, "select eid, name from emp")
         )
 
+    @pytest.mark.parametrize("drop_at, retries, served", [
+        (None, 0, 3),  # prepare + two executes, nothing re-prepared
+        (3, 1, 5),     # + the attempt that died + the replayed PREPARE
+    ])
+    def test_prepared_statements_survive_the_reconnect(
+            self, drop_at, retries, served):
+        """A reconnect is a new server session; the client re-registers
+        what it prepared, outside the request counter, so the retried
+        EXECUTE finds its statement."""
+        async def body():
+            # Frames 0-2: WELCOME, PREPARED, the first answer.
+            plan = FaultPlan()
+            if drop_at is not None:
+                plan.drop_connection(drop_at)
+            server = Server(TransactionManager(make_tables()),
+                            net_faults=NetworkFaultInjector(plan))
+            await server.start()
+            try:
+                client = await connect("127.0.0.1", server.port,
+                                       read_timeout_s=1.0)
+                await client.prepare(
+                    "by_dept", "select name from emp where dept = $1"
+                )
+                first = await client.execute("by_dept", ["eng"])
+                again = await client.execute("by_dept", ["eng"])
+                assert first == again
+                assert sorted(again.to_rows()) == [("ada",), ("cyd",)]
+                assert client.retries == retries
+                assert client._next_request_id() == "c0-4"
+                assert server.requests_served == served
+                await client.close()
+            finally:
+                await server.close()
+
+        run(body())
+
     def test_torn_welcome_is_typed(self):
         async def body():
             plan = FaultPlan().tear_frame(0)  # tear the WELCOME

@@ -11,8 +11,11 @@ import asyncio
 import pytest
 
 from repro.errors import (
+    IntegrityError,
     NetworkError,
+    NotationError,
     OverloadedError,
+    SchemaError,
     SessionError,
     UnavailableError,
     WriteConflictError,
@@ -186,8 +189,8 @@ class TestQueries:
                     with pytest.raises(XSTError,
                                        match="unknown attributes") as info:
                         await client.query(text)
-                    # SchemaError's wire form: the generic code.
-                    assert getattr(info.value, "code", "ERROR") == "ERROR"
+                    # SchemaError's wire form is itself: fix, never retry.
+                    assert type(info.value) is SchemaError
                 assert (cache.hits, cache.misses, cache.stale) == before
                 assert log.lsn == lsn
                 # The session survives and still answers.
@@ -239,6 +242,55 @@ class TestQueries:
         top = run(body())
         assert sorted(row["salary"] for row in top.iter_dicts()) == \
             sorted(salaries)[-3:]
+
+
+class TestSameFailureThroughEveryDoor:
+    """What the caller's own statement gets wrong raises one class,
+    embedded or served -- a client can tell fix-your-query from
+    retry-later without parsing a message."""
+
+    DUPLICATE = {"eid": 1, "name": "dup", "dept": "eng"}
+
+    @pytest.mark.parametrize("text, error, code", [
+        ("select name from ghost", SchemaError, "SCHEMA"),
+        ("select bogus from emp", SchemaError, "SCHEMA"),
+        ("select name frm emp", NotationError, "NOTATION"),
+        (None, IntegrityError, "INTEGRITY"),  # the duplicate key
+    ], ids=["unknown_table", "unknown_attribute", "bad_xql",
+            "duplicate_key"])
+    def test_embedded_and_served_raise_the_same_class(
+            self, text, error, code):
+        manager = make_manager()
+        with pytest.raises(error) as embedded:
+            if text is None:
+                manager.table("emp").insert(self.DUPLICATE)
+            else:
+                run_xql(Database({
+                    name: table.snapshot()
+                    for name, table in manager.tables.items()
+                }), text)
+
+        async def body(server):
+            client = await connect("127.0.0.1", server.port)
+            with pytest.raises(error) as served_error:
+                if text is None:
+                    await client.mutate([["insert", "emp", self.DUPLICATE]])
+                else:
+                    await client.query(text)
+            assert (client.retries, client.connected) == (0, True)
+            await client.close()
+            return served_error.value
+
+        over_the_wire = run(served(body))
+        assert type(over_the_wire) is type(embedded.value) is error
+        assert over_the_wire.code == embedded.value.code == code
+        assert str(over_the_wire) == str(embedded.value)
+
+    def test_unknown_codes_still_degrade(self):
+        from repro.server.protocol import error_from_body
+
+        rebuilt = error_from_body({"code": "FUTURE", "message": "m"})
+        assert type(rebuilt) is XSTError
 
 
 class TestMalformedPages:
