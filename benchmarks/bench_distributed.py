@@ -11,7 +11,7 @@ than row shipping.
 import pytest
 
 from repro.relational.distributed import Cluster
-from repro.relational.query import Join, Scan, SelectEq
+from repro.relational.query import Aggregate, Join, Scan, SelectEq
 from repro.workloads import department_relation, employee_relation
 
 EMP_COUNT = 600
@@ -109,12 +109,10 @@ def test_shuffle_ships_an_input_copartition_does_not():
 @pytest.mark.parametrize("nodes", (2, 4, 8))
 def test_distributed_aggregation(benchmark, nodes):
     cluster = co_partitioned_cluster(nodes)
-    result = benchmark(
-        cluster.aggregate,
-        "emp",
-        ["dept"],
+    result = benchmark(cluster.execute, Aggregate(
+        Scan("emp"), ["dept"],
         {"n": ("count", "emp"), "pay": ("sum", "salary")},
-    )
+    ))
     assert result.cardinality() == DEPT_COUNT
     record_network(benchmark, cluster)
 
@@ -122,7 +120,9 @@ def test_distributed_aggregation(benchmark, nodes):
 def test_aggregation_ships_less_than_scan():
     cluster = co_partitioned_cluster(4)
     cluster.network.reset()
-    cluster.aggregate("emp", ["dept"], {"n": ("count", "emp")})
+    cluster.execute(
+        Aggregate(Scan("emp"), ["dept"], {"n": ("count", "emp")})
+    )
     summary_bytes = cluster.network.bytes_shipped
     cluster.network.reset()
     cluster.execute(Scan("emp"))

@@ -9,6 +9,7 @@ Run:  python examples/distributed_backend.py
 """
 
 from repro.relational import (
+    Aggregate,
     Cluster,
     Join,
     Scan,
@@ -77,10 +78,10 @@ def main() -> None:
 
     banner("4. Aggregation: summaries travel, rows stay home")
     cluster.network.reset()
-    summary = cluster.aggregate(
-        "emp", ["dept"],
+    summary = cluster.execute(Aggregate(
+        Scan("emp"), ["dept"],
         {"headcount": ("count", "emp"), "mean_pay": ("avg", "salary")},
-    )
+    ))
     agg_bytes = cluster.network.bytes_shipped
     cluster.network.reset()
     cluster.execute(Scan("emp"))

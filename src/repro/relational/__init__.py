@@ -6,8 +6,9 @@ module                  contents
 ``schema``              :class:`Heading` -- attribute alphabets
 ``relation``            :class:`Relation` -- rows as scoped records
 ``algebra``             select / project / rename / join / semijoin /
-                        product / union / difference / intersection,
-                        each one kernel call
+                        product / union / difference / intersection /
+                        group_by / aggregate / limit, each a skin over
+                        kernel calls
 ``query``               plan AST, :class:`Database`, set-at-a-time and
                         record-at-a-time executors
 ``optimizer``           composition-theorem plan rewrites
@@ -22,7 +23,6 @@ module                  contents
 ======================  =============================================
 """
 
-from repro.relational.aggregate import AGGREGATES, aggregate, group_by
 from repro.relational.columnar import (
     ColumnarRelation,
     SortedRun,
@@ -30,9 +30,13 @@ from repro.relational.columnar import (
     materialize,
 )
 from repro.relational.algebra import (
+    AGGREGATES,
+    aggregate,
     difference,
+    group_by,
     intersection,
     join,
+    limit,
     product,
     project,
     rename,
@@ -81,9 +85,11 @@ from repro.relational.stats import (
     analyze_relation,
 )
 from repro.relational.query import (
+    Aggregate,
     Database,
     Difference,
     Join,
+    Limit,
     Plan,
     Project,
     Rename,
@@ -129,6 +135,7 @@ __all__ = [
     "union",
     "difference",
     "intersection",
+    "limit",
     # query
     "Plan",
     "Scan",
@@ -139,6 +146,8 @@ __all__ = [
     "Join",
     "Union",
     "Difference",
+    "Aggregate",
+    "Limit",
     "Database",
     # optimizer
     "optimize",

@@ -16,6 +16,12 @@ operator       kernel realization
 ``product``    relative product with the empty join key (everything
                matches everything)
 ``union`` etc  kernel Boolean algebra on the row sets
+``group_by``   Def 7.1 image of each distinct key fragment: one
+               Def 7.6 sigma-restriction per group
+``aggregate``  ``group_by``, then a named function over each group's
+               column values
+``limit``      separation of the first rows in the kernel's total order
+               (``canonical_key``) of one attribute
 =============  ======================================================
 
 All operators are set-at-a-time: one kernel call over whole relations,
@@ -23,16 +29,38 @@ no per-row interpretation in Python beyond what the kernel itself
 performs.  The record-at-a-time equivalents used as the benchmark
 baseline live in :mod:`repro.relational.storage` and the record mode
 of :mod:`repro.relational.query`.
+
+Grouping is image application: reading a relation as the process
+``rel.as_process(group_attrs, rest)`` and applying it to each distinct
+key fragment partitions the rows -- one Def 7.1 image per group.
+``group_by`` / ``aggregate`` package that into the familiar API and
+keep the group *sets* available, because under XST a group is a
+first-class extended set, not a transient iterator state.
+
+Aggregates are named functions over the group's column values:
+``count``, ``sum``, ``avg``, ``min``, ``max``, plus ``set_of`` (the
+distinct values as a frozenset) for the set-flavoured reading.
 """
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Mapping, Sequence
+from typing import (
+    Any,
+    Callable,
+    Dict,
+    List,
+    Mapping,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.errors import SchemaError
 from repro.relational.relation import Relation
+from repro.relational.schema import Heading
 from repro.xst.builders import xrecord, xset
 from repro.xst.domain import sigma_domain
+from repro.xst.ordering import canonical_key
 from repro.xst.relative_product import relative_product
 from repro.xst.rescope import rescope_by_scope
 from repro.xst.restrict import sigma_restrict
@@ -49,6 +77,11 @@ __all__ = [
     "union",
     "difference",
     "intersection",
+    "group_by",
+    "aggregate",
+    "aggregate_heading",
+    "AGGREGATES",
+    "limit",
 ]
 
 
@@ -179,3 +212,183 @@ def difference(rel: Relation, other: Relation) -> Relation:
 def intersection(rel: Relation, other: Relation) -> Relation:
     _require_same_heading(rel, other)
     return Relation._from_valid(rel.heading, rel.rows & other.rows)
+
+
+# ----------------------------------------------------------------------
+# Grouping and aggregation
+# ----------------------------------------------------------------------
+
+
+def _count(values: List[Any]) -> int:
+    return len(values)
+
+
+def _sum(values: List[Any]) -> Any:
+    return sum(values)
+
+
+def _avg(values: List[Any]) -> float:
+    if not values:
+        raise SchemaError("avg over an empty group")
+    return sum(values) / len(values)
+
+
+# min and max fold by the kernel's total order, not Python's ``<``:
+# defined for every admitted value (``None``, typed twins, mixed
+# types) and equal to ``<`` on numbers and on strings.
+
+def _min(values: List[Any]) -> Any:
+    if not values:
+        raise SchemaError("min over an empty group")
+    return min(values, key=canonical_key)
+
+
+def _max(values: List[Any]) -> Any:
+    if not values:
+        raise SchemaError("max over an empty group")
+    return max(values, key=canonical_key)
+
+
+def _set_of(values: List[Any]) -> frozenset:
+    return frozenset(values)
+
+
+#: Registered aggregate functions, by the name used in specs.
+AGGREGATES: Dict[str, Callable[[List[Any]], Any]] = {
+    "count": _count,
+    "sum": _sum,
+    "avg": _avg,
+    "min": _min,
+    "max": _max,
+    "set_of": _set_of,
+}
+
+
+def group_by(
+    rel: Relation, attrs: Sequence[str]
+) -> List[Tuple[Dict[str, Any], Relation]]:
+    """Partition a relation by the given attributes.
+
+    Returns ``(key_dict, group_relation)`` pairs in canonical key
+    order.  Each group is computed by one sigma-restriction of the row
+    set with the key fragment -- grouping *is* restriction.
+    """
+    # The distinct keys are the projection onto the grouping attributes.
+    keys = project(rel, attrs)
+    key_sigma = _attribute_identity(keys.heading.names)
+    groups = []
+    for key_dict, (key_fragment, _) in zip(keys.iter_dicts(), keys.rows.pairs()):
+        members = sigma_restrict(rel.rows, xset([key_fragment]), key_sigma)
+        # A restriction of rel's rows: a subset of rel.
+        groups.append((key_dict, Relation._from_valid(rel.heading, members)))
+    return groups
+
+
+def aggregate_heading(
+    heading: Heading,
+    group_attrs: Sequence[str],
+    aggregations: Mapping[str, Tuple[str, str]],
+) -> Heading:
+    """The heading :func:`aggregate` produces over ``heading``.
+
+    The one well-definedness rule of an aggregation, shared by the
+    kernel and by the ``Aggregate`` plan node's static check: group
+    attributes and every source exist, every function is registered,
+    no output takes a group key's name; group keys come first.
+    """
+    heading.require(group_attrs)
+    for out_name, (fn_name, source) in aggregations.items():
+        if fn_name not in AGGREGATES:
+            raise SchemaError(
+                "unknown aggregate %r (have: %s)"
+                % (fn_name, ", ".join(sorted(AGGREGATES)))
+            )
+        heading.require([source])
+        if out_name in group_attrs:
+            raise SchemaError(
+                "aggregate output %r collides with a group key" % (out_name,)
+            )
+    return Heading(tuple(group_attrs) + tuple(aggregations))
+
+
+def aggregate(
+    rel: Relation,
+    group_attrs: Sequence[str],
+    aggregations: Mapping[str, Tuple[str, str]],
+) -> Relation:
+    """Grouped aggregation producing a new relation.
+
+    ``aggregations`` maps output attribute names to ``(function_name,
+    source_attribute)`` pairs, e.g.::
+
+        aggregate(emp, ["dept"],
+                  {"headcount": ("count", "emp"),
+                   "payroll":   ("sum", "salary")})
+
+    For ``count`` the source attribute only needs to exist.  Group
+    keys become attributes of the result alongside the aggregates.
+    ``sum`` / ``avg`` over values that do not add raise
+    :class:`~repro.errors.SchemaError` naming the source attribute.
+    """
+    out_heading = aggregate_heading(rel.heading, group_attrs, aggregations)
+    if group_attrs:
+        groups = group_by(rel, group_attrs)
+    else:
+        # No grouping attributes: the whole relation is one group (the
+        # SQL reading of an ungrouped aggregate query).
+        groups = [({}, rel)]
+    sources = {source for _, source in aggregations.values()}
+    out_rows = []
+    for key_dict, group in groups:
+        # One pass over the group: each source column read once from the
+        # rows' scope indexes (one element at each attribute, as validated).
+        held = [row._scopes_index() for row, _ in group.rows.pairs()]
+        columns = {
+            source: [index[source][0] for index in held] for source in sources
+        }
+        row = dict(key_dict)
+        for out_name, (fn_name, source) in aggregations.items():
+            try:
+                row[out_name] = AGGREGATES[fn_name](columns[source])
+            except TypeError:
+                held_types = {type(v).__name__ for v in columns[source]}
+                raise SchemaError(
+                    "%s(%s) needs numbers; %r holds %s"
+                    % (fn_name, source, source, ", ".join(sorted(held_types)))
+                ) from None
+        out_rows.append(row)
+    return Relation.from_dicts(out_heading, out_rows)
+
+
+def limit(
+    rel: Relation,
+    count: int,
+    order_by: Optional[str] = None,
+    descending: bool = False,
+) -> Relation:
+    """The first ``count`` rows in the order of attribute ``order_by``.
+
+    The order is the kernel's own (``canonical_key``: total over every
+    admitted value), canonical row order when ``order_by`` is ``None``
+    and between rows whose keys are equal -- in either direction.  A
+    subset of ``rel``, so still a relation: ORDER BY decides *which*
+    rows are kept, never how the answer is laid out.
+    """
+    if order_by is not None:
+        rel.heading.require([order_by])
+    members = rel.rows.pairs()
+    if count >= len(members):
+        return rel
+    kept = range(len(members))
+    if order_by is not None:
+        keys = [
+            canonical_key(row._scopes_index()[order_by][0])
+            for row, _ in members
+        ]
+        kept = sorted(kept, key=keys.__getitem__, reverse=descending)
+    # Back in canonical order: a subsequence of the relation's own run
+    # (so also a subset of its validated rows).
+    kept = sorted(kept[:count])
+    return Relation._from_valid(
+        rel.heading, XSet._from_run([members[index] for index in kept])
+    )

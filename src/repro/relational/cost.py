@@ -41,15 +41,18 @@ plan and the same statistics give the same join order on every run.
 
 from __future__ import annotations
 
+import math
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.gov.governor import checkpoint as _gov_checkpoint
 from repro.obs import metrics as _metrics
 from repro.obs.instrument import enabled as _obs_enabled
 from repro.relational.query import (
+    Aggregate,
     Database,
     Difference,
     Join,
+    Limit,
     Plan,
     Project,
     Rename,
@@ -105,6 +108,12 @@ _COST_JOIN_PROBE = 1.0   # per probe-side (left) row
 _COST_JOIN_BUILD = 1.5   # per build-side (right) row: bucketing costs more
 _COST_OUT_ROW = 1.0      # per produced row, any operator
 _COST_SET_MERGE = 0.6    # union/difference per input row
+# The next two are uncalibrated placeholders (reasoned from the kernels'
+# steps, no benchmark behind them): no plan choice depends on them yet
+# -- nothing reorders around an Aggregate or a Limit -- and the PR that
+# first makes one does measures them.
+_COST_AGGREGATE = 2.2    # key projection, a restriction, column reads
+_COST_LIMIT = 0.8        # key extraction and a sort, no row rebuilt
 
 # Columnar (sorted-run) variants, applied only when every base relation
 # under a node carries a run encoding -- then the whole subtree runs on
@@ -125,6 +134,9 @@ _COST_PER_INPUT_ROW = {
     SelectPred: (_COST_SELECT_PRED, _COST_SELECT_PRED),
     Project: (_COST_RESCOPE, _COST_COLUMNAR_PROJECT),
     Rename: (_COST_RESCOPE, _COST_COLUMNAR_RENAME),
+    # No batch kernel: they never run encoded (``runs_encoded``).
+    Aggregate: (_COST_AGGREGATE, _COST_AGGREGATE),
+    Limit: (_COST_LIMIT, _COST_LIMIT),
 }
 
 
@@ -218,12 +230,14 @@ class CardinalityEstimator:
     def runs_encoded(self, plan: Plan) -> bool:
         """True when this node will execute on the columnar backend.
 
-        Every plan operator has a columnar kernel, so the dispatch rule
-        in :meth:`Database.execute_node` reduces to: the subtree runs
-        columnar iff every base relation under it carries a run
-        encoding (mixed trees promote the row side, which is what the
-        ``any``-sticky dispatch does; costing that conservatively as
-        row keeps the model honest about the encode it would pay).
+        The dispatch rule in :meth:`Database.execute_node` reduces
+        to: the subtree runs columnar iff every base relation under it
+        carries a run encoding (mixed trees promote the row side, which
+        is what the ``any``-sticky dispatch does; costing that
+        conservatively as row keeps the model honest about the encode
+        it would pay).  An operator with no batch kernel (``Aggregate``,
+        ``Limit``) hands its operand back to rows, so neither it nor
+        anything above it runs encoded.
         """
         key = id(plan)
         cached = self._encoded.get(key)
@@ -231,6 +245,8 @@ class CardinalityEstimator:
             if isinstance(plan, Scan):
                 has = getattr(self._db, "has_columnar", None)
                 value = bool(has is not None and has(plan.name))
+            elif isinstance(plan, (Aggregate, Limit)):
+                value = False
             else:
                 children = plan.children()
                 value = bool(children) and all(
@@ -331,6 +347,22 @@ class CardinalityEstimator:
                 selectivity *= _FALLBACK_EQ_SELECTIVITY
         return max(1.0, child_rows * selectivity) if child_rows else 0.0
 
+    def _aggregate_rows(self, plan: Aggregate) -> float:
+        """One row per group: the product of the group attributes'
+        distinct counts where statistics reach them all, else the
+        heuristic one-in-ten; never more than the input."""
+        if not plan.group_attrs:
+            return 1.0
+        child_rows = self.estimate(plan.child)
+        distincts = [
+            self.distinct(plan.child, attr) for attr in plan.group_attrs
+        ]
+        if None in distincts:
+            return min(
+                child_rows, max(1.0, child_rows * _FALLBACK_EQ_SELECTIVITY)
+            )
+        return min(child_rows, math.prod(distincts))
+
     #: The cardinality rule of every node type, as ``(self, node)``.
     _ESTIMATES = {
         Scan: _scan_rows,
@@ -345,6 +377,10 @@ class CardinalityEstimator:
             self.estimate(plan.left) + self.estimate(plan.right)
         ),
         Difference: lambda self, plan: self.estimate(plan.left),
+        Aggregate: _aggregate_rows,
+        Limit: lambda self, plan: min(
+            float(plan.count), self.estimate(plan.child)
+        ),
     }
 
     def join_rows(self, left: Plan, right: Plan) -> float:
@@ -414,6 +450,8 @@ class CardinalityEstimator:
         Join: _join_cost,
         Union: _merge_cost,
         Difference: _merge_cost,
+        Aggregate: _unary_cost,
+        Limit: _unary_cost,
     }
 
     def _join_step(self, left: Plan, right: Plan, out_rows: float) -> float:

@@ -40,10 +40,10 @@ is a copy of that restriction -- never a second source of truth:
   backend of ``Plan.apply``: row-local operators run inside each
   bucket before rows ship, a key-covering selection routes to one
   bucket, joins are co-partitioned, broadcast-small or shuffle-on-key
-  by estimated shipped rows, anything else gathers its inputs.
-  :meth:`Cluster.aggregate` pushes partial aggregates.  Reads are
-  served by the first live replica, retry lost shipments with
-  (simulated) backoff, fail over down the ring, and raise
+  by estimated shipped rows, an aggregate whose functions combine
+  ships one summary row per group and bucket, anything else gathers
+  its inputs.  Reads are served by the first live replica, retry lost
+  shipments with (simulated) backoff, fail over down the ring, and raise
   :class:`repro.errors.ClusterUnavailableError` only when no correct
   answer is obtainable -- never a wrong one.
 
@@ -96,7 +96,6 @@ from repro.obs.instrument import enabled as _obs_enabled
 from repro.obs.instrument import record_recovery as _record_recovery
 from repro.obs.trace import Span, TraceContext, Tracer
 from repro.relational import algebra
-from repro.relational.aggregate import aggregate as local_aggregate
 from repro.relational.constraints import Table
 from repro.relational.faults import (
     NO_FAULTS,
@@ -124,6 +123,7 @@ from repro.relational.sharding import (
 from repro.relational.schema import Heading
 from repro.relational.tx import CommitDiff, TransactionManager
 from repro.xst.builders import xrecord, xset
+from repro.xst.ordering import canonical_key
 from repro.xst.serialization import dumps
 from repro.xst.xset import XSet
 
@@ -472,14 +472,13 @@ def _row_local(changes: Callable[[_Sharded, Any], Dict[str, Any]]):
 
 class _ShardKernels:
     """The cluster as a kernel backend of :meth:`Plan.apply`, over one
-    query: the seven names :mod:`~repro.relational.algebra` and
-    :class:`~repro.relational.columnar.ColumnarRelation` spell.  The
-    row-local four are pushed into the buckets and ``join`` keeps its
-    host side there; every other name -- ``union``, ``difference``,
-    whatever a later operator calls -- gathers its sharded operands
-    and runs ``algebra``'s kernel of that name, so a new operator runs
-    here without a line and only a row-local one that wants pushdown
-    adds a method."""
+    query: the names :mod:`~repro.relational.algebra` spells.  The
+    row-local four are pushed into the buckets, ``join`` keeps its
+    host side there and ``aggregate`` summarizes there what combines;
+    every other name -- ``union``, ``difference``, ``limit``, whatever
+    a later operator calls -- gathers its sharded operands and runs
+    ``algebra``'s kernel of that name, so a new operator runs here
+    without a line and only one that wants pushdown adds a method."""
 
     def __init__(self, cluster: "Cluster", context: _QueryContext):
         self.cluster = cluster
@@ -526,12 +525,14 @@ class _ShardKernels:
             for name, own in operand.origin.items()
         }}
 
-    def gather(self, operand: Any) -> Any:
-        """A sharded operand's rows, shipped to the coordinator: from
-        the one owning bucket when its equalities pin the partition
-        attribute, else from every bucket.  Anything else is here."""
-        if not isinstance(operand, _Sharded):
-            return operand
+    def _shipped(
+        self,
+        operand: _Sharded,
+        action: Callable[[Node, int], Optional[Relation]],
+    ) -> List[Relation]:
+        """What ``action`` ships from each bucket ``operand`` must
+        read: the one owning bucket when its equalities pin the
+        partition attribute, else every bucket."""
         name = operand.table
         placement = self.cluster._placements[name]
         buckets = key = None
@@ -543,12 +544,94 @@ class _ShardKernels:
         self.context.span.set(
             "routing", "broadcast" if buckets is None else "routed"
         )
-        parts = self.cluster._gather(
-            self.context, name,
-            lambda node, b: operand.run(node.bucket(name, b)),
-            buckets=buckets, key=key,
+        return self.cluster._gather(
+            self.context, name, action, buckets=buckets, key=key
         )
-        return self.cluster._union(operand.heading, parts)
+
+    def gather(self, operand: Any) -> Any:
+        """A sharded operand's rows, shipped to the coordinator;
+        anything else is here."""
+        if not isinstance(operand, _Sharded):
+            return operand
+        name = operand.table
+        return self.cluster._union(operand.heading, self._shipped(
+            operand, lambda node, b: operand.run(node.bucket(name, b))
+        ))
+
+    def _disjoint(self, operand: _Sharded) -> bool:
+        """No row can come out of two of the buckets ``operand`` reads:
+        it still carries the partition attribute (rows of different
+        buckets differ on it) or its equalities pin one bucket."""
+        attr = self.cluster._placements[operand.table].attr
+        return attr in operand.origin.values() or attr in operand.conditions
+
+    def aggregate(
+        self,
+        operand: Any,
+        group_attrs: Sequence[str],
+        aggregations: Mapping[str, Tuple[str, str]],
+    ) -> Relation:
+        """Partial-aggregate pushdown: when the operand is still in
+        its buckets and every function combines, each bucket runs its
+        stages, summarizes and ships one row per group (an empty bucket
+        ships nothing); the coordinator combines -- counts and sums
+        add, mins and maxes fold by the kernel's order, ``avg`` is
+        sum / count.  Summaries add only over disjoint bucket outputs:
+        a projection that dropped the partition attribute dedups
+        within a bucket, not across them, so unless the read is pinned
+        to one bucket only ``min``/``max`` (idempotent) still push
+        down.  Anything else (``set_of``, gathered rows) aggregates at
+        the coordinator."""
+        functions = {fn_name for fn_name, _ in aggregations.values()}
+        if not isinstance(operand, _Sharded) or not functions <= set(
+            _PARTIALS if self._disjoint(operand) else ("min", "max")
+        ):
+            return algebra.aggregate(
+                self.gather(operand), group_attrs, aggregations
+            )
+        name = operand.table
+        partials = {
+            "%s.%s" % (part, out_name): (part, source)
+            for out_name, (fn_name, source) in aggregations.items()
+            for part in _PARTIALS[fn_name]
+        }
+
+        def summary(node: Node, b: int) -> Optional[Relation]:
+            rows = operand.run(node.bucket(name, b))
+            if not rows:
+                return None  # nothing to summarize, nothing ships
+            return algebra.aggregate(rows, group_attrs, partials)
+
+        merged: Dict[tuple, Dict[str, Any]] = {}
+        for shipped in self._shipped(operand, summary):
+            for row in shipped.iter_dicts():
+                key = tuple([row[attr] for attr in group_attrs])
+                held = merged.setdefault(key, row)
+                if held is not row:
+                    for column, (part, _) in partials.items():
+                        held[column] = _COMBINE[part](
+                            held[column], row[column]
+                        )
+        if not merged and not group_attrs:
+            # No bucket had a row: the one group is empty.
+            return algebra.aggregate(
+                Relation(operand.heading, xset()), group_attrs, aggregations
+            )
+        answer = []
+        for held in merged.values():
+            row = {attr: held[attr] for attr in group_attrs}
+            for out_name, (fn_name, _) in aggregations.items():
+                parts = [
+                    held["%s.%s" % (part, out_name)]
+                    for part in _PARTIALS[fn_name]
+                ]
+                row[out_name] = (
+                    parts[0] / parts[1] if fn_name == "avg" else parts[0]
+                )
+            answer.append(row)
+        return Relation.from_dicts(
+            tuple(group_attrs) + tuple(aggregations), answer
+        )
 
     def _side(self, side: Any) -> Tuple[Any, Optional[str], float]:
         """What a join reads of one side: its map, what its partition
@@ -685,6 +768,23 @@ class _ShardKernels:
             ),
         )
         return cluster._union(left.heading.union(right.heading), parts)
+
+
+#: The aggregate functions a bucket can summarize: what each ships
+#: (``avg`` is its sum and its count) and how two summaries combine.
+_PARTIALS = {
+    "count": ("count",),
+    "sum": ("sum",),
+    "min": ("min",),
+    "max": ("max",),
+    "avg": ("sum", "count"),
+}
+_COMBINE = {
+    "count": lambda held, more: held + more,
+    "sum": lambda held, more: held + more,
+    "min": lambda held, more: min(held, more, key=canonical_key),
+    "max": lambda held, more: max(held, more, key=canonical_key),
+}
 
 
 def _holds_join(plan: Plan) -> bool:
@@ -1786,85 +1886,6 @@ class Cluster:
         if plan_key is not None:
             self.result_cache.store(plan_key, inputs, tables, result)
         return result
-
-    # ------------------------------------------------------------------
-    # Aggregation
-    # ------------------------------------------------------------------
-
-    _COMBINABLE = {"count", "sum", "min", "max"}
-
-    def aggregate(
-        self,
-        name: str,
-        group_attrs: Sequence[str],
-        aggregations: Mapping[str, Tuple[str, str]],
-        priority: int = PRIORITY_NORMAL,
-        trace: Optional[TraceContext] = None,
-        epoch: Optional[Any] = None,
-    ) -> Relation:
-        """Distributed group-by with partial-aggregate pushdown.
-
-        Buckets compute local aggregates on their first live replica
-        and ship the (small) summaries; the coordinator combines:
-        counts and sums add, mins and maxes fold.  ``avg`` is
-        rewritten as sum+count automatically.
-        """
-        rewritten: Dict[str, Tuple[str, str]] = {}
-        averages: Dict[str, Tuple[str, str]] = {}
-        for out_name, (fn_name, source) in aggregations.items():
-            if fn_name == "avg":
-                averages[out_name] = ("__sum_" + out_name, "__cnt_" + out_name)
-                rewritten["__sum_" + out_name] = ("sum", source)
-                rewritten["__cnt_" + out_name] = ("count", source)
-            elif fn_name in self._COMBINABLE:
-                rewritten[out_name] = (fn_name, source)
-            else:
-                raise SchemaError(
-                    "aggregate %r is not distributable" % (fn_name,)
-                )
-        self._check_epoch(name, epoch)
-
-        def partial(node: Node, b: int) -> Optional[Relation]:
-            partition = node.bucket(name, b)
-            if not partition:
-                return None  # nothing to summarize, nothing ships
-            return local_aggregate(partition, group_attrs, rewritten)
-
-        with self._query(
-            "aggregate(%s, %s)" % (name, list(group_attrs)), "aggregate",
-            priority=priority, trace=trace,
-        ) as context:
-            partial_rows: Dict[tuple, Dict[str, Any]] = {}
-            for local in self._gather(context, name, partial):
-                for row in local.iter_dicts():
-                    key = tuple(row[attr] for attr in group_attrs)
-                    merged = partial_rows.get(key)
-                    if merged is None:
-                        partial_rows[key] = dict(row)
-                        continue
-                    for out_name, (fn_name, _) in rewritten.items():
-                        if fn_name in ("count", "sum"):
-                            merged[out_name] += row[out_name]
-                        elif fn_name == "min":
-                            merged[out_name] = min(
-                                merged[out_name], row[out_name]
-                            )
-                        elif fn_name == "max":
-                            merged[out_name] = max(
-                                merged[out_name], row[out_name]
-                            )
-        final_rows = []
-        for merged in partial_rows.values():
-            row = {attr: merged[attr] for attr in group_attrs}
-            for out_name in aggregations:
-                if out_name in averages:
-                    sum_name, count_name = averages[out_name]
-                    row[out_name] = merged[sum_name] / merged[count_name]
-                else:
-                    row[out_name] = merged[out_name]
-            final_rows.append(row)
-        heading = list(group_attrs) + list(aggregations)
-        return Relation.from_dicts(heading, final_rows)
 
     # ------------------------------------------------------------------
     # Online rebalancing

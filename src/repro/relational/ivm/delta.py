@@ -47,6 +47,17 @@ Per-node rules (all proved exact by the law above; ``C`` is the child,
     full inputs, and an old value is derived only for the partner of a
     side that has deletions.
 
+``Aggregate(group_attrs)``
+    A group's row depends on that group's members alone, so only the
+    groups a changed row belongs to can move: semijoin the (derived)
+    old and new input values with the projected keys of ``d.inserted |
+    d.deleted``, aggregate each, and diff the two answers.  Per-group
+    arithmetic (``count``/``sum`` deltas) is not attempted.
+``Limit`` / ungrouped ``Aggregate``
+    Any input row can change which rows are kept (or the one summary
+    row), so the node is applied to the whole old and new input values
+    and the answers are diffed.
+
 Everything runs on XSets, so XST member equality (the typed twins
 ``1`` / ``1.0`` / ``True`` collapse) is preserved end to end.  New
 values come from ``Database.execute``, which means subtrees over
@@ -65,9 +76,11 @@ from repro.errors import SchemaError
 from repro.gov.governor import checkpoint as _gov_checkpoint
 from repro.relational import algebra
 from repro.relational.query import (
+    Aggregate,
     Database,
     Difference,
     Join,
+    Limit,
     Plan,
     Project,
     Rename,
@@ -258,6 +271,27 @@ class DeltaPropagator:
             deleted = cand_del
         return Delta(inserted, deleted)
 
+    def _reapply(self, plan: Plan) -> Delta:
+        """``Aggregate`` and ``Limit``: the node over the old and over
+        the new input, diffed -- restricted, for a grouped aggregate,
+        to the groups a changed row belongs to."""
+        child = self.delta(plan.child)
+        if child.is_empty():
+            return Delta.empty(self._db.heading_of(plan))
+        old, new = self.old_value(plan.child), self.new_value(plan.child)
+        if isinstance(plan, Aggregate) and plan.group_attrs:
+            touched = algebra.project(
+                algebra.union(child.inserted, child.deleted), plan.group_attrs
+            )
+            old = algebra.semijoin(old, touched)
+            new = algebra.semijoin(new, touched)
+        before = plan.apply(algebra, [old])
+        after = plan.apply(algebra, [new])
+        return Delta(
+            algebra.difference(after, before),
+            algebra.difference(before, after),
+        )
+
     def _combine(self, plan: Plan) -> Delta:
         left, right = self.delta(plan.left), self.delta(plan.right)
         heading = self._db.heading_of(plan)
@@ -315,4 +349,6 @@ class DeltaPropagator:
         Union: _combine,
         Difference: _combine,
         Join: _join,
+        Aggregate: _reapply,
+        Limit: _reapply,
     }

@@ -38,9 +38,11 @@ from repro.gov.governor import checkpoint as _gov_checkpoint
 from repro.obs import metrics as _metrics
 from repro.obs.instrument import enabled as _obs_enabled
 from repro.relational.query import (
+    Aggregate,
     Database,
     Difference,
     Join,
+    Limit,
     Plan,
     Project,
     Rename,
@@ -110,8 +112,8 @@ def estimate_rows(plan: Plan, db: Database) -> int:
 
     Base relations report their true size; equality selections assume
     one-in-ten selectivity; joins assume the smaller input bounds the
-    result.  Precision is unimportant -- only the relative order of
-    join inputs is consumed.
+    result; a grouping keeps one row in ten.  Precision is unimportant
+    -- only the relative order of join inputs is consumed.
     """
     rule = _ESTIMATES.get(type(plan))
     if rule is None:
@@ -132,6 +134,11 @@ _ESTIMATES = {
         estimate_rows(plan.left, db) + estimate_rows(plan.right, db)
     ),
     Difference: lambda plan, db: estimate_rows(plan.left, db),
+    # One group in ten input rows; a single row when nothing groups.
+    Aggregate: lambda plan, db: (
+        max(1, estimate_rows(plan.child, db) // 10) if plan.group_attrs else 1
+    ),
+    Limit: lambda plan, db: min(plan.count, estimate_rows(plan.child, db)),
 }
 
 

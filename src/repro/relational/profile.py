@@ -229,8 +229,8 @@ def profile_cluster(cluster, query, *args, **kwargs):
     """Run one distributed query and return ``(result, profile)``.
 
     ``query`` is a :class:`~repro.relational.distributed.Cluster`
-    method name (``"execute"``, ``"aggregate"``) or a bound callable.  The profile's children are
-    the cluster's per-bucket read spans: one leaf per bucket access,
+    method name (``"execute"``) or a bound callable.  The profile's
+    children are the cluster's per-bucket read spans: one leaf per bucket access,
     labeled ``table[bucket] @ node``, so a failover shows up as the
     bucket served by a non-primary node.  The root's time is real wall
     time; per-leaf times are each bucket's serve time.

@@ -49,6 +49,8 @@ __all__ = [
     "Join",
     "Union",
     "Difference",
+    "Aggregate",
+    "Limit",
     "scans",
     "Database",
 ]
@@ -100,8 +102,9 @@ class Plan:
         """
         raise self._unknown()
 
-    def origin(self, attr: str) -> str:
-        """The name output attribute ``attr`` carries in the inputs."""
+    def origin(self, attr: str) -> Optional[str]:
+        """The name output attribute ``attr`` carries in the inputs
+        (``None`` for a column the node computes)."""
         return attr
 
     def __setattr__(self, key, value):
@@ -268,6 +271,91 @@ class Rename(_Unary):
         return "Rename(%s)" % renames
 
 
+class Aggregate(_Unary):
+    """Grouped aggregation: one Def 7.6 restriction per distinct key
+    fragment of ``group_attrs`` (all rows are one group when there are
+    none), then ``aggregations`` -- ``{output: (function, source)}`` --
+    over each group's column values."""
+
+    __slots__ = ("group_attrs", "aggregations")
+    op = "aggregate"
+
+    def __init__(
+        self,
+        child: Plan,
+        group_attrs: Sequence[str],
+        aggregations: Mapping[str, Tuple[str, str]],
+    ):
+        super().__init__(child)
+        object.__setattr__(self, "group_attrs", tuple(group_attrs))
+        object.__setattr__(self, "aggregations", dict(aggregations))
+
+    def heading(self, child: Heading) -> Heading:
+        # The kernel's own rule, so the two cannot disagree.
+        return algebra.aggregate_heading(
+            child, self.group_attrs, self.aggregations
+        )
+
+    def apply(self, kernels, inputs):
+        return kernels.aggregate(
+            inputs[0], self.group_attrs, self.aggregations
+        )
+
+    def origin(self, attr: str) -> Optional[str]:
+        # An output is computed here, even one named like its source:
+        # no input column (or base statistic) stands behind it.
+        return None if attr in self.aggregations else attr
+
+    def describe(self) -> str:
+        outputs = ", ".join(
+            "%s=%s(%s)" % (out_name, fn_name, source)
+            for out_name, (fn_name, source) in self.aggregations.items()
+        )
+        return "Aggregate(%s; %s)" % (", ".join(self.group_attrs), outputs)
+
+
+class Limit(_Unary):
+    """The first ``count`` rows in the kernel's order of ``order_by``
+    (canonical row order when ``None`` and between equal keys): a
+    subset of its input, so still a relation."""
+
+    __slots__ = ("count", "order_by", "descending")
+    op = "limit"
+
+    def __init__(
+        self,
+        child: Plan,
+        count: int,
+        order_by: Optional[str] = None,
+        descending: bool = False,
+    ):
+        if count < 0:
+            raise SchemaError(
+                "Limit needs a non-negative count, not %r" % (count,)
+            )
+        super().__init__(child)
+        object.__setattr__(self, "count", count)
+        object.__setattr__(self, "order_by", order_by)
+        object.__setattr__(self, "descending", descending)
+
+    def heading(self, child: Heading) -> Heading:
+        if self.order_by is not None:
+            child.require([self.order_by])
+        return child
+
+    def apply(self, kernels, inputs):
+        return kernels.limit(
+            inputs[0], self.count, self.order_by, self.descending
+        )
+
+    def describe(self) -> str:
+        if self.order_by is None:
+            return "Limit(%d)" % self.count
+        return "Limit(%d by %s %s)" % (
+            self.count, self.order_by, "desc" if self.descending else "asc"
+        )
+
+
 class _Binary(Plan):
     __slots__ = ("left", "right")
 
@@ -332,6 +420,28 @@ def scans(plan: Plan) -> List[str]:
 
     walk(plan)
     return list(names)
+
+
+class _RunKernels:
+    """Sorted runs as a kernel namespace: ``ColumnarRelation``'s own
+    kernel where it spells one; any other name hands its operands back
+    to rows and runs ``algebra``'s (the twin of the cluster's rule), so
+    an operator with no batch kernel runs here without a line."""
+
+    def __getattr__(self, name: str) -> Callable[..., Any]:
+        kernel = getattr(ColumnarRelation, name, None)
+        if kernel is not None:
+            return kernel
+        kernel = getattr(algebra, name)
+
+        def on_rows(*operands):
+            _record_backend(name, "row")
+            return kernel(*map(_materialize, operands))
+
+        return on_rows
+
+
+_RUN_KERNELS = _RunKernels()
 
 
 def _gov_summary(root_span) -> Dict[str, Any]:
@@ -651,8 +761,9 @@ class Database:
                     # O(n log n) encode, no worse than the hash-join
                     # build it replaces) and the node runs on the
                     # columnar batch kernels, which record their own
-                    # executions.
-                    kernels = ColumnarRelation
+                    # executions -- or, for an operator that has none,
+                    # back on rows (``_RunKernels``).
+                    kernels = _RUN_KERNELS
                     inputs = [
                         operand
                         if isinstance(operand, ColumnarRelation)
@@ -766,6 +877,14 @@ class Database:
                 key = tuple(sorted(row.items(), key=lambda item: item[0]))
                 if key not in right_set:
                     yield row
+        elif isinstance(plan, (Aggregate, Limit)):
+            # Blocking operators: pull the input a row at a time, then
+            # one kernel call over what was pulled.
+            pulled = Relation.from_dicts(
+                self.heading_of(plan.child),
+                _dedup(list(self._iterate(plan.child))),
+            )
+            yield from plan.apply(algebra, [pulled]).iter_dicts()
         else:
             raise TypeError("unknown plan node %r" % (plan,))
 

@@ -27,6 +27,17 @@ Restrictions (on purpose): joins are natural joins; aggregates require
 GROUP BY; literals are integers, floats and quoted strings.  Keywords
 are case-insensitive; names are case-sensitive.
 
+The whole statement is one plan: WHERE compiles below an ``Aggregate``
+node (GROUP BY and the aggregates), the column list and its aliases
+are one ``Project``/``Rename`` tail above it (plain columns of a
+grouped statement must be group attributes), and LIMIT is a ``Limit``
+node carrying ORDER BY -- the first rows in the kernel's order of that
+attribute, so ORDER BY decides *which* rows LIMIT keeps.  Nothing
+executes after ``Database.execute``: the heading check, the optimizer,
+the result cache, views and the cluster see all of it.  A relation is
+a set, so ORDER BY without LIMIT changes nothing about :func:`run`'s
+answer; :func:`run_rows` lays the answer out in the query's order.
+
 ``ANALYZE`` collects planner statistics (see
 :mod:`repro.relational.stats`) for one relation, or for every relation
 when no name is given, and returns a one-row-per-relation summary of
@@ -38,8 +49,8 @@ given deadline (seconds, fractional allowed) and/or materialized-row
 budget, so a runaway query raises a typed
 :class:`~repro.errors.DeadlineExceededError` /
 :class:`~repro.errors.BudgetExceededError` mid-operator instead of
-running unbounded.  Note the distinction from ``LIMIT``: LIMIT trims
-the finished answer, BUDGET bounds the rows *materialized while
+running unbounded.  Note the distinction from ``LIMIT``: LIMIT is an
+operator of the plan, BUDGET bounds the rows *materialized while
 computing* it.
 
 Usage::
@@ -56,11 +67,15 @@ from typing import Any, Dict, List, Optional, Tuple
 
 from repro.errors import NotationError, SchemaError
 from repro.gov.governor import governed
-from repro.relational.aggregate import aggregate
+# Called by nothing here (the Aggregate node names its kernel); kept as
+# a module attribute because benchmarks/e2e/layers.py wraps it by name.
+from repro.relational.algebra import aggregate  # noqa: F401
 from repro.relational.optimizer import optimize
 from repro.relational.query import (
+    Aggregate,
     Database,
     Join,
+    Limit,
     Plan,
     Project,
     Rename,
@@ -69,6 +84,7 @@ from repro.relational.query import (
     SelectPred,
 )
 from repro.relational.relation import Relation
+from repro.xst.ordering import canonical_key
 
 __all__ = ["parse_query", "compile_query", "run", "run_rows", "Query"]
 
@@ -295,7 +311,12 @@ _PREDICATES = {
 
 
 def compile_query(query: Query) -> Plan:
-    """Lower a parsed query to plan nodes (aggregation handled by run)."""
+    """Lower a parsed query -- all of it -- to plan nodes.
+
+    Raises :class:`~repro.errors.SchemaError` for a grouped statement
+    whose column list names a non-grouped attribute: decidable from
+    the text alone, so refused before there is a plan.
+    """
     plan: Plan = Scan(query.sources[0])
     for source in query.sources[1:]:
         plan = Join(plan, Scan(source))
@@ -316,15 +337,31 @@ def compile_query(query: Query) -> Plan:
             )
     if equalities:
         plan = SelectEq(plan, equalities)
+    aggregations: Dict[str, Tuple[str, str]] = {}
     if query.aggregates or query.group_by:
-        return plan  # projection/aggregation applied after grouping
-    if not query.star:
-        renames = {
-            name: alias for name, alias in query.columns if alias
+        stray = [
+            name for name, _ in query.columns if name not in query.group_by
+        ]
+        if stray:
+            raise SchemaError(
+                "XQL: non-grouped columns in aggregate query: %s" % stray
+            )
+        aggregations = {
+            alias: (fn_name, source)
+            for fn_name, source, alias in query.aggregates
         }
-        plan = Project(plan, [name for name, _ in query.columns])
+        plan = Aggregate(plan, query.group_by, aggregations)
+    # One projection/rename tail for every statement shape; ``*`` and a
+    # select list of aggregates alone keep the whole heading.
+    if query.columns:
+        plan = Project(
+            plan, [name for name, _ in query.columns] + [*aggregations]
+        )
+        renames = {name: alias for name, alias in query.columns if alias}
         if renames:
             plan = Rename(plan, renames)
+    if query.limit is not None:
+        plan = Limit(plan, query.limit, *(query.order_by or ()))
     return plan
 
 
@@ -362,9 +399,9 @@ def _run_view_statement(text: str, views) -> Relation:
         REFRESH VIEW name
         DROP VIEW name
 
-    View bodies are plain SELECTs (no GROUP BY / ORDER BY / LIMIT /
-    TIMEOUT / BUDGET -- a view is a relation-valued plan, and those
-    clauses describe result presentation or one execution).  A
+    A view body is any SELECT -- GROUP BY, aggregates and ORDER BY ...
+    LIMIT are plan nodes like the rest -- without TIMEOUT / BUDGET,
+    which govern one execution and not a relation-valued plan.  A
     materialized view is computed immediately, so it is fresh -- and
     incrementally maintained, when the catalog has a manager -- from
     the moment the statement returns.
@@ -391,16 +428,17 @@ def _run_view_statement(text: str, views) -> Relation:
         index += 1
         _require_views(views, "CREATE VIEW")
         body = _Parser(tokens=stream[index:]).parse()
-        if (
-            body.aggregates or body.group_by or body.limit is not None
-            or body.order_by is not None or body.timeout_s is not None
-            or body.budget_rows is not None
-        ):
+        if body.timeout_s is not None or body.budget_rows is not None:
             raise NotationError(
-                "XQL: view bodies are plain SELECTs (no GROUP BY, ORDER "
-                "BY, LIMIT, TIMEOUT or BUDGET)"
+                "XQL: a view body takes no TIMEOUT or BUDGET (they "
+                "govern one execution)"
             )
-        views.define(name, compile_query(body), materialized=materialized)
+        plan = compile_query(body)
+        if body.order_by is not None and body.limit is None:
+            _require_order_attr(
+                views.database, body, views._resolve_plan(plan)
+            )
+        views.define(name, plan, materialized=materialized)
         return Relation.from_dicts(
             Heading(["view", "kind", "rows"]),
             [{
@@ -494,52 +532,30 @@ def run(
     return _run(db, text, optimized, views)[1]
 
 
+def _require_order_attr(db: Database, query: Query, plan: Plan) -> None:
+    """Refuse a bare ORDER BY that names an attribute the answer lacks.
+
+    ORDER BY without LIMIT is the one clause that is not a plan node (a
+    relation keeps no row order; :func:`run_rows` lays it out), so its
+    attribute is checked here against the plan's static heading: refused
+    like any other unknown attribute, before any work.  Callers test
+    for the bare clause themselves -- a statement without one (every
+    served shape) pays no call.
+    """
+    db.heading_of(plan).require([query.order_by[0]])
+
+
 def _run_parsed(
     db: Database, query: Query, plan: Plan, optimized: bool, views=None
 ) -> Relation:
     if views is not None:
         db = views.database
         plan = views._resolve_plan(plan)
+    if query.order_by is not None and query.limit is None:
+        _require_order_attr(db, query, plan)
     if optimized:
         plan = optimize(plan, db)
-    result = db.execute(plan)
-    if query.aggregates:
-        aggregations = {
-            alias: (fn_name, source)
-            for fn_name, source, alias in query.aggregates
-        }
-        result = aggregate(result, query.group_by, aggregations)
-        if query.columns:
-            wanted = [name for name, _ in query.columns] + list(aggregations)
-            missing = [
-                name for name in (n for n, _ in query.columns)
-                if name not in query.group_by
-            ]
-            if missing:
-                raise SchemaError(
-                    "XQL: non-grouped columns in aggregate query: %s" % missing
-                )
-            from repro.relational.algebra import project
-
-            result = project(result, wanted)
-    elif query.group_by:
-        from repro.relational.algebra import project
-
-        result = project(result, query.group_by)
-    if query.limit is not None:
-        rows = _ordered_rows(result, query)[: query.limit]
-        result = Relation.from_dicts(result.heading, rows)
-    return result
-
-
-def _ordered_rows(relation: Relation, query: Query) -> List[Dict[str, Any]]:
-    """Rows as dicts in the query's order (canonical order otherwise)."""
-    rows = list(relation.iter_dicts())
-    if query.order_by is not None:
-        attr, descending = query.order_by
-        relation.heading.require([attr])
-        rows.sort(key=lambda row: row[attr], reverse=descending)
-    return rows
+    return db.execute(plan)
 
 
 def run_rows(
@@ -548,14 +564,14 @@ def run_rows(
     """Like :func:`run`, but returns an ordered list of row dicts.
 
     A relation is a set and cannot carry row order; when a query says
-    ORDER BY, this is the entry point that honors it end to end
-    (including LIMIT).  Without ORDER BY the canonical row order is
-    used, which is deterministic but not meaningful.
+    ORDER BY, this is the entry point that lays the answer out in that
+    order -- the kernel's (``canonical_key``), the one LIMIT chose its
+    rows by.  Without ORDER BY, and between equal keys, the canonical
+    row order is used, which is deterministic but not meaningful.
     """
     query, relation = _run(db, text, optimized, views)
-    if query is None:
-        return list(relation.iter_dicts())
-    rows = _ordered_rows(relation, query)
-    if query.limit is not None:
-        rows = rows[: query.limit]
+    rows = list(relation.iter_dicts())
+    if query is not None and query.order_by is not None:
+        attr, descending = query.order_by
+        rows.sort(key=lambda row: canonical_key(row[attr]), reverse=descending)
     return rows

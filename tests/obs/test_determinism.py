@@ -14,7 +14,7 @@ import pytest
 from repro.obs.trace import FakeClock
 from repro.relational.distributed import Cluster
 from repro.relational.faults import FaultPlan
-from repro.relational.query import Scan, SelectEq
+from repro.relational.query import Aggregate, Scan, SelectEq
 from repro.workloads import employee_relation
 
 SEED = int(os.environ.get("REPRO_WORKLOAD_SEED", "101"))
@@ -40,7 +40,9 @@ def build_cluster(chaos_seed: int) -> Cluster:
 def run_workload(cluster: Cluster):
     cluster.execute(Scan("emp"))
     cluster.execute(SelectEq(Scan("emp"), {"dept": 5}))
-    cluster.aggregate("emp", ["dept"], {"n": ("count", "emp")})
+    cluster.execute(
+        Aggregate(Scan("emp"), ["dept"], {"n": ("count", "emp")})
+    )
     return cluster
 
 

@@ -1,11 +1,12 @@
-"""Grouping and aggregation: grouping IS restriction."""
+"""Grouping, aggregation and limit: grouping IS restriction, and the
+first rows of a relation are a subset of it."""
 
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.errors import SchemaError
-from repro.relational.aggregate import AGGREGATES, aggregate, group_by
+from repro.relational.algebra import AGGREGATES, aggregate, group_by, limit
 from repro.relational.relation import Relation
 from repro.workloads.generators import employee_relation
 
@@ -121,3 +122,60 @@ class TestAggregate:
             AGGREGATES["min"]([])
         assert AGGREGATES["count"]([]) == 0
         assert AGGREGATES["sum"]([]) == 0
+
+
+class TestTheKernelsOrderNotPythons:
+    TWINS = Relation.from_tuples(["k", "g", "v"], [
+        (1, 1, None), (2, 1.0, "x"), (3, True, 3), (4, None, 2.5),
+        (5, None, "a"), (6, "g", b"y"),
+    ])
+
+    def test_typed_twin_and_none_group_keys(self):
+        result = aggregate(self.TWINS, ["g"], {
+            "n": ("count", "k"), "lo": ("min", "v"), "hi": ("max", "v"),
+        })
+        by_key = {row["g"]: row for row in result.iter_dicts()}
+        # 1 == 1.0 == True is one key fragment, so one group.
+        assert by_key[1]["n"] == 3 and by_key[None]["n"] == 2
+        assert (by_key[1]["lo"], by_key[1]["hi"]) == (None, "x")
+        assert (by_key[None]["lo"], by_key[None]["hi"]) == (2.5, "a")
+        assert by_key["g"]["lo"] == by_key["g"]["hi"] == b"y"
+
+    def test_sum_names_the_attribute_and_the_types(self):
+        with pytest.raises(SchemaError, match=r"sum\(v\) needs numbers; "
+                           "'v' holds NoneType, bytes, float, int, str"):
+            aggregate(self.TWINS, [], {"t": ("sum", "v")})
+        with pytest.raises(SchemaError, match=r"avg\(v\) needs numbers"):
+            aggregate(self.TWINS, ["g"], {"t": ("avg", "v")})
+
+
+class TestLimit:
+    def test_first_rows_in_canonical_order_are_a_subset(self):
+        kept = limit(EMPLOYEES, 2)
+        assert kept.to_rows() == EMPLOYEES.to_rows()[:2]
+        assert kept.rows.issubset(EMPLOYEES.rows)
+        assert limit(EMPLOYEES, 0).cardinality() == 0
+
+    def test_a_count_past_the_end_is_the_relation_itself(self):
+        assert limit(EMPLOYEES, 5) is EMPLOYEES
+        assert limit(EMPLOYEES, 99, "salary", True) is EMPLOYEES
+
+    def test_order_by_decides_which_rows_are_kept(self):
+        assert sorted(
+            row["emp"] for row in limit(EMPLOYEES, 2, "salary").iter_dicts()
+        ) == [1, 5]
+        # Equal keys keep canonical row order, in either direction.
+        for descending in (False, True):
+            tied = limit(EMPLOYEES, 1, "dept", descending)
+            group = 30 if descending else 10
+            first = next(
+                row for row in EMPLOYEES.iter_dicts() if row["dept"] == group
+            )
+            assert list(tied.iter_dicts()) == [first]
+        top = limit(EMPLOYEES, 3, "salary", True)
+        assert sorted(row["emp"] for row in top.iter_dicts()) == [2, 3, 4]
+
+    def test_unknown_order_attribute_whatever_the_count(self):
+        for count in (0, 2, 99):
+            with pytest.raises(SchemaError, match="unknown attributes"):
+                limit(EMPLOYEES, count, "nope")

@@ -42,11 +42,11 @@ from repro.errors import (
 )
 from repro.gov import Deadline, governed
 from repro.relational import algebra
-from repro.relational.aggregate import aggregate as local_aggregate
+from repro.relational.algebra import aggregate as local_aggregate
 from repro.relational.constraints import IntegrityError, KeyConstraint
 from repro.relational.distributed import Cluster
 from repro.relational.faults import FaultPlan
-from repro.relational.query import Scan, SelectEq
+from repro.relational.query import Aggregate, Scan, SelectEq
 from repro.relational.relation import Relation
 from repro.relational.wal import WriteAheadLog
 
@@ -325,7 +325,7 @@ class ClusterMachine(RuleBasedStateMachine):
         if not self._available("emp"):
             return
         spec = {"n": ("count", "emp"), "pay": ("sum", "salary")}
-        assert self.cluster.aggregate("emp", ["dept"], spec) == \
+        assert self.cluster.execute(Aggregate(Scan("emp"), ["dept"], spec)) == \
             local_aggregate(self._relation("emp"), ["dept"], spec)
 
     @rule()

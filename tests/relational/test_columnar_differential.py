@@ -31,9 +31,11 @@ from repro.relational.columnar import (
     materialize,
 )
 from repro.relational.query import (
+    Aggregate,
     Database,
     Difference,
     Join,
+    Limit,
     Project,
     Rename,
     Scan,
@@ -104,28 +106,37 @@ def _value_pool(*rels):
     return unique
 
 
-def _draw_plan(draw, headings, pool, depth):
+def _draw_plan(draw, headings, pool, depth,
+               functions=("count", "min", "max", "set_of")):
     """One random plan node over base tables ``r``/``s``.
 
     Returns ``(plan, output heading names)`` so conditions, projections
     and renames always reference attributes that exist -- the oracle
     tests semantics, not error paths (those are pinned separately).
+    ``functions`` are the aggregates drawn: by default the ones total
+    over the heterogeneous pool (``min``/``max`` fold by
+    ``canonical_key``; ``sum``/``avg`` need numbers).  ``set_of`` is
+    drawn for the root node only: its answer is a frozenset, which a
+    row holds as an opaque atom but no shipment or digest can encode.
     """
+    below = tuple(name for name in functions if name != "set_of")
     if depth <= 0 or draw(st.integers(min_value=0, max_value=3)) == 0:
         name = draw(st.sampled_from(sorted(headings)))
         return Scan(name), headings[name]
     kind = draw(
         st.sampled_from(
             ("select_eq", "select_pred", "project", "rename", "join",
-             "union", "difference")
+             "union", "difference", "aggregate", "limit")
         )
     )
     if kind == "join":
-        left, left_names = _draw_plan(draw, headings, pool, depth - 1)
-        right, right_names = _draw_plan(draw, headings, pool, depth - 1)
+        left, left_names = _draw_plan(draw, headings, pool, depth - 1, below)
+        right, right_names = _draw_plan(
+            draw, headings, pool, depth - 1, below
+        )
         merged = tuple(dict.fromkeys(left_names + right_names))
         return Join(left, right), merged
-    child, names = _draw_plan(draw, headings, pool, depth - 1)
+    child, names = _draw_plan(draw, headings, pool, depth - 1, below)
     if kind == "select_eq":
         chosen = draw(
             st.lists(
@@ -151,6 +162,23 @@ def _draw_plan(draw, headings, pool, depth):
             )
         )
         return Project(child, kept), kept
+    if kind == "aggregate":
+        group = tuple(draw(st.lists(
+            st.sampled_from(names), min_size=0, max_size=2, unique=True
+        )))
+        function = draw(st.sampled_from(functions))
+        if not group and function in ("min", "max"):
+            function = "count"  # the one group may be empty
+        source = draw(st.sampled_from(names))
+        out = function + "9"
+        if out in names:
+            return child, names
+        return Aggregate(child, group, {out: (function, source)}), \
+            group + (out,)
+    if kind == "limit":
+        count = draw(st.integers(min_value=0, max_value=4))
+        order_by = draw(st.one_of(st.none(), st.sampled_from(names)))
+        return Limit(child, count, order_by, draw(st.booleans())), names
     if kind == "rename":
         old = draw(st.sampled_from(names))
         new = old + "9"

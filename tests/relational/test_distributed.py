@@ -2,11 +2,14 @@
 
 import pytest
 
-from repro.errors import SchemaError
+from repro.errors import ClusterUnavailableError, SchemaError
 from repro.relational import algebra
-from repro.relational.aggregate import aggregate as local_aggregate
+from repro.relational.algebra import aggregate as local_aggregate
 from repro.relational.distributed import Cluster, NetworkStats
-from repro.relational.query import Join, Scan, SelectEq
+from repro.relational.query import (
+    Aggregate, Database, Join, Project, Rename, Scan, SelectEq,
+)
+from repro.relational.relation import Relation
 from repro.workloads.generators import department_relation, employee_relation
 
 
@@ -225,9 +228,10 @@ class TestDistributedJoin:
 
 class TestDistributedAggregation:
     def test_count_and_sum_match_local(self, cluster, employees):
-        distributed = cluster.aggregate(
-            "emp", ["dept"], {"n": ("count", "emp"), "pay": ("sum", "salary")}
-        )
+        distributed = cluster.execute(Aggregate(
+            Scan("emp"), ["dept"],
+            {"n": ("count", "emp"), "pay": ("sum", "salary")},
+        ))
         local = local_aggregate(
             employees, ["dept"],
             {"n": ("count", "emp"), "pay": ("sum", "salary")},
@@ -235,10 +239,10 @@ class TestDistributedAggregation:
         assert distributed == local
 
     def test_min_max_match_local(self, cluster, employees):
-        distributed = cluster.aggregate(
-            "emp", ["dept"],
+        distributed = cluster.execute(Aggregate(
+            Scan("emp"), ["dept"],
             {"low": ("min", "salary"), "high": ("max", "salary")},
-        )
+        ))
         local = local_aggregate(
             employees, ["dept"],
             {"low": ("min", "salary"), "high": ("max", "salary")},
@@ -246,9 +250,9 @@ class TestDistributedAggregation:
         assert distributed == local
 
     def test_avg_is_rewritten_and_matches(self, cluster, employees):
-        distributed = cluster.aggregate(
-            "emp", ["dept"], {"mean": ("avg", "salary")}
-        )
+        distributed = cluster.execute(Aggregate(
+            Scan("emp"), ["dept"], {"mean": ("avg", "salary")}
+        ))
         local = local_aggregate(
             employees, ["dept"], {"mean": ("avg", "salary")}
         )
@@ -256,15 +260,106 @@ class TestDistributedAggregation:
 
     def test_aggregation_ships_summaries_not_rows(self, cluster):
         cluster.network.reset()
-        cluster.aggregate("emp", ["dept"], {"n": ("count", "emp")})
+        cluster.execute(
+            Aggregate(Scan("emp"), ["dept"], {"n": ("count", "emp")})
+        )
         summary_bytes = cluster.network.bytes_shipped
         cluster.network.reset()
         cluster.execute(Scan("emp"))
         assert summary_bytes < cluster.network.bytes_shipped
 
-    def test_non_distributable_aggregate(self, cluster):
-        with pytest.raises(SchemaError, match="not distributable"):
-            cluster.aggregate("emp", ["dept"], {"s": ("set_of", "salary")})
+    def test_set_of_gathers_and_equals_the_local_answer(
+        self, cluster, employees
+    ):
+        spec = {"s": ("set_of", "salary"), "n": ("count", "emp")}
+        cluster.network.reset()
+        cluster.execute(Scan("emp"))
+        scan_bytes = cluster.network.bytes_shipped
+        cluster.network.reset()
+        assert cluster.execute(Aggregate(Scan("emp"), ["dept"], spec)) == \
+            local_aggregate(employees, ["dept"], spec)
+        # No summary combines a set_of: the rows ship, then aggregate.
+        assert cluster.network.bytes_shipped == scan_bytes
+
+    def test_an_aggregate_under_a_routed_selection_reads_one_bucket(
+        self, cluster, employees
+    ):
+        spec = {"n": ("count", "emp"), "mean": ("avg", "salary")}
+        plan = Aggregate(SelectEq(Scan("emp"), {"dept": 3}), ["dept"], spec)
+        assert cluster.execute(plan) == local_aggregate(
+            algebra.select_eq(employees, {"dept": 3}), ["dept"], spec
+        )
+        span = cluster.last_query_span
+        assert span.attrs["routing"] == "routed"
+        assert len(span.children) == 1
+
+    def test_an_ungrouped_aggregate_over_no_rows_is_the_local_answer(
+        self, cluster, employees
+    ):
+        nobody = SelectEq(Scan("emp"), {"salary": -1})
+        spec = {"n": ("count", "emp"), "pay": ("sum", "salary")}
+        assert cluster.execute(Aggregate(nobody, [], spec)) == \
+            local_aggregate(
+                algebra.select_eq(employees, {"salary": -1}), [], spec
+            )
+        with pytest.raises(SchemaError, match="empty group"):
+            cluster.execute(Aggregate(nobody, [], {"m": ("min", "salary")}))
+
+    def test_summaries_add_only_over_disjoint_buckets(self):
+        """A projection that drops the partition attribute dedups
+        within a bucket, not across them: the same projected row
+        survives in two buckets, so counts and sums gather first."""
+        r = Relation.from_dicts(
+            ("a", "b"), [{"a": 1, "b": 5}, {"a": 2, "b": 5}, {"a": 3, "b": 7}]
+        )
+        db = Database({"r": r})
+        cluster = Cluster(2)
+        cluster.create_table("r", r, "a")
+        spec = {"n": ("count", "b"), "t": ("sum", "b"), "m": ("avg", "b"),
+                "lo": ("min", "b"), "hi": ("max", "b")}
+        dropped = Project(Scan("r"), ["b"])
+        for plan in (
+            Aggregate(dropped, [], spec),
+            Aggregate(dropped, ["b"], spec),
+            Aggregate(Rename(dropped, {"b": "c"}), [], {"n": ("count", "c")}),
+            # Pinned to one bucket, and idempotent folds: still pushed.
+            Aggregate(Project(SelectEq(Scan("r"), {"a": 1}), ["b"]), [], spec),
+            Aggregate(dropped, [], {"lo": ("min", "b"), "hi": ("max", "b")}),
+        ):
+            assert cluster.execute(plan) == db.execute(plan)
+        assert list(db.execute(Aggregate(dropped, [], spec)).iter_dicts()) \
+            == [{"n": 2, "t": 12, "m": 6.0, "lo": 5, "hi": 7}]
+
+    def test_an_aggregate_degrades_like_any_other_read(self, employees):
+        """Under ``execute`` an aggregate gets the missing-bucket
+        manifest and the quorum rule with no code of its own."""
+        plan = Aggregate(Scan("emp"), ["dept"], {"n": ("count", "emp")})
+        cluster = Cluster(4)
+        cluster.create_table("emp", employees, "dept")
+        cluster.kill_node("node-1")
+        with pytest.raises(ClusterUnavailableError):
+            cluster.execute(plan)
+        answer = cluster.execute(plan, allow_partial=True)
+        assert answer.partial
+        lost = {gap.bucket for gap in answer.missing}
+        placement = cluster.shard_map("emp")
+        reachable = algebra.select(
+            employees,
+            lambda row: placement.bucket_for(row["dept"]) not in lost,
+        )
+        assert answer.relation == local_aggregate(
+            reachable, ["dept"], {"n": ("count", "emp")}
+        )
+        replicated = Cluster(4, replication_factor=2)
+        replicated.create_table("emp", employees, "dept")
+        replicated.kill_node("node-1")
+        with pytest.raises(ClusterUnavailableError, match="read quorum"):
+            replicated.execute(plan, read_quorum=2)
+        served = replicated.execute(plan, allow_partial=True, read_quorum=2)
+        assert served.quorum_downgraded and not served.partial
+        assert served.relation == local_aggregate(
+            employees, ["dept"], {"n": ("count", "emp")}
+        )
 
 
 class TestNetworkStats:
@@ -327,7 +422,9 @@ class TestTracePropagation:
     def test_query_roots_get_sequential_trace_ids(self, cluster):
         cluster.execute(Scan("emp"))
         cluster.execute(SelectEq(Scan("emp"), {"dept": 3}))
-        cluster.aggregate("emp", ["dept"], {"n": ("count", "emp")})
+        cluster.execute(
+            Aggregate(Scan("emp"), ["dept"], {"n": ("count", "emp")})
+        )
         roots = [
             root for root in cluster.tracer.roots() if "kind" in root.attrs
         ]

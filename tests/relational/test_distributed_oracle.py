@@ -20,11 +20,19 @@ from hypothesis import strategies as st
 from repro.errors import ClusterUnavailableError, SchemaError
 from repro.gov import Result
 from repro.relational import algebra
-from repro.relational.aggregate import aggregate as local_aggregate
+from repro.relational.algebra import aggregate as local_aggregate
 from repro.relational.distributed import Cluster
 from repro.relational.faults import FaultPlan
 from repro.relational.optimizer import optimize
-from repro.relational.query import Database, Join, Scan, SelectEq, Union
+from repro.relational.query import (
+    Aggregate,
+    Database,
+    Join,
+    Project,
+    Scan,
+    SelectEq,
+    Union,
+)
 from repro.relational.relation import Relation
 from repro.relational.sql import compile_query, parse_query
 from tests.relational.test_plan_algebra import plans_over_tables
@@ -114,7 +122,7 @@ class TestReadOracle:
             "high": ("max", "salary"),
             "mean": ("avg", "salary"),
         }
-        assert cluster.aggregate("emp", ["dept"], spec) == \
+        assert cluster.execute(Aggregate(Scan("emp"), ["dept"], spec)) == \
             local_aggregate(relation, ["dept"], spec)
 
     @given(employee_rows(min_size=1), cluster_shapes())
@@ -192,6 +200,28 @@ class TestEveryPlanOracle:
             assert answer == expected
             assert answer.heading.names == expected.heading.names
 
+    @given(employee_rows(min_size=1), cluster_shapes(),
+           st.sampled_from(["emp", "dept", "salary"]),
+           st.sampled_from([["salary"], ["dept", "salary"]]),
+           st.sampled_from([[], ["salary"]]))
+    def test_an_aggregate_over_a_projection(self, rows, shape, emp_attr,
+                                            kept, group):
+        """The shape the drawn plans rarely reach: the projection drops
+        the partition attribute, so one projected row sits in several
+        buckets and must still be counted once."""
+        node_count, factor, dead = shape
+        relation = Relation.from_dicts(EMP_HEADING, rows)
+        db = Database({"emp": relation})
+        cluster = Cluster(node_count, replication_factor=factor)
+        cluster.create_table("emp", relation, emp_attr)
+        for index in dead:
+            cluster.kill_node("node-%d" % index)
+        plan = Aggregate(Project(Scan("emp"), kept), group, {
+            "n": ("count", "salary"), "pay": ("sum", "salary"),
+            "mean": ("avg", "salary"), "top": ("max", "salary"),
+        })
+        assert cluster.execute(plan) == db.execute(plan)
+
     #: The end-to-end benchmark's statement shapes (benchmarks/e2e).
     STATEMENTS = (
         "select emp, name, dname, hours from emp join dept join proj "
@@ -201,6 +231,10 @@ class TestEveryPlanOracle:
         "select emp, name, salary from emp where emp = 7",
         "select name as who, dname as unit from emp join dept "
         "where dept = 1",
+        "select dept, count(emp) as n, avg(salary) as pay from emp "
+        "where salary > 30003 group by dept",
+        "select dname, max(salary) as top from emp join dept "
+        "group by dname order by top desc limit 2",
     )
 
     @given(employee_rows(min_size=1), cluster_shapes(),
@@ -285,8 +319,9 @@ class TestFaultyReadOracle:
         assert cluster.execute(Scan("emp")) == relation
         assert cluster.execute(SelectEq(Scan("emp"), {"dept": 3})) == \
             algebra.select_eq(relation, {"dept": 3})
-        assert cluster.aggregate("emp", ["dept"], {"n": ("count", "emp")}) \
-            == local_aggregate(relation, ["dept"], {"n": ("count", "emp")})
+        headcount = {"n": ("count", "emp")}
+        assert cluster.execute(Aggregate(Scan("emp"), ["dept"], headcount)) \
+            == local_aggregate(relation, ["dept"], headcount)
         # Revived + transient-only: full service must be restored.
         cluster.clear_faults()
         assert cluster.execute(Scan("emp")) == relation
@@ -401,5 +436,5 @@ class TestUnavailabilityIsTyped:
                 algebra.select_eq(relation, {"dept": 5})
             assert cluster.execute(Join(Scan("emp"), Scan("dept"))) == \
                 algebra.join(relation, departments)
-            assert cluster.aggregate("emp", ["dept"], spec) == \
+            assert cluster.execute(Aggregate(Scan("emp"), ["dept"], spec)) == \
                 local_aggregate(relation, ["dept"], spec)

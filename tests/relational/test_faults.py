@@ -17,7 +17,7 @@ from repro.relational.faults import (
     ShipmentCorruptedError,
     ShipmentLostError,
 )
-from repro.relational.query import Scan, SelectEq
+from repro.relational.query import Aggregate, Scan, SelectEq
 from repro.workloads.generators import employee_relation
 
 
@@ -293,7 +293,9 @@ class TestDeterminism:
         results = [
             cluster.execute(Scan("emp")),
             cluster.execute(SelectEq(Scan("emp"), {"dept": 3})),
-            cluster.aggregate("emp", ["dept"], {"n": ("count", "emp")}),
+            cluster.execute(
+                Aggregate(Scan("emp"), ["dept"], {"n": ("count", "emp")})
+            ),
         ]
         stats = cluster.network
         return results, (stats.messages, stats.bytes_shipped, stats.retries,

@@ -28,9 +28,11 @@ from repro.relational.ivm import plan_cache_key, scan_tables
 from repro.relational.ivm.delta import DeltaPropagator, DeltaUnsupported
 from repro.relational.optimizer import optimize
 from repro.relational.query import (
+    Aggregate,
     Database,
     Difference,
     Join,
+    Limit,
     Plan,
     Project,
     Rename,
@@ -79,6 +81,8 @@ def _break(draw, plan, names, pool):
         "unknown_select", "unknown_project", "unknown_rename",
         "colliding_rename", "duplicate_project", "mismatched_union",
         "mismatched_difference", "unknown_relation",
+        "unknown_group", "unknown_source", "unknown_function",
+        "colliding_output", "unknown_order",
     )))
     value = draw(st.sampled_from(pool))
     if fault == "unknown_select":
@@ -91,6 +95,18 @@ def _break(draw, plan, names, pool):
         return Project(plan, (names[0], names[0])), names[:1]
     if fault == "unknown_relation":
         return Join(plan, Scan("nope")), names
+    if fault == "unknown_group":
+        return Aggregate(plan, ("zz",), {"n": ("count", names[0])}), ("zz",)
+    if fault == "unknown_source":
+        return Aggregate(plan, names[:1], {"n": ("max", "zz")}), names[:1]
+    if fault == "unknown_function":
+        return Aggregate(plan, names[:1], {"n": ("median", names[0])}), \
+            names[:1]
+    if fault == "colliding_output":
+        return Aggregate(plan, names[:1], {names[0]: ("count", names[0])}), \
+            names[:1]
+    if fault == "unknown_order":
+        return Limit(plan, 2, "zz"), names
     if len(names) < 2:
         # One attribute: nothing to collide with or to drop.
         return SelectEq(plan, {"zz": value}), names
@@ -185,6 +201,11 @@ ONE_NODE_PLANS = {
     Difference: lambda: Difference(
         Scan("emp"), SelectEq(Scan("emp"), {"dept": 1})
     ),
+    Aggregate: lambda: Aggregate(
+        Scan("emp"), ["dept"],
+        {"n": ("count", "emp"), "pay": ("avg", "salary")},
+    ),
+    Limit: lambda: Limit(Scan("emp"), 5, "salary", True),
 }
 
 
@@ -272,7 +293,7 @@ def test_every_walker_knows_every_operator(db, operator):
 
 
 class Stranger(Plan):
-    """A ninth operator that registered nowhere: only the two methods
+    """An eleventh operator that registered nowhere: only the two methods
     the base class has always asked for."""
 
     __slots__ = ("child",)
@@ -288,7 +309,7 @@ class Stranger(Plan):
 
 
 class Passthrough(Stranger):
-    """A ninth operator that implements the node protocol and nothing
+    """An eleventh operator that implements the node protocol and nothing
     else: the generic walkers run it, the per-module tables refuse."""
 
     __slots__ = ()
@@ -373,6 +394,28 @@ def test_origin_names_the_input_attribute():
     assert rename.origin("unit") == "dept"
     assert rename.origin("salary") == "salary"
     assert SelectEq(Scan("emp"), {"dept": 1}).origin("dept") == "dept"
+    top = Aggregate(Scan("emp"), ["dept"], {"salary": ("max", "salary")})
+    assert top.origin("dept") == "dept"
+    assert top.origin("salary") is None  # computed here, whatever its name
+
+
+def test_what_sits_above_a_hand_back_to_rows_is_costed_on_rows(db):
+    """``Aggregate`` and ``Limit`` have no batch kernel: on an encoded
+    database they and every node above them run on rows, and a computed
+    column has no base statistics behind it."""
+    encoded = Database({name: db.relation(name) for name in db.names()})
+    encoded.encode_columnar()
+    encoded.analyze()
+    estimator = CardinalityEstimator(encoded)
+    below = SelectEq(Scan("emp"), {"dept": 1})
+    assert estimator.runs_encoded(below)
+    top = Aggregate(below, ["dept"], {"salary": ("max", "salary")})
+    for node in (top, Limit(below, 2), Project(top, ["salary"]),
+                 Join(Limit(below, 2), Scan("dept"))):
+        assert not estimator.runs_encoded(node)
+    assert estimator.distinct(below, "salary") is not None
+    assert estimator.distinct(top, "salary") is None
+    assert estimator.distinct(top, "dept") == 1.0
 
 
 def test_every_backend_spells_the_kernels_alike(db):
@@ -382,10 +425,21 @@ def test_every_backend_spells_the_kernels_alike(db):
     from repro.relational.distributed import _ShardKernels
 
     cluster_kernels = _ShardKernels(_cluster(db), None)
+    from repro.relational.query import _RUN_KERNELS
+
     for name in ("select_eq", "select_pred", "project", "rename", "join",
                  "union", "difference"):
         assert callable(getattr(algebra, name))
-        assert callable(getattr(ColumnarRelation, name))
+        assert getattr(_RUN_KERNELS, name) is getattr(ColumnarRelation, name)
         assert callable(getattr(cluster_kernels, name))
+    # No batch kernel: sorted runs hand these two back to rows, the
+    # cluster summarizes one in its buckets and gathers for the other.
+    for name in ("aggregate", "limit"):
+        assert callable(getattr(algebra, name))
+        assert not hasattr(ColumnarRelation, name)
+        assert callable(getattr(_RUN_KERNELS, name))
+        assert callable(getattr(cluster_kernels, name))
+    with pytest.raises(AttributeError):
+        _RUN_KERNELS.no_such_kernel
     with pytest.raises(AttributeError):
         cluster_kernels.no_such_kernel

@@ -5,7 +5,7 @@ import pytest
 from repro.errors import ClusterUnavailableError, SchemaError
 from repro.relational import algebra
 from repro.relational.distributed import Cluster
-from repro.relational.query import Join, Scan, SelectEq
+from repro.relational.query import Aggregate, Join, Scan, SelectEq
 from repro.relational.sharding import ShardMap
 from repro.workloads.generators import department_relation, employee_relation
 
@@ -168,12 +168,13 @@ class TestReadsUnderFailure:
         assert replicated.execute(Scan("emp")) == employees
 
     def test_aggregation_survives_a_kill(self, replicated, employees):
-        from repro.relational.aggregate import aggregate as local_aggregate
+        from repro.relational.algebra import aggregate as local_aggregate
 
         replicated.kill_node("node-3")
-        distributed = replicated.aggregate(
-            "emp", ["dept"], {"n": ("count", "emp"), "pay": ("sum", "salary")}
-        )
+        distributed = replicated.execute(Aggregate(
+            Scan("emp"), ["dept"],
+            {"n": ("count", "emp"), "pay": ("sum", "salary")},
+        ))
         local = local_aggregate(
             employees, ["dept"],
             {"n": ("count", "emp"), "pay": ("sum", "salary")},
@@ -259,9 +260,8 @@ class TestWrites:
         assert crashed.execute(Scan("emp")) == control.execute(Scan("emp"))
         assert crashed.execute(SelectEq(Scan("emp"), {"dept": 5})) == \
             control.execute(SelectEq(Scan("emp"), {"dept": 5}))
-        assert crashed.aggregate(
-            "emp", ["dept"], {"n": ("count", "emp")}
-        ) == control.aggregate("emp", ["dept"], {"n": ("count", "emp")})
+        headcount = Aggregate(Scan("emp"), ["dept"], {"n": ("count", "emp")})
+        assert crashed.execute(headcount) == control.execute(headcount)
 
     def test_insert_validates_heading(self, replicated):
         with pytest.raises(SchemaError, match="row keys"):

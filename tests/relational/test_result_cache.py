@@ -24,9 +24,12 @@ from repro.relational.ivm import (
     scan_tables,
 )
 from repro.relational.optimizer import optimize
+from repro.relational import algebra
 from repro.relational.query import (
+    Aggregate,
     Database,
     Join,
+    Limit,
     Project,
     Rename,
     Scan,
@@ -36,6 +39,8 @@ from repro.relational.query import (
 )
 from repro.relational.relation import Relation
 from repro.relational.schema import Heading
+from repro.relational.sql import compile_query, parse_query
+from repro.relational.sql import run as run_xql
 from repro.relational.tx import TransactionManager
 from repro.relational.views import ViewCatalog
 from repro.server import Server
@@ -114,6 +119,30 @@ class TestPlanCacheKey:
         )
         rewritten = optimize(plan, db)
         assert rewritten.child.cache_key.startswith("viarename{eid->id}:")
+
+    def test_every_word_of_a_grouped_or_limited_statement_is_in_the_key(self):
+        texts = [
+            "select dept, count(eid) as n from emp group by dept",
+            "select dept, max(eid) as n from emp group by dept",     # function
+            "select dept, count(dept) as n from emp group by dept",  # source
+            "select dept, count(eid) as m from emp group by dept",   # alias
+            "select eid, count(eid) as n from emp group by eid",     # group
+            "select dept as d, count(eid) as n from emp group by dept",
+            "select eid from emp limit 2",
+            "select eid from emp limit 3",                           # count
+            "select eid from emp order by eid limit 2",              # order
+            "select eid from emp order by dept limit 2",             # attribute
+            "select eid from emp order by eid desc limit 2",         # direction
+        ]
+        keys = [plan_cache_key(compile_query(parse_query(t))) for t in texts]
+        assert None not in keys
+        assert len(set(keys)) == len(texts)
+        assert keys[0] == plan_cache_key(Project(Aggregate(
+            Scan("emp"), ["dept"], {"n": ("count", "eid")}
+        ), ["dept", "n"]))
+        assert keys[10] == plan_cache_key(
+            Limit(Project(Scan("emp"), ["eid"]), 2, "eid", True)
+        )
 
     def test_scan_tables(self):
         plan = Union(
@@ -242,6 +271,36 @@ class TestDatabaseCache:
         assert not db.remove("dept")
         db.add("dept", rel(["dept", "floor"], [("lab", 9)]))
         assert db.execute(Scan("dept")).cardinality() == 1
+
+    def test_the_same_aggregate_text_thrice_is_one_kernel_call(
+        self, db, monkeypatch
+    ):
+        calls = []
+        kernel = algebra.aggregate
+        monkeypatch.setattr(
+            algebra, "aggregate",
+            lambda *args: calls.append(args) or kernel(*args),
+        )
+        text = ("select dept, count(eid) as n from emp where eid > 0 "
+                "group by dept order by n desc limit 5")
+        first = run_xql(db, text)
+        assert run_xql(db, text) is first and run_xql(db, text) is first
+        assert first.to_rows() == [("eng", 1), ("ops", 1)]
+        assert len(calls) == 1
+        cache = db.result_cache
+        assert (cache.hits, cache.misses, cache.stores) == (2, 1, 1)
+
+    def test_a_refused_statement_moves_no_counter(self, db):
+        before = db.result_cache.snapshot()
+        for text in (
+            "select eid, count(dept) as n from emp group by dept",
+            "select dept, count(ghost) as n from emp group by dept",
+            "select dept, count(eid) as dept from emp group by dept",
+            "select eid from emp order by ghost limit 1",
+        ):
+            with pytest.raises(SchemaError):
+                run_xql(db, text)
+        assert db.result_cache.snapshot() == before
 
     def test_uncacheable_plans_bypass(self, db):
         plan = SelectPred(Scan("emp"), lambda row: True, "opaque")
@@ -599,6 +658,21 @@ class TestClusterCache:
         first = cluster.execute(plan)
         assert cluster.execute(plan) is first
         assert cache.hits == 1
+
+    def test_an_aggregate_is_cached_like_any_other_plan(self):
+        cluster = build_cluster()
+        cache = cluster.enable_result_cache(capacity=8)
+        plan = Aggregate(Scan("users"), ["city"], {"n": ("count", "id")})
+        first = cluster.execute(plan)
+        ops = cluster.ops
+        assert cluster.execute(plan) is first
+        assert (cache.hits, cluster.ops) == (1, ops)
+        cluster.insert("users", people(3, start=100))
+        assert cluster.execute(plan) == algebra.aggregate(
+            cluster.manager.table("users").snapshot(),
+            ["city"], {"n": ("count", "id")},
+        )
+        assert cache.stale == 1
 
     def test_insert_bumps_generation(self):
         cluster = build_cluster()

@@ -17,7 +17,7 @@ from repro.errors import (
 from repro.obs import instrument, metrics
 from repro.relational.distributed import Cluster
 from repro.relational.faults import FaultPlan
-from repro.relational.query import Join, Project, Scan, SelectEq
+from repro.relational.query import Aggregate, Join, Project, Scan, SelectEq
 from repro.relational.relation import Relation
 from repro.relational.sharding import ShardMove, bucket_digest
 from repro.server.protocol import error_body, error_from_body
@@ -177,8 +177,10 @@ class TestStaleEpoch:
         with pytest.raises(ShardMovedError):
             cluster.execute(SelectEq(Scan("users"), {"id": 3}), epoch=1)
         with pytest.raises(ShardMovedError):
-            cluster.aggregate("users", ("city",), {"n": ("count", "id")},
-                              epoch=1)
+            cluster.execute(
+                Aggregate(Scan("users"), ("city",), {"n": ("count", "id")}),
+                epoch=1,
+            )
 
     def test_epoch_mapping_shape(self):
         cluster = build_cluster()

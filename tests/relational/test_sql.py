@@ -4,8 +4,19 @@ import pytest
 
 from repro.errors import NotationError, SchemaError
 from repro.relational import algebra, sql
-from repro.relational.query import Database
+from repro.relational.distributed import Cluster
+from repro.relational.query import (
+    Aggregate,
+    Database,
+    Limit,
+    Project,
+    Rename,
+    Scan,
+    SelectPred,
+)
+from repro.relational.relation import Relation
 from repro.relational.sql import compile_query, parse_query, run
+from repro.xst.ordering import canonical_key
 from repro.workloads.generators import department_relation, employee_relation
 
 
@@ -212,6 +223,156 @@ class TestOrderAndLimit:
         assert rows[0]["pay"] >= rows[1]["pay"]
 
 
+class TestTheWholeStatementIsOnePlan:
+    """GROUP BY, the aggregates and ORDER BY ... LIMIT compile to plan
+    nodes; nothing is left for after ``Database.execute``."""
+
+    def test_compiles_to_aggregate_tail_limit(self):
+        plan = compile_query(parse_query(
+            "SELECT dept AS d, COUNT(emp) AS n, AVG(salary) AS pay "
+            "FROM emp WHERE salary > 9 GROUP BY dept ORDER BY n DESC LIMIT 4"
+        ))
+        assert isinstance(plan, Limit)
+        assert (plan.count, plan.order_by, plan.descending) == (4, "n", True)
+        rename = plan.child
+        assert isinstance(rename, Rename) and rename.mapping == {"dept": "d"}
+        project = rename.child
+        assert isinstance(project, Project)
+        assert project.attrs == ("dept", "n", "pay")
+        aggregate = project.child
+        assert isinstance(aggregate, Aggregate)
+        assert aggregate.group_attrs == ("dept",)
+        assert aggregate.aggregations == {
+            "n": ("count", "emp"), "pay": ("avg", "salary"),
+        }
+        assert isinstance(aggregate.child, SelectPred)
+
+    def test_nothing_runs_after_execute(self, db, monkeypatch):
+        answers = []
+        execute = Database.execute
+
+        def spy(self, plan):
+            answers.append(execute(self, plan))
+            return answers[-1]
+
+        monkeypatch.setattr(Database, "execute", spy)
+        for text in (
+            "SELECT dept, COUNT(emp) AS n FROM emp GROUP BY dept",
+            "SELECT dept FROM emp GROUP BY dept",
+            "SELECT name, salary FROM emp ORDER BY salary DESC LIMIT 3",
+            "SELECT dept AS d, SUM(salary) AS pay FROM emp GROUP BY dept "
+            "ORDER BY pay LIMIT 2",
+        ):
+            assert run(db, text) is answers[-1]
+        assert len(answers) == 4
+
+    def test_aliases_are_honoured_in_grouped_statements(self, db):
+        result = run(
+            db, "SELECT dept AS d, COUNT(emp) AS n FROM emp GROUP BY dept"
+        )
+        assert result.heading.names == ("d", "n")
+        assert result == algebra.rename(
+            algebra.aggregate(
+                db.relation("emp"), ["dept"], {"n": ("count", "emp")}
+            ),
+            {"dept": "d"},
+        )
+
+    def test_a_select_list_of_aggregates_keeps_the_group_keys(self, db):
+        result = run(db, "SELECT COUNT(emp) AS n FROM emp GROUP BY dept")
+        assert result.heading.names == ("dept", "n")
+
+    def test_compiled_statements_run_on_every_backend(self, db):
+        encoded = Database({name: db.relation(name) for name in db.names()})
+        encoded.encode_columnar()
+        cluster = Cluster(3)
+        cluster.create_table("emp", db.relation("emp"), "dept")
+        cluster.create_table("dept", db.relation("dept"), "dept")
+        for text in (
+            "SELECT dname, COUNT(emp) AS n, MIN(salary) AS low FROM emp "
+            "JOIN dept WHERE salary > 40000 GROUP BY dname",
+            "SELECT dept, AVG(salary) AS pay FROM emp WHERE dept = 3 "
+            "GROUP BY dept",
+            "SELECT name, salary FROM emp ORDER BY salary DESC LIMIT 5",
+            "SELECT dept, SUM(salary) AS pay FROM emp GROUP BY dept "
+            "ORDER BY pay LIMIT 2",
+        ):
+            plan = compile_query(parse_query(text))
+            expected = db.execute(plan)
+            assert expected.cardinality() > 0
+            assert encoded.execute(plan) == expected
+            assert db.execute_records(plan) == expected
+            assert db.execute(sql.optimize(plan, db)) == expected
+            assert cluster.execute(plan) == expected
+
+
+class TestNoDoorSortsWithPythonsLessThan:
+    """A column holding ``None``, numbers and strings has no Python
+    order; the kernel's (``canonical_key``) is total over it."""
+
+    MIXED = Relation.from_tuples(["k", "v"], [
+        (1, None), (2, 3), (3, "x"), (4, 1.5), (5, "a"), (6, True),
+    ])
+
+    @pytest.fixture
+    def mixed(self):
+        return Database({"t": self.MIXED})
+
+    @pytest.mark.parametrize("direction", ["", " ASC", " DESC"])
+    def test_order_by_limit_answers_through_every_door(
+        self, mixed, direction
+    ):
+        text = "SELECT k, v FROM t ORDER BY v%s LIMIT 2" % direction
+        ranked = sorted(
+            self.MIXED.iter_dicts(), key=lambda row: canonical_key(row["v"]),
+            reverse=direction == " DESC",
+        )
+        answer = run(mixed, text)
+        assert sorted(answer.to_rows()) == sorted(
+            (row["k"], row["v"]) for row in ranked[:2]
+        )
+        assert sql.run_rows(mixed, text) == ranked[:2]
+        plan = compile_query(parse_query(text))
+        assert mixed.execute_records(plan) == answer
+        cluster = Cluster(2)
+        cluster.create_table("t", self.MIXED, "k")
+        assert cluster.execute(plan) == answer
+
+    def test_run_rows_orders_the_whole_answer(self, mixed):
+        rows = sql.run_rows(mixed, "SELECT v FROM t ORDER BY v DESC")
+        keys = [canonical_key(row["v"]) for row in rows]
+        assert keys == sorted(keys, reverse=True) and len(rows) == 6
+
+    def test_min_and_max_fold_by_the_kernels_order(self, mixed):
+        ranked = sorted(
+            (row["v"] for row in self.MIXED.iter_dicts()), key=canonical_key
+        )
+        assert algebra.aggregate(
+            self.MIXED, [], {"lo": ("min", "v"), "hi": ("max", "v")}
+        ).to_rows() == [(ranked[0], ranked[-1])]
+        plan = Aggregate(Scan("t"), [], {"lo": ("min", "v")})
+        cluster = Cluster(2)
+        cluster.create_table("t", self.MIXED, "k")
+        assert cluster.execute(plan) == mixed.execute(plan) == \
+            mixed.execute_records(plan)
+
+    @pytest.mark.parametrize("function", ["sum", "avg"])
+    def test_adding_what_does_not_add_is_a_schema_error(
+        self, mixed, function
+    ):
+        plan = Aggregate(Scan("t"), [], {"o": (function, "v")})
+        cluster = Cluster(2)
+        cluster.create_table("t", self.MIXED, "k")
+        for door in (mixed.execute, mixed.execute_records, cluster.execute):
+            # (The cluster's buckets say ``sum(v)`` for an avg too.)
+            with pytest.raises(
+                SchemaError, match=r"\(v\) needs numbers; 'v' holds .*str"
+            ):
+                door(plan)
+        with pytest.raises(SchemaError, match="needs numbers"):
+            run(mixed, "SELECT k, %s(v) AS o FROM t GROUP BY k" % function)
+
+
 class TestOptimizationTransparency:
     QUERIES = [
         "SELECT * FROM emp WHERE dept = 1",
@@ -241,6 +402,17 @@ class TestIllFormedStatements:
         "SELECT name FROM emp JOIN dept WHERE bogus = 1",
         "SELECT emp AS name, name FROM emp",
         "SELECT bogus FROM emp JOIN dept BUDGET 100000",
+        # What a statement says after WHERE is in the plan too.
+        "SELECT name, COUNT(emp) AS n FROM emp GROUP BY dept",
+        "SELECT emp FROM emp GROUP BY dept",
+        "SELECT dept, COUNT(bogus) AS n FROM emp GROUP BY dept",
+        "SELECT dept, COUNT(emp) AS dept FROM emp GROUP BY dept",
+        "SELECT COUNT(emp) AS n FROM emp GROUP BY bogus",
+        "SELECT name FROM emp ORDER BY bogus LIMIT 3",
+        "SELECT name FROM emp ORDER BY bogus",
+        "SELECT name FROM emp ORDER BY salary",
+        "SELECT dept AS d, COUNT(emp) AS n FROM emp GROUP BY dept "
+        "ORDER BY dept LIMIT 3",
     ]
 
     @pytest.mark.parametrize("optimized", [True, False])
@@ -255,6 +427,19 @@ class TestIllFormedStatements:
                 sql.run_rows(db, text, optimized=optimized)
             assert gov.checkpoints == 0
             assert gov.budget.rows == 0
+
+    @pytest.mark.parametrize("text", TEXTS)
+    def test_refused_before_database_execute_runs_anything(
+        self, db, text, monkeypatch
+    ):
+        def refuse(self, plan):
+            raise AssertionError("an ill-formed statement reached a kernel")
+
+        monkeypatch.setattr(Database, "_execute_uncached", refuse)
+        monkeypatch.setattr(Database, "_execute_cached", refuse)
+        for optimized in (True, False):
+            with pytest.raises(SchemaError):
+                run(db, text, optimized=optimized)
 
     @pytest.mark.parametrize("optimized", [True, False])
     def test_through_a_view(self, db, optimized):

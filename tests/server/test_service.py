@@ -244,6 +244,38 @@ class TestQueries:
             sorted(salaries)[-3:]
 
 
+    def test_a_column_python_cannot_order_is_served_in_the_kernels(self):
+        """``None``, a number and a string in one column: ORDER BY ...
+        LIMIT and min/max answer over the wire as they do embedded."""
+        mixed = Table(["k", "v"], [
+            {"k": 1, "v": None}, {"k": 2, "v": 3}, {"k": 3, "v": "x"},
+        ])
+        texts = (
+            "select k, v from t order by v limit 2",
+            "select k, v from t order by v desc limit 2",
+            "select k, min(v) as lo, max(v) as hi from t group by k",
+        )
+
+        async def body():
+            server = Server(TransactionManager({"t": mixed}))
+            await server.start()
+            try:
+                client = await connect("127.0.0.1", server.port)
+                answers = [await client.query(text) for text in texts]
+                await client.close()
+                return answers
+            finally:
+                await server.close()
+
+        embedded = Database({"t": mixed.snapshot()})
+        served_answers = run(body())
+        assert served_answers == [run_xql(embedded, text) for text in texts]
+        assert sorted(served_answers[0].to_rows(), key=str) == \
+            [(1, None), (2, 3)]
+        assert sorted(served_answers[1].to_rows(), key=str) == \
+            [(2, 3), (3, "x")]
+
+
 class TestSameFailureThroughEveryDoor:
     """What the caller's own statement gets wrong raises one class,
     embedded or served -- a client can tell fix-your-query from
@@ -256,8 +288,21 @@ class TestSameFailureThroughEveryDoor:
         ("select bogus from emp", SchemaError, "SCHEMA"),
         ("select name frm emp", NotationError, "NOTATION"),
         (None, IntegrityError, "INTEGRITY"),  # the duplicate key
+        ("select name, count(eid) as n from emp group by dept",
+         SchemaError, "SCHEMA"),
+        ("select dept, count(ghost) as n from emp group by dept",
+         SchemaError, "SCHEMA"),
+        ("select dept, count(eid) as dept from emp group by dept",
+         SchemaError, "SCHEMA"),
+        ("select name from emp order by ghost limit 2",
+         SchemaError, "SCHEMA"),
+        ("select name from emp order by ghost", SchemaError, "SCHEMA"),
+        ("select dept, sum(name) as s from emp group by dept",
+         SchemaError, "SCHEMA"),
     ], ids=["unknown_table", "unknown_attribute", "bad_xql",
-            "duplicate_key"])
+            "duplicate_key", "non_grouped_column", "unknown_source",
+            "colliding_output", "unknown_order", "unknown_order_no_limit",
+            "sum_of_strings"])
     def test_embedded_and_served_raise_the_same_class(
             self, text, error, code):
         manager = make_manager()

@@ -10,6 +10,7 @@ against the in-memory algebra and the process layer.
 import pytest
 
 from repro.relational import (
+    Aggregate,
     Cluster,
     Database,
     DiskRelationStore,
@@ -132,9 +133,10 @@ class TestDistributionPaths:
             join(employees, departments)
         assert cluster.execute(SelectEq(Scan("emp"), {"dept": 7})) == \
             select_eq(employees, {"dept": 7})
-        distributed = cluster.aggregate(
-            "emp", ["dept"], {"n": ("count", "emp"), "pay": ("sum", "salary")}
-        )
+        distributed = cluster.execute(Aggregate(
+            Scan("emp"), ["dept"],
+            {"n": ("count", "emp"), "pay": ("sum", "salary")},
+        ))
         local = aggregate(
             employees, ["dept"],
             {"n": ("count", "emp"), "pay": ("sum", "salary")},

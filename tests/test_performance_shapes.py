@@ -576,7 +576,7 @@ class TestBuiltOnceShapes:
             assert calls["admissible"] == calls["is_record"] == []
 
     def test_aggregate_reads_each_group_once(self, monkeypatch):
-        from repro.relational.aggregate import aggregate
+        from repro.relational.algebra import aggregate
         from repro.workloads import employee_relation
 
         for size in self.SIZES:
