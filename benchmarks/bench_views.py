@@ -37,15 +37,15 @@ EMP_COUNT = 2000
 DEPT_COUNT = 40
 
 
-def make_database():
-    db = Database()
+def make_database(cache=None):
+    db = Database(result_cache=cache)
     db.add("emp", employee_relation(EMP_COUNT, DEPT_COUNT,
                                     seed=WORKLOAD_SEED))
     db.add("dept", department_relation(DEPT_COUNT, seed=WORKLOAD_SEED))
     return db
 
 
-def make_catalog():
+def make_catalog(cache=None):
     emp = employee_relation(EMP_COUNT, DEPT_COUNT, seed=WORKLOAD_SEED)
     dept = department_relation(DEPT_COUNT, seed=WORKLOAD_SEED)
     manager = TransactionManager({
@@ -53,7 +53,9 @@ def make_catalog():
                      [KeyConstraint(["emp"])]),
         "dept": Table(dept.heading, dept.iter_dicts()),
     })
-    return manager, ViewCatalog(Database(), manager=manager)
+    return manager, ViewCatalog(
+        Database(result_cache=cache), manager=manager
+    )
 
 
 def percentile(samples, fraction):
@@ -63,17 +65,17 @@ def percentile(samples, fraction):
 
 
 def test_cached_read_p99_vs_cold(benchmark):
-    db = make_database()
+    cold = make_database()
     plan = Project(
         SelectEq(Join(Scan("emp"), Scan("dept")), {"dept": 1}), ("name",)
     )
     cold_samples = []
     for _ in range(30):
-        db.disable_result_cache()
         started = time.perf_counter()
-        expected = db.execute(plan)
+        expected = cold.execute(plan)
         cold_samples.append(time.perf_counter() - started)
-    cache = db.enable_result_cache(capacity=64)
+    cache = QueryResultCache(capacity=64)
+    db = make_database(cache)
     db.execute(plan)  # populate
     warm_samples = []
     for _ in range(200):
@@ -192,11 +194,9 @@ def test_delta_apply_beats_full_recompute(benchmark):
 
 
 def test_mixed_workload_hit_rate(benchmark, observed_registry):
-    manager, catalog = make_catalog()
+    cache = QueryResultCache(capacity=32, name="bench")
+    manager, catalog = make_catalog(cache)
     db = catalog.database
-    cache = db.enable_result_cache(
-        cache=QueryResultCache(capacity=32, name="bench")
-    )
     catalog.define(
         "names", Project(Scan("emp"), ("name", "dept")), materialized=True
     )

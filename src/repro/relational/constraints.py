@@ -300,11 +300,20 @@ class Table:
         and pending deltas come back together."""
         self._current, self._unchecked, self._net = savepoint
 
-    def commit_diff(self) -> Diff:
+    def commit_diff(self, began: Relation) -> Optional[Diff]:
         """The exact ``(inserted, deleted)`` net of every statement
-        since the outermost :meth:`savepoint`; ends that scope."""
+        since the outermost :meth:`savepoint`, ``None`` when empty;
+        ends that scope.  A table touched to no net effect goes back to
+        ``began``, the relation the scope began with: equal by
+        exactness of the diff, and spelled as the log spells it (delete
+        ``v = 1``, insert ``v = 1.0`` logs nothing, keeps nothing)."""
         net, self._net = self._net, None
-        return net or _NO_DIFF
+        if net is None or net is _NO_DIFF:
+            return None
+        if net[0] or net[1]:
+            return net
+        self._current = began
+        return None
 
     # -- mutations ----------------------------------------------------------
 
@@ -318,11 +327,13 @@ class Table:
         if self._owner is not None and self._net is None:
             with self._owner.transaction():
                 return self._apply(inserted, deleted)
-        # Trusted: a difference and a union of row sets each validated
-        # under this heading.
-        candidate = Relation._from_valid(
-            self._heading, (self._current.rows - deleted) | inserted
-        )
+        # No change, no new value.  Otherwise trusted: a difference and
+        # a union of row sets each validated under this heading.
+        candidate = self._current
+        if inserted or deleted:
+            candidate = Relation._from_valid(
+                self._heading, (candidate.rows - deleted) | inserted
+            )
         unchecked = _then(self._unchecked, inserted, deleted)
         if not self._deferred:
             self._check(candidate, unchecked)

@@ -111,7 +111,7 @@ from repro.relational.cost import (
     shuffle_join_cost,
 )
 from repro.relational.query import Join as JoinPlan
-from repro.relational.query import Database, Plan, Project, Scan, scans
+from repro.relational.query import Plan, Project, Scan, scans
 from repro.relational.query import SelectEq, SelectPred
 from repro.relational.relation import Relation
 from repro.relational.sharding import (
@@ -643,9 +643,7 @@ class _ShardKernels:
         manager = self.cluster.manager
         placement = self.cluster._placements[side.table]
         now = {own: name for name, own in side.origin.items()}
-        stats = None
-        if manager.stats is not None:
-            stats = manager.stats.get(side.table, allow_stale=True)
+        stats = manager.stats.get(side.table, allow_stale=True)
         return placement, now.get(placement.attr), estimate_shard_rows(
             float(len(manager.table(side.table))), side.conditions,
             side.predicates, stats,
@@ -867,8 +865,10 @@ class Cluster:
     :class:`~repro.relational.wal.WriteAheadLog` -- every cluster
     write is one commit record in it and every epoch swing an
     ``EPOCH`` marker between the commits it happened between --
-    and ``stats=`` a :class:`~repro.relational.stats.StatsCatalog`,
-    fed by the commit diffs and read by distributed join sizing.
+    ``stats=`` a :class:`~repro.relational.stats.StatsCatalog`,
+    fed by the commit diffs and read by distributed join sizing, and
+    ``result_cache=`` a :class:`~repro.relational.ivm.cache.
+    QueryResultCache`, shared with ``manager.committed().execute``.
     """
 
     def __init__(
@@ -891,6 +891,7 @@ class Cluster:
         *,
         log: Optional[Any] = None,
         stats: Optional[Any] = None,
+        result_cache: Optional[Any] = None,
     ):
         if node_count < 1:
             raise ValueError("a cluster needs at least one node")
@@ -950,11 +951,11 @@ class Cluster:
         #: The one engine under the cluster: every logical table
         #: (``"emp"``, never ``"emp#3"``) is enrolled here, every write
         #: is one of its commits, and replicas follow its commit
-        #: stream.  Built by the first :meth:`create_table` (a manager
-        #: needs a table) from the ``log=``/``stats=`` given here.
-        self.manager: Optional[TransactionManager] = None
-        self._log = log
-        self._stats = stats
+        #: stream.
+        self.manager = TransactionManager(
+            {}, log=log, stats=stats, result_cache=result_cache
+        )
+        self.manager.subscribe(self._replicate)
         self._placements: Dict[str, ShardMap] = {}
         #: Durable catalog + journal sink (a DiskRelationStore), when
         #: :meth:`attach_store` connected one: every epoch swing
@@ -969,11 +970,13 @@ class Cluster:
         # stats_fanout bucket ordering.
         self._bucket_rows: Dict[str, Dict[int, int]] = {}
         self._last_context: Optional[_QueryContext] = None
-        #: Coordinator-side result cache (``enable_result_cache``):
-        #: entries fingerprinted by each scanned table's committed
-        #: relation, so a post-commit reader can never see a
-        #: pre-commit answer.
-        self.result_cache = None
+
+    @property
+    def result_cache(self):
+        """The coordinator-side result cache: the manager's.  Entries
+        are fingerprinted by each scanned table's *committed* relation;
+        an epoch swing reclaims the moved table's entries by name."""
+        return self.manager.result_cache
 
     # ------------------------------------------------------------------
     # Faults and liveness
@@ -1170,14 +1173,7 @@ class Cluster:
         placement = ShardMap.successor_rings(
             partition_attr, len(self.nodes), factor, bucket_count=buckets
         )
-        table = Table(relation.heading, relation)
-        if self.manager is None:
-            self.manager = TransactionManager(
-                {name: table}, log=self._log, stats=self._stats
-            )
-            self.manager.subscribe(self._replicate)
-        else:
-            self.manager.add_table(name, table)
+        self.manager.add_table(name, Table(relation.heading, relation))
         # Catalog first: a revive fired by a mid-create tick must be
         # able to see the placement to rebuild the partial table.
         self._placements[name] = placement
@@ -1242,8 +1238,6 @@ class Cluster:
                         continue  # missed commit; rebuilt on revive
                     node.apply(name, bucket_index, *diff)
                     self._ship_delta(diff, replica=position > 0)
-        if self.result_cache is not None:
-            self.result_cache.invalidate_tables(tuple(changes))
 
     # ------------------------------------------------------------------
     # Catalog
@@ -1258,21 +1252,6 @@ class Cluster:
                 "unknown distributed table %r" % (name,)
             ) from None
 
-    def _catalog(self) -> Database:
-        """The manager's tables as the catalog plans are checked against."""
-        if self.manager is None:
-            return Database()
-        return Database({
-            name: table.snapshot()
-            for name, table in self.manager.tables.items()
-        })
-
-    def _committed(self, name: str) -> Relation:
-        """The table's committed value: the one relation every bucket
-        copy is a restriction of (never an open transaction's state)."""
-        with self.manager.snapshot() as snapshot:
-            return snapshot.relation(name)
-
     def _relation(self, table: str, rows: Iterable[Any]) -> Relation:
         """Wrap rows of ``table``'s own relation back into its type."""
         # Trusted: a subset of rows the engine validated under this heading.
@@ -1282,13 +1261,15 @@ class Cluster:
 
     def _partitioned(self, name: str,
                      shard_map: Optional[ShardMap] = None) -> List[Relation]:
-        """The committed relation split by ``shard_map`` (default: the
-        installed one): bucket *b* is its restriction to the rows whose
-        partition value hashes to *b*.  The ground truth every rebuild,
-        catch-up, verify and re-shard differences against."""
+        """The committed relation (never an open transaction's state)
+        split by ``shard_map`` (default: the installed one): bucket *b*
+        is its restriction to the rows whose partition value hashes to
+        *b*.  The ground truth every rebuild, catch-up, verify and
+        re-shard differences against."""
         if shard_map is None:
             shard_map = self.shard_map(name)
-        parts = _by_bucket(self._committed(name).rows, shard_map)
+        committed = self.manager.committed().relation(name)
+        parts = _by_bucket(committed.rows, shard_map)
         return [
             self._relation(name, parts.get(index, ()))
             for index in range(shard_map.bucket_count)
@@ -1383,9 +1364,7 @@ class Cluster:
                 for table, placement in sorted(self._placements.items())
             },
             "moves": [repr(move) for move in self._moves if not move.done],
-            "version": (
-                0 if self.manager is None else self.manager.current_version
-            ),
+            "version": self.manager.current_version,
             "network": {
                 "messages": self.network.messages,
                 "bytes_shipped": self.network.bytes_shipped,
@@ -1791,27 +1770,6 @@ class Cluster:
     # The shard-local coordinator
     # ------------------------------------------------------------------
 
-    def enable_result_cache(self, cache=None, capacity: int = 256):
-        """Attach (and return) a coordinator-side result cache.
-
-        Entries are fingerprinted by the *committed* relation of each
-        scanned table (replaced by every commit that changes the
-        table), so results can never leak across a data change.  Epoch
-        swings (bucket moves, splits, merges) invalidate the moved
-        table's entries by name -- the rows are placement-stable
-        across a move, so this is targeted reclamation, never a flush
-        of other tables.
-        """
-        if cache is None:
-            from repro.relational.ivm.cache import QueryResultCache
-
-            cache = QueryResultCache(capacity=capacity, name="cluster")
-        self.result_cache = cache
-        return cache
-
-    def disable_result_cache(self) -> None:
-        self.result_cache = None
-
     def execute(
         self,
         plan: Plan,
@@ -1849,28 +1807,25 @@ class Cluster:
         headings is refused with ``SchemaError`` before anything else:
         the only refusal there is, as on the other two backends.
         """
-        self._catalog().heading_of(plan)
+        # The committed catalog, never the live Table pointers: inside
+        # an open transaction those are work no replica has seen.
+        catalog = self.manager.committed()
+        catalog.heading_of(plan)
         tables = tuple(sorted(scans(plan)))
         # Epoch fencing comes before the cache: a caller holding a
         # stale map must get ShardMovedError even when the bytes it
         # asked for are sitting in memory.
         for table in tables:
             self._check_epoch(table, epoch)
+        cache = catalog.result_cache
         plan_key = None
-        if (self.result_cache is not None and not allow_partial
-                and read_quorum is None):
+        if cache is not None and not allow_partial and read_quorum is None:
             from repro.relational.ivm.cache import plan_cache_key
 
             plan_key = plan_cache_key(plan)
         if plan_key is not None:
-            # The committed relations, never the live Table pointers:
-            # in an open transaction those are uncommitted work, while
-            # the replicas this reads hold committed rows only.
-            with self.manager.snapshot() as committed:
-                inputs = tuple([
-                    committed.relation(table) for table in tables
-                ])
-            hit = self.result_cache.lookup(plan_key, inputs)
+            inputs = tuple([catalog.relation(table) for table in tables])
+            hit = cache.lookup(plan_key, inputs)
             if hit is not None:
                 return hit
         with self._query(
@@ -1884,7 +1839,7 @@ class Cluster:
                 context, kernels.gather(kernels.fold(plan))
             )
         if plan_key is not None:
-            self.result_cache.store(plan_key, inputs, tables, result)
+            cache.store(plan_key, inputs, tables, result)
         return result
 
     # ------------------------------------------------------------------

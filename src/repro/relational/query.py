@@ -467,16 +467,49 @@ def _gov_summary(root_span) -> Dict[str, Any]:
 
 
 class Database:
-    """A catalog of named relations plus the two executors."""
+    """A catalog of named relations plus the two executors.
 
-    def __init__(self, relations: Optional[Mapping[str, Relation]] = None):
+    ``stats`` is the :class:`~repro.relational.stats.StatsCatalog` the
+    optimizer plans from (default: a private one, made on first use),
+    ``result_cache`` a :class:`~repro.relational.ivm.cache.
+    QueryResultCache` for :meth:`execute` (default: none); catalogs
+    holding the same relation objects share its entries.  A hand-built
+    catalog is a mutable fixture; the one a
+    :class:`~repro.relational.tx.TransactionManager` produces per
+    commit is shared by every reader of that version, so it is sealed
+    (:meth:`add`, :meth:`remove` and the columnar encodings raise
+    ``SchemaError``) and moves only by :meth:`with_relations`.
+    """
+
+    def __init__(self, relations: Optional[Mapping[str, Relation]] = None,
+                 *, stats=None, result_cache=None):
         self._relations: Dict[str, Relation] = dict(relations or {})
         self._columnar: Dict[str, ColumnarRelation] = {}
-        self._stats = None
+        self._stats = stats
         self._feedback = None
-        self._result_cache = None
+        self._result_cache = result_cache
+        self._sealed = False
+
+    def with_relations(self, changed: Mapping[str, Relation]) -> "Database":
+        """A new catalog with ``changed`` bound and everything else
+        shared: other relations and run encodings, stats, cache, seal."""
+        successor = Database(
+            {**self._relations, **changed},
+            stats=self._stats, result_cache=self._result_cache,
+        )
+        successor._columnar = {
+            name: runs for name, runs in self._columnar.items()
+            if name not in changed
+        }
+        successor._sealed = self._sealed
+        return successor
+
+    def _require_unsealed(self) -> None:
+        if self._sealed:
+            raise SchemaError("a committed catalog changes by a commit")
 
     def add(self, name: str, relation: Relation) -> None:
+        self._require_unsealed()
         self._relations[name] = relation
         # A replaced relation invalidates its run encoding: stale runs
         # would silently answer queries about data that is gone.
@@ -484,6 +517,7 @@ class Database:
 
     def remove(self, name: str) -> bool:
         """Forget a relation (and its encoding); False if unknown."""
+        self._require_unsealed()
         existed = self._relations.pop(name, None) is not None
         self._columnar.pop(name, None)
         return existed
@@ -511,6 +545,7 @@ class Database:
         differential oracle's contract), just faster.  Re-encoding is
         idempotent; :meth:`add` drops a stale encoding automatically.
         """
+        self._require_unsealed()
         targets = list(names) if names is not None else self.names()
         for name in targets:
             self._columnar[name] = ColumnarRelation.from_relation(
@@ -520,6 +555,7 @@ class Database:
 
     def drop_columnar(self, names: Optional[Sequence[str]] = None) -> None:
         """Forget run encodings (all of them by default)."""
+        self._require_unsealed()
         if names is None:
             self._columnar.clear()
         else:
@@ -586,7 +622,7 @@ class Database:
         span tree :func:`repro.relational.profile.execute_profiled`
         measures explicitly.
 
-        With a result cache enabled (:meth:`enable_result_cache`),
+        With a result cache (``Database(..., result_cache=...)``),
         cacheable plans are answered from the cache when an entry was
         computed from the very relations the plan scans now; misses
         execute normally and populate it.
@@ -608,28 +644,6 @@ class Database:
     # ------------------------------------------------------------------
     # Result cache
     # ------------------------------------------------------------------
-
-    def enable_result_cache(self, cache=None, capacity: int = 256):
-        """Attach (and return) a bounded query-result cache.
-
-        ``cache`` may be a shared
-        :class:`~repro.relational.ivm.cache.QueryResultCache` (server
-        sessions pass one instance across sessions); by default a
-        private one is created.  Entries are fingerprinted by the
-        relation objects a plan scans, so databases holding the same
-        objects -- sessions pinned at the same version -- share
-        entries, and nobody else can reach them.
-        """
-        if cache is None:
-            from repro.relational.ivm.cache import QueryResultCache
-
-            cache = QueryResultCache(capacity=capacity)
-        self._result_cache = cache
-        return cache
-
-    def disable_result_cache(self) -> None:
-        """Detach the result cache (entries survive in the instance)."""
-        self._result_cache = None
 
     @property
     def result_cache(self):

@@ -34,22 +34,30 @@ A failed append rolls the tables back, so the in-memory state never
 runs ahead of the durable log; a crash mid-append leaves a torn tail
 that recovery truncates (the transaction never happened).
 
-Statistics: pass ``stats=`` a
-:class:`~repro.relational.stats.StatsCatalog` and every committed
-insert/delete is counted against the affected relation's catalog
-entry -- the same diff that feeds the WAL record feeds staleness
-accounting, so a relation churned past its threshold silently drops
-off the cost-based planner until the next ANALYZE.
+The catalog value: the committed state is one immutable, sealed
+:class:`~repro.relational.query.Database`
+(:meth:`TransactionManager.committed`) carrying the manager's
+statistics and (``result_cache=``) its query-result cache.  The commit
+that changes the state derives it; no reader rebuilds it -- snapshots
+pin it, server sessions, the cluster and view catalogs read it, so
+embedded and served execution plan and cache against the same thing.
+
+Statistics: the manager owns a
+:class:`~repro.relational.stats.StatsCatalog` (``stats=``, else its
+own) and every committed insert/delete is counted against the
+affected relation's entry -- the same diff that feeds the WAL record
+feeds staleness accounting, so a relation churned past its threshold
+silently drops off the cost-based planner until the next ANALYZE.
 
 MVCC: because relations are immutable values, snapshot isolation is
 pointer bookkeeping.  Every outermost state-changing commit is a
 *version* (``current_version``, equal to the WAL transaction id it
 logged, so the durable record and the MVCC history share one
 numbering).  :meth:`TransactionManager.snapshot` pins the latest
-*committed* state -- never in-progress transaction state, so a reader
-opened before a nested rollback cannot observe the rolled-back rows --
-and arbitrarily many snapshots overlap the writer without blocking
-it.  :meth:`TransactionManager.session` opens a read-write
+*committed* catalog -- never in-progress transaction state, so a
+reader opened before a nested rollback cannot observe the rolled-back
+rows -- and arbitrarily many snapshots overlap the writer without
+blocking it.  :meth:`TransactionManager.session` opens a read-write
 :class:`SnapshotSession` whose mutations are buffered against the
 pinned state (read-your-own-writes) and applied at :meth:`~
 SnapshotSession.commit` under **first-committer-wins** conflict
@@ -73,7 +81,9 @@ from typing import (
 from repro.errors import SchemaError, WriteConflictError
 from repro.gov.governor import checkpoint as _gov_checkpoint
 from repro.relational.constraints import Table
+from repro.relational.query import Database
 from repro.relational.relation import Relation
+from repro.relational.stats import StatsCatalog
 from repro.relational.wal import WriteAheadLog
 
 __all__ = ["TransactionManager", "Snapshot", "SnapshotSession", "CommitDiff"]
@@ -91,15 +101,19 @@ class TransactionManager:
 
     def __init__(self, tables: Mapping[str, Table],
                  log: Optional[WriteAheadLog] = None,
-                 stats=None):
-        if not tables:
-            raise SchemaError("a transaction manager needs at least one table")
+                 stats: Optional[StatsCatalog] = None,
+                 result_cache=None):
         self._tables: Dict[str, Table] = {}
         self._savepoints: List[Dict[str, tuple]] = []
         self._deferred_depth = 0
         self._log = log
-        self._stats = stats
+        self._stats = stats if stats is not None else StatsCatalog()
         self._commits = 0
+        # Replaced, never edited, by add_table and each state-changing
+        # commit; sealed: what one reader did every reader would see.
+        self._committed = Database(stats=self._stats,
+                                   result_cache=result_cache)
+        self._committed._sealed = True
         # MVCC bookkeeping: the version at which each table last
         # changed (first-committer-wins reads this) and the versions
         # currently pinned by open snapshots (the version horizon).
@@ -123,15 +137,31 @@ class TransactionManager:
         return self._log
 
     @property
-    def stats(self):
-        """The attached statistics catalog, if any."""
+    def stats(self) -> StatsCatalog:
+        """The statistics catalog the committed value plans from."""
         return self._stats
+
+    @property
+    def result_cache(self):
+        """The query-result cache the committed value carries, if any."""
+        return self._committed.result_cache
+
+    def committed(self) -> Database:
+        """The latest committed state, the one catalog every reader
+        holds: the same object until a commit (or :meth:`add_table`)
+        changes the state -- open transactions and rollbacks do not."""
+        return self._committed
 
     @property
     def commits(self) -> int:
         """Outermost commits that changed state (each one logged when
         a log is attached)."""
         return self._commits
+
+    def _attach_result_cache(self, cache) -> None:
+        """For ``Server(manager, result_cache_capacity=N)``, whose call
+        shape predates ``result_cache=`` and is fixed by its benchmark."""
+        self._committed._result_cache = cache
 
     def table(self, name: str) -> Table:
         try:
@@ -150,6 +180,9 @@ class TransactionManager:
             raise SchemaError("table %r already exists" % (name,))
         self._tables[name] = table
         table._owner = self
+        self._committed = self._committed.with_relations(
+            {name: table.snapshot()}
+        )
 
     # ------------------------------------------------------------------
     # Savepoint mechanics
@@ -238,19 +271,18 @@ class TransactionManager:
         including re-creating tables born after the last checkpoint.
         No-op transactions log nothing.
         """
+        began = self._savepoints[0]
         changes = {}
         for name in sorted(self._tables):
             table = self._tables[name]
-            inserted, deleted = table.commit_diff()
-            if inserted or deleted:
-                changes[name] = (
-                    tuple(table.heading.names), inserted, deleted
-                )
+            diff = table.commit_diff(began[name][0])
+            if diff is not None:
+                changes[name] = (tuple(table.heading.names), *diff)
         if not changes:
             return
         if self._log is not None:
             self._log.commit(self._commits + 1, changes)
-        if self._stats is not None:
+        if len(self._stats):
             # The durable diff doubles as staleness accounting: each
             # inserted or deleted row counts one mutation against the
             # relation's catalog entry.
@@ -260,7 +292,15 @@ class TransactionManager:
                 )
         self._commits += 1
         # The WAL record above carries tx id == self._commits: the
-        # durable numbering and the MVCC version are the same number.
+        # durable numbering and the MVCC version are the same number,
+        # and this is where that version's catalog value is derived.
+        self._committed = self._committed.with_relations(
+            {name: self._tables[name].snapshot() for name in changes}
+        )
+        cache = self._committed.result_cache
+        if cache is not None:
+            # Hygiene (ivm/cache.py): these entries cannot hit again.
+            cache.invalidate_tables(tuple(changes))
         for name in changes:
             self._table_versions[name] = self._commits
         if self._listeners:
@@ -352,22 +392,6 @@ class TransactionManager:
                     table.update(op[2], op[3])
         return self._commits
 
-    def _committed_state(self) -> Dict[str, Relation]:
-        """Pointer copies of the latest *committed* relation values.
-
-        While a transaction is in progress the live table pointers
-        hold uncommitted work, so the committed state is the outermost
-        savepoint -- the begin-state of the open transaction.  With no
-        transaction open, the live pointers *are* the committed state
-        (statement autocommit).  This is what makes snapshot readers
-        immune to in-progress and rolled-back work.
-        """
-        if self._savepoints:
-            return {name: state[0]
-                    for name, state in self._savepoints[0].items()}
-        return {name: table.snapshot()
-                for name, table in self._tables.items()}
-
     def snapshot(self) -> "Snapshot":
         """Pin the latest committed state for reading.
 
@@ -420,15 +444,16 @@ class TransactionManager:
 class Snapshot:
     """A pinned, read-only view of one committed version.
 
-    Holds pointer copies of the committed relation values at open
-    time -- O(tables), no rows copied -- so reads cost nothing beyond
-    a dict lookup and are stable against every concurrent writer.
+    Holds the manager's committed catalog at open time (one pointer,
+    nothing copied), so reads cost a dict lookup and are stable
+    against every concurrent writer.
     """
 
     def __init__(self, manager: TransactionManager):
         self._manager = manager
         self.version = manager.current_version
-        self._state: Dict[str, Relation] = manager._committed_state()
+        #: The catalog value every reader pinned at :attr:`version` holds.
+        self.database: Database = manager.committed()
         self._token: Optional[int] = manager._register_snapshot(self.version)
 
     @property
@@ -436,14 +461,14 @@ class Snapshot:
         return self._token is None
 
     def names(self) -> List[str]:
-        return sorted(self._state)
+        return self.database.names()
 
     def relation(self, name: str) -> Relation:
         """The pinned value of table ``name`` at :attr:`version`."""
         self._require_open()
         try:
-            return self._state[name]
-        except KeyError:
+            return self.database.relation(name)
+        except SchemaError:
             raise SchemaError("unknown table %r" % (name,)) from None
 
     def _require_open(self) -> None:

@@ -11,9 +11,10 @@ unmoved when it equals the old one and serializes to the same bytes
 ``1`` -> ``1.0``, is equal and *has* moved).
 
 With a :class:`~repro.relational.tx.TransactionManager` attached the
-catalog's database holds the manager's own committed relations -- it
-adopts the committed pointers after every commit, it does not replay
-the diff onto a copy -- and *maintains* materialized views
+catalog's database is a private overlay (own cache and statistics,
+``__view__`` shadows) over the relations of ``manager.committed()`` --
+all at construction, each commit's changed ones after it, never the
+diff replayed onto a copy -- and *maintains* materialized views
 incrementally, propagating each commit's exact insert/delete sets
 through the view plan (:mod:`repro.relational.ivm.delta`) and applying
 ``(cache - deleted) | inserted`` instead of recomputing.  Plans
@@ -88,7 +89,7 @@ class ViewCatalog:
         self._views: Dict[str, View] = {}
         self._manager = manager
         if manager is not None:
-            self._adopt_committed()
+            self._adopt(manager.committed().names())
             manager.subscribe(self._on_commit)
 
     @property
@@ -300,19 +301,18 @@ class ViewCatalog:
         self._db.stats.install(view.name, stats)
         self._db.stats.install("__view__" + view.name, stats)
 
-    def _adopt_committed(self) -> None:
-        """Hold what the manager holds: the committed relation of every
-        table whose pointer moved (a commit's new value, or the equal
-        object a no-op statement left behind)."""
-        for name, relation in self._manager._committed_state().items():
-            if self._db._relations.get(name) is not relation:
-                self._db.add(name, relation)
+    def _adopt(self, names) -> None:
+        """Hold what the manager holds: the committed relation of each
+        of ``names`` -- a table moves only by a commit that names it."""
+        committed = self._manager.committed()
+        for name in names:
+            self._db.add(name, committed.relation(name))
 
     def _on_commit(self, version: int, changes) -> None:
         """Manager commit hook: adopt the commit, maintain every view."""
         from repro.relational.ivm.delta import Delta
 
-        self._adopt_committed()
+        self._adopt(changes)
         base_deltas: Dict[str, Delta] = {}
         for name in sorted(changes):
             heading_names, inserted, deleted = changes[name]

@@ -108,18 +108,16 @@ class Server:
                  result_cache_capacity: int = 0):
         self._manager = manager
         self._token = token
-        # One result cache shared by every session (0 = disabled):
-        # entries are keyed by per-table MVCC versions, so sessions
-        # pinned at the same versions share hits and the commit-diff
-        # stream below reclaims entries the moment a table moves on.
-        self.result_cache = None
-        if result_cache_capacity > 0:
+        # Sessions read the manager's committed catalog, so the cache
+        # they share is the one it carries (entries fingerprinted by
+        # the relations a plan scans, reclaimed by the commit that
+        # replaces them).  A manager built without one gets one here.
+        if result_cache_capacity > 0 and manager.result_cache is None:
             from repro.relational.ivm.cache import QueryResultCache
 
-            self.result_cache = QueryResultCache(
+            manager._attach_result_cache(QueryResultCache(
                 capacity=result_cache_capacity, name="server"
-            )
-            manager.subscribe(self._on_commit_diff)
+            ))
         self.admission = admission if admission is not None else \
             AdmissionController(capacity, soft_capacity)
         self.max_sessions = max_sessions
@@ -141,6 +139,11 @@ class Server:
         self.requests_served = 0
         self.connections_aborted = 0
         self.writes_replayed = 0
+
+    @property
+    def result_cache(self):
+        """The cache served reads share: the manager's, if it has one."""
+        return self._manager.result_cache
 
     # -- lifecycle ------------------------------------------------------
 
@@ -361,13 +364,7 @@ class Server:
         return Session(
             "s%d" % self._session_ids, self._manager,
             priority=priority,
-            result_cache=self.result_cache,
         )
-
-    def _on_commit_diff(self, version: int, changes) -> None:
-        """Commit hook: reclaim cache entries over the changed tables."""
-        if self.result_cache is not None:
-            self.result_cache.invalidate_tables(sorted(changes))
 
     # -- request dispatch -----------------------------------------------
 

@@ -5,7 +5,9 @@ A session is the unit of isolation the server hands each connection:
 * an MVCC :class:`~repro.relational.tx.Snapshot` pinned at handshake
   (and re-pinned on REFRESH or after the session's own commit), so
   every query a session runs sees one consistent version no matter
-  how many writers commit meanwhile -- *snapshot sessions*;
+  how many writers commit meanwhile -- *snapshot sessions*.  It pins
+  the manager's committed catalog, the ``Database`` embedded callers
+  get from ``manager.committed()``: same statistics, same cache;
 * a registry of prepared statements: named XQL templates with
   ``$1..$n`` placeholders, substituted server-side with safely
   rendered literals at EXECUTE time;
@@ -14,14 +16,14 @@ A session is the unit of isolation the server hands each connection:
   connection's business, in :mod:`repro.server.service`).
 
 Sessions never share mutable state: two sessions at the same version
-share relation *pointers* (immutability makes that free), nothing
-else.
+hold the same immutable catalog value (and through it the manager's
+statistics and result cache), nothing else.
 """
 
 from __future__ import annotations
 
 import re
-from typing import Any, Dict, List, Optional, Sequence, Set, Tuple
+from typing import Any, Dict, List, Sequence, Set, Tuple
 
 from repro.errors import SessionError
 from repro.gov.admission import PRIORITY_NORMAL
@@ -91,19 +93,12 @@ class Session:
     """One connection's server-side state."""
 
     def __init__(self, session_id: str, manager: TransactionManager,
-                 priority: int = PRIORITY_NORMAL,
-                 result_cache=None):
+                 priority: int = PRIORITY_NORMAL):
         self.session_id = session_id
         self.priority = priority
         self._manager = manager
         self._snapshot: Snapshot = manager.snapshot()
         self._statements: Dict[str, str] = {}
-        self._db: Optional[Database] = None
-        # Shared across sessions: entries are fingerprinted by the
-        # snapshot's relation objects, so two sessions pinned at the
-        # same version share results and a session pinned past a
-        # commit can never be served the pre-commit answer.
-        self._result_cache = result_cache
         self.closed = False
 
     # -- snapshot pinning ----------------------------------------------
@@ -122,25 +117,15 @@ class Session:
         self._require_open()
         self._snapshot.close()
         self._snapshot = self._manager.snapshot()
-        self._db = None
         return self._snapshot.version
 
     def database(self) -> Database:
-        """A query catalog over the pinned snapshot (built lazily).
-
-        The database holds the snapshot's relation pointers, so
-        building it is O(tables) and queries against it are embedded
-        execution, byte-for-byte -- the differential oracle's anchor.
-        """
+        """The committed catalog of the pinned version: the object
+        ``manager.committed()`` answered when the snapshot opened, so
+        queries against it are embedded execution, byte-for-byte --
+        the differential oracle's anchor."""
         self._require_open()
-        if self._db is None:
-            db = Database()
-            for name in self._snapshot.names():
-                db.add(name, self._snapshot.relation(name))
-            if self._result_cache is not None:
-                db.enable_result_cache(cache=self._result_cache)
-            self._db = db
-        return self._db
+        return self._snapshot.database
 
     # -- prepared statements -------------------------------------------
 
@@ -209,7 +194,6 @@ class Session:
         """Release the snapshot pin; idempotent."""
         if not self.closed:
             self._snapshot.close()
-            self._db = None
             self.closed = True
 
     def __repr__(self) -> str:

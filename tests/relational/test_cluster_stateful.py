@@ -46,6 +46,7 @@ from repro.relational.algebra import aggregate as local_aggregate
 from repro.relational.constraints import IntegrityError, KeyConstraint
 from repro.relational.distributed import Cluster
 from repro.relational.faults import FaultPlan
+from repro.relational.ivm import QueryResultCache
 from repro.relational.query import Aggregate, Scan, SelectEq
 from repro.relational.relation import Relation
 from repro.relational.wal import WriteAheadLog
@@ -84,12 +85,13 @@ class ClusterMachine(RuleBasedStateMachine):
         self.log = WriteAheadLog(
             os.path.join(self.scratch, "wal.log"), sync=False
         )
-        self.cluster = Cluster(NODES, replication_factor=FACTOR, log=self.log)
+        self.cache = QueryResultCache(capacity=8, name="cluster")
+        self.cluster = Cluster(NODES, replication_factor=FACTOR,
+                               log=self.log, result_cache=self.cache)
         for name in sorted(HEADINGS):
             self.cluster.create_table(name, self._relation(name), "dept")
         self.manager = self.cluster.manager
         self.manager.table("emp").add_constraint(KeyConstraint(["emp"]))
-        self.cache = self.cluster.enable_result_cache(capacity=8)
 
     def teardown(self):
         self.log.close()

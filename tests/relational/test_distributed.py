@@ -418,6 +418,52 @@ class TestStatsFanout:
             plain.execute(SelectEq(Scan("emp"), {"salary": 50000}))
 
 
+class TestCoordinatorReadsTheCommittedCatalog:
+    def test_a_cache_hit_is_a_lookup(self, employees, departments,
+                                     monkeypatch):
+        from repro.relational import query, tx
+        from repro.relational.constraints import Table
+        from repro.relational.ivm import QueryResultCache
+
+        cache = QueryResultCache(capacity=8, name="cluster")
+        cluster = Cluster(4, result_cache=cache)
+        cluster.create_table("emp", employees, "dept")
+        cluster.create_table("dept", departments, "dept")
+        plan = Join(Scan("emp"), Scan("dept"))
+        first = cluster.execute(plan)
+        counts = {"Database": 0, "Table.snapshot": 0, "Snapshot": 0}
+
+        def counting(key, wrapped):
+            def shim(*args, **kwargs):
+                counts[key] += 1
+                return wrapped(*args, **kwargs)
+            return shim
+
+        monkeypatch.setattr(query.Database, "__init__", counting(
+            "Database", query.Database.__init__))
+        monkeypatch.setattr(Table, "snapshot", counting(
+            "Table.snapshot", Table.snapshot))
+        monkeypatch.setattr(tx.Snapshot, "__init__", counting(
+            "Snapshot", tx.Snapshot.__init__))
+        ops = cluster.ops
+        assert cluster.execute(plan) is first
+        assert (cache.hits, cluster.ops) == (1, ops)
+        assert counts == {"Database": 0, "Table.snapshot": 0, "Snapshot": 0}
+
+    def test_headings_and_fingerprints_come_from_committed(self, cluster):
+        manager = cluster.manager
+        assert cluster.result_cache is None
+        with manager.transaction():
+            manager.table("dept").insert_many(
+                [{"dept": 99, "dname": "new", "budget": 1}]
+            )
+            # Replicas hold committed rows; so does what execute reads.
+            assert cluster.execute(Scan("dept")) == \
+                manager.committed().relation("dept")
+        assert cluster.execute(Scan("dept")) == \
+            manager.table("dept").snapshot()
+
+
 class TestTracePropagation:
     def test_query_roots_get_sequential_trace_ids(self, cluster):
         cluster.execute(Scan("emp"))

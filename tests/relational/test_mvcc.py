@@ -190,6 +190,117 @@ class TestSnapshotSession:
         assert manager.current_version == 0
 
 
+class TestOneCatalogValue:
+    """The committed state is one ``Database``, produced by the commit
+    that changed it; every reader of a version holds that object."""
+
+    def test_a_snapshot_pins_the_committed_catalog(self, manager):
+        with manager.snapshot() as snap:
+            assert snap.database is manager.committed()
+            assert snap.relation("emp") is manager.committed().relation("emp")
+        with manager.snapshot() as again:
+            assert again.database is snap.database
+
+    def test_two_sessions_at_one_version_hold_one_database(self, manager):
+        from repro.server.session import Session
+
+        a, b = Session("a", manager), Session("b", manager)
+        assert a.database() is b.database() is manager.committed()
+        assert a.database().stats is manager.stats
+        manager.table("emp").insert({"emp": 2, "name": "bob", "dept": 1})
+        assert a.database() is b.database() is not manager.committed()
+        assert b.refresh() == 1
+        assert b.database() is manager.committed() is not a.database()
+        a.close()
+        b.close()
+
+    def test_replaced_by_exactly_the_state_changing_commits(self, manager):
+        emp = manager.table("emp")
+        born = manager.committed()
+        with pytest.raises(RuntimeError):
+            with manager.transaction():
+                emp.insert({"emp": 2, "name": "bob", "dept": 1})
+                raise RuntimeError("abort")
+        assert manager.committed() is born  # rolled back
+        with manager.transaction():
+            pass
+        assert emp.delete({"emp": 99}) == 0
+        with manager.transaction():
+            emp.insert({"emp": 2, "name": "bob", "dept": 1})
+            emp.delete({"emp": 2})
+        assert manager.committed() is born and manager.commits == 0  # no-ops
+        assert born.relation("emp") is emp.snapshot()
+        emp.insert({"emp": 2, "name": "bob", "dept": 1})
+        moved = manager.committed()
+        assert moved is not born and manager.commits == 1
+        assert moved.relation("emp") is emp.snapshot()
+        # Only the named relation was replaced; the rest is shared.
+        assert moved.relation("dept") is born.relation("dept")
+        assert moved.stats is born.stats is manager.stats
+        assert len(born.relation("emp")) == 1
+
+    def test_inside_a_transaction_and_a_listener(self, manager):
+        emp = manager.table("emp")
+        born = manager.committed()
+        heard = []
+
+        def listener(version, changes):
+            with manager.snapshot() as snap:
+                heard.append((version, snap.database, len(snap.relation("emp"))))
+
+        manager.subscribe(listener)
+        with manager.transaction():
+            emp.insert({"emp": 2, "name": "bob", "dept": 1})
+            with manager.snapshot() as inside:
+                assert inside.database is manager.committed() is born
+                assert len(inside.relation("emp")) == 1
+            with manager.transaction():
+                emp.insert({"emp": 3, "name": "cyd", "dept": 1})
+            assert manager.committed() is born
+        # The listener fires after the commit closed: it sees the value
+        # the commit produced, the one every later reader pins.
+        assert heard == [(1, manager.committed(), 3)]
+
+    def test_a_committed_catalog_refuses_its_mutators(self, manager):
+        committed = manager.committed()
+        emp = committed.relation("emp")
+        for mutate in (
+            lambda: committed.add("emp", manager.table("dept").snapshot()),
+            lambda: committed.add("extra", emp),
+            lambda: committed.remove("emp"),
+            lambda: committed.encode_columnar(),
+            lambda: committed.drop_columnar(),
+        ):
+            with pytest.raises(SchemaError, match="committed catalog"):
+                mutate()
+        assert committed.names() == ["dept", "emp"]
+        assert committed.relation("emp") is emp
+        assert not committed.has_columnar("emp")
+        # The seal travels with the value; a hand-built catalog has none.
+        manager.table("emp").insert({"emp": 2, "name": "bob", "dept": 1})
+        with pytest.raises(SchemaError):
+            manager.committed().remove("emp")
+
+    def test_with_relations_shares_all_but_the_named(self):
+        from repro.relational.ivm import QueryResultCache
+        from repro.relational.query import Database, Scan
+        from repro.relational.relation import Relation
+
+        one = Relation.from_tuples(["a"], [(1,)])
+        two = Relation.from_tuples(["b"], [(2,)])
+        cache = QueryResultCache(capacity=4)
+        db = Database({"one": one, "two": two}, result_cache=cache)
+        db.encode_columnar()
+        stats = db.stats
+        moved = db.with_relations({"two": Relation.from_tuples(["b"], [(3,)])})
+        assert moved.relation("one") is one and db.relation("two") is two
+        assert moved.stats is stats and moved.result_cache is cache
+        assert moved.has_columnar("one") and not moved.has_columnar("two")
+        assert moved.execute(Scan("two")).to_rows() == [(3,)]
+        moved.add("three", one)  # hand-built: still a fixture
+        assert db.names() == ["one", "two"]
+
+
 class TestVersionHorizon:
     def test_horizon_bounded_by_open_snapshots(self, manager):
         snaps = [manager.snapshot()]

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SchemaError
+from repro.relational.ivm import QueryResultCache
 from repro.relational.query import (
     Database,
     Difference,
@@ -163,8 +164,9 @@ class TestIllFormedPlans:
         from repro.gov import governed
         from repro.obs import instrument
 
-        cached = Database({name: db.relation(name) for name in db.names()})
-        cache = cached.enable_result_cache()
+        cache = QueryResultCache()
+        cached = Database({name: db.relation(name) for name in db.names()},
+                          result_cache=cache)
         with instrument.observed() as registry:
             before = registry.snapshot()
             with governed(max_rows=10_000) as gov:

@@ -244,10 +244,9 @@ class TestCacheMechanics:
 class TestDatabaseCache:
     @pytest.fixture
     def db(self):
-        database = Database()
+        database = Database(result_cache=QueryResultCache(capacity=8))
         database.add("emp", rel(["eid", "dept"], [(1, "eng"), (2, "ops")]))
         database.add("dept", rel(["dept", "floor"], [("eng", 3)]))
-        database.enable_result_cache(capacity=8)
         return database
 
     def test_repeat_execution_hits(self, db):
@@ -313,12 +312,18 @@ class TestDatabaseCache:
         with pytest.raises(SchemaError, match="unknown relation"):
             db.execute(Scan("ghost"))
 
-    def test_disable(self, db):
+    def test_a_catalog_carries_a_cache_or_it_does_not(self, db):
         plan = Scan("emp")
-        db.execute(plan)
-        db.disable_result_cache()
-        assert db.result_cache is None
-        db.execute(plan)  # plain path, no error
+        cached = db.execute(plan)
+        plain = Database({name: db.relation(name) for name in db.names()})
+        assert plain.result_cache is None
+        assert plain.execute(plan) == cached  # plain path, no error
+        assert db.result_cache.hits == 0
+        # The handle travels with the value; there is no switch.
+        moved = db.with_relations({"dept": rel(["dept", "floor"], [])})
+        assert moved.result_cache is db.result_cache
+        assert moved.execute(plan) is cached
+        assert not hasattr(db, "enable_result_cache")
 
     def test_cost_reordered_range_predicate_stays_cacheable(self):
         """ANALYZE must not make range-predicate plans uncacheable: the
@@ -338,12 +343,15 @@ class TestDatabaseCache:
         assert plan_cache_key(optimize(plan, database)) is not None
         database.analyze()
         assert plan_cache_key(optimize(plan, database)) is not None
-        cache = database.enable_result_cache(capacity=8)
-        first = sql.run(database, text)
+        cache = QueryResultCache(capacity=8)
+        cached = Database(
+            {name: database.relation(name) for name in database.names()},
+            stats=database.stats, result_cache=cache,
+        )
+        first = sql.run(cached, text)
         assert cache.stores == 1
-        assert sql.run(database, text) is first
+        assert sql.run(cached, text) is first
         assert cache.hits == 1
-        database.disable_result_cache()
         assert first == sql.run(database, text, optimized=False)
 
 
@@ -352,17 +360,18 @@ class TestDatabaseCache:
 # ----------------------------------------------------------------------
 
 
-def make_manager():
+def make_manager(cache=None):
     emp = Table(["eid", "grp"], [{"eid": 0, "grp": 0}],
                 [KeyConstraint(["eid"])])
     aux = Table(["k"], [{"k": 1}])
-    return TransactionManager({"emp": emp, "aux": aux})
+    return TransactionManager({"emp": emp, "aux": aux}, result_cache=cache)
 
 
 class TestNeverStaleSweep:
     """Every interleaving of commits, opens and reads stays correct.
 
-    One shared cache across all sessions (the server arrangement).
+    One shared cache across all sessions: the manager's, carried by
+    the committed catalog every session reads (the server arrangement).
     The model records each session's pinned contents at open time; a
     read through the cache must always return exactly the pinned
     contents -- a result computed at version V must never surface in a
@@ -372,7 +381,7 @@ class TestNeverStaleSweep:
     PLAN = SelectEq(Scan("emp"), {"grp": 0})
 
     def run_schedule(self, schedule, cache):
-        manager = make_manager()
+        manager = make_manager(cache)
         sessions = []  # (session, expected frozenset of (eid, grp))
         next_id = 1
         live = {0: 0}
@@ -402,9 +411,7 @@ class TestNeverStaleSweep:
                 live[next_id] = next_id % 2
                 next_id += 1
             elif step == "open":
-                session = Session(
-                    "s%d" % len(sessions), manager, result_cache=cache
-                )
+                session = Session("s%d" % len(sessions), manager)
                 sessions.append((session, expected_rows(live)))
             read_all()
         read_all()  # every session re-reads at the end (cache hits)
@@ -425,52 +432,71 @@ class TestNeverStaleSweep:
 
     def test_sessions_at_same_version_share_entries(self):
         cache = QueryResultCache(capacity=8, name="shared")
-        manager = make_manager()
-        a = Session("a", manager, result_cache=cache)
-        b = Session("b", manager, result_cache=cache)
+        manager = make_manager(cache)
+        a = Session("a", manager)
+        b = Session("b", manager)
+        assert a.database() is b.database() is manager.committed()
         first = a.database().execute(self.PLAN)
         assert b.database().execute(self.PLAN) is first
         assert cache.hits == 1
         a.close()
         b.close()
 
+    def test_embedded_execution_hits_what_a_served_read_stored(self):
+        server = Server(make_manager(), result_cache_capacity=8)
+        manager, cache = server._manager, server.result_cache
+        assert cache is manager.committed().result_cache
+        served = self.read(manager)
+        assert manager.committed().execute(self.PLAN) is served
+        assert (cache.stores, cache.hits) == (1, 1)
+        # A manager that came with a cache keeps it.
+        own = QueryResultCache(capacity=2, name="own")
+        assert Server(make_manager(own), result_cache_capacity=8) \
+            .result_cache is own
+
     def test_pinned_session_keeps_its_version_after_commit(self):
         cache = QueryResultCache(capacity=8, name="pinned")
-        manager = make_manager()
-        old = Session("old", manager, result_cache=cache)
+        manager = make_manager(cache)
+        old = Session("old", manager)
         before = old.database().execute(self.PLAN)
         with manager.transaction():
             manager.table("emp").insert({"eid": 7, "grp": 0})
-        new = Session("new", manager, result_cache=cache)
+        new = Session("new", manager)
         after = new.database().execute(self.PLAN)
         assert after.cardinality() == before.cardinality() + 1
-        # The pinned session still reads its own version -- and still
-        # hits the cache, because its fingerprint never moved.
+        # The pinned session still reads its own version.  The commit
+        # reclaimed its entry (hygiene), so it computes once more --
+        # and then hits again, because its fingerprint never moved.
+        again = old.database().execute(self.PLAN)
+        assert digest(again.rows) == digest(before.rows)
         hits = cache.hits
-        assert old.database().execute(self.PLAN) is before
+        assert old.database().execute(self.PLAN) is again
         assert cache.hits == hits + 1
         old.close()
         new.close()
 
     # -- the fingerprint itself: a value is its own version ------------
 
-    def read(self, manager, cache, plan=None):
-        """One fresh session's answer through the shared cache."""
-        session = Session("reader", manager, result_cache=cache)
+    def read(self, manager, plan=None):
+        """One fresh session's answer through the manager's cache."""
+        session = Session("reader", manager)
         try:
             return session.database().execute(plan or self.PLAN)
         finally:
             session.close()
 
     def recompute(self, manager, plan=None):
-        return Database(manager._committed_state()).execute(plan or self.PLAN)
+        committed = manager.committed()
+        return Database({
+            name: committed.relation(name) for name in committed.names()
+        }).execute(plan or self.PLAN)
 
     def test_update_and_update_back_is_a_new_input(self):
         cache = QueryResultCache(capacity=8, name="aba")
-        manager = make_manager()
+        manager = make_manager(cache)
         emp = manager.table("emp")
         original = emp.snapshot()
-        first = self.read(manager, cache)
+        first = self.read(manager)
         for grp in (1, 0):
             with manager.transaction():
                 emp.update({"eid": 0}, {"grp": grp})
@@ -478,17 +504,17 @@ class TestNeverStaleSweep:
         # never invalidated, the old entry is still unreachable.
         assert emp.snapshot() == original and emp.snapshot() is not original
         hits = cache.hits
-        third = self.read(manager, cache)
+        third = self.read(manager)
         assert cache.hits == hits and third is not first
         assert digest(third.rows) == digest(self.recompute(manager).rows)
 
     def test_sessions_before_and_after_a_commit_share_one_cache(self):
         cache = QueryResultCache(capacity=8, name="two-versions")
-        manager = make_manager()
-        old = Session("old", manager, result_cache=cache)
+        manager = make_manager(cache)
+        old = Session("old", manager)
         with manager.transaction():
             manager.table("emp").insert({"eid": 7, "grp": 0})
-        new = Session("new", manager, result_cache=cache)
+        new = Session("new", manager)
         answers = {"old": {(0, 0)}, "new": {(0, 0), (7, 0)}}
         for _ in range(3):
             for session in (old, new, new, old):
@@ -500,8 +526,8 @@ class TestNeverStaleSweep:
         new.close()
 
     def test_a_dropped_input_cannot_lend_its_id(self):
-        db = Database({"t": rel(["a"], [(0,), (1,)])})
-        cache = db.enable_result_cache(capacity=8)
+        cache = QueryResultCache(capacity=8)
+        db = Database({"t": rel(["a"], [(0,), (1,)])}, result_cache=cache)
         plan = SelectEq(Scan("t"), {"a": 1})  # its answer is not its input
         key = plan_cache_key(plan)
         assert db.execute(plan) is not db.relation("t")
@@ -534,8 +560,9 @@ class TestNeverStaleSweep:
     def test_invalidation_lets_go_of_the_superseded_relation(self):
         server = Server(make_manager(), result_cache_capacity=8)
         cache, manager = server.result_cache, server._manager
-        self.read(manager, cache)
-        self.read(manager, cache, Scan("aux"))
+        assert cache is manager.result_cache
+        self.read(manager)
+        self.read(manager, Scan("aux"))
         superseded = manager.table("emp").snapshot()
 
         def holders():
@@ -550,8 +577,9 @@ class TestNeverStaleSweep:
         assert holders() == [] and len(cache) == 1
 
     def test_embedded_respelling_moves_an_input_and_a_rebuild_does_not(self):
-        db = Database({"t": rel(["k", "v"], [(1, 1), (2, 2)])})
-        cache = db.enable_result_cache(capacity=8)
+        cache = QueryResultCache(capacity=8)
+        db = Database({"t": rel(["k", "v"], [(1, 1), (2, 2)])},
+                      result_cache=cache)
         catalog = ViewCatalog(db)
         catalog.define("all", Scan("t"), materialized=True)
         catalog.read("all")
@@ -572,28 +600,27 @@ class TestNeverStaleSweep:
         assert digest(catalog.read("all").rows) == digest(twin.rows)
         assert catalog.verify("all")
 
-    def test_a_respelling_update_costs_at_most_one_miss(self):
+    def test_a_respelling_update_costs_no_miss(self):
         cache = QueryResultCache(capacity=8, name="respell")
         emp = Table(["eid", "v"], [{"eid": 0, "v": 1}],
                     [KeyConstraint(["eid"])])
-        manager = TransactionManager({"emp": emp})
+        manager = TransactionManager({"emp": emp}, result_cache=cache)
         catalog = ViewCatalog(Database(), manager=manager)
         catalog.define("all", Scan("emp"), materialized=True)
         catalog.read("all")
         plan = Scan("emp")
-        before = self.read(manager, cache, plan)
+        before = self.read(manager, plan)
         stored = emp.snapshot()
         with manager.transaction():
             assert emp.update({"eid": 0}, {"v": 1.0}) == 1
-        # Nothing committed and the stored spelling kept -- but the
-        # table holds a new, equal object.
+        # Nothing committed, so nothing moved: the table holds the
+        # object it held (no change, no new value).
         assert manager.current_version == 0
-        assert emp.snapshot() is not stored
-        assert digest(emp.snapshot().rows) == digest(stored.rows)
+        assert emp.snapshot() is stored
         stores = cache.stores
-        after = [self.read(manager, cache, plan) for _ in range(3)]
-        assert cache.stores <= stores + 1
-        assert all(digest(got.rows) == digest(before.rows) for got in after)
+        after = [self.read(manager, plan) for _ in range(3)]
+        assert cache.stores == stores
+        assert all(got is before for got in after)
         assert not catalog.is_stale("all")
         assert catalog.verify("all")
         catalog.close()
@@ -602,7 +629,7 @@ class TestNeverStaleSweep:
         server = Server(make_manager(), result_cache_capacity=8)
         cache = server.result_cache
         manager = server._manager
-        session = Session("s", manager, result_cache=cache)
+        session = Session("s", manager)
         session.database().execute(self.PLAN)
         session.database().execute(Scan("aux"))
         assert len(cache) == 2
@@ -628,8 +655,8 @@ def people(count, start=0):
     ]
 
 
-def build_cluster(rows=24):
-    cluster = Cluster(4, replication_factor=2)
+def build_cluster(rows=24, cache=None):
+    cluster = Cluster(4, replication_factor=2, result_cache=cache)
     cluster.create_table(
         "users", Relation.from_dicts(["id", "city"], people(rows)), "id"
     )
@@ -652,16 +679,16 @@ def off_ring_node(shard_map, bucket, node_count):
 
 class TestClusterCache:
     def test_repeat_scan_hits(self):
-        cluster = build_cluster()
-        cache = cluster.enable_result_cache(capacity=8)
+        cache = QueryResultCache(capacity=8, name="cluster")
+        cluster = build_cluster(cache=cache)
         plan = SelectEq(Scan("users"), {"city": "c1"})
         first = cluster.execute(plan)
         assert cluster.execute(plan) is first
         assert cache.hits == 1
 
     def test_an_aggregate_is_cached_like_any_other_plan(self):
-        cluster = build_cluster()
-        cache = cluster.enable_result_cache(capacity=8)
+        cache = QueryResultCache(capacity=8, name="cluster")
+        cluster = build_cluster(cache=cache)
         plan = Aggregate(Scan("users"), ["city"], {"n": ("count", "id")})
         first = cluster.execute(plan)
         ops = cluster.ops
@@ -675,8 +702,8 @@ class TestClusterCache:
         assert cache.stale == 1
 
     def test_insert_bumps_generation(self):
-        cluster = build_cluster()
-        cache = cluster.enable_result_cache(capacity=8)
+        cache = QueryResultCache(capacity=8, name="cluster")
+        cluster = build_cluster(cache=cache)
         plan = Scan("users")
         before = cluster.execute(plan)
         generation = cluster.manager.table_version("users")
@@ -687,8 +714,8 @@ class TestClusterCache:
         assert cache.stale == 1
 
     def test_an_open_transaction_is_never_fingerprinted(self):
-        cluster = build_cluster()
-        cache = cluster.enable_result_cache(capacity=8)
+        cache = QueryResultCache(capacity=8, name="cluster")
+        cluster = build_cluster(cache=cache)
         plan = Scan("users")
         before = cluster.execute(plan)
         with cluster.manager.transaction():
@@ -703,8 +730,8 @@ class TestClusterCache:
         assert (cache.stores, cache.hits) == (2, 2)
 
     def test_shard_move_invalidates_only_the_moved_table(self):
-        cluster = build_cluster()
-        cache = cluster.enable_result_cache(capacity=8)
+        cache = QueryResultCache(capacity=8, name="cluster")
+        cluster = build_cluster(cache=cache)
         users_plan = SelectEq(Scan("users"), {"city": "c0"})
         cities_plan = Scan("cities")
         before = cluster.execute(users_plan)
@@ -726,8 +753,9 @@ class TestClusterCache:
         assert cluster.execute(users_plan) is after
 
     def test_stale_epoch_refused_even_when_cached(self):
-        cluster = build_cluster()
-        cluster.enable_result_cache(capacity=8)
+        cluster = build_cluster(
+            cache=QueryResultCache(capacity=8, name="cluster")
+        )
         plan = SelectEq(Scan("users"), {"city": "c1"})
         epoch_before = cluster.shard_map("users").epoch
         cluster.execute(plan, epoch=epoch_before)
@@ -742,9 +770,15 @@ class TestClusterCache:
         fresh_epoch = cluster.shard_map("users").epoch
         assert cluster.execute(plan, epoch=fresh_epoch).cardinality() > 0
 
-    def test_disable(self):
+    def test_the_coordinator_cache_is_the_managers(self):
         cluster = build_cluster()
-        cluster.enable_result_cache(capacity=4)
-        cluster.disable_result_cache()
         assert cluster.result_cache is None
         assert cluster.execute(Scan("users")).cardinality() == 24
+        cache = QueryResultCache(capacity=4, name="cluster")
+        cluster = build_cluster(cache=cache)
+        assert cluster.result_cache is cluster.manager.result_cache is cache
+        # One cache, one fingerprint: the embedded executor over the
+        # committed catalog hits what the coordinator stored.
+        first = cluster.execute(Scan("users"))
+        assert cluster.manager.committed().execute(Scan("users")) is first
+        assert (cache.stores, cache.hits) == (1, 1)

@@ -25,10 +25,12 @@ from repro.gov.admission import (
     PRIORITY_BACKGROUND,
     PRIORITY_CRITICAL,
 )
+from repro.obs import instrument
 from repro.relational.constraints import KeyConstraint, Table
 from repro.relational.csvio import dumps_csv
 from repro.relational.query import Database
 from repro.relational.sql import run as run_xql
+from repro.relational.stats import StatsCatalog
 from repro.relational.tx import TransactionManager
 from repro.server import Client, Server, connect
 from repro.server.session import render_statement
@@ -55,9 +57,9 @@ def make_manager():
     return TransactionManager({"emp": emp, "dept": dept})
 
 
-async def served(test, **server_kw):
+async def served(test, manager=None, **server_kw):
     """Start a server, run ``test(server)``, tear everything down."""
-    server = Server(make_manager(), **server_kw)
+    server = Server(manager or make_manager(), **server_kw)
     await server.start()
     try:
         return await test(server)
@@ -594,6 +596,38 @@ class TestSnapshotSessions:
 
         run(served(body))
 
+    def test_a_respelling_batch_leaves_memory_as_the_log_spells_it(
+        self, tmp_path
+    ):
+        from repro.relational.wal import WriteAheadLog, recover_state
+        from repro.xst.serialization import digest
+
+        table = Table(["k", "v"], [{"k": 1, "v": 1}], [KeyConstraint(["k"])])
+        base = table.snapshot()
+        log = WriteAheadLog(str(tmp_path / "wal.log"))
+        manager = TransactionManager({"t": table}, log=log)
+
+        async def body(server):
+            client = await connect("127.0.0.1", server.port)
+            # One deferred batch, net diff empty (1 == 1.0): no commit.
+            assert await client.mutate([
+                ["delete", "t", {"k": 1}],
+                ["insert", "t", {"k": 1, "v": 1.0}],
+            ]) == 0
+            assert table.snapshot() is base and log.lsn == 0
+            assert await client.mutate(
+                [["insert", "t", {"k": 2, "v": 2}]]
+            ) == 1
+            answer = await client.query("select k, v from t")
+            await client.close()
+            return answer
+
+        answer = run(served(body, manager))
+        state, replayed = recover_state(log.replay(), base={"t": base})
+        assert replayed == 1
+        assert digest(state["t"].rows) == digest(table.snapshot().rows) \
+            == digest(answer.rows)
+
     def test_malformed_ops_are_session_errors(self):
         async def body(server):
             client = await connect("127.0.0.1", server.port)
@@ -602,6 +636,112 @@ class TestSnapshotSessions:
             await client.close()
 
         run(served(body))
+
+
+class TestServedStatistics:
+    """Served plans read the manager's statistics: the committed
+    catalog carries them, so they outlive every session and re-pin."""
+
+    THREE_WAY = "select name, city from emp join dept join site"
+
+    @staticmethod
+    def three_tables(stats=None):
+        manager = make_manager()
+        site = Table(["floor", "city"], [{"floor": 1, "city": "oslo"},
+                                         {"floor": 3, "city": "rome"}])
+        return TransactionManager({**manager.tables, "site": site},
+                                  stats=stats)
+
+    @staticmethod
+    def plan_modes(registry):
+        """``() -> (cost, heuristic)`` plans optimized since this call."""
+        counter = registry.counter(
+            "repro_opt_plans_total",
+            "Optimized plans by planning mode.", ("mode",),
+        )
+        modes = ("cost", "heuristic")
+        base = [counter.value(mode=mode) for mode in modes]
+        return lambda: tuple(
+            counter.value(mode=mode) - was for mode, was in zip(modes, base)
+        )
+
+    def test_a_managers_statistics_reach_served_plans(self):
+        stats = StatsCatalog()
+        manager = self.three_tables(stats)
+        for name, table in manager.tables.items():
+            stats.analyze(name, table.snapshot())
+
+        async def body(server):
+            client = await connect("127.0.0.1", server.port)
+            with instrument.observed() as registry:
+                modes = self.plan_modes(registry)
+                over_wire = await client.query(self.THREE_WAY)
+                assert modes() == (1, 0)
+                embedded = run_xql(manager.committed(), self.THREE_WAY)
+                assert modes() == (2, 0)
+            assert dumps_csv(over_wire) == dumps_csv(embedded)
+            assert len(over_wire) == 3
+            await client.close()
+
+        run(served(body, manager))
+
+    def test_analyze_over_the_wire_outlives_a_refresh(self):
+        manager = self.three_tables()
+
+        async def body(server):
+            client = await connect("127.0.0.1", server.port)
+            other = await connect("127.0.0.1", server.port)
+            with instrument.observed() as registry:
+                modes = self.plan_modes(registry)
+                await client.query(self.THREE_WAY)
+                assert modes() == (0, 1)
+                analyzed = await client.query("analyze")
+                assert sorted(manager.stats.names()) == \
+                    ["dept", "emp", "site"] and len(analyzed) == 3
+                await client.query(self.THREE_WAY)
+                assert modes() == (1, 1)
+                # No commit in between: REFRESH re-pins the same value.
+                assert await client.refresh() == 0
+                await client.query(self.THREE_WAY)
+                # ... and a session that never said ANALYZE plans from it.
+                await other.query(self.THREE_WAY)
+                assert modes() == (3, 1)
+            await client.close()
+            await other.close()
+
+        run(served(body, manager))
+
+    def test_served_mutations_age_the_statistics(self):
+        manager = self.three_tables(
+            StatsCatalog(stale_fraction=0.0, stale_min=2)
+        )
+        join = "select name, floor from emp join dept"
+
+        async def body(server):
+            client = await connect("127.0.0.1", server.port)
+            await client.query("analyze emp")
+            with instrument.observed() as registry:
+                modes = self.plan_modes(registry)
+                await client.query(join)
+                assert modes() == (1, 0)
+                await client.mutate([
+                    ["insert", "emp", {"eid": 8, "name": "hal", "dept": "ops"}],
+                    ["insert", "emp", {"eid": 9, "name": "ivy", "dept": "eng"}],
+                ])
+                assert manager.stats.mutations_since_analyze("emp") == 2
+                await client.query(join)
+                assert modes() == (2, 0)
+                await client.mutate([["delete", "emp", {"eid": 8}]])
+                assert manager.stats.mutations_since_analyze("emp") == 3
+                assert manager.stats.is_stale("emp")
+                await client.query(join)  # churned past its threshold
+                assert modes() == (2, 1)
+                await client.query("analyze emp")
+                await client.query(join)
+                assert modes() == (3, 1)
+            await client.close()
+
+        run(served(body, manager))
 
 
 class TestIdempotentRetry:
