@@ -19,6 +19,7 @@ import pytest
 
 from repro.obs import instrument
 from repro.obs.digest import add_digest_sink, remove_digest_sink
+from repro.obs.feedback import FeedbackLoop
 from repro.obs.slowlog import slowlog
 from repro.relational.query import Database, Join, Scan, SelectEq
 from repro.workloads import department_relation, employee_relation
@@ -61,10 +62,11 @@ def workload():
 def run_rounds(rounds: int = ROUNDS):
     """Execute the workload ``rounds`` times; returns per-round max q."""
     db = drifted_db()
-    db.enable_feedback(qerror_threshold=1.0)
+    loop = FeedbackLoop(db.stats, qerror_threshold=1.0)
     plans = workload()
     trajectory = []
     digests = []
+    add_digest_sink(loop.consume)
     add_digest_sink(digests.append)
     try:
         for _ in range(rounds):
@@ -76,6 +78,7 @@ def run_rounds(rounds: int = ROUNDS):
             )
     finally:
         remove_digest_sink(digests.append)
+        remove_digest_sink(loop.consume)
     return trajectory
 
 
@@ -106,13 +109,17 @@ def test_feedback_shrinks_qerror(benchmark, obs_on):
 def test_observed_round_cost(benchmark, obs_on, feedback):
     """What consuming digests into the catalog overlay costs per round."""
     db = drifted_db()
+    loop = FeedbackLoop(db.stats, qerror_threshold=1.0)
     if feedback:
-        db.enable_feedback(qerror_threshold=1.0)
+        add_digest_sink(loop.consume)
     plans = workload()
 
     def one_round():
         for plan in plans:
             db.execute(plan)
 
-    benchmark(one_round)
+    try:
+        benchmark(one_round)
+    finally:
+        remove_digest_sink(loop.consume)
     benchmark.extra_info["feedback"] = feedback

@@ -1,15 +1,15 @@
 """Cost-based planning: ANALYZE, estimates vs actuals, join reordering.
 
-The statistics catalog (`repro.relational.stats`) replaces the
-optimizer's magic constants with measurement: one ANALYZE pass per
-relation collects row counts, KMV distinct sketches, equi-depth
-histograms and most-common-value lists, and the cost-based planner
-(`repro.relational.cost`) reads them to estimate every plan node and
-to search join orders with bottom-up dynamic programming.  This
-example builds an adversarially-ordered three-way join, shows the
-heuristic plan (no statistics) and the reordered cost-based plan
-(after ANALYZE), and prints EXPLAIN ANALYZE output with per-node
-``est_rows`` vs ``actual_rows`` and q-error.
+The planner (`repro.relational.cost`) estimates every plan node and
+searches join orders with bottom-up dynamic programming on every
+catalog; the statistics catalog (`repro.relational.stats`) sharpens
+its numbers with measurement: one ANALYZE pass per relation collects
+row counts, KMV distinct sketches, equi-depth histograms and
+most-common-value lists.  This example builds an adversarially-ordered
+three-way join, shows the plan searched on live sizes alone (no
+statistics) and the one searched from the catalog (after ANALYZE), and
+prints EXPLAIN ANALYZE output with per-node ``est_rows`` vs
+``actual_rows`` and q-error.
 
 Run:  python examples/explain_estimates.py
 """
@@ -54,7 +54,7 @@ def main() -> None:
         SelectEq(Scan("dept"), {"dept": 3}),
     )
 
-    banner("Heuristic plan (no statistics -- written order kept)")
+    banner("Never analyzed (join order searched on live sizes)")
     print(optimize(plan, db).explain())
 
     banner("ANALYZE emp, dept, assign")
@@ -66,7 +66,7 @@ def main() -> None:
     print("emp.dept: distinct=%d, top MCVs %s"
           % (dept_stats.distinct, dept_stats.mcvs[:3]))
 
-    banner("Cost-based plan (DP join ordering from the catalog)")
+    banner("Analyzed (the same search, numbers from the catalog)")
     optimized = optimize(plan, db)
     print(optimized.explain())
     est = CardinalityEstimator(db)

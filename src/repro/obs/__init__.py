@@ -21,8 +21,9 @@ module             contents
 ``recorder``       flight recorder: ring of recent events, snapshotted
                    into incident records on typed failures
 ``feedback``       planner feedback loop (imported explicitly as
-                   :mod:`repro.obs.feedback` -- it depends on the
-                   relational layer, so it is *not* re-exported here)
+                   :mod:`repro.obs.feedback` -- it corrects the
+                   relational layer's statistics catalog, so it is
+                   *not* re-exported here)
 =================  ===================================================
 
 Who hangs off it: the XST kernel (op counts, cardinalities, latency

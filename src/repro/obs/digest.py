@@ -196,7 +196,8 @@ def build_digest(
 
 #: Registered digest consumers, called in registration order with each
 #: produced digest.  The slow-query log registers itself on module
-#: import; the feedback loop and flight recorder register on enable.
+#: import, the flight recorder on enable, a feedback loop when its
+#: owner adds ``loop.consume``.
 _SINKS: List[Callable[[QueryDigest], None]] = []
 
 

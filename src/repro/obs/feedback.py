@@ -9,6 +9,17 @@ exceeds a threshold, the *actual* cardinality is written back into the
 correction -- never mutating the ANALYZE ground truth -- so the next
 plan over the same shape estimates from evidence.
 
+A loop holds the catalog it corrects, not a database, and is switched
+on where the slow log and the flight recorder are::
+
+    loop = FeedbackLoop(db.stats)
+    add_digest_sink(loop.consume)      # ... remove_digest_sink to stop
+
+so it keeps learning across commits (every catalog value a
+:class:`~repro.relational.tx.TransactionManager` produces carries the
+same ``StatsCatalog``).  A digest names relations, not catalogs: a
+registered loop learns from every observed execution in the process.
+
 Two kinds of corrections are learned, both anchored at base relations
 (where the estimator can reuse them):
 
@@ -55,18 +66,18 @@ SEVERE_STRIKES = 3
 
 
 class FeedbackLoop:
-    """Consumes digests, writes overlay corrections into the catalog."""
+    """Consumes digests, writes overlay corrections into ``stats``."""
 
     def __init__(
         self,
-        db,
+        stats,
         qerror_threshold: float = QERROR_THRESHOLD,
         severe_qerror: float = SEVERE_QERROR,
         severe_strikes: int = SEVERE_STRIKES,
     ):
         if qerror_threshold < 1.0:
             raise ValueError("q-error thresholds start at 1.0 (perfect)")
-        self._db = db
+        self._catalog = stats
         self.qerror_threshold = qerror_threshold
         self.severe_qerror = severe_qerror
         self.severe_strikes = severe_strikes
@@ -84,7 +95,7 @@ class FeedbackLoop:
         considered; failed queries still teach (their completed nodes
         measured real cardinalities before the error).
         """
-        catalog = self._db.stats
+        catalog = self._catalog
         recorded = 0
         for node in digest.nodes:
             error = node.get("q_error")
@@ -109,28 +120,28 @@ class FeedbackLoop:
 
     # -- maintenance ----------------------------------------------------
 
-    def reanalyze_stale(self, seed: int = 0) -> List[str]:
-        """Re-ANALYZE every stale relation; returns the names refreshed.
+    def reanalyze_stale(self, db, seed: int = 0) -> List[str]:
+        """Re-ANALYZE every stale relation ``db`` holds, from ``db``'s
+        rows; returns the names refreshed.
 
         This is the loop's closing arc: corrections accumulate, severe
         ones force staleness, and a fresh ANALYZE replaces both the
         drifted ground truth *and* (by catalog contract) drops the
         overlay entries it supersedes.
         """
-        catalog = self._db.stats
-        refreshed = []
-        for name in catalog.stale_names():
-            if name not in self._db.names():
-                continue
-            self._db.stats.analyze(name, self._db.relation(name), seed=seed)
+        present = set(db.names())
+        refreshed = [
+            name for name in self._catalog.stale_names() if name in present
+        ]
+        for name in refreshed:
+            self._catalog.analyze(name, db.relation(name), seed=seed)
             self._strikes.pop(name, None)
-            refreshed.append(name)
         return refreshed
 
     def stats(self) -> Dict[str, Any]:
         return {
             "corrections": self.corrections,
-            "overlay": len(self._db.stats.feedback_entries()),
+            "overlay": len(self._catalog.feedback_entries()),
             "strikes": dict(self._strikes),
             "marked_stale": list(self.marked_stale),
         }

@@ -71,7 +71,7 @@ from repro.relational.faults import (
     ShipmentCorruptedError,
     ShipmentLostError,
 )
-from repro.relational.optimizer import estimate_rows, optimize
+from repro.relational.optimizer import optimize
 from repro.relational.cost import (
     CardinalityEstimator,
     explain_analyze,
@@ -151,7 +151,6 @@ __all__ = [
     "Database",
     # optimizer
     "optimize",
-    "estimate_rows",
     # statistics & cost-based planning
     "StatsCatalog",
     "RelationStats",

@@ -1,8 +1,7 @@
 """Cost-based planning: estimation, operator costs, join-order search.
 
-This is the consumer of :mod:`repro.relational.stats`: where the
-heuristic optimizer guesses with constants, the cost-based planner
-*reads the catalog*.
+The planner's one cardinality table and one join-ordering rule, and
+the consumer of :mod:`repro.relational.stats`.
 
 Three layers, each usable alone:
 
@@ -10,9 +9,11 @@ Three layers, each usable alone:
   plan node.  Equality selectivity comes from MCV lists and distinct
   counts, join selectivity from ``1 / max(distinct_left,
   distinct_right)`` per shared attribute, and any relation without a
-  (fresh) catalog entry falls back to the exact heuristic constants in
-  :func:`repro.relational.optimizer.estimate_rows` -- so the planner
-  degrades attribute-by-attribute, never all-or-nothing.
+  (fresh) catalog entry falls back to its live cardinality and the
+  constants :data:`_FALLBACK_EQ_SELECTIVITY` /
+  :data:`_FALLBACK_PRED_SELECTIVITY` -- so the planner degrades
+  attribute-by-attribute, never all-or-nothing, and a never-analyzed
+  catalog is planned by the same code as an analyzed one.
 
 * **Operator cost formulas** (:meth:`CardinalityEstimator.cost`) --
   one weighted-rows term per operator, calibrated against the shapes
@@ -24,8 +25,8 @@ Three layers, each usable alone:
   planning.
 
 * **Join-order enumeration** (:func:`reorder_joins`) -- bottom-up
-  dynamic programming over the join lattice (bushy trees), replacing
-  the single build-side swap.  Up to :data:`DP_MAX_RELATIONS` leaves
+  dynamic programming over the join lattice (bushy trees); the only
+  code that decides a join's sides or order.  Up to :data:`DP_MAX_RELATIONS` leaves
   the search is exact over connected splits (cartesian splits are
   admitted only when a lattice cell has no connected split); beyond
   that, or when the enumeration exceeds its step budget, it degrades
@@ -34,9 +35,10 @@ Three layers, each usable alone:
   :class:`repro.gov.Governor` can cancel a pathological search
   mid-enumeration.
 
-Determinism: estimates are pure functions of the catalog, ties break
-on the subset enumeration order, and nothing reads a clock -- the same
-plan and the same statistics give the same join order on every run.
+Determinism: estimates are pure functions of the catalog and the live
+cardinalities, ties break on the subset enumeration order, and nothing
+reads a clock -- the same plan over the same relations and statistics
+gives the same join order on every run.
 """
 
 from __future__ import annotations
@@ -89,9 +91,9 @@ DP_MAX_RELATIONS = 8
 #: candidate splits, bounding planning time on adversarial lattices.
 DP_STEP_BUDGET = 4096
 
-#: Heuristic fallback selectivities (the pre-stats constants, kept
-#: bit-identical so a stats-less estimate matches
-#: :func:`repro.relational.optimizer.estimate_rows`).
+#: Selectivities assumed where no fresh statistic reaches an attribute:
+#: one row in ten survives an equality (or forms a group), one in three
+#: an opaque predicate.
 _FALLBACK_EQ_SELECTIVITY = 0.1
 _FALLBACK_PRED_SELECTIVITY = 1.0 / 3.0
 
@@ -194,8 +196,8 @@ class CardinalityEstimator:
 
     One instance memoizes per plan-node identity, so estimating a
     whole tree is linear.  ``catalog`` defaults to the database's own
-    (:attr:`Database.stats`); pass an empty catalog to get the pure
-    heuristic numbers from the same code path.
+    (:attr:`Database.stats`); pass an empty catalog for the numbers a
+    never-analyzed database gets.
     """
 
     def __init__(self, db: Database, catalog: Optional[StatsCatalog] = None):
@@ -477,8 +479,7 @@ class CardinalityEstimator:
 
         ``relative_product`` buckets its *second* operand, so build
         cost lands on the right input -- which is why a cheaper plan
-        puts the smaller side right, recovering the old build-side
-        swap as a special case of cost comparison.
+        puts the smaller side right.
         """
         return (left_rows * _COST_JOIN_PROBE
                 + right_rows * _COST_JOIN_BUILD
@@ -621,8 +622,7 @@ def _greedy(leaves: List[Plan], est: CardinalityEstimator) -> Plan:
 
     O(n^3) and deterministic: at each step join the pair with the
     smallest estimated output (ties to the earliest pair in input
-    order), placing the smaller input on the build (right) side --
-    the old single-swap heuristic generalized to n relations.
+    order), placing the smaller input on the build (right) side.
     """
     working = list(leaves)
     while len(working) > 1:
@@ -677,7 +677,7 @@ def explain_analyze(db: Database, plan: Plan,
 
         plan = optimize(plan, db)
     # The span walker is the executor; each span carries its node's
-    # measured ``rows`` (and feeds ``repro_opt_qerror`` when observed).
+    # measured ``rows``.
     result, root = execute_spanned(db, plan)
     est = CardinalityEstimator(db)
     lines: List[str] = []

@@ -668,9 +668,8 @@ class _ShardKernels:
         The choice reads only the two sides' estimates, maps and
         shared attributes, never which operand was written first: a
         join and its commutation ship the same rows.  The chosen
-        strategy lands on the root span and the
-        ``repro_shard_join_total`` counter, so plans are auditable
-        from traces alone.
+        strategy lands on the root span, so plans are auditable from
+        traces alone.
         """
         cluster, context = self.cluster, self.context
         sides = (left, right)
@@ -709,11 +708,6 @@ class _ShardKernels:
         context.span.set("strategy", strategy)
         context.span.set("est_left_rows", int(rows[0]))
         context.span.set("est_right_rows", int(rows[1]))
-        if _obs_enabled():
-            _metrics.registry().counter(
-                "repro_shard_join_total",
-                "Distributed joins by chosen strategy.", ("strategy",),
-            ).inc_key((strategy,))
         if strategy == "gather":
             return algebra.join(self.gather(left), self.gather(right))
         host, guest = sides[stay], sides[move]

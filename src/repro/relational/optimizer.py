@@ -4,7 +4,7 @@ Section 12 argues that because compositions of processes are always
 constructible (Theorem 11.2), data management behavior can be
 *optimized*: intermediate operations that only relay results can be
 eliminated before anything executes.  This optimizer applies that idea
-to query plans with four rewrite families:
+to query plans with four families:
 
 1. **Unary fusion** -- adjacent Project/Rename stages are one
    re-scoping process each, so their composition is a single stage
@@ -15,19 +15,19 @@ to query plans with four rewrite families:
    of a Join, shrinking relative-product inputs.
 3. **Adjacent select merging** -- stacked SelectEq nodes merge into
    one restriction key.
-4. **Join input ordering** -- the smaller estimated side becomes the
-   build side of the hash-join relative product.
-
-When the database carries a populated statistics catalog
-(:attr:`Database.stats`, see :mod:`repro.relational.stats`), a fifth
-stage runs after the fixed point: cost-based join-order enumeration
-from :mod:`repro.relational.cost` replaces the single build-side swap
-with a dynamic-programming search over the whole join lattice.  With
-no (fresh) statistics the stage is skipped entirely and the output is
-byte-identical to the heuristic pipeline.
+4. **Join ordering** -- after the rewrite fixed point, every maximal
+   join region is re-associated and its build sides chosen by one
+   cost-ordered search (:func:`repro.relational.cost.reorder_joins`)
+   over one cardinality table
+   (:class:`repro.relational.cost.CardinalityEstimator`).  The search
+   runs on every catalog: ``ANALYZE`` statistics
+   (:attr:`Database.stats`) and feedback corrections refine the
+   numbers it compares; where there are none it compares live
+   cardinalities and the fallback selectivities.
 
 Rewrites preserve results exactly (asserted in the tests: optimized
-and unoptimized plans agree on every generated workload).
+and unoptimized plans agree on every generated workload, in every
+catalog state).
 """
 
 from __future__ import annotations
@@ -37,31 +37,29 @@ from typing import Dict, Mapping
 from repro.gov.governor import checkpoint as _gov_checkpoint
 from repro.obs import metrics as _metrics
 from repro.obs.instrument import enabled as _obs_enabled
+from repro.relational.cost import CardinalityEstimator, reorder_joins
 from repro.relational.query import (
-    Aggregate,
     Database,
-    Difference,
     Join,
-    Limit,
     Plan,
     Project,
     Rename,
-    Scan,
     SelectEq,
     SelectPred,
-    Union,
 )
 
-__all__ = ["optimize", "estimate_rows"]
+__all__ = ["optimize"]
 
 
 def optimize(plan: Plan, db: Database) -> Plan:
-    """Apply the rewrite families bottom-up until a fixed point.
+    """The rewrite fixed point, then one cost-ordered join search.
 
     The plan must be well defined on ``db``'s headings
     (:meth:`Database.heading_of` raises ``SchemaError`` otherwise):
     a rewrite may erase an ill-formed node, and the optimized and the
-    unoptimized plan have to agree on refusing it.
+    unoptimized plan have to agree on refusing it.  Statistics change
+    the estimates the search compares, never whether it runs; a plan
+    holding no ``Join`` has nothing to order and builds no estimator.
     """
     db.heading_of(plan)
     # A rule that fires shrinks the tree or moves a node down it, and a
@@ -71,75 +69,29 @@ def optimize(plan: Plan, db: Database) -> Plan:
         _gov_checkpoint("optimizer.pass")
         rewritten = _rewrite(plan, db)
         if rewritten is plan:
-            return _maybe_cost_reorder(plan, db)
+            break
         plan = rewritten
-
-
-def _maybe_cost_reorder(plan: Plan, db: Database) -> Plan:
-    """Cost-based join ordering, applied only when statistics exist.
-
-    The guard is deliberately strict: an empty or entirely-stale
-    catalog leaves the heuristic plan untouched (byte-identical), so
-    databases that never ran ANALYZE behave exactly as before.
-    """
-    catalog = getattr(db, "stats", None)
-    if catalog is None or not catalog.names():
-        _record_plan_mode("heuristic")
+    if not _has_join(plan):
         return plan
-    # Imported lazily: cost imports this module's sibling query types
-    # and would otherwise create an import cycle at load time.
-    from repro.relational.cost import CardinalityEstimator, reorder_joins
-
     estimator = CardinalityEstimator(db)
-    if not estimator.has_stats(plan):
-        _record_plan_mode("heuristic")
-        return plan
-    reordered = reorder_joins(plan, db, estimator)
-    _record_plan_mode("cost")
-    return reordered
-
-
-def _record_plan_mode(mode: str) -> None:
     if _obs_enabled():
         _metrics.registry().counter(
             "repro_opt_plans_total",
-            "Optimized plans by planning mode.", ("mode",),
-        ).inc(mode=mode)
+            "Join-ordered plans by whether a fresh statistic stood "
+            "under them.", ("mode",),
+        ).inc(mode="cost" if estimator.has_stats(plan) else "heuristic")
+    return reorder_joins(plan, db, estimator)
 
 
-def estimate_rows(plan: Plan, db: Database) -> int:
-    """Cheap cardinality estimate used for join ordering.
-
-    Base relations report their true size; equality selections assume
-    one-in-ten selectivity; joins assume the smaller input bounds the
-    result; a grouping keeps one row in ten.  Precision is unimportant
-    -- only the relative order of join inputs is consumed.
-    """
-    rule = _ESTIMATES.get(type(plan))
-    if rule is None:
-        raise TypeError("unknown plan node %r" % (plan,))
-    return rule(plan, db)
-
-
-_ESTIMATES = {
-    Scan: lambda plan, db: db.relation(plan.name).cardinality(),
-    SelectEq: lambda plan, db: max(1, estimate_rows(plan.child, db) // 10),
-    SelectPred: lambda plan, db: max(1, estimate_rows(plan.child, db) // 3),
-    Project: lambda plan, db: estimate_rows(plan.child, db),
-    Rename: lambda plan, db: estimate_rows(plan.child, db),
-    Join: lambda plan, db: max(
-        estimate_rows(plan.left, db), estimate_rows(plan.right, db)
-    ),
-    Union: lambda plan, db: (
-        estimate_rows(plan.left, db) + estimate_rows(plan.right, db)
-    ),
-    Difference: lambda plan, db: estimate_rows(plan.left, db),
-    # One group in ten input rows; a single row when nothing groups.
-    Aggregate: lambda plan, db: (
-        max(1, estimate_rows(plan.child, db) // 10) if plan.group_attrs else 1
-    ),
-    Limit: lambda plan, db: min(plan.count, estimate_rows(plan.child, db)),
-}
+def _has_join(plan: Plan) -> bool:
+    # Runs on every optimized plan, point reads included: a plain loop,
+    # three calls a node.
+    if isinstance(plan, Join):
+        return True
+    for child in plan.children():
+        if _has_join(child):
+            return True
+    return False
 
 
 # ----------------------------------------------------------------------
@@ -332,22 +284,11 @@ def _rewrite_rename(plan: Rename, db: Database) -> Plan:
     return plan
 
 
-def _rewrite_join(plan: Join, db: Database) -> Plan:
-    # Build on the smaller estimated input: relative_product buckets
-    # its second operand, so put the smaller side on the right.
-    # Natural join is symmetric up to attribute order (headings merge
-    # by name), so swapping operands is always result-preserving.
-    if estimate_rows(plan.right, db) > estimate_rows(plan.left, db):
-        return Join(plan.right, plan.left)
-    return plan
-
-
 #: The rewrite rule of each node type that has one, as ``(node, db)``.
 _RULES = {
     SelectEq: _rewrite_select,
     SelectPred: _rewrite_select_pred,
     Project: _rewrite_project,
     Rename: _rewrite_rename,
-    Join: _rewrite_join,
 }
 

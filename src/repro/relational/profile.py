@@ -137,10 +137,10 @@ def execute_spanned(
     registry = metrics.registry() if recording else None
     # When the database carries a populated statistics catalog, every
     # span additionally records the planner's estimate next to the
-    # measured cardinality (``est_rows`` / ``q_error`` attributes, plus
-    # the ``repro_opt_qerror`` histogram) -- EXPLAIN ANALYZE data on
-    # the production path.  ``_stats`` is read without triggering the
-    # lazy catalog creation, so stats-less databases pay nothing.
+    # measured cardinality (``est_rows`` / ``q_error`` attributes) --
+    # EXPLAIN ANALYZE data on the production path.  ``_stats`` is read
+    # without triggering the lazy catalog creation, so stats-less
+    # databases pay nothing.
     estimator = None
     catalog = getattr(db, "_stats", None)
     if catalog is not None and len(catalog):
@@ -182,22 +182,11 @@ def execute_spanned(
                 error = qerror(estimated, rows)
                 span.set("est_rows", int(round(estimated)))
                 span.set("q_error", round(error, 4))
-                if registry is not None:
-                    registry.histogram(
-                        "repro_opt_qerror",
-                        "Per-node q-error of executed plans.",
-                        buckets=(1.0, 1.5, 2.0, 3.0, 5.0, 10.0, 100.0),
-                    ).observe(error)
             if registry is not None:
-                node_name = type(node).__name__
                 registry.counter(
                     "repro_plan_node_total",
                     "Plan operator executions.", ("node",),
-                ).inc(node=node_name)
-                registry.counter(
-                    "repro_plan_rows_total",
-                    "Plan operator output rows.", ("node",),
-                ).inc(rows, node=node_name)
+                ).inc(node=type(node).__name__)
         return result
 
     # Intermediates stay in whatever backend produced them (columnar

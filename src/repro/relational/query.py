@@ -486,7 +486,6 @@ class Database:
         self._relations: Dict[str, Relation] = dict(relations or {})
         self._columnar: Dict[str, ColumnarRelation] = {}
         self._stats = stats
-        self._feedback = None
         self._result_cache = result_cache
         self._sealed = False
 
@@ -581,8 +580,10 @@ class Database:
     def stats(self):
         """The attached :class:`~repro.relational.stats.StatsCatalog`.
 
-        Created lazily on first access so plain databases pay nothing;
-        an empty catalog leaves the optimizer on its heuristic path.
+        Created lazily on first access so plain databases pay nothing.
+        The optimizer runs the same join search whatever it holds: a
+        relation with no fresh entry is sized from its live cardinality
+        and the fallback selectivities.
         """
         if self._stats is None:
             from repro.relational.stats import StatsCatalog
@@ -673,10 +674,10 @@ class Database:
         Every execution -- successful or dying on a typed error --
         produces one :class:`~repro.obs.digest.QueryDigest` built from
         the recorded span tree and fanned out to the digest sinks
-        (slow-query log, flight recorder).  When a
-        :class:`~repro.obs.feedback.FeedbackLoop` is enabled, its
-        corrections are applied before returning, so the *next* query
-        over the same shapes plans from observed cardinalities.
+        (slow-query log, flight recorder, any registered
+        :class:`~repro.obs.feedback.FeedbackLoop` -- whose corrections
+        are thereby applied before returning, so the *next* query over
+        the same shapes plans from observed cardinalities).
         """
         from repro.obs.digest import build_digest, plan_hash, record_digest
         from repro.obs.trace import tracer as _tracer
@@ -697,8 +698,6 @@ class Database:
                     trace_id=root.attrs.get("trace_id"),
                 )
                 record_digest(digest)
-                if self._feedback is not None:
-                    self._feedback.consume(digest)
             raise
         digest = build_digest(
             root,
@@ -708,27 +707,7 @@ class Database:
             trace_id=root.attrs.get("trace_id"),
         )
         record_digest(digest)
-        if self._feedback is not None:
-            self._feedback.consume(digest)
         return _materialize(result)
-
-    def enable_feedback(self, **kwargs):
-        """Attach (and return) a planner feedback loop to this database.
-
-        Every observed execution's digest is then fed back into
-        :attr:`stats` as overlay corrections (see
-        :mod:`repro.obs.feedback`).  Idempotent: an existing loop is
-        returned unchanged unless keyword overrides are given.
-        """
-        if self._feedback is None or kwargs:
-            from repro.obs.feedback import FeedbackLoop
-
-            self._feedback = FeedbackLoop(self, **kwargs)
-        return self._feedback
-
-    def disable_feedback(self) -> None:
-        """Detach the feedback loop (overlay corrections remain)."""
-        self._feedback = None
 
     def _execute_raw(self, plan: Plan) -> Operand:
         """Bottom-up evaluation *without* canonicalizing intermediates.

@@ -30,8 +30,9 @@ relation since its last ANALYZE (fed by
 :class:`~repro.relational.tx.TransactionManager`).  Past a threshold
 (a fraction of the analyzed row count, floor ``STALE_MIN_MUTATIONS``)
 the entry is *invalidated*: :meth:`StatsCatalog.get` returns ``None``
-and the planner falls back to the heuristic constants until a fresh
-ANALYZE.  Catalogs serialize to/from canonical XSet values so
+and the estimator sizes the relation from its live cardinality and the
+fallback selectivities until a fresh ANALYZE.  Catalogs serialize
+to/from canonical XSet values so
 :class:`~repro.relational.disk.DiskRelationStore` checkpoints persist
 them next to the data they describe.
 
@@ -362,9 +363,10 @@ class StatsCatalog:
 
     The catalog is the planner's one lookup point: ``get(name)``
     returns ``None`` for unknown *or stale* entries, which is the
-    signal to fall back to the heuristic constants.  Mutation counts
-    arrive from :class:`~repro.relational.tx.TransactionManager` (or
-    any caller of :meth:`record_mutations`).
+    signal to fall back to live cardinality and the fallback
+    selectivities.  Mutation counts arrive from
+    :class:`~repro.relational.tx.TransactionManager` (or any caller of
+    :meth:`record_mutations`).
     """
 
     def __init__(
@@ -401,11 +403,6 @@ class StatsCatalog:
         # Fresh ground truth supersedes every runtime correction.
         self._discard_feedback(name)
         return stats
-
-    def install(self, name: str, stats: RelationStats) -> None:
-        self._entries[name] = stats
-        self._mutations.setdefault(name, 0)
-        self._discard_feedback(name)
 
     def drop(self, name: str) -> None:
         self._entries.pop(name, None)

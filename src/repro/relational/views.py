@@ -141,9 +141,6 @@ class ViewCatalog:
                 )
         del self._views[name]
         self._db.remove("__view__" + name)
-        if self._db._stats is not None:
-            self._db.stats.drop(name)
-            self._db.stats.drop("__view__" + name)
         return view
 
     def names(self) -> List[str]:
@@ -284,22 +281,6 @@ class ViewCatalog:
         view._inputs = self._current_inputs(view)
         if self._manager is not None:
             view.refresh_version = self._manager.current_version
-            self._install_stats(view)
-
-    def _install_stats(self, view: View) -> None:
-        """Teach the stats catalog this view's cardinality.
-
-        Row counts alone (no per-attribute structure): enough for the
-        planner's join ordering over view shadows, and O(1) to keep
-        current on every delta apply.
-        """
-        if view._cache is None:
-            return
-        from repro.relational.stats import RelationStats
-
-        stats = RelationStats(view._cache.cardinality(), {})
-        self._db.stats.install(view.name, stats)
-        self._db.stats.install("__view__" + view.name, stats)
 
     def _adopt(self, names) -> None:
         """Hold what the manager holds: the committed relation of each
@@ -370,7 +351,6 @@ class ViewCatalog:
             base_deltas[shadow] = delta
         view._inputs = current
         view.refresh_version = version
-        self._install_stats(view)
 
     def _expand_for_delta(self, plan: Plan, failed: set) -> Plan:
         """Rewrite a view plan so the propagator sees only relations.

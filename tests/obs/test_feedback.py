@@ -6,7 +6,11 @@ from hypothesis import strategies as st
 
 from repro.errors import SchemaError
 from repro.obs import instrument
-from repro.obs.digest import QueryDigest
+from repro.obs.digest import (
+    QueryDigest,
+    add_digest_sink,
+    remove_digest_sink,
+)
 from repro.obs.feedback import (
     QERROR_THRESHOLD,
     SEVERE_QERROR,
@@ -16,7 +20,8 @@ from repro.obs.feedback import (
 from repro.relational.cost import CardinalityEstimator, qerror
 from repro.relational.query import Database, Join, Scan, SelectEq
 from repro.relational.relation import Relation
-from repro.relational.stats import feedback_key
+from repro.relational.stats import StatsCatalog, feedback_key
+from repro.relational.tx import Table, TransactionManager
 from repro.workloads.generators import (
     department_relation,
     employee_relation,
@@ -28,6 +33,23 @@ def obs_on():
     previous = instrument.set_enabled(True)
     yield
     instrument.set_enabled(previous)
+
+
+@pytest.fixture
+def learning():
+    """``learning(stats, **thresholds)``: a loop registered as a digest
+    sink for the test's duration."""
+    loops = []
+
+    def register(stats, **kwargs):
+        loop = FeedbackLoop(stats, **kwargs)
+        add_digest_sink(loop.consume)
+        loops.append(loop)
+        return loop
+
+    yield register
+    for loop in loops:
+        remove_digest_sink(loop.consume)
 
 
 def emp_db(count=120, departments=6, seed=101):
@@ -60,7 +82,7 @@ def node(relation=None, conditions=None, q_error=None, actual=10,
 class TestConsume:
     def test_misestimates_record_overlay_corrections(self):
         db = emp_db()
-        loop = FeedbackLoop(db)
+        loop = FeedbackLoop(db.stats)
         recorded = loop.consume(digest_with([
             node(relation="emp", conditions="dept=3", q_error=5.0,
                  actual=40),
@@ -71,14 +93,14 @@ class TestConsume:
 
     def test_scan_corrections_use_the_none_key(self):
         db = emp_db()
-        FeedbackLoop(db).consume(digest_with([
+        FeedbackLoop(db.stats).consume(digest_with([
             node(relation="emp", q_error=3.0, actual=500),
         ]))
         assert db.stats.feedback_rows("emp", None) == 500
 
     def test_accurate_nodes_teach_nothing(self):
         db = emp_db()
-        loop = FeedbackLoop(db)
+        loop = FeedbackLoop(db.stats)
         assert loop.consume(digest_with([
             node(relation="emp", q_error=1.2, actual=120),
         ])) == 0
@@ -86,13 +108,13 @@ class TestConsume:
 
     def test_nodes_without_a_relation_anchor_are_skipped(self):
         db = emp_db()
-        assert FeedbackLoop(db).consume(digest_with([
+        assert FeedbackLoop(db.stats).consume(digest_with([
             node(q_error=50.0, actual=9),  # a Join: nowhere to anchor
         ])) == 0
 
     def test_failed_queries_still_teach(self):
         db = emp_db()
-        assert FeedbackLoop(db).consume(digest_with(
+        assert FeedbackLoop(db.stats).consume(digest_with(
             [node(relation="emp", q_error=4.0, actual=77)],
             status="DEADLINE_EXCEEDED",
         )) == 1
@@ -101,14 +123,14 @@ class TestConsume:
     def test_ground_truth_is_never_mutated(self):
         db = emp_db()
         before = db.stats.get("emp").rows
-        FeedbackLoop(db).consume(digest_with([
+        FeedbackLoop(db.stats).consume(digest_with([
             node(relation="emp", q_error=9.0, actual=9000),
         ]))
         assert db.stats.get("emp").rows == before
 
     def test_threshold_must_start_at_perfect(self):
         with pytest.raises(ValueError):
-            FeedbackLoop(emp_db(), qerror_threshold=0.5)
+            FeedbackLoop(emp_db().stats, qerror_threshold=0.5)
 
     def test_negative_observations_are_rejected_by_the_catalog(self):
         with pytest.raises(SchemaError):
@@ -118,7 +140,7 @@ class TestConsume:
 class TestSevereStrikes:
     def test_repeated_severe_misses_force_staleness(self):
         db = emp_db()
-        loop = FeedbackLoop(db)
+        loop = FeedbackLoop(db.stats)
         for _ in range(SEVERE_STRIKES):
             assert not db.stats.is_stale("emp")
             loop.consume(digest_with([
@@ -129,7 +151,7 @@ class TestSevereStrikes:
 
     def test_moderate_misses_never_strike(self):
         db = emp_db()
-        loop = FeedbackLoop(db)
+        loop = FeedbackLoop(db.stats)
         for _ in range(SEVERE_STRIKES * 2):
             loop.consume(digest_with([
                 node(relation="emp", q_error=QERROR_THRESHOLD, actual=5),
@@ -139,12 +161,12 @@ class TestSevereStrikes:
 
     def test_reanalyze_refreshes_and_clears_strikes(self):
         db = emp_db()
-        loop = FeedbackLoop(db)
+        loop = FeedbackLoop(db.stats)
         for _ in range(SEVERE_STRIKES):
             loop.consume(digest_with([
                 node(relation="emp", q_error=SEVERE_QERROR, actual=5),
             ]))
-        refreshed = loop.reanalyze_stale(seed=101)
+        refreshed = loop.reanalyze_stale(db, seed=101)
         assert refreshed == ["emp"]
         assert not db.stats.is_stale("emp")
         # Fresh ANALYZE supersedes the overlay corrections too.
@@ -154,12 +176,10 @@ class TestSevereStrikes:
 
 class TestOverlayBounds:
     def test_overlay_is_fifo_bounded(self):
-        from repro.relational.stats import StatsCatalog
-
         db = emp_db()
         db._stats = StatsCatalog(feedback_max=3)
         db.analyze()
-        loop = FeedbackLoop(db)
+        loop = FeedbackLoop(db.stats)
         for index in range(5):
             loop.consume(digest_with([
                 node(relation="emp", conditions="dept=%d" % index,
@@ -185,12 +205,12 @@ class TestClosedLoop:
         db.add("emp", employee_relation(360, 4, seed=7))
         return db
 
-    def test_qerror_shrinks_after_one_observed_run(self, obs_on):
+    def test_qerror_shrinks_after_one_observed_run(self, obs_on, learning):
         db = self.drifted_db()
         plan = SelectEq(Scan("emp"), {"dept": 2})
         before_scan = CardinalityEstimator(db).estimate(Scan("emp"))
         before_select = CardinalityEstimator(db).estimate(plan)
-        db.enable_feedback(qerror_threshold=1.0)
+        learning(db.stats, qerror_threshold=1.0)
         actual = len(db.execute(plan))
         assert qerror(before_select, actual) > 1.0  # honestly drifted
 
@@ -205,13 +225,40 @@ class TestClosedLoop:
         assert before_scan == 40.0
         assert CardinalityEstimator(db).estimate(Scan("emp")) == 360.0
 
-    def test_feedback_loop_is_idempotent_per_database(self):
+    def test_the_loop_outlives_a_commit(self, obs_on, learning):
+        manager = TransactionManager({
+            "emp": Table(
+                ["emp", "dept"],
+                [{"emp": i, "dept": i % 4} for i in range(40)],
+            ),
+        })
+        manager.committed().analyze()
+        loop = learning(manager.stats, qerror_threshold=1.0)
+        with manager.transaction():
+            for i in range(80):
+                manager.table("emp").insert({"emp": 40 + i, "dept": 1})
+        after = manager.committed()  # a successor catalog value
+        plan = SelectEq(Scan("emp"), {"dept": 1})
+        actual = len(after.execute(plan))
+        assert actual == 90
+        assert manager.stats.feedback_rows(
+            "emp", feedback_key({"dept": 1})
+        ) == actual
+        assert CardinalityEstimator(after).estimate(plan) == actual
+        # The commit churned the entry stale; re-ANALYZE reads the rows
+        # of the value committed *now*, not the one the loop began on.
+        assert manager.stats.is_stale("emp")
+        assert loop.reanalyze_stale(manager.committed()) == ["emp"]
+        assert manager.stats.get("emp").rows == 120
+
+    def test_an_unregistered_loop_stops_learning(self, obs_on):
         db = emp_db()
-        loop = db.enable_feedback()
-        assert db.enable_feedback() is loop
-        assert db.enable_feedback(qerror_threshold=3.0) is not loop
-        db.disable_feedback()
-        assert db._feedback is None
+        loop = FeedbackLoop(db.stats, qerror_threshold=1.0)
+        add_digest_sink(loop.consume)
+        remove_digest_sink(loop.consume)
+        db.execute(SelectEq(Scan("emp"), {"dept": 2}))
+        assert loop.corrections == 0
+        assert db.stats.feedback_entries() == {}
 
 
 DEPTS = st.lists(st.integers(min_value=0, max_value=4), min_size=1,
@@ -241,15 +288,17 @@ def test_feedback_never_changes_answers(depts, probe):
     plain = build()
     baseline = [plain.execute(plan) for plan in plans]
 
+    observed = build()
+    observed.analyze()
+    loop = FeedbackLoop(observed.stats, qerror_threshold=1.0)
     previous = instrument.set_enabled(True)
+    add_digest_sink(loop.consume)
     try:
-        observed = build()
-        observed.analyze()
-        observed.enable_feedback(qerror_threshold=1.0)
         first = [observed.execute(plan) for plan in plans]
         # Second pass runs with the learned overlay active.
         second = [observed.execute(plan) for plan in plans]
     finally:
+        remove_digest_sink(loop.consume)
         instrument.set_enabled(previous)
 
     assert first == baseline

@@ -4,7 +4,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.relational.optimizer import estimate_rows, optimize
+from repro.relational import optimizer as optimizer_module
+from repro.relational.cost import CardinalityEstimator
+from repro.relational.optimizer import optimize
+from repro.relational.profile import execute_profiled
 from repro.relational.query import (
     Database,
     Join,
@@ -156,16 +159,50 @@ class TestJoinOrdering:
         assert lines == ["Join", "Scan(emp)", "Scan(dept)"]
 
     def test_estimates(self, db):
-        assert estimate_rows(Scan("emp"), db) == 60
-        assert estimate_rows(SelectEq(Scan("emp"), {"dept": 1}), db) == 6
-        assert estimate_rows(Join(Scan("emp"), Scan("dept")), db) == 60
-        assert estimate_rows(
-            Union(Scan("emp"), Scan("emp")), db
-        ) == 120
+        # A never-analyzed catalog: live sizes and the fallback constants.
+        estimate = CardinalityEstimator(db).estimate
+        assert estimate(Scan("emp")) == 60
+        assert estimate(SelectEq(Scan("emp"), {"dept": 1})) == 6
+        assert estimate(Join(Scan("emp"), Scan("dept"))) == 60
+        assert estimate(Union(Scan("emp"), Scan("emp"))) == 120
 
     def test_estimate_select_pred(self, db):
         plan = SelectPred(Scan("emp"), lambda row: True)
-        assert estimate_rows(plan, db) == 20
+        assert CardinalityEstimator(db).estimate(plan) == 20
+
+    def test_never_analyzed_three_way_join_is_reordered(self, db):
+        # Written: the two 60-row sides first (many-to-many on dept),
+        # the one-department filter last.  No ANALYZE has run.
+        plan = Join(
+            Join(Scan("emp"), Rename(Scan("emp"), {"emp": "peer",
+                                                   "name": "peer_name",
+                                                   "salary": "peer_pay"})),
+            SelectEq(Scan("dept"), {"dept": 3}),
+        )
+        assert len(db.stats) == 0
+        optimized = optimize(plan, db)
+        expected, written = execute_profiled(db, plan)
+        answer, searched = execute_profiled(db, optimized)
+        assert answer == expected
+        assert searched.total_rows() < written.total_rows()
+
+    def test_join_free_plan_builds_no_estimator(self, db, monkeypatch):
+        built = []
+
+        class Counted(CardinalityEstimator):
+            def __init__(self, *args, **kwargs):
+                built.append(self)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(optimizer_module, "CardinalityEstimator", Counted)
+        optimize(
+            Project(SelectEq(Rename(Scan("emp"), {"name": "who"}),
+                             {"dept": 2}), ["who"]),
+            db,
+        )
+        assert built == []
+        optimize(Join(Scan("emp"), Scan("dept")), db)
+        assert len(built) == 1
 
 
 class TestResultPreservation:
