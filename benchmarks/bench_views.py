@@ -52,10 +52,8 @@ def make_catalog(cache=None):
         "emp": Table(emp.heading, emp.iter_dicts(),
                      [KeyConstraint(["emp"])]),
         "dept": Table(dept.heading, dept.iter_dicts()),
-    })
-    return manager, ViewCatalog(
-        Database(result_cache=cache), manager=manager
-    )
+    }, result_cache=cache)
+    return manager, ViewCatalog(Database(), manager=manager)
 
 
 def percentile(samples, fraction):
@@ -196,7 +194,6 @@ def test_delta_apply_beats_full_recompute(benchmark):
 def test_mixed_workload_hit_rate(benchmark, observed_registry):
     cache = QueryResultCache(capacity=32, name="bench")
     manager, catalog = make_catalog(cache)
-    db = catalog.database
     catalog.define(
         "names", Project(Scan("emp"), ("name", "dept")), materialized=True
     )
@@ -209,7 +206,7 @@ def test_mixed_workload_hit_rate(benchmark, observed_registry):
         # 5 reads per commit: the shape a read-heavy serving tier sees.
         for round_index in range(4):
             for plan in plans:
-                db.execute(plan)
+                manager.committed().execute(plan)
             catalog.read("names")
             with manager.transaction():
                 manager.table("emp").insert({

@@ -956,9 +956,7 @@ def _command_views(args: List[str]) -> int:
     manager = TransactionManager(tables)
     catalog = ViewCatalog(Database(), manager=manager)
     for statement in statements:
-        result = run_xql(
-            catalog.database, statement, views=catalog
-        )
+        result = run_xql(manager.committed(), statement)
         for row in result.iter_dicts():
             print("  ".join(
                 "%s=%r" % item for item in sorted(row.items())

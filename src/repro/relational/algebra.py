@@ -39,7 +39,8 @@ first-class extended set, not a transient iterator state.
 
 Aggregates are named functions over the group's column values:
 ``count``, ``sum``, ``avg``, ``min``, ``max``, plus ``set_of`` (the
-distinct values as a frozenset) for the set-flavoured reading.
+distinct values as a classical :class:`XSet`, admissible in every row,
+digest and shipment) for the set-flavoured reading.
 """
 
 from __future__ import annotations
@@ -249,10 +250,6 @@ def _max(values: List[Any]) -> Any:
     return max(values, key=canonical_key)
 
 
-def _set_of(values: List[Any]) -> frozenset:
-    return frozenset(values)
-
-
 #: Registered aggregate functions, by the name used in specs.
 AGGREGATES: Dict[str, Callable[[List[Any]], Any]] = {
     "count": _count,
@@ -260,7 +257,7 @@ AGGREGATES: Dict[str, Callable[[List[Any]], Any]] = {
     "avg": _avg,
     "min": _min,
     "max": _max,
-    "set_of": _set_of,
+    "set_of": xset,  # the paper's own set value: a classical XSet
 }
 
 

@@ -488,10 +488,14 @@ class Database:
         self._stats = stats
         self._result_cache = result_cache
         self._sealed = False
+        #: The :class:`~repro.relational.views.ViewCatalog` serving this
+        #: catalog, set by the view catalog itself; ``None`` without one.
+        self.views = None
 
     def with_relations(self, changed: Mapping[str, Relation]) -> "Database":
         """A new catalog with ``changed`` bound and everything else
-        shared: other relations and run encodings, stats, cache, seal."""
+        shared: other relations and run encodings, stats, cache, views,
+        seal."""
         successor = Database(
             {**self._relations, **changed},
             stats=self._stats, result_cache=self._result_cache,
@@ -501,6 +505,7 @@ class Database:
             if name not in changed
         }
         successor._sealed = self._sealed
+        successor.views = self.views
         return successor
 
     def _require_unsealed(self) -> None:

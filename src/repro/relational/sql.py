@@ -8,7 +8,7 @@ runs under both executors and through the optimizer unchanged.
 
 Grammar::
 
-    query   :=  select | analyze
+    query   :=  select | analyze | view
     select  :=  SELECT columns FROM source (JOIN source)*
                 [WHERE condition (AND condition)*]
                 [GROUP BY names]
@@ -17,6 +17,8 @@ Grammar::
                 [TIMEOUT seconds]
                 [BUDGET rows]
     analyze :=  ANALYZE [relation_name]
+    view    :=  CREATE [MATERIALIZED] VIEW name AS select
+              | REFRESH VIEW name | DROP VIEW name
     columns :=  '*' | column (',' column)*
     column  :=  name | name AS name | agg '(' name ')' AS name
     agg     :=  COUNT | SUM | AVG | MIN | MAX
@@ -41,7 +43,10 @@ answer; :func:`run_rows` lays the answer out in the query's order.
 ``ANALYZE`` collects planner statistics (see
 :mod:`repro.relational.stats`) for one relation, or for every relation
 when no name is given, and returns a one-row-per-relation summary of
-the refreshed catalog.
+the refreshed catalog.  The view statements act on the
+:class:`~repro.relational.views.ViewCatalog` the database carries
+(``db.views``); with one attached a ``source`` may name a view, read as
+of ``db``'s own relations -- embedded or over the wire, the same call.
 
 ``TIMEOUT``/``BUDGET`` are the per-query resource-governance clauses:
 execution runs inside a :func:`repro.gov.governed` scope with the
@@ -65,7 +70,7 @@ import re
 from functools import lru_cache
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.errors import NotationError, SchemaError
+from repro.errors import NotationError, SchemaError, XSTError
 from repro.gov.governor import governed
 # Called by nothing here (the Aggregate node names its kernel); kept as
 # a module attribute because benchmarks/e2e/layers.py wraps it by name.
@@ -390,32 +395,30 @@ def _run_analyze(db: Database, text: str) -> Relation:
     )
 
 
-def _run_view_statement(text: str, views) -> Relation:
-    """Execute a CREATE/REFRESH/DROP VIEW statement.
-
-    Grammar::
-
-        CREATE [MATERIALIZED] VIEW name AS select
-        REFRESH VIEW name
-        DROP VIEW name
+def _run_view_statement(db: Database, text: str) -> Relation:
+    """Execute a CREATE/REFRESH/DROP VIEW statement on the view catalog
+    ``db`` carries.
 
     A view body is any SELECT -- GROUP BY, aggregates and ORDER BY ...
     LIMIT are plan nodes like the rest -- without TIMEOUT / BUDGET,
     which govern one execution and not a relation-valued plan.  A
     materialized view is computed immediately, so it is fresh -- and
     incrementally maintained, when the catalog has a manager -- from
-    the moment the statement returns.
+    the moment the statement returns.  Definitions are the catalog's,
+    not a version's: shared and immediate, like ANALYZE's statistics.
     """
     from repro.relational.schema import Heading
 
     stream = _tokenize(text)
     head = stream[0]
+    views = db.views
+    if views is None:
+        raise SchemaError(
+            "XQL: %s VIEW needs a view catalog" % head[1].upper()
+        )
     if head == ("kw", "create"):
-        index = 1
-        materialized = False
-        if index < len(stream) and stream[index] == ("kw", "materialized"):
-            materialized = True
-            index += 1
+        materialized = stream[1:2] == [("kw", "materialized")]
+        index = 2 if materialized else 1
         if index >= len(stream) or stream[index] != ("kw", "view"):
             raise NotationError("XQL: expected VIEW after CREATE")
         index += 1
@@ -426,7 +429,6 @@ def _run_view_statement(text: str, views) -> Relation:
         if index >= len(stream) or stream[index] != ("kw", "as"):
             raise NotationError("XQL: expected AS in CREATE VIEW")
         index += 1
-        _require_views(views, "CREATE VIEW")
         body = _Parser(tokens=stream[index:]).parse()
         if body.timeout_s is not None or body.budget_rows is not None:
             raise NotationError(
@@ -435,16 +437,19 @@ def _run_view_statement(text: str, views) -> Relation:
             )
         plan = compile_query(body)
         if body.order_by is not None and body.limit is None:
-            _require_order_attr(
-                views.database, body, views._resolve_plan(plan)
-            )
+            _require_order_attr(body, *views.resolve(db, plan))
         views.define(name, plan, materialized=materialized)
+        try:
+            rows = views.read(name).cardinality()
+        except XSTError:
+            views.drop(name)  # a refused statement defines nothing
+            raise
         return Relation.from_dicts(
             Heading(["view", "kind", "rows"]),
             [{
                 "view": name,
                 "kind": "materialized" if materialized else "virtual",
-                "rows": views.read(name).cardinality(),
+                "rows": rows,
             }],
         )
     if (
@@ -455,7 +460,6 @@ def _run_view_statement(text: str, views) -> Relation:
             "XQL: expected %s VIEW name" % head[1].upper()
         )
     name = stream[2][1]
-    _require_views(views, "%s VIEW" % head[1].upper())
     if head[1] == "refresh":
         refreshed = views.refresh(name)
         return Relation.from_dicts(
@@ -466,13 +470,6 @@ def _run_view_statement(text: str, views) -> Relation:
     return Relation.from_dicts(
         Heading(["view", "dropped"]), [{"view": name, "dropped": 1}]
     )
-
-
-def _require_views(views, statement: str) -> None:
-    if views is None:
-        raise SchemaError(
-            "XQL: %s needs a view catalog (pass views=)" % statement
-        )
 
 
 #: Bound of the statement memo below, in distinct statement texts.
@@ -498,7 +495,7 @@ def _select(text: str) -> Tuple[Query, Plan]:
 
 
 def _run(
-    db: Database, text: str, optimized: bool, views
+    db: Database, text: str, optimized: bool
 ) -> Tuple[Optional[Query], Relation]:
     """Execute one statement; the query is ``None`` unless a SELECT.
 
@@ -510,29 +507,22 @@ def _run(
     if kind == "analyze":
         return None, _run_analyze(db, text)
     if kind in _VIEW_STATEMENTS:
-        return None, _run_view_statement(text, views)
+        return None, _run_view_statement(db, text)
     query, plan = _select(text)
     if query.timeout_s is not None or query.budget_rows is not None:
         # TIMEOUT/BUDGET clauses execute the query under a governor so
         # the kernel's cancellation checkpoints can stop it mid-operator.
         with governed(timeout_s=query.timeout_s, max_rows=query.budget_rows):
-            return query, _run_parsed(db, query, plan, optimized, views)
-    return query, _run_parsed(db, query, plan, optimized, views)
+            return query, _run_parsed(db, query, plan, optimized)
+    return query, _run_parsed(db, query, plan, optimized)
 
 
-def run(
-    db: Database, text: str, optimized: bool = True, views=None
-) -> Relation:
-    """Parse, compile, (optionally) optimize and execute an XQL query.
-
-    With ``views`` (a :class:`~repro.relational.views.ViewCatalog`)
-    the CREATE/REFRESH/DROP VIEW statements work and SELECT sources
-    may name views, which resolve through the catalog.
-    """
-    return _run(db, text, optimized, views)[1]
+def run(db: Database, text: str, optimized: bool = True) -> Relation:
+    """Parse, compile, (optionally) optimize and execute an XQL query."""
+    return _run(db, text, optimized)[1]
 
 
-def _require_order_attr(db: Database, query: Query, plan: Plan) -> None:
+def _require_order_attr(query: Query, db: Database, plan: Plan) -> None:
     """Refuse a bare ORDER BY that names an attribute the answer lacks.
 
     ORDER BY without LIMIT is the one clause that is not a plan node (a
@@ -546,20 +536,22 @@ def _require_order_attr(db: Database, query: Query, plan: Plan) -> None:
 
 
 def _run_parsed(
-    db: Database, query: Query, plan: Plan, optimized: bool, views=None
+    db: Database, query: Query, plan: Plan, optimized: bool
 ) -> Relation:
-    if views is not None:
-        db = views.database
-        plan = views._resolve_plan(plan)
+    views = db.views
+    # Asked of the parsed sources: a statement that names no view pays
+    # no plan walk.
+    if views is not None and views.defines(query.sources):
+        db, plan = views.resolve(db, plan)
     if query.order_by is not None and query.limit is None:
-        _require_order_attr(db, query, plan)
+        _require_order_attr(query, db, plan)
     if optimized:
         plan = optimize(plan, db)
     return db.execute(plan)
 
 
 def run_rows(
-    db: Database, text: str, optimized: bool = True, views=None
+    db: Database, text: str, optimized: bool = True
 ) -> List[Dict[str, Any]]:
     """Like :func:`run`, but returns an ordered list of row dicts.
 
@@ -569,7 +561,7 @@ def run_rows(
     rows by.  Without ORDER BY, and between equal keys, the canonical
     row order is used, which is deterministic but not meaningful.
     """
-    query, relation = _run(db, text, optimized, views)
+    query, relation = _run(db, text, optimized)
     rows = list(relation.iter_dicts())
     if query is not None and query.order_by is not None:
         attr, descending = query.order_by

@@ -178,6 +178,9 @@ class TransactionManager:
             )
         if name in self._tables:
             raise SchemaError("table %r already exists" % (name,))
+        views = self._committed.views
+        if views is not None and views.defines((name,)):
+            raise SchemaError("table %r would shadow a view" % (name,))
         self._tables[name] = table
         table._owner = self
         self._committed = self._committed.with_relations(

@@ -1,41 +1,55 @@
 """Views: named queries, optionally materialized and delta-maintained.
 
-A view is a plan over base relations.  A *virtual* view re-executes on
-every read; a *materialized* view caches its result and remembers the
-immutable relations it was computed from.  There is one staleness
-rule: the view is fresh iff every current input **is** the remembered
-one -- O(dependencies) pointer comparisons, no row touched.  Only an
-input that was *replaced by another object* is looked at: it counts as
-unmoved when it equals the old one and serializes to the same bytes
-(someone rebuilt an equal relation by hand; a typed-twin respelling,
-``1`` -> ``1.0``, is equal and *has* moved).
+A view is a relation of the catalog value.  A :class:`ViewCatalog`
+attaches itself to the :class:`~repro.relational.query.Database` it
+serves -- ``manager.committed()`` when a :class:`~repro.relational.tx.
+TransactionManager` is given, else the hand-built ``db`` -- every
+catalog derived from that one (each commit's value, each pinned
+snapshot) carries the handle, and ``sql.run(db, text)`` finds it there.
+Tables and views share one namespace; definitions are shared and
+immediate, like ``ANALYZE``'s statistics, and are not logged.
 
-With a :class:`~repro.relational.tx.TransactionManager` attached the
-catalog's database is a private overlay (own cache and statistics,
-``__view__`` shadows) over the relations of ``manager.committed()`` --
-all at construction, each commit's changed ones after it, never the
-diff replayed onto a copy -- and *maintains* materialized views
-incrementally, propagating each commit's exact insert/delete sets
-through the view plan (:mod:`repro.relational.ivm.delta`) and applying
-``(cache - deleted) | inserted`` instead of recomputing.  Plans
-containing a node with no delta rule fall back to marking the view
-stale; the next read recomputes.  :meth:`ViewCatalog.verify` is the
+A *virtual* view re-executes on every read; a *materialized* one keeps
+its result and the immutable relations it was computed from.  One
+resolution rule serves every reader (:meth:`ViewCatalog.resolve`): a
+virtual reference is replaced by the view's plan; a materialized one is
+bound **under its own name** in a throw-away ``db.with_relations({view:
+contents})`` of the *reader's* catalog, where ``contents`` is the
+materialization iff every remembered input **is** the reader's relation
+of that name -- O(dependencies) pointer comparisons, no row touched --
+and otherwise the body evaluated on the reader's value.  So a reader
+pinned at an old version reads the view as of that version, only a
+reader holding the current value (:attr:`ViewCatalog.database`)
+replaces the materialization, and no catalog gains or loses a relation.
+Only an input that was *replaced by another object* is looked at: it
+counts as unmoved when it equals the old one and serializes to the same
+bytes (someone rebuilt an equal relation by hand; a typed-twin
+respelling, ``1`` -> ``1.0``, is equal and *has* moved).
+
+With a manager the catalog *maintains* materialized views as a commit
+listener: each commit's exact insert/delete sets are propagated through
+the view plan over ``manager.committed()`` (:mod:`repro.relational.ivm.
+delta`) and ``(cache - deleted) | inserted`` applied instead of
+recomputing; stacked views maintain in definition order, each handed
+its dependency's delta under the dependency's own name.  A plan with a
+node that has no delta rule falls back to marking the view stale; the
+next read recomputes.  Result-cache entries computed from a replaced
+materialization are reclaimed.  :meth:`ViewCatalog.verify` is the
 ``repro fsck``-style digest cross-check that a maintained cache is
 byte-identical to a fresh recomputation.
-
-:class:`ViewCatalog` extends a :class:`~repro.relational.query.
-Database` with view definitions; views can reference earlier views,
-and reads resolve through the chain.  Stacked materialized views
-maintain in definition order, each view's delta feeding its
-dependents' propagation as if it were a base-table diff.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import SchemaError
 from repro.gov.governor import checkpoint as _gov_checkpoint
+from repro.relational.ivm.delta import (
+    Delta,
+    DeltaPropagator,
+    DeltaUnsupported,
+)
 from repro.relational.optimizer import optimize
 from repro.relational.query import Database, Plan, Scan, scans
 from repro.relational.relation import Relation
@@ -75,25 +89,29 @@ class View:
 
 
 class ViewCatalog:
-    """A database plus named views (virtual or materialized).
+    """Named views (virtual or materialized) over one catalog value.
 
-    With ``manager`` attached ``db`` holds the manager's committed
-    relations (the same objects, adopted after every commit) and every
-    materialized view is incrementally maintained after every commit.
-    All mutations of those tables must then flow through the manager:
-    the next commit overwrites an out-of-band ``db.add``.
+    With ``manager`` the catalog serves ``manager.committed()`` and
+    every materialized view is incrementally maintained after every
+    commit; without one it serves the hand-built ``db``.
     """
 
     def __init__(self, db: Database, manager=None):
+        # With a manager ``db`` is accepted and unused: the call shape
+        # (a catalog first, ``manager=`` second) is fixed by its benchmark.
         self._db = db
         self._views: Dict[str, View] = {}
         self._manager = manager
+        self.database.views = self
         if manager is not None:
-            self._adopt(manager.committed().names())
             manager.subscribe(self._on_commit)
 
     @property
     def database(self) -> Database:
+        """The current catalog value: the one whose reader replaces a
+        materialization."""
+        if self._manager is not None:
+            return self._manager.committed()
         return self._db
 
     @property
@@ -104,47 +122,42 @@ class ViewCatalog:
         """Detach from the manager's commit stream; idempotent."""
         if self._manager is not None:
             self._manager.unsubscribe(self._on_commit)
-            self._manager = None
 
     # ------------------------------------------------------------------
     # Definition
     # ------------------------------------------------------------------
 
     def define(self, name: str, plan: Plan, materialized: bool = False) -> View:
-        """Register a view; names may not shadow base relations."""
+        """Register a view whose body is well defined on the current
+        catalog value; a refused definition registers nothing."""
         if name in self._views:
             raise SchemaError("view %r already defined" % (name,))
-        try:
-            self._db.relation(name)
-        except SchemaError:
-            pass
-        else:
-            raise SchemaError(
-                "view %r would shadow a base relation" % (name,)
-            )
-        for base in scans(plan):
-            if base not in self._views:
-                self._db.relation(base)  # raises for unknown names
+        if name in self.database.names():
+            raise SchemaError("view %r would shadow a base relation" % name)
+        db, body = self.resolve(self.database, plan)
+        db.heading_of(body)  # raises for unknown names and attributes
         view = View(name, plan, materialized)
         self._views[name] = view
         return view
 
     def drop(self, name: str) -> View:
         """Remove a view; refuses while another view references it."""
-        view = self._views.get(name)
-        if view is None:
-            raise SchemaError("unknown view %r" % (name,))
+        view = self.view(name)
         for other in self._views.values():
             if other.name != name and name in scans(other.plan):
                 raise SchemaError(
                     "view %r is referenced by view %r" % (name, other.name)
                 )
         del self._views[name]
-        self._db.remove("__view__" + name)
+        self._reclaim(name)
         return view
 
     def names(self) -> List[str]:
         return sorted(self._views)
+
+    def defines(self, names) -> bool:
+        """Is any of ``names`` a view?"""
+        return not self._views.keys().isdisjoint(names)
 
     def view(self, name: str) -> View:
         view = self._views.get(name)
@@ -156,54 +169,72 @@ class ViewCatalog:
     # Reading
     # ------------------------------------------------------------------
 
-    def _resolve_plan(self, plan: Plan) -> Plan:
-        """Inline view references by materializing them into the db.
+    def _bind(
+        self, db: Database, plan: Plan,
+        contents: Callable[[View], Relation],
+    ) -> Tuple[Database, Plan]:
+        """``plan`` over relations alone: virtual references inlined,
+        each materialized one left a Scan of its own name, bound to
+        ``contents(view)`` in a throw-away successor of ``db``."""
+        bound: Dict[str, Relation] = {}
 
-        Views referencing views resolve recursively; each referenced
-        view's current rows are installed as a shadow base relation
-        for the duration of execution.
-        """
-        referenced = [base for base in scans(plan) if base in self._views]
-        for base in referenced:
-            self._db.add("__view__" + base, self.read(base))
-        return _map_scans(
-            plan,
-            lambda scan: Scan("__view__" + scan.name)
-            if scan.name in referenced else scan,
-        )
+        def transform(scan: Scan) -> Plan:
+            view = self._views.get(scan.name)
+            if view is None:
+                return scan
+            if not view.materialized:
+                return _map_scans(view.plan, transform)
+            if scan.name not in bound:
+                bound[scan.name] = contents(view)
+            return scan
+
+        plan = _map_scans(plan, transform)
+        return (db.with_relations(bound) if bound else db), plan
+
+    def resolve(self, db: Database, plan: Plan) -> Tuple[Database, Plan]:
+        """The one resolution rule: a catalog and a plan that name only
+        relations and answer what ``plan`` -- which may scan views --
+        means to a reader holding ``db``."""
+        return self._bind(db, plan, lambda view: self._read(view, db))
+
+    def _evaluate(self, db: Database, plan: Plan) -> Relation:
+        db, plan = self.resolve(db, plan)
+        return db.execute(optimize(plan, db))
+
+    def _read(self, view: View, db: Database) -> Relation:
+        """What ``view`` holds for a reader of ``db``: the
+        materialization when it was computed from that reader's
+        relations, else the body evaluated on them -- which becomes
+        the materialization when the reader holds the current value."""
+        view.reads += 1
+        if view.materialized and self._fresh(view, db):
+            view.cache_hits += 1
+            return view._cache
+        result = self._evaluate(db, view.plan)
+        if view.materialized and db is self.database:
+            view.recomputes += 1
+            self._replace(view, result, self._current_inputs(view, db))
+        return result
 
     def read(self, name: str) -> Relation:
         """The view's current contents (cached if materialized+fresh)."""
-        view = self._views.get(name)
-        if view is None:
-            raise SchemaError("unknown view %r" % (name,))
-        view.reads += 1
-        if view.materialized and view._cache is not None and not self.is_stale(
-            name
-        ):
-            view.cache_hits += 1
-            return view._cache
-        plan = optimize(self._resolve_plan(view.plan), self._db)
-        result = self._db.execute(plan)
-        if view.materialized:
-            view._cache = result
-            view.recomputes += 1
-            self._record_refresh(view)
-        return result
+        return self._read(self.view(name), self.database)
 
     def execute(self, plan: Plan) -> Relation:
         """Run an ad-hoc plan that may scan views as if they were
-        relations (each view reference resolves through :meth:`read`)."""
-        return self._db.execute(optimize(self._resolve_plan(plan), self._db))
+        relations, on the current catalog value."""
+        return self._evaluate(self.database, plan)
 
     # ------------------------------------------------------------------
     # Staleness
     # ------------------------------------------------------------------
 
-    def _current_inputs(self, view: View) -> Dict[str, Optional[Relation]]:
+    def _current_inputs(
+        self, view: View, db: Database
+    ) -> Dict[str, Optional[Relation]]:
         """The relation behind every dependency, views chased down.
 
-        Virtual view references expand to their base tables;
+        Virtual view references expand to their base tables (``db``'s);
         materialized references contribute their cache -- the object
         that is replaced exactly when *their* contents move.
         """
@@ -212,7 +243,7 @@ class ViewCatalog:
         def visit(name: str) -> None:
             dep = self._views.get(name)
             if dep is None:
-                inputs[name] = self._db.relation(name)
+                inputs[name] = db.relation(name)
             elif dep.materialized:
                 inputs[name] = dep._cache
             else:
@@ -223,164 +254,131 @@ class ViewCatalog:
             visit(base)
         return inputs
 
-    def is_stale(self, name: str) -> bool:
-        """True when a materialized view's inputs have moved.
-
-        Virtual views are never stale (they always recompute); an
-        unmaterialized-yet materialized view is considered stale.
+    def _fresh(self, view: View, db: Database) -> bool:
+        """Is the materialization what the body yields on ``db``?
         O(dependencies) pointer comparisons; rows are read only for an
-        input somebody replaced with an equal relation.
-        """
-        view = self._views.get(name)
-        if view is None:
-            raise SchemaError("unknown view %r" % (name,))
-        if not view.materialized:
-            return False
+        input somebody replaced with an equal relation."""
         if view._inputs is None:
-            return True
-        current = self._current_inputs(view)
+            return False
+        current = self._current_inputs(view, db)
         for dep, relation in current.items():
             if not _same_input(relation, view._inputs.get(dep)):
-                return True
-        # Remember equal rebuilds as the inputs they are, so the next
-        # check is pointer comparisons again.
-        view._inputs = current
+                return False
+        if db is self.database:
+            # Remember equal rebuilds as the inputs they are, so the
+            # next check is pointer comparisons again.
+            view._inputs = current
         # A cache object that has not moved says nothing while its own
         # view is stale (it is only replaced when it re-materializes).
-        return any(self.is_stale(dep) for dep in current if dep in self._views)
+        return all(
+            self._fresh(self._views[dep], db)
+            for dep in current if dep in self._views
+        )
+
+    def is_stale(self, name: str) -> bool:
+        """True when a materialized view's inputs have moved past it
+        (or it was never read); a virtual view is never stale."""
+        view = self.view(name)
+        return view.materialized and not self._fresh(view, self.database)
 
     def refresh(self, name: str) -> Relation:
         """Force recomputation of a materialized view."""
-        view = self._views.get(name)
-        if view is None:
-            raise SchemaError("unknown view %r" % (name,))
-        view._cache = None
-        view._inputs = None
+        self.view(name)._inputs = None
         return self.read(name)
 
     def verify(self, name: str) -> bool:
         """Digest cross-check: does the cache match a fresh compute?
 
         An O(data) integrity audit, not a staleness test -- for
-        ``repro views --verify`` / fsck-style checks.  Views
-        without a cache (virtual, or not yet materialized) verify
-        trivially.
+        ``repro views --verify`` / fsck-style checks.  Views without a
+        cache (virtual, or not yet materialized) verify trivially.
         """
         view = self.view(name)
         if not view.materialized or view._cache is None:
             return True
-        plan = optimize(self._resolve_plan(view.plan), self._db)
-        fresh = self._db.execute(plan)
+        fresh = self._evaluate(self.database, view.plan)
         return digest(view._cache.rows) == digest(fresh.rows)
 
     # ------------------------------------------------------------------
     # Incremental maintenance (manager attached)
     # ------------------------------------------------------------------
 
-    def _record_refresh(self, view: View) -> None:
-        view._inputs = self._current_inputs(view)
+    def _reclaim(self, name: str) -> None:
+        """Hygiene: answers cached from a materialization of ``name``
+        that is gone cannot hit again."""
+        cache = self.database.result_cache
+        if cache is not None:
+            cache.invalidate_tables((name,))
+
+    def _replace(self, view: View, contents: Relation, inputs) -> None:
+        """``contents``, computed from ``inputs`` of the current
+        catalog value, is the materialization from here on."""
+        if view._cache is not None and contents is not view._cache:
+            self._reclaim(view.name)
+        view._cache = contents
+        view._inputs = inputs
         if self._manager is not None:
             view.refresh_version = self._manager.current_version
 
-    def _adopt(self, names) -> None:
-        """Hold what the manager holds: the committed relation of each
-        of ``names`` -- a table moves only by a commit that names it."""
-        committed = self._manager.committed()
-        for name in names:
-            self._db.add(name, committed.relation(name))
-
     def _on_commit(self, version: int, changes) -> None:
-        """Manager commit hook: adopt the commit, maintain every view."""
-        from repro.relational.ivm.delta import Delta
-
-        self._adopt(changes)
-        base_deltas: Dict[str, Delta] = {}
-        for name in sorted(changes):
-            heading_names, inserted, deleted = changes[name]
+        """Manager commit hook: maintain every materialized view."""
+        deltas: Dict[str, Delta] = {}
+        for name, (heading_names, inserted, deleted) in changes.items():
             heading = Heading(heading_names)
             # Trusted: the commit diff's halves are subsets of the
             # table's validated old and new values.
-            base_deltas[name] = Delta(
+            deltas[name] = Delta(
                 Relation._from_valid(heading, inserted),
                 Relation._from_valid(heading, deleted),
             )
-        if self._db.result_cache is not None:
-            self._db.result_cache.invalidate_tables(sorted(changes))
         failed: set = set()
-        for name, view in list(self._views.items()):
+        for view in list(self._views.values()):
             if view.materialized:
-                self._maintain(view, base_deltas, version, failed)
+                self._maintain(view, deltas, failed)
 
     def _maintain(
-        self, view: View, base_deltas: Dict[str, "Delta"], version: int,
-        failed: set,
+        self, view: View, deltas: Dict[str, Delta], failed: set
     ) -> None:
-        from repro.relational.ivm.delta import (
-            DeltaPropagator,
-            DeltaUnsupported,
-        )
-
+        """Bring ``view`` up to the committed value; its own delta joins
+        ``deltas`` under its name, for the views stacked on it."""
         if view._cache is None or view._inputs is None:
             # Not materialized yet (or already stale): nothing to
             # maintain; the next read computes from current state.
             failed.add(view.name)
             return
-        current = self._current_inputs(view)
+        db = self.database
+        current = self._current_inputs(view, db)
         if all(
             relation is view._inputs.get(dep)
             for dep, relation in current.items()
         ):
             return  # untouched by this commit
+
+        def maintained(dep: View) -> Relation:
+            if dep.name in failed or dep._cache is None:
+                raise DeltaUnsupported(
+                    "view %r depends on unmaintained view %r"
+                    % (view.name, dep.name)
+                )
+            return dep._cache
+
         try:
-            expanded = self._expand_for_delta(view.plan, failed)
-            propagator = DeltaPropagator(self._db, base_deltas)
-            delta = propagator.delta(expanded)
+            bound, plan = self._bind(db, view.plan, maintained)
+            delta = DeltaPropagator(bound, deltas).delta(plan)
         except DeltaUnsupported:
             view.fallbacks += 1
             view._inputs = None  # honest: next read recomputes
             failed.add(view.name)
             return
+        contents = view._cache
         if not delta.is_empty():
-            view._cache = delta.apply_to(view._cache)
+            contents = delta.apply_to(contents)
             view.delta_applies += 1
             _gov_checkpoint(
                 "ivm.apply", delta.size(), len(delta.heading.names)
             )
-            shadow = "__view__" + view.name
-            self._db.add(shadow, view._cache)
-            base_deltas[shadow] = delta
-        view._inputs = current
-        view.refresh_version = version
-
-    def _expand_for_delta(self, plan: Plan, failed: set) -> Plan:
-        """Rewrite a view plan so the propagator sees only relations.
-
-        Virtual view references inline their (expanded) plans;
-        materialized references become scans of their ``__view__``
-        shadow relation -- whose delta this round is already in the
-        propagator's base set.  References to unmaintainable views
-        (no cache yet, or fell back this round) are unmaintainable
-        themselves.
-        """
-        from repro.relational.ivm.delta import DeltaUnsupported
-
-        def transform(scan: Scan) -> Plan:
-            view = self._views.get(scan.name)
-            if view is None:
-                return scan
-            if not view.materialized:
-                return self._expand_for_delta(view.plan, failed)
-            if scan.name in failed or view._cache is None:
-                raise DeltaUnsupported(
-                    "view %r depends on unmaintained view %r"
-                    % (scan.name, scan.name)
-                )
-            shadow = "__view__" + scan.name
-            if shadow not in self._db._relations:
-                self._db.add(shadow, view._cache)
-            return Scan(shadow)
-
-        return _map_scans(plan, transform)
+            deltas[view.name] = delta
+        self._replace(view, contents, current)
 
     # ------------------------------------------------------------------
     # Introspection

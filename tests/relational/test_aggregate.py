@@ -9,6 +9,7 @@ from repro.errors import SchemaError
 from repro.relational.algebra import AGGREGATES, aggregate, group_by, limit
 from repro.relational.relation import Relation
 from repro.workloads.generators import employee_relation
+from repro.xst.builders import xset
 
 EMPLOYEES = Relation.from_dicts(
     ["emp", "dept", "salary"],
@@ -79,8 +80,8 @@ class TestAggregate:
             EMPLOYEES, ["dept"], {"salaries": ("set_of", "salary")}
         )
         by_dept = {row["dept"]: row for row in result.iter_dicts()}
-        assert by_dept[20]["salaries"] == frozenset({300})
-        assert by_dept[10]["salaries"] == frozenset({100, 200})
+        assert by_dept[20]["salaries"] == xset([300])
+        assert by_dept[10]["salaries"] == xset([100, 200])
 
     def test_heading(self):
         result = aggregate(EMPLOYEES, ["dept"], {"n": ("count", "emp")})

@@ -106,20 +106,16 @@ def _value_pool(*rels):
     return unique
 
 
-def _draw_plan(draw, headings, pool, depth,
-               functions=("count", "min", "max", "set_of")):
+def _draw_plan(draw, headings, pool, depth):
     """One random plan node over base tables ``r``/``s``.
 
     Returns ``(plan, output heading names)`` so conditions, projections
     and renames always reference attributes that exist -- the oracle
     tests semantics, not error paths (those are pinned separately).
-    ``functions`` are the aggregates drawn: by default the ones total
-    over the heterogeneous pool (``min``/``max`` fold by
-    ``canonical_key``; ``sum``/``avg`` need numbers).  ``set_of`` is
-    drawn for the root node only: its answer is a frozenset, which a
-    row holds as an opaque atom but no shipment or digest can encode.
+    The aggregates drawn are the ones total over the heterogeneous
+    pool (``min``/``max`` fold by ``canonical_key``; ``sum``/``avg``
+    need numbers).
     """
-    below = tuple(name for name in functions if name != "set_of")
     if depth <= 0 or draw(st.integers(min_value=0, max_value=3)) == 0:
         name = draw(st.sampled_from(sorted(headings)))
         return Scan(name), headings[name]
@@ -130,13 +126,11 @@ def _draw_plan(draw, headings, pool, depth,
         )
     )
     if kind == "join":
-        left, left_names = _draw_plan(draw, headings, pool, depth - 1, below)
-        right, right_names = _draw_plan(
-            draw, headings, pool, depth - 1, below
-        )
+        left, left_names = _draw_plan(draw, headings, pool, depth - 1)
+        right, right_names = _draw_plan(draw, headings, pool, depth - 1)
         merged = tuple(dict.fromkeys(left_names + right_names))
         return Join(left, right), merged
-    child, names = _draw_plan(draw, headings, pool, depth - 1, below)
+    child, names = _draw_plan(draw, headings, pool, depth - 1)
     if kind == "select_eq":
         chosen = draw(
             st.lists(
@@ -166,7 +160,7 @@ def _draw_plan(draw, headings, pool, depth,
         group = tuple(draw(st.lists(
             st.sampled_from(names), min_size=0, max_size=2, unique=True
         )))
-        function = draw(st.sampled_from(functions))
+        function = draw(st.sampled_from(("count", "min", "max", "set_of")))
         if not group and function in ("min", "max"):
             function = "count"  # the one group may be empty
         source = draw(st.sampled_from(names))

@@ -261,6 +261,51 @@ class TestOneCatalogValue:
         # the commit produced, the one every later reader pins.
         assert heard == [(1, manager.committed(), 3)]
 
+    def test_the_view_catalog_is_one_more_handle_of_the_value(
+        self, manager, monkeypatch
+    ):
+        from repro.relational.query import Database, Scan, SelectEq
+        from repro.relational.sql import run
+        from repro.relational.views import ViewCatalog
+
+        emp = manager.table("emp")
+        emp.insert_many([{"emp": n, "name": "n%d" % n, "dept": n % 2}
+                         for n in range(2, 7)])
+        catalog = ViewCatalog(Database(), manager=manager)
+        assert catalog.database is manager.committed()
+        assert catalog.database.stats is manager.stats
+        assert catalog.database.result_cache is manager.result_cache
+        catalog.define("odd", SelectEq(Scan("emp"), {"dept": 1}),
+                       materialized=True)
+        catalog.define("names", Scan("odd"))
+        pinned = manager.snapshot()
+        with pytest.raises(RuntimeError):
+            with manager.transaction():
+                emp.insert({"emp": 7, "name": "bob", "dept": 1})
+                raise RuntimeError("abort")
+        assert catalog.database is manager.committed() is pinned.database
+        with manager.transaction():
+            assert emp.delete({"emp": 99}) == 0
+        assert catalog.database is manager.committed() is pinned.database
+        emp.insert({"emp": 7, "name": "bob", "dept": 1})
+        assert catalog.database is manager.committed()
+        assert manager.committed() is not pinned.database
+        assert manager.committed().views is pinned.database.views is catalog
+        # A view read binds its names in a throw-away successor of the
+        # reader's value: no catalog gains, loses or shadows a relation.
+        catalogs = (pinned.database, manager.committed())
+        monkeypatch.setattr(Database, "add", lambda *args: 1 / 0)
+        for _ in range(5):
+            assert len(catalog.read("names")) == 4
+            assert len(run(pinned.database, "select * from names")) == 3
+        for db in catalogs:
+            assert db.names() == ["dept", "emp"]
+        # The reader's value is the one that is read.
+        assert len(run(pinned.database, "select * from emp")) == 6
+        assert len(run(manager.committed(), "select * from emp")) == 7
+        pinned.close()
+        catalog.close()
+
     def test_a_committed_catalog_refuses_its_mutators(self, manager):
         committed = manager.committed()
         emp = committed.relation("emp")

@@ -445,14 +445,13 @@ class TestIllFormedStatements:
     def test_through_a_view(self, db, optimized):
         from repro.relational.views import ViewCatalog
 
-        views = ViewCatalog(
-            Database({name: db.relation(name) for name in db.names()})
-        )
-        run(db, "CREATE VIEW staff AS SELECT emp, name FROM emp", views=views)
+        db = Database({name: db.relation(name) for name in db.names()})
+        ViewCatalog(db)
+        run(db, "CREATE VIEW staff AS SELECT emp, name FROM emp")
         with pytest.raises(SchemaError, match="unknown attributes"):
-            run(db, "SELECT salary FROM staff", optimized, views=views)
+            run(db, "SELECT salary FROM staff", optimized)
         assert run(
-            db, "SELECT name FROM staff", optimized, views=views
+            db, "SELECT name FROM staff", optimized
         ).cardinality() > 0
 
 
@@ -646,11 +645,11 @@ class TestStatementMemo:
             assert database.stats.names() == ["emp"]
             created = run(
                 database, "CREATE VIEW few AS SELECT name FROM emp "
-                "WHERE dept = 1", views=catalog,
+                "WHERE dept = 1",
             )
             assert catalog.names() == ["few"] and created.cardinality() == 1
-            assert run(database, "REFRESH VIEW few", views=catalog)
-            assert run(database, "DROP VIEW few", views=catalog)
+            assert run(database, "REFRESH VIEW few")
+            assert run(database, "DROP VIEW few")
             assert catalog.names() == []
         assert sql._select.cache_info().currsize == 0
 

@@ -4,6 +4,8 @@ import pytest
 
 from repro.errors import SchemaError
 from repro.relational import algebra
+from repro.relational.constraints import Table
+from repro.relational.ivm.cache import QueryResultCache
 from repro.relational.query import (
     Database,
     Join,
@@ -11,6 +13,8 @@ from repro.relational.query import (
     Scan,
     SelectEq,
 )
+from repro.relational.sql import run
+from repro.relational.tx import TransactionManager
 from repro.relational.views import ViewCatalog
 from repro.workloads.generators import department_relation, employee_relation
 
@@ -50,6 +54,102 @@ class TestDefinition:
     def test_repr(self, catalog):
         view = catalog.define("v", Scan("emp"), materialized=True)
         assert "materialized" in repr(view)
+
+
+class TestARefusedDefinitionDefinesNothing:
+    """A body that is not well defined on the catalog is refused before
+    the name is taken -- through ``define`` and through ``run``."""
+
+    BAD = (
+        "select nope from emp",
+        "select name from emp where nope = 1",
+        "select name from ghost",
+        "select name from emp order by salary",  # projected away
+        "select nope from staffed",  # through another view
+    )
+
+    @pytest.mark.parametrize("body", BAD)
+    @pytest.mark.parametrize("kind", ["", "materialized "])
+    def test_through_run(self, kind, body):
+        cache = QueryResultCache(capacity=4)
+        db = Database({"emp": employee_relation(20, 3, seed=4),
+                       "dept": department_relation(3, seed=4)},
+                      result_cache=cache)
+        catalog = ViewCatalog(db)
+        run(db, "create view staffed as select * from emp join dept")
+        counters = cache.snapshot()
+        with pytest.raises(SchemaError):
+            run(db, "create %sview bad as %s" % (kind, body))
+        assert catalog.names() == ["staffed"]
+        assert [row["name"] for row in catalog.status()] == ["staffed"]
+        assert cache.snapshot() == counters and db.names() == ["dept", "emp"]
+        # The name is free, not held by a view no read can answer.
+        run(db, "create %sview bad as select name from emp" % kind)
+        assert run(db, "select * from bad") == run(db, "select name from emp")
+
+    def test_a_body_that_cannot_be_evaluated_defines_nothing(self, db):
+        # Well defined on the headings, refused by the kernel on the
+        # data: the statement failed, so the name is not taken.
+        catalog = ViewCatalog(db)
+        for kind in ("", "materialized "):
+            with pytest.raises(SchemaError):
+                run(db, "create %sview bad as select dept, sum(name) as s "
+                        "from emp group by dept" % kind)
+            assert catalog.names() == []
+
+    def test_through_define(self, catalog):
+        for plan in (
+            Project(Scan("emp"), ["nope"]),
+            SelectEq(Scan("emp"), {"nope": 1}),
+            Join(Scan("emp"), Scan("ghost")),
+        ):
+            for materialized in (False, True):
+                with pytest.raises(SchemaError):
+                    catalog.define("bad", plan, materialized=materialized)
+                assert catalog.names() == [] and catalog.status() == []
+        catalog.define("bad", Scan("emp"))
+        assert catalog.read("bad") is catalog.database.relation("emp")
+
+
+class TestOneNamespace:
+    """Tables and views share one namespace, whichever comes first."""
+
+    @pytest.fixture
+    def manager(self):
+        emp = employee_relation(10, 2, seed=3)
+        return TransactionManager({"emp": Table(emp.heading, emp.iter_dicts())})
+
+    def test_a_view_may_not_take_a_tables_name(self, manager):
+        catalog = ViewCatalog(Database(), manager=manager)
+        with pytest.raises(SchemaError, match="shadow a base relation"):
+            catalog.define("emp", Scan("emp"))
+        with pytest.raises(SchemaError, match="shadow a base relation"):
+            run(manager.committed(), "create view emp as select * from emp")
+        assert catalog.names() == []
+
+    def test_a_table_may_not_take_a_views_name(self, manager):
+        catalog = ViewCatalog(Database(), manager=manager)
+        catalog.define("ed", SelectEq(Scan("emp"), {"dept": 1}))
+        before = manager.committed()
+        with pytest.raises(SchemaError, match="shadow a view"):
+            manager.add_table("ed", Table(["k"], []))
+        assert manager.committed() is before and "ed" not in manager.tables
+        assert run(before, "select * from ed") == catalog.read("ed")
+        # Dropping the view frees the name for a table.
+        catalog.drop("ed")
+        manager.add_table("ed", Table(["k"], [{"k": 1}]))
+        assert run(manager.committed(), "select * from ed").to_rows() == [(1,)]
+
+    def test_a_cluster_table_may_not_take_a_views_name(self):
+        from repro.relational.distributed import Cluster
+
+        cluster = Cluster(2)
+        cluster.create_table("emp", employee_relation(10, 2, seed=3), "emp")
+        catalog = ViewCatalog(Database(), manager=cluster.manager)
+        catalog.define("ed", SelectEq(Scan("emp"), {"dept": 1}))
+        with pytest.raises(SchemaError, match="shadow a view"):
+            cluster.create_table("ed", department_relation(2, seed=3), "dept")
+        assert cluster.manager.committed().names() == ["emp"]
 
 
 class TestVirtualViews:

@@ -28,10 +28,12 @@ from repro.gov.admission import (
 from repro.obs import instrument
 from repro.relational.constraints import KeyConstraint, Table
 from repro.relational.csvio import dumps_csv
+from repro.relational.ivm.cache import QueryResultCache
 from repro.relational.query import Database
 from repro.relational.sql import run as run_xql
 from repro.relational.stats import StatsCatalog
 from repro.relational.tx import TransactionManager
+from repro.relational.views import ViewCatalog
 from repro.server import Client, Server, connect
 from repro.server.session import render_statement
 
@@ -301,21 +303,36 @@ class TestSameFailureThroughEveryDoor:
         ("select name from emp order by ghost", SchemaError, "SCHEMA"),
         ("select dept, sum(name) as s from emp group by dept",
          SchemaError, "SCHEMA"),
+        ("create materialized view v as select nope from emp",
+         SchemaError, "SCHEMA"),
+        ("create view emp as select name from emp", SchemaError, "SCHEMA"),
+        ("create view v as select name from emp order by eid",
+         SchemaError, "SCHEMA"),
+        ("refresh view ghost", SchemaError, "SCHEMA"),
+        ("drop view ghost", SchemaError, "SCHEMA"),
+        ("create view v select name from emp", NotationError, "NOTATION"),
+        ("create view v as select name from emp budget 9",
+         NotationError, "NOTATION"),
     ], ids=["unknown_table", "unknown_attribute", "bad_xql",
             "duplicate_key", "non_grouped_column", "unknown_source",
             "colliding_output", "unknown_order", "unknown_order_no_limit",
-            "sum_of_strings"])
+            "sum_of_strings", "view_unknown_attribute", "view_shadows_table",
+            "view_unknown_order", "refresh_unknown_view",
+            "drop_unknown_view", "view_bad_xql", "view_body_budget"])
     def test_embedded_and_served_raise_the_same_class(
             self, text, error, code):
         manager = make_manager()
+        ViewCatalog(Database(), manager=manager)
         with pytest.raises(error) as embedded:
             if text is None:
                 manager.table("emp").insert(self.DUPLICATE)
             else:
-                run_xql(Database({
+                hand_built = Database({
                     name: table.snapshot()
                     for name, table in manager.tables.items()
-                }), text)
+                })
+                ViewCatalog(hand_built)
+                run_xql(hand_built, text)
 
         async def body(server):
             client = await connect("127.0.0.1", server.port)
@@ -328,7 +345,7 @@ class TestSameFailureThroughEveryDoor:
             await client.close()
             return served_error.value
 
-        over_the_wire = run(served(body))
+        over_the_wire = run(served(body, manager))
         assert type(over_the_wire) is type(embedded.value) is error
         assert over_the_wire.code == embedded.value.code == code
         assert str(over_the_wire) == str(embedded.value)
@@ -742,6 +759,152 @@ class TestServedStatistics:
             await client.close()
 
         run(served(body, manager))
+
+
+class TestServedViews:
+    """A view is a relation of the catalog value a session pins: the
+    view statements and view reads work over the wire, as of the
+    session's own version."""
+
+    ENG = "select eid, name from emp where dept = 'eng'"
+
+    @staticmethod
+    def stack(**manager_kw):
+        manager = TransactionManager(make_manager().tables, **manager_kw)
+        return manager, ViewCatalog(Database(), manager=manager)
+
+    @staticmethod
+    def recompute(manager, text):
+        """``text`` on a hand-built catalog of the committed relations:
+        no view catalog, no cache, no optimizer."""
+        return run_xql(Database({
+            name: table.snapshot() for name, table in manager.tables.items()
+        }), text, optimized=False)
+
+    def test_create_read_mutate_read(self):
+        manager, catalog = self.stack()
+
+        async def body(server):
+            writer = await connect("127.0.0.1", server.port, client_id="w")
+            reader = await connect("127.0.0.1", server.port, client_id="r")
+            created = await writer.query(
+                "create materialized view eng as " + self.ENG
+            )
+            assert created.to_rows() == [("eng", "materialized", 2)]
+            await writer.query(
+                "create view floors as select name, floor from eng join dept"
+            )
+            assert catalog.names() == ["eng", "floors"]
+            # Definitions are shared and immediate: the other session
+            # reads them without a REFRESH.
+            assert dumps_csv(await reader.query("select * from eng")) == \
+                dumps_csv(self.recompute(manager, self.ENG))
+            assert (await reader.query(
+                "select name from floors where floor = 3"
+            )).cardinality() == 2
+            await writer.mutate([
+                ["insert", "emp", {"eid": 4, "name": "dee", "dept": "eng"}],
+                ["delete", "emp", {"eid": 1}],
+            ])
+            view = catalog.view("eng")
+            assert (view.delta_applies, view.fallbacks) == (1, 0)
+            before = self.recompute(make_manager(), self.ENG)
+            after = self.recompute(manager, self.ENG)
+            assert before != after
+            # The writer re-pinned at its own commit; the reader never
+            # said REFRESH and reads the view as of the version it holds.
+            assert dumps_csv(await writer.query("select * from eng")) == \
+                dumps_csv(after)
+            assert dumps_csv(await reader.query("select * from eng")) == \
+                dumps_csv(before)
+            assert sorted((await reader.query(
+                "select name from floors"
+            )).to_rows()) == [("ada",), ("cyd",)]
+            assert await reader.refresh() == 1
+            assert dumps_csv(await reader.query("select * from eng")) == \
+                dumps_csv(after)
+            # The pinned reader replaced nothing: still maintained.
+            assert (view.recomputes, view.fallbacks) == (1, 0)
+            assert catalog.verify("eng")
+            refreshed = await reader.query("refresh view eng")
+            assert refreshed.to_rows() == [("eng", 2)]
+            await writer.close()
+            await reader.close()
+
+        run(served(body, manager))
+
+    def test_drop_then_read_is_a_schema_error(self):
+        manager, catalog = self.stack()
+
+        async def body(server):
+            client = await connect("127.0.0.1", server.port)
+            await client.query("create view eng as " + self.ENG)
+            assert (await client.query("select * from eng")).cardinality() == 2
+            dropped = await client.query("drop view eng")
+            assert dropped.to_rows() == [("eng", 1)]
+            with pytest.raises(SchemaError, match="unknown relation 'eng'"):
+                await client.query("select * from eng")
+            assert catalog.names() == [] and client.connected
+            await client.close()
+
+        run(served(body, manager))
+
+    def test_served_and_embedded_view_reads_share_cache_entries(self):
+        cache = QueryResultCache(capacity=8)
+        manager, catalog = self.stack(result_cache=cache)
+        text = "select name from eng"
+
+        async def body(server):
+            client = await connect("127.0.0.1", server.port)
+            await client.query("create materialized view eng as " + self.ENG)
+            stores, hits = cache.stores, cache.hits
+            over_wire = await client.query(text)
+            assert (cache.stores, cache.hits) == (stores + 1, hits)
+            embedded = run_xql(manager.committed(), text)
+            assert (cache.stores, cache.hits) == (stores + 1, hits + 1)
+            assert dumps_csv(over_wire) == dumps_csv(embedded)
+            # A replaced materialization takes its entries with it.
+            held = len(cache)
+            await client.mutate(
+                [["insert", "emp", {"eid": 5, "name": "eve", "dept": "eng"}]]
+            )
+            assert len(cache) < held
+            assert (await client.query(text)).cardinality() == 3
+            await client.close()
+
+        run(served(body, manager))
+
+    def test_a_refused_create_view_defines_nothing(self, tmp_path):
+        from repro.relational.wal import WriteAheadLog
+
+        log = WriteAheadLog(str(tmp_path / "wal.log"), sync=False)
+        cache = QueryResultCache(capacity=8)
+        manager, catalog = self.stack(log=log, result_cache=cache)
+
+        async def body(server):
+            client = await connect("127.0.0.1", server.port)
+            await client.mutate(
+                [["insert", "emp", {"eid": 9, "name": "eve", "dept": "ops"}]]
+            )
+            before = (log.lsn, cache.hits, cache.misses, cache.stale,
+                      cache.stores)
+            for text in (
+                "create materialized view bad as select nope from emp",
+                "create view bad as select name from emp order by floor",
+                "create view bad as select name from ghost",
+            ):
+                with pytest.raises(SchemaError):
+                    await client.query(text)
+                assert catalog.names() == [] and catalog.status() == []
+            assert (log.lsn, cache.hits, cache.misses, cache.stale,
+                    cache.stores) == before
+            # The name is free and the session still answers.
+            await client.query("create view bad as select name from emp")
+            assert (await client.query("select * from bad")).cardinality() == 4
+            await client.close()
+
+        run(served(body, manager))
+        log.close()
 
 
 class TestIdempotentRetry:
