@@ -11,7 +11,9 @@ Two questions, two series:
    batch, documented here rather than hidden.
 
 2. **Shed vs queue under overload.**  A synthetic overload ramp
-   against the cluster front door: with admission control the excess
+   through an :class:`AdmissionController` composed around each
+   cluster read, as the server composes its front door around each
+   request: with admission control the excess
    queries are refused in O(1) *before* any execution; without it
    every query runs to completion.  The per-refusal cost (error
    construction) vs the per-query cost (full scan) is the measured
@@ -22,7 +24,7 @@ Two questions, two series:
 import pytest
 
 from repro.errors import OverloadedError
-from repro.gov import governed
+from repro.gov import AdmissionController, governed
 from repro.relational.distributed import Cluster
 from repro.relational.query import Database, Join, Scan, SelectEq
 from repro.workloads import pair_relation
@@ -99,49 +101,54 @@ def test_closure_checkpoint_overhead(benchmark, governor_mode):
 # ----------------------------------------------------------------------
 
 
-def _build_cluster(max_in_flight):
-    cluster = Cluster(3, replication_factor=2,
-                      max_in_flight=max_in_flight)
+def _build_cluster():
+    cluster = Cluster(3, replication_factor=2)
     cluster.create_table(
         "emp", employee_relation(400, 8, seed=101), "dept"
     )
     return cluster
 
 
-def _overload_ramp(cluster, queries=32, held=0):
-    """``queries`` scans with ``held`` slots already occupied."""
+def _overload_ramp(cluster, admission=None, queries=32, held=0):
+    """``queries`` scans, each through ``admission`` (when given) with
+    ``held`` of its slots already occupied."""
     served = shed = 0
-    if held and cluster.admission is not None:
-        with cluster.admission.hold(held):
-            for _ in range(queries):
-                try:
-                    cluster.execute(Scan("emp"))
-                    served += 1
-                except OverloadedError:
-                    shed += 1
-    else:
+    if admission is None:
         for _ in range(queries):
             cluster.execute(Scan("emp"))
             served += 1
+        return served, shed
+    with admission.hold(held):
+        for _ in range(queries):
+            try:
+                with admission.admitted():
+                    cluster.execute(Scan("emp"))
+                served += 1
+            except OverloadedError:
+                shed += 1
     return served, shed
 
 
 def test_overload_queue_everything(benchmark):
     """Baseline: no admission control, every query runs."""
-    cluster = _build_cluster(max_in_flight=None)
+    cluster = _build_cluster()
     served, shed = benchmark(_overload_ramp, cluster)
     assert served == 32 and shed == 0
 
 
 def test_overload_shed_everything(benchmark):
     """Saturated front door: every query refused before any work."""
-    cluster = _build_cluster(max_in_flight=4)
-    served, shed = benchmark(_overload_ramp, cluster, held=4)
+    cluster = _build_cluster()
+    served, shed = benchmark(
+        _overload_ramp, cluster, AdmissionController(4), held=4
+    )
     assert served == 0 and shed == 32
 
 
 def test_overload_admit_when_idle(benchmark):
     """Admission control priced on the happy path (no contention)."""
-    cluster = _build_cluster(max_in_flight=64)
-    served, shed = benchmark(_overload_ramp, cluster)
+    cluster = _build_cluster()
+    served, shed = benchmark(
+        _overload_ramp, cluster, AdmissionController(64)
+    )
     assert served == 32 and shed == 0

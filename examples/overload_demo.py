@@ -4,8 +4,9 @@ A guided tour of `repro.gov`: a runaway query cancelled mid-operator
 by a budget, a deadline shared between kernel work and simulated
 cluster latency, circuit breakers opening over a dead node and
 re-closing after its revival (with the byte-reproducible transition
-log), admission control shedding a synthetic overload ramp, and a
-partial read whose missing buckets are named rather than hidden.
+log), an admission controller composed around cluster reads shedding
+a synthetic overload ramp, and a partial read whose missing buckets
+are named rather than hidden.
 
 Run:  python examples/overload_demo.py
 """
@@ -15,7 +16,13 @@ from repro.errors import (
     DeadlineExceededError,
     OverloadedError,
 )
-from repro.gov import PRIORITY_BACKGROUND, PRIORITY_NORMAL, governed
+from repro.gov import (
+    PRIORITY_BACKGROUND,
+    PRIORITY_NORMAL,
+    AdmissionController,
+    Deadline,
+    governed,
+)
 from repro.relational.distributed import Cluster
 from repro.relational.query import Database, Scan
 from repro.relational.sql import run
@@ -54,7 +61,7 @@ def demo_budget(db: Database) -> None:
 
 def demo_shared_deadline() -> None:
     banner("2. One deadline, drawn down by simulated cluster latency")
-    cluster = Cluster(3, replication_factor=2, query_timeout_s=0.05)
+    cluster = Cluster(3, replication_factor=2)
     cluster.create_table("emp", employee_relation(200, 8, seed=11), "dept")
     from repro.relational.faults import FaultPlan
 
@@ -64,7 +71,8 @@ def demo_shared_deadline() -> None:
         plan.delay(node.name, 0.04, at_op=1)
     cluster.install_faults(plan)
     try:
-        cluster.execute(Scan("emp"))
+        with governed(deadline=Deadline.simulated(0.05)):
+            cluster.execute(Scan("emp"))
     except DeadlineExceededError as error:
         print("refused: %s" % error)
         print("  (simulated seconds, deterministic on any machine)")
@@ -73,7 +81,7 @@ def demo_shared_deadline() -> None:
 def demo_breakers() -> None:
     banner("3. Circuit breakers: a dead node stops absorbing retries")
     cluster = Cluster(3, replication_factor=2, breakers=True,
-                      breaker_seed=7, query_timeout_s=60.0)
+                      breaker_seed=7)
     cluster.create_table("emp", employee_relation(200, 8, seed=11), "dept")
     cluster.kill_node("node-0")
     for _ in range(10):
@@ -89,14 +97,15 @@ def demo_breakers() -> None:
 
 def demo_shedding() -> None:
     banner("4. Admission control sheds before any work runs")
-    cluster = Cluster(3, replication_factor=2, max_in_flight=4,
-                      admission_soft=2)
+    cluster = Cluster(3, replication_factor=2)
     cluster.create_table("emp", employee_relation(200, 8, seed=11), "dept")
-    with cluster.admission.hold(2):      # synthetic standing load
+    admission = AdmissionController(4, soft_capacity=2)
+    with admission.hold(2):              # synthetic standing load
         for priority, label in ((PRIORITY_BACKGROUND, "background"),
                                 (PRIORITY_NORMAL, "normal")):
             try:
-                result = cluster.execute(Scan("emp"), priority=priority)
+                with admission.admitted(priority):
+                    result = cluster.execute(Scan("emp"))
                 print("%s query served: %d rows"
                       % (label, result.cardinality()))
             except OverloadedError as error:
@@ -106,7 +115,7 @@ def demo_shedding() -> None:
 
 def demo_partial() -> None:
     banner("5. Degraded reads are marked, never silent")
-    cluster = Cluster(2, replication_factor=1, query_timeout_s=60.0)
+    cluster = Cluster(2, replication_factor=1)
     cluster.create_table("emp", employee_relation(200, 8, seed=11), "dept")
     complete = cluster.execute(Scan("emp"))
     cluster.kill_node("node-0")

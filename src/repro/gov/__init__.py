@@ -10,7 +10,8 @@ path of the reproduction:
 * :mod:`repro.gov.breaker` -- per-node circuit breakers on a
   deterministic op-count clock, used by the distributed cluster.
 * :mod:`repro.gov.admission` -- bounded in-flight query table with
-  priority-ordered load shedding.
+  priority-ordered load shedding: the server's front door, composed
+  around a cluster read by an embedded caller.
 * :mod:`repro.gov.result` -- explicitly-marked partial results with a
   missing-bucket manifest for degraded reads.
 

@@ -1,4 +1,4 @@
-"""Admission control and load shedding for the cluster front door.
+"""Admission control and load shedding: the server's front door.
 
 A bounded in-flight query table: every query asks for a slot before it
 runs and releases it after.  Below ``soft_capacity`` everything is
@@ -12,10 +12,13 @@ overshoot -- callers can back off without parsing messages, and two
 identical runs shed the identical set of queries.
 
 Priorities are small ints, higher = more important (0 background,
-1 normal, 2 critical).  The controller is deliberately synchronous:
-this repo's cluster is single-threaded and simulated, so "in flight"
-means "admitted and not yet released", which overload tests drive by
-holding slots across calls.
+1 normal, 2 critical).  :class:`repro.server.Server` wraps every
+request in :meth:`AdmissionController.admitted`; a caller reading a
+cluster directly composes the same two lines around
+``cluster.execute`` -- the cluster has no front door of its own.  The
+controller is deliberately synchronous: "in flight" means "admitted
+and not yet released", which overload tests drive by holding slots
+across calls.
 """
 
 from __future__ import annotations

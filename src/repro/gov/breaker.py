@@ -21,8 +21,8 @@ synchronized probe thundering, while remaining deterministic for a
 given seed.
 
 State changes invoke ``on_transition(node, old, new, op)`` -- the
-cluster hangs metrics (``repro_gov_breaker_*``) and its breaker log
-off this callback.
+cluster hangs ``repro_gov_breaker_transitions_total`` and its breaker
+log off this callback.
 """
 
 from __future__ import annotations

@@ -23,10 +23,12 @@ Design rules:
   so only explicitly-charged simulated seconds (cluster backoff, node
   delays) draw it down -- byte-reproducible across machines, the same
   trick as :class:`repro.obs.trace.FakeClock`.
-* **One ledger.**  The distributed layer's ``query_timeout_s`` is a
-  *default* feeding this Deadline; backoff sleeps and node delays draw
-  down the same object a surrounding ``governed()`` scope installed,
-  so no simulated second is ever counted against two parallel budgets.
+* **One ledger.**  A cluster read has no deadline or budget of its
+  own: backoff sleeps and node delays draw down the Deadline a
+  surrounding ``governed()`` scope installed, and each bucket shipment
+  checkpoints its Budget at ``shard.<table>[<bucket>]`` -- no
+  simulated second or shipped row is counted against two parallel
+  ledgers.
 
 Metrics (all ``repro_gov_*``, recorded only under ``REPRO_OBS``):
 cancellations by reason, checkpoint counts at death, and a
@@ -86,9 +88,9 @@ class Deadline:
         """A deadline drawn down *only* by :meth:`charge` calls.
 
         The clock is frozen, so elapsed time is exactly the simulated
-        seconds charged -- deterministic across machines.  This is what
-        ``Cluster.query_timeout_s`` builds when no ambient governor
-        supplies a deadline.
+        seconds charged -- deterministic across machines.  Installed
+        with ``governed(deadline=Deadline.simulated(t))``, it is a
+        cluster read's reproducible time budget.
         """
         return cls(timeout_s, clock=lambda: 0.0)
 

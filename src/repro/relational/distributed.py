@@ -83,13 +83,12 @@ from typing import (
 from repro.errors import (
     CircuitOpenError,
     ClusterUnavailableError,
-    OverloadedError,
     SchemaError,
 )
-from repro.gov.admission import PRIORITY_NORMAL, AdmissionController
-from repro.gov.breaker import CLOSED, HALF_OPEN, OPEN, BreakerBoard
-from repro.gov.governor import Budget, Deadline
+from repro.gov.breaker import BreakerBoard
+from repro.gov.governor import Deadline
 from repro.gov.governor import active as _gov_active
+from repro.gov.governor import checkpoint as _checkpoint
 from repro.gov.result import MissingBucket, Result
 from repro.obs import metrics as _metrics
 from repro.obs.instrument import enabled as _obs_enabled
@@ -129,21 +128,12 @@ from repro.xst.xset import XSet
 
 __all__ = ["NetworkStats", "Node", "Cluster"]
 
-#: Numeric breaker-state encoding for the ``repro_gov_breaker_state``
-#: gauge (a gauge must be a number; 0 is the healthy state).
-_BREAKER_STATE_CODES = {CLOSED: 0, HALF_OPEN: 1, OPEN: 2}
-
 
 class NetworkStats:
     """Counters for simulated shipments, faults and recovery work.
 
-    Since the observability layer landed these are *derived metrics*:
-    every mutation is mirrored into the global
-    :mod:`repro.obs.metrics` registry (``repro_cluster_*`` counters)
-    when ``REPRO_OBS`` is on, so benchmark harnesses and the
-    ``repro obs-metrics`` exposition see cluster traffic without
-    touching this object.  The plain attributes remain the
-    synchronous, always-on view the tests assert against.
+    Plain, always-on attributes of one cluster (not metric families):
+    what the fault benchmark and the tests read.
     """
 
     def __init__(self):
@@ -165,46 +155,16 @@ class NetworkStats:
         if replica:
             self.replica_messages += 1
             self.replica_bytes += byte_count
-        if _obs_enabled():
-            registry = _metrics.registry()
-            registry.counter(
-                "repro_cluster_messages_total",
-                "Simulated shipments between nodes.",
-            ).inc()
-            registry.counter(
-                "repro_cluster_bytes_total",
-                "Serialized bytes shipped.", ("replica",),
-            ).inc(byte_count, replica="1" if replica else "0")
 
     def record_retry(self, backoff_s: float = 0.0) -> None:
         self.retries += 1
         self.backoff_s += backoff_s
-        if _obs_enabled():
-            registry = _metrics.registry()
-            registry.counter(
-                "repro_cluster_retries_total",
-                "Shipment retries after loss/corruption.",
-            ).inc()
-            registry.counter(
-                "repro_cluster_backoff_seconds_total",
-                "Simulated retry backoff charged.",
-            ).inc(backoff_s)
 
     def record_failover(self) -> None:
         self.failovers += 1
-        if _obs_enabled():
-            _metrics.registry().counter(
-                "repro_cluster_failovers_total",
-                "Reads served by a non-primary replica.",
-            ).inc()
 
     def record_delay(self, seconds: float) -> None:
         self.delay_s += seconds
-        if _obs_enabled():
-            _metrics.registry().counter(
-                "repro_cluster_delay_seconds_total",
-                "Simulated node latency charged.",
-            ).inc(seconds)
 
     def recovery_s(self) -> float:
         """Total simulated time spent recovering (delays + backoff)."""
@@ -365,24 +325,19 @@ def _by_bucket(rows: XSet, shard_map: ShardMap,
 
 
 class _QueryContext:
-    """Per-query bookkeeping: simulated elapsed time and the root span.
+    """Per-query bookkeeping: the root span and the degraded-mode terms.
 
     The span tree records one child per bucket access (successful or
     terminally failed), which :mod:`repro.relational.profile` renders
     as an EXPLAIN-style tree and ``repro obs-trace`` exports.
 
-    ``deadline`` is the query's *single* time budget: the ambient
-    governor's deadline when one is installed, else one built from the
-    cluster's ``query_timeout_s`` default.  Backoff sleeps and node
-    delays both draw it down (each simulated second charged exactly
-    once) -- previously backoff and delays were summed into a context
-    total that a surrounding governor could have charged a second
-    time.
+    ``deadline`` is the ambient governor's deadline, or ``None``: a
+    cluster read has no time budget of its own.  Backoff sleeps and
+    node delays both draw it down, each simulated second once.
     """
 
-    __slots__ = ("describe", "simulated_s", "span", "started", "deadline",
-                 "trace", "shard_budgets", "allow_partial", "read_quorum",
-                 "missing", "downgraded")
+    __slots__ = ("describe", "span", "deadline", "trace", "allow_partial",
+                 "read_quorum", "missing", "downgraded")
 
     def __init__(self, describe: str, span: Span,
                  deadline: Optional[Deadline] = None,
@@ -390,17 +345,12 @@ class _QueryContext:
                  allow_partial: bool = False,
                  read_quorum: Optional[int] = None):
         self.describe = describe
-        self.simulated_s = 0.0
         self.span = span
-        self.started = time.perf_counter()
         self.deadline = deadline
         #: The causal context child operations (per-bucket reads,
         #: rebuilds) inherit: same trace id, this query's root span as
         #: causal parent.
         self.trace = trace
-        #: Per-shard governor budgets, allocated lazily per bucket the
-        #: query touches (only when the cluster caps shard reads).
-        self.shard_budgets: Dict[Tuple[str, int], Budget] = {}
         #: Degraded-mode terms of this query and what :meth:`Cluster.
         #: _gather` has recorded under them so far: the missing-bucket
         #: manifest and whether any read ran below its quorum.
@@ -408,17 +358,6 @@ class _QueryContext:
         self.read_quorum = read_quorum
         self.missing: List[MissingBucket] = []
         self.downgraded = False
-
-    def charge(self, seconds: float) -> None:
-        self.simulated_s += seconds
-
-    def shard_budget(self, table: str, bucket: int, max_rows: int) -> Budget:
-        """The (lazily created) row budget for one shard of this query."""
-        key = (table, bucket)
-        budget = self.shard_budgets.get(key)
-        if budget is None:
-            budget = self.shard_budgets[key] = Budget(max_rows=max_rows)
-        return budget
 
 
 class _Sharded(NamedTuple):
@@ -488,8 +427,8 @@ class _ShardKernels:
         """``plan`` bottom-up, the twin of ``Database._execute_raw``; a
         ``Scan`` is the table, still in its buckets.  It charges no
         per-node governor checkpoint (``execute_node`` does): a cluster
-        read has only ever paid the kernels' own, and serving the
-        cluster is where that gets decided."""
+        read pays the kernels' own and one per bucket shipment, and
+        serving the cluster is where that gets decided."""
         if isinstance(plan, Scan):
             names = self.cluster.manager.table(plan.name).heading.names
             return _Sharded(plan.name, dict(zip(names, names)), (), {}, 0)
@@ -829,30 +768,20 @@ class Cluster:
     :meth:`create_table` (overridable per table).  ``max_attempts``
     bounds per-replica retries of lost/corrupted shipments, with
     simulated exponential backoff starting at ``backoff_base_s``.
-    ``query_timeout_s`` is the *default* time budget: each query runs
-    under one :class:`repro.gov.Deadline` (the ambient governor's when
-    one is installed, else a simulated-clock deadline built from this
-    value) that node delays and backoff draw down together; an
-    exhausted deadline raises
-    :class:`~repro.errors.DeadlineExceededError` rather than hanging.
 
-    Governance knobs (all off by default, preserving the PR-1 fault
-    semantics exactly):
-
-    * ``breakers=True`` arms per-node circuit breakers on the
-      cluster's operation counter (``failure_threshold`` consecutive
-      failures open; ``breaker_cooldown_ops`` ops later a half-open
-      probe runs, with seeded per-node jitter).  An open breaker's
-      node is skipped without an attempt, a tick, or backoff.
-    * ``max_in_flight`` bounds concurrently admitted queries;
-      excess work is shed with :class:`~repro.errors.OverloadedError`
-      before any execution (see :mod:`repro.gov.admission`).
-    * ``stats_fanout=True`` lets every gather visit buckets in
-      descending per-bucket row-count order -- the schedule a
-      parallel gather would pick, so the longest-running shipment
-      starts first.  Off by default because reordering changes the
-      operation-tick sequence that the seeded fault/chaos suites pin
-      byte-for-byte.
+    A read is governed by the objects every other read is: the ambient
+    :func:`repro.gov.governed` scope's deadline is what node delays and
+    backoff draw down (an exhausted one raises
+    :class:`~repro.errors.DeadlineExceededError` rather than hanging),
+    its budget is charged every bucket shipment at ``shard.<t>[<b>]``,
+    and shedding is an :class:`~repro.gov.AdmissionController` the
+    caller wraps around :meth:`execute`.  The cluster's one governance
+    knob of its own, off by default: ``breakers=True`` arms per-node
+    circuit breakers on the cluster's operation counter
+    (``breaker_threshold`` consecutive failures open;
+    ``breaker_cooldown_ops`` ops later a half-open probe runs, with
+    seeded per-node jitter).  An open breaker's node is skipped
+    without an attempt, a tick, or backoff.
 
     Deployment settings (keyword-only, handed straight to the
     :attr:`manager` the cluster builds): ``log=`` a
@@ -871,17 +800,12 @@ class Cluster:
         replication_factor: int = 1,
         max_attempts: int = 3,
         backoff_base_s: float = 0.010,
-        query_timeout_s: Optional[float] = None,
         clock: Optional[Callable[[], float]] = None,
         breakers: bool = False,
         breaker_threshold: int = 3,
         breaker_cooldown_ops: int = 8,
         breaker_jitter_ops: int = 3,
         breaker_seed: int = 0,
-        max_in_flight: Optional[int] = None,
-        admission_soft: Optional[int] = None,
-        stats_fanout: bool = False,
-        shard_budget_rows: Optional[int] = None,
         *,
         log: Optional[Any] = None,
         stats: Optional[Any] = None,
@@ -903,7 +827,6 @@ class Cluster:
         self.replication_factor = replication_factor
         self.max_attempts = max_attempts
         self.backoff_base_s = backoff_base_s
-        self.query_timeout_s = query_timeout_s
         self.faults: FaultInjector = NO_FAULTS
         # Operation counter: the deterministic "clock" circuit
         # breakers schedule probes against.  Incremented by _tick,
@@ -921,11 +844,6 @@ class Cluster:
             if breakers
             else None
         )
-        self.admission: Optional[AdmissionController] = (
-            AdmissionController(max_in_flight, soft_capacity=admission_soft)
-            if max_in_flight is not None
-            else None
-        )
         # Trace state, initialized up front so a cluster that has
         # never run a query still profiles/renders cleanly.  ``clock``
         # injects the span clock: pass a repro.obs.trace.FakeClock and
@@ -936,12 +854,6 @@ class Cluster:
         # or randomness -- the byte-reproducibility of chaos traces
         # depends on it.
         self._trace_ids = count(1)
-        self.stats_fanout = stats_fanout
-        #: Per-query cap on rows any single shard may contribute; a
-        #: bucket read past the cap dies with
-        #: :class:`~repro.errors.BudgetExceededError` naming the shard
-        #: site.  ``None`` (default) disables the cap.
-        self.shard_budget_rows = shard_budget_rows
         #: The one engine under the cluster: every logical table
         #: (``"emp"``, never ``"emp#3"``) is enrolled here, every write
         #: is one of its commits, and replicas follow its commit
@@ -958,11 +870,6 @@ class Cluster:
         #: In-flight shard moves, oldest first (FIFO-driven by
         #: :meth:`step_rebalance`).
         self._moves: List[ShardMove] = []
-        # Per-table, per-bucket row counts, exact: set on load and
-        # re-shard, moved by every commit diff -- the distributed
-        # analog of the statistics catalog's row counts, feeding
-        # stats_fanout bucket ordering.
-        self._bucket_rows: Dict[str, Dict[int, int]] = {}
         self._last_context: Optional[_QueryContext] = None
 
     @property
@@ -993,16 +900,10 @@ class Cluster:
         if span is not None:
             span.set("breaker_%s" % node, "%s->%s" % (old, new))
         if _obs_enabled():
-            registry = _metrics.registry()
-            registry.counter(
+            _metrics.registry().counter(
                 "repro_gov_breaker_transitions_total",
                 "Circuit-breaker state transitions.", ("node", "to"),
             ).inc(node=node, to=new)
-            registry.gauge(
-                "repro_gov_breaker_state",
-                "Breaker state per node (0 closed, 1 half-open, 2 open).",
-                ("node",),
-            ).set(_BREAKER_STATE_CODES[new], node=node)
 
     @property
     def breaker_log(self) -> List[Tuple[int, str, str, str]]:
@@ -1171,11 +1072,7 @@ class Cluster:
         # Catalog first: a revive fired by a mid-create tick must be
         # able to see the placement to rebuild the partial table.
         self._placements[name] = placement
-        parts = self._partitioned(name)
-        self._bucket_rows[name] = {
-            index: part.cardinality() for index, part in enumerate(parts)
-        }
-        for bucket_index, part in enumerate(parts):
+        for bucket_index, part in enumerate(self._partitioned(name)):
             for position, node_index in enumerate(
                 placement.replicas(bucket_index)
             ):
@@ -1216,13 +1113,11 @@ class Cluster:
                 continue  # enrolled in the engine, never placed here
             gained = _by_bucket(inserted, placement)
             lost = _by_bucket(deleted, placement)
-            counts = self._bucket_rows[name]
             for bucket_index in sorted(set(gained) | set(lost)):
                 diff = (
                     self._relation(name, gained.get(bucket_index, ())),
                     self._relation(name, lost.get(bucket_index, ())),
                 )
-                counts[bucket_index] += len(diff[0]) - len(diff[1])
                 for position, node_index in enumerate(
                     placement.replicas(bucket_index)
                 ):
@@ -1312,22 +1207,12 @@ class Cluster:
         self.shard_map(name).check_epoch(name, requested)
 
     def bucket_stats(self, name: str) -> Dict[int, int]:
-        """Exact per-bucket row counts of the committed relation."""
-        self.shard_map(name)
-        return dict(self._bucket_rows[name])
-
-    def _bucket_order(self, name: str) -> List[int]:
-        """Gather order for this table's buckets.
-
-        Plain index order by default (the tick sequence the fault
-        suites pin); with ``stats_fanout`` enabled, descending row
-        count with index as the deterministic tie-break.
-        """
-        indices = list(range(self._placements[name].bucket_count))
-        if not self.stats_fanout:
-            return indices
-        counts = self._bucket_rows[name]
-        return sorted(indices, key=lambda index: (-counts[index], index))
+        """Per-bucket row counts of the committed relation: exact, as
+        the cardinalities of its restrictions."""
+        return {
+            index: part.cardinality()
+            for index, part in enumerate(self._partitioned(name))
+        }
 
     def status(self) -> Dict[str, Any]:
         """A structured snapshot: nodes, tables, placement, network."""
@@ -1459,14 +1344,11 @@ class Cluster:
                         result = action(node)
                         if result is not None:
                             self._ship(node, result.rows)
-                            if self.shard_budget_rows is not None:
-                                context.shard_budget(
-                                    table, bucket_index,
-                                    self.shard_budget_rows,
-                                ).charge(
-                                    "shard.%s[%d]" % (table, bucket_index),
-                                    result.cardinality(),
-                                )
+                            _checkpoint(
+                                "shard.%s[%d]" % (table, bucket_index),
+                                result.cardinality(),
+                                len(result.heading.names),
+                            )
                         if breaker is not None:
                             breaker.record_success(self.ops)
                         span.rename(
@@ -1528,7 +1410,6 @@ class Cluster:
         :class:`~repro.errors.DeadlineExceededError` naming the bucket
         being served.
         """
-        context.charge(seconds)
         self.tracer.advance(seconds)
         if context.deadline is not None:
             context.deadline.charge(seconds)
@@ -1536,100 +1417,48 @@ class Cluster:
                 "cluster.%s[%d]" % (table, bucket_index)
             )
 
-    def _query_deadline(self) -> Optional[Deadline]:
-        """The deadline this query runs under: ambient, else default.
-
-        A surrounding ``governed(...)`` scope's deadline is *shared*
-        (the cluster draws down the same ledger as local kernel
-        checkpoints); only without one does ``query_timeout_s`` build
-        a fresh simulated-clock deadline.
-        """
-        governor = _gov_active()
-        if governor is not None and governor.deadline is not None:
-            return governor.deadline
-        if self.query_timeout_s is not None:
-            return Deadline.simulated(self.query_timeout_s)
-        return None
-
     @contextmanager
     def _query(self, describe: str, kind: str,
-               priority: int = PRIORITY_NORMAL,
                trace: Optional[TraceContext] = None,
                allow_partial: bool = False,
                read_quorum: Optional[int] = None,
                ) -> Iterator[_QueryContext]:
         """One query's root span plus context; metrics on completion.
 
-        With admission control configured this is the cluster's front
-        door: the slot is taken before the span opens (a shed query
-        runs nothing and traces nothing) and released on the way out.
-
         ``trace`` is an inbound :class:`TraceContext` from the caller
         (a coordinating local plan, a parent service); without one the
-        query starts a fresh trace with a counter-allocated id and
-        ``priority`` in its baggage.  Either way the root span is
-        stamped with the trace id (and a ``link_parent`` back-link
-        when the causal parent lives on another tracer), child bucket
-        spans inherit the context, and the query-latency histogram
-        records the trace id as the bucket's exemplar -- the
-        histogram-to-trace link.
+        query starts a fresh trace with a counter-allocated id.  Either
+        way the root span is stamped with the trace id (and a
+        ``link_parent`` back-link when the causal parent lives on
+        another tracer) and its baggage, child bucket spans inherit
+        the context, and the query-latency histogram records the trace
+        id as the bucket's exemplar -- the histogram-to-trace link.
         """
-        if self.admission is not None:
-            try:
-                self.admission.try_admit(priority)
-            except OverloadedError as error:
-                if _obs_enabled():
-                    _metrics.registry().counter(
-                        "repro_gov_shed_total",
-                        "Queries refused by admission control.",
-                        ("reason",),
-                    ).inc(reason=error.reason)
-                raise
-            if _obs_enabled():
-                registry = _metrics.registry()
-                registry.counter(
-                    "repro_gov_admitted_total",
-                    "Queries admitted past the front door.",
-                ).inc()
-                registry.gauge(
-                    "repro_gov_in_flight",
-                    "Admitted queries currently executing.",
-                ).set(self.admission.in_flight)
         if trace is None:
-            trace = TraceContext(
-                "t-%06d" % next(self._trace_ids),
-                baggage={"priority": priority},
-            )
+            trace = TraceContext("t-%06d" % next(self._trace_ids))
+        governor = _gov_active()
         started = time.perf_counter()
-        try:
-            with self.tracer.span(describe, kind=kind) as span:
-                trace.annotate(span)
-                for bag_key in sorted(trace.baggage):
-                    span.set("bag_%s" % bag_key, trace.baggage[bag_key])
-                context = _QueryContext(
-                    describe, span, deadline=self._query_deadline(),
-                    trace=trace.child_of(span),
-                    allow_partial=allow_partial, read_quorum=read_quorum,
-                )
-                self._last_context = context
-                yield context
-            if _obs_enabled():
-                _metrics.registry().histogram(
-                    "repro_cluster_query_seconds",
-                    "Distributed query wall time.", ("query",),
-                ).observe(
-                    time.perf_counter() - started,
-                    exemplar=trace.trace_id,
-                    query=kind,
-                )
-        finally:
-            if self.admission is not None:
-                self.admission.release()
-                if _obs_enabled():
-                    _metrics.registry().gauge(
-                        "repro_gov_in_flight",
-                        "Admitted queries currently executing.",
-                    ).set(self.admission.in_flight)
+        with self.tracer.span(describe, kind=kind) as span:
+            trace.annotate(span)
+            for bag_key in sorted(trace.baggage):
+                span.set("bag_%s" % bag_key, trace.baggage[bag_key])
+            context = _QueryContext(
+                describe, span,
+                deadline=None if governor is None else governor.deadline,
+                trace=trace.child_of(span),
+                allow_partial=allow_partial, read_quorum=read_quorum,
+            )
+            self._last_context = context
+            yield context
+        if _obs_enabled():
+            _metrics.registry().histogram(
+                "repro_cluster_query_seconds",
+                "Distributed query wall time.", ("query",),
+            ).observe(
+                time.perf_counter() - started,
+                exemplar=trace.trace_id,
+                query=kind,
+            )
 
     @property
     def last_query_span(self) -> Optional[Span]:
@@ -1689,11 +1518,6 @@ class Cluster:
                 reason="read quorum not met: %d live replicas < %d required"
                 % (live, context.read_quorum),
             )
-        if _obs_enabled():
-            _metrics.registry().counter(
-                "repro_gov_quorum_downgrade_total",
-                "Reads served below their requested quorum.",
-            ).inc()
         context.downgraded = True
 
     def _gather(
@@ -1712,13 +1536,15 @@ class Cluster:
         partials.  It owns the quorum check and, under
         ``allow_partial``, the missing-bucket manifest: an unreachable
         bucket is recorded on the context and skipped instead of
-        failing the query.  Returns what the buckets shipped, in visit
-        order (``None`` -- nothing to ship -- is dropped).
+        failing the query.  Buckets are visited in index order (the
+        tick sequence the seeded fault suites pin); returns what they
+        shipped, in that order (``None`` -- nothing to ship -- is
+        dropped).
         """
+        if buckets is None:
+            buckets = range(self._placements[name].bucket_count)
         parts = []
-        for bucket_index in (
-            self._bucket_order(name) if buckets is None else buckets
-        ):
+        for bucket_index in buckets:
             self._check_quorum(context, name, bucket_index)
             try:
                 part = self._attempt_on_replicas(
@@ -1751,11 +1577,6 @@ class Cluster:
         context.span.set("partial", bool(context.missing))
         context.span.set("missing_buckets", len(context.missing))
         context.span.set("quorum_downgraded", context.downgraded)
-        if context.missing and _obs_enabled():
-            _metrics.registry().counter(
-                "repro_gov_partial_total",
-                "Queries answered with explicitly-partial results.",
-            ).inc()
         return Result(
             answer, context.missing, quorum_downgraded=context.downgraded
         )
@@ -1769,7 +1590,6 @@ class Cluster:
         plan: Plan,
         allow_partial: bool = False,
         read_quorum: Optional[int] = None,
-        priority: int = PRIORITY_NORMAL,
         trace: Optional[TraceContext] = None,
         epoch: Optional[Any] = None,
     ) -> Any:
@@ -1825,7 +1645,7 @@ class Cluster:
         with self._query(
             "execute(%s)" % _describe(plan),
             "execute_join" if _holds_join(plan) else "execute",
-            priority=priority, trace=trace,
+            trace=trace,
             allow_partial=allow_partial, read_quorum=read_quorum,
         ) as context:
             kernels = _ShardKernels(self, context)
@@ -1983,9 +1803,6 @@ class Cluster:
                 node = self.nodes[node_index]
                 if node.alive:
                     node.store(name, part, bucket_index)
-        self._bucket_rows[name] = {
-            index: part.cardinality() for index, part in enumerate(parts)
-        }
         for old_bucket in range(new_map.bucket_count,
                                 old_map.bucket_count):
             for node_index in old_map.replicas(old_bucket):

@@ -19,7 +19,13 @@ from repro.errors import (
     ClusterUnavailableError,
     OverloadedError,
 )
-from repro.gov import CLOSED, OPEN, PRIORITY_BACKGROUND, PRIORITY_NORMAL
+from repro.gov import (
+    CLOSED,
+    OPEN,
+    PRIORITY_BACKGROUND,
+    PRIORITY_NORMAL,
+    AdmissionController,
+)
 from repro.relational.distributed import Cluster
 from repro.relational.query import Scan
 from repro.workloads.generators import employee_relation
@@ -40,8 +46,7 @@ def _breaker_scenario(seed):
     Returns the cluster plus the per-query breaker state of the dead
     node, so tests can assert on the full lifecycle.
     """
-    cluster = _cluster(breakers=True, breaker_seed=seed,
-                       query_timeout_s=60.0)
+    cluster = _cluster(breakers=True, breaker_seed=seed)
     cluster.kill_node("node-0")
     states = []
     for _ in range(10):
@@ -86,8 +91,8 @@ class TestBreakerLifecycle:
         assert first.breaker_log  # and it is not trivially empty
 
     def test_open_breakers_stop_burning_retry_budget(self):
-        governed_cluster = _cluster(breakers=True, query_timeout_s=60.0)
-        naive_cluster = _cluster(breakers=False, query_timeout_s=60.0)
+        governed_cluster = _cluster(breakers=True)
+        naive_cluster = _cluster(breakers=False)
         for cluster in (governed_cluster, naive_cluster):
             cluster.kill_node("node-0")
             for _ in range(10):
@@ -98,7 +103,7 @@ class TestBreakerLifecycle:
         assert governed_cluster.ops < naive_cluster.ops
 
     def test_transitions_are_span_visible(self):
-        cluster = _cluster(breakers=True, query_timeout_s=60.0)
+        cluster = _cluster(breakers=True)
         cluster.kill_node("node-0")
         for _ in range(5):
             cluster.execute(Scan("emp"))
@@ -115,7 +120,7 @@ class TestBreakerLifecycle:
 
         with observed() as registry:
             registry.reset()
-            cluster = _cluster(breakers=True, query_timeout_s=60.0)
+            cluster = _cluster(breakers=True)
             cluster.kill_node("node-0")
             for _ in range(5):
                 cluster.execute(Scan("emp"))
@@ -131,7 +136,7 @@ class TestCircuitOpenIsTyped:
         # fallback, so queries fail -- first as dead-replica errors,
         # then (breaker open) as CircuitOpenError without an attempt.
         cluster = Cluster(2, replication_factor=1, breakers=True,
-                          breaker_jitter_ops=0, query_timeout_s=60.0)
+                          breaker_jitter_ops=0)
         cluster.create_table("emp", employee_relation(30, 6, seed=5), "dept")
         cluster.kill_node("node-0")
         outcomes = []
@@ -150,7 +155,7 @@ class TestCircuitOpenIsTyped:
 
     def test_partial_mode_degrades_instead(self):
         cluster = Cluster(2, replication_factor=1, breakers=True,
-                          breaker_jitter_ops=0, query_timeout_s=60.0)
+                          breaker_jitter_ops=0)
         cluster.create_table("emp", employee_relation(30, 6, seed=5), "dept")
         complete = cluster.execute(Scan("emp"))
         cluster.kill_node("node-0")
@@ -166,27 +171,37 @@ class TestCircuitOpenIsTyped:
 
 
 class TestOverloadShedding:
+    """Shedding is a controller composed around the read, as the
+    server composes its own: the cluster has no front door."""
+
     def test_ramp_sheds_background_then_everything(self):
-        cluster = _cluster(max_in_flight=4, admission_soft=2)
+        cluster = _cluster()
+        admission = AdmissionController(4, soft_capacity=2)
+
+        def execute(priority=PRIORITY_NORMAL):
+            with admission.admitted(priority):
+                return cluster.execute(Scan("emp"))
+
         # Below the soft line everything runs.
-        assert cluster.execute(Scan("emp")).cardinality() > 0
-        with cluster.admission.hold(2):
+        assert execute().cardinality() > 0
+        with admission.hold(2):
             # Soft line reached: background shed, normal admitted.
             with pytest.raises(OverloadedError) as info:
-                cluster.execute(Scan("emp"), priority=PRIORITY_BACKGROUND)
+                execute(PRIORITY_BACKGROUND)
             assert info.value.retry_after_s > 0
-            assert cluster.execute(Scan("emp"), priority=PRIORITY_NORMAL
-            ).cardinality() > 0
-        with cluster.admission.hold(4):
+            assert execute(PRIORITY_NORMAL).cardinality() > 0
+        with admission.hold(4):
             # Hard capacity: even normal traffic is refused.
             with pytest.raises(OverloadedError, match="at capacity"):
-                cluster.execute(Scan("emp"), priority=PRIORITY_NORMAL)
+                execute(PRIORITY_NORMAL)
         # Slots released: the front door reopens.
-        assert cluster.execute(Scan("emp")).cardinality() > 0
+        assert execute().cardinality() > 0
 
     def test_shed_queries_run_nothing_and_trace_nothing(self):
-        cluster = _cluster(max_in_flight=2, admission_soft=2)
+        cluster = _cluster()
+        admission = AdmissionController(2, soft_capacity=2)
         baseline_messages = cluster.network.messages
+        baseline_ops = cluster.ops
 
         def span_count():
             return sum(
@@ -194,19 +209,20 @@ class TestOverloadShedding:
             )
 
         spans_before = span_count()
-        with cluster.admission.hold(2):
+        with admission.hold(2):
             with pytest.raises(OverloadedError):
-                cluster.execute(Scan("emp"))
+                with admission.admitted():
+                    cluster.execute(Scan("emp"))
         assert cluster.network.messages == baseline_messages
+        assert cluster.ops == baseline_ops
         assert span_count() == spans_before
 
     def test_overload_ramp_with_killed_node_is_reproducible(self):
         """The acceptance scenario: overload + outage, twice, equal."""
 
         def ramp():
-            cluster = _cluster(max_in_flight=3, admission_soft=2,
-                               breakers=True, breaker_seed=3,
-                               query_timeout_s=60.0)
+            cluster = _cluster(breakers=True, breaker_seed=3)
+            admission = AdmissionController(3, soft_capacity=2)
             cluster.kill_node("node-2")
             outcomes = []
             for step in range(12):
@@ -216,11 +232,11 @@ class TestOverloadShedding:
                     else PRIORITY_NORMAL
                 )
                 try:
-                    with cluster.admission.hold(held):
-                        result = cluster.execute(
-                            Scan("emp"), allow_partial=True,
-                            priority=priority,
-                        )
+                    with admission.hold(held):
+                        with admission.admitted(priority):
+                            result = cluster.execute(
+                                Scan("emp"), allow_partial=True,
+                            )
                     outcomes.append(
                         ("ok", result.partial, len(result.missing),
                          result.cardinality())
@@ -245,13 +261,13 @@ class TestOverloadShedding:
 
 class TestQuorumReads:
     def test_strict_quorum_fails_typed(self):
-        cluster = _cluster(query_timeout_s=60.0)
+        cluster = _cluster()
         cluster.kill_node("node-0")
         with pytest.raises(ClusterUnavailableError, match="quorum"):
             cluster.execute(Scan("emp"), read_quorum=2)
 
     def test_partial_quorum_read_is_marked_downgraded(self):
-        cluster = _cluster(query_timeout_s=60.0)
+        cluster = _cluster()
         complete = cluster.execute(Scan("emp"))
         cluster.kill_node("node-0")
         result = cluster.execute(

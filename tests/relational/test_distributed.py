@@ -379,43 +379,36 @@ class TestNetworkStats:
         assert "Cluster" in repr(cluster)
 
 
-class TestStatsFanout:
-    def test_bucket_stats_track_insert_upper_bounds(self, cluster):
+class TestBucketStats:
+    def test_bucket_stats_equal_the_committed_restrictions(self, cluster):
+        def restrictions():
+            committed = cluster.manager.committed().relation("emp")
+            placement = cluster.shard_map("emp")
+            counts = dict.fromkeys(range(placement.bucket_count), 0)
+            for row in committed.iter_dicts():
+                counts[placement.bucket_for(row["dept"])] += 1
+            return counts
+
+        emp = cluster.manager.table("emp")
+        cluster.insert("emp", [
+            {"emp": 900 + i, "name": "new-%d" % i, "dept": i % 8,
+             "salary": 1000}
+            for i in range(5)
+        ])
+        assert cluster.bucket_stats("emp") == restrictions()
+        assert emp.delete({"dept": 3}) > 0
+        assert cluster.bucket_stats("emp") == restrictions()
+        # An update that moves a row across buckets.
+        assert emp.update({"emp": 1}, {"dept": 5}) == 1
         counts = cluster.bucket_stats("emp")
-        assert sum(counts.values()) >= 160
-        assert set(counts) == set(range(4))
+        assert counts == restrictions()
+        assert sum(counts.values()) == len(emp)
 
-    def test_fanout_disabled_by_default_preserves_order(self, cluster):
-        assert cluster._bucket_order("emp") == [0, 1, 2, 3]
-
-    def test_fanout_orders_largest_bucket_first(self, employees, departments):
-        cluster = Cluster(4, stats_fanout=True)
-        cluster.create_table("emp", employees, "dept")
-        order = cluster._bucket_order("emp")
-        counts = cluster.bucket_stats("emp")
-        assert sorted(order) == [0, 1, 2, 3]
-        assert [counts[i] for i in order] == sorted(
-            counts.values(), reverse=True
-        )
-
-    def test_fanout_scan_answers_identically(self, employees, departments):
-        plain = Cluster(4)
-        reordered = Cluster(4, stats_fanout=True)
-        for target in (plain, reordered):
-            target.create_table("emp", employees, "dept")
-        assert reordered.execute(Scan("emp")) == plain.execute(Scan("emp"))
-
-    def test_fanout_select_eq_answers_identically(self, employees):
-        plain = Cluster(4)
-        reordered = Cluster(4, stats_fanout=True)
-        for target in (plain, reordered):
-            target.create_table("emp", employees, "dept")
-        # dept routes to one bucket; salary broadcasts (the reordered
-        # path), and both must agree with the natural-order cluster.
-        plan = SelectEq(Scan("emp"), {"dept": 3})
-        assert reordered.execute(plan) == plain.execute(plan)
-        assert reordered.execute(SelectEq(Scan("emp"), {"salary": 50000})) == \
-            plain.execute(SelectEq(Scan("emp"), {"salary": 50000}))
+    def test_gather_visits_buckets_in_index_order(self, cluster):
+        cluster.execute(Scan("emp"))
+        assert [
+            span.attrs["bucket"] for span in cluster.last_query_span.children
+        ] == [0, 1, 2, 3]
 
 
 class TestCoordinatorReadsTheCommittedCatalog:
@@ -519,13 +512,6 @@ class TestTracePropagation:
         root = cluster.last_query_span
         assert root.attrs["trace_id"] == "t-caller-01"
         assert root.attrs["bag_priority"] == "batch"
-
-    def test_priority_baggage_rides_along_by_default(self, cluster):
-        cluster.execute(Scan("emp"))
-        from repro.gov.admission import PRIORITY_NORMAL
-
-        assert cluster.last_query_span.attrs["bag_priority"] == \
-            PRIORITY_NORMAL
 
     def test_latency_exemplars_link_buckets_to_traces(self, cluster):
         from repro.obs import instrument
