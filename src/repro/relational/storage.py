@@ -12,7 +12,7 @@ shapes:
 * :class:`SetStore` -- the extended-set-processing engine: rows live
   in one :class:`~repro.xst.xset.XSet`; lookups go through the
   kernel's per-scope member index of that set (attribute value to
-  row positions), built on demand and reused (the "dynamic data
+  the rows holding it), built on demand and reused (the "dynamic data
   restructuring" of ref [4]); selections and joins are single set
   operations.
 
@@ -107,8 +107,9 @@ class SetStore:
     def __len__(self) -> int:
         return len(self._relation)
 
-    def _index(self, attr: str) -> Dict[Any, Tuple[int, ...]]:
-        """The value -> row positions index for ``attr``, built once.
+    def _index(self, attr: str) -> Dict[Any, Tuple[Tuple[XSet, Any], ...]]:
+        """The value -> rows holding it (as ``(row, scope)`` pairs, in
+        the row set's order) index for ``attr``, built once.
 
         This is the dynamic restructuring move: the stored set is
         re-keyed by whichever scope access patterns demand, without
@@ -143,8 +144,7 @@ class SetStore:
         :meth:`lookup_rows` when materialized dicts or a canonical set
         are actually needed.
         """
-        members = self._relation.rows.pairs()
-        return [members[at][0] for at in self._index(attr).get(value, ())]
+        return [row for row, _ in self._index(attr).get(value, ())]
 
     def project(self, attrs: Sequence[str]) -> List[Tuple[Any, ...]]:
         """One sigma-domain call; duplicates collapse inside the set."""

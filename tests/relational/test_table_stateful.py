@@ -13,6 +13,8 @@ compares that verdict, and the state it leaves, with the definition --
 the whole-relation ``constraint.check`` run on the candidate value.
 """
 
+import importlib
+
 from hypothesis import settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
@@ -21,6 +23,7 @@ from hypothesis.stateful import (
     rule,
 )
 
+from repro.relational.algebra import select_eq
 from repro.relational.constraints import (
     CheckConstraint,
     ForeignKeyConstraint,
@@ -30,6 +33,9 @@ from repro.relational.constraints import (
 )
 from repro.relational.relation import Relation
 from repro.relational.tx import TransactionManager
+from repro.xst.xset import XSet
+
+xset_module = importlib.import_module("repro.xst.xset")
 
 DEPT_IDS = list(range(4))
 EMP_IDS = list(range(12))
@@ -200,6 +206,9 @@ def matching(rows, conditions):
 class DeltaVerdictMachine(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
+        # At most three rows: below the sixteen the shipped length rule
+        # needs, so every write is made to patch the indexes it carries.
+        self.shipped_few, xset_module._FEW = xset_module._FEW, 1
         self.table = Table(HEADING, [], [
             KeyConstraint(["emp"]),
             CheckConstraint(lambda row: row["salary"] > 0, "salary > 0"),
@@ -289,6 +298,23 @@ class DeltaVerdictMachine(RuleBasedStateMachine):
                 self.table.delete({"emp": last})
 
         self.step(statement, candidate, refused=refused)
+
+    @rule(attr=st.sampled_from(HEADING), value=st.one_of(KEYS, SALARIES))
+    def probe(self, attr, value):
+        """A read between statements fills the member index of its
+        scope, which every later write carries, patched."""
+        assert select_eq(self.table.snapshot(), {attr: value}) == \
+            Relation.from_dicts(HEADING, matching(self.model, {attr: value}))
+
+    @invariant()
+    def indexes_are_fresh(self):
+        rows = self.table.snapshot().rows
+        copy = XSet._from_run(rows.pairs())
+        for scope, index in (rows._by_part or {}).items():
+            assert index == copy._members_holding(scope)  # order included
+
+    def teardown(self):
+        xset_module._FEW = self.shipped_few
 
     @invariant()
     def table_is_the_model_and_valid(self):

@@ -441,7 +441,9 @@ class TestCarriedDiff:
         with manager.transaction():
             table.delete({"k": 1})
             table.insert({"k": 1, "v": 1.0})
-            assert digest(table.snapshot().rows) != digest(base.rows)
+            # The re-inserted row keeps the spelling the scope deleted
+            # (parent commit: ``1.0`` until the commit reset the table).
+            assert digest(table.snapshot().rows) == digest(base.rows)
         assert (manager.current_version, log.lsn) == (0, 0)
         assert table.snapshot() is base is manager.committed().relation("t")
         with manager.transaction():
@@ -454,6 +456,35 @@ class TestCarriedDiff:
         assert table.delete({"k": 99}) == 0
         assert table.update({"k": 2}, {"v": 2.0}) == 1
         assert table.snapshot() is held and log.lsn == 1
+
+    def test_a_reinserted_row_keeps_the_spelling_the_scope_deleted(
+        self, tmp_path
+    ):
+        """Delete ``v = 1``, insert ``v = 1.0`` and change another row in
+        one scope: the net diff holds the other row only, so the log
+        spells the re-inserted row as the scope found it -- and so must
+        memory, or the two part ways at the next commit."""
+        from repro.relational.wal import WriteAheadLog, recover_state
+        from repro.xst.serialization import digest
+
+        table = Table(["k", "v"], [{"k": 1, "v": 1}, {"k": 2, "v": 2}],
+                      [KeyConstraint(["k"])])
+        base = table.snapshot()
+        log = WriteAheadLog(str(tmp_path / "wal.log"))
+        manager = TransactionManager({"t": table}, log=log)
+        with manager.transaction():
+            table.delete({"k": 1})
+            table.insert({"k": 1, "v": 1.0})
+            table.update({"k": 2}, {"v": 3})
+        state, replayed = recover_state(log.replay(), base={"t": base})
+        assert replayed == manager.current_version == 1
+        for relation in (state["t"], table.snapshot(),
+                         manager.committed().relation("t")):
+            assert [
+                [(type(value), value) for value in row]
+                for row in sorted(relation.to_rows())
+            ] == [[(int, 1), (int, 1)], [(int, 2), (int, 3)]]
+        assert digest(state["t"].rows) == digest(table.snapshot().rows)
 
 
 class TestManagerPlumbing:

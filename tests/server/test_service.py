@@ -645,6 +645,39 @@ class TestSnapshotSessions:
         assert digest(state["t"].rows) == digest(table.snapshot().rows) \
             == digest(answer.rows)
 
+    def test_a_reinserted_row_keeps_the_spelling_its_batch_deleted(
+        self, tmp_path
+    ):
+        from repro.relational.wal import WriteAheadLog, recover_state
+        from repro.xst.serialization import digest
+
+        table = Table(["k", "v"], [{"k": 1, "v": 1}, {"k": 2, "v": 2}],
+                      [KeyConstraint(["k"])])
+        base = table.snapshot()
+        log = WriteAheadLog(str(tmp_path / "wal.log"))
+        manager = TransactionManager({"t": table}, log=log)
+
+        async def body(server):
+            client = await connect("127.0.0.1", server.port)
+            # One batch: the re-inserted row nets out of the diff, the
+            # update does not, so the batch commits and is logged.
+            assert await client.mutate([
+                ["delete", "t", {"k": 1}],
+                ["insert", "t", {"k": 1, "v": 1.0}],
+                ["update", "t", {"k": 2}, {"v": 3}],
+            ]) == 1
+            answer = await client.query("select k, v from t")
+            await client.close()
+            return answer
+
+        answer = run(served(body, manager))
+        state, replayed = recover_state(log.replay(), base={"t": base})
+        assert replayed == 1
+        assert digest(state["t"].rows) == digest(table.snapshot().rows) \
+            == digest(answer.rows)
+        assert [type(v) for row in sorted(answer.to_rows()) for v in row] \
+            == [int] * 4
+
     def test_malformed_ops_are_session_errors(self):
         async def body(server):
             client = await connect("127.0.0.1", server.port)

@@ -309,12 +309,13 @@ class TestCanonicalOrderOnceShapes:
 
 class TestDeltaCarriedCommitShapes:
     """Counts, not timings: a one-row commit checks, logs and maintains
-    the rows it changed, so its Python-level work is the same on a
-    table sixteen times larger.  (What still scales is inside single
-    kernel calls: building the key scope's member index of each new
-    relation value, and C-level set copies.)"""
+    the rows it changed, and its new relation value arrives with the
+    keys and member indexes of the old one, patched by that row, so its
+    Python-level work is the same on a table sixty-four times larger.
+    (What still scales is C-level copying inside single kernel calls:
+    the new value's pair set, run, keys and index dicts.)"""
 
-    SIZES = (64, 1024)
+    SIZES = (64, 1024, 4096)
     DEPARTMENTS = 8
 
     def tables(self, size):
@@ -364,7 +365,7 @@ class TestDeltaCarriedCommitShapes:
                 self.one_row_commits(manager, size)
             assert manager.commits == 3 and len(manager.table("emp")) == size
             counts[size] = (len(built), sum(validated))
-        small, large = (counts[size] for size in self.SIZES)
+        small, large = counts[self.SIZES[0]], counts[self.SIZES[-1]]
         # Parent commit: every statement re-validated its whole candidate
         # (195 rows at 64, 3075 at 1024) and the key check built one
         # XSet per table row (420 and 6180 constructions).
@@ -374,6 +375,79 @@ class TestDeltaCarriedCommitShapes:
         # key-set check: valid by construction, so the checked constructor
         # has nothing to validate (parent commit: those 2 rows).
         assert small[1] == 0
+
+    def test_one_row_commits_emit_the_same_profile_events(self):
+        import sys
+
+        from repro.relational.tx import TransactionManager
+
+        events = {}
+        for size in self.SIZES:
+            manager = TransactionManager(self.tables(size))
+            # The first round fills the key scope's member index, which
+            # every later value carries; the second round is counted.
+            self.one_row_commits(manager, size)
+            count = [0]
+
+            def profile(frame, event, arg):
+                if event in ("call", "c_call"):
+                    count[0] += 1
+
+            sys.setprofile(profile)
+            try:
+                self.one_row_commits(manager, size)
+            finally:
+                sys.setprofile(None)
+            assert manager.commits == 6 and len(manager.table("emp")) == size
+            events[size] = count[0]
+        # Parent commit: 2 626 / 23 746 / 91 330 -- each new value rebuilt
+        # the key index, filtered R - D member by member and re-keyed the
+        # run before the union.
+        assert len(set(events.values())) == 1, events
+
+    def test_carried_indexes_retain_no_history(self):
+        """A bound: 500 one-row commits, each followed by probes that
+        read two member indexes, leave the current value reaching as many
+        objects as 50 did -- no index keeps a deleted row or an older
+        value."""
+        import gc
+        import types
+
+        from repro.relational.algebra import select_eq
+        from repro.relational.constraints import KeyConstraint, Table
+        from repro.relational.tx import TransactionManager
+
+        def reachable(root):
+            skip = (type, types.ModuleType, types.FunctionType,
+                    types.BuiltinFunctionType, types.MethodType)
+            seen, stack = {id(root)}, [root]
+            while stack:
+                current = stack.pop()
+                children = gc.get_referents(current)
+                if isinstance(current, dict):  # str keys are not referents
+                    children += list(current)
+                for child in children:
+                    if id(child) not in seen and not isinstance(child, skip):
+                        seen.add(id(child))
+                        stack.append(child)
+            return len(seen)
+
+        table = Table(["k", "v"], [{"k": k, "v": "v-%d" % k} for k in range(64)],
+                      [KeyConstraint(["k"])])
+        manager = TransactionManager({"t": table})
+        counts = []
+        for commit in range(500):
+            key, value = commit % 64, "w-%d" % commit
+            assert table.update({"k": key}, {"v": value}) == 1
+            current = table.snapshot()
+            if commit:
+                assert set(current.rows._by_part) == {"k", "v"}  # carried
+            assert len(select_eq(current, {"k": key})) == 1
+            assert len(select_eq(current, {"v": value})) == 1
+            if commit + 1 in (50, 500):
+                counts.append(reachable(current))
+        assert manager.commits == 500
+        assert counts[0] == counts[1]
 
     def test_join_maintenance_reads_do_not_grow_with_the_fact_table(self):
         from repro.obs import observed
@@ -412,7 +486,7 @@ class TestDeltaCarriedCommitShapes:
             assert catalog.verify("by_dept")
             assert diff_rows[0] == 4  # +1, +1 -1, -1
             per_diff_row[size] = read[0] / diff_rows[0]
-        small, large = (per_diff_row[size] for size in self.SIZES)
+        small, large = per_diff_row[self.SIZES[0]], per_diff_row[self.SIZES[-1]]
         # Each diff row meets the dimension table once (parent commit:
         # candidates re-verified against all of emp, 124.5 kernel rows
         # per diff row at 64 rows and 1564.5 at 1024).
@@ -546,14 +620,16 @@ class TestBuiltOnceShapes:
                 # keyed a second time as a member, is_record + validation.
                 assert not any(calls.values()), calls
                 # The counters do see what is not known by type or by
-                # construction: an opaque atom, an unkeyed subsequence,
-                # rows handed to the checked constructor.
+                # construction: an opaque atom, rows handed to the checked
+                # constructor.
                 opaque = XSet([(Fraction(1, 2), "half")])
                 sorted([rel.rows - XSet(rel.rows.pairs()[:1]), opaque],
                        key=canonical_key)
                 Relation(rel.heading, rel.rows)
                 assert len(calls["admissible"]) == 1
-                assert len(calls["keyed"]) == 1
+                # A difference keeps the subsequence of its operand's keys,
+                # so it arrives keyed too (parent commit: keyed here once).
+                assert len(calls["keyed"]) == 0
                 assert calls["validated"] == [size]
                 assert len(calls["is_record"]) == 0  # failing path only
 

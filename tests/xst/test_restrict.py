@@ -268,6 +268,24 @@ class TestProbedRestrictionIsTheDefinition:
         assert result.pairs() == (r.pairs()[2], r.pairs()[9])
         assert_same_set(result, literal_restrict(r, keys, sigma))
 
+    def test_tied_survivors_of_two_keys_come_back_in_run_order(self):
+        from tests.xst.test_carried_index import Opaque
+
+        # Equal keys, unequal members: only the run knows their order,
+        # and the second key finds the earlier one.
+        early, late = (scoped([(Opaque(tag), "k"), ("s", "v")]) for tag in (0, 1))
+        r = XSet([(early, EMPTY), (late, EMPTY)] + [
+            (scoped([(n, "k"), ("s", "v")]), EMPTY) for n in range(40)
+        ])
+        keys = XSet([(scoped([(Opaque(1), "k")]), EMPTY),
+                     (scoped([(Opaque(0), "k")]), EMPTY)])
+        sigma = XSet([("k", "k")])
+        kept = sigma_restrict(r, keys, sigma)
+        assert [member for member, _ in kept.pairs()] == [early, late]
+        assert [member.elements_at("k")[0].tag for member, _ in kept.pairs()] \
+            == [0, 1]
+        assert kept == literal_restrict(r, keys, sigma)
+
     def test_typed_twin_keys_keep_the_members_spelling(self):
         r = xset(scoped([(n, "k"), (str(n), "v")]) for n in (1, 2.0, 3))
         sigma = XSet([("k", "k")])
