@@ -16,8 +16,8 @@ operator       kernel realization
 ``product``    relative product with the empty join key (everything
                matches everything)
 ``union`` etc  kernel Boolean algebra on the row sets
-``group_by``   Def 7.1 image of each distinct key fragment: one
-               Def 7.6 sigma-restriction per group
+``group_by``   Def 7.1 image of every distinct key fragment at once:
+               runs of the row set's per-scope member index
 ``aggregate``  ``group_by``, then a named function over each group's
                column values
 ``limit``      separation of the first rows in the kernel's total order
@@ -33,9 +33,15 @@ of :mod:`repro.relational.query`.
 Grouping is image application: reading a relation as the process
 ``rel.as_process(group_attrs, rest)`` and applying it to each distinct
 key fragment partitions the rows -- one Def 7.1 image per group.
-``group_by`` / ``aggregate`` package that into the familiar API and
-keep the group *sets* available, because under XST a group is a
-first-class extended set, not a transient iterator state.
+Every key's image is there at once in the row set's member index (the
+re-keying by scope of the paper's section 12 "dynamic restructuring"):
+the rows holding each value at the first group attribute, in run
+order, each such run split the same way by every further attribute.
+So ``group_by`` reads the groups off that index in one pass, with no
+projection and no restriction per key.  ``group_by`` / ``aggregate``
+package that into the familiar API and keep the group *sets*
+available, because under XST a group is a first-class extended set,
+not a transient iterator state.
 
 Aggregates are named functions over the group's column values:
 ``count``, ``sum``, ``avg``, ``min``, ``max``, plus ``set_of`` (the
@@ -65,7 +71,7 @@ from repro.xst.ordering import canonical_key
 from repro.xst.relative_product import relative_product
 from repro.xst.rescope import rescope_by_scope
 from repro.xst.restrict import sigma_restrict
-from repro.xst.xset import XSet
+from repro.xst.xset import XSet, _holding
 
 __all__ = [
     "select_eq",
@@ -266,19 +272,47 @@ def group_by(
 ) -> List[Tuple[Dict[str, Any], Relation]]:
     """Partition a relation by the given attributes.
 
-    Returns ``(key_dict, group_relation)`` pairs in canonical key
-    order.  Each group is computed by one sigma-restriction of the row
-    set with the key fragment -- grouping *is* restriction.
+    Returns ``(key_dict, group_relation)`` pairs in the canonical order
+    of the groups' key fragments (Def 7.4's projection of a row onto
+    ``attrs``), each key spelled as the group's first row spells it.
+    Every group is the Def 7.1 image of its key fragment, and all of
+    them come at once off the row set's member index: the rows holding
+    each value at the first attribute, in run order, each such run split
+    the same way by every further attribute.  No attributes make the
+    whole relation one group (none when it is empty); an unknown or a
+    repeated attribute is a :class:`~repro.errors.SchemaError`.
     """
-    # The distinct keys are the projection onto the grouping attributes.
-    keys = project(rel, attrs)
-    key_sigma = _attribute_identity(keys.heading.names)
-    groups = []
-    for key_dict, (key_fragment, _) in zip(keys.iter_dicts(), keys.rows.pairs()):
-        members = sigma_restrict(rel.rows, xset([key_fragment]), key_sigma)
-        # A restriction of rel's rows: a subset of rel.
-        groups.append((key_dict, Relation._from_valid(rel.heading, members)))
-    return groups
+    names = rel.heading.project(attrs).names
+    run = rel.rows.pairs()
+    if not names or not run:
+        return [({}, rel)] if run else []
+    first, *rest = names
+    groups = list(rel.rows._members_holding(first).values())
+    for attr in rest:
+        groups = [
+            part for block in groups for part in _holding(block, attr).values()
+        ]
+    # Key fragments in the order their first rows come in the run, then
+    # a stable sort on their canonical keys: the order the projection's
+    # checked constructor gives them, ties and unordered (nan) keys too.
+    place = dict(zip(map(id, run), range(len(run))))
+    groups.sort(key=lambda group: place[id(group[0])])
+    keyed = []
+    for group in groups:
+        # A subsequence of the first row's canonical run.
+        fragment = XSet._from_run(
+            pair for pair in group[0][0].pairs() if pair[1] in names
+        )
+        keyed.append((fragment, group))
+    keyed.sort(key=lambda item: canonical_key(item[0]))
+    return [
+        (
+            {attr: value for value, attr in fragment.pairs()},
+            # A run of rel's own rows, in its order: a subset of rel.
+            Relation._from_valid(rel.heading, XSet._from_run(group)),
+        )
+        for fragment, group in keyed
+    ]
 
 
 def aggregate_heading(
@@ -357,6 +391,13 @@ def aggregate(
     return Relation.from_dicts(out_heading, out_rows)
 
 
+def _require_count(count: int) -> None:
+    """The one well-formedness rule of a limit's count, shared by the
+    kernel and by the ``Limit`` plan node: no negative count."""
+    if count < 0:
+        raise SchemaError("Limit needs a non-negative count, not %r" % (count,))
+
+
 def limit(
     rel: Relation,
     count: int,
@@ -371,6 +412,7 @@ def limit(
     subset of ``rel``, so still a relation: ORDER BY decides *which*
     rows are kept, never how the answer is laid out.
     """
+    _require_count(count)
     if order_by is not None:
         rel.heading.require([order_by])
     members = rel.rows.pairs()

@@ -114,7 +114,7 @@ _COST_SET_MERGE = 0.6    # union/difference per input row
 # steps, no benchmark behind them): no plan choice depends on them yet
 # -- nothing reorders around an Aggregate or a Limit -- and the PR that
 # first makes one does measures them.
-_COST_AGGREGATE = 2.2    # key projection, a restriction, column reads
+_COST_AGGREGATE = 2.2    # member-index partition, column reads
 _COST_LIMIT = 0.8        # key extraction and a sort, no row rebuilt
 
 # Columnar (sorted-run) variants, applied only when every base relation

@@ -272,10 +272,11 @@ class Rename(_Unary):
 
 
 class Aggregate(_Unary):
-    """Grouped aggregation: one Def 7.6 restriction per distinct key
-    fragment of ``group_attrs`` (all rows are one group when there are
-    none), then ``aggregations`` -- ``{output: (function, source)}`` --
-    over each group's column values."""
+    """Grouped aggregation: the Def 7.1 image of every distinct key
+    fragment of ``group_attrs``, read at once off the input's member
+    index (all rows are one group when there are none), then
+    ``aggregations`` -- ``{output: (function, source)}`` -- over each
+    group's column values."""
 
     __slots__ = ("group_attrs", "aggregations")
     op = "aggregate"
@@ -329,10 +330,7 @@ class Limit(_Unary):
         order_by: Optional[str] = None,
         descending: bool = False,
     ):
-        if count < 0:
-            raise SchemaError(
-                "Limit needs a non-negative count, not %r" % (count,)
-            )
+        algebra._require_count(count)  # the kernel's own rule
         super().__init__(child)
         object.__setattr__(self, "count", count)
         object.__setattr__(self, "order_by", order_by)

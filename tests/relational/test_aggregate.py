@@ -1,15 +1,34 @@
-"""Grouping, aggregation and limit: grouping IS restriction, and the
-first rows of a relation are a subset of it."""
+"""Grouping, aggregation and limit: a group is the image of its key
+fragment, read off the member index, and the first rows of a relation
+are a subset of it."""
+
+import importlib
+from contextlib import contextmanager
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SchemaError
-from repro.relational.algebra import AGGREGATES, aggregate, group_by, limit
+from repro.relational.algebra import (
+    AGGREGATES,
+    aggregate,
+    difference,
+    group_by,
+    limit,
+    project,
+    select_eq,
+)
+from repro.relational.query import Limit, Scan
 from repro.relational.relation import Relation
 from repro.workloads.generators import employee_relation
 from repro.xst.builders import xset
+from repro.xst.restrict import sigma_restrict
+from repro.xst.xset import XSet
+
+from tests.xst.test_canonical_form import seeded
+
+xset_module = importlib.import_module("repro.xst.xset")
 
 EMPLOYEES = Relation.from_dicts(
     ["emp", "dept", "salary"],
@@ -52,6 +71,38 @@ class TestGroupBy:
     def test_empty_relation_has_no_groups(self):
         empty = Relation.from_dicts(["k"], [])
         assert group_by(empty, ["k"]) == []
+
+    def test_no_attributes_make_the_relation_one_group(self):
+        assert group_by(EMPLOYEES, []) == [({}, EMPLOYEES)]
+        empty = Relation.from_dicts(["k"], [])
+        assert group_by(empty, []) == []
+        # aggregate still reads an ungrouped query over no rows as one
+        # summary row.
+        assert list(aggregate(empty, [], {"n": ("count", "k")}).iter_dicts()) \
+            == [{"n": 0}]
+
+    def test_a_repeated_attribute_is_refused(self):
+        for attrs in (["dept", "dept"], ["dept", "salary", "dept"]):
+            with pytest.raises(SchemaError, match="duplicate"):
+                group_by(EMPLOYEES, attrs)
+        empty = Relation.from_dicts(["k"], [])
+        with pytest.raises(SchemaError, match="duplicate"):
+            group_by(empty, ["k", "k"])
+        with pytest.raises(SchemaError, match="unknown"):
+            group_by(empty, ["nope"])
+
+    def test_a_key_is_spelled_as_its_groups_first_row(self):
+        # A probed table carries its member index through a difference,
+        # keyed by the spelling of the row the difference removed.
+        rows = [(n, 1 if n == 0 else 1.0 if n == 1 else n % 3)
+                for n in range(40)]
+        table = Relation.from_tuples(["k", "g"], rows)
+        select_eq(table, {"g": 1})
+        gone = Relation.from_tuples(["k", "g"], [(0, 1)])
+        rest = difference(table, gone)
+        assert rest.rows._by_part is not None  # carried, not rebuilt
+        keys = [key for key, _ in group_by(rest, ["g"])]
+        assert [repr(key["g"]) for key in keys] == ["0", "1.0", "2"]
 
 
 class TestAggregate:
@@ -180,3 +231,106 @@ class TestLimit:
         for count in (0, 2, 99):
             with pytest.raises(SchemaError, match="unknown attributes"):
                 limit(EMPLOYEES, count, "nope")
+
+    def test_a_negative_count_is_refused_as_the_plan_node_refuses_it(self):
+        for count in (-1, -5):
+            with pytest.raises(SchemaError) as kernel:
+                limit(EMPLOYEES, count)
+            with pytest.raises(SchemaError) as node:
+                Limit(Scan("emp"), count)
+            assert str(kernel.value) == str(node.value)
+        with pytest.raises(SchemaError, match="non-negative"):
+            limit(EMPLOYEES, -1, "salary", True)
+
+
+# ----------------------------------------------------------------------
+# Grouping oracle: the member-index partition against the projection
+# and one restriction per key it replaced
+# ----------------------------------------------------------------------
+
+NAMES = ("a", "b", "c", "d")
+#: One nan object that rows share; ``fresh_nan`` draws a new one each time.
+NAN = float("nan")
+fresh_nan = st.builds(float, st.just("nan"))
+atoms = st.sampled_from(
+    [1, 1.0, True, 0, 0.0, -0.0, False, 2, None, "a", "b", b"a", NAN]
+)
+values = st.one_of(
+    atoms,
+    fresh_nan,
+    st.builds(xset, st.lists(st.sampled_from([1, 1.0, "a", None, NAN]),
+                             max_size=2)),
+)
+rows = st.lists(st.tuples(values, values, values, values), max_size=12)
+
+
+def projected_then_restricted(rel, attrs):
+    """The earlier algorithm: the key projection (Def 7.4), then one
+    Def 7.6 restriction per key, over an unindexed copy of the run."""
+    copy = Relation._from_valid(rel.heading, XSet._from_run(rel.rows.pairs()))
+    keys = project(copy, attrs)
+    sigma = XSet((attr, attr) for attr in keys.heading.names)
+    return [
+        (key, sigma_restrict(copy.rows, xset([fragment]), sigma))
+        for key, (fragment, _) in zip(keys.iter_dicts(), keys.rows.pairs())
+    ]
+
+
+@contextmanager
+def patching_every_difference():
+    """A difference patches its operand's run whatever the lengths, so a
+    small table's result carries the operand's member indexes."""
+    shipped = xset_module._FEW
+    xset_module._FEW = 1
+    try:
+        yield
+    finally:
+        xset_module._FEW = shipped
+
+
+def operand(data):
+    """A relation whose member indexes are unfilled, filled, or carried
+    through ``t - d`` from a probed table ``t``."""
+    rel = Relation.from_tuples(NAMES, data.draw(rows))
+    state = data.draw(st.sampled_from(["unfilled", "filled", "carried"]))
+    if state == "unfilled" or not rel:
+        return rel
+    first = next(rel.iter_dicts())
+    for attr in data.draw(st.lists(st.sampled_from(NAMES), max_size=3)):
+        select_eq(rel, {attr: first[attr]})
+    if state == "filled":
+        return rel
+    gone = data.draw(st.lists(st.sampled_from(rel.rows.pairs()), max_size=2))
+    with patching_every_difference():
+        return difference(rel, Relation._from_valid(rel.heading, XSet(gone)))
+
+
+class TestGroupingOracle:
+    @seeded
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data())
+    def test_the_index_partition_is_the_projection_and_restrictions(self, data):
+        rel = operand(data)
+        attrs = data.draw(
+            st.lists(st.sampled_from(NAMES), min_size=1, max_size=3, unique=True)
+        )
+        got = group_by(rel, attrs)
+        want = projected_then_restricted(rel, attrs)
+        # The same keys in the same order, spelled as the reference spells
+        # them (typed twins, -0.0 and nested sets print differently).
+        assert [{a: repr(v) for a, v in key.items()} for key, _ in got] == [
+            {a: repr(v) for a, v in key.items()} for key, _ in want
+        ]
+        assert [key for key, _ in got] == [key for key, _ in want]
+        # The same rows, as the operand's own pair objects (distinct nan
+        # keys print alike, so identity tells their groups apart).
+        assert [[id(pair) for pair in group.rows.pairs()] for _, group in got] \
+            == [[id(pair) for pair in kept.pairs()] for _, kept in want]
+        place = {id(pair): at for at, pair in enumerate(rel.rows.pairs())}
+        seen = []
+        for _, group in got:
+            assert isinstance(group, Relation) and group.heading == rel.heading
+            at = [place[id(pair)] for pair in group.rows.pairs()]
+            assert at and at == sorted(at)  # a non-empty run, in run order
+            seen += at
+        assert sorted(seen) == list(range(len(rel)))  # a partition

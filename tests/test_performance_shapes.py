@@ -665,10 +665,36 @@ class TestBuiltOnceShapes:
                 })
             assert len(out) == 8
             assert sum(row["headcount"] for row in out.iter_dicts()) == size
-            # Dicts and validation for the eight distinct keys (their
-            # projection), none for the rows: groups are subsets of emp and
-            # columns come from the scope indexes.  Parent commit: one dict
-            # per row per aggregate, is_record on every row of every group
-            # and on the eight output rows.
-            assert calls["row_dicts"] == calls["validated"] == [8]
+            # No dicts and no validation: the groups are runs of emp's
+            # member index, so no projection validates the eight keys
+            # (parent commit: [8]), and columns come from the scope indexes.
+            assert calls["row_dicts"] == calls["validated"] == []
             assert calls["is_record"] == []
+
+    def test_group_by_partitions_off_the_member_index(self, monkeypatch):
+        from repro.relational import algebra
+        from repro.workloads import employee_relation
+
+        emp = employee_relation(4096, 64, seed=WORKLOAD_SEED + 19)
+        calls = {"sigma_domain": 0, "sigma_restrict": 0, "checked": 0}
+
+        def counted(name, original):
+            def count(*args):
+                calls[name] += 1
+                return original(*args)
+            return count
+
+        monkeypatch.setattr(algebra, "sigma_domain", counted(
+            "sigma_domain", algebra.sigma_domain))
+        monkeypatch.setattr(algebra, "sigma_restrict", counted(
+            "sigma_restrict", algebra.sigma_restrict))
+        monkeypatch.setattr(XSet, "__init__", counted("checked", XSet.__init__))
+        groups = algebra.group_by(emp, ["dept"])
+        assert len(groups) == 64
+        assert sum(len(group) for _, group in groups) == 4096
+        # Every key's image at once, read off the member index: no
+        # projection and no restriction per key.  Parent commit: one
+        # projection, 64 restrictions and 67 checked constructions (a key
+        # set per restriction and three more); now none are needed.
+        assert calls["sigma_domain"] == calls["sigma_restrict"] == 0
+        assert calls["checked"] <= 64
