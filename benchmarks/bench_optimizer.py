@@ -21,9 +21,9 @@ import random
 
 import pytest
 
-from repro.relational.cost import explain_analyze, qerror
+from repro.relational.cost import qerror
 from repro.relational.optimizer import optimize
-from repro.relational.profile import execute_profiled
+from repro.relational.profile import execute_profiled, explain_analyze
 from repro.relational.query import (
     Database,
     Join,

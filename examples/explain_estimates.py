@@ -17,8 +17,9 @@ Run:  python examples/explain_estimates.py
 import random
 
 from repro.relational import Database, Join, Relation, Scan, SelectEq
-from repro.relational.cost import CardinalityEstimator, explain_analyze
+from repro.relational.cost import CardinalityEstimator
 from repro.relational.optimizer import optimize
+from repro.relational.profile import explain_analyze
 from repro.workloads import department_relation, employee_relation
 
 

@@ -96,14 +96,31 @@ from __future__ import annotations
 import json
 import os
 import sys
+from contextlib import nullcontext
 from typing import Any, Dict, List, Optional
 
-from repro.errors import XSTError
+from repro.errors import ShardPlacementError, XSTError
+from repro.gov import governed
 from repro.notation import parse, render
+from repro.obs import observed, tracer
+from repro.obs.digest import QueryDigest
+from repro.relational.constraints import Table
 from repro.relational.csvio import dumps_csv, read_csv
+from repro.relational.disk import DiskRelationStore
+from repro.relational.distributed import Cluster, ClusterUnavailableError
+from repro.relational.faults import FaultPlan
 from repro.relational.query import Database, Join, Scan
 from repro.relational.relation import Relation
+from repro.relational.sharding import ShardMove
 from repro.relational.sql import run as run_xql
+from repro.relational.stats import StatsCatalog
+from repro.relational.tx import TransactionManager
+from repro.relational.views import ViewCatalog
+from repro.relational.wal import (
+    CorruptSegmentError,
+    WriteAheadLog,
+    scan_bytes,
+)
 from repro.xst.closure import transitive_closure
 from repro.xst.builders import xpair, xset
 from repro.xst.image import cst_image
@@ -240,10 +257,6 @@ def _command_query(args: List[str]) -> int:
         return _fail("query takes CSVDIR and an XQL string")
     directory, text = args
     db = _load_db(directory)
-    from contextlib import nullcontext
-
-    from repro.gov import governed
-
     scope = (
         governed(timeout_s=timeout, max_rows=budget)
         if timeout is not None or budget is not None
@@ -253,8 +266,6 @@ def _command_query(args: List[str]) -> int:
         if trace_out is None:
             result = run_xql(db, text)
         else:
-            from repro.obs import observed, tracer
-
             with observed():
                 tracer().reset()
                 result = run_xql(db, text)
@@ -281,8 +292,6 @@ def _command_closure(args: List[str]) -> int:
     if trace_out is None:
         closed = transitive_closure(graph)
     else:
-        from repro.obs import observed, tracer
-
         with observed():
             tracer().reset()
             with tracer().span(
@@ -312,8 +321,6 @@ def _command_cluster_status(args: List[str]) -> int:
         return _fail("NODES and FACTOR must be integers")
     if not os.path.isdir(directory):
         return _fail("%r is not a directory" % directory)
-    from repro.relational.distributed import Cluster
-
     try:
         cluster = Cluster(node_count, replication_factor=factor)
     except ValueError as error:
@@ -380,9 +387,6 @@ def _command_fsck(args: List[str]) -> int:
         directory, log_path = _store_and_log(args, "fsck")
     except ValueError as error:
         return _fail(str(error))
-    from repro.relational.disk import DiskRelationStore
-    from repro.relational.wal import CorruptSegmentError, scan_bytes
-
     store = DiskRelationStore(directory)
     damage = 0
     for name in store.names():
@@ -437,8 +441,6 @@ def _command_fsck(args: List[str]) -> int:
                          catalog.mutations_since_analyze(name)))
     placement_damage = _fsck_shards(store)
     if placement_damage:
-        from repro.errors import ShardPlacementError
-
         print("fsck: %d placement inconsistenc%s"
               % (placement_damage,
                  "y" if placement_damage == 1 else "ies"))
@@ -466,9 +468,6 @@ def _fsck_shards(store) -> int:
     Both exit with :attr:`~repro.errors.ShardPlacementError.exit_code`
     so scripts can tell placement damage from ordinary segment rot.
     """
-    from repro.errors import ShardPlacementError
-    from repro.relational.sharding import ShardCatalog, ShardMove
-
     problems = 0
     shards = None
     try:
@@ -543,9 +542,6 @@ def _command_recover(args: List[str]) -> int:
         directory, log_path = _store_and_log(args, "recover")
     except ValueError as error:
         return _fail(str(error))
-    from repro.relational.disk import DiskRelationStore
-    from repro.relational.wal import WriteAheadLog, scan_bytes
-
     data = b""
     if os.path.exists(log_path):
         with open(log_path, "rb") as fh:
@@ -581,9 +577,6 @@ def _command_analyze(args: List[str]) -> int:
     directory = args[0]
     if not os.path.isdir(directory):
         return _fail("%r is not a directory" % directory)
-    from repro.relational.disk import DiskRelationStore
-    from repro.relational.stats import StatsCatalog
-
     store = DiskRelationStore(directory)
     # Preserve entries (and mutation counters) for relations not being
     # re-analyzed this run.
@@ -608,8 +601,6 @@ def _command_stats(args: List[str]) -> int:
     directory, name = args
     if not os.path.isdir(directory):
         return _fail("%r is not a directory" % directory)
-    from repro.relational.disk import DiskRelationStore
-
     store = DiskRelationStore(directory)
     catalog = store.load_stats()
     if catalog is None:
@@ -641,8 +632,6 @@ def _command_stats(args: List[str]) -> int:
 def _command_obs_metrics(args: List[str]) -> int:
     if len(args) != 2:
         return _fail("obs-metrics takes CSVDIR and an XQL string")
-    from repro.obs import observed
-
     directory, text = args
     db = _load_db(directory)
     with observed() as reg:
@@ -668,8 +657,6 @@ def _print_spans_json(roots) -> None:
 def _trace_local_query(
     directory: str, text: str, out: Optional[str], fmt: str = "text"
 ) -> int:
-    from repro.obs import observed, tracer
-
     db = _load_db(directory)
     with observed():
         tracer().reset()
@@ -690,10 +677,6 @@ def _trace_local_query(
 def _trace_cluster_join(args: List[str], options) -> int:
     directory, left, right, attr = args
     nodes, factor, chaos, out, fmt = options
-    from repro.obs import observed
-    from repro.relational.distributed import Cluster, ClusterUnavailableError
-    from repro.relational.faults import FaultPlan
-
     try:
         cluster = Cluster(nodes, replication_factor=factor)
     except ValueError as error:
@@ -798,8 +781,6 @@ def _command_obs_report(args: List[str]) -> int:
         return _fail("--by must be 'latency' or 'qerror'")
     if len(args) != 1:
         return _fail("obs-report takes one slow-query log FILE")
-    from repro.obs.digest import QueryDigest
-
     digests = [QueryDigest.from_dict(r) for r in _read_jsonl(args[0])]
     if by == "latency":
         digests.sort(key=lambda d: (-d.wall_s, d.plan_hash))
@@ -895,8 +876,7 @@ def _command_serve(args: List[str]) -> int:
     import asyncio
     import signal
 
-    from repro.relational.constraints import Table
-    from repro.relational.tx import TransactionManager
+    # The one import of asyncio: ``import repro.cli`` stays light.
     from repro.server import Server
 
     tables = {
@@ -943,10 +923,6 @@ def _command_views(args: List[str]) -> int:
     if not args:
         return _fail("views needs a CSV directory")
     directory, *statements = args
-    from repro.relational.constraints import Table
-    from repro.relational.tx import TransactionManager
-    from repro.relational.views import ViewCatalog
-
     source = _load_db(directory)
     tables = {
         name: Table(source.relation(name).heading,

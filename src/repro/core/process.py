@@ -226,12 +226,6 @@ class Process:
         """
         return Process(self._graph, self._sigma.inverted())
 
-    def compose(self, inner: "Process") -> "Process":
-        """``self o inner`` per Def 11.1 (see repro.core.composition)."""
-        from repro.core.composition import compose
-
-        return compose(self, inner)
-
     def denotation(self) -> XSet:
         """The set ``f^sigma``: the graph held at scope sigma.
 

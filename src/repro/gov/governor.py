@@ -44,6 +44,8 @@ from typing import Any, Callable, Iterator, Optional
 from repro.errors import BudgetExceededError, DeadlineExceededError
 from repro.obs import metrics as _metrics
 from repro.obs.instrument import enabled as _obs_enabled
+from repro.obs.recorder import notify_gov_event
+from repro.obs.trace import tracer as _tracer
 
 __all__ = [
     "Deadline",
@@ -230,14 +232,10 @@ def _record_cancellation(error: Any, site: str, checkpoints: int) -> None:
         "repro_gov_cancelled_total",
         "Governed executions cancelled mid-operator.", ("reason",),
     ).inc(reason=reason)
-    from repro.obs.trace import tracer as _tracer
-
     span = _tracer().active
     if span is not None:
         span.set("gov_died_at", site)
         span.set("gov_checkpoints", checkpoints)
-    from repro.obs.recorder import notify_gov_event
-
     notify_gov_event(
         "cancelled",
         {"reason": reason, "site": site, "checkpoints": checkpoints},

@@ -58,8 +58,6 @@ from repro.relational.ivm import (
     DeltaPropagator,
     DeltaUnsupported,
     QueryResultCache,
-    plan_cache_key,
-    scan_tables,
 )
 from repro.relational.views import View, ViewCatalog
 from repro.relational.disk import DiskRelationStore, PageCache
@@ -72,12 +70,7 @@ from repro.relational.faults import (
     ShipmentLostError,
 )
 from repro.relational.optimizer import optimize
-from repro.relational.cost import (
-    CardinalityEstimator,
-    explain_analyze,
-    qerror,
-    reorder_joins,
-)
+from repro.relational.cost import CardinalityEstimator, qerror, reorder_joins
 from repro.relational.stats import (
     AttributeStats,
     RelationStats,
@@ -97,10 +90,13 @@ from repro.relational.query import (
     SelectEq,
     SelectPred,
     Union,
+    plan_cache_key,
+    scan_tables,
 )
 from repro.relational.profile import (
     NodeProfile,
     execute_profiled,
+    explain_analyze,
     profile_cluster,
 )
 from repro.relational.relation import Relation

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from array import array
 from bisect import bisect_left, bisect_right
-from typing import Any, Dict, Iterator, List, Mapping, Optional, Sequence, Tuple
+from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import SchemaError
 from repro.gov.governor import active as _gov_active
@@ -215,20 +215,6 @@ class ColumnarRelation:
     def column(self, attr: str) -> List[Any]:
         self._heading.require([attr])
         return list(self._columns[attr])
-
-    def raw_column(self, attr: str) -> Sequence[Any]:
-        """The internal value list, no copy.  Treat as read-only:
-        encodings are immutable after construction and runs alias it.
-        """
-        self._heading.require([attr])
-        return self._columns[attr]
-
-    def iter_rows(self) -> Iterator[Tuple[Any, ...]]:
-        """Rows as value tuples in heading order (storage order)."""
-        names = self._heading.names
-        cols = [self._columns[name] for name in names]
-        for index in range(self._length):
-            yield tuple(col[index] for col in cols)
 
     def __repr__(self) -> str:
         return "ColumnarRelation(%r, %d rows)" % (self._heading, self._length)

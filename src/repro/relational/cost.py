@@ -74,7 +74,6 @@ from repro.relational.stats import (
 __all__ = [
     "CardinalityEstimator",
     "reorder_joins",
-    "explain_analyze",
     "qerror",
     "DP_MAX_RELATIONS",
     "DP_STEP_BUDGET",
@@ -651,57 +650,3 @@ def _greedy(leaves: List[Plan], est: CardinalityEstimator) -> Plan:
             node for k, node in enumerate(working) if k not in (i, j)
         ] + [joined]
     return working[0]
-
-
-# ----------------------------------------------------------------------
-# EXPLAIN ANALYZE
-# ----------------------------------------------------------------------
-
-
-def explain_analyze(db: Database, plan: Plan,
-                    optimized: bool = True) -> Tuple[Any, str]:
-    """Execute a plan and render per-node ``est_rows`` vs ``actual_rows``.
-
-    Returns ``(result_relation, text)``.  The text mirrors
-    ``Plan.explain()`` with one measurement suffix per line plus a
-    closing q-error summary -- the plan-quality report the E23
-    experiment records.  With ``optimized=True`` the plan goes through
-    :func:`repro.relational.optimizer.optimize` first (which consults
-    the catalog exactly as production execution would).
-    """
-    from repro.relational.profile import execute_spanned
-
-    db.heading_of(plan)
-    if optimized:
-        from repro.relational.optimizer import optimize
-
-        plan = optimize(plan, db)
-    # The span walker is the executor; each span carries its node's
-    # measured ``rows``.
-    result, root = execute_spanned(db, plan)
-    est = CardinalityEstimator(db)
-    lines: List[str] = []
-    errors: List[float] = []
-
-    def render(node: Plan, span, indent: int) -> None:
-        estimated = est.estimate(node)
-        actual = span.attrs["rows"]
-        error = qerror(estimated, actual)
-        errors.append(error)
-        lines.append(
-            "%s%-44s est_rows=%-8d actual_rows=%-8d q=%.2f"
-            % ("  " * indent, node.describe(), int(round(estimated)),
-               actual, error)
-        )
-        for child, child_span in zip(node.children(), span.children):
-            render(child, child_span, indent + 1)
-
-    render(plan, root, 0)
-    worst = max(errors)
-    mean = sum(errors) / len(errors)
-    lines.append(
-        "q-error: max=%.2f mean=%.2f over %d nodes (%s)"
-        % (worst, mean, len(errors),
-           "stats" if est.has_stats(plan) else "heuristic fallback")
-    )
-    return result, "\n".join(lines)

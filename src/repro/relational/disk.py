@@ -50,13 +50,15 @@ from collections import OrderedDict
 from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Sequence
 
 from repro.errors import SchemaError
+from repro.obs.instrument import record_recovery
 from repro.relational.relation import Relation
 from repro.relational.schema import Heading
+from repro.relational.sharding import ShardCatalog
+from repro.relational.stats import StatsCatalog
 from repro.relational.wal import (
     CorruptLogError,
     CorruptSegmentError,
     WriteAheadLog,
-    record_recovery_metrics,
     recover_state,
 )
 from repro.xst.builders import xset, xtuple
@@ -330,8 +332,6 @@ class DiskRelationStore:
 
     def load_stats(self):
         """The persisted catalog, or ``None`` when never stored."""
-        from repro.relational.stats import StatsCatalog
-
         path = os.path.join(self._directory, self._STATS_FILE)
         try:
             with open(path, "rb") as fh:
@@ -367,19 +367,12 @@ class DiskRelationStore:
 
     def load_shards(self):
         """The persisted shard catalog, or ``None`` when never stored."""
-        from repro.relational.sharding import ShardCatalog
-
         path = os.path.join(self._directory, self._SHARDS_FILE)
         try:
             with open(path, "rb") as fh:
                 return ShardCatalog.from_xset(loads(fh.read()))
         except FileNotFoundError:
             return None
-
-    def drop_shards(self) -> None:
-        path = os.path.join(self._directory, self._SHARDS_FILE)
-        if os.path.exists(path):
-            os.remove(path)
 
     def store_move(self, move_value: XSet) -> None:
         """Journal an in-flight shard move (``shards.move``).
@@ -457,7 +450,7 @@ class DiskRelationStore:
         log.truncate_torn_tail(scan)
         records = [record for _, record in scan.records]
         state, replayed = recover_state(records, loader=self.load)
-        record_recovery_metrics(
+        record_recovery(
             "wal", time.perf_counter() - started, replayed, scan.valid_bytes
         )
         return state

@@ -110,7 +110,7 @@ from repro.relational.cost import (
     shuffle_join_cost,
 )
 from repro.relational.query import Join as JoinPlan
-from repro.relational.query import Plan, Project, Scan, scans
+from repro.relational.query import Plan, Project, Scan, scan_tables
 from repro.relational.query import SelectEq, SelectPred
 from repro.relational.relation import Relation
 from repro.relational.sharding import (
@@ -1026,9 +1026,6 @@ class Cluster:
             default=0,
         )
 
-    def live_nodes(self) -> List[Node]:
-        return [node for node in self.nodes if node.alive]
-
     # ------------------------------------------------------------------
     # Loading and writing
     # ------------------------------------------------------------------
@@ -1625,36 +1622,28 @@ class Cluster:
         # an open transaction those are work no replica has seen.
         catalog = self.manager.committed()
         catalog.heading_of(plan)
-        tables = tuple(sorted(scans(plan)))
         # Epoch fencing comes before the cache: a caller holding a
         # stale map must get ShardMovedError even when the bytes it
         # asked for are sitting in memory.
-        for table in tables:
+        for table in scan_tables(plan):
             self._check_epoch(table, epoch)
-        cache = catalog.result_cache
-        plan_key = None
-        if cache is not None and not allow_partial and read_quorum is None:
-            from repro.relational.ivm.cache import plan_cache_key
 
-            plan_key = plan_cache_key(plan)
-        if plan_key is not None:
-            inputs = tuple([catalog.relation(table) for table in tables])
-            hit = cache.lookup(plan_key, inputs)
-            if hit is not None:
-                return hit
-        with self._query(
-            "execute(%s)" % _describe(plan),
-            "execute_join" if _holds_join(plan) else "execute",
-            trace=trace,
-            allow_partial=allow_partial, read_quorum=read_quorum,
-        ) as context:
-            kernels = _ShardKernels(self, context)
-            result = self._finish(
-                context, kernels.gather(kernels.fold(plan))
-            )
-        if plan_key is not None:
-            cache.store(plan_key, inputs, tables, result)
-        return result
+        def gather(plan: Plan) -> Any:
+            with self._query(
+                "execute(%s)" % _describe(plan),
+                "execute_join" if _holds_join(plan) else "execute",
+                trace=trace,
+                allow_partial=allow_partial, read_quorum=read_quorum,
+            ) as context:
+                kernels = _ShardKernels(self, context)
+                return self._finish(
+                    context, kernels.gather(kernels.fold(plan))
+                )
+
+        if catalog.result_cache is not None and not allow_partial \
+                and read_quorum is None:
+            return catalog._execute_cached(plan, gather)
+        return gather(plan)
 
     # ------------------------------------------------------------------
     # Online rebalancing

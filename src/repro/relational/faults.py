@@ -33,6 +33,7 @@ import random
 from typing import TYPE_CHECKING, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import XSTError
+from repro.relational.wal import CrashPoint
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.relational.distributed import Cluster, Node
@@ -130,7 +131,7 @@ class FaultPlan:
         return self._add(at_op, _CRASH, node,
                          0.0 if after_bytes is None else float(after_bytes))
 
-    def crash_points(self) -> List[object]:
+    def crash_points(self) -> List[CrashPoint]:
         """The plan's byte-budget crashes as WAL writer shims.
 
         One :class:`~repro.relational.wal.CrashPoint` per
@@ -138,8 +139,6 @@ class FaultPlan:
         order -- the bridge between seeded fault plans and the
         storage layer's deterministic crash harness.
         """
-        from repro.relational.wal import CrashPoint
-
         return [
             CrashPoint(after_bytes=int(payload))
             for _, _, kind, node, payload in sorted(self._events)

@@ -17,12 +17,9 @@ typed twins 1 / 1.0 / True collapse in deltas exactly as they do in
 the base relations.
 """
 
-from repro.relational.ivm.cache import (
-    QueryResultCache,
-    plan_cache_key,
-    scan_tables,
-)
+from repro.relational.ivm.cache import QueryResultCache
 from repro.relational.ivm.delta import Delta, DeltaPropagator, DeltaUnsupported
+from repro.relational.query import plan_cache_key, scan_tables
 
 __all__ = [
     "Delta",

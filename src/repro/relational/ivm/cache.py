@@ -2,7 +2,8 @@
 
 A cache entry's key is the pair ``(plan key, fingerprint)``:
 
-* the **plan key** is the canonical rendering of the plan tree --
+* the **plan key** (:func:`repro.relational.query.plan_cache_key`)
+  is the canonical rendering of the plan tree --
   ``repro.obs.digest.plan_hash`` over a canonical text in which every
   ``SelectPred`` contributes its explicit ``cache_key`` (plans whose
   predicates carry no cache key are *uncacheable*: two different
@@ -40,10 +41,10 @@ from collections import OrderedDict
 from typing import Any, Dict, Iterable, Optional, Set, Tuple
 
 from repro.obs.instrument import enabled as _obs_enabled
-from repro.relational.query import Plan, SelectPred, scans
+from repro.obs.metrics import registry
 from repro.relational.relation import Relation
 
-__all__ = ["QueryResultCache", "plan_cache_key", "scan_tables"]
+__all__ = ["QueryResultCache"]
 
 #: The scanned base relations themselves, in sorted table order; two
 #: fingerprints are the same when their members are the same objects.
@@ -52,48 +53,9 @@ Fingerprint = Tuple[Any, ...]
 _Key = Tuple[str, Tuple[int, ...]]
 
 
-class _Uncacheable(Exception):
-    pass
-
-
-def _canonical(plan: Plan) -> str:
-    if isinstance(plan, SelectPred):
-        if plan.cache_key is None:
-            raise _Uncacheable
-        head = "SelectPred{%s}" % plan.cache_key
-    else:
-        head = plan.describe()
-    children = plan.children()
-    if not children:
-        return head
-    return "%s(%s)" % (head, ",".join([_canonical(child) for child in children]))
-
-
-def plan_cache_key(plan: Plan) -> Optional[str]:
-    """The canonical cache key for a plan, or ``None`` if uncacheable.
-
-    Uncacheable means some ``SelectPred`` carries no ``cache_key`` --
-    an opaque Python callable whose semantics the cache cannot name.
-    """
-    from repro.obs.digest import plan_hash
-
-    try:
-        text = _canonical(plan)
-    except _Uncacheable:
-        return None
-    return "%s:%s" % (plan_hash(text), text)
-
-
-def scan_tables(plan: Plan) -> Tuple[str, ...]:
-    """The base relations a plan scans, sorted and deduplicated."""
-    return tuple(sorted(scans(plan)))
-
-
 def _record_event(cache: str, event: str, amount: int = 1) -> None:
     if not amount or not _obs_enabled():
         return
-    from repro.obs.metrics import registry
-
     registry().counter(
         "repro_cache_events_total",
         "Result cache events by type.",

@@ -12,6 +12,8 @@ generic walker :func:`execute_spanned` wraps each
 :class:`repro.obs.trace.Span`, and :class:`NodeProfile` is a *view*
 over the resulting span tree -- one measurement substrate for local
 plans, cluster queries, and the exported ``repro obs-trace`` output.
+:func:`explain_analyze` reads the same span tree against the planner's
+estimates.
 
 :func:`profile_cluster` does the same for distributed queries: it runs
 one :class:`~repro.relational.distributed.Cluster` query and renders
@@ -29,6 +31,8 @@ from repro.obs import instrument, metrics
 from repro.obs.trace import Span, Tracer
 from repro.obs.trace import tracer as global_tracer
 from repro.relational.columnar import ColumnarRelation, materialize
+from repro.relational.cost import CardinalityEstimator, qerror
+from repro.relational.optimizer import optimize
 from repro.relational.query import Database, Plan, Scan, SelectEq
 from repro.relational.relation import Relation
 from repro.relational.stats import feedback_key
@@ -37,6 +41,7 @@ __all__ = [
     "NodeProfile",
     "execute_profiled",
     "execute_spanned",
+    "explain_analyze",
     "profile_cluster",
 ]
 
@@ -144,8 +149,6 @@ def execute_spanned(
     estimator = None
     catalog = getattr(db, "_stats", None)
     if catalog is not None and len(catalog):
-        from repro.relational.cost import CardinalityEstimator
-
         estimator = CardinalityEstimator(db)
 
     root_holder: List[Span] = []
@@ -176,8 +179,6 @@ def execute_spanned(
                 span.set("relation", node.child.name)
                 span.set("conditions", feedback_key(node.conditions))
             if estimator is not None:
-                from repro.relational.cost import qerror
-
                 estimated = estimator.estimate(node)
                 error = qerror(estimated, rows)
                 span.set("est_rows", int(round(estimated)))
@@ -212,6 +213,51 @@ def execute_profiled(
     db.heading_of(plan)
     result, root = execute_spanned(db, plan, tracer)
     return result, NodeProfile.from_span(root)
+
+
+def explain_analyze(db: Database, plan: Plan,
+                    optimized: bool = True) -> Tuple[Relation, str]:
+    """Execute a plan and render per-node ``est_rows`` vs ``actual_rows``.
+
+    Returns ``(result_relation, text)``.  The text mirrors
+    ``Plan.explain()`` with one measurement suffix per line plus a
+    closing q-error summary -- the plan-quality report the E23
+    experiment records.  With ``optimized=True`` the plan goes through
+    :func:`repro.relational.optimizer.optimize` first (which consults
+    the catalog exactly as production execution would).
+    """
+    db.heading_of(plan)
+    if optimized:
+        plan = optimize(plan, db)
+    # The span walker is the executor; each span carries its node's
+    # measured ``rows``.
+    result, root = execute_spanned(db, plan)
+    est = CardinalityEstimator(db)
+    lines: List[str] = []
+    errors: List[float] = []
+
+    def render(node: Plan, span, indent: int) -> None:
+        estimated = est.estimate(node)
+        actual = span.attrs["rows"]
+        error = qerror(estimated, actual)
+        errors.append(error)
+        lines.append(
+            "%s%-44s est_rows=%-8d actual_rows=%-8d q=%.2f"
+            % ("  " * indent, node.describe(), int(round(estimated)),
+               actual, error)
+        )
+        for child, child_span in zip(node.children(), span.children):
+            render(child, child_span, indent + 1)
+
+    render(plan, root, 0)
+    worst = max(errors)
+    mean = sum(errors) / len(errors)
+    lines.append(
+        "q-error: max=%.2f mean=%.2f over %d nodes (%s)"
+        % (worst, mean, len(errors),
+           "stats" if est.has_stats(plan) else "heuristic fallback")
+    )
+    return result, "\n".join(lines)
 
 
 def profile_cluster(cluster, query, *args, **kwargs):

@@ -24,7 +24,9 @@ from typing import Any, Callable, Dict, Iterator, List, Mapping, Optional, Seque
 
 from repro.errors import SchemaError, XSTError
 from repro.gov.governor import active as _gov_active
+from repro.obs.digest import build_digest, plan_hash, record_digest
 from repro.obs.instrument import enabled as _obs_enabled
+from repro.obs.trace import tracer as _tracer
 from repro.relational import algebra
 from repro.relational.columnar import (
     ColumnarRelation,
@@ -33,6 +35,7 @@ from repro.relational.columnar import (
 )
 from repro.relational.relation import Relation
 from repro.relational.schema import Heading
+from repro.relational.stats import StatsCatalog
 
 #: What flows between plan nodes in set mode: either the canonical row
 #: model or its sorted-run encoding.  Both expose ``heading`` and
@@ -52,6 +55,8 @@ __all__ = [
     "Aggregate",
     "Limit",
     "scans",
+    "plan_cache_key",
+    "scan_tables",
     "Database",
 ]
 
@@ -420,6 +425,42 @@ def scans(plan: Plan) -> List[str]:
     return list(names)
 
 
+class _Uncacheable(Exception):
+    pass
+
+
+def _canonical(plan: Plan) -> str:
+    if isinstance(plan, SelectPred):
+        if plan.cache_key is None:
+            raise _Uncacheable
+        head = "SelectPred{%s}" % plan.cache_key
+    else:
+        head = plan.describe()
+    children = plan.children()
+    if not children:
+        return head
+    return "%s(%s)" % (head, ",".join([_canonical(child) for child in children]))
+
+
+def plan_cache_key(plan: Plan) -> Optional[str]:
+    """The canonical result-cache key for a plan, or ``None`` if
+    uncacheable.
+
+    Uncacheable means some ``SelectPred`` carries no ``cache_key`` --
+    an opaque Python callable whose semantics the cache cannot name.
+    """
+    try:
+        text = _canonical(plan)
+    except _Uncacheable:
+        return None
+    return "%s:%s" % (plan_hash(text), text)
+
+
+def scan_tables(plan: Plan) -> Tuple[str, ...]:
+    """The base relations a plan scans, sorted and deduplicated."""
+    return tuple(sorted(scans(plan)))
+
+
 class _RunKernels:
     """Sorted runs as a kernel namespace: ``ColumnarRelation``'s own
     kernel where it spells one; any other name hands its operands back
@@ -589,8 +630,6 @@ class Database:
         and the fallback selectivities.
         """
         if self._stats is None:
-            from repro.relational.stats import StatsCatalog
-
             self._stats = StatsCatalog()
         return self._stats
 
@@ -637,7 +676,7 @@ class Database:
         """
         self.heading_of(plan)
         if self._result_cache is not None:
-            return self._execute_cached(plan)
+            return self._execute_cached(plan, self._execute_uncached)
         return self._execute_uncached(plan)
 
     def _execute_uncached(self, plan: Plan) -> Relation:
@@ -653,12 +692,14 @@ class Database:
     def result_cache(self):
         return self._result_cache
 
-    def _execute_cached(self, plan: Plan) -> Relation:
-        from repro.relational.ivm.cache import plan_cache_key, scan_tables
-
+    def _execute_cached(
+        self, plan: Plan, run: Callable[[Plan], Relation]
+    ) -> Relation:
+        """The one result-cache consult: ``run(plan)`` computes a miss
+        (this catalog's executor, or the cluster's over its buckets)."""
         plan_key = plan_cache_key(plan)
         if plan_key is None:
-            return self._execute_uncached(plan)
+            return run(plan)
         # The fingerprint *is* the data the execution reads: the
         # immutable relations themselves (heading_of vouched for every
         # name), which the entry keeps for as long as it lives.
@@ -667,7 +708,7 @@ class Database:
         hit = self._result_cache.lookup(plan_key, inputs)
         if hit is not None:
             return hit
-        result = self._execute_uncached(plan)
+        result = run(plan)
         self._result_cache.store(plan_key, inputs, tables, result)
         return result
 
@@ -682,8 +723,8 @@ class Database:
         are thereby applied before returning, so the *next* query over
         the same shapes plans from observed cardinalities).
         """
-        from repro.obs.digest import build_digest, plan_hash, record_digest
-        from repro.obs.trace import tracer as _tracer
+        # Not at module level: the span walker stamps the planner's
+        # estimates, and the planner imports this module's node table.
         from repro.relational.profile import execute_spanned
 
         hash_value = plan_hash(plan.explain())

@@ -89,6 +89,7 @@ from repro.relational.query import (
     SelectPred,
 )
 from repro.relational.relation import Relation
+from repro.relational.schema import Heading
 from repro.xst.ordering import canonical_key
 
 __all__ = ["parse_query", "compile_query", "run", "run_rows", "Query"]
@@ -380,8 +381,6 @@ def _run_analyze(db: Database, text: str) -> Relation:
     else:
         raise NotationError("XQL: ANALYZE takes at most one relation name")
     analyzed = db.analyze(targets)
-    from repro.relational.schema import Heading
-
     rows = []
     for name in analyzed:
         entry = db.stats.get(name, allow_stale=True)
@@ -407,8 +406,6 @@ def _run_view_statement(db: Database, text: str) -> Relation:
     the moment the statement returns.  Definitions are the catalog's,
     not a version's: shared and immediate, like ANALYZE's statistics.
     """
-    from repro.relational.schema import Heading
-
     stream = _tokenize(text)
     head = stream[0]
     views = db.views

@@ -503,14 +503,6 @@ class StatsCatalog:
         """A copy of the live overlay (insertion order preserved)."""
         return dict(self._feedback)
 
-    def clear_feedback(self, name: Optional[str] = None) -> None:
-        """Drop the overlay (for one relation, or entirely)."""
-        if name is None:
-            self._feedback.clear()
-            self._force_stale.clear()
-        else:
-            self._discard_feedback(name)
-
     # -- serialization --------------------------------------------------
 
     def to_xset(self) -> XSet:

@@ -556,10 +556,6 @@ class SnapshotSession(Snapshot):
         self._ops.append(("update", name, dict(conditions), dict(changes)))
         return changed
 
-    @property
-    def pending_ops(self) -> int:
-        return len(self._ops)
-
     # -- resolution ----------------------------------------------------
 
     def conflicts(self) -> List[str]:

@@ -61,7 +61,9 @@ from typing import (
 )
 
 from repro.errors import XSTError, notify_error
-from repro.xst.builders import xrecord, xtuple
+from repro.relational.relation import Relation
+from repro.relational.schema import Heading
+from repro.xst.builders import xrecord, xset, xtuple
 from repro.xst.serialization import dumps, loads
 from repro.xst.xset import XSet
 
@@ -612,10 +614,6 @@ def apply_commit(state: Dict[str, Any], record: XSet) -> None:
     or-newer checkpoint snapshot converges on the same final state
     (see the module docstring).
     """
-    from repro.relational.relation import Relation
-    from repro.relational.schema import Heading
-    from repro.xst.builders import xset
-
     for name, heading, inserted, deleted in commit_changes(record):
         current = state.get(name)
         if current is None:
@@ -650,11 +648,3 @@ def recover_state(
             apply_commit(state, record)
             replayed += 1
     return state, replayed
-
-
-def record_recovery_metrics(kind: str, seconds: float, records: int,
-                            byte_count: int) -> None:
-    """Export one recovery pass through :mod:`repro.obs` (if enabled)."""
-    from repro.obs.instrument import record_recovery
-
-    record_recovery(kind, seconds, records, byte_count)

@@ -39,6 +39,7 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple
 from repro.errors import (
     NetworkError,
     OverloadedError,
+    SessionError,
     UnavailableError,
 )
 from repro.gov.admission import PRIORITY_NORMAL
@@ -328,6 +329,12 @@ class Client:
     async def execute(self, name: str,
                       args: Sequence[Any] = ()) -> Relation:
         """Run a prepared statement with positional arguments."""
+        if isinstance(args, (str, bytes, dict)):
+            # Each would bind its characters, bytes or keys as values.
+            raise SessionError(
+                "statement arguments must be a sequence of values, got %r"
+                % type(args).__name__
+            )
         rid = self._next_request_id()
         ftype, body = await self._call(
             FrameType.EXECUTE,

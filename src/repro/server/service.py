@@ -49,6 +49,7 @@ from repro.gov.admission import AdmissionController, PRIORITY_CRITICAL
 from repro.obs.recorder import recorder
 from repro.obs.trace import TraceContext, tracer
 from repro.relational.faults import NO_NETWORK_FAULTS, NetworkFaultInjector
+from repro.relational.ivm.cache import QueryResultCache
 from repro.relational.sql import run as run_xql
 from repro.relational.tx import TransactionManager
 from repro.server.protocol import (
@@ -113,8 +114,6 @@ class Server:
         # the relations a plan scans, reclaimed by the commit that
         # replaces them).  A manager built without one gets one here.
         if result_cache_capacity > 0 and manager.result_cache is None:
-            from repro.relational.ivm.cache import QueryResultCache
-
             manager._attach_result_cache(QueryResultCache(
                 capacity=result_cache_capacity, name="server"
             ))
@@ -392,12 +391,25 @@ class Server:
                            session=session.session_id) as span:
             conn.trace.annotate(span)
             try:
+                # A body is decoded JSON, so its values have exact
+                # types: ``type(x) is`` refuses a malformed one at the
+                # door, before admission, at no call on the hot path.
                 if ftype == FrameType.QUERY:
-                    await self._run_query(conn, rid, body.get("xql", ""))
+                    xql = body.get("xql", "")
+                    if type(xql) is not str:
+                        raise SessionError(
+                            "QUERY xql must be a string",
+                            session_id=session.session_id,
+                        )
+                    await self._run_query(conn, rid, xql)
                 elif ftype == FrameType.EXECUTE:
-                    text = session.statement(
-                        body.get("name", ""), body.get("args", [])
-                    )
+                    args = body.get("args", [])
+                    if type(args) is not list:
+                        raise SessionError(
+                            "EXECUTE args must be a list",
+                            session_id=session.session_id,
+                        )
+                    text = session.statement(body.get("name", ""), args)
                     await self._run_query(conn, rid, text)
                 elif ftype == FrameType.PREPARE:
                     session.prepare(body.get("name", ""),
@@ -472,9 +484,13 @@ class Server:
                 "id": rid, "version": cached, "replayed": True,
             })
             return
+        ops = body.get("ops", [])
+        if type(ops) is not list:
+            raise SessionError("MUTATE ops must be a list",
+                               session_id=session.session_id)
         self._check_shed(conn, rid)
         with self.admission.admitted(session.priority):
-            version = session.mutate(body.get("ops", []))
+            version = session.mutate(ops)
         # Remember the ack *before* sending it: if the send dies on
         # the wire, the client's retry finds the cache and the write
         # is not applied twice.

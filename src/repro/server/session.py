@@ -134,6 +134,9 @@ class Session:
         if not name or not isinstance(name, str):
             raise SessionError("statement names must be non-empty strings",
                                session_id=self.session_id)
+        if not isinstance(template, str):
+            raise SessionError("statement text must be a string",
+                               session_id=self.session_id)
         self._statements[name] = template
 
     def statement(self, name: str, args: Sequence[Any]) -> str:
@@ -169,15 +172,25 @@ class Session:
                 raise SessionError("malformed mutation op %r" % (op,),
                                    session_id=self.session_id)
             kind, name = op[0], op[1]
-            if kind == "insert" and len(op) == 3:
-                parsed.append(("insert", name, dict(op[2])))
-            elif kind == "delete" and len(op) == 3:
-                parsed.append(("delete", name, dict(op[2])))
-            elif kind == "update" and len(op) == 4:
-                parsed.append(("update", name, dict(op[2]), dict(op[3])))
-            else:
-                raise SessionError("unknown mutation op %r" % (kind,),
+            # Wire values have exact types; this test costs no call.
+            if type(name) is not str:
+                raise SessionError("mutation op table must be a string, "
+                                   "got %r" % (name,),
                                    session_id=self.session_id)
+            try:
+                if kind == "insert" and len(op) == 3:
+                    parsed.append(("insert", name, dict(op[2])))
+                elif kind == "delete" and len(op) == 3:
+                    parsed.append(("delete", name, dict(op[2])))
+                elif kind == "update" and len(op) == 4:
+                    parsed.append(("update", name, dict(op[2]), dict(op[3])))
+                else:
+                    raise SessionError("unknown mutation op %r" % (kind,),
+                                       session_id=self.session_id)
+            except (TypeError, ValueError):
+                # ``dict()`` of something that is not a row.
+                raise SessionError("malformed mutation op %r" % (op,),
+                                   session_id=self.session_id) from None
             written.add(name)
         version = self._manager._commit_ops(parsed, written, self.version)
         self.refresh()

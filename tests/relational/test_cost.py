@@ -11,11 +11,11 @@ from repro.relational import cost as cost_module
 from repro.relational.cost import (
     DP_MAX_RELATIONS,
     CardinalityEstimator,
-    explain_analyze,
     qerror,
     reorder_joins,
 )
 from repro.relational.optimizer import optimize
+from repro.relational.profile import explain_analyze
 from repro.relational.query import (
     Database,
     Join,

@@ -750,7 +750,7 @@ class TestManagedMaintenance:
         )
         catalog.read("ontop")
         catalog.read("shallow")
-        from repro.relational.ivm.cache import scan_tables
+        from repro.relational.query import scan_tables
 
         original = DeltaPropagator.delta
 

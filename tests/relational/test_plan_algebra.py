@@ -24,7 +24,6 @@ from repro.relational import algebra
 from repro.relational.columnar import materialize
 from repro.relational.cost import CardinalityEstimator
 from repro.relational.distributed import Cluster
-from repro.relational.ivm import plan_cache_key, scan_tables
 from repro.relational.ivm.delta import DeltaPropagator, DeltaUnsupported
 from repro.relational.optimizer import optimize
 from repro.relational.query import (
@@ -40,6 +39,8 @@ from repro.relational.query import (
     SelectEq,
     SelectPred,
     Union,
+    plan_cache_key,
+    scan_tables,
     scans,
 )
 from repro.relational.relation import Relation

@@ -35,6 +35,7 @@ from repro.relational.stats import StatsCatalog
 from repro.relational.tx import TransactionManager
 from repro.relational.views import ViewCatalog
 from repro.server import Client, Server, connect
+from repro.server.protocol import FrameType
 from repro.server.session import render_statement
 
 
@@ -549,6 +550,88 @@ class TestPreparedStatements:
             rel = await client.execute("who", ["eng", "$1"])
             assert rel.to_rows() == []
             await writer.close()
+            await client.close()
+
+        run(served(body))
+
+
+class TestMalformedBodiesAreRefusedAtTheDoor:
+    """A request body the server cannot read is a typed
+    ``SessionError`` before any table is touched: the session survives
+    and the log does not move."""
+
+    ROW = {"eid": 9, "name": "eve", "dept": "ops"}
+    #: Refused before admission.
+    AT_THE_DOOR = [
+        (FrameType.EXECUTE, {"name": "who", "args": 5}),
+        (FrameType.QUERY, {"xql": 5}),
+        (FrameType.PREPARE, {"name": "later", "xql": 5}),
+        (FrameType.MUTATE, {"ops": 5}),
+    ]
+    #: Refused while the session parses the batch.
+    IN_THE_BATCH = [
+        (FrameType.MUTATE, {"ops": [["insert", ["emp"], ROW]]}),
+        (FrameType.MUTATE, {"ops": [["insert", "emp", "eid"]]}),
+    ]
+
+    @pytest.mark.parametrize(
+        "ftype, request_body", AT_THE_DOOR + IN_THE_BATCH,
+        ids=["execute-args", "query-xql", "prepare-xql", "mutate-ops",
+             "op-table", "op-row"],
+    )
+    def test_refused_typed_and_the_session_survives(
+            self, tmp_path, ftype, request_body):
+        from repro.relational.wal import WriteAheadLog
+
+        log = WriteAheadLog(str(tmp_path / "wal.log"), sync=False)
+
+        async def body():
+            manager = TransactionManager(make_manager().tables, log=log)
+            server = Server(manager)
+            await server.start()
+            try:
+                client = await connect("127.0.0.1", server.port)
+                await client.prepare(
+                    "who", "select name from emp where eid = $1"
+                )
+                await client.mutate([["insert", "emp", self.ROW]])
+                lsn, committed = log.lsn, manager.committed()
+                admitted = server.admission.admitted_total
+                rid = client._next_request_id()
+                await client._write_frame(ftype, dict(request_body, id=rid))
+                with pytest.raises(SessionError):
+                    await client._read_response(rid)
+                assert log.lsn == lsn
+                assert manager.committed() is committed
+                if (ftype, request_body) in self.AT_THE_DOOR:
+                    assert server.admission.admitted_total == admitted
+                with pytest.raises(SessionError, match="unknown prepared"):
+                    await client.execute("later", [])
+                # The session survives and still answers.
+                rel = await client.execute("who", [9])
+                assert rel.to_rows() == [("eve",)]
+                await client.close()
+            finally:
+                await server.close()
+
+        run(body())
+        log.close()
+
+    @pytest.mark.parametrize("args", ["ab", b"ab", {"a": 1, "b": 2}],
+                             ids=["str", "bytes", "dict"])
+    def test_the_client_refuses_an_argument_that_is_not_a_sequence(
+            self, args):
+        async def body(server):
+            client = await connect("127.0.0.1", server.port)
+            await client.prepare(
+                "pair", "select name from emp where eid = $1 and dept = $2"
+            )
+            served_before = server.requests_served
+            with pytest.raises(SessionError):
+                await client.execute("pair", args)
+            assert server.requests_served == served_before  # never sent
+            rel = await client.execute("pair", [1, "eng"])
+            assert rel.to_rows() == [("ada",)]
             await client.close()
 
         run(served(body))
