@@ -13,7 +13,9 @@ mathematical operands") made literal.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, List, Mapping, Sequence, Tuple
+from collections.abc import Mapping
+from operator import itemgetter
+from typing import Any, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.errors import SchemaError
 from repro.core.process import Process
@@ -23,6 +25,27 @@ from repro.xst.builders import xset
 from repro.xst.xset import XSet
 
 __all__ = ["Relation"]
+
+#: Row types ``from_tuples`` reads as positional rows without asking.
+_ROW_TYPES = frozenset({tuple, list})
+
+#: Iterables that are no positional row.
+_NOT_ROWS = (str, bytes, Mapping)
+
+#: A relation's member's row (its scope is ``EMPTY``).
+_row_of = itemgetter(0)
+
+
+def _row_dict(row: XSet) -> Dict[str, Any]:
+    """A record row as ``{attribute: value}``, in the order of its pairs.
+
+    Every row was proved record-shaped under its heading when its
+    relation was validated, or built as one: one element at each
+    attribute scope.  So this is the row's scope index with each
+    1-tuple unwrapped, keys in the same order, read off the pairs
+    without building (or keeping) the index.
+    """
+    return {scope: element for element, scope in row._pairs}
 
 
 class Relation:
@@ -78,13 +101,14 @@ class Relation:
 
     @classmethod
     def _of_built(cls, heading: Heading, records: List[XSet]) -> "Relation":
-        """``records``: one element at each of ``heading``'s names, built here.
+        """``records``: ``XSet._record`` rows over ``heading``'s names.
 
         Over no names that is the empty set, which is no record; the
         checked constructor is the one to say so.
         """
-        make = cls._from_valid if heading.names else cls
-        return make(heading, xset(records))
+        if not heading.names:
+            return cls(heading, xset(records))
+        return cls._from_valid(heading, XSet._of_records(records))
 
     @classmethod
     def from_dicts(
@@ -92,32 +116,45 @@ class Relation:
     ) -> "Relation":
         """Build from mappings; every row must supply every attribute."""
         heading = names if isinstance(names, Heading) else Heading(names)
-        attrs, name_set = heading.names, frozenset(heading.names)
+        attrs, name_set = heading.names, heading._name_set
+        keys = heading._scope_keys()
         records = []
         for row in rows:
             if row.keys() != name_set:
                 raise SchemaError(
                     "row keys %s do not match heading %r" % (sorted(row), heading)
                 )
-            records.append(XSet(zip(map(row.__getitem__, attrs), attrs)))
+            records.append(
+                XSet._record(tuple(map(row.__getitem__, attrs)), attrs, keys)
+            )
         return cls._of_built(heading, records)
 
     @classmethod
     def from_tuples(
         cls, names: Sequence[str], rows: Iterable[Sequence[Any]]
     ) -> "Relation":
-        """Build from positional rows matching the heading's order."""
+        """Build from positional rows matching the heading's order.
+
+        A ``str``, ``bytes`` or mapping is no row, although it iterates:
+        it would be read as its characters or its keys.
+        """
         heading = names if isinstance(names, Heading) else Heading(names)
-        attrs = heading.names
+        attrs, keys = heading.names, heading._scope_keys()
+        width = len(attrs)
         records = []
         for row in rows:
+            if type(row) not in _ROW_TYPES and isinstance(row, _NOT_ROWS):
+                raise SchemaError(
+                    "row %r is a %s, not a sequence of values"
+                    % (row, type(row).__name__)
+                )
             values = tuple(row)
-            if len(values) != len(attrs):
+            if len(values) != width:
                 raise SchemaError(
                     "row %r has %d values for %d attributes"
-                    % (values, len(values), len(attrs))
+                    % (values, len(values), width)
                 )
-            records.append(XSet(zip(values, attrs)))
+            records.append(XSet._record(values, attrs, keys))
         return cls._of_built(heading, records)
 
     # ------------------------------------------------------------------
@@ -144,20 +181,15 @@ class Relation:
 
     def iter_dicts(self) -> Iterator[Dict[str, Any]]:
         """Rows as plain dicts (deterministic canonical order)."""
-        # Every row was proved record-shaped under this heading when its
-        # relation was validated: one element at each attribute scope.
-        for row, _ in self._rows.pairs():
-            yield {
-                name: held[0] for name, held in row._scopes_index().items()
-            }
+        return map(_row_dict, map(_row_of, self._rows._pairs))
 
     def to_rows(self) -> List[Tuple[Any, ...]]:
         """Rows as positional tuples in heading order, sorted."""
         names = self._heading.names
-        out = []
-        for row, _ in self._rows.pairs():
-            held = row._scopes_index()
-            out.append(tuple(held[name][0] for name in names))
+        out = [
+            tuple(map(_row_dict(row).__getitem__, names))
+            for row, _ in self._rows._pairs
+        ]
         out.sort(key=repr)
         return out
 

@@ -14,9 +14,10 @@ set-theoretic reading.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, Tuple
+from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 from repro.errors import SchemaError
+from repro.xst.ordering import canonical_key
 
 __all__ = ["Heading"]
 
@@ -24,7 +25,11 @@ __all__ = ["Heading"]
 class Heading:
     """An immutable collection of distinct attribute names."""
 
-    __slots__ = ("_names", "_name_set")
+    __slots__ = ("_names", "_name_set", "_keys")
+
+    #: ``canonical_key`` of each name, in declaration order; ``None``
+    #: until :meth:`_scope_keys` is first called.
+    _keys: Optional[Tuple[Tuple, ...]]
 
     def __init__(self, names: Iterable[str]):
         ordered = tuple(names)
@@ -36,6 +41,7 @@ class Heading:
             raise SchemaError("duplicate attribute names in %r" % (ordered,))
         object.__setattr__(self, "_names", ordered)
         object.__setattr__(self, "_name_set", name_set)
+        object.__setattr__(self, "_keys", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Heading instances are immutable")
@@ -43,6 +49,19 @@ class Heading:
     @property
     def names(self) -> Tuple[str, ...]:
         return self._names
+
+    def _scope_keys(self) -> Tuple[Tuple, ...]:
+        """The canonical keys of :attr:`names`, in step with them.
+
+        Derived once and kept on the heading, so every row built under
+        it (``XSet._record``) shares one key object per attribute, and
+        the keys go when the heading does.
+        """
+        keys = self._keys
+        if keys is None:
+            keys = tuple(map(canonical_key, self._names))
+            object.__setattr__(self, "_keys", keys)
+        return keys
 
     def __iter__(self) -> Iterator[str]:
         return iter(self._names)

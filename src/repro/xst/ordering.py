@@ -80,7 +80,12 @@ def canonical_key(value: Any) -> Tuple:
     if cls is float:
         return (_RANK_NUMBER, value)
     if cls is int:
-        return (_RANK_NUMBER, _number_payload(value))
+        # _number_payload, inline: the hottest atom type pays no call.
+        try:
+            as_float = float(value)
+        except OverflowError:
+            return (_RANK_NUMBER, value)
+        return (_RANK_NUMBER, as_float if as_float == value else value)
     if value is None:
         return (_RANK_NONE, 0)
     if isinstance(value, (int, float)):

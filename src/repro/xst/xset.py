@@ -29,7 +29,8 @@ the constructor rejects any attempt to place one inside an ``XSet``.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from operator import itemgetter
+from itertools import repeat
+from operator import attrgetter, itemgetter
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
 from repro.errors import InvalidAtomError, NotATupleError
@@ -49,6 +50,9 @@ _UNSET = object()
 
 #: Sort key of a ``(pair, pair key)`` item: the key, never the pair.
 _pair_key_of = itemgetter(1)
+
+#: The remembered ``canonical_key`` of a keyed ``XSet``.
+_key_of = attrgetter("_key")
 
 
 #: Patch a run by bisection when at most one pair in this many changes
@@ -253,6 +257,51 @@ class XSet:
             ordered, frozenset(ordered) if pair_set is None else pair_set, keys
         )
         return self
+
+    @staticmethod
+    def _record(
+        values: Tuple[Any, ...], scopes: Tuple[Any, ...], scope_keys: Tuple
+    ) -> "XSet":
+        """The record ``{v1^s1, ..., vk^sk}``: ``XSet(zip(values, scopes))``.
+
+        ``scopes`` are distinct admitted values (a heading's names) and
+        ``scope_keys`` their canonical keys, in step with them, derived
+        once by the caller for every record over the same scopes.  Each
+        value is admitted as the checked constructor admits it and keyed
+        once; distinct scopes make every pair distinct, so there is
+        nothing to deduplicate.
+        """
+        for value in values:
+            if type(value) not in _ADMITTED_BY_TYPE:
+                _check_admissible(value, "an element")
+        # Stable and on the keys alone, as the checked constructor sorts.
+        ordered, keys = zip(*sorted(
+            zip(zip(values, scopes), zip(map(canonical_key, values), scope_keys)),
+            key=_pair_key_of,
+        )) if values else ((), ())
+        self = object.__new__(XSet)
+        self._fill(ordered, frozenset(ordered), keys)
+        return self
+
+    @staticmethod
+    def _of_records(records: List["XSet"]) -> "XSet":
+        """The classical set of ``records``: ``XSet((r, EMPTY) for r in
+        records)``, for records built by :meth:`_record` (so admitted
+        and keyed).
+
+        Sorted stably on the records' remembered keys: every pair key is
+        ``(record key, EMPTY's key)``, so the records' keys alone decide
+        each comparison the checked constructor makes.  When two records
+        are equal it keeps the first spelling.
+        """
+        pair_set = frozenset(zip(records, repeat(EMPTY)))
+        if len(pair_set) < len(records):
+            return XSet(zip(records, repeat(EMPTY)))
+        records = sorted(records, key=_key_of)
+        return XSet._from_run(
+            tuple(zip(records, repeat(EMPTY))), pair_set,
+            tuple(zip(map(_key_of, records), repeat(EMPTY._key))),
+        )
 
     def _elements_index(self) -> Dict[Any, Tuple[Any, ...]]:
         index = self._by_element

@@ -1,5 +1,7 @@
 """Relations: construction, validation, views, process reading."""
 
+from types import MappingProxyType
+
 import pytest
 
 from repro.errors import SchemaError
@@ -42,6 +44,28 @@ class TestConstruction:
     def test_wrong_tuple_width_rejected(self):
         with pytest.raises(SchemaError):
             Relation.from_tuples(["a", "b"], [(1,)])
+
+    @pytest.mark.parametrize("row", [
+        {"a": 1, "b": 2},  # parent commit: [("a", "b")], its keys
+        "xy",              # parent commit: [("x", "y")], its characters
+        b"xy",             # parent commit: [(120, 121)], its bytes
+        MappingProxyType({"a": 1, "b": 2}),
+    ])
+    def test_strings_and_mappings_are_no_rows(self, row, monkeypatch):
+        built = []
+        fill = XSet._fill
+        with monkeypatch.context() as patch:
+            patch.setattr(XSet, "_fill", lambda self, *args: (
+                built.append(1), fill(self, *args))[1])
+            with pytest.raises(SchemaError, match="not a sequence of values"):
+                Relation.from_tuples(["a", "b"], [row])
+            assert built == []  # refused before anything is built
+            with pytest.raises(SchemaError, match="is a %s, not a sequence "
+                               "of values" % type(row).__name__):
+                Relation.from_tuples(["a", "b"], [(1, 2), row])
+        # Lists and tuples, and other sequences, are rows as before.
+        assert Relation.from_tuples(["a", "b"], [[1, 2], (3, 4), range(2)]
+                                    ).to_rows() == [(0, 1), (1, 2), (3, 4)]
 
     def test_raw_constructor_validates_rows(self):
         heading = Heading(["a"])

@@ -633,6 +633,74 @@ class TestBuiltOnceShapes:
                 assert calls["validated"] == [size]
                 assert len(calls["is_record"]) == 0  # failing path only
 
+    def test_from_tuples_costs_a_constant_per_row(self, monkeypatch):
+        import gc
+        import inspect
+        import sys
+
+        from repro.relational.relation import Relation
+
+        def profiled(build):
+            events, generators = [0], [0]
+
+            def profile(frame, event, arg):
+                if event in ("call", "c_call"):
+                    events[0] += 1
+                if event == "call" and frame.f_code.co_flags & (
+                    inspect.CO_GENERATOR
+                ):
+                    generators[0] += 1
+
+            # A collection would run other tests' finalizers in here.
+            gc.collect()
+            gc.disable()
+            sys.setprofile(profile)
+            try:
+                result = build()
+            finally:
+                sys.setprofile(None)
+                gc.enable()
+            return result, events[0], generators[0]
+
+        checked = []
+        init = XSet.__init__
+        monkeypatch.setattr(XSet, "__init__", lambda self, *args: (
+            checked.append(1), init(self, *args))[1])
+        sizes = (5, *self.SIZES)
+        built, reads = {}, {}
+        for size in sizes:
+            rows = [tuple(row[name] for name in HEADING) for row in
+                    employees(size, 8, seed=WORKLOAD_SEED + 20)]
+            rel, built[size], _ = profiled(
+                lambda: Relation.from_tuples(HEADING, rows))
+            assert len(rel) == size
+            dicts = [dict(zip(HEADING, row)) for row in rows]
+            assert Relation.from_dicts(HEADING, dicts) == rel
+            for read in (rel.to_rows, lambda: list(rel.iter_dicts())):
+                out, events, generators = profiled(read)
+                assert len(out) == size
+                # Parent commit: a generator resumed per value (to_rows)
+                # or per row (iter_dicts).
+                assert generators == 0
+                reads.setdefault(read.__name__, []).append(events)
+        # No row reaches the checked constructor (parent commit: one per
+        # row and one for the row set).
+        assert checked == []
+        # The same events for every row: each value's key, and a fixed
+        # number for the row (parent commit: about 27 per row of four
+        # values, with the row set's).  A per-row record constructor
+        # call, its sort, object allocation, fill, hash, the arity and
+        # key-count lengths, the append, and the row set's two member
+        # hashes: ten.
+        small, mid, large = (built[size] for size in sizes)
+        per_row = (large - mid) / (sizes[2] - sizes[1])
+        assert per_row == (mid - small) / (sizes[1] - sizes[0])
+        assert per_row <= len(HEADING) + 10, built
+        # Each read takes at most two events per row (a call and, before
+        # Python 3.12, its dict comprehension), never one per value.
+        for events in reads.values():
+            assert (events[2] - events[1]) <= 2 * (sizes[2] - sizes[1])
+
     def test_join_output_rows_arrive_keyed(self, monkeypatch):
         from repro.relational import algebra
         from repro.workloads import department_relation, employee_relation
