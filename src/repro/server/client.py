@@ -51,6 +51,7 @@ from repro.server.protocol import (
     PROTOCOL_VERSION,
     encode_frame,
     error_from_body,
+    within,
 )
 
 __all__ = ["Client", "connect"]
@@ -184,7 +185,7 @@ class Client:
             if self._reader is None:
                 raise NetworkError("not connected")
             try:
-                data = await asyncio.wait_for(
+                data = await within(
                     self._reader.read(_READ_CHUNK), self.read_timeout_s
                 )
             except asyncio.TimeoutError:

@@ -26,14 +26,19 @@ mistaken for a clean goodbye.  The property pinned by
 stream decodes to a (possibly empty) prefix of its frames plus either
 a clean end or a typed error -- never a hang, never an unhandled
 exception.
+
+Both endpoints bound their waits on the socket with :func:`within`, a
+deadline that is a timer on the waiting task rather than a task of its
+own.
 """
 
 from __future__ import annotations
 
+import asyncio
 import json
 import struct
 import zlib
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Awaitable, Dict, List, Optional, Tuple, TypeVar
 
 from repro.errors import (
     _ERROR_CONTEXT_ATTRS,
@@ -60,6 +65,7 @@ __all__ = [
     "encode_frame",
     "decode_body",
     "FrameDecoder",
+    "within",
     "error_body",
     "error_from_body",
 ]
@@ -208,6 +214,41 @@ class FrameDecoder:
                 "stream ended inside a frame (%d torn bytes)"
                 % len(self._buffer)
             )
+
+
+_T = TypeVar("_T")
+
+
+async def within(awaitable: Awaitable[_T], seconds: float) -> _T:
+    """Await ``awaitable`` in the calling task for at most ``seconds``.
+
+    The deadline is one ``call_later`` timer that cancels the waiting
+    task; that cancel comes out as :class:`asyncio.TimeoutError` and is
+    withdrawn (``Task.uncancel``, on Python 3.11+), so nothing above
+    sees the task as still cancelling.  A cancel from anywhere else
+    passes through untouched.  No task is spawned and no loop turn is
+    spent: an awaitable that is ready returns at once.
+    """
+    task = asyncio.current_task()
+    expired = []
+
+    def expire() -> None:
+        expired.append(True)
+        task.cancel()
+
+    timer = task.get_loop().call_later(seconds, expire)
+    try:
+        return await awaitable
+    except asyncio.CancelledError:
+        # Take back the timer's cancel; if another is still pending, the
+        # task is being cancelled from outside too, and that wins.
+        # Before 3.11 there is no count to consult: an outside cancel
+        # landing in the same loop turn as the timer reads as expiry.
+        if expired and (not hasattr(task, "uncancel") or task.uncancel() == 0):
+            raise asyncio.TimeoutError from None
+        raise
+    finally:
+        timer.cancel()
 
 
 # ----------------------------------------------------------------------

@@ -1,8 +1,10 @@
 """The asyncio TCP server: admission-gated, fault-injectable, drainable.
 
-One event loop, one reader task per connection, sequential request
-dispatch per connection -- the concurrency model matches the rest of
-the repo (deterministic, no threads).  The pieces:
+One event loop, one task per connection, sequential request dispatch
+per connection -- the concurrency model matches the rest of the repo
+(deterministic, no threads).  Frames are decoded in the transport's
+data callback, where the bytes land, and queued for the connection's
+task; a request spawns no task of its own.  The pieces:
 
 * **Handshake**: the first frame must be HELLO (protocol version,
   optional auth token, client id, priority class); the reply is
@@ -19,9 +21,10 @@ the repo (deterministic, no threads).  The pieces:
   -- the same seeded-schedule determinism the storage and cluster
   layers already have, moved to the wire.
 * **Slow consumers**: a send that cannot drain within
-  ``send_timeout_s`` sheds the connection (typed
-  :class:`~repro.errors.NetworkError` recorded, transport aborted)
-  instead of letting one stalled reader pin server buffers.
+  ``send_timeout_s`` (:func:`~repro.server.protocol.within`) sheds the
+  connection (typed :class:`~repro.errors.NetworkError` recorded,
+  transport aborted) instead of letting one stalled reader pin server
+  buffers.
 * **Idempotent writes**: MUTATE results are cached by
   ``(client_id, request_id)`` *before* the ack is sent, so a client
   that lost the ack can retry the same request id and get the original
@@ -58,12 +61,11 @@ from repro.server.protocol import (
     PROTOCOL_VERSION,
     encode_frame,
     error_body,
+    within,
 )
 from repro.server.session import Session
 
 __all__ = ["Server"]
-
-_READ_CHUNK = 1 << 16
 
 
 class _Hangup(Exception):
@@ -71,18 +73,63 @@ class _Hangup(Exception):
     slow consumer, or drain deadline) -- never leaves the server."""
 
 
+class _FrameReader(asyncio.StreamReader):
+    """A connection's inbound side, decoded in the transport's callbacks.
+
+    The protocol hands each chunk to :meth:`feed_data` as it lands; the
+    frames it completes go straight onto ``frames``, the connection's
+    queue, with no reader task between.  A CANCEL marks its id in
+    ``cancelled`` here, out of band, so the page loop sees it at the
+    next page edge while a result streams.  The stream ends with
+    ``eof`` (clean close or lost connection) or ``error`` (framing
+    damage or a torn tail); whatever is queued after that is never read.
+    """
+
+    def __init__(self) -> None:
+        super().__init__()
+        self.decoder = FrameDecoder()
+        self.frames: "asyncio.Queue[Tuple[str, Any]]" = asyncio.Queue()
+        self.cancelled: Set[str] = set()
+
+    def feed_data(self, data: bytes) -> None:
+        try:
+            frames = self.decoder.feed(data)
+        except NetworkError as err:
+            self.frames.put_nowait(("error", err))
+            return
+        for ftype, body in frames:
+            if ftype == FrameType.CANCEL:
+                rid = body.get("id")
+                if isinstance(rid, str) and rid:
+                    self.cancelled.add(rid)
+            self.frames.put_nowait(("frame", (ftype, body)))
+
+    def feed_eof(self) -> None:
+        super().feed_eof()
+        try:
+            self.decoder.finish()
+        except NetworkError as err:
+            self.frames.put_nowait(("error", err))
+            return
+        self.frames.put_nowait(("eof", None))
+
+    def set_exception(self, exc: BaseException) -> None:
+        # A reset peer ends the stream as a close does, so the serve
+        # task wakes and releases the session and its snapshot.
+        super().set_exception(exc)
+        self.frames.put_nowait(("eof", None))
+
+
 class _Connection:
     """Book-keeping for one accepted socket."""
 
     def __init__(self, conn_id: int,
-                 reader: asyncio.StreamReader,
+                 reader: _FrameReader,
                  writer: asyncio.StreamWriter):
         self.conn_id = conn_id
-        self.reader = reader
         self.writer = writer
-        self.decoder = FrameDecoder()
-        self.frames: "asyncio.Queue[Tuple[str, Any]]" = asyncio.Queue()
-        self.cancelled: Set[str] = set()
+        self.frames = reader.frames
+        self.cancelled = reader.cancelled
         self.session: Optional[Session] = None
         self.trace: Optional[TraceContext] = None
         self.client_id = "?"
@@ -150,8 +197,9 @@ class Server:
         """Bind and start accepting; ``port=0`` picks a free port."""
         if self._server is not None:
             raise SessionError("server is already started")
-        self._server = await asyncio.start_server(
-            self._handle, host=host, port=port
+        self._server = await asyncio.get_running_loop().create_server(
+            lambda: asyncio.StreamReaderProtocol(_FrameReader(), self._handle),
+            host, port,
         )
 
     @property
@@ -227,20 +275,18 @@ class Server:
 
     # -- connection handling --------------------------------------------
 
-    async def _handle(self, reader: asyncio.StreamReader,
+    async def _handle(self, reader: _FrameReader,
                       writer: asyncio.StreamWriter) -> None:
         self._conn_ids += 1
         conn = _Connection(self._conn_ids, reader, writer)
         self._conns.add(conn)
-        pump = asyncio.ensure_future(self._pump(conn))
         try:
             await self._serve_conn(conn)
         except _Hangup:
             self.connections_aborted += 1
-        except (ConnectionError, asyncio.IncompleteReadError):
+        except ConnectionError:
             pass
         finally:
-            pump.cancel()
             if conn.session is not None:
                 conn.session.close()
             self._conns.discard(conn)
@@ -249,39 +295,6 @@ class Server:
                     conn.writer.transport.abort()
             except (RuntimeError, AttributeError):
                 pass
-
-    async def _pump(self, conn: _Connection) -> None:
-        """Reader task: bytes -> frames -> the connection's queue.
-
-        Runs concurrently with dispatch so CANCEL frames take effect
-        *while* a result stream is in flight -- the pump marks the
-        request id cancelled out-of-band, and the page loop notices at
-        the next page boundary.
-        """
-        try:
-            while True:
-                data = await conn.reader.read(_READ_CHUNK)
-                if not data:
-                    try:
-                        conn.decoder.finish()
-                    except NetworkError as err:
-                        conn.frames.put_nowait(("error", err))
-                        return
-                    conn.frames.put_nowait(("eof", None))
-                    return
-                try:
-                    frames = conn.decoder.feed(data)
-                except NetworkError as err:
-                    conn.frames.put_nowait(("error", err))
-                    return
-                for ftype, body in frames:
-                    if ftype == FrameType.CANCEL:
-                        rid = body.get("id")
-                        if isinstance(rid, str) and rid:
-                            conn.cancelled.add(rid)
-                    conn.frames.put_nowait(("frame", (ftype, body)))
-        except (ConnectionError, asyncio.CancelledError):
-            return
 
     async def _serve_conn(self, conn: _Connection) -> None:
         kind, payload = await conn.frames.get()
@@ -376,7 +389,7 @@ class Server:
             )
             return
         if ftype == FrameType.CANCEL:
-            # The pump already marked it; this is just the ack for a
+            # The reader already marked it; this is just the ack for a
             # cancel that raced past its target (or targeted nothing).
             # Dispatch is sequential, so by now the target has finished
             # or never existed: forget the id, the set stays bounded.
@@ -468,7 +481,8 @@ class Server:
             seq += 1
             if last:
                 return
-            # Yield so the pump can deliver a CANCEL between pages.
+            # Yield a loop turn so the transport can deliver a CANCEL
+            # between pages.
             await asyncio.sleep(0)
 
     async def _run_mutate(self, conn: _Connection, rid: str,
@@ -513,7 +527,7 @@ class Server:
             raise _Hangup("injected connection drop")
         conn.writer.write(payload)
         try:
-            await asyncio.wait_for(conn.writer.drain(), self.send_timeout_s)
+            await within(conn.writer.drain(), self.send_timeout_s)
         except asyncio.TimeoutError:
             # Constructing the typed error snapshots recorder context;
             # the connection is then shed so one stalled reader cannot

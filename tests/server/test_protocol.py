@@ -7,8 +7,10 @@ a prefix of its frames plus either a clean wait-for-more or a typed
 never an unhandled exception, never a frame invented from damage.
 """
 
+import asyncio
 import json
 import struct
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -34,6 +36,7 @@ from repro.server.protocol import (
     encode_frame,
     error_body,
     error_from_body,
+    within,
 )
 
 
@@ -264,3 +267,51 @@ class TestErrorsOverTheWire:
         assert body["exit_code"] == 2
         rebuilt = error_from_body(body)
         assert isinstance(rebuilt, XSTError)
+
+
+class TestWithin:
+    """The wire's one deadline: a timer that cancels the waiting task,
+    turned into ``TimeoutError``; it spawns no task of its own."""
+
+    def test_the_awaited_value_comes_through(self):
+        async def main():
+            future = asyncio.get_running_loop().create_future()
+            asyncio.get_running_loop().call_soon(future.set_result, 7)
+            assert await within(future, 0.01) == 7
+            assert await within(asyncio.sleep(0, "ready"), 0.01) == "ready"
+            # The timers were withdrawn: outliving them cancels nothing.
+            await asyncio.sleep(0.03)
+
+        asyncio.run(main())
+
+    def test_expiry_raises_timeout_error(self):
+        async def main():
+            with pytest.raises(asyncio.TimeoutError):
+                await within(asyncio.sleep(10), 0.01)
+            # The task goes on: a later wait is not cancelled.
+            assert await within(asyncio.sleep(0.01, "after"), 1.0) == "after"
+
+        asyncio.run(main())
+
+    def test_an_outside_cancel_arrives_as_a_cancel(self):
+        async def main():
+            task = asyncio.get_running_loop().create_task(
+                within(asyncio.sleep(10), 5.0)
+            )
+            await asyncio.sleep(0)
+            task.cancel()
+            with pytest.raises(asyncio.CancelledError):
+                await task
+            assert task.cancelled()
+
+        asyncio.run(main())
+
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="Task.cancelling() is Python 3.11+")
+    def test_a_timeout_leaves_the_task_not_cancelling(self):
+        async def main():
+            with pytest.raises(asyncio.TimeoutError):
+                await within(asyncio.sleep(10), 0.01)
+            assert asyncio.current_task().cancelling() == 0
+
+        asyncio.run(main())

@@ -7,6 +7,8 @@ production wires them.
 """
 
 import asyncio
+import socket
+import struct
 
 import pytest
 
@@ -28,6 +30,7 @@ from repro.gov.admission import (
 from repro.obs import instrument
 from repro.relational.constraints import KeyConstraint, Table
 from repro.relational.csvio import dumps_csv
+from repro.relational.faults import FaultPlan, NetworkFaultInjector
 from repro.relational.ivm.cache import QueryResultCache
 from repro.relational.query import Database
 from repro.relational.sql import run as run_xql
@@ -1335,6 +1338,123 @@ class TestSlowConsumer:
             assert server.net_faults.frames >= 0
 
         run(served(body, send_timeout_s=0.01))
+
+
+async def until(condition, seconds=5.0):
+    """Poll ``condition`` on the loop until it holds or time runs out."""
+    for _ in range(int(seconds / 0.005)):
+        if condition():
+            return True
+        await asyncio.sleep(0.005)
+    return condition()
+
+
+class TestPeerReset:
+    """A peer that resets its socket leaves like one that closes it:
+    the connection, its session slot and its pinned snapshot go."""
+
+    @staticmethod
+    def reset(client):
+        sock = client._writer.get_extra_info("socket")
+        # Linger 0: closing the socket sends RST, not FIN.
+        sock.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                        struct.pack("ii", 1, 0))
+        client._writer.transport.abort()
+
+    def test_a_reset_peer_releases_its_session_and_snapshot(self):
+        manager = make_manager()
+
+        async def body(server):
+            clients = [
+                await connect("127.0.0.1", server.port, client_id="c%d" % n,
+                              max_attempts=1)
+                for n in range(2)
+            ]
+            # Both sessions stay pinned at version 0 past this commit.
+            manager.table("emp").insert(
+                {"eid": 4, "name": "dee", "dept": "ops"})
+            assert manager.retained_versions() == [0, 1]
+            for client in clients:
+                self.reset(client)
+            assert await until(lambda: server.open_connections == 0)
+            assert manager.retained_versions() == [1]
+            third = await connect("127.0.0.1", server.port, client_id="c2",
+                                  max_attempts=1)
+            assert third.version == 1
+            await third.close()
+
+        run(served(body, manager, max_sessions=2))
+
+
+class TestDeadlinesOnRealSockets:
+    """Both wire deadlines, reached through real transports."""
+
+    def test_a_client_that_stops_reading_is_shed(self):
+        from repro.obs.recorder import recorder
+
+        pad = "x" * 1000
+        manager = TransactionManager({"big": Table(
+            ["eid", "pad"],
+            [{"eid": n, "pad": pad} for n in range(1000)],
+        )})
+
+        async def body(server):
+            stalled = await connect("127.0.0.1", server.port,
+                                    client_id="stalled", max_attempts=1)
+            # Small socket buffers on both ends, so the 1 MB answer
+            # backs up into the server's transport whatever the host's
+            # TCP autotuning allows.
+            (conn,) = server._conns
+            for writer, option in ((conn.writer, socket.SO_SNDBUF),
+                                   (stalled._writer, socket.SO_RCVBUF)):
+                writer.get_extra_info("socket").setsockopt(
+                    socket.SOL_SOCKET, option, 8192)
+            other = await connect("127.0.0.1", server.port,
+                                  client_id="other", max_attempts=1)
+            aborted = server.connections_aborted
+            recorder().install()
+            try:
+                stalled._writer.transport.pause_reading()
+                await stalled._write_frame(FrameType.QUERY, {
+                    "id": "scan", "xql": "select eid, pad from big"})
+                # The other session is served while the stalled one's
+                # pages back up, and after it is shed.
+                answer = await other.query("select pad from big where eid = 7")
+                assert answer.to_rows() == [(pad,)]
+                assert await until(
+                    lambda: server.connections_aborted == aborted + 1)
+                messages = [incident["error"]["message"]
+                            for incident in recorder().incidents()]
+            finally:
+                recorder().uninstall()
+                recorder().reset()
+            assert messages == [
+                "network failure: slow consumer: send stalled past 0.100s"
+            ]
+            assert server.open_connections == 1
+            answer = await other.query("select eid from big where eid = 9")
+            assert answer.to_rows() == [(9,)]
+            await other.close()
+            stalled._drop()
+
+        run(served(body, manager, page_rows=16, send_timeout_s=0.1))
+
+    def test_a_stalled_read_is_a_network_error_and_spawns_no_task(self):
+        # Frame 0 is the WELCOME; frame 1, the answer's page, stalls.
+        plan = FaultPlan().delay_frame(1, 1.0)
+
+        async def body(server):
+            client = await connect("127.0.0.1", server.port, max_attempts=1)
+            # Set after the handshake, which a loaded host may take
+            # longer than this to answer.
+            client.read_timeout_s = 0.05
+            before = asyncio.all_tasks()
+            with pytest.raises(NetworkError) as exc:
+                await client.query("select eid from emp")
+            assert exc.value.reason == "read stalled past 0.050s"
+            assert asyncio.all_tasks() == before
+
+        run(served(body, net_faults=NetworkFaultInjector(plan)))
 
 
 class TestServedCluster:

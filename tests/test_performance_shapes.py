@@ -766,3 +766,71 @@ class TestBuiltOnceShapes:
         # set per restriction and three more); now none are needed.
         assert calls["sigma_domain"] == calls["sigma_restrict"] == 0
         assert calls["checked"] <= 64
+
+
+class TestServedRequestShapes:
+    """Counts, not timings: a served request costs its own work.  The
+    server decodes frames in the transport's callback and both wire
+    deadlines are timers on the waiting task, so a request spawns no
+    task and a connection holds exactly one."""
+
+    def test_requests_spawn_no_task_and_a_connection_holds_one(self):
+        import asyncio
+
+        from repro.relational.constraints import KeyConstraint, Table
+        from repro.relational.tx import TransactionManager
+        from repro.server import Server, connect
+
+        manager = TransactionManager({"emp": Table(
+            ["eid", "name"],
+            [{"eid": n, "name": "e%d" % n} for n in range(5)],
+            [KeyConstraint(["eid"])],
+        )})
+        created = []
+
+        def counting(loop, coro, **kwargs):
+            task = asyncio.Task(coro, loop=loop, **kwargs)
+            created.append(task)
+            return task
+
+        async def main():
+            server = Server(manager, page_rows=2)
+            await server.start()
+            loop = asyncio.get_running_loop()
+            loop.set_task_factory(counting)
+            try:
+                clients = [
+                    await connect("127.0.0.1", server.port,
+                                  client_id="c%d" % n)
+                    for n in range(3)
+                ]
+                # Parent commit: 6, a frame pump beside each serve task.
+                assert sum(not task.done() for task in created) == 3
+                client = clients[0]
+                await client.prepare("by_id",
+                                     "select name from emp where eid = $1")
+                spawned = {}
+                for name, request in (
+                    ("QUERY", lambda: client.query(
+                        "select name from emp where eid = 1")),
+                    ("QUERY, 3 pages", lambda: client.query(
+                        "select eid from emp")),
+                    ("EXECUTE", lambda: client.execute("by_id", [2])),
+                    ("MUTATE", lambda: client.mutate(
+                        [["insert", "emp", {"eid": 9, "name": "z"}]])),
+                    ("REFRESH", client.refresh),
+                ):
+                    del created[:]
+                    await request()
+                    spawned[name] = len(created)
+                # Parent commit on Python 3.10 and 3.11: 2 each (a drain
+                # wait on the server, a read wait in the client) and 6 for
+                # three pages; from 3.12 its wait_for spawned none.
+                assert spawned == dict.fromkeys(spawned, 0)
+                for each in clients:
+                    await each.close()
+            finally:
+                loop.set_task_factory(None)
+                await server.close()
+
+        asyncio.run(main())
