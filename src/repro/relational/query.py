@@ -54,6 +54,7 @@ __all__ = [
     "Difference",
     "Aggregate",
     "Limit",
+    "Param",
     "scans",
     "plan_cache_key",
     "scan_tables",
@@ -131,6 +132,33 @@ class Plan:
 
     def __repr__(self) -> str:
         return self.describe()
+
+
+class Param:
+    """Parameter ``$index`` of a statement template: scope ``index`` of
+    the one argument tuple an execution binds.
+
+    It stands where a literal value would -- a ``SelectEq`` condition,
+    an XQL comparison, a ``Limit`` count -- so a plan holding one is a
+    template, well defined on a catalog's headings like any plan but
+    not executable until :func:`repro.relational.sql.run` binds its
+    arguments.  Its ``repr`` is its spelling, so a template's conditions
+    and ``explain`` read like the statement that made them.
+    """
+
+    __slots__ = ("index",)
+
+    def __init__(self, index: int):
+        self.index = index
+
+    def __eq__(self, other) -> bool:
+        return type(other) is Param and other.index == self.index
+
+    def __hash__(self) -> int:
+        return hash((Param, self.index))
+
+    def __repr__(self) -> str:
+        return "$%d" % self.index
 
 
 class Scan(Plan):
@@ -335,7 +363,8 @@ class Limit(_Unary):
         order_by: Optional[str] = None,
         descending: bool = False,
     ):
-        algebra._require_count(count)  # the kernel's own rule
+        if type(count) is not Param:
+            algebra._require_count(count)  # the kernel's own rule
         super().__init__(child)
         object.__setattr__(self, "count", count)
         object.__setattr__(self, "order_by", order_by)
@@ -353,8 +382,8 @@ class Limit(_Unary):
 
     def describe(self) -> str:
         if self.order_by is None:
-            return "Limit(%d)" % self.count
-        return "Limit(%d by %s %s)" % (
+            return "Limit(%s)" % (self.count,)
+        return "Limit(%s by %s %s)" % (
             self.count, self.order_by, "desc" if self.descending else "asc"
         )
 
@@ -527,6 +556,10 @@ class Database:
         self._stats = stats
         self._result_cache = result_cache
         self._sealed = False
+        # Optimized statement plans of this value (:meth:`plan_memo`)
+        # and the statistics epoch they were planned under.
+        self._plans: Dict[str, Any] = {}
+        self._plans_epoch = -1
         #: The :class:`~repro.relational.views.ViewCatalog` serving this
         #: catalog, set by the view catalog itself; ``None`` without one.
         self.views = None
@@ -547,12 +580,15 @@ class Database:
         successor.views = self.views
         return successor
 
-    def _require_unsealed(self) -> None:
+    def _before_edit(self) -> None:
+        """Refuse to edit a committed catalog; a hand-built one changes
+        in place, and then what was planned on it may no longer hold."""
         if self._sealed:
             raise SchemaError("a committed catalog changes by a commit")
+        self._plans = {}
 
     def add(self, name: str, relation: Relation) -> None:
-        self._require_unsealed()
+        self._before_edit()
         self._relations[name] = relation
         # A replaced relation invalidates its run encoding: stale runs
         # would silently answer queries about data that is gone.
@@ -560,7 +596,7 @@ class Database:
 
     def remove(self, name: str) -> bool:
         """Forget a relation (and its encoding); False if unknown."""
-        self._require_unsealed()
+        self._before_edit()
         existed = self._relations.pop(name, None) is not None
         self._columnar.pop(name, None)
         return existed
@@ -588,7 +624,7 @@ class Database:
         differential oracle's contract), just faster.  Re-encoding is
         idempotent; :meth:`add` drops a stale encoding automatically.
         """
-        self._require_unsealed()
+        self._before_edit()
         targets = list(names) if names is not None else self.names()
         for name in targets:
             self._columnar[name] = ColumnarRelation.from_relation(
@@ -598,7 +634,7 @@ class Database:
 
     def drop_columnar(self, names: Optional[Sequence[str]] = None) -> None:
         """Forget run encodings (all of them by default)."""
-        self._require_unsealed()
+        self._before_edit()
         if names is None:
             self._columnar.clear()
         else:
@@ -632,6 +668,25 @@ class Database:
         if self._stats is None:
             self._stats = StatsCatalog()
         return self._stats
+
+    def plan_memo(self) -> Dict[str, Any]:
+        """This catalog value's memo of optimized statement plans.
+
+        :func:`repro.relational.sql.run` keeps one entry per statement
+        text here (and bounds them), so a plan dies with the value it
+        was planned on.  What ``optimize`` returns is a function of the
+        plan, this value's relations and encodings, and the statistics
+        it reads; the last are shared between versions and change in
+        place, so the memo is emptied whenever the catalog's
+        :attr:`~repro.relational.stats.StatsCatalog.epoch` has moved
+        (``ANALYZE``, a feedback correction, an entry going stale) and
+        whenever a hand-built catalog is edited.
+        """
+        epoch = self.stats.epoch
+        if epoch != self._plans_epoch:
+            self._plans = {}
+            self._plans_epoch = epoch
+        return self._plans
 
     def analyze(
         self,

@@ -13,7 +13,7 @@ Grammar::
                 [WHERE condition (AND condition)*]
                 [GROUP BY names]
                 [ORDER BY name [ASC | DESC]]
-                [LIMIT number]
+                [LIMIT count]
                 [TIMEOUT seconds]
                 [BUDGET rows]
     analyze :=  ANALYZE [relation_name]
@@ -24,10 +24,18 @@ Grammar::
     agg     :=  COUNT | SUM | AVG | MIN | MAX
     source  :=  relation_name
     condition := name ('=' | '!=' | '<' | '<=' | '>' | '>=') literal
+    literal, count, seconds, rows  :=  number | string | '$' digits
 
 Restrictions (on purpose): joins are natural joins; aggregates require
 GROUP BY; literals are integers, floats and quoted strings.  Keywords
 are case-insensitive; names are case-sensitive.
+
+A placeholder ``$k`` may stand wherever a literal may; it compiles to a
+:class:`~repro.relational.query.Param` and :func:`run` binds
+``args[k - 1]`` into the plan as a value.  A statement is one plan
+value: parsed and compiled once per process, optimized once per
+catalog value (:meth:`Database.plan_memo`), bound per execution --
+``QUERY`` is the zero-argument case of ``EXECUTE``.
 
 The whole statement is one plan: WHERE compiles below an ``Aggregate``
 node (GROUP BY and the aggregates), the column list and its aliases
@@ -68,9 +76,9 @@ from __future__ import annotations
 
 import re
 from functools import lru_cache
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
-from repro.errors import NotationError, SchemaError, XSTError
+from repro.errors import NotationError, SchemaError, SessionError, XSTError
 from repro.gov.governor import governed
 # Called by nothing here (the Aggregate node names its kernel); kept as
 # a module attribute because benchmarks/e2e/layers.py wraps it by name.
@@ -81,6 +89,7 @@ from repro.relational.query import (
     Database,
     Join,
     Limit,
+    Param,
     Plan,
     Project,
     Rename,
@@ -101,6 +110,7 @@ _TOKEN = re.compile(
     (?P<string>'[^']*')              |
     (?P<op><=|>=|!=|=|<|>)           |
     (?P<punct>[(),*])                |
+    (?P<param>\$\d*)                 |
     (?P<space>\s+)                   |
     (?P<bad>.)
     """,
@@ -146,9 +156,14 @@ class Query:
         self.conditions: List[Tuple[str, str, Any]] = []          # (attr, op, value)
         self.group_by: List[str] = []
         self.order_by: Optional[Tuple[str, bool]] = None          # (attr, descending)
+        # A clause's value, or the Param its placeholder compiles to.
         self.limit: Optional[int] = None
         self.timeout_s: Optional[float] = None
         self.budget_rows: Optional[int] = None
+        self.parameters: List[str] = []     # placeholder spellings, in order
+        # How many arguments bind the placeholders ($1..$n, each used),
+        # or -1 when no count does.
+        self.arity = 0
 
     def __repr__(self) -> str:
         return "Query(sources=%s, columns=%s, aggregates=%s)" % (
@@ -156,10 +171,30 @@ class Query:
         )
 
 
+#: The clauses whose literal is a number: what each takes, and whether
+#: a fractional number is one.
+_CLAUSES = {
+    "LIMIT": ("a non-negative integer", False),
+    "TIMEOUT": ("a non-negative number of seconds", True),
+    "BUDGET": ("a non-negative integer row count", False),
+}
+
+
+def _clause_number(clause: str, value: Any, shown: Any) -> Any:
+    """``value`` as the number ``clause`` takes, else a typed refusal
+    naming ``shown`` (the lexeme, or a bound argument)."""
+    what, fractional = _CLAUSES[clause]
+    if (type(value) is int or fractional and type(value) is float) \
+            and value >= 0:
+        return float(value) if fractional else value
+    raise NotationError("XQL: %s needs %s, found %r" % (clause, what, shown))
+
+
 class _Parser:
     def __init__(self, text: str = "", tokens=None):
         self._stream = _tokenize(text) if tokens is None else list(tokens)
         self._position = 0
+        self._parameters: List[str] = []
 
     def _peek(self) -> Optional[Tuple[str, str]]:
         if self._position >= len(self._stream):
@@ -223,37 +258,38 @@ class _Parser:
             query.order_by = (attr, descending)
         if self._at_kw("limit"):
             self._next()
-            kind, literal = self._next()
-            if kind != "number" or "." in literal or int(literal) < 0:
-                raise NotationError(
-                    "XQL: LIMIT needs a non-negative integer, found %r"
-                    % (literal,)
-                )
-            query.limit = int(literal)
+            query.limit = self._clause("LIMIT")
         if self._at_kw("timeout"):
             self._next()
-            kind, literal = self._next()
-            if kind != "number" or float(literal) < 0:
-                raise NotationError(
-                    "XQL: TIMEOUT needs a non-negative number of seconds, "
-                    "found %r" % (literal,)
-                )
-            query.timeout_s = float(literal)
+            query.timeout_s = self._clause("TIMEOUT")
         if self._at_kw("budget"):
             self._next()
-            kind, literal = self._next()
-            if kind != "number" or "." in literal or int(literal) < 0:
-                raise NotationError(
-                    "XQL: BUDGET needs a non-negative integer row count, "
-                    "found %r" % (literal,)
-                )
-            query.budget_rows = int(literal)
+            query.budget_rows = self._clause("BUDGET")
         leftover = self._peek()
         if leftover is not None:
             raise NotationError("XQL: trailing input at %r" % (leftover[1],))
         if query.aggregates and not query.group_by:
             raise NotationError("XQL: aggregates require GROUP BY")
+        query.parameters = self._parameters
+        indices = {_index(spelling) for spelling in self._parameters}
+        query.arity = (
+            len(indices) if indices == set(range(1, len(indices) + 1))
+            else -1
+        )
         return query
+
+    def _param(self, spelling: str) -> Param:
+        self._parameters.append(spelling)
+        return Param(_index(spelling))
+
+    def _clause(self, clause: str) -> Any:
+        kind, literal = self._next()
+        if kind == "param":
+            return self._param(literal)
+        value = None
+        if kind == "number":
+            value = float(literal) if "." in literal else int(literal)
+        return _clause_number(clause, value, literal)
 
     def _columns(self, query: Query) -> None:
         if self._peek() == ("punct", "*"):
@@ -296,9 +332,16 @@ class _Parser:
             value: Any = float(literal) if "." in literal else int(literal)
         elif kind == "string":
             value = literal[1:-1]
+        elif kind == "param":
+            value = self._param(literal)
         else:
             raise NotationError("XQL: expected a literal, found %r" % (literal,))
         return (attr, operator, value)
+
+
+def _index(spelling: str) -> int:
+    """The argument a placeholder names: ``$3`` is 3; ``$`` names none."""
+    return int(spelling[1:] or 0)
 
 
 def parse_query(text: str) -> Query:
@@ -316,6 +359,26 @@ _PREDICATES = {
 }
 
 
+class _Comparison:
+    """One WHERE condition as a ``SelectPred`` predicate that keeps its
+    parts, so a template's can be bound: ``row[attr] <op> value``."""
+
+    __slots__ = ("attr", "operator", "value", "_test")
+
+    def __init__(self, attr: str, operator: str, value: Any):
+        self.attr, self.operator, self.value = attr, operator, value
+        self._test = _PREDICATES[operator]
+
+    def __call__(self, row: Dict[str, Any]) -> bool:
+        return self._test(row[self.attr], self.value)
+
+    def node(self, child: Plan) -> SelectPred:
+        # The condition text IS the predicate's semantics, so compiled
+        # queries are result-cacheable.
+        condition = "%s %s %r" % (self.attr, self.operator, self.value)
+        return SelectPred(child, self, label=condition, cache_key=condition)
+
+
 def compile_query(query: Query) -> Plan:
     """Lower a parsed query -- all of it -- to plan nodes.
 
@@ -331,16 +394,7 @@ def compile_query(query: Query) -> Plan:
         if operator == "=" and attr not in equalities:
             equalities[attr] = value
         else:
-            test = _PREDICATES[operator]
-            condition = "%s %s %r" % (attr, operator, value)
-            plan = SelectPred(
-                plan,
-                lambda row, a=attr, t=test, v=value: t(row[a], v),
-                label=condition,
-                # The condition text IS the predicate's semantics, so
-                # compiled queries are result-cacheable.
-                cache_key=condition,
-            )
+            plan = _Comparison(attr, operator, value).node(plan)
     if equalities:
         plan = SelectEq(plan, equalities)
     aggregations: Dict[str, Tuple[str, str]] = {}
@@ -369,6 +423,82 @@ def compile_query(query: Query) -> Plan:
     if query.limit is not None:
         plan = Limit(plan, query.limit, *(query.order_by or ()))
     return plan
+
+
+def _refuse_arguments(query: Query, text: str, count: int) -> None:
+    """Raise for ``count`` arguments that do not bind ``query``'s
+    placeholders: the first placeholder (in text order) left unbound,
+    else the last argument no placeholder uses.  Called only when the
+    count differs from :attr:`Query.arity`, so one of the two holds."""
+    used = set()
+    for spelling in query.parameters:
+        index = _index(spelling)
+        if not 1 <= index <= count:
+            raise SessionError(
+                "statement placeholders left unbound: %s in %s"
+                % (spelling, text)
+            )
+        used.add(index)
+    for index in range(count, 0, -1):
+        if index not in used:
+            raise SessionError(
+                "statement has no placeholder $%d for argument %d"
+                % (index, index)
+            )
+
+
+def _bind(plan: Plan, args: Sequence[Any]) -> Plan:
+    """``plan`` with every parameter replaced by its argument's value:
+    the very plan :func:`compile_query` builds from the statement with
+    those values written in (same conditions, same labels, same result
+    cache key), so an execution and a query of that text share result
+    cache entries.  ``args`` fit the plan's placeholders."""
+    children = plan.children()
+    if children:
+        plan = plan.with_children(*[_bind(child, args) for child in children])
+    binder = _BINDERS.get(type(plan))
+    return plan if binder is None else binder(plan, args)
+
+
+def _bind_select_eq(plan: SelectEq, args: Sequence[Any]) -> Plan:
+    return SelectEq(plan.child, {
+        attr: args[value.index - 1] if type(value) is Param else value
+        for attr, value in plan.conditions.items()
+    })
+
+
+def _bind_select_pred(plan: SelectPred, args: Sequence[Any]) -> Plan:
+    comparison = plan.predicate
+    if type(comparison) is not _Comparison or \
+            type(comparison.value) is not Param:
+        return plan
+    return _Comparison(
+        comparison.attr, comparison.operator,
+        args[comparison.value.index - 1],
+    ).node(plan.child)
+
+
+def _bind_limit(plan: Limit, args: Sequence[Any]) -> Plan:
+    if type(plan.count) is not Param:
+        return plan
+    return Limit(plan.child, _clause_argument("LIMIT", plan.count, args),
+                 plan.order_by, plan.descending)
+
+
+#: The binding rule of each node type that can hold a parameter.
+_BINDERS = {
+    SelectEq: _bind_select_eq,
+    SelectPred: _bind_select_pred,
+    Limit: _bind_limit,
+}
+
+
+def _clause_argument(clause: str, value: Any, args: Sequence[Any]) -> Any:
+    """A clause's value, its placeholder (if it is one) bound."""
+    if type(value) is not Param:
+        return value
+    value = args[value.index - 1]
+    return _clause_number(clause, value, value)
 
 
 def _run_analyze(db: Database, text: str) -> Relation:
@@ -432,6 +562,11 @@ def _run_view_statement(db: Database, text: str) -> Relation:
                 "XQL: a view body takes no TIMEOUT or BUDGET (they "
                 "govern one execution)"
             )
+        if body.parameters:
+            raise NotationError(
+                "XQL: a view body takes no placeholders (a view is "
+                "defined once, not bound per execution)"
+            )
         plan = compile_query(body)
         if body.order_by is not None and body.limit is None:
             _require_order_attr(body, *views.resolve(db, plan))
@@ -472,6 +607,10 @@ def _run_view_statement(db: Database, text: str) -> Relation:
 #: Bound of the statement memo below, in distinct statement texts.
 _MEMO_ENTRIES = 512
 
+#: Bound of one catalog value's plan memo (:meth:`Database.plan_memo`),
+#: in statement texts; the oldest entry goes first.
+_PLAN_ENTRIES = 128
+
 #: A statement's first word, which alone decides its kind.
 _HEAD = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9]*)")
 
@@ -483,40 +622,62 @@ def _select(text: str) -> Tuple[Query, Plan]:
     """The parsed and compiled SELECT of ``text``, once per text.
 
     Both are pure functions of the text (a plan names relations, it
-    holds no data), so one process-wide memo serves every session and
-    every database; callers only read them.  A text that raises is not
-    stored and is parsed again next time.
+    holds no data; a placeholder is a :class:`Param`, not a value), so
+    one process-wide memo serves every session and every database;
+    callers only read them.  A text that raises is not stored and is
+    parsed again next time.
     """
     query = parse_query(text)
     return query, compile_query(query)
 
 
 def _run(
-    db: Database, text: str, optimized: bool
+    db: Database, text: str, optimized: bool, args: Sequence[Any] = ()
 ) -> Tuple[Optional[Query], Relation]:
     """Execute one statement; the query is ``None`` unless a SELECT.
 
     ANALYZE and the view statements act on the database, so they run
-    every time and never enter the memo.
+    every time and never enter the memo; they take no arguments.
     """
     head = _HEAD.match(text)
     kind = head.group(1).lower() if head else ""
-    if kind == "analyze":
-        return None, _run_analyze(db, text)
-    if kind in _VIEW_STATEMENTS:
+    if kind == "analyze" or kind in _VIEW_STATEMENTS:
+        if args:
+            _refuse_arguments(Query(), text, len(args))
+        if kind == "analyze":
+            return None, _run_analyze(db, text)
         return None, _run_view_statement(db, text)
-    query, plan = _select(text)
-    if query.timeout_s is not None or query.budget_rows is not None:
+    query, template = _select(text)
+    if len(args) != query.arity:
+        _refuse_arguments(query, text, len(args))
+    timeout_s, budget_rows = query.timeout_s, query.budget_rows
+    if args:
+        timeout_s = _clause_argument("TIMEOUT", timeout_s, args)
+        budget_rows = _clause_argument("BUDGET", budget_rows, args)
+    if timeout_s is not None or budget_rows is not None:
         # TIMEOUT/BUDGET clauses execute the query under a governor so
         # the kernel's cancellation checkpoints can stop it mid-operator.
-        with governed(timeout_s=query.timeout_s, max_rows=query.budget_rows):
-            return query, _run_parsed(db, query, plan, optimized)
-    return query, _run_parsed(db, query, plan, optimized)
+        with governed(timeout_s=timeout_s, max_rows=budget_rows):
+            db, plan = _planned(db, text, query, template, args, optimized)
+            return query, db.execute(plan)
+    db, plan = _planned(db, text, query, template, args, optimized)
+    return query, db.execute(plan)
 
 
-def run(db: Database, text: str, optimized: bool = True) -> Relation:
-    """Parse, compile, (optionally) optimize and execute an XQL query."""
-    return _run(db, text, optimized)[1]
+def run(
+    db: Database, text: str, optimized: bool = True,
+    args: Sequence[Any] = (),
+) -> Relation:
+    """Parse, compile, (optionally) optimize and execute an XQL query.
+
+    ``args`` bind the statement's placeholders -- ``$k`` is
+    ``args[k - 1]`` -- as values: the answer is the one the statement
+    with those literals written in gives, for any value, including
+    those no XQL literal spells (``1e20``, ``nan``, a string holding
+    ``'``).  A placeholder left unbound, or an argument no placeholder
+    uses, is a typed :class:`~repro.errors.SessionError`.
+    """
+    return _run(db, text, optimized, args)[1]
 
 
 def _require_order_attr(query: Query, db: Database, plan: Plan) -> None:
@@ -532,19 +693,41 @@ def _require_order_attr(query: Query, db: Database, plan: Plan) -> None:
     db.heading_of(plan).require([query.order_by[0]])
 
 
-def _run_parsed(
-    db: Database, query: Query, plan: Plan, optimized: bool
-) -> Relation:
+def _planned(
+    db: Database, text: str, query: Query, template: Plan,
+    args: Sequence[Any], optimized: bool,
+) -> Tuple[Database, Plan]:
+    """The catalog and the plan that execute ``text`` bound to ``args``
+    (which fit its placeholders)."""
     views = db.views
     # Asked of the parsed sources: a statement that names no view pays
     # no plan walk.
     if views is not None and views.defines(query.sources):
-        db, plan = views.resolve(db, plan)
+        db, plan = views.resolve(db, _bind(template, args) if args
+                                 else template)
+        if query.order_by is not None and query.limit is None:
+            _require_order_attr(query, db, plan)
+        return db, optimize(plan, db) if optimized else plan
     if query.order_by is not None and query.limit is None:
-        _require_order_attr(query, db, plan)
-    if optimized:
-        plan = optimize(plan, db)
-    return db.execute(plan)
+        _require_order_attr(query, db, template)
+    if not optimized:
+        return db, _bind(template, args) if args else template
+    if args and len(query.sources) > 1:
+        # A join's order is searched over estimates that may read the
+        # arguments (an MCV frequency, a feedback correction keyed by
+        # the value), so a joining template is ordered per binding.
+        return db, optimize(_bind(template, args), db)
+    # Otherwise the optimized plan is a function of the text and the
+    # catalog value alone: planned once per value (heading-checked
+    # there), then bound.
+    memo = db.plan_memo()
+    plan = memo.get(text)
+    if plan is None:
+        plan = optimize(template, db)
+        if len(memo) >= _PLAN_ENTRIES:
+            del memo[next(iter(memo))]
+        memo[text] = plan
+    return db, _bind(plan, args) if args else plan
 
 
 def run_rows(

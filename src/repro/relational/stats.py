@@ -386,6 +386,12 @@ class StatsCatalog:
         self._feedback: Dict[Tuple[str, Optional[str]], int] = {}
         self._feedback_max = feedback_max
         self._force_stale: set = set()
+        #: Moves whenever what the planner reads here may have changed:
+        #: an ANALYZE or drop, an entry going stale, a new or changed
+        #: feedback correction.  A catalog value's plan memo
+        #: (:meth:`~repro.relational.query.Database.plan_memo`) holds
+        #: only for the epoch it was planned under.
+        self.epoch = 0
 
     # -- population -----------------------------------------------------
 
@@ -402,12 +408,14 @@ class StatsCatalog:
         self._mutations[name] = 0
         # Fresh ground truth supersedes every runtime correction.
         self._discard_feedback(name)
+        self.epoch += 1
         return stats
 
     def drop(self, name: str) -> None:
         self._entries.pop(name, None)
         self._mutations.pop(name, None)
         self._discard_feedback(name)
+        self.epoch += 1
 
     def _discard_feedback(self, name: str) -> None:
         self._force_stale.discard(name)
@@ -442,7 +450,10 @@ class StatsCatalog:
         if count < 0:
             raise SchemaError("mutation counts only accumulate")
         if name in self._entries:
+            was_stale = self.is_stale(name)
             self._mutations[name] = self._mutations.get(name, 0) + count
+            if self.is_stale(name) != was_stale:
+                self.epoch += 1
 
     def mutations_since_analyze(self, name: str) -> int:
         return self._mutations.get(name, 0)
@@ -467,8 +478,9 @@ class StatsCatalog:
         live data even though no mutations were recorded through the
         transaction layer.  A fresh :meth:`analyze` clears the mark.
         """
-        if name in self._entries:
+        if name in self._entries and name not in self._force_stale:
             self._force_stale.add(name)
+            self.epoch += 1
 
     def stale_names(self) -> List[str]:
         return sorted(name for name in self._entries if self.is_stale(name))
@@ -489,11 +501,14 @@ class StatsCatalog:
         if rows < 0:
             raise SchemaError("observed cardinalities are non-negative")
         entry = (name, key)
+        if self._feedback.get(entry) == rows:
+            return
         if entry not in self._feedback and \
                 len(self._feedback) >= self._feedback_max:
             oldest = next(iter(self._feedback))
             del self._feedback[oldest]
         self._feedback[entry] = int(rows)
+        self.epoch += 1
 
     def feedback_rows(self, name: str, key: Optional[str]) -> Optional[int]:
         """The overlay correction for ``(name, key)``, or ``None``."""

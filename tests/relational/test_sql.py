@@ -552,6 +552,88 @@ class TestAnalyzeStatement:
             run(self._db(), "ANALYZE emp dept")
 
 
+class TestPlaceholders:
+    """``$k`` stands in every literal position and binds ``args[k-1]``
+    as a value; the plan is optimized once per text and catalog value."""
+
+    TEMPLATE = ("SELECT name, salary FROM emp WHERE dept = $2 AND "
+                "salary > $1 ORDER BY salary DESC LIMIT $3 TIMEOUT $4 "
+                "BUDGET $5")
+
+    def test_every_literal_position(self, db):
+        query = parse_query(self.TEMPLATE)
+        assert query.parameters == ["$2", "$1", "$3", "$4", "$5"]
+        assert query.arity == 5
+        for args in ([60000, 2, 3, 30, 10 ** 6], [0.5, 4, 0, 2.5, 10 ** 5]):
+            text = self.TEMPLATE
+            for index in range(len(args), 0, -1):
+                text = text.replace("$%d" % index, repr(args[index - 1]))
+            assert run(db, self.TEMPLATE, args=args) == run(db, text)
+            assert run(db, self.TEMPLATE, optimized=False, args=args) == \
+                run(db, text, optimized=False)
+
+    @pytest.mark.parametrize("clause, value", [
+        ("LIMIT", -1), ("LIMIT", 2.0), ("LIMIT", "3"), ("LIMIT", True),
+        ("TIMEOUT", -0.5), ("TIMEOUT", float("nan")), ("TIMEOUT", "1"),
+        ("BUDGET", 1.5), ("BUDGET", -2),
+    ])
+    def test_a_clause_argument_is_checked_like_its_literal(
+            self, db, clause, value):
+        with pytest.raises(NotationError, match="%s needs" % clause):
+            run(db, "SELECT name FROM emp %s $1" % clause, args=[value])
+
+    def test_arguments_must_fit_the_placeholders(self, db):
+        from repro.errors import SessionError
+
+        with pytest.raises(SessionError, match=r"left unbound: \$1 in"):
+            run(db, "SELECT name FROM emp WHERE dept = $1")
+        with pytest.raises(SessionError, match=r"left unbound: \$0 in"):
+            run(db, "SELECT name FROM emp WHERE dept = $0", args=[1])
+        with pytest.raises(SessionError, match=r"no placeholder \$2"):
+            run(db, "SELECT name FROM emp WHERE dept = $1", args=[1, 2])
+        with pytest.raises(SessionError, match=r"no placeholder \$1"):
+            run(db, "ANALYZE emp", args=[1])
+
+    def test_a_quoted_placeholder_is_text(self, db):
+        assert run(db, "SELECT name FROM emp WHERE name = '$1'") == \
+            run(db, "SELECT name FROM emp WHERE dept = -1")
+        with pytest.raises(NotationError, match="expected a column"):
+            run(db, "SELECT $1 FROM emp", args=["name"])
+
+    def test_a_view_body_takes_no_placeholders(self):
+        from repro.relational.views import ViewCatalog
+
+        database = Database({"emp": employee_relation(12, 3, seed=5)})
+        catalog = ViewCatalog(database)
+        with pytest.raises(NotationError, match="no placeholders"):
+            run(database, "CREATE VIEW v AS SELECT name FROM emp "
+                          "WHERE dept = $1")
+        assert catalog.names() == []
+
+    def test_one_plan_per_text_and_catalog_value(self):
+        database = Database({"emp": employee_relation(40, 4, seed=7)})
+        template = "SELECT name FROM emp WHERE emp = $1"
+        answers = [run(database, template, args=[key]) for key in range(5)]
+        assert [len(answer) for answer in answers] == [1] * 5
+        assert list(database.plan_memo()) == [template]
+        # A successor value plans for itself.
+        successor = database.with_relations({})
+        assert successor.plan_memo() == {}
+        assert run(successor, template, args=[3]) == answers[3]
+        # Editing a hand-built catalog forgets what was planned on it.
+        database.add("dept", department_relation(4, seed=7))
+        assert database.plan_memo() == {}
+
+    def test_the_plan_memo_is_bounded_oldest_first(self):
+        database = Database({"emp": employee_relation(20, 4, seed=7)})
+        bound = sql._PLAN_ENTRIES
+        texts = ["SELECT name FROM emp WHERE emp = %d" % n
+                 for n in range(bound + 3)]
+        for text in texts:
+            run(database, text)
+        assert list(database.plan_memo()) == texts[3:]
+
+
 def _benchmark_texts():
     """Every read text of the four end-to-end benchmark streams."""
     import importlib.util

@@ -558,6 +558,128 @@ class TestPreparedStatements:
         run(served(body))
 
 
+class TestArgumentsAreBoundAsValues:
+    """``EXECUTE`` binds its arguments into the plan as values, so an
+    argument no XQL literal spells -- a float whose ``repr`` has an
+    exponent, ``nan``, ``inf``, a string holding ``'`` -- is carried
+    exactly.  (Rendered into text, the first two failed to tokenize,
+    ``nan``/``inf`` were not literals and a quote was refused.)"""
+
+    @pytest.mark.parametrize("template, args, eids", [
+        ("select eid from emp where eid < $1", [1e20], [1, 2, 3]),
+        ("select eid from emp where eid > $1", [-1e20], [1, 2, 3]),
+        ("select eid from emp where eid >= $1", [2.5e-07], [1, 2, 3]),
+        ("select eid from emp where eid < $1", [float("inf")], [1, 2, 3]),
+        ("select eid from emp where eid <= $1", [float("-inf")], []),
+        ("select eid from emp where eid = $1", [float("nan")], []),
+        ("select eid from emp where eid != $1", [float("nan")], [1, 2, 3]),
+        ("select eid from emp where eid = $1", [3e0], [3]),
+    ], ids=["1e20", "-1e20", "2.5e-07", "inf", "-inf", "nan-eq", "nan-ne",
+            "3.0"])
+    def test_numbers_no_literal_spells(self, template, args, eids):
+        async def body(server):
+            client = await connect("127.0.0.1", server.port)
+            await client.prepare("by_eid", template)
+            rel = await client.execute("by_eid", args)
+            assert sorted(row[0] for row in rel.to_rows()) == eids
+            await client.close()
+
+        run(served(body))
+
+    def test_a_string_holding_quotes(self):
+        async def body(server):
+            client = await connect("127.0.0.1", server.port)
+            await client.mutate([
+                ["insert", "emp", {"eid": 7, "name": "o'hara", "dept": "''"}],
+            ])
+            await client.prepare(
+                "who", "select eid from emp where name = $1 and dept = $2"
+            )
+            rel = await client.execute("who", ["o'hara", "''"])
+            assert rel.to_rows() == [(7,)]
+            rel = await client.execute("who", ["o'hara", "'"])
+            assert rel.to_rows() == []
+            await client.close()
+
+        run(served(body))
+
+    def test_query_and_execute_share_result_cache_entries(self):
+        async def body(server):
+            cache = server._manager.result_cache
+            client = await connect("127.0.0.1", server.port)
+            await client.prepare(
+                "who", "select name from emp where dept = $1 and eid > $2"
+            )
+            text = "select name from emp where dept = 'eng' and eid > 1"
+            queried = await client.query(text)
+            assert (cache.hits, cache.misses) == (0, 1)
+            executed = await client.execute("who", ["eng", 1])
+            assert (cache.hits, cache.misses) == (1, 1)
+            assert executed == queried and executed.to_rows() == [("cyd",)]
+            await client.execute("who", ["eng", 0])
+            assert (cache.hits, cache.misses) == (1, 2)
+            await client.close()
+
+        run(served(body, result_cache_capacity=8))
+
+    @pytest.mark.parametrize("bad, message", [
+        (True, "cannot be booleans"),
+        (None, "got 'NoneType'"),
+        ([1], "got 'list'"),
+        ({"a": 1}, "got 'dict'"),
+    ], ids=["bool", "None", "list", "dict"])
+    def test_other_arguments_are_refused_before_admission(self, bad, message):
+        async def body(server):
+            client = await connect("127.0.0.1", server.port)
+            await client.prepare("by_eid",
+                                 "select name from emp where eid = $1")
+            admitted = server.admission.admitted_total
+            with pytest.raises(SessionError, match=message):
+                await client.execute("by_eid", [bad])
+            assert server.admission.admitted_total == admitted
+            rel = await client.execute("by_eid", [2])
+            assert rel.to_rows() == [("bob",)]
+            await client.close()
+
+        run(served(body))
+
+    def test_bytes_are_refused_by_the_session(self):
+        # JSON cannot carry bytes; an embedded session refuses them too.
+        from repro.server.session import Session
+
+        session = Session("s1", make_manager())
+        session.prepare("by_eid", "select name from emp where eid = $1")
+        with pytest.raises(SessionError, match="got 'bytes'"):
+            session.statement("by_eid", [b"1"])
+        assert session.statement("by_eid", [1]) == \
+            "select name from emp where eid = $1"
+        session.close()
+
+
+class TestPreparedStatementBound:
+    def test_a_session_holds_at_most_max_statements(self):
+        from repro.server.session import MAX_STATEMENTS
+
+        async def body(server):
+            client = await connect("127.0.0.1", server.port)
+            for n in range(MAX_STATEMENTS):
+                await client.prepare("s%d" % n, "select eid from emp")
+            with pytest.raises(SessionError, match="at most %d"
+                               % MAX_STATEMENTS):
+                await client.prepare("one-more", "select eid from emp")
+            # Re-preparing a held name replaces it, at the bound too.
+            await client.prepare(
+                "s0", "select name from emp where eid = $1"
+            )
+            rel = await client.execute("s0", [1])
+            assert rel.to_rows() == [("ada",)]
+            with pytest.raises(SessionError, match="unknown prepared"):
+                await client.execute("one-more", [])
+            await client.close()
+
+        run(served(body))
+
+
 class TestMalformedBodiesAreRefusedAtTheDoor:
     """A request body the server cannot read is a typed
     ``SessionError`` before any table is touched: the session survives
@@ -814,7 +936,9 @@ class TestServedStatistics:
                 over_wire = await client.query(self.THREE_WAY)
                 assert modes() == (1, 0)
                 embedded = run_xql(manager.committed(), self.THREE_WAY)
-                assert modes() == (2, 0)
+                # The same catalog value: the embedded run executes the
+                # plan the served one made from the statistics.
+                assert modes() == (1, 0)
             assert dumps_csv(over_wire) == dumps_csv(embedded)
             assert len(over_wire) == 3
             await client.close()
@@ -839,9 +963,10 @@ class TestServedStatistics:
                 # No commit in between: REFRESH re-pins the same value.
                 assert await client.refresh() == 0
                 await client.query(self.THREE_WAY)
-                # ... and a session that never said ANALYZE plans from it.
+                # ... and a session that never said ANALYZE runs the
+                # plan made from it: one catalog value, one plan.
                 await other.query(self.THREE_WAY)
-                assert modes() == (3, 1)
+                assert modes() == (1, 1)
             await client.close()
             await other.close()
 

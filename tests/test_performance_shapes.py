@@ -834,3 +834,141 @@ class TestServedRequestShapes:
                 await server.close()
 
         asyncio.run(main())
+
+
+class TestPreparedPlanShapes:
+    """Counts, not timings: a statement is planned once per catalog
+    value.  ``EXECUTE`` binds its arguments into that plan, so a new
+    key tokenizes and optimizes nothing; the plan memo follows every
+    change to what the optimizer reads, and it dies with its value."""
+
+    TEMPLATE = "select name from emp where eid = $1"
+
+    @staticmethod
+    def manager(rows=40):
+        from repro.relational.constraints import KeyConstraint, Table
+        from repro.relational.tx import TransactionManager
+
+        emp = Table(["eid", "name"],
+                    [{"eid": n, "name": "e%d" % n} for n in range(rows)],
+                    [KeyConstraint(["eid"])])
+        return TransactionManager({"emp": emp})
+
+    def test_a_new_key_is_neither_tokenized_nor_optimized(self, monkeypatch):
+        import asyncio
+
+        from repro.relational import sql
+        from repro.server import Server, connect
+
+        async def main():
+            server = Server(self.manager())
+            await server.start()
+            try:
+                client = await connect("127.0.0.1", server.port)
+                await client.prepare("by_eid", self.TEMPLATE)
+                first = await client.execute("by_eid", [1])
+                calls = {"_tokenize": 0, "optimize": 0}
+                for name in calls:
+                    original = getattr(sql, name)
+
+                    def counted(*args, _name=name, _original=original):
+                        calls[_name] += 1
+                        return _original(*args)
+
+                    monkeypatch.setattr(sql, name, counted)
+                rows = [(await client.execute("by_eid", [key])).to_rows()
+                        for key in (2, 3, 39)]
+                # Parent commit: one tokenization and one optimize each.
+                assert calls == {"_tokenize": 0, "optimize": 0}
+                assert first.to_rows() == [("e1",)]
+                assert rows == [[("e2",)], [("e3",)], [("e39",)]]
+                await client.close()
+            finally:
+                await server.close()
+
+        asyncio.run(main())
+
+    def test_the_memo_follows_what_the_optimizer_reads(self):
+        from repro.relational import sql
+        from repro.relational.optimizer import optimize
+        from repro.relational.query import Database
+        from repro.relational.relation import Relation
+        from repro.relational.schema import Heading
+        from repro.relational.views import ViewCatalog
+        from repro.workloads import department_relation, employee_relation
+
+        seed = WORKLOAD_SEED + 31
+        db = Database({
+            "emp": employee_relation(200, 16, seed=seed, skew=1.2),
+            "dept": department_relation(16, seed=seed),
+            "proj": Relation.from_dicts(
+                Heading(["emp", "proj"]),
+                [{"emp": n, "proj": n % 7} for n in range(0, 200, 3)],
+            ),
+        })
+        ViewCatalog(db)
+        text = "select name, dname from emp join dept join proj where proj = 3"
+        template = sql._select(text)[1]
+        answer = sql.run(db, text, optimized=False)
+        events = [
+            ("first run", lambda: None),
+            ("ANALYZE", lambda: sql.run(db, "ANALYZE")),
+            ("gone stale", lambda: [
+                db.stats.record_mutations(name, 10 ** 3)
+                for name in db.names()]),
+            ("ANALYZE again", lambda: sql.run(db, "ANALYZE")),
+            ("feedback", lambda: db.stats.record_feedback(
+                "proj", "proj=3", 10 ** 5)),
+            ("CREATE VIEW", lambda: sql.run(
+                db, "CREATE VIEW rich AS select name from emp "
+                    "where salary > 90000")),
+            ("DROP VIEW", lambda: sql.run(db, "DROP VIEW rich")),
+        ]
+        plans = []
+        for event, happen in events:
+            happen()
+            assert sql.run(db, text) == answer, event
+            memoized = db.plan_memo()[text].explain()
+            assert memoized == optimize(template, db).explain(), event
+            plans.append(memoized)
+        # The events did move the plan, so the memo followed something.
+        assert len(set(plans)) >= 3
+
+    def test_plan_memos_die_with_their_catalog_value(self):
+        import asyncio
+        import gc
+
+        from repro.relational.query import Database
+        from repro.server import Server, connect
+
+        manager = self.manager()
+
+        async def main():
+            server = Server(manager)
+            await server.start()
+            try:
+                writer = await connect("127.0.0.1", server.port,
+                                       client_id="w")
+                reader = await connect("127.0.0.1", server.port,
+                                       client_id="r")
+                await reader.prepare("by_eid", self.TEMPLATE)
+                for n in range(500):
+                    await writer.mutate([["update", "emp", {"eid": n % 40},
+                                          {"name": "v%d" % n}]])
+                    if n % 3 == 0:
+                        await reader.refresh()
+                    rel = await reader.execute("by_eid", [n % 40])
+                    assert len(rel) == 1
+                gc.collect()
+                planned = [value for value in gc.get_objects()
+                           if type(value) is Database and value._plans]
+                assert manager.commits == 500
+                # A memo hangs off its catalog value: only the versions
+                # open sessions pin keep one.
+                assert 1 <= len(planned) <= len(manager.retained_versions())
+                await writer.close()
+                await reader.close()
+            finally:
+                await server.close()
+
+        asyncio.run(main())
