@@ -68,7 +68,6 @@ def _query_db():
     db = Database()
     db.add("emp", employee_relation(400, 8, seed=9))
     db.add("dept", department_relation(8, seed=9))
-    db.analyze()
     return db, SelectEq(Scan("emp"), {"dept": 1})
 
 

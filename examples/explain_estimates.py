@@ -1,15 +1,14 @@
-"""Cost-based planning: ANALYZE, estimates vs actuals, join reordering.
+"""Cost-based planning: estimates read off the value, join reordering.
 
 The planner (`repro.relational.cost`) estimates every plan node and
-searches join orders with bottom-up dynamic programming on every
-catalog; the statistics catalog (`repro.relational.stats`) sharpens
-its numbers with measurement: one ANALYZE pass per relation collects
-row counts, KMV distinct sketches, equi-depth histograms and
-most-common-value lists.  This example builds an adversarially-ordered
-three-way join, shows the plan searched on live sizes alone (no
-statistics) and the one searched from the catalog (after ANALYZE), and
-prints EXPLAIN ANALYZE output with per-node ``est_rows`` vs
-``actual_rows`` and q-error.
+searches join orders with bottom-up dynamic programming.  Its numbers
+come from the catalog value itself: a relation's rows are its
+cardinality, an attribute's distinct count is the size of its
+sigma-domain, and an equality's rows are the length of that value's
+run in the relation's member index -- exact, and never stale.  This
+example builds an adversarially-ordered three-way join, shows what the
+estimator reads, the plan it searches, and EXPLAIN ANALYZE output with
+per-node ``est_rows`` vs ``actual_rows`` and q-error.
 
 Run:  python examples/explain_estimates.py
 """
@@ -55,22 +54,23 @@ def main() -> None:
         SelectEq(Scan("dept"), {"dept": 3}),
     )
 
-    banner("Never analyzed (join order searched on live sizes)")
-    print(optimize(plan, db).explain())
+    banner("What the estimator reads off the value")
+    est = CardinalityEstimator(db)
+    for name in db.names():
+        relation = db.relation(name)
+        print("%-8s %5d rows, distinct %s"
+              % (name, len(relation), ", ".join(
+                  "%s=%d" % (attr, est.distinct(Scan(name), attr))
+                  for attr in relation.heading.names)))
+    for dept in (3, 4):
+        select = SelectEq(Scan("emp"), {"dept": dept})
+        print("emp where dept = %d: estimated %d, actual %d"
+              % (dept, est.estimate(select),
+                 db.execute(select).cardinality()))
 
-    banner("ANALYZE emp, dept, assign")
-    for name in db.analyze():
-        entry = db.stats.get(name)
-        print("%-8s %5d rows, %d attributes analyzed"
-              % (name, entry.rows, len(entry.attributes)))
-    dept_stats = db.stats.get("emp").attribute("dept")
-    print("emp.dept: distinct=%d, top MCVs %s"
-          % (dept_stats.distinct, dept_stats.mcvs[:3]))
-
-    banner("Analyzed (the same search, numbers from the catalog)")
+    banner("The join order searched on those numbers")
     optimized = optimize(plan, db)
     print(optimized.explain())
-    est = CardinalityEstimator(db)
     print()
     print("estimated cost: written order %.0f, reordered %.0f"
           % (est.cost(plan), est.cost(optimized)))

@@ -29,22 +29,14 @@ Four small commands that make the library usable from a shell:
 ``fsck STOREDIR [--log FILE]``
     Offline integrity check of a durable store: verify every stored
     relation's segment checksums and classify the write-ahead log
-    (valid records, last checkpoint, torn tail, corruption).  Also
-    audits the persisted statistics catalog, flagging stale entries
-    (mutated past their refresh threshold) and orphaned ones (stats
-    for relations no longer stored) as warnings.  Exits 1 when
-    anything is damaged, 0 when the store would recover cleanly.
-
-``analyze STOREDIR [RELATION] [--sample N] [--seed N]``
-    Collect planner statistics (row counts, distinct-value sketches,
-    histograms, MCVs -- see :mod:`repro.relational.stats`) for one or
-    all stored relations and persist them in the store's ``stats.cat``
-    so later sessions plan cost-based.
+    (valid records, last checkpoint, torn tail, corruption).  Exits 1
+    when anything is damaged, 0 when the store would recover cleanly.
 
 ``stats STOREDIR RELATION``
-    Print the persisted statistics catalog entry for one relation:
-    row count, staleness accounting, and per-attribute distinct
-    counts, null fractions, most-common values and histogram shape.
+    Print what the planner reads of one stored relation: its row
+    count and, per attribute, the distinct count, the number of
+    ``None`` values and the four most frequent values -- read off the
+    relation itself, so they are exact and never stale.
 
 ``recover STOREDIR [--log FILE] [--compact]``
     Run crash recovery: truncate a torn WAL tail, replay the commit
@@ -65,10 +57,10 @@ Four small commands that make the library usable from a shell:
     ATTR, and renders the span tree -- per-bucket reads with retry and
     failover attributes.  ``--out FILE`` also exports JSON lines.
 
-``obs-report FILE [--top N] [--by latency|qerror] [--format json|text]``
+``obs-report FILE [--top N] [--format json|text]``
     Rank a slow-query log (JSONL of query digests, written by
     ``REPRO_SLOWLOG=<path>`` or ``SlowQueryLog.export_jsonl``) by
-    latency or by worst per-node q-error and print the top N.
+    latency and print the top N.
 
 ``obs-incidents FILE [--format json|text]``
     Print the incident records a flight recorder captured (JSONL from
@@ -105,6 +97,7 @@ from repro.notation import parse, render
 from repro.obs import observed, tracer
 from repro.obs.digest import QueryDigest
 from repro.relational.constraints import Table
+from repro.relational.cost import member_index
 from repro.relational.csvio import dumps_csv, read_csv
 from repro.relational.disk import DiskRelationStore
 from repro.relational.distributed import Cluster, ClusterUnavailableError
@@ -113,7 +106,6 @@ from repro.relational.query import Database, Join, Scan
 from repro.relational.relation import Relation
 from repro.relational.sharding import ShardMove
 from repro.relational.sql import run as run_xql
-from repro.relational.stats import StatsCatalog
 from repro.relational.tx import TransactionManager
 from repro.relational.views import ViewCatalog
 from repro.relational.wal import (
@@ -124,6 +116,7 @@ from repro.relational.wal import (
 from repro.xst.closure import transitive_closure
 from repro.xst.builders import xpair, xset
 from repro.xst.image import cst_image
+from repro.xst.ordering import canonical_key
 from repro.xst.xset import XSet
 
 __all__ = ["main"]
@@ -145,13 +138,11 @@ commands:
                          place CSVs on a simulated replicated cluster
                          and print its status
   fsck STOREDIR [--log FILE]
-                         verify segment checksums, WAL integrity and
-                         the stats catalog (exit 1 on damage)
-  analyze STOREDIR [RELATION] [--sample N] [--seed N]
-                         collect planner statistics for stored
-                         relations and persist them (stats.cat)
+                         verify segment checksums and WAL integrity
+                         (exit 1 on damage)
   stats STOREDIR RELATION
-                         print the persisted statistics of a relation
+                         print a stored relation's row count and
+                         per-attribute value counts
   recover STOREDIR [--log FILE] [--compact]
                          replay the WAL onto the store and write a
                          fresh checkpoint
@@ -162,8 +153,8 @@ commands:
             [--chaos SEED] [--out FILE] [--format json|text]
                          trace a distributed join (optionally under a
                          deterministic chaos fault schedule)
-  obs-report FILE [--top N] [--by latency|qerror] [--format json|text]
-                         rank a slow-query log (digest JSONL)
+  obs-report FILE [--top N] [--format json|text]
+                         rank a slow-query log (digest JSONL) by latency
   obs-incidents FILE [--format json|text]
                          print flight-recorder incident records
   serve CSVDIR [--host H] [--port P] [--port-file FILE] [--token T]
@@ -421,24 +412,6 @@ def _command_fsck(args: List[str]) -> int:
                 damage += 1
     else:
         print("log %s: absent" % log_path)
-    catalog = store.load_stats()
-    if catalog is not None:
-        stored = set(store.names())
-        for name in catalog.names():
-            if name not in stored:
-                print("stats %s: ORPHANED (no stored relation)" % name)
-            elif catalog.is_stale(name):
-                print(
-                    "stats %s: stale (%d mutations since analyze, "
-                    "threshold %d; re-run analyze)"
-                    % (name, catalog.mutations_since_analyze(name),
-                       catalog.stale_threshold(name))
-                )
-            else:
-                entry = catalog.get(name, allow_stale=True)
-                print("stats %s: ok (%d rows analyzed, %d mutations since)"
-                      % (name, entry.rows,
-                         catalog.mutations_since_analyze(name)))
     placement_damage = _fsck_shards(store)
     if placement_damage:
         print("fsck: %d placement inconsistenc%s"
@@ -563,69 +536,24 @@ def _command_recover(args: List[str]) -> int:
     return 0
 
 
-def _command_analyze(args: List[str]) -> int:
-    args = list(args)
-    try:
-        sample = _pop_option(args, "--sample")
-        seed = _pop_option(args, "--seed")
-        sample = None if sample is None else int(sample)
-        seed = 0 if seed is None else int(seed)
-    except ValueError:
-        return _fail("--sample and --seed must be integers")
-    if not 1 <= len(args) <= 2:
-        return _fail("analyze takes STOREDIR and optionally one RELATION")
-    directory = args[0]
-    if not os.path.isdir(directory):
-        return _fail("%r is not a directory" % directory)
-    store = DiskRelationStore(directory)
-    # Preserve entries (and mutation counters) for relations not being
-    # re-analyzed this run.
-    catalog = store.load_stats() or StatsCatalog()
-    targets = args[1:] if len(args) == 2 else list(store.names())
-    if not targets:
-        return _fail("no stored relations in %r" % directory)
-    for name in targets:
-        entry = catalog.analyze(
-            name, store.load(name), sample_rows=sample, seed=seed
-        )
-        print("analyzed %s: %d rows, %d attributes"
-              % (name, entry.rows, len(entry.attributes)))
-    store.store_stats(catalog)
-    print("stats catalog written: %d relation(s)" % len(catalog))
-    return 0
-
-
 def _command_stats(args: List[str]) -> int:
     if len(args) != 2:
         return _fail("stats takes STOREDIR and RELATION")
     directory, name = args
     if not os.path.isdir(directory):
         return _fail("%r is not a directory" % directory)
-    store = DiskRelationStore(directory)
-    catalog = store.load_stats()
-    if catalog is None:
-        return _fail("no stats catalog in %r (run analyze first)" % directory)
-    entry = catalog.get(name, allow_stale=True)
-    if entry is None:
-        return _fail("no statistics for %r (run analyze)" % name)
-    print("relation %s: %d rows analyzed" % (name, entry.rows))
-    print("mutations since analyze: %d (stale threshold %d%s)"
-          % (catalog.mutations_since_analyze(name),
-             catalog.stale_threshold(name),
-             ", STALE -- planner ignores these stats"
-             if catalog.is_stale(name) else ""))
-    for attr in sorted(entry.attributes):
-        stats = entry.attributes[attr]
-        print("  %s: distinct=%d null_fraction=%.3f buckets=%d"
-              % (attr, stats.distinct, stats.null_fraction,
-                 len(stats.histogram)))
-        if stats.mcvs:
-            shown = ", ".join(
-                "%r x%d" % (value, count)
-                for value, count in stats.mcvs[:4]
-            )
-            print("    mcvs: %s%s"
-                  % (shown, " ..." if len(stats.mcvs) > 4 else ""))
+    relation = DiskRelationStore(directory).load(name)
+    print("relation %s: %d rows" % (name, len(relation)))
+    for attr in relation.heading.names:
+        index = member_index(relation, attr)
+        top = sorted(
+            index.items(),
+            key=lambda item: (-len(item[1]), canonical_key(item[0])),
+        )[:4]
+        print("  %s: distinct=%d none=%d top: %s"
+              % (attr, len(index), len(index.get(None, ())),
+                 ", ".join("%r x%d" % (value, len(run))
+                           for value, run in top)))
     return 0
 
 
@@ -771,36 +699,28 @@ def _command_obs_report(args: List[str]) -> int:
     args = list(args)
     try:
         top = _pop_option(args, "--top")
-        by = _pop_option(args, "--by")
         fmt = _pop_format(args)
         top = 10 if top is None else int(top)
     except ValueError as error:
         return _fail(str(error))
-    by = "latency" if by is None else by
-    if by not in ("latency", "qerror"):
-        return _fail("--by must be 'latency' or 'qerror'")
     if len(args) != 1:
         return _fail("obs-report takes one slow-query log FILE")
     digests = [QueryDigest.from_dict(r) for r in _read_jsonl(args[0])]
-    if by == "latency":
-        digests.sort(key=lambda d: (-d.wall_s, d.plan_hash))
-    else:
-        digests.sort(key=lambda d: (-d.max_q_error(), d.plan_hash))
+    digests.sort(key=lambda d: (-d.wall_s, d.plan_hash))
     ranked = digests[:top]
     if fmt == "json":
         for digest in ranked:
             print(json.dumps(digest.to_dict(), sort_keys=True))
         return 0
-    print("%d digest(s), top %d by %s:" % (len(digests), len(ranked), by))
+    print("%d digest(s), top %d by latency:" % (len(digests), len(ranked)))
     for rank, digest in enumerate(ranked, 1):
         print(
-            "%2d. [%s] %-40s %10.3f ms  q<=%-8.2f %-8s rows=%d%s"
+            "%2d. [%s] %-40s %10.3f ms  %-8s rows=%d%s"
             % (
                 rank,
                 digest.plan_hash,
                 digest.describe[:40],
                 digest.wall_s * 1000,
-                digest.max_q_error(),
                 digest.backend,
                 digest.rows,
                 "" if digest.status == "ok" else "  " + digest.status,
@@ -968,7 +888,6 @@ _COMMANDS = {
     "cluster-status": _command_cluster_status,
     "fsck": _command_fsck,
     "recover": _command_recover,
-    "analyze": _command_analyze,
     "stats": _command_stats,
     "obs-metrics": _command_obs_metrics,
     "obs-trace": _command_obs_trace,

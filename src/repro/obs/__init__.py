@@ -14,16 +14,12 @@ module             contents
                    Prometheus exposition
 ``instrument``     the ``REPRO_OBS`` gate and the kernel-op hook
 ``digest``         :class:`QueryDigest` -- one structured record per
-                   executed query (plan hash, per-node q-errors,
+                   executed query (plan hash, per-node cardinalities,
                    backend, governance, latency)
 ``slowlog``        bounded slow-query log: threshold-kept tails plus
                    a seeded reservoir of normals, JSONL export
 ``recorder``       flight recorder: ring of recent events, snapshotted
                    into incident records on typed failures
-``feedback``       planner feedback loop (imported explicitly as
-                   :mod:`repro.obs.feedback` -- it corrects the
-                   relational layer's statistics catalog, so it is
-                   *not* re-exported here)
 =================  ===================================================
 
 Who hangs off it: the XST kernel (op counts, cardinalities, latency

@@ -1,22 +1,19 @@
 """Execution digests: one compact, structured record per query.
 
 A :class:`QueryDigest` is the after-the-fact answer to "what did this
-query actually do": the canonical plan hash, per-node estimated vs
-actual cardinalities with q-errors, which kernel backend served each
-operator (columnar sorted runs or the row model), the governor events
-that fired (checkpoints, budget spent, the shed/deadline outcome),
-and the wall/simulated latency.  Digests are built from the span tree
+query actually do": the canonical plan hash, per-node cardinalities,
+which kernel backend served each operator (columnar sorted runs or the
+row model), the governor events that fired (checkpoints, budget spent,
+the shed/deadline outcome), and the wall/simulated latency.  Digests
+are built from the span tree
 :func:`repro.relational.profile.execute_spanned` already records, so
 there is no second measurement substrate to drift -- the digest *is*
 a projection of the trace.
 
-Digests feed three consumers:
+Digests feed two consumers:
 
 * the slow-query log (:mod:`repro.obs.slowlog`) keeps the worst and a
   reservoir of the rest, exported as JSONL for ``repro obs-report``;
-* the planner feedback loop (:mod:`repro.obs.feedback`) turns
-  per-node q-error blowouts into cardinality corrections for
-  :class:`repro.relational.stats.StatsCatalog`;
 * the flight recorder (:mod:`repro.obs.recorder`) keeps recent
   digests in its ring so incident records show what ran just before
   a failure.
@@ -43,12 +40,8 @@ __all__ = [
 ]
 
 #: Span attributes copied verbatim into each digest node record when
-#: present.  ``relation``/``conditions`` let the feedback loop map a
-#: misestimate back to catalog entries without re-parsing span names.
-_NODE_ATTRS = (
-    "node", "relation", "conditions", "backend",
-    "est_rows", "q_error", "gov_died_at", "gov_checkpoints",
-)
+#: present.
+_NODE_ATTRS = ("node", "backend", "gov_died_at", "gov_checkpoints")
 
 
 def plan_hash(explain_text: str) -> str:
@@ -98,15 +91,6 @@ class QueryDigest:
         self.trace_id = trace_id
         self.rows = rows
 
-    def max_q_error(self) -> float:
-        """The worst per-node q-error (1.0 when none was recorded)."""
-        worst = 1.0
-        for node in self.nodes:
-            error = node.get("q_error")
-            if error is not None and error > worst:
-                worst = float(error)
-        return worst
-
     def to_dict(self) -> Dict[str, Any]:
         return {
             "describe": self.describe,
@@ -118,7 +102,6 @@ class QueryDigest:
             "status": self.status,
             "trace_id": self.trace_id,
             "rows": self.rows,
-            "max_q_error": self.max_q_error(),
         }
 
     @classmethod
@@ -136,8 +119,8 @@ class QueryDigest:
         )
 
     def __repr__(self) -> str:
-        return "QueryDigest(%s, %s, %d nodes, q<=%.2f)" % (
-            self.plan_hash, self.status, len(self.nodes), self.max_q_error()
+        return "QueryDigest(%s, %s, %d nodes)" % (
+            self.plan_hash, self.status, len(self.nodes)
         )
 
 
@@ -151,9 +134,6 @@ def _walk(span: Span, nodes: List[Dict[str, Any]], depth: int) -> None:
         value = span.attrs.get(attr)
         if value is not None:
             record[attr] = value
-    est = record.get("est_rows")
-    if est is not None:
-        record["actual_rows"] = record["rows"]
     nodes.append(record)
     for child in span.children:
         _walk(child, nodes, depth + 1)
@@ -196,8 +176,7 @@ def build_digest(
 
 #: Registered digest consumers, called in registration order with each
 #: produced digest.  The slow-query log registers itself on module
-#: import, the flight recorder on enable, a feedback loop when its
-#: owner adds ``loop.consume``.
+#: import, the flight recorder on enable.
 _SINKS: List[Callable[[QueryDigest], None]] = []
 
 

@@ -13,8 +13,7 @@ the determinism contract the chaos tests pin everywhere else applies
 to the slow-query log too.
 
 Export is JSONL (one digest per line, sorted keys) consumed by the
-``repro obs-report`` CLI, which ranks entries by latency or worst
-per-node q-error.
+``repro obs-report`` CLI, which ranks entries by latency.
 """
 
 from __future__ import annotations
@@ -102,19 +101,16 @@ class SlowQueryLog:
         """Everything retained: slow entries then the reservoir."""
         return list(self._slow) + list(self._reservoir)
 
-    def top(self, n: int = 10, by: str = "latency") -> List[QueryDigest]:
-        """The ``n`` worst retained digests by ``latency`` or ``qerror``.
+    def top(self, n: int = 10) -> List[QueryDigest]:
+        """The ``n`` slowest retained digests.
 
         Ties break on plan hash so the ordering is deterministic even
         when wall times collide (common under a fake clock).
         """
-        if by == "latency":
-            key = lambda digest: (-digest.wall_s, digest.plan_hash)
-        elif by == "qerror":
-            key = lambda digest: (-digest.max_q_error(), digest.plan_hash)
-        else:
-            raise ValueError("sort key must be 'latency' or 'qerror'")
-        return sorted(self.entries(), key=key)[:n]
+        return sorted(
+            self.entries(),
+            key=lambda digest: (-digest.wall_s, digest.plan_hash),
+        )[:n]
 
     def stats(self) -> Dict[str, Any]:
         return {

@@ -12,10 +12,9 @@ module                  contents
 ``query``               plan AST, :class:`Database`, set-at-a-time and
                         record-at-a-time executors
 ``optimizer``           composition-theorem plan rewrites
-``stats``               ANALYZE-built statistics catalog (KMV distinct
-                        sketches, equi-depth histograms, MCVs)
-``cost``                cardinality estimation, operator cost model,
-                        DP join-order enumeration
+``cost``                cardinality estimation read off the catalog
+                        value, operator cost model, DP join-order
+                        enumeration
 ``columnar``            sorted-run columnar fast path: binary-search
                         restriction, merge-intersection join
 ``storage``             :class:`SetStore` vs :class:`RecordStore`
@@ -71,12 +70,6 @@ from repro.relational.faults import (
 )
 from repro.relational.optimizer import optimize
 from repro.relational.cost import CardinalityEstimator, qerror, reorder_joins
-from repro.relational.stats import (
-    AttributeStats,
-    RelationStats,
-    StatsCatalog,
-    analyze_relation,
-)
 from repro.relational.query import (
     Aggregate,
     Database,
@@ -147,11 +140,7 @@ __all__ = [
     "Database",
     # optimizer
     "optimize",
-    # statistics & cost-based planning
-    "StatsCatalog",
-    "RelationStats",
-    "AttributeStats",
-    "analyze_relation",
+    # cost-based planning
     "CardinalityEstimator",
     "reorder_joins",
     "explain_analyze",

@@ -1,19 +1,20 @@
 """Cost-based planning: estimation, operator costs, join-order search.
 
-The planner's one cardinality table and one join-ordering rule, and
-the consumer of :mod:`repro.relational.stats`.
+The planner's one cardinality table and one join-ordering rule.
 
 Three layers, each usable alone:
 
 * :class:`CardinalityEstimator` -- estimated output rows for every
-  plan node.  Equality selectivity comes from MCV lists and distinct
-  counts, join selectivity from ``1 / max(distinct_left,
-  distinct_right)`` per shared attribute, and any relation without a
-  (fresh) catalog entry falls back to its live cardinality and the
-  constants :data:`_FALLBACK_EQ_SELECTIVITY` /
-  :data:`_FALLBACK_PRED_SELECTIVITY` -- so the planner degrades
-  attribute-by-attribute, never all-or-nothing, and a never-analyzed
-  catalog is planned by the same code as an analyzed one.
+  plan node, read off the catalog value itself.  A base relation's
+  rows are its cardinality; an attribute's distinct count is the size
+  of its sigma-domain (Def 7.4) and an equality's rows the size of its
+  restriction by one value (Def 7.6) -- the number of keys in the
+  relation's member index for that attribute, and the length of the
+  value's run in it.  Join selectivity is ``1 / max(distinct_left,
+  distinct_right)`` per shared attribute.  Only a column no base
+  relation stands behind (an ``Aggregate`` output) falls back to the
+  constant :data:`_FALLBACK_EQ_SELECTIVITY`, and an opaque predicate
+  always keeps one row in three (:data:`_FALLBACK_PRED_SELECTIVITY`).
 
 * **Operator cost formulas** (:meth:`CardinalityEstimator.cost`) --
   one weighted-rows term per operator, calibrated against the shapes
@@ -35,10 +36,10 @@ Three layers, each usable alone:
   :class:`repro.gov.Governor` can cancel a pathological search
   mid-enumeration.
 
-Determinism: estimates are pure functions of the catalog and the live
-cardinalities, ties break on the subset enumeration order, and nothing
-reads a clock -- the same plan over the same relations and statistics
-gives the same join order on every run.
+Determinism: estimates are pure functions of the catalog value, ties
+break on the subset enumeration order, and nothing reads a clock --
+the same plan over the same relations gives the same join order on
+every run.
 """
 
 from __future__ import annotations
@@ -62,17 +63,12 @@ from repro.relational.query import (
     SelectEq,
     SelectPred,
     Union,
-    scans,
 )
-from repro.relational.stats import (
-    AttributeStats,
-    RelationStats,
-    StatsCatalog,
-    feedback_key,
-)
+from repro.relational.relation import Relation
 
 __all__ = [
     "CardinalityEstimator",
+    "member_index",
     "reorder_joins",
     "qerror",
     "DP_MAX_RELATIONS",
@@ -90,9 +86,9 @@ DP_MAX_RELATIONS = 8
 #: candidate splits, bounding planning time on adversarial lattices.
 DP_STEP_BUDGET = 4096
 
-#: Selectivities assumed where no fresh statistic reaches an attribute:
-#: one row in ten survives an equality (or forms a group), one in three
-#: an opaque predicate.
+#: Selectivities assumed where the value cannot say: one row in ten
+#: survives an equality on (or forms a group of) a column no base
+#: relation stands behind, one in three an opaque predicate.
 _FALLBACK_EQ_SELECTIVITY = 0.1
 _FALLBACK_PRED_SELECTIVITY = 1.0 / 3.0
 
@@ -141,31 +137,39 @@ _COST_PER_INPUT_ROW = {
 }
 
 
+def member_index(relation: Relation, attr: str) -> Dict[Any, Tuple]:
+    """``attr``'s member index in ``relation``: each value of its
+    sigma-domain (Def 7.4) -> the rows holding it, its restriction by
+    that value (Def 7.6).  Keys meet by Python equality, so typed twins
+    (``1``/``1.0``/``True``) share a run.  The relation's own, filled
+    the first time it is asked for and carried across commits."""
+    return relation.rows._members_holding(attr)
+
+
+def _eq_rows(relation: Relation, attr: str, value: Any) -> int:
+    return len(member_index(relation, attr).get(value, ()))
+
+
 def estimate_shard_rows(
-    base_rows: float,
+    relation: Relation,
     conditions: Dict[str, Any],
     predicate_count: int,
-    stats: Optional["RelationStats"] = None,
 ) -> float:
     """Rows one shard-side pipeline ships, after its pushed filters.
 
-    The distributed coordinator's sizing primitive: ``base_rows`` is
-    the per-table total from the cluster's insert-maintained bucket
-    counts (an upper bound), shrunk by the selectivity of every
-    pushed equality (ANALYZE statistics when the table has them,
-    the heuristic fallback otherwise -- the *same* constants the
-    local planner uses, so distributed and local estimates agree)
-    and by the fallback factor per opaque predicate.
+    The distributed coordinator's sizing primitive: ``relation`` is the
+    table's committed value, shrunk by the fraction of it every pushed
+    equality keeps (read off its member index, as the local planner
+    reads it, so distributed and local estimates agree) and by the
+    fallback factor per opaque predicate.
     """
-    selectivity = 1.0
-    for attr, value in conditions.items():
-        attr_stats = stats.attribute(attr) if stats is not None else None
-        if attr_stats is not None:
-            selectivity *= attr_stats.eq_selectivity(value)
-        else:
-            selectivity *= _FALLBACK_EQ_SELECTIVITY
-    selectivity *= _FALLBACK_PRED_SELECTIVITY ** predicate_count
-    return max(1.0, base_rows * selectivity)
+    total = len(relation)
+    rows = float(total)
+    if total:
+        for attr, value in conditions.items():
+            rows = rows * _eq_rows(relation, attr, value) / total
+    rows *= _FALLBACK_PRED_SELECTIVITY ** predicate_count
+    return max(1.0, rows)
 
 
 def broadcast_join_cost(small_rows: float, bucket_count: int) -> float:
@@ -191,17 +195,18 @@ def qerror(estimated: float, actual: float) -> float:
 
 
 class CardinalityEstimator:
-    """Statistics-grounded row estimates (and costs) for plan nodes.
+    """Row estimates (and costs) for plan nodes, read off ``db``.
 
     One instance memoizes per plan-node identity, so estimating a
-    whole tree is linear.  ``catalog`` defaults to the database's own
-    (:attr:`Database.stats`); pass an empty catalog for the numbers a
-    never-analyzed database gets.
+    whole tree is linear.  Every number comes from ``db``'s relations:
+    their cardinalities and their member indexes, so the estimate of a
+    plan is a function of the catalog value alone.  A plan handed in
+    is bound: an equality's value is a value, never a
+    :class:`~repro.relational.query.Param`.
     """
 
-    def __init__(self, db: Database, catalog: Optional[StatsCatalog] = None):
+    def __init__(self, db: Database):
         self._db = db
-        self._catalog = db.stats if catalog is None else catalog
         # Memo caches key on node identity; the node itself is stored
         # alongside the value so the id cannot be recycled by the
         # allocator while the cache entry lives.
@@ -211,12 +216,6 @@ class CardinalityEstimator:
         self._headings: Dict[int, Tuple[Plan, Any]] = {}
 
     # -- catalog access -------------------------------------------------
-
-    def has_stats(self, plan: Plan) -> bool:
-        """True when any base relation under ``plan`` has fresh stats."""
-        return any(
-            self._catalog.get(name) is not None for name in scans(plan)
-        )
 
     def heading(self, plan: Plan):
         """:meth:`Database.heading_of`, once per node: the join search
@@ -257,15 +256,15 @@ class CardinalityEstimator:
             self._encoded[key] = cached
         return cached[1]
 
-    def _attribute_stats(self, plan: Plan, attr: str) -> Optional[AttributeStats]:
-        """The base-relation statistics backing ``attr`` at this node."""
+    def _base(self, plan: Plan, attr: str) -> Optional[Tuple[Relation, str]]:
+        """The base relation behind ``attr`` at this node and its name
+        there; ``None`` for a column this plan computes."""
         if isinstance(plan, Scan):
-            entry = self._catalog.get(plan.name)
-            return None if entry is None else entry.attribute(attr)
+            return self._db.relation(plan.name), attr
         inner = plan.origin(attr)
         for child in plan.children():
             if inner in self.heading(child):
-                found = self._attribute_stats(child, inner)
+                found = self._base(child, inner)
                 if found is not None:
                     return found
         return None
@@ -273,17 +272,24 @@ class CardinalityEstimator:
     def distinct(self, plan: Plan, attr: str) -> Optional[float]:
         """Estimated distinct values of ``attr`` in this node's output.
 
-        The base relation's distinct count, capped by the node's own
-        estimated cardinality (a 40-row intermediate cannot carry 500
-        distinct keys) and collapsed to one when an equality selection
-        below this node pins the attribute to a single literal.
+        The base relation's distinct count -- the keys of its member
+        index, the size of its sigma-domain (Def 7.4) -- capped by the
+        node's own estimated cardinality (a 40-row intermediate cannot
+        carry 500 distinct keys) and collapsed to one when an equality
+        selection below this node pins the attribute to a single
+        literal.  ``None`` when no base relation stands behind the
+        column, or it has no rows.
         """
-        stats = self._attribute_stats(plan, attr)
-        if stats is None or stats.distinct <= 0:
+        base = self._base(plan, attr)
+        if base is None:
+            return None
+        relation, inner = base
+        distinct = len(member_index(relation, inner))
+        if not distinct:
             return None
         if self._is_pinned(plan, attr):
             return 1.0
-        return min(float(stats.distinct), max(1.0, self.estimate(plan)))
+        return min(float(distinct), max(1.0, self.estimate(plan)))
 
     def _is_pinned(self, plan: Plan, attr: str) -> bool:
         """True when a SelectEq under this node fixes ``attr``'s value."""
@@ -315,43 +321,30 @@ class CardinalityEstimator:
             raise TypeError("unknown plan node %r" % (plan,))
         return rule(self, plan)
 
-    # The execution-feedback overlay wins over every other source: an
-    # *observed* cardinality from a prior run of the same shape is
-    # strictly better evidence than any estimate derived from (possibly
-    # sampled) statistics.  With an empty overlay these lookups miss
-    # and the estimates below are byte-identical to the feedback-off
-    # planner.
-
-    def _scan_rows(self, plan: Scan) -> float:
-        observed = self._catalog.feedback_rows(plan.name, None)
-        if observed is not None:
-            return float(observed)
-        entry = self._catalog.get(plan.name)
-        if entry is not None:
-            return float(entry.rows)
-        return float(self._db.relation(plan.name).cardinality())
-
     def _select_eq_rows(self, plan: SelectEq) -> float:
-        if isinstance(plan.child, Scan):
-            observed = self._catalog.feedback_rows(
-                plan.child.name, feedback_key(plan.conditions)
-            )
-            if observed is not None:
-                return float(observed)
-        child_rows = self.estimate(plan.child)
-        selectivity = 1.0
+        """Each equality keeps the share of its base relation that its
+        value's run holds: over a ``Scan``, exactly the rows a single
+        condition restricts to (typed twins aside)."""
+        rows = self.estimate(plan.child)
+        if not rows:
+            return 0.0
         for attr, value in sorted(plan.conditions.items()):
-            stats = self._attribute_stats(plan.child, attr)
-            if stats is not None:
-                selectivity *= stats.eq_selectivity(value)
-            else:
-                selectivity *= _FALLBACK_EQ_SELECTIVITY
-        return max(1.0, child_rows * selectivity) if child_rows else 0.0
+            base = self._base(plan.child, attr)
+            if base is None:
+                rows *= _FALLBACK_EQ_SELECTIVITY
+                continue
+            relation, inner = base
+            # Multiplied before dividing, so a lone condition over a
+            # Scan comes out as the run length itself.
+            total = len(relation)
+            rows = (rows * _eq_rows(relation, inner, value) / total
+                    if total else 0.0)
+        return max(1.0, rows)
 
     def _aggregate_rows(self, plan: Aggregate) -> float:
         """One row per group: the product of the group attributes'
-        distinct counts where statistics reach them all, else the
-        heuristic one-in-ten; never more than the input."""
+        distinct counts where base relations stand behind them all,
+        else the heuristic one-in-ten; never more than the input."""
         if not plan.group_attrs:
             return 1.0
         child_rows = self.estimate(plan.child)
@@ -366,7 +359,7 @@ class CardinalityEstimator:
 
     #: The cardinality rule of every node type, as ``(self, node)``.
     _ESTIMATES = {
-        Scan: _scan_rows,
+        Scan: lambda self, plan: float(len(self._db.relation(plan.name))),
         SelectEq: _select_eq_rows,
         SelectPred: lambda self, plan: max(
             1.0, self.estimate(plan.child) * _FALLBACK_PRED_SELECTIVITY
@@ -389,9 +382,10 @@ class CardinalityEstimator:
 
         ``|L| * |R| / prod(max(d_left(a), d_right(a)))`` over shared
         attributes -- the containment-of-values assumption.  Any shared
-        attribute without statistics on either side drops the whole
-        estimate to the heuristic ``max(|L|, |R|)`` bound, so partial
-        catalogs never mix formulas silently.
+        attribute without a distinct count on either side (a computed
+        column, an empty relation) drops the whole estimate to the
+        heuristic ``max(|L|, |R|)`` bound, so formulas never mix
+        silently.
         """
         left_rows = self.estimate(left)
         right_rows = self.estimate(right)

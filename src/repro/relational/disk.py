@@ -54,7 +54,6 @@ from repro.obs.instrument import record_recovery
 from repro.relational.relation import Relation
 from repro.relational.schema import Heading
 from repro.relational.sharding import ShardCatalog
-from repro.relational.stats import StatsCatalog
 from repro.relational.wal import (
     CorruptLogError,
     CorruptSegmentError,
@@ -312,39 +311,6 @@ class DiskRelationStore:
         self._cache.evict_relation(name)
 
     # ------------------------------------------------------------------
-    # Statistics catalog persistence
-    # ------------------------------------------------------------------
-
-    _STATS_FILE = "stats.cat"
-
-    def store_stats(self, catalog) -> None:
-        """Persist a :class:`~repro.relational.stats.StatsCatalog`.
-
-        One canonically-serialized file (``stats.cat``) beside the
-        relation directories, written with the same temp-file +
-        fsync + replace discipline as segments, so a crash can never
-        tear the catalog.
-        """
-        self._atomic_write(
-            os.path.join(self._directory, self._STATS_FILE),
-            dumps(catalog.to_xset()),
-        )
-
-    def load_stats(self):
-        """The persisted catalog, or ``None`` when never stored."""
-        path = os.path.join(self._directory, self._STATS_FILE)
-        try:
-            with open(path, "rb") as fh:
-                return StatsCatalog.from_xset(loads(fh.read()))
-        except FileNotFoundError:
-            return None
-
-    def drop_stats(self) -> None:
-        path = os.path.join(self._directory, self._STATS_FILE)
-        if os.path.exists(path):
-            os.remove(path)
-
-    # ------------------------------------------------------------------
     # Shard placement persistence
     # ------------------------------------------------------------------
 
@@ -357,8 +323,8 @@ class DiskRelationStore:
         One canonically-serialized file (``shards.map``) holding every
         table's epoch-stamped placement, rewritten atomically on each
         epoch swing -- the same temp-file + fsync + replace discipline
-        as ``stats.cat``, so a crash leaves either the old epoch's
-        catalog or the new one, never a torn hybrid.
+        as segments, so a crash leaves either the old epoch's catalog
+        or the new one, never a torn hybrid.
         """
         self._atomic_write(
             os.path.join(self._directory, self._SHARDS_FILE),
@@ -407,7 +373,7 @@ class DiskRelationStore:
 
     def checkpoint(self, log: WriteAheadLog,
                    tables: Mapping[str, Relation],
-                   stats=None, shards=None) -> int:
+                   shards=None) -> int:
         """Snapshot every table, then append the checkpoint marker.
 
         The marker is appended only after every snapshot is atomically
@@ -415,17 +381,13 @@ class DiskRelationStore:
         store holds at least that state.  A crash mid-checkpoint
         leaves some tables at a newer snapshot than the last marker --
         which recovery's last-touch-wins replay absorbs (see
-        :mod:`repro.relational.wal`).  When a ``stats`` catalog is
+        :mod:`repro.relational.wal`).  When a ``shards`` catalog is
         given it is persisted with the snapshots (before the marker),
-        so recovered databases plan with the statistics they
-        checkpointed; a ``shards`` catalog likewise rides along so a
-        recovered cluster resumes at the epoch it checkpointed.
+        so a recovered cluster resumes at the epoch it checkpointed.
         Returns the marker's LSN.
         """
         for name in sorted(tables):
             self.store(name, tables[name])
-        if stats is not None:
-            self.store_stats(stats)
         if shards is not None:
             self.store_shards(shards)
         return log.checkpoint(sorted(tables))

@@ -20,8 +20,8 @@ is a copy of that restriction -- never a second source of truth:
   enrolled table is a one-statement transaction; deletes, updates,
   multi-table and deferred transactions, constraints and snapshots
   are the manager's own API.  Heading and constraint
-  checks, the exact diff, the WAL record, stats accounting and the MVCC
-  version happen once, in the engine;
+  checks, the exact diff, the WAL record and the MVCC version happen
+  once, in the engine;
 * **replication is the commit listener.**  One ``manager.subscribe``
   listener splits each committed ``(inserted, deleted)`` diff by bucket
   and applies it to every *reachable* replica, ticking the fault
@@ -582,10 +582,9 @@ class _ShardKernels:
         manager = self.cluster.manager
         placement = self.cluster._placements[side.table]
         now = {own: name for name, own in side.origin.items()}
-        stats = manager.stats.get(side.table, allow_stale=True)
         return placement, now.get(placement.attr), estimate_shard_rows(
-            float(len(manager.table(side.table))), side.conditions,
-            side.predicates, stats,
+            manager.committed().relation(side.table), side.conditions,
+            side.predicates,
         )
 
     def join(self, left: Any, right: Any) -> Relation:
@@ -787,9 +786,7 @@ class Cluster:
     :attr:`manager` the cluster builds): ``log=`` a
     :class:`~repro.relational.wal.WriteAheadLog` -- every cluster
     write is one commit record in it and every epoch swing an
-    ``EPOCH`` marker between the commits it happened between --
-    ``stats=`` a :class:`~repro.relational.stats.StatsCatalog`,
-    fed by the commit diffs and read by distributed join sizing, and
+    ``EPOCH`` marker between the commits it happened between -- and
     ``result_cache=`` a :class:`~repro.relational.ivm.cache.
     QueryResultCache`, shared with ``manager.committed().execute``.
     """
@@ -808,7 +805,6 @@ class Cluster:
         breaker_seed: int = 0,
         *,
         log: Optional[Any] = None,
-        stats: Optional[Any] = None,
         result_cache: Optional[Any] = None,
     ):
         if node_count < 1:
@@ -859,7 +855,7 @@ class Cluster:
         #: is one of its commits, and replicas follow its commit
         #: stream.
         self.manager = TransactionManager(
-            {}, log=log, stats=stats, result_cache=result_cache
+            {}, log=log, result_cache=result_cache
         )
         self.manager.subscribe(self._replicate)
         self._placements: Dict[str, ShardMap] = {}

@@ -19,11 +19,9 @@ to query plans with four families:
    join region is re-associated and its build sides chosen by one
    cost-ordered search (:func:`repro.relational.cost.reorder_joins`)
    over one cardinality table
-   (:class:`repro.relational.cost.CardinalityEstimator`).  The search
-   runs on every catalog: ``ANALYZE`` statistics
-   (:attr:`Database.stats`) and feedback corrections refine the
-   numbers it compares; where there are none it compares live
-   cardinalities and the fallback selectivities.
+   (:class:`repro.relational.cost.CardinalityEstimator`), which reads
+   its numbers off the catalog value: cardinalities, and the distinct
+   counts and run lengths of the relations' member indexes.
 
 Rewrites preserve results exactly (asserted in the tests: optimized
 and unoptimized plans agree on every generated workload, in every
@@ -37,7 +35,7 @@ from typing import Dict, Mapping
 from repro.gov.governor import checkpoint as _gov_checkpoint
 from repro.obs import metrics as _metrics
 from repro.obs.instrument import enabled as _obs_enabled
-from repro.relational.cost import CardinalityEstimator, reorder_joins
+from repro.relational.cost import reorder_joins
 from repro.relational.query import (
     Database,
     Join,
@@ -57,9 +55,8 @@ def optimize(plan: Plan, db: Database) -> Plan:
     The plan must be well defined on ``db``'s headings
     (:meth:`Database.heading_of` raises ``SchemaError`` otherwise):
     a rewrite may erase an ill-formed node, and the optimized and the
-    unoptimized plan have to agree on refusing it.  Statistics change
-    the estimates the search compares, never whether it runs; a plan
-    holding no ``Join`` has nothing to order and builds no estimator.
+    unoptimized plan have to agree on refusing it.  A plan holding no
+    ``Join`` has nothing to order and builds no estimator.
     """
     db.heading_of(plan)
     # A rule that fires shrinks the tree or moves a node down it, and a
@@ -73,14 +70,11 @@ def optimize(plan: Plan, db: Database) -> Plan:
         plan = rewritten
     if not _has_join(plan):
         return plan
-    estimator = CardinalityEstimator(db)
     if _obs_enabled():
         _metrics.registry().counter(
-            "repro_opt_plans_total",
-            "Join-ordered plans by whether a fresh statistic stood "
-            "under them.", ("mode",),
-        ).inc(mode="cost" if estimator.has_stats(plan) else "heuristic")
-    return reorder_joins(plan, db, estimator)
+            "repro_opt_plans_total", "Join-ordered plans.",
+        ).inc()
+    return reorder_joins(plan, db)
 
 
 def _has_join(plan: Plan) -> bool:

@@ -33,9 +33,8 @@ from repro.obs.trace import tracer as global_tracer
 from repro.relational.columnar import ColumnarRelation, materialize
 from repro.relational.cost import CardinalityEstimator, qerror
 from repro.relational.optimizer import optimize
-from repro.relational.query import Database, Plan, Scan, SelectEq
+from repro.relational.query import Database, Plan
 from repro.relational.relation import Relation
-from repro.relational.stats import feedback_key
 
 __all__ = [
     "NodeProfile",
@@ -60,29 +59,23 @@ class NodeProfile:
       distinct rows.
     """
 
-    __slots__ = ("describe", "rows", "seconds", "children", "est_rows")
+    __slots__ = ("describe", "rows", "seconds", "children")
 
     def __init__(self, describe: str, rows: int, seconds: float,
-                 children: List["NodeProfile"],
-                 est_rows: Optional[int] = None):
+                 children: List["NodeProfile"]):
         self.describe = describe
         self.rows = rows
         self.seconds = seconds
         self.children = children
-        #: Planner estimate for this operator's output, when the span
-        #: was recorded against a database with statistics (else None).
-        self.est_rows = est_rows
 
     @classmethod
     def from_span(cls, span: Span) -> "NodeProfile":
         """Build the profile view over a finished span tree."""
-        est = span.attrs.get("est_rows")
         return cls(
             span.name,
             int(span.attrs.get("rows", 0)),
             span.duration_s,
             [cls.from_span(child) for child in span.children],
-            est_rows=int(est) if est is not None else None,
         )
 
     def total_rows(self) -> int:
@@ -109,11 +102,9 @@ class NodeProfile:
         )
 
     def render(self, indent: int = 0) -> str:
-        suffix = "" if self.est_rows is None else "  (est %d)" % self.est_rows
         lines = [
-            "%s%-40s %6d rows  %8.3f ms%s"
-            % ("  " * indent, self.describe, self.rows,
-               self.seconds * 1000, suffix)
+            "%s%-40s %6d rows  %8.3f ms"
+            % ("  " * indent, self.describe, self.rows, self.seconds * 1000)
         ]
         for child in self.children:
             lines.append(child.render(indent + 1))
@@ -140,17 +131,6 @@ def execute_spanned(
     active_tracer = global_tracer() if tracer is None else tracer
     recording = instrument.enabled()
     registry = metrics.registry() if recording else None
-    # When the database carries a populated statistics catalog, every
-    # span additionally records the planner's estimate next to the
-    # measured cardinality (``est_rows`` / ``q_error`` attributes) --
-    # EXPLAIN ANALYZE data on the production path.  ``_stats`` is read
-    # without triggering the lazy catalog creation, so stats-less
-    # databases pay nothing.
-    estimator = None
-    catalog = getattr(db, "_stats", None)
-    if catalog is not None and len(catalog):
-        estimator = CardinalityEstimator(db)
-
     root_holder: List[Span] = []
 
     def walk(node: Plan) -> Relation:
@@ -163,26 +143,12 @@ def execute_spanned(
             result = db.execute_node(node, inputs)
             rows = result.cardinality()
             span.set("rows", rows)
-            # Structured anchors for digests and the feedback loop:
-            # which backend served this node, and -- for the shapes
-            # feedback can learn -- which base relation / predicate the
-            # measured cardinality belongs to.
+            # Which backend served this node, for the digest.
             span.set(
                 "backend",
                 "columnar"
                 if isinstance(result, ColumnarRelation) else "row",
             )
-            if isinstance(node, Scan):
-                span.set("relation", node.name)
-            elif isinstance(node, SelectEq) and \
-                    isinstance(node.child, Scan):
-                span.set("relation", node.child.name)
-                span.set("conditions", feedback_key(node.conditions))
-            if estimator is not None:
-                estimated = estimator.estimate(node)
-                error = qerror(estimated, rows)
-                span.set("est_rows", int(round(estimated)))
-                span.set("q_error", round(error, 4))
             if registry is not None:
                 registry.counter(
                     "repro_plan_node_total",
@@ -252,11 +218,8 @@ def explain_analyze(db: Database, plan: Plan,
     render(plan, root, 0)
     worst = max(errors)
     mean = sum(errors) / len(errors)
-    lines.append(
-        "q-error: max=%.2f mean=%.2f over %d nodes (%s)"
-        % (worst, mean, len(errors),
-           "stats" if est.has_stats(plan) else "heuristic fallback")
-    )
+    lines.append("q-error: max=%.2f mean=%.2f over %d nodes"
+                 % (worst, mean, len(errors)))
     return result, "\n".join(lines)
 
 

@@ -35,7 +35,6 @@ from repro.relational.columnar import (
 )
 from repro.relational.relation import Relation
 from repro.relational.schema import Heading
-from repro.relational.stats import StatsCatalog
 
 #: What flows between plan nodes in set mode: either the canonical row
 #: model or its sorted-run encoding.  Both expose ``heading`` and
@@ -537,9 +536,7 @@ def _gov_summary(root_span) -> Dict[str, Any]:
 class Database:
     """A catalog of named relations plus the two executors.
 
-    ``stats`` is the :class:`~repro.relational.stats.StatsCatalog` the
-    optimizer plans from (default: a private one, made on first use),
-    ``result_cache`` a :class:`~repro.relational.ivm.cache.
+    ``result_cache`` is a :class:`~repro.relational.ivm.cache.
     QueryResultCache` for :meth:`execute` (default: none); catalogs
     holding the same relation objects share its entries.  A hand-built
     catalog is a mutable fixture; the one a
@@ -550,27 +547,22 @@ class Database:
     """
 
     def __init__(self, relations: Optional[Mapping[str, Relation]] = None,
-                 *, stats=None, result_cache=None):
+                 *, result_cache=None):
         self._relations: Dict[str, Relation] = dict(relations or {})
         self._columnar: Dict[str, ColumnarRelation] = {}
-        self._stats = stats
         self._result_cache = result_cache
         self._sealed = False
-        # Optimized statement plans of this value (:meth:`plan_memo`)
-        # and the statistics epoch they were planned under.
+        # Optimized statement plans of this value (:meth:`plan_memo`).
         self._plans: Dict[str, Any] = {}
-        self._plans_epoch = -1
         #: The :class:`~repro.relational.views.ViewCatalog` serving this
         #: catalog, set by the view catalog itself; ``None`` without one.
         self.views = None
 
     def with_relations(self, changed: Mapping[str, Relation]) -> "Database":
         """A new catalog with ``changed`` bound and everything else
-        shared: other relations and run encodings, stats, cache, views,
-        seal."""
+        shared: other relations and run encodings, cache, views, seal."""
         successor = Database(
-            {**self._relations, **changed},
-            stats=self._stats, result_cache=self._result_cache,
+            {**self._relations, **changed}, result_cache=self._result_cache
         )
         successor._columnar = {
             name: runs for name, runs in self._columnar.items()
@@ -652,61 +644,16 @@ class Database:
                 "relation %r has no columnar encoding" % (name,)
             ) from None
 
-    # ------------------------------------------------------------------
-    # Statistics catalog
-    # ------------------------------------------------------------------
-
-    @property
-    def stats(self):
-        """The attached :class:`~repro.relational.stats.StatsCatalog`.
-
-        Created lazily on first access so plain databases pay nothing.
-        The optimizer runs the same join search whatever it holds: a
-        relation with no fresh entry is sized from its live cardinality
-        and the fallback selectivities.
-        """
-        if self._stats is None:
-            self._stats = StatsCatalog()
-        return self._stats
-
     def plan_memo(self) -> Dict[str, Any]:
         """This catalog value's memo of optimized statement plans.
 
         :func:`repro.relational.sql.run` keeps one entry per statement
         text here (and bounds them), so a plan dies with the value it
         was planned on.  What ``optimize`` returns is a function of the
-        plan, this value's relations and encodings, and the statistics
-        it reads; the last are shared between versions and change in
-        place, so the memo is emptied whenever the catalog's
-        :attr:`~repro.relational.stats.StatsCatalog.epoch` has moved
-        (``ANALYZE``, a feedback correction, an entry going stale) and
-        whenever a hand-built catalog is edited.
+        plan and this value's relations and encodings alone, so nothing
+        empties the memo but an edit of a hand-built catalog.
         """
-        epoch = self.stats.epoch
-        if epoch != self._plans_epoch:
-            self._plans = {}
-            self._plans_epoch = epoch
         return self._plans
-
-    def analyze(
-        self,
-        names: Optional[Sequence[str]] = None,
-        sample_rows: Optional[int] = None,
-        seed: int = 0,
-    ):
-        """Collect statistics for ``names`` (default: every relation).
-
-        Returns the list of relation names analyzed, in catalog order.
-        Deterministic for a fixed ``seed``: no wall clock is read and
-        sampling (when ``sample_rows`` bounds the scan) uses a seeded
-        generator per the workload-seed convention.
-        """
-        targets = list(names) if names is not None else self.names()
-        for name in targets:
-            self.stats.analyze(
-                name, self.relation(name), sample_rows=sample_rows, seed=seed
-            )
-        return targets
 
     # ------------------------------------------------------------------
     # Set-at-a-time execution (Extended Set Processing)
@@ -773,13 +720,11 @@ class Database:
         Every execution -- successful or dying on a typed error --
         produces one :class:`~repro.obs.digest.QueryDigest` built from
         the recorded span tree and fanned out to the digest sinks
-        (slow-query log, flight recorder, any registered
-        :class:`~repro.obs.feedback.FeedbackLoop` -- whose corrections
-        are thereby applied before returning, so the *next* query over
-        the same shapes plans from observed cardinalities).
+        (slow-query log, flight recorder).
         """
-        # Not at module level: the span walker stamps the planner's
-        # estimates, and the planner imports this module's node table.
+        # Not at module level: the span walker lives beside
+        # explain_analyze, which runs the planner, and the planner
+        # imports this module's node table.
         from repro.relational.profile import execute_spanned
 
         hash_value = plan_hash(plan.explain())

@@ -18,8 +18,7 @@ This module makes placement **explicit and versioned**:
   :class:`~repro.errors.ShardMovedError` before a byte is read.
 * :class:`ShardCatalog` -- every table's map, serializable to one
   canonical XSet so :class:`~repro.relational.disk.DiskRelationStore`
-  persists it exactly like the statistics catalog (``shards.map``
-  beside ``stats.cat``).
+  persists it as one atomically rewritten file (``shards.map``).
 * :func:`bucket_digest` -- an order-independent canonical-hash digest
   of a bucket's rows, the anti-entropy currency: two replicas hold
   the same bucket iff their digests are equal.
@@ -335,7 +334,7 @@ class ShardMap:
 
 
 class ShardCatalog:
-    """Every table's shard map, serializable like the stats catalog."""
+    """Every table's shard map, serializable to one canonical XSet."""
 
     __slots__ = ("_maps",)
 

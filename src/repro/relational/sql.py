@@ -48,10 +48,11 @@ the result cache, views and the cluster see all of it.  A relation is
 a set, so ORDER BY without LIMIT changes nothing about :func:`run`'s
 answer; :func:`run_rows` lays the answer out in the query's order.
 
-``ANALYZE`` collects planner statistics (see
-:mod:`repro.relational.stats`) for one relation, or for every relation
-when no name is given, and returns a one-row-per-relation summary of
-the refreshed catalog.  The view statements act on the
+``ANALYZE`` reports what the planner reads of one relation, or of
+every relation when no name is given: one row per relation with its
+row count and its number of attributes, read off the catalog value.
+It changes nothing -- the planner reads the relations themselves, so
+there is nothing to collect.  The view statements act on the
 :class:`~repro.relational.views.ViewCatalog` the database carries
 (``db.views``); with one attached a ``source`` may name a view, read as
 of ``db``'s own relations -- embedded or over the wire, the same call.
@@ -502,22 +503,21 @@ def _clause_argument(clause: str, value: Any, args: Sequence[Any]) -> Any:
 
 
 def _run_analyze(db: Database, text: str) -> Relation:
-    """Execute an ANALYZE statement."""
+    """Execute an ANALYZE statement: a report, with no side effect."""
     stream = _tokenize(text)
     if len(stream) == 1:
-        targets = None
+        targets = db.names()
     elif len(stream) == 2 and stream[1][0] == "name":
         targets = [stream[1][1]]
     else:
         raise NotationError("XQL: ANALYZE takes at most one relation name")
-    analyzed = db.analyze(targets)
     rows = []
-    for name in analyzed:
-        entry = db.stats.get(name, allow_stale=True)
+    for name in targets:
+        relation = db.relation(name)
         rows.append({
             "relation": name,
-            "rows": entry.rows,
-            "attributes": len(entry.attributes),
+            "rows": len(relation),
+            "attributes": len(relation.heading),
         })
     return Relation.from_dicts(
         Heading(["relation", "rows", "attributes"]), rows
@@ -534,7 +534,7 @@ def _run_view_statement(db: Database, text: str) -> Relation:
     materialized view is computed immediately, so it is fresh -- and
     incrementally maintained, when the catalog has a manager -- from
     the moment the statement returns.  Definitions are the catalog's,
-    not a version's: shared and immediate, like ANALYZE's statistics.
+    not a version's: shared and immediate.
     """
     stream = _tokenize(text)
     head = stream[0]
@@ -636,8 +636,8 @@ def _run(
 ) -> Tuple[Optional[Query], Relation]:
     """Execute one statement; the query is ``None`` unless a SELECT.
 
-    ANALYZE and the view statements act on the database, so they run
-    every time and never enter the memo; they take no arguments.
+    ANALYZE and the view statements are not plans, so they run every
+    time and never enter the memo; they take no arguments.
     """
     head = _HEAD.match(text)
     kind = head.group(1).lower() if head else ""
@@ -713,9 +713,10 @@ def _planned(
     if not optimized:
         return db, _bind(template, args) if args else template
     if args and len(query.sources) > 1:
-        # A join's order is searched over estimates that may read the
-        # arguments (an MCV frequency, a feedback correction keyed by
-        # the value), so a joining template is ordered per binding.
+        # A join's order is searched over estimates that read the
+        # arguments (the length of a value's run in a member index),
+        # so a joining template is ordered per binding: the estimator
+        # is never handed a Param.
         return db, optimize(_bind(template, args), db)
     # Otherwise the optimized plan is a function of the text and the
     # catalog value alone: planned once per value (heading-checked

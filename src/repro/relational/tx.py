@@ -36,18 +36,11 @@ that recovery truncates (the transaction never happened).
 
 The catalog value: the committed state is one immutable, sealed
 :class:`~repro.relational.query.Database`
-(:meth:`TransactionManager.committed`) carrying the manager's
-statistics and (``result_cache=``) its query-result cache.  The commit
+(:meth:`TransactionManager.committed`) carrying (``result_cache=``)
+the manager's query-result cache.  The commit
 that changes the state derives it; no reader rebuilds it -- snapshots
 pin it, server sessions, the cluster and view catalogs read it, so
 embedded and served execution plan and cache against the same thing.
-
-Statistics: the manager owns a
-:class:`~repro.relational.stats.StatsCatalog` (``stats=``, else its
-own) and every committed insert/delete is counted against the
-affected relation's entry -- the same diff that feeds the WAL record
-feeds staleness accounting, so a relation churned past its threshold
-silently drops off the cost-based planner until the next ANALYZE.
 
 MVCC: because relations are immutable values, snapshot isolation is
 pointer bookkeeping.  Every outermost state-changing commit is a
@@ -83,7 +76,6 @@ from repro.gov.governor import checkpoint as _gov_checkpoint
 from repro.relational.constraints import Table
 from repro.relational.query import Database
 from repro.relational.relation import Relation
-from repro.relational.stats import StatsCatalog
 from repro.relational.wal import WriteAheadLog
 
 __all__ = ["TransactionManager", "Snapshot", "SnapshotSession", "CommitDiff"]
@@ -101,18 +93,15 @@ class TransactionManager:
 
     def __init__(self, tables: Mapping[str, Table],
                  log: Optional[WriteAheadLog] = None,
-                 stats: Optional[StatsCatalog] = None,
                  result_cache=None):
         self._tables: Dict[str, Table] = {}
         self._savepoints: List[Dict[str, tuple]] = []
         self._deferred_depth = 0
         self._log = log
-        self._stats = stats if stats is not None else StatsCatalog()
         self._commits = 0
         # Replaced, never edited, by add_table and each state-changing
         # commit; sealed: what one reader did every reader would see.
-        self._committed = Database(stats=self._stats,
-                                   result_cache=result_cache)
+        self._committed = Database(result_cache=result_cache)
         self._committed._sealed = True
         # MVCC bookkeeping: the version at which each table last
         # changed (first-committer-wins reads this) and the versions
@@ -135,11 +124,6 @@ class TransactionManager:
     @property
     def log(self) -> Optional[WriteAheadLog]:
         return self._log
-
-    @property
-    def stats(self) -> StatsCatalog:
-        """The statistics catalog the committed value plans from."""
-        return self._stats
 
     @property
     def result_cache(self):
@@ -285,14 +269,6 @@ class TransactionManager:
             return
         if self._log is not None:
             self._log.commit(self._commits + 1, changes)
-        if len(self._stats):
-            # The durable diff doubles as staleness accounting: each
-            # inserted or deleted row counts one mutation against the
-            # relation's catalog entry.
-            for name, (_, inserted, deleted) in changes.items():
-                self._stats.record_mutations(
-                    name, len(inserted) + len(deleted)
-                )
         self._commits += 1
         # The WAL record above carries tx id == self._commits: the
         # durable numbering and the MVCC version are the same number,
@@ -504,10 +480,9 @@ class SnapshotSession(Snapshot):
     (read-your-own-writes) and are recorded as an op list.  Nothing
     touches the shared tables until :meth:`commit`, which first runs
     first-committer-wins conflict detection and then replays the ops
-    inside one ordinary deferred transaction -- constraint validation,
-    WAL logging and stats accounting all ride the existing commit
-    path.  A conflicting or failing commit leaves the committed state
-    byte-identical to before.
+    inside one ordinary deferred transaction -- constraint validation
+    and WAL logging ride the existing commit path.  A conflicting or
+    failing commit leaves the committed state byte-identical to before.
     """
 
     def __init__(self, manager: TransactionManager):

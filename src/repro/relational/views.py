@@ -7,7 +7,7 @@ TransactionManager` is given, else the hand-built ``db`` -- every
 catalog derived from that one (each commit's value, each pinned
 snapshot) carries the handle, and ``sql.run(db, text)`` finds it there.
 Tables and views share one namespace; definitions are shared and
-immediate, like ``ANALYZE``'s statistics, and are not logged.
+immediate, and are not logged.
 
 A *virtual* view re-executes on every read; a *materialized* one keeps
 its result and the immutable relations it was computed from.  One

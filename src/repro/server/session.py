@@ -7,7 +7,7 @@ A session is the unit of isolation the server hands each connection:
   every query a session runs sees one consistent version no matter
   how many writers commit meanwhile -- *snapshot sessions*.  It pins
   the manager's committed catalog, the ``Database`` embedded callers
-  get from ``manager.committed()``: same statistics, same cache;
+  get from ``manager.committed()``: same relations, same cache;
 * a registry of prepared statements: named XQL templates with
   ``$1..$n`` placeholders (at most :data:`MAX_STATEMENTS`), whose
   EXECUTE arguments are type-checked here and bound into the plan as
@@ -19,7 +19,7 @@ A session is the unit of isolation the server hands each connection:
 
 Sessions never share mutable state: two sessions at the same version
 hold the same immutable catalog value (and through it the manager's
-statistics and result cache), nothing else.
+result cache), nothing else.
 """
 
 from __future__ import annotations

@@ -116,19 +116,13 @@ def pair_key(pair: Tuple[Any, Any]) -> Tuple:
     return (canonical_key(element), canonical_key(scope))
 
 
-#: Hash range of :func:`canonical_hash`: 32 bits, so hashes map onto
-#: the unit interval as ``h / _HASH_SPACE`` for KMV distinct-value
-#: estimation.
-_HASH_SPACE = 1 << 32
-
-
 def canonical_hash(value: Any) -> int:
     """A deterministic 32-bit hash of a value's canonical key.
 
     Python's built-in ``hash`` is salted per process for strings, so
-    anything derived from it changes run to run.  Statistics sketches
-    (the KMV distinct-value estimator in
-    :mod:`repro.relational.stats`) need hashes that are identical
+    anything derived from it changes run to run.  Shard placement
+    (:mod:`repro.relational.sharding`) and the columnar runs
+    (:mod:`repro.relational.columnar`) need hashes that are identical
     across runs and machines; this one is CRC32 over the repr of
     :func:`canonical_key`, which is itself canonical: equal values
     have equal keys, so equal values hash equally regardless of type

@@ -21,14 +21,9 @@ def make_digest(
     wall_s=0.001,
     status="ok",
     hash_value="cafe0001",
-    q_error=None,
     describe="Scan(emp)",
 ):
     node = {"describe": describe, "depth": 0, "rows": 5}
-    if q_error is not None:
-        node["est_rows"] = 1.0
-        node["actual_rows"] = 5
-        node["q_error"] = q_error
     return QueryDigest(
         describe, hash_value, [node], "row", {}, wall_s, status=status
     )
@@ -48,14 +43,10 @@ class TestBuildDigest:
     def build_tree(self):
         tracer = Tracer(clock=FakeClock())
         root = tracer.start("execute: Join", node="Join")
-        root.set("est_rows", 8.0)
-        root.set("q_error", 2.5)
         scan = tracer.start("Scan(emp)", node="Scan")
-        scan.set("relation", "emp")
         scan.set("backend", "columnar")
-        scan.set("est_rows", 60.0)
-        scan.set("q_error", 1.0)
         scan.set("rows", 60)
+        scan.set("trace_id", "t-1")
         tracer.advance(0.25)
         tracer.end(scan)
         root.set("rows", 20)
@@ -70,12 +61,25 @@ class TestBuildDigest:
         ]
         assert [node["depth"] for node in digest.nodes] == [0, 1]
 
-    def test_actual_rows_shadow_estimates(self):
+    def test_node_records_copy_only_the_digest_attributes(self):
         digest = build_digest(self.build_tree(), "aa00bb11")
-        scan = digest.nodes[1]
-        assert scan["est_rows"] == 60.0
-        assert scan["actual_rows"] == 60
-        assert scan["relation"] == "emp"
+        assert digest.nodes[1] == {
+            "describe": "Scan(emp)", "depth": 1, "rows": 60,
+            "node": "Scan", "backend": "columnar",
+        }
+
+    def test_estimate_attributes_stay_in_the_trace(self):
+        tracer = Tracer(clock=FakeClock())
+        root = tracer.start("SelectEq", node="SelectEq")
+        for attr, value in (("est_rows", 12.0), ("q_error", 2.0),
+                            ("relation", "emp"), ("conditions", "dept")):
+            root.set(attr, value)
+        root.set("rows", 6)
+        tracer.end(root)
+        assert build_digest(root, "aa00bb11").nodes == [
+            {"describe": "SelectEq", "depth": 0, "rows": 6,
+             "node": "SelectEq"}
+        ]
 
     def test_one_columnar_node_promotes_the_backend(self):
         digest = build_digest(self.build_tree(), "aa00bb11")
@@ -95,25 +99,29 @@ class TestBuildDigest:
     def test_rows_come_from_the_root(self):
         assert build_digest(self.build_tree(), "aa00bb11").rows == 20
 
-    def test_max_q_error_is_the_worst_node(self):
-        digest = build_digest(self.build_tree(), "aa00bb11")
-        assert digest.max_q_error() == pytest.approx(2.5)
-
-    def test_max_q_error_floors_at_one(self):
-        assert make_digest().max_q_error() == 1.0
-
 
 class TestRoundTrip:
     def test_to_dict_from_dict(self):
-        digest = make_digest(wall_s=0.2, status="DEADLINE_EXCEEDED",
-                             q_error=4.0)
+        digest = make_digest(wall_s=0.2, status="DEADLINE_EXCEEDED")
         digest.trace_id = "t-000007"
         clone = QueryDigest.from_dict(
             json.loads(json.dumps(digest.to_dict()))
         )
         assert clone.to_dict() == digest.to_dict()
         assert clone.trace_id == "t-000007"
-        assert clone.max_q_error() == pytest.approx(4.0)
+
+    def test_an_older_record_with_a_q_error_still_reads(self):
+        record = make_digest().to_dict()
+        record["max_q_error"] = 4.0
+        record["nodes"][0].update(est_rows=20.0, actual_rows=5)
+        clone = QueryDigest.from_dict(record)
+        assert "max_q_error" not in clone.to_dict()
+        assert clone.plan_hash == "cafe0001"
+        assert clone.rows == 0
+
+    def test_repr_names_hash_status_and_node_count(self):
+        assert repr(make_digest(status="SHED")) == \
+            "QueryDigest(cafe0001, SHED, 1 nodes)"
 
     def test_to_dict_is_json_serializable(self):
         json.dumps(make_digest().to_dict(), sort_keys=True)
@@ -207,17 +215,15 @@ class TestSlowQueryLog:
             "cccccccc", "aaaaaaaa", "bbbbbbbb"
         ]
 
-    def test_top_by_qerror(self):
+    def test_top_keeps_the_n_slowest(self):
         log = SlowQueryLog(threshold_s=0.0)
-        log.record(make_digest(hash_value="aaaaaaaa", q_error=2.0))
-        log.record(make_digest(hash_value="bbbbbbbb", q_error=9.0))
-        assert [digest.plan_hash for digest in log.top(2, by="qerror")] == [
-            "bbbbbbbb", "aaaaaaaa"
+        for n in range(6):
+            log.record(make_digest(wall_s=0.01 * n,
+                                   hash_value="%08d" % n))
+        assert [digest.plan_hash for digest in log.top(2)] == [
+            "00000005", "00000004"
         ]
-
-    def test_top_rejects_unknown_sort_keys(self):
-        with pytest.raises(ValueError):
-            SlowQueryLog().top(by="vibes")
+        assert len(log.top()) == 6
 
     def test_export_tags_slow_and_sampled_lines(self):
         log = SlowQueryLog(threshold_s=0.05)

@@ -310,7 +310,6 @@ class TestClusterLogsThroughItsEngine:
         from repro.relational.distributed import Cluster
         from repro.relational.query import Join, Scan
         from repro.relational.relation import Relation
-        from repro.relational.stats import StatsCatalog
         from repro.relational.wal import (
             COMMIT,
             commit_tx_id,
@@ -331,13 +330,11 @@ class TestClusterLogsThroughItsEngine:
         }
         path = str(tmp_path / "cluster.wal")
         log = WriteAheadLog(path)
-        stats = StatsCatalog()
-        cluster = Cluster(4, replication_factor=2, log=log, stats=stats)
+        cluster = Cluster(4, replication_factor=2, log=log)
         for name, relation in loaded.items():
             cluster.create_table(name, relation, "id")
-            stats.analyze(name, relation)
         manager = cluster.manager
-        assert manager.log is log and manager.stats is stats
+        assert manager.log is log
         assert log.lsn == 0  # the loads are base values, not commits
 
         cluster.insert("users", [{"id": 100 + i, "city": "new"}
@@ -355,8 +352,8 @@ class TestClusterLogsThroughItsEngine:
         cluster.split_table("orders")                         # orders -> e2
         cluster.insert("orders", [{"oid": 900, "id": 7}])     # commit 3
         cluster.revive_node("node-2")
-        # The same diffs fed the statistics catalog join sizing reads.
-        assert stats.mutations_since_analyze("users") == 5 + 8
+        # Join sizing reads the value those commits made.
+        assert len(manager.committed().relation("users")) == 24 + 5 - 8
         assert cluster.execute(Join(Scan("users"), Scan("orders"))) == join(
             manager.table("users").snapshot(),
             manager.table("orders").snapshot(),

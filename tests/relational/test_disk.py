@@ -346,3 +346,46 @@ class TestConfiguration:
         assert files == [
             "meta", "seg-00001-00000", "seg-00001-00001", "seg-00001-00002"
         ]
+
+
+class TestNoStatisticsFile:
+    """The planner reads the relations themselves: a store persists
+    tables (and shard placement), and a ``stats.cat`` an older
+    version left behind is never read."""
+
+    @staticmethod
+    def _leave_catalog(directory):
+        with open(os.path.join(directory, "stats.cat"), "wb") as fh:
+            fh.write(b"a catalog an older version wrote")
+
+    def test_a_checkpoint_writes_tables_and_no_catalog(self, tmp_path,
+                                                       employees):
+        from repro.relational.wal import WriteAheadLog
+
+        directory = str(tmp_path / "store")
+        store = DiskRelationStore(directory)
+        log = WriteAheadLog(os.path.join(directory, "wal.log"))
+        store.checkpoint(log, {"emp": employees})
+        log.close()
+        assert sorted(os.listdir(directory)) == ["emp", "wal.log"]
+
+    def test_a_leftover_catalog_is_not_a_relation(self, tmp_path, store,
+                                                  employees):
+        store.store("emp", employees)
+        self._leave_catalog(str(tmp_path))
+        assert list(store.names()) == ["emp"]
+        assert store.load("emp") == employees
+
+    def test_recovery_ignores_a_leftover_catalog(self, tmp_path, employees):
+        from repro.relational.wal import WriteAheadLog
+
+        directory = str(tmp_path / "store")
+        store = DiskRelationStore(directory)
+        log = WriteAheadLog(os.path.join(directory, "wal.log"))
+        store.checkpoint(log, {"emp": employees})
+        log.close()
+        self._leave_catalog(directory)
+        log = WriteAheadLog(os.path.join(directory, "wal.log"))
+        state = DiskRelationStore(directory).recover(log)
+        log.close()
+        assert state == {"emp": employees}

@@ -226,6 +226,30 @@ class TestDistributedJoin:
         assert cluster.last_query_span.attrs["strategy"] == "broadcast"
 
 
+    def test_join_sides_are_sized_off_the_committed_value(
+        self, employees, departments
+    ):
+        """A side's estimate is its table's committed relation shrunk
+        by each pushed equality's run in the member index -- exact, and
+        moved by every commit."""
+        cluster = Cluster(2)
+        cluster.create_table("emp", employees, "salary")
+        cluster.create_table("dept", departments, "dname")
+        plan = Join(SelectEq(Scan("emp"), {"dept": 2}), Scan("dept"))
+        for extra in (0, 7):
+            cluster.insert("emp", [
+                {"emp": 1000 + extra + n, "name": "new", "dept": 2,
+                 "salary": n}
+                for n in range(extra)
+            ])
+            committed = cluster.manager.committed()
+            assert cluster.execute(plan) == committed.execute(plan)
+            root = cluster.last_query_span
+            assert root.attrs["est_left_rows"] == len(algebra.select_eq(
+                committed.relation("emp"), {"dept": 2}
+            ))
+            assert root.attrs["est_right_rows"] == len(departments)
+
 class TestDistributedAggregation:
     def test_count_and_sum_match_local(self, cluster, employees):
         distributed = cluster.execute(Aggregate(

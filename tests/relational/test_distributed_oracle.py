@@ -35,7 +35,6 @@ from repro.relational.query import (
 )
 from repro.relational.relation import Relation
 from repro.relational.sql import compile_query, parse_query
-from tests.relational.test_cost import CATALOG_STATES, set_catalog_state
 from tests.relational.test_plan_algebra import plans_over_tables
 
 EMP_HEADING = ["emp", "name", "dept", "salary"]
@@ -241,15 +240,13 @@ class TestEveryPlanOracle:
     @given(employee_rows(min_size=1), cluster_shapes(),
            st.sampled_from(["emp", "dept", "salary"]),
            st.sampled_from(DEPT_HEADING),
-           st.sampled_from(["proj", "emp", "hours"]),
-           st.sampled_from(CATALOG_STATES))
+           st.sampled_from(["proj", "emp", "hours"]))
     def test_served_statement_shapes(self, rows, shape, emp_attr,
-                                     dept_attr, proj_attr, state):
+                                     dept_attr, proj_attr):
         node_count, factor, dead = shape
         relation = Relation.from_dicts(EMP_HEADING, rows)
         db = Database({"emp": relation, "dept": DEPARTMENTS,
                        "proj": projects(rows)})
-        set_catalog_state(db, state)
         cluster = Cluster(node_count, replication_factor=factor)
         cluster.create_table("emp", relation, emp_attr)
         cluster.create_table("dept", DEPARTMENTS, dept_attr, buckets=3)

@@ -406,7 +406,6 @@ def test_what_sits_above_a_hand_back_to_rows_is_costed_on_rows(db):
     column has no base statistics behind it."""
     encoded = Database({name: db.relation(name) for name in db.names()})
     encoded.encode_columnar()
-    encoded.analyze()
     estimator = CardinalityEstimator(encoded)
     below = SelectEq(Scan("emp"), {"dept": 1})
     assert estimator.runs_encoded(below)

@@ -202,34 +202,50 @@ class TestProfileCluster:
 
 
 class TestEstimateAnnotations:
-    @staticmethod
-    def _analyzed_db():
-        database = Database()
-        database.add("emp", employee_relation(50, 5, seed=17))
-        database.add("dept", department_relation(5, seed=17))
-        database.analyze()
-        return database
-
-    def test_stats_db_annotates_est_rows(self):
-        db = self._analyzed_db()
-        plan = SelectEq(Join(Scan("emp"), Scan("dept")), {"dept": 1})
-        result, profile = execute_profiled(db, plan)
-        assert result == db.execute(plan)
-        assert profile.est_rows is not None
-        assert "(est " in profile.render()
-
-    def test_spans_carry_q_error(self):
+    def test_spans_carry_no_estimates(self, db):
+        """A production span measures; ``explain_analyze`` is the one
+        estimate-vs-actual report."""
         from repro.relational.profile import execute_spanned
 
-        db = self._analyzed_db()
-        _, root = execute_spanned(db, Join(Scan("emp"), Scan("dept")))
-        assert root.attrs.get("est_rows") is not None
-        assert root.attrs.get("q_error") >= 1.0
-
-    def test_stats_less_db_stays_unannotated(self, db):
-        _, profile = execute_profiled(db, Scan("emp"))
-        assert profile.est_rows is None
+        plan = SelectEq(Join(Scan("emp"), Scan("dept")), {"dept": 1})
+        _, root = execute_spanned(db, plan)
+        for span in root.tree():
+            assert not {"est_rows", "q_error", "relation", "conditions"} & set(
+                span.attrs
+            )
+        _, profile = execute_profiled(db, plan)
         assert "(est " not in profile.render()
+
+    def test_explain_analyze_needs_no_collection_pass(self, db):
+        from repro.relational.profile import explain_analyze
+
+        plan = SelectEq(Join(Scan("emp"), Scan("dept")), {"dept": 2})
+        _, text = explain_analyze(db, plan)
+        nodes = text.splitlines()[:-1]
+        assert nodes and all("est_rows=" in line for line in nodes)
+        # Scans and equalities over them are read off the value.
+        exact = [line for line in nodes
+                 if line.strip().startswith(("Scan", "SelectEq"))]
+        assert exact and all(line.endswith("q=1.00") for line in exact)
+
+    def test_explain_analyze_reads_the_committed_value(self):
+        from repro.relational.constraints import Table
+        from repro.relational.profile import explain_analyze
+        from repro.relational.tx import TransactionManager
+
+        manager = TransactionManager({"emp": Table(
+            ["emp", "name", "dept", "salary"],
+            employee_relation(30, 3, seed=17).iter_dicts(),
+        )})
+        plan = SelectEq(Scan("emp"), {"dept": 2})
+        for round_ in range(3):
+            manager.table("emp").insert_many([
+                {"emp": 100 * (round_ + 1) + n, "name": "n", "dept": 2,
+                 "salary": n}
+                for n in range(10)
+            ])
+            _, text = explain_analyze(manager.committed(), plan)
+            assert text.splitlines()[-1].startswith("q-error: max=1.00 ")
 
 
 class TestColumnarExclusiveSeconds:

@@ -12,6 +12,7 @@ from repro.relational.query import (
     Project,
     Rename,
     Scan,
+    SelectEq,
     SelectPred,
 )
 from repro.relational.relation import Relation
@@ -532,16 +533,77 @@ class TestAnalyzeStatement:
         }
         assert summary == {"emp": 40, "dept": 6}
 
-    def test_analyze_populates_the_planner_catalog(self):
-        db = self._db()
-        run(db, "ANALYZE emp")
-        assert db.stats.names() == ["emp"]
-        assert db.stats.get("emp").rows == 40
+    def test_analyze_is_a_report_with_no_side_effect(self, tmp_path):
+        """Read off the value: no plan memo flushed, no WAL record, no
+        member index filled."""
+        from repro.relational.constraints import Table
+        from repro.relational.tx import TransactionManager
+        from repro.relational.wal import WriteAheadLog
+
+        source = self._db()
+        log = WriteAheadLog(str(tmp_path / "wal"))
+        manager = TransactionManager({
+            name: Table(source.relation(name).heading.names,
+                        source.relation(name).iter_dicts())
+            for name in source.names()
+        }, log=log)
+        db = manager.committed()
+        text = "SELECT name, dname FROM emp JOIN dept WHERE dept = 2"
+        before = run(db, text)
+        memo = dict(db.plan_memo())
+        assert list(memo) == [text]
+        emp = db.relation("emp")
+        filled = dict(emp.rows._by_part or {})
+        lsn = log.lsn
+        answer = run(db, "ANALYZE emp")
+        assert list(answer.iter_dicts()) == [
+            {"relation": "emp", "rows": 40, "attributes": 4}
+        ]
+        assert db.plan_memo() == memo
+        assert log.lsn == lsn
+        assert manager.committed() is db
+        assert dict(emp.rows._by_part or {}) == filled
+        assert run(db, text) == before
+
+    def test_analyze_of_an_empty_catalog_reports_nothing(self):
+        result = run(Database(), "ANALYZE")
+        assert sorted(result.heading.names) == [
+            "attributes", "relation", "rows"
+        ]
+        assert result.cardinality() == 0
+
+    def test_analyze_reports_the_value_it_runs_on(self):
+        from repro.relational.constraints import Table
+        from repro.relational.tx import TransactionManager
+
+        source = self._db()
+        manager = TransactionManager({
+            "emp": Table(source.relation("emp").heading.names,
+                         source.relation("emp").iter_dicts()),
+        })
+        old = manager.committed()
+        manager.table("emp").insert_many([
+            {"emp": 1000 + n, "name": "new", "dept": 1, "salary": n}
+            for n in range(25)
+        ])
+        assert run(old, "ANALYZE emp").to_rows() == [("emp", 40, 4)]
+        assert run(manager.committed(), "ANALYZE emp").to_rows() == \
+            [("emp", 65, 4)]
+        assert run(old, "ANALYZE emp").to_rows() == [("emp", 40, 4)]
+
+    def test_analyze_leaves_later_plans_as_they_were(self):
+        text = "SELECT name, dname FROM emp JOIN dept WHERE dept = 2"
+        untouched, analyzed = self._db(), self._db()
+        run(analyzed, "ANALYZE")
+        assert run(untouched, text) == run(analyzed, text)
+        assert untouched.plan_memo()[text].explain() == \
+            analyzed.plan_memo()[text].explain()
 
     def test_analyze_is_case_insensitive(self):
         db = self._db()
-        assert run(db, "analyze DEPT".replace("DEPT", "dept")) is not None
-        assert db.stats.names() == ["dept"]
+        assert list(run(db, "analyze dept").iter_dicts()) == [
+            {"relation": "dept", "rows": 6, "attributes": 3}
+        ]
 
     def test_analyze_unknown_relation_fails(self):
         with pytest.raises(SchemaError):
@@ -571,6 +633,47 @@ class TestPlaceholders:
             assert run(db, self.TEMPLATE, args=args) == run(db, text)
             assert run(db, self.TEMPLATE, optimized=False, args=args) == \
                 run(db, text, optimized=False)
+
+    def test_the_estimator_is_never_handed_a_param(self, monkeypatch):
+        """An estimate reads the bound value's run, so every plan the
+        estimator sees is bound: a joining template is ordered per
+        binding, and a template planned once holds no join."""
+        from repro.relational import cost
+        from repro.relational.query import Param
+        from repro.relational.views import ViewCatalog
+
+        seen = []
+        original = cost.CardinalityEstimator.estimate
+
+        def spied(estimator, plan):
+            for node in [plan, *plan.children()]:
+                if isinstance(node, SelectEq):
+                    seen.extend(node.conditions.values())
+                if isinstance(node, Limit):
+                    seen.append(node.count)
+            return original(estimator, plan)
+
+        monkeypatch.setattr(cost.CardinalityEstimator, "estimate", spied)
+        database = Database()
+        database.add("emp", employee_relation(30, 4, seed=7))
+        database.add("dept", department_relation(4, seed=7))
+        ViewCatalog(database).define(
+            "staff", sql.compile_query(sql.parse_query(
+                "SELECT name, dept, dname FROM emp JOIN dept"
+            ))
+        )
+        statements = (
+            ("SELECT name, dname FROM emp JOIN dept WHERE dept = $1", [2]),
+            ("SELECT name FROM emp JOIN dept WHERE dept = $1 "
+             "ORDER BY name LIMIT $2", [1, 3]),
+            ("SELECT name FROM staff WHERE dept = $1", [3]),
+            ("SELECT name FROM emp WHERE dept = $1", [0]),
+        )
+        for text, args in statements:
+            for bound in (args, [value + 1 for value in args]):
+                run(database, text, args=bound)
+        assert seen and not [value for value in seen
+                             if isinstance(value, Param)]
 
     @pytest.mark.parametrize("clause, value", [
         ("LIMIT", -1), ("LIMIT", 2.0), ("LIMIT", "3"), ("LIMIT", True),
@@ -722,9 +825,7 @@ class TestStatementMemo:
         database.add("emp", employee_relation(12, 3, seed=5))
         catalog = ViewCatalog(database)
         for _ in range(2):
-            database.stats.drop("emp")
             assert run(database, "ANALYZE emp").cardinality() == 1
-            assert database.stats.names() == ["emp"]
             created = run(
                 database, "CREATE VIEW few AS SELECT name FROM emp "
                 "WHERE dept = 1",

@@ -589,19 +589,16 @@ class TestStatementAutocommit:
         from repro.relational.distributed import Cluster
         from repro.relational.query import Database, Scan, SelectEq
         from repro.relational.relation import Relation
-        from repro.relational.stats import StatsCatalog
         from repro.relational.views import ViewCatalog
         from repro.relational.wal import WriteAheadLog
 
         log = WriteAheadLog(str(tmp_path / "wal.log"))
-        cluster = Cluster(3, replication_factor=2, log=log,
-                          stats=StatsCatalog())
+        cluster = Cluster(3, replication_factor=2, log=log)
         base = Relation.from_dicts(
             ["dept", "dname"], [{"dept": 1, "dname": "research"}]
         )
         cluster.create_table("dept", base, "dept")
         manager = cluster.manager
-        manager.stats.analyze("dept", base)
         table = manager.table("dept")
         table.add_constraint(KeyConstraint(["dept"]))
         views = ViewCatalog(Database(), manager)
@@ -644,8 +641,6 @@ class TestStatementAutocommit:
             assert replayed == version
             assert state["dept"] == table.snapshot()
         assert views.view("ops").delta_applies == len(statements)
-        # 1 + 2 inserted, 1 updated (a delete and an insert), 1 deleted.
-        assert manager.stats.mutations_since_analyze("dept") == 6
 
     def test_a_refused_statement_commits_nothing(self, stack):
         from repro.relational.query import Scan

@@ -29,14 +29,15 @@ from repro.gov.admission import (
 )
 from repro.obs import instrument
 from repro.relational.constraints import KeyConstraint, Table
+from repro.relational.cost import CardinalityEstimator
 from repro.relational.csvio import dumps_csv
 from repro.relational.faults import FaultPlan, NetworkFaultInjector
 from repro.relational.ivm.cache import QueryResultCache
-from repro.relational.query import Database
+from repro.relational.query import Database, Scan, SelectEq
 from repro.relational.sql import run as run_xql
-from repro.relational.stats import StatsCatalog
 from repro.relational.tx import TransactionManager
 from repro.relational.views import ViewCatalog
+from repro.relational.wal import WriteAheadLog
 from repro.server import Client, Server, connect
 from repro.server.protocol import FrameType
 from repro.server.session import render_statement
@@ -897,110 +898,144 @@ class TestSnapshotSessions:
 
 
 class TestServedStatistics:
-    """Served plans read the manager's statistics: the committed
-    catalog carries them, so they outlive every session and re-pin."""
+    """Served plans read the committed value itself: every session at
+    one version plans from the same relations, and ``ANALYZE`` over the
+    wire is a report that changes nothing."""
 
     THREE_WAY = "select name, city from emp join dept join site"
 
     @staticmethod
-    def three_tables(stats=None):
+    def three_tables(log=None):
         manager = make_manager()
         site = Table(["floor", "city"], [{"floor": 1, "city": "oslo"},
                                          {"floor": 3, "city": "rome"}])
-        return TransactionManager({**manager.tables, "site": site},
-                                  stats=stats)
+        return TransactionManager({**manager.tables, "site": site}, log=log)
 
-    @staticmethod
-    def plan_modes(registry):
-        """``() -> (cost, heuristic)`` plans optimized since this call."""
-        counter = registry.counter(
-            "repro_opt_plans_total",
-            "Optimized plans by planning mode.", ("mode",),
-        )
-        modes = ("cost", "heuristic")
-        base = [counter.value(mode=mode) for mode in modes]
-        return lambda: tuple(
-            counter.value(mode=mode) - was for mode, was in zip(modes, base)
-        )
-
-    def test_a_managers_statistics_reach_served_plans(self):
-        stats = StatsCatalog()
-        manager = self.three_tables(stats)
-        for name, table in manager.tables.items():
-            stats.analyze(name, table.snapshot())
+    def test_served_and_embedded_runs_share_one_plan(self):
+        manager = self.three_tables()
 
         async def body(server):
             client = await connect("127.0.0.1", server.port)
-            with instrument.observed() as registry:
-                modes = self.plan_modes(registry)
-                over_wire = await client.query(self.THREE_WAY)
-                assert modes() == (1, 0)
-                embedded = run_xql(manager.committed(), self.THREE_WAY)
-                # The same catalog value: the embedded run executes the
-                # plan the served one made from the statistics.
-                assert modes() == (1, 0)
+            over_wire = await client.query(self.THREE_WAY)
+            db = manager.committed()
+            # The session's pinned value is the committed one: its plan
+            # is in that value's memo, and the embedded run reuses it.
+            planned = db.plan_memo()[self.THREE_WAY]
+            embedded = run_xql(db, self.THREE_WAY)
+            assert db.plan_memo()[self.THREE_WAY] is planned
             assert dumps_csv(over_wire) == dumps_csv(embedded)
             assert len(over_wire) == 3
             await client.close()
 
         run(served(body, manager))
 
-    def test_analyze_over_the_wire_outlives_a_refresh(self):
+    def test_analyze_over_the_wire_is_a_report(self, tmp_path):
+        log = WriteAheadLog(str(tmp_path / "wal"))
+        manager = self.three_tables(log)
+
+        async def body(server):
+            client = await connect("127.0.0.1", server.port)
+            await client.query(self.THREE_WAY)
+            db = manager.committed()
+            memo = dict(db.plan_memo())
+            filled = {
+                name: set(db.relation(name).rows._by_part or ())
+                for name in db.names()
+            }
+            lsn = log.lsn
+            analyzed = await client.query("analyze")
+            assert sorted(analyzed.heading.names) == [
+                "attributes", "relation", "rows"
+            ]
+            assert sorted(analyzed.to_rows()) == [
+                ("dept", 2, 2), ("emp", 3, 3), ("site", 2, 2)
+            ]
+            with pytest.raises(SchemaError):
+                await client.query("analyze nosuch")
+            assert manager.committed() is db
+            assert db.plan_memo() == memo
+            assert log.lsn == lsn
+            assert {
+                name: set(db.relation(name).rows._by_part or ())
+                for name in db.names()
+            } == filled
+            await client.close()
+
+        run(served(body, manager))
+
+    def test_analyze_on_a_pinned_session_leaves_later_plans_alone(self):
+        manager = TransactionManager({"emp": Table(
+            ["eid", "dept"], [{"eid": n, "dept": n % 5} for n in range(40)],
+            [KeyConstraint(["eid"])],
+        )})
+
+        async def body(server):
+            pinned = await connect("127.0.0.1", server.port)
+            writer = await connect("127.0.0.1", server.port)
+            await writer.mutate([
+                ["insert", "emp", {"eid": 40 + n,
+                                   "dept": 1 if n < 92 else 2}]
+                for n in range(400)
+            ])
+            report = await pinned.query("analyze emp")
+            assert report.to_rows() == [("emp", 40, 2)]
+            now = manager.committed()
+            estimator = CardinalityEstimator(now)
+            plan = SelectEq(Scan("emp"), {"dept": 1})
+            assert estimator.estimate(Scan("emp")) == 440.0
+            assert estimator.estimate(plan) == 100.0
+            assert now.execute(plan).cardinality() == 100
+            await pinned.close()
+            await writer.close()
+
+        run(served(body, manager))
+
+    def test_served_mutations_move_the_estimates(self):
         manager = self.three_tables()
 
         async def body(server):
             client = await connect("127.0.0.1", server.port)
-            other = await connect("127.0.0.1", server.port)
-            with instrument.observed() as registry:
-                modes = self.plan_modes(registry)
-                await client.query(self.THREE_WAY)
-                assert modes() == (0, 1)
-                analyzed = await client.query("analyze")
-                assert sorted(manager.stats.names()) == \
-                    ["dept", "emp", "site"] and len(analyzed) == 3
-                await client.query(self.THREE_WAY)
-                assert modes() == (1, 1)
-                # No commit in between: REFRESH re-pins the same value.
-                assert await client.refresh() == 0
-                await client.query(self.THREE_WAY)
-                # ... and a session that never said ANALYZE runs the
-                # plan made from it: one catalog value, one plan.
-                await other.query(self.THREE_WAY)
-                assert modes() == (1, 1)
+            plan = SelectEq(Scan("emp"), {"dept": "eng"})
+            before = CardinalityEstimator(manager.committed())
+            assert before.estimate(plan) == 2.0
+            await client.mutate([
+                ["insert", "emp", {"eid": 10 + n, "name": "n%d" % n,
+                                   "dept": "eng"}]
+                for n in range(5)
+            ])
+            now = manager.committed()
+            after = CardinalityEstimator(now)
+            assert after.estimate(Scan("emp")) == 8.0
+            assert after.estimate(plan) == 7.0 == \
+                now.execute(plan).cardinality()
             await client.close()
-            await other.close()
 
         run(served(body, manager))
 
-    def test_served_mutations_age_the_statistics(self):
-        manager = self.three_tables(
-            StatsCatalog(stale_fraction=0.0, stale_min=2)
-        )
-        join = "select name, floor from emp join dept"
+    def test_a_refreshed_session_plans_from_the_new_value(self):
+        manager = self.three_tables()
 
         async def body(server):
-            client = await connect("127.0.0.1", server.port)
-            await client.query("analyze emp")
-            with instrument.observed() as registry:
-                modes = self.plan_modes(registry)
-                await client.query(join)
-                assert modes() == (1, 0)
-                await client.mutate([
-                    ["insert", "emp", {"eid": 8, "name": "hal", "dept": "ops"}],
-                    ["insert", "emp", {"eid": 9, "name": "ivy", "dept": "eng"}],
-                ])
-                assert manager.stats.mutations_since_analyze("emp") == 2
-                await client.query(join)
-                assert modes() == (2, 0)
-                await client.mutate([["delete", "emp", {"eid": 8}]])
-                assert manager.stats.mutations_since_analyze("emp") == 3
-                assert manager.stats.is_stale("emp")
-                await client.query(join)  # churned past its threshold
-                assert modes() == (2, 1)
-                await client.query("analyze emp")
-                await client.query(join)
-                assert modes() == (3, 1)
-            await client.close()
+            reader = await connect("127.0.0.1", server.port)
+            writer = await connect("127.0.0.1", server.port)
+            first = await reader.query(self.THREE_WAY)
+            old = manager.committed()
+            await writer.mutate([
+                ["insert", "emp", {"eid": 9, "name": "dee", "dept": "ops"}]
+            ])
+            # Pinned: the old value answers, and the new one has no
+            # plan until a session on it asks.
+            assert await reader.query(self.THREE_WAY) == first
+            now = manager.committed()
+            assert now is not old
+            assert self.THREE_WAY not in now.plan_memo()
+            await reader.refresh()
+            again = await reader.query(self.THREE_WAY)
+            assert len(again) == len(first) + 1
+            assert now.plan_memo()[self.THREE_WAY].explain() == \
+                old.plan_memo()[self.THREE_WAY].explain()
+            await reader.close()
+            await writer.close()
 
         run(served(body, manager))
 

@@ -42,9 +42,9 @@ RANKS = {
 LATE_IMPORTS = {
     ("repro.relational.query", "Database._execute_observed",
      "repro.relational.profile"):
-        "the REPRO_OBS=1 span walker stamps the planner's estimates "
-        "(cost.CardinalityEstimator), and cost imports query for its "
-        "node table",
+        "the REPRO_OBS=1 span walker lives beside explain_analyze, "
+        "which runs the planner (optimizer, cost), and the planner "
+        "imports query for its node table",
     ("repro.cli", "_command_serve", "repro.server"):
         "the only import that loads asyncio, which `import repro.cli` "
         "does not pay for",
@@ -182,3 +182,56 @@ def test_importing_the_cli_does_not_load_asyncio():
         text=True, check=True,
     )
     assert out.stdout.strip() == "False"
+
+
+#: Every module ``import repro.server`` loads, by package: the whole
+#: ``repro.relational`` package comes with it (its ``__init__``
+#: re-exports every submodule), so this is the set a trim starts from.
+SERVER_MODULES = {
+    "": ("", "errors", "notation"),
+    "core": ("", "arrows", "composition", "iteration", "lattice",
+             "process", "sequences", "sigma", "spaces"),
+    "gov": ("", "admission", "breaker", "governor", "result"),
+    "obs": ("", "digest", "instrument", "metrics", "recorder", "slowlog",
+            "trace"),
+    "relational": ("", "algebra", "columnar", "constraints", "cost",
+                   "csvio", "disk", "distributed", "faults", "ivm",
+                   "ivm.cache", "ivm.delta", "optimizer", "profile",
+                   "query", "relation", "representations", "schema",
+                   "sharding", "sql", "storage", "tx", "views", "wal"),
+    "server": ("", "client", "protocol", "service", "session"),
+    "xst": ("", "algebra", "builders", "closure", "domain", "image",
+            "ordering", "products", "relative_product", "rescope",
+            "restrict", "serialization", "tuples", "values", "xset"),
+}
+
+
+def test_importing_the_server_loads_exactly_these_modules():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    probe = ("import sys, repro.server; print(' '.join(name for name in "
+             "sys.modules if name.split('.')[0] == 'repro'))")
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True,
+        text=True, check=True,
+    )
+    expected = {
+        ".".join(part for part in ("repro", package, name) if part)
+        for package, names in SERVER_MODULES.items()
+        for name in names
+    }
+    assert set(out.stdout.split()) == expected
+
+
+@pytest.mark.parametrize(
+    "module", ["repro.relational.stats", "repro.obs.feedback"]
+)
+def test_a_retired_module_is_not_importable(module):
+    # Estimates are read off the value: no statistics catalog and no
+    # feedback overlay remain to import, not even as an alias.
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    probe = "import importlib.util as u; print(u.find_spec(%r))" % module
+    out = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True,
+        text=True, check=True,
+    )
+    assert out.stdout.strip() == "None"
