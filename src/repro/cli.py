@@ -104,13 +104,14 @@ from repro.relational.distributed import Cluster, ClusterUnavailableError
 from repro.relational.faults import FaultPlan
 from repro.relational.query import Database, Join, Scan
 from repro.relational.relation import Relation
-from repro.relational.sharding import ShardMove
+from repro.relational.sharding import ShardMove, placements
 from repro.relational.sql import run as run_xql
 from repro.relational.tx import TransactionManager
 from repro.relational.views import ViewCatalog
 from repro.relational.wal import (
     CorruptSegmentError,
     WriteAheadLog,
+    last_checkpoint,
     scan_bytes,
 )
 from repro.xst.closure import transitive_closure
@@ -192,20 +193,18 @@ def _pop_option(args: List[str], name: str):
     return value
 
 
-def _load_db(directory: str) -> Database:
-    """Load every ``*.csv`` in a directory as a relation (by stem)."""
+def _open(directory: str) -> TransactionManager:
+    """Every ``*.csv`` in a directory as an enrolled table (by stem)."""
     if not os.path.isdir(directory):
         raise XSTError("%r is not a directory" % directory)
-    db = Database()
-    loaded = 0
+    tables = {}
     for entry in sorted(os.listdir(directory)):
         if entry.endswith(".csv"):
-            name = entry[: -len(".csv")]
-            db.add(name, read_csv(os.path.join(directory, entry)))
-            loaded += 1
-    if not loaded:
+            relation = read_csv(os.path.join(directory, entry))
+            tables[entry[: -len(".csv")]] = Table(relation.heading, relation)
+    if not tables:
         raise XSTError("no .csv files in %r" % directory)
-    return db
+    return TransactionManager(tables)
 
 
 def _command_eval(args: List[str]) -> int:
@@ -247,7 +246,7 @@ def _command_query(args: List[str]) -> int:
     if len(args) != 2:
         return _fail("query takes CSVDIR and an XQL string")
     directory, text = args
-    db = _load_db(directory)
+    db = _open(directory).committed()
     scope = (
         governed(timeout_s=timeout, max_rows=budget)
         if timeout is not None or budget is not None
@@ -389,6 +388,7 @@ def _command_fsck(args: List[str]) -> int:
         else:
             print("relation %s: ok (%d rows, %d segments)"
                   % (name, rows, store.segment_count(name)))
+    records = []
     if os.path.exists(log_path):
         with open(log_path, "rb") as fh:
             data = fh.read()
@@ -398,7 +398,8 @@ def _command_fsck(args: List[str]) -> int:
             print("log %s: DAMAGED (%s)" % (log_path, error))
             damage += 1
         else:
-            checkpoint_index, _ = scan.last_checkpoint()
+            records = [record for _, record in scan.records]
+            checkpoint_index = last_checkpoint(records)
             print("log %s: %d records, %d bytes durable, last checkpoint %s"
                   % (log_path, scan.lsn, scan.valid_bytes,
                      "at lsn %d" % (checkpoint_index + 1)
@@ -412,7 +413,7 @@ def _command_fsck(args: List[str]) -> int:
                 damage += 1
     else:
         print("log %s: absent" % log_path)
-    placement_damage = _fsck_shards(store)
+    placement_damage = _fsck_shards(store, records)
     if placement_damage:
         print("fsck: %d placement inconsistenc%s"
               % (placement_damage,
@@ -425,8 +426,9 @@ def _command_fsck(args: List[str]) -> int:
     return 0
 
 
-def _fsck_shards(store) -> int:
-    """Audit the shard catalog and move journal; count inconsistencies.
+def _fsck_shards(store, records) -> int:
+    """Audit the placement the log holds against the move journal;
+    count inconsistencies.
 
     Two torn-rebalance residues are detectable from disk alone:
 
@@ -444,22 +446,16 @@ def _fsck_shards(store) -> int:
     problems = 0
     shards = None
     try:
-        shards = store.load_shards()
-    except ShardPlacementError as error:
-        print("shards: DAMAGED catalog (%s)" % error)
+        shards = placements(records)  # an invalid map raises
+    except ValueError as error:
+        print("shards: DAMAGED (%s)" % error)
         problems += 1
     if shards is not None:
         for name in shards.names():
             shard_map = shards.get(name)
-            try:
-                shard_map.validate()
-            except ShardPlacementError as error:
-                print("shards %s: DAMAGED (%s)" % (name, error))
-                problems += 1
-            else:
-                print("shards %s: ok (epoch %d, %d buckets, rf=%d)"
-                      % (name, shard_map.epoch, shard_map.bucket_count,
-                         shard_map.replication_factor))
+            print("shards %s: ok (epoch %d, %d buckets, rf=%d)"
+                  % (name, shard_map.epoch, shard_map.bucket_count,
+                     shard_map.replication_factor))
     move_value = store.load_move()
     if move_value is None:
         return problems
@@ -526,7 +522,9 @@ def _command_recover(args: List[str]) -> int:
     for name in sorted(state):
         print("recovered %s: %d rows" % (name, state[name].cardinality()))
     if state:
-        store.checkpoint(log, state)
+        # The marker carries placement, so compaction may drop the
+        # epoch records it was read from.
+        store.checkpoint(log, state, shards=placements(log.replay()))
         print("checkpoint written at lsn %d" % log.lsn)
     if compact:
         dropped = log.compact()
@@ -561,7 +559,7 @@ def _command_obs_metrics(args: List[str]) -> int:
     if len(args) != 2:
         return _fail("obs-metrics takes CSVDIR and an XQL string")
     directory, text = args
-    db = _load_db(directory)
+    db = _open(directory).committed()
     with observed() as reg:
         reg.reset()
         run_xql(db, text)
@@ -585,7 +583,7 @@ def _print_spans_json(roots) -> None:
 def _trace_local_query(
     directory: str, text: str, out: Optional[str], fmt: str = "text"
 ) -> int:
-    db = _load_db(directory)
+    db = _open(directory).committed()
     with observed():
         tracer().reset()
         result = run_xql(db, text)
@@ -791,20 +789,13 @@ def _command_serve(args: List[str]) -> int:
         return _fail("serve's numeric options take numbers")
     if len(args) != 1:
         return _fail("serve takes CSVDIR")
-    db = _load_db(args[0])
+    manager = _open(args[0])
 
     import asyncio
     import signal
 
     # The one import of asyncio: ``import repro.cli`` stays light.
     from repro.server import Server
-
-    tables = {
-        name: Table(db.relation(name).heading,
-                    db.relation(name).iter_dicts())
-        for name in db.names()
-    }
-    manager = TransactionManager(tables)
 
     async def serve() -> None:
         server = Server(
@@ -818,7 +809,7 @@ def _command_serve(args: List[str]) -> int:
             with open(port_file, "w") as handle:
                 handle.write("%d\n" % bound)
         print("repro server listening on %s:%d (%d tables)"
-              % (host, bound, len(tables)), flush=True)
+              % (host, bound, len(manager.tables)), flush=True)
         stop = asyncio.Event()
         loop = asyncio.get_event_loop()
         for signum in (signal.SIGINT, signal.SIGTERM):
@@ -843,13 +834,7 @@ def _command_views(args: List[str]) -> int:
     if not args:
         return _fail("views needs a CSV directory")
     directory, *statements = args
-    source = _load_db(directory)
-    tables = {
-        name: Table(source.relation(name).heading,
-                    source.relation(name).iter_dicts())
-        for name in source.names()
-    }
-    manager = TransactionManager(tables)
+    manager = _open(directory)
     catalog = ViewCatalog(Database(), manager=manager)
     for statement in statements:
         result = run_xql(manager.committed(), statement)

@@ -53,7 +53,6 @@ from repro.errors import SchemaError
 from repro.obs.instrument import record_recovery
 from repro.relational.relation import Relation
 from repro.relational.schema import Heading
-from repro.relational.sharding import ShardCatalog
 from repro.relational.wal import (
     CorruptLogError,
     CorruptSegmentError,
@@ -311,34 +310,10 @@ class DiskRelationStore:
         self._cache.evict_relation(name)
 
     # ------------------------------------------------------------------
-    # Shard placement persistence
+    # The shard-move journal
     # ------------------------------------------------------------------
 
-    _SHARDS_FILE = "shards.map"
     _MOVE_FILE = "shards.move"
-
-    def store_shards(self, catalog) -> None:
-        """Persist a :class:`~repro.relational.sharding.ShardCatalog`.
-
-        One canonically-serialized file (``shards.map``) holding every
-        table's epoch-stamped placement, rewritten atomically on each
-        epoch swing -- the same temp-file + fsync + replace discipline
-        as segments, so a crash leaves either the old epoch's catalog
-        or the new one, never a torn hybrid.
-        """
-        self._atomic_write(
-            os.path.join(self._directory, self._SHARDS_FILE),
-            dumps(catalog.to_xset()),
-        )
-
-    def load_shards(self):
-        """The persisted shard catalog, or ``None`` when never stored."""
-        path = os.path.join(self._directory, self._SHARDS_FILE)
-        try:
-            with open(path, "rb") as fh:
-                return ShardCatalog.from_xset(loads(fh.read()))
-        except FileNotFoundError:
-            return None
 
     def store_move(self, move_value: XSet) -> None:
         """Journal an in-flight shard move (``shards.move``).
@@ -381,16 +356,16 @@ class DiskRelationStore:
         store holds at least that state.  A crash mid-checkpoint
         leaves some tables at a newer snapshot than the last marker --
         which recovery's last-touch-wins replay absorbs (see
-        :mod:`repro.relational.wal`).  When a ``shards`` catalog is
-        given it is persisted with the snapshots (before the marker),
-        so a recovered cluster resumes at the epoch it checkpointed.
+        :mod:`repro.relational.wal`).  A ``shards`` catalog given here
+        rides in the marker, so the epoch records before it may go
+        (``repro recover --compact``) and placement still recovers.
         Returns the marker's LSN.
         """
         for name in sorted(tables):
             self.store(name, tables[name])
-        if shards is not None:
-            self.store_shards(shards)
-        return log.checkpoint(sorted(tables))
+        return log.checkpoint(
+            sorted(tables), None if shards is None else shards.to_xset()
+        )
 
     def recover(self, log: WriteAheadLog) -> Dict[str, Relation]:
         """Rebuild the last durable committed state from log + store.

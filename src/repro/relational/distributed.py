@@ -785,8 +785,9 @@ class Cluster:
     Deployment settings (keyword-only, handed straight to the
     :attr:`manager` the cluster builds): ``log=`` a
     :class:`~repro.relational.wal.WriteAheadLog` -- every cluster
-    write is one commit record in it and every epoch swing an
-    ``EPOCH`` marker between the commits it happened between -- and
+    write is one commit record in it and every epoch swing one
+    ``EPOCH`` record, carrying the new map, between the commits it
+    happened between (placement's only durable form) -- and
     ``result_cache=`` a :class:`~repro.relational.ivm.cache.
     QueryResultCache`, shared with ``manager.committed().execute``.
     """
@@ -859,9 +860,9 @@ class Cluster:
         )
         self.manager.subscribe(self._replicate)
         self._placements: Dict[str, ShardMap] = {}
-        #: Durable catalog + journal sink (a DiskRelationStore), when
-        #: :meth:`attach_store` connected one: every epoch swing
-        #: persists the shard catalog, every move step its journal.
+        #: Move-journal sink (a DiskRelationStore), when
+        #: :meth:`attach_store` connected one: every move step
+        #: journals there.
         self._store: Optional[Any] = None
         #: In-flight shard moves, oldest first (FIFO-driven by
         #: :meth:`step_rebalance`).
@@ -1076,7 +1077,6 @@ class Cluster:
                 node.store(name, part, bucket_index)
                 if position:
                     self.network.ship(part.rows, replica=True)
-        self._persist_placements()
 
     def insert(self, name: str, rows: Iterable[Mapping[str, Any]]) -> int:
         """Insert rows as one engine commit; returns the rows added.
@@ -1162,19 +1162,13 @@ class Cluster:
         return ShardCatalog(dict(self._placements))
 
     def attach_store(self, store: Any) -> None:
-        """Persist placement through a :class:`DiskRelationStore`.
+        """Journal shard moves through a :class:`DiskRelationStore`.
 
-        From here on every epoch swing rewrites the store's
-        ``shards.map`` catalog atomically and every rebalance step
-        journals to ``shards.move`` -- the artifacts ``repro fsck``
-        audits for torn swings and orphaned source data.
+        From here on every rebalance step journals to ``shards.move``,
+        which ``repro fsck`` audits, against the placement the log
+        holds, for torn swings and orphaned source data.
         """
         self._store = store
-        self._persist_placements()
-
-    def _persist_placements(self) -> None:
-        if self._store is not None and self._placements:
-            self._store.store_shards(self.shard_catalog())
 
     def _journal_move(self, move: ShardMove) -> None:
         """Write (or, once done, clear) the move's durable journal."""
@@ -1653,18 +1647,17 @@ class Cluster:
     def _install_map(self, table: str, new_map: ShardMap) -> None:
         """Atomically swing ``table`` to ``new_map``.
 
-        Validation, the in-memory swap, and the durable catalog
-        rewrite happen with no tick in between: a crash before this
-        call leaves the old epoch fully in charge, a crash after
-        leaves the new one -- never both.
+        Validation, the ``EPOCH`` record and the in-memory swap happen
+        with no tick in between, and the swap only once the record is
+        durable: a failed append (a crash) leaves the old epoch fully
+        in charge, a returned one the new -- never both.
         """
         new_map.validate()
-        self._placements[table] = new_map
-        self._persist_placements()
         if self.manager.log is not None:
-            # Dated against the commits around it: the marker lands in
+            # Dated against the commits around it: the record lands in
             # the same log every cluster write commits to.
-            self.manager.log.epoch(table, new_map.epoch)
+            self.manager.log.epoch(table, new_map.to_xset())
+        self._placements[table] = new_map
         if self.result_cache is not None:
             # Targeted, not a flush: a moved bucket leaves the rows
             # untouched, but re-caching under the new epoch keeps the

@@ -17,8 +17,10 @@ This module makes placement **explicit and versioned**:
   stamped with a stale epoch is refused with
   :class:`~repro.errors.ShardMovedError` before a byte is read.
 * :class:`ShardCatalog` -- every table's map, serializable to one
-  canonical XSet so :class:`~repro.relational.disk.DiskRelationStore`
-  persists it as one atomically rewritten file (``shards.map``).
+  canonical XSet.  Placement is durable in the write-ahead log alone:
+  each epoch swing is one ``EPOCH`` record carrying its map, a
+  checkpoint marker carries the whole catalog, and
+  :func:`placements` reads them back.
 * :func:`bucket_digest` -- an order-independent canonical-hash digest
   of a bucket's rows, the anti-entropy currency: two replicas hold
   the same bucket iff their digests are equal.
@@ -46,6 +48,9 @@ from typing import Any, Dict, List, Optional, Tuple
 from repro.errors import SchemaError, ShardMovedError, ShardPlacementError
 from repro.relational.algebra import difference
 from repro.relational.relation import Relation
+from repro.relational.wal import (
+    EPOCH, checkpoint_shards, epoch_change, last_checkpoint, record_kind,
+)
 from repro.xst.builders import xtuple
 from repro.xst.ordering import canonical_hash, canonical_key
 from repro.xst.serialization import dumps
@@ -55,6 +60,7 @@ __all__ = [
     "shard_index",
     "ShardMap",
     "ShardCatalog",
+    "placements",
     "bucket_digest",
     "bucket_difference",
     "ShardMove",
@@ -379,6 +385,20 @@ class ShardCatalog:
             "%s@e%d" % (name, self._maps[name].epoch)
             for name in sorted(self._maps)
         ) if self._maps else "ShardCatalog(empty)"
+
+
+def placements(records: List[XSet]) -> ShardCatalog:
+    """The placement a log makes durable: the last checkpoint's catalog
+    overlaid by every ``EPOCH`` record after it, in log order."""
+    start = last_checkpoint(records)
+    shards = checkpoint_shards(records[start]) if start >= 0 else None
+    catalog = ShardCatalog() if shards is None \
+        else ShardCatalog.from_xset(shards)
+    for record in records[start + 1:]:
+        if record_kind(record) == EPOCH:
+            table, shard_map = epoch_change(record)
+            catalog.set(table, ShardMap.from_xset(shard_map))
+    return catalog
 
 
 def bucket_digest(relation: Optional[Any]) -> str:

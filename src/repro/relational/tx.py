@@ -29,10 +29,12 @@ Durability: pass ``log=`` a
 commit appends **one atomic record** -- the per-table inserted and
 deleted row sets, the net of the deltas the statements themselves
 built (:meth:`Table.commit_diff`), never a whole-relation comparison
--- *before* the transaction is considered committed.
-A failed append rolls the tables back, so the in-memory state never
-runs ahead of the durable log; a crash mid-append leaves a torn tail
-that recovery truncates (the transaction never happened).
+-- *before* the transaction is considered committed; the first one
+after :meth:`~TransactionManager.add_table` also logs the new
+table's heading, once.  A failed append rolls the tables back, so the
+in-memory state never runs ahead of the durable log; a crash
+mid-append leaves a torn tail that recovery truncates (the
+transaction never happened).
 
 The catalog value: the committed state is one immutable, sealed
 :class:`~repro.relational.query.Database`
@@ -80,12 +82,12 @@ from repro.relational.wal import WriteAheadLog
 
 __all__ = ["TransactionManager", "Snapshot", "SnapshotSession", "CommitDiff"]
 
-#: What a commit-diff listener receives, per changed table: the
-#: heading's attribute names plus the inserted and deleted row sets --
-#: the exact payload the WAL record carries, so subscribers (view
-#: maintenance, cache invalidation) see the same ground truth
+#: What a commit-diff listener receives, per changed table: its
+#: :class:`~repro.relational.schema.Heading` plus the inserted and
+#: deleted row sets -- the rows the WAL record carries, so subscribers
+#: (view maintenance, cache invalidation) see the same ground truth
 #: durability does.
-CommitDiff = Mapping[str, Tuple[Tuple[str, ...], Any, Any]]
+CommitDiff = Mapping[str, Tuple[Any, Any, Any]]
 
 
 class TransactionManager:
@@ -98,6 +100,9 @@ class TransactionManager:
         self._savepoints: List[Dict[str, tuple]] = []
         self._deferred_depth = 0
         self._log = log
+        # Enrolled tables whose heading no log record carries yet: the
+        # next state-changing commit record introduces them.
+        self._unlogged: Dict[str, Tuple[str, ...]] = {}
         self._commits = 0
         # Replaced, never edited, by add_table and each state-changing
         # commit; sealed: what one reader did every reader would see.
@@ -167,6 +172,8 @@ class TransactionManager:
             raise SchemaError("table %r would shadow a view" % (name,))
         self._tables[name] = table
         table._owner = self
+        if self._log is not None:
+            self._unlogged[name] = table.heading.names
         self._committed = self._committed.with_relations(
             {name: table.snapshot()}
         )
@@ -254,9 +261,9 @@ class TransactionManager:
 
         The record carries, per changed table, the inserted and
         deleted row sets (the net delta its statements accumulated)
-        plus the heading, so recovery can redo the transaction --
-        including re-creating tables born after the last checkpoint.
-        No-op transactions log nothing.
+        and the heading of every table enrolled since the last record,
+        so recovery can redo the transaction and re-create the tables
+        born after the last checkpoint.  No-ops log nothing.
         """
         began = self._savepoints[0]
         changes = {}
@@ -264,11 +271,12 @@ class TransactionManager:
             table = self._tables[name]
             diff = table.commit_diff(began[name][0])
             if diff is not None:
-                changes[name] = (tuple(table.heading.names), *diff)
+                changes[name] = (table.heading, *diff)
         if not changes:
             return
         if self._log is not None:
-            self._log.commit(self._commits + 1, changes)
+            self._log.commit(self._commits + 1, changes, self._unlogged)
+            self._unlogged = {}
         self._commits += 1
         # The WAL record above carries tx id == self._commits: the
         # durable numbering and the MVCC version are the same number,
@@ -306,9 +314,9 @@ class TransactionManager:
         """Call ``listener(version, changes)`` after each state-changing
         outermost commit.
 
-        ``changes`` maps each changed table to ``(heading_names,
-        inserted, deleted)`` -- the same immutable-diff payload the WAL
-        record carries.  Listeners fire after the commit is durable and
+        ``changes`` maps each changed table to ``(heading, inserted,
+        deleted)`` -- the same immutable row sets the WAL record
+        carries.  Listeners fire after the commit is durable and
         versioned; an exception from a listener propagates to the
         committer but never rolls the commit back.  Rollbacks and no-op
         transactions notify nothing.

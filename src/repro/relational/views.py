@@ -53,7 +53,6 @@ from repro.relational.ivm.delta import (
 from repro.relational.optimizer import optimize
 from repro.relational.query import Database, Plan, Scan, scans
 from repro.relational.relation import Relation
-from repro.relational.schema import Heading
 from repro.xst.serialization import digest
 
 __all__ = ["View", "ViewCatalog"]
@@ -323,8 +322,7 @@ class ViewCatalog:
     def _on_commit(self, version: int, changes) -> None:
         """Manager commit hook: maintain every materialized view."""
         deltas: Dict[str, Delta] = {}
-        for name, (heading_names, inserted, deleted) in changes.items():
-            heading = Heading(heading_names)
+        for name, (heading, inserted, deleted) in changes.items():
             # Trusted: the commit diff's halves are subsets of the
             # table's validated old and new values.
             deltas[name] = Delta(

@@ -11,11 +11,13 @@ Three pieces:
 
 * :class:`WriteAheadLog` -- an append-only file of length-prefixed,
   CRC32-checksummed frames, each framing one canonically-serialized
-  XST record.  Two record kinds matter to recovery: ``commit`` (one
+  XST record.  The log is the catalog's history: ``commit`` (one
   atomic frame per transaction, carrying per-table inserted/deleted
-  row sets) and ``checkpoint`` (a marker that the store held the full
-  state as of this point).  Appends optionally fsync, so a commit is
-  durable the moment :meth:`~WriteAheadLog.append` returns.
+  row sets and the heading of each table it is the first to log),
+  ``checkpoint`` (a marker that the store held the full state, and
+  the placement catalog, as of this point) and ``epoch`` (one table's
+  new shard map).  Appends optionally fsync, so a record is durable
+  the moment :meth:`~WriteAheadLog.append` returns.
 
 * Recovery predicates -- :meth:`WriteAheadLog.scan` reads a log
   tolerantly and classifies its tail: an *incomplete* final frame is
@@ -85,9 +87,9 @@ _FRAME = struct.Struct(">II")  # payload length, CRC32(payload)
 #: Record kinds understood by recovery.
 COMMIT = "commit"
 CHECKPOINT = "checkpoint"
-#: Shard-map epoch swings are logged for audit (``repro fsck``, the
-#: flight recorder) but carry no row data: recovery's replay loop only
-#: applies COMMIT records, so EPOCH markers are read and skipped.
+#: A shard-map epoch swing, carrying the table's whole new map: the
+#: one durable record of placement (see ``sharding.placements``).  Row
+#: replay skips it.
 EPOCH = "epoch"
 
 
@@ -260,14 +262,6 @@ class LogScan:
         """The last durable log sequence number (0 for an empty log)."""
         return len(self.records)
 
-    def last_checkpoint(self) -> Tuple[int, Optional[XSet]]:
-        """(index into records, record) of the last checkpoint, or (-1, None)."""
-        for index in range(len(self.records) - 1, -1, -1):
-            record = self.records[index][1]
-            if record is not None and record_kind(record) == CHECKPOINT:
-                return index, record
-        return -1, None
-
     def __repr__(self) -> str:
         return "LogScan(%d records, %d valid bytes, %d torn, corrupt_at=%r)" % (
             len(self.records), self.valid_bytes, self.torn_bytes,
@@ -283,13 +277,15 @@ def record_kind(record: XSet) -> str:
     return kinds[0]
 
 
-def _field(record: XSet, name: str) -> Any:
+def _field(record: XSet, name: str, optional: bool = False) -> Any:
     values = record.elements_at(name)
-    if len(values) != 1:
-        raise CorruptLogError(
-            "log record field %r missing or ambiguous" % (name,)
-        )
-    return values[0]
+    if len(values) == 1:
+        return values[0]
+    if optional and not values:
+        return None  # a field records may omit
+    raise CorruptLogError(
+        "log record field %r missing or ambiguous" % (name,)
+    )
 
 
 def commit_tx_id(record: XSet) -> int:
@@ -302,47 +298,55 @@ def commit_tx_id(record: XSet) -> int:
     return _field(record, "tx")
 
 
-def commit_record(tx_id: int,
-                  changes: Mapping[str, Tuple[Sequence[str], XSet, XSet]]
+def commit_record(tx_id: int, changes: Mapping[str, Tuple[Any, XSet, XSet]],
+                  created: Optional[Mapping[str, Sequence[str]]] = None
                   ) -> XSet:
     """Build one atomic commit record.
 
-    ``changes`` maps table name to ``(heading names, inserted rows,
-    deleted rows)``; the heading rides along so recovery can rebuild
-    tables that were born after the last checkpoint.
+    ``changes`` maps table name to ``(heading, inserted rows, deleted
+    rows)`` -- the commit diff listeners receive -- of which the record
+    keeps the rows.  A heading is logged once: ``created`` maps each
+    table enrolled since the last record to its heading names, so a
+    table's DDL and its first rows are one atomic frame.
     """
-    entries = [
-        xrecord({
-            "table": name,
-            "heading": xtuple(list(heading)),
-            "inserted": inserted,
-            "deleted": deleted,
-        })
-        for name, (heading, inserted, deleted) in sorted(changes.items())
+    fields = {"kind": COMMIT, "tx": tx_id, "changes": xtuple([
+        xrecord({"table": name, "inserted": change[1], "deleted": change[2]})
+        for name, change in sorted(changes.items())
+    ])}
+    if created:
+        fields["created"] = xtuple([
+            xtuple([name, xtuple(list(heading))])
+            for name, heading in sorted(created.items())
+        ])
+    return xrecord(fields)
+
+
+def checkpoint_record(table_names: Sequence[str],
+                      shards: Optional[XSet] = None) -> XSet:
+    """Build a checkpoint marker listing the snapshotted tables and,
+    when given, the placement catalog (``ShardCatalog.to_xset()``)."""
+    fields = {"kind": CHECKPOINT, "tables": xtuple(sorted(table_names))}
+    if shards is not None:
+        fields["shards"] = shards
+    return xrecord(fields)
+
+
+def commit_changes(record: XSet) -> List[Tuple[str, XSet, XSet]]:
+    """Decode a commit record into (table, inserted, deleted)."""
+    return [
+        (_field(entry, "table"), _field(entry, "inserted"),
+         _field(entry, "deleted"))
+        for entry in _field(record, "changes").as_tuple()
     ]
-    return xrecord({"kind": COMMIT, "tx": tx_id, "changes": xtuple(entries)})
 
 
-def checkpoint_record(table_names: Sequence[str]) -> XSet:
-    """Build a checkpoint marker listing the snapshotted tables."""
-    return xrecord({
-        "kind": CHECKPOINT,
-        "tables": xtuple(sorted(table_names)),
-    })
-
-
-def commit_changes(record: XSet) -> List[Tuple[str, Tuple[str, ...], XSet, XSet]]:
-    """Decode a commit record into (table, heading, inserted, deleted)."""
-    out = []
-    for entry in _field(record, "changes").as_tuple():
-        heading = tuple(_field(entry, "heading").as_tuple())
-        out.append((
-            _field(entry, "table"),
-            heading,
-            _field(entry, "inserted"),
-            _field(entry, "deleted"),
-        ))
-    return out
+def commit_created(record: XSet) -> List[Tuple[str, Tuple[str, ...]]]:
+    """The (table, heading names) entries a commit record introduces."""
+    created = _field(record, "created", optional=True)
+    return [] if created is None else [
+        (name, tuple(heading.as_tuple()))
+        for name, heading in (entry.as_tuple() for entry in created.as_tuple())
+    ]
 
 
 def checkpoint_tables(record: XSet) -> Tuple[str, ...]:
@@ -350,22 +354,33 @@ def checkpoint_tables(record: XSet) -> Tuple[str, ...]:
     return tuple(_field(record, "tables").as_tuple())
 
 
-def epoch_record(table: str, epoch: int) -> XSet:
-    """Build a shard-epoch marker: ``table`` swung to ``epoch``.
+def checkpoint_shards(record: XSet) -> Optional[XSet]:
+    """The placement catalog a checkpoint marker carries, if any."""
+    return _field(record, "shards", optional=True)
 
-    Appended (and fsynced, like any record) when a rebalance, split,
-    or merge installs a new shard map, giving the log a durable,
-    ordered account of every placement generation.  Replay ignores
-    these markers -- placement itself recovers from the store's
-    ``shards.map`` catalog -- but fsck and post-mortem tooling read
-    them to date a torn swing against the commits around it.
+
+def epoch_record(table: str, shard_map: XSet) -> XSet:
+    """Build a shard-epoch record: ``table`` swung to ``shard_map``
+    (``ShardMap.to_xset()``, which carries the epoch).
+
+    Appended, and fsynced like any record, before a rebalance, split
+    or merge installs the map in memory: the log holds every
+    placement generation, dated against the commits around it.
     """
-    return xrecord({"kind": EPOCH, "table": table, "epoch": epoch})
+    return xrecord({"kind": EPOCH, "table": table, "map": shard_map})
 
 
-def epoch_change(record: XSet) -> Tuple[str, int]:
-    """Decode an epoch marker into ``(table, epoch)``."""
-    return _field(record, "table"), _field(record, "epoch")
+def epoch_change(record: XSet) -> Tuple[str, XSet]:
+    """Decode an epoch record into ``(table, map XSet)``."""
+    return _field(record, "table"), _field(record, "map")
+
+
+def last_checkpoint(records: Sequence[XSet]) -> int:
+    """The index of the last checkpoint record, or -1."""
+    for index in range(len(records) - 1, -1, -1):
+        if record_kind(records[index]) == CHECKPOINT:
+            return index
+    return -1
 
 
 def scan_bytes(data: bytes, decode: bool = True) -> LogScan:
@@ -487,18 +502,20 @@ class WriteAheadLog:
         return self._lsn
 
     def commit(self, tx_id: int,
-               changes: Mapping[str, Tuple[Sequence[str], XSet, XSet]]
+               changes: Mapping[str, Tuple[Any, XSet, XSet]],
+               created: Optional[Mapping[str, Sequence[str]]] = None
                ) -> int:
         """Append one commit record; see :func:`commit_record`."""
-        return self.append(commit_record(tx_id, changes))
+        return self.append(commit_record(tx_id, changes, created))
 
-    def checkpoint(self, table_names: Sequence[str]) -> int:
+    def checkpoint(self, table_names: Sequence[str],
+                   shards: Optional[XSet] = None) -> int:
         """Append a checkpoint marker *after* the store is durable."""
-        return self.append(checkpoint_record(table_names))
+        return self.append(checkpoint_record(table_names, shards))
 
-    def epoch(self, table: str, epoch: int) -> int:
-        """Append a shard-epoch marker; see :func:`epoch_record`."""
-        return self.append(epoch_record(table, epoch))
+    def epoch(self, table: str, shard_map: XSet) -> int:
+        """Append a shard-epoch record; see :func:`epoch_record`."""
+        return self.append(epoch_record(table, shard_map))
 
     def close(self) -> None:
         if self._fh is not None:
@@ -560,12 +577,8 @@ class WriteAheadLog:
         replay start.
         """
         records = self.replay()
-        start = 0
-        for index in range(len(records) - 1, -1, -1):
-            if record_kind(records[index]) == CHECKPOINT:
-                start = index
-                break
-        if start == 0:
+        start = last_checkpoint(records)
+        if start <= 0:
             return 0
         self.close()
         tmp = self._path + ".tmp"
@@ -609,17 +622,26 @@ def _sync_file(fh) -> None:
 def apply_commit(state: Dict[str, Any], record: XSet) -> None:
     """Apply one commit record to a name->Relation state, in place.
 
-    Last-touch-wins per row: ``rows = (rows - deleted) | inserted``.
-    Idempotent enough that replaying a commit suffix onto any equal-
-    or-newer checkpoint snapshot converges on the same final state
-    (see the module docstring).
+    A ``created`` entry makes an empty table unless ``state`` already
+    holds one (from the base or the checkpoint).  Then last-touch-wins
+    per row: ``rows = (rows - deleted) | inserted``.  Idempotent
+    enough that replaying a commit suffix onto any equal-or-newer
+    checkpoint snapshot converges on the same final state (see the
+    module docstring).  A change to a table nothing introduced is
+    :class:`CorruptLogError`.
     """
-    for name, heading, inserted, deleted in commit_changes(record):
+    for name, heading in commit_created(record):
+        if name not in state:
+            state[name] = Relation(Heading(list(heading)), xset([]))
+    for name, inserted, deleted in commit_changes(record):
         current = state.get(name)
         if current is None:
-            current = Relation(Heading(list(heading)), xset([]))
-        rows = (current.rows - deleted) | inserted
-        state[name] = Relation(current.heading, rows)
+            raise CorruptLogError(
+                "commit %r changes table %r, which no base, checkpoint "
+                "or earlier record introduced" % (commit_tx_id(record), name)
+            )
+        state[name] = Relation(current.heading,
+                               (current.rows - deleted) | inserted)
 
 
 def recover_state(
@@ -634,16 +656,12 @@ def recover_state(
     recovered state and the number of commit records replayed.
     """
     state: Dict[str, Any] = dict(base or {})
-    start = 0
-    for index in range(len(records) - 1, -1, -1):
-        if record_kind(records[index]) == CHECKPOINT:
-            start = index + 1
-            if loader is not None:
-                for name in checkpoint_tables(records[index]):
-                    state[name] = loader(name)
-            break
+    start = last_checkpoint(records)
+    if start >= 0 and loader is not None:
+        for name in checkpoint_tables(records[start]):
+            state[name] = loader(name)
     replayed = 0
-    for record in records[start:]:
+    for record in records[start + 1:]:
         if record_kind(record) == COMMIT:
             apply_commit(state, record)
             replayed += 1

@@ -36,6 +36,7 @@ from repro.relational.disk import DiskRelationStore
 from repro.relational.faults import FaultPlan
 from repro.relational.tx import TransactionManager
 from repro.relational.wal import (
+    CHECKPOINT,
     CrashPoint,
     SimulatedCrashError,
     WriteAheadLog,
@@ -310,6 +311,7 @@ class TestClusterLogsThroughItsEngine:
         from repro.relational.distributed import Cluster
         from repro.relational.query import Join, Scan
         from repro.relational.relation import Relation
+        from repro.relational.sharding import ShardMap
         from repro.relational.wal import (
             COMMIT,
             commit_tx_id,
@@ -366,8 +368,187 @@ class TestClusterLogsThroughItsEngine:
         for name in loaded:
             assert state[name] == manager.table(name).snapshot()
             assert cluster.execute(Scan(name)) == state[name]
-        assert [
-            commit_tx_id(record) if record_kind(record) == COMMIT
-            else epoch_change(record)
-            for record in records
-        ] == [1, ("users", 2), 2, ("orders", 2), 3]
+        def dated(record):
+            if record_kind(record) == COMMIT:
+                return commit_tx_id(record)
+            table, shard_map = epoch_change(record)
+            return table, ShardMap.from_xset(shard_map).epoch
+
+        assert [dated(record) for record in records] \
+            == [1, ("users", 2), 2, ("orders", 2), 3]
+
+
+def frame_boundaries(data):
+    """``(records, offset)`` at the end of every whole frame."""
+    offset, out = 8, [(0, 8)]
+    while offset < len(data):
+        length, = struct.unpack_from(">I", data, offset)
+        offset += 8 + length
+        out.append((len(out), offset))
+    return out
+
+
+class TestTheLogIsTheCatalogsHistory:
+    """The crash sweep over DDL, rows and epoch swings.
+
+    A seeded workload enrols tables (placed on a logged cluster or
+    not, before and after a checkpoint, every one empty so the log
+    alone holds its rows), commits into them, swings epochs, and runs
+    ``repro recover --compact`` once.  After every operation it notes
+    what a crash right then must recover, keyed by the log's bytes:
+    the committed value of every table a durable record introduced,
+    and the cluster's shard maps.  At every durable prefix of the log
+    -- before compaction and after -- recovery through the store and
+    :func:`placements` must give exactly that, and every table's
+    heading is in exactly one record.
+    """
+
+    def test_every_durable_prefix_recovers_tables_and_placement(
+        self, tmp_path
+    ):
+        from collections import Counter
+
+        from repro.cli import main
+        from repro.relational.distributed import Cluster
+        from repro.relational.relation import Relation
+        from repro.relational.sharding import placements
+        from repro.relational.wal import (
+            COMMIT,
+            MAGIC,
+            commit_created,
+            record_kind,
+        )
+
+        rng = random.Random(SEED + 3)
+        directory = str(tmp_path / "store")
+        path = os.path.join(directory, "wal.log")
+        store = DiskRelationStore(directory)
+        log = WriteAheadLog(path)  # synced: each record is on disk
+        cluster = Cluster(4, replication_factor=2, log=log)
+        manager = cluster.manager
+        # Tables no durable record introduces yet: a crash loses them.
+        undurable = set()
+        expected = {}
+        ids = iter(range(10 ** 6))
+
+        def log_bytes():
+            if not os.path.exists(path):
+                return MAGIC  # a log never appended to is empty
+            with open(path, "rb") as fh:
+                return fh.read()
+
+        def maps(catalog):
+            return {name: catalog.get(name) for name in catalog.names()}
+
+        def note():
+            state = (
+                {name: manager.committed().relation(name)
+                 for name in manager.tables if name not in undurable},
+                maps(cluster.shard_catalog()),
+            )
+            # Whatever changed without a record must not matter.
+            assert expected.setdefault(log_bytes(), state) == state
+
+        def enrol(name, placed):
+            empty = Relation.from_dicts(["id", "v"], [])
+            if placed:
+                # A placement is durable from its first swing (or a
+                # checkpoint carrying it): split at once.
+                cluster.create_table(name, empty, "id")
+                cluster.split_table(name)
+            else:
+                manager.add_table(name, Table(empty.heading))
+            undurable.add(name)
+            note()
+
+        def commit():
+            names = sorted(set(manager.tables) - {"tags"})
+            with manager.transaction():
+                for name in rng.sample(names, min(2, len(names))):
+                    table = manager.table(name)
+                    rows = sorted(row["id"] for row in
+                                  table.snapshot().iter_dicts())
+                    if rows and rng.random() < 0.25:
+                        table.delete({"id": rng.choice(rows)})
+                    else:
+                        table.insert({"id": next(ids), "v": rng.random()})
+            undurable.clear()
+            note()
+
+        def swing():
+            name = rng.choice(sorted(cluster.shard_catalog().names()))
+            shard_map = cluster.shard_map(name)
+            kind = rng.random()
+            if kind < 0.3:
+                cluster.split_table(name)
+            elif kind < 0.5 and shard_map.bucket_count % 2 == 0:
+                cluster.merge_table(name)
+            else:
+                recipient = next(index for index in range(4)
+                                 if index not in shard_map.replicas(0))
+                cluster.begin_move(name, 0, recipient)
+                cluster.rebalance()
+            note()
+
+        def mixed(steps):
+            for _ in range(steps):
+                commit() if rng.random() < 0.7 else swing()
+
+        def check_prefixes(first):
+            """Recover every durable prefix holding ``first``+ records;
+            returns the whole log's records."""
+            data = log_bytes()
+            cut = str(tmp_path / "prefix.log")
+            for count, offset in frame_boundaries(data):
+                if count < first:
+                    continue
+                with open(cut, "wb") as fh:
+                    fh.write(data[:offset])
+                tables, placed = expected[data[:offset]]
+                assert store.recover(WriteAheadLog(cut, sync=False)) \
+                    == tables, "tables diverged after record %d" % count
+                records = [r for _, r in scan_bytes(data[:offset]).records]
+                assert maps(placements(records)) == placed, (
+                    "placement diverged after record %d" % count
+                )
+            return [r for _, r in scan_bytes(data).records]
+
+        def introductions(records):
+            return Counter(
+                name for record in records if record_kind(record) == COMMIT
+                for name, _ in commit_created(record)
+            )
+
+        note()  # the empty log: nothing recovers
+        enrol("users", placed=True)
+        enrol("notes", placed=False)
+        mixed(8)
+        enrol("orders", placed=True)
+        mixed(8)
+        store.checkpoint(
+            log, {name: manager.committed().relation(name)
+                  for name in manager.tables},
+            shards=cluster.shard_catalog(),
+        )
+        undurable.clear()
+        note()
+        enrol("tags", placed=False)  # never written: stays empty
+        enrol("audit", placed=True)
+        mixed(10)
+        records = check_prefixes(first=0)
+        assert introductions(records) == Counter(list(manager.tables))
+        assert len(manager.committed().relation("tags")) == 0
+
+        log.close()  # compaction replaces the file under the handle
+        assert main(["recover", directory, "--compact"]) == 0
+        note()
+        assert record_kind(WriteAheadLog(path).replay()[0]) == CHECKPOINT
+        logged_at_checkpoint = set(manager.tables) - undurable
+        enrol("late", placed=False)
+        mixed(10)
+        # A compacted log starts at its checkpoint; shorter prefixes
+        # never exist on disk.
+        records = check_prefixes(first=1)
+        assert introductions(records) == Counter(
+            list(set(manager.tables) - logged_at_checkpoint)
+        )

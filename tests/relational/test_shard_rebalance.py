@@ -20,7 +20,21 @@ from repro.relational.distributed import Cluster
 from repro.relational.faults import FaultPlan
 from repro.relational.query import Aggregate, Join, Project, Scan, SelectEq
 from repro.relational.relation import Relation
-from repro.relational.sharding import ShardMove, bucket_digest
+from repro.relational.sharding import (
+    ShardMap,
+    ShardMove,
+    bucket_digest,
+    placements,
+)
+from repro.relational.wal import (
+    COMMIT,
+    EPOCH,
+    CrashPoint,
+    SimulatedCrashError,
+    WriteAheadLog,
+    epoch_change,
+    record_kind,
+)
 from repro.server.protocol import error_body, error_from_body
 
 
@@ -261,10 +275,13 @@ class TestCrashSweep:
             control.execute(Scan("users")).rows
 
     def test_move_journal_cleared_after_gc(self, tmp_path):
+        import os
+
         from repro.relational.disk import DiskRelationStore
 
         store = DiskRelationStore(str(tmp_path))
-        cluster = build_cluster()
+        path = str(tmp_path / "wal.log")
+        cluster = build_cluster(log=WriteAheadLog(path))
         cluster.attach_store(store)
         shard_map = cluster.shard_map("users")
         cluster.begin_move(
@@ -279,7 +296,77 @@ class TestCrashSweep:
         assert resumed.state in ("copy", "catch_up")
         cluster.rebalance()
         assert store.load_move() is None
-        assert store.load_shards().get("users").epoch == 2
+        assert placements(WriteAheadLog(path).replay()).get("users") \
+            == cluster.shard_map("users")
+        assert cluster.shard_map("users").epoch == 2
+        # The log is placement's one durable record: no side file.
+        assert sorted(os.listdir(str(tmp_path))) == ["wal.log"]
+
+
+class TestASwingIsOneLogRecord:
+    """An epoch swing is durable as one ``EPOCH`` record, appended
+    before the map is installed: a swing that never reached the log
+    never happened."""
+
+    @staticmethod
+    def logged(tmp_path, point):
+        log = WriteAheadLog(str(tmp_path / "wal.log"), opener=point.open)
+        cluster = build_cluster(rows=24, log=log)
+        cluster.insert("users", [{"id": 100, "city": "new"}])
+        return cluster, log
+
+    def test_a_failed_swing_installs_nothing(self, tmp_path):
+        point = CrashPoint()
+        cluster, log = self.logged(tmp_path, point)
+        committed = cluster.manager.committed().relation("users")
+        point.after_writes = point.writes
+        with pytest.raises(SimulatedCrashError):
+            cluster.split_table("users")
+        shard_map = cluster.shard_map("users")
+        assert (shard_map.epoch, shard_map.bucket_count) == (1, 4)
+        assert cluster.execute(Scan("users")) == committed
+        assert [record_kind(r) for r in log.replay()] == [COMMIT]
+        point.after_writes = None
+        retried = cluster.split_table("users")
+        assert (retried.epoch, retried.bucket_count) == (2, 8)
+        assert cluster.execute(Scan("users")) == committed
+        assert placements(log.replay()).get("users") == retried
+
+    def test_each_install_is_one_log_append_plus_the_journal(self,
+                                                             tmp_path):
+        import os
+
+        from repro.relational.disk import DiskRelationStore
+
+        point = CrashPoint()  # no budget: it only counts
+        cluster, log = self.logged(tmp_path, point)
+        store_dir = str(tmp_path / "store")
+        cluster.attach_store(DiskRelationStore(store_dir, opener=point.open))
+
+        def durable_writes(action):
+            before = point.writes, point.syncs, log.lsn
+            action()
+            return (point.writes - before[0], point.syncs - before[1],
+                    log.lsn - before[2])
+
+        assert durable_writes(lambda: cluster.split_table("users")) \
+            == (1, 1, 1)
+        assert os.listdir(store_dir) == []
+        shard_map = cluster.shard_map("users")
+        move = cluster.begin_move(
+            "users", 1, recipient=off_ring_node(shard_map, 1, 4)
+        )
+        while move.state != "swing":
+            cluster.step_rebalance()
+        # The swing step: one log append and the journal's rewrite.
+        assert durable_writes(cluster.step_rebalance) == (2, 2, 1)
+        assert os.listdir(store_dir) == ["shards.move"]
+        epoch_record = log.replay()[-1]
+        assert record_kind(epoch_record) == EPOCH
+        table, value = epoch_change(epoch_record)
+        assert (table, ShardMap.from_xset(value)) \
+            == ("users", cluster.shard_map("users"))
+        assert cluster.shard_map("users").epoch == 3
 
 
 class TestSplitMerge:

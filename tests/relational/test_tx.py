@@ -233,7 +233,7 @@ class TestCommitLogging:
                 employees.insert({"emp": 1, "name": "ada", "dept": 2})
         assert log.lsn == 1  # nested commits do not log separately
         (record,) = log.replay()
-        changed = {name for name, _, _, _ in commit_changes(record)}
+        changed = {name for name, _, _ in commit_changes(record)}
         assert changed == {"dept", "emp"}
 
     def test_rollback_logs_nothing(self, logged):
@@ -269,7 +269,7 @@ class TestCommitLogging:
         with manager.transaction():
             departments.delete({"dept": 2})
         _, record = log.replay()[1], log.replay()[1]
-        (name, _, inserted, deleted), = commit_changes(record)
+        (name, inserted, deleted), = commit_changes(record)
         assert name == "dept"
         assert len(inserted) == 0 and len(deleted) == 1
 
@@ -277,7 +277,7 @@ class TestCommitLogging:
         manager, employees, departments = schema
 
         class ExplodingLog:
-            def commit(self, tx_id, changes):
+            def commit(self, tx_id, changes, created):
                 raise OSError("disk full (injected)")
 
         manager = TransactionManager(
@@ -289,6 +289,60 @@ class TestCommitLogging:
         # The in-memory state never ran ahead of the durable log.
         assert len(departments) == 1
         assert manager.commits == 0
+
+    def test_a_heading_is_logged_once_in_the_first_commit(self, logged):
+        from repro.relational.wal import commit_created
+
+        manager, employees, departments, log = logged
+        assert log.lsn == 0  # enrolling writes nothing
+        for dept in range(2, 52):
+            with manager.transaction():
+                departments.insert({"dept": dept, "dname": "d%d" % dept})
+        manager.add_table("proj", Table(["pid", "dept"]))
+        for dept in range(52, 102):
+            with manager.transaction():
+                departments.insert({"dept": dept, "dname": "d%d" % dept})
+        records = log.replay()
+        assert len(records) == 100
+        created = [commit_created(record) for record in records]
+        # The enrolled tables ride in the first commit, the later one
+        # in the first commit after its add_table, empty as it is.
+        assert created[0] == [("dept", ("dept", "dname")),
+                              ("emp", ("emp", "name", "dept"))]
+        assert created[50] == [("proj", ("pid", "dept"))]
+        assert [index for index, entry in enumerate(created) if entry] \
+            == [0, 50]
+
+    def test_a_failed_append_keeps_the_headings_pending(self, schema):
+        from repro.relational.wal import commit_created, commit_record
+
+        manager, employees, departments = schema
+
+        class FlakyLog:
+            def __init__(self):
+                self.fail, self.records = True, []
+
+            def commit(self, tx_id, changes, created):
+                if self.fail:
+                    self.fail = False
+                    raise OSError("disk full (injected)")
+                self.records.append(commit_record(tx_id, changes, created))
+
+        log = FlakyLog()
+        manager = TransactionManager(
+            {"emp": employees, "dept": departments}, log=log
+        )
+        with pytest.raises(OSError):
+            with manager.transaction():
+                departments.insert({"dept": 2, "dname": "undurable"})
+        with manager.transaction():
+            departments.insert({"dept": 2, "dname": "durable"})
+        with manager.transaction():
+            departments.insert({"dept": 3, "dname": "later"})
+        assert [commit_created(record) for record in log.records] == [
+            [("dept", ("dept", "dname")), ("emp", ("emp", "name", "dept"))],
+            [],
+        ]
 
 
 class TestCarriedDiff:
@@ -323,7 +377,7 @@ class TestCarriedDiff:
                 sorted(row.as_record()["dept"] for row, _ in half.pairs())
                 for half in (inserted, deleted)
             )
-            for name, _, inserted, deleted in commit_changes(record)
+            for name, inserted, deleted in commit_changes(record)
         }
 
     def test_unchecked_rows_stay_pending_until_a_check_passes(self):

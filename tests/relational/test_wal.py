@@ -17,6 +17,7 @@ from repro.relational.wal import (
     checkpoint_record,
     checkpoint_tables,
     commit_changes,
+    commit_created,
     commit_record,
     record_kind,
     recover_state,
@@ -45,7 +46,7 @@ class TestFraming:
         assert log.commit(2, change([3], deleted=[1])) == 2
         records = log.replay()
         assert [record_kind(r) for r in records] == [COMMIT, COMMIT]
-        assert commit_changes(records[1])[0][2] == rel(3).rows
+        assert commit_changes(records[1])[0][1] == rel(3).rows
 
     def test_lsn_survives_reopen(self, path):
         log = WriteAheadLog(path)
@@ -136,11 +137,20 @@ class TestCorruption:
 
 class TestRecords:
     def test_commit_record_roundtrip(self):
-        record = commit_record(7, change([1, 2], deleted=[9]))
+        record = commit_record(7, change([1, 2], deleted=[9]),
+                               {"t": ("id",)})
         assert record_kind(record) == COMMIT
-        (name, heading, inserted, deleted), = commit_changes(record)
-        assert name == "t" and heading == ("id",)
+        (name, inserted, deleted), = commit_changes(record)
+        assert name == "t"
         assert inserted == rel(1, 2).rows and deleted == rel(9).rows
+        assert commit_created(record) == [("t", ("id",))]
+
+    def test_a_commit_entry_carries_no_heading(self):
+        record = commit_record(7, change([1]))
+        (entry,) = record.elements_at("changes")[0].as_tuple()
+        assert not entry.elements_at("heading")
+        assert not record.elements_at("created")
+        assert commit_created(record) == []
 
     def test_checkpoint_record_roundtrip(self):
         record = checkpoint_record(["b", "a"])
@@ -184,10 +194,23 @@ class TestReplay:
             assert state["t"].rows == rel(2, 3).rows, vintage
 
     def test_recovered_tables_can_be_born_from_the_log(self):
-        records = [commit_record(1, change([1, 2]))]
+        records = [commit_record(1, change([1, 2]),
+                                 {"t": ("id",), "empty": ("a", "b")})]
         state, _ = recover_state(records)
         assert state["t"].heading.names == ("id",)
         assert state["t"].cardinality() == 2
+        assert state["empty"].heading.names == ("a", "b")
+        assert state["empty"].cardinality() == 0
+
+    def test_created_keeps_the_table_the_base_holds(self):
+        records = [commit_record(1, change([2]), {"t": ("id",)})]
+        state, _ = recover_state(records, base={"t": rel(1)})
+        assert state["t"].rows == rel(1, 2).rows
+
+    def test_a_change_to_an_unintroduced_table_is_corrupt(self):
+        records = [commit_record(1, change([1]))]
+        with pytest.raises(CorruptLogError):
+            recover_state(records)
 
 
 class TestCompact:

@@ -232,14 +232,26 @@ class TestFsckShards:
     """Placement residues exit with ShardPlacementError's code (20)."""
 
     def _seed_catalog(self, directory, epoch=1):
+        """Placement through a checkpoint marker carrying the catalog."""
         from repro.relational.disk import DiskRelationStore
         from repro.relational.sharding import ShardCatalog, ShardMap
+        from repro.relational.wal import WriteAheadLog
 
         store = DiskRelationStore(directory)
-        store.store_shards(ShardCatalog({
+        log = WriteAheadLog(_log_path(directory))
+        store.checkpoint(log, store.recover(log), shards=ShardCatalog({
             "items": ShardMap.successor_rings("id", 4, 2, epoch=epoch),
         }))
+        log.close()
         return store
+
+    def _log_epoch(self, directory, value):
+        """Placement through an ``EPOCH`` record carrying ``value``."""
+        from repro.relational.wal import WriteAheadLog
+
+        log = WriteAheadLog(_log_path(directory))
+        log.epoch("items", value)
+        log.close()
 
     def _journal(self, store, state, target_epoch=0):
         from repro.relational.sharding import ShardMove
@@ -281,12 +293,12 @@ class TestFsckShards:
         # yet the journal still says pre-swing: the swing committed
         # but its journal write was lost.
         from repro.relational.disk import DiskRelationStore
-        from repro.relational.sharding import ShardCatalog, ShardMap
+        from repro.relational.sharding import ShardMap
 
         store = DiskRelationStore(durable_dir)
         swung = ShardMap.successor_rings("id", 4, 2).moved(
             1, donor=1, recipient=3)
-        store.store_shards(ShardCatalog({"items": swung}))
+        self._log_epoch(durable_dir, swung.to_xset())
         self._journal(store, "copy")
         assert main(["fsck", durable_dir]) == 20
         out = capsys.readouterr().out
@@ -301,6 +313,30 @@ class TestFsckShards:
         assert main(["fsck", durable_dir]) == 20
         out = capsys.readouterr().out
         assert "ORPHANED post-move source data on node 1" in out
+        assert "fsck: 1 placement inconsistency" in out
+
+    def test_an_epoch_record_overlays_the_checkpoint(self, durable_dir,
+                                                     capsys):
+        from repro.relational.sharding import ShardMap
+
+        self._seed_catalog(durable_dir, epoch=1)
+        self._log_epoch(durable_dir, ShardMap.successor_rings(
+            "id", 4, 2, bucket_count=8, epoch=2).to_xset())
+        assert main(["fsck", durable_dir]) == 0
+        assert "shards items: ok (epoch 2, 8 buckets, rf=2)" \
+            in capsys.readouterr().out
+
+    def test_an_invalid_map_in_an_epoch_record_is_damage(self, durable_dir,
+                                                         capsys):
+        from repro.xst.builders import xtuple
+
+        # Bucket 0's ring names node 9 of a 4-node cluster.
+        self._log_epoch(durable_dir, xtuple([
+            "id", 2, 4, 2, xtuple([xtuple([0, xtuple([0, 9])])]),
+        ]))
+        assert main(["fsck", durable_dir]) == 20
+        out = capsys.readouterr().out
+        assert "shards: DAMAGED (bucket 0 ring (0, 9) names node 9" in out
         assert "fsck: 1 placement inconsistency" in out
 
     def test_undecodable_journal_is_damage(self, durable_dir, capsys):
@@ -335,6 +371,24 @@ class TestRecover:
         assert "compacted: dropped" in capsys.readouterr().out
         assert os.path.getsize(_log_path(durable_dir)) < before
         assert main(["fsck", durable_dir]) == 0
+
+    def test_compact_keeps_the_placement_the_log_held(self, durable_dir,
+                                                      capsys):
+        from repro.relational.sharding import ShardMap, placements
+        from repro.relational.wal import EPOCH, WriteAheadLog, record_kind
+
+        swung = ShardMap.successor_rings("id", 4, 2).moved(
+            1, donor=1, recipient=3)
+        log = WriteAheadLog(_log_path(durable_dir))
+        log.epoch("items", swung.to_xset())
+        log.close()
+        assert main(["recover", durable_dir, "--compact"]) == 0
+        records = WriteAheadLog(_log_path(durable_dir)).replay()
+        assert EPOCH not in [record_kind(record) for record in records]
+        assert placements(records).get("items") == swung
+        assert main(["fsck", durable_dir]) == 0
+        assert "shards items: ok (epoch 2, 4 buckets, rf=2)" \
+            in capsys.readouterr().out
 
     def test_corrupt_log_fails_cleanly(self, durable_dir, capsys):
         with open(_log_path(durable_dir), "r+b") as fh:
