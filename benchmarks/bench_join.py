@@ -1,10 +1,11 @@
 """Experiment E16 harness: relative-product joins.
 
-Series: hash-join relative product (the shipped implementation) vs the
-Def 10.1 nested-loop transliteration, over growing sizes and over key
-skew.  Reproduced shape: hash join is linear where the nested loop is
-quadratic (crossover at tiny n), and skew degrades the hash join only
-through larger match output, not probe cost.
+Series: the index-probing relative product (the shipped implementation;
+the ``hash`` names below are from when it bucketed its right operand)
+vs the Def 10.1 nested-loop transliteration, over growing sizes and
+over key skew.  Reproduced shape: the indexed join is linear where the
+nested loop is quadratic (crossover at tiny n), and skew degrades it
+only through larger match output, not probe cost.
 """
 
 import pytest

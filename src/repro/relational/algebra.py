@@ -51,6 +51,7 @@ digest and shipment) for the set-flavoured reading.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from typing import (
     Any,
     Callable,
@@ -92,8 +93,16 @@ __all__ = [
 ]
 
 
-def _attribute_identity(attrs: Sequence[str]) -> XSet:
-    """The sigma mapping each attribute scope to itself."""
+#: Distinct attribute tuples whose identity sigma is kept: a catalog's
+#: keys, join keys and headings, with room for ad-hoc projections.
+_IDENTITY_ENTRIES = 256
+
+
+@lru_cache(maxsize=_IDENTITY_ENTRIES)
+def _attribute_identity(attrs: Tuple[str, ...]) -> XSet:
+    """The sigma mapping each attribute scope to itself, one value per
+    attribute tuple, so the member indexes a re-scope or a join reads
+    off it are built once, not once per call."""
     return XSet((attr, attr) for attr in attrs)
 
 

@@ -1,9 +1,9 @@
 """Sorted-run columnar execution: the vectorized kernel fast path.
 
 The row-at-a-time kernel pays Python interpreter cost per element:
-``sigma_restrict`` walks every member of ``R``, ``relative_product``
-rebuilds hash buckets per call, and every intermediate result is a
-fully materialized :class:`~repro.xst.xset.XSet`.  Childs' programme
+``sigma_restrict`` and ``relative_product`` probe a member index but
+re-scope every candidate they meet, in Python, and every intermediate
+result is a fully materialized :class:`~repro.xst.xset.XSet`.  Childs' programme
 says any physical layout that preserves canonical membership is
 admissible (paper section 12: "all data representations have a
 mathematical identity"), so this module trades layouts: a relation is
@@ -13,7 +13,7 @@ mathematical identity"), so this module trades layouts: a relation is
 * equality selection is a binary search over a run (O(log n + k)
   instead of O(n) subset tests),
 * natural join is a **merge-intersection** of two sorted key ranges
-  (no per-call hash-bucket build),
+  (no per-candidate re-scope),
 * projection, rename, union and difference touch arrays, not XSets.
 
 The :class:`~repro.xst.xset.XSet` stays the semantic model.  Every

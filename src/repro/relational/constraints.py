@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import IntegrityError, SchemaError
-from repro.relational.algebra import select_eq
+from repro.relational.algebra import _attribute_identity, select_eq
 from repro.relational.relation import Relation
 from repro.relational.schema import Heading
 from repro.xst.domain import sigma_domain
@@ -45,10 +45,6 @@ __all__ = [
     "CheckConstraint",
     "Table",
 ]
-
-
-def _attribute_identity(attrs: Sequence[str]) -> XSet:
-    return XSet((attr, attr) for attr in attrs)
 
 
 class KeyConstraint:

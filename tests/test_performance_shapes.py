@@ -605,6 +605,55 @@ class TestPointWorkShapes:
         # operand.  Parent commit: 432 constructions.
         assert built == [1] * 108
 
+    def test_a_join_meets_its_candidates_only(self, monkeypatch):
+        import sys
+
+        from repro.relational import algebra
+        from repro.relational.relation import Relation
+        from repro.workloads import employee_relation
+
+        counts = {}
+        for size in self.SIZES:
+            emp = employee_relation(size, 8, seed=WORKLOAD_SEED + 16)
+            picked = list(emp.iter_dicts())[::size // 4][:4]
+            hours = Relation.from_dicts(
+                ["emp", "hours"],
+                [{"emp": row["emp"], "hours": at} for at, row in enumerate(picked)],
+            )
+            algebra.join(emp, hours)  # fills emp's index on "emp"
+            built = []
+            from_run = XSet._from_run
+
+            def counted(ordered, *known):
+                if sys._getframe(1).f_globals["__name__"] == "repro.xst.rescope":
+                    built.append(len(ordered))
+                return from_run(ordered, *known)
+
+            with monkeypatch.context() as patch:
+                patch.setattr(XSet, "_from_run", staticmethod(counted))
+                joined = algebra.join(emp, hours)
+            assert len(joined) == 4
+            counts[size] = len(built)
+        # One {emp} fragment per probing row and one per candidate it
+        # meets.  Parent commit: 4 + n (every row of either side).
+        assert counts[64] == counts[1024] == 8
+
+    def test_an_identity_sigma_is_built_once(self):
+        from repro.relational import algebra, constraints
+
+        identity = algebra._attribute_identity(("emp", "dept"))
+        # Equal attributes, a different tuple: the same sigma object.
+        assert algebra._attribute_identity(tuple(["emp", "dept"])) is identity
+        assert constraints._attribute_identity is algebra._attribute_identity
+        # A bounded memo, so ad-hoc attribute tuples cannot grow it.
+        assert algebra._attribute_identity.cache_info().maxsize == (
+            algebra._IDENTITY_ENTRIES
+        )
+        for at in range(algebra._IDENTITY_ENTRIES + 8):
+            algebra._attribute_identity(("a%d" % at,))
+        info = algebra._attribute_identity.cache_info()
+        assert info.currsize <= algebra._IDENTITY_ENTRIES
+
 
 class TestBuiltOnceShapes:
     """Counts, not timings: a value's canonical key is derived once, when
