@@ -8,8 +8,13 @@ point of the 1977 programme is precisely that a data management layer
 operator       kernel realization
 =============  ======================================================
 ``select_eq``  Def 7.6 sigma-restriction by a key-fragment set
-``select``     separation over rows (general predicates have no
-               set-algebraic key; documented record-level fallback)
+``select``     a ``Comparison``: Def 7.4 sigma-domain at its attribute
+               (the carried member index's keys), separated by the
+               comparison one value at a time, then a Def 7.6
+               restriction by the values that pass (an operand with no
+               index there: its column, decided in one C-level pass);
+               any other predicate has no set-algebraic key: separation
+               over rows (the documented record-level fallback)
 ``project``    Def 7.4 sigma-domain with an attribute identity sigma
 ``rename``     Def 7.3 re-scope by scope on every row
 ``join``       Def 10.1 relative product keyed on shared attributes
@@ -52,10 +57,13 @@ digest and shipment) for the set-flavoured reading.
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain, compress, repeat
+from operator import eq, ge, gt, le, lt, ne, not_
 from typing import (
     Any,
     Callable,
     Dict,
+    Iterable,
     List,
     Mapping,
     Optional,
@@ -68,15 +76,16 @@ from repro.relational.relation import Relation
 from repro.relational.schema import Heading
 from repro.xst.builders import xrecord, xset
 from repro.xst.domain import sigma_domain
-from repro.xst.ordering import canonical_key
+from repro.xst.ordering import canonical_key, pair_key
 from repro.xst.relative_product import relative_product
 from repro.xst.rescope import rescope_by_scope
 from repro.xst.restrict import sigma_restrict
-from repro.xst.xset import XSet, _holding
+from repro.xst.xset import _FEW, XSet, _holding
 
 __all__ = [
     "select_eq",
     "select",
+    "Comparison",
     "project",
     "rename",
     "join",
@@ -118,14 +127,124 @@ def select_eq(rel: Relation, conditions: Mapping[str, Any]) -> Relation:
     return Relation._from_valid(rel.heading, rows)  # a subset of rel
 
 
-def select(rel: Relation, predicate: Callable[[Dict[str, Any]], bool]) -> Relation:
-    """Rows satisfying an arbitrary Python predicate.
+#: The comparison operators, each a C function of two values.
+_OPERATORS: Dict[str, Callable[[Any, Any], Any]] = {
+    "=": eq, "!=": ne, "<": lt, "<=": le, ">": gt, ">=": ge,
+}
 
-    General predicates carry no extended-set key, so this is honest
+
+class Comparison:
+    """One comparison condition, ``row[attr] <operator> value``, kept as
+    its parts so the kernel can read it.
+
+    Called on a row dict it decides that row, as the record executor,
+    the columnar backend and a predicate pushed below a re-scoping
+    stage call it.  :func:`select` instead decides each distinct value
+    of the relation's member index at ``attr`` once, or its whole column
+    in one pass.  Either way values that do not compare with ``value``
+    (``'>'`` between an ``int`` and a ``str``) are refused with the same
+    :class:`~repro.errors.SchemaError`, naming the attribute, the
+    operator and the type held by the first row, in run order, that
+    does not compare.
+    """
+
+    __slots__ = ("attr", "operator", "value", "_test")
+
+    def __init__(self, attr: str, operator: str, value: Any):
+        self.attr, self.operator, self.value = attr, operator, value
+        self._test = _OPERATORS[operator]
+
+    def __call__(self, row: Dict[str, Any]) -> Any:
+        try:
+            held = row[self.attr]
+        except KeyError:
+            Heading(list(row)).require([self.attr])
+            raise
+        try:
+            return self._test(held, self.value)
+        except TypeError:
+            raise self._refusal(held) from None
+
+    def _passing(self, values: Iterable[Any], rel: Relation) -> List[Any]:
+        """The truth of ``v <operator> value`` for each of ``values``, in
+        order: one C-level map, no Python call per value.  Values drawn
+        from ``rel`` that do not compare are refused at ``rel``'s first
+        row that does not, in run order, as the record path refuses."""
+        try:
+            return list(map(self._test, values, repeat(self.value)))
+        except TypeError:
+            for row in rel.iter_dicts():
+                self(row)
+            raise
+
+    def _refusal(self, held: Any) -> SchemaError:
+        return SchemaError(
+            "%s %s %r: %r holds %s, which does not compare with %s" % (
+                self.attr, self.operator, self.value, self.attr,
+                type(held).__name__, type(self.value).__name__,
+            )
+        )
+
+
+def select(
+    rel: Relation, predicate: Callable[[Dict[str, Any]], Any]
+) -> Relation:
+    """Rows satisfying a :class:`Comparison` or an arbitrary predicate.
+
+    A comparison is a separation over the relation's sigma-domain at its
+    attribute (Def 7.4).  When the row set carries its member index at
+    that attribute, that domain is the index's key set: each distinct
+    value is decided once, in C, and the runs of the values that pass
+    are kept -- a Def 7.6 restriction by those values, in the relation's
+    own order.  An operand that carries no such index (a join's result,
+    say) is not indexed for one comparison, which for a nearly unique
+    column costs more than it saves: its column is read off the rows in
+    one pass and decided in C, row by row.  Either way no row is read
+    as a dict and no Python call is made per value or per row, and when
+    every value passes the relation itself is the answer.  (The plan
+    executor fills a stored relation's index before its first
+    comparison, since the relation keeps it: ``SelectPred.apply``.)
+
+    Any other callable carries no extended-set key, so this is honest
     separation: the predicate sees each row as a dict.  Use
     :func:`select_eq` whenever the condition is an equality -- the
     optimizer rewrites eligible selects into restrictions.
     """
+    if type(predicate) is Comparison:
+        attr = predicate.attr
+        rel.heading.require([attr])
+        rows = rel.rows
+        # The member index at attr, if the operand already carries it.
+        runs = (rows._by_part or {}).get(attr)
+        if runs is not None:
+            passes = predicate._passing(runs, rel)
+            if all(passes):
+                return rel
+            kept = list(chain.from_iterable(compress(runs.values(), passes)))
+            dropped = list(chain.from_iterable(
+                compress(runs.values(), map(not_, passes))
+            ))
+        else:
+            held = [
+                element for row, _ in rows._pairs
+                for element, at in row._pairs if at is attr or at == attr
+            ]
+            passes = predicate._passing(held, rel)
+            if all(passes):
+                return rel
+            kept = list(compress(rows._pairs, passes))
+            dropped = list(compress(rows._pairs, map(not_, passes)))
+        if len(dropped) <= len(kept):
+            pair_set = rows._pair_set.difference(dropped)
+        else:
+            pair_set = frozenset(kept)
+        few = rows._key is not None and len(dropped) * _FEW <= len(rows._pairs)
+        # kept and dropped are rel's own pair objects, split between them.
+        return Relation._from_valid(rel.heading, rows._keeping(
+            pair_set,
+            [(pair, pair_key(pair)) for pair in dropped] if few else None,
+            kept,
+        ))
     kept = [
         member
         for member, record in zip(rel.rows.pairs(), rel.iter_dicts())

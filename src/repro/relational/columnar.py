@@ -351,9 +351,12 @@ class ColumnarRelation:
     def select_pred(self, predicate, label: str = "<predicate>") -> "ColumnarRelation":
         """General predicate selection (row dicts, honest separation).
 
-        No run accelerates an opaque Python predicate; the win over
-        falling back to the row backend is staying in the encoding --
-        no XSet is built for the input or the output.
+        Every predicate, an ``algebra.Comparison`` too, is called on each
+        row's dict: no run is read for it, so this backend still scans
+        where the row backend tests each distinct value of a carried
+        member index once, or a whole column in one C-level pass.  The win over falling back to the row backend is
+        staying in the encoding -- no XSet is built for the input or the
+        output.
         """
         names = self._heading.names
         cols = [self._columns[name] for name in names]

@@ -100,7 +100,12 @@ _FALLBACK_PRED_SELECTIVITY = 1.0 / 3.0
 
 _COST_SCAN = 0.05        # a Scan returns the stored relation; near-free
 _COST_SELECT_EQ = 1.0    # kernel restriction, one pass
-_COST_SELECT_PRED = 1.6  # Python predicate per row beats restriction cost
+# Fitted when a predicate was a Python call per row.  A Comparison now
+# tests each distinct value of a carried member index once, or a
+# derived operand's column in one C-level pass (columnar still scans);
+# kept on purpose so no plan changes -- re-pricing by members touched
+# is ROADMAP item 13's.
+_COST_SELECT_PRED = 1.6
 _COST_RESCOPE = 1.2      # project/rename rebuild every row
 _COST_JOIN_PROBE = 1.0   # per probe-side (left) row
 _COST_JOIN_BUILD = 1.5   # per build-side (right) row; see join_step_cost

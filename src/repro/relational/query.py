@@ -224,8 +224,13 @@ class SelectEq(_Unary):
 
 
 class SelectPred(_Unary):
-    """General predicate selection (record-level in both modes).
+    """General predicate selection.
 
+    An ``algebra.Comparison`` (what XQL compiles a range condition to)
+    over a stored relation is decided one distinct value of its member
+    index at a time, and over a derived operand by one C-level pass
+    over its column (:func:`algebra.select`); any other callable, and
+    every predicate in record mode, sees each row as a dict.
     ``cache_key`` is an optional canonical string naming the
     predicate's *semantics* (the XQL compiler sets it to the condition
     text).  Only predicates with a cache key participate in result
@@ -252,7 +257,14 @@ class SelectPred(_Unary):
         return child
 
     def apply(self, kernels, inputs):
-        return kernels.select_pred(inputs[0], self.predicate)
+        operand = inputs[0]
+        if isinstance(self.child, Scan) and isinstance(operand, Relation) \
+                and type(self.predicate) is algebra.Comparison:
+            # A stored relation keeps its member index and carries it
+            # through every later commit, so its fill is paid once; a
+            # derived operand is not indexed for one comparison.
+            operand.rows._members_holding(self.predicate.attr)
+        return kernels.select_pred(operand, self.predicate)
 
     def describe(self) -> str:
         return "SelectPred(%s)" % self.label

@@ -84,6 +84,7 @@ from repro.gov.governor import governed
 # Called by nothing here (the Aggregate node names its kernel); kept as
 # a module attribute because benchmarks/e2e/layers.py wraps it by name.
 from repro.relational.algebra import aggregate  # noqa: F401
+from repro.relational.algebra import Comparison
 from repro.relational.optimizer import optimize
 from repro.relational.query import (
     Aggregate,
@@ -350,34 +351,14 @@ def parse_query(text: str) -> Query:
     return _Parser(text).parse()
 
 
-_PREDICATES = {
-    "=": lambda left, right: left == right,
-    "!=": lambda left, right: left != right,
-    "<": lambda left, right: left < right,
-    "<=": lambda left, right: left <= right,
-    ">": lambda left, right: left > right,
-    ">=": lambda left, right: left >= right,
-}
-
-
-class _Comparison:
-    """One WHERE condition as a ``SelectPred`` predicate that keeps its
-    parts, so a template's can be bound: ``row[attr] <op> value``."""
-
-    __slots__ = ("attr", "operator", "value", "_test")
-
-    def __init__(self, attr: str, operator: str, value: Any):
-        self.attr, self.operator, self.value = attr, operator, value
-        self._test = _PREDICATES[operator]
-
-    def __call__(self, row: Dict[str, Any]) -> bool:
-        return self._test(row[self.attr], self.value)
-
-    def node(self, child: Plan) -> SelectPred:
-        # The condition text IS the predicate's semantics, so compiled
-        # queries are result-cacheable.
-        condition = "%s %s %r" % (self.attr, self.operator, self.value)
-        return SelectPred(child, self, label=condition, cache_key=condition)
+def _node(comparison: Comparison, child: Plan) -> SelectPred:
+    """One WHERE condition as a ``SelectPred`` over ``child``."""
+    # The condition text IS the predicate's semantics, so compiled
+    # queries are result-cacheable.
+    condition = "%s %s %r" % (
+        comparison.attr, comparison.operator, comparison.value
+    )
+    return SelectPred(child, comparison, label=condition, cache_key=condition)
 
 
 def compile_query(query: Query) -> Plan:
@@ -395,7 +376,7 @@ def compile_query(query: Query) -> Plan:
         if operator == "=" and attr not in equalities:
             equalities[attr] = value
         else:
-            plan = _Comparison(attr, operator, value).node(plan)
+            plan = _node(Comparison(attr, operator, value), plan)
     if equalities:
         plan = SelectEq(plan, equalities)
     aggregations: Dict[str, Tuple[str, str]] = {}
@@ -470,13 +451,13 @@ def _bind_select_eq(plan: SelectEq, args: Sequence[Any]) -> Plan:
 
 def _bind_select_pred(plan: SelectPred, args: Sequence[Any]) -> Plan:
     comparison = plan.predicate
-    if type(comparison) is not _Comparison or \
+    if type(comparison) is not Comparison or \
             type(comparison.value) is not Param:
         return plan
-    return _Comparison(
+    return _node(Comparison(
         comparison.attr, comparison.operator,
         args[comparison.value.index - 1],
-    ).node(plan.child)
+    ), plan.child)
 
 
 def _bind_limit(plan: Limit, args: Sequence[Any]) -> Plan:

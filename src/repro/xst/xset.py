@@ -29,7 +29,8 @@ the constructor rejects any attempt to place one inside an ``XSet``.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from itertools import repeat
+from collections import defaultdict
+from itertools import compress, repeat
 from operator import attrgetter, itemgetter
 from typing import Any, Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
@@ -93,13 +94,21 @@ def _inserting(run: Tuple, moves: List[Tuple[int, Tuple]], part: int) -> Tuple:
 
 def _holding(pairs: Iterable[Pair], scope: Any) -> Dict[Any, List[Pair]]:
     """``{x: the pairs (z, w) with x in_scope z, in their order}`` (atom
-    members hold nothing)."""
-    grouped: Dict[Any, List[Pair]] = {}
+    members hold nothing).
+
+    Each member's elements at ``scope`` are read straight off its run,
+    in its order; no member builds its scope index for this.  Scopes
+    meet as dict keys do, ``at is scope or at == scope``, so one ``nan``
+    object meets itself and the twins ``1``/``1.0``/``True`` meet each
+    other; the elements become keys, so twins share a run.
+    """
+    grouped: Dict[Any, List[Pair]] = defaultdict(list)
     for pair in pairs:
         member = pair[0]
-        if isinstance(member, XSet):
-            for element in member._scopes_index().get(scope, ()):
-                grouped.setdefault(element, []).append(pair)
+        if type(member) is XSet or isinstance(member, XSet):
+            for element, at in member._pairs:
+                if at is scope or at == scope:
+                    grouped[element].append(pair)
     return grouped
 
 
@@ -330,9 +339,8 @@ class XSet:
             object.__setattr__(self, "_by_part", by_part)
         index = by_part.get(scope)
         if index is None:
-            index = {
-                key: tuple(run) for key, run in _holding(self._pairs, scope).items()
-            }
+            grouped = _holding(self._pairs, scope)
+            index = dict(zip(grouped, map(tuple, grouped.values())))
             by_part[scope] = index
         return index
 
@@ -548,7 +556,10 @@ class XSet:
         return self.difference(other).union(other.difference(self))
 
     def _keeping(
-        self, kept: frozenset, candidates: Optional[Iterable[_Keyed]] = None
+        self,
+        kept: frozenset,
+        candidates: Optional[Iterable[_Keyed]] = None,
+        own: Optional[Iterable[Pair]] = None,
     ) -> "XSet":
         """The members of ``self`` that are in ``kept``, a subset of them.
 
@@ -556,9 +567,13 @@ class XSet:
         key)`` items among which is every member of ``self`` not in
         ``kept``, spelled either way; the rest are no members at all.
         Each is then looked up by bisecting this set's keys, and the
-        result carries this set's member indexes, patched.  Either way
-        the result is a subsequence of this set's canonical run, beside
-        the matching subsequence of its keys when it has any.
+        result carries this set's member indexes, patched.  Otherwise
+        the run is filtered; ``own``, when the caller holds it, is
+        ``kept`` as this run's own pair objects, and the filter then
+        tests identity and hashes no pair (an ``XSet`` element's hash is
+        a Python call).  Either way the result is a subsequence of this
+        set's canonical run, beside the matching subsequence of its keys
+        when it has any.
         """
         pairs = self._pairs
         if len(kept) == len(pairs):
@@ -575,14 +590,14 @@ class XSet:
                 )
                 self._carry_parts(result, [pairs[at] for at in positions], [])
                 return result
-        if self._key is None:
-            return XSet._from_run(
-                (pair for pair in pairs if pair in kept), kept
-            )
-        ordered, kept_keys = zip(*(
-            item for item in zip(pairs, self._key[2]) if item[0] in kept
-        )) if kept else ((), ())
-        return XSet._from_run(ordered, kept, kept_keys)
+        # One C-level pass over the run: which of its pairs are kept.
+        if own is None:
+            mask = list(map(kept.__contains__, pairs))
+        else:
+            ids = set(map(id, own))
+            mask = list(map(ids.__contains__, map(id, pairs)))
+        keys = None if self._key is None else tuple(compress(self._key[2], mask))
+        return XSet._from_run(tuple(compress(pairs, mask)), kept, keys)
 
     def __or__(self, other: "XSet") -> "XSet":
         if not isinstance(other, XSet):

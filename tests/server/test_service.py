@@ -318,12 +318,17 @@ class TestSameFailureThroughEveryDoor:
         ("create view v select name from emp", NotationError, "NOTATION"),
         ("create view v as select name from emp budget 9",
          NotationError, "NOTATION"),
+        ("select name from emp where eid > 'q'", SchemaError, "SCHEMA"),
+        ("select name from emp where dept <= 3", SchemaError, "SCHEMA"),
+        ("select name from emp where ghost > 1", SchemaError, "SCHEMA"),
     ], ids=["unknown_table", "unknown_attribute", "bad_xql",
             "duplicate_key", "non_grouped_column", "unknown_source",
             "colliding_output", "unknown_order", "unknown_order_no_limit",
             "sum_of_strings", "view_unknown_attribute", "view_shadows_table",
             "view_unknown_order", "refresh_unknown_view",
-            "drop_unknown_view", "view_bad_xql", "view_body_budget"])
+            "drop_unknown_view", "view_bad_xql", "view_body_budget",
+            "incomparable_constant", "incomparable_column",
+            "compare_unknown_attribute"])
     def test_embedded_and_served_raise_the_same_class(
             self, text, error, code):
         manager = make_manager()
