@@ -137,9 +137,9 @@ class Comparison:
     """One comparison condition, ``row[attr] <operator> value``, kept as
     its parts so the kernel can read it.
 
-    Called on a row dict it decides that row, as the record executor,
-    the columnar backend and a predicate pushed below a re-scoping
-    stage call it.  :func:`select` instead decides each distinct value
+    It is the value a plan's ``SelectPred`` holds.  Called on a row dict
+    it decides that row, as the record executor and the columnar
+    backend call it.  :func:`select` instead decides each distinct value
     of the relation's member index at ``attr`` once, or its whole column
     in one pass.  Either way values that do not compare with ``value``
     (``'>'`` between an ``int`` and a ``str``) are refused with the same
@@ -206,7 +206,8 @@ def select(
     comparison, since the relation keeps it: ``SelectPred.apply``.)
 
     Any other callable carries no extended-set key, so this is honest
-    separation: the predicate sees each row as a dict.  Use
+    separation: the predicate sees each row as a dict.  It is the
+    kernel's record-level separation and no plan node holds one.  Use
     :func:`select_eq` whenever the condition is an equality -- the
     optimizer rewrites eligible selects into restrictions.
     """

@@ -348,15 +348,15 @@ class ColumnarRelation:
         _record_backend("restrict", "columnar")
         return self._take(kept)
 
-    def select_pred(self, predicate, label: str = "<predicate>") -> "ColumnarRelation":
+    def select_pred(self, predicate) -> "ColumnarRelation":
         """General predicate selection (row dicts, honest separation).
 
         Every predicate, an ``algebra.Comparison`` too, is called on each
         row's dict: no run is read for it, so this backend still scans
         where the row backend tests each distinct value of a carried
-        member index once, or a whole column in one C-level pass.  The win over falling back to the row backend is
-        staying in the encoding -- no XSet is built for the input or the
-        output.
+        member index once, or a whole column in one C-level pass.  The
+        win over falling back to the row backend is staying in the
+        encoding -- no XSet is built for the input or the output.
         """
         names = self._heading.names
         cols = [self._columns[name] for name in names]

@@ -13,8 +13,9 @@ Three layers, each usable alone:
   value's run in it.  Join selectivity is ``1 / max(distinct_left,
   distinct_right)`` per shared attribute.  Only a column no base
   relation stands behind (an ``Aggregate`` output) falls back to the
-  constant :data:`_FALLBACK_EQ_SELECTIVITY`, and an opaque predicate
-  always keeps one row in three (:data:`_FALLBACK_PRED_SELECTIVITY`).
+  constant :data:`_FALLBACK_EQ_SELECTIVITY`, and a comparison
+  (``SelectPred``) always keeps one row in three
+  (:data:`_FALLBACK_PRED_SELECTIVITY`).
 
 * **Operator cost formulas** (:meth:`CardinalityEstimator.cost`) --
   one weighted-rows term per operator, calibrated against the shapes
@@ -89,7 +90,7 @@ DP_STEP_BUDGET = 4096
 
 #: Selectivities assumed where the value cannot say: one row in ten
 #: survives an equality on (or forms a group of) a column no base
-#: relation stands behind, one in three an opaque predicate.
+#: relation stands behind, one in three a comparison (``SelectPred``).
 _FALLBACK_EQ_SELECTIVITY = 0.1
 _FALLBACK_PRED_SELECTIVITY = 1.0 / 3.0
 
@@ -130,8 +131,8 @@ _COST_COLUMNAR_PROJECT = 0.6     # value-tuple dedup, no row rebuild
 _COST_COLUMNAR_RENAME = 0.05     # re-key columns; runs carry over
 _COST_MERGE_JOIN_INPUT = 0.4     # per input row of a merge walk, each side
 
-#: Per input row of each unary operator: (row backend, columnar).  An
-#: opaque predicate pays per-row Python on either backend.
+#: Per input row of each unary operator: (row backend, columnar).  A
+#: comparison (``SelectPred``) is priced alike on either backend.
 _COST_PER_INPUT_ROW = {
     SelectEq: (_COST_SELECT_EQ, _COST_COLUMNAR_SELECT_EQ),
     SelectPred: (_COST_SELECT_PRED, _COST_SELECT_PRED),
@@ -167,7 +168,7 @@ def estimate_shard_rows(
     table's committed value, shrunk by the fraction of it every pushed
     equality keeps (read off its member index, as the local planner
     reads it, so distributed and local estimates agree) and by the
-    fallback factor per opaque predicate.
+    fallback factor per comparison (``SelectPred``).
     """
     total = len(relation)
     rows = float(total)

@@ -372,7 +372,7 @@ class _Sharded(NamedTuple):
     own name for it: routing and sizing read ``conditions`` (first
     value seen per attribute) and the partition attribute under those
     names however the plan renamed them.  ``predicates`` counts the
-    opaque selections.
+    comparisons (``SelectPred`` stages).
     """
 
     table: str

@@ -4,10 +4,9 @@ A cache entry's key is the pair ``(plan key, fingerprint)``:
 
 * the **plan key** (:func:`repro.relational.query.plan_cache_key`)
   is the canonical rendering of the plan tree --
-  ``repro.obs.digest.plan_hash`` over a canonical text in which every
-  ``SelectPred`` contributes its explicit ``cache_key`` (plans whose
-  predicates carry no cache key are *uncacheable*: two different
-  lambdas can share a label, and a label is not a semantics), with the
+  ``repro.obs.digest.plan_hash`` over a canonical text made of every
+  node's description (a ``SelectPred`` names its comparison's
+  attribute, operator and constant, so every plan has a key), with the
   full canonical text appended so a CRC collision can never alias two
   distinct plans;
 * the **fingerprint** is the tuple of immutable relations the plan

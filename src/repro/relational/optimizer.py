@@ -10,9 +10,14 @@ to query plans with four families:
    re-scoping process each, so their composition is a single stage
    whose sigma is the fused scope map (``Sigma.fused_output``); chains
    collapse to one node and intermediate materializations disappear.
-2. **Selection pushdown** -- SelectEq commutes below Project/Rename
-   (with attribute names mapped through) and into the matching side
-   of a Join, shrinking relative-product inputs.
+2. **Restriction pushdown** -- a restriction, an equality
+   (``SelectEq``) or a comparison (``SelectPred``), is a separation
+   over the sigma-domain followed by a Def 7.6 restriction by the
+   values that pass, so it commutes below Project/Rename (with
+   attribute names mapped through) and into every Join side whose
+   heading holds its attributes, shrinking relative-product inputs.
+   One rule serves both nodes; a comparison that reaches its Scan is
+   decided over the stored relation's member index.
 3. **Adjacent select merging** -- stacked SelectEq nodes merge into
    one restriction key.
 4. **Join ordering** -- after the rewrite fixed point, every maximal
@@ -30,11 +35,12 @@ catalog state).
 
 from __future__ import annotations
 
-from typing import Dict, Mapping
+from typing import Dict, Mapping, Tuple
 
 from repro.gov.governor import checkpoint as _gov_checkpoint
 from repro.obs import metrics as _metrics
 from repro.obs.instrument import enabled as _obs_enabled
+from repro.relational.algebra import Comparison
 from repro.relational.cost import reorder_joins
 from repro.relational.query import (
     Database,
@@ -103,10 +109,17 @@ def _rewrite(plan: Plan, db: Database) -> Plan:
     return plan if rule is None else rule(plan, db)
 
 
-def _rewrite_select(plan: SelectEq, db: Database) -> Plan:
+def _rewrite_restriction(plan: Plan, db: Database) -> Plan:
+    """Move a restriction -- a ``SelectEq`` or a ``SelectPred`` -- toward
+    the data: below a Project unchanged, below a Rename with its
+    attributes spelled as they are underneath, and into each Join side
+    whose heading holds its attributes.  An attribute in *both* headings
+    restricts both inputs: the natural join equates shared attributes,
+    so the condition holds on each side independently and both
+    relative-product inputs shrink.  Stacked equalities merge into one
+    restriction key."""
     child = plan.child
-    # Merge stacked equality selections into one restriction key.
-    if isinstance(child, SelectEq):
+    if isinstance(plan, SelectEq) and isinstance(child, SelectEq):
         merged = dict(child.conditions)
         for attr, value in plan.conditions.items():
             if attr in merged and merged[attr] != value:
@@ -114,119 +127,49 @@ def _rewrite_select(plan: SelectEq, db: Database) -> Plan:
                 # restriction will produce the (empty) answer anyway.
                 return plan
             merged[attr] = value
-        return _rewrite_select(SelectEq(child.child, merged), db)
-    # Push below a projection when the projection keeps the attributes.
-    if isinstance(child, Project) and all(
-        attr in child.attrs for attr in plan.conditions
-    ):
-        return Project(
-            _rewrite_select(SelectEq(child.child, plan.conditions), db),
-            child.attrs,
-        )
-    # Push below a rename by translating attribute names back.
-    if isinstance(child, Rename):
-        translated = {
-            child.origin(attr): value
-            for attr, value in plan.conditions.items()
-        }
-        return Rename(
-            _rewrite_select(SelectEq(child.child, translated), db),
-            child.mapping,
-        )
-    # Push into every join side that owns condition attributes.  An
-    # attribute appearing in *both* headings filters both inputs: the
-    # natural join equates shared attributes, so the condition holds on
-    # each side independently and both relative-product inputs shrink.
-    if isinstance(child, Join):
-        left_names = set(db.heading_of(child.left).names)
-        right_names = set(db.heading_of(child.right).names)
-        attrs = set(plan.conditions)
-        if attrs <= left_names | right_names:
-            left_conditions = {
-                attr: value
-                for attr, value in plan.conditions.items()
-                if attr in left_names
-            }
-            right_conditions = {
-                attr: value
-                for attr, value in plan.conditions.items()
-                if attr in right_names
-            }
-            new_left = child.left
-            if left_conditions:
-                new_left = _rewrite_select(
-                    SelectEq(child.left, left_conditions), db
-                )
-            new_right = child.right
-            if right_conditions:
-                new_right = _rewrite_select(
-                    SelectEq(child.right, right_conditions), db
-                )
-            return Join(new_left, new_right)
-    return plan
-
-
-def _rewrite_select_pred(plan: SelectPred, db: Database) -> Plan:
-    """Push an opaque-predicate selection below re-scoping stages.
-
-    The predicate sees exactly the row it would have seen above the
-    stage: below a Project the full row is narrowed back to the
-    projected attributes before the original predicate runs, and below
-    a Rename the pre-rename row is translated through the scope map.
-    Either way the predicate itself is never inspected -- only the row
-    it is handed changes shape -- so the rewrite is safe for arbitrary
-    Python callables.
-    """
-    child = plan.child
+        return _rewrite_restriction(SelectEq(child.child, merged), db)
     if isinstance(child, Project):
-        attrs = child.attrs
-        predicate = plan.predicate
-
-        def narrowed(row, _predicate=predicate, _attrs=attrs):
-            return _predicate({name: row[name] for name in _attrs})
-
-        # The wrapper changed which row shape the predicate sees, so
-        # the cache key must say so -- otherwise a directly-built
-        # predicate with the same key below this Project would alias.
-        cache_key = plan.cache_key
-        if cache_key is not None:
-            cache_key = "narrow{%s}:%s" % (",".join(attrs), cache_key)
         return Project(
-            _rewrite_select_pred(
-                SelectPred(
-                    child.child, narrowed, plan.label, cache_key=cache_key
-                ),
-                db,
-            ),
+            _rewrite_restriction(plan.with_children(child.child), db),
             child.attrs,
         )
     if isinstance(child, Rename):
-        mapping = child.mapping
-        predicate = plan.predicate
-
-        def translated(row, _predicate=predicate, _mapping=mapping):
-            return _predicate(
-                {_mapping.get(name, name): value for name, value in row.items()}
-            )
-
-        cache_key = plan.cache_key
-        if cache_key is not None:
-            cache_key = "viarename{%s}:%s" % (
-                ",".join(
-                    "%s->%s" % item for item in sorted(mapping.items())
-                ),
-                cache_key,
-            )
+        names = {attr: child.origin(attr) for attr in _reads(plan)}
         return Rename(
-            _rewrite_select_pred(
-                SelectPred(
-                    child.child, translated, plan.label, cache_key=cache_key
-                ),
-                db,
-            ),
+            _rewrite_restriction(_restricted(plan, child.child, names), db),
             child.mapping,
         )
+    if isinstance(child, Join):
+        sides = []
+        for side in child.children():
+            held = set(db.heading_of(side).names)
+            names = {attr: attr for attr in _reads(plan) if attr in held}
+            if names:
+                side = _rewrite_restriction(_restricted(plan, side, names), db)
+            sides.append(side)
+        return Join(*sides)
     return plan
+
+
+def _reads(plan: Plan) -> Tuple[str, ...]:
+    """The attributes a restriction tests."""
+    if isinstance(plan, SelectEq):
+        return tuple(plan.conditions)
+    return (plan.comparison.attr,)
+
+
+def _restricted(plan: Plan, child: Plan, names: Mapping[str, str]) -> Plan:
+    """``plan``'s restriction over ``child``, on the attributes ``names``
+    holds, each spelled as ``names`` maps it."""
+    if isinstance(plan, SelectEq):
+        return SelectEq(child, {
+            names[attr]: value
+            for attr, value in plan.conditions.items() if attr in names
+        })
+    comparison = plan.comparison
+    return SelectPred(child, Comparison(
+        names[comparison.attr], comparison.operator, comparison.value
+    ))
 
 
 def _compose_renames(
@@ -280,8 +223,8 @@ def _rewrite_rename(plan: Rename, db: Database) -> Plan:
 
 #: The rewrite rule of each node type that has one, as ``(node, db)``.
 _RULES = {
-    SelectEq: _rewrite_select,
-    SelectPred: _rewrite_select_pred,
+    SelectEq: _rewrite_restriction,
+    SelectPred: _rewrite_restriction,
     Project: _rewrite_project,
     Rename: _rewrite_rename,
 }

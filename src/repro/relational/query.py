@@ -224,50 +224,45 @@ class SelectEq(_Unary):
 
 
 class SelectPred(_Unary):
-    """General predicate selection.
+    """Comparison selection: the rows whose ``attr`` passes an
+    :class:`~repro.relational.algebra.Comparison`.
 
-    An ``algebra.Comparison`` (what XQL compiles a range condition to)
-    over a stored relation is decided one distinct value of its member
-    index at a time, and over a derived operand by one C-level pass
-    over its column (:func:`algebra.select`); any other callable, and
-    every predicate in record mode, sees each row as a dict.
-    ``cache_key`` is an optional canonical string naming the
-    predicate's *semantics* (the XQL compiler sets it to the condition
-    text).  Only predicates with a cache key participate in result
-    caching -- labels are display strings, not identities, and two
-    different callables may share one.
+    Over a stored relation it is decided one distinct value of the
+    member index at ``attr`` at a time, over a derived operand by one
+    C-level pass over its column (:func:`algebra.select`); record mode
+    calls it on each row's dict.  The comparison is a value, so the
+    node's description names it exactly and is its result-cache key.
     """
 
-    __slots__ = ("predicate", "label", "cache_key")
+    __slots__ = ("comparison",)
     op = "select_pred"
 
-    def __init__(
-        self,
-        child: Plan,
-        predicate: Callable[[Dict[str, Any]], bool],
-        label: str = "<predicate>",
-        cache_key: Optional[str] = None,
-    ):
+    def __init__(self, child: Plan, comparison: algebra.Comparison):
+        if type(comparison) is not algebra.Comparison:
+            raise TypeError(
+                "SelectPred takes a Comparison, not %r" % (comparison,)
+            )
         super().__init__(child)
-        object.__setattr__(self, "predicate", predicate)
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "cache_key", cache_key)
+        object.__setattr__(self, "comparison", comparison)
 
     def heading(self, child: Heading) -> Heading:
+        child.require([self.comparison.attr])
         return child
 
     def apply(self, kernels, inputs):
         operand = inputs[0]
-        if isinstance(self.child, Scan) and isinstance(operand, Relation) \
-                and type(self.predicate) is algebra.Comparison:
+        if isinstance(self.child, Scan) and isinstance(operand, Relation):
             # A stored relation keeps its member index and carries it
             # through every later commit, so its fill is paid once; a
             # derived operand is not indexed for one comparison.
-            operand.rows._members_holding(self.predicate.attr)
-        return kernels.select_pred(operand, self.predicate)
+            operand.rows._members_holding(self.comparison.attr)
+        return kernels.select_pred(operand, self.comparison)
 
     def describe(self) -> str:
-        return "SelectPred(%s)" % self.label
+        comparison = self.comparison
+        return "SelectPred(%s %s %r)" % (
+            comparison.attr, comparison.operator, comparison.value
+        )
 
 
 class Project(_Unary):
@@ -465,34 +460,23 @@ def scans(plan: Plan) -> List[str]:
     return list(names)
 
 
-class _Uncacheable(Exception):
-    pass
-
-
 def _canonical(plan: Plan) -> str:
-    if isinstance(plan, SelectPred):
-        if plan.cache_key is None:
-            raise _Uncacheable
-        head = "SelectPred{%s}" % plan.cache_key
-    else:
-        head = plan.describe()
+    head = plan.describe()
     children = plan.children()
     if not children:
         return head
     return "%s(%s)" % (head, ",".join([_canonical(child) for child in children]))
 
 
-def plan_cache_key(plan: Plan) -> Optional[str]:
-    """The canonical result-cache key for a plan, or ``None`` if
-    uncacheable.
+def plan_cache_key(plan: Plan) -> str:
+    """The canonical result-cache key for a plan.
 
-    Uncacheable means some ``SelectPred`` carries no ``cache_key`` --
-    an opaque Python callable whose semantics the cache cannot name.
+    Every node's description names all of its parameters -- a
+    ``SelectPred`` its comparison's attribute, operator and constant
+    (by ``repr``, so the twins ``1``/``1.0``/``True`` differ) -- so
+    every plan has a key, and plans spelled alike share it.
     """
-    try:
-        text = _canonical(plan)
-    except _Uncacheable:
-        return None
+    text = _canonical(plan)
     return "%s:%s" % (plan_hash(text), text)
 
 
@@ -679,10 +663,10 @@ class Database:
         span tree :func:`repro.relational.profile.execute_profiled`
         measures explicitly.
 
-        With a result cache (``Database(..., result_cache=...)``),
-        cacheable plans are answered from the cache when an entry was
-        computed from the very relations the plan scans now; misses
-        execute normally and populate it.
+        With a result cache (``Database(..., result_cache=...)``), a
+        plan is answered from the cache when an entry was computed from
+        the very relations it scans now; misses execute normally and
+        populate it.
 
         A plan that is not well defined on the catalog's headings is
         refused with :class:`~repro.errors.SchemaError` first: before
@@ -712,8 +696,6 @@ class Database:
         """The one result-cache consult: ``run(plan)`` computes a miss
         (this catalog's executor, or the cluster's over its buckets)."""
         plan_key = plan_cache_key(plan)
-        if plan_key is None:
-            return run(plan)
         # The fingerprint *is* the data the execution reads: the
         # immutable relations themselves (heading_of vouched for every
         # name), which the entry keeps for as long as it lives.
@@ -891,7 +873,7 @@ class Database:
                     yield row
         elif isinstance(plan, SelectPred):
             for row in self._iterate(plan.child):
-                if plan.predicate(row):
+                if plan.comparison(row):
                     yield row
         elif isinstance(plan, Project):
             for row in self._iterate(plan.child):

@@ -351,16 +351,6 @@ def parse_query(text: str) -> Query:
     return _Parser(text).parse()
 
 
-def _node(comparison: Comparison, child: Plan) -> SelectPred:
-    """One WHERE condition as a ``SelectPred`` over ``child``."""
-    # The condition text IS the predicate's semantics, so compiled
-    # queries are result-cacheable.
-    condition = "%s %s %r" % (
-        comparison.attr, comparison.operator, comparison.value
-    )
-    return SelectPred(child, comparison, label=condition, cache_key=condition)
-
-
 def compile_query(query: Query) -> Plan:
     """Lower a parsed query -- all of it -- to plan nodes.
 
@@ -376,7 +366,7 @@ def compile_query(query: Query) -> Plan:
         if operator == "=" and attr not in equalities:
             equalities[attr] = value
         else:
-            plan = _node(Comparison(attr, operator, value), plan)
+            plan = SelectPred(plan, Comparison(attr, operator, value))
     if equalities:
         plan = SelectEq(plan, equalities)
     aggregations: Dict[str, Tuple[str, str]] = {}
@@ -432,7 +422,7 @@ def _refuse_arguments(query: Query, text: str, count: int) -> None:
 def _bind(plan: Plan, args: Sequence[Any]) -> Plan:
     """``plan`` with every parameter replaced by its argument's value:
     the very plan :func:`compile_query` builds from the statement with
-    those values written in (same conditions, same labels, same result
+    those values written in (same conditions, same descriptions, same result
     cache key), so an execution and a query of that text share result
     cache entries.  ``args`` fit the plan's placeholders."""
     children = plan.children()
@@ -450,14 +440,13 @@ def _bind_select_eq(plan: SelectEq, args: Sequence[Any]) -> Plan:
 
 
 def _bind_select_pred(plan: SelectPred, args: Sequence[Any]) -> Plan:
-    comparison = plan.predicate
-    if type(comparison) is not Comparison or \
-            type(comparison.value) is not Param:
+    comparison = plan.comparison
+    if type(comparison.value) is not Param:
         return plan
-    return _node(Comparison(
+    return SelectPred(plan.child, Comparison(
         comparison.attr, comparison.operator,
         args[comparison.value.index - 1],
-    ), plan.child)
+    ))
 
 
 def _bind_limit(plan: Limit, args: Sequence[Any]) -> Plan:

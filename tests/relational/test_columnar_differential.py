@@ -144,8 +144,7 @@ def _draw_plan(draw, headings, pool, depth):
     if kind == "select_pred":
         attr = draw(st.sampled_from(names))
         value = draw(st.sampled_from(pool))
-        predicate = lambda row, a=attr, v=value: not (row[a] == v)  # noqa: E731
-        return SelectPred(child, predicate, "neq"), names
+        return SelectPred(child, algebra.Comparison(attr, "!=", value)), names
     if kind == "project":
         kept = tuple(
             draw(

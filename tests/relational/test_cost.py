@@ -14,6 +14,7 @@ from repro.relational.cost import (
     qerror,
     reorder_joins,
 )
+from repro.relational.algebra import Comparison
 from repro.relational.constraints import Table
 from repro.relational.optimizer import optimize
 from repro.relational.profile import explain_analyze
@@ -305,9 +306,9 @@ class TestReadOffTheValue:
         assert est.estimate(Union(Scan("emp"), Scan("emp"))) == 120.0
         assert est.estimate(Difference(Scan("emp"), Scan("emp"))) == 60.0
 
-    def test_an_opaque_predicate_keeps_one_row_in_three(self, db):
+    def test_a_comparison_keeps_one_row_in_three(self, db):
         est = CardinalityEstimator(db)
-        plan = SelectPred(Scan("emp"), lambda row: True, "all")
+        plan = SelectPred(Scan("emp"), Comparison("salary", ">=", 0))
         assert est.estimate(plan) == pytest.approx(
             60 * cost_module._FALLBACK_PRED_SELECTIVITY
         )

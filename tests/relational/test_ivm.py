@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.errors import NotationError, SchemaError
+from repro.relational.algebra import Comparison
 from repro.relational.constraints import KeyConstraint, Table
 from repro.relational.cost import CardinalityEstimator
 from repro.relational.ivm import (
@@ -180,7 +181,7 @@ class TestNodeRules:
 
     def test_select_pred(self):
         check_propagation(
-            SelectPred(Scan("emp"), lambda row: row["eid"] > 1, "gt1"),
+            SelectPred(Scan("emp"), Comparison("eid", ">", 1)),
             self.OLD,
             self.evolve(emp=rel(["eid", "dept"], [(9, "ops")])),
         )

@@ -1,10 +1,15 @@
 """Optimizer rewrites: shape assertions + result preservation."""
 
+import asyncio
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.errors import SchemaError
 from repro.relational import cost as cost_module
+from repro.relational.algebra import Comparison
+from repro.relational.constraints import Table
 from repro.relational.cost import CardinalityEstimator
 from repro.relational.optimizer import optimize
 from repro.relational.profile import execute_profiled
@@ -18,6 +23,10 @@ from repro.relational.query import (
     SelectPred,
     Union,
 )
+from repro.relational.sql import compile_query, parse_query
+from repro.relational.sql import run as run_xql
+from repro.relational.tx import TransactionManager
+from repro.server import Server, connect
 from repro.workloads.generators import department_relation, employee_relation
 
 
@@ -113,9 +122,7 @@ class TestSelectionRewrites:
 
     def test_select_pred_pushes_below_project(self, db):
         plan = SelectPred(
-            Project(Scan("emp"), ["name", "dept"]),
-            lambda row: row["dept"] == 2,
-            label="dept is 2",
+            Project(Scan("emp"), ["name", "dept"]), Comparison("dept", "=", 2)
         )
         optimized = optimize(plan, db)
         lines = optimized.explain().splitlines()
@@ -123,30 +130,156 @@ class TestSelectionRewrites:
         assert lines[1].strip().startswith("SelectPred")
         assert db.execute(optimized) == db.execute(plan)
 
-    def test_select_pred_below_project_sees_narrowed_rows_only(self, db):
-        # The predicate inspects the whole row dict it is handed; after
-        # pushdown it must still see exactly the projected attributes,
-        # not the wider pre-projection row.
-        plan = SelectPred(
-            Project(Scan("emp"), ["name", "dept"]),
-            lambda row: set(row) == {"name", "dept"} and row["dept"] == 1,
-            label="narrowed",
-        )
+    def test_a_comparison_below_project_is_the_one_written_there(self, db):
+        # The comparison reads one attribute, which the projection
+        # keeps: pushed down it is the very node one would write below
+        # the Project, not a wrapper around it.
+        comparison = Comparison("dept", "=", 1)
+        plan = SelectPred(Project(Scan("emp"), ["name", "dept"]), comparison)
         optimized = optimize(plan, db)
+        assert optimized.explain() == Project(
+            SelectPred(Scan("emp"), comparison), ["name", "dept"]
+        ).explain()
+        assert optimized.child.comparison is comparison
         assert db.execute(optimized) == db.execute(plan)
         assert db.execute(optimized).cardinality() > 0
 
     def test_select_pred_pushes_below_rename_with_translation(self, db):
         plan = SelectPred(
             Rename(Scan("emp"), {"dept": "division"}),
-            lambda row: row["division"] == 3,
-            label="division is 3",
+            Comparison("division", "=", 3),
         )
         optimized = optimize(plan, db)
         lines = optimized.explain().splitlines()
         assert lines[0].startswith("Rename")
-        assert lines[1].strip().startswith("SelectPred")
+        assert lines[1].strip() == "SelectPred(dept = 3)"
         assert db.execute(optimized) == db.execute(plan)
+
+    def test_a_comparison_goes_to_the_join_side_holding_it(self, db):
+        plan = SelectPred(
+            Join(Scan("emp"), Scan("dept")), Comparison("salary", ">", 50000)
+        )
+        optimized = optimize(plan, db)
+        assert optimized.explain().splitlines() == [
+            "Join", "  SelectPred(salary > 50000)", "    Scan(emp)",
+            "  Scan(dept)",
+        ]
+        assert db.execute(optimized) == db.execute(plan)
+
+    def test_a_shared_attribute_restricts_both_join_sides(self, db):
+        plan = SelectPred(
+            Join(Scan("emp"), Scan("dept")), Comparison("dept", "<", 3)
+        )
+        optimized = optimize(plan, db)
+        assert optimized.explain().count("SelectPred(dept < 3)") == 2
+        assert restrictions_sit_on_scans(optimized)
+        assert db.execute(optimized) == db.execute(plan)
+        assert db.execute(optimized) == db.execute_records(plan)
+
+    def test_a_comparison_moves_through_rename_and_project_into_a_join(
+            self, db):
+        plan = SelectPred(
+            Project(
+                Rename(Join(Scan("emp"), Scan("dept")), {"salary": "pay"}),
+                ["name", "pay", "dname"],
+            ),
+            Comparison("pay", "<=", 40000),
+        )
+        optimized = optimize(plan, db)
+        assert restrictions_sit_on_scans(optimized)
+        assert "SelectPred(salary <= 40000)" in optimized.explain()
+        assert db.execute(optimized) == db.execute(plan)
+
+    @pytest.mark.parametrize("text", [
+        "select emp, name, dname from emp join dept where salary > 50000",
+        "select emp, name, dname from emp join dept "
+        "where dept = 1 and salary > 50000",
+    ])
+    def test_every_restriction_of_a_joining_statement_sits_on_a_scan(
+            self, db, text):
+        # Bottom-up: the comparison reaches its Scan first, so the
+        # equality compiled above it reaches the Join and is pushed too.
+        plan = compile_query(parse_query(text))
+        optimized = optimize(plan, db)
+        assert not restrictions_sit_on_scans(plan)
+        assert restrictions_sit_on_scans(optimized)
+        assert db.execute(optimized) == db.execute_records(plan)
+
+
+def restrictions_sit_on_scans(plan):
+    """Whether below every restriction of ``plan`` there are only
+    restrictions down to a ``Scan``."""
+    if isinstance(plan, (SelectEq, SelectPred)):
+        child = plan.child
+        while isinstance(child, (SelectEq, SelectPred)):
+            child = child.child
+        if not isinstance(child, Scan):
+            return False
+    return all(map(restrictions_sit_on_scans, plan.children()))
+
+
+class TestAComparisonReadsItsStoredColumn:
+    """Pushed to its Scan, a comparison over a join refuses a stored
+    value that does not compare with its constant, even in a row the
+    join would drop -- as a single-table statement always has, since
+    the member index's every distinct value is tested."""
+
+    TEXT = "select emp, name, dname from emp join dept where salary > 90000"
+
+    @staticmethod
+    def manager():
+        emp = Table(["emp", "name", "dept", "salary"], [
+            {"emp": 1, "name": "ada", "dept": 1, "salary": 95000},
+            {"emp": 2, "name": "bob", "dept": 2, "salary": 60000},
+            # No department 9: the join drops this row.
+            {"emp": 3, "name": "cyd", "dept": 9, "salary": "n/a"},
+        ])
+        dept = Table(["dept", "dname"], [
+            {"dept": 1, "dname": "eng"}, {"dept": 2, "dname": "ops"},
+        ])
+        return TransactionManager({"emp": emp, "dept": dept})
+
+    def test_embedded(self):
+        db = self.manager().committed()
+        with pytest.raises(SchemaError, match="'salary' holds str"):
+            run_xql(db, self.TEXT)
+        # The join alone drops the row, so nothing above it refuses.
+        joined = Join(Scan("emp"), Scan("dept"))
+        assert db.execute_records(SelectPred(
+            joined, Comparison("salary", ">", 90000)
+        )).cardinality() == 1
+
+    def test_served(self):
+        async def body():
+            server = Server(self.manager())
+            await server.start()
+            try:
+                client = await connect("127.0.0.1", server.port)
+                with pytest.raises(SchemaError) as refused:
+                    await client.query(self.TEXT)
+                await client.close()
+                return refused.value
+            finally:
+                await server.close()
+
+        refusal = asyncio.run(asyncio.wait_for(body(), 30))
+        assert refusal.code == "SCHEMA"
+        assert "'salary' holds str" in str(refusal)
+
+    def test_below_a_rename_the_refusal_names_the_stored_column(self):
+        # Pushed below the Rename, the comparison reads `salary` and its
+        # refusal says so; unoptimized, it reads `pay` above the Rename.
+        db = self.manager().committed()
+        plan = SelectPred(
+            Rename(Scan("emp"), {"salary": "pay"}),
+            Comparison("pay", ">", "x"),
+        )
+        held = "holds int, which does not compare with str"
+        with pytest.raises(SchemaError, match="^pay > 'x': 'pay' " + held):
+            db.execute_records(plan)
+        with pytest.raises(
+                SchemaError, match="^salary > 'x': 'salary' " + held):
+            db.execute(optimize(plan, db))
 
 
 class TestJoinOrdering:
@@ -181,7 +314,7 @@ class TestJoinOrdering:
         assert estimate(Union(Scan("emp"), Scan("emp"))) == 120
 
     def test_estimate_select_pred(self, db):
-        plan = SelectPred(Scan("emp"), lambda row: True)
+        plan = SelectPred(Scan("emp"), Comparison("salary", ">=", 0))
         assert CardinalityEstimator(db).estimate(plan) == 20
 
     def test_never_analyzed_three_way_join_is_reordered(self, db):

@@ -182,19 +182,14 @@ class TestOneHeadingRule:
 # ----------------------------------------------------------------------
 
 
-def _keyed(attr, value):
-    return SelectPred(
-        Scan("emp"), lambda row: row[attr] > value, "%s > %r" % (attr, value),
-        cache_key="%s > %r" % (attr, value),
-    )
-
-
 #: One small plan per operator, as a factory so two calls give equal
 #: plans sharing no node.
 ONE_NODE_PLANS = {
     Scan: lambda: Scan("emp"),
     SelectEq: lambda: SelectEq(Scan("emp"), {"dept": 1}),
-    SelectPred: lambda: _keyed("salary", 10),
+    SelectPred: lambda: SelectPred(
+        Scan("emp"), algebra.Comparison("salary", ">", 10)
+    ),
     Project: lambda: Project(Scan("emp"), ["dept", "emp"]),
     Rename: lambda: Rename(Scan("emp"), {"emp": "who"}),
     Join: lambda: Join(Scan("emp"), Scan("dept")),
@@ -249,7 +244,7 @@ class TestWithChildren:
             )
         assert rebuilt.describe() == plan.describe()
         assert rebuilt.explain() == plan.explain()
-        assert plan_cache_key(rebuilt) == plan_cache_key(plan) is not None
+        assert plan_cache_key(rebuilt) == plan_cache_key(plan)
         assert db.execute(rebuilt) == db.execute(plan)
 
 
@@ -287,7 +282,7 @@ def test_every_walker_knows_every_operator(db, operator):
     assert estimator.estimate(plan) >= 0.0
     assert estimator.cost(plan) >= 0.0
     assert DeltaPropagator(db, {}).delta(plan).is_empty()
-    assert plan_cache_key(plan) is not None
+    assert plan.describe() in plan_cache_key(plan)
     assert set(scans(plan)) == set(scan_tables(plan)) <= {"emp", "dept"}
     # The third backend: pushed down or gathered, the same relation.
     assert _cluster(db).execute(plan) == answer

@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro.relational.algebra import Comparison
 from repro.relational.profile import execute_profiled
 from repro.relational.query import (
     Database,
@@ -29,7 +30,7 @@ class TestAgreement:
     PLANS = [
         Scan("emp"),
         SelectEq(Scan("emp"), {"dept": 1}),
-        SelectPred(Scan("emp"), lambda row: row["salary"] > 50000, "rich"),
+        SelectPred(Scan("emp"), Comparison("salary", ">", 50000)),
         Project(Scan("emp"), ["dept"]),
         Rename(Scan("dept"), {"dname": "label"}),
         Join(Scan("emp"), Scan("dept")),

@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SchemaError
+from repro.relational.algebra import Comparison
 from repro.relational.ivm import QueryResultCache
 from repro.relational.query import (
     Database,
@@ -60,8 +61,7 @@ class TestUnaryPlans:
         assert all(row["dept"] == 3 for row in result.iter_dicts())
 
     def test_select_pred(self, db):
-        plan = SelectPred(Scan("emp"), lambda row: row["salary"] > 60000,
-                          label="salary>60000")
+        plan = SelectPred(Scan("emp"), Comparison("salary", ">", 60000))
         result = assert_modes_agree(db, plan)
         assert all(row["salary"] > 60000 for row in result.iter_dicts())
 

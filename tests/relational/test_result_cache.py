@@ -74,51 +74,43 @@ class TestPlanCacheKey:
             Union(Scan("a"), Scan("b"))
         ) != plan_cache_key(Join(Scan("a"), Scan("b")))
 
-    def test_keyless_predicate_is_uncacheable(self):
-        plan = SelectPred(Scan("emp"), lambda row: True, "anything")
-        assert plan_cache_key(plan) is None
-        assert plan_cache_key(Project(plan, ("a",))) is None
+    def test_a_comparison_plan_is_keyed_by_its_comparison(self):
+        plan = SelectPred(Scan("emp"), algebra.Comparison("x", ">", 1))
+        assert "SelectPred(x > 1)" in plan_cache_key(plan)
+        assert "SelectPred(x > 1)" in plan_cache_key(Project(plan, ("a",)))
 
-    def test_keyed_predicate_is_cacheable(self):
-        plan = SelectPred(
-            Scan("emp"), lambda row: row["x"] > 1, "gt", cache_key="x > 1"
-        )
-        key = plan_cache_key(plan)
-        assert key is not None
-        assert "x > 1" in key
+    def test_different_comparisons_do_not_alias(self):
+        keys = {
+            plan_cache_key(SelectPred(
+                Scan("emp"), algebra.Comparison(attr, operator, value)
+            ))
+            for attr, operator, value in [
+                ("x", ">", 1), ("x", ">", 2), ("x", ">=", 1), ("y", ">", 1),
+                # Typed twins answer alike, but are spelled apart.
+                ("x", ">", 1.0), ("x", ">", True), ("x", ">", "1"),
+            ]
+        }
+        assert len(keys) == 7
 
-    def test_same_label_different_key_do_not_alias(self):
-        a = SelectPred(Scan("emp"), lambda r: r["x"] > 1, "f", cache_key="k1")
-        b = SelectPred(Scan("emp"), lambda r: r["x"] > 2, "f", cache_key="k2")
-        assert plan_cache_key(a) != plan_cache_key(b)
-
-    def test_pushdown_below_project_rewrites_the_key(self):
-        db = Database()
-        db.add("emp", rel(["eid", "dept"], [(1, 2)]))
-        plan = SelectPred(
-            Project(Scan("emp"), ("eid",)),
-            lambda row: row["eid"] > 0, "pos", cache_key="eid > 0",
+    @pytest.mark.parametrize("stage, attr", [
+        (lambda scan: Project(scan, ("eid",)), "eid"),
+        (lambda scan: Rename(scan, {"eid": "id"}), "id"),
+    ], ids=["project", "rename"])
+    def test_a_pushed_comparison_shares_the_direct_key(self, stage, attr):
+        # Below the stage the comparison tests the same column of the
+        # same stored relation: one plan, one key, one entry.
+        db = Database(
+            {"emp": rel(["eid", "dept"], [(1, 2), (0, 3)])},
+            result_cache=QueryResultCache(capacity=8),
         )
-        rewritten = optimize(plan, db)
-        direct = SelectPred(
-            Scan("emp"), lambda row: row["eid"] > 0, "pos",
-            cache_key="eid > 0",
-        )
-        # The pushed-down predicate runs below the Project against a
-        # differently-shaped row; its key must not alias the direct one.
-        inner = rewritten.child
-        assert inner.cache_key.startswith("narrow{eid}:")
-        assert plan_cache_key(inner) != plan_cache_key(direct)
-
-    def test_pushdown_below_rename_rewrites_the_key(self):
-        db = Database()
-        db.add("emp", rel(["eid", "dept"], [(1, 2)]))
-        plan = SelectPred(
-            Rename(Scan("emp"), {"eid": "id"}),
-            lambda row: row["id"] > 0, "pos", cache_key="id > 0",
-        )
-        rewritten = optimize(plan, db)
-        assert rewritten.child.cache_key.startswith("viarename{eid->id}:")
+        plan = SelectPred(stage(Scan("emp")), algebra.Comparison(attr, ">", 0))
+        pushed = optimize(plan, db).child
+        direct = SelectPred(Scan("emp"), algebra.Comparison("eid", ">", 0))
+        assert pushed.describe() == "SelectPred(eid > 0)"
+        assert plan_cache_key(pushed) == plan_cache_key(direct)
+        first = db.execute(pushed)
+        assert db.execute(direct) is first
+        assert (db.result_cache.stores, db.result_cache.hits) == (1, 1)
 
     def test_every_word_of_a_grouped_or_limited_statement_is_in_the_key(self):
         texts = [
@@ -301,13 +293,6 @@ class TestDatabaseCache:
                 run_xql(db, text)
         assert db.result_cache.snapshot() == before
 
-    def test_uncacheable_plans_bypass(self, db):
-        plan = SelectPred(Scan("emp"), lambda row: True, "opaque")
-        db.execute(plan)
-        db.execute(plan)
-        assert len(db.result_cache) == 0
-        assert db.result_cache.hits == 0
-
     def test_unknown_relation_raises_schema_error(self, db):
         with pytest.raises(SchemaError, match="unknown relation"):
             db.execute(Scan("ghost"))
@@ -326,8 +311,8 @@ class TestDatabaseCache:
         assert not hasattr(db, "enable_result_cache")
 
     def test_cost_reordered_range_predicate_stays_cacheable(self):
-        """ANALYZE must not make range-predicate plans uncacheable: the
-        cost-based rebuild keeps ``SelectPred.cache_key``."""
+        """The cost-based rebuild keeps a range predicate's comparison,
+        so the reordered plan has the key its statement's text gives."""
         from repro.relational import sql
         from repro.workloads.generators import (
             department_relation,
@@ -340,7 +325,8 @@ class TestDatabaseCache:
         })
         text = "SELECT name, dname FROM emp JOIN dept WHERE salary > 300"
         plan = sql.compile_query(sql.parse_query(text))
-        assert plan_cache_key(optimize(plan, database)) is not None
+        key = plan_cache_key(optimize(plan, database))
+        assert "SelectPred(salary > 300)(Scan(emp))" in key
         cache = QueryResultCache(capacity=8)
         cached = Database(
             {name: database.relation(name) for name in database.names()},

@@ -10,6 +10,7 @@ must match hand-built plans for every query it can express.
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.relational.algebra import Comparison
 from repro.relational.optimizer import optimize
 from repro.relational.query import (
     Database,
@@ -20,11 +21,19 @@ from repro.relational.query import (
     Rename,
     Scan,
     SelectEq,
+    SelectPred,
     Union,
 )
 from repro.workloads.generators import department_relation, employee_relation
 
 EMP_ATTRS = ("emp", "name", "dept", "salary")
+OPERATORS = ("=", "!=", "<", "<=", ">", ">=")
+#: Constants for a comparison: the typed twins ``1``/``1.0``/``True``
+#: (and ``0``/``False``), department numbers, and salaries.
+CONSTANTS = st.one_of(
+    st.sampled_from([0, False, 1, 1.0, True, 2, 4.5, 6]),
+    st.integers(min_value=0, max_value=120000),
+)
 
 
 def database(seed: int) -> Database:
@@ -34,14 +43,24 @@ def database(seed: int) -> Database:
     return db
 
 
+def comparisons(attrs) -> st.SearchStrategy[Comparison]:
+    return st.builds(
+        Comparison, st.sampled_from(attrs), st.sampled_from(OPERATORS),
+        CONSTANTS,
+    )
+
+
 def plans() -> st.SearchStrategy[Plan]:
     """Random well-formed plans over the emp/dept schema.
 
     Structure generation is schema-aware: projections and renames pick
     attributes known to exist at their input (unary operators are only
-    stacked over the raw emp scan, whose heading is static).
+    stacked over the raw emp scan, whose heading is static).  A
+    comparison sits anywhere among them, and may top a Project, a
+    Rename or a Join, so the optimizer has one to push down.
     """
     scan = st.just(Scan("emp"))
+    compared = ("salary", "dept", "emp")
 
     def extend(children):
         select = st.builds(
@@ -51,19 +70,27 @@ def plans() -> st.SearchStrategy[Plan]:
                 {"dept": st.integers(min_value=0, max_value=6)}
             ),
         )
+        compare = st.builds(SelectPred, children, comparisons(compared))
         union = st.builds(Union, children, children)
         difference = st.builds(Difference, children, children)
-        return st.one_of(select, union, difference)
+        return st.one_of(select, compare, union, difference)
 
     emp_plan = st.recursive(scan, extend, max_leaves=4)
 
     def finish(plan):
-        return st.one_of(
-            st.just(plan),
-            st.just(Project(plan, ["name", "dept"])),
-            st.just(Rename(plan, {"name": "who"})),
-            st.just(Join(plan, Scan("dept"))),
-        )
+        staged = [
+            (plan, compared),
+            (Project(plan, ["name", "dept"]), ("dept",)),
+            (Rename(plan, {"name": "who"}), compared),
+            (Rename(plan, {"salary": "pay"}), ("pay", "dept", "emp")),
+            (Join(plan, Scan("dept")), compared),
+        ]
+        return st.sampled_from(staged).flatmap(lambda stage: st.one_of(
+            st.just(stage[0]),
+            comparisons(stage[1]).map(
+                lambda comparison: SelectPred(stage[0], comparison)
+            ),
+        ))
 
     return emp_plan.flatmap(finish)
 
