@@ -1,4 +1,4 @@
-"""Relational algebra as direct XST kernel calls.
+"""Relational algebra as XST kernel operations.
 
 Every operator here is a thin skin over one kernel operation -- the
 point of the 1977 programme is precisely that a data management layer
@@ -16,10 +16,21 @@ operator       kernel realization
                any other predicate has no set-algebraic key: separation
                over rows (the documented record-level fallback)
 ``project``    Def 7.4 sigma-domain with an attribute identity sigma
+               (``sigma_domain`` is the specification): each row's
+               pairs at the kept names, picked off its run and keys;
+               equal picks collapse to the first
 ``rename``     Def 7.3 re-scope by scope on every row
+               (``rescope_by_scope`` is the specification): each row's
+               values, in run order, built as a record at their new
+               names (``XSet._record``)
 ``join``       Def 10.1 relative product keyed on shared attributes
-``product``    relative product with the empty join key (everything
-               matches everything)
+               (``relative_product_nested_loop`` is the specification):
+               the larger operand's member index proposes, the shared
+               values as one tuple decide, and each joined row is the
+               left row's run merged with the right row's pairs at the
+               names the left lacks
+``product``    the same with the empty join key (everything matches
+               everything)
 ``union`` etc  kernel Boolean algebra on the row sets
 ``group_by``   Def 7.1 image of every distinct key fragment at once:
                runs of the row set's per-scope member index
@@ -29,11 +40,23 @@ operator       kernel realization
                (``canonical_key``) of one attribute
 =============  ======================================================
 
-All operators are set-at-a-time: one kernel call over whole relations,
-no per-row interpretation in Python beyond what the kernel itself
-performs.  The record-at-a-time equivalents used as the benchmark
-baseline live in :mod:`repro.relational.storage` and the record mode
-of :mod:`repro.relational.query`.
+All operators are set-at-a-time: one kernel operation over whole
+relations, no per-row interpretation in Python beyond what the kernel
+itself performs.  The record-at-a-time equivalents used as the
+benchmark baseline live in :mod:`repro.relational.storage` and the
+record mode of :mod:`repro.relational.query`.
+
+A row is built by its heading.  Every member of a relation is a record
+over its heading, a function from attribute names to values, so the
+operators that make new rows make them from the operands' records:
+a projection restricts the function to some names, a rename changes its
+keys and not its values, a join adds the right record's unshared values
+to the left record.  Each result row is a merge or a subsequence of
+operand runs, beside their remembered keys, so nothing is re-scoped,
+re-sorted from scratch or validated again.  Each equals its Def 7.4 /
+7.3 / 10.1 specification spelling for spelling
+(``tests/relational/test_row_building_oracle.py``), and the kernel
+functions stay the API for operands that are no relation.
 
 Grouping is image application: reading a relation as the process
 ``rel.as_process(group_attrs, rest)`` and applying it to each distinct
@@ -58,7 +81,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain, compress, repeat
-from operator import eq, ge, gt, le, lt, ne, not_
+from operator import eq, ge, gt, itemgetter, le, lt, ne, not_
 from typing import (
     Any,
     Callable,
@@ -72,15 +95,15 @@ from typing import (
 )
 
 from repro.errors import SchemaError
+from repro.gov.governor import active as _gov_active
+from repro.obs.instrument import kernel_op
 from repro.relational.relation import Relation
 from repro.relational.schema import Heading
 from repro.xst.builders import xrecord, xset
-from repro.xst.domain import sigma_domain
 from repro.xst.ordering import canonical_key, pair_key
-from repro.xst.relative_product import relative_product
-from repro.xst.rescope import rescope_by_scope
+from repro.xst.relative_product import _CHECK_EVERY, _arrival_free
 from repro.xst.restrict import sigma_restrict
-from repro.xst.xset import _FEW, XSet, _holding
+from repro.xst.xset import _FEW, Pair, XSet, _holding, _merged
 
 __all__ = [
     "select_eq",
@@ -102,6 +125,10 @@ __all__ = [
 ]
 
 
+#: A row pair's element, and its scope (the attribute name).
+_element_of = itemgetter(0)
+_scope_of = itemgetter(1)
+
 #: Distinct attribute tuples whose identity sigma is kept: a catalog's
 #: keys, join keys and headings, with room for ad-hoc projections.
 _IDENTITY_ENTRIES = 256
@@ -110,8 +137,8 @@ _IDENTITY_ENTRIES = 256
 @lru_cache(maxsize=_IDENTITY_ENTRIES)
 def _attribute_identity(attrs: Tuple[str, ...]) -> XSet:
     """The sigma mapping each attribute scope to itself, one value per
-    attribute tuple, so the member indexes a re-scope or a join reads
-    off it are built once, not once per call."""
+    attribute tuple, so the member indexes a restriction reads off it
+    are built once, not once per call."""
     return XSet((attr, attr) for attr in attrs)
 
 
@@ -262,39 +289,80 @@ select_pred = select
 
 
 def project(rel: Relation, attrs: Sequence[str]) -> Relation:
-    """The sigma-domain over the chosen attributes (duplicates collapse)."""
+    """The sigma-domain over the chosen attributes (duplicates collapse).
+
+    Each row keeps its pairs at the chosen names: a subsequence of its
+    own canonical run, beside the same subsequence of its keys.  The
+    same names in the same order are the relation itself.
+    """
     wanted = rel.heading.require(attrs)
-    rows = sigma_domain(rel.rows, _attribute_identity(wanted))
-    return Relation(rel.heading.project(wanted), rows)
+    if wanted == rel.heading.names:
+        return rel
+    heading = rel.heading.project(wanted)
+    # Built here from validated records over the result heading: each
+    # row of rel cut down to its names.
+    return Relation._from_valid(heading, _picked(rel.rows, wanted))
+
+
+@kernel_op("domain")
+def _picked(rows: XSet, wanted: Tuple[str, ...]) -> XSet:
+    """``sigma_domain(rows, _attribute_identity(wanted))`` over record
+    rows: each row's pairs at ``wanted``, picked off its run and its
+    keys.  Equal picks collapse to the first in run order."""
+    if not wanted:
+        return XSet()
+    kept = frozenset(wanted).__contains__
+    records = []
+    for row, _ in rows._pairs:
+        mask = list(map(kept, map(_scope_of, row._pairs)))
+        records.append(XSet._from_run(
+            tuple(compress(row._pairs, mask)), None,
+            tuple(compress(canonical_key(row)[2], mask)),
+        ))
+    return XSet._of_records(records)
 
 
 def rename(rel: Relation, mapping: Mapping[str, str]) -> Relation:
-    """Re-scope every row through an old-name -> new-name sigma."""
+    """Re-scope every row through an old-name -> new-name sigma.
+
+    A row keeps its values and changes its keys: it is built again as
+    the record of its values, in its own run order, at their new names.
+    Renaming nothing is the relation itself.
+    """
     rel.heading.require(mapping)
-    new_heading = rel.heading.rename(dict(mapping))
-    sigma = XSet(
-        (name, mapping.get(name, name)) for name in rel.heading.names
-    )
-    rows = XSet(
-        (rescope_by_scope(row, sigma), scope) for row, scope in rel.rows.pairs()
-    )
-    return Relation(new_heading, rows)
+    heading = rel.heading.rename(dict(mapping))
+    if heading.names == rel.heading.names:
+        return rel
+    new_name = dict(zip(rel.heading.names, heading.names))
+    new_key = dict(zip(rel.heading.names, heading._scope_keys()))
+    records = []
+    for row, _ in rel.rows._pairs:
+        names = tuple(map(_scope_of, row._pairs))
+        records.append(XSet._record(
+            tuple(map(_element_of, row._pairs)),
+            tuple(map(new_name.__getitem__, names)),
+            tuple(map(new_key.__getitem__, names)),
+        ))
+    # Records built over the result heading from rel's validated rows.
+    return Relation._of_built(heading, records)
 
 
 def join(rel: Relation, other: Relation) -> Relation:
-    """Natural join: one Def 10.1 relative product on shared attributes.
+    """Natural join: the Def 10.1 relative product on shared attributes.
 
-    sigma2/omega1 extract the shared attributes as the join key;
-    sigma1/omega2 keep each side whole, and the member-level union
-    merges matching rows (shared values coincide by construction).
-    Joins with no shared attribute degrade to :func:`product`.
+    The larger operand's member index at the first shared attribute
+    proposes candidates and the shared values decide.  A joined row is
+    the left row merged with the right row's pairs at the attributes the
+    left lacks, so a shared value keeps the left row's spelling.  Joins
+    with no shared attribute degrade to :func:`product`.
     """
-    shared = rel.heading.common(other.heading)
-    key_sigma = _attribute_identity(shared)
-    sigma = (_attribute_identity(rel.heading.names), key_sigma)
-    omega = (key_sigma, _attribute_identity(other.heading.names))
-    rows = relative_product(rel.rows, other.rows, sigma, omega)
-    return Relation(rel.heading.union(other.heading), rows)
+    heading = rel.heading.union(other.heading)
+    # Built here from validated records over the result heading: a row
+    # of rel merged with a row of other at the names rel lacks.
+    return Relation._from_valid(heading, _joined_rows(
+        rel.rows, other.rows, rel.heading.common(other.heading),
+        heading._name_set - rel.heading._name_set,
+    ))
 
 
 def semijoin(rel: Relation, other: Relation) -> Relation:
@@ -311,17 +379,108 @@ def semijoin(rel: Relation, other: Relation) -> Relation:
 
 
 def product(rel: Relation, other: Relation) -> Relation:
-    """Cartesian product of relations with disjoint headings."""
+    """Cartesian product of relations with disjoint headings: the join
+    with the empty key (everything matches everything)."""
     if not rel.heading.disjoint_from(other.heading):
         raise SchemaError(
             "product requires disjoint headings; shared: %s"
             % list(rel.heading.common(other.heading))
         )
-    empty_key = XSet()
-    sigma = (_attribute_identity(rel.heading.names), empty_key)
-    omega = (empty_key, _attribute_identity(other.heading.names))
-    rows = relative_product(rel.rows, other.rows, sigma, omega)
-    return Relation(rel.heading.union(other.heading), rows)
+    return join(rel, other)
+
+
+def _values_at(row: XSet, names: Tuple[str, ...]) -> Tuple:
+    """``row``'s values at ``names``, in that order.  As one tuple they
+    compare value by value, ``is`` or ``==``, as the frozensets of key
+    pairs Def 10.1 compares do: twins match, two nan objects do not."""
+    if not names:
+        return ()
+    return tuple(map(dict(map(reversed, row._pairs)).__getitem__, names))
+
+
+def _part(row: XSet, names: frozenset) -> Tuple[List, frozenset]:
+    """``row``'s pairs at ``names``, each beside its key, in run order,
+    and the same pairs as a set."""
+    mask = list(map(names.__contains__, map(_scope_of, row._pairs)))
+    return (
+        list(compress(zip(row._pairs, canonical_key(row)[2]), mask)),
+        frozenset(compress(row._pairs, mask)),
+    )
+
+
+def _joined(row: XSet, part: Tuple[List, frozenset]) -> XSet:
+    """``row`` merged with ``part``, another row's pairs at names it
+    lacks: ``row.union(other row)``, made from the runs and keys."""
+    extra, pair_set = part
+    keys = canonical_key(row)[2]  # remembered on row, as _of_records needs
+    if not extra:
+        return row
+    ordered, keys = _merged(row._pairs, keys, extra)
+    return XSet._from_run(ordered, row._pair_set | pair_set, keys)
+
+
+@kernel_op("relative_product")
+def _joined_rows(
+    f: XSet, g: XSet, shared: Tuple[str, ...], extra: frozenset
+) -> XSet:
+    """The relative product of two relations' rows keyed on ``shared``,
+    keeping every attribute: each ``F`` row merged with the pairs at
+    ``extra`` of each ``G`` row holding the same ``shared`` values.
+
+    ``relative_product`` with identity sigmas is the specification, and
+    this is its probe: the larger operand's member index proposes (``G``
+    on a tie; with no key ``F`` probes all of ``G``), a run of candidates
+    is read once per call, and output arriving ``G``-major is sorted
+    ``F``-major, the nested loop's order, when that order could change
+    the result's spelling or order.
+    """
+    if not f or not g:
+        return XSet()
+    from_g = bool(shared) and len(f) > len(g)
+    indexed, probing = (f, g) if from_g else (g, f)
+    runs = indexed._members_holding(shared[0]) if shared else None
+    # id(run) -> [(pair, its shared values, its part when it is G's)].
+    met: Dict[int, List] = {}
+    gov = _gov_active()
+    charged = 0
+    records: List[XSet] = []
+    lefts: List[Pair] = []
+    for row, _ in probing._pairs:
+        key = _values_at(row, shared)
+        run = runs.get(key[0], ()) if shared else indexed._pairs
+        if not run:
+            continue
+        entries = met.get(id(run))
+        if entries is None:
+            entries = met[id(run)] = [
+                (
+                    pair, _values_at(pair[0], shared),
+                    None if from_g else _part(pair[0], extra),
+                )
+                for pair in run
+            ]
+        part = None
+        for pair, candidate_key, candidate_part in entries:
+            if candidate_key != key:
+                continue
+            if from_g:  # the candidate is F's row
+                if part is None:
+                    part = _part(row, extra)
+                records.append(_joined(pair[0], part))
+                lefts.append(pair)
+            else:
+                records.append(_joined(row, candidate_part))
+            if gov is not None and not (len(records) & (_CHECK_EVERY - 1)):
+                gov.checkpoint("xst.relative_product", len(records) - charged)
+                charged = len(records)
+    if gov is not None:
+        gov.checkpoint("xst.relative_product", len(records) - charged)
+    result = XSet._of_records(records)
+    if from_g and not _arrival_free(result, len(records)):
+        at = dict(zip(map(id, f._pairs), range(len(f))))
+        order = sorted(range(len(records)), key=lambda i: at[id(lefts[i])])
+        result = XSet._of_records([records[i] for i in order])
+    return result
 
 
 def _require_same_heading(rel: Relation, other: Relation) -> None:

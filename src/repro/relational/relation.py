@@ -4,11 +4,18 @@ A :class:`Relation` pairs a :class:`~repro.relational.schema.Heading`
 with a classical extended set of rows, each row the record shape
 ``{value^'attr', ...}``.  Nothing here is a new data structure: the
 rows *are* kernel :class:`~repro.xst.xset.XSet` values, so every
-relational operation in :mod:`repro.relational.algebra` is a direct
-kernel call -- restriction for selection, sigma-domain for projection,
+relational operation in :mod:`repro.relational.algebra` is a kernel
+operation -- restriction for selection, sigma-domain for projection,
 re-scoping for renaming, relative product for join.  That is the
 paper's section 12 claim ("all data representations can be managed as
 mathematical operands") made literal.
+
+Every row is also a record over the heading: a function from attribute
+names to values (Kelly & van Emden's reading).  So projection, renaming
+and join build their rows the way that reading says -- keep the pairs
+at some names, give the values new names, merge a left record with a
+right one's other pairs -- straight from the operands' runs and keys,
+and the Def 7.4 / 7.3 / 10.1 kernels they equal stay the specification.
 """
 
 from __future__ import annotations
@@ -83,16 +90,20 @@ class Relation:
     def _from_valid(cls, heading: Heading, rows: XSet) -> "Relation":
         """The unchecked constructor, twin of ``XSet._from_run``.
 
-        Allowed in exactly three cases, and each call site says which:
+        Allowed in exactly four cases, and each call site says which:
         ``rows`` is a *subset* (selection, difference, intersection,
         group) of the rows of a relation already validated under
-        ``heading``; a *union* of the rows of such relations; or *built
+        ``heading``; a *union* of the rows of such relations; *built
         here* by the caller from ``heading`` itself, one element at each
         of its names (``from_tuples``/``from_dicts``, after their input
-        checks).  Rows are immutable, so in the first two every row
-        passed the checked constructor once under this heading, and in
-        the third there is nothing about the row its builder does not
-        know.  Anything else goes through ``Relation(heading, rows)``.
+        checks); or *built from validated records* over ``heading`` by
+        an operator of :mod:`repro.relational.algebra` -- a projection's
+        rows cut down to its names, a rename's values at their new
+        names, a join's left row merged with a right row at the names
+        the left lacks.  Rows are immutable, so in the first two every
+        row passed the checked constructor once under this heading, and
+        in the last two there is nothing about the row its builder does
+        not know.  Anything else goes through ``Relation(heading, rows)``.
         """
         self = object.__new__(cls)
         object.__setattr__(self, "_heading", heading)

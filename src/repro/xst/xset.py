@@ -92,6 +92,28 @@ def _inserting(run: Tuple, moves: List[Tuple[int, Tuple]], part: int) -> Tuple:
     return tuple(merged)
 
 
+def _merged(
+    pairs: Tuple[Pair, ...], keys: Tuple, extra: List[_Keyed]
+) -> Tuple[Tuple[Pair, ...], Tuple]:
+    """A canonical run and its ``keys`` merged with ``extra``, ``(pair,
+    pair key)`` items in canonical order that share no pair with it:
+    the merged run beside its keys.
+
+    Each extra pair goes after the equal keys already there.  A few are
+    put in by bisection, more by one stable sort, which finds both runs
+    and merges them; keys that do not order (nan) land as that choice
+    puts them, so every merge of two runs goes through here.
+    """
+    if len(extra) * _FEW <= len(keys):
+        moves = sorted(
+            ((bisect_right(keys, item[1]), item) for item in extra),
+            key=_position_of,  # stable; unordered (nan) keys too
+        )
+        return _inserting(pairs, moves, 0), _inserting(keys, moves, 1)
+    ordered, keys = zip(*sorted([*zip(pairs, keys), *extra], key=_pair_key_of))
+    return ordered, keys
+
+
 def _holding(pairs: Iterable[Pair], scope: Any) -> Dict[Any, List[Pair]]:
     """``{x: the pairs (z, w) with x in_scope z, in their order}`` (atom
     members hold nothing).
@@ -508,27 +530,13 @@ class XSet:
             # Two canonical runs of admitted pairs (extra is a subsequence
             # of other's) sharing no pair, each beside its remembered
             # keys, merged on the keys, which the result remembers in turn.
-            pair_set = result._pair_set | new
             keys = canonical_key(result)[2]
+            ordered, merged_keys = _merged(result._pairs, keys, extra)
+            grown = XSet._from_run(ordered, result._pair_set | new, merged_keys)
             if len(extra) * _FEW <= len(keys):
-                # Each extra pair after the equal keys already there, as
-                # the stable sort below puts it.
-                moves = sorted(
-                    ((bisect_right(keys, item[1]), item) for item in extra),
-                    key=_position_of,  # stable; unordered (nan) keys too
-                )
-                grown = XSet._from_run(
-                    _inserting(result._pairs, moves, 0), pair_set,
-                    _inserting(keys, moves, 1),
-                )
+                # A patch: the member indexes come along, patched too.
                 result._carry_parts(grown, [], [pair for pair, _ in extra])
-                result = grown
-                continue
-            # The sort finds both runs and merges them.
-            ordered, keys = zip(*sorted(
-                [*zip(result._pairs, keys), *extra], key=_pair_key_of
-            ))
-            result = XSet._from_run(ordered, pair_set, keys)
+            result = grown
         return result
 
     def intersection(self, *others: "XSet") -> "XSet":

@@ -581,38 +581,29 @@ class TestPointWorkShapes:
         assert len(sql.run_rows(db, text)) == 3
         assert len(calls) == 1
 
-    def test_a_join_builds_key_fragments_only(self, monkeypatch):
-        import sys
-
+    def test_a_join_builds_each_row_from_its_records(self):
         from repro.relational import algebra
         from repro.workloads import department_relation, employee_relation
 
-        emp = employee_relation(100, 8, seed=WORKLOAD_SEED + 15)
-        dept = department_relation(8, seed=WORKLOAD_SEED + 15)
-        built = []
-        from_run = XSet._from_run
+        events = {}
+        for size in self.SIZES:
+            emp = employee_relation(size, 8, seed=WORKLOAD_SEED + 15)
+            dept = department_relation(8, seed=WORKLOAD_SEED + 15)
+            joined, events[size] = self.profile_events(
+                lambda: algebra.join(emp, dept))
+            assert len(joined) == size
+        # Each row of either side read once, each output row merged once
+        # from the two records: about 17 events per output row.  Parent
+        # commit (a re-scope per side and a member-level union per row):
+        # about 90.
+        assert self.per_row(events) <= 20, events
 
-        def counted(ordered, *known):
-            if sys._getframe(1).f_globals["__name__"] == "repro.xst.rescope":
-                built.append(len(ordered))
-            return from_run(ordered, *known)
-
-        monkeypatch.setattr(XSet, "_from_run", staticmethod(counted))
-        joined = algebra.join(emp, dept)
-        assert len(joined) == 100
-        # One {dept} fragment per row of either side; the whole-row and
-        # the (empty) member-scope halves of every pair come back as the
-        # operand.  Parent commit: 432 constructions.
-        assert built == [1] * 108
-
-    def test_a_join_meets_its_candidates_only(self, monkeypatch):
-        import sys
-
+    def test_a_join_meets_its_candidates_only(self):
         from repro.relational import algebra
         from repro.relational.relation import Relation
         from repro.workloads import employee_relation
 
-        counts = {}
+        events = {}
         for size in self.SIZES:
             emp = employee_relation(size, 8, seed=WORKLOAD_SEED + 16)
             picked = list(emp.iter_dicts())[::size // 4][:4]
@@ -621,22 +612,66 @@ class TestPointWorkShapes:
                 [{"emp": row["emp"], "hours": at} for at, row in enumerate(picked)],
             )
             algebra.join(emp, hours)  # fills emp's index on "emp"
-            built = []
-            from_run = XSet._from_run
+            for left, right in ((emp, hours), (hours, emp)):
+                joined, events[size, left is emp] = self.profile_events(
+                    lambda: algebra.join(left, right))
+                assert len(joined) == 4
+        # Four probing rows and the one candidate each meets, whichever
+        # side is the left: 148 and 139 events.  Parent commit: every row
+        # of either side (4 + n re-scoped key fragments).
+        for left_is_emp in (True, False):
+            assert events[64, left_is_emp] == events[1024, left_is_emp], events
 
-            def counted(ordered, *known):
-                if sys._getframe(1).f_globals["__name__"] == "repro.xst.rescope":
-                    built.append(len(ordered))
-                return from_run(ordered, *known)
+    def test_a_projection_picks_each_row_once(self):
+        from repro.relational import algebra
+        from repro.workloads import employee_relation
 
-            with monkeypatch.context() as patch:
-                patch.setattr(XSet, "_from_run", staticmethod(counted))
-                joined = algebra.join(emp, hours)
-            assert len(joined) == 4
-            counts[size] = len(built)
-        # One {emp} fragment per probing row and one per candidate it
-        # meets.  Parent commit: 4 + n (every row of either side).
-        assert counts[64] == counts[1024] == 8
+        events = {}
+        for size in self.SIZES:
+            emp = employee_relation(size, 8, seed=WORKLOAD_SEED + 17)
+            picked, events[size] = self.profile_events(
+                lambda: algebra.project(emp, ["dept", "name"]))
+            assert len(picked) == size
+        # Each row's pairs at the kept names, picked off its run and its
+        # keys: 9 events per row.  Parent commit (a Def 7.3 re-scope per
+        # row, then the checked constructors): about 57.
+        assert self.per_row(events) <= 12, events
+
+    def test_a_rename_rebuilds_each_row_once(self):
+        from repro.relational import algebra
+        from repro.workloads import employee_relation
+
+        events = {}
+        for size in self.SIZES:
+            emp = employee_relation(size, 8, seed=WORKLOAD_SEED + 18)
+            renamed, events[size] = self.profile_events(
+                lambda: algebra.rename(emp, {"dept": "d", "name": "n"}))
+            assert len(renamed) == size
+        # One record built per row over the new names: 13 events per row
+        # of four attributes.  Parent commit (a re-scope and a checked
+        # build per row, then the checked constructors): about 64.
+        assert self.per_row(events) <= 16, events
+
+    def test_the_identity_projection_is_its_operand(self):
+        from repro.relational import algebra
+        from repro.workloads import employee_relation
+
+        emp = employee_relation(64, 8, seed=WORKLOAD_SEED + 19)
+        names = emp.heading.names
+        kept, events = self.profile_events(lambda: algebra.project(emp, names))
+        assert kept is emp
+        # A grouped statement's closing Project over its Aggregate.
+        # Parent commit: 121 events on analytic_read's eight groups.
+        assert events <= 8, events
+        # Another order is another heading over the same rows.
+        turned = algebra.project(emp, names[::-1])
+        assert turned.heading.names == names[::-1] and turned == emp
+
+    @classmethod
+    def per_row(cls, events):
+        """Events per row added between the two sizes."""
+        small, large = cls.SIZES
+        return (events[large] - events[small]) / (large - small)
 
     @staticmethod
     def profile_events(build):
@@ -918,7 +953,7 @@ class TestBuiltOnceShapes:
         from repro.workloads import employee_relation
 
         emp = employee_relation(4096, 64, seed=WORKLOAD_SEED + 19)
-        calls = {"sigma_domain": 0, "sigma_restrict": 0, "checked": 0}
+        calls = {"projected": 0, "sigma_restrict": 0, "checked": 0}
 
         def counted(name, original):
             def count(*args):
@@ -926,8 +961,8 @@ class TestBuiltOnceShapes:
                 return original(*args)
             return count
 
-        monkeypatch.setattr(algebra, "sigma_domain", counted(
-            "sigma_domain", algebra.sigma_domain))
+        monkeypatch.setattr(algebra, "_picked", counted(
+            "projected", algebra._picked))
         monkeypatch.setattr(algebra, "sigma_restrict", counted(
             "sigma_restrict", algebra.sigma_restrict))
         monkeypatch.setattr(XSet, "__init__", counted("checked", XSet.__init__))
@@ -938,7 +973,7 @@ class TestBuiltOnceShapes:
         # projection and no restriction per key.  Parent commit: one
         # projection, 64 restrictions and 67 checked constructions (a key
         # set per restriction and three more); now none are needed.
-        assert calls["sigma_domain"] == calls["sigma_restrict"] == 0
+        assert calls["projected"] == calls["sigma_restrict"] == 0
         assert calls["checked"] <= 64
 
 
