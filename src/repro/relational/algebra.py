@@ -97,7 +97,7 @@ from typing import (
 from repro.errors import SchemaError
 from repro.gov.governor import active as _gov_active
 from repro.obs.instrument import kernel_op
-from repro.relational.relation import Relation
+from repro.relational.relation import Relation, _run_dicts
 from repro.relational.schema import Heading
 from repro.xst.builders import xrecord, xset
 from repro.xst.ordering import canonical_key, pair_key
@@ -200,7 +200,7 @@ class Comparison:
         try:
             return list(map(self._test, values, repeat(self.value)))
         except TypeError:
-            for row in rel.iter_dicts():
+            for row in _run_dicts(rel.rows):
                 self(row)
             raise
 
@@ -275,7 +275,7 @@ def select(
         ))
     kept = [
         member
-        for member, record in zip(rel.rows.pairs(), rel.iter_dicts())
+        for member, record in zip(rel.rows.pairs(), _run_dicts(rel.rows))
         if predicate(record)
     ]
     # Separation keeps a subsequence of the relation's own canonical run

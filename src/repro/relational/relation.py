@@ -16,12 +16,23 @@ and join build their rows the way that reading says -- keep the pairs
 at some names, give the values new names, merge a left record with a
 right one's other pairs -- straight from the operands' runs and keys,
 and the Def 7.4 / 7.3 / 10.1 kernels they equal stay the specification.
+
+A served answer arrives as that reading already: positional rows in
+heading order, the relation's rows in canonical run order.
+:meth:`Relation.from_page` checks and de-duplicates such rows at once
+and keeps them; the row set is built from them -- by the same record
+loop :meth:`Relation.from_tuples` runs -- on the first read of
+:attr:`Relation.rows`.  ``cardinality``, ``len``, ``bool`` and
+``iter_dicts`` answer from the kept rows; ``rows``, equality, hashing,
+``to_rows``, ``as_process`` and every operator of
+:mod:`repro.relational.algebra` read the row set, so they fill it first.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping
-from operator import itemgetter
+from itertools import chain, repeat
+from operator import attrgetter, itemgetter
 from typing import Any, Dict, Iterable, Iterator, List, Sequence, Tuple
 
 from repro.errors import SchemaError
@@ -29,7 +40,7 @@ from repro.core.process import Process
 from repro.core.sigma import Sigma
 from repro.relational.schema import Heading
 from repro.xst.builders import xset
-from repro.xst.xset import XSet
+from repro.xst.xset import _ADMITTED_BY_TYPE, XSet
 
 __all__ = ["Relation"]
 
@@ -42,23 +53,52 @@ _NOT_ROWS = (str, bytes, Mapping)
 #: A relation's member's row (its scope is ``EMPTY``).
 _row_of = itemgetter(0)
 
+#: A row's pairs; a pair's element and its scope.
+_pairs_of = attrgetter("_pairs")
+_element_of = itemgetter(0)
+_scope_of = itemgetter(1)
 
-def _row_dict(row: XSet) -> Dict[str, Any]:
-    """A record row as ``{attribute: value}``, in the order of its pairs.
+
+def _run_dicts(rows: XSet) -> Iterator[Dict[str, Any]]:
+    """Each record row of ``rows`` as ``{attribute: value}``, in run
+    order, keys in the order of the row's pairs.
 
     Every row was proved record-shaped under its heading when its
     relation was validated, or built as one: one element at each
-    attribute scope.  So this is the row's scope index with each
-    1-tuple unwrapped, keys in the same order, read off the pairs
-    without building (or keeping) the index.
+    attribute scope.  So a row's dict is its scopes zipped with its
+    elements, read off two walks of the same run with no Python call
+    per row.
     """
-    return {scope: element for element, scope in row._pairs}
+    return map(dict, map(
+        zip,
+        map(map, repeat(_scope_of), map(_pairs_of, map(_row_of, rows._pairs))),
+        map(map, repeat(_element_of), map(_pairs_of, map(_row_of, rows._pairs))),
+    ))
+
+
+def _positional(
+    names: Sequence[str], dicts: Iterable[Dict[str, Any]]
+) -> List[Tuple[Any, ...]]:
+    """Each of ``dicts`` as its values at ``names``, in order, with no
+    Python call per row.  A heading with no names has no rows."""
+    if not names:
+        return []
+    pick = itemgetter(*names)
+    if len(names) == 1:
+        # One name picks the bare value: zip makes it a 1-tuple.
+        return list(zip(map(pick, dicts)))
+    return list(map(pick, dicts))
 
 
 class Relation:
-    """An immutable relation: a heading plus a set of record rows."""
+    """An immutable relation: a heading plus a set of record rows.
 
-    __slots__ = ("_heading", "_rows")
+    ``_page`` is ``None``, or -- on a relation :meth:`from_page` built --
+    its checked, distinct positional rows, in the order they came; then
+    ``_rows`` is ``None`` until :attr:`rows` fills it from them.
+    """
+
+    __slots__ = ("_heading", "_rows", "_page")
 
     def __init__(self, heading: Heading, rows: XSet):
         names = frozenset(heading.names)
@@ -78,6 +118,7 @@ class Relation:
                 )
         object.__setattr__(self, "_heading", heading)
         object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_page", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("Relation instances are immutable")
@@ -108,6 +149,7 @@ class Relation:
         self = object.__new__(cls)
         object.__setattr__(self, "_heading", heading)
         object.__setattr__(self, "_rows", rows)
+        object.__setattr__(self, "_page", None)
         return self
 
     @classmethod
@@ -168,6 +210,53 @@ class Relation:
             records.append(XSet._record(values, attrs, keys))
         return cls._of_built(heading, records)
 
+    @classmethod
+    def from_page(
+        cls, names: Sequence[str], rows: Sequence[Sequence[Any]]
+    ) -> "Relation":
+        """Positional rows as a served PAGE carries them, built on first read.
+
+        Everything :meth:`from_tuples` would refuse is refused here, now:
+        the heading, each row's type and width, and each value's
+        admission are C-level set checks over the whole page, and equal
+        rows collapse to their first spelling, as ``from_tuples`` keeps
+        it.  When a check fails the rows go through ``from_tuples``,
+        which raises its own error, so filling the row set later cannot
+        fail.  The relation keeps the distinct rows in the order given
+        and builds its row set from them on the first read of
+        :attr:`rows`: the value ``from_tuples`` builds.  ``iter_dicts``
+        yields the kept rows, in that order, keys in heading order --
+        so the canonical order when the page is a served answer's run.
+        """
+        heading = names if isinstance(names, Heading) else Heading(names)
+        width = len(heading.names)
+        rows = list(rows)  # read four times below
+        if not (
+            width
+            and set(map(type, rows)) <= _ROW_TYPES
+            and set(map(len, rows)) <= {width}
+            and set(map(type, chain.from_iterable(rows))) <= _ADMITTED_BY_TYPE
+        ):
+            return cls.from_tuples(heading, rows)
+        self = object.__new__(cls)
+        object.__setattr__(self, "_heading", heading)
+        object.__setattr__(self, "_rows", None)
+        object.__setattr__(self, "_page", tuple(dict.fromkeys(map(tuple, rows))))
+        return self
+
+    def _fill_rows(self) -> XSet:
+        """The row set of a :meth:`from_page` relation, built once: the
+        record loop of :meth:`from_tuples` over the kept rows, which are
+        distinct, of the heading's width and admitted by type."""
+        heading = self._heading
+        attrs, keys = heading.names, heading._scope_keys()
+        record = XSet._record
+        rows = XSet._of_records(
+            [record(values, attrs, keys) for values in self._page]
+        )
+        object.__setattr__(self, "_rows", rows)
+        return rows
+
     # ------------------------------------------------------------------
     # Inspection
     # ------------------------------------------------------------------
@@ -178,46 +267,51 @@ class Relation:
 
     @property
     def rows(self) -> XSet:
-        """The underlying extended set of rows."""
-        return self._rows
+        """The underlying extended set of rows (built here, once, on a
+        relation :meth:`from_page` made)."""
+        rows = self._rows
+        return self._fill_rows() if rows is None else rows
 
     def cardinality(self) -> int:
-        return len(self._rows)
+        return len(self)
 
     def __len__(self) -> int:
-        return len(self._rows)
+        page = self._page
+        return len(self._rows if page is None else page)
 
     def __bool__(self) -> bool:
-        return bool(self._rows)
+        page = self._page
+        return bool(self._rows if page is None else page)
 
     def iter_dicts(self) -> Iterator[Dict[str, Any]]:
-        """Rows as plain dicts (deterministic canonical order)."""
-        return map(_row_dict, map(_row_of, self._rows._pairs))
+        """Rows as plain dicts: in canonical order, keys in the order of
+        each row's pairs; on a :meth:`from_page` relation, its kept rows
+        in their order, keys in heading order.  No Python call per row."""
+        page = self._page
+        if page is not None:
+            return map(dict, map(zip, repeat(self._heading.names), page))
+        return _run_dicts(self._rows)
 
     def to_rows(self) -> List[Tuple[Any, ...]]:
         """Rows as positional tuples in heading order, sorted."""
-        names = self._heading.names
-        out = [
-            tuple(map(_row_dict(row).__getitem__, names))
-            for row, _ in self._rows._pairs
-        ]
+        out = _positional(self._heading.names, _run_dicts(self.rows))
         out.sort(key=repr)
         return out
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Relation):
             return NotImplemented
-        return self._heading == other._heading and self._rows == other._rows
+        return self._heading == other._heading and self.rows == other.rows
 
     def __ne__(self, other) -> bool:
         result = self.__eq__(other)
         return result if result is NotImplemented else not result
 
     def __hash__(self) -> int:
-        return hash(("repro.Relation", self._heading, self._rows))
+        return hash(("repro.Relation", self._heading, self.rows))
 
     def __repr__(self) -> str:
-        return "Relation(%r, %d rows)" % (self._heading, len(self._rows))
+        return "Relation(%r, %d rows)" % (self._heading, len(self))
 
     # ------------------------------------------------------------------
     # Process view
@@ -236,4 +330,4 @@ class Relation:
         """
         self._heading.require(key_attrs)
         self._heading.require(out_attrs)
-        return Process(self._rows, Sigma.attributes(key_attrs, out_attrs))
+        return Process(self.rows, Sigma.attributes(key_attrs, out_attrs))

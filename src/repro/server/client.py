@@ -387,8 +387,10 @@ class Client:
         if ftype == FrameType.CANCELLED:
             raise NetworkError("request %s was cancelled" % body.get("id"))
         self._expect(ftype, FrameType.PAGE, body)
-        # Shape-checked page by page as it arrived (_read_response).
-        return Relation.from_tuples(body.get("heading", []), body.get("rows", []))
+        # Shape-checked page by page as it arrived (_read_response); the
+        # names, widths and values are checked here, before the answer
+        # returns, and its row set is built when something reads it.
+        return Relation.from_page(body.get("heading", []), body.get("rows", []))
 
     def __repr__(self) -> str:
         return "Client(%s -> %s:%s, session=%s)" % (

@@ -96,6 +96,65 @@ class TestConstruction:
             Relation(heading, xset([xrecord({"b": 1})]))
 
 
+class TestFromPage:
+    """``from_page`` refuses what ``from_tuples`` refuses, at once, and
+    keeps the rows it accepts until something reads the row set."""
+
+    def test_counted_and_read_before_it_is_built(self):
+        rel = Relation.from_page(["k", "v"], [[2, "y"], [1, "x"], [2.0, "y"]])
+        assert rel._rows is None
+        assert (len(rel), rel.cardinality(), bool(rel)) == (2, 2, True)
+        # The kept rows in the order they came, keys in heading order;
+        # the twin collapsed to its first spelling.
+        assert [list(row.items()) for row in rel.iter_dicts()] == [
+            [("k", 2), ("v", "y")], [("k", 1), ("v", "x")]]
+        assert rel._rows is None and repr(rel) == \
+            "Relation(Heading(k, v), 2 rows)"
+        built = Relation.from_tuples(["k", "v"], [[2, "y"], [1, "x"], [2.0, "y"]])
+        assert rel == built and hash(rel) == hash(built)
+        assert repr(rel.rows.pairs()) == repr(built.rows.pairs())
+        assert rel.rows is rel.rows  # filled once
+        assert rel.to_rows() == built.to_rows() == [(1, "x"), (2, "y")]
+        assert list(rel.iter_dicts()) == [{"k": 2, "v": "y"}, {"k": 1, "v": "x"}]
+
+    @pytest.mark.parametrize("names, rows", [
+        (["a", "b"], [[1, 2], [3]]),
+        (["a", "b"], [[1, 2], (3, 4, 5)]),
+        (["a"], [[1], [[2]]]),
+        (["a"], [[1], [{"x": 2}]]),
+        (["a", "b"], [[1, 2], "xy"]),
+        (["a", "b"], [[1, 2], {"a": 1, "b": 2}]),
+        ([], [[]]),
+        (["a", "a"], []),
+        (["a", ""], [[1, 2]]),
+    ])
+    def test_a_refusal_is_from_tuples_own(self, names, rows):
+        with pytest.raises(Exception) as eager:
+            Relation.from_tuples(names, rows)
+        with pytest.raises(type(eager.value)) as paged:
+            Relation.from_page(names, rows)
+        assert str(paged.value) == str(eager.value)
+
+    @pytest.mark.parametrize("names, rows", [
+        (["a", "b"], [range(2), (3, 4)]),
+        (["a", "b"], ((n, -n) for n in range(3))),
+        (["a"], ([x] for x in (1, 1.0, True, None))),
+        ([], []),
+        (["a"], []),
+    ])
+    def test_any_rows_from_tuples_reads(self, names, rows):
+        rows = list(rows)
+        assert Relation.from_page(names, iter(rows)) == \
+            Relation.from_tuples(names, rows)
+
+    def test_operators_read_the_run_not_the_page_order(self):
+        from repro.relational import algebra
+
+        rel = Relation.from_page(["a"], [[3], [1], [2]])
+        kept = algebra.select(rel, lambda row: row["a"] > 1)
+        assert kept == Relation.from_tuples(["a"], [(2,), (3,)])
+
+
 class TestViews:
     def test_iter_dicts(self):
         rel = Relation.from_dicts(["emp", "name", "dept"], EMPLOYEES)

@@ -74,6 +74,52 @@ async def served(test, manager=None, **server_kw):
         await server.close()
 
 
+async def scripted_pages(pages, test):
+    """Serve the handshake, then answer every QUERY with ``pages`` (PAGE
+    bodies, the last marked ``last``); returns ``test(client)``."""
+    from repro.server.protocol import FrameDecoder, encode_frame
+
+    connections = []
+
+    async def serve(reader, writer):
+        connections.append(writer)
+        decoder = FrameDecoder()
+        while True:
+            data = await reader.read(1 << 16)
+            if not data:
+                return
+            for ftype, frame in decoder.feed(data):
+                if ftype == FrameType.HELLO:
+                    replies = [(FrameType.WELCOME, {
+                        "session": "s1", "version": 0, "trace": "t"})]
+                elif ftype == FrameType.QUERY:
+                    replies = [
+                        (FrameType.PAGE, dict(page, id=frame["id"], seq=seq,
+                                              last=seq == len(pages) - 1))
+                        for seq, page in enumerate(pages)
+                    ]
+                else:  # GOODBYE
+                    writer.close()
+                    return
+                for reply in replies:
+                    writer.write(encode_frame(*reply))
+                await writer.drain()
+
+    fake = await asyncio.start_server(serve, "127.0.0.1", 0)
+    try:
+        client = await connect("127.0.0.1", fake.sockets[0].getsockname()[1],
+                               max_attempts=2)
+        try:
+            return await test(client)
+        finally:
+            await client.close()
+    finally:
+        fake.close()
+        for writer in connections:
+            writer.close()
+        await fake.wait_closed()
+
+
 class TestHandshake:
     def test_welcome_carries_session_version_trace(self):
         async def body(server):
@@ -484,6 +530,42 @@ class TestMalformedPages:
             self.ask(page)
 
 
+class TestRefusalsOnALaterPage:
+    """What a page holds is judged when the answer is, however late the
+    page: ``Client.query`` raises the typed error ``from_tuples`` gives,
+    at once and never retried, not at the answer's first read."""
+
+    GOOD = {"heading": ["a", "b"], "rows": [[1, "x"], [2, "y"]]}
+
+    @pytest.mark.parametrize("late_rows, error, message", [
+        ([[3]], "SchemaError",
+         r"row \(3,\) has 1 values for 2 attributes"),
+        ([[3, "z", 4]], "SchemaError",
+         r"row \(3, 'z', 4\) has 3 values for 2 attributes"),
+        ([[3, [1, 2]]], "InvalidAtomError", r"\[1, 2\] is not hashable"),
+        ([[3, {"k": 1}]], "InvalidAtomError",
+         r"\{'k': 1\} is not hashable"),
+    ])
+    def test_the_query_itself_refuses(self, late_rows, error, message):
+        import repro.errors
+
+        async def body(client):
+            with pytest.raises(getattr(repro.errors, error), match=message):
+                await client.query("select a, b from t")
+            return client.retries
+
+        late = {"heading": ["a", "b"], "rows": late_rows}
+        assert run(scripted_pages([self.GOOD, self.GOOD, late], body)) == 0
+
+    def test_well_formed_later_pages_are_one_answer(self):
+        async def body(client):
+            return await client.query("select a, b from t")
+
+        rel = run(scripted_pages(
+            [self.GOOD, {"heading": ["a", "b"], "rows": [[3, "z"]]}], body))
+        assert rel.to_rows() == [(1, "x"), (2, "y"), (3, "z")]
+
+
 class TestPreparedStatements:
     def test_prepare_execute(self):
         async def body(server):
@@ -681,6 +763,45 @@ class TestPreparedStatementBound:
             assert rel.to_rows() == [("ada",)]
             with pytest.raises(SessionError, match="unknown prepared"):
                 await client.execute("one-more", [])
+            await client.close()
+
+        run(served(body))
+
+    def test_the_client_keeps_the_statements_the_server_holds(self):
+        """The client's re-registration list is bounded by the server's:
+        a refused PREPARE is never remembered, so a reconnect replays
+        exactly the acknowledged statements."""
+        from repro.server.session import MAX_STATEMENTS
+
+        held = {"s%d" % n: "select name from emp where eid = %d" % n
+                for n in range(MAX_STATEMENTS)}
+
+        async def body(server):
+            client = await connect("127.0.0.1", server.port)
+            for name, xql in held.items():
+                await client.prepare(name, xql)
+            with pytest.raises(SessionError, match="at most %d"
+                               % MAX_STATEMENTS):
+                await client.prepare("one-more", "select eid from emp")
+            assert client._prepared == held
+            first_session = client.session_id
+            sent = []
+            write = client._write_frame
+
+            async def recording(ftype, frame):
+                if ftype == FrameType.PREPARE:
+                    sent.append((frame["name"], frame["xql"]))
+                await write(ftype, frame)
+
+            client._write_frame = recording
+            client._drop()  # the connection is gone; the next call redials
+            rel = await client.execute("s2", [])
+            assert rel.to_rows() == [("bob",)]
+            assert client.session_id != first_session
+            assert sent == list(held.items())
+            session, = [conn.session for conn in server._conns
+                        if conn.session.session_id == client.session_id]
+            assert session._statements == held
             await client.close()
 
         run(served(body))

@@ -1261,3 +1261,98 @@ class TestPushedRestrictionShapes:
             expected, pushed = self.events(db, self.hand_pushed(name))
             assert answer == expected
             assert spent <= 1.1 * pushed, (name, spent, pushed)
+
+
+class TestAnswerBuiltOnceShapes:
+    """Counts, not timings: a served answer is laid out once.  The server
+    pages the result's run as it stands, the client checks and keeps the
+    page rows, and reading rows as dicts makes no Python call per row --
+    so none of the three grows with the answer."""
+
+    SIZES = (64, 1024)
+
+    @staticmethod
+    def answers():
+        """An ``employee_relation`` of each size, with the rows a PAGE
+        carries for it: values in heading order, in the run's order."""
+        from repro.workloads import employee_relation
+
+        for size in TestAnswerBuiltOnceShapes.SIZES:
+            rel = employee_relation(size, 8, seed=WORKLOAD_SEED + 21)
+            names = rel.heading.names
+            yield size, rel, [[row[name] for name in names]
+                              for row in rel.iter_dicts()]
+
+    def test_a_served_answer_is_counted_and_read_off_its_pages(self):
+        from repro.server import Client
+        from repro.server.protocol import FrameType
+
+        client = Client("127.0.0.1", 0)
+        events = {}
+        for size, rel, rows in self.answers():
+            body = {"heading": list(rel.heading.names), "rows": rows}
+
+            def decode_count_read():
+                answer = client._relation_of(FrameType.PAGE, body)
+                return answer, answer.cardinality(), list(answer.iter_dicts())
+
+            (answer, count, dicts), events[size] = \
+                TestPointWorkShapes.profile_events(decode_count_read)
+            assert count == size and dicts == list(rel.iter_dicts())
+            assert answer == rel
+        # Parent commit: 1 064 and 16 424 events -- the client built every
+        # row with from_tuples and read each as a dict, 16 events per row
+        # of four values.  Now 26 at both sizes.
+        assert events[64] == events[1024], events
+
+    def test_iter_dicts_makes_no_python_call_per_row(self):
+        events = {}
+        for size, rel, _ in self.answers():
+            dicts, events[size] = TestPointWorkShapes.profile_events(
+                lambda: list(rel.iter_dicts()))
+            assert len(dicts) == size
+        # Parent commit: two per row (a call and its dict comprehension);
+        # now four at both sizes.
+        assert events[64] == events[1024], events
+
+    def test_the_server_pages_at_a_constant_cost_per_page(self, monkeypatch):
+        from types import SimpleNamespace
+
+        from repro.relational.tx import TransactionManager
+        from repro.server import Server
+        from repro.server import service
+
+        server = Server(TransactionManager({}))
+        events, pages = {}, {}
+        for size, rel, rows in self.answers():
+            # Four pages at either size: equal events are equal per page.
+            server.page_rows = size // 4
+            monkeypatch.setattr(service, "run_xql",
+                                lambda db, xql, args=(), rel=rel: rel)
+            sent = pages[size] = []
+
+            async def send(conn, ftype, body):
+                sent.append(body)
+
+            monkeypatch.setattr(server, "_send", send)
+            conn = SimpleNamespace(
+                session=SimpleNamespace(priority=1, version=0,
+                                        database=lambda: None),
+                cancelled=set(), shed=False)
+
+            def page_through():
+                # Driven by hand: the page loop yields at each page edge.
+                request = server._run_query(conn, "r1", "select * from emp")
+                try:
+                    while True:
+                        request.send(None)
+                except StopIteration:
+                    pass
+
+            _, events[size] = TestPointWorkShapes.profile_events(page_through)
+            assert [body["seq"] for body in sent] == [0, 1, 2, 3]
+            assert [row for body in sent for row in body["rows"]] == \
+                list(map(tuple, rows))
+        # Parent commit: 192 and 2 112 events -- to_rows read, sorted and
+        # copied every row, two events per row.  Now 63 at both sizes.
+        assert events[64] == events[1024], events
