@@ -10,8 +10,9 @@ than row shipping.
 
 import pytest
 
+from repro.relational.algebra import Comparison
 from repro.relational.distributed import Cluster
-from repro.relational.query import Aggregate, Join, Scan, SelectEq
+from repro.relational.query import Aggregate, Join, Restrict, Scan
 from repro.workloads import department_relation, employee_relation
 
 EMP_COUNT = 600
@@ -55,7 +56,8 @@ def record_network(benchmark, cluster: Cluster) -> None:
 @pytest.mark.parametrize("nodes", (2, 4, 8))
 def test_routed_selection(benchmark, nodes):
     cluster = co_partitioned_cluster(nodes)
-    result = benchmark(cluster.execute, SelectEq(Scan("emp"), {"dept": 5}))
+    result = benchmark(cluster.execute, Restrict(Scan("emp"),
+            (Comparison("dept", "=", 5),)))
     assert result.cardinality() > 0
     record_network(benchmark, cluster)
 
@@ -64,7 +66,8 @@ def test_routed_selection(benchmark, nodes):
 def test_broadcast_selection(benchmark, nodes):
     cluster = co_partitioned_cluster(nodes)
     benchmark(
-        cluster.execute, SelectEq(Scan("emp"), {"name": "ada-0"})
+        cluster.execute, Restrict(Scan("emp"),
+                                  (Comparison("name", "=", "ada-0"),))
     )
     record_network(benchmark, cluster)
 

@@ -12,9 +12,10 @@ answers.
 
 import pytest
 
+from repro.relational.algebra import Comparison
 from repro.relational.distributed import Cluster
 from repro.relational.faults import FaultPlan
-from repro.relational.query import Scan, SelectEq
+from repro.relational.query import Restrict, Scan
 from repro.workloads import employee_relation
 
 EMP_COUNT = 600
@@ -66,7 +67,8 @@ def test_replication_overhead_is_linear_in_extra_copies():
 def test_failover_routed_read(benchmark, factor):
     cluster = replicated_cluster(4, factor)
     cluster.kill_node("node-1")  # dept=5 hashes to bucket 1
-    result = benchmark(cluster.execute, SelectEq(Scan("emp"), {"dept": 5}))
+    result = benchmark(cluster.execute, Restrict(Scan("emp"),
+            (Comparison("dept", "=", 5),)))
     assert result.cardinality() > 0
     record_network(benchmark, cluster)
 
@@ -83,12 +85,12 @@ def test_failover_scan(benchmark, factor):
 def test_failover_ships_no_extra_bytes():
     live = replicated_cluster(4, 2)
     live.network.reset()
-    live.execute(SelectEq(Scan("emp"), {"dept": 5}))
+    live.execute(Restrict(Scan("emp"), (Comparison("dept", "=", 5),)))
 
     failed = replicated_cluster(4, 2)
     failed.kill_node("node-1")
     failed.network.reset()
-    failed.execute(SelectEq(Scan("emp"), {"dept": 5}))
+    failed.execute(Restrict(Scan("emp"), (Comparison("dept", "=", 5),)))
 
     # The replica holds an identical copy: same payload, one failover.
     assert failed.network.bytes_shipped == live.network.bytes_shipped

@@ -25,8 +25,9 @@ import pytest
 
 from repro.errors import OverloadedError
 from repro.gov import AdmissionController, governed
+from repro.relational.algebra import Comparison
 from repro.relational.distributed import Cluster
-from repro.relational.query import Database, Join, Scan, SelectEq
+from repro.relational.query import Database, Join, Restrict, Scan
 from repro.workloads import pair_relation
 from repro.workloads.generators import employee_relation
 from repro.xst.builders import xpair, xset, xtuple
@@ -85,7 +86,8 @@ def test_plan_execution_checkpoint_overhead(benchmark, governor_mode,
     db = Database()
     db.add("emp", employee_relation(size, max(2, size // 20),
                                     seed=workload_seed))
-    plan = SelectEq(Join(Scan("emp"), Scan("emp")), {"dept": 1})
+    plan = Restrict(Join(Scan("emp"), Scan("emp")),
+                    (Comparison("dept", "=", 1),))
     benchmark(_run, governor_mode, db.execute, plan)
 
 

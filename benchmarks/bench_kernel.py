@@ -10,6 +10,7 @@ sigma-restriction and join.
 import pytest
 
 from repro.relational import algebra
+from repro.relational.algebra import Comparison
 from repro.relational.columnar import ColumnarRelation
 from repro.workloads import (
     department_relation,
@@ -109,7 +110,7 @@ def _employee_tables(size):
 def test_row_sigma_restriction(benchmark, size):
     employees, _ = _employee_tables(size)
     result = benchmark.pedantic(
-        algebra.select_eq, args=(employees, {"dept": 7}),
+        algebra.restrict, args=(employees, (Comparison("dept", "=", 7),)),
         rounds=3, iterations=1,
     )
     assert result.cardinality() > 0
@@ -120,7 +121,7 @@ def test_columnar_sigma_restriction(benchmark, size):
     employees, _ = _employee_tables(size)
     encoded = ColumnarRelation.from_relation(employees)
     encoded.run("dept")  # steady state: the run already exists
-    result = benchmark(encoded.select_eq, {"dept": 7})
+    result = benchmark(encoded.restrict, (Comparison("dept", "=", 7),))
     assert result.cardinality() > 0
 
 

@@ -14,6 +14,7 @@ on the smallest.
 import pytest
 
 from repro.obs import instrument
+from repro.relational.algebra import Comparison
 from repro.workloads import pair_relation
 from repro.xst.builders import xpair, xset, xtuple
 from repro.xst.closure import transitive_closure
@@ -62,13 +63,13 @@ def test_closure_overhead(benchmark, obs_switch, size):
 
 
 def _query_db():
-    from repro.relational.query import Database, Scan, SelectEq
+    from repro.relational.query import Database, Restrict, Scan
     from repro.workloads import department_relation, employee_relation
 
     db = Database()
     db.add("emp", employee_relation(400, 8, seed=9))
     db.add("dept", department_relation(8, seed=9))
-    return db, SelectEq(Scan("emp"), {"dept": 1})
+    return db, Restrict(Scan("emp"), (Comparison("dept", "=", 1),))
 
 
 def test_execute_digest_overhead(benchmark, obs_switch):

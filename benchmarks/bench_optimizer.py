@@ -21,6 +21,7 @@ import random
 
 import pytest
 
+from repro.relational.algebra import Comparison
 from repro.relational.cost import qerror
 from repro.relational.optimizer import optimize
 from repro.relational.profile import execute_profiled, explain_analyze
@@ -29,8 +30,8 @@ from repro.relational.query import (
     Join,
     Project,
     Rename,
+    Restrict,
     Scan,
-    SelectEq,
 )
 from repro.relational.relation import Relation
 from repro.relational.sql import run
@@ -91,17 +92,18 @@ def _multi_join_plans():
     """Written orders that force the exploding join first."""
     fanout = Join(Scan("assign"), Scan("audit"))  # ~25 rows per emp
     return {
-        "join3": Join(fanout, SelectEq(Scan("emp"), {"dept": 7})),
+        "join3": Join(fanout, Restrict(Scan("emp"),
+                                       (Comparison("dept", "=", 7),))),
         "join4": Join(
             Join(fanout, Scan("proj")),
-            SelectEq(Scan("emp"), {"dept": 7}),
+            Restrict(Scan("emp"), (Comparison("dept", "=", 7),)),
         ),
         "join6": Join(
             Join(
                 Join(Join(fanout, Scan("proj")), Scan("region")),
                 Scan("emp"),
             ),
-            SelectEq(Scan("dept"), {"dept": 7}),
+            Restrict(Scan("dept"), (Comparison("dept", "=", 7),)),
         ),
     }
 
@@ -172,13 +174,10 @@ def test_explain_analyze_reports_accurate_estimates(multi_db):
 def sloppy_plan():
     return Project(
         Project(
-            SelectEq(
-                Rename(
+            Restrict(Rename(
                     Join(Scan("dept"), Scan("emp")),  # big side right
                     {"dname": "label"},
-                ),
-                {"label": "dept-7"},
-            ),
+                ), (Comparison("label", "=", "dept-7"),)),
             ["name", "label", "salary"],
         ),
         ["name", "label"],
@@ -217,7 +216,8 @@ def test_xql_end_to_end(benchmark, db, optimized):
 @pytest.mark.parametrize("optimized", (False, True),
                          ids=["raw", "optimized"])
 def test_selection_pushdown_payoff(benchmark, db, optimized):
-    plan = SelectEq(Join(Scan("dept"), Scan("emp")), {"salary": 30001})
+    plan = Restrict(Join(Scan("dept"), Scan("emp")),
+                    (Comparison("salary", "=", 30001),))
     if optimized:
         plan = optimize(plan, db)
     benchmark(db.execute, plan)

@@ -13,8 +13,9 @@ cost is linear in the rows it carries.
 import pytest
 
 from repro.relational.algebra import join as local_join
+from repro.relational.algebra import Comparison
 from repro.relational.distributed import Cluster
-from repro.relational.query import Join, Project, Scan, SelectEq
+from repro.relational.query import Join, Project, Restrict, Scan
 from repro.workloads import department_relation, employee_relation
 
 EMP_COUNT = 600
@@ -52,7 +53,8 @@ def ship_everything_join(cluster: Cluster):
 
 # -- pushdown vs gather-then-filter ------------------------------------
 
-PUSHDOWN_PLAN = Project(SelectEq(Scan("emp"), {"dept": 5}), ("name",))
+PUSHDOWN_PLAN = Project(Restrict(Scan("emp"),
+                                 (Comparison("dept", "=", 5),)), ("name",))
 
 
 def test_pushdown_ships_fraction_of_gather():
@@ -95,7 +97,8 @@ def test_ship_everything_join_baseline(benchmark, nodes):
     record_network(benchmark, cluster)
 
 
-FILTERED_JOIN = Join(SelectEq(Scan("emp"), {"dept": 5}), Scan("dept"))
+FILTERED_JOIN = Join(Restrict(Scan("emp"),
+                              (Comparison("dept", "=", 5),)), Scan("dept"))
 
 
 def test_shard_join_beats_ship_everything():
@@ -124,10 +127,10 @@ def test_shard_join_beats_ship_everything():
 
 def filtered_ship_everything(cluster: Cluster):
     """Naive plan: gather both tables whole, filter at the coordinator."""
-    from repro.relational.algebra import select_eq
+    from repro.relational.algebra import restrict
 
     return local_join(
-        select_eq(cluster.execute(Scan("emp")), {"dept": 5}),
+        restrict(cluster.execute(Scan("emp")), (Comparison("dept", "=", 5),)),
         cluster.execute(Scan("dept")),
     )
 

@@ -24,9 +24,10 @@ the suite rather than silently flattening a curve:
 
 import time
 
+from repro.relational.algebra import Comparison
 from repro.relational.constraints import KeyConstraint, Table
 from repro.relational.ivm import QueryResultCache
-from repro.relational.query import Database, Join, Project, Scan, SelectEq
+from repro.relational.query import Database, Join, Project, Restrict, Scan
 from repro.relational.tx import TransactionManager
 from repro.relational.views import ViewCatalog
 from repro.workloads.generators import department_relation, employee_relation
@@ -65,7 +66,8 @@ def percentile(samples, fraction):
 def test_cached_read_p99_vs_cold(benchmark):
     cold = make_database()
     plan = Project(
-        SelectEq(Join(Scan("emp"), Scan("dept")), {"dept": 1}), ("name",)
+        Restrict(Join(Scan("emp"), Scan("dept")),
+                 (Comparison("dept", "=", 1),)), ("name",)
     )
     cold_samples = []
     for _ in range(30):
@@ -109,7 +111,8 @@ def test_delta_apply_beats_full_recompute(benchmark):
     from repro.relational.relation import Relation
 
     db = make_database()
-    plan = SelectEq(Join(Scan("emp"), Scan("dept")), {"dept": 1})
+    plan = Restrict(Join(Scan("emp"), Scan("dept")),
+                    (Comparison("dept", "=", 1),))
     heading = db.relation("emp").heading
     cache = db.execute(plan)
 
@@ -198,7 +201,7 @@ def test_mixed_workload_hit_rate(benchmark, observed_registry):
         "names", Project(Scan("emp"), ("name", "dept")), materialized=True
     )
     plans = [
-        SelectEq(Scan("emp"), {"dept": d}) for d in range(4)
+        Restrict(Scan("emp"), (Comparison("dept", "=", d),)) for d in range(4)
     ] + [Scan("dept")]
     next_id = [EMP_COUNT]
 

@@ -11,12 +11,13 @@ Run:  python examples/distributed_backend.py
 from repro.relational import (
     Aggregate,
     Cluster,
+    Comparison,
     Join,
+    Restrict,
     Scan,
-    SelectEq,
     aggregate,
     join,
-    select_eq,
+    restrict,
 )
 from repro.workloads import department_relation, employee_relation
 
@@ -46,16 +47,18 @@ def main() -> None:
 
     banner("2. Selection: routed (key covered) vs broadcast")
     cluster.network.reset()
-    routed = cluster.execute(SelectEq(Scan("emp"), {"dept": 9}))
+    routed = cluster.execute(Restrict(Scan("emp"),
+                                      (Comparison("dept", "=", 9),)))
     print("  WHERE dept = 9      -> %d rows, %d message(s), %d bytes"
           % (routed.cardinality(), cluster.network.messages,
              cluster.network.bytes_shipped))
     cluster.network.reset()
-    broadcast = cluster.execute(SelectEq(Scan("emp"), {"salary": 50000}))
+    broadcast = cluster.execute(Restrict(Scan("emp"),
+                                         (Comparison("salary", "=", 50000),)))
     print("  WHERE salary = ...  -> %d rows, %d message(s), %d bytes"
           % (broadcast.cardinality(), cluster.network.messages,
              cluster.network.bytes_shipped))
-    assert routed == select_eq(employees, {"dept": 9})
+    assert routed == restrict(employees, (Comparison("dept", "=", 9),))
 
     banner("3. Join: co-partitioned vs shuffled")
     cluster.network.reset()

@@ -15,7 +15,14 @@ Run:  python examples/explain_estimates.py
 
 import random
 
-from repro.relational import Database, Join, Relation, Scan, SelectEq
+from repro.relational import (
+    Comparison,
+    Database,
+    Join,
+    Relation,
+    Restrict,
+    Scan,
+)
 from repro.relational.cost import CardinalityEstimator
 from repro.relational.optimizer import optimize
 from repro.relational.profile import explain_analyze
@@ -51,7 +58,7 @@ def main() -> None:
     # one-department filter last.
     plan = Join(
         Join(Scan("assign"), Scan("emp")),
-        SelectEq(Scan("dept"), {"dept": 3}),
+        Restrict(Scan("dept"), (Comparison("dept", "=", 3),)),
     )
 
     banner("What the estimator reads off the value")
@@ -63,7 +70,7 @@ def main() -> None:
                   "%s=%d" % (attr, est.distinct(Scan(name), attr))
                   for attr in relation.heading.names)))
     for dept in (3, 4):
-        select = SelectEq(Scan("emp"), {"dept": dept})
+        select = Restrict(Scan("emp"), (Comparison("dept", "=", dept),))
         print("emp where dept = %d: estimated %d, actual %d"
               % (dept, est.estimate(select),
                  db.execute(select).cardinality()))

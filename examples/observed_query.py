@@ -13,11 +13,12 @@ Run:  python examples/observed_query.py
 
 from repro.obs import FakeClock, observed, tracer
 from repro.relational import (
+    Comparison,
     Database,
     Join,
     Project,
+    Restrict,
     Scan,
-    SelectEq,
     execute_profiled,
 )
 from repro.relational.distributed import Cluster
@@ -46,7 +47,8 @@ def main() -> None:
     departments = department_relation(12, seed=7)
     db = Database({"emp": employees, "dept": departments})
     plan = Project(
-        SelectEq(Join(Scan("emp"), Scan("dept")), {"dname": "dept-3"}),
+        Restrict(Join(Scan("emp"), Scan("dept")),
+                 (Comparison("dname", "=", "dept-3"),)),
         ["name", "dname", "salary"],
     )
 

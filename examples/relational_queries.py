@@ -11,12 +11,13 @@ Run:  python examples/relational_queries.py
 import time
 
 from repro.relational import (
+    Comparison,
     Database,
     Join,
     Project,
     Rename,
+    Restrict,
     Scan,
-    SelectEq,
     optimize,
 )
 from repro.workloads import department_relation, employee_relation
@@ -42,7 +43,8 @@ def main() -> None:
 
     banner("2. One plan, two execution disciplines")
     plan = Project(
-        SelectEq(Join(Scan("emp"), Scan("dept")), {"dname": "dept-3"}),
+        Restrict(Join(Scan("emp"), Scan("dept")),
+                 (Comparison("dname", "=", "dept-3"),)),
         ["name", "dname", "salary"],
     )
     print(plan.explain())
@@ -67,9 +69,9 @@ def main() -> None:
     banner("3. The optimizer: composition-theorem rewrites")
     sloppy = Project(
         Project(
-            SelectEq(
+            Restrict(
                 Rename(Join(Scan("emp"), Scan("dept")), {"dname": "label"}),
-                {"label": "dept-3"},
+                [Comparison("label", "=", "dept-3")],
             ),
             ["name", "label", "salary"],
         ),

@@ -5,10 +5,10 @@ module                  contents
 ======================  =============================================
 ``schema``              :class:`Heading` -- attribute alphabets
 ``relation``            :class:`Relation` -- rows as scoped records
-``algebra``             select / project / rename / join / semijoin /
-                        product / union / difference / intersection /
-                        group_by / aggregate / limit, each a skin over
-                        kernel calls
+``algebra``             restrict / select / project / rename / join /
+                        semijoin / product / union / difference /
+                        intersection / group_by / aggregate / limit,
+                        each a skin over kernel calls
 ``query``               plan AST, :class:`Database`, set-at-a-time and
                         record-at-a-time executors
 ``optimizer``           composition-theorem plan rewrites
@@ -30,6 +30,7 @@ from repro.relational.columnar import (
 )
 from repro.relational.algebra import (
     AGGREGATES,
+    Comparison,
     aggregate,
     difference,
     group_by,
@@ -39,8 +40,8 @@ from repro.relational.algebra import (
     product,
     project,
     rename,
+    restrict,
     select,
-    select_eq,
     semijoin,
     union,
 )
@@ -79,9 +80,8 @@ from repro.relational.query import (
     Plan,
     Project,
     Rename,
+    Restrict,
     Scan,
-    SelectEq,
-    SelectPred,
     Union,
     plan_cache_key,
     scan_tables,
@@ -114,7 +114,8 @@ __all__ = [
     "Heading",
     "Relation",
     # algebra
-    "select_eq",
+    "Comparison",
+    "restrict",
     "select",
     "project",
     "rename",
@@ -128,8 +129,7 @@ __all__ = [
     # query
     "Plan",
     "Scan",
-    "SelectEq",
-    "SelectPred",
+    "Restrict",
     "Project",
     "Rename",
     "Join",

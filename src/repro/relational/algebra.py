@@ -7,13 +7,17 @@ point of the 1977 programme is precisely that a data management layer
 =============  ======================================================
 operator       kernel realization
 =============  ======================================================
-``select_eq``  Def 7.6 sigma-restriction by a key-fragment set
-``select``     a ``Comparison``: Def 7.4 sigma-domain at its attribute
-               (the carried member index's keys), separated by the
-               comparison one value at a time, then a Def 7.6
-               restriction by the values that pass (an operand with no
-               index there: its column, decided in one C-level pass);
-               any other predicate has no set-algebraic key: separation
+``restrict``   a conjunction of ``Comparison`` values (an equality is
+               the case where one value passes): the equalities, one
+               value per attribute, make a one-record key and a Def 7.6
+               restriction keeps the rows holding it; every other
+               comparison is a Def 7.4 separation over the
+               sigma-domain at its attribute (the carried member
+               index's keys), all of an attribute's comparisons decided
+               together once per value, then a Def 7.6 restriction by
+               the values that pass (an operand with no index there:
+               its column, decided in one C-level pass)
+``select``     any other predicate has no set-algebraic key: separation
                over rows (the documented record-level fallback)
 ``project``    Def 7.4 sigma-domain with an attribute identity sigma
                (``sigma_domain`` is the specification): each row's
@@ -81,12 +85,11 @@ from __future__ import annotations
 
 from functools import lru_cache
 from itertools import chain, compress, repeat
-from operator import eq, ge, gt, itemgetter, le, lt, ne, not_
+from operator import attrgetter, eq, ge, gt, itemgetter, le, lt, ne, not_
 from typing import (
     Any,
     Callable,
     Dict,
-    Iterable,
     List,
     Mapping,
     Optional,
@@ -106,7 +109,7 @@ from repro.xst.restrict import sigma_restrict
 from repro.xst.xset import _FEW, Pair, XSet, _holding, _merged
 
 __all__ = [
-    "select_eq",
+    "restrict",
     "select",
     "Comparison",
     "project",
@@ -142,18 +145,6 @@ def _attribute_identity(attrs: Tuple[str, ...]) -> XSet:
     return XSet((attr, attr) for attr in attrs)
 
 
-def select_eq(rel: Relation, conditions: Mapping[str, Any]) -> Relation:
-    """Rows whose attributes equal the given values, via restriction.
-
-    The conditions become a one-record key set and a Def 7.6
-    restriction does the filtering -- the *set-processing* selection.
-    """
-    attrs = rel.heading.require(conditions)
-    key = xset([xrecord({attr: conditions[attr] for attr in attrs})])
-    rows = sigma_restrict(rel.rows, key, _attribute_identity(attrs))
-    return Relation._from_valid(rel.heading, rows)  # a subset of rel
-
-
 #: The comparison operators, each a C function of two values.
 _OPERATORS: Dict[str, Callable[[Any, Any], Any]] = {
     "=": eq, "!=": ne, "<": lt, "<=": le, ">": gt, ">=": ge,
@@ -162,17 +153,16 @@ _OPERATORS: Dict[str, Callable[[Any, Any], Any]] = {
 
 class Comparison:
     """One comparison condition, ``row[attr] <operator> value``, kept as
-    its parts so the kernel can read it.
+    its parts so the kernel can read it: what a plan's ``Restrict``
+    holds, an equality ``Comparison(attr, "=", value)`` included.
 
-    It is the value a plan's ``SelectPred`` holds.  Called on a row dict
-    it decides that row, as the record executor and the columnar
-    backend call it.  :func:`select` instead decides each distinct value
-    of the relation's member index at ``attr`` once, or its whole column
-    in one pass.  Either way values that do not compare with ``value``
-    (``'>'`` between an ``int`` and a ``str``) are refused with the same
-    :class:`~repro.errors.SchemaError`, naming the attribute, the
-    operator and the type held by the first row, in run order, that
-    does not compare.
+    Values meet by Python ``==`` and the ordering operators: the typed
+    twins (``1``/``1.0``/``True``) are equal, and ``nan`` equals
+    nothing, itself included.  Called on a row dict it decides that row,
+    as the record executor and the columnar backend call it.  A value
+    that does not compare with ``value`` (``'>'`` between an ``int`` and
+    a ``str``) is refused with a :class:`~repro.errors.SchemaError`
+    naming the attribute, the operator and the type held.
     """
 
     __slots__ = ("attr", "operator", "value", "_test")
@@ -192,17 +182,8 @@ class Comparison:
         except TypeError:
             raise self._refusal(held) from None
 
-    def _passing(self, values: Iterable[Any], rel: Relation) -> List[Any]:
-        """The truth of ``v <operator> value`` for each of ``values``, in
-        order: one C-level map, no Python call per value.  Values drawn
-        from ``rel`` that do not compare are refused at ``rel``'s first
-        row that does not, in run order, as the record path refuses."""
-        try:
-            return list(map(self._test, values, repeat(self.value)))
-        except TypeError:
-            for row in _run_dicts(rel.rows):
-                self(row)
-            raise
+    def __repr__(self) -> str:
+        return "%s %s %r" % (self.attr, self.operator, self.value)
 
     def _refusal(self, held: Any) -> SchemaError:
         return SchemaError(
@@ -213,66 +194,105 @@ class Comparison:
         )
 
 
+def restrict(rel: Relation, comparisons: Sequence[Comparison]) -> Relation:
+    """The rows passing every comparison: Def 7.6 restrictions.
+
+    The first equality at each attribute is one value of a one-record
+    key, and one Def 7.6 restriction by that key keeps the rows holding
+    it: a point read's whole work.  Every other comparison (an equality
+    with ``nan``, equal to nothing, among them) is a separation over the
+    sigma-domain at its attribute (Def 7.4) among those rows, all of an
+    attribute's decided together, so two ranges cost one pass: each
+    distinct value of a carried member index is decided once, in C, and
+    the runs of the values that pass are kept; an operand with no index
+    there (a join's result) has its column decided in one C-level pass.
+    No row is read as a dict, and when every value passes the operand
+    itself is the answer.
+
+    The answer and any refusal are the record reading's: the
+    equalities, then each other comparison in the order given, asked of
+    each row in run order until one fails (:class:`Comparison`).
+    """
+    key: Dict[str, Any] = {}
+    rest = []
+    for comparison in comparisons:
+        value = comparison.value
+        if comparison.operator == "=" and comparison.attr not in key \
+                and value == value:
+            key[comparison.attr] = value
+        else:
+            rest.append(comparison)
+    if key:
+        attrs = rel.heading.require(key)
+    if rest:
+        rel.heading.require(map(attrgetter("attr"), rest))
+    if key:
+        rows = sigma_restrict(
+            rel.rows, xset([xrecord(key)]), _attribute_identity(attrs)
+        )
+        rel = Relation._from_valid(rel.heading, rows)  # a subset of rel
+    if rest:
+        try:
+            return _separated(rel, rest)
+        except TypeError:
+            # A value does not compare: the record reading says whether
+            # it asks a row holding one, and which row first.
+            asked = sorted(rest, key=lambda c: c.operator != "=")
+            return select(rel, lambda row: all(c(row) for c in asked))
+    return rel
+
+
+def _separated(rel: Relation, comparisons: List[Comparison]) -> Relation:
+    """``rel``'s rows passing ``comparisons``, each attribute's decided
+    together over all of ``rel``; ``TypeError`` if a value does not."""
+    grouped: Dict[str, List[Comparison]] = {}
+    for comparison in comparisons:
+        grouped.setdefault(comparison.attr, []).append(comparison)
+    rows = rel.rows
+    gone = set()  # ids of the pairs some attribute drops
+    for attr, group in grouped.items():
+        # The member index at attr, if the operand already carries it.
+        runs = (rows._by_part or {}).get(attr)
+        held = runs if runs is not None else [
+            element for row, _ in rows._pairs
+            for element, at in row._pairs if at is attr or at == attr
+        ]
+        fails = list(map(not_, map(all, zip(*[
+            map(comparison._test, held, repeat(comparison.value))
+            for comparison in group
+        ]))))
+        gone.update(map(id, compress(rows._pairs, fails) if runs is None
+                        else chain.from_iterable(compress(runs.values(),
+                                                          fails))))
+    if not gone:
+        return rel
+    held = list(map(gone.__contains__, map(id, rows._pairs)))
+    kept = list(compress(rows._pairs, map(not_, held)))
+    dropped = list(compress(rows._pairs, held))
+    if len(dropped) <= len(kept):
+        pair_set = rows._pair_set.difference(dropped)
+    else:
+        pair_set = frozenset(kept)
+    few = rows._key is not None and len(dropped) * _FEW <= len(rows._pairs)
+    # kept and dropped are rel's own pair objects, split between them.
+    return Relation._from_valid(rel.heading, rows._keeping(
+        pair_set,
+        [(pair, pair_key(pair)) for pair in dropped] if few else None,
+        kept,
+    ))
+
+
 def select(
     rel: Relation, predicate: Callable[[Dict[str, Any]], Any]
 ) -> Relation:
-    """Rows satisfying a :class:`Comparison` or an arbitrary predicate.
+    """Rows satisfying an arbitrary predicate over row dicts.
 
-    A comparison is a separation over the relation's sigma-domain at its
-    attribute (Def 7.4).  When the row set carries its member index at
-    that attribute, that domain is the index's key set: each distinct
-    value is decided once, in C, and the runs of the values that pass
-    are kept -- a Def 7.6 restriction by those values, in the relation's
-    own order.  An operand that carries no such index (a join's result,
-    say) is not indexed for one comparison, which for a nearly unique
-    column costs more than it saves: its column is read off the rows in
-    one pass and decided in C, row by row.  Either way no row is read
-    as a dict and no Python call is made per value or per row, and when
-    every value passes the relation itself is the answer.  (The plan
-    executor fills a stored relation's index before its first
-    comparison, since the relation keeps it: ``SelectPred.apply``.)
-
-    Any other callable carries no extended-set key, so this is honest
+    A predicate carries no extended-set key, so this is honest
     separation: the predicate sees each row as a dict.  It is the
     kernel's record-level separation and no plan node holds one.  Use
-    :func:`select_eq` whenever the condition is an equality -- the
-    optimizer rewrites eligible selects into restrictions.
+    :func:`restrict` whenever the condition is a conjunction of
+    comparisons.
     """
-    if type(predicate) is Comparison:
-        attr = predicate.attr
-        rel.heading.require([attr])
-        rows = rel.rows
-        # The member index at attr, if the operand already carries it.
-        runs = (rows._by_part or {}).get(attr)
-        if runs is not None:
-            passes = predicate._passing(runs, rel)
-            if all(passes):
-                return rel
-            kept = list(chain.from_iterable(compress(runs.values(), passes)))
-            dropped = list(chain.from_iterable(
-                compress(runs.values(), map(not_, passes))
-            ))
-        else:
-            held = [
-                element for row, _ in rows._pairs
-                for element, at in row._pairs if at is attr or at == attr
-            ]
-            passes = predicate._passing(held, rel)
-            if all(passes):
-                return rel
-            kept = list(compress(rows._pairs, passes))
-            dropped = list(compress(rows._pairs, map(not_, passes)))
-        if len(dropped) <= len(kept):
-            pair_set = rows._pair_set.difference(dropped)
-        else:
-            pair_set = frozenset(kept)
-        few = rows._key is not None and len(dropped) * _FEW <= len(rows._pairs)
-        # kept and dropped are rel's own pair objects, split between them.
-        return Relation._from_valid(rel.heading, rows._keeping(
-            pair_set,
-            [(pair, pair_key(pair)) for pair in dropped] if few else None,
-            kept,
-        ))
     kept = [
         member
         for member, record in zip(rel.rows.pairs(), _run_dicts(rel.rows))
@@ -281,11 +301,6 @@ def select(
     # Separation keeps a subsequence of the relation's own canonical run
     # (so also a subset of its validated rows).
     return Relation._from_valid(rel.heading, XSet._from_run(kept))
-
-
-#: The plan executor's name for :func:`select`: plan nodes spell each
-#: kernel once, as ``ColumnarRelation`` does (``Plan.apply``).
-select_pred = select
 
 
 def project(rel: Relation, attrs: Sequence[str]) -> Relation:

@@ -302,70 +302,72 @@ class ColumnarRelation:
             columns[name] = [col[index] for index in indices]
         return ColumnarRelation(heading, columns, length=len(indices))
 
-    def select_eq(self, conditions: Mapping[str, Any]) -> "ColumnarRelation":
-        """Equality selection by binary search over the narrowest run.
+    def restrict(self, comparisons) -> "ColumnarRelation":
+        """A conjunction of ``algebra.Comparison`` values: binary search
+        over the narrowest equality run, then the other comparisons on
+        the candidates.
 
-        Every condition attribute's run is probed (O(log n) each); the
-        narrowest candidate range is scanned and each candidate is
-        verified *by value* against every condition -- hash collisions
-        reject here, never in the result.
+        The first equality at each attribute probes its run (O(log n));
+        each candidate of the narrowest range is verified *by value*
+        (``==``, so ``nan`` matches nothing) -- hash collisions reject
+        here, never in the result -- and then asked every other
+        comparison in order, as record mode asks; with no equality
+        every row is a candidate.
         """
-        attrs = self._heading.require(sorted(conditions))
+        key: Dict[str, Any] = {}
+        rest = []
+        for comparison in comparisons:
+            if comparison.operator == "=" and comparison.attr not in key:
+                key[comparison.attr] = comparison.value
+            else:
+                rest.append(comparison)
+        attrs = self._heading.require(key)
+        asked = self._heading.require(
+            dict.fromkeys(comparison.attr for comparison in rest)
+        )
+        _record_backend("restrict", "columnar")
         if not attrs or self._length == 0:
-            # No conditions restrict by the one-member key {{}} -- the
-            # empty record triggers every row, so everything survives.
-            _record_backend("restrict", "columnar")
-            return self._take(range(self._length))
-        best_range: Optional[Tuple[int, int]] = None
-        best_run: Optional[SortedRun] = None
-        for attr in attrs:
-            run = self.run(attr)
-            lo, hi = run.equal_range(canonical_hash(conditions[attr]))
-            if best_range is None or hi - lo < best_range[1] - best_range[0]:
-                best_range, best_run = (lo, hi), run
-            if hi == lo:
-                break
-        lo, hi = best_range  # type: ignore[misc]
-        candidates = memoryview(best_run.perm)[lo:hi] \
-            if isinstance(best_run.perm, array) else best_run.perm[lo:hi]
+            candidates: Sequence[int] = range(self._length)
+        else:
+            best_range: Optional[Tuple[int, int]] = None
+            best_run: Optional[SortedRun] = None
+            for attr in attrs:
+                run = self.run(attr)
+                lo, hi = run.equal_range(canonical_hash(key[attr]))
+                if best_range is None or \
+                        hi - lo < best_range[1] - best_range[0]:
+                    best_range, best_run = (lo, hi), run
+                if hi == lo:
+                    break
+            lo, hi = best_range  # type: ignore[misc]
+            candidates = memoryview(best_run.perm)[lo:hi] \
+                if isinstance(best_run.perm, array) else best_run.perm[lo:hi]
         cols = {attr: self._columns[attr] for attr in attrs}
-        gov = _gov_active()
-        charged = 0
+        others = [(attr, self._columns[attr]) for attr in asked]
+        # Charged what the row kernel charges: the rows the equalities
+        # keep (its Def 7.6 restriction), nothing for the other
+        # comparisons (a separation).
+        gov = _gov_active() if attrs else None
+        matched = charged = 0
         kept: List[int] = []
         for scanned, row in enumerate(candidates, 1):
             row = int(row)
             for attr in attrs:
-                if not cols[attr][row] == conditions[attr]:
+                if not cols[attr][row] == key[attr]:
                     break
             else:
-                kept.append(row)
+                matched += 1
+                if not rest or all(
+                    comparison({attr: col[row] for attr, col in others})
+                    for comparison in rest
+                ):
+                    kept.append(row)
             if gov is not None and not (scanned & (_CHECK_EVERY - 1)):
-                gov.checkpoint("columnar.restrict", len(kept) - charged)
-                charged = len(kept)
+                gov.checkpoint("columnar.restrict", matched - charged)
+                charged = matched
         if gov is not None:
-            gov.checkpoint("columnar.restrict", len(kept) - charged)
+            gov.checkpoint("columnar.restrict", matched - charged)
         kept.sort()  # storage order: keeps run builds deterministic
-        _record_backend("restrict", "columnar")
-        return self._take(kept)
-
-    def select_pred(self, predicate) -> "ColumnarRelation":
-        """General predicate selection (row dicts, honest separation).
-
-        Every predicate, an ``algebra.Comparison`` too, is called on each
-        row's dict: no run is read for it, so this backend still scans
-        where the row backend tests each distinct value of a carried
-        member index once, or a whole column in one C-level pass.  The
-        win over falling back to the row backend is staying in the
-        encoding -- no XSet is built for the input or the output.
-        """
-        names = self._heading.names
-        cols = [self._columns[name] for name in names]
-        kept = [
-            index
-            for index in range(self._length)
-            if predicate({name: col[index] for name, col in zip(names, cols)})
-        ]
-        _record_backend("select_pred", "columnar")
         return self._take(kept)
 
     def project(self, attrs: Sequence[str]) -> "ColumnarRelation":
@@ -574,18 +576,6 @@ class ColumnarRelation:
             columns[name] = col * nl
         _record_backend("cross", "columnar")
         return ColumnarRelation(out_heading, columns, length=total)
-
-    def image(self, conditions: Mapping[str, Any],
-              out_attrs: Sequence[str]) -> "ColumnarRelation":
-        """The image composite: restriction then projection (Def 7.1).
-
-        ``R[A]_{<sigma1, sigma2>}`` with an equality key: binary-search
-        restriction, then sigma-domain projection -- both batch
-        kernels, one call.
-        """
-        result = self.select_eq(conditions).project(out_attrs)
-        _record_backend("image", "columnar")
-        return result
 
     def union(self, other: "ColumnarRelation") -> "ColumnarRelation":
         """Set union by value-tuple deduplication (same heading)."""

@@ -31,7 +31,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import IntegrityError, SchemaError
-from repro.relational.algebra import _attribute_identity, select_eq
+from repro.relational.algebra import Comparison, _attribute_identity, restrict
 from repro.relational.relation import Relation
 from repro.relational.schema import Heading
 from repro.xst.domain import sigma_domain
@@ -182,6 +182,13 @@ def _then(diff: Diff, inserted: XSet, deleted: XSet) -> Diff:
         (gained - deleted) | (inserted - lost),
         (lost - inserted) | (deleted - gained),
     )
+
+
+def _matching(rel: Relation, conditions: Mapping[str, Any]) -> Relation:
+    """The rows a ``WHERE`` of these equalities keeps."""
+    return restrict(rel, [
+        Comparison(attr, "=", value) for attr, value in conditions.items()
+    ])
 
 
 class Table:
@@ -363,8 +370,9 @@ class Table:
         return len(inserted)
 
     def delete(self, conditions: Mapping[str, Any]) -> int:
-        """Delete rows matching attribute equalities; returns the count."""
-        doomed = select_eq(self._current, conditions).rows
+        """Delete rows matching attribute equalities; returns the count.
+        Values meet by ``==``: a ``nan`` condition matches no row."""
+        doomed = _matching(self._current, conditions).rows
         self._apply(EMPTY, doomed)
         return len(doomed)
 
@@ -375,7 +383,7 @@ class Table:
     ) -> int:
         """Set attributes on matching rows; returns rows changed."""
         self._heading.require(changes)
-        matched = select_eq(self._current, conditions).rows
+        matched = _matching(self._current, conditions).rows
         if not matched:
             return 0
         rewritten = Relation.from_dicts(self._heading, (

@@ -13,8 +13,8 @@ Three layers, each usable alone:
   value's run in it.  Join selectivity is ``1 / max(distinct_left,
   distinct_right)`` per shared attribute.  Only a column no base
   relation stands behind (an ``Aggregate`` output) falls back to the
-  constant :data:`_FALLBACK_EQ_SELECTIVITY`, and a comparison
-  (``SelectPred``) always keeps one row in three
+  constant :data:`_FALLBACK_EQ_SELECTIVITY`, and a comparison other
+  than an equality always keeps one row in three
   (:data:`_FALLBACK_PRED_SELECTIVITY`).
 
 * **Operator cost formulas** (:meth:`CardinalityEstimator.cost`) --
@@ -61,9 +61,8 @@ from repro.relational.query import (
     Plan,
     Project,
     Rename,
+    Restrict,
     Scan,
-    SelectEq,
-    SelectPred,
     Union,
 )
 from repro.relational.relation import Relation
@@ -90,7 +89,7 @@ DP_STEP_BUDGET = 4096
 
 #: Selectivities assumed where the value cannot say: one row in ten
 #: survives an equality on (or forms a group of) a column no base
-#: relation stands behind, one in three a comparison (``SelectPred``).
+#: relation stands behind, one in three any other comparison.
 _FALLBACK_EQ_SELECTIVITY = 0.1
 _FALLBACK_PRED_SELECTIVITY = 1.0 / 3.0
 
@@ -100,12 +99,12 @@ _FALLBACK_PRED_SELECTIVITY = 1.0 / 3.0
 # ----------------------------------------------------------------------
 
 _COST_SCAN = 0.05        # a Scan returns the stored relation; near-free
-_COST_SELECT_EQ = 1.0    # kernel restriction, one pass
-# Fitted when a predicate was a Python call per row.  A Comparison now
-# tests each distinct value of a carried member index once, or a
-# derived operand's column in one C-level pass (columnar still scans);
-# kept on purpose so no plan changes -- re-pricing by members touched
-# is ROADMAP item 13's.
+_COST_SELECT_EQ = 1.0    # a restriction holding only equalities: one key
+# A restriction holding any other comparison.  Fitted when a predicate
+# was a Python call per row; a comparison now tests each distinct value
+# of a carried member index once, or a derived operand's column in one
+# C-level pass (columnar asks its candidates); kept on purpose so no
+# plan changes -- re-pricing by members touched is ROADMAP item 13's.
 _COST_SELECT_PRED = 1.6
 _COST_RESCOPE = 1.2      # project/rename rebuild every row
 _COST_JOIN_PROBE = 1.0   # per probe-side (left) row
@@ -132,10 +131,10 @@ _COST_COLUMNAR_RENAME = 0.05     # re-key columns; runs carry over
 _COST_MERGE_JOIN_INPUT = 0.4     # per input row of a merge walk, each side
 
 #: Per input row of each unary operator: (row backend, columnar).  A
-#: comparison (``SelectPred``) is priced alike on either backend.
+#: restriction holding a comparison other than an equality is priced
+#: :data:`_COST_SELECT_PRED` on either backend instead.
 _COST_PER_INPUT_ROW = {
-    SelectEq: (_COST_SELECT_EQ, _COST_COLUMNAR_SELECT_EQ),
-    SelectPred: (_COST_SELECT_PRED, _COST_SELECT_PRED),
+    Restrict: (_COST_SELECT_EQ, _COST_COLUMNAR_SELECT_EQ),
     Project: (_COST_RESCOPE, _COST_COLUMNAR_PROJECT),
     Rename: (_COST_RESCOPE, _COST_COLUMNAR_RENAME),
     # No batch kernel: they never run encoded (``runs_encoded``).
@@ -154,6 +153,8 @@ def member_index(relation: Relation, attr: str) -> Dict[Any, Tuple]:
 
 
 def _eq_rows(relation: Relation, attr: str, value: Any) -> int:
+    if not value == value:  # nan: an index finds it, but it equals nothing
+        return 0
     return len(member_index(relation, attr).get(value, ()))
 
 
@@ -168,7 +169,7 @@ def estimate_shard_rows(
     table's committed value, shrunk by the fraction of it every pushed
     equality keeps (read off its member index, as the local planner
     reads it, so distributed and local estimates agree) and by the
-    fallback factor per comparison (``SelectPred``).
+    fallback factor per other comparison.
     """
     total = len(relation)
     rows = float(total)
@@ -299,8 +300,9 @@ class CardinalityEstimator:
         return min(float(distinct), max(1.0, self.estimate(plan)))
 
     def _is_pinned(self, plan: Plan, attr: str) -> bool:
-        """True when a SelectEq under this node fixes ``attr``'s value."""
-        if isinstance(plan, SelectEq) and attr in plan.conditions:
+        """True when an equality under this node fixes ``attr``'s value."""
+        if isinstance(plan, Restrict) and ("=", attr) in {
+                (c.operator, c.attr) for c in plan.comparisons}:
             return True
         if isinstance(plan, (Union, Difference)):
             return False
@@ -328,24 +330,28 @@ class CardinalityEstimator:
             raise TypeError("unknown plan node %r" % (plan,))
         return rule(self, plan)
 
-    def _select_eq_rows(self, plan: SelectEq) -> float:
+    def _restrict_rows(self, plan: Restrict) -> float:
         """Each equality keeps the share of its base relation that its
-        value's run holds: over a ``Scan``, exactly the rows a single
-        condition restricts to (typed twins aside)."""
+        value's run holds -- over a ``Scan``, exactly the rows a single
+        equality restricts to (typed twins aside) -- and each other
+        comparison one row in three."""
         rows = self.estimate(plan.child)
         if not rows:
             return 0.0
-        for attr, value in sorted(plan.conditions.items()):
-            base = self._base(plan.child, attr)
+        for comparison in plan.comparisons:
+            if comparison.operator != "=":
+                rows *= _FALLBACK_PRED_SELECTIVITY
+                continue
+            base = self._base(plan.child, comparison.attr)
             if base is None:
                 rows *= _FALLBACK_EQ_SELECTIVITY
                 continue
             relation, inner = base
-            # Multiplied before dividing, so a lone condition over a
+            # Multiplied before dividing, so a lone equality over a
             # Scan comes out as the run length itself.
             total = len(relation)
-            rows = (rows * _eq_rows(relation, inner, value) / total
-                    if total else 0.0)
+            rows = (rows * _eq_rows(relation, inner, comparison.value)
+                    / total if total else 0.0)
         return max(1.0, rows)
 
     def _aggregate_rows(self, plan: Aggregate) -> float:
@@ -367,10 +373,7 @@ class CardinalityEstimator:
     #: The cardinality rule of every node type, as ``(self, node)``.
     _ESTIMATES = {
         Scan: lambda self, plan: float(len(self._db.relation(plan.name))),
-        SelectEq: _select_eq_rows,
-        SelectPred: lambda self, plan: max(
-            1.0, self.estimate(plan.child) * _FALLBACK_PRED_SELECTIVITY
-        ),
+        Restrict: _restrict_rows,
         Project: lambda self, plan: self.estimate(plan.child),
         Rename: lambda self, plan: self.estimate(plan.child),
         Join: lambda self, plan: self.join_rows(plan.left, plan.right),
@@ -427,6 +430,9 @@ class CardinalityEstimator:
 
     def _unary_cost(self, plan: Plan, rows: float) -> float:
         row, columnar = _COST_PER_INPUT_ROW[type(plan)]
+        # Equalities come first: the last is one only when all are.
+        if isinstance(plan, Restrict) and plan.comparisons[-1].operator != "=":
+            row = columnar = _COST_SELECT_PRED
         per_row = columnar if self.runs_encoded(plan) else row
         return (self.cost(plan.child)
                 + self.estimate(plan.child) * per_row
@@ -445,8 +451,7 @@ class CardinalityEstimator:
     #: The cost formula of every node type, as ``(self, node, rows)``.
     _COSTS = {
         Scan: lambda self, plan, rows: rows * _COST_SCAN,
-        SelectEq: _unary_cost,
-        SelectPred: _unary_cost,
+        Restrict: _unary_cost,
         Project: _unary_cost,
         Rename: _unary_cost,
         Join: _join_cost,

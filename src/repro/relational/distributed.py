@@ -110,8 +110,7 @@ from repro.relational.cost import (
     shuffle_join_cost,
 )
 from repro.relational.query import Join as JoinPlan
-from repro.relational.query import Plan, Project, Scan, scan_tables
-from repro.relational.query import SelectEq, SelectPred
+from repro.relational.query import Plan, Project, Restrict, Scan, scan_tables
 from repro.relational.relation import Relation
 from repro.relational.sharding import (
     ShardCatalog,
@@ -369,10 +368,10 @@ class _Sharded(NamedTuple):
     that union -- so adding a stage *is* applying the operator, and
     nothing ships until something gathers the operand.  ``origin``
     maps each attribute it has now, in heading order, to the table's
-    own name for it: routing and sizing read ``conditions`` (first
-    value seen per attribute) and the partition attribute under those
-    names however the plan renamed them.  ``predicates`` counts the
-    comparisons (``SelectPred`` stages).
+    own name for it: routing and sizing read ``conditions`` (the first
+    equality seen per attribute) and the partition attribute under
+    those names however the plan renamed them.  ``predicates`` counts
+    every other comparison (:func:`_pinning`).
     """
 
     table: str
@@ -441,17 +440,14 @@ class _ShardKernels:
         return lambda *operands: kernel(*map(self.gather, operands))
 
     @_row_local
-    def select_eq(operand, conditions):
-        # Each SelectEq is its own stage, so conflicting constants
+    def restrict(operand, comparisons):
+        # Each restriction is its own stage, so conflicting constants
         # compose to the empty answer; routing keeps the first seen.
-        pinned = {
-            operand.origin[attr]: value for attr, value in conditions.items()
-        }
-        return {"conditions": {**pinned, **operand.conditions}}
-
-    @_row_local
-    def select_pred(operand, predicate):
-        return {"predicates": operand.predicates + 1}
+        conditions, predicates = _pinning(
+            operand.conditions, operand.predicates, comparisons,
+            operand.origin,
+        )
+        return {"conditions": conditions, "predicates": predicates}
 
     @_row_local
     def project(operand, attrs):
@@ -721,6 +717,20 @@ def _holds_join(plan: Plan) -> bool:
     return isinstance(plan, JoinPlan) or any(map(_holds_join, plan.children()))
 
 
+def _pinning(conditions, predicates, comparisons, origin):
+    """``conditions`` and ``predicates`` after ``comparisons``, named as
+    ``origin`` maps them: the first equality at an attribute pins it,
+    for routing and sizing; any other comparison filters, a predicate."""
+    conditions = dict(conditions)
+    for comparison in comparisons:
+        attr = origin.get(comparison.attr, comparison.attr)
+        if comparison.operator == "=" and attr not in conditions:
+            conditions[attr] = comparison.value
+        else:
+            predicates += 1
+    return conditions, predicates
+
+
 def _describe(plan: Plan) -> str:
     """The root span's name for ``plan``: per scan, what its buckets
     run before they ship (``emp [dept=5 pred*1 pi(name)]``, ``[*]``
@@ -734,15 +744,13 @@ def _describe(plan: Plan) -> str:
     if not isinstance(plan, Scan):
         symbol = "|x|" if isinstance(plan, JoinPlan) else plan.describe()
         return (" %s " % symbol).join(map(_describe, plan.children()))
-    conditions: Dict[str, Any] = {}
+    conditions: Mapping[str, Any] = {}
     predicates, attrs, parts = 0, None, []
     for stage in pushed:  # outermost first
-        if isinstance(stage, SelectEq):
-            for attr, value in stage.conditions.items():
-                # A re-constrained attribute filters like a predicate.
-                predicates += conditions.setdefault(attr, value) != value
-        elif isinstance(stage, SelectPred):
-            predicates += 1
+        if isinstance(stage, Restrict):
+            conditions, predicates = _pinning(
+                conditions, predicates, stage.comparisons, {}
+            )
         elif isinstance(stage, Project):
             # The outermost projection fixes the shipped columns.
             attrs = stage.attrs if attrs is None else attrs

@@ -5,7 +5,7 @@ A cache entry's key is the pair ``(plan key, fingerprint)``:
 * the **plan key** (:func:`repro.relational.query.plan_cache_key`)
   is the canonical rendering of the plan tree --
   ``repro.obs.digest.plan_hash`` over a canonical text made of every
-  node's description (a ``SelectPred`` names its comparison's
+  node's description (a ``Restrict`` names each comparison's
   attribute, operator and constant, so every plan has a key), with the
   full canonical text appended so a CRC collision can never alias two
   distinct plans;

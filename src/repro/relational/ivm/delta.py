@@ -20,7 +20,7 @@ Per-node rules (all proved exact by the law above; ``C`` is the child,
 
 ``Scan``
     The base table's commit diff, or empty.
-``SelectEq`` / ``SelectPred`` / ``Rename``
+``Restrict`` / ``Rename``
     Pointwise operators distribute over set difference: apply the
     operator to ``d.inserted`` and ``d.deleted`` separately.
 ``Project(attrs)``
@@ -84,9 +84,8 @@ from repro.relational.query import (
     Plan,
     Project,
     Rename,
+    Restrict,
     Scan,
-    SelectEq,
-    SelectPred,
     Union,
 )
 from repro.relational.relation import Relation
@@ -342,8 +341,7 @@ class DeltaPropagator:
     #: The delta rule of every node type that has one, as ``(self, node)``.
     _RULES = {
         Scan: _scan,
-        SelectEq: _pointwise,
-        SelectPred: _pointwise,
+        Restrict: _pointwise,
         Rename: _pointwise,
         Project: _project,
         Union: _combine,

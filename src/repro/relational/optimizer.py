@@ -10,16 +10,17 @@ to query plans with four families:
    re-scoping process each, so their composition is a single stage
    whose sigma is the fused scope map (``Sigma.fused_output``); chains
    collapse to one node and intermediate materializations disappear.
-2. **Restriction pushdown** -- a restriction, an equality
-   (``SelectEq``) or a comparison (``SelectPred``), is a separation
+2. **Restriction pushdown** -- a restriction (``Restrict``, a
+   conjunction of comparisons, equalities among them) is a separation
    over the sigma-domain followed by a Def 7.6 restriction by the
    values that pass, so it commutes below Project/Rename (with
-   attribute names mapped through) and into every Join side whose
-   heading holds its attributes, shrinking relative-product inputs.
-   One rule serves both nodes; a comparison that reaches its Scan is
+   attribute names mapped through) and its comparisons go into every
+   Join side whose heading holds their attributes, shrinking
+   relative-product inputs.  A comparison that reaches its Scan is
    decided over the stored relation's member index.
-3. **Adjacent select merging** -- stacked SelectEq nodes merge into
-   one restriction key.
+3. **Adjacent restrictions merge** -- stacked ``Restrict`` nodes are
+   one conjunction, so they become one node: its equalities one
+   restriction key, its other comparisons decided once per attribute.
 4. **Join ordering** -- after the rewrite fixed point, every maximal
    join region is re-associated and its build sides chosen by one
    cost-ordered search (:func:`repro.relational.cost.reorder_joins`)
@@ -35,7 +36,7 @@ catalog state).
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Mapping
 
 from repro.gov.governor import checkpoint as _gov_checkpoint
 from repro.obs import metrics as _metrics
@@ -48,8 +49,7 @@ from repro.relational.query import (
     Plan,
     Project,
     Rename,
-    SelectEq,
-    SelectPred,
+    Restrict,
 )
 
 __all__ = ["optimize"]
@@ -109,67 +109,40 @@ def _rewrite(plan: Plan, db: Database) -> Plan:
     return plan if rule is None else rule(plan, db)
 
 
-def _rewrite_restriction(plan: Plan, db: Database) -> Plan:
-    """Move a restriction -- a ``SelectEq`` or a ``SelectPred`` -- toward
-    the data: below a Project unchanged, below a Rename with its
+def _rewrite_restriction(plan: Restrict, db: Database) -> Plan:
+    """Move a restriction toward the data: merged with a restriction
+    below it, below a Project unchanged, below a Rename with its
     attributes spelled as they are underneath, and into each Join side
-    whose heading holds its attributes.  An attribute in *both* headings
-    restricts both inputs: the natural join equates shared attributes,
-    so the condition holds on each side independently and both
-    relative-product inputs shrink.  Stacked equalities merge into one
-    restriction key."""
+    whose heading holds the attributes of some of its comparisons.  An
+    attribute in *both* headings restricts both inputs: the natural
+    join equates shared attributes, so the condition holds on each side
+    independently and both relative-product inputs shrink."""
     child = plan.child
-    if isinstance(plan, SelectEq) and isinstance(child, SelectEq):
-        merged = dict(child.conditions)
-        for attr, value in plan.conditions.items():
-            if attr in merged and merged[attr] != value:
-                # Contradictory conditions: keep both nodes; the
-                # restriction will produce the (empty) answer anyway.
-                return plan
-            merged[attr] = value
-        return _rewrite_restriction(SelectEq(child.child, merged), db)
+    if isinstance(child, Restrict):
+        return _rewrite_restriction(
+            Restrict(child.child, child.comparisons + plan.comparisons), db
+        )
     if isinstance(child, Project):
         return Project(
             _rewrite_restriction(plan.with_children(child.child), db),
             child.attrs,
         )
     if isinstance(child, Rename):
-        names = {attr: child.origin(attr) for attr in _reads(plan)}
-        return Rename(
-            _rewrite_restriction(_restricted(plan, child.child, names), db),
-            child.mapping,
-        )
+        return Rename(_rewrite_restriction(Restrict(child.child, [
+            Comparison(child.origin(comparison.attr), comparison.operator,
+                       comparison.value)
+            for comparison in plan.comparisons
+        ]), db), child.mapping)
     if isinstance(child, Join):
         sides = []
         for side in child.children():
-            held = set(db.heading_of(side).names)
-            names = {attr: attr for attr in _reads(plan) if attr in held}
-            if names:
-                side = _rewrite_restriction(_restricted(plan, side, names), db)
+            held = db.heading_of(side)
+            mine = [c for c in plan.comparisons if c.attr in held]
+            if mine:
+                side = _rewrite_restriction(Restrict(side, mine), db)
             sides.append(side)
         return Join(*sides)
     return plan
-
-
-def _reads(plan: Plan) -> Tuple[str, ...]:
-    """The attributes a restriction tests."""
-    if isinstance(plan, SelectEq):
-        return tuple(plan.conditions)
-    return (plan.comparison.attr,)
-
-
-def _restricted(plan: Plan, child: Plan, names: Mapping[str, str]) -> Plan:
-    """``plan``'s restriction over ``child``, on the attributes ``names``
-    holds, each spelled as ``names`` maps it."""
-    if isinstance(plan, SelectEq):
-        return SelectEq(child, {
-            names[attr]: value
-            for attr, value in plan.conditions.items() if attr in names
-        })
-    comparison = plan.comparison
-    return SelectPred(child, Comparison(
-        names[comparison.attr], comparison.operator, comparison.value
-    ))
 
 
 def _compose_renames(
@@ -223,8 +196,7 @@ def _rewrite_rename(plan: Rename, db: Database) -> Plan:
 
 #: The rewrite rule of each node type that has one, as ``(node, db)``.
 _RULES = {
-    SelectEq: _rewrite_restriction,
-    SelectPred: _rewrite_restriction,
+    Restrict: _rewrite_restriction,
     Project: _rewrite_project,
     Rename: _rewrite_rename,
 }

@@ -9,8 +9,8 @@ two execution disciplines:
 * **record mode** (:meth:`Database.execute_records`) -- the classical
   record-processing discipline the paper's reference [4] compares
   against: Python iterators pull one row dict at a time through the
-  plan, selections test rows individually, and joins run as nested
-  loops over the probe side.
+  plan, a restriction asks each row its comparisons in turn, and joins
+  run as nested loops over the probe side.
 
 Both executors produce the same :class:`~repro.relational.relation.
 Relation` for every plan (asserted property-style in the tests), so
@@ -35,6 +35,7 @@ from repro.relational.columnar import (
 )
 from repro.relational.relation import Relation
 from repro.relational.schema import Heading
+from repro.xst.xset import Immutable
 
 #: What flows between plan nodes in set mode: either the canonical row
 #: model or its sorted-run encoding.  Both expose ``heading`` and
@@ -44,8 +45,7 @@ Operand = TypingUnion[Relation, ColumnarRelation]
 __all__ = [
     "Plan",
     "Scan",
-    "SelectEq",
-    "SelectPred",
+    "Restrict",
     "Project",
     "Rename",
     "Join",
@@ -61,7 +61,7 @@ __all__ = [
 ]
 
 
-class Plan:
+class Plan(Immutable):
     """Base class for plan nodes; subclasses are immutable records.
 
     A node is the single owner of every *structural* fact about its
@@ -112,8 +112,12 @@ class Plan:
         (``None`` for a column the node computes)."""
         return attr
 
-    def __setattr__(self, key, value):
-        raise AttributeError("plan nodes are immutable")
+    def __reduce__(self):
+        # Through the constructor: its inputs, then the node's own
+        # slots in order (the ``_Unary`` convention).
+        cls = type(self)
+        own = cls.__dict__.get("__slots__", ())
+        return cls, (*self.children(), *[getattr(self, slot) for slot in own])
 
     def _unknown(self) -> TypeError:
         return TypeError("unknown plan node %s" % type(self).__name__)
@@ -137,8 +141,8 @@ class Param:
     """Parameter ``$index`` of a statement template: scope ``index`` of
     the one argument tuple an execution binds.
 
-    It stands where a literal value would -- a ``SelectEq`` condition,
-    an XQL comparison, a ``Limit`` count -- so a plan holding one is a
+    It stands where a literal value would -- a ``Comparison``'s
+    constant, a ``Limit`` count -- so a plan holding one is a
     template, well defined on a catalog's headings like any plan but
     not executable until :func:`repro.relational.sql.run` binds its
     arguments.  Its ``repr`` is its spelling, so a template's conditions
@@ -199,70 +203,61 @@ class _Unary(Plan):
         return cls(child, *[getattr(self, slot) for slot in cls.__slots__])
 
 
-class SelectEq(_Unary):
-    """Equality selection; eligible for restriction-based execution."""
-
-    __slots__ = ("conditions",)
-    op = "restrict"
-
-    def __init__(self, child: Plan, conditions: Mapping[str, Any]):
-        super().__init__(child)
-        object.__setattr__(self, "conditions", dict(conditions))
-
-    def heading(self, child: Heading) -> Heading:
-        child.require(self.conditions)
-        return child
-
-    def apply(self, kernels, inputs):
-        return kernels.select_eq(inputs[0], self.conditions)
-
-    def describe(self) -> str:
-        conditions = ", ".join(
-            ["%s=%r" % item for item in sorted(self.conditions.items())]
-        )
-        return "SelectEq(%s)" % conditions
+def _canonical_order(comparison: algebra.Comparison) -> Tuple:
+    # Equalities first, then by attribute, operator and the constant's
+    # spelling (``repr``: the twins ``1``/``1.0``/``True`` differ).
+    return (
+        comparison.operator != "=", comparison.attr, comparison.operator,
+        repr(comparison.value),
+    )
 
 
-class SelectPred(_Unary):
-    """Comparison selection: the rows whose ``attr`` passes an
-    :class:`~repro.relational.algebra.Comparison`.
+class Restrict(_Unary):
+    """The rows passing every one of ``comparisons``, a conjunction of
+    :class:`~repro.relational.algebra.Comparison` values; an equality is
+    ``Comparison(attr, "=", value)``, the case where one value passes.
 
-    Over a stored relation it is decided one distinct value of the
-    member index at ``attr`` at a time, over a derived operand by one
-    C-level pass over its column (:func:`algebra.select`); record mode
-    calls it on each row's dict.  The comparison is a value, so the
-    node's description names it exactly and is its result-cache key.
+    The node holds them in canonical order (:func:`_canonical_order`),
+    so a conjunction written in any order is one node, and its
+    description names every comparison exactly and is its result-cache
+    key.  The kernel (:func:`algebra.restrict`) restricts by the
+    equalities as one key and decides each attribute's other
+    comparisons together; record mode asks each row them in order.
     """
 
-    __slots__ = ("comparison",)
-    op = "select_pred"
+    __slots__ = ("comparisons",)
+    op = "restrict"
 
-    def __init__(self, child: Plan, comparison: algebra.Comparison):
-        if type(comparison) is not algebra.Comparison:
+    def __init__(self, child: Plan, comparisons: Sequence[algebra.Comparison]):
+        comparisons = tuple(comparisons)
+        if {*map(type, comparisons)} != {algebra.Comparison}:
             raise TypeError(
-                "SelectPred takes a Comparison, not %r" % (comparison,)
+                "Restrict takes one or more Comparisons, not %r"
+                % (comparisons,)
             )
+        if len(comparisons) > 1:
+            comparisons = tuple(sorted(comparisons, key=_canonical_order))
         super().__init__(child)
-        object.__setattr__(self, "comparison", comparison)
+        object.__setattr__(self, "comparisons", comparisons)
 
     def heading(self, child: Heading) -> Heading:
-        child.require([self.comparison.attr])
+        child.require([comparison.attr for comparison in self.comparisons])
         return child
 
     def apply(self, kernels, inputs):
         operand = inputs[0]
-        if isinstance(self.child, Scan) and isinstance(operand, Relation):
-            # A stored relation keeps its member index and carries it
-            # through every later commit, so its fill is paid once; a
-            # derived operand is not indexed for one comparison.
-            operand.rows._members_holding(self.comparison.attr)
-        return kernels.select_pred(operand, self.comparison)
+        first = self.comparisons[0]
+        if first.operator != "=" and isinstance(self.child, Scan) \
+                and isinstance(operand, Relation):
+            # No equality: the first attribute is decided over the stored
+            # relation, which keeps its member index through every later
+            # commit, so the fill is paid once; a derived operand is not
+            # indexed for one restriction.
+            operand.rows._members_holding(first.attr)
+        return kernels.restrict(operand, self.comparisons)
 
     def describe(self) -> str:
-        comparison = self.comparison
-        return "SelectPred(%s %s %r)" % (
-            comparison.attr, comparison.operator, comparison.value
-        )
+        return "Restrict(%s)" % ", ".join(map(repr, self.comparisons))
 
 
 class Project(_Unary):
@@ -472,7 +467,7 @@ def plan_cache_key(plan: Plan) -> str:
     """The canonical result-cache key for a plan.
 
     Every node's description names all of its parameters -- a
-    ``SelectPred`` its comparison's attribute, operator and constant
+    ``Restrict`` each comparison's attribute, operator and constant
     (by ``repr``, so the twins ``1``/``1.0``/``True`` differ) -- so
     every plan has a key, and plans spelled alike share it.
     """
@@ -866,14 +861,10 @@ class Database:
     def _iterate(self, plan: Plan) -> Iterator[Dict[str, Any]]:
         if isinstance(plan, Scan):
             yield from self.relation(plan.name).iter_dicts()
-        elif isinstance(plan, SelectEq):
-            conditions = plan.conditions
+        elif isinstance(plan, Restrict):
+            comparisons = plan.comparisons
             for row in self._iterate(plan.child):
-                if all(row[attr] == value for attr, value in conditions.items()):
-                    yield row
-        elif isinstance(plan, SelectPred):
-            for row in self._iterate(plan.child):
-                if plan.comparison(row):
+                if all(comparison(row) for comparison in comparisons):
                     yield row
         elif isinstance(plan, Project):
             for row in self._iterate(plan.child):

@@ -40,7 +40,7 @@ from repro.core.process import Process
 from repro.core.sigma import Sigma
 from repro.relational.schema import Heading
 from repro.xst.builders import xset
-from repro.xst.xset import _ADMITTED_BY_TYPE, XSet
+from repro.xst.xset import _ADMITTED_BY_TYPE, Immutable, XSet
 
 __all__ = ["Relation"]
 
@@ -90,7 +90,7 @@ def _positional(
     return list(map(pick, dicts))
 
 
-class Relation:
+class Relation(Immutable):
     """An immutable relation: a heading plus a set of record rows.
 
     ``_page`` is ``None``, or -- on a relation :meth:`from_page` built --
@@ -120,8 +120,8 @@ class Relation:
         object.__setattr__(self, "_rows", rows)
         object.__setattr__(self, "_page", None)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Relation instances are immutable")
+    def __reduce__(self):
+        return Relation, (self._heading, self.rows)
 
     # ------------------------------------------------------------------
     # Constructors

@@ -29,6 +29,7 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import SchemaError
+from repro.relational.algebra import Comparison
 from repro.relational.columnar import ColumnarRelation
 from repro.relational.relation import Relation
 from repro.relational.schema import Heading
@@ -157,7 +158,7 @@ class ColumnRepresentation:
     def select(self, attr: str, value: Any) -> "ColumnRepresentation":
         """Equality selection: binary search over the attribute's run."""
         return ColumnRepresentation._wrap(
-            self._backing.select_eq({attr: value})
+            self._backing.restrict([Comparison(attr, "=", value)])
         )
 
     def project(self, attrs: Sequence[str]) -> "ColumnRepresentation":

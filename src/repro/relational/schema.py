@@ -18,11 +18,12 @@ from typing import Dict, Iterable, Iterator, Optional, Tuple
 
 from repro.errors import SchemaError
 from repro.xst.ordering import canonical_key
+from repro.xst.xset import Immutable
 
 __all__ = ["Heading"]
 
 
-class Heading:
+class Heading(Immutable):
     """An immutable collection of distinct attribute names."""
 
     __slots__ = ("_names", "_name_set", "_keys")
@@ -43,8 +44,8 @@ class Heading:
         object.__setattr__(self, "_name_set", name_set)
         object.__setattr__(self, "_keys", None)
 
-    def __setattr__(self, name, value):
-        raise AttributeError("Heading instances are immutable")
+    def __reduce__(self):
+        return Heading, (self._names,)
 
     @property
     def names(self) -> Tuple[str, ...]:

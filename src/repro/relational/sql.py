@@ -37,8 +37,9 @@ value: parsed and compiled once per process, optimized once per
 catalog value (:meth:`Database.plan_memo`), bound per execution --
 ``QUERY`` is the zero-argument case of ``EXECUTE``.
 
-The whole statement is one plan: WHERE compiles below an ``Aggregate``
-node (GROUP BY and the aggregates), the column list and its aliases
+The whole statement is one plan: WHERE compiles to one ``Restrict``
+node, the conjunction of its comparisons, below an ``Aggregate`` node
+(GROUP BY and the aggregates), the column list and its aliases
 are one ``Project``/``Rename`` tail above it (plain columns of a
 grouped statement must be group attributes), and LIMIT is a ``Limit``
 node carrying ORDER BY -- the first rows in the kernel's order of that
@@ -95,9 +96,8 @@ from repro.relational.query import (
     Plan,
     Project,
     Rename,
+    Restrict,
     Scan,
-    SelectEq,
-    SelectPred,
 )
 from repro.relational.relation import Relation
 from repro.relational.schema import Heading
@@ -361,14 +361,9 @@ def compile_query(query: Query) -> Plan:
     plan: Plan = Scan(query.sources[0])
     for source in query.sources[1:]:
         plan = Join(plan, Scan(source))
-    equalities = {}
-    for attr, operator, value in query.conditions:
-        if operator == "=" and attr not in equalities:
-            equalities[attr] = value
-        else:
-            plan = SelectPred(plan, Comparison(attr, operator, value))
-    if equalities:
-        plan = SelectEq(plan, equalities)
+    if query.conditions:
+        # The whole WHERE clause is one conjunction: one node.
+        plan = Restrict(plan, [Comparison(*cond) for cond in query.conditions])
     aggregations: Dict[str, Tuple[str, str]] = {}
     if query.aggregates or query.group_by:
         stray = [
@@ -432,21 +427,13 @@ def _bind(plan: Plan, args: Sequence[Any]) -> Plan:
     return plan if binder is None else binder(plan, args)
 
 
-def _bind_select_eq(plan: SelectEq, args: Sequence[Any]) -> Plan:
-    return SelectEq(plan.child, {
-        attr: args[value.index - 1] if type(value) is Param else value
-        for attr, value in plan.conditions.items()
-    })
-
-
-def _bind_select_pred(plan: SelectPred, args: Sequence[Any]) -> Plan:
-    comparison = plan.comparison
-    if type(comparison.value) is not Param:
-        return plan
-    return SelectPred(plan.child, Comparison(
-        comparison.attr, comparison.operator,
-        args[comparison.value.index - 1],
-    ))
+def _bind_restrict(plan: Restrict, args: Sequence[Any]) -> Plan:
+    return Restrict(plan.child, [
+        Comparison(comparison.attr, comparison.operator,
+                   args[comparison.value.index - 1])
+        if type(comparison.value) is Param else comparison
+        for comparison in plan.comparisons
+    ])
 
 
 def _bind_limit(plan: Limit, args: Sequence[Any]) -> Plan:
@@ -458,8 +445,7 @@ def _bind_limit(plan: Limit, args: Sequence[Any]) -> Plan:
 
 #: The binding rule of each node type that can hold a parameter.
 _BINDERS = {
-    SelectEq: _bind_select_eq,
-    SelectPred: _bind_select_pred,
+    Restrict: _bind_restrict,
     Limit: _bind_limit,
 }
 

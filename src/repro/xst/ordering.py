@@ -23,6 +23,7 @@ comparable payloads.
 
 from __future__ import annotations
 
+import re
 import zlib
 from typing import Any, Tuple
 
@@ -126,6 +127,10 @@ def canonical_hash(value: Any) -> int:
     across runs and machines; this one is CRC32 over the repr of
     :func:`canonical_key`, which is itself canonical: equal values
     have equal keys, so equal values hash equally regardless of type
-    spelling (``1`` vs ``1.0`` vs ``True``).
+    spelling (``1`` vs ``1.0`` vs ``True``) -- zeros too: the key keeps
+    ``-0.0``'s sign, so the text hashed spells it ``0.0``.
     """
-    return zlib.crc32(repr(canonical_key(value)).encode("utf-8"))
+    text = repr(canonical_key(value))
+    if "-0.0" in text:  # a -0.0 that is no part of a longer number
+        text = re.sub(r"(?<![\w.])-0\.0(?![\w.])", "0.0", text)
+    return zlib.crc32(text.encode("utf-8"))

@@ -180,7 +180,27 @@ def _group(pairs: Tuple[Pair, ...], by: int) -> Dict[Any, Tuple[Any, ...]]:
     return {key: tuple(values) for key, values in grouped.items()}
 
 
-class XSet:
+class Immutable:
+    """A value: its constructor fills its slots (``object.__setattr__``)
+    and nothing changes them, so a copy is the value itself; a subclass
+    pickles through its constructor (``__reduce__``)."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name: str, value: Any) -> None:
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError("%s is immutable" % type(self).__name__)
+
+    def __copy__(self) -> "Immutable":
+        return self
+
+    def __deepcopy__(self, memo) -> "Immutable":
+        return self
+
+
+class XSet(Immutable):
     """An immutable extended set of ``(element, scope)`` pairs.
 
     Instances are created from any iterable of pairs; duplicates are
@@ -427,11 +447,8 @@ class XSet:
     # Immutability & identity
     # ------------------------------------------------------------------
 
-    def __setattr__(self, name: str, value: Any) -> None:
-        raise AttributeError("XSet instances are immutable")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError("XSet instances are immutable")
+    def __reduce__(self):
+        return XSet, (self._pairs,)
 
     def __eq__(self, other: Any) -> bool:
         if not isinstance(other, XSet):

@@ -26,8 +26,9 @@ from repro.gov import (
     PRIORITY_NORMAL,
     AdmissionController,
 )
+from repro.relational.algebra import Comparison
 from repro.relational.distributed import Cluster
-from repro.relational.query import Scan
+from repro.relational.query import Restrict, Scan
 from repro.workloads.generators import employee_relation
 
 GOV_SEED = int(os.environ.get("REPRO_GOV_SEED", "7"))
@@ -286,7 +287,7 @@ class TestQuorumReads:
         # One gather primitive: joins and routed reads take the same
         # allow_partial / read_quorum terms scans do.
         from repro.relational import algebra
-        from repro.relational.query import Join, SelectEq
+        from repro.relational.query import Join, Restrict
         from repro.workloads.generators import department_relation
 
         employees = employee_relation(30, 6, seed=5)
@@ -307,7 +308,8 @@ class TestQuorumReads:
         assert {(m.table, m.bucket) for m in partial.missing} >= {("emp", 1)}
         assert partial.cardinality() < complete.cardinality()
         routed = cluster.execute(
-            SelectEq(Scan("emp"), {"dept": 1}), allow_partial=True
+            Restrict(Scan("emp"),
+                     (Comparison("dept", "=", 1),)), allow_partial=True
         )
         assert routed.partial and routed.cardinality() == 0
         with pytest.raises(ClusterUnavailableError, match="quorum"):

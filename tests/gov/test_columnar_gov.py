@@ -24,13 +24,14 @@ from hypothesis import strategies as st
 
 from repro.errors import BudgetExceededError, DeadlineExceededError
 from repro.gov import Deadline, governed
+from repro.relational.algebra import Comparison
 from repro.relational.query import (
     Database,
     Difference,
     Join,
     Project,
+    Restrict,
     Scan,
-    SelectEq,
     Union,
 )
 from repro.relational.relation import Relation
@@ -54,12 +55,16 @@ def _databases(rows):
 
 
 PLANS = [
-    SelectEq(Scan("t"), {"b": 2}),
-    Project(SelectEq(Scan("t"), {"b": 2}), ["a"]),
+    Restrict(Scan("t"), (Comparison("b", "=", 2),)),
+    Project(Restrict(Scan("t"), (Comparison("b", "=", 2),)), ["a"]),
     Join(Scan("t"), Scan("u")),
     Project(Join(Scan("t"), Scan("u")), ["a", "c"]),
-    Union(Scan("t"), SelectEq(Scan("t"), {"a": 1})),
-    Difference(Scan("t"), SelectEq(Scan("t"), {"a": 1})),
+    Union(Scan("t"), Restrict(Scan("t"), (Comparison("a", "=", 1),))),
+    Difference(Scan("t"), Restrict(Scan("t"), (Comparison("a", "=", 1),))),
+    # Equalities are the restriction both backends charge; the other
+    # comparisons are a separation neither charges.
+    Restrict(Scan("t"), (Comparison("b", "=", 2), Comparison("a", ">", 1))),
+    Restrict(Scan("t"), (Comparison("a", ">", 1), Comparison("a", "<", 4))),
 ]
 
 

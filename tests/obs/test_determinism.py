@@ -12,9 +12,10 @@ import os
 import pytest
 
 from repro.obs.trace import FakeClock
+from repro.relational.algebra import Comparison
 from repro.relational.distributed import Cluster
 from repro.relational.faults import FaultPlan
-from repro.relational.query import Aggregate, Scan, SelectEq
+from repro.relational.query import Aggregate, Restrict, Scan
 from repro.workloads import employee_relation
 
 SEED = int(os.environ.get("REPRO_WORKLOAD_SEED", "101"))
@@ -39,7 +40,7 @@ def build_cluster(chaos_seed: int) -> Cluster:
 
 def run_workload(cluster: Cluster):
     cluster.execute(Scan("emp"))
-    cluster.execute(SelectEq(Scan("emp"), {"dept": 5}))
+    cluster.execute(Restrict(Scan("emp"), (Comparison("dept", "=", 5),)))
     cluster.execute(
         Aggregate(Scan("emp"), ["dept"], {"n": ("count", "emp")})
     )

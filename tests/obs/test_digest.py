@@ -70,15 +70,15 @@ class TestBuildDigest:
 
     def test_estimate_attributes_stay_in_the_trace(self):
         tracer = Tracer(clock=FakeClock())
-        root = tracer.start("SelectEq", node="SelectEq")
+        root = tracer.start("Restrict", node="Restrict")
         for attr, value in (("est_rows", 12.0), ("q_error", 2.0),
                             ("relation", "emp"), ("conditions", "dept")):
             root.set(attr, value)
         root.set("rows", 6)
         tracer.end(root)
         assert build_digest(root, "aa00bb11").nodes == [
-            {"describe": "SelectEq", "depth": 0, "rows": 6,
-             "node": "SelectEq"}
+            {"describe": "Restrict", "depth": 0, "rows": 6,
+             "node": "Restrict"}
         ]
 
     def test_one_columnar_node_promotes_the_backend(self):

@@ -3,7 +3,8 @@
 import pytest
 
 from repro.obs import instrument, metrics
-from repro.relational.query import Database, Join, Project, Scan, SelectEq
+from repro.relational.algebra import Comparison
+from repro.relational.query import Database, Join, Project, Restrict, Scan
 from repro.relational.relation import Relation
 from repro.xst.builders import xset, xtuple
 from repro.xst.image import cst_image
@@ -128,7 +129,8 @@ class TestPlanHooks:
         from repro.obs.trace import tracer
 
         db = self.plan_db()
-        plan = Project(Join(Scan("emp"), SelectEq(Scan("dept"), {"dept": 1})),
+        plan = Project(Join(Scan("emp"), Restrict(Scan("dept"),
+                (Comparison("dept", "=", 1),))),
                        ["name"])
         tracer().reset()
         result = db.execute(plan)

@@ -12,12 +12,13 @@ from hypothesis import strategies as st
 from repro.errors import SchemaError
 from repro.relational.algebra import (
     AGGREGATES,
+    Comparison,
     aggregate,
     difference,
     group_by,
     limit,
     project,
-    select_eq,
+    restrict,
 )
 from repro.relational.query import Limit, Scan
 from repro.relational.relation import Relation
@@ -97,7 +98,7 @@ class TestGroupBy:
         rows = [(n, 1 if n == 0 else 1.0 if n == 1 else n % 3)
                 for n in range(40)]
         table = Relation.from_tuples(["k", "g"], rows)
-        select_eq(table, {"g": 1})
+        restrict(table, (Comparison("g", "=", 1),))
         gone = Relation.from_tuples(["k", "g"], [(0, 1)])
         rest = difference(table, gone)
         assert rest.rows._by_part is not None  # carried, not rebuilt
@@ -264,7 +265,7 @@ values = st.one_of(
 rows = st.lists(st.tuples(values, values, values, values), max_size=12)
 
 
-def projected_then_restricted(rel, attrs):
+def one_restriction_per_key(rel, attrs):
     """The earlier algorithm: the key projection (Def 7.4), then one
     Def 7.6 restriction per key, over an unindexed copy of the run."""
     copy = Relation._from_valid(rel.heading, XSet._from_run(rel.rows.pairs()))
@@ -297,7 +298,7 @@ def operand(data):
         return rel
     first = next(rel.iter_dicts())
     for attr in data.draw(st.lists(st.sampled_from(NAMES), max_size=3)):
-        select_eq(rel, {attr: first[attr]})
+        restrict(rel, (Comparison(attr, "=", first[attr]),))
     if state == "filled":
         return rel
     gone = data.draw(st.lists(st.sampled_from(rel.rows.pairs()), max_size=2))
@@ -315,7 +316,7 @@ class TestGroupingOracle:
             st.lists(st.sampled_from(NAMES), min_size=1, max_size=3, unique=True)
         )
         got = group_by(rel, attrs)
-        want = projected_then_restricted(rel, attrs)
+        want = one_restriction_per_key(rel, attrs)
         # The same keys in the same order, spelled as the reference spells
         # them (typed twins, -0.0 and nested sets print differently).
         assert [{a: repr(v) for a, v in key.items()} for key, _ in got] == [

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.errors import SchemaError
 from repro.relational import algebra
+from repro.relational.algebra import Comparison
 from repro.relational.relation import Relation
 
 EMPLOYEES = Relation.from_dicts(
@@ -43,33 +44,37 @@ small_relations = st.lists(
 
 
 class TestSelect:
-    def test_select_eq(self):
-        picked = algebra.select_eq(EMPLOYEES, {"dept": 10})
+    def test_restrict_by_an_equality(self):
+        picked = algebra.restrict(EMPLOYEES, (Comparison("dept", "=", 10),))
         assert {row["name"] for row in picked.iter_dicts()} == {"ada", "grace"}
 
-    def test_select_eq_multiple_conditions(self):
-        picked = algebra.select_eq(EMPLOYEES, {"dept": 10, "name": "ada"})
+    def test_restrict_by_several_equalities(self):
+        picked = algebra.restrict(EMPLOYEES,
+                (Comparison("dept", "=", 10), Comparison("name", "=", "ada")))
         assert picked.cardinality() == 1
 
-    def test_select_eq_no_match(self):
-        assert algebra.select_eq(EMPLOYEES, {"dept": 999}).cardinality() == 0
+    def test_restrict_matching_nothing(self):
+        assert algebra.restrict(EMPLOYEES,
+                (Comparison("dept", "=", 999),)).cardinality() == 0
 
-    def test_select_eq_unknown_attribute(self):
+    def test_restrict_by_an_unknown_attribute(self):
         with pytest.raises(SchemaError):
-            algebra.select_eq(EMPLOYEES, {"nope": 1})
+            algebra.restrict(EMPLOYEES, (Comparison("nope", "=", 1),))
 
-    def test_select_predicate(self):
+    def test_select_by_a_predicate(self):
         picked = algebra.select(EMPLOYEES, lambda row: row["emp"] > 1)
         assert picked.cardinality() == 2
 
-    def test_select_eq_agrees_with_predicate_select(self):
-        via_restriction = algebra.select_eq(EMPLOYEES, {"dept": 10})
+    def test_restrict_agrees_with_predicate_select(self):
+        via_restriction = algebra.restrict(EMPLOYEES,
+                                           (Comparison("dept", "=", 10),))
         via_predicate = algebra.select(EMPLOYEES, lambda row: row["dept"] == 10)
         assert via_restriction == via_predicate
 
     @given(small_relations, st.integers(min_value=0, max_value=4))
-    def test_select_eq_equivalence_property(self, rel, key):
-        assert algebra.select_eq(rel, {"k": key}) == algebra.select(
+    def test_restrict_equivalence_property(self, rel, key):
+        assert algebra.restrict(rel,
+                (Comparison("k", "=", key),)) == algebra.select(
             rel, lambda row: row["k"] == key
         )
 
@@ -199,6 +204,5 @@ class TestClassicalIdentities:
     @given(small_relations, st.integers(min_value=0, max_value=4))
     def test_select_commutes_with_self_union(self, rel, key):
         doubled = algebra.union(rel, rel)
-        assert algebra.select_eq(doubled, {"k": key}) == algebra.select_eq(
-            rel, {"k": key}
-        )
+        equal = (Comparison("k", "=", key),)
+        assert algebra.restrict(doubled, equal) == algebra.restrict(rel, equal)

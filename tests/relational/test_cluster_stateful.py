@@ -43,11 +43,12 @@ from repro.errors import (
 from repro.gov import Deadline, governed
 from repro.relational import algebra
 from repro.relational.algebra import aggregate as local_aggregate
+from repro.relational.algebra import Comparison
 from repro.relational.constraints import IntegrityError, KeyConstraint
 from repro.relational.distributed import Cluster
 from repro.relational.faults import FaultPlan
 from repro.relational.ivm import QueryResultCache
-from repro.relational.query import Aggregate, Scan, SelectEq
+from repro.relational.query import Aggregate, Restrict, Scan
 from repro.relational.relation import Relation
 from repro.relational.wal import WriteAheadLog
 
@@ -314,13 +315,14 @@ class ClusterMachine(RuleBasedStateMachine):
         ring = shard_map.replicas(shard_map.bucket_for(dept))
         try:
             answer = self.cluster.execute(
-                SelectEq(Scan("emp"), {"dept": dept})
+                Restrict(Scan("emp"), (Comparison("dept", "=", dept),))
             )
         except ClusterUnavailableError:
             assert all(index in self._dead() for index in ring)
         else:
             assert answer == \
-                algebra.select_eq(self._relation("emp"), {"dept": dept})
+                algebra.restrict(self._relation("emp"),
+                                 (Comparison("dept", "=", dept),))
 
     @rule()
     def aggregate(self):

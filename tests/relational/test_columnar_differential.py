@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.relational import algebra
+from repro.relational.algebra import Comparison
 from repro.relational.columnar import (
     ColumnarRelation,
     encode,
@@ -38,9 +39,8 @@ from repro.relational.query import (
     Limit,
     Project,
     Rename,
+    Restrict,
     Scan,
-    SelectEq,
-    SelectPred,
     Union,
 )
 from repro.relational.relation import Relation
@@ -121,7 +121,7 @@ def _draw_plan(draw, headings, pool, depth):
         return Scan(name), headings[name]
     kind = draw(
         st.sampled_from(
-            ("select_eq", "select_pred", "project", "rename", "join",
+            ("restrict", "project", "rename", "join",
              "union", "difference", "aggregate", "limit")
         )
     )
@@ -131,20 +131,17 @@ def _draw_plan(draw, headings, pool, depth):
         merged = tuple(dict.fromkeys(left_names + right_names))
         return Join(left, right), merged
     child, names = _draw_plan(draw, headings, pool, depth - 1)
-    if kind == "select_eq":
-        chosen = draw(
-            st.lists(
-                st.sampled_from(names), min_size=0, max_size=2, unique=True
-            )
-        )
-        conditions = {
-            attr: draw(st.sampled_from(pool)) for attr in chosen
-        }
-        return SelectEq(child, conditions), names
-    if kind == "select_pred":
-        attr = draw(st.sampled_from(names))
-        value = draw(st.sampled_from(pool))
-        return SelectPred(child, algebra.Comparison(attr, "!=", value)), names
+    if kind == "restrict":
+        # Equalities and inequalities only: they decide every pair of
+        # values in the pool, where an ordering would refuse some.
+        comparisons = draw(st.lists(
+            st.builds(
+                Comparison, st.sampled_from(names),
+                st.sampled_from(("=", "!=")), st.sampled_from(pool),
+            ),
+            min_size=1, max_size=3,
+        ))
+        return Restrict(child, comparisons), names
     if kind == "project":
         kept = tuple(
             draw(
@@ -186,7 +183,7 @@ def _draw_plan(draw, headings, pool, depth):
     # non-trivial overlaps.
     attr = draw(st.sampled_from(names))
     value = draw(st.sampled_from(pool))
-    other = SelectEq(child, {attr: value})
+    other = Restrict(child, (Comparison(attr, "=", value),))
     node = Union(child, other) if kind == "union" else Difference(child, other)
     return node, names
 
@@ -199,27 +196,26 @@ def _draw_plan(draw, headings, pool, depth):
 class TestKernelOpsAgree:
     @settings(max_examples=60, deadline=None)
     @given(rel=relations(), data=st.data())
-    def test_select_eq(self, rel, data):
+    def test_restrict_by_one_equality(self, rel, data):
         attr = data.draw(st.sampled_from(rel.heading.names))
         value = data.draw(st.sampled_from(_value_pool(rel)))
-        expected = algebra.select_eq(rel, {attr: value})
-        assert encode(rel).select_eq({attr: value}).to_relation() == expected
+        comparisons = (Comparison(attr, "=", value),)
+        expected = algebra.restrict(rel, comparisons)
+        assert encode(rel).restrict(comparisons).to_relation() == expected
 
     @settings(max_examples=40, deadline=None)
     @given(rel=relations(), data=st.data())
-    def test_select_eq_multi_condition(self, rel, data):
-        pool = _value_pool(rel)
-        conditions = {
-            attr: data.draw(st.sampled_from(pool))
-            for attr in data.draw(
-                st.lists(
-                    st.sampled_from(rel.heading.names),
-                    min_size=0, max_size=3, unique=True,
-                )
-            )
-        }
-        expected = algebra.select_eq(rel, conditions)
-        assert encode(rel).select_eq(conditions).to_relation() == expected
+    def test_restrict_by_several_comparisons(self, rel, data):
+        comparisons = data.draw(st.lists(
+            st.builds(
+                Comparison, st.sampled_from(rel.heading.names),
+                st.sampled_from(("=", "!=")),
+                st.sampled_from(_value_pool(rel)),
+            ),
+            min_size=1, max_size=3,
+        ))
+        expected = algebra.restrict(rel, comparisons)
+        assert encode(rel).restrict(comparisons).to_relation() == expected
 
     @settings(max_examples=60, deadline=None)
     @given(rel=relations(), data=st.data())
@@ -271,24 +267,22 @@ class TestKernelOpsAgree:
 
     @settings(max_examples=30, deadline=None)
     @given(rel=relations(names=("a", "b", "c")), data=st.data())
-    def test_image(self, rel, data):
-        value = data.draw(st.sampled_from(_value_pool(rel)))
-        expected = algebra.project(
-            algebra.select_eq(rel, {"a": value}), ["b", "c"]
-        )
-        assert (
-            encode(rel).image({"a": value}, ["b", "c"]).to_relation()
-            == expected
-        )
+    def test_restrict_then_project(self, rel, data):
+        # The Def 7.1 image of one key: a restriction, then a projection.
+        key = (Comparison("a", "=", data.draw(st.sampled_from(
+            _value_pool(rel)))),)
+        expected = algebra.project(algebra.restrict(rel, key), ["b", "c"])
+        got = encode(rel).restrict(key).project(["b", "c"])
+        assert got.to_relation() == expected
 
     @settings(max_examples=30, deadline=None)
     @given(rel=relations(), data=st.data())
-    def test_select_pred(self, rel, data):
+    def test_restrict_by_an_inequality(self, rel, data):
         attr = data.draw(st.sampled_from(rel.heading.names))
         value = data.draw(st.sampled_from(_value_pool(rel)))
-        predicate = lambda row: not (row[attr] == value)  # noqa: E731
-        expected = algebra.select(rel, predicate)
-        assert encode(rel).select_pred(predicate).to_relation() == expected
+        expected = algebra.select(rel, lambda row: not row[attr] == value)
+        got = encode(rel).restrict((Comparison(attr, "!=", value),))
+        assert got.to_relation() == expected
 
 
 # ----------------------------------------------------------------------
@@ -393,12 +387,13 @@ class BackendInterleaving(RuleBasedStateMachine):
     def delete_matching(self, name, x, reencode):
         rel = self.db_row.relation(name)
         attr = rel.heading.names[0]
-        shrunk = algebra.difference(rel, algebra.select_eq(rel, {attr: x}))
+        shrunk = algebra.difference(rel, algebra.restrict(rel,
+                (Comparison(attr, "=", x),)))
         self._apply(name, shrunk, reencode)
 
     @rule(x=keys)
     def query_select(self, x):
-        plan = SelectEq(Scan("r"), {"k": x})
+        plan = Restrict(Scan("r"), (Comparison("k", "=", x),))
         assert self.db_col.execute(plan) == self.db_row.execute(plan)
 
     @rule()
@@ -409,7 +404,7 @@ class BackendInterleaving(RuleBasedStateMachine):
     @rule(x=keys)
     def query_compound(self, x):
         plan = Difference(
-            Scan("r"), SelectEq(Scan("r"), {"v": x})
+            Scan("r"), Restrict(Scan("r"), (Comparison("v", "=", x),))
         )
         assert self.db_col.execute(plan) == self.db_row.execute(plan)
 
@@ -451,13 +446,15 @@ class TestWorkloadScaleAgreement:
         return db_row, db_col
 
     @pytest.mark.parametrize("plan", [
-        SelectEq(Scan("emp"), {"dept": 3}),
-        Project(SelectEq(Scan("emp"), {"dept": 3}), ["name"]),
+        Restrict(Scan("emp"), (Comparison("dept", "=", 3),)),
+        Project(Restrict(Scan("emp"),
+                         (Comparison("dept", "=", 3),)), ["name"]),
         Join(Scan("emp"), Scan("dept")),
         Project(Join(Scan("emp"), Scan("dept")), ["name", "dname"]),
-        Union(SelectEq(Scan("emp"), {"dept": 1}),
-              SelectEq(Scan("emp"), {"dept": 2})),
-        Difference(Scan("emp"), SelectEq(Scan("emp"), {"dept": 0})),
+        Union(Restrict(Scan("emp"), (Comparison("dept", "=", 1),)),
+              Restrict(Scan("emp"), (Comparison("dept", "=", 2),))),
+        Difference(Scan("emp"), Restrict(Scan("emp"),
+                                         (Comparison("dept", "=", 0),))),
     ], ids=["select", "select-project", "join", "join-project",
             "union", "difference"])
     def test_plans_agree_on_generator_workloads(self, databases, plan):

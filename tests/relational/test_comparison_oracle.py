@@ -1,7 +1,7 @@
-"""Comparison oracle: ``select(rel, Comparison)`` decides each distinct
-value of the member index once, and must keep exactly the rows that
-record-level separation keeps -- the same rows, spelled the same, in
-the same order -- or refuse exactly as it refuses.
+"""Comparison oracle: ``restrict(rel, comparisons)`` decides each
+distinct value of the member index once, and must keep exactly the rows
+that record-level separation keeps -- the same rows, spelled the same,
+in the same order -- or refuse exactly as it refuses.
 
 The compared column mixes typed twins (``1``/``1.0``/``True``,
 ``0``/``-0.0``/``False``), distinct ``nan`` objects and one shared
@@ -11,6 +11,12 @@ the index, and incomparable columns arise.  Every operator runs on
 operands with and without a filled index, once with every drop forced
 onto the bisecting patch and once under the shipped length rule.  Rows
 are compared by the ``(type, repr)`` of every value, never by ``==``.
+
+Values meet by Python ``==``: an equality with ``nan`` keeps no row --
+not one holding that very object -- on the row, record and columnar
+executors and the cluster alike, and ``a = v`` and ``a != v`` split
+every column between them.  A conjunction of one to three comparisons
+is the record reading's: equalities first, then the others in order.
 
 A second property holds ``_holding`` -- which reads each member's
 elements at one scope straight off its run -- to the scope-index build
@@ -26,9 +32,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SchemaError
-from repro.relational.algebra import Comparison, join, select, union
+from repro.relational.algebra import Comparison, join, restrict, select, union
 from repro.relational.columnar import encode
-from repro.relational.query import Database, Scan, SelectPred
+from repro.relational.query import Database, Restrict, Scan
 from repro.relational.relation import Relation
 from repro.xst.ordering import _xset_key
 from repro.xst.xset import EMPTY, XSet, _holding
@@ -130,19 +136,21 @@ class TestComparisonSelect:
         for operator in OPERATORS:
             comparison = Comparison("v", operator, constant)
             record = outcome(lambda: select(rel, lambda row: comparison(row)))
-            got = outcome(lambda: select(rel, comparison))
+            got = outcome(lambda: restrict(rel, (comparison,)))
             assert got == record, (operator, constant)
             # The columnar backend scans in its own order, so it may meet
             # another incomparable type first.
             columnar = outcome(
-                lambda: encode(rel).select_pred(comparison).to_relation()
+                lambda: encode(rel).restrict((comparison,)).to_relation()
             )
             assert columnar[0] == got[0]
             if got[0] == "refused":
                 continue
             assert columnar == got
-            answer = select(rel, comparison)
-            if len(answer) == len(rel):
+            answer = restrict(rel, (comparison,))
+            if len(answer) == len(rel) and operator != "=":
+                # An equality is the one-key Def 7.6 restriction, a new
+                # value; any other comparison keeps the operand itself.
                 assert answer is rel
             kept = [pair for pair in rel.rows.pairs() if pair in
                     answer.rows._pair_set]
@@ -154,7 +162,7 @@ class TestComparisonSelect:
             assert_indexes_fresh(answer.rows)
             # Both executors agree.
             db = Database({"t": rel})
-            plan = SelectPred(Scan("t"), comparison)
+            plan = Restrict(Scan("t"), (comparison,))
             assert rows_of(db.execute(plan)) == got[1]
             assert rows_of(db.execute_records(plan)) == got[1]
 
@@ -171,7 +179,7 @@ class TestComparisonSelect:
             rel.rows.pairs()[0][0].elements_at("v") == (None,)
         comparison = Comparison("v", ">", 2)
         with pytest.raises(SchemaError) as by_value:
-            select(rel, comparison)
+            restrict(rel, (comparison,))
         with pytest.raises(SchemaError) as by_row:
             select(rel, lambda row: comparison(row))
         assert str(by_value.value) == str(by_row.value) == (
@@ -182,18 +190,122 @@ class TestComparisonSelect:
         rel = Relation.from_tuples(("k", "v"), [(1, 3), (2, "x"), (3, 4)])
         comparison = Comparison("v", ">", 2)
         with pytest.raises(SchemaError) as by_value:
-            select(rel, comparison)
+            restrict(rel, (comparison,))
         with pytest.raises(SchemaError) as by_row:
             select(rel, lambda row: comparison(row))
         assert str(by_value.value) == str(by_row.value) == (
             "v > 2: 'v' holds str, which does not compare with int"
         )
         with pytest.raises(SchemaError, match="holds str"):
-            encode(rel).select_pred(comparison)
+            encode(rel).restrict((comparison,))
         with pytest.raises(SchemaError, match="unknown attributes"):
-            select(rel, Comparison("w", ">", 2))
+            restrict(rel, (Comparison("w", ">", 2),))
         with pytest.raises(SchemaError, match="unknown attributes"):
             select(rel, lambda row: Comparison("w", ">", 2)(row))
+
+
+class TestConjunctions:
+    """One to three comparisons on one node: the row path, the record
+    path and the columnar backend agree on what they keep, and the row
+    and record executors refuse alike, at the same row."""
+
+    @seeded
+    @settings(max_examples=150, deadline=None)
+    @given(data=st.data())
+    def test_a_conjunction_is_the_record_reading(self, rule, data):
+        drawn = data.draw(column)
+        size = data.draw(st.integers(0, 30))
+        cells = data.draw(st.lists(drawn, min_size=size, max_size=size))
+        rel = Relation.from_tuples(("k", "v"), list(enumerate(cells)))
+        if data.draw(st.booleans()):
+            rel.rows._members_holding("v")
+        pool = st.one_of(values, numeric, st.sampled_from(cells or [0]))
+        comparisons = data.draw(st.lists(st.builds(
+            Comparison, st.sampled_from(("v", "v", "k")),
+            st.sampled_from(OPERATORS), pool,
+        ), min_size=1, max_size=3))
+        plan = Restrict(Scan("t"), comparisons)
+        db = Database({"t": rel})
+        got = outcome(lambda: db.execute(plan))
+        # Record mode asks each row the node's comparisons in order.
+        assert outcome(lambda: db.execute_records(plan)) == got, \
+            plan.describe()
+        assert outcome(lambda: select(rel, lambda row: all(
+            comparison(row) for comparison in plan.comparisons
+        ))) == got
+        encoded = Database({"t": rel})
+        encoded.encode_columnar()
+        columnar = outcome(lambda: encoded.execute(plan))
+        assert columnar[0] == got[0]
+        if got[0] == "rows":
+            assert columnar == got
+
+    def test_two_ranges_an_absorbed_range_and_a_contradiction(self):
+        rel = Relation.from_tuples(
+            ("k", "v"), [(n, n % 10) for n in range(40)])
+        rel.rows._members_holding("v")
+
+        def kept(*comparisons):
+            return sorted(row["v"] for row in restrict(
+                rel, comparisons).iter_dicts())
+
+        assert kept(Comparison("v", ">", 2), Comparison("v", "<", 5)) == \
+            [3] * 4 + [4] * 4
+        assert kept(Comparison("v", "=", 3), Comparison("v", ">", 2)) == \
+            [3] * 4
+        assert kept(Comparison("v", "=", 3), Comparison("v", ">", 3)) == []
+        assert kept(Comparison("v", "=", 3), Comparison("v", "=", 4)) == []
+        assert kept(Comparison("v", "=", 3), Comparison("v", "!=", 3)) == []
+        assert kept(Comparison("v", "=", 3), Comparison("v", "=", 3.0)) == \
+            [3] * 4
+
+
+class TestNanEqualsNothing:
+    """An equality whose constant is ``nan`` keeps no row, even one
+    holding that very object (a member index finds it by identity, the
+    rule is ``==``); ``a != nan`` keeps every row.  One answer on every
+    executor."""
+
+    @staticmethod
+    def answers(rel, comparison):
+        from repro.relational.distributed import Cluster
+
+        plan = Restrict(Scan("t"), (comparison,))
+        db = Database({"t": rel})
+        encoded = Database({"t": rel})
+        encoded.encode_columnar()
+        cluster = Cluster(2)
+        cluster.create_table("t", rel, "a")
+        return [
+            rows_of(answer) for answer in (
+                db.execute(plan), db.execute_records(plan),
+                encoded.execute(plan), cluster.execute(plan),
+                restrict(rel, (comparison,)),
+            )
+        ]
+
+    @pytest.mark.parametrize("same_object", [True, False],
+                             ids=["stored-object", "another-nan"])
+    def test_one_answer_everywhere(self, same_object):
+        stored = float("nan")
+        rel = Relation.from_tuples(["a", "b"], [(1, "x"), (stored, "n")])
+        constant = stored if same_object else float("nan")
+        every = rows_of(rel)
+        for operator, expected in (("=", []), ("!=", every)):
+            comparison = Comparison("a", operator, constant)
+            assert self.answers(rel, comparison) == [expected] * 5
+
+    def test_a_keyed_delete_of_nan_deletes_nothing(self):
+        from repro.relational.constraints import Table
+
+        stored = float("nan")
+        table = Table(["a", "b"],
+                      [{"a": 1, "b": "x"}, {"a": stored, "b": "n"}])
+        assert table.delete({"a": stored}) == 0
+        assert len(table.snapshot()) == 2
+        # The row goes by another attribute.
+        assert table.delete({"b": "n"}) == 1
+        assert len(table.snapshot()) == 1
 
 
 class TestAccessPath:
@@ -203,12 +315,12 @@ class TestAccessPath:
         dept = Relation.from_tuples(
             ("dept", "dname"), [(0, "a"), (1, "b"), (2, "c")])
         db = Database({"emp": emp, "dept": dept})
-        stored = SelectPred(Scan("emp"), Comparison("pay", ">", 120))
+        stored = Restrict(Scan("emp"), (Comparison("pay", ">", 120),))
         assert len(db.execute(stored)) == 19
         # The stored relation keeps its index at pay for the next query.
         assert "pay" in emp.rows._by_part
         joined = join(emp, dept)
-        derived = select(joined, Comparison("pay", "<=", 105))
+        derived = restrict(joined, (Comparison("pay", "<=", 105),))
         assert joined.rows._by_part is None or \
             "pay" not in joined.rows._by_part
         assert rows_of(derived) == rows_of(

@@ -8,13 +8,13 @@ from repro.errors import DeadlineExceededError
 from repro.gov.governor import Deadline, governed
 from repro.obs import instrument, metrics
 from repro.relational import cost as cost_module
+from repro.relational.algebra import Comparison
 from repro.relational.cost import (
     DP_MAX_RELATIONS,
     CardinalityEstimator,
     qerror,
     reorder_joins,
 )
-from repro.relational.algebra import Comparison
 from repro.relational.constraints import Table
 from repro.relational.optimizer import optimize
 from repro.relational.profile import explain_analyze
@@ -26,9 +26,8 @@ from repro.relational.query import (
     Limit,
     Project,
     Rename,
+    Restrict,
     Scan,
-    SelectEq,
-    SelectPred,
     Union,
 )
 from repro.relational.relation import Relation
@@ -83,10 +82,10 @@ class TestCardinalityEstimator:
         assert est.estimate(Scan("emp")) == 60.0
         assert est.estimate(Scan("dept")) == 8.0
 
-    def test_select_eq_reads_the_values_run(self, db):
+    def test_an_equality_reads_the_values_run(self, db):
         est = CardinalityEstimator(db)
         for dept in range(8):
-            plan = SelectEq(Scan("emp"), {"dept": dept})
+            plan = Restrict(Scan("emp"), (Comparison("dept", "=", dept),))
             assert est.estimate(plan) == db.execute(plan).cardinality()
 
     def test_distinct_is_the_size_of_the_sigma_domain(self, db):
@@ -101,9 +100,10 @@ class TestCardinalityEstimator:
         est = CardinalityEstimator(db)
         assert est.estimate(grouped) == 60.0
         assert est.distinct(grouped, "n") is None
-        assert est.estimate(SelectEq(grouped, {"n": 1})) == pytest.approx(
+        assert est.estimate(Restrict(grouped,
+                (Comparison("n", "=", 1),))) == pytest.approx(
             60 * cost_module._FALLBACK_EQ_SELECTIVITY
-        ) == est.estimate(SelectEq(grouped, {"n": 1000}))
+        ) == est.estimate(Restrict(grouped, (Comparison("n", "=", 1000),)))
 
     def test_join_estimate_matches_fk_join(self, db):
         est = CardinalityEstimator(db)
@@ -119,18 +119,21 @@ class TestCardinalityEstimator:
         assert est.estimate(plan) == 64.0
 
     def test_pinned_attribute_collapses_join_distinct(self, db):
-        # SelectEq below the join fixes dept to one value, so the join
+        # An equality below the join fixes dept to one value, so the join
         # must not divide by the full distinct count.
         est = CardinalityEstimator(db)
-        plan = Join(SelectEq(Scan("emp"), {"dept": 3}), Scan("dept"))
+        plan = Join(Restrict(Scan("emp"),
+                             (Comparison("dept", "=", 3),)), Scan("dept"))
         actual = db.execute(plan).cardinality()
         assert qerror(est.estimate(plan), actual) <= 1.5
 
     def test_rename_translates_attribute_stats(self, db):
         est = CardinalityEstimator(db)
         renamed = Rename(Scan("emp"), {"dept": "division"})
-        plain = est.estimate(SelectEq(Scan("emp"), {"dept": 3}))
-        translated = est.estimate(SelectEq(renamed, {"division": 3}))
+        plain = est.estimate(Restrict(Scan("emp"),
+                                      (Comparison("dept", "=", 3),)))
+        translated = est.estimate(Restrict(renamed,
+                                           (Comparison("division", "=", 3),)))
         assert translated == plain
 
     def test_estimates_follow_every_commit(self):
@@ -140,7 +143,7 @@ class TestCardinalityEstimator:
             "emp": Table(["emp", "name", "dept", "salary"],
                          employee_relation(40, 5, seed=3).iter_dicts()),
         })
-        plan = SelectEq(Scan("emp"), {"dept": 1})
+        plan = Restrict(Scan("emp"), (Comparison("dept", "=", 1),))
         for round_ in range(3):
             db = manager.committed()
             est = CardinalityEstimator(db)
@@ -166,7 +169,7 @@ class TestCardinalityEstimator:
         assert run_xql(old, "ANALYZE emp").to_rows() == [("emp", 40, 4)]
         now = manager.committed()
         est = CardinalityEstimator(now)
-        plan = SelectEq(Scan("emp"), {"dept": 1})
+        plan = Restrict(Scan("emp"), (Comparison("dept", "=", 1),))
         assert est.estimate(Scan("emp")) == 440.0
         assert est.estimate(plan) == now.execute(plan).cardinality()
 
@@ -179,7 +182,8 @@ class TestCardinalityEstimator:
     def test_estimates_are_deterministic_across_catalog_rebuilds(self):
         plans = [
             Join(Scan("emp"), Scan("dept")),
-            SelectEq(Join(Scan("assign"), Scan("emp")), {"region": 2}),
+            Restrict(Join(Scan("assign"), Scan("emp")),
+                     (Comparison("region", "=", 2),)),
             Union(Scan("emp"), Scan("emp")),
         ]
         first = [CardinalityEstimator(fresh_db()).estimate(p) for p in plans]
@@ -218,7 +222,8 @@ class TestReadOffTheValue:
             counts[row["dept"]] = counts.get(row["dept"], 0) + 1
         top = max(counts, key=lambda dept: (counts[dept], -dept))
         est = CardinalityEstimator(db)
-        assert est.estimate(SelectEq(Scan("emp"), {"dept": top})) == \
+        assert est.estimate(Restrict(Scan("emp"),
+                                     (Comparison("dept", "=", top),))) == \
             counts[top]
 
     def test_none_reads_the_run_of_none(self):
@@ -227,14 +232,14 @@ class TestReadOffTheValue:
         )
         db = Database({"t": relation})
         est = CardinalityEstimator(db)
-        plan = SelectEq(Scan("t"), {"v": None})
+        plan = Restrict(Scan("t"), (Comparison("v", "=", None),))
         assert est.estimate(plan) == 6.0 == db.execute(plan).cardinality()
         assert est.distinct(Scan("t"), "v") == 4.0
 
     def test_an_absent_value_keeps_one_row(self, db):
         # Never zero: a zero would make every plan above it free.
         est = CardinalityEstimator(db)
-        plan = SelectEq(Scan("emp"), {"dept": 99})
+        plan = Restrict(Scan("emp"), (Comparison("dept", "=", 99),))
         assert db.execute(plan).cardinality() == 0
         assert est.estimate(plan) == 1.0
 
@@ -242,7 +247,8 @@ class TestReadOffTheValue:
         db = Database({"t": Relation.from_dicts(["a", "b"], [])})
         est = CardinalityEstimator(db)
         assert est.estimate(Scan("t")) == 0.0
-        assert est.estimate(SelectEq(Scan("t"), {"a": 1})) == 0.0
+        assert est.estimate(Restrict(Scan("t"),
+                                     (Comparison("a", "=", 1),))) == 0.0
         assert est.distinct(Scan("t"), "a") is None
 
     def test_typed_twins_share_one_run(self):
@@ -255,7 +261,7 @@ class TestReadOffTheValue:
         est = CardinalityEstimator(db)
         assert est.distinct(Scan("t"), "v") == 2.0
         for twin in (1, 1.0, True):
-            plan = SelectEq(Scan("t"), {"v": twin})
+            plan = Restrict(Scan("t"), (Comparison("v", "=", twin),))
             assert est.estimate(plan) == 3.0
             assert est.estimate(plan) >= db.execute(plan).cardinality()
 
@@ -263,22 +269,22 @@ class TestReadOffTheValue:
         est = CardinalityEstimator(db)
         emp = db.relation("emp")
         row = next(iter(emp.iter_dicts()))
-        one = est.estimate(SelectEq(Scan("emp"), {"dept": row["dept"]}))
-        other = est.estimate(SelectEq(Scan("emp"), {"salary": row["salary"]}))
-        both = est.estimate(SelectEq(
-            Scan("emp"), {"dept": row["dept"], "salary": row["salary"]}
-        ))
+        dept = Comparison("dept", "=", row["dept"])
+        salary = Comparison("salary", "=", row["salary"])
+        one = est.estimate(Restrict(Scan("emp"), (dept,)))
+        other = est.estimate(Restrict(Scan("emp"), (salary,)))
+        both = est.estimate(Restrict(Scan("emp"), (dept, salary)))
         assert both == pytest.approx(max(1.0, one * other / len(emp)))
 
     def test_an_equality_pins_the_distinct_count_to_one(self, db):
         est = CardinalityEstimator(db)
-        plan = SelectEq(Scan("emp"), {"dept": 3})
+        plan = Restrict(Scan("emp"), (Comparison("dept", "=", 3),))
         assert est.distinct(plan, "dept") == 1.0
         assert est.distinct(Join(plan, Scan("dept")), "dept") == 1.0
 
     def test_a_distinct_count_is_capped_by_the_node_rows(self, db):
         est = CardinalityEstimator(db)
-        plan = SelectEq(Scan("emp"), {"dept": 3})
+        plan = Restrict(Scan("emp"), (Comparison("dept", "=", 3),))
         assert est.distinct(Scan("emp"), "emp") == 60.0
         assert est.distinct(plan, "emp") == est.estimate(plan) < 60.0
 
@@ -308,7 +314,7 @@ class TestReadOffTheValue:
 
     def test_a_comparison_keeps_one_row_in_three(self, db):
         est = CardinalityEstimator(db)
-        plan = SelectPred(Scan("emp"), Comparison("salary", ">=", 0))
+        plan = Restrict(Scan("emp"), (Comparison("salary", ">=", 0),))
         assert est.estimate(plan) == pytest.approx(
             60 * cost_module._FALLBACK_PRED_SELECTIVITY
         )
@@ -322,7 +328,7 @@ class TestReadOffTheValue:
 
     def test_an_index_filled_once_is_carried_by_commits(self):
         manager = managed_emp()
-        plan = SelectEq(Scan("emp"), {"dept": 1})
+        plan = Restrict(Scan("emp"), (Comparison("dept", "=", 1),))
         CardinalityEstimator(manager.committed()).estimate(plan)
         manager.table("emp").insert(
             {"emp": 1000, "name": "new", "dept": 1, "salary": 0}
@@ -338,7 +344,7 @@ class TestReadOffTheValue:
     def test_a_rolled_back_transaction_leaves_the_estimates_alone(self):
         manager = managed_emp()
         before = manager.committed()
-        plan = SelectEq(Scan("emp"), {"dept": 1})
+        plan = Restrict(Scan("emp"), (Comparison("dept", "=", 1),))
         expected = CardinalityEstimator(before).estimate(plan)
         with pytest.raises(RuntimeError):
             with manager.transaction():
@@ -353,7 +359,7 @@ class TestReadOffTheValue:
 
     def test_a_delete_shrinks_the_run(self):
         manager = managed_emp()
-        plan = SelectEq(Scan("emp"), {"dept": 1})
+        plan = Restrict(Scan("emp"), (Comparison("dept", "=", 1),))
         before = CardinalityEstimator(manager.committed()).estimate(plan)
         victim = next(row for row in manager.committed().relation("emp")
                       .iter_dicts() if row["dept"] == 1)
@@ -370,13 +376,17 @@ class TestReadOffTheValue:
         old_dept, new_dept = row["dept"], (row["dept"] + 1) % 5
         db = manager.committed()
         est = CardinalityEstimator(db)
-        old_rows = est.estimate(SelectEq(Scan("emp"), {"dept": old_dept}))
-        new_rows = est.estimate(SelectEq(Scan("emp"), {"dept": new_dept}))
+        old_rows = est.estimate(Restrict(Scan("emp"),
+                                         (Comparison("dept", "=", old_dept),)))
+        new_rows = est.estimate(Restrict(Scan("emp"),
+                                         (Comparison("dept", "=", new_dept),)))
         manager.table("emp").update({"emp": row["emp"]}, {"dept": new_dept})
         est = CardinalityEstimator(manager.committed())
-        assert est.estimate(SelectEq(Scan("emp"), {"dept": old_dept})) == \
+        assert est.estimate(Restrict(Scan("emp"),
+                (Comparison("dept", "=", old_dept),))) == \
             max(1.0, old_rows - 1)
-        assert est.estimate(SelectEq(Scan("emp"), {"dept": new_dept})) == \
+        assert est.estimate(Restrict(Scan("emp"),
+                (Comparison("dept", "=", new_dept),))) == \
             new_rows + 1
 
 
@@ -393,7 +403,8 @@ class TestShardRows:
         local = CardinalityEstimator(db)
         for dept in range(8):
             assert cost_module.estimate_shard_rows(emp, {"dept": dept}, 0) \
-                == local.estimate(SelectEq(Scan("emp"), {"dept": dept}))
+                == local.estimate(Restrict(Scan("emp"),
+                                           (Comparison("dept", "=", dept),)))
 
     def test_equalities_multiply_as_the_local_planner_does(self, db):
         emp = db.relation("emp")
@@ -401,7 +412,10 @@ class TestShardRows:
         conditions = {"dept": row["dept"], "salary": row["salary"]}
         local = CardinalityEstimator(db)
         assert cost_module.estimate_shard_rows(emp, conditions, 0) == \
-            local.estimate(SelectEq(Scan("emp"), conditions))
+            local.estimate(Restrict(Scan("emp"), [
+                Comparison(attr, "=", value)
+                for attr, value in conditions.items()
+            ]))
 
     def test_each_predicate_keeps_a_third(self, db):
         emp = db.relation("emp")
@@ -429,12 +443,13 @@ class TestJoinReordering:
 
     def test_selections_stay_inside_reordered_region(self, db):
         plan = Join(
-            Join(Scan("dept"), SelectEq(Scan("emp"), {"dept": 3})),
-            SelectEq(Scan("assign"), {"region": 1}),
+            Join(Scan("dept"), Restrict(Scan("emp"),
+                                        (Comparison("dept", "=", 3),))),
+            Restrict(Scan("assign"), (Comparison("region", "=", 1),)),
         )
         ordered = reorder_joins(plan, db)
         text = ordered.explain()
-        assert "dept=3" in text and "region=1" in text
+        assert "Restrict(dept = 3)" in text and "Restrict(region = 1)" in text
         assert db.execute(ordered) == db.execute(plan)
 
     def test_connected_order_avoids_cartesian_products(self, db):
@@ -503,10 +518,12 @@ class TestJoinReordering:
 class TestOptimizeIntegration:
     def test_hand_built_and_committed_values_plan_alike(self):
         plans = [
-            lambda: SelectEq(Join(Scan("emp"), Scan("dept")), {"dept": 2}),
+            lambda: Restrict(Join(Scan("emp"), Scan("dept")),
+                             (Comparison("dept", "=", 2),)),
             lambda: Join(Join(Scan("assign"), Scan("emp")), Scan("dept")),
             lambda: Project(
-                SelectEq(Join(Scan("dept"), Scan("emp")), {"salary": 1}),
+                Restrict(Join(Scan("dept"), Scan("emp")),
+                         (Comparison("salary", "=", 1),)),
                 ["name"],
             ),
         ]
@@ -535,7 +552,8 @@ class TestOptimizeIntegration:
         try:
             registry.reset()
             optimize(Join(Scan("emp"), Scan("dept")), fresh_db())
-            optimize(SelectEq(Scan("emp"), {"dept": 1}), fresh_db())
+            optimize(Restrict(Scan("emp"),
+                              (Comparison("dept", "=", 1),)), fresh_db())
             counter = registry.counter(
                 "repro_opt_plans_total", "Join-ordered plans.",
             )
@@ -547,7 +565,8 @@ class TestOptimizeIntegration:
 
 class TestExplainAnalyze:
     def test_renders_estimates_actuals_and_summary(self, db):
-        plan = SelectEq(Join(Scan("emp"), Scan("dept")), {"dept": 3})
+        plan = Restrict(Join(Scan("emp"), Scan("dept")),
+                        (Comparison("dept", "=", 3),))
         result, text = explain_analyze(db, plan)
         assert result == db.execute(plan)
         lines = text.splitlines()
@@ -558,13 +577,14 @@ class TestExplainAnalyze:
         assert lines[-1].startswith("q-error: max=")
         assert lines[-1].endswith(" over %d nodes" % (len(lines) - 1))
         # Each side's equality over its Scan is read off the value.
-        pushed = [line for line in lines if "SelectEq" in line]
+        pushed = [line for line in lines if "Restrict" in line]
         assert pushed and all(line.endswith("q=1.00") for line in pushed)
 
     def test_unoptimized_mode_keeps_plan_shape(self, db):
-        plan = SelectEq(Join(Scan("emp"), Scan("dept")), {"dept": 3})
+        plan = Restrict(Join(Scan("emp"), Scan("dept")),
+                        (Comparison("dept", "=", 3),))
         _, text = explain_analyze(db, plan, optimized=False)
-        assert text.splitlines()[0].startswith("SelectEq")
+        assert text.splitlines()[0].startswith("Restrict")
 
 
 class TestPlanAgreementProperties:
@@ -585,15 +605,14 @@ class TestPlanAgreementProperties:
         db.add("dept", department_relation(8, seed=emp_seed))
         db.add("assign", assignment_relation(80, 40, 4, seed=emp_seed))
         plans = [
-            SelectEq(Join(Scan("emp"), Scan("dept")), {"dept": dept_value}),
+            Restrict(Join(Scan("emp"), Scan("dept")),
+                     (Comparison("dept", "=", dept_value),)),
             Join(Join(Scan("assign"), Scan("emp")), Scan("dept")),
-            SelectEq(
-                Join(Join(Scan("dept"), Scan("assign")), Scan("emp")),
-                {"region": region},
-            ),
+            Restrict(Join(Join(Scan("dept"), Scan("assign")), Scan("emp")),
+                     (Comparison("region", "=", region),)),
             Project(
-                SelectEq(Join(Scan("emp"), Scan("assign")),
-                         {"dept": dept_value}),
+                Restrict(Join(Scan("emp"), Scan("assign")),
+                         (Comparison("dept", "=", dept_value),)),
                 ["name", "region"],
             ),
         ]
@@ -605,7 +624,8 @@ class TestPlanAgreementProperties:
     @settings(max_examples=15, deadline=None)
     @given(seed=st.integers(min_value=0, max_value=1000))
     def test_estimates_deterministic_for_fixed_seed(self, seed):
-        plan = SelectEq(Join(Scan("emp"), Scan("dept")), {"dept": 1})
+        plan = Restrict(Join(Scan("emp"), Scan("dept")),
+                        (Comparison("dept", "=", 1),))
 
         def estimate_once():
             db = Database()
@@ -629,12 +649,13 @@ class TestPlanAgreementProperties:
         db.add("emp", employee_relation(60, 8, seed=seed, skew=1.2))
         db.add("dept", department_relation(8, seed=seed))
         est = CardinalityEstimator(db)
-        select = SelectEq(Scan("emp"), {"dept": dept_value})
+        select = Restrict(Scan("emp"), (Comparison("dept", "=", dept_value),))
         actual = db.execute(select).cardinality()
         assert qerror(est.estimate(select), actual) == 1.0
         for plan in (
             Join(Scan("emp"), Scan("dept")),
-            Join(SelectEq(Scan("emp"), {"dept": dept_value}), Scan("dept")),
+            Join(Restrict(Scan("emp"),
+                    (Comparison("dept", "=", dept_value),)), Scan("dept")),
         ):
             actual = db.execute(plan).cardinality()
             assert qerror(est.estimate(plan), actual) <= 2.0

@@ -5,9 +5,16 @@ import pytest
 from repro.errors import ClusterUnavailableError, SchemaError
 from repro.relational import algebra
 from repro.relational.algebra import aggregate as local_aggregate
+from repro.relational.algebra import Comparison
 from repro.relational.distributed import Cluster, NetworkStats
 from repro.relational.query import (
-    Aggregate, Database, Join, Project, Rename, Scan, SelectEq,
+    Aggregate,
+    Database,
+    Join,
+    Project,
+    Rename,
+    Restrict,
+    Scan,
 )
 from repro.relational.relation import Relation
 from repro.workloads.generators import department_relation, employee_relation
@@ -81,19 +88,23 @@ class TestDistributedReads:
 
     def test_routed_selection_is_single_message(self, cluster, employees):
         cluster.network.reset()
-        result = cluster.execute(SelectEq(Scan("emp"), {"dept": 5}))
+        result = cluster.execute(Restrict(Scan("emp"),
+                                          (Comparison("dept", "=", 5),)))
         assert cluster.network.messages == 1
-        assert result == algebra.select_eq(employees, {"dept": 5})
+        assert result == algebra.restrict(employees,
+                                          (Comparison("dept", "=", 5),))
 
     def test_broadcast_selection_touches_every_node(self, cluster, employees):
         cluster.network.reset()
-        result = cluster.execute(SelectEq(Scan("emp"), {"salary": 50000}))
+        result = cluster.execute(Restrict(Scan("emp"),
+                                          (Comparison("salary", "=", 50000),)))
         assert cluster.network.messages == len(cluster.nodes)
-        assert result == algebra.select_eq(employees, {"salary": 50000})
+        assert result == algebra.restrict(employees,
+                                          (Comparison("salary", "=", 50000),))
 
     def test_routed_ships_fewer_bytes_than_scan(self, cluster):
         cluster.network.reset()
-        cluster.execute(SelectEq(Scan("emp"), {"dept": 5}))
+        cluster.execute(Restrict(Scan("emp"), (Comparison("dept", "=", 5),)))
         routed_bytes = cluster.network.bytes_shipped
         cluster.network.reset()
         cluster.execute(Scan("emp"))
@@ -116,8 +127,9 @@ class TestDistributedReads:
             algebra.join(flags, names)
         assert cluster.last_query_span.attrs["strategy"] == "shuffle"
         for twin in (1, 1.0, True):
-            assert cluster.execute(SelectEq(Scan("flags"), {"b": twin})) == \
-                algebra.select_eq(flags, {"b": twin})
+            assert cluster.execute(Restrict(Scan("flags"),
+                    (Comparison("b", "=", twin),))) == \
+                algebra.restrict(flags, (Comparison("b", "=", twin),))
             assert cluster.last_query_span.attrs["routing"] == "routed"
 
 
@@ -181,7 +193,8 @@ class TestDistributedJoin:
         ])
         cluster.create_table("floors", floors, "floor")
         cluster.create_table("badges", badges, "badge")
-        one = Join(SelectEq(Scan("emp"), {"emp": 7}), Scan("dept"))
+        one = Join(Restrict(Scan("emp"),
+                            (Comparison("emp", "=", 7),)), Scan("dept"))
         everyone = Join(Scan("emp"), Scan("dept"))
         for gathered, third, strategy in (
             (one, "badges", "broadcast"),    # 1 row x 4 buckets < 160
@@ -235,7 +248,8 @@ class TestDistributedJoin:
         cluster = Cluster(2)
         cluster.create_table("emp", employees, "salary")
         cluster.create_table("dept", departments, "dname")
-        plan = Join(SelectEq(Scan("emp"), {"dept": 2}), Scan("dept"))
+        plan = Join(Restrict(Scan("emp"),
+                             (Comparison("dept", "=", 2),)), Scan("dept"))
         for extra in (0, 7):
             cluster.insert("emp", [
                 {"emp": 1000 + extra + n, "name": "new", "dept": 2,
@@ -245,8 +259,8 @@ class TestDistributedJoin:
             committed = cluster.manager.committed()
             assert cluster.execute(plan) == committed.execute(plan)
             root = cluster.last_query_span
-            assert root.attrs["est_left_rows"] == len(algebra.select_eq(
-                committed.relation("emp"), {"dept": 2}
+            assert root.attrs["est_left_rows"] == len(algebra.restrict(
+                committed.relation("emp"), (Comparison("dept", "=", 2),)
             ))
             assert root.attrs["est_right_rows"] == len(departments)
 
@@ -309,9 +323,11 @@ class TestDistributedAggregation:
         self, cluster, employees
     ):
         spec = {"n": ("count", "emp"), "mean": ("avg", "salary")}
-        plan = Aggregate(SelectEq(Scan("emp"), {"dept": 3}), ["dept"], spec)
+        plan = Aggregate(Restrict(Scan("emp"),
+                (Comparison("dept", "=", 3),)), ["dept"], spec)
         assert cluster.execute(plan) == local_aggregate(
-            algebra.select_eq(employees, {"dept": 3}), ["dept"], spec
+            algebra.restrict(employees,
+                             (Comparison("dept", "=", 3),)), ["dept"], spec
         )
         span = cluster.last_query_span
         assert span.attrs["routing"] == "routed"
@@ -320,11 +336,12 @@ class TestDistributedAggregation:
     def test_an_ungrouped_aggregate_over_no_rows_is_the_local_answer(
         self, cluster, employees
     ):
-        nobody = SelectEq(Scan("emp"), {"salary": -1})
+        nobody = Restrict(Scan("emp"), (Comparison("salary", "=", -1),))
         spec = {"n": ("count", "emp"), "pay": ("sum", "salary")}
         assert cluster.execute(Aggregate(nobody, [], spec)) == \
             local_aggregate(
-                algebra.select_eq(employees, {"salary": -1}), [], spec
+                algebra.restrict(employees,
+                                 (Comparison("salary", "=", -1),)), [], spec
             )
         with pytest.raises(SchemaError, match="empty group"):
             cluster.execute(Aggregate(nobody, [], {"m": ("min", "salary")}))
@@ -347,7 +364,8 @@ class TestDistributedAggregation:
             Aggregate(dropped, ["b"], spec),
             Aggregate(Rename(dropped, {"b": "c"}), [], {"n": ("count", "c")}),
             # Pinned to one bucket, and idempotent folds: still pushed.
-            Aggregate(Project(SelectEq(Scan("r"), {"a": 1}), ["b"]), [], spec),
+            Aggregate(Project(Restrict(Scan("r"),
+                    (Comparison("a", "=", 1),)), ["b"]), [], spec),
             Aggregate(dropped, [], {"lo": ("min", "b"), "hi": ("max", "b")}),
         ):
             assert cluster.execute(plan) == db.execute(plan)
@@ -484,7 +502,7 @@ class TestCoordinatorReadsTheCommittedCatalog:
 class TestTracePropagation:
     def test_query_roots_get_sequential_trace_ids(self, cluster):
         cluster.execute(Scan("emp"))
-        cluster.execute(SelectEq(Scan("emp"), {"dept": 3}))
+        cluster.execute(Restrict(Scan("emp"), (Comparison("dept", "=", 3),)))
         cluster.execute(
             Aggregate(Scan("emp"), ["dept"], {"n": ("count", "emp")})
         )
@@ -496,7 +514,7 @@ class TestTracePropagation:
         ]
 
     def test_bucket_spans_inherit_the_coordinator_trace(self, cluster):
-        cluster.execute(SelectEq(Scan("emp"), {"dept": 3}))
+        cluster.execute(Restrict(Scan("emp"), (Comparison("dept", "=", 3),)))
         root = cluster.last_query_span
         buckets = [
             span for span in root.tree() if "bucket" in span.attrs

@@ -21,6 +21,7 @@ from repro.errors import ClusterUnavailableError, SchemaError
 from repro.gov import Result
 from repro.relational import algebra
 from repro.relational.algebra import aggregate as local_aggregate
+from repro.relational.algebra import Comparison
 from repro.relational.distributed import Cluster
 from repro.relational.faults import FaultPlan
 from repro.relational.optimizer import optimize
@@ -29,13 +30,15 @@ from repro.relational.query import (
     Database,
     Join,
     Project,
+    Restrict,
     Scan,
-    SelectEq,
     Union,
 )
 from repro.relational.relation import Relation
 from repro.relational.sql import compile_query, parse_query
 from tests.relational.test_plan_algebra import plans_over_tables
+from tests.test_fuzz import database as fuzz_database
+from tests.test_fuzz import plans as fuzz_plans
 
 EMP_HEADING = ["emp", "name", "dept", "salary"]
 DEPT_HEADING = ["dept", "dname", "budget"]
@@ -102,15 +105,17 @@ class TestReadOracle:
            st.integers(0, DEPT_SPACE - 1))
     def test_routed_selection_matches(self, rows, shape, dept):
         relation, cluster = build(rows, *shape)
-        assert cluster.execute(SelectEq(Scan("emp"), {"dept": dept})) == \
-            algebra.select_eq(relation, {"dept": dept})
+        assert cluster.execute(Restrict(Scan("emp"),
+                                        (Comparison("dept", "=", dept),))) == \
+            algebra.restrict(relation, (Comparison("dept", "=", dept),))
 
     @given(employee_rows(), cluster_shapes(),
            st.integers(30000, 30050))
     def test_broadcast_selection_matches(self, rows, shape, salary):
         relation, cluster = build(rows, *shape)
-        assert cluster.execute(SelectEq(Scan("emp"), {"salary": salary})) == \
-            algebra.select_eq(relation, {"salary": salary})
+        assert cluster.execute(Restrict(Scan("emp"),
+                (Comparison("salary", "=", salary),))) == \
+            algebra.restrict(relation, (Comparison("salary", "=", salary),))
 
     @given(employee_rows(min_size=1), cluster_shapes())
     def test_aggregate_matches(self, rows, shape):
@@ -199,6 +204,28 @@ class TestEveryPlanOracle:
             answer = cluster.execute(candidate)
             assert answer == expected
             assert answer.heading.names == expected.heading.names
+
+    @settings(max_examples=60, deadline=None)
+    @given(plan=fuzz_plans(), seed=st.integers(min_value=0, max_value=5),
+           data=st.data())
+    def test_the_fuzz_plans(self, plan, seed, data):
+        """``tests/test_fuzz.py``'s plans -- restrictions of one to three
+        comparisons anywhere, over Project, Rename and Join -- on any
+        placement: the cluster answers what one database answers."""
+        db = fuzz_database(seed)
+        nodes = data.draw(st.integers(1, 4), label="nodes")
+        cluster = Cluster(nodes, replication_factor=data.draw(
+            st.integers(1, nodes), label="replication"))
+        for name in ("emp", "dept"):
+            relation = db.relation(name)
+            cluster.create_table(name, relation, data.draw(
+                st.sampled_from(relation.heading.names),
+                label="%s partitioned on" % name,
+            ))
+        for candidate in (plan, optimize(plan, db)):
+            note(candidate.explain())
+            assert repr(cluster.execute(candidate).rows) == \
+                repr(db.execute(candidate).rows)
 
     @given(employee_rows(min_size=1), cluster_shapes(),
            st.sampled_from(["emp", "dept", "salary"]),
@@ -317,8 +344,9 @@ class TestFaultyReadOracle:
             )
         )
         assert cluster.execute(Scan("emp")) == relation
-        assert cluster.execute(SelectEq(Scan("emp"), {"dept": 3})) == \
-            algebra.select_eq(relation, {"dept": 3})
+        assert cluster.execute(Restrict(Scan("emp"),
+                                        (Comparison("dept", "=", 3),))) == \
+            algebra.restrict(relation, (Comparison("dept", "=", 3),))
         headcount = {"n": ("count", "emp")}
         assert cluster.execute(Aggregate(Scan("emp"), ["dept"], headcount)) \
             == local_aggregate(relation, ["dept"], headcount)
@@ -331,8 +359,8 @@ class TestFaultyReadOracle:
         """What only the fold can run: a join past the first, a union."""
         return (
             Join(Join(Scan("emp"), Scan("dept")), Scan("proj")),
-            Union(SelectEq(Scan("emp"), {"dept": 3}),
-                  SelectEq(Scan("emp"), {"salary": 30007})),
+            Union(Restrict(Scan("emp"), (Comparison("dept", "=", 3),)),
+                  Restrict(Scan("emp"), (Comparison("salary", "=", 30007),))),
         )
 
     def wide_cluster(self, rows):
@@ -401,7 +429,8 @@ class TestUnavailabilityIsTyped:
         for index in cluster.shard_map("emp").replicas(bucket):
             cluster.kill_node("node-%d" % index)
         with pytest.raises(ClusterUnavailableError) as excinfo:
-            cluster.execute(SelectEq(Scan("emp"), {"dept": dept}))
+            cluster.execute(Restrict(Scan("emp"),
+                                     (Comparison("dept", "=", dept),)))
         assert excinfo.value.bucket == bucket
         with pytest.raises(ClusterUnavailableError):
             cluster.execute(Scan("emp"))
@@ -432,8 +461,9 @@ class TestUnavailabilityIsTyped:
                 FaultPlan().kill("node-%d" % victim, at_op=1)
             )
             assert cluster.execute(Scan("emp")) == relation
-            assert cluster.execute(SelectEq(Scan("emp"), {"dept": 5})) == \
-                algebra.select_eq(relation, {"dept": 5})
+            assert cluster.execute(Restrict(Scan("emp"),
+                    (Comparison("dept", "=", 5),))) == \
+                algebra.restrict(relation, (Comparison("dept", "=", 5),))
             assert cluster.execute(Join(Scan("emp"), Scan("dept"))) == \
                 algebra.join(relation, departments)
             assert cluster.execute(Aggregate(Scan("emp"), ["dept"], spec)) == \

@@ -9,6 +9,7 @@ from repro.errors import (
 )
 from repro.gov import Deadline, governed
 from repro.relational import algebra
+from repro.relational.algebra import Comparison
 from repro.relational.distributed import Cluster
 from repro.relational.faults import (
     NO_FAULTS,
@@ -18,7 +19,7 @@ from repro.relational.faults import (
     ShipmentCorruptedError,
     ShipmentLostError,
 )
-from repro.relational.query import Aggregate, Scan, SelectEq
+from repro.relational.query import Aggregate, Restrict, Scan
 from repro.workloads.generators import employee_relation
 
 
@@ -131,8 +132,10 @@ class TestTransientFaults:
         cluster.install_faults(
             FaultPlan().drop_shipment(1).drop_shipment(2)
         )
-        result = cluster.execute(SelectEq(Scan("emp"), {"dept": 0}))
-        assert result == algebra.select_eq(employees, {"dept": 0})
+        result = cluster.execute(Restrict(Scan("emp"),
+                                          (Comparison("dept", "=", 0),)))
+        assert result == algebra.restrict(employees,
+                                          (Comparison("dept", "=", 0),))
         assert cluster.network.failovers == 1
         assert cluster.network.retries == 1
 
@@ -145,7 +148,8 @@ class TestTransientFaults:
             plan.drop_shipment(op)
         cluster.install_faults(plan)
         with pytest.raises(ClusterUnavailableError):
-            cluster.execute(SelectEq(Scan("emp"), {"dept": 0}))
+            cluster.execute(Restrict(Scan("emp"),
+                                     (Comparison("dept", "=", 0),)))
 
     def test_delay_is_charged_to_stats(self, employees):
         cluster = replicated_cluster(employees)
@@ -195,17 +199,19 @@ class TestQueryTimeout:
         # under budget every time.
         for _ in range(5):
             with governed(deadline=Deadline.simulated(0.5)):
-                result = cluster.execute(SelectEq(Scan("emp"), {"dept": 0}))
-            assert result == algebra.select_eq(employees, {"dept": 0})
+                result = cluster.execute(Restrict(Scan("emp"),
+                        (Comparison("dept", "=", 0),)))
+            assert result == algebra.restrict(employees,
+                                              (Comparison("dept", "=", 0),))
 
     def test_one_scope_spans_every_read_in_it(self, employees):
         cluster = replicated_cluster(employees)
         cluster.install_faults(FaultPlan().delay("node-0", 0.4, at_op=1))
-        plan = SelectEq(Scan("emp"), {"dept": 0})
+        plan = Restrict(Scan("emp"), (Comparison("dept", "=", 0),))
         # Each read fits 0.5s alone; the second overdraws the shared one.
         with governed(deadline=Deadline.simulated(0.5)):
             assert cluster.execute(plan) == \
-                algebra.select_eq(employees, {"dept": 0})
+                algebra.restrict(employees, (Comparison("dept", "=", 0),))
             with pytest.raises(DeadlineExceededError,
                                match="deadline exceeded"):
                 cluster.execute(plan)
@@ -316,7 +322,8 @@ class TestDeterminism:
         )
         results = [
             cluster.execute(Scan("emp")),
-            cluster.execute(SelectEq(Scan("emp"), {"dept": 3})),
+            cluster.execute(Restrict(Scan("emp"),
+                                     (Comparison("dept", "=", 3),))),
             cluster.execute(
                 Aggregate(Scan("emp"), ["dept"], {"n": ("count", "emp")})
             ),
@@ -334,7 +341,8 @@ class TestDeterminism:
     def test_faulty_run_still_matches_oracle(self, employees):
         results, _ = self.run_history(employees, seed=99)
         assert results[0] == employees
-        assert results[1] == algebra.select_eq(employees, {"dept": 3})
+        assert results[1] == algebra.restrict(employees,
+                                              (Comparison("dept", "=", 3),))
 
 
 class TestProfileTrace:
@@ -355,7 +363,8 @@ class TestProfileTrace:
 
         cluster = replicated_cluster(employees)
         result, profile = profile_cluster(
-            cluster, "execute", SelectEq(Scan("emp"), {"dept": 5})
+            cluster, "execute", Restrict(Scan("emp"),
+                                         (Comparison("dept", "=", 5),))
         )
         assert result.cardinality() == profile.rows
         assert len(profile.children) == 1

@@ -37,9 +37,8 @@ from repro.relational.query import (
     Limit,
     Project,
     Rename,
+    Restrict,
     Scan,
-    SelectEq,
-    SelectPred,
     Union,
 )
 from repro.relational.relation import Relation
@@ -51,6 +50,8 @@ from repro.server.session import Session
 from repro.xst.serialization import digest
 from repro.xst.xset import XSet
 from tests.relational.test_columnar_differential import _draw_plan
+from tests.test_fuzz import database as fuzz_database
+from tests.test_fuzz import plans as fuzz_plans
 
 
 def rel(names, rows):
@@ -164,9 +165,9 @@ class TestNodeRules:
         assert delta.inserted.cardinality() == 1
         assert delta.deleted.cardinality() == 2
 
-    def test_select_eq_filters_both_halves(self):
+    def test_an_equality_filters_both_halves(self):
         delta = check_propagation(
-            SelectEq(Scan("emp"), {"dept": "eng"}),
+            Restrict(Scan("emp"), (Comparison("dept", "=", "eng"),)),
             self.OLD,
             self.evolve(
                 emp=rel(
@@ -179,9 +180,9 @@ class TestNodeRules:
         assert delta.inserted.cardinality() == 1
         assert delta.deleted.cardinality() == 1
 
-    def test_select_pred(self):
+    def test_a_range_filters_both_halves(self):
         check_propagation(
-            SelectPred(Scan("emp"), Comparison("eid", ">", 1)),
+            Restrict(Scan("emp"), (Comparison("eid", ">", 1),)),
             self.OLD,
             self.evolve(emp=rel(["eid", "dept"], [(9, "ops")])),
         )
@@ -282,7 +283,8 @@ class TestNodeRules:
         for plan in (
             Join(Scan("emp"), Scan("dept")),
             Join(Scan("dept"), Scan("emp")),
-            Join(SelectEq(Scan("emp"), {"dept": "eng"}), Scan("dept")),
+            Join(Restrict(Scan("emp"),
+                          (Comparison("dept", "=", "eng"),)), Scan("dept")),
             Join(Scan("emp"), Scan("emp")),  # one delta feeds both sides
         ):
             check_propagation(plan, self.OLD, new, check_digest=True)
@@ -338,7 +340,7 @@ class TestNodeRules:
             propagator._compute(NotAPlanNode())
 
     def test_shared_subtree_propagates_once(self):
-        shared = SelectEq(Scan("emp"), {"dept": "eng"})
+        shared = Restrict(Scan("emp"), (Comparison("dept", "=", "eng"),))
         plan = Union(shared, shared)
         old_db, new_db = Database(), Database()
         new = self.evolve(emp=rel(["eid", "dept"], [(8, "eng")]))
@@ -481,6 +483,43 @@ class TestDifferentialOracle:
         assert delta.is_empty()
 
 
+class TestFuzzPlansMaintained:
+    """The executor-agreement plans of ``tests/test_fuzz.py`` --
+    restrictions of one to three comparisons anywhere, over Project,
+    Rename and Join -- as materialized views: after commits that insert,
+    delete and update rows, each view equals a recompute."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(plan=fuzz_plans(), seed=st.integers(min_value=0, max_value=5),
+           data=st.data())
+    def test_views_equal_a_recompute(self, plan, seed, data):
+        start = fuzz_database(seed)
+        tables = {
+            name: Table(start.relation(name).heading,
+                        start.relation(name).iter_dicts())
+            for name in ("emp", "dept")
+        }
+        manager = TransactionManager(tables)
+        catalog = ViewCatalog(Database(), manager=manager)
+        try:
+            catalog.define("v", plan, materialized=True)
+            catalog.read("v")
+            emp = manager.table("emp")
+            for _ in range(data.draw(st.integers(1, 3), label="commits")):
+                rows = list(emp.snapshot().iter_dicts())
+                victim = data.draw(st.sampled_from(rows), label="row")
+                with manager.transaction():
+                    emp.delete({"emp": victim["emp"]})
+                    emp.insert({**victim, "emp": 1000 + victim["emp"],
+                                "salary": victim["salary"] + 1})
+                    emp.update({"dept": data.draw(
+                        st.integers(0, 4), label="dept")}, {"salary": 50000})
+                assert repr(catalog.read("v").rows) == \
+                    repr(catalog.database.execute(plan).rows)
+        finally:
+            catalog.close()
+
+
 # ----------------------------------------------------------------------
 # Catalog maintenance (manager mode)
 # ----------------------------------------------------------------------
@@ -515,7 +554,8 @@ class TestManagedMaintenance:
     def test_commit_applies_delta_instead_of_recompute(self, managed):
         manager, catalog = managed
         catalog.define(
-            "eng", SelectEq(Scan("emp"), {"dept": "eng"}), materialized=True
+            "eng", Restrict(Scan("emp"),
+                    (Comparison("dept", "=", "eng"),)), materialized=True
         )
         assert catalog.read("eng").cardinality() == 2
         view = catalog.view("eng")
@@ -670,7 +710,8 @@ class TestManagedMaintenance:
     def test_stacked_views_maintain_in_order(self, managed):
         manager, catalog = managed
         catalog.define(
-            "eng", SelectEq(Scan("emp"), {"dept": "eng"}), materialized=True
+            "eng", Restrict(Scan("emp"),
+                    (Comparison("dept", "=", "eng"),)), materialized=True
         )
         catalog.define(
             "eng_names", Project(Scan("eng"), ("name",)), materialized=True
@@ -692,7 +733,8 @@ class TestManagedMaintenance:
 
     def test_virtual_dependency_inlines_into_propagation(self, managed):
         manager, catalog = managed
-        catalog.define("eng", SelectEq(Scan("emp"), {"dept": "eng"}))
+        catalog.define("eng", Restrict(Scan("emp"),
+                                       (Comparison("dept", "=", "eng"),)))
         catalog.define(
             "eng_ids", Project(Scan("eng"), ("eid",)), materialized=True
         )
@@ -709,7 +751,8 @@ class TestManagedMaintenance:
     ):
         manager, catalog = managed
         catalog.define(
-            "eng", SelectEq(Scan("emp"), {"dept": "eng"}), materialized=True
+            "eng", Restrict(Scan("emp"),
+                    (Comparison("dept", "=", "eng"),)), materialized=True
         )
         catalog.read("eng")
         monkeypatch.setattr(
@@ -736,7 +779,8 @@ class TestManagedMaintenance:
     def test_fallback_poisons_dependents(self, managed, monkeypatch):
         manager, catalog = managed
         catalog.define(
-            "eng", SelectEq(Scan("emp"), {"dept": "eng"}), materialized=True
+            "eng", Restrict(Scan("emp"),
+                    (Comparison("dept", "=", "eng"),)), materialized=True
         )
         # Two dependents, poisoned along different paths: "ontop" also
         # reads emp, so its fingerprint moves and its maintenance run
@@ -803,7 +847,8 @@ class TestManagedMaintenance:
     def test_a_stacked_view_is_sized_from_its_materialization(self, managed):
         manager, catalog = managed
         catalog.define(
-            "eng", SelectEq(Scan("emp"), {"dept": "eng"}), materialized=True
+            "eng", Restrict(Scan("emp"),
+                    (Comparison("dept", "=", "eng"),)), materialized=True
         )
         catalog.define("ids", Project(Scan("eng"), ("eid",)))
         assert catalog.read("ids").cardinality() == 2
@@ -826,7 +871,8 @@ class TestManagedMaintenance:
 
     def test_drop_refuses_referenced_then_cleans_up(self, managed):
         manager, catalog = managed
-        catalog.define("eng", SelectEq(Scan("emp"), {"dept": "eng"}),
+        catalog.define("eng", Restrict(Scan("emp"),
+                                       (Comparison("dept", "=", "eng"),)),
                        materialized=True)
         catalog.define("ids", Project(Scan("eng"), ("eid",)))
         with pytest.raises(SchemaError, match="referenced"):
@@ -841,7 +887,8 @@ class TestManagedMaintenance:
 
     def test_status_rows(self, managed):
         manager, catalog = managed
-        catalog.define("eng", SelectEq(Scan("emp"), {"dept": "eng"}),
+        catalog.define("eng", Restrict(Scan("emp"),
+                                       (Comparison("dept", "=", "eng"),)),
                        materialized=True)
         catalog.read("eng")
         (row,) = catalog.status()
@@ -1039,7 +1086,8 @@ class IVMMachine(RuleBasedStateMachine):
         ))
         self.catalog = ViewCatalog(Database(), manager=self.manager)
         self.catalog.define(
-            "zeros", SelectEq(Scan("emp"), {"grp": 0}), materialized=True
+            "zeros", Restrict(Scan("emp"),
+                              (Comparison("grp", "=", 0),)), materialized=True
         )
         self.catalog.define(
             "groups", Project(Scan("emp"), ("grp",)), materialized=True
@@ -1145,7 +1193,7 @@ class IVMMachine(RuleBasedStateMachine):
 
     @rule(grp=st.integers(min_value=0, max_value=2))
     def session_read(self, grp):
-        plan = SelectEq(Scan("emp"), {"grp": grp})
+        plan = Restrict(Scan("emp"), (Comparison("grp", "=", grp),))
         session = Session("s", self.manager)
         try:
             got = session.database().execute(plan)
@@ -1160,7 +1208,7 @@ class IVMMachine(RuleBasedStateMachine):
 
     @rule()
     def cached_query(self):
-        plan = SelectEq(Scan("emp"), {"grp": 1})
+        plan = Restrict(Scan("emp"), (Comparison("grp", "=", 1),))
         db = self.catalog.database
         first = db.execute(plan)
         again = db.execute(plan)

@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
 from repro.errors import SchemaError, WriteConflictError
+from repro.relational.algebra import Comparison
 from repro.relational.constraints import KeyConstraint, Table
 from repro.relational.tx import TransactionManager
 
@@ -203,9 +204,9 @@ class TestOneCatalogValue:
 
     def test_a_snapshot_estimates_its_own_value(self, manager):
         from repro.relational.cost import CardinalityEstimator
-        from repro.relational.query import Scan, SelectEq
+        from repro.relational.query import Restrict, Scan
 
-        plan = SelectEq(Scan("emp"), {"dept": 1})
+        plan = Restrict(Scan("emp"), (Comparison("dept", "=", 1),))
         with manager.snapshot() as snap:
             manager.table("emp").insert_many([
                 {"emp": n, "name": "e%d" % n, "dept": 1} for n in range(2, 12)
@@ -293,7 +294,7 @@ class TestOneCatalogValue:
     def test_the_view_catalog_is_one_more_handle_of_the_value(
         self, manager, monkeypatch
     ):
-        from repro.relational.query import Database, Scan, SelectEq
+        from repro.relational.query import Database, Restrict, Scan
         from repro.relational.sql import run
         from repro.relational.views import ViewCatalog
 
@@ -303,7 +304,8 @@ class TestOneCatalogValue:
         catalog = ViewCatalog(Database(), manager=manager)
         assert catalog.database is manager.committed()
         assert catalog.database.result_cache is manager.result_cache
-        catalog.define("odd", SelectEq(Scan("emp"), {"dept": 1}),
+        catalog.define("odd", Restrict(Scan("emp"),
+                                       (Comparison("dept", "=", 1),)),
                        materialized=True)
         catalog.define("names", Scan("odd"))
         pinned = manager.snapshot()

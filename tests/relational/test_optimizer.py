@@ -18,9 +18,8 @@ from repro.relational.query import (
     Join,
     Project,
     Rename,
+    Restrict,
     Scan,
-    SelectEq,
-    SelectPred,
     Union,
 )
 from repro.relational.sql import compile_query, parse_query
@@ -67,32 +66,39 @@ class TestUnaryFusion:
 
 
 class TestSelectionRewrites:
-    def test_stacked_selects_merge(self, db):
-        plan = SelectEq(SelectEq(Scan("emp"), {"dept": 1}), {"salary": 1})
+    def test_stacked_restrictions_merge(self, db):
+        plan = Restrict(Restrict(Scan("emp"), (Comparison("dept", "=", 1),)),
+                        (Comparison("salary", "=", 1),))
         optimized = optimize(plan, db)
-        assert optimized.explain().count("SelectEq") == 1
+        assert optimized.explain().splitlines() == [
+            "Restrict(dept = 1, salary = 1)", "  Scan(emp)",
+        ]
 
-    def test_contradictory_selects_do_not_merge(self, db):
-        plan = SelectEq(SelectEq(Scan("emp"), {"dept": 1}), {"dept": 2})
+    def test_contradictory_restrictions_merge_into_the_empty_answer(self, db):
+        plan = Restrict(Restrict(Scan("emp"), (Comparison("dept", "=", 1),)),
+                        (Comparison("dept", "=", 2),))
         optimized = optimize(plan, db)
+        assert optimized.describe() == "Restrict(dept = 1, dept = 2)"
         assert db.execute(optimized).cardinality() == 0
+        assert db.execute_records(plan).cardinality() == 0
 
     def test_select_pushes_below_project(self, db):
-        plan = SelectEq(Project(Scan("emp"), ["name", "dept"]), {"dept": 2})
+        plan = Restrict(Project(Scan("emp"), ["name", "dept"]),
+                        (Comparison("dept", "=", 2),))
         optimized = optimize(plan, db)
         lines = optimized.explain().splitlines()
         assert lines[0].startswith("Project")
-        assert lines[1].strip().startswith("SelectEq")
+        assert lines[1].strip().startswith("Restrict")
 
     def test_select_pushes_below_rename_with_translation(self, db):
-        plan = SelectEq(
-            Rename(Scan("emp"), {"dept": "division"}), {"division": 3}
-        )
+        plan = Restrict(Rename(Scan("emp"), {"dept": "division"}),
+                        (Comparison("division", "=", 3),))
         optimized = optimize(plan, db)
-        assert "dept=3" in optimized.explain()
+        assert "Restrict(dept = 3)" in optimized.explain()
 
     def test_select_pushes_into_join_side(self, db):
-        plan = SelectEq(Join(Scan("emp"), Scan("dept")), {"salary": 50000})
+        plan = Restrict(Join(Scan("emp"), Scan("dept")),
+                        (Comparison("salary", "=", 50000),))
         optimized = optimize(plan, db)
         lines = optimized.explain().splitlines()
         assert lines[0] == "Join"
@@ -101,33 +107,49 @@ class TestSelectionRewrites:
         # 'dept' lives on both sides of the join; the natural join
         # equates it, so the condition filters BOTH inputs before the
         # relative product runs.
-        plan = SelectEq(Join(Scan("emp"), Scan("dept")), {"dept": 2})
+        plan = Restrict(Join(Scan("emp"), Scan("dept")),
+                        (Comparison("dept", "=", 2),))
         optimized = optimize(plan, db)
         text = optimized.explain()
         assert text.splitlines()[0] == "Join"
-        assert text.count("SelectEq(dept=2)") == 2
+        assert text.count("Restrict(dept = 2)") == 2
         assert db.execute(optimized) == db.execute(plan)
 
     def test_mixed_side_conditions_split_across_join(self, db):
         # salary is emp-only, budget is dept-only: each side gets its
         # own selection and nothing remains above the join.
-        plan = SelectEq(
-            Join(Scan("emp"), Scan("dept")), {"salary": 50000, "budget": 100}
-        )
+        plan = Restrict(Join(Scan("emp"), Scan("dept")), (
+            Comparison("salary", "=", 50000), Comparison("budget", "=", 100),
+        ))
         optimized = optimize(plan, db)
         text = optimized.explain()
         assert text.splitlines()[0] == "Join"
-        assert "salary=50000" in text and "budget=100" in text
+        assert "Restrict(salary = 50000)" in text
+        assert "Restrict(budget = 100)" in text
         assert db.execute(optimized) == db.execute(plan)
 
-    def test_select_pred_pushes_below_project(self, db):
-        plan = SelectPred(
-            Project(Scan("emp"), ["name", "dept"]), Comparison("dept", "=", 2)
-        )
+    def test_a_conjunction_splits_across_join_sides_by_attribute(self, db):
+        # Each side gets the comparisons on its own attributes, the
+        # shared one both; every side's are still one node.
+        plan = Restrict(Join(Scan("emp"), Scan("dept")), (
+            Comparison("salary", ">", 20000), Comparison("budget", ">", 0),
+            Comparison("dept", "=", 1),
+        ))
+        optimized = optimize(plan, db)
+        text = optimized.explain()
+        assert "Restrict(dept = 1, salary > 20000)" in text
+        assert "Restrict(dept = 1, budget > 0)" in text
+        assert restrictions_sit_on_scans(optimized)
+        assert db.execute(optimized) == db.execute_records(plan)
+
+    def test_a_conjunction_pushes_below_project_as_one_node(self, db):
+        plan = Restrict(Project(Scan("emp"), ["name", "dept"]), (
+            Comparison("dept", "<", 5), Comparison("dept", "=", 2),
+        ))
         optimized = optimize(plan, db)
         lines = optimized.explain().splitlines()
         assert lines[0].startswith("Project")
-        assert lines[1].strip().startswith("SelectPred")
+        assert lines[1].strip() == "Restrict(dept = 2, dept < 5)"
         assert db.execute(optimized) == db.execute(plan)
 
     def test_a_comparison_below_project_is_the_one_written_there(self, db):
@@ -135,59 +157,53 @@ class TestSelectionRewrites:
         # keeps: pushed down it is the very node one would write below
         # the Project, not a wrapper around it.
         comparison = Comparison("dept", "=", 1)
-        plan = SelectPred(Project(Scan("emp"), ["name", "dept"]), comparison)
+        plan = Restrict(Project(Scan("emp"), ["name", "dept"]), (comparison,))
         optimized = optimize(plan, db)
         assert optimized.explain() == Project(
-            SelectPred(Scan("emp"), comparison), ["name", "dept"]
+            Restrict(Scan("emp"), (comparison,)), ["name", "dept"]
         ).explain()
-        assert optimized.child.comparison is comparison
+        assert optimized.child.comparisons[0] is comparison
         assert db.execute(optimized) == db.execute(plan)
         assert db.execute(optimized).cardinality() > 0
 
-    def test_select_pred_pushes_below_rename_with_translation(self, db):
-        plan = SelectPred(
-            Rename(Scan("emp"), {"dept": "division"}),
-            Comparison("division", "=", 3),
-        )
+    def test_a_conjunction_pushes_below_rename_with_translation(self, db):
+        plan = Restrict(Rename(Scan("emp"), {"dept": "division"}), (
+            Comparison("division", "=", 3), Comparison("division", ">", 1),
+        ))
         optimized = optimize(plan, db)
         lines = optimized.explain().splitlines()
         assert lines[0].startswith("Rename")
-        assert lines[1].strip() == "SelectPred(dept = 3)"
+        assert lines[1].strip() == "Restrict(dept = 3, dept > 1)"
         assert db.execute(optimized) == db.execute(plan)
 
     def test_a_comparison_goes_to_the_join_side_holding_it(self, db):
-        plan = SelectPred(
-            Join(Scan("emp"), Scan("dept")), Comparison("salary", ">", 50000)
-        )
+        plan = Restrict(Join(Scan("emp"), Scan("dept")),
+                        (Comparison("salary", ">", 50000),))
         optimized = optimize(plan, db)
         assert optimized.explain().splitlines() == [
-            "Join", "  SelectPred(salary > 50000)", "    Scan(emp)",
+            "Join", "  Restrict(salary > 50000)", "    Scan(emp)",
             "  Scan(dept)",
         ]
         assert db.execute(optimized) == db.execute(plan)
 
     def test_a_shared_attribute_restricts_both_join_sides(self, db):
-        plan = SelectPred(
-            Join(Scan("emp"), Scan("dept")), Comparison("dept", "<", 3)
-        )
+        plan = Restrict(Join(Scan("emp"), Scan("dept")),
+                        (Comparison("dept", "<", 3),))
         optimized = optimize(plan, db)
-        assert optimized.explain().count("SelectPred(dept < 3)") == 2
+        assert optimized.explain().count("Restrict(dept < 3)") == 2
         assert restrictions_sit_on_scans(optimized)
         assert db.execute(optimized) == db.execute(plan)
         assert db.execute(optimized) == db.execute_records(plan)
 
     def test_a_comparison_moves_through_rename_and_project_into_a_join(
             self, db):
-        plan = SelectPred(
-            Project(
-                Rename(Join(Scan("emp"), Scan("dept")), {"salary": "pay"}),
-                ["name", "pay", "dname"],
-            ),
-            Comparison("pay", "<=", 40000),
-        )
+        plan = Restrict(Project(
+            Rename(Join(Scan("emp"), Scan("dept")), {"salary": "pay"}),
+            ["name", "pay", "dname"],
+        ), (Comparison("pay", "<=", 40000),))
         optimized = optimize(plan, db)
         assert restrictions_sit_on_scans(optimized)
-        assert "SelectPred(salary <= 40000)" in optimized.explain()
+        assert "Restrict(salary <= 40000)" in optimized.explain()
         assert db.execute(optimized) == db.execute(plan)
 
     @pytest.mark.parametrize("text", [
@@ -197,8 +213,8 @@ class TestSelectionRewrites:
     ])
     def test_every_restriction_of_a_joining_statement_sits_on_a_scan(
             self, db, text):
-        # Bottom-up: the comparison reaches its Scan first, so the
-        # equality compiled above it reaches the Join and is pushed too.
+        # The whole WHERE clause is one node above the join; each side
+        # gets the comparisons on its attributes.
         plan = compile_query(parse_query(text))
         optimized = optimize(plan, db)
         assert not restrictions_sit_on_scans(plan)
@@ -209,9 +225,9 @@ class TestSelectionRewrites:
 def restrictions_sit_on_scans(plan):
     """Whether below every restriction of ``plan`` there are only
     restrictions down to a ``Scan``."""
-    if isinstance(plan, (SelectEq, SelectPred)):
+    if isinstance(plan, Restrict):
         child = plan.child
-        while isinstance(child, (SelectEq, SelectPred)):
+        while isinstance(child, Restrict):
             child = child.child
         if not isinstance(child, Scan):
             return False
@@ -245,9 +261,8 @@ class TestAComparisonReadsItsStoredColumn:
             run_xql(db, self.TEXT)
         # The join alone drops the row, so nothing above it refuses.
         joined = Join(Scan("emp"), Scan("dept"))
-        assert db.execute_records(SelectPred(
-            joined, Comparison("salary", ">", 90000)
-        )).cardinality() == 1
+        assert db.execute_records(Restrict(joined,
+                (Comparison("salary", ">", 90000),))).cardinality() == 1
 
     def test_served(self):
         async def body():
@@ -270,10 +285,8 @@ class TestAComparisonReadsItsStoredColumn:
         # Pushed below the Rename, the comparison reads `salary` and its
         # refusal says so; unoptimized, it reads `pay` above the Rename.
         db = self.manager().committed()
-        plan = SelectPred(
-            Rename(Scan("emp"), {"salary": "pay"}),
-            Comparison("pay", ">", "x"),
-        )
+        plan = Restrict(Rename(Scan("emp"), {"salary": "pay"}),
+                        (Comparison("pay", ">", "x"),))
         held = "holds int, which does not compare with str"
         with pytest.raises(SchemaError, match="^pay > 'x': 'pay' " + held):
             db.execute_records(plan)
@@ -295,12 +308,14 @@ class TestJoinOrdering:
         # emp is the larger relation, but its run for one key holds a
         # single row: read off the value, that side is the smaller.
         for plan in (
-            Join(SelectEq(Scan("emp"), {"emp": 5}), Scan("dept")),
-            Join(Scan("dept"), SelectEq(Scan("emp"), {"emp": 5})),
+            Join(Restrict(Scan("emp"),
+                          (Comparison("emp", "=", 5),)), Scan("dept")),
+            Join(Scan("dept"), Restrict(Scan("emp"),
+                                        (Comparison("emp", "=", 5),))),
         ):
             lines = [line.strip()
                      for line in optimize(plan, db).explain().splitlines()]
-            assert lines == ["Join", "Scan(dept)", "SelectEq(emp=5)",
+            assert lines == ["Join", "Scan(dept)", "Restrict(emp = 5)",
                              "Scan(emp)"]
             assert db.execute(optimize(plan, db)) == db.execute(plan)
 
@@ -308,13 +323,13 @@ class TestJoinOrdering:
         # Read off the value: cardinalities, runs and distinct counts.
         estimate = CardinalityEstimator(db).estimate
         assert estimate(Scan("emp")) == 60
-        ones = SelectEq(Scan("emp"), {"dept": 1})
+        ones = Restrict(Scan("emp"), (Comparison("dept", "=", 1),))
         assert estimate(ones) == db.execute(ones).cardinality() != 6
         assert estimate(Join(Scan("emp"), Scan("dept"))) == 60
         assert estimate(Union(Scan("emp"), Scan("emp"))) == 120
 
-    def test_estimate_select_pred(self, db):
-        plan = SelectPred(Scan("emp"), Comparison("salary", ">=", 0))
+    def test_estimate_of_a_range(self, db):
+        plan = Restrict(Scan("emp"), (Comparison("salary", ">=", 0),))
         assert CardinalityEstimator(db).estimate(plan) == 20
 
     def test_never_analyzed_three_way_join_is_reordered(self, db):
@@ -324,7 +339,7 @@ class TestJoinOrdering:
             Join(Scan("emp"), Rename(Scan("emp"), {"emp": "peer",
                                                    "name": "peer_name",
                                                    "salary": "peer_pay"})),
-            SelectEq(Scan("dept"), {"dept": 3}),
+            Restrict(Scan("dept"), (Comparison("dept", "=", 3),)),
         )
         optimized = optimize(plan, db)
         expected, written = execute_profiled(db, plan)
@@ -342,8 +357,8 @@ class TestJoinOrdering:
 
         monkeypatch.setattr(cost_module, "CardinalityEstimator", Counted)
         optimize(
-            Project(SelectEq(Rename(Scan("emp"), {"name": "who"}),
-                             {"dept": 2}), ["who"]),
+            Project(Restrict(Rename(Scan("emp"), {"name": "who"}),
+                             (Comparison("dept", "=", 2),)), ["who"]),
             db,
         )
         assert built == []
@@ -354,18 +369,20 @@ class TestJoinOrdering:
 class TestResultPreservation:
     PLANS = [
         lambda: Project(Project(Scan("emp"), ["name", "dept"]), ["name"]),
-        lambda: SelectEq(Project(Scan("emp"), ["name", "dept"]), {"dept": 4}),
-        lambda: SelectEq(Join(Scan("emp"), Scan("dept")), {"dept": 2}),
+        lambda: Restrict(Project(Scan("emp"), ["name", "dept"]),
+                         (Comparison("dept", "=", 4),)),
+        lambda: Restrict(Join(Scan("emp"), Scan("dept")),
+                         (Comparison("dept", "=", 2),)),
         lambda: Project(
-            SelectEq(
+            Restrict(
                 Rename(Join(Scan("dept"), Scan("emp")), {"dname": "label"}),
-                {"label": "dept-3"},
+                [Comparison("label", "=", "dept-3")],
             ),
             ["name", "label"],
         ),
         lambda: Union(
-            SelectEq(Scan("emp"), {"dept": 0}),
-            SelectEq(Scan("emp"), {"dept": 1}),
+            Restrict(Scan("emp"), (Comparison("dept", "=", 0),)),
+            Restrict(Scan("emp"), (Comparison("dept", "=", 1),)),
         ),
     ]
 
@@ -385,7 +402,8 @@ class TestResultPreservation:
         narrow=st.booleans(),
     )
     def test_generated_plans_preserved(self, db, dept, narrow):
-        plan = SelectEq(Join(Scan("emp"), Scan("dept")), {"dept": dept})
+        plan = Restrict(Join(Scan("emp"), Scan("dept")),
+                        (Comparison("dept", "=", dept),))
         if narrow:
             plan = Project(plan, ["name", "dname"])
         assert db.execute(optimize(plan, db)) == db.execute(plan)

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.errors import SchemaError
 from repro.relational import algebra
+from repro.relational.algebra import Comparison
 from repro.relational.columnar import materialize
 from repro.relational.cost import CardinalityEstimator
 from repro.relational.distributed import Cluster
@@ -35,9 +36,8 @@ from repro.relational.query import (
     Plan,
     Project,
     Rename,
+    Restrict,
     Scan,
-    SelectEq,
-    SelectPred,
     Union,
     plan_cache_key,
     scan_tables,
@@ -87,7 +87,7 @@ def _break(draw, plan, names, pool):
     )))
     value = draw(st.sampled_from(pool))
     if fault == "unknown_select":
-        return SelectEq(plan, {"zz": value}), names
+        return Restrict(plan, (Comparison("zz", "=", value),)), names
     if fault == "unknown_project":
         return Project(plan, names + ("zz",)), names
     if fault == "unknown_rename":
@@ -110,7 +110,7 @@ def _break(draw, plan, names, pool):
         return Limit(plan, 2, "zz"), names
     if len(names) < 2:
         # One attribute: nothing to collide with or to drop.
-        return SelectEq(plan, {"zz": value}), names
+        return Restrict(plan, (Comparison("zz", "=", value),)), names
     if fault == "colliding_rename":
         return Rename(plan, {names[0]: names[1]}), names[1:]
     narrower = Project(plan, names[1:])
@@ -135,7 +135,9 @@ def plans_over_tables(draw):
                 plan = Project(plan, names[:1])
                 names = names[:1]
             else:
-                plan = SelectEq(plan, {names[0]: draw(st.sampled_from(pool))})
+                plan = Restrict(plan, (Comparison(
+                    names[0], "=", draw(st.sampled_from(pool))
+                ),))
     return r, s, plan, well_formed
 
 
@@ -186,16 +188,17 @@ class TestOneHeadingRule:
 #: plans sharing no node.
 ONE_NODE_PLANS = {
     Scan: lambda: Scan("emp"),
-    SelectEq: lambda: SelectEq(Scan("emp"), {"dept": 1}),
-    SelectPred: lambda: SelectPred(
-        Scan("emp"), algebra.Comparison("salary", ">", 10)
-    ),
+    Restrict: lambda: Restrict(Scan("emp"), (
+        Comparison("salary", ">", 10), Comparison("dept", "=", 1),
+    )),
     Project: lambda: Project(Scan("emp"), ["dept", "emp"]),
     Rename: lambda: Rename(Scan("emp"), {"emp": "who"}),
     Join: lambda: Join(Scan("emp"), Scan("dept")),
-    Union: lambda: Union(Scan("emp"), SelectEq(Scan("emp"), {"dept": 1})),
+    Union: lambda: Union(
+        Scan("emp"), Restrict(Scan("emp"), (Comparison("dept", "=", 1),))
+    ),
     Difference: lambda: Difference(
-        Scan("emp"), SelectEq(Scan("emp"), {"dept": 1})
+        Scan("emp"), Restrict(Scan("emp"), (Comparison("dept", "=", 1),))
     ),
     Aggregate: lambda: Aggregate(
         Scan("emp"), ["dept"],
@@ -251,7 +254,9 @@ class TestWithChildren:
 def test_a_pass_that_rewrites_nothing_returns_its_input(db):
     from repro.relational.optimizer import _rewrite
 
-    plan = Project(SelectEq(Scan("emp"), {"emp": 3}), ["emp", "salary"])
+    plan = Project(
+        Restrict(Scan("emp"), (Comparison("emp", "=", 3),)), ["emp", "salary"]
+    )
     assert _rewrite(plan, db) is plan
     assert optimize(plan, db) is plan
 
@@ -351,9 +356,11 @@ class TestUnregisteredOperators:
         assert "Stranger" in plan_cache_key(plan)
 
     def test_the_protocol_alone_is_enough_to_execute(self, db):
-        plan = Project(Passthrough(SelectEq(Scan("emp"), {"dept": 1})),
+        plan = Project(Passthrough(Restrict(Scan("emp"),
+                                            (Comparison("dept", "=", 1),))),
                        ["emp"])
-        expected = db.execute(Project(SelectEq(Scan("emp"), {"dept": 1}),
+        expected = db.execute(Project(Restrict(Scan("emp"),
+                                               (Comparison("dept", "=", 1),)),
                                       ["emp"]))
         encoded = Database({"emp": db.relation("emp")})
         encoded.encode_columnar()
@@ -389,7 +396,8 @@ def test_origin_names_the_input_attribute():
     assert rename.origin("who") == "emp"
     assert rename.origin("unit") == "dept"
     assert rename.origin("salary") == "salary"
-    assert SelectEq(Scan("emp"), {"dept": 1}).origin("dept") == "dept"
+    assert Restrict(Scan("emp"),
+                    (Comparison("dept", "=", 1),)).origin("dept") == "dept"
     top = Aggregate(Scan("emp"), ["dept"], {"salary": ("max", "salary")})
     assert top.origin("dept") == "dept"
     assert top.origin("salary") is None  # computed here, whatever its name
@@ -402,7 +410,7 @@ def test_what_sits_above_a_hand_back_to_rows_is_costed_on_rows(db):
     encoded = Database({name: db.relation(name) for name in db.names()})
     encoded.encode_columnar()
     estimator = CardinalityEstimator(encoded)
-    below = SelectEq(Scan("emp"), {"dept": 1})
+    below = Restrict(Scan("emp"), (Comparison("dept", "=", 1),))
     assert estimator.runs_encoded(below)
     top = Aggregate(below, ["dept"], {"salary": ("max", "salary")})
     for node in (top, Limit(below, 2), Project(top, ["salary"]),
@@ -422,7 +430,7 @@ def test_every_backend_spells_the_kernels_alike(db):
     cluster_kernels = _ShardKernels(_cluster(db), None)
     from repro.relational.query import _RUN_KERNELS
 
-    for name in ("select_eq", "select_pred", "project", "rename", "join",
+    for name in ("restrict", "project", "rename", "join",
                  "union", "difference"):
         assert callable(getattr(algebra, name))
         assert getattr(_RUN_KERNELS, name) is getattr(ColumnarRelation, name)

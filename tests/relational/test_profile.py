@@ -10,9 +10,8 @@ from repro.relational.query import (
     Join,
     Project,
     Rename,
+    Restrict,
     Scan,
-    SelectEq,
-    SelectPred,
     Union,
 )
 from repro.workloads.generators import department_relation, employee_relation
@@ -29,15 +28,17 @@ def db():
 class TestAgreement:
     PLANS = [
         Scan("emp"),
-        SelectEq(Scan("emp"), {"dept": 1}),
-        SelectPred(Scan("emp"), Comparison("salary", ">", 50000)),
+        Restrict(Scan("emp"), (Comparison("dept", "=", 1),)),
+        Restrict(Scan("emp"), (Comparison("salary", ">", 50000),)),
         Project(Scan("emp"), ["dept"]),
         Rename(Scan("dept"), {"dname": "label"}),
         Join(Scan("emp"), Scan("dept")),
-        Union(SelectEq(Scan("emp"), {"dept": 0}),
-              SelectEq(Scan("emp"), {"dept": 1})),
-        Difference(Scan("emp"), SelectEq(Scan("emp"), {"dept": 0})),
-        Project(SelectEq(Join(Scan("emp"), Scan("dept")), {"dept": 2}),
+        Union(Restrict(Scan("emp"), (Comparison("dept", "=", 0),)),
+              Restrict(Scan("emp"), (Comparison("dept", "=", 1),))),
+        Difference(Scan("emp"), Restrict(Scan("emp"),
+                                         (Comparison("dept", "=", 0),))),
+        Project(Restrict(Join(Scan("emp"), Scan("dept")),
+                         (Comparison("dept", "=", 2),)),
                 ["name", "dname"]),
     ]
 
@@ -50,29 +51,30 @@ class TestAgreement:
 
 class TestProfileTree:
     def test_tree_mirrors_the_plan(self, db):
-        plan = Project(SelectEq(Scan("emp"), {"dept": 1}), ["name"])
+        plan = Project(Restrict(Scan("emp"),
+                                (Comparison("dept", "=", 1),)), ["name"])
         _, profile = execute_profiled(db, plan)
         assert profile.describe.startswith("Project")
         (select_profile,) = profile.children
-        assert select_profile.describe.startswith("SelectEq")
+        assert select_profile.describe.startswith("Restrict")
         (scan_profile,) = select_profile.children
         assert scan_profile.describe == "Scan(emp)"
         assert scan_profile.children == []
 
     def test_cardinalities_shrink_through_selection(self, db):
-        plan = SelectEq(Scan("emp"), {"dept": 1})
+        plan = Restrict(Scan("emp"), (Comparison("dept", "=", 1),))
         _, profile = execute_profiled(db, plan)
         (scan_profile,) = profile.children
         assert profile.rows <= scan_profile.rows
 
     def test_inclusive_timing(self, db):
-        plan = SelectEq(Scan("emp"), {"dept": 1})
+        plan = Restrict(Scan("emp"), (Comparison("dept", "=", 1),))
         _, profile = execute_profiled(db, plan)
         (scan_profile,) = profile.children
         assert profile.seconds >= scan_profile.seconds >= 0
 
     def test_total_rows(self, db):
-        plan = SelectEq(Scan("emp"), {"dept": 1})
+        plan = Restrict(Scan("emp"), (Comparison("dept", "=", 1),))
         _, profile = execute_profiled(db, plan)
         assert profile.total_rows() == profile.rows + profile.children[0].rows
 
@@ -96,7 +98,7 @@ class TestExclusiveSeconds:
         from repro.relational.profile import NodeProfile
 
         child = NodeProfile("Scan(emp)", 10, 0.3, [])
-        parent = NodeProfile("SelectEq", 5, 1.0, [child])
+        parent = NodeProfile("Restrict", 5, 1.0, [child])
         assert parent.exclusive_seconds() == pytest.approx(0.7)
         assert child.exclusive_seconds() == pytest.approx(0.3)
 
@@ -104,11 +106,12 @@ class TestExclusiveSeconds:
         from repro.relational.profile import NodeProfile
 
         child = NodeProfile("Scan(emp)", 10, 1.0001, [])
-        parent = NodeProfile("SelectEq", 5, 1.0, [child])
+        parent = NodeProfile("Restrict", 5, 1.0, [child])
         assert parent.exclusive_seconds() == 0.0
 
     def test_exclusive_sums_back_to_inclusive_root(self, db):
-        plan = Project(SelectEq(Scan("emp"), {"dept": 1}), ["name"])
+        plan = Project(Restrict(Scan("emp"),
+                                (Comparison("dept", "=", 1),)), ["name"])
         _, profile = execute_profiled(db, plan)
 
         def walk(node):
@@ -126,7 +129,7 @@ class TestSpanBacked:
         from repro.relational.profile import execute_spanned
 
         tracer = Tracer(clock=FakeClock())
-        plan = SelectEq(Scan("emp"), {"dept": 1})
+        plan = Restrict(Scan("emp"), (Comparison("dept", "=", 1),))
         result, root = execute_spanned(db, plan, tracer)
         assert result == db.execute(plan)
         assert root.name == plan.describe()
@@ -208,7 +211,8 @@ class TestEstimateAnnotations:
         estimate-vs-actual report."""
         from repro.relational.profile import execute_spanned
 
-        plan = SelectEq(Join(Scan("emp"), Scan("dept")), {"dept": 1})
+        plan = Restrict(Join(Scan("emp"), Scan("dept")),
+                        (Comparison("dept", "=", 1),))
         _, root = execute_spanned(db, plan)
         for span in root.tree():
             assert not {"est_rows", "q_error", "relation", "conditions"} & set(
@@ -220,13 +224,14 @@ class TestEstimateAnnotations:
     def test_explain_analyze_needs_no_collection_pass(self, db):
         from repro.relational.profile import explain_analyze
 
-        plan = SelectEq(Join(Scan("emp"), Scan("dept")), {"dept": 2})
+        plan = Restrict(Join(Scan("emp"), Scan("dept")),
+                        (Comparison("dept", "=", 2),))
         _, text = explain_analyze(db, plan)
         nodes = text.splitlines()[:-1]
         assert nodes and all("est_rows=" in line for line in nodes)
         # Scans and equalities over them are read off the value.
         exact = [line for line in nodes
-                 if line.strip().startswith(("Scan", "SelectEq"))]
+                 if line.strip().startswith(("Scan", "Restrict"))]
         assert exact and all(line.endswith("q=1.00") for line in exact)
 
     def test_explain_analyze_reads_the_committed_value(self):
@@ -238,7 +243,7 @@ class TestEstimateAnnotations:
             ["emp", "name", "dept", "salary"],
             employee_relation(30, 3, seed=17).iter_dicts(),
         )})
-        plan = SelectEq(Scan("emp"), {"dept": 2})
+        plan = Restrict(Scan("emp"), (Comparison("dept", "=", 2),))
         for round_ in range(3):
             manager.table("emp").insert_many([
                 {"emp": 100 * (round_ + 1) + n, "name": "n", "dept": 2,
@@ -286,7 +291,8 @@ class TestColumnarExclusiveSeconds:
         from repro.relational.profile import NodeProfile, execute_spanned
 
         db = self.columnar_db()
-        plan = Join(SelectEq(Scan("emp"), {"dept": 1}), Scan("dept"))
+        plan = Join(Restrict(Scan("emp"),
+                             (Comparison("dept", "=", 1),)), Scan("dept"))
         _, root = execute_spanned(db, plan)
         backends = {span.attrs["backend"] for span in root.tree()}
         assert backends == {"columnar", "row"}  # genuinely mixed
@@ -297,7 +303,8 @@ class TestColumnarExclusiveSeconds:
         from repro.relational.profile import NodeProfile, execute_spanned
 
         db = self.columnar_db()
-        plan = Join(SelectEq(Scan("emp"), {"dept": 1}), Scan("dept"))
+        plan = Join(Restrict(Scan("emp"),
+                             (Comparison("dept", "=", 1),)), Scan("dept"))
         _, root = execute_spanned(db, plan)
         profile = NodeProfile.from_span(root)
         total = sum(

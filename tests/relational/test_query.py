@@ -13,9 +13,8 @@ from repro.relational.query import (
     Join,
     Project,
     Rename,
+    Restrict,
     Scan,
-    SelectEq,
-    SelectPred,
     Union,
 )
 from repro.relational.relation import Relation
@@ -56,12 +55,13 @@ class TestScanAndCatalog:
 
 
 class TestUnaryPlans:
-    def test_select_eq(self, db):
-        result = assert_modes_agree(db, SelectEq(Scan("emp"), {"dept": 3}))
+    def test_restrict_by_an_equality(self, db):
+        result = assert_modes_agree(db, Restrict(Scan("emp"),
+                (Comparison("dept", "=", 3),)))
         assert all(row["dept"] == 3 for row in result.iter_dicts())
 
-    def test_select_pred(self, db):
-        plan = SelectPred(Scan("emp"), Comparison("salary", ">", 60000))
+    def test_restrict_by_a_range(self, db):
+        plan = Restrict(Scan("emp"), (Comparison("salary", ">", 60000),))
         result = assert_modes_agree(db, plan)
         assert all(row["salary"] > 60000 for row in result.iter_dicts())
 
@@ -77,7 +77,8 @@ class TestUnaryPlans:
 
     def test_stacked_unaries(self, db):
         plan = Project(
-            Rename(SelectEq(Scan("emp"), {"dept": 2}), {"name": "who"}),
+            Rename(Restrict(Scan("emp"),
+                            (Comparison("dept", "=", 2),)), {"name": "who"}),
             ["who", "salary"],
         )
         result = assert_modes_agree(db, plan)
@@ -91,22 +92,23 @@ class TestBinaryPlans:
 
     def test_join_then_select_then_project(self, db):
         plan = Project(
-            SelectEq(Join(Scan("emp"), Scan("dept")), {"dept": 1}),
+            Restrict(Join(Scan("emp"), Scan("dept")),
+                     (Comparison("dept", "=", 1),)),
             ["name", "dname"],
         )
         assert_modes_agree(db, plan)
 
     def test_union(self, db):
         plan = Union(
-            SelectEq(Scan("emp"), {"dept": 0}),
-            SelectEq(Scan("emp"), {"dept": 1}),
+            Restrict(Scan("emp"), (Comparison("dept", "=", 0),)),
+            Restrict(Scan("emp"), (Comparison("dept", "=", 1),)),
         )
         result = assert_modes_agree(db, plan)
         assert all(row["dept"] in (0, 1) for row in result.iter_dicts())
 
     def test_difference(self, db):
         plan = Difference(
-            Scan("emp"), SelectEq(Scan("emp"), {"dept": 0})
+            Scan("emp"), Restrict(Scan("emp"), (Comparison("dept", "=", 0),))
         )
         result = assert_modes_agree(db, plan)
         assert all(row["dept"] != 0 for row in result.iter_dicts())
@@ -114,7 +116,8 @@ class TestBinaryPlans:
     def test_self_join_via_rename(self, db):
         # Employees sharing a department with employee 0.
         colleagues = Join(
-            Project(SelectEq(Scan("emp"), {"emp": 0}), ["dept"]),
+            Project(Restrict(Scan("emp"),
+                             (Comparison("emp", "=", 0),)), ["dept"]),
             Scan("emp"),
         )
         result = assert_modes_agree(db, colleagues)
@@ -123,8 +126,8 @@ class TestBinaryPlans:
 
 class TestExplain:
     def test_explain_renders_the_tree(self, db):
-        plan = Project(SelectEq(Join(Scan("emp"), Scan("dept")),
-                                {"dept": 1}), ["name"])
+        plan = Project(Restrict(Join(Scan("emp"), Scan("dept")),
+                                (Comparison("dept", "=", 1),)), ["name"])
         text = plan.explain()
         assert "Project(name)" in text
         assert "Join" in text
@@ -184,7 +187,7 @@ class TestIllFormedPlans:
         ]
 
     @pytest.mark.parametrize("plan", [
-        SelectEq(Scan("emp"), {"bogus": 1}),
+        Restrict(Scan("emp"), (Comparison("bogus", "=", 1),)),
         Rename(Scan("emp"), {"bogus": "x"}),
         Rename(Scan("emp"), {"emp": "name"}),
         Project(Scan("emp"), ["emp", "emp"]),
@@ -213,9 +216,10 @@ class TestGeneratedPlansAgree:
         database.add("dept", department_relation(6, seed=dept))
         base = Join(Scan("emp"), Scan("dept"))
         if join_first:
-            plan = SelectEq(base, {"dept": dept})
+            plan = Restrict(base, (Comparison("dept", "=", dept),))
         else:
-            plan = Join(SelectEq(Scan("emp"), {"dept": dept}), Scan("dept"))
+            plan = Join(Restrict(Scan("emp"),
+                    (Comparison("dept", "=", dept),)), Scan("dept"))
         wanted = [a for a in attrs if a in ("name", "dept", "salary", "dname")]
         plan = Project(plan, wanted)
         assert_modes_agree(database, plan)

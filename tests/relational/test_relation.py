@@ -1,5 +1,7 @@
 """Relations: construction, validation, views, process reading."""
 
+import copy
+import pickle
 from types import MappingProxyType
 
 import pytest
@@ -94,6 +96,34 @@ class TestConstruction:
         heading = Heading(["a"])
         with pytest.raises(SchemaError, match="do not match"):
             Relation(heading, xset([xrecord({"b": 1})]))
+
+
+class TestCopyAndPickle:
+    """An immutable value is its own copy and pickles through its
+    constructor to an equal value, spelled alike."""
+
+    ROWS = [
+        (1, "a", None), (1.0, b"x", True), (-0.0, "", xset([1, 2])),
+        (2**53 + 1, "b", xtuple(["a", None])),
+    ]
+
+    def test_a_heading(self):
+        heading = Heading(["b", "a", "c"])
+        assert copy.copy(heading) is heading
+        assert copy.deepcopy(heading) is heading
+        again = pickle.loads(pickle.dumps(heading))
+        assert again == heading and again.names == heading.names
+
+    @pytest.mark.parametrize("build", ["from_tuples", "from_page"])
+    def test_a_relation(self, build):
+        rel = getattr(Relation, build)(["k", "v", "w"], self.ROWS)
+        assert copy.copy(rel) is rel and copy.deepcopy(rel) is rel
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            again = pickle.loads(pickle.dumps(rel, protocol))
+            assert again == rel
+            assert again.heading.names == rel.heading.names
+            assert repr(again.rows) == repr(rel.rows)
+            assert again.to_rows() == rel.to_rows()
 
 
 class TestFromPage:

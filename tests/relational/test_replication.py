@@ -4,8 +4,9 @@ import pytest
 
 from repro.errors import ClusterUnavailableError, SchemaError
 from repro.relational import algebra
+from repro.relational.algebra import Comparison
 from repro.relational.distributed import Cluster
-from repro.relational.query import Aggregate, Join, Scan, SelectEq
+from repro.relational.query import Aggregate, Join, Restrict, Scan
 from repro.relational.sharding import ShardMap
 from repro.workloads.generators import department_relation, employee_relation
 
@@ -120,8 +121,9 @@ class TestReadsUnderFailure:
         for victim in [node.name for node in replicated.nodes]:
             replicated.kill_node(victim)
             assert replicated.execute(Scan("emp")) == employees
-            assert replicated.execute(SelectEq(Scan("emp"), {"dept": 5})) == \
-                algebra.select_eq(employees, {"dept": 5})
+            assert replicated.execute(Restrict(Scan("emp"),
+                    (Comparison("dept", "=", 5),))) == \
+                algebra.restrict(employees, (Comparison("dept", "=", 5),))
             assert replicated.execute(Join(Scan("emp"), Scan("dept"))) == \
                 algebra.join(employees, departments)
             replicated.revive_node(victim)
@@ -137,8 +139,10 @@ class TestReadsUnderFailure:
         # dept=5 hashes to bucket 1 (primary node-1, replica node-2).
         replicated.kill_node("node-1")
         replicated.network.reset()
-        result = replicated.execute(SelectEq(Scan("emp"), {"dept": 5}))
-        assert result == algebra.select_eq(employees, {"dept": 5})
+        result = replicated.execute(Restrict(Scan("emp"),
+                                             (Comparison("dept", "=", 5),)))
+        assert result == algebra.restrict(employees,
+                                          (Comparison("dept", "=", 5),))
         assert replicated.network.failovers == 1
         assert replicated.network.messages == 1
 
@@ -146,7 +150,8 @@ class TestReadsUnderFailure:
         replicated.kill_node("node-1")
         replicated.kill_node("node-2")
         with pytest.raises(ClusterUnavailableError) as excinfo:
-            replicated.execute(SelectEq(Scan("emp"), {"dept": 5}))
+            replicated.execute(Restrict(Scan("emp"),
+                                        (Comparison("dept", "=", 5),)))
         error = excinfo.value
         assert error.table == "emp"
         assert error.bucket == 1
@@ -202,7 +207,8 @@ class TestWrites:
             "emp",
             [{"emp": 901, "name": "zz-901", "dept": 5, "salary": 41000}],
         )
-        result = replicated.execute(SelectEq(Scan("emp"), {"emp": 901}))
+        result = replicated.execute(Restrict(Scan("emp"),
+                                             (Comparison("emp", "=", 901),)))
         assert result.cardinality() == 1
 
     def test_dead_replicas_miss_writes_until_rebuilt(self, replicated):
@@ -223,7 +229,8 @@ class TestWrites:
         assert not any(r["emp"] == 902 for r in stale.iter_dicts())
         replicated.revive_node("node-2")
         replicated.kill_node("node-1")  # force reads onto the rebuilt copy
-        result = replicated.execute(SelectEq(Scan("emp"), {"emp": 902}))
+        result = replicated.execute(Restrict(Scan("emp"),
+                                             (Comparison("emp", "=", 902),)))
         assert result.cardinality() == 1
 
     def test_rebuilt_node_matches_a_never_crashed_cluster(
@@ -258,8 +265,10 @@ class TestWrites:
         for cluster in (control, crashed):
             cluster.kill_node("node-1")
         assert crashed.execute(Scan("emp")) == control.execute(Scan("emp"))
-        assert crashed.execute(SelectEq(Scan("emp"), {"dept": 5})) == \
-            control.execute(SelectEq(Scan("emp"), {"dept": 5}))
+        assert crashed.execute(Restrict(Scan("emp"),
+                                        (Comparison("dept", "=", 5),))) == \
+            control.execute(Restrict(Scan("emp"),
+                                     (Comparison("dept", "=", 5),)))
         headcount = Aggregate(Scan("emp"), ["dept"], {"n": ("count", "emp")})
         assert crashed.execute(headcount) == control.execute(headcount)
 

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from repro.errors import SchemaError
 from repro.relational import algebra
+from repro.relational.algebra import Comparison
 from repro.relational.representations import (
     ColumnRepresentation,
     RowRepresentation,
@@ -61,7 +62,8 @@ class TestNativeOperationsAgree:
                                           relation):
         via_rows = row_rep.select("dept", 3).canonical()
         via_columns = column_rep.select("dept", 3).canonical()
-        via_kernel = algebra.select_eq(relation, {"dept": 3}).rows
+        via_kernel = algebra.restrict(relation,
+                                      (Comparison("dept", "=", 3),)).rows
         assert via_rows == via_columns == via_kernel
 
     def test_project_agrees_across_layouts(self, row_rep, column_rep,
@@ -176,7 +178,7 @@ class TestProjectionSetSemantics:
         column_rep = ColumnRepresentation.from_relation(relation)
         via_columns = column_rep.select("dept", 2).project(["name"])
         via_kernel = algebra.project(
-            algebra.select_eq(relation, {"dept": 2}), ["name"]
+            algebra.restrict(relation, (Comparison("dept", "=", 2),)), ["name"]
         )
         assert via_columns.canonical() == via_kernel.rows
 

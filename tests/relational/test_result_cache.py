@@ -16,6 +16,7 @@ import pytest
 
 from repro.errors import SchemaError, ShardMovedError
 from repro.obs import instrument, metrics
+from repro.relational.algebra import Comparison
 from repro.relational.constraints import KeyConstraint, Table
 from repro.relational.distributed import Cluster
 from repro.relational.ivm import (
@@ -32,9 +33,8 @@ from repro.relational.query import (
     Limit,
     Project,
     Rename,
+    Restrict,
     Scan,
-    SelectEq,
-    SelectPred,
     Union,
 )
 from repro.relational.relation import Relation
@@ -59,9 +59,12 @@ def rel(names, rows):
 
 class TestPlanCacheKey:
     def test_stable_and_distinct(self):
-        a = plan_cache_key(SelectEq(Scan("emp"), {"dept": 1}))
-        b = plan_cache_key(SelectEq(Scan("emp"), {"dept": 1}))
-        c = plan_cache_key(SelectEq(Scan("emp"), {"dept": 2}))
+        a = plan_cache_key(Restrict(Scan("emp"),
+                                    (Comparison("dept", "=", 1),)))
+        b = plan_cache_key(Restrict(Scan("emp"),
+                                    (Comparison("dept", "=", 1),)))
+        c = plan_cache_key(Restrict(Scan("emp"),
+                                    (Comparison("dept", "=", 2),)))
         assert a == b
         assert a != c
         assert a is not None
@@ -75,15 +78,14 @@ class TestPlanCacheKey:
         ) != plan_cache_key(Join(Scan("a"), Scan("b")))
 
     def test_a_comparison_plan_is_keyed_by_its_comparison(self):
-        plan = SelectPred(Scan("emp"), algebra.Comparison("x", ">", 1))
-        assert "SelectPred(x > 1)" in plan_cache_key(plan)
-        assert "SelectPred(x > 1)" in plan_cache_key(Project(plan, ("a",)))
+        plan = Restrict(Scan("emp"), (algebra.Comparison("x", ">", 1),))
+        assert "Restrict(x > 1)" in plan_cache_key(plan)
+        assert "Restrict(x > 1)" in plan_cache_key(Project(plan, ("a",)))
 
     def test_different_comparisons_do_not_alias(self):
         keys = {
-            plan_cache_key(SelectPred(
-                Scan("emp"), algebra.Comparison(attr, operator, value)
-            ))
+            plan_cache_key(Restrict(Scan("emp"),
+                    (algebra.Comparison(attr, operator, value),)))
             for attr, operator, value in [
                 ("x", ">", 1), ("x", ">", 2), ("x", ">=", 1), ("y", ">", 1),
                 # Typed twins answer alike, but are spelled apart.
@@ -103,10 +105,11 @@ class TestPlanCacheKey:
             {"emp": rel(["eid", "dept"], [(1, 2), (0, 3)])},
             result_cache=QueryResultCache(capacity=8),
         )
-        plan = SelectPred(stage(Scan("emp")), algebra.Comparison(attr, ">", 0))
+        plan = Restrict(stage(Scan("emp")),
+                        (algebra.Comparison(attr, ">", 0),))
         pushed = optimize(plan, db).child
-        direct = SelectPred(Scan("emp"), algebra.Comparison("eid", ">", 0))
-        assert pushed.describe() == "SelectPred(eid > 0)"
+        direct = Restrict(Scan("emp"), (algebra.Comparison("eid", ">", 0),))
+        assert pushed.describe() == "Restrict(eid > 0)"
         assert plan_cache_key(pushed) == plan_cache_key(direct)
         first = db.execute(pushed)
         assert db.execute(direct) is first
@@ -138,7 +141,8 @@ class TestPlanCacheKey:
 
     def test_scan_tables(self):
         plan = Union(
-            Join(Scan("a"), Scan("b")), SelectEq(Scan("a"), {"x": 1})
+            Join(Scan("a"), Scan("b")), Restrict(Scan("a"),
+                                                 (Comparison("x", "=", 1),))
         )
         assert scan_tables(plan) == ("a", "b")
 
@@ -242,7 +246,7 @@ class TestDatabaseCache:
         return database
 
     def test_repeat_execution_hits(self, db):
-        plan = SelectEq(Scan("emp"), {"dept": "eng"})
+        plan = Restrict(Scan("emp"), (Comparison("dept", "=", "eng"),))
         first = db.execute(plan)
         assert db.execute(plan) is first
         assert db.result_cache.hits == 1
@@ -326,7 +330,7 @@ class TestDatabaseCache:
         text = "SELECT name, dname FROM emp JOIN dept WHERE salary > 300"
         plan = sql.compile_query(sql.parse_query(text))
         key = plan_cache_key(optimize(plan, database))
-        assert "SelectPred(salary > 300)(Scan(emp))" in key
+        assert "Restrict(salary > 300)(Scan(emp))" in key
         cache = QueryResultCache(capacity=8)
         cached = Database(
             {name: database.relation(name) for name in database.names()},
@@ -362,7 +366,7 @@ class TestNeverStaleSweep:
     session pinned at V' != V.
     """
 
-    PLAN = SelectEq(Scan("emp"), {"grp": 0})
+    PLAN = Restrict(Scan("emp"), (Comparison("grp", "=", 0),))
 
     def run_schedule(self, schedule, cache):
         manager = make_manager(cache)
@@ -512,7 +516,8 @@ class TestNeverStaleSweep:
     def test_a_dropped_input_cannot_lend_its_id(self):
         cache = QueryResultCache(capacity=8)
         db = Database({"t": rel(["a"], [(0,), (1,)])}, result_cache=cache)
-        plan = SelectEq(Scan("t"), {"a": 1})  # its answer is not its input
+        plan = Restrict(Scan("t"),
+                (Comparison("a", "=", 1),))  # its answer is not its input
         key = plan_cache_key(plan)
         assert db.execute(plan) is not db.relation("t")
         held = id(db.relation("t"))
@@ -665,7 +670,7 @@ class TestClusterCache:
     def test_repeat_scan_hits(self):
         cache = QueryResultCache(capacity=8, name="cluster")
         cluster = build_cluster(cache=cache)
-        plan = SelectEq(Scan("users"), {"city": "c1"})
+        plan = Restrict(Scan("users"), (Comparison("city", "=", "c1"),))
         first = cluster.execute(plan)
         assert cluster.execute(plan) is first
         assert cache.hits == 1
@@ -716,7 +721,7 @@ class TestClusterCache:
     def test_shard_move_invalidates_only_the_moved_table(self):
         cache = QueryResultCache(capacity=8, name="cluster")
         cluster = build_cluster(cache=cache)
-        users_plan = SelectEq(Scan("users"), {"city": "c0"})
+        users_plan = Restrict(Scan("users"), (Comparison("city", "=", "c0"),))
         cities_plan = Scan("cities")
         before = cluster.execute(users_plan)
         cities_before = cluster.execute(cities_plan)
@@ -740,7 +745,7 @@ class TestClusterCache:
         cluster = build_cluster(
             cache=QueryResultCache(capacity=8, name="cluster")
         )
-        plan = SelectEq(Scan("users"), {"city": "c1"})
+        plan = Restrict(Scan("users"), (Comparison("city", "=", "c1"),))
         epoch_before = cluster.shard_map("users").epoch
         cluster.execute(plan, epoch=epoch_before)
         shard_map = cluster.shard_map("users")

@@ -16,9 +16,10 @@ from repro.errors import (
 )
 from repro.gov import governed
 from repro.obs import instrument, metrics
+from repro.relational.algebra import Comparison
 from repro.relational.distributed import Cluster
 from repro.relational.faults import FaultPlan
-from repro.relational.query import Aggregate, Join, Project, Scan, SelectEq
+from repro.relational.query import Aggregate, Join, Project, Restrict, Scan
 from repro.relational.relation import Relation
 from repro.relational.sharding import (
     ShardMap,
@@ -190,7 +191,8 @@ class TestStaleEpoch:
         # Refresh-and-retry is exactly one call with the new epoch.
         assert cluster.execute(Scan("users"), epoch=2).cardinality() == 48
         with pytest.raises(ShardMovedError):
-            cluster.execute(SelectEq(Scan("users"), {"id": 3}), epoch=1)
+            cluster.execute(Restrict(Scan("users"),
+                                     (Comparison("id", "=", 3),)), epoch=1)
         with pytest.raises(ShardMovedError):
             cluster.execute(
                 Aggregate(Scan("users"), ("city",), {"n": ("count", "id")}),
@@ -378,7 +380,7 @@ class TestSplitMerge:
         assert new_map.epoch == 2
         assert cluster.execute(Scan("users")).rows == before
         assert cluster.execute(
-            SelectEq(Scan("users"), {"id": 11})
+            Restrict(Scan("users"), (Comparison("id", "=", 11),))
         ).cardinality() == 1
         assert_replicas_match_truth(cluster, "users")
 
@@ -501,13 +503,15 @@ class TestExecuteCoordinator:
 
     def test_routed_when_key_pinned(self):
         cluster = self.make()
-        result = cluster.execute(SelectEq(Scan("users"), {"id": 7}))
+        result = cluster.execute(Restrict(Scan("users"),
+                                          (Comparison("id", "=", 7),)))
         assert result.cardinality() == 1
         assert cluster.last_query_span.attrs["routing"] == "routed"
 
     def test_pushdown_ships_less_than_gather(self):
         cluster = self.make()
-        plan = Project(SelectEq(Scan("users"), {"city": "c1"}), ("id",))
+        plan = Project(Restrict(Scan("users"),
+                                (Comparison("city", "=", "c1"),)), ("id",))
         start = cluster.network.bytes_shipped
         pushed = cluster.execute(plan)
         pushed_bytes = cluster.network.bytes_shipped - start

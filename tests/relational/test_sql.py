@@ -4,6 +4,7 @@ import pytest
 
 from repro.errors import NotationError, SchemaError
 from repro.relational import algebra, sql
+from repro.relational.algebra import Comparison
 from repro.relational.distributed import Cluster
 from repro.relational.query import (
     Aggregate,
@@ -11,9 +12,8 @@ from repro.relational.query import (
     Limit,
     Project,
     Rename,
+    Restrict,
     Scan,
-    SelectEq,
-    SelectPred,
 )
 from repro.relational.relation import Relation
 from repro.relational.sql import compile_query, parse_query, run
@@ -100,7 +100,8 @@ class TestExecution:
 
     def test_equality_filter_matches_algebra(self, db):
         result = run(db, "SELECT * FROM emp WHERE dept = 2")
-        assert result == algebra.select_eq(db.relation("emp"), {"dept": 2})
+        assert result == algebra.restrict(db.relation("emp"),
+                                          (Comparison("dept", "=", 2),))
 
     def test_inequality_filters(self, db):
         result = run(db, "SELECT * FROM emp WHERE salary < 50000")
@@ -246,7 +247,7 @@ class TestTheWholeStatementIsOnePlan:
         assert aggregate.aggregations == {
             "n": ("count", "emp"), "pay": ("avg", "salary"),
         }
-        assert isinstance(aggregate.child, SelectPred)
+        assert isinstance(aggregate.child, Restrict)
 
     def test_nothing_runs_after_execute(self, db, monkeypatch):
         answers = []
@@ -647,8 +648,8 @@ class TestPlaceholders:
 
         def spied(estimator, plan):
             for node in [plan, *plan.children()]:
-                if isinstance(node, SelectEq):
-                    seen.extend(node.conditions.values())
+                if isinstance(node, Restrict):
+                    seen.extend(c.value for c in node.comparisons)
                 if isinstance(node, Limit):
                     seen.append(node.count)
             return original(estimator, plan)

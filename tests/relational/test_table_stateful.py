@@ -23,7 +23,7 @@ from hypothesis.stateful import (
     rule,
 )
 
-from repro.relational.algebra import select_eq
+from repro.relational.algebra import Comparison, restrict
 from repro.relational.constraints import (
     CheckConstraint,
     ForeignKeyConstraint,
@@ -303,7 +303,8 @@ class DeltaVerdictMachine(RuleBasedStateMachine):
     def probe(self, attr, value):
         """A read between statements fills the member index of its
         scope, which every later write carries, patched."""
-        assert select_eq(self.table.snapshot(), {attr: value}) == \
+        assert restrict(self.table.snapshot(),
+                        (Comparison(attr, "=", value),)) == \
             Relation.from_dicts(HEADING, matching(self.model, {attr: value}))
 
     @invariant()

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import SchemaError
+from repro.relational.algebra import Comparison
 from repro.relational.constraints import (
     ForeignKeyConstraint,
     IntegrityError,
@@ -641,7 +642,7 @@ class TestStatementAutocommit:
     @pytest.fixture
     def stack(self, tmp_path):
         from repro.relational.distributed import Cluster
-        from repro.relational.query import Database, Scan, SelectEq
+        from repro.relational.query import Database, Restrict, Scan
         from repro.relational.relation import Relation
         from repro.relational.views import ViewCatalog
         from repro.relational.wal import WriteAheadLog
@@ -656,7 +657,8 @@ class TestStatementAutocommit:
         table = manager.table("dept")
         table.add_constraint(KeyConstraint(["dept"]))
         views = ViewCatalog(Database(), manager)
-        views.define("ops", SelectEq(Scan("dept"), {"dname": "ops"}),
+        views.define("ops", Restrict(Scan("dept"),
+                                     (Comparison("dname", "=", "ops"),)),
                      materialized=True)
         views.read("ops")
         heard = []

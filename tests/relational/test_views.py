@@ -4,15 +4,10 @@ import pytest
 
 from repro.errors import SchemaError
 from repro.relational import algebra
+from repro.relational.algebra import Comparison
 from repro.relational.constraints import Table
 from repro.relational.ivm.cache import QueryResultCache
-from repro.relational.query import (
-    Database,
-    Join,
-    Project,
-    Scan,
-    SelectEq,
-)
+from repro.relational.query import Database, Join, Project, Restrict, Scan
 from repro.relational.sql import run
 from repro.relational.tx import TransactionManager
 from repro.relational.views import ViewCatalog
@@ -34,8 +29,10 @@ def catalog(db):
 
 class TestDefinition:
     def test_define_and_list(self, catalog):
-        catalog.define("d1", SelectEq(Scan("emp"), {"dept": 1}))
-        catalog.define("d2", SelectEq(Scan("emp"), {"dept": 2}))
+        catalog.define("d1", Restrict(Scan("emp"),
+                                      (Comparison("dept", "=", 1),)))
+        catalog.define("d2", Restrict(Scan("emp"),
+                                      (Comparison("dept", "=", 2),)))
         assert catalog.names() == ["d1", "d2"]
 
     def test_duplicate_names_rejected(self, catalog):
@@ -100,7 +97,7 @@ class TestARefusedDefinitionDefinesNothing:
     def test_through_define(self, catalog):
         for plan in (
             Project(Scan("emp"), ["nope"]),
-            SelectEq(Scan("emp"), {"nope": 1}),
+            Restrict(Scan("emp"), (Comparison("nope", "=", 1),)),
             Join(Scan("emp"), Scan("ghost")),
         ):
             for materialized in (False, True):
@@ -129,7 +126,8 @@ class TestOneNamespace:
 
     def test_a_table_may_not_take_a_views_name(self, manager):
         catalog = ViewCatalog(Database(), manager=manager)
-        catalog.define("ed", SelectEq(Scan("emp"), {"dept": 1}))
+        catalog.define("ed", Restrict(Scan("emp"),
+                                      (Comparison("dept", "=", 1),)))
         before = manager.committed()
         with pytest.raises(SchemaError, match="shadow a view"):
             manager.add_table("ed", Table(["k"], []))
@@ -146,7 +144,8 @@ class TestOneNamespace:
         cluster = Cluster(2)
         cluster.create_table("emp", employee_relation(10, 2, seed=3), "emp")
         catalog = ViewCatalog(Database(), manager=cluster.manager)
-        catalog.define("ed", SelectEq(Scan("emp"), {"dept": 1}))
+        catalog.define("ed", Restrict(Scan("emp"),
+                                      (Comparison("dept", "=", 1),)))
         with pytest.raises(SchemaError, match="shadow a view"):
             cluster.create_table("ed", department_relation(2, seed=3), "dept")
         assert cluster.manager.committed().names() == ["emp"]
@@ -154,10 +153,10 @@ class TestOneNamespace:
 
 class TestVirtualViews:
     def test_read_matches_direct_execution(self, catalog, db):
-        catalog.define("d1", SelectEq(Scan("emp"), {"dept": 1}))
-        assert catalog.read("d1") == algebra.select_eq(
-            db.relation("emp"), {"dept": 1}
-        )
+        catalog.define("d1", Restrict(Scan("emp"),
+                                      (Comparison("dept", "=", 1),)))
+        assert catalog.read("d1") == algebra.restrict(db.relation("emp"),
+                (Comparison("dept", "=", 1),))
 
     def test_virtual_views_track_base_changes_immediately(self, catalog, db):
         catalog.define("all_emp", Scan("emp"))
@@ -182,7 +181,8 @@ class TestVirtualViews:
 
 class TestMaterializedViews:
     def test_cache_returns_the_same_object_when_fresh(self, catalog):
-        catalog.define("m", SelectEq(Scan("emp"), {"dept": 3}),
+        catalog.define("m", Restrict(Scan("emp"),
+                                     (Comparison("dept", "=", 3),)),
                        materialized=True)
         first = catalog.read("m")
         assert catalog.read("m") is first
@@ -207,9 +207,10 @@ class TestMaterializedViews:
         assert catalog.is_stale("m")
 
     def test_refresh_forces_recompute(self, catalog, db):
-        # SelectEq builds a fresh Relation each execution, so object
+        # A restriction builds a fresh Relation each execution, so object
         # identity distinguishes the cache from a recomputation.
-        catalog.define("m", SelectEq(Scan("emp"), {"dept": 1}),
+        catalog.define("m", Restrict(Scan("emp"),
+                                     (Comparison("dept", "=", 1),)),
                        materialized=True)
         first = catalog.read("m")
         refreshed = catalog.refresh("m")

@@ -28,12 +28,13 @@ from repro.gov.admission import (
     PRIORITY_CRITICAL,
 )
 from repro.obs import instrument
+from repro.relational.algebra import Comparison
 from repro.relational.constraints import KeyConstraint, Table
 from repro.relational.cost import CardinalityEstimator
 from repro.relational.csvio import dumps_csv
 from repro.relational.faults import FaultPlan, NetworkFaultInjector
 from repro.relational.ivm.cache import QueryResultCache
-from repro.relational.query import Database, Scan, SelectEq
+from repro.relational.query import Database, Restrict, Scan
 from repro.relational.sql import run as run_xql
 from repro.relational.tx import TransactionManager
 from repro.relational.views import ViewCatalog
@@ -1107,7 +1108,7 @@ class TestServedStatistics:
             assert report.to_rows() == [("emp", 40, 2)]
             now = manager.committed()
             estimator = CardinalityEstimator(now)
-            plan = SelectEq(Scan("emp"), {"dept": 1})
+            plan = Restrict(Scan("emp"), (Comparison("dept", "=", 1),))
             assert estimator.estimate(Scan("emp")) == 440.0
             assert estimator.estimate(plan) == 100.0
             assert now.execute(plan).cardinality() == 100
@@ -1121,7 +1122,7 @@ class TestServedStatistics:
 
         async def body(server):
             client = await connect("127.0.0.1", server.port)
-            plan = SelectEq(Scan("emp"), {"dept": "eng"})
+            plan = Restrict(Scan("emp"), (Comparison("dept", "=", "eng"),))
             before = CardinalityEstimator(manager.committed())
             assert before.estimate(plan) == 2.0
             await client.mutate([
@@ -1771,7 +1772,7 @@ class TestServedCluster:
         )
 
     def test_wire_mutate_is_a_replicated_cluster_write(self):
-        from repro.relational.query import Scan, SelectEq
+        from repro.relational.query import Restrict, Scan
 
         cluster = self.make_cluster()
         shard_map = cluster.shard_map("emp")
@@ -1803,7 +1804,7 @@ class TestServedCluster:
                 # The write survives losing the bucket's primary.
                 cluster.kill_node(ring[0])
                 served_rows = cluster.execute(
-                    SelectEq(Scan("emp"), {"dept": "eng"})
+                    Restrict(Scan("emp"), (Comparison("dept", "=", "eng"),))
                 )
                 assert 9 in {row["eid"] for row in served_rows.iter_dicts()}
                 assert cluster.execute(Scan("emp")) == \

@@ -437,7 +437,7 @@ class TestObsTrace:
         assert code == 0
         out = capsys.readouterr().out
         assert "Scan(emp)" in out
-        assert "SelectEq(dept=1)" in out
+        assert "Restrict(dept = 1)" in out
         assert "rows=" in out
 
     def test_local_query_exports_jsonl(self, csv_dir, tmp_path, capsys):

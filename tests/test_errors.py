@@ -24,6 +24,7 @@ from repro.errors import (
     WriteConflictError,
     XSTError,
 )
+from repro.relational.algebra import Comparison
 
 
 ALL_ERRORS = [
@@ -400,7 +401,7 @@ class TestPaperNotation:
 
     def test_live_cluster_failure_carries_the_paper_notation_key(self):
         from repro.relational.distributed import Cluster
-        from repro.relational.query import Scan, SelectEq
+        from repro.relational.query import Restrict, Scan
         from repro.workloads.generators import employee_relation
 
         cluster = Cluster(4, replication_factor=1)
@@ -409,4 +410,5 @@ class TestPaperNotation:
         )
         cluster.kill_node("node-1")
         with pytest.raises(ClusterUnavailableError, match=r"\{5\^dept\}"):
-            cluster.execute(SelectEq(Scan("emp"), {"dept": 5}))
+            cluster.execute(Restrict(Scan("emp"),
+                                     (Comparison("dept", "=", 5),)))

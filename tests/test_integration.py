@@ -12,14 +12,15 @@ import pytest
 from repro.relational import (
     Aggregate,
     Cluster,
+    Comparison,
     Database,
     DiskRelationStore,
     ForeignKeyConstraint,
     Join,
     KeyConstraint,
     Project,
+    Restrict,
     Scan,
-    SelectEq,
     Table,
     aggregate,
     dumps_csv,
@@ -27,8 +28,8 @@ from repro.relational import (
     loads_csv,
     optimize,
     project,
+    restrict,
     run,
-    select_eq,
 )
 from repro.relational.constraints import IntegrityError
 from repro.workloads import department_relation, employee_relation
@@ -105,20 +106,23 @@ class TestQueryPaths:
         text = "SELECT name, dname FROM emp JOIN dept WHERE dept = 4"
         via_xql = run(db, text)
         plan = Project(
-            SelectEq(Join(Scan("emp"), Scan("dept")), {"dept": 4}),
+            Restrict(Join(Scan("emp"), Scan("dept")),
+                     (Comparison("dept", "=", 4),)),
             ["name", "dname"],
         )
         via_plan = db.execute(plan)
         via_records = db.execute_records(plan)
         via_algebra = project(
-            select_eq(join(employees, departments), {"dept": 4}),
+            restrict(join(employees, departments),
+                     (Comparison("dept", "=", 4),)),
             ["name", "dname"],
         )
         assert via_xql == via_plan == via_records == via_algebra
 
     def test_optimizer_preserves_the_integrated_query(self, db):
         plan = Project(
-            SelectEq(Join(Scan("emp"), Scan("dept")), {"dept": 2}),
+            Restrict(Join(Scan("emp"), Scan("dept")),
+                     (Comparison("dept", "=", 2),)),
             ["name", "dname"],
         )
         assert db.execute(optimize(plan, db)) == db.execute(plan)
@@ -131,8 +135,9 @@ class TestDistributionPaths:
         cluster.create_table("dept", departments, "dept")
         assert cluster.execute(Join(Scan("emp"), Scan("dept"))) == \
             join(employees, departments)
-        assert cluster.execute(SelectEq(Scan("emp"), {"dept": 7})) == \
-            select_eq(employees, {"dept": 7})
+        assert cluster.execute(Restrict(Scan("emp"),
+                                        (Comparison("dept", "=", 7),))) == \
+            restrict(employees, (Comparison("dept", "=", 7),))
         distributed = cluster.execute(Aggregate(
             Scan("emp"), ["dept"],
             {"n": ("count", "emp"), "pay": ("sum", "salary")},
@@ -151,7 +156,7 @@ class TestProcessViewAgreesWithAlgebra:
         key = xset([xrecord({"dept": 4})])
         via_process = by_dept(key)
         via_algebra = project(
-            select_eq(employees, {"dept": 4}), ["name"]
+            restrict(employees, (Comparison("dept", "=", 4),)), ["name"]
         ).rows
         assert via_process == via_algebra
 

@@ -413,7 +413,7 @@ class TestDeltaCarriedCommitShapes:
         import gc
         import types
 
-        from repro.relational.algebra import select_eq
+        from repro.relational.algebra import Comparison, restrict
         from repro.relational.constraints import KeyConstraint, Table
         from repro.relational.tx import TransactionManager
 
@@ -442,8 +442,8 @@ class TestDeltaCarriedCommitShapes:
             current = table.snapshot()
             if commit:
                 assert set(current.rows._by_part) == {"k", "v"}  # carried
-            assert len(select_eq(current, {"k": key})) == 1
-            assert len(select_eq(current, {"v": value})) == 1
+            assert len(restrict(current, (Comparison("k", "=", key),))) == 1
+            assert len(restrict(current, (Comparison("v", "=", value),))) == 1
             if commit + 1 in (50, 500):
                 counts.append(reachable(current))
         assert manager.commits == 500
@@ -542,6 +542,7 @@ class TestPointWorkShapes:
 
     def test_a_second_key_select_tests_the_matches_only(self, monkeypatch):
         from repro.relational import algebra
+        from repro.relational.algebra import Comparison
         from repro.workloads import employee_relation
         from repro.xst import restrict
 
@@ -549,7 +550,8 @@ class TestPointWorkShapes:
         for size in self.SIZES:
             rel = employee_relation(size, 8, seed=WORKLOAD_SEED + 13)
             first, second = list(rel.iter_dicts())[:2]
-            algebra.select_eq(rel, {"emp": first["emp"]})  # builds the index
+            # Builds the index.
+            algebra.restrict(rel, (Comparison("emp", "=", first["emp"]),))
             calls = []
             within, issubset = restrict._fragment_within, XSet.issubset
             with monkeypatch.context() as patch:
@@ -557,7 +559,9 @@ class TestPointWorkShapes:
                     calls.append("within"), within(*args))[1])
                 patch.setattr(XSet, "issubset", lambda *args: (
                     calls.append("issubset"), issubset(*args))[1])
-                found = algebra.select_eq(rel, {"emp": second["emp"]})
+                found = algebra.restrict(
+                    rel, (Comparison("emp", "=", second["emp"]),)
+                )
             assert list(found.iter_dicts()) == [second]
             counts[size] = sorted(calls)
         # Parent commit: the key against every row (65 + 64 calls on 64
@@ -697,10 +701,10 @@ class TestPointWorkShapes:
         return result, count[0]
 
     def test_a_comparison_decides_each_value_once(self):
-        from repro.relational.algebra import Comparison, select
+        from repro.relational.algebra import Comparison, restrict
         from repro.relational.relation import Relation
 
-        events = {}
+        events, two = {}, {}
         for size in self.SIZES:
             # Eight distinct values at v; the four rows holding 0 drop.
             rel = Relation.from_tuples(("k", "v", "w"), [
@@ -708,21 +712,27 @@ class TestPointWorkShapes:
             ])
             rel.rows._members_holding("v")
             kept, events[size] = self.profile_events(
-                lambda: select(rel, Comparison("v", ">", 0)))
+                lambda: restrict(rel, (Comparison("v", ">", 0),)))
             assert len(kept) == size - 4
             assert rel.rows._pair_set - kept.rows._pair_set == {
                 (row, scope) for row, scope in rel.rows.pairs()
                 if row.elements_at("v") == (0,)
             }
             every, _ = self.profile_events(
-                lambda: select(rel, Comparison("v", ">=", 0)))
+                lambda: restrict(rel, (Comparison("v", ">=", 0),)))
             assert every is rel
+            # Two ranges on the attribute: still one pass over its values.
+            both, two[size] = self.profile_events(lambda: restrict(rel, (
+                Comparison("v", ">", 0), Comparison("v", "<", 9),
+            )))
+            assert both == kept
         # Each distinct value once, each dropped row patched out; no row
         # read as a dict.  Parent commit: 391 and 6 151 events.
         assert events[64] == events[1024], events
+        assert two[64] == two[1024] <= events[64] + 8, (two, events)
 
     def test_a_comparison_over_a_derived_operand_reads_its_column(self):
-        from repro.relational.algebra import Comparison, select
+        from repro.relational.algebra import Comparison, restrict
         from repro.relational.relation import Relation
 
         events = {}
@@ -733,7 +743,7 @@ class TestPointWorkShapes:
                 (n, 0 if n < 4 else n, "w%d" % n) for n in range(size)
             ])
             kept, events[size] = self.profile_events(
-                lambda: select(rel, Comparison("v", ">", 0)))
+                lambda: restrict(rel, (Comparison("v", ">", 0),)))
             assert len(kept) == size - 4
             assert rel.rows._by_part is None
             assert all(row._by_scope is None for row, _ in rel.rows.pairs())
@@ -1187,16 +1197,17 @@ class TestPreparedPlanShapes:
 
 
 class TestPushedRestrictionShapes:
-    """Counts, not timings: a comparison written above a join is moved
-    onto its ``Scan`` and costs what the plan written that way costs,
-    and an equality compiled above it follows it into the join."""
+    """Counts, not timings: a WHERE clause written above a join is one
+    restriction, split by attribute onto each ``Scan`` that holds them,
+    and costs what the plan written that way costs; on one table, all
+    of an attribute's comparisons are decided in one pass."""
 
     COLUMNS = ["emp", "name", "dname"]
     TEXTS = {
         # Parent commit: 10 219 events (2 643 pushed by hand).
         "range": "select emp, name, dname from emp join dept "
                  "where salary > 90000",
-        # Parent commit: 9 505 events (600 pushed by hand).
+        # Parent commit: 9 505 events (600 pushed by hand, as two nodes).
         "range_and_key": "select emp, name, dname from emp join dept "
                          "where dept = 1 and salary > 90000",
     }
@@ -1237,15 +1248,15 @@ class TestPushedRestrictionShapes:
 
     def hand_pushed(self, name):
         from repro.relational.algebra import Comparison
-        from repro.relational.query import (
-            Join, Project, Scan, SelectEq, SelectPred,
-        )
+        from repro.relational.query import Join, Project, Restrict, Scan
 
-        emp = SelectPred(Scan("emp"), Comparison("salary", ">", 90000))
+        above = Comparison("salary", ">", 90000)
+        emp = Restrict(Scan("emp"), (above,))
         dept = Scan("dept")
         if name == "range_and_key":
-            emp = SelectEq(emp, {"dept": 1})
-            dept = SelectEq(dept, {"dept": 1})
+            key = Comparison("dept", "=", 1)
+            emp = Restrict(Scan("emp"), (key, above))
+            dept = Restrict(dept, (key,))
         return Project(Join(emp, dept), self.COLUMNS)
 
     def test_a_comparison_above_a_join_costs_what_it_costs_pushed(self):
@@ -1261,6 +1272,44 @@ class TestPushedRestrictionShapes:
             expected, pushed = self.events(db, self.hand_pushed(name))
             assert answer == expected
             assert spent <= 1.1 * pushed, (name, spent, pushed)
+
+    def statement(self, db, where):
+        from repro.relational import sql
+        from repro.relational.optimizer import optimize
+
+        text = "select emp, name from emp where " + where
+        return self.events(
+            db, optimize(sql.compile_query(sql.parse_query(text)), db)
+        )
+
+    def test_a_second_range_on_an_attribute_is_the_same_pass(self):
+        db = self.catalog()
+        one, spent_one = self.statement(db, "salary > 90000")
+        # The same 14 rows: the second bound is one more C-level test
+        # of each distinct salary, not a second pass over the rows.
+        two, spent_two = self.statement(
+            db, "salary > 90000 and salary < 1000000000")
+        assert two == one
+        assert spent_two <= 1.1 * spent_one, (spent_two, spent_one)
+        # Two bounds that each drop rows: 57 rows, whose projection is
+        # most of the count.  Parent commit: 729 (two nodes).
+        answer, spent = self.statement(
+            db, "salary > 50000 and salary < 90000")
+        assert len(answer) == 57
+        assert spent < 729, spent
+
+    def test_an_equality_restricts_before_the_range_is_asked(self):
+        db = self.catalog()
+        # Parent commit: 492, the range over the index, then the
+        # equality over the rows it kept.
+        answer, spent = self.statement(db, "dept = 1 and salary > 50000")
+        assert len(answer) == 10
+        assert spent < 492, spent
+        # A point read does the one-key restriction's work alone.
+        # Parent commit: 157.
+        answer, spent = self.statement(db, "emp = 5")
+        assert len(answer) == 1
+        assert spent <= 157, spent
 
 
 class TestAnswerBuiltOnceShapes:

@@ -25,6 +25,7 @@ from hypothesis import strategies as st
 
 from repro.errors import InvalidAtomError, SchemaError
 from repro.relational import algebra
+from repro.relational.algebra import Comparison
 from repro.relational.relation import Relation
 from repro.relational.schema import Heading
 from repro.xst.builders import xrecord, xset
@@ -313,7 +314,7 @@ class TestRelationalOperators:
     def test_results_are_canonical(self, rel, other, wanted):
         results = [
             algebra.select(rel, lambda row: row["k"] == wanted),
-            algebra.select_eq(rel, {"k": wanted}),
+            algebra.restrict(rel, (Comparison("k", "=", wanted),)),
             algebra.project(rel, ["v", "k"]),
             algebra.project(rel, ["w"]),
             algebra.rename(rel, {"k": "z", "w": "a"}),

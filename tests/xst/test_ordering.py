@@ -64,6 +64,17 @@ class TestConsistencyWithEquality:
         assert canonical_hash(3) == canonical_hash(3.0) == 3182653471
         assert canonical_key(2**53 + 1) < canonical_key(float(2**53 + 2))
 
+    def test_the_zeros_hash_alike(self):
+        # -0.0 == 0 == False, so the columnar runs file them under one
+        # hash and an equality's binary search meets them all; a longer
+        # number that merely starts with "-0.0" keeps its own hash.
+        zero = canonical_hash(0)
+        assert canonical_hash(-0.0) == canonical_hash(0.0) == zero
+        assert canonical_hash(False) == zero
+        assert canonical_hash(xset([-0.0])) == canonical_hash(xset([0]))
+        assert canonical_hash(-0.05) != canonical_hash(0.05)
+        assert canonical_hash(-0.0001) != canonical_hash(0.0001)
+
     def test_key_of_a_set_is_remembered_and_stable(self):
         value = xset([xtuple(["a", 1]), xtuple(["b", 2.0])])
         first = canonical_key(value)

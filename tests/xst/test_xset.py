@@ -1,5 +1,8 @@
 """Unit tests for the XSet core: construction, identity, shape."""
 
+import copy
+import pickle
+
 import pytest
 from hypothesis import given
 
@@ -157,6 +160,15 @@ class TestImmutability:
     def test_attributes_cannot_be_deleted(self):
         with pytest.raises(AttributeError):
             del xset(["a"])._pairs
+
+    @given(xsets())
+    def test_a_value_is_its_own_copy_and_pickles_to_an_equal_one(self, value):
+        assert copy.copy(value) is value
+        assert copy.deepcopy(value) is value
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            again = pickle.loads(pickle.dumps(value, protocol))
+            assert again == value and hash(again) == hash(value)
+            assert repr(again) == repr(value)
 
     def test_memo_slots_are_as_immutable_as_the_rest(self):
         value = xset(["a"])
