@@ -454,6 +454,7 @@ def _joined_rows(
     from_g = bool(shared) and len(f) > len(g)
     indexed, probing = (f, g) if from_g else (g, f)
     runs = indexed._members_holding(shared[0]) if shared else None
+    later = shared[1:]
     # id(run) -> [(pair, its shared values, its part when it is G's)].
     met: Dict[int, List] = {}
     gov = _gov_active()
@@ -467,12 +468,16 @@ def _joined_rows(
             continue
         entries = met.get(id(run))
         if entries is None:
-            entries = met[id(run)] = [
-                (
-                    pair, _values_at(pair[0], shared),
-                    None if from_g else _part(pair[0], extra),
-                )
+            # Values meet by ``==``, though a tuple compare finds a
+            # ``nan`` object equal to itself: a run keyed by a value
+            # equal to nothing meets no row, nor does a candidate
+            # holding one at a later shared attribute.
+            entries = met[id(run)] = [] if shared and key[0] != key[0] else [
+                (pair, candidate_key,
+                 None if from_g else _part(pair[0], extra))
                 for pair in run
+                for candidate_key in (_values_at(pair[0], shared),)
+                if not later or all(map(eq, candidate_key, candidate_key))
             ]
         part = None
         for pair, candidate_key, candidate_part in entries:

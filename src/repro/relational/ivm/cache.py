@@ -26,6 +26,12 @@ invalidation (:meth:`QueryResultCache.invalidate_tables`) exists to
 reclaim memory promptly and to keep the LRU full of entries that can
 still hit.
 
+A materialized view is an entry **pinned** under the view's name
+(:meth:`QueryResultCache.pin`): found by the same key, exempt from LRU
+eviction and invalidation, released when its name is pinned anew or
+unpinned.  It is fresh when its name is pinned to the entry for the
+current inputs (:meth:`QueryResultCache.pinned_at`), as any entry is.
+
 Metrics: every event increments
 ``repro_cache_events_total{event,cache}`` when observability is
 enabled (``hit`` / ``miss`` / ``stale`` / ``store`` / ``evict`` /
@@ -50,6 +56,8 @@ __all__ = ["QueryResultCache"]
 Fingerprint = Tuple[Any, ...]
 #: What the entry table is keyed on: plan key + ``id`` of each input.
 _Key = Tuple[str, Tuple[int, ...]]
+#: A stored answer, the tables its plan scans and its fingerprint.
+_Entry = Tuple[Relation, Tuple[str, ...], Fingerprint]
 
 
 def _record_event(cache: str, event: str, amount: int = 1) -> None:
@@ -70,7 +78,8 @@ class QueryResultCache:
     lookup.  ``capacity`` bounds the entry count; eviction is LRU.
     One cache instance may back many readers (all server sessions
     share one), because sessions pinned at the same version hold the
-    same relation objects and therefore share entries.
+    same relation objects and therefore share entries.  Pinned entries
+    come on top of ``capacity``: one per pinning name.
     """
 
     def __init__(self, capacity: int = 256, name: str = "db"):
@@ -80,8 +89,12 @@ class QueryResultCache:
         self._name = name
         # Each entry keeps the fingerprint it was stored under: while
         # it lives, no other object can take one of its inputs' ids.
-        self._entries: "OrderedDict[_Key, Tuple[Relation, Tuple[str, ...], Fingerprint]]" = OrderedDict()
+        self._entries: "OrderedDict[_Key, _Entry]" = OrderedDict()
         self._by_table: Dict[str, Set[_Key]] = {}
+        # Pinned entries live outside the LRU and the per-table index,
+        # so neither eviction nor invalidation reaches them.
+        self._pinned: Dict[_Key, _Entry] = {}
+        self._pins: Dict[str, _Key] = {}
         # Plan keys ever stored (bounded), for classifying misses as
         # cold vs stale.  Metrics only -- correctness never reads it.
         self._known_plans: "OrderedDict[str, None]" = OrderedDict()
@@ -101,7 +114,7 @@ class QueryResultCache:
         return self._capacity
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._entries) + len(self._pinned)
 
     # -- read/write ----------------------------------------------------
 
@@ -112,6 +125,9 @@ class QueryResultCache:
         entry = self._entries.get(key)
         if entry is not None:
             self._entries.move_to_end(key)
+        else:
+            entry = self._pinned.get(key)
+        if entry is not None:
             self.hits += 1
             _record_event(self._name, "hit")
             return entry[0]
@@ -157,10 +173,48 @@ class QueryResultCache:
                 if not keys:
                     del self._by_table[table]
 
+    # -- pinning -------------------------------------------------------
+
+    def pin(self, name: str, plan_key: str, fingerprint: Fingerprint,
+            tables: Iterable[str], result: Relation) -> None:
+        """Hold ``result`` as the entry for ``(plan_key, fingerprint)``
+        under ``name`` until ``name`` is pinned anew or unpinned; what
+        ``name`` pinned before is released."""
+        key = (plan_key, tuple(map(id, fingerprint)))
+        if self._pins.get(name) != key:
+            self.unpin(name)
+            self._pins[name] = key
+            entry = self._entries.pop(key, None)
+            if entry is not None:
+                self._unindex(key, entry[1])
+            self._pinned.setdefault(key, (result, tuple(tables), fingerprint))
+
+    def unpin(self, name: str) -> bool:
+        """Release what ``name`` pins (the entry goes with the last name
+        pinning it); False when it pins nothing."""
+        key = self._pins.pop(name, None)
+        if key is not None and key not in self._pins.values():
+            del self._pinned[key]
+        return key is not None
+
+    def pinned(self, name: str) -> Optional[_Entry]:
+        """What ``name`` pins -- its answer, the tables it scanned and
+        the relations it was computed from -- whatever they are now."""
+        key = self._pins.get(name)
+        return None if key is None else self._pinned[key]
+
+    def pinned_at(self, name: str, plan_key: str,
+                  fingerprint: Fingerprint) -> Optional[Relation]:
+        """``name``'s answer when it is pinned as the entry for exactly
+        these inputs, else None; no counter moves."""
+        key = self._pins.get(name)
+        same = key == (plan_key, tuple(map(id, fingerprint)))
+        return self._pinned[key][0] if same else None
+
     # -- invalidation --------------------------------------------------
 
     def invalidate_tables(self, tables: Iterable[str]) -> int:
-        """Drop every entry whose plan scans any of ``tables``.
+        """Drop every unpinned entry whose plan scans any of ``tables``.
 
         This is memory hygiene, not correctness: entries are keyed by
         the relations they read, so a post-commit reader could never
@@ -179,6 +233,7 @@ class QueryResultCache:
         return dropped
 
     def clear(self) -> int:
+        """Drop every unpinned entry."""
         dropped = len(self._entries)
         self._entries.clear()
         self._by_table.clear()
@@ -196,7 +251,7 @@ class QueryResultCache:
     def snapshot(self) -> Dict[str, float]:
         return {
             "name": self._name,
-            "size": len(self._entries),
+            "size": len(self),
             "capacity": self._capacity,
             "hits": self.hits,
             "misses": self.misses,
@@ -209,5 +264,5 @@ class QueryResultCache:
 
     def __repr__(self) -> str:
         return "QueryResultCache(%s, %d/%d, hit_rate=%.2f)" % (
-            self._name, len(self._entries), self._capacity, self.hit_rate
+            self._name, len(self), self._capacity, self.hit_rate
         )

@@ -685,22 +685,26 @@ class Database:
     def result_cache(self):
         return self._result_cache
 
+    def cache_key(self, plan: Plan) -> Tuple[str, Tuple, Tuple[str, ...]]:
+        """What a result cache keys ``plan``'s answer on this catalog
+        by -- its plan key and the fingerprint, which *is* the data the
+        execution reads: the immutable relations themselves, kept by
+        the entry for as long as it lives -- and the tables it scans."""
+        tables = scan_tables(plan)
+        inputs = tuple([self._relations[name] for name in tables])
+        return plan_cache_key(plan), inputs, tables
+
     def _execute_cached(
         self, plan: Plan, run: Callable[[Plan], Relation]
     ) -> Relation:
         """The one result-cache consult: ``run(plan)`` computes a miss
         (this catalog's executor, or the cluster's over its buckets)."""
-        plan_key = plan_cache_key(plan)
-        # The fingerprint *is* the data the execution reads: the
-        # immutable relations themselves (heading_of vouched for every
-        # name), which the entry keeps for as long as it lives.
-        tables = scan_tables(plan)
-        inputs = tuple([self._relations[name] for name in tables])
+        found = plan_key, inputs, _ = self.cache_key(plan)
         hit = self._result_cache.lookup(plan_key, inputs)
         if hit is not None:
             return hit
         result = run(plan)
-        self._result_cache.store(plan_key, inputs, tables, result)
+        self._result_cache.store(*found, result)
         return result
 
     def _execute_observed(self, plan: Plan) -> Relation:

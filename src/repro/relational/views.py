@@ -2,41 +2,31 @@
 
 A view is a relation of the catalog value.  A :class:`ViewCatalog`
 attaches itself to the :class:`~repro.relational.query.Database` it
-serves -- ``manager.committed()`` when a :class:`~repro.relational.tx.
-TransactionManager` is given, else the hand-built ``db`` -- every
-catalog derived from that one (each commit's value, each pinned
-snapshot) carries the handle, and ``sql.run(db, text)`` finds it there.
-Tables and views share one namespace; definitions are shared and
-immediate, and are not logged.
+serves -- ``manager.committed()`` with a manager, else the hand-built
+``db`` -- every catalog derived from that one carries the handle, and
+``sql.run(db, text)`` finds it there.  Tables and views share one
+namespace; definitions are shared, immediate and not logged.
 
-A *virtual* view re-executes on every read; a *materialized* one keeps
-its result and the immutable relations it was computed from.  One
-resolution rule serves every reader (:meth:`ViewCatalog.resolve`): a
-virtual reference is replaced by the view's plan; a materialized one is
-bound **under its own name** in a throw-away ``db.with_relations({view:
-contents})`` of the *reader's* catalog, where ``contents`` is the
-materialization iff every remembered input **is** the reader's relation
-of that name -- O(dependencies) pointer comparisons, no row touched --
-and otherwise the body evaluated on the reader's value.  So a reader
-pinned at an old version reads the view as of that version, only a
-reader holding the current value (:attr:`ViewCatalog.database`)
-replaces the materialization, and no catalog gains or loses a relation.
-Only an input that was *replaced by another object* is looked at: it
-counts as unmoved when it equals the old one and serializes to the same
-bytes (someone rebuilt an equal relation by hand; a typed-twin
-respelling, ``1`` -> ``1.0``, is equal and *has* moved).
+A *virtual* view re-executes on every read.  A *materialized* one is a
+result-cache entry pinned under its name (:attr:`ViewCatalog.store`),
+keyed like any other by the unoptimized resolved body and the very
+relations it scans.  :meth:`ViewCatalog.resolve` binds a materialized
+reference **under its own name** in a throw-away ``db.with_relations``
+of the *reader's* catalog, to the entry for the body on that reader's
+relations (a materialized dependency counting as its own answer):
+computed on a miss, and pinned only when the reader holds the current
+value, so a reader pinned at an old version reads the view as of it.
+A view is stale when its name is not pinned to the entry for the
+current inputs; an equal relation built anew is a new input, as it is
+to every entry.
 
-With a manager the catalog *maintains* materialized views as a commit
-listener: each commit's exact insert/delete sets are propagated through
-the view plan over ``manager.committed()`` (:mod:`repro.relational.ivm.
-delta`) and ``(cache - deleted) | inserted`` applied instead of
-recomputing; stacked views maintain in definition order, each handed
-its dependency's delta under the dependency's own name.  A plan with a
-node that has no delta rule falls back to marking the view stale; the
-next read recomputes.  Result-cache entries computed from a replaced
-materialization are reclaimed.  :meth:`ViewCatalog.verify` is the
-``repro fsck``-style digest cross-check that a maintained cache is
-byte-identical to a fresh recomputation.
+With a manager the catalog maintains materialized views as a commit
+listener: each commit's insert/delete sets are propagated through the
+body (:mod:`repro.relational.ivm.delta`) and ``(pinned - deleted) |
+inserted`` re-pinned under the new inputs, stacked views in definition
+order, each handed its dependency's delta under the dependency's name.
+A node with no delta rule unpins the view; the next read recomputes.
+:meth:`ViewCatalog.verify` is the ``repro fsck``-style digest check.
 """
 
 from __future__ import annotations
@@ -45,11 +35,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import SchemaError
 from repro.gov.governor import checkpoint as _gov_checkpoint
-from repro.relational.ivm.delta import (
-    Delta,
-    DeltaPropagator,
-    DeltaUnsupported,
-)
+from repro.relational.ivm.cache import QueryResultCache
+from repro.relational.ivm.delta import Delta, DeltaPropagator, DeltaUnsupported
 from repro.relational.optimizer import optimize
 from repro.relational.query import Database, Plan, Scan, scans
 from repro.relational.relation import Relation
@@ -59,17 +46,13 @@ __all__ = ["View", "ViewCatalog"]
 
 
 class View:
-    """A named plan with optional materialization state."""
+    """A named plan and its counters; a materialization is a pinned
+    entry of :attr:`ViewCatalog.store`."""
 
     def __init__(self, name: str, plan: Plan, materialized: bool):
         self.name = name
         self.plan = plan
         self.materialized = materialized
-        self._cache: Optional[Relation] = None
-        # The staleness fingerprint: dependency -> the relation the
-        # cache was computed from (base tables by their value, a
-        # materialized view dependency by its cache).  None = stale.
-        self._inputs: Optional[Dict[str, Relation]] = None
         #: Manager commit version at the last refresh or delta apply.
         self.refresh_version = 0
         self.reads = 0
@@ -102,12 +85,17 @@ class ViewCatalog:
         self._views: Dict[str, View] = {}
         self._manager = manager
         self.database.views = self
+        #: Where materializations are pinned: the catalog's result
+        #: cache, else our own (a view adds no cache to a catalog).
+        self.store = self.database.result_cache
+        if self.store is None:
+            self.store = QueryResultCache(name="views")
         if manager is not None:
             manager.subscribe(self._on_commit)
 
     @property
     def database(self) -> Database:
-        """The current catalog value: the one whose reader replaces a
+        """The current catalog value: the one whose reader pins a
         materialization."""
         if self._manager is not None:
             return self._manager.committed()
@@ -144,11 +132,10 @@ class ViewCatalog:
         view = self.view(name)
         for other in self._views.values():
             if other.name != name and name in scans(other.plan):
-                raise SchemaError(
-                    "view %r is referenced by view %r" % (name, other.name)
-                )
+                raise SchemaError("view %r is referenced by view %r"
+                                  % (name, other.name))
         del self._views[name]
-        self._reclaim(name)
+        self._release(view)
         return view
 
     def names(self) -> List[str]:
@@ -170,12 +157,12 @@ class ViewCatalog:
 
     def _bind(
         self, db: Database, plan: Plan,
-        contents: Callable[[View], Relation],
+        contents: Callable[[View], Optional[Relation]],
     ) -> Tuple[Database, Plan]:
         """``plan`` over relations alone: virtual references inlined,
         each materialized one left a Scan of its own name, bound to
         ``contents(view)`` in a throw-away successor of ``db``."""
-        bound: Dict[str, Relation] = {}
+        bound: Dict[str, Optional[Relation]] = {}
 
         def transform(scan: Scan) -> Plan:
             view = self._views.get(scan.name)
@@ -201,22 +188,33 @@ class ViewCatalog:
         return db.execute(optimize(plan, db))
 
     def _read(self, view: View, db: Database) -> Relation:
-        """What ``view`` holds for a reader of ``db``: the
-        materialization when it was computed from that reader's
-        relations, else the body evaluated on them -- which becomes
-        the materialization when the reader holds the current value."""
+        """What ``view`` holds for a reader of ``db``: the store's entry
+        for the body on that reader's relations, computed on a miss --
+        and pinned as the materialization when the reader holds the
+        current value."""
         view.reads += 1
-        if view.materialized and self._fresh(view, db):
+        if not view.materialized:
+            return self._evaluate(db, view.plan)
+        bound, body = self.resolve(db, view.plan)
+        found = key, inputs, _ = bound.cache_key(body)
+        answer = self.store.pinned_at(view.name, key, inputs)
+        if answer is not None:
             view.cache_hits += 1
-            return view._cache
-        result = self._evaluate(db, view.plan)
-        if view.materialized and db is self.database:
-            view.recomputes += 1
-            self._replace(view, result, self._current_inputs(view, db))
-        return result
+            return answer
+        current = db is self.database
+        answer = self.store.lookup(key, inputs)
+        if answer is not None:
+            view.cache_hits += 1
+        else:
+            answer = _compute(bound, body)
+            self.store.store(*found, answer)
+            view.recomputes += current
+        if current:
+            self._pin(view, found, answer)
+        return answer
 
     def read(self, name: str) -> Relation:
-        """The view's current contents (cached if materialized+fresh)."""
+        """The view's current contents (the pinned answer when fresh)."""
         return self._read(self.view(name), self.database)
 
     def execute(self, plan: Plan) -> Relation:
@@ -224,177 +222,119 @@ class ViewCatalog:
         relations, on the current catalog value."""
         return self._evaluate(self.database, plan)
 
-    # ------------------------------------------------------------------
-    # Staleness
-    # ------------------------------------------------------------------
-
-    def _current_inputs(
-        self, view: View, db: Database
-    ) -> Dict[str, Optional[Relation]]:
-        """The relation behind every dependency, views chased down.
-
-        Virtual view references expand to their base tables (``db``'s);
-        materialized references contribute their cache -- the object
-        that is replaced exactly when *their* contents move.
-        """
-        inputs: Dict[str, Optional[Relation]] = {}
-
-        def visit(name: str) -> None:
-            dep = self._views.get(name)
-            if dep is None:
-                inputs[name] = db.relation(name)
-            elif dep.materialized:
-                inputs[name] = dep._cache
-            else:
-                for base in scans(dep.plan):
-                    visit(base)
-
-        for base in scans(view.plan):
-            visit(base)
-        return inputs
-
-    def _fresh(self, view: View, db: Database) -> bool:
-        """Is the materialization what the body yields on ``db``?
-        O(dependencies) pointer comparisons; rows are read only for an
-        input somebody replaced with an equal relation."""
-        if view._inputs is None:
-            return False
-        current = self._current_inputs(view, db)
-        for dep, relation in current.items():
-            if not _same_input(relation, view._inputs.get(dep)):
-                return False
-        if db is self.database:
-            # Remember equal rebuilds as the inputs they are, so the
-            # next check is pointer comparisons again.
-            view._inputs = current
-        # A cache object that has not moved says nothing while its own
-        # view is stale (it is only replaced when it re-materializes).
-        return all(
-            self._fresh(self._views[dep], db)
-            for dep in current if dep in self._views
-        )
+    def _current(self, view: View, db: Database) -> Optional[Relation]:
+        """``view``'s pinned answer when it is the entry for the body on
+        ``db``, else None: no row is read and no counter moves.  A stale
+        dependency binds None, which no pinned fingerprint holds."""
+        bound, body = self._bind(db, view.plan,
+                                 lambda dep: self._current(dep, db))
+        key, inputs, _ = bound.cache_key(body)
+        return self.store.pinned_at(view.name, key, inputs)
 
     def is_stale(self, name: str) -> bool:
-        """True when a materialized view's inputs have moved past it
-        (or it was never read); a virtual view is never stale."""
+        """Has a materialized view no pinned entry for the current
+        inputs (moved on, or never read)?  A virtual view never has."""
         view = self.view(name)
-        return view.materialized and not self._fresh(view, self.database)
+        return view.materialized and \
+            self._current(view, self.database) is None
 
     def refresh(self, name: str) -> Relation:
         """Force recomputation of a materialized view."""
-        self.view(name)._inputs = None
+        self._release(self.view(name))
         return self.read(name)
 
     def verify(self, name: str) -> bool:
-        """Digest cross-check: does the cache match a fresh compute?
-
-        An O(data) integrity audit, not a staleness test -- for
-        ``repro views --verify`` / fsck-style checks.  Views without a
-        cache (virtual, or not yet materialized) verify trivially.
-        """
+        """Digest cross-check of the pinned answer against a fresh
+        compute: an O(data) audit for ``repro views --verify``, not a
+        staleness test.  A view pinning nothing verifies trivially."""
         view = self.view(name)
-        if not view.materialized or view._cache is None:
+        pinned = self.store.pinned(name)
+        if pinned is None:
             return True
-        fresh = self._evaluate(self.database, view.plan)
-        return digest(view._cache.rows) == digest(fresh.rows)
+        fresh = _compute(*self.resolve(self.database, view.plan))
+        return digest(pinned[0].rows) == digest(fresh.rows)
 
     # ------------------------------------------------------------------
     # Incremental maintenance (manager attached)
     # ------------------------------------------------------------------
 
-    def _reclaim(self, name: str) -> None:
-        """Hygiene: answers cached from a materialization of ``name``
-        that is gone cannot hit again."""
-        cache = self.database.result_cache
-        if cache is not None:
-            cache.invalidate_tables((name,))
-
-    def _replace(self, view: View, contents: Relation, inputs) -> None:
-        """``contents``, computed from ``inputs`` of the current
-        catalog value, is the materialization from here on."""
-        if view._cache is not None and contents is not view._cache:
-            self._reclaim(view.name)
-        view._cache = contents
-        view._inputs = inputs
+    def _pin(self, view: View, found, answer: Relation) -> None:
+        """``answer``, the body's on the current value (``found`` by
+        :meth:`Database.cache_key`), is the materialization from here on."""
+        held = self.store.pinned(view.name)
+        if held is not None and held[0] is not answer:
+            self._release(view)
+        self.store.pin(view.name, *found, answer)
         if self._manager is not None:
             view.refresh_version = self._manager.current_version
 
+    def _release(self, view: View) -> None:
+        """Unpin ``view``'s materialization; answers cached from it
+        cannot hit again, so they go too."""
+        if self.store.unpin(view.name):
+            for cache in {self.store, self.database.result_cache} - {None}:
+                cache.invalidate_tables((view.name,))
+
     def _on_commit(self, version: int, changes) -> None:
         """Manager commit hook: maintain every materialized view."""
-        deltas: Dict[str, Delta] = {}
-        for name, (heading, inserted, deleted) in changes.items():
-            # Trusted: the commit diff's halves are subsets of the
-            # table's validated old and new values.
-            deltas[name] = Delta(
-                Relation._from_valid(heading, inserted),
-                Relation._from_valid(heading, deleted),
-            )
-        failed: set = set()
+        # Trusted: the commit diff's halves are subsets of the table's
+        # validated old and new values.
+        deltas: Dict[str, Delta] = {
+            name: Delta(Relation._from_valid(heading, inserted),
+                        Relation._from_valid(heading, deleted))
+            for name, (heading, inserted, deleted) in changes.items()
+        }
+        if self.store is not self.database.result_cache:
+            # Hygiene, as the manager does for its own cache.
+            self.store.invalidate_tables(tuple(changes))
         for view in list(self._views.values()):
             if view.materialized:
-                self._maintain(view, deltas, failed)
+                self._maintain(view, deltas)
 
-    def _maintain(
-        self, view: View, deltas: Dict[str, Delta], failed: set
-    ) -> None:
+    def _maintain(self, view: View, deltas: Dict[str, Delta]) -> None:
         """Bring ``view`` up to the committed value; its own delta joins
         ``deltas`` under its name, for the views stacked on it."""
-        if view._cache is None or view._inputs is None:
-            # Not materialized yet (or already stale): nothing to
-            # maintain; the next read computes from current state.
-            failed.add(view.name)
+        pinned = self.store.pinned(view.name)
+        if pinned is None:
+            return  # never read, or stale: the next read computes
+        answer, tables, _ = pinned
+        lost = [name for name in tables
+                if name in self._views and self.store.pinned(name) is None]
+        if deltas.keys().isdisjoint(tables):
+            if lost:  # untouched, but computed from what is gone
+                self._release(view)
             return
         db = self.database
-        current = self._current_inputs(view, db)
-        if all(
-            relation is view._inputs.get(dep)
-            for dep, relation in current.items()
-        ):
-            return  # untouched by this commit
-
-        def maintained(dep: View) -> Relation:
-            if dep.name in failed or dep._cache is None:
-                raise DeltaUnsupported(
-                    "view %r depends on unmaintained view %r"
-                    % (view.name, dep.name)
-                )
-            return dep._cache
-
         try:
-            bound, plan = self._bind(db, view.plan, maintained)
-            delta = DeltaPropagator(bound, deltas).delta(plan)
+            if lost:
+                raise DeltaUnsupported("view %r depends on unmaintained "
+                                       "view %r" % (view.name, lost[0]))
+            bound, body = self._bind(db, view.plan, lambda dep:
+                                     self.store.pinned(dep.name)[0])
+            delta = DeltaPropagator(bound, deltas).delta(body)
         except DeltaUnsupported:
             view.fallbacks += 1
-            view._inputs = None  # honest: next read recomputes
-            failed.add(view.name)
+            self._release(view)  # honest: the next read recomputes
             return
-        contents = view._cache
         if not delta.is_empty():
-            contents = delta.apply_to(contents)
+            answer = delta.apply_to(answer)
             view.delta_applies += 1
-            _gov_checkpoint(
-                "ivm.apply", delta.size(), len(delta.heading.names)
-            )
+            _gov_checkpoint("ivm.apply", delta.size(),
+                            len(delta.heading.names))
             deltas[view.name] = delta
-        self._replace(view, contents, current)
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
+        self._pin(view, bound.cache_key(body), answer)
 
     def status(self) -> List[Dict[str, object]]:
         """One summary row per view (for ``repro views`` and tests)."""
         rows = []
         for name in self.names():
             view = self._views[name]
+            pinned = self.store.pinned(name)
             rows.append({
                 "name": name,
                 "kind": "materialized" if view.materialized else "virtual",
                 "stale": self.is_stale(name),
-                "rows": (
-                    view._cache.cardinality()
-                    if view._cache is not None else None
-                ),
+                "rows": None if pinned is None else pinned[0].cardinality(),
                 "refresh_version": view.refresh_version,
                 "reads": view.reads,
                 "hit_rate": view.hit_rate,
@@ -405,16 +345,11 @@ class ViewCatalog:
         return rows
 
 
-def _same_input(new: Optional[Relation], old: Optional[Relation]) -> bool:
-    """Is ``new`` the input ``old`` was?  The same object -- or, when
-    somebody installed another one, an equal relation spelled alike
-    (memoized hashes refuse a different one in O(1); the O(data)
-    digests tell a hand-made rebuild from a typed-twin respelling)."""
-    if new is None or old is None:
-        return False  # a dependency with no cache yet
-    return new is old or (
-        new == old and digest(new.rows) == digest(old.rows)
-    )
+def _compute(db: Database, body: Plan) -> Relation:
+    """``body``'s answer on ``db``, computed past ``db``'s result cache:
+    the store holds it once, under the unoptimized body's key."""
+    db.heading_of(body)
+    return db._execute_uncached(optimize(body, db))
 
 
 def _map_scans(plan: Plan, transform: Callable[[Scan], Plan]) -> Plan:

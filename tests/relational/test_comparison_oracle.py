@@ -34,7 +34,7 @@ from hypothesis import strategies as st
 from repro.errors import SchemaError
 from repro.relational.algebra import Comparison, join, restrict, select, union
 from repro.relational.columnar import encode
-from repro.relational.query import Database, Restrict, Scan
+from repro.relational.query import Database, Join, Restrict, Scan
 from repro.relational.relation import Relation
 from repro.xst.ordering import _xset_key
 from repro.xst.xset import EMPTY, XSet, _holding
@@ -263,8 +263,8 @@ class TestConjunctions:
 class TestNanEqualsNothing:
     """An equality whose constant is ``nan`` keeps no row, even one
     holding that very object (a member index finds it by identity, the
-    rule is ``==``); ``a != nan`` keeps every row.  One answer on every
-    executor."""
+    rule is ``==``); ``a != nan`` keeps every row; a join meets no two
+    rows at a ``nan``.  One answer on every executor."""
 
     @staticmethod
     def answers(rel, comparison):
@@ -294,6 +294,47 @@ class TestNanEqualsNothing:
         for operator, expected in (("=", []), ("!=", every)):
             comparison = Comparison("a", operator, constant)
             assert self.answers(rel, comparison) == [expected] * 5
+
+    @pytest.mark.parametrize("later", [False, True],
+                             ids=["first-shared", "later-shared"])
+    @pytest.mark.parametrize("same_object", [True, False],
+                             ids=["one-nan-object", "two-nan-objects"])
+    def test_a_join_meets_no_nan(self, same_object, later):
+        """A join meets rows by ``==``: not at one ``nan`` object both
+        rows hold (a member index and a tuple compare find it by
+        identity), nor at two."""
+        from repro.relational.distributed import Cluster
+
+        mine = float("nan")
+        theirs = mine if same_object else float("nan")
+        if later:
+            left = Relation.from_tuples(["k", "a", "b"],
+                                        [(1, mine, 1), (2, 2, 2)])
+            right = Relation.from_tuples(["k", "a", "c"],
+                                         [(1, theirs, "x"), (2, 2, "y")])
+            expected = rows_of(Relation.from_tuples(["k", "a", "b", "c"],
+                                                    [(2, 2, 2, "y")]))
+        else:
+            left = Relation.from_tuples(["a", "b"], [(mine, 1), (2, 2)])
+            right = Relation.from_tuples(["a", "c"], [(theirs, "x"), (2, "y")])
+            expected = rows_of(Relation.from_tuples(["a", "b", "c"],
+                                                    [(2, 2, "y")]))
+        plan = Join(Scan("l"), Scan("r"))
+        db = Database({"l": left, "r": right})
+        encoded = Database({"l": left, "r": right})
+        encoded.encode_columnar()
+        cluster = Cluster(2)
+        cluster.create_table("l", left, "a")
+        cluster.create_table("r", right, "a")
+        answers = [
+            rows_of(answer) for answer in (
+                db.execute(plan), db.execute_records(plan),
+                encoded.execute(plan), cluster.execute(plan),
+                join(left, right),
+            )
+        ]
+        assert answers == [expected] * 5
+        assert len(join(right, left)) == 1
 
     def test_a_keyed_delete_of_nan_deletes_nothing(self):
         from repro.relational.constraints import Table

@@ -603,7 +603,7 @@ class TestManagedMaintenance:
                 for statement in statements:
                     statement()
             recomputed = catalog.database.execute(view.plan)
-            assert view._cache == recomputed
+            assert catalog.store.pinned("byfloor")[0] == recomputed
             assert catalog.verify("byfloor")
             assert view.fallbacks == 0 and view.recomputes == 1
             return view.delta_applies - applies
@@ -664,12 +664,12 @@ class TestManagedMaintenance:
         monkeypatch.setattr("repro.relational.views.digest", refuse)
         monkeypatch.setattr(Relation, "rows", property(refuse))
         monkeypatch.setattr(Relation, "__eq__", refuse)
-        # O(dependencies) pointer comparisons: the remembered input *is*
-        # the committed relation, so nothing else is asked of it.
+        # O(dependencies) pointer comparisons: the pinned entry's input
+        # *is* the committed relation, so nothing else is asked of it.
         assert not catalog.is_stale("all")
-        remembered = catalog.view("all")._inputs
-        assert list(remembered) == ["emp"]
-        assert remembered["emp"] is manager.table("emp").snapshot()
+        _, tables, inputs = catalog.store.pinned("all")
+        assert tables == ("emp",)
+        assert inputs[0] is manager.table("emp").snapshot()
 
     def test_catalog_holds_the_managers_relations_not_copies(self, managed):
         manager, catalog = managed
@@ -1243,12 +1243,12 @@ class IVMMachine(RuleBasedStateMachine):
             return
         snapshot, frozen = self.pinned[0]
         view = self.catalog.view(name)
-        held = view._cache
+        held = self.catalog.store.pinned(name)
         got = run_xql(snapshot.database, "SELECT * FROM %s" % name)
         assert digest(got.rows) == digest(
             self._expected(view.plan, frozen).rows
         )
-        assert view._cache is held
+        assert self.catalog.store.pinned(name) is held
 
     @rule()
     def close_snapshot(self):
@@ -1261,10 +1261,11 @@ class IVMMachine(RuleBasedStateMachine):
         for name in self.VIEWS:
             view = self.catalog.view(name)
             assert view.fallbacks == 0
-            if view._cache is None:
+            pinned = self.catalog.store.pinned(name)
+            if pinned is None:
                 continue
             expected = self._expected(view.plan)
-            assert digest(view._cache.rows) == digest(expected.rows)
+            assert digest(pinned[0].rows) == digest(expected.rows)
             assert self.catalog.verify(name)
 
     def teardown(self):

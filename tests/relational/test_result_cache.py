@@ -20,6 +20,8 @@ from repro.relational.algebra import Comparison
 from repro.relational.constraints import KeyConstraint, Table
 from repro.relational.distributed import Cluster
 from repro.relational.ivm import (
+    DeltaPropagator,
+    DeltaUnsupported,
     QueryResultCache,
     plan_cache_key,
     scan_tables,
@@ -565,17 +567,19 @@ class TestNeverStaleSweep:
             manager.table("emp").insert({"eid": 5, "grp": 1})
         assert holders() == [] and len(cache) == 1
 
-    def test_embedded_respelling_moves_an_input_and_a_rebuild_does_not(self):
+    def test_embedded_respelling_and_rebuild_both_move_an_input(self):
         cache = QueryResultCache(capacity=8)
         db = Database({"t": rel(["k", "v"], [(1, 1), (2, 2)])},
                       result_cache=cache)
         catalog = ViewCatalog(db)
         catalog.define("all", Scan("t"), materialized=True)
-        catalog.read("all")
+        first = catalog.read("all")
         db.execute(Scan("t"))
-        # An equal, identically spelled rebuild: the view stays fresh.
+        # An equal, identically spelled rebuild is a new input: the
+        # view is stale, and its recompute is byte-identical.
         db.add("t", rel(["k", "v"], [(1, 1), (2, 2)]))
-        assert not catalog.is_stale("all")
+        assert catalog.is_stale("all")
+        assert digest(catalog.read("all").rows) == digest(first.rows)
         # Equal again (1 == 1.0, equal hashes), other bytes: moved.
         twin = rel(["k", "v"], [(1, 1.0), (2, 2)])
         assert twin == db.relation("t")
@@ -630,6 +634,122 @@ class TestNeverStaleSweep:
         session.database().execute(Scan("aux"))
         assert cache.hits == hits + 1
         session.close()
+
+
+# ----------------------------------------------------------------------
+# Materialized views: pinned entries of the one store
+# ----------------------------------------------------------------------
+
+
+class TestPinnedViews:
+    """A materialized view is an entry pinned under its name: bounded
+    on top of the LRU, passed over by eviction and invalidation, and
+    let go -- with the relations it was keyed by -- once superseded."""
+
+    ZERO = Restrict(Scan("emp"), (Comparison("grp", "=", 0),))
+
+    @staticmethod
+    def holders(cache, relation):
+        """The entries, pinned or not, holding ``relation`` as their
+        answer or as one of their inputs."""
+        entries = list(cache._entries.values()) + list(cache._pinned.values())
+        return [
+            entry for entry in entries
+            if entry[0] is relation
+            or any(held is relation for held in entry[2])
+        ]
+
+    def test_eviction_and_invalidation_pass_a_pinned_entry(self):
+        cache = QueryResultCache(capacity=2, name="pins")
+        manager = make_manager(cache)
+        catalog = ViewCatalog(Database(), manager=manager)
+        assert catalog.store is cache
+        catalog.define("zero", self.ZERO, materialized=True)
+        catalog.define("keys", Scan("aux"), materialized=True)
+        zero, keys = catalog.read("zero"), catalog.read("keys")
+        for grp in range(1, 6):
+            manager.committed().execute(
+                Restrict(Scan("emp"), (Comparison("grp", "=", grp),))
+            )
+            assert len(cache) <= cache.capacity + len(catalog.names())
+        assert cache.evictions == 3 and len(cache) == 4
+        # A commit to aux invalidates aux's entries; emp's pin stays,
+        # and so does aux's own until its maintenance re-pins it.
+        with manager.transaction():
+            manager.table("aux").insert({"k": 2})
+        assert catalog.read("zero") is zero and not catalog.is_stale("zero")
+        assert catalog.view("keys").delta_applies == 1
+        assert self.holders(cache, keys) == []
+        # Neither invalidation nor clear reaches a pin.
+        assert cache.invalidate_tables(("emp", "aux")) == 2
+        assert cache.clear() == 0 and len(cache) == 2
+        hits = cache.hits
+        assert manager.committed().execute(Scan("aux")) is \
+            catalog.read("keys")
+        assert cache.hits == hits + 1  # a plain read finds the pin
+
+    def test_refresh_fallback_and_drop_let_go(self, monkeypatch):
+        cache = QueryResultCache(capacity=8, name="let-go")
+        manager = make_manager(cache)
+        catalog = ViewCatalog(Database(), manager=manager)
+        catalog.define("zero", self.ZERO, materialized=True)
+        first = catalog.read("zero")
+        assert len(self.holders(cache, first)) == 1
+        # refresh: the superseded answer goes, the new one is pinned.
+        again = catalog.refresh("zero")
+        assert again is not first and self.holders(cache, first) == []
+        assert len(self.holders(cache, again)) == 1
+        # A delta fallback releases the answer and the emp it was
+        # computed from.
+        superseded = manager.table("emp").snapshot()
+        assert len(self.holders(cache, superseded)) == 1
+        monkeypatch.setattr(
+            DeltaPropagator, "delta",
+            lambda self, plan: (_ for _ in ()).throw(
+                DeltaUnsupported("forced")
+            ),
+        )
+        with manager.transaction():
+            manager.table("emp").insert({"eid": 5, "grp": 0})
+        monkeypatch.undo()
+        assert catalog.view("zero").fallbacks == 1
+        assert self.holders(cache, again) == []
+        assert self.holders(cache, superseded) == [] and len(cache) == 0
+        # drop: the recomputed answer and its inputs go with the view.
+        last = catalog.read("zero")
+        assert last.cardinality() == 2 and len(cache) == 1
+        catalog.drop("zero")
+        assert self.holders(cache, last) == [] and len(cache) == 0
+        catalog.close()
+
+    def test_a_reordering_optimizer_orphans_no_pin(self, monkeypatch):
+        from repro.relational import views
+
+        flips = itertools.count()
+
+        def reordering(plan, db):
+            # Another join order on every other call, as a planner
+            # may choose when the sizes move.
+            if isinstance(plan, Join) and next(flips) % 2 == 0:
+                return Join(plan.right, plan.left)
+            return plan
+
+        monkeypatch.setattr(views, "optimize", reordering)
+        manager = make_manager(QueryResultCache(capacity=8))
+        catalog = ViewCatalog(Database(), manager=manager)
+        catalog.define("pairs", Join(Scan("emp"), Scan("aux")),
+                       materialized=True)
+        first = catalog.read("pairs")
+        view = catalog.view("pairs")
+        with manager.transaction():
+            manager.table("emp").insert({"eid": 5, "grp": 1})
+        assert (view.delta_applies, view.recomputes) == (1, 1)
+        hits = view.cache_hits
+        after = catalog.read("pairs")
+        assert view.cache_hits == hits + 1 and view.recomputes == 1
+        assert after.cardinality() == first.cardinality() + 1
+        assert catalog.verify("pairs")
+        catalog.close()
 
 
 # ----------------------------------------------------------------------
