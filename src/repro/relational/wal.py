@@ -383,6 +383,13 @@ def last_checkpoint(records: Sequence[XSet]) -> int:
     return -1
 
 
+def _frame(record: XSet) -> bytes:
+    """One log frame: the record's canonical bytes behind their length
+    and CRC32."""
+    payload = dumps(record)
+    return _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
+
+
 def scan_bytes(data: bytes, decode: bool = True) -> LogScan:
     """Classify raw log bytes: valid prefix, torn tail, or corruption.
 
@@ -492,8 +499,7 @@ class WriteAheadLog:
         either leaves the whole frame (the record is durable) or a
         torn tail that recovery truncates (it never happened).
         """
-        payload = dumps(record)
-        frame = _FRAME.pack(len(payload), zlib.crc32(payload)) + payload
+        frame = _frame(record)
         fh = self._ensure_open()
         fh.write(frame)
         if self._sync:
@@ -586,9 +592,7 @@ class WriteAheadLog:
         try:
             fh.write(MAGIC)
             for record in records[start:]:
-                payload = dumps(record)
-                fh.write(_FRAME.pack(len(payload), zlib.crc32(payload))
-                         + payload)
+                fh.write(_frame(record))
             _sync_file(fh)
         finally:
             fh.close()

@@ -28,7 +28,7 @@ tag   payload
 ====  =======================================================
 ``N``  None
 ``T``  True  /  ``F``  False
-``I``  signed int: 8-byte big-endian length + decimal ASCII
+``I``  signed int: u32 byte length + decimal ASCII
 ``D``  float: 8-byte IEEE-754 big-endian
 ``C``  complex: two 8-byte IEEE-754 doubles
 ``S``  str: u32 byte length + UTF-8 bytes
@@ -41,26 +41,58 @@ from __future__ import annotations
 
 import hashlib
 import struct
-from typing import Any, Iterator
+from typing import Any, Iterator, Tuple
 
 from repro.errors import InvalidAtomError
-from repro.xst.xset import XSet
+from repro.xst.xset import EMPTY, XSet
 
 __all__ = ["dumps", "loads", "digest", "dump_stream", "load_stream"]
 
 _U32 = struct.Struct(">I")
 _F64 = struct.Struct(">d")
+_pack_u32 = _U32.pack
+_u32_at = _U32.unpack_from
+_f64_at = _F64.unpack_from
+
+#: The tags as ``_decode`` reads them: indexing bytes yields an int.
+_N, _T, _F, _I, _D, _C, _S, _B, _X = b"NTFIDCSBX"
+#: The empty set: the scope of every classical member.
+_EMPTY_SET = b"X\x00\x00\x00\x00"
 
 
 def _encode(value: Any, out: bytearray) -> None:
-    if value is None:
+    if isinstance(value, XSet):
+        pairs = value._pairs
+        out += b"X"
+        out += _pack_u32(len(pairs))
+        # A row is a set of atom pairs: its str and int parts (exact
+        # types only, so bool and other subclasses keep the ladder below)
+        # and empty scopes are written here; only the rest costs a call.
+        for pair in pairs:
+            for part in pair:
+                kind = type(part)
+                if kind is str:
+                    raw = part.encode("utf-8")
+                    out += b"S"
+                    out += _pack_u32(len(raw))
+                    out += raw
+                elif kind is int:
+                    text = b"%d" % part
+                    out += b"I"
+                    out += _pack_u32(len(text))
+                    out += text
+                elif kind is XSet and not part._pairs:
+                    out += _EMPTY_SET
+                else:
+                    _encode(part, out)
+    elif value is None:
         out += b"N"
     elif isinstance(value, bool):
         out += b"T" if value else b"F"
     elif isinstance(value, int):
         text = b"%d" % value
         out += b"I"
-        out += _U32.pack(len(text))
+        out += _pack_u32(len(text))
         out += text
     elif isinstance(value, float):
         out += b"D"
@@ -72,19 +104,12 @@ def _encode(value: Any, out: bytearray) -> None:
     elif isinstance(value, str):
         raw = value.encode("utf-8")
         out += b"S"
-        out += _U32.pack(len(raw))
+        out += _pack_u32(len(raw))
         out += raw
     elif isinstance(value, bytes):
         out += b"B"
-        out += _U32.pack(len(value))
+        out += _pack_u32(len(value))
         out += value
-    elif isinstance(value, XSet):
-        pairs = value.pairs()
-        out += b"X"
-        out += _U32.pack(len(pairs))
-        for element, scope in pairs:
-            _encode(element, out)
-            _encode(scope, out)
     else:
         raise InvalidAtomError(
             "cannot serialize %r: admissible atoms are None, bool, int, "
@@ -99,68 +124,102 @@ def dumps(value: Any) -> bytes:
     return bytes(out)
 
 
-class _Reader:
-    __slots__ = ("_data", "position")
-
-    def __init__(self, data: bytes, position: int = 0):
-        self._data = data
-        self.position = position
-
-    def take(self, count: int) -> bytes:
-        end = self.position + count
-        if end > len(self._data):
-            raise InvalidAtomError("truncated XST serialization")
-        chunk = self._data[self.position : end]
-        self.position = end
-        return chunk
-
-    def at_end(self) -> bool:
-        return self.position >= len(self._data)
+def _truncated() -> InvalidAtomError:
+    return InvalidAtomError("truncated XST serialization")
 
 
-def _decode(reader: _Reader) -> Any:
-    tag = reader.take(1)
-    if tag == b"N":
-        return None
-    if tag == b"T":
-        return True
-    if tag == b"F":
-        return False
-    if tag == b"I":
-        (length,) = _U32.unpack(reader.take(4))
-        return int(reader.take(length))
-    if tag == b"D":
-        (value,) = _F64.unpack(reader.take(8))
-        return value
-    if tag == b"C":
-        (real,) = _F64.unpack(reader.take(8))
-        (imag,) = _F64.unpack(reader.take(8))
-        return complex(real, imag)
-    if tag == b"S":
-        (length,) = _U32.unpack(reader.take(4))
-        return reader.take(length).decode("utf-8")
-    if tag == b"B":
-        (length,) = _U32.unpack(reader.take(4))
-        return reader.take(length)
-    if tag == b"X":
-        (count,) = _U32.unpack(reader.take(4))
-        pairs = []
-        for _ in range(count):
-            element = _decode(reader)
-            scope = _decode(reader)
-            pairs.append((element, scope))
-        return XSet(pairs)
-    raise InvalidAtomError("unknown serialization tag %r" % (tag,))
+def _decode(data: bytes, at: int) -> Tuple[Any, int]:
+    """The value encoded at offset ``at`` of ``data``, and the offset
+    just past it.  Every length is checked against ``len(data)`` before
+    it is read."""
+    end = len(data)
+    if at >= end:
+        raise _truncated()
+    tag = data[at]
+    at += 1
+    if tag == _X:
+        if at + 4 > end:
+            raise _truncated()
+        (count,) = _u32_at(data, at)
+        at += 4
+        # Each part takes at least its tag byte, so a count the payload
+        # cannot hold is refused before anything is allocated for it.
+        if count * 2 > end - at:
+            raise _truncated()
+        parts = [None] * (count * 2)
+        # The pair loop reads str and int atoms and empty sets in place,
+        # as _encode writes them; any other part costs a call.
+        for index in range(count * 2):
+            if at >= end:
+                raise _truncated()
+            tag = data[at]
+            if tag == _S or tag == _I:
+                if at + 5 > end:
+                    raise _truncated()
+                (length,) = _u32_at(data, at + 1)
+                start = at + 5
+                at = start + length
+                if at > end:
+                    raise _truncated()
+                if tag == _S:
+                    parts[index] = data[start:at].decode("utf-8")
+                else:
+                    parts[index] = int(data[start:at])
+            elif tag == _X and data[at:at + 5] == _EMPTY_SET:
+                parts[index] = EMPTY
+                at += 5
+            else:
+                parts[index], at = _decode(data, at)
+        return XSet(zip(parts[::2], parts[1::2])), at
+    if tag == _S or tag == _I or tag == _B:
+        if at + 4 > end:
+            raise _truncated()
+        (length,) = _u32_at(data, at)
+        start = at + 4
+        at = start + length
+        if at > end:
+            raise _truncated()
+        if tag == _S:
+            return data[start:at].decode("utf-8"), at
+        if tag == _I:
+            return int(data[start:at]), at
+        return data[start:at], at
+    if tag == _N:
+        return None, at
+    if tag == _T:
+        return True, at
+    if tag == _F:
+        return False, at
+    if tag == _D:
+        if at + 8 > end:
+            raise _truncated()
+        return _f64_at(data, at)[0], at + 8
+    if tag == _C:
+        if at + 16 > end:
+            raise _truncated()
+        (real,) = _f64_at(data, at)
+        (imag,) = _f64_at(data, at + 8)
+        return complex(real, imag), at + 16
+    raise InvalidAtomError("unknown serialization tag %r" % (bytes([tag]),))
+
+
+def _decoded(data: bytes, at: int) -> Tuple[Any, int]:
+    """:func:`_decode`, refusing a malformed atom (an ``I`` payload that
+    is not a decimal, an ``S`` payload that is not UTF-8) as
+    :class:`InvalidAtomError` like any other bad encoding."""
+    try:
+        return _decode(data, at)
+    except ValueError as exc:  # UnicodeDecodeError is one
+        raise InvalidAtomError("malformed XST serialization: %s" % exc) from exc
 
 
 def loads(data: bytes) -> Any:
-    """Decode one value; rejects trailing bytes."""
-    reader = _Reader(data)
-    value = _decode(reader)
-    if not reader.at_end():
+    """Decode one value; a truncated or malformed encoding, or trailing
+    bytes, is an :class:`InvalidAtomError`."""
+    value, at = _decoded(data, 0)
+    if at < len(data):
         raise InvalidAtomError(
-            "trailing bytes after value (%d unread)"
-            % (len(data) - reader.position)
+            "trailing bytes after value (%d unread)" % (len(data) - at)
         )
     return value
 
@@ -185,6 +244,7 @@ def dump_stream(values) -> bytes:
 
 def load_stream(data: bytes) -> Iterator[Any]:
     """Decode a concatenated stream back into its values, lazily."""
-    reader = _Reader(data)
-    while not reader.at_end():
-        yield _decode(reader)
+    at = 0
+    while at < len(data):
+        value, at = _decoded(data, at)
+        yield value

@@ -18,7 +18,7 @@ import time
 from repro.core.composition import compose_chain, staged_apply
 from repro.relational.storage import RecordStore, SetStore
 from repro.workloads import departments, employees, pipeline_stages
-from repro.xst.builders import xpair, xset, xtuple
+from repro.xst.builders import xpair, xrecord, xset, xtuple
 from repro.xst.ordering import canonical_key
 from repro.xst.relative_product import (
     relative_product,
@@ -1405,3 +1405,52 @@ class TestAnswerBuiltOnceShapes:
         # Parent commit: 192 and 2 112 events -- to_rows read, sorted and
         # copied every row, two events per row.  Now 63 at both sizes.
         assert events[64] == events[1024], events
+
+
+class TestOnePassCodecShapes:
+    """Counts, not timings: a commit record is encoded and decoded in one
+    pass over its pairs.  A str or int part and an empty scope are
+    written and read inside the pair loop, so a row adds a few C calls
+    per part, one call for the row's own set and, decoding, the checked
+    constructor's keys -- not a call and an ``isinstance`` ladder per
+    part."""
+
+    SIZES = (4, 8)
+    #: The parts one row adds to the record: the row and its empty scope
+    #: in the inserted set, and three (value, attribute) pairs in it.
+    PARTS_PER_ROW = 8
+
+    @staticmethod
+    def record(size):
+        from repro.relational.wal import commit_record
+
+        rows = xset([xrecord({"k": k, "v": "value-%d" % k, "n": 7 * k})
+                     for k in range(size)])
+        return commit_record(9, {"t": (None, rows, XSet())})
+
+    def events_per_part(self, run, prepare):
+        """Profile events of ``run(prepare(record))`` per part added from
+        the small record to the large one."""
+        events = {}
+        for size in self.SIZES:
+            argument = prepare(self.record(size))
+            run(argument)
+            _, events[size] = TestPointWorkShapes.profile_events(
+                lambda: run(argument))
+        small, large = self.SIZES
+        return (events[large] - events[small]) / (
+            (large - small) * self.PARTS_PER_ROW)
+
+    def test_encoding_costs_at_most_three_events_per_part(self):
+        from repro.xst.serialization import dumps
+
+        # Parent commit: 8.5 per part (a 5-row record was 480 events);
+        # now 2.5 (147).
+        assert self.events_per_part(dumps, lambda record: record) <= 3
+
+    def test_decoding_costs_at_most_five_events_per_part(self):
+        from repro.xst.serialization import dumps, loads
+
+        # Parent commit: 11.5 per part (a 5-row record was 644 events);
+        # now 4.125 (249), most of it the checked XSet constructor's keys.
+        assert self.events_per_part(loads, dumps) <= 5
