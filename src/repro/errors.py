@@ -131,7 +131,10 @@ class UnavailableError(XSTError, RuntimeError):
 
 
 class InvalidAtomError(XSTError, TypeError):
-    """An unusable (unhashable or reserved) value was offered as an atom."""
+    """An unusable value was offered as an atom: unhashable, a process,
+    or unequal to itself (``nan``), or a malformed encoding of one."""
+
+    code = "INVALID_ATOM"
 
 
 class NotATupleError(XSTError, ValueError):

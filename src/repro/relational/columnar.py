@@ -309,10 +309,9 @@ class ColumnarRelation:
 
         The first equality at each attribute probes its run (O(log n));
         each candidate of the narrowest range is verified *by value*
-        (``==``, so ``nan`` matches nothing) -- hash collisions reject
-        here, never in the result -- and then asked every other
-        comparison in order, as record mode asks; with no equality
-        every row is a candidate.
+        (``==``) -- hash collisions reject here, never in the result --
+        and then asked every other comparison in order, as record mode
+        asks; with no equality every row is a candidate.
         """
         key: Dict[str, Any] = {}
         rest = []

@@ -36,7 +36,7 @@ from repro.relational.relation import Relation
 from repro.relational.schema import Heading
 from repro.xst.domain import sigma_domain
 from repro.xst.restrict import sigma_restrict
-from repro.xst.xset import EMPTY, XSet
+from repro.xst.xset import EMPTY, XSet, _admit_all
 
 __all__ = [
     "IntegrityError",
@@ -371,7 +371,8 @@ class Table:
 
     def delete(self, conditions: Mapping[str, Any]) -> int:
         """Delete rows matching attribute equalities; returns the count.
-        Values meet by ``==``: a ``nan`` condition matches no row."""
+        A value no set can hold (``nan``) is refused before any row is
+        read (:class:`~repro.relational.algebra.Comparison`)."""
         doomed = _matching(self._current, conditions).rows
         self._apply(EMPTY, doomed)
         return len(doomed)
@@ -381,8 +382,11 @@ class Table:
         conditions: Mapping[str, Any],
         changes: Mapping[str, Any],
     ) -> int:
-        """Set attributes on matching rows; returns rows changed."""
+        """Set attributes on matching rows; returns rows changed.  A
+        value no set can hold (``nan``) is refused before any row is
+        read, whether or not a row matches."""
         self._heading.require(changes)
+        _admit_all(changes.values())
         matched = _matching(self._current, conditions).rows
         if not matched:
             return 0

@@ -153,8 +153,6 @@ def member_index(relation: Relation, attr: str) -> Dict[Any, Tuple]:
 
 
 def _eq_rows(relation: Relation, attr: str, value: Any) -> int:
-    if not value == value:  # nan: an index finds it, but it equals nothing
-        return 0
     return len(member_index(relation, attr).get(value, ()))
 
 

@@ -21,6 +21,10 @@ __all__ = ["read_csv", "write_csv", "loads_csv", "dumps_csv"]
 
 
 def _infer(cell: str) -> Any:
+    """The cell's value: empty is ``None``, then an ``int``, a ``float``
+    or the text itself.  A cell ``float`` reads as ``nan`` (``nan``,
+    ``Nan``, ``-NaN``) stays its text: no set can hold a ``nan``, and
+    ``Nan`` may well be a name.  ``inf`` is a float."""
     if cell == "":
         return None
     try:
@@ -28,9 +32,10 @@ def _infer(cell: str) -> Any:
     except ValueError:
         pass
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError:
         return cell
+    return value if value == value else cell
 
 
 def loads_csv(

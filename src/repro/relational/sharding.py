@@ -79,7 +79,7 @@ def shard_index(value: Any, bucket_count: int) -> int:
     and bucket-local joins assume it.
     """
     if isinstance(value, (int, float)) and value == value // 1:
-        return int(value) % bucket_count  # whole (inf and nan are not)
+        return int(value) % bucket_count  # whole (inf is not)
     return sum(dumps(value)) % bucket_count
 
 

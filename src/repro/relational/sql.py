@@ -628,10 +628,12 @@ def run(
 
     ``args`` bind the statement's placeholders -- ``$k`` is
     ``args[k - 1]`` -- as values: the answer is the one the statement
-    with those literals written in gives, for any value, including
-    those no XQL literal spells (``1e20``, ``nan``, a string holding
-    ``'``).  A placeholder left unbound, or an argument no placeholder
-    uses, is a typed :class:`~repro.errors.SessionError`.
+    with those literals written in gives, for any value a set can hold,
+    including those no XQL literal spells (``1e20``, ``inf``, a string
+    holding ``'``); a ``nan``, which equals nothing, is refused when it
+    is bound (:class:`~repro.errors.InvalidAtomError`).  A placeholder
+    left unbound, or an argument no placeholder uses, is a typed
+    :class:`~repro.errors.SessionError`.
     """
     return _run(db, text, optimized, args)[1]
 

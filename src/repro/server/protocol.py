@@ -47,6 +47,7 @@ from repro.errors import (
     ClusterUnavailableError,
     DeadlineExceededError,
     IntegrityError,
+    InvalidAtomError,
     NetworkError,
     NotationError,
     OverloadedError,
@@ -261,8 +262,9 @@ def error_body(error: Exception,
 
     Typed errors keep their stable code/exit code and structured
     context (schema violations, bad XQL and integrity failures too:
-    ``SCHEMA``/``NOTATION``/``INTEGRITY``); anything else travels as
-    the generic code ``ERROR``, both with the CLI's exit code 2.
+    ``SCHEMA``/``NOTATION``/``INTEGRITY``, and a value no set can hold:
+    ``INVALID_ATOM``); anything else travels as the generic code
+    ``ERROR``, both with the CLI's exit code 2.
     """
     context = {}
     for attr in _ERROR_CONTEXT_ATTRS:
@@ -352,7 +354,8 @@ def error_from_body(body: Dict[str, Any]) -> Exception:
         error = UnavailableError(message)
         error.retry_after_s = retry_after
         return error
-    for wrong_statement in (SchemaError, NotationError, IntegrityError):
+    for wrong_statement in (SchemaError, NotationError, IntegrityError,
+                            InvalidAtomError):
         if code == wrong_statement.code:
             return wrong_statement(message)
     return XSTError(message)

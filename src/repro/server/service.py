@@ -506,9 +506,10 @@ class Server:
         if type(ops) is not list:
             raise SessionError("MUTATE ops must be a list",
                                session_id=session.session_id)
+        writes = session.writes(ops)  # refused here, before admission
         self._check_shed(conn, rid)
         with self.admission.admitted(session.priority):
-            version = session.mutate(ops)
+            version = session.mutate(writes)
         # Remember the ack *before* sending it: if the send dies on
         # the wire, the client's retry finds the cache and the write
         # is not applied twice.

@@ -78,8 +78,8 @@ def _probe_scope(key_sigma: XSet) -> Optional[Pair]:
 def _arrival_free(result: XSet, emitted: int) -> bool:
     """Whether any order of the ``emitted`` pairs builds ``result``: none
     collapsed into another (so no spelling was chosen by arrival) and
-    its keys strictly ascend (so no tie, nan or repr, was broken by
-    arrival)."""
+    its keys strictly ascend (so no tie of opaque atoms' reprs was
+    broken by arrival)."""
     keys = canonical_key(result)[2]
     return len(keys) == emitted and all(map(lt, keys, islice(keys, 1, None)))
 

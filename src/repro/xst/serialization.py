@@ -7,10 +7,13 @@ leans on:
 
 * **lossless** -- ``loads(dumps(v)) == v`` for every value built from
   admissible atoms (None, bool, int, float, complex, str, bytes) and
-  nested :class:`~repro.xst.xset.XSet`;
+  nested :class:`~repro.xst.xset.XSet`; a ``nan``, which equals
+  nothing and so is no admissible atom, is refused both ways;
 * **canonical** -- equal values encode to identical bytes (pairs are
   emitted in the kernel's canonical order), so ``digest`` is a usable
-  content address;
+  content address; and ``loads`` accepts only the bytes ``dumps``
+  writes (an ``I`` payload is ``-?[1-9][0-9]*`` or ``0``), so a decoded
+  value re-encodes to its input;
 * **self-delimiting** -- streams of values concatenate, which the
   page-based store (:mod:`repro.relational.disk`) relies on.
 
@@ -60,6 +63,18 @@ _N, _T, _F, _I, _D, _C, _S, _B, _X = b"NTFIDCSBX"
 _EMPTY_SET = b"X\x00\x00\x00\x00"
 
 
+def _not_a_number(value: Any) -> InvalidAtomError:
+    return InvalidAtomError(
+        "%r does not equal itself, so it is no XST value" % (value,)
+    )
+
+
+def _not_canonical(text: bytes) -> InvalidAtomError:
+    return InvalidAtomError(
+        "malformed XST serialization: %r is no integer dumps writes" % (text,)
+    )
+
+
 def _encode(value: Any, out: bytearray) -> None:
     if isinstance(value, XSet):
         pairs = value._pairs
@@ -95,9 +110,13 @@ def _encode(value: Any, out: bytearray) -> None:
         out += _pack_u32(len(text))
         out += text
     elif isinstance(value, float):
+        if value != value:
+            raise _not_a_number(value)
         out += b"D"
         out += _F64.pack(value)
     elif isinstance(value, complex):
+        if value != value:
+            raise _not_a_number(value)
         out += b"C"
         out += _F64.pack(value.real)
         out += _F64.pack(value.imag)
@@ -164,7 +183,10 @@ def _decode(data: bytes, at: int) -> Tuple[Any, int]:
                 if tag == _S:
                     parts[index] = data[start:at].decode("utf-8")
                 else:
-                    parts[index] = int(data[start:at])
+                    text = data[start:at]
+                    value = parts[index] = int(text)
+                    if b"%d" % value != text:
+                        raise _not_canonical(text)
             elif tag == _X and data[at:at + 5] == _EMPTY_SET:
                 parts[index] = EMPTY
                 at += 5
@@ -182,7 +204,11 @@ def _decode(data: bytes, at: int) -> Tuple[Any, int]:
         if tag == _S:
             return data[start:at].decode("utf-8"), at
         if tag == _I:
-            return int(data[start:at]), at
+            text = data[start:at]
+            value = int(text)
+            if b"%d" % value != text:
+                raise _not_canonical(text)
+            return value, at
         return data[start:at], at
     if tag == _N:
         return None, at
@@ -193,19 +219,26 @@ def _decode(data: bytes, at: int) -> Tuple[Any, int]:
     if tag == _D:
         if at + 8 > end:
             raise _truncated()
-        return _f64_at(data, at)[0], at + 8
+        (value,) = _f64_at(data, at)
+        if value != value:
+            raise _not_a_number(value)
+        return value, at + 8
     if tag == _C:
         if at + 16 > end:
             raise _truncated()
         (real,) = _f64_at(data, at)
         (imag,) = _f64_at(data, at + 8)
-        return complex(real, imag), at + 16
+        value = complex(real, imag)
+        if value != value:
+            raise _not_a_number(value)
+        return value, at + 16
     raise InvalidAtomError("unknown serialization tag %r" % (bytes([tag]),))
 
 
 def _decoded(data: bytes, at: int) -> Tuple[Any, int]:
     """:func:`_decode`, refusing a malformed atom (an ``I`` payload that
-    is not a decimal, an ``S`` payload that is not UTF-8) as
+    is not an integer as ``dumps`` spells it, an ``S`` payload that is
+    not UTF-8, a ``D`` or ``C`` payload that is ``nan``) as
     :class:`InvalidAtomError` like any other bad encoding."""
     try:
         return _decode(data, at)

@@ -3,19 +3,19 @@ distinct value of the member index once, and must keep exactly the rows
 that record-level separation keeps -- the same rows, spelled the same,
 in the same order -- or refuse exactly as it refuses.
 
-The compared column mixes typed twins (``1``/``1.0``/``True``,
-``0``/``-0.0``/``False``), distinct ``nan`` objects and one shared
-``nan``, integers around ``2**53`` beside their float neighbours,
+The compared column draws from the shared pool (``tests/values.py``):
+typed twins (``1``/``1.0``/``True``, ``0``/``0.0``/``-0.0``/``False``),
+``±inf``, integers around ``2**53`` beside their float neighbours,
 ``None``, ``str``, ``bytes`` and nested sets; so twins share a run of
 the index, and incomparable columns arise.  Every operator runs on
 operands with and without a filled index, once with every drop forced
 onto the bisecting patch and once under the shipped length rule.  Rows
 are compared by the ``(type, repr)`` of every value, never by ``==``.
 
-Values meet by Python ``==``: an equality with ``nan`` keeps no row --
-not one holding that very object -- on the row, record and columnar
-executors and the cluster alike, and ``a = v`` and ``a != v`` split
-every column between them.  A conjunction of one to three comparisons
+Values meet by Python ``==``, which is membership: every admitted value
+equals itself, and a ``nan`` constant is refused when the comparison is
+built, so ``a = v`` and ``a != v`` split every column between them on
+the row, record and columnar executors and the cluster alike.  A conjunction of one to three comparisons
 is the record reading's: equalities first, then the others in order.
 
 A second property holds ``_holding`` -- which reads each member's
@@ -31,41 +31,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.errors import SchemaError
+from repro.errors import InvalidAtomError, SchemaError
 from repro.relational.algebra import Comparison, join, restrict, select, union
 from repro.relational.columnar import encode
-from repro.relational.query import Database, Join, Restrict, Scan
+from repro.relational.query import Database, Restrict, Scan
 from repro.relational.relation import Relation
 from repro.xst.ordering import _xset_key
 from repro.xst.xset import EMPTY, XSet, _holding
 
+from tests import values as pool
 from tests.xst.test_canonical_form import seeded
 
 xset_module = importlib.import_module("repro.xst.xset")
 
 OPERATORS = ("=", "!=", "<", "<=", ">", ">=")
-#: One ``nan`` object several rows (and constants) share.
-SHARED_NAN = float("nan")
 
-plain = st.sampled_from([
-    1, 1.0, True, 0, -0.0, False, 2, 2.5, -3,
-    2**53 - 1, 2**53, 2**53 + 1, float(2**53),
-    None, "a", "b", b"x", b"y", SHARED_NAN,
-])
-#: A new ``nan`` object per draw: equal to nothing, itself included.
-fresh_nan = st.builds(lambda: float("nan"))
-inner = st.builds(XSet, st.lists(
-    st.tuples(st.sampled_from([1, 2, "a"]), st.sampled_from([EMPTY, 1])),
-    max_size=2,
-))
-values = st.one_of(plain, plain, fresh_nan, inner)
+values = pool.values
 #: Columns of one kind, so a comparison often succeeds; ``values``
 #: mixes kinds, so it often refuses.
-numeric = st.one_of(
-    st.sampled_from([1, 1.0, True, 0, -0.0, False, 2**53 - 1, 2**53,
-                     2**53 + 1, float(2**53), 7, SHARED_NAN]),
-    fresh_nan,
-)
+numeric = pool.numbers
 column = st.sampled_from([values, numeric, st.sampled_from(["a", "b", "c"])])
 
 
@@ -260,93 +244,42 @@ class TestConjunctions:
             [3] * 4
 
 
-class TestNanEqualsNothing:
-    """An equality whose constant is ``nan`` keeps no row, even one
-    holding that very object (a member index finds it by identity, the
-    rule is ``==``); ``a != nan`` keeps every row; a join meets no two
-    rows at a ``nan``.  One answer on every executor."""
+class TestNanIsRefusedAtTheDoor:
+    """A ``nan`` equals nothing, itself included, so no set can know it
+    as a member: a comparison refuses it as its constant when it is
+    built, a relation refuses it as a value, and a table refuses it in
+    a keyed delete or an update before any row is read."""
 
-    @staticmethod
-    def answers(rel, comparison):
-        from repro.relational.distributed import Cluster
+    @pytest.mark.parametrize("refused", pool.REFUSED)
+    @pytest.mark.parametrize("operator", OPERATORS)
+    def test_a_comparison_refuses_it_when_built(self, operator, refused):
+        with pytest.raises(InvalidAtomError, match="does not equal itself"):
+            Comparison("a", operator, refused)
 
-        plan = Restrict(Scan("t"), (comparison,))
-        db = Database({"t": rel})
-        encoded = Database({"t": rel})
-        encoded.encode_columnar()
-        cluster = Cluster(2)
-        cluster.create_table("t", rel, "a")
-        return [
-            rows_of(answer) for answer in (
-                db.execute(plan), db.execute_records(plan),
-                encoded.execute(plan), cluster.execute(plan),
-                restrict(rel, (comparison,)),
-            )
-        ]
+    @pytest.mark.parametrize("refused", pool.REFUSED)
+    def test_a_relation_refuses_it_as_a_value(self, refused):
+        with pytest.raises(InvalidAtomError, match="does not equal itself"):
+            Relation.from_tuples(["a", "b"], [(1, "x"), (refused, "n")])
+        with pytest.raises(InvalidAtomError, match="does not equal itself"):
+            Relation.from_dicts(["a", "b"], [{"a": refused, "b": "n"}])
 
-    @pytest.mark.parametrize("same_object", [True, False],
-                             ids=["stored-object", "another-nan"])
-    def test_one_answer_everywhere(self, same_object):
-        stored = float("nan")
-        rel = Relation.from_tuples(["a", "b"], [(1, "x"), (stored, "n")])
-        constant = stored if same_object else float("nan")
-        every = rows_of(rel)
-        for operator, expected in (("=", []), ("!=", every)):
-            comparison = Comparison("a", operator, constant)
-            assert self.answers(rel, comparison) == [expected] * 5
-
-    @pytest.mark.parametrize("later", [False, True],
-                             ids=["first-shared", "later-shared"])
-    @pytest.mark.parametrize("same_object", [True, False],
-                             ids=["one-nan-object", "two-nan-objects"])
-    def test_a_join_meets_no_nan(self, same_object, later):
-        """A join meets rows by ``==``: not at one ``nan`` object both
-        rows hold (a member index and a tuple compare find it by
-        identity), nor at two."""
-        from repro.relational.distributed import Cluster
-
-        mine = float("nan")
-        theirs = mine if same_object else float("nan")
-        if later:
-            left = Relation.from_tuples(["k", "a", "b"],
-                                        [(1, mine, 1), (2, 2, 2)])
-            right = Relation.from_tuples(["k", "a", "c"],
-                                         [(1, theirs, "x"), (2, 2, "y")])
-            expected = rows_of(Relation.from_tuples(["k", "a", "b", "c"],
-                                                    [(2, 2, 2, "y")]))
-        else:
-            left = Relation.from_tuples(["a", "b"], [(mine, 1), (2, 2)])
-            right = Relation.from_tuples(["a", "c"], [(theirs, "x"), (2, "y")])
-            expected = rows_of(Relation.from_tuples(["a", "b", "c"],
-                                                    [(2, 2, "y")]))
-        plan = Join(Scan("l"), Scan("r"))
-        db = Database({"l": left, "r": right})
-        encoded = Database({"l": left, "r": right})
-        encoded.encode_columnar()
-        cluster = Cluster(2)
-        cluster.create_table("l", left, "a")
-        cluster.create_table("r", right, "a")
-        answers = [
-            rows_of(answer) for answer in (
-                db.execute(plan), db.execute_records(plan),
-                encoded.execute(plan), cluster.execute(plan),
-                join(left, right),
-            )
-        ]
-        assert answers == [expected] * 5
-        assert len(join(right, left)) == 1
-
-    def test_a_keyed_delete_of_nan_deletes_nothing(self):
+    def test_a_keyed_delete_or_update_of_nan_is_refused(self):
         from repro.relational.constraints import Table
 
-        stored = float("nan")
-        table = Table(["a", "b"],
-                      [{"a": 1, "b": "x"}, {"a": stored, "b": "n"}])
-        assert table.delete({"a": stored}) == 0
-        assert len(table.snapshot()) == 2
-        # The row goes by another attribute.
-        assert table.delete({"b": "n"}) == 1
-        assert len(table.snapshot()) == 1
+        table = Table(["a", "b"], [{"a": 1, "b": "x"}, {"a": 2, "b": "n"}])
+        before = table.snapshot()
+        nan = float("nan")
+        with pytest.raises(InvalidAtomError):
+            table.delete({"a": nan})
+        with pytest.raises(InvalidAtomError):
+            table.update({"a": nan}, {"b": "y"})
+        # Refused whether or not a row matches.
+        for where in ({"a": 1}, {"a": 3}):
+            with pytest.raises(InvalidAtomError):
+                table.update(where, {"b": nan})
+        with pytest.raises(InvalidAtomError):
+            table.insert({"a": nan, "b": "m"})
+        assert table.snapshot() is before
 
 
 class TestAccessPath:
@@ -380,10 +313,10 @@ def scope_index_build(pairs, scope):
     return grouped
 
 
-#: Scopes: twins, one shared ``nan`` object, strings and nested sets.
-SCOPE_POOL = [1, 1.0, True, 0, False, SHARED_NAN, "k", "v", EMPTY,
+#: Scopes: twins, strings and nested sets.
+SCOPE_POOL = [1, 1.0, True, 0, False, "k", "v", EMPTY,
               XSet([(1, EMPTY)]), XSet([(1.0, EMPTY)]), XSet([("k", 1)])]
-scopes = st.one_of(st.sampled_from(SCOPE_POOL), fresh_nan)
+scopes = st.one_of(st.sampled_from(SCOPE_POOL), pool.atoms)
 members = st.one_of(
     st.builds(XSet, st.lists(st.tuples(values, scopes), max_size=4)),
     values,  # atom members hold nothing
@@ -403,15 +336,14 @@ class TestHolding:
             [[id(pair) for pair in run] for run in want.values()]
 
     def test_scopes_meet_as_dict_keys_meet(self):
-        other_nan = float("nan")
         rows = [
-            (XSet([("a", SHARED_NAN), ("b", 1), ("c", other_nan)]), EMPTY),
+            (XSet([("a", -0.0), ("b", 1), ("c", float("inf"))]), EMPTY),
             (XSet([("d", 1.0), ("e", XSet([(1, EMPTY)]))]), EMPTY),
             (XSet([("f", True), ("g", XSet([(1.0, EMPTY)]))]), "k"),
             ("atom", EMPTY),
         ]
         for scope, held in [
-            (SHARED_NAN, ["a"]), (other_nan, ["c"]), (float("nan"), []),
+            (0, ["a"]), (float("inf"), ["c"]), (float("-inf"), []),
             (1, ["b", "d", "f"]), (True, ["b", "d", "f"]),
             (XSet([(True, EMPTY)]), ["e", "g"]),
         ]:

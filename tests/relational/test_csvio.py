@@ -18,6 +18,14 @@ class TestLoads:
         assert isinstance(row["k"], int)
         assert isinstance(row["v"], float)
 
+    def test_a_name_that_reads_as_nan_stays_its_text(self):
+        # float() reads "Nan" as nan, which no set can hold; inf it keeps.
+        rel = loads_csv("name,n\nNan,1\nInf,2\n")
+        assert sorted(rel.to_rows(), key=repr) == [
+            ("Nan", 1), (float("inf"), 2)]
+        row = next(row for row in rel.iter_dicts() if row["n"] == 2)
+        assert type(row["name"]) is float
+
     def test_empty_cells_are_none(self):
         rel = loads_csv("a,b\n1,\n")
         assert list(rel.iter_dicts())[0] == {"a": 1, "b": None}

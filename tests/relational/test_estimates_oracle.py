@@ -3,12 +3,13 @@
 A distinct count is the cardinality of a sigma-domain (Def 7.4) and an
 equality's rows the size of a restriction by one value (Def 7.6).  The
 estimator reads both off the relation's member index, so on every
-column Hypothesis can draw -- typed twins (``1``/``1.0``/``True``,
-``0``/``-0.0``), ``nan``, ``None``, strings, bytes and nested sets --
-they must be exact (an equality with ``nan``, which equals nothing,
-keeps no row and is estimated at the one-row floor), stay exact across
-carried commits, and a plan must depend on the value alone, never on
-how it was reached.
+column Hypothesis can draw from the shared pool (``tests/values.py``:
+typed twins ``1``/``1.0``/``True`` and ``0``/``0.0``/``-0.0``/``False``,
+``±inf``, integers around ``2**53``, ``None``, strings, bytes and nested
+sets) they must be exact, stay exact across carried commits, and a plan
+must depend on the value alone, never on how it was reached.  Every
+drawn value equals itself, so an equality's rows are its run of the
+index.
 
 Seeded by ``REPRO_WORKLOAD_SEED`` (default 101), so a failure replays.
 """
@@ -34,22 +35,13 @@ from repro.relational.query import (
 )
 from repro.relational.relation import Relation
 from repro.relational.tx import TransactionManager
-from repro.xst.builders import xset, xtuple
+
+from tests.values import values
 
 WORKLOAD_SEED = int(os.environ.get("REPRO_WORKLOAD_SEED", "101"))
 
-NAN = float("nan")
-
-#: Column values: twins under Python equality, a value unequal to
-#: itself, ``None``, and atoms and sets of every other kind.
-POOL = (
-    1, 1.0, True, 0, -0.0, 2, 2.5, NAN, None, "a", "b", "", b"a", b"",
-    xset([1, 2]), xset([1.0, 2]), xtuple(["a", None]), xset(),
-)
-
 HEADING = ("k", "a", "b")
 
-values = st.sampled_from(POOL)
 rows = st.lists(
     st.fixed_dictionaries({"k": st.integers(0, 40), "a": values, "b": values}),
     min_size=1, max_size=30,
@@ -97,17 +89,13 @@ class TestExactness:
         assert estimator.estimate(Scan("t")) == len(relation)
         for attr in HEADING:
             column = [row[attr] for row in relation.iter_dicts()]
-            # The sigma-domain under Python equality (nan is its own).
+            # The sigma-domain under Python equality.
             assert estimator.distinct(Scan("t"), attr) == len(set(column))
             for value in column:
                 plan = Restrict(Scan("t"), (Comparison(attr, "=", value),))
                 actual = db.execute(plan).cardinality()
                 estimated = estimator.estimate(plan)
-                if not value == value:
-                    # nan equals nothing, itself included: no row, and
-                    # the estimate keeps its one-row floor.
-                    assert (actual, estimated) == (0, 1.0)
-                elif has_twin(value, column):
+                if has_twin(value, column):
                     assert estimated >= actual
                 else:
                     assert estimated == actual

@@ -7,12 +7,12 @@ The specification is Def 10.1's ``relative_product_nested_loop``, Def
 attribute sigmas, wrapped in the checked ``Relation(...)``.  Answers are
 compared by the ``repr`` of their canonical runs, which tells the twins
 ``1``/``1.0``/``True`` and ``0``/``0.0``/``-0.0``/``False`` apart, and
-by the identity of every value they hold, which tells one ``nan``
-object from another.  So a shared value must keep the left row's
-spelling, a collapsing projection the first row's, and every row and
-the row set must sit in the order the specification sorts them into.
-Values meet by ``==``: the join's specification drops the pairs the
-identity-first relative product meets at one shared ``nan`` object.
+by the identity of every value they hold.  So a shared value must keep
+the left row's spelling, a collapsing projection the first row's, and
+every row and the row set must sit in the order the specification
+sorts them into.  Values are drawn from the shared pool
+(``tests/values.py``); every one equals itself, so the join meets rows
+by ``==`` exactly where the identity-first relative product does.
 """
 
 from hypothesis import given, settings
@@ -27,23 +27,10 @@ from repro.xst.domain import sigma_domain
 from repro.xst.ordering import _xset_key
 from repro.xst.relative_product import relative_product_nested_loop
 from repro.xst.rescope import rescope_by_scope
-from repro.xst.xset import EMPTY, XSet
+from repro.xst.xset import XSet
 
+from tests.values import values
 from tests.xst.test_canonical_form import seeded
-
-#: One ``nan`` object several rows share.
-SHARED_NAN = float("nan")
-
-plain = st.sampled_from([
-    1, 1.0, True, 0, 0.0, -0.0, False, 2, None, "a", b"a", SHARED_NAN,
-])
-#: A new ``nan`` object per draw: equal to nothing, itself included.
-fresh_nan = st.builds(lambda: float("nan"))
-inner = st.builds(XSet, st.lists(
-    st.tuples(st.sampled_from([1, 1.0, "a"]), st.sampled_from([EMPTY, 1])),
-    max_size=2,
-))
-values = st.one_of(plain, plain, plain, fresh_nan, inner)
 
 LEFT = ("a", "b", "c")
 #: Right headings: one shared attribute, two (in either order), none,
@@ -78,23 +65,14 @@ def identity(names):
 
 
 def spec_join(left, right):
-    """Def 10.1's relative product on the shared attributes, less the
-    pairs that met at a value equal to nothing -- one ``nan`` object
-    both rows hold, which the identity-first spec meets: values meet by
-    ``==``."""
-    shared = left.heading.common(right.heading)
-    key = identity(shared)
+    """Def 10.1's relative product on the shared attributes."""
+    key = identity(left.heading.common(right.heading))
     rows = relative_product_nested_loop(
         left.rows, right.rows,
         (identity(left.heading.names), key),
         (key, identity(right.heading.names)),
     )
-    met = XSet(
-        (row, scope) for row, scope in rows.pairs()
-        if all(value == value for value, name in row.pairs()
-               if name in shared)
-    )
-    return Relation(left.heading.union(right.heading), met)
+    return Relation(left.heading.union(right.heading), rows)
 
 
 def spec_project(rel, attrs):
@@ -184,13 +162,14 @@ class TestRowBuildingOracle:
             "-0.0", "True",
         ]
 
-    def test_two_nan_objects_do_not_join(self):
-        # Nor does one nan object both rows hold: nan equals nothing.
-        left = Relation.from_tuples(("k", "v"), [(SHARED_NAN, 1), (float("nan"), 2)])
-        right = Relation.from_tuples(("k", "w"), [(SHARED_NAN, 3), (float("nan"), 4)])
+    def test_an_infinity_joins_itself_and_no_other(self):
+        # inf equals itself, as every admitted value does (a nan, which
+        # does not, is refused when the operand is built).
+        left = Relation.from_tuples(("k", "v"), [(float("inf"), 1), (float("-inf"), 2)])
+        right = Relation.from_tuples(("k", "w"), [(float("inf"), 3), (2**53, 4)])
         joined = join(left, right)
         assert_same(joined, spec_join(left, right))
-        assert [(row["v"], row["w"]) for row in joined.iter_dicts()] == []
+        assert [(row["v"], row["w"]) for row in joined.iter_dicts()] == [(1, 3)]
 
     def test_a_collapsing_projection_keeps_the_first_spelling(self):
         rel = Relation.from_tuples(("k", "v"), [(1, "x"), (1.0, "y"), (True, "z")])

@@ -4,9 +4,10 @@ The client keeps a served answer's checked, de-duplicated page rows and
 builds the row set from them when something reads it as a set
 (``Relation.from_page``).  The reference is the eager constructor over
 the same rows, ``Relation.from_tuples(heading, page rows)``.  Hypothesis
-draws relations from a pool of values that are easy to confuse -- typed
-twins ``1``/``1.0``/``True``, ``0.0``/``-0.0``, ``nan``, ``±inf``,
-``2**53 + 1``, ``None``, ``""`` and ``"1"`` -- serves each through a real
+draws relations from the shared pool's atoms a page carries
+(``tests/values.py``: no sets, no bytes) -- typed twins
+``1``/``1.0``/``True``, ``0``/``0.0``/``-0.0``/``False``, ``±inf``,
+``2**53 ± 1``, ``None``, ``""`` and ``"1"`` -- serves each through a real
 ``Server``/``Client`` in one page or many, and checks that
 
 * ``cardinality()`` and ``iter_dicts()`` (row for row, in the order
@@ -16,8 +17,8 @@ twins ``1``/``1.0``/``True``, ``0.0``/``-0.0``, ``nan``, ``±inf``,
 
 A scripted server sends what no real one does: duplicate spellings of
 one row, which collapse to the first as ``from_tuples`` keeps it, and
-rows out of canonical order, which still fill the same set.  A real
-server repeats a row only when two ``nan`` objects cross the wire.
+rows out of canonical order, which still fill the same set; and a
+``nan``, which no real server can hold, refused with a typed error.
 
 Seeded by ``REPRO_WORKLOAD_SEED`` (default 101), so a failure replays.
 """
@@ -25,30 +26,26 @@ Seeded by ``REPRO_WORKLOAD_SEED`` (default 101), so a failure replays.
 import asyncio
 import os
 
+import pytest
 from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
+from repro.errors import InvalidAtomError
 from repro.relational.constraints import Table
 from repro.relational.relation import Relation
 from repro.relational.tx import TransactionManager
 from repro.server import Server, connect
 from repro.server.protocol import FrameType
 from tests.server.test_service import scripted_pages
+from tests.values import ATOMS
 
 WORKLOAD_SEED = int(os.environ.get("REPRO_WORKLOAD_SEED", "101"))
 
 NAMES = ("a", "b", "c")
 
-#: Values a served page carries (JSON: no sets, no bytes) that compare
-#: or print alike: twins, signed zeros, the float specials, an int past
-#: a double's exact range, and strings that look like other values.  The
-#: two ``nan`` objects are distinct members on the server and one value
-#: after the wire (``json`` decodes every ``NaN`` to one float), so a
-#: real server's page can repeat a row.
-POOL = (
-    1, 1.0, True, 0, 0.0, -0.0, False, float("nan"), float("nan"),
-    float("inf"), float("-inf"), 2 ** 53 + 1, 2 ** 53, None, "", "1", "a",
-)
+#: The pool's atoms a served page carries (JSON: no sets, no bytes),
+#: which compare or print alike, and one plain string.
+POOL = tuple(value for value in ATOMS if type(value) is not bytes) + ("a",)
 
 
 def run(coro):
@@ -155,6 +152,12 @@ class TestScriptedPages:
         assert [row["a"] for row in got.iter_dicts()] == [True, 1.0, -0.0]
         assert [type(row["a"]) for row in got.iter_dicts()] == \
             [bool, float, float]
+
+    def test_a_nan_in_a_page_is_refused(self):
+        # JSON spells it NaN; the client refuses it before it keeps the
+        # page, so building the row set later cannot fail.
+        with pytest.raises(InvalidAtomError, match="does not equal itself"):
+            self.answer({"heading": ["a"], "rows": [[1], [float("nan")]]})
 
     def test_rows_out_of_order_fill_the_same_set(self):
         got = self.answer({"heading": ["a"], "rows": [[3], ["x"]]},

@@ -1233,17 +1233,22 @@ class TestPushedRestrictionShapes:
 
     @staticmethod
     def events(db, plan):
-        """cProfile's total calls of one execution, after a warming one."""
+        """cProfile's total calls of one execution, after a warming one,
+        with observability off: the bounds count the executor's calls,
+        not the spans ``REPRO_OBS=1`` adds."""
         import cProfile
         import pstats
 
-        db._execute_uncached(plan)
-        profile = cProfile.Profile()
-        profile.enable()
-        try:
-            answer = db._execute_uncached(plan)
-        finally:
-            profile.disable()
+        from repro.obs import observed
+
+        with observed(False):
+            db._execute_uncached(plan)
+            profile = cProfile.Profile()
+            profile.enable()
+            try:
+                answer = db._execute_uncached(plan)
+            finally:
+                profile.disable()
         return answer, pstats.Stats(profile).total_calls
 
     def hand_pushed(self, name):

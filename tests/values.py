@@ -1,0 +1,71 @@
+"""One pool of values for the oracles.
+
+Every door of the engine -- the ``XSet`` constructors, ``Relation``
+pages, comparisons, tables, the wire, the codec, CSV -- either carries a
+value byte for byte or refuses it with a typed error before any work.
+The oracles draw from this one pool so that they all ask about the same
+values:
+
+* the typed twins ``1``/``1.0``/``True`` and ``0``/``0.0``/``-0.0``/
+  ``False``: equal, spelled differently, one member of a set;
+* the float edges ``±inf``, and the integers around ``2**53`` that a
+  float cannot tell apart (``2**53 + 1``) beside the float that is one
+  of them (``float(2**53)``);
+* ``None``, ``""``, ``"1"`` (a string that spells a twin) and ``b"a"``;
+* the empty set and nested sets over all of these.
+
+:data:`REFUSED` holds the values no door admits: each is unequal to
+itself (``nan`` of every type), so no set can know it as a member.
+"""
+
+from decimal import Decimal
+
+from hypothesis import strategies as st
+
+from repro.xst.xset import EMPTY, XSet
+
+#: Equal values spelled differently, each group one member of a set.
+TWINS = ((1, 1.0, True), (0, 0.0, -0.0, False))
+
+#: The numbers of the pool: the twins, the float edges, and the
+#: integers around ``2**53`` beside the float equal to one of them.
+NUMBERS = tuple(value for twins in TWINS for value in twins) + (
+    float("inf"), float("-inf"),
+    2**53 - 1, 2**53, 2**53 + 1, float(2**53),
+)
+
+#: Every atom of the pool.
+ATOMS = NUMBERS + (None, "", "1", b"a")
+
+#: Values every door refuses with a typed error: none equals itself.
+REFUSED = (
+    float("nan"), -float("nan"), complex(float("nan"), 0.0), Decimal("NaN"),
+)
+
+atoms = st.sampled_from(ATOMS)
+numbers = st.sampled_from(NUMBERS)
+
+
+def sets(max_size: int = 3) -> st.SearchStrategy:
+    """The empty set and nested sets over the pool's atoms."""
+    return st.recursive(
+        st.just(EMPTY),
+        lambda children: st.builds(XSet, st.lists(
+            st.tuples(st.one_of(atoms, children),
+                      st.one_of(st.just(EMPTY), atoms, children)),
+            max_size=max_size,
+        )),
+        max_leaves=6,
+    )
+
+
+#: Any value of the pool, mostly atoms.
+values = st.one_of(atoms, atoms, atoms, sets())
+
+
+def spelled(value):
+    """A value's spelling, telling twins apart: ``(type, repr)`` of an
+    atom, a set's pairs in run order."""
+    if isinstance(value, XSet):
+        return [(spelled(e), spelled(s)) for e, s in value.pairs()]
+    return (type(value).__name__, repr(value))

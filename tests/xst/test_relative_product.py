@@ -9,6 +9,7 @@ paper verbatim.
 
 import os
 import random
+from itertools import chain
 
 from hypothesis import given
 from hypothesis import strategies as st
@@ -23,6 +24,7 @@ from repro.cst.relations import relative_product as cst_ground_truth
 from repro.xst.xset import EMPTY, XSet
 
 from tests.conftest import pair_relations
+from tests.values import TWINS as POOL_TWINS
 
 WORKLOAD_SEED = int(os.environ.get("REPRO_WORKLOAD_SEED", "0"))
 
@@ -163,13 +165,23 @@ class TestImplementationEquivalence:
         )
 
 
-#: Distinct nan objects: each equals only itself, and their keys neither
-#: order nor tie consistently, so a run holding two depends on arrival.
-NAN_A, NAN_B = float("nan"), float("nan")
+class Tied:
+    """An opaque atom equal only to itself, whose ``repr`` ties with
+    every other one's: their keys tie, so a run holding two is ordered
+    by arrival."""
 
-#: Typed twins (``1``/``1.0``/``True``, ``0``/``-0.0``/``False``), nans
-#: and a plain string: equal values spelled apart.
-TWINS = [1, 1.0, True, 0, -0.0, False, NAN_A, NAN_B, "a"]
+    __slots__ = ()
+
+    def __repr__(self):
+        return "tied"
+
+
+TIED_A, TIED_B = Tied(), Tied()
+
+#: The shared pool's typed twins (``1``/``1.0``/``True``,
+#: ``0``/``0.0``/``-0.0``/``False``), two tied opaque atoms and a plain
+#: string: equal values spelled apart, and unequal ones keyed alike.
+TWINS = [*chain.from_iterable(POOL_TWINS), TIED_A, TIED_B, "a"]
 
 #: Member scopes a key sigma reads, twins among them.
 SCOPES = [1, 2, 3, 2.0]
@@ -180,11 +192,11 @@ TARGETS = [1, 2, "k"]
 
 def spelled(value):
     """``value`` down to its spelling: the type and repr of every atom
-    (a nan by identity), every set's pairs in run order."""
+    (a tied one by identity), every set's pairs in run order."""
     if isinstance(value, XSet):
         return tuple((spelled(e), spelled(s)) for e, s in value.pairs())
-    if value != value:
-        return ("nan", id(value))
+    if type(value) is Tied:
+        return ("tied", id(value))
     return (type(value).__name__, repr(value))
 
 
@@ -291,11 +303,11 @@ class TestSpellingExact:
         ((member, _),) = relative_product(self.F, g, self.SIGMA, self.OMEGA)
         assert type(member.elements()[0]) is int
 
-    def test_unordered_outputs_keep_the_f_major_order(self):
-        g = xset([xpair(2, NAN_A), xpair(1, NAN_B)])
+    def test_tied_outputs_keep_the_f_major_order(self):
+        g = xset([xpair(2, TIED_A), xpair(1, TIED_B)])
         assert_spelled_alike(self.F, g, self.SIGMA, self.OMEGA)
         result = relative_product(self.F, g, self.SIGMA, self.OMEGA)
-        assert result.pairs()[0][0].elements()[0] is NAN_A
+        assert result.pairs()[0][0].elements()[0] is TIED_A
 
 
 class TestDegenerateKeys:

@@ -20,6 +20,7 @@ from repro.xst.serialization import (
 from repro.xst.xset import EMPTY, XSet
 
 from tests.conftest import xsets
+from tests.values import ATOMS, REFUSED, values
 
 #: Atoms whose Python equality matches their type (no 1 / 1.0 / True
 #: overlap), so digests are fully canonical -- see the module caveat.
@@ -84,16 +85,18 @@ def reference_dumps(value):
     )
 
 
-def pooled_values(allow_nan=True):
+def pooled_values():
     """Every admissible kind of value, subclass atoms and nested and
-    empty sets included."""
+    empty sets included (no ``nan``: it equals nothing, so no set holds
+    it and the codec refuses it)."""
     pool = st.one_of(
         st.none(),
         st.booleans(),
         st.integers(min_value=-(2**100), max_value=2**100),
-        st.floats(allow_nan=allow_nan),
+        st.floats(allow_nan=False),
         st.just(-0.0),
-        st.complex_numbers(allow_nan=allow_nan),
+        st.complex_numbers(allow_nan=False),
+        st.sampled_from(ATOMS),
         st.text(max_size=8),
         st.text(max_size=8).map(Name),
         st.binary(max_size=8),
@@ -158,7 +161,7 @@ class TestByteIdentity:
         assert dumps(value) == reference_dumps(value)
         assert dump_stream([value, value]) == reference_dumps(value) * 2
 
-    @given(pooled_values(allow_nan=False))
+    @given(pooled_values())
     def test_loads_reads_the_reference_bytes(self, value):
         assert loads(reference_dumps(value)) == value
 
@@ -219,6 +222,10 @@ class TestRoundTrip:
     def test_arbitrary_xsets_round_trip(self, value):
         assert loads(dumps(value)) == value
 
+    @given(values)
+    def test_every_pooled_value_round_trips(self, value):
+        assert loads(dumps(value)) == value
+
     def test_unserializable_values_rejected(self):
         with pytest.raises(InvalidAtomError):
             dumps(object())
@@ -264,6 +271,33 @@ class TestErrors:
     def test_an_int_that_is_not_a_decimal(self, payload):
         with pytest.raises(InvalidAtomError, match="malformed"):
             loads(payload)
+
+    @pytest.mark.parametrize("text", [b" 7", b"+7", b"07", b"0_7", b"-0"])
+    def test_an_int_dumps_does_not_write(self, text):
+        # int() reads each of these, but dumps never writes them: a value
+        # decodes only from the bytes it re-encodes to.
+        payload = b"I" + struct.pack(">I", len(text)) + text
+        for data in (payload, b"X\x00\x00\x00\x01" + payload + b"N"):
+            with pytest.raises(InvalidAtomError, match="malformed"):
+                loads(data)
+
+    @given(st.text(alphabet="+-_ 0123456789", max_size=6))
+    def test_every_decoded_int_re_encodes_to_its_input(self, text):
+        payload = b"I" + struct.pack(">I", len(text)) + text.encode()
+        try:
+            value = loads(payload)
+        except InvalidAtomError:
+            return
+        assert dumps(value) == payload
+
+    @pytest.mark.parametrize("refused", REFUSED[:3])
+    def test_a_nan_is_refused_both_ways(self, refused):
+        with pytest.raises(InvalidAtomError, match="does not equal itself"):
+            dumps(refused)
+        payload = reference_dumps(refused)
+        for data in (payload, b"X\x00\x00\x00\x01" + payload + b"N"):
+            with pytest.raises(InvalidAtomError, match="does not equal"):
+                loads(data)
 
     @pytest.mark.parametrize("payload", [
         b"S\x00\x00\x00\x01\xff",
