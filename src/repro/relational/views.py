@@ -25,7 +25,8 @@ listener: each commit's insert/delete sets are propagated through the
 body (:mod:`repro.relational.ivm.delta`) and ``(pinned - deleted) |
 inserted`` re-pinned under the new inputs, stacked views in definition
 order, each handed its dependency's delta under the dependency's name.
-A node with no delta rule unpins the view; the next read recomputes.
+A node with no delta rule, or a new value no set can hold (a ``sum``
+come to ``nan``), unpins the view; the next read recomputes.
 :meth:`ViewCatalog.verify` is the ``repro fsck``-style digest check.
 """
 
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.errors import SchemaError
+from repro.errors import InvalidAtomError, SchemaError
 from repro.gov.governor import checkpoint as _gov_checkpoint
 from repro.relational.ivm.cache import QueryResultCache
 from repro.relational.ivm.delta import Delta, DeltaPropagator, DeltaUnsupported
@@ -312,7 +313,9 @@ class ViewCatalog:
             bound, body = self._bind(db, view.plan, lambda dep:
                                      self.store.pinned(dep.name)[0])
             delta = DeltaPropagator(bound, deltas).delta(body)
-        except DeltaUnsupported:
+        except (DeltaUnsupported, InvalidAtomError):
+            # A body whose new value no set can hold (a sum come to
+            # nan) refuses the next read, not the commit already made.
             view.fallbacks += 1
             self._release(view)  # honest: the next read recomputes
             return

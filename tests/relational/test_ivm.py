@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.errors import NotationError, SchemaError
+from repro.errors import InvalidAtomError, NotationError, SchemaError
 from repro.relational.algebra import Comparison
 from repro.relational.constraints import KeyConstraint, Table
 from repro.relational.cost import CardinalityEstimator
@@ -775,6 +775,31 @@ class TestManagedMaintenance:
         assert view.recomputes == 2
         assert not catalog.is_stale("eng")
         assert catalog.verify("eng")
+
+    def test_a_value_no_set_holds_unpins_and_the_commit_stands(self):
+        # The body's new value is a sum come to nan: the commit is made
+        # and durable, so maintenance unpins and the next read refuses.
+        inf = float("inf")
+        manager = TransactionManager({"t": Table(
+            ["k", "g", "x"], [{"k": 1, "g": "a", "x": inf}],
+        )})
+        catalog = ViewCatalog(Database(), manager=manager)
+        try:
+            run_xql(manager.committed(), "CREATE MATERIALIZED VIEW s AS "
+                    "SELECT g, sum(x) AS total FROM t GROUP BY g")
+            assert catalog.read("s").to_rows() == [("a", inf)]
+            with manager.transaction():
+                manager.table("t").insert({"k": 2, "g": "a", "x": -inf})
+            assert manager.current_version == 1
+            assert sorted(manager.table("t").snapshot().to_rows()) == \
+                [(1, "a", inf), (2, "a", -inf)]
+            view = catalog.view("s")
+            assert (view.fallbacks, view.delta_applies) == (1, 0)
+            assert catalog.is_stale("s")
+            with pytest.raises(InvalidAtomError, match="would be nan"):
+                catalog.read("s")
+        finally:
+            catalog.close()
 
     def test_fallback_poisons_dependents(self, managed, monkeypatch):
         manager, catalog = managed

@@ -1,6 +1,8 @@
 """Write-ahead log: framing, torn tails, corruption, crash points."""
 
 import os
+import struct
+import zlib
 
 import pytest
 
@@ -133,6 +135,31 @@ class TestCorruption:
         assert scan.corrupt_at is not None
         with pytest.raises(CorruptLogError):
             fresh.truncate_torn_tail(scan)
+
+
+    def test_a_logged_nan_is_corruption(self, path):
+        # A log once admitted nan; the codec now refuses its D payload,
+        # so a frame holding one, whose CRC holds, is corrupt at its
+        # offset and the log does not open for append.
+        log = WriteAheadLog(path)
+        log.commit(1, change([0]))
+        frame = os.path.getsize(path)  # where the second frame starts
+        log.commit(2, change([1.5]))
+        log.close()
+        with open(path, "rb") as fh:
+            data = fh.read()
+        at = data.index(b"D" + struct.pack(">d", 1.5), frame)
+        data = data[:at + 1] + struct.pack(">d", float("nan")) + data[at + 9:]
+        length, _ = struct.unpack_from(">II", data, frame)
+        payload = data[frame + 8:frame + 8 + length]
+        data = data[:frame + 4] + struct.pack(">I", zlib.crc32(payload)) + \
+            data[frame + 8:]
+        with open(path, "wb") as fh:
+            fh.write(data)
+        scan = scan_bytes(data)
+        assert scan.lsn == 1 and scan.corrupt_at == frame
+        with pytest.raises(CorruptLogError):
+            WriteAheadLog(path)
 
 
 class TestRecords:
