@@ -106,12 +106,15 @@ from repro.xst.builders import xrecord, xset
 from repro.xst.ordering import canonical_key, pair_key
 from repro.xst.relative_product import _CHECK_EVERY, _arrival_free
 from repro.xst.restrict import sigma_restrict
-from repro.xst.xset import _FEW, Pair, XSet, _admit_all, _holding, _merged
+from repro.xst.xset import (
+    _ADMITTED_BY_TYPE, _FEW, Pair, XSet, _check_admissible, _holding, _merged,
+)
 
 __all__ = [
     "restrict",
     "select",
     "Comparison",
+    "Param",
     "project",
     "rename",
     "join",
@@ -151,6 +154,33 @@ _OPERATORS: Dict[str, Callable[[Any, Any], Any]] = {
 }
 
 
+class Param:
+    """Parameter ``$index`` of a statement template: scope ``index`` of
+    the one argument tuple an execution binds.
+
+    It stands where a literal value would -- a ``Comparison``'s
+    constant, a ``Limit`` count -- so a plan holding one is a
+    template, well defined on a catalog's headings like any plan but
+    not executable until :func:`repro.relational.sql.run` binds its
+    arguments.  Its ``repr`` is its spelling, so a template's conditions
+    and ``explain`` read like the statement that made them.
+    """
+
+    __slots__ = ("index",)
+
+    def __init__(self, index: int):
+        self.index = index
+
+    def __eq__(self, other) -> bool:
+        return type(other) is Param and other.index == self.index
+
+    def __hash__(self) -> int:
+        return hash((Param, self.index))
+
+    def __repr__(self) -> str:
+        return "$%d" % self.index
+
+
 class Comparison:
     """One comparison condition, ``row[attr] <operator> value``, kept as
     its parts so the kernel can read it: what a plan's ``Restrict``
@@ -159,20 +189,24 @@ class Comparison:
     Values meet by Python ``==`` and the ordering operators: the typed
     twins (``1``/``1.0``/``True``) are equal.  ``value`` is admitted
     when the comparison is built, as a set's member is: a value no set
-    can hold (``nan``, which equals nothing, or an unhashable one) is an
-    :class:`~repro.errors.InvalidAtomError`, so ``==`` here is the
-    membership every executor's index decides.  Called on a row dict it
-    decides that row, as the record executor and the columnar backend
-    call it.  A value that does not compare with ``value`` (``'>'``
-    between an ``int`` and a ``str``) is refused with a
-    :class:`~repro.errors.SchemaError` naming the attribute, the
-    operator and the type held.
+    can hold (``nan``, which equals nothing, or any value that is no
+    atom) is an :class:`~repro.errors.InvalidAtomError`, so ``==`` here
+    is the membership every executor's index decides.  A :class:`Param`
+    is no value but stands in a template's comparison until its argument
+    is bound.  Called on a row dict it decides that row, as the record
+    executor and the columnar backend call it.  A value that does not
+    compare with ``value`` (``'>'`` between an ``int`` and a ``str``) is
+    refused with a :class:`~repro.errors.SchemaError` naming the
+    attribute, the operator and the type held.
     """
 
     __slots__ = ("attr", "operator", "value", "_test")
 
     def __init__(self, attr: str, operator: str, value: Any):
-        _admit_all((value,))
+        kind = type(value)
+        if kind not in _ADMITTED_BY_TYPE or kind is float and value != value:
+            if kind is not Param:  # a placeholder, not a value
+                _check_admissible(value, "an element")
         self.attr, self.operator, self.value = attr, operator, value
         self._test = _OPERATORS[operator]
 
@@ -597,11 +631,8 @@ def group_by(
         groups = [
             part for block in groups for part in _holding(block, attr).values()
         ]
-    # Key fragments in the order their first rows come in the run, then
-    # a stable sort on their canonical keys: the order the projection's
-    # checked constructor gives them, ties too.
-    place = dict(zip(map(id, run), range(len(run))))
-    groups.sort(key=lambda group: place[id(group[0])])
+    # Sorted on the key fragments' canonical keys, which differ group
+    # to group: the order the projection's checked constructor gives.
     keyed = []
     for group in groups:
         # A subsequence of the first row's canonical run.

@@ -371,8 +371,8 @@ class Table:
 
     def delete(self, conditions: Mapping[str, Any]) -> int:
         """Delete rows matching attribute equalities; returns the count.
-        A value no set can hold (``nan``) is refused before any row is
-        read (:class:`~repro.relational.algebra.Comparison`)."""
+        A value no set can hold (``nan``, or no atom) is refused before
+        any row is read (:class:`~repro.relational.algebra.Comparison`)."""
         doomed = _matching(self._current, conditions).rows
         self._apply(EMPTY, doomed)
         return len(doomed)
@@ -383,8 +383,8 @@ class Table:
         changes: Mapping[str, Any],
     ) -> int:
         """Set attributes on matching rows; returns rows changed.  A
-        value no set can hold (``nan``) is refused before any row is
-        read, whether or not a row matches."""
+        value no set can hold (``nan``, or no atom) is refused before
+        any row is read, whether or not a row matches."""
         self._heading.require(changes)
         _admit_all(changes.values())
         matched = _matching(self._current, conditions).rows

@@ -28,6 +28,7 @@ from repro.obs.digest import build_digest, plan_hash, record_digest
 from repro.obs.instrument import enabled as _obs_enabled
 from repro.obs.trace import tracer as _tracer
 from repro.relational import algebra
+from repro.relational.algebra import Param
 from repro.relational.columnar import (
     ColumnarRelation,
     materialize as _materialize,
@@ -135,33 +136,6 @@ class Plan(Immutable):
 
     def __repr__(self) -> str:
         return self.describe()
-
-
-class Param:
-    """Parameter ``$index`` of a statement template: scope ``index`` of
-    the one argument tuple an execution binds.
-
-    It stands where a literal value would -- a ``Comparison``'s
-    constant, a ``Limit`` count -- so a plan holding one is a
-    template, well defined on a catalog's headings like any plan but
-    not executable until :func:`repro.relational.sql.run` binds its
-    arguments.  Its ``repr`` is its spelling, so a template's conditions
-    and ``explain`` read like the statement that made them.
-    """
-
-    __slots__ = ("index",)
-
-    def __init__(self, index: int):
-        self.index = index
-
-    def __eq__(self, other) -> bool:
-        return type(other) is Param and other.index == self.index
-
-    def __hash__(self) -> int:
-        return hash((Param, self.index))
-
-    def __repr__(self) -> str:
-        return "$%d" % self.index
 
 
 class Scan(Plan):
@@ -879,7 +853,9 @@ class Database:
                 yield {mapping.get(attr, attr): value for attr, value in row.items()}
         elif isinstance(plan, Join):
             # Classical record processing: materialize the left side,
-            # then nested-loop probe with each right row.
+            # then nested-loop probe with each right row.  A shared
+            # attribute keeps the left row's spelling, as every other
+            # executor's join does.
             left_rows = list(self._iterate(plan.left))
             left_heading = self.heading_of(plan.left)
             right_heading = self.heading_of(plan.right)
@@ -887,9 +863,7 @@ class Database:
             for right_row in self._iterate(plan.right):
                 for left_row in left_rows:
                     if all(left_row[attr] == right_row[attr] for attr in shared):
-                        merged = dict(left_row)
-                        merged.update(right_row)
-                        yield merged
+                        yield {**right_row, **left_row}
         elif isinstance(plan, Union):
             yield from self._iterate(plan.left)
             yield from self._iterate(plan.right)

@@ -73,7 +73,7 @@ from typing import (
     Sequence, Set, Tuple,
 )
 
-from repro.errors import SchemaError, WriteConflictError
+from repro.errors import SchemaError, WriteConflictError, notify_error
 from repro.gov.governor import checkpoint as _gov_checkpoint
 from repro.relational.constraints import Table
 from repro.relational.query import Database
@@ -304,7 +304,10 @@ class TransactionManager:
         self._pending_notice = None
         version, changes = notice
         for listener in list(self._listeners):
-            listener(version, changes)
+            try:
+                listener(version, changes)
+            except Exception as error:  # the commit stands: report, go on
+                notify_error(error)
 
     # ------------------------------------------------------------------
     # Commit-diff subscriptions
@@ -317,9 +320,11 @@ class TransactionManager:
         ``changes`` maps each changed table to ``(heading, inserted,
         deleted)`` -- the same immutable row sets the WAL record
         carries.  Listeners fire after the commit is durable and
-        versioned; an exception from a listener propagates to the
-        committer but never rolls the commit back.  Rollbacks and no-op
-        transactions notify nothing.
+        versioned, every one of them: an exception from a listener goes
+        to the flight recorder's hook (:func:`repro.errors.notify_error`)
+        and neither reaches the committer, whose commit stands, nor stops
+        the listeners after it.  Rollbacks and no-op transactions notify
+        nothing.
         """
         if listener not in self._listeners:
             self._listeners.append(listener)

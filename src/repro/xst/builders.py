@@ -21,8 +21,7 @@ from __future__ import annotations
 
 from typing import Any, Iterable, Mapping, Sequence, Tuple
 
-from repro.errors import InvalidAtomError
-from repro.xst.xset import EMPTY, XSet
+from repro.xst.xset import EMPTY, XSet, _admit_all
 
 __all__ = [
     "xset",
@@ -89,7 +88,10 @@ def from_python(value: Any) -> Any:
     ``set``/``frozenset`` become classical sets, ``tuple``/``list``
     become n-tuples, ``dict`` becomes a record (string keys) or a
     scoped set (other keys), and atoms pass through.  The conversion
-    recurses into nested containers.
+    recurses into nested containers.  Any other value is no atom (a
+    number of another type, an instance of a user class) and is refused
+    as the kernel refuses it, with an
+    :class:`~repro.errors.InvalidAtomError`.
     """
     if isinstance(value, XSet):
         return value
@@ -102,10 +104,5 @@ def from_python(value: Any) -> Any:
         if all(isinstance(key, str) for key in converted):
             return xrecord(converted)
         return XSet((item, from_python(key)) for key, item in converted.items())
-    try:
-        hash(value)
-    except TypeError as exc:
-        raise InvalidAtomError(
-            "cannot convert %r into an extended set value" % (value,)
-        ) from exc
+    _admit_all((value,))
     return value

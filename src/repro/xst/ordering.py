@@ -15,24 +15,20 @@ has a single canonical pair sequence.  Canonical order buys us:
 
 The order sorts first by a small *rank* assigned to each value family
 and then by a payload that is guaranteed comparable within the rank.
-The ordering is total, because the constructors admit no atom that is
-unequal to itself (``nan`` of any type), so every key equals itself.
-It is consistent with equality for every ranked value: equal values
-produce equal keys (e.g. ``1``, ``1.0``, ``True``, ``Fraction(1, 1)``
-and ``1+0j``), and unequal values of the same rank produce distinct,
-comparable payloads.  An opaque atom -- one of no type this module
-ranks -- is keyed by its type's name and its ``repr``, so two equal
-opaque atoms whose reprs differ (``(1, 2)`` and ``(1.0, 2)``) get
-unequal keys; the kernel's patched difference, which bisects keys,
-then filters instead.
+It is total and consistent with equality for every value the
+constructors admit -- ``None``, ``int`` (``bool`` included), ``float``,
+``complex``, ``str``, ``bytes``, subclasses of these, and nested extended
+sets -- because no admitted atom is unequal to itself (``nan``) and each
+family has an exact payload: ``a == b`` exactly when
+``canonical_key(a) == canonical_key(b)``.  Equal values of different
+types share a key (``1``, ``1.0``, ``True`` and ``1+0j``), so the keys of
+a canonical run strictly ascend.
 """
 
 from __future__ import annotations
 
 import re
 import zlib
-from decimal import Decimal
-from fractions import Fraction
 from typing import Any, Tuple
 
 #: Rank constants; lower ranks sort first.
@@ -40,8 +36,7 @@ _RANK_NONE = 0
 _RANK_NUMBER = 1
 _RANK_STRING = 2
 _RANK_BYTES = 3
-_RANK_OTHER = 4
-_RANK_XSET = 5
+_RANK_XSET = 4
 
 
 #: The ``XSet`` class.  ``repro.xst.xset`` imports this module, so it
@@ -51,24 +46,18 @@ _XSet: Any = None
 
 def _number_payload(value: Any) -> Any:
     """``float(value)`` when that is exact, else the value as an exact
-    ``int`` or, when it is not whole, a ``Fraction``.
+    ``int``.
 
-    ``1``, ``1.0``, ``True``, ``Fraction(1)`` and ``Decimal(1)``
-    therefore share one payload, while numbers no float can represent
-    (``2**53 + 1``, ``10**400``, ``Fraction(1, 3)``) keep distinct ones;
-    Python orders ``int``, ``float`` and ``Fraction`` against each other
+    ``1``, ``1.0`` and ``True`` therefore share one payload, while ints
+    no float can represent (``2**53 + 1``, ``10**400``) keep distinct
+    ones; Python orders ``int`` and ``float`` against each other
     exactly, and equal numbers share a payload's ``repr`` too.
     """
     try:
         as_float = float(value)
-    except OverflowError:  # an int or a Fraction
-        as_float = None
-    if as_float == value:
-        return as_float
-    if type(value) is int or value != value:  # nan is admitted nowhere
-        return value
-    exact = Fraction(value)
-    return exact.numerator if exact.denominator == 1 else exact
+    except OverflowError:  # an int too large for any float
+        return int(value)
+    return as_float if as_float == value else int(value)
 
 
 def canonical_key(value: Any) -> Tuple:
@@ -76,7 +65,7 @@ def canonical_key(value: Any) -> Tuple:
 
     The key is a tuple ``(rank, payload)``.  Payloads are constructed so
     that any two values of equal rank have comparable payloads, and so
-    that ``a == b`` implies ``canonical_key(a) == canonical_key(b)``.
+    that ``a == b`` exactly when ``canonical_key(a) == canonical_key(b)``.
 
     ``XSet`` instances are ordered structurally: first by cardinality,
     then lexicographically by the canonical keys of their (element,
@@ -105,24 +94,19 @@ def canonical_key(value: Any) -> Tuple:
         return (_RANK_NUMBER, as_float if as_float == value else value)
     if value is None:
         return (_RANK_NONE, 0)
-    if isinstance(value, (int, float, Fraction, Decimal)):
-        # bool is a subclass of int and folds into the number rank, so
-        # True == 1 keeps a key equal to canonical_key(1); so do the
-        # other real numbers, each keyed with the numbers it equals.
+    # A subclass (bool is one) is keyed by the exact value it extends,
+    # so the key's repr -- canonical_hash's text -- is not its own.
+    if isinstance(value, (int, float)):
         return (_RANK_NUMBER, _number_payload(value))
     if isinstance(value, complex):
         if not value.imag:  # equal to its real part, so keyed as it
             return (_RANK_NUMBER, _number_payload(value.real))
         return (_RANK_NUMBER + 0.5, (value.real, value.imag))
     if isinstance(value, str):
-        return (_RANK_STRING, value)
+        return (_RANK_STRING, str.__str__(value))
     if isinstance(value, bytes):
-        return (_RANK_BYTES, value)
-    if isinstance(value, _XSet):
-        return _xset_key(value)
-    # Any other hashable atom: order by type name, then by repr.  repr
-    # ties are acceptable because such atoms are opaque to the kernel.
-    return (_RANK_OTHER, type(value).__name__, repr(value))
+        return (_RANK_BYTES, bytes(value))
+    return _xset_key(value)  # an XSet subclass: nothing else is admitted
 
 
 def _xset_key(value: Any) -> Tuple:

@@ -36,13 +36,11 @@ executable specification (``benchmarks/bench_join.py`` compares both).
 
 from __future__ import annotations
 
-from itertools import islice
-from operator import itemgetter, lt
+from operator import itemgetter
 from typing import Dict, List, Optional, Tuple
 
 from repro.gov.governor import active as _gov_active
 from repro.obs.instrument import kernel_op
-from repro.xst.ordering import canonical_key
 from repro.xst.rescope import rescope_value_by_scope
 from repro.xst.xset import Pair, XSet
 
@@ -77,11 +75,9 @@ def _probe_scope(key_sigma: XSet) -> Optional[Pair]:
 
 def _arrival_free(result: XSet, emitted: int) -> bool:
     """Whether any order of the ``emitted`` pairs builds ``result``: none
-    collapsed into another (so no spelling was chosen by arrival) and
-    its keys strictly ascend (so no tie of opaque atoms' reprs was
-    broken by arrival)."""
-    keys = canonical_key(result)[2]
-    return len(keys) == emitted and all(map(lt, keys, islice(keys, 1, None)))
+    collapsed into another, so no spelling was chosen by arrival.
+    Distinct pairs have distinct keys, so arrival never orders them."""
+    return len(result) == emitted
 
 
 @kernel_op("relative_product")

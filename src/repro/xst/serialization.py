@@ -5,10 +5,11 @@ them between nodes.  This module gives every admissible XST value a
 canonical byte encoding with three properties the rest of the library
 leans on:
 
-* **lossless** -- ``loads(dumps(v)) == v`` for every value built from
-  admissible atoms (None, bool, int, float, complex, str, bytes) and
-  nested :class:`~repro.xst.xset.XSet`; a ``nan``, which equals
-  nothing and so is no admissible atom, is refused both ways;
+* **lossless** -- ``loads(dumps(v)) == v`` for every value an
+  :class:`~repro.xst.xset.XSet` admits: its atoms (None, bool, int,
+  float, complex, str, bytes) are exactly what this codec carries, and
+  any other value -- a ``nan``, which equals nothing, included -- is
+  refused both ways with the kernel's own reason;
 * **canonical** -- equal values encode to identical bytes (pairs are
   emitted in the kernel's canonical order), so ``digest`` is a usable
   content address; and ``loads`` accepts only the bytes ``dumps``
@@ -47,7 +48,7 @@ import struct
 from typing import Any, Iterator, Tuple
 
 from repro.errors import InvalidAtomError
-from repro.xst.xset import EMPTY, XSet
+from repro.xst.xset import EMPTY, XSet, _check_admissible
 
 __all__ = ["dumps", "loads", "digest", "dump_stream", "load_stream"]
 
@@ -61,12 +62,6 @@ _f64_at = _F64.unpack_from
 _N, _T, _F, _I, _D, _C, _S, _B, _X = b"NTFIDCSBX"
 #: The empty set: the scope of every classical member.
 _EMPTY_SET = b"X\x00\x00\x00\x00"
-
-
-def _not_a_number(value: Any) -> InvalidAtomError:
-    return InvalidAtomError(
-        "%r does not equal itself, so it is no XST value" % (value,)
-    )
 
 
 def _not_canonical(text: bytes) -> InvalidAtomError:
@@ -109,14 +104,10 @@ def _encode(value: Any, out: bytearray) -> None:
         out += b"I"
         out += _pack_u32(len(text))
         out += text
-    elif isinstance(value, float):
-        if value != value:
-            raise _not_a_number(value)
+    elif isinstance(value, float) and value == value:
         out += b"D"
         out += _F64.pack(value)
-    elif isinstance(value, complex):
-        if value != value:
-            raise _not_a_number(value)
+    elif isinstance(value, complex) and value == value:
         out += b"C"
         out += _F64.pack(value.real)
         out += _F64.pack(value.imag)
@@ -129,11 +120,8 @@ def _encode(value: Any, out: bytearray) -> None:
         out += b"B"
         out += _pack_u32(len(value))
         out += value
-    else:
-        raise InvalidAtomError(
-            "cannot serialize %r: admissible atoms are None, bool, int, "
-            "float, complex, str, bytes and nested XSets" % (value,)
-        )
+    else:  # no XST value: the kernel's rule refuses it, saying why
+        _check_admissible(value, "an element")
 
 
 def dumps(value: Any) -> bytes:
@@ -221,7 +209,7 @@ def _decode(data: bytes, at: int) -> Tuple[Any, int]:
             raise _truncated()
         (value,) = _f64_at(data, at)
         if value != value:
-            raise _not_a_number(value)
+            _check_admissible(value, "an element")
         return value, at + 8
     if tag == _C:
         if at + 16 > end:
@@ -230,7 +218,7 @@ def _decode(data: bytes, at: int) -> Tuple[Any, int]:
         (imag,) = _f64_at(data, at + 8)
         value = complex(real, imag)
         if value != value:
-            raise _not_a_number(value)
+            _check_admissible(value, "an element")
         return value, at + 16
     raise InvalidAtomError("unknown serialization tag %r" % (bytes([tag]),))
 

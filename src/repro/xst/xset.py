@@ -15,7 +15,8 @@ memberships:
 
 :class:`XSet` realizes this as an immutable, hashable collection of
 ``(element, scope)`` pairs, where elements and scopes are either
-*atoms* (hashable, non-``XSet`` Python values) or nested ``XSet``
+*atoms* -- the values the log carries: ``None``, ``bool``, ``int``,
+``float``, ``complex``, ``str`` and ``bytes`` -- or nested ``XSet``
 instances.  Pairs are stored deduplicated and in the canonical order of
 :mod:`repro.xst.ordering`, so equality, hashing, iteration and ``repr``
 are all structural and deterministic.
@@ -68,10 +69,6 @@ _key_of = attrgetter("_key")
 _FEW = 16
 
 
-#: Sort key of a ``(position, item)`` move: the position alone.
-_position_of = itemgetter(0)
-
-
 def _dropping(run: Tuple, positions: List[int]) -> Tuple:
     """``run`` less its entries at ``positions`` (ascending, at least
     one), copied a slice at a time."""
@@ -99,15 +96,12 @@ def _merged(
     pair key)`` items in canonical order that share no pair with it:
     the merged run beside its keys.
 
-    Each extra pair goes after the equal keys already there.  A few are
-    put in by bisection, more by one stable sort, which finds both runs
-    and merges them.
+    A few extra pairs are put in by bisection (in canonical order, so at
+    ascending positions), more by one sort, which finds both runs and
+    merges them.
     """
     if len(extra) * _FEW <= len(keys):
-        moves = sorted(
-            ((bisect_right(keys, item[1]), item) for item in extra),
-            key=_position_of,  # stable: ties keep their order
-        )
+        moves = [(bisect_right(keys, item[1]), item) for item in extra]
         return _inserting(pairs, moves, 0), _inserting(keys, moves, 1)
     ordered, keys = zip(*sorted([*zip(pairs, keys), *extra], key=_pair_key_of))
     return ordered, keys
@@ -133,29 +127,29 @@ def _holding(pairs: Iterable[Pair], scope: Any) -> Dict[Any, List[Pair]]:
     return grouped
 
 
-def _find(
-    pairs: Tuple[Pair, ...], keys: Tuple, pair: Pair, key: Tuple
-) -> Optional[int]:
-    """Where ``pair``, beside its ``key``, stands in a run whose ``keys``
-    are in step with its ``pairs``: bisected, then past tied keys
-    (opaque atoms whose reprs tie).  ``None`` when it is not there."""
+def _find(keys: Tuple, key: Tuple) -> Optional[int]:
+    """Where the pair keyed ``key`` stands in a run whose ``keys`` are in
+    step with its pairs: equal keys mean equal pairs, so bisection finds
+    it.  ``None`` when it is not there."""
     at = bisect_left(keys, key)
-    while at < len(keys) and keys[at] == key:
-        if pairs[at] == pair:
-            return at
-        at += 1
-    return None
+    return at if at < len(keys) and keys[at] == key else None
 
 
 def _check_admissible(value: Any, role: str) -> None:
     """Reject values that cannot live inside an extended set.
 
-    Atoms must be hashable (the kernel indexes memberships by value),
-    must equal themselves (a set is known by its members, so a member
-    that is not its own equal -- ``nan`` of any type -- cannot be found
-    again), and must not be process objects, which the theory keeps
-    outside of sets.  ``XSet`` instances are always admissible.  The
-    constructors call this only for a value whose exact type is not in
+    An atom is a value the log carries byte for byte
+    (:mod:`repro.xst.serialization`): ``None`` or an instance of one of
+    :data:`_ATOM_TYPES` (``bool`` is an ``int``; subclasses are admitted,
+    as the codec writes each by the type it extends) that is hashable --
+    the kernel indexes memberships by value -- and equals itself: a set
+    is known by its members, so a member that is not its own equal
+    (``nan``) cannot be found again.  ``XSet`` instances are always
+    admissible.  Anything else -- a tuple, a frozenset, a number of
+    another type, an instance of a user class, a process, which the
+    theory keeps outside of sets -- is refused; ``from_python`` turns a
+    container into the extended set it stands for.  The constructors
+    call this only for a value whose exact type is not in
     ``_ADMITTED_BY_TYPE`` or that is a float unequal to itself, a test
     they make inline.
     """
@@ -173,6 +167,12 @@ def _check_admissible(value: Any, role: str) -> None:
             "%r is not hashable and cannot be used as an XSet %s; convert "
             "it with repro.xst.builders.from_python first" % (value, role)
         ) from exc
+    if value is not None and not isinstance(value, _ATOM_TYPES):
+        raise InvalidAtomError(
+            "%r is no atom, so it cannot be %s of an extended set: an atom "
+            "is None, bool, int, float, complex, str or bytes; convert it "
+            "with repro.xst.builders.from_python first" % (value, role)
+        )
     if not value == value:
         raise InvalidAtomError(
             "%r does not equal itself, so it cannot be %s of an extended "
@@ -279,8 +279,8 @@ class XSet(Immutable):
             keyed.setdefault(
                 (element, scope), (canonical_key(element), canonical_key(scope))
             )
-        # Stable and on the keys alone, so opaque atoms whose reprs tie
-        # keep insertion order.
+        # On the keys alone: equal keys mean equal pairs, and those the
+        # dict has already made one.
         ordered, keys = (
             zip(*sorted(keyed.items(), key=_pair_key_of)) if keyed else ((), ())
         )
@@ -346,7 +346,7 @@ class XSet(Immutable):
             kind = type(value)
             if kind not in _ADMITTED_BY_TYPE or kind is float and value != value:
                 _check_admissible(value, "an element")
-        # Stable and on the keys alone, as the checked constructor sorts.
+        # On the keys alone, as the checked constructor sorts.
         ordered, keys = zip(*sorted(
             zip(zip(values, scopes), zip(map(canonical_key, values), scope_keys)),
             key=_pair_key_of,
@@ -416,10 +416,9 @@ class XSet(Immutable):
         set's own) and plus the ``added`` ones (in run order).  Each
         index is copied before it is patched, so ``result`` holds no
         reference to this set's, and a run that empties goes with its
-        key: a fresh build never makes an empty one.  An added pair goes
-        after the equal keys of its element's run, where a stable merge
-        puts it, so a carried index always equals the one a fresh build
-        makes.
+        key: a fresh build never makes an empty one.  A pair is found
+        and put in by bisecting its key, so a carried index always
+        equals the one a fresh build makes.
         """
         if not self._by_part:
             return
@@ -431,8 +430,6 @@ class XSet(Immutable):
                 run = index[element]
                 for pair in gone:
                     at = bisect_left(run, pair_key(pair), key=pair_key)
-                    while run[at] is not pair:  # past tied keys
-                        at += 1
                     run = run[:at] + run[at + 1:]
                 if run:
                     index[element] = run
@@ -610,17 +607,13 @@ class XSet(Immutable):
             return self
         if candidates is not None:
             keys = canonical_key(self)[2]
-            found = (_find(pairs, keys, pair, key) for pair, key in candidates)
+            found = (_find(keys, key) for _, key in candidates)
             positions = sorted(at for at in found if at is not None)
-            # Equal opaque atoms whose reprs differ, (1, 2) and (1.0, 2),
-            # have unequal keys and may hide one: filter instead.
-            if len(positions) == lost:
-                result = XSet._from_run(
-                    _dropping(pairs, positions), kept,
-                    _dropping(keys, positions),
-                )
-                self._carry_parts(result, [pairs[at] for at in positions], [])
-                return result
+            result = XSet._from_run(
+                _dropping(pairs, positions), kept, _dropping(keys, positions)
+            )
+            self._carry_parts(result, [pairs[at] for at in positions], [])
+            return result
         # One C-level pass over the run: which of its pairs are kept.
         if own is None:
             mask = list(map(kept.__contains__, pairs))
@@ -802,6 +795,10 @@ def render(xset: XSet) -> str:
             parts.append("%s^%s" % (_render_value(element), _render_value(scope)))
     return "{%s}" % ", ".join(parts)
 
+
+#: The atom types: with ``None``, what an extended set holds besides
+#: extended sets -- the values the log carries (see _check_admissible).
+_ATOM_TYPES = (int, float, complex, str, bytes)
 
 #: Exact types the constructor admits without a ``_check_admissible``
 #: call.  The builtins are hashable and, having no instance dict and no

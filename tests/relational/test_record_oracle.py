@@ -20,14 +20,14 @@ The values are the shared pool's (``tests/values.py``: typed twins
 ``1``/``1.0``/``True`` and ``0``/``0.0``/``-0.0``/``False``, ``±inf``,
 integers ``float`` cannot tell apart (``2**53 + 1``), ``None``, strings,
 bytes, empty and nested sets) and a few more: the twins
-``0.5``/``Fraction(1, 2)``, ``10**400``, which no float holds, and
+``0.5``/``0.5+0j``, ``10**400``, which no float holds, and
 deeper nested extended sets; the rows include duplicates and twin
 duplicates, and the relation may be empty.  A ``nan``, which no set can
-hold, is refused as the checked constructor refuses it.
+hold, or a value that is no atom, is refused as the checked constructor
+refuses it.
 """
 
 from decimal import Decimal
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -49,12 +49,12 @@ NAMES = ("k", "v", "w")
 
 values = st.one_of(
     pool.values,
-    st.sampled_from([0.5, Fraction(1, 2), "a", b"", 10**400, -(10**400)]),
+    st.sampled_from([0.5, 0.5 + 0j, "a", b"", 10**400, -(10**400)]),
     nested(3),
 )
 
 #: Each value's typed twins: equal, another spelling.
-TWINS = {1: [1.0, True], 0: [0.0, -0.0, False], 0.5: [Fraction(1, 2)],
+TWINS = {1: [1.0, True], 0: [0.0, -0.0, False], 0.5: [0.5 + 0j],
          2**53: [float(2**53)]}
 
 
@@ -130,9 +130,7 @@ def assert_same(built: Relation, expected: Relation):
     assert identities(built.rows) == identities(expected.rows)
     assert built.rows._key == expected.rows._key == _xset_key(expected.rows)
     assert repr(built.rows) == repr(expected.rows)
-    # The same bytes, or (a Fraction is no wire atom) the same refusal.
-    assert outcome(lambda: dumps(built.rows)) == outcome(
-        lambda: dumps(expected.rows))
+    assert dumps(built.rows) == dumps(expected.rows)
     for (row, _), (twin, _) in zip(built.rows.pairs(), expected.rows.pairs()):
         assert row._key == twin._key == _xset_key(twin)
         assert identities(row._scopes_index()) == identities(
@@ -187,6 +185,7 @@ BAD_VALUES = {
     "process": identity_process(xset([xtuple([1])])),
     "nan": float("nan"),
     "decimal-nan": Decimal("NaN"),
+    "tuple": (1, 2),
 }
 
 

@@ -570,6 +570,27 @@ class TestManagerPlumbing:
         view.clear()
         assert manager.table("emp") is employees
 
+    def test_a_listener_fault_costs_the_commit_nothing(self, schema):
+        from repro.errors import set_error_listener
+
+        manager, _, departments = schema
+        heard, reported = [], []
+
+        def faulty(version, changes):
+            raise RuntimeError("listener fault")
+
+        manager.subscribe(faulty)
+        manager.subscribe(lambda version, changes: heard.append(version))
+        previous = set_error_listener(reported.append)
+        try:
+            departments.insert({"dept": 2, "dname": "ops"})
+        finally:
+            set_error_listener(previous)
+        # The committer is answered, every listener ran, and the fault
+        # reached the flight recorder's hook.
+        assert manager.current_version == 1 and heard == [1]
+        assert [str(error) for error in reported] == ["listener fault"]
+
 
 class TestSavepointSnapshotInteraction:
     """Satellite fix: savepoint semantics under concurrent snapshot

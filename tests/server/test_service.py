@@ -260,6 +260,32 @@ class TestQueries:
         run(body())
         log.close()
 
+    def test_a_listener_fault_does_not_cost_a_mutate_its_ack(self, tmp_path):
+        log = WriteAheadLog(str(tmp_path / "wal.log"), sync=False)
+        manager = TransactionManager(make_manager().tables, log=log)
+        heard = []
+
+        def faulty(version, changes):
+            raise RuntimeError("listener fault")
+
+        manager.subscribe(faulty)
+        manager.subscribe(lambda version, changes: heard.append(version))
+
+        async def body(server):
+            client = await connect("127.0.0.1", server.port)
+            version = await client.mutate(
+                [["insert", "emp", {"eid": 9, "name": "eve", "dept": "ops"}]]
+            )
+            # The write is durable, so it is acked, and every listener ran.
+            assert version == manager.current_version == log.lsn == 1
+            assert heard == [1]
+            rel = await client.query("select name from emp where eid = 9")
+            assert rel.to_rows() == [("eve",)]
+            await client.close()
+
+        run(served(body, manager))
+        log.close()
+
     def test_join_queries_work_over_the_wire(self):
         async def body(server):
             client = await connect("127.0.0.1", server.port)

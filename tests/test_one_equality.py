@@ -3,21 +3,27 @@
 A set is known by its members, which needs every member to equal itself.
 The kernel decides membership identity-first (dict keys, tuple
 compares), restrictions and joins decide by ``==``, and the canonical
-order bisects by keys; the three agree exactly when no admitted value is
-unequal to itself.  So ``nan`` -- of any type -- is refused at every
-door, with a typed error and before any work, and on every value of the
-shared pool (``tests/values.py``):
+order bisects by keys; the three agree exactly when every admitted value
+equals itself and is keyed exactly.  So an atom is a value the log can
+carry -- None, bool, int, float, complex, str or bytes -- that equals
+itself: a ``nan`` of any type, and any value of another type (a tuple,
+a frozenset, a ``Fraction``, a ``Decimal``, a user class's instance),
+is refused at every door, with a typed error and before any work, and
+on every value the constructors admit (the shared pool,
+``tests/values.py``, and more):
 
 * ``a == b`` exactly when ``{a}`` and ``{b}`` are one set, and exactly
   when ``a`` and ``b`` share a canonical key;
 * ``semijoin(r, s) == project(join(r, s), heading(r))``: restriction is
-  semijoin, on the row, record and columnar executors and the cluster;
+  semijoin, on the row, record and columnar executors and the cluster,
+  and the join is spelled alike on each of them;
 * ``loads(dumps(v)) == v``.
 
 Seeded by ``REPRO_WORKLOAD_SEED`` (default 101), so a failure replays.
 """
 
 import asyncio
+import enum
 import os
 import struct
 
@@ -26,7 +32,7 @@ from hypothesis import given, seed, settings
 from hypothesis import strategies as st
 
 from repro.errors import InvalidAtomError
-from repro.relational.algebra import Comparison, aggregate, semijoin
+from repro.relational.algebra import Comparison, Param, aggregate, semijoin
 from repro.relational.constraints import Table
 from repro.relational.csvio import loads_csv
 from repro.relational.distributed import Cluster
@@ -35,12 +41,13 @@ from repro.relational.relation import Relation
 from repro.relational.tx import TransactionManager
 from repro.relational.wal import WriteAheadLog
 from repro.server import Server, connect
-from repro.xst.ordering import canonical_key
+from repro.xst.builders import from_python
+from repro.xst.ordering import canonical_hash, canonical_key
 from repro.xst.serialization import dumps, loads
 from repro.xst.xset import EMPTY, XSet
 
 from tests.server.test_service import make_manager, scripted_pages
-from tests.values import REFUSED, spelled, values
+from tests.values import REFUSED, atoms, label, refusal, spelled, values
 
 WORKLOAD_SEED = int(os.environ.get("REPRO_WORKLOAD_SEED", "101"))
 
@@ -48,22 +55,39 @@ NAN = float("nan")
 
 
 # ----------------------------------------------------------------------
-# Every door refuses a value unequal to itself
+# Every door refuses a value unequal to itself, or no atom
 # ----------------------------------------------------------------------
 
-def table():
-    return Table(["a", "b"], [{"a": 1, "b": "x"}, {"a": 2, "b": "y"}])
+class Counted:
+    """A constraint that always holds and counts the checks it makes."""
+
+    def __init__(self):
+        self.checks = 0
+
+    def check(self, relation):
+        self.checks += 1
+
+    def check_delta(self, relation, inserted, deleted):
+        self.checks += 1
 
 
-def refused_by_table(operation):
-    """A table ``operation`` refuses, leaving the table as it was."""
-    def door(value):
-        held = table()
-        before = held.snapshot()
-        try:
+def refused_by_table(operation, logged=False):
+    """A table ``operation`` refuses before any work: the table stays as
+    it was, no constraint check runs and, on a table whose commits a
+    WAL logs, the LSN does not move."""
+    def door(value, tmp_path):
+        counted = Counted()
+        held = Table(["a", "b"], [{"a": 1, "b": "x"}, {"a": 2, "b": "y"}],
+                     [counted])
+        log = None
+        if logged:
+            log = WriteAheadLog(str(tmp_path / "wal.log"), sync=False)
+            TransactionManager({"t": held}, log=log)
+        before, lsn, counted.checks = held.snapshot(), log and log.lsn, 0
+        with pytest.raises(InvalidAtomError, match=refusal(value)):
             operation(held, value)
-        finally:
-            assert held.snapshot() is before
+        assert held.snapshot() is before and counted.checks == 0
+        assert (log and log.lsn) == lsn
     return door
 
 
@@ -79,17 +103,22 @@ DOORS = {
     "xset-scope": lambda value: XSet([("a", value)]),
     "record": lambda value: Relation.from_tuples(["a", "b"], [(1, value)]),
     "from-page": lambda value: Relation.from_page(["a"], [[1], [value]]),
+    "from-python": from_python,
     "comparison": lambda value: Comparison("a", "=", value),
-    "table-insert": refused_by_table(
-        lambda held, value: held.insert({"a": value, "b": "z"})),
-    "table-delete": refused_by_table(
-        lambda held, value: held.delete({"a": value})),
-    "table-update-where": refused_by_table(
-        lambda held, value: held.update({"a": value}, {"b": "z"})),
-    "table-update-set": refused_by_table(
-        lambda held, value: held.update({"a": 3}, {"b": value})),
     "csv-converter": lambda value: loads_csv(
         "a,b\n1,x\n", converters={"a": lambda cell: value}),
+}
+
+#: ``from_python`` makes the extended set a container stands for.
+CONVERTED = (tuple, frozenset)
+
+#: Table statements: each takes the table and the refused value.
+STATEMENTS = {
+    "table-insert": lambda held, value: held.insert({"a": value, "b": "z"}),
+    "table-delete": lambda held, value: held.delete({"a": value}),
+    "table-update-where":
+        lambda held, value: held.update({"a": value}, {"b": "z"}),
+    "table-update-set": lambda held, value: held.update({"a": 3}, {"b": value}),
 }
 
 
@@ -182,8 +211,14 @@ def in_process(door):
 
 
 CASES = [
-    pytest.param(in_process(DOORS[name]), value, id="%s-%r" % (name, value))
+    pytest.param(in_process(DOORS[name]), value,
+                 id="%s-%s" % (name, label(value)))
     for name in DOORS for value in REFUSED
+    if not (name == "from-python" and isinstance(value, CONVERTED))
+] + [
+    pytest.param(refused_by_table(STATEMENTS[name], logged), value,
+                 id="%s%s-%s" % (name, "-wal" if logged else "", label(value)))
+    for name in STATEMENTS for logged in (False, True) for value in REFUSED
 ] + [
     pytest.param(in_process(FLOAT_DOORS[name]), NAN, id=name)
     for name in FLOAT_DOORS
@@ -197,6 +232,19 @@ class TestEveryDoorRefusesNan:
     def test_before_any_work(self, door, value, tmp_path):
         door(value, tmp_path)
 
+    @pytest.mark.parametrize("value", [
+        value for value in REFUSED if isinstance(value, CONVERTED)])
+    def test_from_python_makes_the_set_a_container_stands_for(self, value):
+        with pytest.raises(InvalidAtomError, match="no atom"):
+            XSet([(value, EMPTY)])
+        converted = from_python(value)
+        assert type(converted) is XSet and loads(dumps(converted)) == converted
+
+    def test_a_param_stands_in_a_comparison_but_in_no_set(self):
+        assert Comparison("a", "=", Param(1)).value == Param(1)
+        with pytest.raises(InvalidAtomError, match="no atom"):
+            XSet([(Param(1), EMPTY)])
+
     @pytest.mark.parametrize("cell", ["nan", "Nan", "NaN", "-nan"])
     def test_a_csv_cell_that_reads_as_nan_stays_its_text(self, cell):
         rel = loads_csv("name,n\n%s,1\ninf,2\n" % cell)
@@ -207,6 +255,32 @@ class TestEveryDoorRefusesNan:
 # ----------------------------------------------------------------------
 # Membership is equality
 # ----------------------------------------------------------------------
+
+class Text(str):
+    __slots__ = ()
+
+
+class Count(int):
+    __slots__ = ()
+
+
+class Tone(str, enum.Enum):
+    """A str subclass whose ``repr`` is its own, ``<Tone.RED: 'red'>``."""
+
+    RED = "red"
+
+
+#: Every kind of value a constructor admits: the pool's, the complex
+#: twins, ints no float holds, atom subclasses, and the extended sets
+#: ``from_python`` makes of tuples and frozensets.
+admitted = st.one_of(
+    values,
+    st.sampled_from([1 + 0j, 0.5 + 0j, 0.5, 1 + 2j, -0.0j, 10**400,
+                     -(10**400), Count(1), Count(2**53 + 1), Text("1"),
+                     Tone.RED, "red"]),
+    st.builds(from_python, st.tuples(values, values)),
+    st.builds(from_python, st.frozensets(atoms, max_size=3)),
+)
 
 class TestMembershipIsEquality:
     @seed(WORKLOAD_SEED)
@@ -225,6 +299,18 @@ class TestMembershipIsEquality:
     def test_every_value_round_trips_through_the_codec(self, value):
         decoded = loads(dumps(value))
         assert decoded == value and spelled(decoded) == spelled(value)
+
+    @seed(WORKLOAD_SEED)
+    @settings(max_examples=300, deadline=None)
+    @given(admitted, admitted)
+    def test_every_admitted_value_is_keyed_exactly_and_carried(self, a, b):
+        # Keys equal exactly when values do: no two members tie, and
+        # equal values hash alike whatever their types' reprs.
+        assert (canonical_key(a) == canonical_key(b)) is (a == b)
+        if a == b:
+            assert canonical_hash(a) == canonical_hash(b)
+        for value in (a, b):
+            assert loads(dumps(value)) == value
 
 
 #: Right headings: one shared attribute, two (in either order), and a
@@ -270,3 +356,28 @@ class TestSemijoinIsRestriction:
         # The row executor's join keeps the left rows' spellings, so the
         # projection back is r's own rows.
         assert spelled(db.execute(plan).rows) == spelled(want.rows)
+        # A shared attribute keeps the left row's spelling on every
+        # executor, so the join itself is spelled alike.
+        joined = Join(Scan("r"), Scan("s"))
+        spellings = [spelled(got.rows) for got in (
+            db.execute(joined), db.execute_records(joined),
+            encoded.execute(joined),
+        )]
+        assert spellings[1:] == spellings[:1] * 2
+
+    def test_a_subclass_meets_its_twin_on_every_executor(self):
+        r = relation(("a", "b"), [(Tone.RED, "x")])
+        s = relation(("a", "c"), [("red", "y")])
+        db = Database({"r": r, "s": s})
+        encoded = Database({"r": r, "s": s})
+        encoded.encode_columnar()
+        joined = Join(Scan("r"), Scan("s"))
+        assert len(db.execute(joined)) == len(encoded.execute(joined)) == 1
+
+    def test_the_record_join_keeps_the_left_spelling(self):
+        r = relation(("a", "b"), [(2**53, "b")])
+        s = relation(("b", "a"), [("b", float(2**53))])
+        db = Database({"r": r, "s": s})
+        joined = Join(Scan("r"), Scan("s"))
+        assert spelled(db.execute_records(joined).rows) == spelled(
+            db.execute(joined).rows) == spelled(r.rows)

@@ -824,8 +824,6 @@ class TestBuiltOnceShapes:
         return calls
 
     def test_from_tuples_builds_each_row_once(self, monkeypatch):
-        from fractions import Fraction
-
         from repro.relational.relation import Relation
 
         for size in self.SIZES:
@@ -839,10 +837,11 @@ class TestBuiltOnceShapes:
                 # keyed a second time as a member, is_record + validation.
                 assert not any(calls.values()), calls
                 # The counters do see what is not known by type or by
-                # construction: an opaque atom, rows handed to the checked
-                # constructor.
-                opaque = XSet([(Fraction(1, 2), "half")])
-                sorted([rel.rows - XSet(rel.rows.pairs()[:1]), opaque],
+                # construction: a complex atom, the one admitted type the
+                # exact-type test leaves to the check, and rows handed to
+                # the checked constructor.
+                other = XSet([(1 + 2j, "z")])
+                sorted([rel.rows - XSet(rel.rows.pairs()[:1]), other],
                        key=canonical_key)
                 Relation(rel.heading, rel.rows)
                 assert len(calls["admissible"]) == 1

@@ -14,11 +14,15 @@ values:
 * ``None``, ``""``, ``"1"`` (a string that spells a twin) and ``b"a"``;
 * the empty set and nested sets over all of these.
 
-:data:`REFUSED` holds the values no door admits: each is unequal to
-itself (``nan`` of every type), so no set can know it as a member.
+:data:`REFUSED` holds the values no door admits: the ``nan`` of every
+atom type, unequal to itself, so no set can know it as a member; and
+values that are no atom -- a tuple, a frozenset, a ``Fraction``, a
+``Decimal`` (its ``nan`` too), an instance of a user class -- which the
+log cannot carry.  :func:`refusal` is the text each is refused with.
 """
 
 from decimal import Decimal
+from fractions import Fraction
 
 from hypothesis import strategies as st
 
@@ -37,10 +41,33 @@ NUMBERS = tuple(value for twins in TWINS for value in twins) + (
 #: Every atom of the pool.
 ATOMS = NUMBERS + (None, "", "1", b"a")
 
-#: Values every door refuses with a typed error: none equals itself.
-REFUSED = (
-    float("nan"), -float("nan"), complex(float("nan"), 0.0), Decimal("NaN"),
+class Plain:
+    """An instance of a user class: hashable, equal to itself, with the
+    default ``repr``."""
+
+    __slots__ = ()
+
+
+#: The ``nan`` of each atom type: none equals itself.
+NANS = (float("nan"), -float("nan"), complex(float("nan"), 0.0))
+
+#: Values every door refuses with a typed error: the nans, then values
+#: that are no atom (a ``Decimal`` nan is one, of no atom type).
+REFUSED = NANS + (
+    Decimal("NaN"), (1, 2), frozenset({1}), Fraction(1, 2), Decimal(1),
+    Plain(),
 )
+
+
+def refusal(value) -> str:
+    """The pattern of the text ``value``, one of :data:`REFUSED`, is
+    refused with."""
+    return "does not equal itself" if value in NANS else "is no atom"
+
+
+def label(value) -> str:
+    """A test id for ``value``: its ``repr``, a user class's name."""
+    return "Plain()" if type(value) is Plain else repr(value)
 
 atoms = st.sampled_from(ATOMS)
 numbers = st.sampled_from(NUMBERS)

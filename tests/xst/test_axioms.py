@@ -13,7 +13,7 @@ from repro.xst.axioms import (
     separation_holds,
     union_holds,
 )
-from repro.xst.builders import xset
+from repro.xst.builders import xset, xtuple
 from repro.xst.xset import XSet
 
 from tests.conftest import atoms, xsets
@@ -88,7 +88,7 @@ class TestReplacement:
     @given(xsets())
     def test_holds_for_scope_shift(self, a):
         assert replacement_holds(
-            a, lambda element, scope: (element, ("shifted", scope))
+            a, lambda element, scope: (element, xtuple(("shifted", scope)))
         )
 
     @given(xsets())

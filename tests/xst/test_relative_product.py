@@ -11,9 +11,11 @@ import os
 import random
 from itertools import chain
 
+import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from repro.errors import InvalidAtomError
 from repro.xst.builders import xpair, xset, xtuple
 from repro.xst.relative_product import (
     cst_relative_product,
@@ -166,9 +168,8 @@ class TestImplementationEquivalence:
 
 
 class Tied:
-    """An opaque atom equal only to itself, whose ``repr`` ties with
-    every other one's: their keys tie, so a run holding two is ordered
-    by arrival."""
+    """An atom equal only to itself, whose ``repr`` ties with every
+    other one's: no value the log carries, so no set holds one."""
 
     __slots__ = ()
 
@@ -176,12 +177,10 @@ class Tied:
         return "tied"
 
 
-TIED_A, TIED_B = Tied(), Tied()
-
 #: The shared pool's typed twins (``1``/``1.0``/``True``,
-#: ``0``/``0.0``/``-0.0``/``False``), two tied opaque atoms and a plain
-#: string: equal values spelled apart, and unequal ones keyed alike.
-TWINS = [*chain.from_iterable(POOL_TWINS), TIED_A, TIED_B, "a"]
+#: ``0``/``0.0``/``-0.0``/``False``), the complex twin ``1+0j`` and a
+#: plain string: equal values spelled apart.
+TWINS = [*chain.from_iterable(POOL_TWINS), 1 + 0j, "a"]
 
 #: Member scopes a key sigma reads, twins among them.
 SCOPES = [1, 2, 3, 2.0]
@@ -191,12 +190,10 @@ TARGETS = [1, 2, "k"]
 
 
 def spelled(value):
-    """``value`` down to its spelling: the type and repr of every atom
-    (a tied one by identity), every set's pairs in run order."""
+    """``value`` down to its spelling: the type and repr of every atom,
+    every set's pairs in run order."""
     if isinstance(value, XSet):
         return tuple((spelled(e), spelled(s)) for e, s in value.pairs())
-    if type(value) is Tied:
-        return ("tied", id(value))
     return (type(value).__name__, repr(value))
 
 
@@ -303,11 +300,11 @@ class TestSpellingExact:
         ((member, _),) = relative_product(self.F, g, self.SIGMA, self.OMEGA)
         assert type(member.elements()[0]) is int
 
-    def test_tied_outputs_keep_the_f_major_order(self):
-        g = xset([xpair(2, TIED_A), xpair(1, TIED_B)])
-        assert_spelled_alike(self.F, g, self.SIGMA, self.OMEGA)
-        result = relative_product(self.F, g, self.SIGMA, self.OMEGA)
-        assert result.pairs()[0][0].elements()[0] is TIED_A
+    def test_atoms_keyed_alike_are_refused_at_the_door(self):
+        # Unequal atoms whose keys tie would leave their order to
+        # arrival; the constructor refuses them, so no output ties.
+        with pytest.raises(InvalidAtomError, match="no atom"):
+            xpair(2, Tied())
 
 
 class TestDegenerateKeys:
