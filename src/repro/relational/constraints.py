@@ -31,9 +31,10 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import IntegrityError, SchemaError
-from repro.relational.algebra import Comparison, _attribute_identity, restrict
+from repro.relational.algebra import _attribute_identity
 from repro.relational.relation import Relation
 from repro.relational.schema import Heading
+from repro.xst.builders import xrecord, xset
 from repro.xst.domain import sigma_domain
 from repro.xst.restrict import sigma_restrict
 from repro.xst.xset import EMPTY, XSet, _admit_all
@@ -182,13 +183,6 @@ def _then(diff: Diff, inserted: XSet, deleted: XSet) -> Diff:
         (gained - deleted) | (inserted - lost),
         (lost - inserted) | (deleted - gained),
     )
-
-
-def _matching(rel: Relation, conditions: Mapping[str, Any]) -> Relation:
-    """The rows a ``WHERE`` of these equalities keeps."""
-    return restrict(rel, [
-        Comparison(attr, "=", value) for attr, value in conditions.items()
-    ])
 
 
 class Table:
@@ -356,11 +350,31 @@ class Table:
         if self._net is not None:
             self._net = _then(self._net, inserted, deleted)
 
-    def insert(self, row: Mapping[str, Any]) -> None:
-        new_row = Relation.from_dicts(self._heading, [row]).rows
-        if new_row <= self._current.rows:
-            raise IntegrityError("row already present: %r" % (dict(row),))
-        self._apply(new_row, EMPTY)
+    def insert(self, row: Mapping[str, Any], *more: Mapping[str, Any]) -> None:
+        """Insert ``row`` and then each of ``more``, one statement: the
+        rows are built once and applied as one delta.  A row already
+        present, or repeated among them, is an :class:`IntegrityError`;
+        the first refusal in the order given is the one raised, as it
+        would be row by row."""
+        rows = (row, *more)
+        try:
+            added = Relation.from_dicts(self._heading, rows).rows
+        except Exception:
+            added = None  # a malformed row; a repeat before it comes first
+        if added is None or len(added) != len(rows) \
+                or not added.isdisjoint(self._current.rows):
+            self._refuse_first(rows)
+        self._apply(added, EMPTY)
+
+    def _refuse_first(self, rows: Sequence[Mapping[str, Any]]) -> None:
+        """Raise what inserting ``rows`` one by one raises first: a
+        malformed row's own refusal, or a row already present."""
+        held = self._current.rows
+        for row in rows:
+            one = Relation.from_dicts(self._heading, [row]).rows
+            if one <= held:
+                raise IntegrityError("row already present: %r" % (dict(row),))
+            held = held | one
 
     def insert_many(self, rows: Iterable[Mapping[str, Any]]) -> int:
         """All-or-nothing bulk insert; returns the number added."""
@@ -369,11 +383,27 @@ class Table:
         self._apply(inserted, EMPTY)
         return len(inserted)
 
-    def delete(self, conditions: Mapping[str, Any]) -> int:
-        """Delete rows matching attribute equalities; returns the count.
-        A value no set can hold (``nan``, or no atom) is refused before
-        any row is read (:class:`~repro.relational.algebra.Comparison`)."""
-        doomed = _matching(self._current, conditions).rows
+    def _matching(self, wheres: Sequence[Mapping[str, Any]]) -> XSet:
+        """The current rows matching any of ``wheres``, each a record of
+        attribute equalities (``{}`` matches every row): one Def 7.6
+        restriction by the set of those records.  A value no set can
+        hold (``nan``, or no atom) is refused as
+        :class:`~repro.relational.algebra.Comparison` refuses it, and an
+        unknown attribute too, before any row is read."""
+        for where in wheres:
+            _admit_all(where.values())
+            self._heading.require(where)
+        attrs = tuple(dict.fromkeys(attr for where in wheres for attr in where))
+        return sigma_restrict(
+            self._current.rows, xset(map(xrecord, wheres)),
+            _attribute_identity(attrs),
+        )
+
+    def delete(self, where: Mapping[str, Any],
+               *more: Mapping[str, Any]) -> int:
+        """Delete the rows matching ``where`` or any of ``more`` in one
+        statement (:meth:`_matching`); returns the count."""
+        doomed = self._matching((where, *more))
         self._apply(EMPTY, doomed)
         return len(doomed)
 
@@ -387,7 +417,7 @@ class Table:
         any row is read, whether or not a row matches."""
         self._heading.require(changes)
         _admit_all(changes.values())
-        matched = _matching(self._current, conditions).rows
+        matched = self._matching((conditions,))
         if not matched:
             return 0
         rewritten = Relation.from_dicts(self._heading, (

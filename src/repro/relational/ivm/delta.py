@@ -60,9 +60,10 @@ Per-node rules (all proved exact by the law above; ``C`` is the child,
 
 Everything runs on XSets, so XST member equality (the typed twins
 ``1`` / ``1.0`` / ``True`` collapse) is preserved end to end.  New
-values come from ``Database.execute``, which means subtrees over
-columnar-encoded relations evaluate on the sorted-run kernels for
-free.
+values come from the catalog's executor past its result cache (no
+reader asked for a sub-plan, so none is stored or counted), which
+means subtrees over columnar-encoded relations evaluate on the
+sorted-run kernels for free.
 
 Any node type without a rule raises :class:`DeltaUnsupported`; callers
 (the view catalog) fall back to full recomputation.
@@ -185,7 +186,9 @@ class DeltaPropagator:
         key = id(plan)
         value = self._new_vals.get(key)
         if value is None:
-            value = self._db.execute(plan)
+            # Past the readers' cache, as a view body is computed.
+            self._db.heading_of(plan)
+            value = self._db._execute_uncached(plan)
             self._new_vals[key] = value
         return value
 

@@ -68,6 +68,8 @@ garbage the moment the last snapshot reading them closes.
 from __future__ import annotations
 
 from contextlib import contextmanager
+from itertools import groupby
+from operator import itemgetter
 from typing import (
     Any, Callable, Dict, Iterable, Iterator, List, Mapping, Optional,
     Sequence, Set, Tuple,
@@ -364,9 +366,13 @@ class TransactionManager:
         """The one optimistic commit: first-committer-wins against
         ``read_version``, then ``("insert", table, row)`` /
         ``("delete", table, where)`` / ``("update", table, where,
-        set)`` replayed inside one deferred transaction.  Returns the
-        new current version; a conflict or a failing replay leaves the
-        committed state untouched."""
+        set)`` applied inside one deferred transaction.  Each run of
+        consecutive inserts, or of deletes, on one table is one
+        statement -- one row set added, one restriction by the set of
+        the wheres removed -- with the net delta the ops make one by
+        one; an update stays its own statement, since it may match a
+        row an earlier one rewrote.  Returns the new current version; a
+        conflict or a failing op leaves the committed state untouched."""
         conflicting = self._conflicts(written, read_version)
         if conflicting:
             raise WriteConflictError(
@@ -374,14 +380,15 @@ class TransactionManager:
                 max(self._table_versions[name] for name in conflicting),
             )
         with self.transaction(deferred=True):
-            for op in ops:
-                table = self.table(op[1])
-                if op[0] == "insert":
-                    table.insert(op[2])
-                elif op[0] == "delete":
-                    table.delete(op[2])
+            for (kind, name), run in groupby(ops, key=itemgetter(0, 1)):
+                table = self.table(name)
+                if kind == "insert":
+                    table.insert(*[op[2] for op in run])
+                elif kind == "delete":
+                    table.delete(*[op[2] for op in run])
                 else:
-                    table.update(op[2], op[3])
+                    for op in run:
+                        table.update(op[2], op[3])
         return self._commits
 
     def snapshot(self) -> "Snapshot":

@@ -649,6 +649,10 @@ class XSet(Immutable):
     def issuperset(self, other: "XSet") -> bool:
         return self._pair_set >= other._pair_set
 
+    def isdisjoint(self, other: "XSet") -> bool:
+        """No membership pair in common; asks the smaller set's pairs."""
+        return self._pair_set.isdisjoint(other._pair_set)
+
     def is_nonempty_subset(self, other: "XSet") -> bool:
         """The paper's footnoted reading of its subset symbol.
 

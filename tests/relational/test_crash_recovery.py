@@ -1,13 +1,16 @@
 """The crash-point property sweep: recovery is prefix-consistent.
 
 A seeded 200-transaction workload runs through a logged
-:class:`TransactionManager`.  The claim under test, for *every* crash
-offset in the resulting log:
+:class:`TransactionManager`; a fifth of its transactions are MUTATE
+batches (``_commit_ops``) whose run of inserts, or of deletes, is one
+statement and so one commit frame.  The claim under test, for *every*
+crash offset in the resulting log:
 
 * the bytes on disk classify as a valid prefix plus (possibly) a torn
   tail -- never silently as a different valid log;
 * ``recover()`` restores exactly the state after the last wholly
-  durable commit -- no partial transactions;
+  durable commit -- no partial transactions, a batch wholly or not
+  at all;
 * the recovered state still satisfies every table constraint.
 
 The sweep has two gears.  Simulation-by-truncation covers **every**
@@ -41,6 +44,7 @@ from repro.relational.wal import (
     SimulatedCrashError,
     WriteAheadLog,
     apply_commit,
+    commit_changes,
     scan_bytes,
 )
 
@@ -89,27 +93,43 @@ def run_workload(log, checkpoint=None, store=None):
     next_emp = 0
     for tx in range(TRANSACTIONS):
         kind = rng.random()
-        with manager.transaction(deferred=True):
-            if kind < 0.25:
-                # A new department and its first employee, employee
-                # first: only the deferred commit-time check passes.
-                tables["emp"].insert({
-                    "emp": next_emp, "name": "n%d" % next_emp,
-                    "dept": next_dept,
-                })
-                tables["dept"].insert({
-                    "dept": next_dept, "dname": "d%d" % next_dept,
-                })
-                next_emp += 1
-                next_dept += 1
-            elif kind < 0.85 or next_emp == 0:
-                tables["emp"].insert({
-                    "emp": next_emp, "name": "n%d" % next_emp,
+        if 0.65 <= kind < 0.85 and next_emp:
+            # A MUTATE batch: a run of two to four inserts, or of
+            # deletes (absent and repeated keys included), is one
+            # statement and one commit frame.
+            size = rng.randint(2, 4)
+            if kind < 0.75:
+                ops = [("insert", "emp", {
+                    "emp": next_emp + i, "name": "n%d" % (next_emp + i),
                     "dept": rng.randrange(next_dept),
-                })
-                next_emp += 1
+                }) for i in range(size)]
+                next_emp += size
             else:
-                tables["emp"].delete({"emp": rng.randrange(next_emp)})
+                ops = [("delete", "emp", {"emp": rng.randrange(next_emp)})
+                       for _ in range(size)]
+            manager._commit_ops(ops, {"emp"}, manager.current_version)
+        else:
+            with manager.transaction(deferred=True):
+                if kind < 0.25:
+                    # A new department and its first employee, employee
+                    # first: only the deferred commit-time check passes.
+                    tables["emp"].insert({
+                        "emp": next_emp, "name": "n%d" % next_emp,
+                        "dept": next_dept,
+                    })
+                    tables["dept"].insert({
+                        "dept": next_dept, "dname": "d%d" % next_dept,
+                    })
+                    next_emp += 1
+                    next_dept += 1
+                elif kind < 0.9 or next_emp == 0:
+                    tables["emp"].insert({
+                        "emp": next_emp, "name": "n%d" % next_emp,
+                        "dept": rng.randrange(next_dept),
+                    })
+                    next_emp += 1
+                else:
+                    tables["emp"].delete({"emp": rng.randrange(next_emp)})
         committed()
         if checkpoint is not None and tx == checkpoint:
             assert store is not None
@@ -200,6 +220,14 @@ class TestEveryTruncationOffset:
         data, expected = recorded
         scan = scan_bytes(data, decode=True)
         assert scan.lsn == len(expected) - 1
+        # Batch frames are among them: a commit adding several
+        # employees, and one removing several.
+        sizes = [(len(inserted), len(deleted))
+                 for _, record in scan.records
+                 for name, inserted, deleted in commit_changes(record)
+                 if name == "emp"]
+        assert max(inserted for inserted, _ in sizes) >= 2
+        assert max(deleted for _, deleted in sizes) >= 2
         # Incremental replay: after n records the replayed state must
         # equal the workload's state after its n-th commit -- for
         # every n, which covers every crash offset (recovery at any

@@ -35,7 +35,7 @@ from repro.relational.cost import CardinalityEstimator
 from repro.relational.csvio import dumps_csv
 from repro.relational.faults import FaultPlan, NetworkFaultInjector
 from repro.relational.ivm.cache import QueryResultCache
-from repro.relational.query import Database, Restrict, Scan
+from repro.relational.query import Database, Restrict, Scan, plan_cache_key
 from repro.relational.sql import run as run_xql
 from repro.relational.tx import TransactionManager
 from repro.relational.views import ViewCatalog
@@ -1340,10 +1340,19 @@ class TestServedViews:
             # A replaced materialization takes its entries with it: the
             # answer read through the view goes; the pinned view stays.
             dropped = cache.invalidations
+            counters = (cache.stores, cache.hits, cache.misses, cache.stale)
             await client.mutate(
                 [["insert", "emp", {"eid": 5, "name": "eve", "dept": "eng"}]]
             )
             assert cache.invalidations == dropped + 1
+            # Maintenance reads its sub-plan past the readers' cache: no
+            # entry stored, no lookup counted in their hit rate.
+            assert (cache.stores, cache.hits, cache.misses,
+                    cache.stale) == counters
+            eng = plan_cache_key(Restrict(Scan("emp"),
+                                          (Comparison("dept", "=", "eng"),)))
+            assert eng.endswith(":Restrict(dept = 'eng')(Scan(emp))")
+            assert eng not in [plan_key for plan_key, _ in cache._entries]
             assert catalog.store is cache and not catalog.is_stale("eng")
             assert (await client.query(text)).cardinality() == 3
             await client.close()

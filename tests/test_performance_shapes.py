@@ -533,6 +533,84 @@ class TestDeltaCarriedCommitShapes:
         assert small == large == 1 + self.DEPARTMENTS
 
 
+class TestOneDeltaPerRunShapes:
+    """Counts, not timings: a MUTATE batch pays for each run of inserts
+    or deletes on a table once -- one row set built, one restriction by
+    the set of the wheres, one delta applied, checked and logged -- so
+    an op added to a run costs only its own row or where.  Profile
+    events of ``_commit_ops`` on a logged 256-row keyed table, with
+    observability off."""
+
+    SIZE = 256
+    #: Parent commit's one-op commits: insert, delete, update (Python
+    #: 3.10 and 3.11; 3.12 counts a few fewer).
+    ONE_OP = {"insert": 388, "delete": 348, "update": 593}
+    #: Parent commit: about 300 events per op added to a run.
+    PER_OP = 150
+
+    @staticmethod
+    def row(key):
+        return {"emp": key, "name": "n%d" % key, "dept": key % 8,
+                "salary": key}
+
+    def events(self, manager, ops):
+        import sys
+
+        from repro.obs import observed
+
+        count = [0]
+
+        def profile(frame, event, arg):
+            if event in ("call", "c_call"):
+                count[0] += 1
+
+        with observed(False):
+            sys.setprofile(profile)
+            try:
+                manager._commit_ops(ops, {"emp"}, manager.current_version)
+            finally:
+                sys.setprofile(None)
+        return count[0]
+
+    def test_an_op_added_to_a_run_costs_its_own_row(self, tmp_path):
+        from repro.relational.constraints import KeyConstraint, Table
+        from repro.relational.tx import TransactionManager
+        from repro.relational.wal import WriteAheadLog
+
+        emp = Table(HEADING, employees(self.SIZE, 8,
+                                       seed=WORKLOAD_SEED + 44),
+                    [KeyConstraint(["emp"])])
+        log = WriteAheadLog(str(tmp_path / "wal.log"), sync=False)
+        manager = TransactionManager({"emp": emp}, log=log)
+        fresh = iter(range(self.SIZE, 10 ** 6))
+
+        def cycle(size):
+            keys = [next(fresh) for _ in range(size)]
+            cost = {"insert": self.events(manager, [
+                ("insert", "emp", self.row(key)) for key in keys])}
+            if size == 1:
+                cost["update"] = self.events(manager, [
+                    ("update", "emp", {"emp": keys[0]}, {"salary": 3})])
+            cost["delete"] = self.events(manager, [
+                ("delete", "emp", {"emp": key}) for key in keys])
+            return cost
+
+        for _ in range(3):  # fills the member indexes later values carry
+            cycle(5)
+        sizes = (1, 2, 5, 9)
+        costs = {size: cycle(size) for size in sizes}
+        assert manager.commits == 2 * 3 + 2 * len(sizes) + 1
+        assert len(manager.table("emp")) == self.SIZE
+        log.close()
+        for kind, parent in self.ONE_OP.items():
+            assert costs[1][kind] <= 1.03 * parent, (kind, costs[1])
+        for kind in ("insert", "delete"):
+            for smaller, larger in zip(sizes, sizes[1:]):
+                added = costs[larger][kind] - costs[smaller][kind]
+                assert added <= self.PER_OP * (larger - smaller), (
+                    kind, {size: cost[kind] for size, cost in costs.items()})
+
+
 class TestPointWorkShapes:
     """Counts, not timings: a read that names one key tests the members
     that hold it, a statement text is tokenized once per process, and a
