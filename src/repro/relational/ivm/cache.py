@@ -3,7 +3,10 @@
 A cache entry's key is the pair ``(plan key, fingerprint)``:
 
 * the **plan key** (:func:`repro.relational.query.plan_cache_key`)
-  is the canonical rendering of the plan tree --
+  is the canonical rendering of the plan tree -- for an XQL statement,
+  of its compiled plan bound to its arguments, never of the plan the
+  optimizer picked (:func:`repro.relational.sql.run` consults before it
+  plans; a view body is keyed alike) --
   ``repro.obs.digest.plan_hash`` over a canonical text made of every
   node's description (a ``Restrict`` names each comparison's
   attribute, operator and constant, so every plan has a key), with the
@@ -37,7 +40,11 @@ Metrics: every event increments
 enabled (``hit`` / ``miss`` / ``stale`` / ``store`` / ``evict`` /
 ``invalidate``).  A *stale* is a miss for a plan key the cache has
 seen before at a different fingerprint -- the signature of data having
-moved on underneath a repeated query.
+moved on underneath a repeated query.  One consult counts one of
+``hit``, ``miss`` and ``stale``: a hit when found, a miss or stale by
+:meth:`QueryResultCache.count_miss` -- at once, or, for a served
+statement, after its heading check, so an ill-formed statement counts
+nothing.
 """
 
 from __future__ import annotations
@@ -119,8 +126,13 @@ class QueryResultCache:
     # -- read/write ----------------------------------------------------
 
     def lookup(
-        self, plan_key: str, fingerprint: Fingerprint
+        self, plan_key: str, fingerprint: Fingerprint, *,
+        count_miss: bool = True,
     ) -> Optional[Relation]:
+        """The entry for ``(plan_key, fingerprint)``, counted a hit, or
+        None, counted by :meth:`count_miss` -- unless ``count_miss`` is
+        False: then the caller counts it once it has checked that the
+        statement it consulted for is well formed."""
         key = (plan_key, tuple(map(id, fingerprint)))
         entry = self._entries.get(key)
         if entry is not None:
@@ -131,13 +143,19 @@ class QueryResultCache:
             self.hits += 1
             _record_event(self._name, "hit")
             return entry[0]
+        if count_miss:
+            self.count_miss(plan_key)
+        return None
+
+    def count_miss(self, plan_key: str) -> None:
+        """Count a consult for ``plan_key`` that found no entry: stale
+        when the key was stored before (at other inputs), else a miss."""
         if plan_key in self._known_plans:
             self.stale += 1
             _record_event(self._name, "stale")
         else:
             self.misses += 1
             _record_event(self._name, "miss")
-        return None
 
     def store(
         self,

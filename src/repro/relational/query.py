@@ -624,7 +624,7 @@ class Database:
     # Set-at-a-time execution (Extended Set Processing)
     # ------------------------------------------------------------------
 
-    def execute(self, plan: Plan) -> Relation:
+    def execute(self, plan: Plan, *, stored_as=None) -> Relation:
         """Evaluate bottom-up with one kernel call per node.
 
         With observability enabled (``REPRO_OBS=1``) every plan node
@@ -635,16 +635,21 @@ class Database:
         With a result cache (``Database(..., result_cache=...)``), a
         plan is answered from the cache when an entry was computed from
         the very relations it scans now; misses execute normally and
-        populate it.
+        populate it.  ``stored_as`` is for a caller that consulted the
+        cache itself, under a key of :meth:`cache_key`'s shape for a
+        plan denoting the same set, and missed: ``plan`` is computed
+        and its answer stored under that key, not looked up again.
 
         A plan that is not well defined on the catalog's headings is
         refused with :class:`~repro.errors.SchemaError` first: before
         the cache, the governor or any kernel has seen it.
         """
         self.heading_of(plan)
-        if self._result_cache is not None:
+        if self._result_cache is None:
+            return self._execute_uncached(plan)
+        if stored_as is None:
             return self._execute_cached(plan, self._execute_uncached)
-        return self._execute_uncached(plan)
+        return self._store(stored_as, self._execute_uncached(plan))
 
     def _execute_uncached(self, plan: Plan) -> Relation:
         if _obs_enabled():
@@ -665,8 +670,16 @@ class Database:
         execution reads: the immutable relations themselves, kept by
         the entry for as long as it lives -- and the tables it scans."""
         tables = scan_tables(plan)
-        inputs = tuple([self._relations[name] for name in tables])
-        return plan_cache_key(plan), inputs, tables
+        return plan_cache_key(plan), self.inputs(tables), tables
+
+    def inputs(self, tables: Sequence[str]) -> Optional[Tuple[Relation, ...]]:
+        """The fingerprint of a plan scanning ``tables`` (sorted): their
+        relations, or None when one is not in this catalog."""
+        relations = self._relations
+        try:
+            return tuple([relations[name] for name in tables])
+        except KeyError:
+            return None
 
     def _execute_cached(
         self, plan: Plan, run: Callable[[Plan], Relation]
@@ -677,7 +690,10 @@ class Database:
         hit = self._result_cache.lookup(plan_key, inputs)
         if hit is not None:
             return hit
-        result = run(plan)
+        return self._store(found, run(plan))
+
+    def _store(self, found, result: Relation) -> Relation:
+        """``result``, stored under ``found`` (:meth:`cache_key`)."""
         self._result_cache.store(*found, result)
         return result
 

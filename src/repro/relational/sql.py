@@ -37,6 +37,15 @@ value: parsed and compiled once per process, optimized once per
 catalog value (:meth:`Database.plan_memo`), bound per execution --
 ``QUERY`` is the zero-argument case of ``EXECUTE``.
 
+With a result cache, a statement is answered before it is planned: the
+cache is consulted under the key of the compiled statement bound to
+its arguments (never of the optimized plan: every rewrite denotes the
+same set, Thm 11.2) and the relations it scans, the key a view body is
+stored under too.  A hit runs no optimizer and no heading check; only
+a miss is checked, counted, planned and executed, and its answer
+stored under that key.  A statement reading a view is resolved and
+planned first, as without a cache.
+
 The whole statement is one plan: WHERE compiles to one ``Restrict``
 node, the conjunction of its comparisons, below an ``Aggregate`` node
 (GROUP BY and the aggregates), the column list and its aliases
@@ -98,6 +107,8 @@ from repro.relational.query import (
     Rename,
     Restrict,
     Scan,
+    plan_cache_key,
+    scan_tables,
 )
 from repro.relational.relation import Relation
 from repro.relational.schema import Heading
@@ -567,24 +578,38 @@ _MEMO_ENTRIES = 512
 #: in statement texts; the oldest entry goes first.
 _PLAN_ENTRIES = 128
 
-#: A statement's first word, which alone decides its kind.
-_HEAD = re.compile(r"\s*([A-Za-z_][A-Za-z_0-9]*)")
+#: The first word of a statement that is not a SELECT -- ANALYZE or a
+#: view statement -- which alone decides its kind: a whole word, in
+#: any case.  One match, which a SELECT fails.
+_NOT_SELECT = re.compile(r"\s*(analyze|create|refresh|drop)(?![A-Za-z_0-9])",
+                         re.IGNORECASE | re.ASCII)
 
-_VIEW_STATEMENTS = frozenset(("create", "refresh", "drop"))
+
+class _Selected(tuple):
+    """What :func:`_select` holds for a text: unpacks as ``(query,
+    template)``.  A cached catalog's first consult for the text fills in
+    the tables the template scans (sorted) and, when it has no
+    placeholders, its result-cache key (a template's key is its
+    binding's): functions of the text too, so filled once per text, and
+    never for a catalog without a cache."""
+
+    tables: Optional[Tuple[str, ...]] = None
+    key: Optional[str] = None
 
 
 @lru_cache(maxsize=_MEMO_ENTRIES)
-def _select(text: str) -> Tuple[Query, Plan]:
+def _select(text: str) -> _Selected:
     """The parsed and compiled SELECT of ``text``, once per text.
 
     Both are pure functions of the text (a plan names relations, it
     holds no data; a placeholder is a :class:`Param`, not a value), so
     one process-wide memo serves every session and every database;
-    callers only read them.  A text that raises is not stored and is
+    callers only read them (and fill in :class:`_Selected`'s derived
+    fields).  A text that raises is not stored and is
     parsed again next time.
     """
     query = parse_query(text)
-    return query, compile_query(query)
+    return _Selected((query, compile_query(query)))
 
 
 def _run(
@@ -595,15 +620,15 @@ def _run(
     ANALYZE and the view statements are not plans, so they run every
     time and never enter the memo; they take no arguments.
     """
-    head = _HEAD.match(text)
-    kind = head.group(1).lower() if head else ""
-    if kind == "analyze" or kind in _VIEW_STATEMENTS:
+    head = _NOT_SELECT.match(text)
+    if head is not None:
         if args:
             _refuse_arguments(Query(), text, len(args))
-        if kind == "analyze":
+        if head.group(1).lower() == "analyze":
             return None, _run_analyze(db, text)
         return None, _run_view_statement(db, text)
-    query, template = _select(text)
+    selected = _select(text)
+    query = selected[0]
     if len(args) != query.arity:
         _refuse_arguments(query, text, len(args))
     timeout_s, budget_rows = query.timeout_s, query.budget_rows
@@ -614,10 +639,59 @@ def _run(
         # TIMEOUT/BUDGET clauses execute the query under a governor so
         # the kernel's cancellation checkpoints can stop it mid-operator.
         with governed(timeout_s=timeout_s, max_rows=budget_rows):
-            db, plan = _planned(db, text, query, template, args, optimized)
-            return query, db.execute(plan)
-    db, plan = _planned(db, text, query, template, args, optimized)
-    return query, db.execute(plan)
+            return query, _answer(db, text, selected, args, optimized)
+    return query, _answer(db, text, selected, args, optimized)
+
+
+def _answer(
+    db: Database, text: str, selected: _Selected, args: Sequence[Any],
+    optimized: bool,
+) -> Relation:
+    """The answer of ``text`` bound to ``args`` (which fit its
+    placeholders) on ``db``.
+
+    With a result cache, it is consulted first, under the key of the
+    compiled statement bound to ``args`` -- never of a plan the
+    optimizer picked: every rewrite denotes the same set (Thm 11.2),
+    so the answer is a function of the statement and the relations it
+    scans, and the view store keys a body alike.  An entry is stored
+    only after the statement passed the heading check on these very
+    relations, so a hit is well formed and costs no ``optimize``, no
+    ``heading_of`` and no key rendering.  A miss is checked, then
+    counted (an ill-formed statement moves no counter), then planned
+    and executed, and its answer stored under that key.
+    """
+    query, template = selected
+    cache = db.result_cache
+    views = db.views
+    if cache is None or views is not None and views.defines(query.sources):
+        db, plan = _planned(db, text, query, template, args, optimized)
+        return db.execute(plan)
+    tables = selected.tables
+    if tables is None:
+        tables = selected.tables = scan_tables(template)
+        if not args:
+            selected.key = plan_cache_key(template)
+    if args:
+        bound = _bind(template, args)
+        key = plan_cache_key(bound)
+    else:
+        bound, key = template, selected.key
+    bare_order = query.order_by is not None and query.limit is None
+    if bare_order:
+        # The one clause outside the plan, so outside its key: checked
+        # before the consult.
+        _require_order_attr(query, db, bound)
+    inputs = db.inputs(tables)
+    if inputs is not None:
+        answer = cache.lookup(key, inputs, count_miss=False)
+        if answer is not None:
+            return answer
+    if not bare_order:
+        db.heading_of(bound)
+    cache.count_miss(key)
+    _, plan = _planned(db, text, query, template, args, optimized)
+    return db.execute(plan, stored_as=(key, inputs, tables))
 
 
 def run(

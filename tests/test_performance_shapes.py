@@ -1273,6 +1273,115 @@ class TestPreparedPlanShapes:
         asyncio.run(main())
 
 
+class TestAnsweredBeforePlannedShapes:
+    """Counts, not timings: with a result cache, a statement is looked
+    up under its compiled plan's key before it is planned, so a repeat
+    on a new catalog value -- a commit elsewhere -- runs no optimizer
+    and no heading check; a cache-less catalog plans as before."""
+
+    JOIN = "select emp, name, dname from emp join dept where dept = %s"
+    #: Profile events of a hit, observability off.  Measured 17 (Python
+    #: 3.11); the parent commit planned first: 78 to 134.
+    HIT_EVENTS = 25
+
+    @staticmethod
+    def manager(cache=True):
+        from repro.relational.constraints import KeyConstraint, Table
+        from repro.relational.ivm.cache import QueryResultCache
+        from repro.relational.tx import TransactionManager
+
+        seed = WORKLOAD_SEED + 45
+        tables = {
+            "emp": Table(HEADING, employees(100, 8, seed=seed),
+                         [KeyConstraint(["emp"])]),
+            "dept": Table(DEPT_HEADING, departments(8, seed=seed),
+                          [KeyConstraint(["dept"])]),
+            "proj": Table(["emp", "proj"],
+                          [{"emp": n, "proj": n % 7} for n in range(50)]),
+        }
+        return TransactionManager(
+            tables, result_cache=QueryResultCache(64) if cache else None)
+
+    @staticmethod
+    def counting(monkeypatch):
+        from repro.relational import sql
+        from repro.relational.query import Database
+
+        calls = {"optimize": 0, "heading_of": 0}
+        for owner, name in ((sql, "optimize"), (Database, "heading_of")):
+            original = getattr(owner, name)
+
+            def counted(*args, _name=name, _original=original):
+                calls[_name] += 1
+                return _original(*args)
+
+            monkeypatch.setattr(owner, name, counted)
+        return calls
+
+    @staticmethod
+    def elsewhere(manager, n):
+        manager.table("proj").insert({"emp": 1000 + n, "proj": 1})
+
+    def test_a_repeat_after_a_commit_elsewhere_is_not_planned(
+            self, monkeypatch):
+        from repro.obs import observed
+        from repro.relational import sql
+
+        manager = self.manager()
+        texts = [self.JOIN % 3,
+                 "select emp, name, salary from emp where dept = 2",
+                 "select dname from dept where dept = 1"]
+        answers = [sql.run(manager.committed(), text) for text in texts]
+        self.elsewhere(manager, 0)
+        db = manager.committed()
+        calls = self.counting(monkeypatch)
+        for text, answer in zip(texts, answers):
+            with observed(False):
+                found, events = TestPointWorkShapes.profile_events(
+                    lambda: sql.run(db, text))
+            assert found is answer
+            assert events <= self.HIT_EVENTS, (text, events)
+        assert calls == {"optimize": 0, "heading_of": 0}
+        assert db.plan_memo() == {}
+        assert manager.result_cache.hits == len(texts)
+
+    def test_a_joining_template_hit_with_new_arguments_is_not_planned(
+            self, monkeypatch):
+        from repro.relational import sql
+
+        manager = self.manager()
+        template = self.JOIN % "$1"
+        queried = {dept: sql.run(manager.committed(), self.JOIN % dept)
+                   for dept in (2, 5)}
+        calls = self.counting(monkeypatch)
+        for n, dept in enumerate((2, 5)):
+            self.elsewhere(manager, n)
+            # QUERY and EXECUTE spelled alike share one entry.
+            executed = sql.run(manager.committed(), template, args=[dept])
+            assert executed is queried[dept]
+        assert calls["optimize"] == 0
+        cache = manager.result_cache
+        assert (cache.hits, cache.misses, cache.stale) == (2, 2, 0)
+
+    def test_a_cacheless_catalog_plans_once_per_text_per_value(
+            self, monkeypatch):
+        from repro.relational import sql
+
+        manager = self.manager(cache=False)
+        calls = self.counting(monkeypatch)
+        texts = [self.JOIN % 3, "select dname from dept where dept = 1"]
+        for n in range(2):
+            for _ in range(3):
+                for text in texts:
+                    sql.run(manager.committed(), text)
+            assert calls["optimize"] == len(texts) * (n + 1)
+            self.elsewhere(manager, n)
+        # A joining template is ordered per binding, as before.
+        for dept in (2, 2, 5):
+            sql.run(manager.committed(), self.JOIN % "$1", args=[dept])
+        assert calls["optimize"] == 2 * len(texts) + 3
+
+
 class TestPushedRestrictionShapes:
     """Counts, not timings: a WHERE clause written above a join is one
     restriction, split by attribute onto each ``Scan`` that holds them,
