@@ -166,10 +166,11 @@ commands:
   views CSVDIR [XQL ...] [--verify]
                          run view statements (CREATE [MATERIALIZED]
                          VIEW / REFRESH VIEW / DROP VIEW / SELECT)
-                         over the CSVs, then list every view's
-                         staleness, last-refresh version and cache
-                         hit rate; --verify digest-checks each
-                         materialized cache against a recompute
+                         over the CSVs, then list each view's stale
+                         (its next read patches or recomputes it),
+                         refresh_v (version last pinned at) and hit
+                         rate; --verify reads each materialized view
+                         and digest-checks it against a recompute
 """
 
 

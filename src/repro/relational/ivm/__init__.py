@@ -1,16 +1,15 @@
 """Incremental view maintenance and MVCC-keyed result caching.
 
-Two halves, both fed by the same per-table commit-diff stream the
-:class:`~repro.relational.tx.TransactionManager` emits:
+Two halves, both resting on a relation being an immutable value:
 
 * :mod:`~repro.relational.ivm.delta` -- exact set-valued delta
-  propagation through query plans, so a materialized view absorbs a
-  commit by applying ``(cache - deleted) | inserted`` instead of
-  recomputing.
+  propagation through query plans, so a materialized view catches up
+  with its moved inputs (read by read, :mod:`repro.relational.views`)
+  by applying ``(cache - deleted) | inserted`` instead of recomputing.
 * :mod:`~repro.relational.ivm.cache` -- a bounded LRU of query results
-  keyed on (canonical plan key, per-table MVCC versions), so a result
-  cached at version V can never be served to a reader whose tables
-  moved past V.
+  keyed on (canonical plan key, the relations they were computed
+  from, by identity), so a result can never be served to a reader
+  holding other relations.
 
 Everything rides XST member equality: the diffs are XSets, so the
 typed twins 1 / 1.0 / True collapse in deltas exactly as they do in

@@ -12,14 +12,14 @@ consequences carry the whole module:
 
 1. Applying a delta is exact: ``new == (old - deleted) | inserted``.
 2. Inverting one is too: ``old == (new - inserted) | deleted`` -- so
-   the propagator never needs a pre-commit database; the old value of
+   the propagator never needs an old database; the old value of
    any subtree is derived from its new value and its own delta.
 
 Per-node rules (all proved exact by the law above; ``C`` is the child,
 ``L``/``R`` the binary inputs, ``d`` a child delta):
 
 ``Scan``
-    The base table's commit diff, or empty.
+    The base table's diff, or empty.
 ``Restrict`` / ``Rename``
     Pointwise operators distribute over set difference: apply the
     operator to ``d.inserted`` and ``d.deleted`` separately.
@@ -162,8 +162,8 @@ BaseDeltas = Mapping[str, Delta]
 class DeltaPropagator:
     """Push base-table deltas up through one plan.
 
-    ``db`` holds the *post-commit* relation values; ``base_deltas``
-    maps changed table names to their exact commit diffs.  Old values
+    ``db`` holds the *new* relation values; ``base_deltas`` maps
+    changed table names to their exact diffs from the old.  Old values
     are derived, never stored: ``old = (new - inserted) | deleted``.
     Node deltas, new values and derived old values are all memoized by
     plan-node identity, so shared subtrees propagate once.

@@ -87,8 +87,8 @@ __all__ = ["TransactionManager", "Snapshot", "SnapshotSession", "CommitDiff"]
 #: What a commit-diff listener receives, per changed table: its
 #: :class:`~repro.relational.schema.Heading` plus the inserted and
 #: deleted row sets -- the rows the WAL record carries, so subscribers
-#: (view maintenance, cache invalidation) see the same ground truth
-#: durability does.
+#: (the cluster's replication) see the same ground truth durability
+#: does.
 CommitDiff = Mapping[str, Tuple[Any, Any, Any]]
 
 

@@ -20,18 +20,23 @@ A view is stale when its name is not pinned to the entry for the
 current inputs; an equal relation built anew is a new input, as it is
 to every entry.
 
-With a manager the catalog maintains materialized views as a commit
-listener: each commit's insert/delete sets are propagated through the
-body (:mod:`repro.relational.ivm.delta`) and ``(pinned - deleted) |
-inserted`` re-pinned under the new inputs, stacked views in definition
-order, each handed its dependency's delta under the dependency's name.
-A node with no delta rule, or a new value no set can hold (a ``sum``
-come to ``nan``), unpins the view; the next read recomputes.
+A view moves when it is read; a commit does nothing for views.  A
+reader holding the current value whose view is pinned at older inputs
+patches the pinned answer by what moved -- the relative complement of
+each old input and its new value, both ways, on their pair sets: no
+listener, no log -- propagated through the body
+(:mod:`repro.relational.ivm.delta`); a stacked view reads (so patches)
+its dependency first.  The read recomputes when the body has no delta
+rule or comes to a value no set can hold (a ``sum`` come to ``nan``),
+or when an input holds a row of the old one in another object
+(rebuilt, or respelled ``1.0`` for ``1``), which no value diff sees.
 :meth:`ViewCatalog.verify` is the ``repro fsck``-style digest check.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
+from operator import is_
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.errors import InvalidAtomError, SchemaError
@@ -41,7 +46,9 @@ from repro.relational.ivm.delta import Delta, DeltaPropagator, DeltaUnsupported
 from repro.relational.optimizer import optimize
 from repro.relational.query import Database, Plan, Scan, scans
 from repro.relational.relation import Relation
+from repro.xst.ordering import canonical_key, pair_key
 from repro.xst.serialization import digest
+from repro.xst.xset import XSet, _dropping
 
 __all__ = ["View", "ViewCatalog"]
 
@@ -54,7 +61,7 @@ class View:
         self.name = name
         self.plan = plan
         self.materialized = materialized
-        #: Manager commit version at the last refresh or delta apply.
+        #: Manager commit version the answer was last pinned at.
         self.refresh_version = 0
         self.reads = 0
         self.cache_hits = 0
@@ -74,9 +81,9 @@ class View:
 class ViewCatalog:
     """Named views (virtual or materialized) over one catalog value.
 
-    With ``manager`` the catalog serves ``manager.committed()`` and
-    every materialized view is incrementally maintained after every
-    commit; without one it serves the hand-built ``db``.
+    With ``manager`` the catalog serves ``manager.committed()``,
+    without one the hand-built ``db``; a materialized view is brought
+    up to date by the read that finds it behind.
     """
 
     def __init__(self, db: Database, manager=None):
@@ -91,8 +98,6 @@ class ViewCatalog:
         self.store = self.database.result_cache
         if self.store is None:
             self.store = QueryResultCache(name="views")
-        if manager is not None:
-            manager.subscribe(self._on_commit)
 
     @property
     def database(self) -> Database:
@@ -105,11 +110,6 @@ class ViewCatalog:
     @property
     def manager(self):
         return self._manager
-
-    def close(self) -> None:
-        """Detach from the manager's commit stream; idempotent."""
-        if self._manager is not None:
-            self._manager.unsubscribe(self._on_commit)
 
     # ------------------------------------------------------------------
     # Definition
@@ -190,9 +190,9 @@ class ViewCatalog:
 
     def _read(self, view: View, db: Database) -> Relation:
         """What ``view`` holds for a reader of ``db``: the store's entry
-        for the body on that reader's relations, computed on a miss --
-        and pinned as the materialization when the reader holds the
-        current value."""
+        for the body on that reader's relations, patched from the pin or
+        computed on a miss -- and pinned as the materialization when
+        the reader holds the current value."""
         view.reads += 1
         if not view.materialized:
             return self._evaluate(db, view.plan)
@@ -203,13 +203,15 @@ class ViewCatalog:
             view.cache_hits += 1
             return answer
         current = db is self.database
-        answer = self.store.lookup(key, inputs)
-        if answer is not None:
-            view.cache_hits += 1
-        else:
-            answer = _compute(bound, body)
-            self.store.store(*found, answer)
-            view.recomputes += current
+        answer = self._patched(view, bound, body, found) if current else None
+        if answer is None:
+            answer = self.store.lookup(key, inputs)
+            if answer is not None:
+                view.cache_hits += 1
+            else:
+                answer = _compute(bound, body)
+                self.store.store(*found, answer)
+                view.recomputes += current
         if current:
             self._pin(view, found, answer)
         return answer
@@ -245,18 +247,19 @@ class ViewCatalog:
         return self.read(name)
 
     def verify(self, name: str) -> bool:
-        """Digest cross-check of the pinned answer against a fresh
-        compute: an O(data) audit for ``repro views --verify``, not a
-        staleness test.  A view pinning nothing verifies trivially."""
+        """Digest cross-check of the view -- read, so brought current as
+        any read brings it -- against a fresh compute: an O(data) audit
+        for ``repro views --verify``, not a staleness test.  A view
+        pinning nothing verifies trivially."""
         view = self.view(name)
-        pinned = self.store.pinned(name)
-        if pinned is None:
+        if self.store.pinned(name) is None:
             return True
+        answer = self.read(name)
         fresh = _compute(*self.resolve(self.database, view.plan))
-        return digest(pinned[0].rows) == digest(fresh.rows)
+        return digest(answer.rows) == digest(fresh.rows)
 
     # ------------------------------------------------------------------
-    # Incremental maintenance (manager attached)
+    # Incremental maintenance (on the read)
     # ------------------------------------------------------------------
 
     def _pin(self, view: View, found, answer: Relation) -> None:
@@ -266,6 +269,9 @@ class ViewCatalog:
         if held is not None and held[0] is not answer:
             self._release(view)
         self.store.pin(view.name, *found, answer)
+        if self.store is not self.database.result_cache:
+            # Hygiene: what snapshot readers stored here pins old inputs.
+            self.store.invalidate_tables(found[2])
         if self._manager is not None:
             view.refresh_version = self._manager.current_version
 
@@ -276,56 +282,35 @@ class ViewCatalog:
             for cache in {self.store, self.database.result_cache} - {None}:
                 cache.invalidate_tables((view.name,))
 
-    def _on_commit(self, version: int, changes) -> None:
-        """Manager commit hook: maintain every materialized view."""
-        # Trusted: the commit diff's halves are subsets of the table's
-        # validated old and new values.
-        deltas: Dict[str, Delta] = {
-            name: Delta(Relation._from_valid(heading, inserted),
-                        Relation._from_valid(heading, deleted))
-            for name, (heading, inserted, deleted) in changes.items()
-        }
-        if self.store is not self.database.result_cache:
-            # Hygiene, as the manager does for its own cache.
-            self.store.invalidate_tables(tuple(changes))
-        for view in list(self._views.values()):
-            if view.materialized:
-                self._maintain(view, deltas)
-
-    def _maintain(self, view: View, deltas: Dict[str, Delta]) -> None:
-        """Bring ``view`` up to the committed value; its own delta joins
-        ``deltas`` under its name, for the views stacked on it."""
+    def _patched(self, view: View, bound: Database, body: Plan,
+                 found) -> Optional[Relation]:
+        """The pinned answer moved to ``bound``'s inputs (``found`` by
+        :meth:`Database.cache_key`), or None: a recompute is due."""
         pinned = self.store.pinned(view.name)
-        if pinned is None:
-            return  # never read, or stale: the next read computes
-        answer, tables, _ = pinned
-        lost = [name for name in tables
-                if name in self._views and self.store.pinned(name) is None]
-        if deltas.keys().isdisjoint(tables):
-            if lost:  # untouched, but computed from what is gone
-                self._release(view)
-            return
-        db = self.database
+        _, inputs, tables = found
+        if pinned is None or inputs is None:
+            return None
+        answer, _, held = pinned
+        deltas: Dict[str, Delta] = {}
+        for name, old, new in zip(tables, held, inputs):
+            if old is not new:
+                deltas[name] = _moved(old, new)
+                if deltas[name] is None:
+                    return None  # a row rebuilt: the read recomputes
         try:
-            if lost:
-                raise DeltaUnsupported("view %r depends on unmaintained "
-                                       "view %r" % (view.name, lost[0]))
-            bound, body = self._bind(db, view.plan, lambda dep:
-                                     self.store.pinned(dep.name)[0])
             delta = DeltaPropagator(bound, deltas).delta(body)
         except (DeltaUnsupported, InvalidAtomError):
             # A body whose new value no set can hold (a sum come to
-            # nan) refuses the next read, not the commit already made.
+            # nan) is refused by the recompute this read falls back to.
             view.fallbacks += 1
-            self._release(view)  # honest: the next read recomputes
-            return
+            self._release(view)
+            return None
         if not delta.is_empty():
-            answer = delta.apply_to(answer)
-            view.delta_applies += 1
             _gov_checkpoint("ivm.apply", delta.size(),
                             len(delta.heading.names))
-            deltas[view.name] = delta
-        self._pin(view, bound.cache_key(body), answer)
+            answer = delta.apply_to(answer)
+            view.delta_applies += 1
+        return answer
 
     def status(self) -> List[Dict[str, object]]:
         """One summary row per view (for ``repro views`` and tests)."""
@@ -353,6 +338,34 @@ def _compute(db: Database, body: Plan) -> Relation:
     the store holds it once, under the unoptimized body's key."""
     db.heading_of(body)
     return db._execute_uncached(optimize(body, db))
+
+
+def _moved(old: Relation, new: Relation) -> Optional[Delta]:
+    """The exact delta from ``old`` to ``new`` -- C-level work in
+    proportion to both, Python work to the pairs that moved -- or None:
+    another heading, or a row of ``old`` in another object of ``new``
+    (rebuilt, or respelled ``1.0`` for ``1``), which no value diff sees."""
+    if old.heading != new.heading:
+        return None
+    before, after = old.rows, new.rows
+    gained = after._pair_set - before._pair_set
+    lost = before._pair_set - after._pair_set
+    # What stays is equal in value, so in canonical order: it must be
+    # the very same objects, pair for pair.
+    if not all(map(is_, _less(after, gained), _less(before, lost))):
+        return None
+    # Trusted: subsets of two validated relations' rows, sorted.
+    return Delta(*[Relation._from_valid(new.heading, XSet._from_run(
+        sorted(pairs, key=pair_key), pairs)) for pairs in (gained, lost)])
+
+
+def _less(rows: XSet, pairs: frozenset) -> Tuple:
+    """The run of ``rows`` less ``pairs``, its own, found by their keys."""
+    if not pairs:
+        return rows._pairs
+    keys = canonical_key(rows)[2]
+    return _dropping(rows._pairs, sorted(
+        bisect_left(keys, pair_key(pair)) for pair in pairs))
 
 
 def _map_scans(plan: Plan, transform: Callable[[Scan], Plan]) -> Plan:

@@ -19,7 +19,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import RuleBasedStateMachine, invariant, rule
 
-from repro.errors import InvalidAtomError, NotationError, SchemaError
+from repro.errors import (
+    BudgetExceededError,
+    InvalidAtomError,
+    NotationError,
+    SchemaError,
+)
+from repro.gov.governor import Budget, governed
 from repro.relational.algebra import Comparison
 from repro.relational.constraints import KeyConstraint, Table
 from repro.relational.cost import CardinalityEstimator
@@ -501,23 +507,20 @@ class TestFuzzPlansMaintained:
         }
         manager = TransactionManager(tables)
         catalog = ViewCatalog(Database(), manager=manager)
-        try:
-            catalog.define("v", plan, materialized=True)
-            catalog.read("v")
-            emp = manager.table("emp")
-            for _ in range(data.draw(st.integers(1, 3), label="commits")):
-                rows = list(emp.snapshot().iter_dicts())
-                victim = data.draw(st.sampled_from(rows), label="row")
-                with manager.transaction():
-                    emp.delete({"emp": victim["emp"]})
-                    emp.insert({**victim, "emp": 1000 + victim["emp"],
-                                "salary": victim["salary"] + 1})
-                    emp.update({"dept": data.draw(
-                        st.integers(0, 4), label="dept")}, {"salary": 50000})
-                assert repr(catalog.read("v").rows) == \
-                    repr(catalog.database.execute(plan).rows)
-        finally:
-            catalog.close()
+        catalog.define("v", plan, materialized=True)
+        catalog.read("v")
+        emp = manager.table("emp")
+        for _ in range(data.draw(st.integers(1, 3), label="commits")):
+            rows = list(emp.snapshot().iter_dicts())
+            victim = data.draw(st.sampled_from(rows), label="row")
+            with manager.transaction():
+                emp.delete({"emp": victim["emp"]})
+                emp.insert({**victim, "emp": 1000 + victim["emp"],
+                            "salary": victim["salary"] + 1})
+                emp.update({"dept": data.draw(
+                    st.integers(0, 4), label="dept")}, {"salary": 50000})
+            assert repr(catalog.read("v").rows) == \
+                repr(catalog.database.execute(plan).rows)
 
 
 # ----------------------------------------------------------------------
@@ -545,9 +548,7 @@ def make_manager():
 @pytest.fixture
 def managed():
     manager = make_manager()
-    catalog = ViewCatalog(Database(), manager=manager)
-    yield manager, catalog
-    catalog.close()
+    return manager, ViewCatalog(Database(), manager=manager)
 
 
 class TestManagedMaintenance:
@@ -564,12 +565,66 @@ class TestManagedMaintenance:
             manager.table("emp").insert(
                 {"eid": 4, "name": "dee", "dept": "eng"}
             )
+        # The commit does nothing for the view: the next read patches it.
+        assert view.delta_applies == 0 and catalog.is_stale("eng")
+        assert catalog.read("eng").cardinality() == 3
         assert view.delta_applies == 1
         assert not catalog.is_stale("eng")
+        assert view.recomputes == 1  # the read patched the pinned answer
         assert catalog.read("eng").cardinality() == 3
-        assert view.recomputes == 1  # the read was a cache hit
-        assert view.cache_hits == 1
+        assert view.cache_hits == 1  # and the next one hits it
         assert catalog.verify("eng")
+
+    def test_a_read_refused_at_the_apply_counts_no_patch(self, managed):
+        # The reader's governor is charged before the patch is made: a
+        # read refused there leaves the pin and the counters as they
+        # were, and the next read makes the one apply.
+        class RefusesTheApply(Budget):
+            def charge(self, site, rows, width=1):
+                if site == "ivm.apply":
+                    raise BudgetExceededError("rows", rows, 0, site=site)
+
+        manager, catalog = managed
+        catalog.define("byfloor", Join(Scan("emp"), Scan("dept")),
+                       materialized=True)
+        catalog.read("byfloor")
+        held = catalog.store.pinned("byfloor")
+        with manager.transaction():
+            manager.table("emp").insert({"eid": 4, "name": "dee",
+                                         "dept": "eng"})
+        view = catalog.view("byfloor")
+        for _ in range(2):
+            with governed(budget=RefusesTheApply()):
+                with pytest.raises(BudgetExceededError):
+                    catalog.read("byfloor")
+            assert catalog.store.pinned("byfloor") is held
+            assert (view.delta_applies, view.recomputes, view.fallbacks) \
+                == (0, 1, 0)
+        assert catalog.read("byfloor").cardinality() == 4
+        assert (view.delta_applies, view.recomputes) == (1, 1)
+        assert catalog.verify("byfloor")
+
+    def test_a_repin_drops_the_entries_snapshot_readers_stored(
+        self, managed
+    ):
+        # With no result cache on the catalog the views keep their own
+        # store; what a pinned-snapshot reader computed there goes when
+        # a current reader moves the pin past it.
+        manager, catalog = managed
+        catalog.define("byfloor", Join(Scan("emp"), Scan("dept")),
+                       materialized=True)
+        catalog.read("byfloor")
+        snapshot = manager.snapshot()
+        with manager.transaction():
+            manager.table("emp").delete({"eid": 2})
+        catalog.read("byfloor")
+        with manager.transaction():
+            manager.table("emp").delete({"eid": 3})
+        old = run_xql(snapshot.database, "SELECT * FROM byfloor")
+        assert old.cardinality() == 3 and len(catalog.store) == 2
+        snapshot.close()
+        assert catalog.read("byfloor").cardinality() == 1
+        assert len(catalog.store) == 1 and catalog.verify("byfloor")
 
     def test_delete_and_update_maintain(self, managed):
         manager, catalog = managed
@@ -581,10 +636,10 @@ class TestManagedMaintenance:
             manager.table("emp").delete({"eid": 2})
             manager.table("dept").update({"dept": "eng"}, {"floor": 9})
         view = catalog.view("byfloor")
-        assert view.delta_applies == 1
         floors = {
             row["floor"] for row in catalog.read("byfloor").iter_dicts()
         }
+        assert view.delta_applies == 1
         assert floors == {9}
         assert catalog.verify("byfloor")
 
@@ -602,6 +657,7 @@ class TestManagedMaintenance:
             with manager.transaction(deferred=True):
                 for statement in statements:
                     statement()
+            catalog.read("byfloor")  # the read that catches up
             recomputed = catalog.database.execute(view.plan)
             assert catalog.store.pinned("byfloor")[0] == recomputed
             assert catalog.verify("byfloor")
@@ -696,7 +752,8 @@ class TestManagedMaintenance:
         assert manager.table("dept").snapshot() is stored
         assert not catalog.is_stale("byfloor")
         # A commit moves exactly the tables it names, and the catalog
-        # with them; the view is maintained, not rebuilt.
+        # with them; the next read patches the view, it does not
+        # rebuild it.
         with manager.transaction():
             manager.table("emp").insert(
                 {"eid": 9, "name": "zed", "dept": "ops"}
@@ -704,6 +761,7 @@ class TestManagedMaintenance:
         assert same_objects()
         assert manager.table("dept").snapshot() is stored
         view = catalog.view("byfloor")
+        catalog.read("byfloor")
         assert (view.delta_applies, view.recomputes) == (1, 1)
         assert not catalog.is_stale("byfloor") and catalog.verify("byfloor")
 
@@ -721,12 +779,14 @@ class TestManagedMaintenance:
             manager.table("emp").insert(
                 {"eid": 5, "name": "eve", "dept": "eng"}
             )
-        assert catalog.view("eng").delta_applies == 1
-        assert catalog.view("eng_names").delta_applies == 1
-        assert not catalog.is_stale("eng_names")
+        # Reading the stacked view reads (so patches) its dependency
+        # first, whose old and new answers are its inputs.
         names = {
             row["name"] for row in catalog.read("eng_names").iter_dicts()
         }
+        assert catalog.view("eng").delta_applies == 1
+        assert catalog.view("eng_names").delta_applies == 1
+        assert not catalog.is_stale("eng_names")
         assert names == {"ada", "cyd", "eve"}
         assert catalog.verify("eng")
         assert catalog.verify("eng_names")
@@ -743,6 +803,7 @@ class TestManagedMaintenance:
             manager.table("emp").insert(
                 {"eid": 6, "name": "fay", "dept": "eng"}
             )
+        assert catalog.read("eng_ids").cardinality() == 3
         assert catalog.view("eng_ids").delta_applies == 1
         assert catalog.verify("eng_ids")
 
@@ -765,12 +826,12 @@ class TestManagedMaintenance:
             manager.table("emp").insert(
                 {"eid": 4, "name": "dee", "dept": "eng"}
             )
-        monkeypatch.undo()
         view = catalog.view("eng")
+        assert view.fallbacks == 0 and catalog.is_stale("eng")
+        after = catalog.read("eng")  # the patch falls back: recompute
+        monkeypatch.undo()
         assert view.fallbacks == 1
         assert view.delta_applies == 0
-        assert catalog.is_stale("eng")
-        after = catalog.read("eng")  # honest recompute
         assert after.cardinality() == 3
         assert view.recomputes == 2
         assert not catalog.is_stale("eng")
@@ -778,28 +839,29 @@ class TestManagedMaintenance:
 
     def test_a_value_no_set_holds_unpins_and_the_commit_stands(self):
         # The body's new value is a sum come to nan: the commit is made
-        # and durable, so maintenance unpins and the next read refuses.
+        # and durable; the read that would patch the view unpins it and
+        # refuses, and so does every read after it.
         inf = float("inf")
         manager = TransactionManager({"t": Table(
             ["k", "g", "x"], [{"k": 1, "g": "a", "x": inf}],
         )})
         catalog = ViewCatalog(Database(), manager=manager)
-        try:
-            run_xql(manager.committed(), "CREATE MATERIALIZED VIEW s AS "
-                    "SELECT g, sum(x) AS total FROM t GROUP BY g")
-            assert catalog.read("s").to_rows() == [("a", inf)]
-            with manager.transaction():
-                manager.table("t").insert({"k": 2, "g": "a", "x": -inf})
-            assert manager.current_version == 1
-            assert sorted(manager.table("t").snapshot().to_rows()) == \
-                [(1, "a", inf), (2, "a", -inf)]
-            view = catalog.view("s")
-            assert (view.fallbacks, view.delta_applies) == (1, 0)
-            assert catalog.is_stale("s")
-            with pytest.raises(InvalidAtomError, match="would be nan"):
-                catalog.read("s")
-        finally:
-            catalog.close()
+        run_xql(manager.committed(), "CREATE MATERIALIZED VIEW s AS "
+                "SELECT g, sum(x) AS total FROM t GROUP BY g")
+        assert catalog.read("s").to_rows() == [("a", inf)]
+        with manager.transaction():
+            manager.table("t").insert({"k": 2, "g": "a", "x": -inf})
+        assert manager.current_version == 1
+        assert sorted(manager.table("t").snapshot().to_rows()) == \
+            [(1, "a", inf), (2, "a", -inf)]
+        view = catalog.view("s")
+        assert (view.fallbacks, view.delta_applies) == (0, 0)
+        with pytest.raises(InvalidAtomError, match="would be nan"):
+            catalog.read("s")
+        assert (view.fallbacks, view.delta_applies) == (1, 0)
+        assert catalog.is_stale("s") and catalog.store.pinned("s") is None
+        with pytest.raises(InvalidAtomError, match="would be nan"):
+            catalog.read("s")
 
     def test_fallback_poisons_dependents(self, managed, monkeypatch):
         manager, catalog = managed
@@ -807,11 +869,11 @@ class TestManagedMaintenance:
             "eng", Restrict(Scan("emp"),
                     (Comparison("dept", "=", "eng"),)), materialized=True
         )
-        # Two dependents, poisoned along different paths: "ontop" also
-        # reads emp, so its fingerprint moves and its maintenance run
-        # trips over the failed dependency; "shallow" reads only the
-        # view, so its fingerprint is unchanged and only the recursive
-        # staleness check can tell its input quietly went stale.
+        # Two dependents: "ontop" also reads emp, and its own body has
+        # no delta rule here either; "shallow" reads only the view, so
+        # only the recursive staleness check can tell its input went
+        # stale.  Each read reads the dependency first, whose fallback
+        # recomputes it: its new answer is an input of both.
         catalog.define(
             "ontop", Join(Scan("eng"), Scan("emp")), materialized=True
         )
@@ -825,9 +887,8 @@ class TestManagedMaintenance:
         original = DeltaPropagator.delta
 
         def base_only_raises(self, plan):
-            # "eng" itself (expanded over base tables) fails; "ontop"
-            # must then be poisoned *before* its delta is attempted,
-            # because its dependency fell back this round.
+            # "eng" itself (expanded over base tables) fails, and so
+            # does "ontop", which scans emp too.
             if any(
                 name not in catalog.names() for name in scan_tables(plan)
             ):
@@ -839,10 +900,6 @@ class TestManagedMaintenance:
             manager.table("emp").insert(
                 {"eid": 4, "name": "dee", "dept": "eng"}
             )
-        monkeypatch.undo()
-        assert catalog.view("eng").fallbacks == 1
-        assert catalog.view("ontop").fallbacks == 1
-        assert catalog.view("shallow").fallbacks == 0
         assert catalog.is_stale("eng")
         assert catalog.is_stale("ontop")
         assert catalog.is_stale("shallow")
@@ -851,6 +908,10 @@ class TestManagedMaintenance:
         }
         assert names == {"ada", "cyd", "dee"}
         assert catalog.read("ontop").cardinality() == 3
+        monkeypatch.undo()
+        assert catalog.view("eng").fallbacks == 1
+        assert catalog.view("ontop").fallbacks == 1
+        assert catalog.view("shallow").fallbacks == 0
         for name in ("eng", "ontop", "shallow"):
             assert catalog.verify(name)
 
@@ -923,14 +984,6 @@ class TestManagedMaintenance:
         assert row["rows"] == 2
         assert row["recomputes"] == 1
 
-    def test_close_detaches_from_commit_stream(self, managed):
-        manager, catalog = managed
-        catalog.define("all", Scan("emp"), materialized=True)
-        catalog.read("all")
-        catalog.close()
-        with manager.transaction():
-            manager.table("emp").delete({"eid": 1})
-        assert catalog.view("all").delta_applies == 0
 
 
 # ----------------------------------------------------------------------
@@ -942,9 +995,7 @@ class TestXQLViews:
     @pytest.fixture
     def catalog(self):
         manager = make_manager()
-        catalog = ViewCatalog(Database(), manager=manager)
-        yield catalog
-        catalog.close()
+        return ViewCatalog(Database(), manager=manager)
 
     def test_create_select_refresh_drop(self, catalog):
         db = catalog.database
@@ -983,9 +1034,9 @@ class TestXQLViews:
             catalog.manager.table("emp").insert(
                 {"eid": 8, "name": "hal", "dept": "eng"}
             )
-        assert catalog.view("eng").delta_applies == 1
         rows = run_xql(catalog.database, "SELECT eid FROM eng")
         assert rows.cardinality() == 3
+        assert catalog.view("eng").delta_applies == 1
 
     def test_view_statements_need_a_catalog(self):
         db = Database()
@@ -1058,13 +1109,14 @@ class TestXQLViews:
         # views as of it, and replaces no materialization.
         assert rows("per_dept", pinned) == [("eng", 1, 3), ("ops", 1, 2)]
         assert rows("newest", pinned) == [(2, "bob"), (3, "cyd")]
-        # Maintained by delta, never recomputed; the second commit left
-        # the canonically first row where it was.
-        for name, applies in (("per_dept", 2), ("newest", 2), ("first", 1)):
+        # Maintained by delta, never recomputed: the read after both
+        # commits patched each view once, by the difference of its
+        # inputs, where a commit listener would have patched twice.
+        for name in bodies:
             view = catalog.view(name)
             assert catalog.verify(name)
             assert (view.delta_applies, view.fallbacks, view.recomputes) == \
-                (applies, 0, 1)
+                (1, 0, 1)
         # A grouped view is a relation: it joins, filters and groups again.
         assert run_xql(
             catalog.database, "SELECT d FROM per_dept WHERE n = 2",
@@ -1209,6 +1261,8 @@ class IVMMachine(RuleBasedStateMachine):
         eid = data.draw(st.sampled_from(sorted(self.live)))
         emp = self.manager.table("emp")
         version, stored = self.manager.current_version, emp.snapshot()
+        for name in self.VIEWS:  # current, so the commit could move them
+            self.catalog.read(name)
         with self.manager.transaction():
             emp.update({"eid": eid}, {"grp": float(self.live[eid])})
         assert self.manager.current_version == version
@@ -1283,20 +1337,19 @@ class IVMMachine(RuleBasedStateMachine):
 
     @invariant()
     def views_match_recompute(self):
+        # A read catches the view up: it equals a recompute by digest.
         for name in self.VIEWS:
             view = self.catalog.view(name)
+            got = self.catalog.read(name)
             assert view.fallbacks == 0
-            pinned = self.catalog.store.pinned(name)
-            if pinned is None:
-                continue
             expected = self._expected(view.plan)
-            assert digest(pinned[0].rows) == digest(expected.rows)
+            assert digest(got.rows) == digest(expected.rows)
+            assert self.catalog.store.pinned(name)[0] is got
             assert self.catalog.verify(name)
 
     def teardown(self):
         for snapshot, _ in self.pinned:
             snapshot.close()
-        self.catalog.close()
 
 
 IVMMachine.TestCase.settings = settings(

@@ -334,7 +334,6 @@ class TestOneCatalogValue:
         assert len(run(pinned.database, "select * from emp")) == 6
         assert len(run(manager.committed(), "select * from emp")) == 7
         pinned.close()
-        catalog.close()
 
     def test_a_committed_catalog_refuses_its_mutators(self, manager):
         committed = manager.committed()

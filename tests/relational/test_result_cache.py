@@ -616,7 +616,6 @@ class TestNeverStaleSweep:
         assert all(got is before for got in after)
         assert not catalog.is_stale("all")
         assert catalog.verify("all")
-        catalog.close()
 
     def test_server_commit_stream_reclaims_entries(self):
         server = Server(make_manager(), result_cache_capacity=8)
@@ -674,10 +673,13 @@ class TestPinnedViews:
             assert len(cache) <= cache.capacity + len(catalog.names())
         assert cache.evictions == 3 and len(cache) == 4
         # A commit to aux invalidates aux's entries; emp's pin stays,
-        # and so does aux's own until its maintenance re-pins it.
+        # and so does aux's own until the read that patches re-pins it.
         with manager.transaction():
             manager.table("aux").insert({"k": 2})
         assert catalog.read("zero") is zero and not catalog.is_stale("zero")
+        assert catalog.view("keys").delta_applies == 0
+        assert len(self.holders(cache, keys)) == 1
+        assert catalog.read("keys") is not keys
         assert catalog.view("keys").delta_applies == 1
         assert self.holders(cache, keys) == []
         # Neither invalidation nor clear reaches a pin.
@@ -699,8 +701,9 @@ class TestPinnedViews:
         again = catalog.refresh("zero")
         assert again is not first and self.holders(cache, first) == []
         assert len(self.holders(cache, again)) == 1
-        # A delta fallback releases the answer and the emp it was
-        # computed from.
+        # A commit lets nothing go; the read whose patch falls back
+        # releases the answer and the emp it was computed from, and
+        # pins the recomputed answer alone.
         superseded = manager.table("emp").snapshot()
         assert len(self.holders(cache, superseded)) == 1
         monkeypatch.setattr(
@@ -711,16 +714,16 @@ class TestPinnedViews:
         )
         with manager.transaction():
             manager.table("emp").insert({"eid": 5, "grp": 0})
+        assert len(self.holders(cache, superseded)) == 1
+        last = catalog.read("zero")
         monkeypatch.undo()
         assert catalog.view("zero").fallbacks == 1
         assert self.holders(cache, again) == []
-        assert self.holders(cache, superseded) == [] and len(cache) == 0
+        assert self.holders(cache, superseded) == []
         # drop: the recomputed answer and its inputs go with the view.
-        last = catalog.read("zero")
         assert last.cardinality() == 2 and len(cache) == 1
         catalog.drop("zero")
         assert self.holders(cache, last) == [] and len(cache) == 0
-        catalog.close()
 
     def test_a_reordering_optimizer_orphans_no_pin(self, monkeypatch):
         from repro.relational import views
@@ -743,13 +746,13 @@ class TestPinnedViews:
         view = catalog.view("pairs")
         with manager.transaction():
             manager.table("emp").insert({"eid": 5, "grp": 1})
+        after = catalog.read("pairs")
         assert (view.delta_applies, view.recomputes) == (1, 1)
         hits = view.cache_hits
-        after = catalog.read("pairs")
+        assert catalog.read("pairs") is after
         assert view.cache_hits == hits + 1 and view.recomputes == 1
         assert after.cardinality() == first.cardinality() + 1
         assert catalog.verify("pairs")
-        catalog.close()
 
 
 # ----------------------------------------------------------------------

@@ -13,6 +13,7 @@ import struct
 import pytest
 
 from repro.errors import (
+    BudgetExceededError,
     IntegrityError,
     InvalidAtomError,
     NetworkError,
@@ -1253,14 +1254,16 @@ class TestServedViews:
                 ["delete", "emp", {"eid": 1}],
             ])
             view = catalog.view("eng")
-            assert (view.delta_applies, view.fallbacks) == (1, 0)
+            assert (view.delta_applies, view.fallbacks) == (0, 0)
             before = self.recompute(make_manager(), self.ENG)
             after = self.recompute(manager, self.ENG)
             assert before != after
-            # The writer re-pinned at its own commit; the reader never
-            # said REFRESH and reads the view as of the version it holds.
+            # The writer's read, at the current value, patched the pin;
+            # the reader never said REFRESH and reads the view as of the
+            # version it holds.
             assert dumps_csv(await writer.query("select * from eng")) == \
                 dumps_csv(after)
+            assert (view.delta_applies, view.fallbacks) == (1, 0)
             assert dumps_csv(await reader.query("select * from eng")) == \
                 dumps_csv(before)
             assert sorted((await reader.query(
@@ -1297,15 +1300,43 @@ class TestServedViews:
             version = await client.mutate(
                 [["insert", "t", {"k": 2, "g": "a", "x": -inf}]])
             assert version == manager.current_version == 1
-            assert catalog.view("s").fallbacks == 1
+            assert catalog.view("s").fallbacks == 0
             with pytest.raises(InvalidAtomError, match="would be nan"):
                 await client.query("select * from s")
+            assert catalog.view("s").fallbacks == 1
             await client.close()
 
-        try:
-            run(served(body, manager))
-        finally:
-            catalog.close()
+        run(served(body, manager))
+
+    def test_a_catch_up_read_under_too_small_a_budget_is_refused(self):
+        # The reader's budget bounds the patch its read makes: refused,
+        # the pin stays the old entry, and the next read patches it.
+        manager, catalog = self.stack()
+
+        async def body(server):
+            client = await connect("127.0.0.1", server.port)
+            await client.query("create materialized view floors as "
+                               "select name, floor from emp join dept")
+            held = catalog.store.pinned("floors")
+            await client.mutate(
+                [["insert", "emp", {"eid": 4, "name": "dee", "dept": "eng"}]]
+            )
+            view = catalog.view("floors")
+            with pytest.raises(BudgetExceededError):
+                await client.query("select * from floors budget 1")
+            assert catalog.store.pinned("floors") is held
+            assert catalog.is_stale("floors")
+            assert (view.delta_applies, view.fallbacks, view.recomputes) == \
+                (0, 0, 1)
+            got = await client.query("select * from floors")
+            assert dumps_csv(got) == dumps_csv(self.recompute(
+                manager, "select name, floor from emp join dept"))
+            assert (view.delta_applies, view.fallbacks, view.recomputes) == \
+                (1, 0, 1)
+            assert catalog.verify("floors") and client.connected
+            await client.close()
+
+        run(served(body, manager))
 
     def test_drop_then_read_is_a_schema_error(self):
         manager, catalog = self.stack()
@@ -1337,24 +1368,32 @@ class TestServedViews:
             embedded = run_xql(manager.committed(), text)
             assert (cache.stores, cache.hits) == (stores + 1, hits + 1)
             assert dumps_csv(over_wire) == dumps_csv(embedded)
-            # A replaced materialization takes its entries with it: the
-            # answer read through the view goes; the pinned view stays.
+            # A commit moves no counter of the cache: the view waits,
+            # pinned, for its next read.
             dropped = cache.invalidations
             counters = (cache.stores, cache.hits, cache.misses, cache.stale)
             await client.mutate(
                 [["insert", "emp", {"eid": 5, "name": "eve", "dept": "eng"}]]
             )
+            assert (cache.stores, cache.hits, cache.misses, cache.stale,
+                    cache.invalidations) == counters + (dropped,)
+            assert catalog.store is cache and catalog.is_stale("eng")
+            # The read patches the view first.  A replaced
+            # materialization takes its entries with it: the answer read
+            # through the view goes; the pinned view stays.  The patch
+            # reads its sub-plan past the readers' cache: no entry
+            # stored, no lookup counted in their hit rate -- the one
+            # stale and the one store are the statement's own.
+            assert (await client.query(text)).cardinality() == 3
             assert cache.invalidations == dropped + 1
-            # Maintenance reads its sub-plan past the readers' cache: no
-            # entry stored, no lookup counted in their hit rate.
+            stored, hit, missed, stale = counters
             assert (cache.stores, cache.hits, cache.misses,
-                    cache.stale) == counters
+                    cache.stale) == (stored + 1, hit, missed, stale + 1)
             eng = plan_cache_key(Restrict(Scan("emp"),
                                           (Comparison("dept", "=", "eng"),)))
             assert eng.endswith(":Restrict(dept = 'eng')(Scan(emp))")
             assert eng not in [plan_key for plan_key, _ in cache._entries]
-            assert catalog.store is cache and not catalog.is_stale("eng")
-            assert (await client.query(text)).cardinality() == 3
+            assert not catalog.is_stale("eng")
             await client.close()
 
         run(served(body, manager))
