@@ -12,18 +12,22 @@ operations that run queries:
   the violating rows are literally ``R ~ (R |_key S)``;
 * a **check constraint** is separation by predicate.
 
-:class:`Table` wraps a relation with declared constraints and applies
-every mutation copy-on-write: the new row set is validated *before*
-the table's pointer moves, so a failed insert/delete/update leaves the
-visible state untouched (all-or-nothing at statement granularity).
+:class:`Table` wraps a relation value with declared constraints, and
+every mutation is copy-on-write.  A statement knows which rows it adds
+and removes, so it builds that *delta* -- ``(inserted, deleted)`` row
+sets under the exact-diff law ``inserted = new \\ old``, ``deleted =
+old \\ new`` -- and hands it on; the candidate value is checked before
+it becomes visible (in a deferred transaction, at its commit), so a
+refused statement changes nothing.  A constraint that held before a
+write still holds iff its **delta rule** (``check_delta``) passes on
+the changed rows; the whole-relation ``check`` stays the definition,
+used by any constraint without a delta rule.
 
-A statement knows which rows it adds and removes, so it carries that
-*delta* -- ``(inserted, deleted)`` row sets under the exact-diff law
-``inserted = new \\ old``, ``deleted = old \\ new`` -- to every later
-stage.  A constraint that held before a write still holds iff its
-**delta rule** (``check_delta``) passes on the changed rows; the
-whole-relation ``check`` stays the definition, used where no valid
-prior state is known and by any constraint without a delta rule.
+An enrolled table keeps nothing of a transaction: the
+:class:`~repro.relational.tx.TransactionManager` holds the open
+transaction as one map of working values and net deltas over the
+committed value it read, and a statement replaces one entry of it
+(:func:`_then` composes the delta).
 """
 
 from __future__ import annotations
@@ -185,16 +189,33 @@ def _then(diff: Diff, inserted: XSet, deleted: XSet) -> Diff:
     )
 
 
-class Table:
-    """A mutable, constraint-guarded view over immutable relations.
+def _moved(relation: Relation, inserted: XSet, deleted: XSet) -> Relation:
+    """``(relation - deleted) | inserted`` for an exact delta; no change,
+    no new value.  Trusted: a difference and a union of row sets each
+    valid under ``relation``'s heading."""
+    if not (inserted or deleted):
+        return relation
+    return Relation._from_valid(
+        relation.heading, (relation.rows - deleted) | inserted
+    )
 
-    Every mutation builds its exact delta and the candidate relation
-    ``(current - deleted) | inserted``, validates the candidate through
-    each constraint's delta rule, and only then replaces the current
-    state -- a failed statement changes nothing.  The underlying
-    relations remain immutable values, so old states can be held,
-    compared or diffed for free (:meth:`snapshot`).  ``rows`` may be a
-    same-heading :class:`Relation`, adopted as the initial value as is.
+
+class Table:
+    """A constraint-guarded name for an immutable relation value.
+
+    Every statement builds its exact delta ``(inserted, deleted)`` from
+    the value it reads and hands it on; the relations stay immutable
+    values, so old states can be held, compared or diffed for free
+    (:meth:`snapshot`).  ``rows`` may be a same-heading
+    :class:`Relation`, adopted as the initial value as is.
+
+    A *standalone* table holds its value and checks every statement
+    through each constraint's delta rule before its value moves -- a
+    refused statement changes nothing.  A table *enrolled* in a
+    :class:`~repro.relational.tx.TransactionManager` holds no state at
+    all: its value is the manager's (the open transaction's working
+    value, else the committed one), and a statement is one step of the
+    open transaction or, outside any, a transaction of its own.
     """
 
     def __init__(
@@ -205,7 +226,6 @@ class Table:
     ):
         self._heading = names if isinstance(names, Heading) else Heading(names)
         self._constraints: List[object] = list(constraints)
-        self._deferred = False
         if isinstance(rows, Relation):
             if rows.heading != self._heading:
                 raise SchemaError(
@@ -216,21 +236,20 @@ class Table:
             candidate = Relation.from_dicts(self._heading, rows)
         for constraint in self._constraints:
             constraint.check(candidate)
-        self._current = candidate
-        # The net delta since the constraints last held on the state...
-        self._unchecked = _NO_DIFF
-        # ...and since the outermost open transaction began (None
-        # outside one: nobody will ask, so nothing accumulates).
-        self._net: Optional[Diff] = None
-        # The TransactionManager this table is enrolled in, if any.
+        # The value while standalone; enrolled, the manager holds it.
+        self._relation: Optional[Relation] = candidate
+        # The TransactionManager this table is enrolled in, its name there.
         self._owner = None
+        self._name: Optional[str] = None
 
     # -- constraint plumbing --------------------------------------------
 
     def add_constraint(self, constraint: object) -> None:
         """Declare a constraint; current rows must already satisfy it."""
-        constraint.check(self._current)
+        constraint.check(self.snapshot())
         self._constraints.append(constraint)
+        if self._owner is not None and not hasattr(constraint, "check_delta"):
+            self._owner._guarded[self._name] = self
 
     def _check(self, candidate: Relation, diff: Diff) -> None:
         """Would the constraints, valid before ``diff``, hold on ``candidate``?"""
@@ -241,32 +260,15 @@ class Table:
             else:
                 rule(candidate, *diff)
 
-    def defer_validation(self, deferred: bool) -> None:
-        """Suspend/resume per-statement checking (transactions use this).
-
-        While deferred, mutations apply without constraint checks;
-        call :meth:`check_now` (or let the transaction manager do it
-        at commit) to validate the accumulated state.  Unchecked rows
-        stay pending until a check passes: resume without
-        :meth:`check_now` and the next statement checks them.
-        """
-        self._deferred = bool(deferred)
-
     def check_now(self) -> None:
-        """Validate the current state against every constraint: the
-        rows changed since the constraints last held through each
-        delta rule, the whole relation where there is none."""
-        self._check(self._current, self._unchecked)
-        self._unchecked = _NO_DIFF
-
-    def needs_check(self) -> bool:
-        """Could :meth:`check_now` fail?  Only with rows changed since
-        the constraints last held, or with a constraint that has no
-        delta rule (it reads state this table's delta cannot see)."""
-        return any(self._unchecked) or not all(
-            hasattr(constraint, "check_delta")
-            for constraint in self._constraints
-        )
+        """Validate the current value against every constraint: through
+        each delta rule, the rows an open transaction changed while some
+        statement of it ran unchecked; the whole relation where there is
+        no delta rule."""
+        if self._owner is None:
+            self._check(self._relation, _NO_DIFF)
+        else:
+            self._check(*self._owner._unverified(self._name))
 
     @property
     def constraints(self) -> Tuple[object, ...]:
@@ -279,76 +281,33 @@ class Table:
         return self._heading
 
     def snapshot(self) -> Relation:
-        """The current state as an immutable relation value."""
-        return self._current
+        """The current value as an immutable relation: inside an open
+        transaction, with its writes."""
+        if self._owner is None:
+            return self._relation
+        return self._owner._value(self._name)
 
     def __len__(self) -> int:
-        return self._current.cardinality()
-
-    # -- transaction support ----------------------------------------------
-
-    def savepoint(self) -> Tuple[Relation, Diff, Optional[Diff]]:
-        """What a transaction scope restores on failure: the relation
-        value, then the deltas carried with it.  The outermost scope's
-        savepoint starts the net delta :meth:`commit_diff` reads."""
-        state = (self._current, self._unchecked, self._net)
-        if self._net is None:
-            self._net = _NO_DIFF
-        return state
-
-    def restore(self, savepoint: Tuple[Relation, Diff, Optional[Diff]]) -> None:
-        """Return to a :meth:`savepoint`; nothing to re-check, relation
-        and pending deltas come back together."""
-        self._current, self._unchecked, self._net = savepoint
-
-    def commit_diff(self, began: Relation) -> Optional[Diff]:
-        """The exact ``(inserted, deleted)`` net of every statement
-        since the outermost :meth:`savepoint`, ``None`` when empty;
-        ends that scope.  A table touched to no net effect goes back to
-        ``began``, the relation the scope began with: equal by
-        exactness of the diff, and spelled as the log spells it (delete
-        ``v = 1``, insert ``v = 1.0`` logs nothing, keeps nothing)."""
-        net, self._net = self._net, None
-        if net is None or net is _NO_DIFF:
-            return None
-        if net[0] or net[1]:
-            return net
-        self._current = began
-        return None
+        return self.snapshot().cardinality()
 
     # -- mutations ----------------------------------------------------------
 
     def _apply(self, inserted: XSet, deleted: XSet) -> None:
-        """Move to ``(current - deleted) | inserted``, an exact delta:
-        ``inserted`` validated under this heading and disjoint from
-        the current rows, ``deleted`` a subset of them.  On an enrolled
-        table outside any scope (no net delta is being kept) that is a
-        one-statement transaction: the commit path checks, logs,
-        versions and announces it."""
-        if self._owner is not None and self._net is None:
-            with self._owner.transaction():
-                return self._apply(inserted, deleted)
-        if self._net is not None and self._net[1] and inserted:
-            # A row this scope deleted and now inserts again nets out of
-            # the diff, so the log keeps the spelling the scope deleted
-            # (``v = 1`` for ``v = 1.0``); memory keeps that one too.
-            revived = self._net[1] & inserted
-            if revived:
-                inserted = (inserted - revived) | revived
-        # No change, no new value.  Otherwise trusted: a difference and
-        # a union of row sets each validated under this heading.
-        candidate = self._current
-        if inserted or deleted:
-            candidate = Relation._from_valid(
-                self._heading, (candidate.rows - deleted) | inserted
-            )
-        unchecked = _then(self._unchecked, inserted, deleted)
-        if not self._deferred:
-            self._check(candidate, unchecked)
-            unchecked = _NO_DIFF
-        self._current, self._unchecked = candidate, unchecked
-        if self._net is not None:
-            self._net = _then(self._net, inserted, deleted)
+        """Move by the exact delta ``(inserted, deleted)``: ``inserted``
+        validated under this heading and disjoint from the current rows,
+        ``deleted`` a subset of them.  Enrolled, the manager takes the
+        step; outside any transaction it is a one-statement deferred
+        transaction, checked once, at its commit."""
+        owner = self._owner
+        if owner is None:
+            candidate = _moved(self._relation, inserted, deleted)
+            self._check(candidate, (inserted, deleted))
+            self._relation = candidate
+        elif owner._open is None:
+            with owner.transaction(deferred=True):
+                owner._write(self, inserted, deleted)
+        else:
+            owner._write(self, inserted, deleted)
 
     def insert(self, row: Mapping[str, Any], *more: Mapping[str, Any]) -> None:
         """Insert ``row`` and then each of ``more``, one statement: the
@@ -357,19 +316,20 @@ class Table:
         the first refusal in the order given is the one raised, as it
         would be row by row."""
         rows = (row, *more)
+        held = self.snapshot().rows
         try:
             added = Relation.from_dicts(self._heading, rows).rows
         except Exception:
             added = None  # a malformed row; a repeat before it comes first
         if added is None or len(added) != len(rows) \
-                or not added.isdisjoint(self._current.rows):
-            self._refuse_first(rows)
+                or not added.isdisjoint(held):
+            self._refuse_first(rows, held)
         self._apply(added, EMPTY)
 
-    def _refuse_first(self, rows: Sequence[Mapping[str, Any]]) -> None:
-        """Raise what inserting ``rows`` one by one raises first: a
-        malformed row's own refusal, or a row already present."""
-        held = self._current.rows
+    def _refuse_first(self, rows: Sequence[Mapping[str, Any]],
+                      held: XSet) -> None:
+        """Raise what inserting ``rows`` one by one into ``held`` raises
+        first: a malformed row's own refusal, or a row already present."""
         for row in rows:
             one = Relation.from_dicts(self._heading, [row]).rows
             if one <= held:
@@ -379,12 +339,13 @@ class Table:
     def insert_many(self, rows: Iterable[Mapping[str, Any]]) -> int:
         """All-or-nothing bulk insert; returns the number added."""
         addition = Relation.from_dicts(self._heading, rows).rows
-        inserted = addition - self._current.rows
+        inserted = addition - self.snapshot().rows
         self._apply(inserted, EMPTY)
         return len(inserted)
 
-    def _matching(self, wheres: Sequence[Mapping[str, Any]]) -> XSet:
-        """The current rows matching any of ``wheres``, each a record of
+    def _matching(self, wheres: Sequence[Mapping[str, Any]],
+                  rows: XSet) -> XSet:
+        """The ``rows`` matching any of ``wheres``, each a record of
         attribute equalities (``{}`` matches every row): one Def 7.6
         restriction by the set of those records.  A value no set can
         hold (``nan``, or no atom) is refused as
@@ -395,15 +356,14 @@ class Table:
             self._heading.require(where)
         attrs = tuple(dict.fromkeys(attr for where in wheres for attr in where))
         return sigma_restrict(
-            self._current.rows, xset(map(xrecord, wheres)),
-            _attribute_identity(attrs),
+            rows, xset(map(xrecord, wheres)), _attribute_identity(attrs),
         )
 
     def delete(self, where: Mapping[str, Any],
                *more: Mapping[str, Any]) -> int:
         """Delete the rows matching ``where`` or any of ``more`` in one
         statement (:meth:`_matching`); returns the count."""
-        doomed = self._matching((where, *more))
+        doomed = self._matching((where, *more), self.snapshot().rows)
         self._apply(EMPTY, doomed)
         return len(doomed)
 
@@ -417,7 +377,8 @@ class Table:
         any row is read, whether or not a row matches."""
         self._heading.require(changes)
         _admit_all(changes.values())
-        matched = self._matching((conditions,))
+        current = self.snapshot().rows
+        matched = self._matching((conditions,), current)
         if not matched:
             return 0
         rewritten = Relation.from_dicts(self._heading, (
@@ -425,7 +386,7 @@ class Table:
         )).rows
         # A rewritten row equal to a current one is no insertion, and a
         # matched row rewritten to itself is no deletion.
-        self._apply(rewritten - self._current.rows, matched - rewritten)
+        self._apply(rewritten - current, matched - rewritten)
         return len(matched)
 
     def __repr__(self) -> str:

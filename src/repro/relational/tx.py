@@ -1,17 +1,12 @@
 """Multi-table transactions over constraint-guarded tables.
 
-:class:`~repro.relational.constraints.Table` makes each *statement*
-all-or-nothing; a :class:`TransactionManager` extends the guarantee to
-*groups* of statements across tables.  Immutability makes this almost
-free: beginning a transaction records each table's current relation
-value (a pointer copy), and rollback restores the pointers.  Deferred
-constraint checking validates, at the *outermost* commit, every
-enrolled table whose rows changed or whose constraints read another
-table, so mutually-referential updates (insert the department and its
-employees in one transaction) order-independently succeed or fail as
-a unit.
-
-Usage::
+A transaction is a delta over the value it read.  The committed state
+is one immutable, sealed :class:`~repro.relational.query.Database`
+(:meth:`TransactionManager.committed`); an open transaction is that
+value plus one map, ``{table: (working relation, net delta since it
+began)}``, over the tables its statements touched.  The manager holds
+it, an enrolled :class:`~repro.relational.constraints.Table` holds
+nothing, and a statement replaces one entry::
 
     manager = TransactionManager({"emp": emp_table, "dept": dept_table})
     with manager.transaction():
@@ -19,50 +14,38 @@ Usage::
         emp_table.insert({...})
     # both applied; any exception inside the block rolled both back
 
-Nested transactions are supported as savepoints: the inner context
-restores to its own begin-state on failure without disturbing the
-outer transaction, and commit-time validation runs exactly once, when
-the outermost scope commits.
+Scopes nest: a scope rolls back by going back to the transaction as it
+began, leaving the outer scope as it was, and only the outermost scope
+commits.  With ``deferred=True`` statements are not checked; the commit
+checks each changed table through its delta rules over its net delta,
+so mutually-referential updates (insert the department and its
+employees) order-independently succeed or fail as a unit (DESIGN.md
+§3, "One checking rule").
 
-Durability: pass ``log=`` a
-:class:`~repro.relational.wal.WriteAheadLog` and every outermost
-commit appends **one atomic record** -- the per-table inserted and
-deleted row sets, the net of the deltas the statements themselves
-built (:meth:`Table.commit_diff`), never a whole-relation comparison
--- *before* the transaction is considered committed; the first one
-after :meth:`~TransactionManager.add_table` also logs the new
-table's heading, once.  A failed append rolls the tables back, so the
-in-memory state never runs ahead of the durable log; a crash
-mid-append leaves a torn tail that recovery truncates (the
-transaction never happened).
+Durability: with ``log=`` a
+:class:`~repro.relational.wal.WriteAheadLog`, every state-changing
+commit appends **one atomic record** of the net deltas (and, the first
+time after :meth:`~TransactionManager.add_table`, the new table's
+heading) *before* the commit is visible.  A failed append leaves the
+committed state as it was, so memory never runs ahead of the log; a
+crash mid-append leaves a torn tail that recovery truncates.  A table
+touched to no net effect keeps the value the transaction read.
 
-The catalog value: the committed state is one immutable, sealed
-:class:`~repro.relational.query.Database`
-(:meth:`TransactionManager.committed`) carrying (``result_cache=``)
-the manager's query-result cache.  The commit
-that changes the state derives it; no reader rebuilds it -- snapshots
-pin it, server sessions, the cluster and view catalogs read it, so
-embedded and served execution plan and cache against the same thing.
+The catalog value carries (``result_cache=``) the manager's
+query-result cache; the commit that changes the state derives it, and
+snapshots, server sessions, the cluster and view catalogs read it.
 
-MVCC: because relations are immutable values, snapshot isolation is
-pointer bookkeeping.  Every outermost state-changing commit is a
-*version* (``current_version``, equal to the WAL transaction id it
-logged, so the durable record and the MVCC history share one
-numbering).  :meth:`TransactionManager.snapshot` pins the latest
-*committed* catalog -- never in-progress transaction state, so a
-reader opened before a nested rollback cannot observe the rolled-back
-rows -- and arbitrarily many snapshots overlap the writer without
-blocking it.  :meth:`TransactionManager.session` opens a read-write
-:class:`SnapshotSession` whose mutations are buffered against the
-pinned state (read-your-own-writes) and applied at :meth:`~
-SnapshotSession.commit` under **first-committer-wins** conflict
-detection: if any table the session wrote was committed past the
-session's read version, commit raises a typed
-:class:`~repro.errors.WriteConflictError` and the committed state is
-untouched.  The version horizon is bounded: the manager tracks which
-versions open snapshots pin (:meth:`retained_versions`) and a closing
-snapshot immediately releases its pin -- old relation values become
-garbage the moment the last snapshot reading them closes.
+MVCC: every state-changing commit is a *version* (``current_version``,
+equal to the WAL transaction id it logged).
+:meth:`TransactionManager.snapshot` pins the latest committed catalog
+-- never an open transaction -- and never blocks a writer.
+:meth:`TransactionManager.session` opens a :class:`SnapshotSession`, a
+deferred transaction at its pinned version (read-your-own-writes)
+committed under **first-committer-wins**: if a table it wrote was
+committed past its version, commit raises a typed
+:class:`~repro.errors.WriteConflictError` and changes nothing.  The
+version horizon is bounded: a closing snapshot releases its pin
+(:meth:`~TransactionManager.retained_versions`).
 """
 
 from __future__ import annotations
@@ -77,10 +60,11 @@ from typing import (
 
 from repro.errors import SchemaError, WriteConflictError, notify_error
 from repro.gov.governor import checkpoint as _gov_checkpoint
-from repro.relational.constraints import Table
+from repro.relational.constraints import _NO_DIFF, Diff, Table, _moved, _then
 from repro.relational.query import Database
 from repro.relational.relation import Relation
 from repro.relational.wal import WriteAheadLog
+from repro.xst.xset import XSet
 
 __all__ = ["TransactionManager", "Snapshot", "SnapshotSession", "CommitDiff"]
 
@@ -99,8 +83,18 @@ class TransactionManager:
                  log: Optional[WriteAheadLog] = None,
                  result_cache=None):
         self._tables: Dict[str, Table] = {}
-        self._savepoints: List[Dict[str, tuple]] = []
-        self._deferred_depth = 0
+        # Enrolled tables with a constraint that has no delta rule: it
+        # reads state their own delta cannot see (a delete in ``dept``
+        # breaks ``emp``'s foreign key), so every commit checks them.
+        self._guarded: Dict[str, Table] = {}
+        # The open transaction, None between transactions: the committed
+        # value it read, ``{table: (working value, net delta since it
+        # began)}`` for each table a statement touched, and whether some
+        # statement ran unchecked.  Never edited: a statement replaces
+        # it, a scope rolls back by going back to the one it began with.
+        self._open: Optional[Tuple[Database, Dict, bool]] = None
+        self._depth = 0
+        self._deferral = False  # an open scope defers statement checks
         self._log = log
         # Enrolled tables whose heading no log record carries yet: the
         # next state-changing commit record introduces them.
@@ -120,7 +114,6 @@ class TransactionManager:
         # outermost commit is fully durable (post-WAL, post-version
         # bump) -- never for rollbacks or no-op transactions.
         self._listeners: List[Callable[[int, CommitDiff], None]] = []
-        self._pending_notice: Optional[Tuple[int, Dict]] = None
         for name, table in tables.items():
             self.add_table(name, table)
 
@@ -161,9 +154,10 @@ class TransactionManager:
             raise SchemaError("unknown table %r" % (name,)) from None
 
     def add_table(self, name: str, table: Table) -> None:
-        """Enrol one more table; its current value is its version 0 and
-        a bare statement on it a commit of this manager from here on."""
-        if self._savepoints:
+        """Enrol one more table; its current value is its version 0, and
+        from here on the manager holds it and a bare statement on it is
+        a commit of this manager."""
+        if self._open is not None:
             raise SchemaError(
                 "cannot add table %r inside an open transaction" % (name,)
             )
@@ -172,31 +166,71 @@ class TransactionManager:
         views = self._committed.views
         if views is not None and views.defines((name,)):
             raise SchemaError("table %r would shadow a view" % (name,))
+        relation = table.snapshot()
         self._tables[name] = table
-        table._owner = self
+        table._owner, table._name, table._relation = self, name, None
+        if not all(hasattr(constraint, "check_delta")
+                   for constraint in table.constraints):
+            self._guarded[name] = table
         if self._log is not None:
             self._unlogged[name] = table.heading.names
-        self._committed = self._committed.with_relations(
-            {name: table.snapshot()}
-        )
+        self._committed = self._committed.with_relations({name: relation})
 
     # ------------------------------------------------------------------
-    # Savepoint mechanics
+    # The open transaction
     # ------------------------------------------------------------------
-
-    def _capture(self) -> Dict[str, tuple]:
-        return {name: table.savepoint() for name, table in self._tables.items()}
-
-    def _restore(self, savepoint: Dict[str, tuple]) -> None:
-        for name, state in savepoint.items():
-            self._tables[name].restore(state)
 
     def in_transaction(self) -> bool:
-        return bool(self._savepoints)
+        return bool(self._depth)
 
     @property
     def depth(self) -> int:
-        return len(self._savepoints)
+        return self._depth
+
+    def _value(self, name: str) -> Relation:
+        """Table ``name``'s value: the open transaction's working value,
+        else the committed one."""
+        opened = self._open
+        if opened is None:
+            return self._committed.relation(name)
+        entry = opened[1].get(name)
+        return opened[0].relation(name) if entry is None else entry[0]
+
+    def _unverified(self, name: str) -> Tuple[Relation, Diff]:
+        """What :meth:`Table.check_now` checks: table ``name``'s value,
+        and the rows its delta rules have not seen -- the net delta once
+        a statement ran unchecked (a checked one saw its own step)."""
+        opened = self._open
+        entry = None if opened is None else opened[1].get(name)
+        if entry is None or not opened[2]:
+            return self._value(name), _NO_DIFF
+        return entry
+
+    def _write(self, table: Table, inserted: XSet, deleted: XSet) -> None:
+        """One statement of the open transaction: ``table`` moves by the
+        exact step ``(inserted, deleted)``, checked against the
+        candidate unless checks are deferred.  A refused step leaves the
+        transaction as it was."""
+        read, tables, unverified = self._open
+        name = table._name
+        entry = tables.get(name)
+        current, net = (read.relation(name), _NO_DIFF) if entry is None \
+            else entry
+        if net[1] and inserted:
+            # A row this transaction deleted and now inserts again nets
+            # out of the diff, so the log keeps the spelling it deleted
+            # (``v = 1`` for ``v = 1.0``); memory keeps that one too.
+            revived = net[1] & inserted
+            if revived:
+                inserted = (inserted - revived) | revived
+        candidate = _moved(current, inserted, deleted)
+        if self._deferral:
+            unverified = True
+        else:
+            table._check(candidate, (inserted, deleted))
+        self._open = (read, {
+            **tables, name: (candidate, _then(net, inserted, deleted)),
+        }, unverified)
 
     # ------------------------------------------------------------------
     # The transaction context
@@ -206,110 +240,87 @@ class TransactionManager:
     def transaction(self, deferred: bool = False) -> Iterator["TransactionManager"]:
         """Atomic scope: exceptions roll every table back.
 
-        With ``deferred=True``, per-statement constraint checking is
-        suspended for the enrolled tables inside the scope and every
-        table that :meth:`Table.needs_check` is validated at the
-        outermost commit instead -- so
-        cross-table invariants may be transiently broken (insert the
-        employee before its department) as long as the commit state is
-        consistent.  Deferral nests: an inner scope ending does not
-        resume per-statement checking while any enclosing deferred
-        scope is still open, and commit-time validation runs exactly
-        once, at the outermost commit.  A failed commit (validation or
-        log append) restores the begin-state and re-raises.
+        With ``deferred=True``, statements inside the scope are not
+        checked; the outermost commit checks every table they changed,
+        through each delta rule over its net delta -- so cross-table
+        invariants may be transiently broken (insert the employee before
+        its department) as long as the commit state is consistent.
+        Deferral nests: an inner scope ending does not resume
+        per-statement checking while any enclosing deferred scope is
+        still open.  Only the outermost scope commits; a failed commit
+        (a check or the log append) leaves the committed state as it
+        was and re-raises.
         """
-        savepoint = self._capture()
-        self._savepoints.append(savepoint)
-        if deferred:
-            self._deferred_depth += 1
-            if self._deferred_depth == 1:
-                for table in self._tables.values():
-                    table.defer_validation(True)
+        outermost = self._open is None
+        if outermost:
+            self._open = (self._committed, {}, False)
+        began, deferral = self._open, self._deferral
+        self._depth += 1
+        self._deferral = deferral or deferred
+        notice = None
         try:
             yield self
+            if outermost:
+                notice = self._commit()
         except BaseException:
-            self._restore(savepoint)
+            self._open = began
             raise
-        else:
-            if len(self._savepoints) == 1:
-                try:
-                    # Last cancellation point before the commit becomes
-                    # durable: a transaction past its deadline rolls
-                    # back here rather than logging a late commit.
-                    _gov_checkpoint("tx.commit")
-                    for table in self._tables.values():
-                        if table.needs_check():
-                            table.check_now()
-                    self._log_commit()
-                except BaseException:
-                    self._restore(savepoint)
-                    raise
         finally:
-            if deferred:
-                self._deferred_depth -= 1
-                if self._deferred_depth == 0:
-                    for table in self._tables.values():
-                        table.defer_validation(False)
-            self._savepoints.pop()
-        if not self._savepoints:
+            self._depth -= 1
+            self._deferral = deferral
+            if outermost:
+                self._open = None
+        if notice is not None:
             # The commit is durable, versioned and *closed* (a listener
-            # that pins a snapshot sees it); tell the subscribers.  A
-            # listener exception propagates to the caller but can no
-            # longer undo the commit.
-            self._notify_listeners()
+            # that pins a snapshot sees it); tell the subscribers.
+            for listener in list(self._listeners):
+                try:
+                    listener(*notice)
+                except Exception as error:  # the commit stands: report
+                    notify_error(error)
 
-    def _log_commit(self) -> None:
-        """Append one atomic commit record for the outermost scope.
-
-        The record carries, per changed table, the inserted and
-        deleted row sets (the net delta its statements accumulated)
-        and the heading of every table enrolled since the last record,
-        so recovery can redo the transaction and re-create the tables
-        born after the last checkpoint.  No-ops log nothing.
+    def _commit(self) -> Optional[Tuple[int, Dict[str, Tuple]]]:
+        """Commit the open transaction: the ``tx.commit`` checkpoint,
+        the checks, one WAL record of each changed table's net delta
+        (with the headings no record carries yet), the new catalog value
+        and version.  Returns ``(version, changes)`` for the listeners,
+        ``None`` when no table changed: nothing is logged, and a table
+        touched to no net effect keeps the value the transaction read.
         """
-        began = self._savepoints[0]
+        # Last cancellation point before the commit becomes durable: a
+        # transaction past its deadline rolls back here rather than
+        # logging a late commit.
+        _gov_checkpoint("tx.commit")
+        _, tables, unverified = self._open
         changes = {}
-        for name in sorted(self._tables):
-            table = self._tables[name]
-            diff = table.commit_diff(began[name][0])
-            if diff is not None:
-                changes[name] = (table.heading, *diff)
+        for name in sorted(tables):
+            inserted, deleted = tables[name][1]
+            if inserted or deleted:
+                changes[name] = (self._tables[name].heading, inserted, deleted)
+        checked = {**changes, **self._guarded} if unverified \
+            else self._guarded
+        for name in checked:
+            self._tables[name].check_now()
         if not changes:
-            return
+            return None
+        version = self._commits + 1
         if self._log is not None:
-            self._log.commit(self._commits + 1, changes, self._unlogged)
+            self._log.commit(version, changes, self._unlogged)
             self._unlogged = {}
-        self._commits += 1
-        # The WAL record above carries tx id == self._commits: the
-        # durable numbering and the MVCC version are the same number,
-        # and this is where that version's catalog value is derived.
+        # The WAL record above carries tx id == version: the durable
+        # numbering and the MVCC version are the same number, and this
+        # is where that version's catalog value is derived.
+        self._commits = version
         self._committed = self._committed.with_relations(
-            {name: self._tables[name].snapshot() for name in changes}
+            {name: tables[name][0] for name in changes}
         )
         cache = self._committed.result_cache
         if cache is not None:
             # Hygiene (ivm/cache.py): these entries cannot hit again.
             cache.invalidate_tables(tuple(changes))
         for name in changes:
-            self._table_versions[name] = self._commits
-        if self._listeners:
-            # Stash the diff for transaction() to deliver *after* the
-            # commit can no longer be rolled back -- firing here would
-            # let a listener exception trigger _restore() on tables
-            # whose changes the WAL already recorded.
-            self._pending_notice = (self._commits, changes)
-
-    def _notify_listeners(self) -> None:
-        notice = self._pending_notice
-        if notice is None:
-            return
-        self._pending_notice = None
-        version, changes = notice
-        for listener in list(self._listeners):
-            try:
-                listener(version, changes)
-            except Exception as error:  # the commit stands: report, go on
-                notify_error(error)
+            self._table_versions[name] = version
+        return version, changes
 
     # ------------------------------------------------------------------
     # Commit-diff subscriptions
@@ -361,9 +372,20 @@ class TransactionManager:
             if self._table_versions.get(name, 0) > read_version
         ])
 
+    def _first_committer_wins(self, written: Iterable[str],
+                              read_version: int) -> None:
+        """Refuse a commit of ``written`` read at ``read_version`` when
+        another committer changed one of those tables since."""
+        conflicting = self._conflicts(written, read_version)
+        if conflicting:
+            raise WriteConflictError(
+                conflicting, read_version,
+                max(self._table_versions[name] for name in conflicting),
+            )
+
     def _commit_ops(self, ops: Sequence[Tuple], written: Iterable[str],
                     read_version: int) -> int:
-        """The one optimistic commit: first-committer-wins against
+        """The served optimistic commit: first-committer-wins against
         ``read_version``, then ``("insert", table, row)`` /
         ``("delete", table, where)`` / ``("update", table, where,
         set)`` applied inside one deferred transaction.  Each run of
@@ -373,12 +395,7 @@ class TransactionManager:
         one; an update stays its own statement, since it may match a
         row an earlier one rewrote.  Returns the new current version; a
         conflict or a failing op leaves the committed state untouched."""
-        conflicting = self._conflicts(written, read_version)
-        if conflicting:
-            raise WriteConflictError(
-                conflicting, read_version,
-                max(self._table_versions[name] for name in conflicting),
-            )
+        self._first_committer_wins(written, read_version)
         with self.transaction(deferred=True):
             for (kind, name), run in groupby(ops, key=itemgetter(0, 1)):
                 table = self.table(name)
@@ -389,6 +406,33 @@ class TransactionManager:
                 else:
                     for op in run:
                         table.update(op[2], op[3])
+        return self._commits
+
+    @contextmanager
+    def _within(self, session: "SnapshotSession") -> Iterator[None]:
+        """Make ``session``'s transaction the open one while its
+        statements run: they read its pinned value, write its map and
+        are checked at its commit.  Any open transaction of the manager
+        is put aside and comes back untouched."""
+        held = self._open, self._deferral
+        self._open, self._deferral = session._open, True
+        try:
+            yield
+            session._open = self._open
+        finally:
+            self._open, self._deferral = held
+
+    def _commit_session(self, session: "SnapshotSession") -> int:
+        """First-committer-wins against the session's version, then its
+        map committed as this manager's transaction: the same checks,
+        record and version as any commit, no statement run again."""
+        self._first_committer_wins(session._written, session.version)
+        if self._open is not None:
+            raise SchemaError("a session commits outside any open transaction")
+        with self.transaction(deferred=True):
+            # Every table it wrote is as it read it: its map applies to
+            # the committed value as it stands.
+            self._open = (self._committed, session._open[1], True)
         return self._commits
 
     def snapshot(self) -> "Snapshot":
@@ -404,9 +448,10 @@ class TransactionManager:
     def session(self) -> "SnapshotSession":
         """Open a read-write snapshot-isolation session.
 
-        Reads are pinned like :meth:`snapshot`; writes buffer against
-        the pinned state and apply on :meth:`SnapshotSession.commit`
-        under first-committer-wins conflict detection.
+        Reads are pinned like :meth:`snapshot`; writes are a deferred
+        transaction over the pinned state, committed by
+        :meth:`SnapshotSession.commit` under first-committer-wins
+        conflict detection.
         """
         return SnapshotSession(self)
 
@@ -494,62 +539,52 @@ class Snapshot:
 
 
 class SnapshotSession(Snapshot):
-    """A snapshot plus buffered writes and optimistic commit.
+    """A snapshot plus a deferred transaction opened at its version.
 
-    Mutations apply to a private scratch copy of the pinned state
-    (read-your-own-writes) and are recorded as an op list.  Nothing
-    touches the shared tables until :meth:`commit`, which first runs
-    first-committer-wins conflict detection and then replays the ops
-    inside one ordinary deferred transaction -- constraint validation
-    and WAL logging ride the existing commit path.  A conflicting or
+    Writes are statements of that transaction: they read the pinned
+    state and this session's own writes (read-your-own-writes) and
+    build one map of working values and net deltas, as any transaction
+    does, touching nothing shared.  :meth:`commit` runs
+    first-committer-wins conflict detection and then commits the map
+    through the manager's one commit routine -- constraint checks, WAL
+    record, version -- with no statement run again.  A conflicting or
     failing commit leaves the committed state byte-identical to before.
     """
 
     def __init__(self, manager: TransactionManager):
         super().__init__(manager)
-        self._ops: List[Tuple] = []
-        self._scratch: Dict[str, Table] = {}
+        # The transaction, as TransactionManager._open spells one.
+        self._open = (self.database, {}, True)
         self._written: Set[str] = set()
 
     # -- reads ---------------------------------------------------------
 
     def relation(self, name: str) -> Relation:
         """Pinned state with this session's own writes applied."""
-        scratch = self._scratch.get(name)
-        if scratch is not None:
+        entry = self._open[1].get(name)
+        if entry is not None:
             self._require_open()
-            return scratch.snapshot()
+            return entry[0]
         return super().relation(name)
 
-    # -- buffered writes ----------------------------------------------
+    # -- writes ----------------------------------------------------------
 
-    def _scratch_table(self, name: str) -> Table:
-        """A constraint-free working copy seeded from the pinned state."""
+    def _write(self, name: str, statement: str, *args) -> Any:
         self._require_open()
-        table = self._scratch.get(name)
-        if table is None:
-            # The pinned value itself: rows are immutable and already
-            # validated, so the copy shares them.
-            pinned = super().relation(name)
-            table = Table(pinned.heading, pinned)
-            self._scratch[name] = table
+        table = self._manager.table(name)
         self._written.add(name)
-        return table
+        with self._manager._within(self):
+            return getattr(table, statement)(*args)
 
     def insert(self, name: str, row: Mapping[str, Any]) -> None:
-        self._scratch_table(name).insert(row)
-        self._ops.append(("insert", name, dict(row)))
+        self._write(name, "insert", row)
 
     def delete(self, name: str, conditions: Mapping[str, Any]) -> int:
-        removed = self._scratch_table(name).delete(conditions)
-        self._ops.append(("delete", name, dict(conditions)))
-        return removed
+        return self._write(name, "delete", conditions)
 
     def update(self, name: str, conditions: Mapping[str, Any],
                changes: Mapping[str, Any]) -> int:
-        changed = self._scratch_table(name).update(conditions, changes)
-        self._ops.append(("update", name, dict(conditions), dict(changes)))
-        return changed
+        return self._write(name, "update", conditions, changes)
 
     # -- resolution ----------------------------------------------------
 
@@ -558,28 +593,25 @@ class SnapshotSession(Snapshot):
         return self._manager._conflicts(self._written, self.version)
 
     def commit(self) -> int:
-        """Apply the buffered writes; returns the new commit version.
+        """Commit the writes; returns the new commit version.
 
         Raises :class:`~repro.errors.WriteConflictError` when another
-        committer won on any written table (the buffered writes are
-        discarded, the committed state is untouched), or whatever the
-        replay raises (constraint violation, failed WAL append) --
-        in every failure case the ordinary transaction rollback
-        restores the pre-commit state.  The session is closed either
+        committer won on any written table (the writes are discarded,
+        the committed state is untouched), or what the commit raises
+        (constraint violation, failed WAL append), which leaves the
+        committed state as it was too.  A session commits outside any
+        open transaction of its manager.  The session is closed either
         way; a retry opens a fresh session on the new version.
         """
         self._require_open()
         try:
-            return self._manager._commit_ops(
-                self._ops, self._written, self.version
-            )
+            return self._manager._commit_session(self)
         finally:
             self.close()
 
     def rollback(self) -> None:
-        """Discard the buffered writes and close the session."""
-        self._ops.clear()
-        self._scratch.clear()
+        """Discard the writes and close the session."""
+        self._open = (self.database, {}, True)
         self._written.clear()
         self.close()
 

@@ -571,6 +571,8 @@ class XSet(Immutable):
         return self._keeping(kept)
 
     def difference(self, other: "XSet") -> "XSet":
+        if not other._pairs:
+            return self  # X - {} is X: no copy of X's pair set
         kept = self._pair_set - other._pair_set
         if len(other._pairs) * _FEW <= len(self._pairs):
             return self._keeping(

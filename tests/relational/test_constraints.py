@@ -121,10 +121,30 @@ class TestDeltaRules:
         assert not hasattr(fk, "check_delta")
         referencing = Table(["emp", "dept"], [{"emp": 1, "dept": 2}], [fk])
         # Its own delta is empty, yet a write elsewhere can break it.
-        assert referencing.needs_check()
+        referencing.check_now()  # it holds...
         departments.delete({"dept": 2})
         with pytest.raises(IntegrityError):
-            referencing.check_now()
+            referencing.check_now()  # ...until the referenced rows go
+
+    def test_a_commit_checks_a_foreign_key_no_statement_touched(
+        self, departments
+    ):
+        from repro.relational.tx import TransactionManager
+
+        fk = ForeignKeyConstraint(["dept"], departments.snapshot)
+        referencing = Table(["emp", "dept"], [{"emp": 1, "dept": 2}], [fk])
+        manager = TransactionManager({"dept": departments,
+                                      "emp": referencing})
+        before = manager.committed()
+        for deferred in (False, True):
+            with pytest.raises(IntegrityError):
+                with manager.transaction(deferred=deferred):
+                    departments.delete({"dept": 2})
+        with pytest.raises(IntegrityError):
+            departments.delete({"dept": 2})  # a transaction of its own
+        assert manager.committed() is before
+        assert departments.delete({"dept": 1}) == 1
+        assert manager.current_version == 1
 
 
 class TestForeignKeyConstraint:

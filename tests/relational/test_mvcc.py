@@ -127,9 +127,9 @@ class TestSnapshotSession:
         session.rollback()
         assert len(manager.table("emp").snapshot()) == 1
 
-    def test_scratch_copy_shares_the_pinned_rows(self, manager):
-        # The first buffered write seeds the scratch table from the
-        # pinned Relation itself: no row is re-encoded or re-sorted.
+    def test_a_session_write_shares_the_pinned_rows(self, manager):
+        # The first write moves the pinned Relation itself by its
+        # delta: no row is re-encoded or re-sorted.
         with manager.session() as session:
             pinned = session.relation("emp")
             session.insert("emp", {"emp": 2, "name": "bob", "dept": 1})
@@ -181,6 +181,23 @@ class TestSnapshotSession:
                 session.insert("emp", {"emp": 3, "name": "eve", "dept": 1})
                 raise RuntimeError("abort")
         assert len(manager.table("emp").snapshot()) == 2
+
+    def test_writes_inside_a_transaction_stay_the_sessions_own(
+        self, manager
+    ):
+        emp = manager.table("emp")
+        session = manager.session()
+        with manager.transaction():
+            emp.insert({"emp": 2, "name": "bob", "dept": 1})
+            session.insert("emp", {"emp": 3, "name": "cyd", "dept": 1})
+            # Each transaction reads its own writes and no other's.
+            assert len(emp.snapshot()) == 2
+            assert len(session.relation("emp")) == 2
+            before = manager.committed()
+            with pytest.raises(SchemaError, match="outside"):
+                session.commit()  # it would commit under the open one
+            assert manager.committed() is before and session.closed
+        assert len(emp.snapshot()) == 2 and manager.current_version == 1
 
     def test_failed_commit_leaves_state_untouched(self, manager):
         session = manager.session()

@@ -347,9 +347,10 @@ class TestCommitLogging:
 
 
 class TestCarriedDiff:
-    """The delta a table carries between checks and commits never goes
-    stale: unchecked rows stay pending until a check passes, and a
-    rollback takes the pending delta back with the relation."""
+    """The net delta an open transaction carries never goes stale: a
+    rollback takes it back with the working value, a commit checks and
+    logs exactly it, and a standalone table, which carries none, checks
+    every statement."""
 
     @pytest.fixture
     def counted(self, schema, tmp_path):
@@ -381,53 +382,51 @@ class TestCarriedDiff:
             for name, inserted, deleted in commit_changes(record)
         }
 
-    def test_unchecked_rows_stay_pending_until_a_check_passes(self):
-        # A standalone table: an enrolled one cannot be left pending,
-        # its bare statement is a commit (next test).
+    def test_a_standalone_table_checks_every_statement(self):
+        # A standalone table cannot defer: each statement is checked
+        # before its value moves, so no broken value is ever held.
         departments = Table(
             ["dept", "dname"], [{"dept": 1, "dname": "research"}],
             [KeyConstraint(["dept"])],
         )
-        departments.defer_validation(True)
-        departments.insert({"dept": 1, "dname": "duplicate key"})
-        departments.defer_validation(False)
-        # No check_now(): every later statement must still be refused,
-        # even ones whose own rows are fine or that change nothing.
+        departments.insert({"dept": 2, "dname": "ops"})
+        held = departments.snapshot()
         for statement in (
-            lambda: departments.insert({"dept": 2, "dname": "fine"}),
-            lambda: departments.insert_many([{"dept": 3, "dname": "ok"}]),
-            lambda: departments.delete({"dept": 404}),
-            lambda: departments.update({"dname": "research"}, {"dname": "r"}),
-            departments.check_now,
+            lambda: departments.insert({"dept": 1, "dname": "duplicate key"}),
+            lambda: departments.insert_many([{"dept": 3, "dname": "ok"},
+                                             {"dept": 2, "dname": "dup"}]),
+            lambda: departments.update({"dept": 2}, {"dept": 1}),
         ):
             with pytest.raises(IntegrityError, match="key"):
                 statement()
-        assert departments.needs_check()
-        assert len(departments) == 2
-        # Removing the offender is the statement that passes the check.
-        assert departments.delete({"dname": "duplicate key"}) == 1
-        assert not departments.needs_check()
+            assert departments.snapshot() is held
+        departments.check_now()  # nothing broken to find
+        assert departments.delete({"dept": 404}) == 0
+        assert departments.snapshot() is held
+        assert departments.delete({"dname": "ops"}) == 1
         departments.insert({"dept": 2, "dname": "fine"})
         assert len(departments) == 2
 
     def test_pending_rows_fail_the_next_commit_and_roll_back(self, schema):
         manager, _, departments = schema
         before = departments.snapshot()
-        # On an enrolled table the next commit is the statement's own:
-        # deferring its check only moves the refusal to that commit.
-        departments.defer_validation(True)
+        # Deferred, the statement is not checked: its commit is, and
+        # the refusal rolls the whole transaction back.
         with pytest.raises(IntegrityError):
-            departments.insert({"dept": 1, "dname": "duplicate key"})
-        departments.defer_validation(False)
+            with manager.transaction(deferred=True):
+                departments.insert({"dept": 1, "dname": "duplicate key"})
         assert departments.snapshot() is before
-        assert not departments.needs_check()  # rolled back, nothing pending
+        assert manager.committed().relation("dept") is before
         assert manager.current_version == 0
         with pytest.raises(IntegrityError):
             with manager.transaction(deferred=True):
                 departments.insert({"dept": 2, "dname": "fine"})
                 departments.insert({"dept": 1, "dname": "duplicate key"})
         assert departments.snapshot() is before
-        assert not departments.needs_check()
+        assert manager.committed().relation("dept") is before
+        # Nothing was left pending: the next commit holds its own rows.
+        departments.insert({"dept": 2, "dname": "fine"})
+        assert manager.current_version == 1 and len(departments) == 2
 
     def test_inner_rollback_leaves_no_stale_diff(self, counted):
         manager, departments, log, checked = counted
@@ -455,7 +454,8 @@ class TestCarriedDiff:
                     departments.insert({"dept": 2, "dname": "doomed"})
                     departments.delete({"dept": 1})
                     raise RuntimeError("abort")
-        assert log.lsn == 0 and not departments.needs_check()
+        assert (log.lsn, manager.current_version) == (0, 0)
+        assert departments.snapshot() is manager.committed().relation("dept")
         checked.clear()
         with manager.transaction(deferred=True):
             departments.update({"dept": 1}, {"dname": "renamed"})
@@ -476,7 +476,8 @@ class TestCarriedDiff:
             with manager.transaction(deferred=True):
                 departments.insert({"dept": 2, "dname": "fine"})
                 departments.insert({"dept": 1, "dname": "duplicate key"})
-        assert log.lsn == 0 and not departments.needs_check()
+        assert (log.lsn, manager.current_version) == (0, 0)
+        assert departments.snapshot() is manager.committed().relation("dept")
         with manager.transaction(deferred=True):
             departments.insert({"dept": 3, "dname": "next"})
         assert self.logged_rows(log.replay()[0]) == {"dept": ([3], [])}
@@ -736,7 +737,7 @@ class TestStatementAutocommit:
                 refused()
         assert table.snapshot() is base
         assert (manager.current_version, log.lsn, heard) == (0, 0, [])
-        assert cluster.ops == ops and not table.needs_check()
+        assert cluster.ops == ops and manager.committed().relation("dept") is base
         assert cluster.execute(Scan("dept")) == base
 
     def test_inside_a_scope_a_statement_is_not_a_commit(self, stack):
@@ -757,4 +758,5 @@ class TestStatementAutocommit:
         table.insert({"dept": 1, "dname": "research"})
         with pytest.raises(IntegrityError):
             table.insert({"dept": 1, "dname": "dup"})
-        assert len(table) == 1 and not table.needs_check()
+        assert len(table) == 1
+        table.check_now()  # nothing broken to find

@@ -173,6 +173,11 @@ class TestBooleanAlgebra:
         )
         assert spelled(ints - XSet([(3.0, "c")])) == spelled(ints & floats)
 
+    @given(nested())
+    def test_taking_nothing_away_returns_the_operand(self, x):
+        assert (x - EMPTY) is x
+        assert x.difference(XSet([])) is x
+
     @given(nested(), nested())
     def test_operands_keep_their_key_and_order(self, a, b):
         key, pairs = canonical_key(a), a.pairs()
