@@ -100,12 +100,12 @@ from typing import (
 from repro.errors import InvalidAtomError, SchemaError
 from repro.gov.governor import active as _gov_active
 from repro.obs.instrument import kernel_op
-from repro.relational.relation import Relation, _run_dicts
+from repro.relational.relation import Relation, _positional, _run_dicts
 from repro.relational.schema import Heading
-from repro.xst.builders import xrecord, xset
+from repro.xst.builders import xset
 from repro.xst.ordering import canonical_key, pair_key
 from repro.xst.relative_product import _CHECK_EVERY, _arrival_free
-from repro.xst.restrict import sigma_restrict
+from repro.xst.restrict import restrict_records
 from repro.xst.xset import (
     _ADMITTED_BY_TYPE, _FEW, Pair, XSet, _check_admissible, _holding, _merged,
 )
@@ -259,13 +259,11 @@ def restrict(rel: Relation, comparisons: Sequence[Comparison]) -> Relation:
         else:
             rest.append(comparison)
     if key:
-        attrs = rel.heading.require(key)
+        rel.heading.require(key)
     if rest:
         rel.heading.require(map(attrgetter("attr"), rest))
     if key:
-        rows = sigma_restrict(
-            rel.rows, xset([xrecord(key)]), _attribute_identity(attrs)
-        )
+        rows = restrict_records(rel.rows, (key,))
         rel = Relation._from_valid(rel.heading, rows)  # a subset of rel
     if rest:
         try:
@@ -420,13 +418,25 @@ def semijoin(rel: Relation, other: Relation) -> Relation:
     """Rows of ``rel`` with at least one join partner in ``other``.
 
     Realized as a Def 7.6 restriction of ``rel`` by ``other``'s rows
-    under the shared-attribute sigma -- restriction *is* semijoin.
+    under the shared-attribute sigma, each a key of its values at the
+    shared attributes -- restriction *is* semijoin.
     """
     shared = rel.heading.common(other.heading)
     if not shared:
         raise SchemaError("semijoin needs at least one shared attribute")
-    rows = sigma_restrict(rel.rows, other.rows, _attribute_identity(shared))
+    rows = restrict_records(rel.rows, [
+        dict(zip(shared, values)) for values in _distinct_at(other.rows, shared)
+    ])
     return Relation._from_valid(rel.heading, rows)  # a subset of rel
+
+
+def _distinct_at(rows: XSet, attrs: Tuple[str, ...]) -> Dict[Tuple, None]:
+    """The distinct tuples of values the record ``rows`` hold at
+    ``attrs``, as the keys of a dict: one attribute's read off the
+    member index there, so a stored relation's are read once."""
+    if len(attrs) == 1:
+        return dict.fromkeys(zip(rows._members_holding(attrs[0])))
+    return dict.fromkeys(_positional(attrs, _run_dicts(rows)))
 
 
 def product(rel: Relation, other: Relation) -> Relation:

@@ -35,12 +35,11 @@ from __future__ import annotations
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from repro.errors import IntegrityError, SchemaError
-from repro.relational.algebra import _attribute_identity
+from repro.relational.algebra import _attribute_identity, _distinct_at
 from repro.relational.relation import Relation
 from repro.relational.schema import Heading
-from repro.xst.builders import xrecord, xset
 from repro.xst.domain import sigma_domain
-from repro.xst.restrict import sigma_restrict
+from repro.xst.restrict import restrict_records, sigma_restrict
 from repro.xst.xset import EMPTY, XSet, _admit_all
 
 __all__ = [
@@ -115,19 +114,24 @@ class ForeignKeyConstraint:
         self.name = name or "fk(%s)" % ", ".join(self.attrs)
 
     def violations(self, relation: Relation) -> Relation:
-        """The referencing rows with no partner: ``R ~ (R |_key S)``."""
+        """The referencing rows with no partner: ``R ~ (R |_key S)``.
+
+        A record row holds one key, so that is the Def 7.6 restriction
+        of ``R`` by the keys ``R`` holds and ``S`` does not: the keys
+        are read off the member indexes, and only dangling rows are
+        touched."""
         relation.heading.require(self.attrs)
         target = self.referenced()
         target.heading.require(self.referenced_attrs)
-        # Re-scope the referenced keys into the referencing alphabet.
-        key_sigma = XSet(zip(self.referenced_attrs, self.attrs))
-        target_keys = sigma_domain(target.rows, key_sigma)
-        surviving = sigma_restrict(
-            relation.rows, target_keys, _attribute_identity(self.attrs)
-        )
+        resolved = _distinct_at(target.rows, self.referenced_attrs)
+        dangling = [
+            dict(zip(self.attrs, values))
+            for values in _distinct_at(relation.rows, self.attrs)
+            if values not in resolved
+        ]
         # Trusted: a subset of ``relation``'s own rows.
         return Relation._from_valid(
-            relation.heading, relation.rows - surviving
+            relation.heading, restrict_records(relation.rows, dangling)
         )
 
     def check(self, relation: Relation) -> None:
@@ -347,17 +351,15 @@ class Table:
                   rows: XSet) -> XSet:
         """The ``rows`` matching any of ``wheres``, each a record of
         attribute equalities (``{}`` matches every row): one Def 7.6
-        restriction by the set of those records.  A value no set can
+        restriction by the set of those records
+        (:func:`~repro.xst.restrict.restrict_records`).  A value no set can
         hold (``nan``, or no atom) is refused as
         :class:`~repro.relational.algebra.Comparison` refuses it, and an
         unknown attribute too, before any row is read."""
         for where in wheres:
             _admit_all(where.values())
             self._heading.require(where)
-        attrs = tuple(dict.fromkeys(attr for where in wheres for attr in where))
-        return sigma_restrict(
-            rows, xset(map(xrecord, wheres)), _attribute_identity(attrs),
-        )
+        return restrict_records(rows, wheres)
 
     def delete(self, where: Mapping[str, Any],
                *more: Mapping[str, Any]) -> int:

@@ -497,13 +497,18 @@ class WriteAheadLog:
 
         The frame is written in a single ``write`` call, so a crash
         either leaves the whole frame (the record is durable) or a
-        torn tail that recovery truncates (it never happened).
+        torn tail that recovery truncates (it never happened).  With
+        ``sync`` off the frame is still flushed, with no fsync, so
+        :meth:`replay` and :meth:`scan` see every record :attr:`lsn`
+        counts while the log is open.
         """
         frame = _frame(record)
         fh = self._ensure_open()
         fh.write(frame)
         if self._sync:
             _sync_file(fh)
+        else:
+            fh.flush()
         self._lsn += 1
         return self._lsn
 

@@ -30,14 +30,14 @@ Two literal-reading consequences worth knowing (both covered by tests):
 from __future__ import annotations
 
 from itertools import compress
-from typing import Any, List
+from typing import Any, List, Mapping, Sequence, Tuple
 
 from repro.gov.governor import active as _gov_active
 from repro.obs.instrument import kernel_op
-from repro.xst.xset import Pair, XSet
+from repro.xst.xset import Pair, XSet, _admit_all
 from repro.xst.rescope import rescope_value_by_element
 
-__all__ = ["sigma_restrict", "restrict_1"]
+__all__ = ["sigma_restrict", "restrict_1", "restrict_records"]
 
 
 def _fragment_within(fragment: XSet, whole: Any) -> bool:
@@ -131,6 +131,68 @@ def _in_run_order(r: XSet, found: List[Pair]) -> List[Pair]:
     members = r.pairs()
     distinct = set(map(id, found))
     return list(compress(members, map(distinct.__contains__, map(id, members))))
+
+
+def restrict_records(r: XSet, keys: Sequence[Mapping[Any, Any]]) -> XSet:
+    """``sigma_restrict(r, xset(map(xrecord, keys)), sigma)`` with
+    ``sigma`` the identity on the keys' attributes, for an ``r`` whose
+    members are records: the rows holding every ``value^attr`` of some
+    key ``{attr: value}``.
+
+    Under that sigma a key re-scopes to itself and its member scope to
+    the empty set, so Def 7.6 keeps a row exactly when the row holds
+    each of the key's parts -- and a record holds ``value^attr``
+    exactly when ``r._members_holding(attr)[value]`` lists it.  So the
+    member index decides, and no part is re-tested: a one-attribute key
+    keeps its run as it stands, a wider key keeps the rows of its
+    shortest run that hold its other parts, and ``{}`` keeps every row.
+    The answer is in ``r``'s own run order.  Every value and attribute
+    is admitted (:class:`~repro.errors.InvalidAtomError` for one no set
+    can hold) before any row is read.  :func:`sigma_restrict` is the
+    specification; the tests compare the two.
+    """
+    for key in keys:
+        _admit_all((*key, *key.values()))
+    if len(keys) > 1:
+        # Equal keys are one member of the key set.
+        keys = tuple({frozenset(key.items()): key for key in keys}.values())
+    return _restricted_records(r, keys)
+
+
+@kernel_op("restrict")
+def _restricted_records(r: XSet, keys: Sequence[Mapping[Any, Any]]) -> XSet:
+    """:func:`restrict_records` over distinct, admitted ``keys``."""
+    if not keys:
+        return XSet()
+    gov = _gov_active()
+    if not all(keys):
+        kept = r  # an empty key keeps every row
+    elif len(keys) == 1:
+        kept = XSet._from_run(_holding_key(r, keys[0]))
+    else:
+        found: List[Pair] = []
+        for probed, key in enumerate(keys, 1):
+            found += _holding_key(r, key)
+            if gov is not None and not (probed & 1023):
+                gov.checkpoint("xst.restrict")
+        kept = XSet._from_run(_in_run_order(r, found))
+    if gov is not None:
+        gov.checkpoint("xst.restrict", len(kept))
+    return kept
+
+
+def _holding_key(r: XSet, key: Mapping[Any, Any]) -> Sequence[Pair]:
+    """The members of ``r`` holding every part of the non-empty ``key``,
+    in run order: its shortest index run, less the rows that miss one of
+    its other parts."""
+    if len(key) == 1:
+        (attr, value), = key.items()
+        return r._members_holding(attr).get(value, ())
+    parts: List[Tuple[Any, Any]] = [(value, attr) for attr, value in key.items()]
+    runs = [r._members_holding(attr).get(value, ()) for value, attr in parts]
+    shortest = min(range(len(runs)), key=lambda at: len(runs[at]))
+    del parts[shortest]
+    return [pair for pair in runs[shortest] if pair[0]._pair_set.issuperset(parts)]
 
 
 def restrict_1(r: XSet, a: XSet) -> XSet:

@@ -203,10 +203,8 @@ class TransactionOracle(RuleBasedStateMachine):
     def __init__(self):
         super().__init__()
         self.directory = tempfile.mkdtemp(prefix="tx-oracle-")
-        # Unbuffered, so a replay reads every record appended so far.
         self.log = WriteAheadLog(
-            os.path.join(self.directory, "wal.log"), sync=False,
-            opener=lambda path, mode: open(path, mode, buffering=0))
+            os.path.join(self.directory, "wal.log"), sync=False)
         tables = {
             name: Table(HEADINGS[name],
                         [dict(zip(HEADINGS[name], row)) for row in rows],

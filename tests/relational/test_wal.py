@@ -50,6 +50,14 @@ class TestFraming:
         assert [record_kind(r) for r in records] == [COMMIT, COMMIT]
         assert commit_changes(records[1])[0][1] == rel(3).rows
 
+    def test_an_unsynced_open_log_replays_every_record(self, path):
+        log = WriteAheadLog(path, sync=False)
+        log.commit(1, change([1]))
+        log.commit(2, change([2]))
+        assert log.lsn == 2
+        assert len(log.replay()) == 2
+        assert len(log.scan().records) == 2
+
     def test_lsn_survives_reopen(self, path):
         log = WriteAheadLog(path)
         log.commit(1, change([1]))

@@ -725,6 +725,38 @@ class TestOneDeltaPerRunShapes:
                     kind, {size: cost[kind] for size, cost in costs.items()})
 
 
+class TestKeyedWriteShapes:
+    """Counts, not timings: a keyed ``Table.update`` or ``Table.delete``
+    finds its rows as a key select does, off the member index's run, so
+    its profile events do not grow with the table."""
+
+    def test_a_keyed_update_and_delete_cost_the_same_at_any_size(self):
+        from repro.relational.constraints import KeyConstraint, Table
+        from repro.workloads import employee_relation
+
+        events = {}
+        for size in (64, 4096):
+            rel = employee_relation(size, 8, seed=WORKLOAD_SEED + 49)
+            table = Table(rel.heading.names, list(rel.iter_dicts()),
+                          [KeyConstraint(["emp"])])
+            keys = [row["emp"] for row in rel.iter_dicts()][:5]
+            table.update({"emp": keys[0]}, {"salary": 7})  # fills the index
+            events[size] = (
+                TestPointWorkShapes.profile_events(lambda: table.update(
+                    {"emp": keys[1]}, {"salary": 9}))[1],
+                TestPointWorkShapes.profile_events(lambda: table.delete(
+                    {"emp": keys[2]}))[1],
+                TestPointWorkShapes.profile_events(lambda: table.delete(
+                    {"emp": keys[3]}, {"emp": keys[4]}))[1],
+            )
+            assert len(table) == size - 3
+        # Observability off: 315, 98 and 134 events at either size;
+        # parent commit 374, 157 and 235 (a key set built and each
+        # candidate re-tested by Def 7.6).
+        for small, large in zip(events[64], events[4096]):
+            assert abs(large - small) <= 2, events
+
+
 class TestCommitTouchesOnlyItsTables:
     """Counts, not timings: an open transaction is one map of the tables
     its statements touched, over the committed value it read, so a
@@ -805,13 +837,13 @@ class TestPointWorkShapes:
 
     SIZES = (64, 1024)
 
-    def test_a_second_key_select_tests_the_matches_only(self, monkeypatch):
+    def test_a_key_select_reads_its_run_and_tests_nothing(self, monkeypatch):
         from repro.relational import algebra
         from repro.relational.algebra import Comparison
         from repro.workloads import employee_relation
         from repro.xst import restrict
 
-        counts = {}
+        counts, events = {}, {}
         for size in self.SIZES:
             rel = employee_relation(size, 8, seed=WORKLOAD_SEED + 13)
             first, second = list(rel.iter_dicts())[:2]
@@ -828,10 +860,16 @@ class TestPointWorkShapes:
                     rel, (Comparison("emp", "=", second["emp"]),)
                 )
             assert list(found.iter_dicts()) == [second]
-            counts[size] = sorted(calls)
-        # Parent commit: the key against every row (65 + 64 calls on 64
-        # rows, 1025 + 1024 on 1024).
-        assert counts[64] == counts[1024] == ["issubset", "within", "within"]
+            counts[size] = calls
+            found, events[size] = self.profile_events(lambda: algebra.restrict(
+                rel, (Comparison("emp", "=", second["emp"]),)))
+            assert list(found.iter_dicts()) == [second]
+        # The member index's run at the key's value is the answer: no
+        # part of the key is tested against a row.  Parent commit: the
+        # Def 7.6 re-test of the one candidate (two ``_fragment_within``
+        # calls and one ``issubset``), with a key set built per call.
+        assert counts[64] == counts[1024] == [], counts
+        assert events[64] == events[1024], events
 
     def test_a_statement_text_is_tokenized_once(self, monkeypatch):
         from repro.relational import sql
@@ -1227,7 +1265,7 @@ class TestBuiltOnceShapes:
         from repro.workloads import employee_relation
 
         emp = employee_relation(4096, 64, seed=WORKLOAD_SEED + 19)
-        calls = {"projected": 0, "sigma_restrict": 0, "checked": 0}
+        calls = {"projected": 0, "restrict_records": 0, "checked": 0}
 
         def counted(name, original):
             def count(*args):
@@ -1237,8 +1275,8 @@ class TestBuiltOnceShapes:
 
         monkeypatch.setattr(algebra, "_picked", counted(
             "projected", algebra._picked))
-        monkeypatch.setattr(algebra, "sigma_restrict", counted(
-            "sigma_restrict", algebra.sigma_restrict))
+        monkeypatch.setattr(algebra, "restrict_records", counted(
+            "restrict_records", algebra.restrict_records))
         monkeypatch.setattr(XSet, "__init__", counted("checked", XSet.__init__))
         groups = algebra.group_by(emp, ["dept"])
         assert len(groups) == 64
@@ -1247,7 +1285,7 @@ class TestBuiltOnceShapes:
         # projection and no restriction per key.  Parent commit: one
         # projection, 64 restrictions and 67 checked constructions (a key
         # set per restriction and three more); now none are needed.
-        assert calls["projected"] == calls["sigma_restrict"] == 0
+        assert calls["projected"] == calls["restrict_records"] == 0
         assert calls["checked"] <= 64
 
 
